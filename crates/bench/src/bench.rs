@@ -689,6 +689,7 @@ mod tests {
                     }],
                     total_secs: 0.25,
                 },
+                sched: nanowall::SchedulerStats::default(),
             }],
         };
         let j = r.to_json();

@@ -167,6 +167,9 @@ pub struct ProfileEntry {
     pub measured_secs: f64,
     /// The profiler's per-phase attribution.
     pub report: ProfileReport,
+    /// The scheduler's deterministic work counters over the same run: why
+    /// the wall-clock above is what it is, without its noise.
+    pub sched: nanowall::SchedulerStats,
 }
 
 /// Installs a seeded level-1.0 fault campaign plus the default retry
@@ -216,6 +219,7 @@ pub fn run_profile(quick: bool, fault_seed: Option<u64>) -> Vec<ProfileEntry> {
                 cycles,
                 measured_secs,
                 report,
+                sched: rig.platform.scheduler_stats(),
             }
         })
         .collect()
@@ -241,6 +245,14 @@ pub fn render_profile(entries: &[ProfileEntry]) -> String {
         for line in e.report.render().lines().skip(1) {
             let _ = writeln!(s, "{line}");
         }
+        let _ = writeln!(
+            s,
+            "  scheduler  stepped {}  hopped {}  pe_ticks {}  pe_external_wakes {}",
+            e.sched.cycles_stepped,
+            e.sched.cycles_hopped,
+            e.sched.pe_ticks,
+            e.sched.pe_external_wakes
+        );
     }
     s
 }
@@ -291,7 +303,12 @@ mod tests {
                 e.measured_secs
             );
         }
-        assert!(render_profile(&entries).contains("PROFILE  mix"));
+        let text = render_profile(&entries);
+        assert!(text.contains("PROFILE  mix"));
+        assert!(text.contains("scheduler  stepped"), "{text}");
+        for e in &entries {
+            assert_eq!(e.sched.cycles_stepped + e.sched.cycles_hopped, e.cycles);
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod tags;
 pub use config::{BuildPlatformError, FppaConfig, HwIpConfig, MemoryBlockConfig};
 pub use platform::{
     default_scheduler_mode, set_default_scheduler_mode, FppaPlatform, NodeRole, PlatformSnapshot,
-    SchedulerMode,
+    SchedulerMode, SchedulerStats,
 };
 pub use report::{ObjectLatency, PlatformReport};
 pub use resilience::{ResilienceStats, RetryPolicy};

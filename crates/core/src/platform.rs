@@ -45,12 +45,35 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum SchedulerMode {
     /// Reference scheduler: every component is ticked every cycle.
     Dense,
-    /// Event-driven scheduler: only components that are busy or have work
-    /// due are ticked. Dormant PEs settle their busy/idle accounting in
-    /// bulk, quiescent service nodes and NoC scans are skipped, and
-    /// [`FppaPlatform::run`] fast-forwards over fully idle cycle spans.
+    /// Event-driven scheduler: only components that have work due are
+    /// ticked. PEs are self-timed — each sleeps through compute bursts,
+    /// stalls and dormancy until the cycle it posted in the platform's wake
+    /// table, catching up in bulk when it next ticks — quiescent service
+    /// nodes and NoC scans are skipped, and [`FppaPlatform::run`]
+    /// fast-forwards over cycle spans in which nothing is due at all.
     #[default]
     ActiveSet,
+}
+
+/// Deterministic work counters of the scheduler: what the run loop did,
+/// not what the simulation computed. They legitimately differ between
+/// [`SchedulerMode::Dense`] and [`SchedulerMode::ActiveSet`] (which is why
+/// they stay out of [`PlatformReport`]), but for a given mode they are a
+/// pure function of configuration and seed, so they repeat exactly and
+/// explain a wall-clock move without its noise. Cumulative since the
+/// platform was built; snapshots and forks carry them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SchedulerStats {
+    /// Cycles advanced one at a time by a scheduler step.
+    pub cycles_stepped: u64,
+    /// Cycles skipped by fast-forward hops.
+    pub cycles_hopped: u64,
+    /// `Pe::tick` calls made (dense: every PE every stepped cycle).
+    pub pe_ticks: u64,
+    /// Wake requests posted for a PE by something other than its own tick:
+    /// reply delivery, NI accept, dispatch spawn, retry give-up, crash,
+    /// restart, `pe_mut`.
+    pub pe_external_wakes: u64,
 }
 
 /// Process-wide default scheduler: 0 = unset, 1 = dense, 2 = active-set.
@@ -147,12 +170,17 @@ pub struct FppaPlatform {
     next_service_id: u64,
     pub(crate) runtime: Option<Runtime>,
     scheduler: SchedulerMode,
-    /// Active-set scheduling: PEs that must be ticked this cycle. A `true`
-    /// entry is conservative (ticking a dormant PE is an accounting no-op);
-    /// a `false` entry is a guarantee the PE is dormant — every thread idle
-    /// or blocked on a platform completion — so skipping its tick and
-    /// bulk-settling the accounting later is bit-identical.
-    pe_active: Vec<bool>,
+    /// Active-set scheduling: the next cycle each PE must tick
+    /// (`u64::MAX`: dormant until an external event). An early entry is
+    /// conservative (a tick first catches up, then runs normally); a later
+    /// one is the PE's own [`Pe::quiet_span`] promise that leaving it
+    /// unticked until then and settling in bulk is bit-identical. Set
+    /// after every tick, pulled earlier by [`FppaPlatform::wake_pe`]. The
+    /// dense step never reads or posts it, so under dense every entry
+    /// stays at or before `now` (where the switch to dense put it).
+    pe_wake: Vec<u64>,
+    /// Scheduler work counters (see [`FppaPlatform::scheduler_stats`]).
+    sched_stats: SchedulerStats,
     /// Lazily computed, cached hop matrix. The topology's link structure is
     /// immutable after construction, but *routes* can change when a link is
     /// permanently failed ([`FppaPlatform::fail_noc_link`] or a campaign
@@ -348,7 +376,8 @@ impl FppaPlatform {
             next_service_id: 0,
             runtime: None,
             scheduler: default_scheduler_mode(),
-            pe_active: vec![true; n_pes],
+            pe_wake: vec![0; n_pes],
+            sched_stats: SchedulerStats::default(),
             hop_cache: OnceCell::new(),
             pool: PayloadPool::new(),
             call_issue,
@@ -401,7 +430,8 @@ impl FppaPlatform {
             next_service_id: self.next_service_id,
             runtime: self.runtime.clone(),
             scheduler: self.scheduler,
-            pe_active: self.pe_active.clone(),
+            pe_wake: self.pe_wake.clone(),
+            sched_stats: self.sched_stats,
             hop_cache: self.hop_cache.clone(),
             pool: self.pool.clone(),
             call_issue: self.call_issue.clone(),
@@ -561,13 +591,27 @@ impl FppaPlatform {
 
     /// Switches scheduler. Both modes simulate identically (the active-set
     /// scheduler is verified bit-identical against the dense reference), so
-    /// switching is safe at any point; pending active-set bookkeeping is
-    /// reset conservatively.
+    /// switching is safe at any point — also while PEs sleep mid-burst:
+    /// every PE is marked due now, and its next tick (under either mode)
+    /// first catches up what it slept through.
     pub fn set_scheduler_mode(&mut self, mode: SchedulerMode) {
         self.scheduler = mode;
-        for a in &mut self.pe_active {
-            *a = true;
-        }
+        self.pe_wake.fill(self.clock.now().0);
+    }
+
+    /// The scheduler's deterministic work counters so far.
+    pub fn scheduler_stats(&self) -> SchedulerStats {
+        self.sched_stats
+    }
+
+    /// External wake: PE `p` must tick at cycle `at` at the latest. Every
+    /// site that changes a PE's state from outside its own tick calls this
+    /// with the next cycle the PE phase runs — `now` from phases before
+    /// the PE phase, `now + 1` from the outbox flush after it.
+    #[inline]
+    fn wake_pe(&mut self, p: usize, at: Cycles) {
+        self.pe_wake[p] = self.pe_wake[p].min(at.0);
+        self.sched_stats.pe_external_wakes += 1;
     }
 
     /// The configuration the platform was built from.
@@ -642,9 +686,9 @@ impl FppaPlatform {
     /// Mutable access to a PE.
     ///
     /// The PE is woken for active-set scheduling (the caller may spawn work
-    /// on it) and its busy/idle accounting is settled to the current cycle
-    /// before the reference is handed out, so external mutation composes
-    /// with lazily accounted skipped cycles.
+    /// on it) and caught up to the current cycle before the reference is
+    /// handed out, so external mutation composes with cycles it slept
+    /// through.
     ///
     /// # Panics
     ///
@@ -652,7 +696,7 @@ impl FppaPlatform {
     pub fn pe_mut(&mut self, i: usize) -> &mut Pe {
         let now = self.clock.now();
         self.pes[i].settle_accounting(now);
-        self.pe_active[i] = true;
+        self.wake_pe(i, now);
         // The caller may spawn programs the runtime never saw; drop the
         // PE's thread → object attributions so a manual program's service
         // calls cannot be charged to a stale handler's latency histogram.
@@ -740,12 +784,13 @@ impl FppaPlatform {
 
     /// Runs the platform for `cycles` cycles and reports.
     ///
-    /// Under [`SchedulerMode::ActiveSet`] fully idle cycle spans are
-    /// fast-forwarded: when nothing is due (no busy PE, no queued or
-    /// in-flight NoC traffic, no busy service node, no pending dispatch)
-    /// the clock jumps straight to the next timed event instead of
-    /// stepping cycle by cycle. I/O pacing keeps its per-cycle credit
-    /// arithmetic, so results stay bit-identical to the dense scheduler.
+    /// Under [`SchedulerMode::ActiveSet`] quiet cycle spans are
+    /// fast-forwarded: when nothing is due (every PE asleep — dormant, mid
+    /// compute burst or stalled — no NoC event due, no busy service node,
+    /// no pending dispatch) the clock jumps straight to the next timed
+    /// event — the earliest PE wake included — instead of stepping cycle
+    /// by cycle. I/O pacing keeps its per-cycle credit arithmetic, so
+    /// results stay bit-identical to the dense scheduler.
     pub fn run(&mut self, cycles: u64) -> PlatformReport {
         let start = self.clock.now();
         if let Some(p) = self.profiler.as_mut() {
@@ -763,14 +808,16 @@ impl FppaPlatform {
                     // The quiet-span probe itself has no phase: its cost
                     // folds into the lap of whichever phase ends next
                     // (FastForward on a hop, IoPacing on a normal step).
-                    match self.quiet_span() {
-                        Some(pe_span) => {
+                    match self.quiet_span(end) {
+                        Some(target) => {
                             let before = self.clock.now();
-                            self.span_hop(end, pe_span);
+                            self.span_hop(target);
+                            let span = self.clock.now().0 - before.0;
+                            self.sched_stats.cycles_hopped += span;
                             if let Some(s) = self.obs_sink.as_deref_mut() {
                                 s.emit(TraceEvent::FastForward {
                                     cycle: before.0,
-                                    span: self.clock.now().0 - before.0,
+                                    span,
                                 });
                             }
                             self.prof_lap(HostPhase::FastForward);
@@ -891,8 +938,8 @@ impl FppaPlatform {
                 self.pool.put(b);
             }
         }
-        // One settling tick; the PE reads dormant from the next cycle on.
-        self.pe_active[pe] = true;
+        // One tick on the dead contexts; it posts the PE dormant.
+        self.wake_pe(pe, now);
         for slot in &mut self.call_issue[pe] {
             *slot = None;
         }
@@ -967,7 +1014,7 @@ impl FppaPlatform {
                 FaultKind::PeRestart { pe } => {
                     if pe < self.pes.len() && self.pes[pe].is_crashed() {
                         self.pes[pe].restart(now);
-                        self.pe_active[pe] = true;
+                        self.wake_pe(pe, now);
                         self.rstats.pe_restarts += 1;
                     }
                     (6, pe, 0)
@@ -998,56 +1045,54 @@ impl FppaPlatform {
         let Some(mut rs) = self.resilience.take() else {
             return;
         };
-        if rs.earliest_deadline().is_some_and(|d| d <= now.0) {
-            let policy = rs.policy;
-            for (p, tid) in rs.due_keys(now.0) {
-                let give_up = {
-                    let Some(entry) = rs.get_mut(p, tid) else {
-                        continue;
-                    };
-                    u32::from(entry.attempt) + 1 >= u32::from(policy.max_attempts.max(1))
+        let policy = rs.policy;
+        for (p, tid) in rs.due_keys(now.0) {
+            let give_up = {
+                let Some(entry) = rs.get_mut(p, tid) else {
+                    continue;
                 };
-                if give_up {
-                    if let Some(data) = rs.abandon(p, tid) {
-                        self.pool.put(data);
-                    }
-                    self.call_issue[p][tid] = None;
-                    self.rstats.retry_give_ups += 1;
-                    let t = nw_types::ThreadId(tid);
-                    if self.pes[p].is_awaiting(t) {
-                        self.pe_active[p] = true;
-                        self.pes[p].complete(t);
-                    }
-                } else {
-                    rs.bump(p, tid, now.0);
-                    let entry = rs.get_mut(p, tid).expect("entry was just bumped");
-                    let mut fresh = self.pool.take();
-                    fresh.extend_from_slice(&entry.data);
-                    let send = std::mem::replace(&mut entry.data, fresh);
-                    let tag = RequestTag {
-                        pe: PeId(p),
-                        tid: nw_types::ThreadId(tid),
-                        token: entry.token,
-                        reply_bytes: entry.reply_bytes,
-                    }
-                    .encode();
-                    let (dst, attempt) = (entry.dst, entry.attempt);
-                    self.outbox.push_back(Outgoing {
-                        src: self.pe_nodes[p],
-                        dst,
-                        data: send,
-                        tag,
-                        on_accept: None,
+                u32::from(entry.attempt) + 1 >= u32::from(policy.max_attempts.max(1))
+            };
+            if give_up {
+                if let Some(data) = rs.abandon(p, tid) {
+                    self.pool.put(data);
+                }
+                self.call_issue[p][tid] = None;
+                self.rstats.retry_give_ups += 1;
+                let t = nw_types::ThreadId(tid);
+                if self.pes[p].is_awaiting(t) {
+                    self.wake_pe(p, now);
+                    self.pes[p].complete(t);
+                }
+            } else {
+                rs.bump(p, tid, now.0);
+                let entry = rs.get_mut(p, tid).expect("entry was just bumped");
+                let mut fresh = self.pool.take();
+                fresh.extend_from_slice(&entry.data);
+                let send = std::mem::replace(&mut entry.data, fresh);
+                let tag = RequestTag {
+                    pe: PeId(p),
+                    tid: nw_types::ThreadId(tid),
+                    token: entry.token,
+                    reply_bytes: entry.reply_bytes,
+                }
+                .encode();
+                let (dst, attempt) = (entry.dst, entry.attempt);
+                self.outbox.push_back(Outgoing {
+                    src: self.pe_nodes[p],
+                    dst,
+                    data: send,
+                    tag,
+                    on_accept: None,
+                });
+                self.rstats.retries += 1;
+                if let Some(s) = self.obs_sink.as_deref_mut() {
+                    s.emit(TraceEvent::RetryIssued {
+                        cycle: now.0,
+                        pe: p,
+                        thread: tid,
+                        attempt: u32::from(attempt),
                     });
-                    self.rstats.retries += 1;
-                    if let Some(s) = self.obs_sink.as_deref_mut() {
-                        s.emit(TraceEvent::RetryIssued {
-                            cycle: now.0,
-                            pe: p,
-                            thread: tid,
-                            attempt: u32::from(attempt),
-                        });
-                    }
                 }
             }
         }
@@ -1090,24 +1135,26 @@ impl FppaPlatform {
         self.prof_lap(HostPhase::Dispatch);
 
         // 6. PEs execute; their requests become packets.
-        for i in 0..self.pes.len() {
-            self.pes[i].tick(now);
+        for p in 0..self.pes.len() {
+            self.pes[p].tick(now);
+            self.collect_pe_requests(p, now);
         }
+        self.sched_stats.pe_ticks += self.pes.len() as u64;
         self.drain_retirements(now);
-        self.collect_pe_requests(now);
         self.prof_lap(HostPhase::PeStep);
 
         // 7. Flush the injection retry queue.
         self.flush_outbox(now);
         self.prof_lap(HostPhase::Outbox);
 
+        self.sched_stats.cycles_stepped += 1;
         self.clock.advance();
     }
 
     /// The active-set scheduler: the same phase order as the dense step,
     /// but each phase only visits components that can actually do work.
-    /// Skipped components would have ticked as no-ops (or, for dormant
-    /// PEs, pure busy/idle accounting that is settled in bulk later), so
+    /// Skipped components would have ticked as no-ops (or, for sleeping
+    /// PEs, burst and stall arithmetic that is settled in bulk later), so
     /// the simulation is bit-identical to [`FppaPlatform::step_dense`].
     fn step_active(&mut self) {
         let now = self.clock.now();
@@ -1153,16 +1200,21 @@ impl FppaPlatform {
         self.runtime_dispatch(now);
         self.prof_lap(HostPhase::Dispatch);
 
-        // 6. Active PEs execute; dormant ones keep sleeping and settle
-        //    their accounting in bulk when they wake or at report time.
+        // 6. Due PEs execute, hand over their requests and post their
+        //    next wake; the others keep sleeping and catch up in bulk when
+        //    they wake or at report time.
+        let next = Cycles(now.0 + 1);
         for p in 0..self.pes.len() {
-            if self.pe_active[p] {
-                self.pes[p].tick(now);
-                self.pe_active[p] = self.pes[p].is_live();
+            if self.pe_wake[p] > now.0 {
+                continue;
             }
+            self.pes[p].tick(now);
+            self.collect_pe_requests(p, now);
+            let span = self.pes[p].quiet_span(next).unwrap_or(0);
+            self.pe_wake[p] = next.0.saturating_add(span);
+            self.sched_stats.pe_ticks += 1;
         }
         self.drain_retirements(now);
-        self.collect_pe_requests(now);
         self.prof_lap(HostPhase::PeStep);
 
         // 7. Flush the injection retry queue.
@@ -1171,14 +1223,15 @@ impl FppaPlatform {
         }
         self.prof_lap(HostPhase::Outbox);
 
+        self.sched_stats.cycles_stepped += 1;
         self.clock.advance();
     }
 
     /// Reports handler retirements to the trace sink. Retire logs are only
     /// recorded while a sink is installed, so this is a no-op otherwise; a
-    /// PE skipped by the active-set scheduler cannot have retired anything
-    /// since its last tick, so visiting every PE is exact under both
-    /// schedulers.
+    /// PE asleep under the active-set scheduler cannot have retired
+    /// anything since its last tick (a compute burst's last cycle is a
+    /// real tick), so visiting every PE is exact under both schedulers.
     fn drain_retirements(&mut self, now: Cycles) {
         if self.obs_sink.is_none() {
             return;
@@ -1196,55 +1249,66 @@ impl FppaPlatform {
         }
     }
 
-    /// Whether the upcoming span of cycles is provably skippable, and for
-    /// how long with respect to the PEs. `None`: this cycle must be stepped
-    /// normally. `Some(k)`: nothing except I/O pacing credit and in-flight
-    /// PE compute bursts evolves for at least the next `k` cycles (and any
-    /// timed NoC/memory event is respected separately via
-    /// [`Self::quiet_target`]) — no retirement, dispatch, injection or
-    /// arrival can occur, so the span can be bulk-advanced.
+    /// The run-loop probe: whether the upcoming span of cycles is provably
+    /// skippable, and up to which cycle. `None`: this cycle must be stepped
+    /// normally. `Some(target)`, `target > now`: nothing except I/O pacing
+    /// credit and sleeping PEs' catch-up arithmetic evolves before
+    /// `target` — no retirement, dispatch, injection or arrival can occur —
+    /// so [`Self::span_hop`] may bulk-advance there.
     ///
-    /// With every PE dormant the PE bound is unlimited (`u64::MAX`, the
-    /// pure-idle fast-forward of the original active-set scheduler); with
-    /// active PEs the bound is the shortest in-flight compute burst, and
-    /// any active PE doing something other than a compute burst forces a
-    /// normal step.
-    fn quiet_span(&self) -> Option<u64> {
+    /// "Due now or every cycle" sources (outbox, dispatch, pacing drives,
+    /// bound ingress, a busy or parked service node) veto the hop. Timed
+    /// sources bound it: the earliest PE wake (`min(pe_wake)`; all
+    /// dormant: unbounded), the next NoC event, the next campaign fault
+    /// and the earliest retry deadline — each vetoes when due now, so a
+    /// fault or timeout is always applied in a normally stepped cycle.
+    /// `end` caps the target.
+    fn quiet_span(&self, end: Cycles) -> Option<Cycles> {
         let now = self.clock.now();
-        if !self.outbox.is_empty() {
-            return None;
-        }
-        // A fault event or retry deadline due now must be applied in a
-        // normally stepped cycle; future ones bound the hop via
-        // [`Self::quiet_target`].
-        if self
-            .campaign
-            .as_ref()
-            .and_then(FaultCampaign::next_cycle)
-            .is_some_and(|t| t <= now.0)
-        {
+        // Constant-time vetoes first, then the walks.
+        if !self.outbox.is_empty() || self.noc.eject_pending() > 0 {
             return None;
         }
         if self
-            .resilience
+            .runtime
             .as_ref()
-            .and_then(ResilienceState::earliest_deadline)
-            .is_some_and(|d| d <= now.0)
+            .is_some_and(|rt| rt.has_pacing() || rt.has_dispatch_work())
         {
             return None;
         }
-        if self.noc.eject_pending() > 0 || self.noc.next_event_cycle(now).is_some_and(|t| t <= now)
-        {
+        let mut target = end.0;
+        let mut bound = |t: u64| {
+            target = target.min(t);
+            t > now.0
+        };
+        let pe_wake = self.pe_wake.iter().copied().min().unwrap_or(u64::MAX);
+        if !bound(pe_wake) {
             return None;
         }
         if let Some(rt) = self.runtime.as_ref() {
-            if rt.has_pacing() || rt.has_dispatch_work() {
-                return None;
-            }
             for (i, io) in self.ios.iter().enumerate() {
                 if rt.io_has_bindings(i) && (io.rx_backlog() > 0 || io.rx_due_next_tick()) {
                     return None;
                 }
+            }
+        }
+        if let Some(t) = self.campaign.as_ref().and_then(FaultCampaign::next_cycle) {
+            if !bound(t) {
+                return None;
+            }
+        }
+        if let Some(d) = self
+            .resilience
+            .as_ref()
+            .and_then(ResilienceState::earliest_deadline)
+        {
+            if !bound(d) {
+                return None;
+            }
+        }
+        if let Some(t) = self.noc.next_event_cycle(now) {
+            if !bound(t.0) {
+                return None;
             }
         }
         let mems_quiet = self
@@ -1265,105 +1329,54 @@ impl FppaPlatform {
         if !(mems_quiet && fabrics_quiet && hwips_quiet) {
             return None;
         }
-        // PE bound: dormant PEs are unconstrained (their accounting settles
-        // lazily); every active PE must be mid compute burst.
-        let mut span = u64::MAX;
-        for (i, pe) in self.pes.iter().enumerate() {
-            if !self.pe_active[i] {
-                continue;
-            }
-            match pe.quiet_span(now) {
-                Some(k) => span = span.min(k),
-                None => return None,
-            }
-        }
-        Some(span)
+        Some(Cycles(target))
     }
 
-    /// Advances over a quiet span. Without I/O channels the clock jumps to
-    /// the span target in one hop; with I/O channels the pacing credit must
-    /// accumulate cycle by cycle, so the hop ticks only the pacers in a
-    /// tight loop, breaking out the moment a bound channel holds (or is
-    /// about to produce) ingress traffic. Active PEs then bulk-apply the
-    /// hopped cycles to their compute bursts — counter arithmetic identical
-    /// to per-cycle ticking, so the dense scheduler sees the same state.
-    fn span_hop(&mut self, end: Cycles, pe_span: u64) {
+    /// Advances over a quiet span to `target` (from [`Self::quiet_span`]).
+    /// Without I/O channels the clock jumps there in one hop; with I/O
+    /// channels the pacing credit must accumulate cycle by cycle, so the
+    /// hop ticks only the pacers in a tight loop, breaking out the moment
+    /// a bound channel holds (or is about to produce) ingress traffic.
+    /// PEs are not touched: each catches up the hopped cycles itself on
+    /// its next tick ([`Pe::settle_accounting`]), with counter arithmetic
+    /// identical to per-cycle ticking, so the dense scheduler sees the
+    /// same state.
+    fn span_hop(&mut self, target: Cycles) {
         let now = self.clock.now();
-        let mut target = self.quiet_target(end);
-        if pe_span != u64::MAX {
-            target = target.min(Cycles(now.0 + pe_span));
-        }
-        let target = target.max(Cycles(now.0 + 1));
+        debug_assert!(target > now, "a hop must advance the clock");
         if self.ios.is_empty() {
             self.clock.advance_by(Cycles(target.0 - now.0));
-        } else {
-            // Bindings cannot change mid-hop, so resolve which channels'
-            // ingress can end the span once, outside the per-cycle loop.
-            // (Unbound channels pace and drop; their state never wakes
-            // anything, exactly as in a dense step.)
-            let mut bound: Option<Vec<usize>> = None;
-            let mut t = now.0;
-            loop {
-                for io in self.ios.iter_mut() {
-                    io.tick(Cycles(t));
-                }
-                t += 1;
-                if t >= target.0 {
-                    break;
-                }
-                let bound = bound.get_or_insert_with(|| match self.runtime.as_ref() {
-                    Some(rt) => (0..self.ios.len())
-                        .filter(|&i| rt.io_has_bindings(i))
-                        .collect(),
-                    None => Vec::new(),
-                });
-                let io_traffic = bound.iter().any(|&i| {
-                    let io = &self.ios[i];
-                    io.rx_backlog() > 0 || io.rx_due_next_tick()
-                });
-                if io_traffic {
-                    break;
-                }
-            }
-            self.clock.advance_by(Cycles(t - now.0));
+            return;
         }
-        if pe_span != u64::MAX {
-            let hopped = self.clock.now().0 - now.0;
-            for i in 0..self.pes.len() {
-                if self.pe_active[i] {
-                    self.pes[i].advance_quiet(hopped);
-                }
+        // Bindings cannot change mid-hop, so resolve which channels'
+        // ingress can end the span once, outside the per-cycle loop.
+        // (Unbound channels pace and drop; their state never wakes
+        // anything, exactly as in a dense step.)
+        let mut bound: Option<Vec<usize>> = None;
+        let mut t = now.0;
+        loop {
+            for io in self.ios.iter_mut() {
+                io.tick(Cycles(t));
+            }
+            t += 1;
+            if t >= target.0 {
+                break;
+            }
+            let bound = bound.get_or_insert_with(|| match self.runtime.as_ref() {
+                Some(rt) => (0..self.ios.len())
+                    .filter(|&i| rt.io_has_bindings(i))
+                    .collect(),
+                None => Vec::new(),
+            });
+            let io_traffic = bound.iter().any(|&i| {
+                let io = &self.ios[i];
+                io.rx_backlog() > 0 || io.rx_due_next_tick()
+            });
+            if io_traffic {
+                break;
             }
         }
-    }
-
-    /// The earliest cycle at which a *timed* NoC event is due (arrivals,
-    /// port frees), clamped to `end`. Only meaningful right after
-    /// [`Self::quiet_span`] answered `Some`: that check has already ruled
-    /// out every other event source — "due now or every cycle" ones
-    /// (issuing PEs, outbox, dispatch, pacing drives, parked services)
-    /// and timed ones alike (a memory, fabric or IP block with anything
-    /// in flight fails its `is_idle` test there), so the NoC holds the
-    /// only pending timed events.
-    fn quiet_target(&self, end: Cycles) -> Cycles {
-        let now = self.clock.now();
-        let mut target = end;
-        if let Some(c) = self.noc.next_event_cycle(now) {
-            target = target.min(c.max(now));
-        }
-        // Pending fault events and retry deadlines are timed events too: a
-        // quiet span must never skip over one.
-        if let Some(c) = self.campaign.as_ref().and_then(FaultCampaign::next_cycle) {
-            target = target.min(Cycles(c).max(now));
-        }
-        if let Some(d) = self
-            .resilience
-            .as_ref()
-            .and_then(ResilienceState::earliest_deadline)
-        {
-            target = target.min(Cycles(d).max(now));
-        }
-        target
+        self.clock.advance_by(Cycles(t - now.0));
     }
 
     /// The earliest cycle `>=` now at which any platform component has work
@@ -1379,8 +1392,16 @@ impl FppaPlatform {
                 (a, b) => a.or(b),
             };
         };
-        if self.pe_active.iter().any(|&a| a)
-            || !self.outbox.is_empty()
+        // A PE's posted wake is its next event (dense mode never posts,
+        // so every entry reads "now" there).
+        fold(
+            self.pe_wake
+                .iter()
+                .min()
+                .filter(|&&w| w != u64::MAX)
+                .map(|&w| Cycles(w).max(now)),
+        );
+        if !self.outbox.is_empty()
             || self.noc.eject_pending() > 0
             || self
                 .runtime
@@ -1431,10 +1452,11 @@ impl FppaPlatform {
         next
     }
 
-    /// Settles all lazily accounted busy/idle statistics up to the current
-    /// cycle. Called automatically by [`FppaPlatform::report`]; call it
-    /// directly before reading [`Pe::stats`] on a manually stepped platform
-    /// running the active-set scheduler.
+    /// Catches every sleeping PE up to the current cycle (wake cycles are
+    /// absolute, so the wake table is unaffected). Called automatically by
+    /// [`FppaPlatform::report`]; call it directly before reading
+    /// [`Pe::stats`] on a manually stepped platform running the active-set
+    /// scheduler.
     pub fn settle(&mut self) {
         let now = self.clock.now();
         for pe in &mut self.pes {
@@ -1498,13 +1520,13 @@ impl FppaPlatform {
                                     self.record_reply_latency(p, t.tid, now);
                                     // Data-driven wake: the completion makes
                                     // a blocked thread runnable again.
-                                    self.pe_active[p] = true;
+                                    self.wake_pe(p, now);
                                     self.pes[p].complete(t.tid);
                                 }
                                 Some(CloseOutcome::Live(stored)) => {
                                     self.pool.put(stored);
                                     self.record_reply_latency(p, t.tid, now);
-                                    self.pe_active[p] = true;
+                                    self.wake_pe(p, now);
                                     self.pes[p].complete(t.tid);
                                 }
                                 Some(CloseOutcome::Stale) => {
@@ -1518,7 +1540,7 @@ impl FppaPlatform {
                                     // gave up already or its PE crashed.
                                     if self.pes[p].is_awaiting(t.tid) {
                                         self.record_reply_latency(p, t.tid, now);
-                                        self.pe_active[p] = true;
+                                        self.wake_pe(p, now);
                                         self.pes[p].complete(t.tid);
                                     } else {
                                         self.rstats.duplicate_replies_dropped += 1;
@@ -1700,10 +1722,10 @@ impl FppaPlatform {
             return;
         };
         rt.drive(now);
-        rt.dispatch(
+        self.sched_stats.pe_external_wakes += rt.dispatch(
             &mut self.pes,
             now,
-            &mut self.pe_active,
+            &mut self.pe_wake,
             &mut self.pool,
             self.obs_sink.as_deref_mut(),
         );
@@ -1737,82 +1759,80 @@ impl FppaPlatform {
         }
     }
 
-    fn collect_pe_requests(&mut self, now: Cycles) {
-        for p in 0..self.pes.len() {
-            if !self.pes[p].has_requests() {
-                continue;
-            }
-            let src = self.pe_nodes[p];
-            for (tid, req) in self.pes[p].take_requests() {
-                match req {
-                    PeRequest::Send {
+    /// Turns the requests PE `p` raised this tick into outgoing packets.
+    fn collect_pe_requests(&mut self, p: usize, now: Cycles) {
+        let src = self.pe_nodes[p];
+        while let Some((tid, req)) = self.pes[p].pop_request() {
+            match req {
+                PeRequest::Send {
+                    dst,
+                    bytes,
+                    mut data,
+                    tag,
+                } => {
+                    self.pool.pad_zeroed(&mut data, bytes as usize);
+                    self.outbox.push_back(Outgoing {
+                        src,
                         dst,
-                        bytes,
-                        mut data,
+                        data,
                         tag,
-                    } => {
-                        self.pool.pad_zeroed(&mut data, bytes as usize);
-                        self.outbox.push_back(Outgoing {
-                            src,
-                            dst,
-                            data,
-                            tag,
-                            on_accept: Some((PeId(p), tid)),
-                        });
+                        on_accept: Some((PeId(p), tid)),
+                    });
+                }
+                PeRequest::Call {
+                    dst,
+                    bytes,
+                    reply_bytes,
+                    mut data,
+                } => {
+                    // Open the latency probe: the round trip ends when
+                    // the reply packet is delivered back to this thread.
+                    if let Some(obj) = self
+                        .call_attribution(p, tid.0, dst, &data)
+                        .filter(|o| o.0 < self.object_latency.len())
+                    {
+                        self.call_issue[p][tid.0] = Some((now, obj));
                     }
-                    PeRequest::Call {
-                        dst,
-                        bytes,
+                    self.pool.pad_zeroed(&mut data, bytes as usize);
+                    // With the retry layer on, open a pending entry
+                    // holding a pool-accounted clone of the payload and
+                    // stamp its token on the tag; off, token 0 keeps
+                    // the tag bit-identical to the legacy layout.
+                    let token = if let Some(rs) = self.resilience.as_mut() {
+                        let mut copy = self.pool.take();
+                        copy.extend_from_slice(&data);
+                        rs.open(p, tid.0, dst, reply_bytes, copy, now.0)
+                    } else {
+                        0
+                    };
+                    let tag = RequestTag {
+                        pe: PeId(p),
+                        tid,
+                        token,
                         reply_bytes,
-                        mut data,
-                    } => {
-                        // Open the latency probe: the round trip ends when
-                        // the reply packet is delivered back to this thread.
-                        if let Some(obj) = self
-                            .call_attribution(p, tid.0, dst, &data)
-                            .filter(|o| o.0 < self.object_latency.len())
-                        {
-                            self.call_issue[p][tid.0] = Some((now, obj));
-                        }
-                        self.pool.pad_zeroed(&mut data, bytes as usize);
-                        // With the retry layer on, open a pending entry
-                        // holding a pool-accounted clone of the payload and
-                        // stamp its token on the tag; off, token 0 keeps
-                        // the tag bit-identical to the legacy layout.
-                        let token = if let Some(rs) = self.resilience.as_mut() {
-                            let mut copy = self.pool.take();
-                            copy.extend_from_slice(&data);
-                            rs.open(p, tid.0, dst, reply_bytes, copy, now.0)
-                        } else {
-                            0
-                        };
-                        let tag = RequestTag {
-                            pe: PeId(p),
-                            tid,
-                            token,
-                            reply_bytes,
-                        }
-                        .encode();
-                        self.outbox.push_back(Outgoing {
-                            src,
-                            dst,
-                            data,
-                            tag,
-                            on_accept: None,
-                        });
                     }
+                    .encode();
+                    self.outbox.push_back(Outgoing {
+                        src,
+                        dst,
+                        data,
+                        tag,
+                        on_accept: None,
+                    });
                 }
             }
         }
     }
 
     fn flush_outbox(&mut self, now: Cycles) {
-        let mut remaining = VecDeque::new();
-        while let Some(out) = self.outbox.pop_front() {
+        // One in-place rotation: each entry is popped once, and the ones
+        // the NoC cannot take yet go to the back in their original order.
+        for _ in 0..self.outbox.len() {
+            let out = self.outbox.pop_front().expect("length was just read");
             // Guard with ni_free so the payload is only moved into the NoC
             // when acceptance is certain; a full NI means retry next cycle.
             if self.noc.ni_free(out.src) == 0 {
-                remaining.push_back(out);
+                self.outbox.push_back(out);
                 continue;
             }
             let bytes = out.data.len();
@@ -1834,12 +1854,12 @@ impl FppaPlatform {
                 // so the wake is skipped (fault-free runs keep the
                 // unconditional legacy path, assertion included).
                 if self.campaign.is_none() || self.pes[pe.0].is_awaiting(tid) {
-                    self.pe_active[pe.0] = true;
+                    // The PE phase of this cycle is over: tick next cycle.
+                    self.wake_pe(pe.0, Cycles(now.0 + 1));
                     self.pes[pe.0].complete(tid);
                 }
             }
         }
-        self.outbox = remaining;
     }
 
     /// Resizes and clears the latency telemetry for a freshly installed

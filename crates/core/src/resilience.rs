@@ -31,7 +31,7 @@
 //! bit-identical across scheduler modes and across repeats of a seed.
 
 use nw_types::NodeId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Deterministic retry/timeout policy for synchronous calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +71,9 @@ impl RetryPolicy {
 /// One in-flight synchronous call tracked for retry.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingCall {
-    /// Cycle the current attempt times out.
-    pub deadline: u64,
+    /// Cycle the current attempt times out. Private: it is mirrored in
+    /// `ResilienceState::by_deadline`, so only `open`/`bump` may set it.
+    deadline: u64,
     /// Attempts issued so far minus one (0 = first issue outstanding).
     pub attempt: u8,
     /// Token stamped on the current attempt's tag.
@@ -105,6 +106,11 @@ pub(crate) struct ResilienceState {
     /// Pending synchronous calls keyed `(pe, tid)` — BTreeMap so due-scan
     /// order is deterministic.
     pending: BTreeMap<(usize, usize), PendingCall>,
+    /// `(deadline, pe, tid)` of every pending entry, so the earliest
+    /// deadline is the first element instead of a walk over `pending`
+    /// (both the quiet-span probe and the retry phase ask every cycle).
+    /// Kept in step by `open`, `bump`, `close`, `abandon`, `abandon_pe`.
+    by_deadline: BTreeSet<(u64, usize, usize)>,
     /// Per-thread token counter; bumps on every open so replies from an
     /// abandoned call can never correlate with a later one.
     salts: BTreeMap<(usize, usize), u8>,
@@ -115,6 +121,7 @@ impl ResilienceState {
         ResilienceState {
             policy,
             pending: BTreeMap::new(),
+            by_deadline: BTreeSet::new(),
             salts: BTreeMap::new(),
         }
     }
@@ -133,10 +140,13 @@ impl ResilienceState {
         let salt = self.salts.entry((pe, tid)).or_insert(0);
         *salt = salt.wrapping_add(1);
         let token = *salt;
+        let deadline = now + self.policy.window(0);
+        // A blocked thread holds one call; a leftover entry is replaced.
+        self.abandon(pe, tid);
         self.pending.insert(
             (pe, tid),
             PendingCall {
-                deadline: now + self.policy.window(0),
+                deadline,
                 attempt: 0,
                 token,
                 dst,
@@ -144,6 +154,7 @@ impl ResilienceState {
                 data,
             },
         );
+        self.by_deadline.insert((deadline, pe, tid));
         token
     }
 
@@ -156,9 +167,11 @@ impl ResilienceState {
         let token = *salt;
         let policy = self.policy;
         if let Some(e) = self.pending.get_mut(&(pe, tid)) {
+            self.by_deadline.remove(&(e.deadline, pe, tid));
             e.attempt = e.attempt.saturating_add(1);
             e.token = token;
             e.deadline = now + policy.window(e.attempt);
+            self.by_deadline.insert((e.deadline, pe, tid));
         }
     }
 
@@ -166,21 +179,24 @@ impl ResilienceState {
     pub fn close(&mut self, pe: usize, tid: usize, token: u8) -> CloseOutcome {
         match self.pending.get(&(pe, tid)) {
             Some(entry) if entry.token == token => {
-                let entry = self.pending.remove(&(pe, tid)).expect("entry just matched");
-                CloseOutcome::Live(entry.data)
+                let data = self.abandon(pe, tid).expect("entry just matched");
+                CloseOutcome::Live(data)
             }
             Some(_) => CloseOutcome::Stale,
             None => CloseOutcome::Unknown,
         }
     }
 
-    /// Keys whose deadline has fired at `now`, in deterministic order.
+    /// Keys whose deadline has fired at `now`, in `(pe, tid)` order.
+    /// Allocates nothing when no deadline is due.
     pub fn due_keys(&self, now: u64) -> Vec<(usize, usize)> {
-        self.pending
-            .iter()
-            .filter(|(_, e)| e.deadline <= now)
-            .map(|(&k, _)| k)
-            .collect()
+        let mut keys: Vec<_> = self
+            .by_deadline
+            .range(..=(now, usize::MAX, usize::MAX))
+            .map(|&(_, pe, tid)| (pe, tid))
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     pub fn get_mut(&mut self, pe: usize, tid: usize) -> Option<&mut PendingCall> {
@@ -189,7 +205,9 @@ impl ResilienceState {
 
     /// Removes an entry (give-up, crash), returning its payload.
     pub fn abandon(&mut self, pe: usize, tid: usize) -> Option<Vec<u8>> {
-        self.pending.remove(&(pe, tid)).map(|e| e.data)
+        let e = self.pending.remove(&(pe, tid))?;
+        self.by_deadline.remove(&(e.deadline, pe, tid));
+        Some(e.data)
     }
 
     /// Drops every entry of PE `pe` (crash), returning the payloads.
@@ -200,14 +218,14 @@ impl ResilienceState {
             .map(|(&k, _)| k)
             .collect();
         keys.into_iter()
-            .filter_map(|k| self.pending.remove(&k).map(|e| e.data))
+            .filter_map(|(p, tid)| self.abandon(p, tid))
             .collect()
     }
 
     /// The earliest pending deadline — folded into the scheduler
     /// fast-forward paths so a quiet span never skips a timeout.
     pub fn earliest_deadline(&self) -> Option<u64> {
-        self.pending.values().map(|e| e.deadline).min()
+        self.by_deadline.first().map(|&(deadline, _, _)| deadline)
     }
 
     /// Pending entries (observability/tests).
@@ -303,6 +321,55 @@ mod tests {
         assert_eq!(dropped, vec![vec![1], vec![2]]);
         assert_eq!(rs.pending_len(), 1);
         assert_eq!(rs.earliest_deadline(), Some(10));
+    }
+
+    #[test]
+    fn deadline_index_matches_a_scan_after_random_operations() {
+        // xorshift: a fixed, dependency-free operation stream.
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut draw = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut rs = ResilienceState::new(RetryPolicy {
+            timeout: 7,
+            max_attempts: 4,
+        });
+        let mut now = 0;
+        for _ in 0..4_000 {
+            now += draw(3);
+            let (pe, tid) = (draw(4) as usize, draw(3) as usize);
+            match draw(6) {
+                0 | 1 => {
+                    rs.open(pe, tid, NodeId(1), 8, Vec::new(), now);
+                }
+                2 => rs.bump(pe, tid, now),
+                3 => {
+                    let token = rs.get_mut(pe, tid).map_or(0, |e| e.token);
+                    rs.close(pe, tid, token.wrapping_add(draw(2) as u8));
+                }
+                4 => {
+                    rs.abandon(pe, tid);
+                }
+                _ => {
+                    rs.abandon_pe(pe);
+                }
+            }
+            let scan_min = rs.pending.values().map(|e| e.deadline).min();
+            assert_eq!(rs.earliest_deadline(), scan_min);
+            let scan_due: Vec<_> = rs
+                .pending
+                .iter()
+                .filter(|(_, e)| e.deadline <= now)
+                .map(|(&k, _)| k)
+                .collect();
+            assert_eq!(rs.due_keys(now), scan_due);
+            assert_eq!(rs.by_deadline.len(), rs.pending.len());
+        }
+        // Nothing due: no allocation behind the returned vector.
+        assert_eq!(rs.due_keys(0).capacity(), 0);
     }
 
     #[test]

@@ -446,24 +446,27 @@ impl Runtime {
     ///
     /// Only PEs with pending work are visited (an active-set skip that is
     /// behaviour-identical to the dense scan, since a PE with an empty queue
-    /// is a no-op there). Each PE spawned on is flagged in `woken` so the
-    /// platform's active-set scheduler ticks it this cycle, and its lazy
-    /// busy/idle accounting is settled before the spawn flips a thread
-    /// from idle to ready.
+    /// is a no-op there). Each PE spawned on is marked due `now` in the
+    /// platform's `pe_wake` table so the active-set scheduler ticks it this
+    /// cycle, and it is caught up to `now` before the spawn flips a thread
+    /// from idle to ready. Returns the number of PEs woken.
     pub(crate) fn dispatch(
         &mut self,
         pes: &mut [Pe],
         now: Cycles,
-        woken: &mut [bool],
+        pe_wake: &mut [u64],
         pool: &mut PayloadPool,
         mut sink: Option<&mut (dyn TraceSink + '_)>,
-    ) {
+    ) -> u64 {
+        let mut woken = 0;
         if self.pending_total > 0 {
             for (p, pe) in pes.iter_mut().enumerate() {
                 if self.dispatch[p].is_empty() || pe.idle_threads() == 0 {
                     continue;
                 }
                 pe.settle_accounting(now);
+                pe_wake[p] = now.0;
+                woken += 1;
                 while pe.idle_threads() > 0 {
                     let Some(inv) = self.dispatch[p].pop_front() else {
                         break;
@@ -480,7 +483,6 @@ impl Runtime {
                             object: inv.object.0,
                         });
                     }
-                    woken[p] = true;
                     self.dispatched += 1;
                     self.dispatched_per_object[inv.object.0] += 1;
                 }
@@ -494,7 +496,8 @@ impl Runtime {
                 continue;
             }
             pes[pe].settle_accounting(now);
-            woken[pe] = true;
+            pe_wake[pe] = now.0;
+            woken += 1;
             while pes[pe].idle_threads() > 0 {
                 let prog = self.synthesize(
                     &PendingInvocation {
@@ -519,6 +522,7 @@ impl Runtime {
                 self.dispatched_per_object[object.0] += 1;
             }
         }
+        woken
     }
 
     /// Records which object's handler occupies hardware thread `(pe, tid)`

@@ -163,16 +163,19 @@ pub struct Pe {
     /// Scratchpad access energy. Core issue energy is not accumulated
     /// per cycle: it is exactly `energy_per_cycle × busy issue slots`, so
     /// [`Pe::stats`] derives it from the core utilization counter — one
-    /// multiply instead of a float addition per cycle, and bulk compute
-    /// fast-forwards ([`Pe::advance_quiet`]) stay bit-identical to
-    /// per-cycle ticking.
+    /// multiply instead of a float addition per cycle, and bulk catch-up
+    /// ([`Pe::settle_accounting`]) stays bit-identical to per-cycle
+    /// ticking.
     mem_energy: Picojoules,
-    /// Cycle up to which (exclusive) busy/idle accounting has been applied.
-    /// An active-set scheduler may skip ticking a dormant PE (every thread
-    /// `Idle` or `AwaitingCompletion`); the skipped cycles are settled in
+    /// Cycle up to which (exclusive) the PE's evolution has been applied.
+    /// A self-timed scheduler leaves the PE unticked over any span
+    /// [`Pe::quiet_span`] promised; the skipped cycles are caught up in
     /// bulk — with identical counter arithmetic — on the next tick or via
     /// [`Pe::settle_accounting`].
     accounted_to: u64,
+    /// Contexts in `ThreadState::Idle`, kept in step by spawn/retire/crash
+    /// so [`Pe::idle_threads`] is O(1) on the dispatch path.
+    idle: usize,
     /// Threads retired since the last [`Pe::take_retired`], recorded only
     /// when enabled via [`Pe::set_retire_log`] (tracing). `None` keeps the
     /// retire path allocation-free when no one is watching.
@@ -187,6 +190,7 @@ pub struct Pe {
 impl Pe {
     /// Builds a PE from its configuration.
     pub fn new(cfg: PeConfig) -> Self {
+        let n_threads = cfg.n_threads;
         let threads = (0..cfg.n_threads)
             .map(|_| Thread {
                 state: ThreadState::Idle,
@@ -207,6 +211,7 @@ impl Pe {
             tasks_completed: 0,
             mem_energy: Picojoules::ZERO,
             accounted_to: 0,
+            idle: n_threads,
             retire_log: None,
             crashed: false,
         }
@@ -244,13 +249,19 @@ impl Pe {
 
     /// Number of idle contexts ready to accept a task (0 while crashed).
     pub fn idle_threads(&self) -> usize {
+        debug_assert_eq!(
+            self.idle,
+            self.threads
+                .iter()
+                .filter(|t| matches!(t.state, ThreadState::Idle))
+                .count(),
+            "idle-context count out of step with the thread states"
+        );
         if self.crashed {
-            return 0;
+            0
+        } else {
+            self.idle
         }
-        self.threads
-            .iter()
-            .filter(|t| matches!(t.state, ThreadState::Idle))
-            .count()
     }
 
     /// Assigns a task to the lowest-numbered idle context.
@@ -268,19 +279,16 @@ impl Pe {
             .iter()
             .position(|t| matches!(t.state, ThreadState::Idle))
             .ok_or(SpawnError)?;
-        let t = &mut self.threads[slot];
-        t.state = if program.is_empty() {
-            // Degenerate empty task: completes immediately.
-            ThreadState::Idle
-        } else {
-            ThreadState::Ready
-        };
         if program.is_empty() {
+            // Degenerate empty task: completes immediately.
             self.tasks_completed += 1;
             return Ok(ThreadId(slot));
         }
+        let t = &mut self.threads[slot];
+        t.state = ThreadState::Ready;
         t.program = Some(program);
         t.pc = 0;
+        self.idle -= 1;
         Ok(ThreadId(slot))
     }
 
@@ -334,6 +342,7 @@ impl Pe {
                 }
             }
         }
+        self.idle = self.threads.len();
         for t in &mut self.threads {
             t.state = ThreadState::Idle;
             let pc = std::mem::take(&mut t.pc);
@@ -363,9 +372,10 @@ impl Pe {
         }
     }
 
-    /// Drains the requests raised since the last call.
-    pub fn take_requests(&mut self) -> Vec<(ThreadId, PeRequest)> {
-        self.requests.drain(..).collect()
+    /// Takes the oldest undrained platform request, if any. The owner
+    /// drains with `while let Some(..) = pe.pop_request()` after a tick.
+    pub fn pop_request(&mut self) -> Option<(ThreadId, PeRequest)> {
+        self.requests.pop_front()
     }
 
     /// Whether undrained platform requests are pending.
@@ -373,14 +383,16 @@ impl Pe {
         !self.requests.is_empty()
     }
 
-    /// Whether ticking this PE can do anything besides busy/idle accounting:
-    /// a context switch is in flight, or some thread is `Ready`, mid compute
-    /// burst, or sleeping on a self-timed scratchpad stall.
+    /// Whether this PE will make progress without outside help: a context
+    /// switch is in flight, or some thread is `Ready`, mid compute burst,
+    /// or sleeping on a self-timed scratchpad stall.
     ///
     /// A PE that is **not** live (every thread `Idle` or awaiting a platform
-    /// completion) ticks as a pure accounting no-op, so an active-set
-    /// scheduler may skip it and settle the skipped cycles in bulk with
-    /// [`Pe::settle_accounting`] — the counters come out bit-identical.
+    /// completion) is dormant: [`Pe::quiet_span`] answers `u64::MAX` and
+    /// only an external event (spawn, completion, restart) wakes it. This
+    /// is an inspection predicate; schedulers decide when to tick from
+    /// [`Pe::quiet_span`], which also lets a live PE sleep through a
+    /// compute burst or a whole-PE stall.
     pub fn is_live(&self) -> bool {
         self.swap_remaining > 0
             || self.threads.iter().any(|t| {
@@ -393,29 +405,34 @@ impl Pe {
             })
     }
 
-    /// Applies busy/idle accounting for all unaccounted cycles before `now`,
-    /// assuming the PE was dormant (not [`Pe::is_live`]) for that span: each
-    /// skipped cycle counts occupancy for non-idle threads and an idle issue
-    /// slot, exactly as the per-cycle tick would have.
+    /// The single lazy catch-up: applies every cycle before `now` that the
+    /// PE was left unticked, assuming the span was one [`Pe::quiet_span`]
+    /// promised. The arithmetic follows the state that held during the
+    /// span, and comes out bit-identical to per-cycle ticking:
+    ///
+    /// * current switch-on-stall context `Computing` — a **compute burst**:
+    ///   the burst counter drops by the span, the core and the current
+    ///   thread count busy issue slots, every other thread an idle one;
+    /// * otherwise — a **stall** (whole-PE stall, dormant or crashed): no
+    ///   issue slot fires, so core and threads count idle slots.
+    ///
+    /// Either way each skipped cycle counts occupancy for every non-idle
+    /// context. Whether the current context is `Computing` changes only
+    /// inside `tick` and [`Pe::crash`], which both settle first, so the
+    /// state found here is the state that held over the whole span.
     ///
     /// Callers must settle **before** mutating thread state at `now` (e.g.
-    /// before `spawn`), so the gap is accounted with the state that actually
-    /// held during it. Settling is idempotent.
+    /// before `spawn`), so the gap is accounted with the occupancy that
+    /// actually held during it. Settling is idempotent.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if the span outruns the compute burst — the caller
+    /// slept past the wake cycle `quiet_span` gave.
     pub fn settle_accounting(&mut self, now: Cycles) {
-        if now.0 <= self.accounted_to {
-            return;
+        if now.0 > self.accounted_to {
+            self.advance_quiet(now.0 - self.accounted_to);
         }
-        let n = now.0 - self.accounted_to;
-        for t in &mut self.threads {
-            if matches!(t.state, ThreadState::Idle) {
-                t.occupancy.idle_n(n);
-            } else {
-                t.occupancy.busy_n(n);
-            }
-            t.busy.idle_n(n);
-        }
-        self.core.idle_n(n);
-        self.accounted_to = now.0;
     }
 
     /// Tasks run to completion so far.
@@ -439,9 +456,11 @@ impl Pe {
         }
     }
 
-    /// The number of upcoming cycles over which this PE's evolution is
-    /// provably bulk-computable, or `None` when the next tick may do
-    /// arbitrary work and must run normally. Two skippable shapes:
+    /// The number of cycles from `now` over which this PE's evolution is
+    /// provably bulk-computable — it may be left unticked until
+    /// `now + span` and caught up by [`Pe::settle_accounting`] — or `None`
+    /// when the tick at `now` may do arbitrary work and must run. Three
+    /// skippable shapes:
     ///
     /// * **Compute burst** (switch-on-stall): the issuing context is mid
     ///   [`Op::Compute`] with that many decrements left before anything
@@ -452,9 +471,14 @@ impl Pe {
     /// * **Whole-PE stall**: every context is idle, awaiting a platform
     ///   completion, or sleeping on a scratchpad stall — no issue slot
     ///   fires until the earliest stall matures, which bounds the span.
+    /// * **Dormant**: every context is idle or awaiting a completion (or
+    ///   the PE is crashed) — the span is `u64::MAX`: nothing wakes the PE
+    ///   but an external event.
     ///
-    /// Used with [`Pe::advance_quiet`] by the platform's active-set
-    /// scheduler to fast-forward busy (not merely idle) spans.
+    /// An external event (spawn, completion, crash, restart) ends the
+    /// promise: the owner must tick the PE at the event's cycle. The
+    /// platform's active-set scheduler posts `now + span` into its per-PE
+    /// wake table after every tick.
     pub fn quiet_span(&self, now: Cycles) -> Option<u64> {
         if self.swap_remaining > 0 || !self.requests.is_empty() {
             return None;
@@ -477,60 +501,42 @@ impl Pe {
             }
         }
         if earliest == u64::MAX {
-            // Fully dormant — the caller's lazy settle path covers this.
-            return None;
+            // No stall to mature: dormant, unbounded.
+            return Some(u64::MAX);
         }
         Some(earliest - now.0)
     }
 
-    /// Bulk-applies `k` cycles of the span promised by [`Pe::quiet_span`]
-    /// — counter arithmetic identical to `k` per-cycle ticks. A compute
-    /// burst decrements with the core issuing busy and the current thread
-    /// running; a whole-PE stall accrues idle issue slots with occupancy
-    /// for every non-idle context (the same arithmetic as
-    /// [`Pe::settle_accounting`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `k` exceeds the promised span.
-    pub fn advance_quiet(&mut self, k: u64) {
-        if k == 0 {
-            return;
-        }
+    /// Bulk-applies `k > 0` unticked cycles — the body of
+    /// [`Pe::settle_accounting`], which documents the arithmetic.
+    fn advance_quiet(&mut self, k: u64) {
         let cur = self.current;
-        if self.cfg.policy == SchedPolicy::SwitchOnStall {
-            if let ThreadState::Computing { remaining } = self.threads[cur].state {
-                debug_assert!(remaining > k, "advance_quiet beyond the compute burst");
-                self.threads[cur].state = ThreadState::Computing {
-                    remaining: remaining - k,
-                };
-                for (j, t) in self.threads.iter_mut().enumerate() {
-                    if matches!(t.state, ThreadState::Idle) {
-                        t.occupancy.idle_n(k);
-                    } else {
-                        t.occupancy.busy_n(k);
-                    }
-                    if j == cur {
-                        t.busy.busy_n(k);
-                    } else {
-                        t.busy.idle_n(k);
-                    }
-                }
-                self.core.busy_n(k);
-                self.accounted_to += k;
-                return;
+        let burst = match (self.cfg.policy, &mut self.threads[cur].state) {
+            (SchedPolicy::SwitchOnStall, ThreadState::Computing { remaining }) => {
+                debug_assert!(*remaining > k, "slept past the compute burst");
+                *remaining -= k;
+                true
             }
-        }
-        // Whole-PE stall: no issue slot fires during the span.
-        for t in &mut self.threads {
+            // Stall: no issue slot fires during the span.
+            _ => false,
+        };
+        for (j, t) in self.threads.iter_mut().enumerate() {
             if matches!(t.state, ThreadState::Idle) {
                 t.occupancy.idle_n(k);
             } else {
                 t.occupancy.busy_n(k);
             }
-            t.busy.idle_n(k);
+            if burst && j == cur {
+                t.busy.busy_n(k);
+            } else {
+                t.busy.idle_n(k);
+            }
         }
-        self.core.idle_n(k);
+        if burst {
+            self.core.busy_n(k);
+        } else {
+            self.core.idle_n(k);
+        }
         self.accounted_to += k;
     }
 
@@ -667,6 +673,7 @@ impl Pe {
         self.threads[i].state = ThreadState::Idle;
         self.threads[i].program = None;
         self.threads[i].pc = 0;
+        self.idle += 1;
         self.tasks_completed += 1;
         if let Some(log) = self.retire_log.as_mut() {
             log.push(ThreadId(i));
@@ -676,8 +683,8 @@ impl Pe {
 
 impl Clocked for Pe {
     fn tick(&mut self, now: Cycles) {
-        // Settle any cycles skipped by an active-set scheduler, then mark
-        // this cycle accounted (the body below does its accounting inline).
+        // Catch up any cycles a self-timed scheduler slept through, then
+        // mark this cycle accounted (the body below accounts inline).
         self.settle_accounting(now);
         self.accounted_to = now.0 + 1;
 
@@ -812,9 +819,9 @@ mod tests {
             ]))
             .unwrap();
         run(&mut pe, 5);
-        let reqs = pe.take_requests();
-        assert_eq!(reqs.len(), 1);
-        assert!(matches!(reqs[0].1, PeRequest::Call { dst: NodeId(5), .. }));
+        let (_, req) = pe.pop_request().expect("the call raised a request");
+        assert!(matches!(req, PeRequest::Call { dst: NodeId(5), .. }));
+        assert!(!pe.has_requests());
         // Blocked: no progress however long we wait.
         run(&mut pe, 50);
         assert_eq!(pe.tasks_completed(), 0);
@@ -893,8 +900,8 @@ mod tests {
             .spawn(Program::straight_line([Op::send(NodeId(2), 40)]))
             .unwrap();
         run(&mut pe, 3);
-        let reqs = pe.take_requests();
-        assert!(matches!(reqs[0].1, PeRequest::Send { bytes: 40, .. }));
+        let (_, req) = pe.pop_request().expect("the send raised a request");
+        assert!(matches!(req, PeRequest::Send { bytes: 40, .. }));
         pe.complete(tid);
         run(&mut pe, 6);
         assert_eq!(pe.tasks_completed(), 1);
@@ -943,8 +950,8 @@ mod tests {
             dense.tick(Cycles(c));
             lazy.tick(Cycles(c));
         }
-        assert_eq!(dense.take_requests().len(), 1);
-        assert_eq!(lazy.take_requests().len(), 1);
+        assert!(dense.pop_request().is_some() && !dense.has_requests());
+        assert!(lazy.pop_request().is_some() && !lazy.has_requests());
         assert!(!lazy.is_live(), "blocked on the call: dormant");
         // Dormant span: dense ticks 100 cycles, lazy skips them entirely.
         for c in 6..106 {

@@ -4,8 +4,8 @@
 //! histogram buckets, same energy.
 //!
 //! The dense path ticks every component every cycle; the active-set path
-//! skips dormant PEs (settling their accounting in bulk), quiescent service
-//! nodes and NoC scans, and fast-forwards fully idle spans. Any divergence
+//! lets PEs sleep through bursts, stalls and dormancy (settling in bulk),
+//! skips quiescent service nodes and NoC scans, and fast-forwards quiet spans. Any divergence
 //! between the two is a scheduler bug, so this suite runs every scenario
 //! under both modes, including mid-run windows and manual stepping.
 
@@ -261,6 +261,139 @@ fn warmed_forks_anchor_to_the_original_seed_and_diverge_on_new_ones() {
             "{mode:?}: running forks perturbed the parent platform"
         );
     }
+}
+
+#[test]
+fn mode_switch_and_snapshot_while_pes_sleep_mid_burst() {
+    // Self-timed PEs sleep through compute bursts and stalls, so at almost
+    // any cycle of a loaded rig some PE's state lags the clock. Switching
+    // scheduler or checkpointing right then must not matter: the next tick
+    // (under either mode, on the original or a restored copy) first
+    // catches the PE up, and the wake table travels with the snapshot.
+    use nanowall::FppaPlatform;
+    use nw_types::Cycles;
+
+    const TAIL: u64 = 6_000;
+
+    /// Steps until some live PE slept through the cycle just stepped.
+    fn step_until_a_live_pe_sleeps(p: &mut FppaPlatform) {
+        let n = p.config().pes.len();
+        for _ in 0..10_000 {
+            let before = p.scheduler_stats().pe_ticks;
+            p.step();
+            let ticked = p.scheduler_stats().pe_ticks - before;
+            let live = (0..n).filter(|&i| p.pe(i).is_live()).count() as u64;
+            if ticked < live {
+                return;
+            }
+        }
+        panic!("no live PE ever slept: the case is vacuous");
+    }
+
+    for name in ["ipv4", "mix"] {
+        for warm in [1_500u64, 4_000] {
+            let reg = ScenarioRegistry::standard();
+            let mut rig = reg.build(name, true).expect("registered");
+            rig.platform.set_scheduler_mode(SchedulerMode::ActiveSet);
+            let _ = rig.run(warm);
+            step_until_a_live_pe_sleeps(&mut rig.platform);
+            let cut = rig.platform.now().0;
+            let snap = rig.platform.snapshot();
+
+            // References: never switched, never snapshotted.
+            let want = {
+                let mut r = reg.build(name, true).expect("registered");
+                r.platform.set_scheduler_mode(SchedulerMode::ActiveSet);
+                let _ = r.run(cut + TAIL);
+                r.platform.report(Cycles(TAIL))
+            };
+            let dense = {
+                let mut r = reg.build(name, true).expect("registered");
+                r.platform.set_scheduler_mode(SchedulerMode::Dense);
+                let _ = r.run(cut + TAIL);
+                r.platform.report(Cycles(TAIL))
+            };
+            assert_eq!(want, dense, "{name}@{cut}: references disagree");
+
+            // A copy rebuilt from the checkpoint, left on the active set.
+            let mut copy = FppaPlatform::from_snapshot(&snap);
+            let _ = copy.run(TAIL);
+            assert_eq!(
+                copy.report(Cycles(TAIL)),
+                want,
+                "{name}@{cut}: snapshot taken mid-burst diverged"
+            );
+
+            // The original: to dense mid-burst, and back mid-tail.
+            let p = &mut rig.platform;
+            p.set_scheduler_mode(SchedulerMode::Dense);
+            for _ in 0..TAIL / 3 {
+                p.step();
+            }
+            p.set_scheduler_mode(SchedulerMode::ActiveSet);
+            let _ = p.run(TAIL - TAIL / 3);
+            assert_eq!(
+                p.report(Cycles(TAIL)),
+                want,
+                "{name}@{cut}: mode switch mid-burst diverged"
+            );
+
+            // Rewind the (now far ahead) original in place, under dense.
+            p.set_scheduler_mode(SchedulerMode::Dense);
+            p.restore(&snap);
+            assert_eq!(p.now().0, cut);
+            p.set_scheduler_mode(SchedulerMode::Dense);
+            let _ = p.run(TAIL);
+            assert_eq!(
+                p.report(Cycles(TAIL)),
+                want,
+                "{name}@{cut}: restore + dense tail diverged"
+            );
+        }
+    }
+}
+
+#[test]
+fn scheduler_stats_repeat_and_pes_sleep_through_most_cycles() {
+    // The work counters are a pure function of configuration and mode:
+    // two runs agree exactly. And on the saturated IPv4 rig the self-timed
+    // PEs tick on fewer than a quarter of the cycles the working PEs are
+    // stepped through.
+    let run = |mode| {
+        let reg = ScenarioRegistry::standard();
+        let mut rig = reg.build("ipv4", true).expect("registered");
+        rig.platform.set_scheduler_mode(mode);
+        let _ = rig.run(30_000);
+        let p = &rig.platform;
+        let n = p.config().pes.len();
+        let working = (0..n).filter(|&i| p.pe(i).tasks_completed() > 0).count();
+        (p.scheduler_stats(), n as u64, working as u64)
+    };
+    let (active, n_pes, working) = run(SchedulerMode::ActiveSet);
+    assert_eq!(
+        active,
+        run(SchedulerMode::ActiveSet).0,
+        "counts must repeat"
+    );
+    assert_eq!(active.cycles_stepped + active.cycles_hopped, 30_000);
+    assert!(active.pe_external_wakes > 0);
+
+    assert!(working > 0);
+    assert!(
+        active.pe_ticks * 4 < working * active.cycles_stepped,
+        "{} PE ticks over {} stepped cycles x {working} working PEs",
+        active.pe_ticks,
+        active.cycles_stepped
+    );
+
+    let (dense, _, _) = run(SchedulerMode::Dense);
+    assert_eq!(dense.cycles_stepped, 30_000);
+    assert_eq!(dense.cycles_hopped, 0);
+    assert_eq!(
+        dense.pe_ticks,
+        30_000 * n_pes,
+        "dense ticks every PE every cycle"
+    );
 }
 
 #[test]
