@@ -1,7 +1,7 @@
 //! `expt` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! expt all            # every experiment, DESIGN.md order
+//! expt all            # every experiment, `expt list` order
 //! expt t3 f6          # selected experiments
 //! expt --fast all     # smaller simulation windows
 //! expt list           # registered experiments, scenarios and lint rules

@@ -1,4 +1,4 @@
-//! One module per reproduced table/figure. See `DESIGN.md` §4 for the
+//! One module per reproduced table/figure. See `expt list` for the
 //! mapping from experiment id to paper claim.
 
 pub mod f1_continuum;
@@ -32,7 +32,7 @@ pub struct Experiment {
     pub title: &'static str,
 }
 
-/// Every experiment in DESIGN.md order.
+/// Every experiment, in the order `expt list` prints.
 pub const EXPERIMENTS: [Experiment; 20] = [
     Experiment {
         id: "t1",
@@ -162,7 +162,7 @@ pub fn run_by_id_warm_fork(id: &str, fast: bool) -> Option<String> {
     }
 }
 
-/// All experiment ids in DESIGN.md order (derived from [`EXPERIMENTS`]).
+/// All experiment ids in `expt list` order (derived from [`EXPERIMENTS`]).
 pub const ALL_IDS: [&str; EXPERIMENTS.len()] = {
     let mut ids = [""; EXPERIMENTS.len()];
     let mut i = 0;

@@ -2,7 +2,7 @@
 //! "System-on-Chip Beyond the Nanometer Wall" (DAC 2003).
 //!
 //! Each submodule of [`experiments`] reproduces one claim of the paper (see
-//! `DESIGN.md` §4 for the experiment index). Every experiment exposes a
+//! `expt list` for the experiment index). Every experiment exposes a
 //! structured `run(fast) -> …Result` function plus a `table()` rendering,
 //! so tests can assert the *shape* of the result (who wins, where the knee
 //! falls) while the `expt` binary prints the paper-style table.

@@ -25,7 +25,7 @@ pub const SUBCOMMANDS: &[(&str, &str)] = &[
         "list",
         "registered experiments, scenarios, trace subcommands and lint rules",
     ),
-    ("all", "run every experiment in DESIGN.md order"),
+    ("all", "run every experiment in `expt list` order"),
     (
         "<id>...",
         "run selected experiments (see `expt list` for ids; --warm-fork shares one warmed snapshot across sweep-grid points)",
@@ -252,6 +252,17 @@ pub fn render_profile(entries: &[ProfileEntry]) -> String {
             e.sched.cycles_hopped,
             e.sched.pe_ticks,
             e.sched.pe_external_wakes
+        );
+        let noc = e.sched.noc;
+        let _ = writeln!(
+            s,
+            "  noc        ticks {}  skipped {}  arrivals {}  wakes_scheduled {}  router_visits {}  fires {}",
+            noc.ticks,
+            e.sched.noc_ticks_skipped,
+            noc.arrivals,
+            noc.wakes_scheduled,
+            noc.router_visits,
+            noc.fires
         );
     }
     s

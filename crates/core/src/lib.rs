@@ -64,6 +64,8 @@ pub mod scenarios;
 pub mod tags;
 
 pub use config::{BuildPlatformError, FppaConfig, HwIpConfig, MemoryBlockConfig};
+/// The NoC's share of [`SchedulerStats`].
+pub use nw_noc::NocWork;
 pub use platform::{
     default_scheduler_mode, set_default_scheduler_mode, FppaPlatform, NodeRole, PlatformSnapshot,
     SchedulerMode, SchedulerStats,

@@ -24,7 +24,7 @@ use nw_fabric::Efpga;
 use nw_fault::{FabricShape, FaultCampaign, FaultKind};
 use nw_hwip::{HwIpBlock, IoChannel};
 use nw_mem::{MemRequest, MemoryController, MemorySpec, ReqKind};
-use nw_noc::{Noc, PayloadPool, Topology};
+use nw_noc::{Noc, NocWork, PayloadPool, Topology};
 use nw_obs::{HostPhase, HostProfiler, NocHeatmap, TraceEvent, TraceSink};
 use nw_pe::{Pe, PeRequest};
 use nw_sim::{Clock, Clocked, LatencyHistogram};
@@ -74,6 +74,23 @@ pub struct SchedulerStats {
     /// reply delivery, NI accept, dispatch spawn, retry give-up, crash,
     /// restart, `pe_mut`.
     pub pe_external_wakes: u64,
+    /// Active-set steps that skipped the NoC tick because `Noc::due_now`
+    /// said nothing was due (dense ticks the NoC every cycle: always 0).
+    pub noc_ticks_skipped: u64,
+    /// What the NoC ticks that did run cost: ticks, arrivals drained,
+    /// router wakes scheduled, routers visited, link transfers fired.
+    pub noc: NocWork,
+}
+
+/// The platform's own share of [`SchedulerStats`]; the NoC keeps its
+/// counters itself ([`Noc::work`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct SchedulerCounters {
+    cycles_stepped: u64,
+    cycles_hopped: u64,
+    pe_ticks: u64,
+    pe_external_wakes: u64,
+    noc_ticks_skipped: u64,
 }
 
 /// Process-wide default scheduler: 0 = unset, 1 = dense, 2 = active-set.
@@ -180,7 +197,7 @@ pub struct FppaPlatform {
     /// stays at or before `now` (where the switch to dense put it).
     pe_wake: Vec<u64>,
     /// Scheduler work counters (see [`FppaPlatform::scheduler_stats`]).
-    sched_stats: SchedulerStats,
+    sched_stats: SchedulerCounters,
     /// Lazily computed, cached hop matrix. The topology's link structure is
     /// immutable after construction, but *routes* can change when a link is
     /// permanently failed ([`FppaPlatform::fail_noc_link`] or a campaign
@@ -377,7 +394,7 @@ impl FppaPlatform {
             runtime: None,
             scheduler: default_scheduler_mode(),
             pe_wake: vec![0; n_pes],
-            sched_stats: SchedulerStats::default(),
+            sched_stats: SchedulerCounters::default(),
             hop_cache: OnceCell::new(),
             pool: PayloadPool::new(),
             call_issue,
@@ -601,7 +618,21 @@ impl FppaPlatform {
 
     /// The scheduler's deterministic work counters so far.
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        self.sched_stats
+        let SchedulerCounters {
+            cycles_stepped,
+            cycles_hopped,
+            pe_ticks,
+            pe_external_wakes,
+            noc_ticks_skipped,
+        } = self.sched_stats;
+        SchedulerStats {
+            cycles_stepped,
+            cycles_hopped,
+            pe_ticks,
+            pe_external_wakes,
+            noc_ticks_skipped,
+            noc: self.noc.work(),
+        }
     }
 
     /// External wake: PE `p` must tick at cycle `at` at the latest. Every
@@ -1183,6 +1214,8 @@ impl FppaPlatform {
         //    is skipped entirely — the tick would be a no-op.
         if self.noc.due_now(now) {
             self.noc.tick_traced(now, self.obs_sink.as_deref_mut());
+        } else {
+            self.sched_stats.noc_ticks_skipped += 1;
         }
         self.prof_lap(HostPhase::NocTick);
 

@@ -21,7 +21,7 @@ use crate::topology::Topology;
 use nw_obs::{LinkLoad, NocHeatmap, RouterLoad, TraceEvent, TraceSink};
 use nw_sim::{Clocked, Counter, EventQueue, Histogram};
 use nw_types::{Cycles, NodeId};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Tuning knobs of the NoC timing model.
@@ -166,6 +166,25 @@ pub struct NocCounts {
     pub flit_hops: u64,
 }
 
+/// Deterministic work counters of the engine: what its ticks did, not what
+/// the network computed. A pure function of configuration, traffic and the
+/// cycles ticked, so they repeat exactly; cumulative since construction and
+/// carried by clones. The dense reference scan visits more routers than the
+/// event-driven pass, which is why these stay out of [`NocStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct NocWork {
+    /// Engine ticks run ([`Noc::tick_traced`] or [`Noc::tick_reference`]).
+    pub ticks: u64,
+    /// In-flight transfers that reached their next router.
+    pub arrivals: u64,
+    /// Router wakes entered into the event wheel.
+    pub wakes_scheduled: u64,
+    /// Routers examined by transmit passes.
+    pub router_visits: u64,
+    /// Link transfers started (packet-hops).
+    pub fires: u64,
+}
+
 /// A simulated network-on-chip: topology + routers + in-flight transfers.
 ///
 /// # Examples
@@ -224,10 +243,10 @@ pub struct Noc {
     /// When a buffer slot frees at `r` (credit appears), these are the
     /// routers whose blocked output ports may become able to fire.
     preds: Vec<Vec<usize>>,
-    /// Scratch worklist of routers to visit this transmit pass, ordered by
-    /// router index so credit contention resolves exactly as the dense
-    /// ascending scan does. Kept allocated across ticks.
-    ready: BTreeSet<usize>,
+    /// Worklist of routers to visit this transmit pass: one bit per router,
+    /// popped lowest index first, so credit contention resolves exactly as
+    /// the dense ascending scan does. All zero between ticks.
+    ready: Vec<u64>,
     /// Whether endpoint `r`'s NI head can make progress right now (local
     /// destination, or remote with the bubble-rule two free slots).
     ni_ready: Vec<bool>,
@@ -249,6 +268,7 @@ pub struct Noc {
     dropped_flits: u64,
     /// Packets whose payload was corrupted in place by fault injection.
     corrupted_packets: u64,
+    work: NocWork,
 }
 
 impl Noc {
@@ -314,7 +334,7 @@ impl Noc {
             wakes: EventQueue::new(),
             wake_at: vec![u64::MAX; n_routers],
             preds,
-            ready: BTreeSet::new(),
+            ready: vec![0; n_routers.div_ceil(64)],
             ni_ready: vec![false; n_endpoints],
             ni_ready_count: 0,
             obs: None,
@@ -323,6 +343,7 @@ impl Noc {
             dropped_packets: 0,
             dropped_flits: 0,
             corrupted_packets: 0,
+            work: NocWork::default(),
         }
     }
 
@@ -553,6 +574,11 @@ impl Noc {
             refused: self.refused.count(),
             flit_hops: self.flit_hops.count(),
         }
+    }
+
+    /// The engine's deterministic work counters so far.
+    pub fn work(&self) -> NocWork {
+        self.work
     }
 
     /// The end-to-end latency distribution, borrowed.
@@ -794,6 +820,12 @@ impl Noc {
         self.eject_pending += 1;
     }
 
+    /// Puts router `r` on the worklist of the transmit pass in flight.
+    #[inline]
+    fn mark_ready(&mut self, r: usize) {
+        self.ready[r / 64] |= 1 << (r % 64);
+    }
+
     /// Schedules a wake of router `r` at cycle `at` unless an earlier (or
     /// same-cycle) wake is already pending. Later needs than the pending
     /// wake are rediscovered when that wake fires: the visit re-examines
@@ -803,6 +835,7 @@ impl Noc {
         if at < self.wake_at[r] {
             self.wake_at[r] = at;
             self.wakes.schedule(Cycles(at), r);
+            self.work.wakes_scheduled += 1;
         }
     }
 
@@ -835,6 +868,7 @@ impl Noc {
 
     fn drain_arrivals(&mut self, now: Cycles, sink: &mut Option<&mut (dyn TraceSink + '_)>) {
         while let Some(Arrival { router, packet }) = self.arrivals.pop_due(now) {
+            self.work.arrivals += 1;
             if packet.dst.0 == router {
                 // Destination reached: free the buffer slot and eject. The
                 // freed credit may unblock upstream ports (this very cycle —
@@ -924,19 +958,19 @@ impl Noc {
     /// Starts the transfer of the head packet of `routers[r].ports[p]`,
     /// assuming the caller verified readiness and downstream credit.
     ///
-    /// `pass` is the in-progress transmit worklist: the slot this fire
-    /// frees at `r` is visible to higher-indexed routers in the same
-    /// dense scan, so same-cycle predecessor wakes above `r` join the
-    /// current pass while the rest wait for the next cycle.
+    /// The slot this fire frees at `r` is visible to higher-indexed routers
+    /// in the same dense scan, so same-cycle predecessor wakes above `r`
+    /// join the current pass (`ready`) while the rest wait for the next
+    /// cycle.
     fn fire(
         &mut self,
         r: usize,
         p: usize,
         now: Cycles,
-        pass: &mut BTreeSet<usize>,
         sink: &mut Option<&mut (dyn TraceSink + '_)>,
     ) {
         debug_assert!(self.routers[r].queued > 0, "fire on a quiescent router");
+        self.work.fires += 1;
         self.obs_settle(r, now.0);
         self.routers[r].queued -= 1;
         self.queued_total -= 1;
@@ -984,7 +1018,7 @@ impl Noc {
                     continue;
                 }
                 if u > r {
-                    pass.insert(u);
+                    self.mark_ready(u);
                 } else {
                     self.schedule_wake(u, now.0 + 1);
                 }
@@ -1005,12 +1039,12 @@ impl Noc {
         &mut self,
         r: usize,
         now: Cycles,
-        pass: &mut BTreeSet<usize>,
         sink: &mut Option<&mut (dyn TraceSink + '_)>,
     ) {
-        if self.routers[r].queued == 0 {
-            return; // spurious wake: the queue drained before we got here
-        }
+        // Only a visit drains port queues, and every way onto the worklist
+        // checks `queued > 0`, so a listed router still holds traffic.
+        debug_assert!(self.routers[r].queued > 0, "visit of a quiescent router");
+        self.work.router_visits += 1;
         if self.routers[r].shared {
             // Bus arbiter: one transfer at a time, round-robin grant.
             if self.routers[r].shared_busy_until > now.0 {
@@ -1028,7 +1062,7 @@ impl Noc {
                 if ready {
                     let to = self.routers[r].ports[p].to;
                     self.routers[to].input_free -= 1;
-                    self.fire(r, p, now, pass, sink);
+                    self.fire(r, p, now, sink);
                     self.routers[r].shared_busy_until = self.routers[r].ports[p].busy_until;
                     self.routers[r].rr_next = (p + 1) % nports;
                     if self.routers[r].queued > 0 {
@@ -1052,7 +1086,7 @@ impl Noc {
                     continue;
                 }
                 self.routers[to].input_free -= 1;
-                self.fire(r, p, now, pass, sink);
+                self.fire(r, p, now, sink);
                 if !self.routers[r].ports[p].queue.is_empty() {
                     // More packets behind the one now serializing.
                     self.schedule_wake(r, self.routers[r].ports[p].busy_until);
@@ -1072,27 +1106,29 @@ impl Noc {
         full_scan: bool,
         sink: &mut Option<&mut (dyn TraceSink + '_)>,
     ) {
-        let mut pass = std::mem::take(&mut self.ready);
         while let Some(r) = self.wakes.pop_due(now) {
             self.wake_at[r] = u64::MAX;
-            if !full_scan {
-                pass.insert(r);
+            // A wake that outlived its router's queue has nothing to visit.
+            if !full_scan && self.routers[r].queued > 0 {
+                self.mark_ready(r);
             }
         }
         if full_scan {
             for r in 0..self.routers.len() {
                 if self.routers[r].queued > 0 {
-                    pass.insert(r);
+                    self.mark_ready(r);
                 }
             }
         }
-        if self.queued_total > 0 {
-            while let Some(r) = pass.pop_first() {
-                self.visit_router(r, now, &mut pass, sink);
+        // Ascending pop: a visit may add routers above itself (`fire`),
+        // in this word or a later one, and the scan meets them in order.
+        for w in 0..self.ready.len() {
+            while self.ready[w] != 0 {
+                let r = w * 64 + self.ready[w].trailing_zeros() as usize;
+                self.ready[w] &= self.ready[w] - 1;
+                self.visit_router(r, now, sink);
             }
         }
-        pass.clear();
-        self.ready = pass;
     }
 
     /// One engine tick with an optional trace sink: identical to
@@ -1101,11 +1137,7 @@ impl Noc {
     /// happen. The sink is write-only — nothing it does can change
     /// routing, timing, or statistics.
     pub fn tick_traced(&mut self, now: Cycles, mut sink: Option<&mut (dyn TraceSink + '_)>) {
-        self.drain_arrivals(now, &mut sink);
-        self.drain_ni(now, &mut sink);
-        self.transmit(now, false, &mut sink);
-        #[cfg(debug_assertions)]
-        self.debug_audit(now);
+        self.run_tick(now, false, &mut sink);
     }
 
     /// The dense reference tick: identical phase order to [`Noc::tick`],
@@ -1113,10 +1145,19 @@ impl Noc {
     /// instead of consulting the event wheel. Kept for differential
     /// testing — the event-driven path must be bit-identical to this.
     pub fn tick_reference(&mut self, now: Cycles) {
-        let mut sink: Option<&mut (dyn TraceSink + '_)> = None;
-        self.drain_arrivals(now, &mut sink);
-        self.drain_ni(now, &mut sink);
-        self.transmit(now, true, &mut sink);
+        self.run_tick(now, true, &mut None);
+    }
+
+    fn run_tick(
+        &mut self,
+        now: Cycles,
+        full_scan: bool,
+        sink: &mut Option<&mut (dyn TraceSink + '_)>,
+    ) {
+        self.work.ticks += 1;
+        self.drain_arrivals(now, sink);
+        self.drain_ni(now, sink);
+        self.transmit(now, full_scan, sink);
         #[cfg(debug_assertions)]
         self.debug_audit(now);
     }

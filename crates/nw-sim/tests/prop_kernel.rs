@@ -5,6 +5,116 @@ use nw_sim::{Clocked, EventQueue, Histogram, LatencyHistogram, PipelinedServer, 
 use nw_types::Cycles;
 use proptest::prelude::*;
 
+/// The window [`EventQueue`] documents: events due within this many cycles
+/// of the `now` last passed to `pop_due` take the O(1) ring, the rest the
+/// overflow heap.
+const QUEUE_WINDOW: u64 = 256;
+
+/// One step of the model-based queue property: `(kind, a, step)`. `a`
+/// parameterizes the step and the clock then advances by `step`, so a case
+/// laps the ring.
+type QueueOp = (u8, u64, u64);
+
+/// An [`EventQueue`] run in lock step with its oracle — the pending
+/// `(due, seq)` keys, popped by linear search for the minimum. Payloads
+/// are the `seq` numbers.
+#[derive(Clone, Default)]
+struct QueueModel {
+    q: EventQueue<u64>,
+    pending: Vec<(u64, u64)>,
+    next_seq: u64,
+    /// Every `pop_due` result so far.
+    trace: Vec<Option<u64>>,
+    /// `Some(now)` right after `pop_due(now)` answered `None` at the
+    /// largest `now` so far: the window then starts exactly at `now`.
+    window_at: Option<u64>,
+    max_now: u64,
+    /// Schedules that provably took the ring / the overflow heap.
+    ring_hits: usize,
+    overflow_hits: usize,
+}
+
+impl QueueModel {
+    fn schedule(&mut self, due: u64) {
+        // Two pending events a window or more apart cannot share the ring;
+        // a due cycle inside a window seated by the last pop must take it.
+        if self
+            .pending
+            .iter()
+            .any(|&(d, _)| d.abs_diff(due) >= QUEUE_WINDOW)
+        {
+            self.overflow_hits += 1;
+        }
+        if self
+            .window_at
+            .is_some_and(|w| due >= w && due - w < QUEUE_WINDOW)
+        {
+            self.ring_hits += 1;
+        }
+        self.pending.push((due, self.next_seq));
+        self.q.schedule(Cycles(due), self.next_seq);
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self, now: u64) -> Option<u64> {
+        let expect = self
+            .pending
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, key)| *key)
+            .filter(|&(_, &(due, _))| due <= now)
+            .map(|(at, &(_, seq))| (at, seq));
+        if let Some((at, _)) = expect {
+            self.pending.swap_remove(at);
+        }
+        let got = self.q.pop_due(Cycles(now));
+        assert_eq!(got, expect.map(|(_, seq)| seq), "pop_due({now})");
+        self.max_now = self.max_now.max(now);
+        self.window_at = (got.is_none() && now == self.max_now).then_some(now);
+        self.trace.push(got);
+        got
+    }
+
+    fn drain(&mut self, now: u64) {
+        while self.pop(now).is_some() {}
+    }
+
+    /// Applies `ops` from `clock`, checking `next_due` and `len` after
+    /// every step; returns the clock it reached.
+    fn run(&mut self, mut clock: u64, ops: &[QueueOp]) -> u64 {
+        for &(kind, a, step) in ops {
+            match kind {
+                // Near future: mostly inside the window, sometimes past it.
+                0..=3 => self.schedule(clock + a % 300),
+                // Far future, beyond the window.
+                4 => self.schedule(clock + QUEUE_WINDOW + a * 5),
+                // Earlier than the last pop (and than the window start).
+                5 => self.schedule(clock.saturating_sub(1 + a % 400)),
+                6 if a % 2 == 0 => self.schedule(u64::MAX),
+                // One pop at a `now` behind the clock: `now` is not monotone.
+                6 => {
+                    self.pop(clock.saturating_sub(a % 50));
+                }
+                7 => {
+                    self.pop(clock);
+                }
+                // A jump of up to three windows, then drain.
+                8 => {
+                    clock += a % (3 * QUEUE_WINDOW);
+                    self.drain(clock);
+                }
+                _ => self.drain(clock),
+            }
+            let earliest = self.pending.iter().min().map(|&(due, _)| Cycles(due));
+            assert_eq!(self.q.next_due(), earliest, "next_due at clock {clock}");
+            assert_eq!(self.q.len(), self.pending.len(), "len at clock {clock}");
+            assert_eq!(self.q.is_empty(), self.pending.is_empty());
+            clock += step;
+        }
+        clock
+    }
+}
+
 proptest! {
     // Pinned effort for CI determinism; override with PROPTEST_CASES.
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -29,6 +139,44 @@ proptest! {
             count += 1;
         }
         prop_assert_eq!(count, times.len());
+    }
+
+    /// Model-based: interleaved `schedule`/`pop_due`/`next_due`/`len`
+    /// against a `(due, seq)` oracle, with a non-monotone `now`, dues
+    /// earlier than the last pop and far beyond the window (up to
+    /// `Cycles(u64::MAX)`), over at least three laps of the ring; a clone
+    /// taken mid-stream, events pending in the ring and in the overflow
+    /// heap, then pops exactly like the original.
+    #[test]
+    fn event_queue_matches_sorted_oracle(
+        start in 0u64..100_000,
+        ops in prop::collection::vec((0u8..10, 0u64..1000, 1u64..4), 800..1200),
+    ) {
+        let (head, tail) = ops.split_at(ops.len() / 2);
+        let mut m = QueueModel::default();
+        let mid = m.run(start, head);
+        // The clone carries pending events in both stores: a drain seats
+        // the window at `mid`, the next cycle then takes the ring and one
+        // two windows out the overflow heap.
+        m.drain(mid);
+        m.schedule(mid + 1);
+        m.schedule(mid + 2 * QUEUE_WINDOW);
+        let mut fork = m.clone();
+        let at_clone = (m.ring_hits, m.overflow_hits);
+        for half in [&mut m, &mut fork] {
+            let end = half.run(mid, tail);
+            prop_assert!(end - start >= 3 * QUEUE_WINDOW, "three laps of the ring");
+            // Everything left pops in order, `Cycles(u64::MAX)` entries last.
+            half.drain(u64::MAX);
+            prop_assert!(half.q.is_empty() && half.pending.is_empty());
+            prop_assert!(
+                half.ring_hits > at_clone.0 && half.overflow_hits > at_clone.1,
+                "after the clone the ring was taken {}x, the overflow heap {}x",
+                half.ring_hits - at_clone.0,
+                half.overflow_hits - at_clone.1
+            );
+        }
+        prop_assert_eq!(m.trace, fork.trace, "clone diverged from the original");
     }
 
     /// Histogram mean/min/max match a naive computation.

@@ -354,6 +354,113 @@ fn mode_switch_and_snapshot_while_pes_sleep_mid_burst() {
 }
 
 #[test]
+fn snapshot_and_fork_with_arrivals_in_ring_and_overflow() {
+    // The NoC's in-flight transfers live in a calendar queue: arrivals due
+    // within its 256-cycle window sit in ring buckets, later ones in an
+    // overflow heap. A checkpoint taken while both hold arrivals must carry
+    // both: 4 KiB requests serialize for 513 cycles (overflow), the small
+    // calls around them for a few (ring). The cut is read off a traced
+    // probe run, so the case cannot go vacuous silently.
+    use nanowall::prelude::*;
+    use nanowall::{MemoryBlockConfig, RingBufferSink, TraceEvent};
+
+    const QUEUE_WINDOW: u64 = 256;
+    const TAIL: u64 = 5_000;
+
+    let build = || {
+        let mut cfg = FppaConfig::new("jumbo-in-flight", TopologyKind::Mesh);
+        for _ in 0..4 {
+            cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+        }
+        cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 2.0));
+        let mut platform = FppaPlatform::new(cfg).expect("config valid");
+        let sram = platform.memory_node(0);
+        for pe in 0..4 {
+            let (request, calls) = if pe < 2 { (4096, 4) } else { (16, 120) };
+            let ops = (0..calls).flat_map(|i| {
+                [
+                    nw_pe::Op::Compute(3 + 2 * pe as u64 + i % 5),
+                    nw_pe::Op::call(sram, request, 8),
+                ]
+            });
+            let prog = nw_pe::Program::straight_line(ops);
+            while platform.pe(pe).idle_threads() > 0 {
+                platform.pe_mut(pe).spawn(prog.clone()).unwrap();
+            }
+        }
+        platform
+    };
+
+    // Probe: find a cycle with a jumbo and a short transfer both in flight.
+    let mut probe = build();
+    probe.set_trace_sink(Box::new(RingBufferSink::new(1 << 16)));
+    let _ = probe.run(3_000);
+    let mut sink = probe.take_trace_sink().expect("sink installed");
+    let transfers: Vec<(u64, u64)> = sink
+        .as_any_mut()
+        .downcast_mut::<RingBufferSink>()
+        .expect("ring sink")
+        .drain()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::LinkTransfer { cycle, ser, .. } => Some((cycle, ser)),
+            _ => None,
+        })
+        .collect();
+    // A transfer fired at `cycle` arrives after `ser` cycles and more; one
+    // with `ser >= QUEUE_WINDOW` was scheduled beyond the window.
+    let in_flight = |at: u64, jumbo: bool| {
+        transfers
+            .iter()
+            .any(|&(cycle, ser)| (ser >= QUEUE_WINDOW) == jumbo && cycle < at && at <= cycle + ser)
+    };
+    let cuts: Vec<u64> = (1..3_000)
+        .filter(|&c| in_flight(c, true) && in_flight(c, false))
+        .step_by(97)
+        .take(4)
+        .collect();
+    assert_eq!(cuts.len(), 4, "jumbo and short transfers overlap in flight");
+
+    for cut in cuts {
+        for mode in [SchedulerMode::ActiveSet, SchedulerMode::Dense] {
+            let want = {
+                let mut p = build();
+                p.set_scheduler_mode(mode);
+                let _ = p.run(cut + TAIL);
+                p.report(Cycles(TAIL))
+            };
+            let mut p = build();
+            p.set_scheduler_mode(mode);
+            let _ = p.run(cut);
+            let noc = p.scheduler_stats().noc;
+            assert!(noc.fires >= noc.arrivals + 2, "{cut}: transfers in flight");
+            let snap = p.snapshot();
+            let mut fork = p.fork(7);
+            let mut copy = FppaPlatform::from_snapshot(&snap);
+            for (what, platform) in [
+                ("fork", &mut fork),
+                ("copy", &mut copy),
+                ("original", &mut p),
+            ] {
+                let _ = platform.run(TAIL);
+                assert_eq!(
+                    platform.report(Cycles(TAIL)),
+                    want,
+                    "{mode:?}@{cut}: {what} diverged from the uninterrupted run"
+                );
+            }
+            p.restore(&snap);
+            let _ = p.run(TAIL);
+            assert_eq!(
+                p.report(Cycles(TAIL)),
+                want,
+                "{mode:?}@{cut}: restore diverged"
+            );
+        }
+    }
+}
+
+#[test]
 fn scheduler_stats_repeat_and_pes_sleep_through_most_cycles() {
     // The work counters are a pure function of configuration and mode:
     // two runs agree exactly. And on the saturated IPv4 rig the self-timed
@@ -377,6 +484,13 @@ fn scheduler_stats_repeat_and_pes_sleep_through_most_cycles() {
     );
     assert_eq!(active.cycles_stepped + active.cycles_hopped, 30_000);
     assert!(active.pe_external_wakes > 0);
+    // Every stepped cycle either ticks the NoC or skips it; a fire is one
+    // packet-hop and an arrival its other end.
+    let noc = active.noc;
+    assert_eq!(noc.ticks + active.noc_ticks_skipped, active.cycles_stepped);
+    assert!(active.noc_ticks_skipped > 0, "a loaded fabric still stalls");
+    assert!(noc.fires > 0 && noc.arrivals <= noc.fires);
+    assert!(noc.router_visits > 0 && noc.wakes_scheduled > 0);
 
     assert!(working > 0);
     assert!(
@@ -389,6 +503,12 @@ fn scheduler_stats_repeat_and_pes_sleep_through_most_cycles() {
     let (dense, _, _) = run(SchedulerMode::Dense);
     assert_eq!(dense.cycles_stepped, 30_000);
     assert_eq!(dense.cycles_hopped, 0);
+    assert_eq!((dense.noc.ticks, dense.noc_ticks_skipped), (30_000, 0));
+    // Same simulation, same packet-hops; only the scheduling work differs.
+    assert_eq!(
+        (dense.noc.fires, dense.noc.arrivals),
+        (noc.fires, noc.arrivals)
+    );
     assert_eq!(
         dense.pe_ticks,
         30_000 * n_pes,
