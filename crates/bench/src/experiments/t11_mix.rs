@@ -175,8 +175,10 @@ pub fn bench_grid(fast: bool, warm_fork: bool) -> Vec<MixPoint> {
         .iter()
         .map(|&(v, i)| {
             let mut p = FppaPlatform::from_snapshot(&snap);
-            p.set_io_rate(0, nw_types::BitsPerSec::from_gbps(v));
-            p.set_io_rate(1, nw_types::BitsPerSec::from_gbps(i));
+            p.set_io_rate(0, nw_types::BitsPerSec::from_gbps(v))
+                .expect("grid rates are positive");
+            p.set_io_rate(1, nw_types::BitsPerSec::from_gbps(i))
+                .expect("grid rates are positive");
             (v, i, p)
         })
         .collect();

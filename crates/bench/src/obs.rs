@@ -247,9 +247,11 @@ pub fn render_profile(entries: &[ProfileEntry]) -> String {
         }
         let _ = writeln!(
             s,
-            "  scheduler  stepped {}  hopped {}  pe_ticks {}  pe_external_wakes {}",
+            "  scheduler  stepped {}  hopped {}  hops {}  hops_ended_by_io {}  pe_ticks {}  pe_external_wakes {}",
             e.sched.cycles_stepped,
             e.sched.cycles_hopped,
+            e.sched.hops,
+            e.sched.hops_ended_by_io,
             e.sched.pe_ticks,
             e.sched.pe_external_wakes
         );

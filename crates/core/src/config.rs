@@ -1,7 +1,7 @@
 //! Platform configuration: declaring an FPPA instance.
 
 use nw_fabric::FabricSpec;
-use nw_hwip::IoChannelConfig;
+use nw_hwip::{IoChannelConfig, IoConfigError};
 use nw_mem::MemoryTechnology;
 use nw_noc::{NocConfig, TopologyKind};
 use nw_pe::PeConfig;
@@ -55,6 +55,13 @@ pub enum BuildPlatformError {
     NoPes,
     /// Topology construction failed.
     Topology(nw_noc::BuildTopologyError),
+    /// I/O channel `index` (declaration order) cannot be paced.
+    Io {
+        /// Index into [`FppaConfig::io`].
+        index: usize,
+        /// What is wrong with it.
+        reason: IoConfigError,
+    },
 }
 
 impl fmt::Display for BuildPlatformError {
@@ -62,6 +69,7 @@ impl fmt::Display for BuildPlatformError {
         match self {
             BuildPlatformError::NoPes => write!(f, "platform needs at least one PE"),
             BuildPlatformError::Topology(e) => write!(f, "topology: {e}"),
+            BuildPlatformError::Io { index, reason } => write!(f, "I/O channel {index}: {reason}"),
         }
     }
 }
@@ -70,6 +78,7 @@ impl std::error::Error for BuildPlatformError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BuildPlatformError::Topology(e) => Some(e),
+            BuildPlatformError::Io { reason, .. } => Some(reason),
             BuildPlatformError::NoPes => None,
         }
     }
@@ -204,5 +213,89 @@ mod tests {
         let mut b = FppaConfig::new("b", TopologyKind::Ring);
         b.tech = TechNode::N50;
         assert!(b.effective_link_latency() >= a.effective_link_latency());
+    }
+
+    #[test]
+    fn unpaceable_io_channels_are_build_errors_naming_the_channel() {
+        use crate::FppaPlatform;
+        use nw_types::{BitsPerSec, Bytes};
+        let ok = IoChannelConfig::ten_gbe_worst_case();
+        let build = |bad: IoChannelConfig| {
+            let mut c = FppaConfig::new("t", TopologyKind::Ring);
+            c.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+            c.add_io(ok);
+            c.add_io(bad);
+            FppaPlatform::new(c).map(|_| ())
+        };
+        let io = |reason| Err(BuildPlatformError::Io { index: 1, reason });
+        assert_eq!(build(ok), Ok(()));
+        assert_eq!(
+            build(IoChannelConfig {
+                packet_bytes: Bytes(0),
+                ..ok
+            }),
+            io(IoConfigError::ZeroPacket)
+        );
+        for clock_hz in [0.0, -1.0, f64::INFINITY] {
+            assert_eq!(
+                build(IoChannelConfig { clock_hz, ..ok }),
+                io(IoConfigError::Clock(clock_hz))
+            );
+        }
+        for rate in [-1.0, f64::INFINITY] {
+            assert_eq!(
+                build(IoChannelConfig {
+                    rate: BitsPerSec(rate),
+                    ..ok
+                }),
+                io(IoConfigError::Rate(rate))
+            );
+        }
+        // NaN never compares equal, so match on the shape.
+        for bad in [
+            IoChannelConfig {
+                clock_hz: f64::NAN,
+                ..ok
+            },
+            IoChannelConfig {
+                rate: BitsPerSec(f64::NAN),
+                ..ok
+            },
+        ] {
+            assert!(matches!(
+                build(bad),
+                Err(BuildPlatformError::Io { index: 1, .. })
+            ));
+        }
+        assert_eq!(
+            build(IoChannelConfig {
+                packet_bytes: Bytes(u64::MAX / 8),
+                ..ok
+            }),
+            io(IoConfigError::CostOverflow)
+        );
+        let err = build(IoChannelConfig {
+            packet_bytes: Bytes(0),
+            ..ok
+        })
+        .expect_err("rejected above");
+        assert_eq!(err.to_string(), "I/O channel 1: packet size is zero");
+    }
+
+    #[test]
+    fn set_io_rate_rejects_what_the_build_rejects() {
+        use crate::FppaPlatform;
+        use nw_types::BitsPerSec;
+        let mut c = FppaConfig::new("t", TopologyKind::Ring);
+        c.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+        c.add_io(IoChannelConfig::ten_gbe_worst_case());
+        let mut p = FppaPlatform::new(c).expect("config valid");
+        assert_eq!(p.set_io_rate(0, BitsPerSec::from_gbps(2.5)), Ok(()));
+        assert_eq!(
+            p.set_io_rate(0, BitsPerSec(-2.5e9)),
+            Err(IoConfigError::Rate(-2.5e9))
+        );
+        assert!(p.set_io_rate(0, BitsPerSec(f64::NAN)).is_err());
+        assert_eq!(p.io(0).config().rate, BitsPerSec::from_gbps(2.5));
     }
 }

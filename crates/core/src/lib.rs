@@ -64,6 +64,9 @@ pub mod scenarios;
 pub mod tags;
 
 pub use config::{BuildPlatformError, FppaConfig, HwIpConfig, MemoryBlockConfig};
+/// Why an I/O channel cannot be paced ([`BuildPlatformError::Io`],
+/// [`FppaPlatform::set_io_rate`]).
+pub use nw_hwip::IoConfigError;
 /// The NoC's share of [`SchedulerStats`].
 pub use nw_noc::NocWork;
 pub use platform::{

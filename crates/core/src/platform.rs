@@ -22,7 +22,7 @@ use crate::tags::{is_reply, RequestTag};
 use nw_dsoc::{MessageKind, MessageView};
 use nw_fabric::Efpga;
 use nw_fault::{FabricShape, FaultCampaign, FaultKind};
-use nw_hwip::{HwIpBlock, IoChannel};
+use nw_hwip::{HwIpBlock, IoChannel, IoConfigError};
 use nw_mem::{MemRequest, MemoryController, MemorySpec, ReqKind};
 use nw_noc::{Noc, NocWork, PayloadPool, Topology};
 use nw_obs::{HostPhase, HostProfiler, NocHeatmap, TraceEvent, TraceSink};
@@ -68,6 +68,13 @@ pub struct SchedulerStats {
     pub cycles_stepped: u64,
     /// Cycles skipped by fast-forward hops.
     pub cycles_hopped: u64,
+    /// Fast-forward hops taken.
+    pub hops: u64,
+    /// Hops whose target cycle is an arrival on a bound I/O channel or an
+    /// entry drive (ties with a PE wake, NoC event, fault, retry deadline
+    /// or the end of the run included): the pacing, not the platform,
+    /// ended the quiet span.
+    pub hops_ended_by_io: u64,
     /// `Pe::tick` calls made (dense: every PE every stepped cycle).
     pub pe_ticks: u64,
     /// Wake requests posted for a PE by something other than its own tick:
@@ -88,6 +95,8 @@ pub struct SchedulerStats {
 struct SchedulerCounters {
     cycles_stepped: u64,
     cycles_hopped: u64,
+    hops: u64,
+    hops_ended_by_io: u64,
     pe_ticks: u64,
     pe_external_wakes: u64,
     noc_ticks_skipped: u64,
@@ -298,7 +307,9 @@ impl FppaPlatform {
     /// # Errors
     ///
     /// [`BuildPlatformError::NoPes`] for an empty platform;
-    /// [`BuildPlatformError::Topology`] if the NoC cannot be built.
+    /// [`BuildPlatformError::Topology`] if the NoC cannot be built;
+    /// [`BuildPlatformError::Io`] for an I/O channel that cannot be paced
+    /// (zero packet size, unusable clock or rate).
     pub fn new(cfg: FppaConfig) -> Result<Self, BuildPlatformError> {
         if cfg.pes.is_empty() {
             return Err(BuildPlatformError::NoPes);
@@ -357,7 +368,14 @@ impl FppaPlatform {
             hwip_nodes.push(NodeId(roles.len()));
             roles.push(NodeRole::HwIp(i));
         }
-        let ios: Vec<IoChannel> = cfg.io.iter().map(|c| IoChannel::new(*c)).collect();
+        let ios = cfg
+            .io
+            .iter()
+            .enumerate()
+            .map(|(index, c)| {
+                IoChannel::new(*c).map_err(|reason| BuildPlatformError::Io { index, reason })
+            })
+            .collect::<Result<Vec<IoChannel>, _>>()?;
         for i in 0..ios.len() {
             io_nodes.push(NodeId(roles.len()));
             roles.push(NodeRole::Io(i));
@@ -544,13 +562,23 @@ impl FppaPlatform {
 
     /// Retunes I/O channel `i`'s line rate in place (warm-fork hook: grid
     /// points forked from one warmed platform differ only in offered load
-    /// from the fork cycle onward).
+    /// from the fork cycle onward). The channel keeps its accumulated
+    /// pacing credit.
+    ///
+    /// # Errors
+    ///
+    /// [`IoConfigError::Rate`] for a negative or non-finite rate; the
+    /// channel is left as it was.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn set_io_rate(&mut self, i: usize, rate: nw_types::BitsPerSec) {
-        self.ios[i].set_rate(rate);
+    pub fn set_io_rate(
+        &mut self,
+        i: usize,
+        rate: nw_types::BitsPerSec,
+    ) -> Result<(), IoConfigError> {
+        self.ios[i].set_rate(rate)
     }
 
     /// Installs a trace sink: from now on the platform reports packet
@@ -621,6 +649,8 @@ impl FppaPlatform {
         let SchedulerCounters {
             cycles_stepped,
             cycles_hopped,
+            hops,
+            hops_ended_by_io,
             pe_ticks,
             pe_external_wakes,
             noc_ticks_skipped,
@@ -628,6 +658,8 @@ impl FppaPlatform {
         SchedulerStats {
             cycles_stepped,
             cycles_hopped,
+            hops,
+            hops_ended_by_io,
             pe_ticks,
             pe_external_wakes,
             noc_ticks_skipped,
@@ -819,9 +851,11 @@ impl FppaPlatform {
     /// fast-forwarded: when nothing is due (every PE asleep — dormant, mid
     /// compute burst or stalled — no NoC event due, no busy service node,
     /// no pending dispatch) the clock jumps straight to the next timed
-    /// event — the earliest PE wake included — instead of stepping cycle
-    /// by cycle. I/O pacing keeps its per-cycle credit arithmetic, so
-    /// results stay bit-identical to the dense scheduler.
+    /// event — the earliest PE wake and the next line-rate or drive
+    /// arrival included — instead of stepping cycle by cycle. I/O pacing
+    /// is exact integer credit, so the jump leaves every pacer in the
+    /// state per-cycle ticking would, and results stay bit-identical to
+    /// the dense scheduler.
     pub fn run(&mut self, cycles: u64) -> PlatformReport {
         let start = self.clock.now();
         if let Some(p) = self.profiler.as_mut() {
@@ -840,11 +874,13 @@ impl FppaPlatform {
                     // folds into the lap of whichever phase ends next
                     // (FastForward on a hop, IoPacing on a normal step).
                     match self.quiet_span(end) {
-                        Some(target) => {
+                        Some((target, ended_by_io)) => {
                             let before = self.clock.now();
-                            self.span_hop(target);
-                            let span = self.clock.now().0 - before.0;
+                            let span = target.0 - before.0;
+                            self.span_hop(span);
                             self.sched_stats.cycles_hopped += span;
+                            self.sched_stats.hops += 1;
+                            self.sched_stats.hops_ended_by_io += u64::from(ended_by_io);
                             if let Some(s) = self.obs_sink.as_deref_mut() {
                                 s.emit(TraceEvent::FastForward {
                                     cycle: before.0,
@@ -1200,8 +1236,7 @@ impl FppaPlatform {
             self.check_retries(now);
         }
 
-        // 1. I/O pacing always ticks: the line-rate credit accumulator is
-        //    per-cycle f64 arithmetic that must replay exactly.
+        // 1. I/O pacing: one cycle of line-rate credit per channel.
         for i in 0..self.ios.len() {
             self.ios[i].tick(now);
         }
@@ -1284,19 +1319,22 @@ impl FppaPlatform {
 
     /// The run-loop probe: whether the upcoming span of cycles is provably
     /// skippable, and up to which cycle. `None`: this cycle must be stepped
-    /// normally. `Some(target)`, `target > now`: nothing except I/O pacing
-    /// credit and sleeping PEs' catch-up arithmetic evolves before
-    /// `target` — no retirement, dispatch, injection or arrival can occur —
-    /// so [`Self::span_hop`] may bulk-advance there.
+    /// normally. `Some((target, ended_by_io))`, `target > now`: nothing
+    /// except I/O pacing credit, unbound channels' line drops and sleeping
+    /// PEs' catch-up arithmetic evolves before `target` — no retirement,
+    /// dispatch, injection or bound arrival can occur — so
+    /// [`Self::span_hop`] may bulk-advance there. `ended_by_io` says the
+    /// target is a paced arrival (see [`SchedulerStats::hops_ended_by_io`]).
     ///
-    /// "Due now or every cycle" sources (outbox, dispatch, pacing drives,
-    /// bound ingress, a busy or parked service node) veto the hop. Timed
-    /// sources bound it: the earliest PE wake (`min(pe_wake)`; all
-    /// dormant: unbounded), the next NoC event, the next campaign fault
-    /// and the earliest retry deadline — each vetoes when due now, so a
+    /// "Due now or every cycle" sources (outbox, dispatch, a bound
+    /// channel's RX backlog, a busy or parked service node) veto the hop.
+    /// Timed sources bound it: the earliest PE wake (`min(pe_wake)`; all
+    /// dormant: unbounded), the next arrival on a bound I/O channel or an
+    /// entry drive, the next NoC event, the next campaign fault and the
+    /// earliest retry deadline — each vetoes when due now, so an arrival,
     /// fault or timeout is always applied in a normally stepped cycle.
     /// `end` caps the target.
-    fn quiet_span(&self, end: Cycles) -> Option<Cycles> {
+    fn quiet_span(&self, end: Cycles) -> Option<(Cycles, bool)> {
         let now = self.clock.now();
         // Constant-time vetoes first, then the walks.
         if !self.outbox.is_empty() || self.noc.eject_pending() > 0 {
@@ -1305,7 +1343,7 @@ impl FppaPlatform {
         if self
             .runtime
             .as_ref()
-            .is_some_and(|rt| rt.has_pacing() || rt.has_dispatch_work())
+            .is_some_and(Runtime::has_dispatch_work)
         {
             return None;
         }
@@ -1318,11 +1356,25 @@ impl FppaPlatform {
         if !bound(pe_wake) {
             return None;
         }
+        // Paced sources post their next arrival like every other timed
+        // source: the n-th coming tick runs in cycle `now + n - 1`.
+        // Unbound channels pace and drop; their state never wakes
+        // anything, exactly as in a dense step.
+        let mut io_next = u64::MAX;
         if let Some(rt) = self.runtime.as_ref() {
+            let mut ticks = rt.drive_ticks_to_next();
             for (i, io) in self.ios.iter().enumerate() {
-                if rt.io_has_bindings(i) && (io.rx_backlog() > 0 || io.rx_due_next_tick()) {
+                if !rt.io_has_bindings(i) {
+                    continue;
+                }
+                if io.rx_backlog() > 0 {
                     return None;
                 }
+                ticks = ticks.min(io.ticks_to_next_rx());
+            }
+            io_next = now.0.saturating_add(ticks - 1);
+            if !bound(io_next) {
+                return None;
             }
         }
         if let Some(t) = self.campaign.as_ref().and_then(FaultCampaign::next_cycle) {
@@ -1362,60 +1414,38 @@ impl FppaPlatform {
         if !(mems_quiet && fabrics_quiet && hwips_quiet) {
             return None;
         }
-        Some(Cycles(target))
+        Some((Cycles(target), io_next == target))
     }
 
-    /// Advances over a quiet span to `target` (from [`Self::quiet_span`]).
-    /// Without I/O channels the clock jumps there in one hop; with I/O
-    /// channels the pacing credit must accumulate cycle by cycle, so the
-    /// hop ticks only the pacers in a tight loop, breaking out the moment
-    /// a bound channel holds (or is about to produce) ingress traffic.
+    /// Advances over a quiet span of `span` cycles (to the target of
+    /// [`Self::quiet_span`]) in one jump: every pacer — I/O channels and
+    /// entry drives — advances by the span in closed form, then the clock.
+    /// The probe bounded the span by the next bound arrival, so nothing
+    /// falls due that a stepped cycle would have had to act on; unbound
+    /// channels fill and overflow their FIFOs as they would tick by tick.
     /// PEs are not touched: each catches up the hopped cycles itself on
     /// its next tick ([`Pe::settle_accounting`]), with counter arithmetic
     /// identical to per-cycle ticking, so the dense scheduler sees the
     /// same state.
-    fn span_hop(&mut self, target: Cycles) {
-        let now = self.clock.now();
-        debug_assert!(target > now, "a hop must advance the clock");
-        if self.ios.is_empty() {
-            self.clock.advance_by(Cycles(target.0 - now.0));
-            return;
+    fn span_hop(&mut self, span: u64) {
+        debug_assert!(span > 0, "a hop must advance the clock");
+        for io in &mut self.ios {
+            io.advance(span);
         }
-        // Bindings cannot change mid-hop, so resolve which channels'
-        // ingress can end the span once, outside the per-cycle loop.
-        // (Unbound channels pace and drop; their state never wakes
-        // anything, exactly as in a dense step.)
-        let mut bound: Option<Vec<usize>> = None;
-        let mut t = now.0;
-        loop {
-            for io in self.ios.iter_mut() {
-                io.tick(Cycles(t));
-            }
-            t += 1;
-            if t >= target.0 {
-                break;
-            }
-            let bound = bound.get_or_insert_with(|| match self.runtime.as_ref() {
-                Some(rt) => (0..self.ios.len())
-                    .filter(|&i| rt.io_has_bindings(i))
-                    .collect(),
-                None => Vec::new(),
-            });
-            let io_traffic = bound.iter().any(|&i| {
-                let io = &self.ios[i];
-                io.rx_backlog() > 0 || io.rx_due_next_tick()
-            });
-            if io_traffic {
-                break;
-            }
+        if let Some(rt) = self.runtime.as_mut() {
+            rt.advance_drives(span);
+            debug_assert!(!rt.has_dispatch_work(), "a drive fired inside a hop");
         }
-        self.clock.advance_by(Cycles(t - now.0));
+        self.clock.advance_by(Cycles(span));
     }
 
     /// The earliest cycle `>=` now at which any platform component has work
     /// due, or `None` when the platform is completely drained. Spans before
-    /// the returned cycle are safe to skip (given idle I/O pacing): the
-    /// dense scheduler would tick through them without changing state.
+    /// the returned cycle are safe to skip: the dense scheduler would tick
+    /// through them changing nothing but pacing credit and sleeping PEs'
+    /// accounting. Paced sources answer with their true next arrival — the
+    /// cycle a channel's wire (bound or not) delivers its next packet or a
+    /// drive queues its next invocation.
     pub fn next_event_cycle(&self) -> Option<Cycles> {
         let now = self.clock.now();
         let mut next: Option<Cycles> = None;
@@ -1439,18 +1469,26 @@ impl FppaPlatform {
             || self
                 .runtime
                 .as_ref()
-                .is_some_and(|rt| rt.has_pacing() || rt.has_dispatch_work())
+                .is_some_and(Runtime::has_dispatch_work)
         {
             fold(Some(now));
         }
-        // Paced I/O is per-cycle state; any non-drained channel means the
-        // next cycle is an event.
-        if self
-            .ios
-            .iter()
-            .any(|io| io.config().bits_per_cycle() > 0.0 || io.rx_backlog() > 0)
-        {
-            fold(Some(Cycles(now.0 + 1)));
+        // The n-th coming tick runs in cycle `now + n - 1`; a bound
+        // channel's waiting backlog is ingress work due now.
+        let arrival =
+            |ticks: u64| (ticks != u64::MAX).then(|| Cycles(now.0.saturating_add(ticks - 1)));
+        for (i, io) in self.ios.iter().enumerate() {
+            fold(arrival(io.ticks_to_next_rx()));
+            let bound = self
+                .runtime
+                .as_ref()
+                .is_some_and(|rt| rt.io_has_bindings(i));
+            if bound && io.rx_backlog() > 0 {
+                fold(Some(now));
+            }
+        }
+        if let Some(rt) = self.runtime.as_ref() {
+            fold(arrival(rt.drive_ticks_to_next()));
         }
         fold(self.noc.next_event_cycle(now));
         fold(
@@ -1754,7 +1792,7 @@ impl FppaPlatform {
         let Some(mut rt) = self.runtime.take() else {
             return;
         };
-        rt.drive(now);
+        rt.advance_drives(1);
         self.sched_stats.pe_external_wakes += rt.dispatch(
             &mut self.pes,
             now,

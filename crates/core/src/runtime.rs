@@ -20,8 +20,10 @@ use nw_dsoc::{Application, Broker, Domain, Message, MessageKind, MessageView, Me
 use nw_noc::{Packet, PayloadPool};
 use nw_obs::{TraceEvent, TraceSink};
 use nw_pe::{KernelDomain, Op, Pe, Program};
+use nw_sim::Pacer;
 use nw_types::{Cycles, NodeId, ObjectId};
 use std::collections::{BTreeMap, VecDeque};
+use std::num::NonZeroU64;
 
 // nw-analyze: allow-file(RH01): every acquired buffer's ownership transfers out of this
 // module — into synthesized Program sends and outbox messages that become NoC packets;
@@ -51,6 +53,9 @@ pub enum InstallError {
     UnknownObject(ObjectId),
     /// The bound node is not a service endpoint (memory, fabric or hwip).
     NotAServiceNode(NodeId),
+    /// The drive rate is negative, not finite, or 2³² invocations per
+    /// cycle and beyond.
+    DriveRate(f64),
 }
 
 impl fmt::Display for InstallError {
@@ -66,6 +71,9 @@ impl fmt::Display for InstallError {
             InstallError::UnknownObject(o) => write!(f, "object {o} not in application"),
             InstallError::NotAServiceNode(n) => {
                 write!(f, "node {n} is not a memory/fabric/hwip service endpoint")
+            }
+            InstallError::DriveRate(r) => {
+                write!(f, "drive rate {r} is not a rate in [0, 2^32) per cycle")
             }
         }
     }
@@ -109,14 +117,18 @@ struct PendingInvocation {
     reply_to: Option<(NodeId, u64)>,
 }
 
-/// A deterministic entry-rate drive.
+/// A deterministic entry-rate drive: invocations per cycle as 32.32
+/// fixed-point credit, one invocation costing [`DRIVE_COST`].
 #[derive(Debug, Clone)]
 struct Drive {
     object: ObjectId,
     method: MethodId,
-    rate: f64,
-    acc: f64,
+    pacer: Pacer,
 }
+
+/// Credit per driven invocation; a drive's per-cycle credit is its rate
+/// times this, rounded to the nearest integer.
+const DRIVE_COST: NonZeroU64 = NonZeroU64::new(1 << 32).unwrap();
 
 /// One downstream call edge of a handler, resolved once: the callee's
 /// marshalling footprint and hosting node never change after installation,
@@ -269,11 +281,12 @@ impl Runtime {
 
     pub(crate) fn add_drive(&mut self, object: ObjectId, rate: f64) -> Result<(), InstallError> {
         let method = self.entry_method_of(object)?;
+        let credit = Pacer::whole_credit(rate * DRIVE_COST.get() as f64)
+            .ok_or(InstallError::DriveRate(rate))?;
         self.drives.push(Drive {
             object,
             method,
-            rate,
-            acc: 0.0,
+            pacer: Pacer::new(credit, DRIVE_COST),
         });
         Ok(())
     }
@@ -410,17 +423,18 @@ impl Runtime {
         self.pending_total += 1;
     }
 
-    /// Advances the deterministic entry drives.
-    pub(crate) fn drive(&mut self, _now: Cycles) {
-        for d in 0..self.drives.len() {
-            self.drives[d].acc += self.drives[d].rate;
-            while self.drives[d].acc >= 1.0 {
-                self.drives[d].acc -= 1.0;
-                let (object, method) = (self.drives[d].object, self.drives[d].method);
-                let pe = self.placement[object.0];
+    /// Advances the deterministic entry drives by `k` cycles, queueing
+    /// the invocations that fall due. A scheduler step advances one cycle;
+    /// a fast-forward hop advances its whole span, which
+    /// [`Runtime::drive_ticks_to_next`] bounded so that nothing is due
+    /// inside it.
+    pub(crate) fn advance_drives(&mut self, k: u64) {
+        for d in &mut self.drives {
+            let pe = self.placement[d.object.0];
+            for _ in 0..d.pacer.advance(k) {
                 self.dispatch[pe].push_back(PendingInvocation {
-                    object,
-                    method,
+                    object: d.object,
+                    method: d.method,
                     seq: 0,
                     reply_to: None,
                 });
@@ -429,10 +443,14 @@ impl Runtime {
         }
     }
 
-    /// Whether entry drives are installed (their per-cycle rate accumulators
-    /// must advance every cycle, so the platform cannot fast-forward).
-    pub(crate) fn has_pacing(&self) -> bool {
-        !self.drives.is_empty()
+    /// How many cycles from now the first drive queues an invocation: the
+    /// `n`-th coming cycle (`n >= 1`; `u64::MAX` with no drive running).
+    pub(crate) fn drive_ticks_to_next(&self) -> u64 {
+        self.drives
+            .iter()
+            .map(|d| d.pacer.ticks_to_next())
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Whether the dispatcher has anything to do this cycle: queued
@@ -758,18 +776,21 @@ impl FppaPlatform {
     }
 
     /// Drives entry-point `object` at `rate` invocations per cycle
-    /// (deterministic pacing).
+    /// (deterministic pacing: the rate is held as 32.32 fixed point, so
+    /// over `c` cycles exactly `floor(c * round(rate * 2^32) / 2^32)`
+    /// invocations are queued, whichever scheduler runs them).
     ///
     /// # Panics
     ///
-    /// Panics if no application is installed or the object is not an entry
-    /// point — both are setup bugs in the calling experiment.
+    /// Panics if no application is installed, the object is not an entry
+    /// point, or the rate is negative, not finite or `2^32` and beyond —
+    /// all setup bugs in the calling experiment.
     pub fn drive_entry(&mut self, object: ObjectId, rate: f64) {
         self.runtime
             .as_mut()
             .expect("install_app before drive_entry")
             .add_drive(object, rate)
-            .expect("drive_entry requires an application entry point");
+            .expect("drive_entry requires an application entry point and a valid rate");
     }
 
     /// Keeps the PE hosting `object` saturated with entry invocations
@@ -997,6 +1018,49 @@ mod tests {
         let mut cold = runtime();
         let cold_first = cold.synthesize(&inv, &mut PayloadPool::new());
         assert_eq!(first, cold_first);
+    }
+
+    #[test]
+    fn drives_pace_exactly_in_one_jump_or_cycle_by_cycle() {
+        let mut ticked = runtime();
+        ticked.add_drive(ObjectId(0), 0.01).expect("entry point");
+        ticked
+            .add_drive(ObjectId(0), 1.0 / 3.0)
+            .expect("entry point");
+        let mut jumped = ticked.clone();
+        // 1/3 rounds down to 1431655765 / 2^32: the third tick is one
+        // credit unit short, the fourth emits.
+        assert_eq!(ticked.drive_ticks_to_next(), 4);
+        for _ in 0..1_000 {
+            ticked.advance_drives(1);
+        }
+        jumped.advance_drives(1_000);
+        // floor(1000 * round(r * 2^32) / 2^32): 10 and 333.
+        assert_eq!(ticked.queued_invocations(), 343);
+        assert_eq!(jumped.queued_invocations(), 343);
+        assert_eq!(ticked.drive_ticks_to_next(), jumped.drive_ticks_to_next());
+        assert_eq!(
+            runtime().drive_ticks_to_next(),
+            u64::MAX,
+            "no drive, no arrival"
+        );
+    }
+
+    #[test]
+    fn unusable_drive_rates_are_errors() {
+        let mut rt = runtime();
+        for bad in [-0.5, f64::INFINITY, 4_294_967_296.0] {
+            assert_eq!(
+                rt.add_drive(ObjectId(0), bad),
+                Err(InstallError::DriveRate(bad))
+            );
+        }
+        assert!(rt.add_drive(ObjectId(0), f64::NAN).is_err());
+        assert_eq!(
+            rt.add_drive(ObjectId(1), 0.5),
+            Err(InstallError::NotAnEntry(ObjectId(1)))
+        );
+        assert_eq!(rt.add_drive(ObjectId(0), 0.0), Ok(()));
     }
 
     #[test]

@@ -16,4 +16,4 @@ pub mod block;
 pub mod io;
 
 pub use block::HwIpBlock;
-pub use io::{IoChannel, IoChannelConfig};
+pub use io::{IoChannel, IoChannelConfig, IoConfigError};

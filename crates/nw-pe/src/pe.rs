@@ -348,10 +348,9 @@ impl Pe {
             let pc = std::mem::take(&mut t.pc);
             if let Some(prog) = t.program.take() {
                 // Only ops the thread never issued: an executed Send/Call
-                // already cloned its payload into the request stream, where
-                // normal wire-side recycling (or the request drain above)
-                // accounts for it — harvesting the program's copy too
-                // would over-return to the pool.
+                // moved its payload into the request stream, where normal
+                // wire-side recycling (or the request drain above)
+                // accounts for it.
                 for op in prog.into_ops().into_iter().skip(pc) {
                     match op {
                         Op::Send { data, .. } | Op::Call { data, .. } => harvested.push(data),
@@ -587,10 +586,10 @@ impl Pe {
     /// consumed.
     fn issue(&mut self, i: usize, now: Cycles) -> bool {
         let (op, domain) = {
-            let t = &self.threads[i];
-            let prog = t.program.as_ref().expect("ready thread has a program");
-            match prog.op(t.pc) {
-                Some(op) => (op.clone(), prog.domain()),
+            let t = &mut self.threads[i];
+            let prog = t.program.as_mut().expect("ready thread has a program");
+            match prog.take_op(t.pc) {
+                Some(op) => (op, prog.domain()),
                 None => {
                     // Program exhausted: retire the task.
                     self.retire(i);
@@ -1030,6 +1029,63 @@ mod tests {
             pe.tick(Cycles(c));
         }
         assert_eq!(pe.tasks_completed(), 1);
+    }
+
+    #[test]
+    fn issue_moves_the_payload_and_crash_harvests_each_buffer_once() {
+        // Three marshalled buffers, told apart by length: the first is
+        // issued and drained (on the wire), the second issued and still in
+        // the request queue, the third never issued.
+        let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 1));
+        let t0 = pe
+            .spawn(Program::straight_line([
+                Op::Send {
+                    dst: NodeId(1),
+                    bytes: 8,
+                    data: vec![1; 5],
+                    tag: 0,
+                },
+                Op::Call {
+                    dst: NodeId(1),
+                    bytes: 8,
+                    reply_bytes: 8,
+                    data: vec![2; 6],
+                },
+                Op::Send {
+                    dst: NodeId(2),
+                    bytes: 8,
+                    data: vec![3; 7],
+                    tag: 0,
+                },
+            ]))
+            .unwrap();
+        let issued_payload =
+            |pe: &Pe, pc: usize| match &pe.threads[0].program.as_ref().unwrap().ops()[pc] {
+                Op::Send { data, .. } | Op::Call { data, .. } => data.len(),
+                _ => unreachable!("the program holds only sends and calls"),
+            };
+        pe.tick(Cycles(0));
+        let Some((_, PeRequest::Send { data: on_wire, .. })) = pe.pop_request() else {
+            panic!("the first send was issued");
+        };
+        assert_eq!(on_wire.len(), 5, "the request carries the program's buffer");
+        assert_eq!(
+            issued_payload(&pe, 0),
+            0,
+            "an issued op leaves an empty payload"
+        );
+        assert_eq!(
+            issued_payload(&pe, 1),
+            6,
+            "an unissued op keeps its payload"
+        );
+        pe.complete(t0);
+        pe.tick(Cycles(1));
+        assert!(pe.has_requests(), "the call was issued and is undrained");
+        assert_eq!(issued_payload(&pe, 1), 0);
+        let mut harvested: Vec<usize> = pe.crash(Cycles(2)).iter().map(Vec::len).collect();
+        harvested.sort_unstable();
+        assert_eq!(harvested, vec![6, 7], "queued and unissued, each once");
     }
 
     #[test]

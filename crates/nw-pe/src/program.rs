@@ -120,9 +120,40 @@ impl Program {
         self.ops
     }
 
-    /// Op at `pc`, if within the program.
-    pub fn op(&self, pc: usize) -> Option<&Op> {
-        self.ops.get(pc)
+    /// The op at `pc` for issue: scalar fields are copied and a marshalled
+    /// payload is moved out, leaving an empty one in the slot — an issued
+    /// `Send`/`Call` hands its buffer on to the request stream instead of
+    /// cloning it. The slot is never read again: the pc only advances.
+    pub fn take_op(&mut self, pc: usize) -> Option<Op> {
+        Some(match self.ops.get_mut(pc)? {
+            Op::Compute(n) => Op::Compute(*n),
+            Op::LocalMem { write, bytes } => Op::LocalMem {
+                write: *write,
+                bytes: *bytes,
+            },
+            Op::Send {
+                dst,
+                bytes,
+                data,
+                tag,
+            } => Op::Send {
+                dst: *dst,
+                bytes: *bytes,
+                data: std::mem::take(data),
+                tag: *tag,
+            },
+            Op::Call {
+                dst,
+                bytes,
+                reply_bytes,
+                data,
+            } => Op::Call {
+                dst: *dst,
+                bytes: *bytes,
+                reply_bytes: *reply_bytes,
+                data: std::mem::take(data),
+            },
+        })
     }
 
     /// Number of ops.
@@ -181,8 +212,26 @@ mod tests {
         assert_eq!(p.domain(), KernelDomain::Signal);
         assert_eq!(p.call_count(), 1);
         assert_eq!(p.baseline_compute_cycles(), Cycles(10));
-        assert!(matches!(p.op(0), Some(Op::Compute(10))));
-        assert!(p.op(3).is_none());
+        assert!(matches!(p.ops()[0], Op::Compute(10)));
+    }
+
+    #[test]
+    fn take_op_copies_scalars_and_moves_the_payload_out() {
+        let mut p = Program::straight_line([
+            Op::Compute(7),
+            Op::Send {
+                dst: NodeId(1),
+                bytes: 8,
+                data: vec![4, 5],
+                tag: 3,
+            },
+        ]);
+        assert_eq!(p.take_op(0), Some(Op::Compute(7)));
+        assert_eq!(p.ops()[0], Op::Compute(7));
+        let sent = p.take_op(1).expect("pc 1 is in the program");
+        assert!(matches!(&sent, Op::Send { data, tag: 3, .. } if data == &[4, 5]));
+        assert!(matches!(&p.ops()[1], Op::Send { data, tag: 3, .. } if data.is_empty()));
+        assert_eq!(p.take_op(2), None);
     }
 
     #[test]

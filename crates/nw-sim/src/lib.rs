@@ -18,6 +18,9 @@
 //! [`stats::LatencyHistogram`] behind the per-invocation percentile
 //! telemetry, throughput [`stats::Counter`]s and streaming means.
 //!
+//! [`pacer::Pacer`] is the exact integer rate accumulator behind line-rate
+//! I/O and entry drives: `k` cycles in one jump equal `k` single ticks.
+//!
 //! # Examples
 //!
 //! ```
@@ -38,12 +41,14 @@
 //! ```
 
 pub mod event;
+pub mod pacer;
 pub mod parallel;
 pub mod pipeline;
 pub mod stats;
 pub mod trace;
 
 pub use event::EventQueue;
+pub use pacer::Pacer;
 pub use parallel::{parallel_map, parallel_map_with, set_sweep_threads, sweep_threads};
 pub use pipeline::{PipelinedServer, ServerFull};
 pub use stats::{

@@ -500,9 +500,14 @@ fn scheduler_stats_repeat_and_pes_sleep_through_most_cycles() {
         active.cycles_stepped
     );
 
+    // A hop skips at least one cycle, and only some hops end on an arrival.
+    assert!(active.hops > 0 && active.hops <= active.cycles_hopped);
+    assert!(active.hops_ended_by_io <= active.hops);
+
     let (dense, _, _) = run(SchedulerMode::Dense);
     assert_eq!(dense.cycles_stepped, 30_000);
     assert_eq!(dense.cycles_hopped, 0);
+    assert_eq!((dense.hops, dense.hops_ended_by_io), (0, 0));
     assert_eq!((dense.noc.ticks, dense.noc_ticks_skipped), (30_000, 0));
     // Same simulation, same packet-hops; only the scheduling work differs.
     assert_eq!(
@@ -533,4 +538,249 @@ fn next_event_cycle_never_overshoots() {
             rig.platform.now()
         );
     }
+}
+
+/// A small rig for the pacing cases: ping → pong on four RISC cores, ping
+/// fed by channel 0 (40-byte packets at `bound_mbps`, at 40 Mb/s one every
+/// 4000 cycles: long quiet gaps) and pong handing off to it; channel 1 is
+/// bound to nothing and runs at 2.5 Gb/s into a FIFO of 8, so it fills in
+/// the first 512 cycles and overflows from then on, hop or no hop.
+fn paced_rig(mode: SchedulerMode, bound_mbps: f64) -> nanowall::FppaPlatform {
+    use nanowall::prelude::*;
+    use nw_types::BitsPerSec;
+
+    let mut cfg = FppaConfig::new("paced", TopologyKind::Mesh);
+    for _ in 0..4 {
+        cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+    }
+    cfg.add_io(IoChannelConfig {
+        rate: BitsPerSec::from_mbps(bound_mbps),
+        ..IoChannelConfig::ten_gbe_worst_case()
+    });
+    cfg.add_io(IoChannelConfig {
+        rate: BitsPerSec::from_gbps(2.5),
+        rx_fifo: 8,
+        ..IoChannelConfig::ten_gbe_worst_case()
+    });
+    let mut b = Application::builder("pingpong");
+    let ping = b.add_object(
+        ObjectDef::new("ping").with_method(MethodDef::oneway("go", 16).with_compute(50)),
+    );
+    let pong = b.add_object(
+        ObjectDef::new("pong").with_method(MethodDef::oneway("ack", 16).with_compute(50)),
+    );
+    b.connect(ping, 0, pong, 0, 1.0);
+    b.entry(ping, 0);
+    let app = b.build().expect("valid test app");
+    let mut platform = FppaPlatform::new(cfg).expect("config valid");
+    platform.set_scheduler_mode(mode);
+    platform
+        .install_app(&app, &[0, 3])
+        .expect("placement valid");
+    platform.bind_io_entry(0, ping).expect("ping is an entry");
+    platform.bind_egress(pong, 0, 40).expect("channel 0 exists");
+    platform
+}
+
+/// Everything the two schedulers must agree on: the report of the last
+/// `window` cycles and the full pacer/FIFO/counter state of both channels.
+fn paced_state(p: &mut nanowall::FppaPlatform, window: u64) -> (nanowall::PlatformReport, String) {
+    let report = p.report(nw_types::Cycles(window));
+    (report, format!("{:?} {:?}", p.io(0), p.io(1)))
+}
+
+#[test]
+fn unbound_channel_overflows_inside_hops_identically() {
+    let mut dense = paced_rig(SchedulerMode::Dense, 40.0);
+    let mut active = paced_rig(SchedulerMode::ActiveSet, 40.0);
+
+    // Before the first bound arrival (cycle 3999) the platform is quiet:
+    // the active set steps cycle 0 and hops the rest, while the unbound
+    // channel receives 46 packets into its FIFO of 8.
+    let _ = dense.run(3_000);
+    let _ = active.run(3_000);
+    let early = active.scheduler_stats();
+    assert_eq!((early.cycles_stepped, early.cycles_hopped), (1, 2_999));
+    assert_eq!(active.io(1).rx_backlog(), 8);
+    assert_eq!(active.io(1).dropped(), 38, "the FIFO overflowed mid-hop");
+    assert_eq!(
+        paced_state(&mut dense, 3_000),
+        paced_state(&mut active, 3_000)
+    );
+
+    let _ = dense.run(97_000);
+    let _ = active.run(97_000);
+    let (report, io) = paced_state(&mut active, 97_000);
+    assert_eq!((report.clone(), io), paced_state(&mut dense, 97_000));
+    assert!(report.io[0].generated >= 24 && report.io[0].transmitted >= 23);
+    let stats = active.scheduler_stats();
+    assert!(stats.cycles_hopped > 90_000, "{stats:?}");
+    // Every bound arrival ends a hop; the others end on PE and NoC events.
+    assert!(stats.hops_ended_by_io >= 24 && stats.hops > stats.hops_ended_by_io);
+}
+
+#[test]
+fn a_hop_lands_on_the_arrival_cycle_and_not_one_beyond() {
+    // The n-th coming tick emits, so the arrival cycle is n - 1 and the
+    // last cycle a hop may skip is n - 2. Runs that end one cycle before
+    // the arrival, on it and one after must all leave the dense state.
+    let arrival = paced_rig(SchedulerMode::ActiveSet, 40.0)
+        .io(0)
+        .ticks_to_next_rx()
+        - 1;
+    assert_eq!(arrival, 3_999);
+    for end in [arrival - 1, arrival, arrival + 1] {
+        let mut dense = paced_rig(SchedulerMode::Dense, 40.0);
+        let mut active = paced_rig(SchedulerMode::ActiveSet, 40.0);
+        let _ = dense.run(end);
+        let _ = active.run(end);
+        assert_eq!(
+            paced_state(&mut dense, end),
+            paced_state(&mut active, end),
+            "run to {end}"
+        );
+        let stats = active.scheduler_stats();
+        assert_eq!(stats.cycles_stepped + stats.cycles_hopped, end);
+        // The packet appears in the tick of the arrival cycle, which is
+        // stepped: a run that stops on that cycle has not seen it yet.
+        assert_eq!(
+            active.io(0).generated(),
+            u64::from(end > arrival),
+            "run to {end}"
+        );
+        assert_eq!(
+            stats.cycles_stepped,
+            1 + end.saturating_sub(arrival),
+            "run to {end}"
+        );
+        // A target that is both the end of the run and the arrival cycle
+        // counts as ended by I/O (ties are included).
+        assert_eq!(
+            stats.hops_ended_by_io,
+            u64::from(end >= arrival),
+            "run to {end}"
+        );
+        // And the tails agree, whichever side of the arrival the cut fell.
+        let _ = dense.run(5_000);
+        let _ = active.run(5_000);
+        assert_eq!(
+            paced_state(&mut dense, 5_000),
+            paced_state(&mut active, 5_000),
+            "tail of {end}"
+        );
+    }
+}
+
+#[test]
+fn retuned_io_rates_pace_identically_from_the_retune_cycle() {
+    use nw_types::BitsPerSec;
+    let mut dense = paced_rig(SchedulerMode::Dense, 40.0);
+    let mut active = paced_rig(SchedulerMode::ActiveSet, 40.0);
+    // Mid-gap retunes: up 30x, to a rate that divides nothing, to zero
+    // (the wire goes dead, credit kept), and back.
+    for (i, mbps) in [1_200.0, 333.3, 0.0, 40.0].into_iter().enumerate() {
+        let _ = dense.run(6_100);
+        let _ = active.run(6_100);
+        assert_eq!(
+            paced_state(&mut dense, 6_100),
+            paced_state(&mut active, 6_100),
+            "leg {i}"
+        );
+        for p in [&mut dense, &mut active] {
+            p.set_io_rate(0, BitsPerSec::from_mbps(mbps))
+                .expect("valid rate");
+            p.set_io_rate(1, BitsPerSec::from_mbps(7.0 * mbps))
+                .expect("valid rate");
+        }
+    }
+    let _ = dense.run(20_000);
+    let _ = active.run(20_000);
+    let (report, io) = paced_state(&mut active, 20_000);
+    assert_eq!((report.clone(), io), paced_state(&mut dense, 20_000));
+    assert!(report.io[0].generated > 0);
+    assert!(active.scheduler_stats().cycles_hopped > 20_000);
+    assert!(active.set_io_rate(0, BitsPerSec(f64::NAN)).is_err());
+}
+
+#[test]
+fn checkpoints_inside_a_quiet_gap_carry_the_pacing_credit() {
+    use nanowall::FppaPlatform;
+    const CUT: u64 = 6_000; // between the arrivals of cycles 3999 and 7999
+    const TAIL: u64 = 30_000;
+    let want = {
+        let mut p = paced_rig(SchedulerMode::Dense, 40.0);
+        let _ = p.run(CUT + TAIL);
+        paced_state(&mut p, TAIL)
+    };
+    for mode in [SchedulerMode::ActiveSet, SchedulerMode::Dense] {
+        let mut p = paced_rig(mode, 40.0);
+        let _ = p.run(CUT);
+        if mode == SchedulerMode::ActiveSet {
+            // The cut is mid-gap: the next 1000 cycles are one hop.
+            let mut probe = p.fork(0);
+            let _ = probe.run(1_000);
+            assert_eq!(
+                probe.scheduler_stats().cycles_stepped,
+                p.scheduler_stats().cycles_stepped
+            );
+        }
+        let snap = p.snapshot();
+        let mut fork = p.fork(7);
+        let mut copy = FppaPlatform::from_snapshot(&snap);
+        for (what, platform) in [
+            ("fork", &mut fork),
+            ("copy", &mut copy),
+            ("original", &mut p),
+        ] {
+            let _ = platform.run(TAIL);
+            assert_eq!(
+                paced_state(platform, TAIL),
+                want,
+                "{mode:?}: {what} diverged"
+            );
+        }
+        p.restore(&snap);
+        let _ = p.run(TAIL);
+        assert_eq!(
+            paced_state(&mut p, TAIL),
+            want,
+            "{mode:?}: restore diverged"
+        );
+    }
+}
+
+#[test]
+fn driven_rigs_hop_between_invocations() {
+    // Entry drives used to veto every hop; now a drive posts its next
+    // invocation like any other timed source.
+    use nanowall::prelude::*;
+    let build = |mode| {
+        let mut p = paced_rig(mode, 0.0);
+        p.set_io_rate(1, nw_types::BitsPerSec(0.0))
+            .expect("zero is a valid rate");
+        let ping = p.runtime().expect("app installed").app().entries()[0].0;
+        p.drive_entry(ping, 0.01); // a tie every 100 cycles (rounded up)
+        p.drive_entry(ping, 0.003); // no tie
+        (p, ping)
+    };
+    let run = |mode| {
+        let (mut p, ping) = build(mode);
+        let report = p.run(60_000);
+        let pings = p.runtime().expect("app installed").object_dispatches()[ping.0];
+        (report, p.scheduler_stats(), pings)
+    };
+    let (dense, _, _) = run(SchedulerMode::Dense);
+    let (active, stats, pings) = run(SchedulerMode::ActiveSet);
+    assert_eq!(dense, active, "driven rig diverged across schedulers");
+    // floor(60000 * round(rate * 2^32) / 2^32) per drive, exactly.
+    assert_eq!(pings, 600 + 180);
+    assert!(active.tasks_completed > 1_500);
+    assert!(stats.cycles_hopped > 30_000, "{stats:?}");
+    assert!(stats.hops_ended_by_io >= 700, "{stats:?}");
+
+    // With everything else drained, the next drive invocation is the
+    // platform's next event: the 100th tick, in cycle 99.
+    let (mut p, _) = build(SchedulerMode::ActiveSet);
+    let _ = p.run(50);
+    assert_eq!(p.next_event_cycle(), Some(Cycles(99)));
 }
