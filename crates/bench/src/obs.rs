@@ -255,6 +255,12 @@ pub fn render_profile(entries: &[ProfileEntry]) -> String {
             e.sched.pe_ticks,
             e.sched.pe_external_wakes
         );
+        let entered = e.sched.phases_entered;
+        let _ = write!(s, "  phases     entered {}:", entered.iter().sum::<u64>());
+        for (phase, n) in nanowall::HostPhase::ALL.iter().zip(entered) {
+            let _ = write!(s, "  {} {n}", phase.name());
+        }
+        let _ = writeln!(s);
         let noc = e.sched.noc;
         let _ = writeln!(
             s,
@@ -319,8 +325,19 @@ mod tests {
         let text = render_profile(&entries);
         assert!(text.contains("PROFILE  mix"));
         assert!(text.contains("scheduler  stepped"), "{text}");
+        assert!(text.contains("phases     entered"), "{text}");
         for e in &entries {
             assert_eq!(e.sched.cycles_stepped + e.sched.cycles_hopped, e.cycles);
+            // A phase is entered at most once per stepped cycle, and its
+            // profiler laps are those entries (I/O pacing laps every cycle).
+            for (slice, entered) in e.report.phases.iter().zip(e.sched.phases_entered) {
+                assert!(entered <= e.sched.cycles_stepped);
+                if slice.phase == nanowall::HostPhase::IoPacing {
+                    assert_eq!(slice.laps, e.sched.cycles_stepped);
+                } else {
+                    assert_eq!(slice.laps, entered, "{:?}", slice.phase);
+                }
+            }
         }
     }
 

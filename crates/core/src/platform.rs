@@ -17,7 +17,7 @@
 use crate::config::{BuildPlatformError, FppaConfig};
 use crate::report::PlatformReport;
 use crate::resilience::{CloseOutcome, ResilienceState, ResilienceStats, RetryPolicy};
-use crate::runtime::Runtime;
+use crate::runtime::{nth_tick, Runtime};
 use crate::tags::{is_reply, RequestTag};
 use nw_dsoc::{MessageKind, MessageView};
 use nw_fabric::Efpga;
@@ -37,20 +37,21 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How [`FppaPlatform::step`] visits components each cycle.
 ///
-/// Both schedulers produce **bit-identical** simulations — same reports,
-/// same statistics, same packet-level timing. `Dense` is the reference
-/// implementation kept for differential testing; `ActiveSet` is the fast
-/// path used by default.
+/// Both schedulers run the same step function and produce **bit-identical**
+/// simulations — same reports, same statistics, same packet-level timing.
+/// `Dense` is the reference kept for differential testing; `ActiveSet` is
+/// the fast path used by default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
-    /// Reference scheduler: every component is ticked every cycle.
+    /// Reference scheduler: every phase is entered and every component is
+    /// ticked every cycle.
     Dense,
-    /// Event-driven scheduler: only components that have work due are
-    /// ticked. PEs are self-timed — each sleeps through compute bursts,
-    /// stalls and dormancy until the cycle it posted in the platform's wake
-    /// table, catching up in bulk when it next ticks — quiescent service
-    /// nodes and NoC scans are skipped, and [`FppaPlatform::run`]
-    /// fast-forwards over cycle spans in which nothing is due at all.
+    /// Event-driven scheduler: every source of work posts the cycle it is
+    /// next due in the platform's agenda; [`FppaPlatform::run`] hops the
+    /// clock to the earliest entry and a stepped cycle enters only the
+    /// phases that are due. PEs sleep through compute bursts, stalls and
+    /// dormancy, I/O channels and entry drives are paced lazily in closed
+    /// form, and service nodes tick on the cycles they answer.
     #[default]
     ActiveSet,
 }
@@ -84,22 +85,43 @@ pub struct SchedulerStats {
     /// Active-set steps that skipped the NoC tick because `Noc::due_now`
     /// said nothing was due (dense ticks the NoC every cycle: always 0).
     pub noc_ticks_skipped: u64,
+    /// How often each of the seven phases of a stepped cycle was entered,
+    /// indexed by [`HostPhase`] (`IoPacing` .. `Outbox`; `IoPacing` counts
+    /// the cycles in which a fault, a retry deadline or the I/O pacing
+    /// itself was due). The active set enters a phase only when its agenda
+    /// entry is due; dense enters every phase on every cycle.
+    pub phases_entered: [u64; 7],
     /// What the NoC ticks that did run cost: ticks, arrivals drained,
     /// router wakes scheduled, routers visited, link transfers fired.
+    /// Filled in by [`FppaPlatform::scheduler_stats`] from [`Noc::work`].
     pub noc: NocWork,
 }
 
-/// The platform's own share of [`SchedulerStats`]; the NoC keeps its
-/// counters itself ([`Noc::work`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct SchedulerCounters {
-    cycles_stepped: u64,
-    cycles_hopped: u64,
-    hops: u64,
-    hops_ended_by_io: u64,
-    pe_ticks: u64,
-    pe_external_wakes: u64,
-    noc_ticks_skipped: u64,
+/// A source of platform work. Each has one entry in the agenda
+/// ([`FppaPlatform::due`]): the cycle its phase must next run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Faults,
+    Retries,
+    Io,
+    Noc,
+    Services,
+    Dispatch,
+    Pes,
+    Outbox,
+}
+
+/// An agenda entry with nothing scheduled.
+const NEVER: u64 = u64::MAX;
+
+/// When a service node must next be ticked, as of cycle `at`: every cycle
+/// while requests are parked in front of it, else its own next event.
+fn node_due(parked: bool, event: Option<Cycles>, at: Cycles) -> u64 {
+    match event {
+        _ if parked => at.0,
+        Some(c) => c.0,
+        None => NEVER,
+    }
 }
 
 /// Process-wide default scheduler: 0 = unset, 1 = dense, 2 = active-set.
@@ -205,8 +227,24 @@ pub struct FppaPlatform {
     /// dense step never reads or posts it, so under dense every entry
     /// stays at or before `now` (where the switch to dense put it).
     pe_wake: Vec<u64>,
-    /// Scheduler work counters (see [`FppaPlatform::scheduler_stats`]).
-    sched_stats: SchedulerCounters,
+    /// Agenda entry of the PE phase: a cycle at or before `min(pe_wake)`.
+    /// Lowered with the table ([`FppaPlatform::wake_pe`], dispatch),
+    /// recomputed by the PE phase, which walks the table anyway.
+    pe_due: u64,
+    /// Agenda entry of the I/O phase: the cycle the next packet arrives on
+    /// a bound channel (the coming cycle while one holds an RX backlog).
+    /// Posted by [`FppaPlatform::post_io`].
+    io_due: u64,
+    /// I/O channels are advanced lazily, in closed form: every channel has
+    /// been ticked for the cycles before this one. Behind the clock only
+    /// between an I/O phase and the next phase or [`FppaPlatform::settle`].
+    io_synced: u64,
+    /// Agenda entry of the services phase: a cycle at or before every
+    /// memory's, fabric's and hardwired block's `next_event_cycle`.
+    /// Lowered by a submit in `route_arrivals`, recomputed by the phase.
+    services_due: u64,
+    /// Scheduler work counters (`noc` is filled in on read).
+    sched_stats: SchedulerStats,
     /// Lazily computed, cached hop matrix. The topology's link structure is
     /// immutable after construction, but *routes* can change when a link is
     /// permanently failed ([`FppaPlatform::fail_noc_link`] or a campaign
@@ -412,7 +450,11 @@ impl FppaPlatform {
             runtime: None,
             scheduler: default_scheduler_mode(),
             pe_wake: vec![0; n_pes],
-            sched_stats: SchedulerCounters::default(),
+            pe_due: 0,
+            io_due: NEVER,
+            io_synced: 0,
+            services_due: NEVER,
+            sched_stats: SchedulerStats::default(),
             hop_cache: OnceCell::new(),
             pool: PayloadPool::new(),
             call_issue,
@@ -466,6 +508,10 @@ impl FppaPlatform {
             runtime: self.runtime.clone(),
             scheduler: self.scheduler,
             pe_wake: self.pe_wake.clone(),
+            pe_due: self.pe_due,
+            io_due: self.io_due,
+            io_synced: self.io_synced,
+            services_due: self.services_due,
             sched_stats: self.sched_stats,
             hop_cache: self.hop_cache.clone(),
             pool: self.pool.clone(),
@@ -578,7 +624,10 @@ impl FppaPlatform {
         i: usize,
         rate: nw_types::BitsPerSec,
     ) -> Result<(), IoConfigError> {
-        self.ios[i].set_rate(rate)
+        self.sync_io(self.clock.now().0);
+        let changed = self.ios[i].set_rate(rate);
+        self.post_io();
+        changed
     }
 
     /// Installs a trace sink: from now on the platform reports packet
@@ -638,32 +687,27 @@ impl FppaPlatform {
     /// scheduler is verified bit-identical against the dense reference), so
     /// switching is safe at any point — also while PEs sleep mid-burst:
     /// every PE is marked due now, and its next tick (under either mode)
-    /// first catches up what it slept through.
+    /// first catches up what it slept through. Dense enters every phase
+    /// anyway and posts no agenda entry, so the cached entries are posted
+    /// afresh here.
     pub fn set_scheduler_mode(&mut self, mode: SchedulerMode) {
+        let now = self.clock.now().0;
         self.scheduler = mode;
-        self.pe_wake.fill(self.clock.now().0);
+        self.pe_wake.fill(now);
+        self.pe_due = now;
+        self.services_due = self.services_event(Cycles(now));
+        self.sync_io(now);
+        self.post_io();
+        if let Some(rt) = self.runtime.as_mut() {
+            rt.note_pes(&self.pes);
+        }
     }
 
     /// The scheduler's deterministic work counters so far.
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        let SchedulerCounters {
-            cycles_stepped,
-            cycles_hopped,
-            hops,
-            hops_ended_by_io,
-            pe_ticks,
-            pe_external_wakes,
-            noc_ticks_skipped,
-        } = self.sched_stats;
         SchedulerStats {
-            cycles_stepped,
-            cycles_hopped,
-            hops,
-            hops_ended_by_io,
-            pe_ticks,
-            pe_external_wakes,
-            noc_ticks_skipped,
             noc: self.noc.work(),
+            ..self.sched_stats
         }
     }
 
@@ -674,7 +718,23 @@ impl FppaPlatform {
     #[inline]
     fn wake_pe(&mut self, p: usize, at: Cycles) {
         self.pe_wake[p] = self.pe_wake[p].min(at.0);
+        self.pe_due = self.pe_due.min(at.0);
         self.sched_stats.pe_external_wakes += 1;
+    }
+
+    /// Data-driven wake: unblocks thread `tid` of PE `p`, whose PE phase
+    /// next runs at cycle `at`, and posts the cycle the PE must tick. That
+    /// is `at` when the completion made the only runnable context — but a
+    /// PE mid compute burst keeps issuing from its current context
+    /// whatever becomes ready behind it, so it is asked again
+    /// ([`Pe::quiet_span`], on state caught up to `at`) and goes on
+    /// sleeping to the end of the burst.
+    fn complete_thread(&mut self, p: usize, tid: nw_types::ThreadId, at: Cycles) {
+        let pe = &mut self.pes[p];
+        pe.complete(tid);
+        pe.settle_accounting(at);
+        let wake = pe.wake_cycle(at);
+        self.wake_pe(p, Cycles(wake));
     }
 
     /// The configuration the platform was built from.
@@ -763,8 +823,11 @@ impl FppaPlatform {
         // The caller may spawn programs the runtime never saw; drop the
         // PE's thread → object attributions so a manual program's service
         // calls cannot be charged to a stale handler's latency histogram.
+        // And whatever the caller does to the thread contexts, the
+        // dispatcher looks at this PE next cycle (an early entry is safe).
         if let Some(rt) = self.runtime.as_mut() {
             rt.clear_thread_objects(i);
+            rt.note_pe(i, usize::MAX);
         }
         &mut self.pes[i]
     }
@@ -775,6 +838,8 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn fabric_mut(&mut self, i: usize) -> &mut Efpga {
+        // The caller may load a kernel or submit work: look next cycle.
+        self.services_due = self.clock.now().0;
         &mut self.fabrics[i]
     }
 
@@ -847,52 +912,46 @@ impl FppaPlatform {
 
     /// Runs the platform for `cycles` cycles and reports.
     ///
-    /// Under [`SchedulerMode::ActiveSet`] quiet cycle spans are
-    /// fast-forwarded: when nothing is due (every PE asleep — dormant, mid
-    /// compute burst or stalled — no NoC event due, no busy service node,
-    /// no pending dispatch) the clock jumps straight to the next timed
-    /// event — the earliest PE wake and the next line-rate or drive
-    /// arrival included — instead of stepping cycle by cycle. I/O pacing
-    /// is exact integer credit, so the jump leaves every pacer in the
-    /// state per-cycle ticking would, and results stay bit-identical to
-    /// the dense scheduler.
+    /// One loop, both schedulers: read the agenda's minimum
+    /// ([`FppaPlatform::next_event_cycle`]); if it is later than the clock,
+    /// hop there — nothing but the clock moves: sleeping PEs, I/O channels
+    /// and entry drives all catch up later, in closed form — else run one
+    /// stepped cycle, entering only the phases whose agenda entry is due.
+    /// [`SchedulerMode::Dense`] never hops and enters every phase. An entry
+    /// may be early (its phase runs as a no-op and re-posts), never late,
+    /// so both modes simulate bit-identically. Ends settled
+    /// ([`FppaPlatform::settle`]).
     pub fn run(&mut self, cycles: u64) -> PlatformReport {
         let start = self.clock.now();
         if let Some(p) = self.profiler.as_mut() {
             p.arm();
         }
-        match self.scheduler {
-            SchedulerMode::Dense => {
-                for _ in 0..cycles {
-                    self.step_dense();
+        let dense = self.scheduler == SchedulerMode::Dense;
+        let end = start.0 + cycles;
+        while self.clock.now().0 < end {
+            // The agenda read has no phase of its own: its cost folds into
+            // the lap that ends next (FastForward on a hop, IoPacing on a
+            // stepped cycle).
+            let now = self.clock.now().0;
+            let due = if dense { now } else { self.agenda_min(now) };
+            if due > now {
+                let target = due.min(end);
+                let span = target - now;
+                let by_io = target == self.io_due
+                    || (self.runtime.as_ref()).is_some_and(|rt| rt.drive_due() == target);
+                self.clock.advance_by(Cycles(span));
+                self.sched_stats.cycles_hopped += span;
+                self.sched_stats.hops += 1;
+                self.sched_stats.hops_ended_by_io += u64::from(by_io);
+                if let Some(s) = self.obs_sink.as_deref_mut() {
+                    s.emit(TraceEvent::FastForward { cycle: now, span });
                 }
+                self.prof_lap(HostPhase::FastForward);
+            } else {
+                self.step_cycle(dense);
             }
-            SchedulerMode::ActiveSet => {
-                let end = Cycles(start.0 + cycles);
-                while self.clock.now() < end {
-                    // The quiet-span probe itself has no phase: its cost
-                    // folds into the lap of whichever phase ends next
-                    // (FastForward on a hop, IoPacing on a normal step).
-                    match self.quiet_span(end) {
-                        Some((target, ended_by_io)) => {
-                            let before = self.clock.now();
-                            let span = target.0 - before.0;
-                            self.span_hop(span);
-                            self.sched_stats.cycles_hopped += span;
-                            self.sched_stats.hops += 1;
-                            self.sched_stats.hops_ended_by_io += u64::from(ended_by_io);
-                            if let Some(s) = self.obs_sink.as_deref_mut() {
-                                s.emit(TraceEvent::FastForward {
-                                    cycle: before.0,
-                                    span,
-                                });
-                            }
-                            self.prof_lap(HostPhase::FastForward);
-                        }
-                        None => self.step_active(),
-                    }
-                }
-            }
+            #[cfg(debug_assertions)]
+            self.audit_agenda();
         }
         let report = self.report(self.clock.now().saturating_sub(start));
         self.prof_lap(HostPhase::Settle);
@@ -902,12 +961,16 @@ impl FppaPlatform {
         report
     }
 
-    /// Advances the platform by one cycle under the configured scheduler.
+    /// Advances the platform by one cycle under the configured scheduler
+    /// (a stepped cycle, never a hop), and catches I/O channels and entry
+    /// drives up to the new clock, so [`FppaPlatform::io`] and
+    /// [`FppaPlatform::next_event_cycle`] read settled state. PE accounting
+    /// stays lazy: see [`FppaPlatform::settle`].
     pub fn step(&mut self) {
-        match self.scheduler {
-            SchedulerMode::Dense => self.step_dense(),
-            SchedulerMode::ActiveSet => self.step_active(),
-        }
+        self.step_cycle(self.scheduler == SchedulerMode::Dense);
+        self.sync_paced();
+        #[cfg(debug_assertions)]
+        self.audit_agenda();
     }
 
     /// The minimal fabric description a [`FaultCampaign`] needs to aim
@@ -1012,6 +1075,7 @@ impl FppaPlatform {
         }
         if let Some(rt) = self.runtime.as_mut() {
             rt.clear_thread_objects(pe);
+            rt.note_pe(pe, 0);
         }
         if let Some(rs) = self.resilience.as_mut() {
             for b in rs.abandon_pe(pe) {
@@ -1021,10 +1085,9 @@ impl FppaPlatform {
         self.rstats.pe_crashes += 1;
     }
 
-    /// Drains and applies every campaign event due at `now`, then recycles
-    /// any payload buffers the NoC dropped (injected drops now, or
-    /// disconnection drops during earlier ticks). Runs at the top of both
-    /// scheduler steps, so fault application lands on identical cycles.
+    /// Drains and applies every campaign event due at `now` (phase 0 of a
+    /// stepped cycle; the campaign's next cycle is an agenda entry, so the
+    /// active set steps every fault cycle and applies it where dense does).
     fn apply_faults(&mut self, now: Cycles) {
         let Some(mut campaign) = self.campaign.take() else {
             return;
@@ -1082,6 +1145,9 @@ impl FppaPlatform {
                     if pe < self.pes.len() && self.pes[pe].is_crashed() {
                         self.pes[pe].restart(now);
                         self.wake_pe(pe, now);
+                        if let Some(rt) = self.runtime.as_mut() {
+                            rt.note_pe(pe, self.pes[pe].idle_threads());
+                        }
                         self.rstats.pe_restarts += 1;
                     }
                     (6, pe, 0)
@@ -1097,11 +1163,6 @@ impl FppaPlatform {
             }
         }
         self.campaign = Some(campaign);
-        if self.noc.has_dropped_buffers() {
-            for b in self.noc.take_dropped_buffers() {
-                self.pool.put(b);
-            }
-        }
     }
 
     /// Fires due retry deadlines: re-issue with a bumped token and doubled
@@ -1128,8 +1189,7 @@ impl FppaPlatform {
                 self.rstats.retry_give_ups += 1;
                 let t = nw_types::ThreadId(tid);
                 if self.pes[p].is_awaiting(t) {
-                    self.wake_pe(p, now);
-                    self.pes[p].complete(t);
+                    self.complete_thread(p, t, now);
                 }
             } else {
                 rs.bump(p, tid, now.0);
@@ -1166,133 +1226,163 @@ impl FppaPlatform {
         self.resilience = Some(rs);
     }
 
-    /// The dense reference scheduler: every component ticks every cycle.
-    fn step_dense(&mut self) {
+    /// One stepped cycle: the eight phases in their fixed order, each
+    /// entered only if its agenda entry is due — or unconditionally with
+    /// every gate `open`, which is the dense reference scheduler. A skipped
+    /// phase would have run as a no-op (or, for sleeping PEs and lazily
+    /// paced I/O, as arithmetic that is settled in bulk later), so gated
+    /// and open steps simulate bit-identically. Gates are read when their
+    /// phase comes up, not at the top: an earlier phase of the same cycle
+    /// may have posted work for a later one. An open step reads no agenda
+    /// entry, so it posts none of the cached ones either
+    /// ([`FppaPlatform::set_scheduler_mode`] re-posts them).
+    fn step_cycle(&mut self, open: bool) {
         let now = self.clock.now();
+        let due = |p: &Self, source| open || p.due(source, now.0) <= now.0;
 
-        // 0. Fault injection and retry deadlines (no-ops when disabled).
-        if self.campaign.is_some() {
+        // 0. Fault injection and retry deadlines; then recycle the payload
+        //    buffers of packets the NoC dropped since the last stepped
+        //    cycle (injected drops, disconnections).
+        let faults = due(self, Source::Faults);
+        if faults {
             self.apply_faults(now);
         }
-        if self.resilience.is_some() {
+        if self.campaign.is_some() {
+            self.recycle_dropped();
+        }
+        let retries = due(self, Source::Retries);
+        if retries {
             self.check_retries(now);
         }
 
-        // 1. I/O pacing and ingress injection.
-        for i in 0..self.ios.len() {
-            self.ios[i].tick(now);
+        // 1. I/O pacing and ingress injection: the line-rate credit of
+        //    every cycle since the channels were last advanced, in one
+        //    jump. The lap is taken on every stepped cycle: it carries the
+        //    agenda read and phase 0.
+        let io = due(self, Source::Io);
+        if io {
+            self.sync_io(now.0 + 1);
+            self.io_ingress(now);
+            if !open {
+                self.post_io();
+            }
         }
-        self.io_ingress(now);
+        if faults || retries || io {
+            self.sched_stats.phases_entered[HostPhase::IoPacing as usize] += 1;
+        }
         self.prof_lap(HostPhase::IoPacing);
 
-        // 2. The interconnect.
-        self.noc.tick_traced(now, self.obs_sink.as_deref_mut());
-        self.prof_lap(HostPhase::NocTick);
+        // 2. The interconnect, when an arrival, router wake or ready NI
+        //    head is due this cycle. A loaded-but-stalled fabric (every
+        //    queued packet waiting out multi-cycle link occupancy) is
+        //    skipped entirely.
+        if open || self.noc.due_now(now) {
+            self.noc.tick_traced(now, self.obs_sink.as_deref_mut());
+            self.entered(HostPhase::NocTick);
+        } else {
+            self.sched_stats.noc_ticks_skipped += 1;
+        }
 
-        // 3. Route arrivals.
-        self.route_arrivals(now);
-        self.prof_lap(HostPhase::RouteArrivals);
+        // 3. Route arrivals, when a delivered packet awaits ejection.
+        if open || self.noc.eject_pending() > 0 {
+            self.route_arrivals(now);
+            self.entered(HostPhase::RouteArrivals);
+        }
 
         // 4. Service nodes: memories, fabrics, hardwired IP.
-        self.tick_services(now, false);
-        self.prof_lap(HostPhase::Services);
+        if due(self, Source::Services) {
+            self.tick_services(now, open);
+            self.entered(HostPhase::Services);
+        }
 
         // 5. DSOC drives and dispatch.
-        self.runtime_dispatch(now);
-        self.prof_lap(HostPhase::Dispatch);
-
-        // 6. PEs execute; their requests become packets.
-        for p in 0..self.pes.len() {
-            self.pes[p].tick(now);
-            self.collect_pe_requests(p, now);
+        if due(self, Source::Dispatch) {
+            self.runtime_dispatch(now, open);
+            self.entered(HostPhase::Dispatch);
         }
-        self.sched_stats.pe_ticks += self.pes.len() as u64;
-        self.drain_retirements(now);
-        self.prof_lap(HostPhase::PeStep);
+
+        // 6. Due PEs execute, hand over their requests and post their
+        //    next wake; the others keep sleeping and catch up in bulk when
+        //    they wake or at report time. Dense ticks every PE and posts
+        //    nothing: its wake entries stay at or before `now`.
+        if due(self, Source::Pes) {
+            let next = Cycles(now.0 + 1);
+            let mut earliest = NEVER;
+            for p in 0..self.pes.len() {
+                if !open && self.pe_wake[p] > now.0 {
+                    earliest = earliest.min(self.pe_wake[p]);
+                    continue;
+                }
+                self.pes[p].tick(now);
+                self.collect_pe_requests(p, now);
+                self.sched_stats.pe_ticks += 1;
+                if !open {
+                    self.pe_wake[p] = self.pes[p].wake_cycle(next);
+                    earliest = earliest.min(self.pe_wake[p]);
+                    // A retirement frees a hardware thread for the dispatcher.
+                    if let Some(rt) = self.runtime.as_mut() {
+                        rt.note_pe(p, self.pes[p].idle_threads());
+                    }
+                }
+            }
+            if !open {
+                self.pe_due = earliest;
+            }
+            self.drain_retirements(now);
+            self.entered(HostPhase::PeStep);
+        }
 
         // 7. Flush the injection retry queue.
-        self.flush_outbox(now);
-        self.prof_lap(HostPhase::Outbox);
+        if due(self, Source::Outbox) {
+            self.flush_outbox(now);
+            self.entered(HostPhase::Outbox);
+        }
 
         self.sched_stats.cycles_stepped += 1;
         self.clock.advance();
     }
 
-    /// The active-set scheduler: the same phase order as the dense step,
-    /// but each phase only visits components that can actually do work.
-    /// Skipped components would have ticked as no-ops (or, for sleeping
-    /// PEs, burst and stall arithmetic that is settled in bulk later), so
-    /// the simulation is bit-identical to [`FppaPlatform::step_dense`].
-    fn step_active(&mut self) {
-        let now = self.clock.now();
+    /// Counts phase `phase` of a stepped cycle as entered and closes its
+    /// host-profiler lap.
+    #[inline]
+    fn entered(&mut self, phase: HostPhase) {
+        self.sched_stats.phases_entered[phase as usize] += 1;
+        self.prof_lap(phase);
+    }
 
-        // 0. Fault injection and retry deadlines (no-ops when disabled) —
-        //    same phase position as the dense step, so fault application
-        //    and retry firing land on identical cycles.
-        if self.campaign.is_some() {
-            self.apply_faults(now);
+    /// The agenda: the cycle source `source`'s phase must next run
+    /// ([`NEVER`]: nothing scheduled). One rule: an entry may be early —
+    /// the phase runs as a no-op and re-posts — never late. Sources that
+    /// own an ordered structure are read in place (the campaign cursor, the
+    /// retry index, the NoC wheels, the outbox); the others keep a cached
+    /// word that every state change posts into.
+    #[inline]
+    fn due(&self, source: Source, now: u64) -> u64 {
+        match source {
+            Source::Faults => (self.campaign.as_ref())
+                .and_then(FaultCampaign::next_cycle)
+                .unwrap_or(NEVER),
+            Source::Retries => (self.resilience.as_ref())
+                .and_then(ResilienceState::earliest_deadline)
+                .unwrap_or(NEVER),
+            Source::Io => self.io_due,
+            Source::Noc if self.noc.eject_pending() > 0 => now,
+            Source::Noc => (self.noc.next_event_cycle(Cycles(now))).map_or(NEVER, |c| c.0),
+            Source::Services => self.services_due,
+            Source::Dispatch => (self.runtime.as_ref()).map_or(NEVER, |rt| rt.dispatch_due(now)),
+            Source::Pes => self.pe_due,
+            Source::Outbox if self.outbox.is_empty() => NEVER,
+            Source::Outbox => now,
         }
-        if self.resilience.is_some() {
-            self.check_retries(now);
-        }
+    }
 
-        // 1. I/O pacing: one cycle of line-rate credit per channel.
-        for i in 0..self.ios.len() {
-            self.ios[i].tick(now);
-        }
-        self.io_ingress(now);
-        self.prof_lap(HostPhase::IoPacing);
-
-        // 2. The interconnect, when an arrival, router wake or ready NI
-        //    head is actually due this cycle. A loaded-but-stalled fabric
-        //    (every queued packet waiting out multi-cycle link occupancy)
-        //    is skipped entirely — the tick would be a no-op.
-        if self.noc.due_now(now) {
-            self.noc.tick_traced(now, self.obs_sink.as_deref_mut());
-        } else {
-            self.sched_stats.noc_ticks_skipped += 1;
-        }
-        self.prof_lap(HostPhase::NocTick);
-
-        // 3. Route arrivals, when a delivered packet awaits ejection.
-        if self.noc.eject_pending() > 0 {
-            self.route_arrivals(now);
-        }
-        self.prof_lap(HostPhase::RouteArrivals);
-
-        // 4. Service nodes with work (busy pipelines or parked retries).
-        self.tick_services(now, true);
-        self.prof_lap(HostPhase::Services);
-
-        // 5. DSOC drives and dispatch.
-        self.runtime_dispatch(now);
-        self.prof_lap(HostPhase::Dispatch);
-
-        // 6. Due PEs execute, hand over their requests and post their
-        //    next wake; the others keep sleeping and catch up in bulk when
-        //    they wake or at report time.
-        let next = Cycles(now.0 + 1);
-        for p in 0..self.pes.len() {
-            if self.pe_wake[p] > now.0 {
-                continue;
-            }
-            self.pes[p].tick(now);
-            self.collect_pe_requests(p, now);
-            let span = self.pes[p].quiet_span(next).unwrap_or(0);
-            self.pe_wake[p] = next.0.saturating_add(span);
-            self.sched_stats.pe_ticks += 1;
-        }
-        self.drain_retirements(now);
-        self.prof_lap(HostPhase::PeStep);
-
-        // 7. Flush the injection retry queue.
-        if !self.outbox.is_empty() {
-            self.flush_outbox(now);
-        }
-        self.prof_lap(HostPhase::Outbox);
-
-        self.sched_stats.cycles_stepped += 1;
-        self.clock.advance();
+    /// The earliest agenda entry.
+    #[inline]
+    fn agenda_min(&self, now: u64) -> u64 {
+        use Source::{Dispatch, Faults, Io, Noc, Outbox, Pes, Retries, Services};
+        [Faults, Retries, Io, Noc, Services, Dispatch, Pes, Outbox]
+            .iter()
+            .fold(NEVER, |min, &source| min.min(self.due(source, now)))
     }
 
     /// Reports handler retirements to the trace sink. Retire logs are only
@@ -1317,215 +1407,26 @@ impl FppaPlatform {
         }
     }
 
-    /// The run-loop probe: whether the upcoming span of cycles is provably
-    /// skippable, and up to which cycle. `None`: this cycle must be stepped
-    /// normally. `Some((target, ended_by_io))`, `target > now`: nothing
-    /// except I/O pacing credit, unbound channels' line drops and sleeping
-    /// PEs' catch-up arithmetic evolves before `target` — no retirement,
-    /// dispatch, injection or bound arrival can occur — so
-    /// [`Self::span_hop`] may bulk-advance there. `ended_by_io` says the
-    /// target is a paced arrival (see [`SchedulerStats::hops_ended_by_io`]).
-    ///
-    /// "Due now or every cycle" sources (outbox, dispatch, a bound
-    /// channel's RX backlog, a busy or parked service node) veto the hop.
-    /// Timed sources bound it: the earliest PE wake (`min(pe_wake)`; all
-    /// dormant: unbounded), the next arrival on a bound I/O channel or an
-    /// entry drive, the next NoC event, the next campaign fault and the
-    /// earliest retry deadline — each vetoes when due now, so an arrival,
-    /// fault or timeout is always applied in a normally stepped cycle.
-    /// `end` caps the target.
-    fn quiet_span(&self, end: Cycles) -> Option<(Cycles, bool)> {
-        let now = self.clock.now();
-        // Constant-time vetoes first, then the walks.
-        if !self.outbox.is_empty() || self.noc.eject_pending() > 0 {
-            return None;
-        }
-        if self
-            .runtime
-            .as_ref()
-            .is_some_and(Runtime::has_dispatch_work)
-        {
-            return None;
-        }
-        let mut target = end.0;
-        let mut bound = |t: u64| {
-            target = target.min(t);
-            t > now.0
-        };
-        let pe_wake = self.pe_wake.iter().copied().min().unwrap_or(u64::MAX);
-        if !bound(pe_wake) {
-            return None;
-        }
-        // Paced sources post their next arrival like every other timed
-        // source: the n-th coming tick runs in cycle `now + n - 1`.
-        // Unbound channels pace and drop; their state never wakes
-        // anything, exactly as in a dense step.
-        let mut io_next = u64::MAX;
-        if let Some(rt) = self.runtime.as_ref() {
-            let mut ticks = rt.drive_ticks_to_next();
-            for (i, io) in self.ios.iter().enumerate() {
-                if !rt.io_has_bindings(i) {
-                    continue;
-                }
-                if io.rx_backlog() > 0 {
-                    return None;
-                }
-                ticks = ticks.min(io.ticks_to_next_rx());
-            }
-            io_next = now.0.saturating_add(ticks - 1);
-            if !bound(io_next) {
-                return None;
-            }
-        }
-        if let Some(t) = self.campaign.as_ref().and_then(FaultCampaign::next_cycle) {
-            if !bound(t) {
-                return None;
-            }
-        }
-        if let Some(d) = self
-            .resilience
-            .as_ref()
-            .and_then(ResilienceState::earliest_deadline)
-        {
-            if !bound(d) {
-                return None;
-            }
-        }
-        if let Some(t) = self.noc.next_event_cycle(now) {
-            if !bound(t.0) {
-                return None;
-            }
-        }
-        let mems_quiet = self
-            .mems
-            .iter()
-            .zip(&self.mem_parked)
-            .all(|(m, parked)| parked.is_empty() && m.is_idle());
-        let fabrics_quiet = self
-            .fabrics
-            .iter()
-            .zip(&self.fabric_parked)
-            .all(|(f, parked)| parked.is_empty() && f.is_idle());
-        let hwips_quiet = self
-            .hwips
-            .iter()
-            .zip(&self.hwip_parked)
-            .all(|(h, parked)| parked.is_empty() && h.is_idle());
-        if !(mems_quiet && fabrics_quiet && hwips_quiet) {
-            return None;
-        }
-        Some((Cycles(target), io_next == target))
-    }
-
-    /// Advances over a quiet span of `span` cycles (to the target of
-    /// [`Self::quiet_span`]) in one jump: every pacer — I/O channels and
-    /// entry drives — advances by the span in closed form, then the clock.
-    /// The probe bounded the span by the next bound arrival, so nothing
-    /// falls due that a stepped cycle would have had to act on; unbound
-    /// channels fill and overflow their FIFOs as they would tick by tick.
-    /// PEs are not touched: each catches up the hopped cycles itself on
-    /// its next tick ([`Pe::settle_accounting`]), with counter arithmetic
-    /// identical to per-cycle ticking, so the dense scheduler sees the
-    /// same state.
-    fn span_hop(&mut self, span: u64) {
-        debug_assert!(span > 0, "a hop must advance the clock");
-        for io in &mut self.ios {
-            io.advance(span);
-        }
-        if let Some(rt) = self.runtime.as_mut() {
-            rt.advance_drives(span);
-            debug_assert!(!rt.has_dispatch_work(), "a drive fired inside a hop");
-        }
-        self.clock.advance_by(Cycles(span));
-    }
-
     /// The earliest cycle `>=` now at which any platform component has work
-    /// due, or `None` when the platform is completely drained. Spans before
-    /// the returned cycle are safe to skip: the dense scheduler would tick
-    /// through them changing nothing but pacing credit and sleeping PEs'
-    /// accounting. Paced sources answer with their true next arrival — the
-    /// cycle a channel's wire (bound or not) delivers its next packet or a
-    /// drive queues its next invocation.
+    /// due — the minimum of the agenda — or `None` when the platform is
+    /// completely drained. Spans before the returned cycle are safe to
+    /// skip: the dense scheduler would tick through them changing nothing
+    /// but pacing credit, unbound channels' line drops and sleeping PEs'
+    /// accounting. A bound channel or a drive answers with its true next
+    /// arrival; an unbound channel wakes nothing and posts nothing. Reads
+    /// settled state after [`FppaPlatform::run`], [`FppaPlatform::step`]
+    /// and [`FppaPlatform::settle`]; under dense every PE reads due now.
     pub fn next_event_cycle(&self) -> Option<Cycles> {
-        let now = self.clock.now();
-        let mut next: Option<Cycles> = None;
-        let mut fold = |c: Option<Cycles>| {
-            next = match (next, c) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        };
-        // A PE's posted wake is its next event (dense mode never posts,
-        // so every entry reads "now" there).
-        fold(
-            self.pe_wake
-                .iter()
-                .min()
-                .filter(|&&w| w != u64::MAX)
-                .map(|&w| Cycles(w).max(now)),
-        );
-        if !self.outbox.is_empty()
-            || self.noc.eject_pending() > 0
-            || self
-                .runtime
-                .as_ref()
-                .is_some_and(Runtime::has_dispatch_work)
-        {
-            fold(Some(now));
-        }
-        // The n-th coming tick runs in cycle `now + n - 1`; a bound
-        // channel's waiting backlog is ingress work due now.
-        let arrival =
-            |ticks: u64| (ticks != u64::MAX).then(|| Cycles(now.0.saturating_add(ticks - 1)));
-        for (i, io) in self.ios.iter().enumerate() {
-            fold(arrival(io.ticks_to_next_rx()));
-            let bound = self
-                .runtime
-                .as_ref()
-                .is_some_and(|rt| rt.io_has_bindings(i));
-            if bound && io.rx_backlog() > 0 {
-                fold(Some(now));
-            }
-        }
-        if let Some(rt) = self.runtime.as_ref() {
-            fold(arrival(rt.drive_ticks_to_next()));
-        }
-        fold(self.noc.next_event_cycle(now));
-        fold(
-            self.campaign
-                .as_ref()
-                .and_then(FaultCampaign::next_cycle)
-                .map(|t| Cycles(t).max(now)),
-        );
-        fold(
-            self.resilience
-                .as_ref()
-                .and_then(ResilienceState::earliest_deadline)
-                .map(|d| Cycles(d).max(now)),
-        );
-        for (m, parked) in self.mems.iter().zip(&self.mem_parked) {
-            if !parked.is_empty() {
-                fold(Some(now));
-            } else {
-                fold(m.next_event_cycle(now));
-            }
-        }
-        for (f, parked) in self.fabrics.iter().zip(&self.fabric_parked) {
-            if !parked.is_empty() || !f.is_idle() {
-                fold(Some(now));
-            }
-        }
-        for (h, parked) in self.hwips.iter().zip(&self.hwip_parked) {
-            if !parked.is_empty() || !h.is_idle() {
-                fold(Some(now));
-            }
-        }
-        next
+        let now = self.clock.now().0;
+        let due = self.agenda_min(now);
+        (due != NEVER).then(|| Cycles(due.max(now)))
     }
 
-    /// Catches every sleeping PE up to the current cycle (wake cycles are
-    /// absolute, so the wake table is unaffected). Called automatically by
-    /// [`FppaPlatform::report`]; call it directly before reading
+    /// Catches everything that is advanced lazily up to the current cycle:
+    /// sleeping PEs' accounting (wake cycles are absolute, so the wake
+    /// table is unaffected), I/O channels' and entry drives' pacing credit.
+    /// Called automatically by [`FppaPlatform::report`] and so by
+    /// [`FppaPlatform::run`]; call it directly before reading
     /// [`Pe::stats`] on a manually stepped platform running the active-set
     /// scheduler.
     pub fn settle(&mut self) {
@@ -1533,12 +1434,86 @@ impl FppaPlatform {
         for pe in &mut self.pes {
             pe.settle_accounting(now);
         }
+        self.sync_paced();
         // Buffers dropped by the NoC on the final cycle (injected drops,
         // disconnections) still belong to the pool.
+        self.recycle_dropped();
+    }
+
+    /// Returns the payload buffers of NoC-dropped packets to the pool.
+    fn recycle_dropped(&mut self) {
         if self.noc.has_dropped_buffers() {
             for b in self.noc.take_dropped_buffers() {
                 self.pool.put(b);
             }
+        }
+    }
+
+    /// Ticks every I/O channel for the cycles before `to` it has not seen
+    /// yet, in one closed-form jump ([`IoChannel::advance`]). The agenda
+    /// runs the I/O phase on every bound arrival, so between phases only
+    /// credit accrues and unbound channels fill and overflow their FIFOs.
+    fn sync_io(&mut self, to: u64) {
+        if to > self.io_synced {
+            for io in &mut self.ios {
+                io.advance(to - self.io_synced);
+            }
+            self.io_synced = to;
+        }
+    }
+
+    /// [`Self::sync_io`] and the drives' counterpart, up to the clock.
+    fn sync_paced(&mut self) {
+        let now = self.clock.now().0;
+        self.sync_io(now);
+        if let Some(rt) = self.runtime.as_mut() {
+            rt.sync_drives(now);
+        }
+    }
+
+    /// Posts the I/O agenda entry: the cycle of the next arrival on a
+    /// bound channel — one division per channel per call, and the phase
+    /// calls it once per arrival — or the next cycle to run while a bound
+    /// channel's RX backlog waits for NI room.
+    pub(crate) fn post_io(&mut self) {
+        self.io_due = self.io_arrival();
+    }
+
+    fn io_arrival(&self) -> u64 {
+        let Some(rt) = self.runtime.as_ref() else {
+            return NEVER;
+        };
+        let bound = (self.ios.iter().enumerate()).filter(|&(i, _)| rt.io_has_bindings(i));
+        bound
+            .map(|(_, io)| match io.rx_backlog() {
+                0 => nth_tick(self.io_synced, io.ticks_to_next_rx()),
+                _ => self.io_synced,
+            })
+            .min()
+            .unwrap_or(NEVER)
+    }
+
+    /// The agenda's oracle, run after every step and hop of a debug build:
+    /// no cached entry is later than what a walk over the state it
+    /// summarizes answers — the fold the run loop used to make every lap.
+    #[cfg(any(test, debug_assertions))]
+    fn audit_agenda(&self) {
+        if self.scheduler == SchedulerMode::Dense {
+            return; // dense neither reads nor posts the agenda
+        }
+        let now = self.clock.now();
+        let pes = self.pe_wake.iter().copied().min().unwrap_or(NEVER);
+        assert!(self.pe_due <= pes, "{now}: PE entry {} late", self.pe_due);
+        let io = self.io_arrival();
+        assert!(self.io_due <= io, "{now}: I/O entry {} late", self.io_due);
+        let services = self.services_event(now);
+        assert!(
+            self.services_due <= services,
+            "{now}: services entry {} late, a node is due at {services}",
+            self.services_due
+        );
+        if let Some(rt) = self.runtime.as_ref() {
+            rt.audit_agenda(&self.pes);
         }
     }
 
@@ -1589,16 +1564,12 @@ impl FppaPlatform {
                                 None => {
                                     // Legacy path (retry layer off).
                                     self.record_reply_latency(p, t.tid, now);
-                                    // Data-driven wake: the completion makes
-                                    // a blocked thread runnable again.
-                                    self.wake_pe(p, now);
-                                    self.pes[p].complete(t.tid);
+                                    self.complete_thread(p, t.tid, now);
                                 }
                                 Some(CloseOutcome::Live(stored)) => {
                                     self.pool.put(stored);
                                     self.record_reply_latency(p, t.tid, now);
-                                    self.wake_pe(p, now);
-                                    self.pes[p].complete(t.tid);
+                                    self.complete_thread(p, t.tid, now);
                                 }
                                 Some(CloseOutcome::Stale) => {
                                     // An earlier attempt's reply arrived
@@ -1611,18 +1582,18 @@ impl FppaPlatform {
                                     // gave up already or its PE crashed.
                                     if self.pes[p].is_awaiting(t.tid) {
                                         self.record_reply_latency(p, t.tid, now);
-                                        self.wake_pe(p, now);
-                                        self.pes[p].complete(t.tid);
+                                        self.complete_thread(p, t.tid, now);
                                     } else {
                                         self.rstats.duplicate_replies_dropped += 1;
                                     }
                                 }
                             }
                         } else if let Some(rt) = self.runtime.as_mut() {
-                            rt.enqueue_invocation(p, &pkt);
+                            rt.enqueue_invocation(p, &pkt, self.pes[p].idle_threads());
                         }
                     }
                     NodeRole::Memory(m) => {
+                        self.services_due = now.0;
                         let t = RequestTag::decode(pkt.tag);
                         let id = self.next_service_id;
                         self.next_service_id += 1;
@@ -1642,6 +1613,7 @@ impl FppaPlatform {
                         }
                     }
                     NodeRole::Fabric(f) => {
+                        self.services_due = now.0;
                         let id = self.next_service_id;
                         self.next_service_id += 1;
                         match self.fabrics[f].try_submit(id, now) {
@@ -1654,6 +1626,7 @@ impl FppaPlatform {
                         }
                     }
                     NodeRole::HwIp(h) => {
+                        self.services_due = now.0;
                         let id = self.next_service_id;
                         self.next_service_id += 1;
                         match self.hwips[h].try_submit(id, now) {
@@ -1676,72 +1649,90 @@ impl FppaPlatform {
         }
     }
 
-    /// Ticks the service nodes. With `active_only`, nodes that are provably
-    /// quiescent (idle pipeline, nothing parked) are skipped — their tick
-    /// would be a no-op, so both settings simulate identically.
-    fn tick_services(&mut self, now: Cycles, active_only: bool) {
+    /// Ticks the service nodes that have something due at `now` — every
+    /// node with the gates `open` — and posts the services agenda entry:
+    /// the earliest `next_event_cycle` of any node from the next cycle on
+    /// (a node still holding parked requests retries them every cycle). A
+    /// node is ticked exactly on the cycles it answers, which its crate
+    /// pins as equivalent to ticking it every cycle.
+    fn tick_services(&mut self, now: Cycles, open: bool) {
         // Memories: retry parked, tick, answer completions.
         for m in 0..self.mems.len() {
-            if active_only && self.mem_parked[m].is_empty() && self.mems[m].is_idle() {
-                continue;
-            }
-            while let Some(&(req, tag, src)) = self.mem_parked[m].front() {
-                if self.mems[m].submit(req, now).is_ok() {
-                    self.mem_inflight[m].insert(req.id, (tag, src));
-                    self.mem_parked[m].pop_front();
-                } else {
-                    break;
+            let parked = !self.mem_parked[m].is_empty();
+            if open || node_due(parked, self.mems[m].next_event_cycle(now), now) <= now.0 {
+                while let Some(&(req, tag, src)) = self.mem_parked[m].front() {
+                    if self.mems[m].submit(req, now).is_ok() {
+                        self.mem_inflight[m].insert(req.id, (tag, src));
+                        self.mem_parked[m].pop_front();
+                    } else {
+                        break;
+                    }
                 }
-            }
-            self.mems[m].tick(now);
-            while let Some(resp) = self.mems[m].take_response() {
-                if let Some((tag, reply_to)) = self.mem_inflight[m].remove(&resp.id) {
-                    self.push_service_reply(self.mem_nodes[m], reply_to, tag);
+                self.mems[m].tick(now);
+                while let Some(resp) = self.mems[m].take_response() {
+                    if let Some((tag, reply_to)) = self.mem_inflight[m].remove(&resp.id) {
+                        self.push_service_reply(self.mem_nodes[m], reply_to, tag);
+                    }
                 }
             }
         }
         for f in 0..self.fabrics.len() {
-            if active_only && self.fabric_parked[f].is_empty() && self.fabrics[f].is_idle() {
-                continue;
-            }
-            while let Some(&(tag, src)) = self.fabric_parked[f].front() {
-                let id = self.next_service_id;
-                if self.fabrics[f].try_submit(id, now).is_ok() {
-                    self.next_service_id += 1;
-                    self.fabric_inflight[f].insert(id, (tag, src));
-                    self.fabric_parked[f].pop_front();
-                } else {
-                    break;
+            let parked = !self.fabric_parked[f].is_empty();
+            if open || node_due(parked, self.fabrics[f].next_event_cycle(now), now) <= now.0 {
+                while let Some(&(tag, src)) = self.fabric_parked[f].front() {
+                    let id = self.next_service_id;
+                    if self.fabrics[f].try_submit(id, now).is_ok() {
+                        self.next_service_id += 1;
+                        self.fabric_inflight[f].insert(id, (tag, src));
+                        self.fabric_parked[f].pop_front();
+                    } else {
+                        break;
+                    }
                 }
-            }
-            self.fabrics[f].tick(now);
-            while let Some(id) = self.fabrics[f].take_done() {
-                if let Some((tag, reply_to)) = self.fabric_inflight[f].remove(&id) {
-                    self.push_service_reply(self.fabric_nodes[f], reply_to, tag);
+                self.fabrics[f].tick(now);
+                while let Some(id) = self.fabrics[f].take_done() {
+                    if let Some((tag, reply_to)) = self.fabric_inflight[f].remove(&id) {
+                        self.push_service_reply(self.fabric_nodes[f], reply_to, tag);
+                    }
                 }
             }
         }
         for h in 0..self.hwips.len() {
-            if active_only && self.hwip_parked[h].is_empty() && self.hwips[h].is_idle() {
-                continue;
-            }
-            while let Some(&(tag, src)) = self.hwip_parked[h].front() {
-                let id = self.next_service_id;
-                if self.hwips[h].try_submit(id, now).is_ok() {
-                    self.next_service_id += 1;
-                    self.hwip_inflight[h].insert(id, (tag, src));
-                    self.hwip_parked[h].pop_front();
-                } else {
-                    break;
+            let parked = !self.hwip_parked[h].is_empty();
+            if open || node_due(parked, self.hwips[h].next_event_cycle(now), now) <= now.0 {
+                while let Some(&(tag, src)) = self.hwip_parked[h].front() {
+                    let id = self.next_service_id;
+                    if self.hwips[h].try_submit(id, now).is_ok() {
+                        self.next_service_id += 1;
+                        self.hwip_inflight[h].insert(id, (tag, src));
+                        self.hwip_parked[h].pop_front();
+                    } else {
+                        break;
+                    }
                 }
-            }
-            self.hwips[h].tick(now);
-            while let Some(id) = self.hwips[h].take_done() {
-                if let Some((tag, reply_to)) = self.hwip_inflight[h].remove(&id) {
-                    self.push_service_reply(self.hwip_nodes[h], reply_to, tag);
+                self.hwips[h].tick(now);
+                while let Some(id) = self.hwips[h].take_done() {
+                    if let Some((tag, reply_to)) = self.hwip_inflight[h].remove(&id) {
+                        self.push_service_reply(self.hwip_nodes[h], reply_to, tag);
+                    }
                 }
             }
         }
+        if !open {
+            self.services_due = self.services_event(Cycles(now.0 + 1));
+        }
+    }
+
+    /// The earliest cycle `>= at` any service node has something due
+    /// ([`NEVER`]: all drained).
+    fn services_event(&self, at: Cycles) -> u64 {
+        let mems = (self.mems.iter().zip(&self.mem_parked))
+            .map(|(m, parked)| node_due(!parked.is_empty(), m.next_event_cycle(at), at));
+        let fabrics = (self.fabrics.iter().zip(&self.fabric_parked))
+            .map(|(f, parked)| node_due(!parked.is_empty(), f.next_event_cycle(at), at));
+        let hwips = (self.hwips.iter().zip(&self.hwip_parked))
+            .map(|(h, parked)| node_due(!parked.is_empty(), h.next_event_cycle(at), at));
+        mems.chain(fabrics).chain(hwips).min().unwrap_or(NEVER)
     }
 
     /// Closes the latency probe of thread `(p, tid)` at reply delivery:
@@ -1788,18 +1779,22 @@ impl FppaPlatform {
         });
     }
 
-    fn runtime_dispatch(&mut self, now: Cycles) {
+    fn runtime_dispatch(&mut self, now: Cycles, open: bool) {
         let Some(mut rt) = self.runtime.take() else {
             return;
         };
-        rt.advance_drives(1);
-        self.sched_stats.pe_external_wakes += rt.dispatch(
+        let (woken, earliest) = rt.dispatch(
             &mut self.pes,
             now,
             &mut self.pe_wake,
             &mut self.pool,
             self.obs_sink.as_deref_mut(),
         );
+        self.pe_due = self.pe_due.min(earliest);
+        self.sched_stats.pe_external_wakes += woken;
+        if !open {
+            rt.note_pes(&self.pes);
+        }
         self.runtime = Some(rt);
     }
 
@@ -1926,8 +1921,7 @@ impl FppaPlatform {
                 // unconditional legacy path, assertion included).
                 if self.campaign.is_none() || self.pes[pe.0].is_awaiting(tid) {
                     // The PE phase of this cycle is over: tick next cycle.
-                    self.wake_pe(pe.0, Cycles(now.0 + 1));
-                    self.pes[pe.0].complete(tid);
+                    self.complete_thread(pe.0, tid, Cycles(now.0 + 1));
                 }
             }
         }

@@ -126,6 +126,15 @@ struct Drive {
     pacer: Pacer,
 }
 
+/// The cycle of the `n`-th tick of a pacer that has been ticked for the
+/// cycles before `from` (`n >= 1`; `u64::MAX`, never, stays never).
+pub(crate) fn nth_tick(from: u64, n: u64) -> u64 {
+    match n {
+        u64::MAX => u64::MAX,
+        _ => from.saturating_add(n - 1),
+    }
+}
+
 /// Credit per driven invocation; a drive's per-cycle credit is its rate
 /// times this, rounded to the nearest integer.
 const DRIVE_COST: NonZeroU64 = NonZeroU64::new(1 << 32).unwrap();
@@ -194,6 +203,19 @@ pub struct Runtime {
     /// Invocations queued across all per-PE dispatch queues (so the
     /// dispatcher can skip the whole scan when nothing is pending).
     pending_total: usize,
+    /// Per PE: the dispatcher can spawn on it ([`Runtime::can_spawn`]) as
+    /// of the last [`Runtime::note_pe`]. A set bit may be stale (the dispatch it causes
+    /// is a no-op and clears it); a clear bit never is: every site that
+    /// queues an invocation or frees a hardware thread refreshes it.
+    ready: Vec<bool>,
+    /// Set bits in `ready`.
+    ready_count: usize,
+    /// Drives are advanced lazily: every drive has been ticked for the
+    /// cycles before this one.
+    drive_clock: u64,
+    /// The cycle whose tick queues the next driven invocation (`u64::MAX`:
+    /// no drive running).
+    drive_due: u64,
     seq: u32,
     /// Invocations that arrived but could not be decoded (protocol errors).
     pub decode_errors: u64,
@@ -216,6 +238,7 @@ impl Runtime {
         pe_nodes: &[NodeId],
         n_pes: usize,
         n_ios: usize,
+        now: Cycles,
     ) -> Result<Self, InstallError> {
         if placement.len() != app.objects().len() {
             return Err(InstallError::PlacementLength {
@@ -247,6 +270,10 @@ impl Runtime {
             plans: BTreeMap::new(),
             plan_hits: 0,
             pending_total: 0,
+            ready: vec![false; n_pes],
+            ready_count: 0,
+            drive_clock: now.0,
+            drive_due: u64::MAX,
             seq: 0,
             decode_errors: 0,
             dispatched: 0,
@@ -288,12 +315,15 @@ impl Runtime {
             method,
             pacer: Pacer::new(credit, DRIVE_COST),
         });
+        self.sync_drives(self.drive_clock);
         Ok(())
     }
 
     pub(crate) fn add_saturation(&mut self, object: ObjectId) -> Result<(), InstallError> {
         let method = self.entry_method_of(object)?;
         self.saturate.push((object, method));
+        // Ready unless proven otherwise: the next dispatch looks.
+        self.note_pe(self.placement[object.0], usize::MAX);
         Ok(())
     }
 
@@ -391,8 +421,9 @@ impl Runtime {
         self.seq
     }
 
-    /// Routes an arriving DSOC packet at PE `p` into its dispatch queue.
-    pub(crate) fn enqueue_invocation(&mut self, p: usize, pkt: &Packet) {
+    /// Routes an arriving DSOC packet at PE `p` (which has `idle_threads`
+    /// free contexts) into its dispatch queue.
+    pub(crate) fn enqueue_invocation(&mut self, p: usize, pkt: &Packet, idle_threads: usize) {
         // Borrowed decode: dispatch only needs the header fields, so the
         // body stays in the packet buffer (which the platform recycles).
         let msg = match MessageView::decode(&pkt.data) {
@@ -421,14 +452,82 @@ impl Runtime {
             reply_to,
         });
         self.pending_total += 1;
+        self.note_pe(p, idle_threads);
+    }
+
+    /// Whether the dispatcher has something to spawn on PE `p`: a free
+    /// hardware thread, and a queued invocation or a saturated entry point
+    /// hosted there.
+    fn can_spawn(&self, p: usize, idle_threads: usize) -> bool {
+        let saturated = || self.saturate.iter().any(|&(o, _)| self.placement[o.0] == p);
+        idle_threads > 0 && (!self.dispatch[p].is_empty() || saturated())
+    }
+
+    /// Refreshes PE `p`'s ready bit from its free hardware threads.
+    pub(crate) fn note_pe(&mut self, p: usize, idle_threads: usize) {
+        let ready = self.can_spawn(p, idle_threads);
+        if ready != self.ready[p] {
+            self.ready[p] = ready;
+            if ready {
+                self.ready_count += 1;
+            } else {
+                self.ready_count -= 1;
+            }
+        }
+    }
+
+    /// [`Runtime::note_pe`] for every PE.
+    pub(crate) fn note_pes(&mut self, pes: &[Pe]) {
+        for (p, pe) in pes.iter().enumerate() {
+            self.note_pe(p, pe.idle_threads());
+        }
+    }
+
+    /// The oracle of the dispatcher's agenda entry (debug builds, after
+    /// every step and hop): no PE the dispatcher could spawn on has a clear
+    /// ready bit, the count is the set bits, and the posted drive cycle is
+    /// not past the next emission.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn audit_agenda(&self, pes: &[Pe]) {
+        for (p, pe) in pes.iter().enumerate() {
+            let late = !self.ready[p] && self.can_spawn(p, pe.idle_threads());
+            assert!(!late, "PE {p}: ready bit late");
+        }
+        let set = self.ready.iter().filter(|&&r| r).count();
+        assert_eq!(self.ready_count, set, "ready count out of step");
+        let emission = nth_tick(self.drive_clock, self.drive_ticks_to_next());
+        assert!(self.drive_due <= emission, "drive entry late");
+    }
+
+    /// The dispatcher's agenda entry: `now` while some PE is ready, else
+    /// the cycle the next driven invocation is queued.
+    #[inline]
+    pub(crate) fn dispatch_due(&self, now: u64) -> u64 {
+        if self.ready_count > 0 {
+            now
+        } else {
+            self.drive_due
+        }
+    }
+
+    /// The cycle whose tick queues the next driven invocation.
+    pub(crate) fn drive_due(&self) -> u64 {
+        self.drive_due
+    }
+
+    /// Ticks every drive for the cycles before `to` it has not seen yet —
+    /// in closed form, queueing the invocations that fall due — and posts
+    /// the next one. The dispatcher runs on every cycle a drive emits, so
+    /// only the tick of `to - 1` ever queues anything.
+    pub(crate) fn sync_drives(&mut self, to: u64) {
+        self.advance_drives(to - self.drive_clock);
+        self.drive_clock = to;
+        self.drive_due = nth_tick(to, self.drive_ticks_to_next());
     }
 
     /// Advances the deterministic entry drives by `k` cycles, queueing
-    /// the invocations that fall due. A scheduler step advances one cycle;
-    /// a fast-forward hop advances its whole span, which
-    /// [`Runtime::drive_ticks_to_next`] bounded so that nothing is due
-    /// inside it.
-    pub(crate) fn advance_drives(&mut self, k: u64) {
+    /// the invocations that fall due.
+    fn advance_drives(&mut self, k: u64) {
         for d in &mut self.drives {
             let pe = self.placement[d.object.0];
             for _ in 0..d.pacer.advance(k) {
@@ -445,7 +544,7 @@ impl Runtime {
 
     /// How many cycles from now the first drive queues an invocation: the
     /// `n`-th coming cycle (`n >= 1`; `u64::MAX` with no drive running).
-    pub(crate) fn drive_ticks_to_next(&self) -> u64 {
+    fn drive_ticks_to_next(&self) -> u64 {
         self.drives
             .iter()
             .map(|d| d.pacer.ticks_to_next())
@@ -453,21 +552,18 @@ impl Runtime {
             .unwrap_or(u64::MAX)
     }
 
-    /// Whether the dispatcher has anything to do this cycle: queued
-    /// invocations, or saturation entries that refill every cycle.
-    pub(crate) fn has_dispatch_work(&self) -> bool {
-        self.pending_total > 0 || !self.saturate.is_empty()
-    }
-
-    /// Dispatches queued invocations (and saturation refills) onto idle
-    /// hardware threads.
+    /// Ticks the drives through cycle `now`, then dispatches queued
+    /// invocations (and saturation refills) onto idle hardware threads. The
+    /// caller refreshes the ready bits afterwards ([`Runtime::note_pes`]).
     ///
     /// Only PEs with pending work are visited (an active-set skip that is
     /// behaviour-identical to the dense scan, since a PE with an empty queue
-    /// is a no-op there). Each PE spawned on is marked due `now` in the
-    /// platform's `pe_wake` table so the active-set scheduler ticks it this
-    /// cycle, and it is caught up to `now` before the spawn flips a thread
-    /// from idle to ready. Returns the number of PEs woken.
+    /// is a no-op there). Each PE spawned on is caught up to `now` before
+    /// the spawn flips a thread from idle to ready, and afterwards posts in
+    /// the platform's `pe_wake` table the cycle it must tick: `now`, unless
+    /// it is mid compute burst and the new thread only waits behind it
+    /// ([`Pe::quiet_span`]). Returns the number of PEs woken and the
+    /// earliest wake posted.
     pub(crate) fn dispatch(
         &mut self,
         pes: &mut [Pe],
@@ -475,16 +571,21 @@ impl Runtime {
         pe_wake: &mut [u64],
         pool: &mut PayloadPool,
         mut sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> u64 {
-        let mut woken = 0;
+    ) -> (u64, u64) {
+        self.sync_drives(now.0 + 1);
+        let (mut woken, mut earliest) = (0, u64::MAX);
+        let mut wake = |p: usize, pe: &Pe| {
+            let at = pe.wake_cycle(now);
+            pe_wake[p] = pe_wake[p].min(at);
+            earliest = earliest.min(at);
+            woken += 1;
+        };
         if self.pending_total > 0 {
             for (p, pe) in pes.iter_mut().enumerate() {
                 if self.dispatch[p].is_empty() || pe.idle_threads() == 0 {
                     continue;
                 }
                 pe.settle_accounting(now);
-                pe_wake[p] = now.0;
-                woken += 1;
                 while pe.idle_threads() > 0 {
                     let Some(inv) = self.dispatch[p].pop_front() else {
                         break;
@@ -504,6 +605,7 @@ impl Runtime {
                     self.dispatched += 1;
                     self.dispatched_per_object[inv.object.0] += 1;
                 }
+                wake(p, pe);
             }
         }
         // Saturation mode: keep every context of the hosting PE occupied.
@@ -514,8 +616,6 @@ impl Runtime {
                 continue;
             }
             pes[pe].settle_accounting(now);
-            pe_wake[pe] = now.0;
-            woken += 1;
             while pes[pe].idle_threads() > 0 {
                 let prog = self.synthesize(
                     &PendingInvocation {
@@ -539,8 +639,9 @@ impl Runtime {
                 self.dispatched += 1;
                 self.dispatched_per_object[object.0] += 1;
             }
+            wake(pe, &pes[pe]);
         }
-        woken
+        (woken, earliest)
     }
 
     /// Records which object's handler occupies hardware thread `(pe, tid)`
@@ -769,8 +870,10 @@ impl FppaPlatform {
             &pe_nodes,
             self.pes_slice().len(),
             self.ios_slice().len(),
+            self.now(),
         )?;
         self.runtime = Some(rt);
+        self.post_io();
         self.reset_latency_telemetry(app.objects().len());
         Ok(())
     }
@@ -817,7 +920,9 @@ impl FppaPlatform {
         self.runtime
             .as_mut()
             .ok_or(InstallError::NoApp)?
-            .bind_io(io, object)
+            .bind_io(io, object)?;
+        self.post_io();
+        Ok(())
     }
 
     /// Routes completions of `object` to I/O channel `io` as transmitted
@@ -936,7 +1041,8 @@ mod tests {
 
     fn runtime() -> Runtime {
         let pe_nodes = [NodeId(0), NodeId(1)];
-        Runtime::new(two_stage_app(), vec![0, 1], &pe_nodes, 2, 0).expect("valid placement")
+        Runtime::new(two_stage_app(), vec![0, 1], &pe_nodes, 2, 0, Cycles(0))
+            .expect("valid placement")
     }
 
     /// Op equality modulo marshalled payload bytes (sequence numbers vary
@@ -1029,21 +1135,17 @@ mod tests {
             .expect("entry point");
         let mut jumped = ticked.clone();
         // 1/3 rounds down to 1431655765 / 2^32: the third tick is one
-        // credit unit short, the fourth emits.
-        assert_eq!(ticked.drive_ticks_to_next(), 4);
-        for _ in 0..1_000 {
-            ticked.advance_drives(1);
+        // credit unit short, the fourth (cycle 3) emits.
+        assert_eq!(ticked.drive_due(), 3);
+        for c in 1..=1_000 {
+            ticked.sync_drives(c);
         }
-        jumped.advance_drives(1_000);
+        jumped.sync_drives(1_000);
         // floor(1000 * round(r * 2^32) / 2^32): 10 and 333.
         assert_eq!(ticked.queued_invocations(), 343);
         assert_eq!(jumped.queued_invocations(), 343);
-        assert_eq!(ticked.drive_ticks_to_next(), jumped.drive_ticks_to_next());
-        assert_eq!(
-            runtime().drive_ticks_to_next(),
-            u64::MAX,
-            "no drive, no arrival"
-        );
+        assert_eq!(ticked.drive_due(), jumped.drive_due());
+        assert_eq!(runtime().drive_due(), u64::MAX, "no drive, no arrival");
     }
 
     #[test]

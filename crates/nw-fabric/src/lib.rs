@@ -306,6 +306,14 @@ impl Efpga {
     pub fn is_idle(&self) -> bool {
         self.server.is_idle()
     }
+
+    /// The earliest cycle `>= now` at which ticking the fabric or taking
+    /// its completions can change anything (`None`: drained) — see
+    /// [`PipelinedServer::next_event_cycle`]. Reconfiguration downtime
+    /// counts: queued items are due when the bitstream load ends.
+    pub fn next_event_cycle(&self, now: Cycles) -> Option<Cycles> {
+        self.server.next_event_cycle(now)
+    }
 }
 
 impl Clocked for Efpga {
@@ -417,6 +425,50 @@ mod tests {
         // Completions 3 cycles apart (fabric clock slowdown).
         assert_eq!(done[1].0 - done[0].0, 3);
         assert!(e.energy().0 > 0.0);
+    }
+
+    /// Visits a fabric on cycles `0..upto`: a kernel loaded at cycle 0 and
+    /// another at cycle 2600 (mid-stream: the queue is lost, the pipeline
+    /// stalls for the load), submissions every 7th cycle, ticking and
+    /// draining on the cycles `tick_on` selects.
+    fn visit(upto: u64, tick_on: impl Fn(&Efpga, Cycles) -> bool) -> (Vec<(u64, u64)>, String) {
+        let mut e = Efpga::new(FabricSpec::default());
+        let mut out = Vec::new();
+        for c in 0..upto {
+            if c == 0 {
+                e.reconfigure(&KernelSpec::checksum_offload(), Cycles(c))
+                    .unwrap();
+            } else if c == 2_600 {
+                e.reconfigure(&KernelSpec::header_classify(), Cycles(c))
+                    .unwrap();
+            }
+            if c % 7 == 0 {
+                let _ = e.try_submit(c, Cycles(c));
+            }
+            if tick_on(&e, Cycles(c)) {
+                e.tick(Cycles(c));
+                while let Some(id) = e.take_done() {
+                    out.push((c, id));
+                }
+            }
+        }
+        (out, format!("{} {:?}", e.served(), e.energy()))
+    }
+
+    #[test]
+    fn ticking_only_at_answered_cycles_equals_ticking_every_cycle() {
+        // 2250 and 6000 cycles of bitstream load: both downtimes, the
+        // backlog that builds behind each and its drain are inside the run.
+        let every = visit(12_000, |_, _| true);
+        let answered = visit(12_000, |e, c| e.next_event_cycle(c) == Some(c));
+        assert_eq!(every, answered);
+        assert!(every.0.len() > 400, "{} items", every.0.len());
+        let mut e = Efpga::new(FabricSpec::default());
+        e.reconfigure(&KernelSpec::checksum_offload(), Cycles(0))
+            .unwrap();
+        assert_eq!(e.next_event_cycle(Cycles(5)), None, "nothing queued");
+        e.try_submit(1, Cycles(5)).unwrap();
+        assert_eq!(e.next_event_cycle(Cycles(5)), Some(Cycles(2_250)));
     }
 
     #[test]

@@ -95,6 +95,13 @@ impl HwIpBlock {
     pub fn is_idle(&self) -> bool {
         self.server.is_idle()
     }
+
+    /// The earliest cycle `>= now` at which ticking the block or taking
+    /// its completions can change anything (`None`: drained) — see
+    /// [`PipelinedServer::next_event_cycle`].
+    pub fn next_event_cycle(&self, now: Cycles) -> Option<Cycles> {
+        self.server.next_event_cycle(now)
+    }
 }
 
 impl Clocked for HwIpBlock {
@@ -125,6 +132,27 @@ mod tests {
         assert!((ip.energy().0 - 30.0).abs() < 1e-9);
         assert_eq!(ip.name(), "crc");
         assert!(ip.is_idle());
+    }
+
+    #[test]
+    fn ticking_only_at_answered_cycles_equals_ticking_every_cycle() {
+        let visit = |tick_on: &dyn Fn(&HwIpBlock, Cycles) -> bool| {
+            let mut ip = HwIpBlock::new("fft", 3, 11, AreaMm2(0.1), Picojoules(2.0), 4);
+            let mut out = Vec::new();
+            for c in 0..400 {
+                for k in 0..[4, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0][c % 17] {
+                    let _ = ip.try_submit((c * 4 + k) as u64, Cycles(c as u64));
+                }
+                if tick_on(&ip, Cycles(c as u64)) {
+                    ip.tick(Cycles(c as u64));
+                    out.extend(ip.take_done().map(|id| (c, id)));
+                }
+            }
+            (out, ip.served(), format!("{:?}", ip.energy()))
+        };
+        let every = visit(&|_, _| true);
+        assert_eq!(every, visit(&|ip, c| ip.next_event_cycle(c) == Some(c)));
+        assert!(every.1 > 80, "{} items", every.1);
     }
 
     #[test]

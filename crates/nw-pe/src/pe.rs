@@ -506,6 +506,14 @@ impl Pe {
         Some(earliest - now.0)
     }
 
+    /// The cycle this PE must next be ticked, given that it is not ticked
+    /// before `at`: `at` itself unless [`Pe::quiet_span`] promises a span
+    /// from there (`u64::MAX`: dormant). The state must be caught up to
+    /// `at` ([`Pe::settle_accounting`]) when a compute burst may be running.
+    pub fn wake_cycle(&self, at: Cycles) -> u64 {
+        at.0.saturating_add(self.quiet_span(at).unwrap_or(0))
+    }
+
     /// Bulk-applies `k > 0` unticked cycles — the body of
     /// [`Pe::settle_accounting`], which documents the arithmetic.
     fn advance_quiet(&mut self, k: u64) {

@@ -131,14 +131,18 @@ impl PipelinedServer {
         self.queue_cap - self.queue.len()
     }
 
-    /// The earliest cycle `>= now` at which ticking this server can change
-    /// its state, or `None` when it is fully drained (every tick until the
-    /// next submit is a no-op).
+    /// The earliest cycle `>= now` at which ticking this server or taking
+    /// its completions can change anything, or `None` when it is fully
+    /// drained (every tick until the next submit is a no-op).
     ///
-    /// A caller may skip ticks strictly before the returned cycle without
-    /// changing any observable behaviour: completions mature exactly on
-    /// their due cycle and queued items issue no earlier than `next_accept`.
+    /// A caller that ticks and drains only at the returned cycles observes
+    /// exactly what a caller ticking every cycle does: completions mature
+    /// on their due cycle, queued items issue no earlier than
+    /// `next_accept`, and completions not yet taken are due `now`.
     pub fn next_event_cycle(&self, now: Cycles) -> Option<Cycles> {
+        if !self.done.is_empty() {
+            return Some(now);
+        }
         let mut next: Option<Cycles> = self.in_flight.next_due().map(|d| d.max(now));
         if !self.queue.is_empty() {
             let issue = Cycles(self.next_accept.max(now.0));
@@ -222,6 +226,50 @@ mod tests {
             "completion at {} should wait for stall",
             done[0].0
         );
+    }
+
+    /// Visits the server on cycles `0..upto`: submits in a fixed pattern
+    /// that overflows the queue, stalls the issue stage at cycle 30 until 55, ticks
+    /// on the cycles `tick_on` selects, and takes at most one completion
+    /// per ticked cycle, so completions stay undrained across cycles.
+    fn visit(
+        upto: u64,
+        tick_on: impl Fn(&PipelinedServer, Cycles) -> bool,
+    ) -> (Vec<(u64, u64)>, [u64; 3]) {
+        let mut s = PipelinedServer::new(3, 7, 4);
+        let (mut out, mut id) = (Vec::new(), 0);
+        for c in 0..upto {
+            if c == 30 {
+                s.stall_until(Cycles(55));
+            }
+            for _ in 0..[2, 0, 0, 1, 0, 3, 0, 0, 0, 0, 0][(c % 11) as usize] {
+                let _ = s.try_submit(id, Cycles(c));
+                id += 1;
+            }
+            if tick_on(&s, Cycles(c)) {
+                s.tick(Cycles(c));
+                out.extend(s.take_done().map(|id| (c, id)));
+            }
+        }
+        let counts = [s.served(), s.issue_cycles.count(), s.next_accept];
+        (out, counts)
+    }
+
+    #[test]
+    fn ticking_only_at_answered_cycles_equals_ticking_every_cycle() {
+        let every = visit(200, |_, _| true);
+        let answered = visit(200, |s, c| s.next_event_cycle(c) == Some(c));
+        assert_eq!(every, answered);
+        assert!(every.0.len() > 30, "{} completions", every.0.len());
+        // An undrained completion is work due now, not "drained".
+        let mut s = PipelinedServer::new(1, 2, 4);
+        s.try_submit(9, Cycles(0)).unwrap();
+        for c in 0..3 {
+            s.tick(Cycles(c));
+        }
+        assert_eq!(s.next_event_cycle(Cycles(3)), Some(Cycles(3)));
+        assert_eq!(s.take_done(), Some(9));
+        assert_eq!(s.next_event_cycle(Cycles(3)), None);
     }
 
     #[test]

@@ -126,6 +126,70 @@ fn pe_crashes_do_not_leak_pooled_buffers() {
 }
 
 #[test]
+fn disconnection_drops_return_to_the_pool_on_the_next_stepped_cycle() {
+    // Packets the NoC drops during a tick (here: PE 0's only crossbar link
+    // is dead, so its requests and their retries die at the NI) park their
+    // payload buffers in the engine until the platform recycles them at the
+    // top of the next stepped cycle — every stepped cycle, not only the
+    // ones a campaign event falls on: the campaign below has no event at
+    // all. The pool ledger must read the same after every step under both
+    // schedulers.
+    use nanowall::prelude::*;
+    use nanowall::MemoryBlockConfig;
+
+    let build = |mode: SchedulerMode| {
+        let mut cfg = FppaConfig::new("stranded", TopologyKind::Crossbar);
+        for _ in 0..2 {
+            cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+        }
+        cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 2.0));
+        let mut platform = FppaPlatform::new(cfg).expect("config valid");
+        platform.set_scheduler_mode(mode);
+        let sram = platform.memory_node(0);
+        let prog = nw_pe::Program::straight_line([
+            nw_pe::Op::Compute(10),
+            nw_pe::Op::call(sram, 16, 48),
+            nw_pe::Op::Compute(5),
+            nw_pe::Op::call(sram, 8, 8),
+        ]);
+        for pe in 0..2 {
+            while platform.pe(pe).idle_threads() > 0 {
+                platform.pe_mut(pe).spawn(prog.clone()).unwrap();
+            }
+        }
+        let shape = platform.fault_shape();
+        let campaign = FaultCampaign::generate(3, 10_000, &FaultRates::quiet(), &shape);
+        assert!(campaign.events().is_empty());
+        platform.install_fault_campaign(campaign);
+        platform.set_retry_policy(RetryPolicy {
+            timeout: 300,
+            max_attempts: 3,
+        });
+        assert!(platform.fail_noc_link(0, 0), "PE 0's outbound link");
+        platform
+    };
+    let mut dense = build(SchedulerMode::Dense);
+    let mut active = build(SchedulerMode::ActiveSet);
+    for _ in 0..6_000 {
+        dense.step();
+        active.step();
+        assert_eq!(
+            dense.payload_outstanding(),
+            active.payload_outstanding(),
+            "pool ledgers apart after the step to {}",
+            active.now()
+        );
+    }
+    let report = active.report(Cycles(6_000));
+    assert_eq!(dense.report(Cycles(6_000)), report);
+    // Two threads, two calls each, three attempts per call, all dropped;
+    // the ledger balances.
+    assert_eq!(report.resilience.packets_dropped, 12);
+    assert_eq!(report.resilience.retry_give_ups, 4);
+    assert_eq!(active.payload_outstanding(), 0);
+}
+
+#[test]
 fn hop_matrix_invalidates_when_a_link_dies() {
     // Satellite regression: `hop_matrix` is cached in a `OnceCell`; before
     // the fault subsystem the topology was immutable so the cache could

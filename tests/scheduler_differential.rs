@@ -3,11 +3,16 @@
 //! scenario — same `PlatformReport` down to the last f64 bit, same NoC
 //! histogram buckets, same energy.
 //!
-//! The dense path ticks every component every cycle; the active-set path
-//! lets PEs sleep through bursts, stalls and dormancy (settling in bulk),
-//! skips quiescent service nodes and NoC scans, and fast-forwards quiet spans. Any divergence
-//! between the two is a scheduler bug, so this suite runs every scenario
-//! under both modes, including mid-run windows and manual stepping.
+//! Both run the same step function. The dense path enters every phase on
+//! every cycle; the active-set path reads the platform agenda, hops to its
+//! earliest entry and enters only the phases that are due — PEs sleep
+//! through bursts, stalls and dormancy, I/O channels are paced lazily in
+//! closed form, service nodes are ticked on the cycles they answer. Any
+//! divergence between the two is a scheduler bug, so this suite runs every
+//! scenario under both modes, including mid-run windows, manual stepping
+//! and checkpoints taken inside a hop span. In debug builds every step and
+//! hop of these runs also audits the agenda against a walk over the state
+//! (no entry late).
 
 use nanowall::{ScenarioRegistry, SchedulerMode};
 
@@ -504,6 +509,15 @@ fn scheduler_stats_repeat_and_pes_sleep_through_most_cycles() {
     assert!(active.hops > 0 && active.hops <= active.cycles_hopped);
     assert!(active.hops_ended_by_io <= active.hops);
 
+    // A stepped cycle enters only the phases that are due: the NoC phase
+    // is its ticks, no phase runs more than once a cycle, the rig has no
+    // service node, and most phases are skipped most of the time.
+    let entered = active.phases_entered;
+    assert_eq!(entered[nanowall::HostPhase::NocTick as usize], noc.ticks);
+    assert_eq!(entered[nanowall::HostPhase::Services as usize], 0);
+    assert!(entered.iter().all(|&n| n <= active.cycles_stepped));
+    assert!(entered.iter().sum::<u64>() < 4 * active.cycles_stepped);
+
     let (dense, _, _) = run(SchedulerMode::Dense);
     assert_eq!(dense.cycles_stepped, 30_000);
     assert_eq!(dense.cycles_hopped, 0);
@@ -519,6 +533,7 @@ fn scheduler_stats_repeat_and_pes_sleep_through_most_cycles() {
         30_000 * n_pes,
         "dense ticks every PE every cycle"
     );
+    assert_eq!(dense.phases_entered, [30_000; 7], "and enters every phase");
 }
 
 #[test]
@@ -540,18 +555,36 @@ fn next_event_cycle_never_overshoots() {
     }
 }
 
+/// What a ping costs on the ping → pong rig, and how it gets there.
+#[derive(Clone, Copy)]
+struct Ping {
+    /// Argument bytes of the marshalled invocation.
+    arg_bytes: u64,
+    /// Compute cycles of the handler.
+    compute: u64,
+    /// Bytes fetched from an SRAM before computing (0: no memory node).
+    fetch_bytes: u64,
+    /// Depth of every NI injection queue.
+    ni_capacity: usize,
+}
+
 /// A small rig for the pacing cases: ping → pong on four RISC cores, ping
 /// fed by channel 0 (40-byte packets at `bound_mbps`, at 40 Mb/s one every
 /// 4000 cycles: long quiet gaps) and pong handing off to it; channel 1 is
 /// bound to nothing and runs at 2.5 Gb/s into a FIFO of 8, so it fills in
 /// the first 512 cycles and overflows from then on, hop or no hop.
-fn paced_rig(mode: SchedulerMode, bound_mbps: f64) -> nanowall::FppaPlatform {
+fn pingpong_rig(mode: SchedulerMode, bound_mbps: f64, ping_cost: Ping) -> nanowall::FppaPlatform {
     use nanowall::prelude::*;
+    use nanowall::MemoryBlockConfig;
     use nw_types::BitsPerSec;
 
     let mut cfg = FppaConfig::new("paced", TopologyKind::Mesh);
+    cfg.noc.ni_capacity = ping_cost.ni_capacity;
     for _ in 0..4 {
         cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+    }
+    if ping_cost.fetch_bytes > 0 {
+        cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 2.0));
     }
     cfg.add_io(IoChannelConfig {
         rate: BitsPerSec::from_mbps(bound_mbps),
@@ -563,9 +596,8 @@ fn paced_rig(mode: SchedulerMode, bound_mbps: f64) -> nanowall::FppaPlatform {
         ..IoChannelConfig::ten_gbe_worst_case()
     });
     let mut b = Application::builder("pingpong");
-    let ping = b.add_object(
-        ObjectDef::new("ping").with_method(MethodDef::oneway("go", 16).with_compute(50)),
-    );
+    let go = MethodDef::oneway("go", ping_cost.arg_bytes).with_compute(ping_cost.compute);
+    let ping = b.add_object(ObjectDef::new("ping").with_method(go));
     let pong = b.add_object(
         ObjectDef::new("pong").with_method(MethodDef::oneway("ack", 16).with_compute(50)),
     );
@@ -579,7 +611,24 @@ fn paced_rig(mode: SchedulerMode, bound_mbps: f64) -> nanowall::FppaPlatform {
         .expect("placement valid");
     platform.bind_io_entry(0, ping).expect("ping is an entry");
     platform.bind_egress(pong, 0, 40).expect("channel 0 exists");
+    if ping_cost.fetch_bytes > 0 {
+        let sram = platform.memory_node(0);
+        platform
+            .bind_service(ping, sram, 16, ping_cost.fetch_bytes, 1)
+            .expect("the SRAM is a service node");
+    }
     platform
+}
+
+/// [`pingpong_rig`] with a cheap ping: 16 bytes, 50 cycles, no fetch.
+fn paced_rig(mode: SchedulerMode, bound_mbps: f64) -> nanowall::FppaPlatform {
+    let cheap = Ping {
+        arg_bytes: 16,
+        compute: 50,
+        fetch_bytes: 0,
+        ni_capacity: 64,
+    };
+    pingpong_rig(mode, bound_mbps, cheap)
 }
 
 /// Everything the two schedulers must agree on: the report of the last
@@ -783,4 +832,280 @@ fn driven_rigs_hop_between_invocations() {
     let (mut p, _) = build(SchedulerMode::ActiveSet);
     let _ = p.run(50);
     assert_eq!(p.next_event_cycle(), Some(Cycles(99)));
+}
+
+/// [`pingpong_rig`] under load: ping is dear — a 2 KiB fetch from an SRAM
+/// (258 cycles of bank time, 256 flits of reply), then 300 cycles on one
+/// of two hardware threads — and channel 0 feeds it `arg_bytes` messages
+/// at `bound_mbps` through an NI of `ni_capacity` packets.
+fn loaded_rig(
+    mode: SchedulerMode,
+    bound_mbps: f64,
+    ni_capacity: usize,
+    arg_bytes: u64,
+) -> nanowall::FppaPlatform {
+    let dear = Ping {
+        arg_bytes,
+        compute: 300,
+        fetch_bytes: 2_048,
+        ni_capacity,
+    };
+    pingpong_rig(mode, bound_mbps, dear)
+}
+
+#[test]
+fn an_overloaded_rig_hops_and_dispatches_the_cycle_after_a_retire() {
+    // 1 Gb/s of 40-byte packets: a ping every 160 cycles, against some
+    // 800 cycles of fetch and compute each. Invocations pile up behind the
+    // two busy threads. A waiting queue used to veto every hop ("dispatch has
+    // work"); now the dispatcher is due only when a thread is free, so
+    // the platform hops through the compute bursts and memory accesses
+    // and steps the cycle after each retirement.
+    use nanowall::{RingBufferSink, TraceEvent};
+    const WINDOW: u64 = 40_000;
+    let run = |mode| {
+        let mut p = loaded_rig(mode, 1_000.0, 64, 16);
+        p.set_trace_sink(Box::new(RingBufferSink::new(1 << 18)));
+        let _ = p.run(WINDOW);
+        let mut sink = p.take_trace_sink().expect("sink installed");
+        let ring = sink
+            .as_any_mut()
+            .downcast_mut::<RingBufferSink>()
+            .expect("ring sink");
+        assert_eq!(ring.dropped(), 0, "the ring holds the whole run");
+        // (cycle, pe, started) of every handler start and retirement.
+        let handlers: Vec<(u64, usize, bool)> = ring
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::HandlerStart { cycle, pe, .. } => Some((cycle, pe, true)),
+                TraceEvent::HandlerEnd { cycle, pe, .. } => Some((cycle, pe, false)),
+                _ => None,
+            })
+            .collect();
+        let state = paced_state(&mut p, WINDOW);
+        (state, handlers, p.scheduler_stats())
+    };
+    let (dense, dense_handlers, _) = run(SchedulerMode::Dense);
+    let (active, handlers, stats) = run(SchedulerMode::ActiveSet);
+    assert_eq!(dense, active, "overloaded rig diverged across schedulers");
+    assert_eq!(
+        dense_handlers, handlers,
+        "handlers started or retired elsewhere"
+    );
+    assert_eq!(stats, run(SchedulerMode::ActiveSet).2, "counts must repeat");
+
+    let queued = active.0.queued_invocations;
+    assert!(queued > 50, "{queued} queued: two threads must not keep up");
+    assert!(
+        stats.cycles_hopped > WINDOW / 4,
+        "a waiting queue must not veto the hops: {stats:?}"
+    );
+    // Once the queue stands, every retirement on ping's PE frees a thread
+    // that is refilled on the very next cycle.
+    let retired: Vec<u64> = handlers
+        .iter()
+        .filter(|&&(cycle, pe, started)| !started && pe == 0 && cycle > 5_000)
+        .map(|&(cycle, _, _)| cycle)
+        .collect();
+    assert!(retired.len() > 30, "{} pings retired", retired.len());
+    for cycle in retired {
+        assert!(
+            handlers.contains(&(cycle + 1, 0, true)),
+            "a thread freed at {cycle} was not refilled at {}",
+            cycle + 1
+        );
+    }
+}
+
+#[test]
+fn a_memory_access_in_flight_across_a_hop_completes_on_its_cycle() {
+    // One thread fetches 4 KiB from the SRAM: 514 cycles of bank time with
+    // nothing else to do. A busy memory used to veto every hop; now it
+    // posts its completion cycle and the platform hops there.
+    use nanowall::prelude::*;
+    use nanowall::MemoryBlockConfig;
+    let build = |mode| {
+        let mut cfg = FppaConfig::new("one-fetch", TopologyKind::Mesh);
+        for _ in 0..2 {
+            cfg.add_pe(PeConfig::new(PeClass::GpRisc, 1));
+        }
+        cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 2.0));
+        let mut p = FppaPlatform::new(cfg).expect("config valid");
+        p.set_scheduler_mode(mode);
+        let sram = p.memory_node(0);
+        let prog = nw_pe::Program::straight_line([
+            nw_pe::Op::Compute(20),
+            nw_pe::Op::call(sram, 16, 4_096),
+            nw_pe::Op::Compute(5),
+        ]);
+        p.pe_mut(0).spawn(prog).expect("an idle thread");
+        p
+    };
+    // The cycle whose services phase surfaces the completion.
+    let completion = {
+        let mut p = build(SchedulerMode::Dense);
+        while p.report(Cycles(1)).mem_accesses == 0 {
+            p.step();
+            assert!(p.now().0 < 2_000, "the access never completed");
+        }
+        p.now().0 - 1
+    };
+    assert!(completion > 514);
+    // Runs whose last cycle is the one before, the one of and the one
+    // after the completion.
+    for end in [completion, completion + 1, completion + 2] {
+        let mut dense = build(SchedulerMode::Dense);
+        let mut active = build(SchedulerMode::ActiveSet);
+        let d = dense.run(end);
+        let a = active.run(end);
+        assert_eq!(d, a, "run of {end}");
+        assert_eq!(a.mem_accesses, u64::from(end > completion), "run of {end}");
+        let stats = active.scheduler_stats();
+        assert_eq!(stats.cycles_stepped + stats.cycles_hopped, end);
+        assert!(stats.cycles_hopped > 500, "run of {end}: {stats:?}");
+        let services = stats.phases_entered[nanowall::HostPhase::Services as usize];
+        assert_eq!(services, 1 + u64::from(end > completion), "run of {end}");
+        assert_eq!(dense.run(3_000), active.run(3_000), "tail of {end}");
+        assert_eq!(active.next_event_cycle(), None, "tail of {end}: drained");
+    }
+}
+
+#[test]
+fn a_bound_channel_backs_up_behind_a_full_ni_identically() {
+    // 10 Gb/s of packets, each becoming a 1 KiB message (130 flits)
+    // through an NI of two: the NI is full almost always, the RX FIFO
+    // backs up behind it, overflows, and drops at line rate. While the
+    // backlog waits the I/O phase is due every cycle; it must drain into
+    // the NI on exactly the cycles the dense scheduler does.
+    let mut dense = loaded_rig(SchedulerMode::Dense, 10_000.0, 2, 1_024);
+    let mut active = loaded_rig(SchedulerMode::ActiveSet, 10_000.0, 2, 1_024);
+    for window in [1_000u64, 7_000, 12_000] {
+        let _ = dense.run(window);
+        let _ = active.run(window);
+        assert_eq!(
+            paced_state(&mut dense, window),
+            paced_state(&mut active, window),
+            "window of {window}"
+        );
+    }
+    assert_eq!(active.io(0).rx_backlog(), 128, "the FIFO stands full");
+    assert!(active.io(0).dropped() > 500);
+    let next = active.next_event_cycle().expect("a backlog is waiting");
+    assert_eq!(next, active.now(), "the backlog is due now");
+}
+
+#[test]
+fn checkpoints_inside_a_hop_span_with_a_memory_busy_and_invocations_queued() {
+    // The agenda's cached entries are simulation state: they must travel
+    // with snapshot, fork and restore, and survive every between-runs
+    // mutator — taken at the worst moment, inside a span the run loop
+    // would hop, with the SRAM mid-access and pings waiting for a thread.
+    use nanowall::{FppaPlatform, RingBufferSink, TraceEvent};
+    use nw_types::{BitsPerSec, Cycles};
+    const TAIL: u64 = 8_000;
+    let build = |mode| loaded_rig(mode, 1_000.0, 64, 16);
+
+    // Requests reach the SRAM on these cycles (probe run); each keeps a
+    // bank busy for the 258 cycles that follow.
+    let mut probe = build(SchedulerMode::ActiveSet);
+    let sram = probe.memory_node(0).0;
+    probe.set_trace_sink(Box::new(RingBufferSink::new(1 << 18)));
+    let _ = probe.run(12_000);
+    let mut sink = probe.take_trace_sink().expect("sink installed");
+    let ring = sink
+        .as_any_mut()
+        .downcast_mut::<RingBufferSink>()
+        .expect("ring sink");
+    let requests = ring.drain().into_iter().filter_map(|e| match e {
+        TraceEvent::FlitDeliver { cycle, dst, .. } if dst == sram && cycle > 4_000 => Some(cycle),
+        _ => None,
+    });
+    let cuts: Vec<u64> = requests
+        .flat_map(|cycle| [cycle + 30, cycle + 120, cycle + 200])
+        .filter(|&cut| {
+            let mut p = build(SchedulerMode::ActiveSet);
+            let _ = p.run(cut);
+            let queued = p.runtime().expect("app installed").queued_invocations();
+            queued > 2 && p.next_event_cycle().is_some_and(|t| t > p.now())
+        })
+        .step_by(5)
+        .take(3)
+        .collect();
+    assert_eq!(
+        cuts.len(),
+        3,
+        "cuts inside a hop span, memory busy, pings queued"
+    );
+
+    for cut in cuts {
+        let want = {
+            let mut p = build(SchedulerMode::Dense);
+            let _ = p.run(cut + TAIL);
+            paced_state(&mut p, TAIL)
+        };
+        let mut p = build(SchedulerMode::ActiveSet);
+        let _ = p.run(cut);
+        let at_cut = p.scheduler_stats();
+        let snap = p.snapshot();
+        let copy = || FppaPlatform::from_snapshot(&snap);
+
+        // The first lap of a fork is the hop the parent would have made.
+        let mut fork = p.fork(7);
+        let _ = fork.run(1);
+        assert_eq!(fork.scheduler_stats().cycles_stepped, at_cut.cycles_stepped);
+        assert_eq!(fork.scheduler_stats().hops, at_cut.hops + 1);
+
+        let mut switched = copy();
+        switched.set_scheduler_mode(SchedulerMode::Dense);
+        switched.set_scheduler_mode(SchedulerMode::ActiveSet);
+        let mut retuned = copy();
+        retuned
+            .set_io_rate(0, BitsPerSec::from_mbps(1_000.0))
+            .expect("the rate it already has");
+        let mut touched = copy();
+        let _ = touched.pe_mut(2); // hosts nothing: woken, ticked, dormant again
+        let mut rest = fork.fork(8);
+        for (what, platform, left) in [
+            ("fork", &mut rest, TAIL - 1),
+            ("copy", &mut copy(), TAIL),
+            ("mode switch", &mut switched, TAIL),
+            ("set_io_rate", &mut retuned, TAIL),
+            ("pe_mut", &mut touched, TAIL),
+            ("original", &mut p, TAIL),
+        ] {
+            let _ = platform.run(left);
+            assert_eq!(paced_state(platform, TAIL), want, "{cut}: {what} diverged");
+        }
+        p.restore(&snap);
+        assert_eq!(p.now().0, cut);
+        let _ = p.run(TAIL);
+        assert_eq!(paced_state(&mut p, TAIL), want, "{cut}: restore diverged");
+
+        // Manual steps from the cut: after each, the channels and the
+        // agenda read settled, as under dense.
+        let mut dense = copy();
+        dense.set_scheduler_mode(SchedulerMode::Dense);
+        let mut active = copy();
+        for _ in 0..400 {
+            dense.step();
+            active.step();
+            assert_eq!(
+                format!("{:?} {:?}", dense.io(0), dense.io(1)),
+                format!("{:?} {:?}", active.io(0), active.io(1)),
+                "{cut}: channels after a step to {}",
+                active.now()
+            );
+            let next = active.next_event_cycle().expect("the line keeps running");
+            assert!(next >= active.now());
+            assert!(
+                next <= Cycles(active.now().0 + 160),
+                "a ping every 160 cycles"
+            );
+        }
+        let _ = dense.run(TAIL - 400);
+        let _ = active.run(TAIL - 400);
+        assert_eq!(paced_state(&mut dense, TAIL), want, "{cut}: dense steps");
+        assert_eq!(paced_state(&mut active, TAIL), want, "{cut}: active steps");
+    }
 }
