@@ -55,6 +55,8 @@ pub enum BuildPlatformError {
     NoPes,
     /// Topology construction failed.
     Topology(nw_noc::BuildTopologyError),
+    /// The NoC timing configuration cannot move traffic.
+    Noc(nw_noc::NocConfigError),
     /// I/O channel `index` (declaration order) cannot be paced.
     Io {
         /// Index into [`FppaConfig::io`].
@@ -69,6 +71,7 @@ impl fmt::Display for BuildPlatformError {
         match self {
             BuildPlatformError::NoPes => write!(f, "platform needs at least one PE"),
             BuildPlatformError::Topology(e) => write!(f, "topology: {e}"),
+            BuildPlatformError::Noc(e) => write!(f, "NoC configuration: {e}"),
             BuildPlatformError::Io { index, reason } => write!(f, "I/O channel {index}: {reason}"),
         }
     }
@@ -78,6 +81,7 @@ impl std::error::Error for BuildPlatformError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BuildPlatformError::Topology(e) => Some(e),
+            BuildPlatformError::Noc(e) => Some(e),
             BuildPlatformError::Io { reason, .. } => Some(reason),
             BuildPlatformError::NoPes => None,
         }
@@ -280,6 +284,46 @@ mod tests {
         })
         .expect_err("rejected above");
         assert_eq!(err.to_string(), "I/O channel 1: packet size is zero");
+    }
+
+    #[test]
+    fn unusable_noc_timing_is_a_build_error() {
+        use crate::FppaPlatform;
+        use nw_noc::NocConfigError;
+        let build = |noc: NocConfig| {
+            let mut c = FppaConfig::new("t", TopologyKind::Ring);
+            c.noc = noc;
+            c.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+            FppaPlatform::new(c).map(|_| ())
+        };
+        let ok = NocConfig::default();
+        assert_eq!(build(ok), Ok(()));
+        assert_eq!(
+            build(NocConfig {
+                flit_bytes: 0,
+                ..ok
+            }),
+            Err(BuildPlatformError::Noc(NocConfigError::ZeroFlitBytes))
+        );
+        let err = build(NocConfig {
+            ni_capacity: 0,
+            ..ok
+        })
+        .expect_err("no NI could accept a packet");
+        assert_eq!(err, BuildPlatformError::Noc(NocConfigError::ZeroNiCapacity));
+        assert_eq!(
+            err.to_string(),
+            "NoC configuration: NI queue depth is zero: every injection is refused"
+        );
+        // The platform sizes the pool to the credit round trip itself, so
+        // an undersized `input_buffer` is raised, not rejected.
+        assert_eq!(
+            build(NocConfig {
+                input_buffer: 0,
+                ..ok
+            }),
+            Ok(())
+        );
     }
 
     #[test]

@@ -67,6 +67,9 @@ pub use config::{BuildPlatformError, FppaConfig, HwIpConfig, MemoryBlockConfig};
 /// Why an I/O channel cannot be paced ([`BuildPlatformError::Io`],
 /// [`FppaPlatform::set_io_rate`]).
 pub use nw_hwip::IoConfigError;
+/// Why a NoC timing configuration cannot move traffic
+/// ([`BuildPlatformError::Noc`]).
+pub use nw_noc::NocConfigError;
 /// The NoC's share of [`SchedulerStats`].
 pub use nw_noc::NocWork;
 pub use platform::{

@@ -346,6 +346,8 @@ impl FppaPlatform {
     ///
     /// [`BuildPlatformError::NoPes`] for an empty platform;
     /// [`BuildPlatformError::Topology`] if the NoC cannot be built;
+    /// [`BuildPlatformError::Noc`] for a NoC timing configuration no
+    /// traffic could move under (zero flit width or NI depth);
     /// [`BuildPlatformError::Io`] for an I/O channel that cannot be paced
     /// (zero packet size, unusable clock or rate).
     pub fn new(cfg: FppaConfig) -> Result<Self, BuildPlatformError> {
@@ -363,6 +365,7 @@ impl FppaPlatform {
         noc_cfg.input_buffer = noc_cfg
             .input_buffer
             .max(4 + (link_latency + noc_cfg.router_delay) as usize / 2);
+        noc_cfg.validate().map_err(BuildPlatformError::Noc)?;
         let noc = Noc::new(topo, noc_cfg);
 
         let mut roles = Vec::with_capacity(n);
@@ -1550,102 +1553,103 @@ impl FppaPlatform {
     }
 
     fn route_arrivals(&mut self, now: Cycles) {
-        for node in 0..self.roles.len() {
-            while let Some(mut pkt) = self.noc.eject(NodeId(node)) {
-                match self.roles[node] {
-                    NodeRole::Pe(p) => {
-                        if is_reply(pkt.tag) {
-                            let t = RequestTag::decode(pkt.tag);
-                            match self
-                                .resilience
-                                .as_mut()
-                                .map(|rs| rs.close(p, t.tid.0, t.token))
-                            {
-                                None => {
-                                    // Legacy path (retry layer off).
+        // Endpoint by endpoint in ascending order, each drained in arrival
+        // order — asked of the NoC, which knows which endpoints hold a
+        // delivery, instead of polling all of them.
+        while let Some((NodeId(node), mut pkt)) = self.noc.eject_next() {
+            match self.roles[node] {
+                NodeRole::Pe(p) => {
+                    if is_reply(pkt.tag) {
+                        let t = RequestTag::decode(pkt.tag);
+                        match self
+                            .resilience
+                            .as_mut()
+                            .map(|rs| rs.close(p, t.tid.0, t.token))
+                        {
+                            None => {
+                                // Legacy path (retry layer off).
+                                self.record_reply_latency(p, t.tid, now);
+                                self.complete_thread(p, t.tid, now);
+                            }
+                            Some(CloseOutcome::Live(stored)) => {
+                                self.pool.put(stored);
+                                self.record_reply_latency(p, t.tid, now);
+                                self.complete_thread(p, t.tid, now);
+                            }
+                            Some(CloseOutcome::Stale) => {
+                                // An earlier attempt's reply arrived
+                                // after its timeout: a newer attempt is
+                                // in flight, so this one is a duplicate.
+                                self.rstats.duplicate_replies_dropped += 1;
+                            }
+                            Some(CloseOutcome::Unknown) => {
+                                // No tracked call: the thread either
+                                // gave up already or its PE crashed.
+                                if self.pes[p].is_awaiting(t.tid) {
                                     self.record_reply_latency(p, t.tid, now);
                                     self.complete_thread(p, t.tid, now);
-                                }
-                                Some(CloseOutcome::Live(stored)) => {
-                                    self.pool.put(stored);
-                                    self.record_reply_latency(p, t.tid, now);
-                                    self.complete_thread(p, t.tid, now);
-                                }
-                                Some(CloseOutcome::Stale) => {
-                                    // An earlier attempt's reply arrived
-                                    // after its timeout: a newer attempt is
-                                    // in flight, so this one is a duplicate.
+                                } else {
                                     self.rstats.duplicate_replies_dropped += 1;
                                 }
-                                Some(CloseOutcome::Unknown) => {
-                                    // No tracked call: the thread either
-                                    // gave up already or its PE crashed.
-                                    if self.pes[p].is_awaiting(t.tid) {
-                                        self.record_reply_latency(p, t.tid, now);
-                                        self.complete_thread(p, t.tid, now);
-                                    } else {
-                                        self.rstats.duplicate_replies_dropped += 1;
-                                    }
-                                }
-                            }
-                        } else if let Some(rt) = self.runtime.as_mut() {
-                            rt.enqueue_invocation(p, &pkt, self.pes[p].idle_threads());
-                        }
-                    }
-                    NodeRole::Memory(m) => {
-                        self.services_due = now.0;
-                        let t = RequestTag::decode(pkt.tag);
-                        let id = self.next_service_id;
-                        self.next_service_id += 1;
-                        let req = MemRequest {
-                            id,
-                            kind: ReqKind::Read,
-                            addr: id.wrapping_mul(MemoryController::INTERLEAVE),
-                            bytes: t.reply_bytes.max(1),
-                        };
-                        match self.mems[m].submit(req, now) {
-                            Ok(()) => {
-                                self.mem_inflight[m].insert(id, (pkt.tag, pkt.src));
-                            }
-                            Err(_) => {
-                                self.mem_parked[m].push_back((req, pkt.tag, pkt.src));
                             }
                         }
-                    }
-                    NodeRole::Fabric(f) => {
-                        self.services_due = now.0;
-                        let id = self.next_service_id;
-                        self.next_service_id += 1;
-                        match self.fabrics[f].try_submit(id, now) {
-                            Ok(()) => {
-                                self.fabric_inflight[f].insert(id, (pkt.tag, pkt.src));
-                            }
-                            Err(_) => {
-                                self.fabric_parked[f].push_back((pkt.tag, pkt.src));
-                            }
-                        }
-                    }
-                    NodeRole::HwIp(h) => {
-                        self.services_due = now.0;
-                        let id = self.next_service_id;
-                        self.next_service_id += 1;
-                        match self.hwips[h].try_submit(id, now) {
-                            Ok(()) => {
-                                self.hwip_inflight[h].insert(id, (pkt.tag, pkt.src));
-                            }
-                            Err(_) => {
-                                self.hwip_parked[h].push_back((pkt.tag, pkt.src));
-                            }
-                        }
-                    }
-                    NodeRole::Io(i) => {
-                        self.ios[i].transmit(pkt.wire_bytes());
+                    } else if let Some(rt) = self.runtime.as_mut() {
+                        rt.enqueue_invocation(p, &pkt, self.pes[p].idle_threads());
                     }
                 }
-                // Every arm above consumes the packet; its payload buffer
-                // goes back to the arena for the next producer.
-                self.pool.put(std::mem::take(&mut pkt.data));
+                NodeRole::Memory(m) => {
+                    self.services_due = now.0;
+                    let t = RequestTag::decode(pkt.tag);
+                    let id = self.next_service_id;
+                    self.next_service_id += 1;
+                    let req = MemRequest {
+                        id,
+                        kind: ReqKind::Read,
+                        addr: id.wrapping_mul(MemoryController::INTERLEAVE),
+                        bytes: t.reply_bytes.max(1),
+                    };
+                    match self.mems[m].submit(req, now) {
+                        Ok(()) => {
+                            self.mem_inflight[m].insert(id, (pkt.tag, pkt.src));
+                        }
+                        Err(_) => {
+                            self.mem_parked[m].push_back((req, pkt.tag, pkt.src));
+                        }
+                    }
+                }
+                NodeRole::Fabric(f) => {
+                    self.services_due = now.0;
+                    let id = self.next_service_id;
+                    self.next_service_id += 1;
+                    match self.fabrics[f].try_submit(id, now) {
+                        Ok(()) => {
+                            self.fabric_inflight[f].insert(id, (pkt.tag, pkt.src));
+                        }
+                        Err(_) => {
+                            self.fabric_parked[f].push_back((pkt.tag, pkt.src));
+                        }
+                    }
+                }
+                NodeRole::HwIp(h) => {
+                    self.services_due = now.0;
+                    let id = self.next_service_id;
+                    self.next_service_id += 1;
+                    match self.hwips[h].try_submit(id, now) {
+                        Ok(()) => {
+                            self.hwip_inflight[h].insert(id, (pkt.tag, pkt.src));
+                        }
+                        Err(_) => {
+                            self.hwip_parked[h].push_back((pkt.tag, pkt.src));
+                        }
+                    }
+                }
+                NodeRole::Io(i) => {
+                    self.ios[i].transmit(pkt.wire_bytes());
+                }
             }
+            // Every arm above consumes the packet; its payload buffer
+            // goes back to the arena for the next producer.
+            self.pool.put(std::mem::take(&mut pkt.data));
         }
     }
 

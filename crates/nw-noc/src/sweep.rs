@@ -147,14 +147,12 @@ pub fn run_open_loop(
             }
         }
         noc.tick(now);
-        for e in 0..n {
-            while let Some(mut p) = noc.eject(NodeId(e)) {
-                if now.0 >= cfg.warmup {
-                    latency.record(now.saturating_sub(p.injected_at));
-                    delivered_flits += p.flits(cfg.noc.flit_bytes);
-                }
-                pool.put(std::mem::take(&mut p.data));
+        while let Some((_, mut p)) = noc.eject_next() {
+            if now.0 >= cfg.warmup {
+                latency.record(now.saturating_sub(p.injected_at));
+                delivered_flits += p.flits(cfg.noc.flit_bytes);
             }
+            pool.put(std::mem::take(&mut p.data));
         }
         now += Cycles(1);
     }

@@ -95,9 +95,11 @@ pub struct Topology {
     links: Vec<Vec<Link>>,
     /// Routers that serialize all their ports through one shared medium.
     shared: Vec<bool>,
-    /// `next_hop[r][d]` = adjacency index (into `links[r]`) of the port that
-    /// leads toward endpoint `d`, or `usize::MAX` when `r == d`.
-    next_hop: Vec<Vec<usize>>,
+    /// Row-major routing table, one row of `n_endpoints` entries per
+    /// router: `next_hop[r * n_endpoints + d]` = adjacency index (into
+    /// `links[r]`) of the port that leads toward endpoint `d`, or
+    /// `usize::MAX` when `r == d` or `d` cannot be reached from `r`.
+    next_hop: Vec<usize>,
 }
 
 impl Topology {
@@ -261,7 +263,7 @@ impl Topology {
             let (rx, ry) = (r % w, r / w);
             for d in 0..n {
                 if r == d {
-                    self.next_hop[r][d] = usize::MAX;
+                    self.next_hop[r * n + d] = usize::MAX;
                     continue;
                 }
                 let (dx, dy) = (d % w, d / w);
@@ -276,7 +278,7 @@ impl Topology {
                     .iter()
                     .position(|l| l.to == target)
                     .expect("XY neighbor must exist in mesh adjacency");
-                self.next_hop[r][d] = port;
+                self.next_hop[r * n + d] = port;
             }
         }
     }
@@ -342,27 +344,25 @@ impl Topology {
 
     /// Per-destination BFS over the reverse adjacency, skipping any
     /// directed link listed in `dead` (as `(router, port-index)` pairs).
-    /// Routers that cannot reach a destination keep `usize::MAX`.
-    fn bfs_tables(
-        links: &[Vec<Link>],
-        n_endpoints: usize,
-        dead: &[(usize, usize)],
-    ) -> Vec<Vec<usize>> {
+    /// Returns the row-major table; routers that cannot reach a destination
+    /// keep `usize::MAX`.
+    fn bfs_tables(links: &[Vec<Link>], n_endpoints: usize, dead: &[(usize, usize)]) -> Vec<usize> {
         let nr = links.len();
-        let is_dead = |r: usize, p: usize| dead.contains(&(r, p));
-        let mut next_hop = vec![vec![usize::MAX; n_endpoints]; nr];
-        // Reverse adjacency for BFS from each destination endpoint.
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); nr];
+        let mut next_hop = vec![usize::MAX; nr * n_endpoints];
+        // Reverse adjacency for BFS from each destination endpoint: the
+        // live links into a router as `(from, port)`, ascending by `from`,
+        // lowest port first among parallel links.
+        let mut rev: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nr];
         for (from, ls) in links.iter().enumerate() {
             for (port, l) in ls.iter().enumerate() {
-                if !is_dead(from, port) {
-                    rev[l.to].push(from);
+                if !dead.contains(&(from, port)) {
+                    rev[l.to].push((from, port));
                 }
             }
         }
         for r in &mut rev {
             r.sort_unstable();
-            r.dedup();
+            r.dedup_by_key(|&mut (from, _)| from);
         }
         for d in 0..n_endpoints {
             // dist and the "first hop toward d" for every router.
@@ -371,18 +371,12 @@ impl Topology {
             let mut queue = std::collections::VecDeque::new();
             queue.push_back(d);
             while let Some(u) = queue.pop_front() {
-                for &p in &rev[u] {
+                for &(p, port) in &rev[u] {
                     if dist[p] == usize::MAX {
                         dist[p] = dist[u] + 1;
                         // The live port at p leading to u is on a shortest
                         // path to d.
-                        let port = links[p]
-                            .iter()
-                            .enumerate()
-                            .find(|&(pi, l)| l.to == u && !is_dead(p, pi))
-                            .map(|(pi, _)| pi)
-                            .expect("reverse edge must exist forward");
-                        next_hop[p][d] = port;
+                        next_hop[p * n_endpoints + d] = port;
                         queue.push_back(p);
                     }
                 }
@@ -435,9 +429,17 @@ impl Topology {
     }
 
     /// Port index at router `r` leading toward endpoint `d`, or `None` when
-    /// `r` is the destination.
+    /// `r` is the destination or can no longer reach it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` or `d` is out of range.
+    #[inline]
     pub fn next_hop(&self, r: usize, d: usize) -> Option<usize> {
-        let p = self.next_hop[r][d];
+        // The table is one flat vector: an unchecked `d` would read a
+        // neighbouring router's row instead of failing.
+        assert!(d < self.n_endpoints, "endpoint {d} out of range");
+        let p = self.next_hop[r * self.n_endpoints + d];
         (p != usize::MAX).then_some(p)
     }
 
@@ -461,10 +463,7 @@ impl Topology {
         let mut cur = a;
         let mut hops = 0;
         while cur != b {
-            let port = self.next_hop[cur][b];
-            if port == usize::MAX {
-                return None;
-            }
+            let port = self.next_hop(cur, b)?;
             cur = self.links[cur][port].to;
             hops += 1;
             assert!(hops <= self.links.len() + 1, "routing loop detected");
@@ -669,6 +668,15 @@ mod tests {
     fn display_names() {
         assert_eq!(TopologyKind::FatTree.to_string(), "fat-tree");
         assert_eq!(TopologyKind::SharedBus.to_string(), "bus");
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint 16 out of range")]
+    fn next_hop_rejects_an_endpoint_past_the_row() {
+        // In the row-major table, column 16 of router 0 is column 0 of
+        // router 1: it must fail, not answer for the neighbour.
+        let t = Topology::build(TopologyKind::Mesh, 16, 1).unwrap();
+        let _ = t.next_hop(0, 16);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! the whole table as it reads now, ready to paste — which is only the
 //! right thing to do for a change that means to alter the timing model.
 
-use nw_noc::{Noc, NocConfig, NocCounts, Topology, TopologyKind};
+use nw_noc::{Noc, NocConfig, NocCounts, Packet, Topology, TopologyKind};
 use nw_types::{Cycles, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,16 +32,20 @@ const HOTSPOT: usize = 5;
 /// Literal seed of the burst mix.
 const SEED: u64 = 0x0DAC_2003_5EED_0017;
 
-/// Which tick drives the engine.
+/// How the engine is driven: which tick, and which way out.
 #[derive(Debug, Clone, Copy)]
-enum Tick {
-    /// `Noc::tick_traced(now, None)`: the event-driven pass.
+enum Drive {
+    /// `Noc::tick_traced(now, None)`, the event-driven pass; every endpoint
+    /// polled with `Noc::eject`, as when the digests were recorded.
     Event,
-    /// `Noc::tick_reference`: the dense scan.
+    /// `Noc::tick_reference`, the dense scan; endpoints polled.
     Reference,
+    /// The event-driven pass, emptied through `Noc::eject_next` (which the
+    /// recording engine did not have): the same order without the polling.
+    EventSwept,
 }
 
-const TICKS: [Tick; 2] = [Tick::Event, Tick::Reference];
+const DRIVES: [Drive; 3] = [Drive::Event, Drive::Reference, Drive::EventSwept];
 
 struct Fnv(u64);
 
@@ -89,37 +93,49 @@ fn offer(noc: &mut Noc, rng: &mut StdRng, seq: &mut u64, now: Cycles) {
     }
 }
 
-fn tick(noc: &mut Noc, how: Tick, now: Cycles) {
+fn tick(noc: &mut Noc, how: Drive, now: Cycles) {
     match how {
-        Tick::Event => noc.tick_traced(now, None),
-        Tick::Reference => noc.tick_reference(now),
+        Drive::Event | Drive::EventSwept => noc.tick_traced(now, None),
+        Drive::Reference => noc.tick_reference(now),
     }
 }
 
 /// Tag of the one packet [`faulted_run`] corrupts, and its payload byte.
 const CORRUPTED: (u64, u8) = (0xC0DE, 0x11);
 
-/// Hashes everything waiting at the eject interface; returns how many of
-/// those packets were the corrupted one, arriving corrupted.
-fn hash_ejects(noc: &mut Noc, now: Cycles, h: &mut Fnv) -> usize {
-    let mut corrupted = 0;
+/// Empties the eject interface in ascending endpoint order.
+fn ejects(noc: &mut Noc, how: Drive) -> Vec<(NodeId, Packet)> {
+    if matches!(how, Drive::EventSwept) {
+        return std::iter::from_fn(|| noc.eject_next()).collect();
+    }
+    let mut out = Vec::new();
     for e in 0..N {
         while let Some(p) = noc.eject(NodeId(e)) {
-            assert_eq!(p.dst, NodeId(e), "ejected at its destination");
-            if p.tag == CORRUPTED.0 {
-                assert_eq!(p.data[0], CORRUPTED.1 ^ 0xA5, "first byte flipped");
-                assert!(p.data[1..].iter().all(|&b| b == CORRUPTED.1));
-                corrupted += 1;
-            }
-            h.word(now.0);
-            h.word(p.id.0);
-            h.word(p.src.0 as u64);
-            h.word(p.dst.0 as u64);
-            h.word(p.tag);
-            h.word(p.injected_at.0);
-            h.word(p.data.len() as u64);
-            h.bytes(&p.data);
+            out.push((NodeId(e), p));
         }
+    }
+    out
+}
+
+/// Hashes everything waiting at the eject interface; returns how many of
+/// those packets were the corrupted one, arriving corrupted.
+fn hash_ejects(noc: &mut Noc, how: Drive, now: Cycles, h: &mut Fnv) -> usize {
+    let mut corrupted = 0;
+    for (at, p) in ejects(noc, how) {
+        assert_eq!(p.dst, at, "ejected at its destination");
+        if p.tag == CORRUPTED.0 {
+            assert_eq!(p.data[0], CORRUPTED.1 ^ 0xA5, "first byte flipped");
+            assert!(p.data[1..].iter().all(|&b| b == CORRUPTED.1));
+            corrupted += 1;
+        }
+        h.word(now.0);
+        h.word(p.id.0);
+        h.word(p.src.0 as u64);
+        h.word(p.dst.0 as u64);
+        h.word(p.tag);
+        h.word(p.injected_at.0);
+        h.word(p.data.len() as u64);
+        h.bytes(&p.data);
     }
     corrupted
 }
@@ -156,7 +172,7 @@ fn build(kind: TopologyKind, pool: usize) -> Noc {
 }
 
 /// The burst mix on a healthy fabric.
-fn clean_run(kind: TopologyKind, pool: usize, how: Tick) -> u64 {
+fn clean_run(kind: TopologyKind, pool: usize, how: Drive) -> u64 {
     let mut noc = build(kind, pool);
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut seq = 0u64;
@@ -169,7 +185,7 @@ fn clean_run(kind: TopologyKind, pool: usize, how: Tick) -> u64 {
             break;
         }
         tick(&mut noc, how, now);
-        hash_ejects(&mut noc, now, &mut h);
+        hash_ejects(&mut noc, how, now, &mut h);
     }
     hash_totals(&noc, &mut h);
     h.0
@@ -188,7 +204,7 @@ fn port_to(noc: &Noc, router: usize, to: usize) -> usize {
 /// cycle, ahead of that cycle's offers and tick. The `assert!`s pin which
 /// arm of each hook the schedule reaches, so an edit to the schedule cannot
 /// quietly stop covering one.
-fn faulted_run(how: Tick) -> u64 {
+fn faulted_run(how: Drive) -> u64 {
     let mut noc = build(TopologyKind::Mesh, 4);
     let ni_capacity = noc.config().ni_capacity;
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xFA17);
@@ -273,8 +289,8 @@ fn faulted_run(how: Tick) -> u64 {
             offer(&mut noc, &mut rng, &mut seq, now);
         }
         tick(&mut noc, how, now);
-        corrupted_seen += hash_ejects(&mut noc, now, &mut h);
-        if c % 64 == 0 {
+        corrupted_seen += hash_ejects(&mut noc, how, now, &mut h);
+        if c.is_multiple_of(64) {
             h.word(noc.take_dropped_buffers().len() as u64);
         }
     }
@@ -304,7 +320,7 @@ const GOLDEN_FAULTED: u64 = 0xbab537db879c18e2;
 
 #[test]
 fn clean_runs_match_the_recorded_delivery_logs() {
-    for how in TICKS {
+    for how in DRIVES {
         let now: Vec<(TopologyKind, usize, u64)> = GOLDEN_CLEAN
             .iter()
             .map(|&(kind, pool, _)| (kind, pool, clean_run(kind, pool, how)))
@@ -322,7 +338,7 @@ fn clean_runs_match_the_recorded_delivery_logs() {
 
 #[test]
 fn faulted_run_matches_the_recorded_delivery_log() {
-    for how in TICKS {
+    for how in DRIVES {
         let d = faulted_run(how);
         assert!(
             d == GOLDEN_FAULTED,

@@ -14,8 +14,13 @@
 //! and wakes travel through its overflow heap. Liveness is part of every
 //! property: both engines deliver every packet wherever the modelled fabric
 //! cannot deadlock (`must_drain`).
+//!
+//! The last property is about the storage under both ticks: packets live in
+//! an engine-owned slab and move as handles, so every way out of the
+//! engine — ejected, dropped at an NI, on a port queue or on arrival,
+//! stranded by a dead link — has to vacate the slot it leaves.
 
-use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
+use nw_noc::{Noc, NocConfig, NocCounts, Topology, TopologyKind};
 use nw_obs::{TraceEvent, TraceSink};
 use nw_types::{Cycles, NodeId};
 use proptest::prelude::*;
@@ -217,6 +222,57 @@ fn check_against_reference(
     }
 }
 
+/// One fault-hook call: `(cycle, hook, a, b)`, the operands taken modulo
+/// whatever they index.
+type Fault = (u8, u8, usize, usize);
+
+fn apply_fault(noc: &mut Noc, &(_, hook, a, b): &Fault, now: Cycles) {
+    let n_routers = noc.topology().n_routers();
+    let n = noc.topology().n_endpoints();
+    let r = a % n_routers;
+    let n_ports = noc.topology().links_of(r).len();
+    let until = now.0 + 1 + b as u64 % 300;
+    match hook % 6 {
+        0 => noc.stall_router(r, until),
+        // Not on the bus arbiter: it grants on queue and credit alone, so a
+        // stalled port of its own fires regardless and trips `fire`'s
+        // busy-window assertion (as found; ROADMAP, NoC liveness item).
+        1 if n_ports > 0 && !noc.topology().is_shared(r) => {
+            noc.stall_port(r, b % n_ports, until);
+        }
+        2 if n_ports > 0 => {
+            noc.fail_link(r, b % n_ports, now);
+        }
+        3 => {
+            noc.drop_next(r, now);
+        }
+        4 => {
+            noc.corrupt_next(a % n);
+        }
+        5 => {
+            // Cut endpoint `a % n` off: whatever is queued for it strands,
+            // whatever is in flight toward it drops where it lands.
+            let e = a % n;
+            for from in 0..n_routers {
+                for p in 0..noc.topology().links_of(from).len() {
+                    if noc.topology().links_of(from)[p].to == e {
+                        noc.fail_link(from, p, now);
+                    }
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Checks that the dropped-buffer stash holds exactly the packets dropped
+/// since it was last taken, and takes it.
+fn take_dropped(noc: &mut Noc, taken: &mut u64) {
+    let n = noc.take_dropped_buffers().len() as u64;
+    assert_eq!(n, noc.dropped_packets() - *taken, "one buffer per drop");
+    *taken += n;
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -323,5 +379,102 @@ proptest! {
             ev.longest_ser >= QUEUE_WINDOW,
             "longest transfer serialized for {} cycles", ev.longest_ser
         );
+    }
+
+    /// No way out of the engine leaks a slab slot. Bursts with every fault
+    /// hook interleaved run on an engine that is cloned mid-flight; the two
+    /// halves then see the same calls and must stay identical (one is
+    /// ejected by polling every endpoint, the other through `eject_next`).
+    /// What a wedged fabric still holds is dropped router by router, so
+    /// every run ends empty: all slots vacated, every packet accounted for
+    /// as delivered or dropped, and the slab exactly as long as the most
+    /// packets ever held (never more than `in_network() + eject_pending()`).
+    #[test]
+    fn no_handle_leaks_through_any_exit(
+        kind in kind_strategy(),
+        n in 4usize..17,
+        input_buffer in input_buffer_strategy(),
+        hot in 0usize..512,
+        mut bursts in bursts_strategy(600, 120),
+        faults in prop::collection::vec((0u8..200, 0u8..6, 0usize..512, 0usize..512), 0..16),
+        clone_at in 0u64..260,
+        reference in any::<bool>(),
+    ) {
+        // A hotspot, so that cutting it off catches traffic in flight.
+        for burst in bursts.iter_mut().step_by(2) {
+            burst.2 = hot;
+        }
+        let topo = Topology::build(kind, n, 2).expect("valid topology");
+        let cfg = NocConfig { input_buffer, ni_capacity: 8, ..NocConfig::default() };
+        let mut noc = Noc::new(topo, cfg);
+        let mut twin: Option<Noc> = None;
+        let (mut seen, mut twin_seen) = (Vec::new(), Vec::new());
+        let (mut taken, mut twin_taken) = (0u64, 0u64);
+        let mut peak = 0;
+        let n_routers = noc.topology().n_routers();
+        let mut now = Cycles(0);
+        loop {
+            if now.0 == clone_at {
+                twin = Some(noc.clone());
+                twin_taken = taken;
+            }
+            // Past the offers: drop whatever a wedged or cut-off fabric
+            // still holds, a router at a time, until nothing moves.
+            let sweep = now.0 >= 600 && now.0.is_multiple_of(300);
+            for half in [Some(&mut noc), twin.as_mut()].into_iter().flatten() {
+                for f in faults.iter().filter(|f| f.0 as u64 == now.0) {
+                    apply_fault(half, f, now);
+                }
+                if sweep {
+                    for r in 0..n_routers {
+                        while half.drop_next(r, now) {}
+                    }
+                }
+                inject_due(half, &bursts, n, now);
+                // Only an injection adds a packet, so this is the peak.
+                peak = peak.max(half.packets_held());
+                if reference {
+                    half.tick_reference(now);
+                } else {
+                    half.tick_traced(now, None);
+                }
+                let bound = half.in_network() + half.eject_pending() as u64;
+                prop_assert!(half.packets_held() as u64 <= bound);
+            }
+            // Eject queues are left to fill for a few cycles.
+            if now.0.is_multiple_of(4) {
+                drain_ejects(&mut noc, n, now, &mut seen);
+                take_dropped(&mut noc, &mut taken);
+                if let Some(twin) = twin.as_mut() {
+                    while let Some((NodeId(endpoint), p)) = twin.eject_next() {
+                        let (cycle, tag, len) = (now.0, p.tag, p.data.len());
+                        twin_seen.push(Delivery { cycle, endpoint, tag, len });
+                    }
+                    take_dropped(twin, &mut twin_taken);
+                }
+            }
+            if now.0 > 600 && now.0.is_multiple_of(4) && noc.is_quiescent() {
+                break;
+            }
+            now += Cycles(1);
+            prop_assert!(now.0 < 20_000, "sweeps empty any fabric ({} held)", noc.packets_held());
+        }
+        let twin = twin.expect("cloned before the offers ended");
+        for half in [&noc, &twin] {
+            prop_assert!(half.is_quiescent());
+            prop_assert_eq!(half.packets_held(), 0, "a slot outlived its packet");
+            let NocCounts { injected, delivered, .. } = half.counts();
+            prop_assert_eq!(injected, delivered + half.dropped_packets());
+            prop_assert_eq!(half.packet_slots(), peak, "slab length is the peak held");
+        }
+        prop_assert_eq!(seen.len() as u64, noc.counts().delivered);
+        let since_clone = seen.iter().position(|d| d.cycle >= clone_at).unwrap_or(seen.len());
+        prop_assert_eq!(&seen[since_clone..], &twin_seen[..], "the halves diverged");
+        prop_assert_eq!(noc.stats(), twin.stats());
+        prop_assert_eq!(noc.work(), twin.work());
+        let faults_and_slab = |n: &Noc| {
+            (n.dropped_packets(), n.dropped_flits(), n.corrupted_packets(), n.packet_slots())
+        };
+        prop_assert_eq!(faults_and_slab(&noc), faults_and_slab(&twin));
     }
 }

@@ -496,6 +496,15 @@ fn scheduler_stats_repeat_and_pes_sleep_through_most_cycles() {
     assert!(active.noc_ticks_skipped > 0, "a loaded fabric still stalls");
     assert!(noc.fires > 0 && noc.arrivals <= noc.fires);
     assert!(noc.router_visits > 0 && noc.wakes_scheduled > 0);
+    // The wheel holds future cycles only: a push or credit free inside a
+    // tick marks that tick's worklist, so a router costs a wheel entry when
+    // it must wait out a busy port, not once per packet it forwards.
+    assert!(
+        noc.wakes_scheduled < noc.fires,
+        "{} wakes entered for {} fires",
+        noc.wakes_scheduled,
+        noc.fires
+    );
 
     assert!(working > 0);
     assert!(
