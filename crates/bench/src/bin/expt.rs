@@ -5,13 +5,10 @@
 //! expt t3 f6          # selected experiments
 //! expt --fast all     # smaller simulation windows
 //! expt list           # registered experiments, scenarios and lint rules
-//! expt bench          # time the simulator, write BENCH_platform.json
-//! expt bench --quick  # CI-sized benchmark windows
 //! expt lint           # determinism audit (nw-analyze); non-zero on findings
 //! expt lint --json    # machine-readable findings for CI
 //! expt lint --rules   # the rule registry (id + one-line contract)
-//! expt faults [--quick] [--seed N]           # fault-injection parity harness
-//! expt snapshot [--quick] [--seed N]         # checkpoint round-trip bit-identity matrix
+//! expt parity [--quick] [--seed N]           # the bit-identity matrix
 //! expt trace --scenario mix --out mix.json   # Perfetto trace of a scenario
 //! expt profile [--quick]                     # host-side phase breakdown
 //! expt t11 --warm-fork                       # sweep grids off one warmed snapshot
@@ -19,14 +16,13 @@
 //! ```
 //!
 //! Exit codes follow one convention across every subcommand: `0` success,
-//! `1` a check failed or output could not be written (lint findings,
-//! scheduler/parity divergence, snapshot round-trip divergence, I/O
-//! errors), `2` usage (unknown subcommand/experiment/scenario, malformed
-//! flag values — including a bad `--seed`, which parses uniformly via
-//! [`obs::take_seed_flag`] wherever it is accepted: `bench`, `trace`,
-//! `profile`, `faults`, `snapshot`).
+//! `1` a check failed or output could not be written (lint findings, a
+//! parity divergence, I/O errors), `2` usage (unknown
+//! subcommand/experiment/scenario/flag, malformed flag values — including
+//! a bad `--seed`, which parses uniformly via [`obs::take_seed_flag`]
+//! wherever it is accepted: `parity`, `trace`, `profile`).
 
-use nw_bench::experiments::{run_by_id, run_by_id_warm_fork, ALL_IDS, EXPERIMENTS};
+use nw_bench::experiments::{find, Ctx, EXPERIMENTS};
 use nw_bench::obs;
 
 /// Parses the uniform `--seed` flag out of `args`, exiting 2 on a
@@ -36,6 +32,18 @@ fn take_seed_or_usage(args: &mut Vec<String>, subcommand: &str) -> Option<u64> {
         eprintln!("{subcommand}: {e}");
         std::process::exit(2);
     })
+}
+
+/// Parses the `[--quick] [--seed <u64>]` tail `parity` and `profile` share;
+/// anything else is a usage error.
+fn quick_and_seed(args: &[String], subcommand: &str) -> (bool, Option<u64>) {
+    let mut rest = args.to_vec();
+    let seed = take_seed_or_usage(&mut rest, subcommand);
+    if let Some(bad) = rest.iter().find(|a| *a != "--quick") {
+        eprintln!("usage: expt {subcommand} [--quick] [--seed <u64>] (unknown argument: {bad})");
+        std::process::exit(2);
+    }
+    (rest.iter().any(|a| a == "--quick"), seed)
 }
 
 /// Prints the subcommand table (shared with `expt list` and pinned by the
@@ -166,156 +174,72 @@ fn main() {
         print_help();
         return;
     }
-    if args.first().map(String::as_str) == Some("trace") {
-        run_trace_cmd(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("profile") {
-        let mut rest = args[1..].to_vec();
-        let seed = take_seed_or_usage(&mut rest, "profile");
-        if let Some(bad) = rest.iter().find(|a| *a != "--quick") {
-            eprintln!("usage: expt profile [--quick] [--seed <u64>] (unknown argument: {bad})");
-            std::process::exit(2);
+    match args.first().map(String::as_str) {
+        Some("trace") => return run_trace_cmd(&args[1..]),
+        Some("profile") => {
+            let (quick, seed) = quick_and_seed(&args[1..], "profile");
+            print!("{}", obs::render_profile(&obs::run_profile(quick, seed)));
+            return;
         }
-        let quick = rest.iter().any(|a| a == "--quick");
-        print!("{}", obs::render_profile(&obs::run_profile(quick, seed)));
-        return;
-    }
-    if args.first().map(String::as_str) == Some("faults") {
-        let mut rest = args[1..].to_vec();
-        let seed = take_seed_or_usage(&mut rest, "faults").unwrap_or(1);
-        if let Some(bad) = rest.iter().find(|a| *a != "--quick") {
-            eprintln!("usage: expt faults [--quick] [--seed <u64>] (unknown argument: {bad})");
-            std::process::exit(2);
-        }
-        let quick = rest.iter().any(|a| a == "--quick");
-        let run = nw_bench::faults::run_faults(quick, seed);
-        print!("{}", run.table);
-        if !run.ok {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("snapshot") {
-        let mut rest = args[1..].to_vec();
-        let seed = take_seed_or_usage(&mut rest, "snapshot");
-        if let Some(bad) = rest.iter().find(|a| *a != "--quick") {
-            eprintln!("usage: expt snapshot [--quick] [--seed <u64>] (unknown argument: {bad})");
-            std::process::exit(2);
-        }
-        let quick = rest.iter().any(|a| a == "--quick");
-        let check = nw_bench::snapshot::run_snapshot_check(quick, seed);
-        print!("{}", check.table);
-        if !check.ok {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("lint") {
-        let json = args.iter().any(|a| a == "--json");
-        let rules = args.iter().any(|a| a == "--rules");
-        if let Some(bad) = args[1..].iter().find(|a| *a != "--json" && *a != "--rules") {
-            eprintln!("usage: expt lint [--json] [--rules] (unknown argument: {bad})");
-            std::process::exit(2);
-        }
-        run_lint(json, rules);
-        return;
-    }
-    let mut args = args;
-    let seed = take_seed_or_usage(&mut args, "bench");
-    let fast = args.iter().any(|a| a == "--fast");
-    let quick = args.iter().any(|a| a == "--quick");
-    let warm_fork = args.iter().any(|a| a == "--warm-fork");
-    // `--baseline <path>`: after a bench run, print a delta table against a
-    // previously committed BENCH_platform.json (informational; only
-    // bit-identity divergence fails the run, never timing).
-    let baseline = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let mut skip_next = false;
-    let ids: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
+        Some("parity") => {
+            let (quick, seed) = quick_and_seed(&args[1..], "parity");
+            let run = nw_bench::parity::run_parity(quick, seed.unwrap_or(1));
+            print!("{}", run.render());
+            if !run.ok() {
+                std::process::exit(1);
             }
-            if *a == "--baseline" {
-                skip_next = true;
-                return false;
+            return;
+        }
+        Some("lint") => {
+            let json = args.iter().any(|a| a == "--json");
+            let rules = args.iter().any(|a| a == "--rules");
+            if let Some(bad) = args[1..].iter().find(|a| *a != "--json" && *a != "--rules") {
+                eprintln!("usage: expt lint [--json] [--rules] (unknown argument: {bad})");
+                std::process::exit(2);
             }
-            *a != "--fast" && *a != "--quick" && *a != "--warm-fork"
-        })
-        .map(String::as_str)
-        .collect();
+            return run_lint(json, rules);
+        }
+        _ => {}
+    }
+
+    // An experiment run: ids plus `--fast` / `--warm-fork`, nothing else.
+    let (flags, ids): (Vec<&str>, Vec<&str>) =
+        (args.iter().map(String::as_str)).partition(|a| a.starts_with("--"));
+    if let Some(bad) = flags
+        .iter()
+        .find(|f| !["--fast", "--warm-fork"].contains(f))
+    {
+        eprintln!("unknown flag for an experiment run: {bad} (accepted: --fast, --warm-fork)");
+        std::process::exit(2);
+    }
     if ids == ["list"] {
         print_list();
         return;
     }
-    if ids == ["bench"] {
-        let report = nw_bench::bench::run_bench(quick || fast);
-        print!("{}", report.render());
-        if let Some(base_path) = baseline {
-            match std::fs::read_to_string(&base_path) {
-                Ok(json) => print!("{}", report.delta_table(&json)),
-                Err(e) => eprintln!("cannot read baseline {base_path}: {e} (skipping delta)"),
-            }
-        }
-        let path = "BENCH_platform.json";
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("wrote {path}");
-        // Timing is informational; correctness is not. Any scheduler or
-        // sweep divergence fails the run.
-        let diverged = report.scheduler.iter().any(|e| !e.bit_identical)
-            || report.sweeps.iter().any(|e| !e.identical);
-        if diverged {
-            eprintln!("bench: dense/active or serial/parallel divergence detected");
-            std::process::exit(1);
-        }
-        // `--seed N` extends the parity gate to faulted runs: the same
-        // scheduler/repeat bit-identity checks, under a seeded campaign
-        // (the JSON above stays fault-free and baseline-comparable).
-        if let Some(seed) = seed {
-            let faulted = nw_bench::faults::run_faults(quick || fast, seed);
-            print!("{}", faulted.table);
-            if !faulted.ok {
-                eprintln!("bench: faulted scheduler parity diverged (seed {seed})");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
     if ids.is_empty() {
         eprintln!(
-            "usage: expt [--fast] [--warm-fork] <list | all | bench | lint | faults | snapshot | trace | profile | {}> (see `expt --help`)",
-            ALL_IDS.join(" | ")
+            "usage: expt [--fast] [--warm-fork] <list | all | lint | parity | trace | profile | {}> (see `expt --help`)",
+            EXPERIMENTS.map(|e| e.id).join(" | ")
         );
         std::process::exit(2);
     }
-    let selected: Vec<&str> = if ids.contains(&"all") {
-        ALL_IDS.to_vec()
+    let selected = if ids.contains(&"all") {
+        EXPERIMENTS.to_vec()
     } else {
-        ids
+        (ids.iter())
+            .map(|id| {
+                find(id).unwrap_or_else(|| {
+                    eprintln!("unknown experiment id: {id}");
+                    std::process::exit(2);
+                })
+            })
+            .collect()
     };
-    for id in selected {
-        let out = if warm_fork {
-            run_by_id_warm_fork(id, fast)
-        } else {
-            run_by_id(id, fast)
-        };
-        match out {
-            Some(out) => {
-                println!("{out}");
-            }
-            None => {
-                eprintln!("unknown experiment id: {id}");
-                std::process::exit(2);
-            }
-        }
+    let ctx = Ctx {
+        warm_fork: flags.contains(&"--warm-fork"),
+        ..Ctx::new(flags.contains(&"--fast"))
+    };
+    for e in selected {
+        println!("{}", (e.run)(ctx));
     }
 }

@@ -6,6 +6,7 @@
 //! per-component activity — the "does every box in the figure actually do
 //! something" check.
 
+use super::Ctx;
 use crate::Table;
 use nanowall::scenarios::fppa_tour_config;
 use nanowall::{FppaPlatform, NodeRole};
@@ -26,10 +27,11 @@ pub struct F2Result {
 
 /// Runs F2: exercises PEs, both memories, the eFPGA, the hardwired block
 /// and an I/O channel.
-pub fn run(fast: bool) -> F2Result {
-    let cycles = if fast { 30_000 } else { 100_000 };
+pub fn run(ctx: Ctx) -> F2Result {
+    let cycles = if ctx.fast { 30_000 } else { 100_000 };
     let cfg = fppa_tour_config();
     let mut platform = FppaPlatform::new(cfg).expect("tour config is valid");
+    platform.set_scheduler_mode(ctx.scheduler);
 
     // Configure the fabric with a kernel before traffic arrives.
     platform
@@ -108,7 +110,7 @@ mod tests {
 
     #[test]
     fn every_component_class_sees_traffic() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         // PEs completed tasks.
         let pe_tasks: u64 = r
             .activity

@@ -6,9 +6,10 @@
 //! does that work: saturation throughput and low-load latency per topology
 //! under uniform and hotspot traffic.
 
+use super::Ctx;
 use crate::Table;
 use nw_noc::{run_open_loop, saturation_load, OpenLoopConfig, TopologyKind, TrafficPattern};
-use nw_sim::parallel_map;
+use nw_sim::parallel_map_with;
 use nw_types::NodeId;
 
 /// One topology's characterization row.
@@ -36,7 +37,8 @@ pub struct F4Result {
 }
 
 /// Runs F4 at 16 endpoints (32 when `fast` is false adds a second sweep).
-pub fn run(fast: bool) -> F4Result {
+pub fn run(ctx: Ctx) -> F4Result {
+    let fast = ctx.fast;
     let sizes: &[usize] = if fast { &[16] } else { &[16, 32] };
     let kinds = [
         TopologyKind::SharedBus,
@@ -60,7 +62,7 @@ pub fn run(fast: bool) -> F4Result {
         .iter()
         .flat_map(|&n| kinds.iter().map(move |&k| (n, k)))
         .collect();
-    let rows = parallel_map(points, |(n, kind)| {
+    let rows = parallel_map_with(ctx.threads, points, |(n, kind)| {
         let mut low = base.clone();
         low.offered_load = 0.02;
         let low_r = run_open_loop(kind, n, &low).expect("valid sweep config");
@@ -111,7 +113,7 @@ mod tests {
 
     #[test]
     fn ranking_matches_interconnect_theory() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         let sat = |k: TopologyKind| {
             r.rows
                 .iter()

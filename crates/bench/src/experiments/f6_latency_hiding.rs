@@ -5,8 +5,9 @@
 //! one-way link latency against hardware thread count; the ablation
 //! compares scheduling policies and swap penalties.
 
+use super::Ctx;
 use crate::Table;
-use nanowall::scenarios::{latency_hiding, LatencyHidingPoint};
+use nanowall::scenarios::{latency_hiding_under, LatencyHidingPoint};
 use nw_pe::SchedPolicy;
 
 /// Structured result.
@@ -24,11 +25,11 @@ pub struct F6Result {
 
 /// Runs F6: utilization vs link latency × thread count, plus the
 /// scheduling-policy ablation.
-pub fn run(fast: bool) -> F6Result {
+pub fn run(ctx: Ctx) -> F6Result {
     let latencies: Vec<u64> = vec![5, 25, 50, 100, 200];
     let threads: Vec<usize> = vec![1, 2, 4, 8, 16];
     let compute = 40;
-    let cycles = if fast { 15_000 } else { 60_000 };
+    let cycles = if ctx.fast { 15_000 } else { 60_000 };
 
     let mut t = Table::new(&[
         "one-way latency",
@@ -43,7 +44,15 @@ pub fn run(fast: bool) -> F6Result {
         let mut row = Vec::new();
         let mut cells = vec![format!("{lat} cyc")];
         for &thr in &threads {
-            let p = latency_hiding(thr, lat, compute, SchedPolicy::SwitchOnStall, 1, cycles);
+            let p = latency_hiding_under(
+                ctx.scheduler,
+                thr,
+                lat,
+                compute,
+                SchedPolicy::SwitchOnStall,
+                1,
+                cycles,
+            );
             cells.push(format!("{:.0}%", p.utilization * 100.0));
             row.push(p);
         }
@@ -59,7 +68,7 @@ pub fn run(fast: bool) -> F6Result {
         (SchedPolicy::SwitchOnStall, "switch-on-stall", 4),
         (SchedPolicy::RoundRobin, "round-robin (barrel)", 0),
     ] {
-        let p = latency_hiding(8, 100, compute, policy, pen, cycles);
+        let p = latency_hiding_under(ctx.scheduler, 8, 100, compute, policy, pen, cycles);
         ab.row_owned(vec![
             name.into(),
             format!("{pen} cyc"),
@@ -85,7 +94,7 @@ mod tests {
 
     #[test]
     fn threads_recover_utilization_at_high_latency() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         // Row for 100-cycle latency.
         let idx = r.latencies.iter().position(|&l| l == 100).unwrap();
         let row = &r.matrix[idx];

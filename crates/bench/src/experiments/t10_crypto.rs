@@ -8,10 +8,11 @@
 //! trade between per-call overhead (small blocks → more round trips) and
 //! engine occupancy.
 
+use super::Ctx;
 use crate::Table;
 use nanowall::scenarios::crypto_rig;
 use nw_apps::CryptoParams;
-use nw_sim::parallel_map;
+use nw_sim::parallel_map_with;
 
 /// One sweep point.
 #[derive(Debug, Clone)]
@@ -41,12 +42,13 @@ pub struct T10Result {
     pub table: String,
 }
 
-fn measure(gbps: f64, block_bytes: u64, cycles: u64) -> CryptoPoint {
+fn measure(ctx: Ctx, gbps: f64, block_bytes: u64, cycles: u64) -> CryptoPoint {
     let params = CryptoParams {
         block_bytes,
         ..CryptoParams::default()
     };
     let mut rig = crypto_rig(&params, 4, 8, 4, gbps);
+    rig.platform.set_scheduler_mode(ctx.scheduler);
     let report = rig.run(cycles);
     let io = &report.io[0];
     let delivered_ratio = if io.generated == 0 {
@@ -69,13 +71,15 @@ fn measure(gbps: f64, block_bytes: u64, cycles: u64) -> CryptoPoint {
 }
 
 /// Runs T10: line-rate sweep, then the block-size ablation.
-pub fn run(fast: bool) -> T10Result {
-    let cycles = if fast { 40_000 } else { 120_000 };
+pub fn run(ctx: Ctx) -> T10Result {
+    let cycles = if ctx.fast { 40_000 } else { 120_000 };
 
-    // Sweep points build independent platforms — run them on the parallel
-    // sweep pool (input-order results keep the tables byte-identical).
+    // Sweep points build independent platforms — run them on the sweep
+    // pool (input-order results keep the tables byte-identical).
     let sweep: Vec<CryptoPoint> =
-        parallel_map(vec![1.0, 2.0, 4.0, 6.0], |gbps| measure(gbps, 128, cycles));
+        parallel_map_with(ctx.threads, vec![1.0, 2.0, 4.0, 6.0], |gbps| {
+            measure(ctx, gbps, 128, cycles)
+        });
     let mut t = Table::new(&[
         "line rate",
         "block",
@@ -95,9 +99,10 @@ pub fn run(fast: bool) -> T10Result {
         ]);
     }
 
-    let block_ablation: Vec<CryptoPoint> = parallel_map(vec![64u64, 128, 256, 512], |block| {
-        measure(4.0, block, cycles)
-    });
+    let block_ablation: Vec<CryptoPoint> =
+        parallel_map_with(ctx.threads, vec![64u64, 128, 256, 512], |block| {
+            measure(ctx, 4.0, block, cycles)
+        });
     let mut at = Table::new(&["block", "delivered", "egress", "engine calls/payload"]);
     for p in &block_ablation {
         at.row_owned(vec![
@@ -125,7 +130,7 @@ mod tests {
 
     #[test]
     fn offload_is_hwip_bound_and_nondegenerate() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         let easy = &r.sweep[0];
         assert!(easy.delivered_ratio > 0.8, "{easy:?}");
         assert!(easy.energy_per_payload_pj > 0.0, "{easy:?}");

@@ -15,11 +15,12 @@
 //! rate with and without hardware multithreading.
 
 use super::t9_modem::{self, ModemPoint};
+use super::Ctx;
 use crate::Table;
-use nanowall::scenarios::{mix_demo_params, mix_pe_pool, mix_rig_detailed, MixRig};
-use nanowall::FppaPlatform;
-use nw_apps::MixParams;
-use nw_sim::{parallel_map, LatencyHistogram};
+use nanowall::scenarios::{mix_demo_params, mix_pe_pool, mix_rig_detailed};
+use nanowall::{FppaPlatform, PlatformReport};
+use nw_apps::{MixParams, MixWorkload};
+use nw_sim::{parallel_map_with, LatencyHistogram};
 use nw_types::ObjectId;
 
 /// One point of the interference grid.
@@ -70,51 +71,40 @@ pub struct T11Result {
     pub table: String,
 }
 
-/// Merges the latency histograms of the given workload stages into one
-/// per-workload distribution (stages without samples contribute nothing).
-/// Stage indices resolve to installed objects through the rig's own
-/// stage → object directory.
-fn merged_latency(mix: &MixRig, stages: &[usize]) -> LatencyHistogram {
-    merged_latency_on(&mix.rig.platform, &mix.objects, stages)
-}
-
-/// [`merged_latency`] against any platform sharing the rig's object layout
-/// (a forked replica keeps the parent's stage → object directory).
-fn merged_latency_on(
+/// Reads one grid point off a platform carrying the mix and the report of
+/// the window it just ran. The video percentiles merge the latency
+/// histograms of every video stage (stages without samples contribute
+/// nothing); stage indices resolve to installed objects through the rig's
+/// stage → object directory, which a forked replica shares with its parent.
+fn point(
     platform: &FppaPlatform,
+    report: &PlatformReport,
+    workload: &MixWorkload,
     objects: &[ObjectId],
-    stages: &[usize],
-) -> LatencyHistogram {
-    let mut h = LatencyHistogram::new();
-    for &s in stages {
+    (video_gbps, ipv4_gbps): (f64, f64),
+) -> MixPoint {
+    let mut video = LatencyHistogram::new();
+    for &s in &workload.video_stages {
         if let Some(obj) = platform.object_latency(objects[s]) {
-            h.merge(obj);
+            video.merge(obj);
         }
     }
-    h
-}
-
-fn delivered(io: &nanowall::PlatformReport, ch: usize) -> f64 {
-    let r = &io.io[ch];
-    if r.generated == 0 {
-        0.0
-    } else {
-        r.transmitted as f64 / r.generated as f64
-    }
-}
-
-fn measure(params: &MixParams, video_gbps: f64, ipv4_gbps: f64, cycles: u64) -> MixPoint {
-    let mut mix = mix_rig_detailed(params, mix_pe_pool(params), 4, 4, video_gbps, ipv4_gbps);
-    let report = mix.rig.run(cycles);
-    let video = merged_latency(&mix, &mix.workload.video_stages);
     let lookup = report
-        .object_latency(mix.objects[mix.workload.route_lookup].0)
+        .object_latency(objects[workload.route_lookup].0)
         .expect("lookup latency is tracked");
+    let delivered = |ch: usize| {
+        let r = &report.io[ch];
+        if r.generated == 0 {
+            0.0
+        } else {
+            r.transmitted as f64 / r.generated as f64
+        }
+    };
     MixPoint {
         video_gbps,
         ipv4_gbps,
-        video_delivered: delivered(&report, 0),
-        ipv4_delivered: delivered(&report, 1),
+        video_delivered: delivered(0),
+        ipv4_delivered: delivered(1),
         video_p50: video.p50().0,
         video_p95: video.p95().0,
         video_p99: video.p99().0,
@@ -125,6 +115,19 @@ fn measure(params: &MixParams, video_gbps: f64, ipv4_gbps: f64, cycles: u64) -> 
         lookup_misses: lookup.deadline_misses,
         lookup_miss_rate: lookup.miss_rate(),
     }
+}
+
+fn measure(ctx: Ctx, params: &MixParams, rates: (f64, f64), cycles: u64) -> MixPoint {
+    let mut mix = mix_rig_detailed(params, mix_pe_pool(params), 4, 4, rates.0, rates.1);
+    mix.rig.platform.set_scheduler_mode(ctx.scheduler);
+    let report = mix.rig.run(cycles);
+    point(
+        &mix.rig.platform,
+        &report,
+        &mix.workload,
+        &mix.objects,
+        rates,
+    )
 }
 
 /// The grid's (video, ipv4) rate axes.
@@ -142,8 +145,7 @@ fn grid_points(fast: bool) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// The interference grid alone (no modem section), under either protocol —
-/// also the unit `expt bench` wall-clocks for the warm-fork comparison.
+/// The interference grid alone (no modem section), under either protocol.
 ///
 /// Cold: every grid point simulates an independent platform from cycle 0,
 /// so the whole surface fans out over the worker pool; order is preserved,
@@ -155,23 +157,24 @@ fn grid_points(fast: bool) -> Vec<(f64, f64)> {
 /// second half only. Structure (placement, lanes) is pinned at the warmup
 /// corner's, and the telemetry covers warmup + measurement — a different,
 /// labeled protocol that pays the warmup cost once instead of per point.
-pub fn bench_grid(fast: bool, warm_fork: bool) -> Vec<MixPoint> {
-    let cycles = if fast { 40_000 } else { 120_000 };
-    let params = mix_demo_params(fast);
-    let points = grid_points(fast);
-    if !warm_fork {
-        return parallel_map(points, |(v, i)| measure(&params, v, i, cycles));
+fn grid(ctx: Ctx) -> Vec<MixPoint> {
+    let cycles = if ctx.fast { 40_000 } else { 120_000 };
+    let params = mix_demo_params(ctx.fast);
+    let points = grid_points(ctx.fast);
+    if !ctx.warm_fork {
+        return parallel_map_with(ctx.threads, points, |rates| {
+            measure(ctx, &params, rates, cycles)
+        });
     }
 
     let warm = cycles / 2;
     let window = cycles - warm;
     let (v0, i0) = points[0];
     let mut parent = mix_rig_detailed(&params, mix_pe_pool(&params), 4, 4, v0, i0);
+    parent.rig.platform.set_scheduler_mode(ctx.scheduler);
     let _ = parent.rig.run(warm);
     let snap = parent.rig.platform.snapshot();
-    let workload = &parent.workload;
-    let objects = &parent.objects;
-    let forks: Vec<(f64, f64, FppaPlatform)> = points
+    let forks: Vec<((f64, f64), FppaPlatform)> = points
         .iter()
         .map(|&(v, i)| {
             let mut p = FppaPlatform::from_snapshot(&snap);
@@ -179,48 +182,23 @@ pub fn bench_grid(fast: bool, warm_fork: bool) -> Vec<MixPoint> {
                 .expect("grid rates are positive");
             p.set_io_rate(1, nw_types::BitsPerSec::from_gbps(i))
                 .expect("grid rates are positive");
-            (v, i, p)
+            ((v, i), p)
         })
         .collect();
-    parallel_map(forks, |(video_gbps, ipv4_gbps, mut p)| {
+    parallel_map_with(ctx.threads, forks, |(rates, mut p)| {
         let report = p.run(window);
-        let video = merged_latency_on(&p, objects, &workload.video_stages);
-        let lookup = report
-            .object_latency(objects[workload.route_lookup].0)
-            .expect("lookup latency is tracked");
-        MixPoint {
-            video_gbps,
-            ipv4_gbps,
-            video_delivered: delivered(&report, 0),
-            ipv4_delivered: delivered(&report, 1),
-            video_p50: video.p50().0,
-            video_p95: video.p95().0,
-            video_p99: video.p99().0,
-            lookup_p50: lookup.p50.0,
-            lookup_p95: lookup.p95.0,
-            lookup_p99: lookup.p99.0,
-            lookup_deadline: lookup.deadline.expect("mix rig sets the budget"),
-            lookup_misses: lookup.deadline_misses,
-            lookup_miss_rate: lookup.miss_rate(),
-        }
+        point(&p, &report, &parent.workload, &parent.objects, rates)
     })
 }
 
 /// Runs T11: the interference grid, then the modem deadline restatement.
-pub fn run(fast: bool) -> T11Result {
-    run_protocol(fast, false)
-}
-
-/// T11 under the warm-fork protocol (see [`bench_grid`]): the interference
-/// grid reuses one warmed snapshot, the modem section is unchanged (its
-/// thread-count axis is structural, so no warmup can be shared).
-pub fn run_warm_fork(fast: bool) -> T11Result {
-    run_protocol(fast, true)
-}
-
-fn run_protocol(fast: bool, warm_fork: bool) -> T11Result {
-    let cycles = if fast { 40_000 } else { 120_000 };
-    let grid = bench_grid(fast, warm_fork);
+/// Under `ctx.warm_fork` the grid warms one platform to the halfway point
+/// and forks it per grid point, rates retuned; the modem section is
+/// unchanged (its thread-count axis is structural, so no warmup can be
+/// shared).
+pub fn run(ctx: Ctx) -> T11Result {
+    let cycles = if ctx.fast { 40_000 } else { 120_000 };
+    let grid = grid(ctx);
 
     let mut t = Table::new(&[
         "video Gb/s",
@@ -251,8 +229,8 @@ fn run_protocol(fast: bool, warm_fork: bool) -> T11Result {
     // own harness so the two tables cannot drift: T11 is the latency
     // experiment, and its output must answer "does the modem meet its
     // deadline?" on its own.
-    let modem: Vec<ModemPoint> = parallel_map(vec![1usize, 2, 4], |threads| {
-        t9_modem::measure(50, threads, 1800.0, cycles)
+    let modem: Vec<ModemPoint> = parallel_map_with(ctx.threads, vec![1usize, 2, 4], |threads| {
+        t9_modem::measure(ctx, 50, threads, 1800.0, cycles)
     });
     let mut mt = Table::new(&["threads", "est p50/p95/p99", "miss"]);
     for p in &modem {
@@ -263,7 +241,7 @@ fn run_protocol(fast: bool, warm_fork: bool) -> T11Result {
         ]);
     }
 
-    let protocol = if warm_fork {
+    let protocol = if ctx.warm_fork {
         " [warm-fork: one warmed snapshot, rates retuned per point, second half measured]"
     } else {
         ""
@@ -285,7 +263,7 @@ mod tests {
 
     #[test]
     fn interference_shows_up_in_packet_latency() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         assert_eq!(r.grid.len(), 4);
         // Every point measures both workloads.
         for p in &r.grid {
@@ -323,7 +301,11 @@ mod tests {
     /// grid is deterministic across reruns.
     #[test]
     fn warm_fork_grid_is_live_retuned_and_deterministic() {
-        let a = run_warm_fork(true);
+        let warm = Ctx {
+            warm_fork: true,
+            ..Ctx::new(true)
+        };
+        let a = run(warm);
         assert_eq!(a.grid.len(), 4);
         for p in &a.grid {
             assert!(p.video_p50 > 0, "{p:?}");
@@ -340,7 +322,7 @@ mod tests {
         );
         assert!(a.table.contains("warm-fork"), "{}", a.table);
 
-        let b = run_warm_fork(true);
+        let b = run(warm);
         assert_eq!(a.table, b.table, "warm-fork grid must be reproducible");
     }
 
@@ -354,7 +336,7 @@ mod tests {
 
         let cycles = 40_000;
         let params = mix_demo_params(true);
-        let point = measure(&params, 8.0, 2.5, cycles);
+        let point = measure(Ctx::new(true), &params, (8.0, 2.5), cycles);
 
         let mut mix = mix_rig_detailed(&params, mix_pe_pool(&params), 4, 4, 8.0, 2.5);
         mix.rig

@@ -14,13 +14,13 @@
 //!
 //! Every point is deterministic: one campaign seed, cycle-stamped fault
 //! timelines, and the retry layer's token-correlated backoff — so the grid
-//! is reproducible bit for bit, and `expt faults` separately asserts the
-//! scheduler-mode parity of exactly these runs.
+//! is reproducible bit for bit, and `expt parity` separately asserts the
+//! scheduler-mode parity of faulted runs on every registered scenario.
 
-use crate::Table;
+use super::Ctx;
+use crate::{arm_faults, Table};
 use nanowall::scenarios::ScenarioRegistry;
-use nanowall::{FaultCampaign, FaultRates, RetryPolicy};
-use nw_sim::parallel_map;
+use nw_sim::parallel_map_with;
 
 /// The workloads the grid sweeps (all from the standard registry).
 const WORKLOADS: [&str; 3] = ["ipv4", "video", "mix"];
@@ -63,17 +63,11 @@ pub struct T12Result {
     pub table: String,
 }
 
-fn measure(workload: &str, level: f64, cycles: u64) -> ResiliencePoint {
+fn measure(ctx: Ctx, workload: &str, level: f64, cycles: u64) -> ResiliencePoint {
     let reg = ScenarioRegistry::standard();
     let mut rig = reg.build(workload, true).expect("registered scenario");
-    let shape = rig.platform.fault_shape();
-    rig.platform.install_fault_campaign(FaultCampaign::generate(
-        SEED,
-        cycles,
-        &FaultRates::scaled(level),
-        &shape,
-    ));
-    rig.platform.set_retry_policy(RetryPolicy::default());
+    rig.platform.set_scheduler_mode(ctx.scheduler);
+    arm_faults(&mut rig.platform, SEED, cycles, level);
     let report = rig.run(cycles);
     let p99 = report
         .latency
@@ -107,7 +101,8 @@ fn measure(workload: &str, level: f64, cycles: u64) -> ResiliencePoint {
 }
 
 /// Runs T12: the fault-rate × workload degradation grid.
-pub fn run(fast: bool) -> T12Result {
+pub fn run(ctx: Ctx) -> T12Result {
+    let fast = ctx.fast;
     let cycles = if fast { 20_000 } else { 80_000 };
     let levels: &[f64] = if fast {
         &[0.0, 2.0]
@@ -120,7 +115,9 @@ pub fn run(fast: bool) -> T12Result {
         .collect();
     // Independent platforms per point; order-preserving fan-out keeps the
     // table byte-identical to a serial run.
-    let grid: Vec<ResiliencePoint> = parallel_map(points, |(level, w)| measure(w, level, cycles));
+    let grid: Vec<ResiliencePoint> = parallel_map_with(ctx.threads, points, |(level, w)| {
+        measure(ctx, w, level, cycles)
+    });
 
     let mut t = Table::new(&[
         "level",
@@ -161,7 +158,7 @@ mod tests {
 
     #[test]
     fn baseline_is_faultless_and_degradation_is_graceful() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         assert_eq!(r.grid.len(), 2 * WORKLOADS.len());
         // Level 0 points are bit-for-bit the faultless platform: no
         // injections, no recovery work.
@@ -181,8 +178,8 @@ mod tests {
 
     #[test]
     fn grid_is_deterministic_across_reruns() {
-        let a = run(true);
-        let b = run(true);
+        let a = run(Ctx::new(true));
+        let b = run(Ctx::new(true));
         for (x, y) in a.grid.iter().zip(&b.grid) {
             assert_eq!(x.faults, y.faults, "{x:?} vs {y:?}");
             assert_eq!(x.retries, y.retries, "{x:?} vs {y:?}");

@@ -18,11 +18,11 @@
 //! differential suite pins); the spread columns therefore bracket the
 //! deterministic figure every other table reports.
 
-use crate::Table;
+use super::Ctx;
+use crate::{arm_faults, Table};
 use nanowall::prelude::*;
 use nanowall::scenarios::ScenarioRegistry;
-use nanowall::{FaultCampaign, FaultRates, RetryPolicy};
-use nw_sim::{parallel_map, summarize_replicas, ReplicaSummary};
+use nw_sim::{parallel_map_with, summarize_replicas, ReplicaSummary};
 
 /// The workloads that fan out (both from the standard registry).
 const SCENARIOS: [&str; 2] = ["ipv4", "mix"];
@@ -71,7 +71,8 @@ fn worst_percentiles(report: &PlatformReport) -> (f64, f64, f64) {
 }
 
 /// Runs T13: warm once, fork N, aggregate the replica spread.
-pub fn run(fast: bool) -> T13Result {
+pub fn run(ctx: Ctx) -> T13Result {
+    let fast = ctx.fast;
     let (warm, measure, n_replicas) = if fast {
         (8_000u64, 16_000u64, 5usize)
     } else {
@@ -82,16 +83,8 @@ pub fn run(fast: bool) -> T13Result {
     for scenario in SCENARIOS {
         let reg = ScenarioRegistry::standard();
         let mut parent = reg.build(scenario, fast).expect("registered scenario");
-        let shape = parent.platform.fault_shape();
-        parent
-            .platform
-            .install_fault_campaign(FaultCampaign::generate(
-                SEED,
-                warm + measure,
-                &FaultRates::scaled(LEVEL),
-                &shape,
-            ));
-        parent.platform.set_retry_policy(RetryPolicy::default());
+        parent.platform.set_scheduler_mode(ctx.scheduler);
+        arm_faults(&mut parent.platform, SEED, warm + measure, LEVEL);
         let _ = parent.run(warm);
 
         // Replica 0 keeps the campaign seed (bit-identical to the run that
@@ -102,10 +95,11 @@ pub fn run(fast: bool) -> T13Result {
                 parent.platform.fork(seed)
             })
             .collect();
-        let percentiles: Vec<(f64, f64, f64)> = parallel_map(forks, |mut replica| {
-            let report = replica.run(measure);
-            worst_percentiles(&report)
-        });
+        let percentiles: Vec<(f64, f64, f64)> =
+            parallel_map_with(ctx.threads, forks, |mut replica| {
+                let report = replica.run(measure);
+                worst_percentiles(&report)
+            });
 
         let anchor = percentiles[0];
         let column = |pick: fn(&(f64, f64, f64)) -> f64| -> Vec<f64> {
@@ -156,7 +150,7 @@ mod tests {
 
     #[test]
     fn replicas_spread_around_a_real_anchor() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         assert_eq!(r.rows.len(), 3 * SCENARIOS.len());
         for row in &r.rows {
             assert_eq!(row.summary.n, 5, "{row:?}");
@@ -180,8 +174,8 @@ mod tests {
 
     #[test]
     fn replica_grid_is_deterministic_across_reruns() {
-        let a = run(true);
-        let b = run(true);
+        let a = run(Ctx::new(true));
+        let b = run(Ctx::new(true));
         assert_eq!(a.table, b.table, "replica grid must be reproducible");
         for (x, y) in a.rows.iter().zip(&b.rows) {
             assert_eq!(x.summary, y.summary, "{x:?} vs {y:?}");

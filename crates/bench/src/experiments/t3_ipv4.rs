@@ -9,10 +9,11 @@
 //! comfortably exceeds 100 cycles, and hardware threads are what keep the
 //! workers busy across it.
 
+use super::Ctx;
 use crate::Table;
 use nanowall::scenarios::{ipv4_rig, run_ipv4};
 use nw_noc::TopologyKind;
-use nw_sim::parallel_map;
+use nw_sim::parallel_map_with;
 
 /// One sweep point.
 #[derive(Debug, Clone)]
@@ -42,8 +43,9 @@ pub struct T3Result {
     pub table: String,
 }
 
-fn measure(replicas: usize, threads: usize, link_latency: u64, cycles: u64) -> Ipv4Point {
+fn measure(ctx: Ctx, replicas: usize, threads: usize, link_latency: u64, cycles: u64) -> Ipv4Point {
     let mut rig = ipv4_rig(replicas, threads, TopologyKind::Mesh, link_latency, 10.0);
+    rig.platform.set_scheduler_mode(ctx.scheduler);
     let report = run_ipv4(&mut rig, cycles);
     let io = &report.io[0];
     let forwarded_ratio = if io.generated == 0 {
@@ -65,7 +67,14 @@ fn measure(replicas: usize, threads: usize, link_latency: u64, cycles: u64) -> I
 
 /// Runs T3: replica sweep at 8 threads, then a thread ablation at the
 /// line-rate point.
-pub fn run(fast: bool) -> T3Result {
+///
+/// Under `ctx.warm_fork` it still runs this cold protocol, because there is
+/// nothing a shared snapshot could honestly buy here — both sweep axes
+/// (worker-PE replicas, hardware threads per PE) are *structural*, so every
+/// grid point builds a differently-shaped platform and no warmed state can
+/// be shared across points. The title says so rather than pretending.
+pub fn run(ctx: Ctx) -> T3Result {
+    let fast = ctx.fast;
     // Per-hop latency 25 on a mesh: multi-hop round trips well over 100 cyc.
     let link_latency = 25;
     let cycles = if fast { 40_000 } else { 150_000 };
@@ -84,10 +93,10 @@ pub fn run(fast: bool) -> T3Result {
         "NoC latency",
     ]);
     // Every sweep point builds its own platform, so the points are
-    // embarrassingly parallel; `parallel_map` keeps input order, so the
+    // embarrassingly parallel; `parallel_map_with` keeps input order, so the
     // rendered table is byte-identical to the serial loop.
-    let sweep: Vec<Ipv4Point> = parallel_map(replica_sweep.to_vec(), |r| {
-        measure(r, 8, link_latency, cycles)
+    let sweep: Vec<Ipv4Point> = parallel_map_with(ctx.threads, replica_sweep.to_vec(), |r| {
+        measure(ctx, r, 8, link_latency, cycles)
     });
     for p in &sweep {
         t.row_owned(vec![
@@ -106,9 +115,10 @@ pub fn run(fast: bool) -> T3Result {
         .map(|p| p.replicas)
         .unwrap_or(16);
     let mut at = Table::new(&["threads", "forwarded", "egress", "worker util"]);
-    let thread_ablation: Vec<Ipv4Point> = parallel_map(vec![1usize, 2, 4, 8], |threads| {
-        measure(line_rate_replicas, threads, link_latency, cycles)
-    });
+    let thread_ablation: Vec<Ipv4Point> =
+        parallel_map_with(ctx.threads, vec![1usize, 2, 4, 8], |threads| {
+            measure(ctx, line_rate_replicas, threads, link_latency, cycles)
+        });
     for p in &thread_ablation {
         at.row_owned(vec![
             p.threads.to_string(),
@@ -118,30 +128,20 @@ pub fn run(fast: bool) -> T3Result {
         ]);
     }
 
+    let protocol = if ctx.warm_fork {
+        "[warm-fork requested: sweep axes are structural, cold protocol used]  "
+    } else {
+        ""
+    };
     T3Result {
         sweep,
         thread_ablation,
         table: format!(
-            "T3  IPv4 fast path, 40B worst case at 10 Gb/s, >100-cycle NoC round trips (paper §7.2)\n{}\nThread ablation at {line_rate_replicas} worker PEs:\n{}",
+            "T3  {protocol}IPv4 fast path, 40B worst case at 10 Gb/s, >100-cycle NoC round trips (paper §7.2)\n{}\nThread ablation at {line_rate_replicas} worker PEs:\n{}",
             t.render(),
             at.render()
         ),
     }
-}
-
-/// T3 under `--warm-fork`: runs the standard cold protocol, because there
-/// is nothing a shared snapshot could honestly buy here — both sweep axes
-/// (worker-PE replicas, hardware threads per PE) are *structural*, so every
-/// grid point builds a differently-shaped platform and no warmed state can
-/// be shared across points. The title says so rather than pretending.
-pub fn run_warm_fork(fast: bool) -> T3Result {
-    let mut r = run(fast);
-    r.table = r.table.replacen(
-        "T3  ",
-        "T3  [warm-fork requested: sweep axes are structural, cold protocol used]  ",
-        1,
-    );
-    r
 }
 
 #[cfg(test)]
@@ -150,14 +150,17 @@ mod tests {
 
     #[test]
     fn warm_fork_falls_back_to_the_cold_protocol_and_says_so() {
-        let warm = run_warm_fork(true);
+        let warm = run(Ctx {
+            warm_fork: true,
+            ..Ctx::new(true)
+        });
         assert!(warm.table.contains("structural"), "{}", warm.table);
-        assert_eq!(warm.sweep.len(), run(true).sweep.len());
+        assert_eq!(warm.sweep.len(), 5, "the whole fast replica sweep ran");
     }
 
     #[test]
     fn line_rate_reached_with_enough_workers() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         // Undersized pools drop below line rate with saturated workers...
         let small = &r.sweep[0];
         assert!(small.forwarded_ratio < 0.9, "{small:?}");

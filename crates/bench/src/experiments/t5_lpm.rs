@@ -8,10 +8,11 @@
 //! energy per search, across table sizes — plus the stride ablation for the
 //! multibit trie.
 
+use super::Ctx;
 use crate::Table;
 use nw_ipv4::routes::{install_prefixes, synthetic_prefixes, synthetic_table, RouteTableConfig};
 use nw_ipv4::{BinaryTrie, CamTable, LpmTable, MultibitTrie, Prefix};
-use nw_sim::parallel_map;
+use nw_sim::parallel_map_with;
 
 /// One engine × table-size measurement.
 #[derive(Debug, Clone)]
@@ -71,21 +72,15 @@ fn measure_shared<T: LpmTable>(mut engine: T, prefixes: &[Prefix]) -> LpmRow {
 const N_ENGINES: usize = 5;
 
 /// Runs T5 over 1k/4k/16k routes (plus 64k when not `fast`).
-pub fn run(fast: bool) -> T5Result {
-    run_protocol(fast, false)
-}
-
-/// T5 under the warm-fork protocol: each table size's synthetic prefix set
-/// is generated **once** and installed into all five engines, instead of
-/// every (size, engine) cell regenerating it from the seed. The rows are
-/// identical to [`run`]'s by construction (pinned by the module tests) —
-/// only the wall-clock changes.
-pub fn run_warm_fork(fast: bool) -> T5Result {
-    run_protocol(fast, true)
-}
-
-fn run_protocol(fast: bool, warm_fork: bool) -> T5Result {
-    let sizes: &[usize] = if fast {
+///
+/// Under `ctx.warm_fork` each table size's synthetic prefix set is
+/// generated **once** and installed into all five engines, instead of every
+/// (size, engine) cell regenerating it from the seed. The rows are
+/// identical by construction (pinned by the module tests) — only the
+/// wall-clock changes.
+pub fn run(ctx: Ctx) -> T5Result {
+    let warm_fork = ctx.warm_fork;
+    let sizes: &[usize] = if ctx.fast {
         &[1_000, 4_000, 16_000]
     } else {
         &[1_000, 4_000, 16_000, 64_000]
@@ -100,11 +95,11 @@ fn run_protocol(fast: bool, warm_fork: bool) -> T5Result {
     ]);
     // Building and populating 64k-route tables dominates T5's wall-clock;
     // every (size, engine) cell is independent, so the grid fans out over
-    // the sweep pool. `parallel_map` preserves input order — the table
+    // the sweep pool. `parallel_map_with` preserves input order — the table
     // renders byte-identically to the serial nested loop. One entry per
     // contender; the chunking back into per-size groups keys off its len.
     let cells: Vec<LpmRow> = if warm_fork {
-        let sets: Vec<Vec<Prefix>> = parallel_map(sizes.to_vec(), |routes| {
+        let sets: Vec<Vec<Prefix>> = parallel_map_with(ctx.threads, sizes.to_vec(), |routes| {
             synthetic_prefixes(&RouteTableConfig { routes, seed: 42 })
         });
         let engines: &[fn(&[Prefix]) -> LpmRow] = &[
@@ -117,7 +112,7 @@ fn run_protocol(fast: bool, warm_fork: bool) -> T5Result {
         let grid: Vec<(usize, usize)> = (0..sets.len())
             .flat_map(|s| (0..engines.len()).map(move |e| (s, e)))
             .collect();
-        parallel_map(grid, |(s, engine)| engines[engine](&sets[s]))
+        parallel_map_with(ctx.threads, grid, |(s, engine)| engines[engine](&sets[s]))
     } else {
         let engines: &[fn(usize) -> LpmRow] = &[
             |n| measure(BinaryTrie::new(), n, 42),
@@ -130,7 +125,7 @@ fn run_protocol(fast: bool, warm_fork: bool) -> T5Result {
             .iter()
             .flat_map(|&n| (0..engines.len()).map(move |e| (n, e)))
             .collect();
-        parallel_map(grid, |(n, engine)| engines[engine](n))
+        parallel_map_with(ctx.threads, grid, |(n, engine)| engines[engine](n))
     };
     for chunk in cells.chunks(N_ENGINES) {
         let n = chunk[0].routes;
@@ -170,7 +165,7 @@ mod tests {
 
     #[test]
     fn sram_trie_beats_cam_on_energy_and_scales_flat() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         let at = |engine: &str, accesses: u32, n: usize| {
             r.rows
                 .iter()
@@ -204,8 +199,11 @@ mod tests {
 
     #[test]
     fn warm_fork_rows_match_the_cold_protocol_exactly() {
-        let cold = run(true);
-        let warm = run_warm_fork(true);
+        let cold = run(Ctx::new(true));
+        let warm = run(Ctx {
+            warm_fork: true,
+            ..Ctx::new(true)
+        });
         assert_eq!(cold.rows.len(), warm.rows.len());
         for (c, w) in cold.rows.iter().zip(&warm.rows) {
             assert_eq!(c.engine, w.engine);
@@ -219,7 +217,7 @@ mod tests {
 
     #[test]
     fn stride_tradeoff_is_visible() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         let n = 16_000;
         let strides: Vec<&LpmRow> = r
             .rows

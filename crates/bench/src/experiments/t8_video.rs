@@ -9,11 +9,12 @@
 //! the "rapid exploration and optimization" loop of §7.2 applied to a
 //! memory-bound workload.
 
+use super::Ctx;
 use crate::Table;
 use nanowall::scenarios::video_rig;
 use nw_apps::VideoParams;
-use nw_mapping::{evaluate_points, pareto_front, DsePoint};
-use nw_sim::parallel_map;
+use nw_mapping::{pareto_front, DsePoint};
+use nw_sim::parallel_map_with;
 
 /// One line-rate sweep point.
 #[derive(Debug, Clone)]
@@ -45,8 +46,15 @@ pub struct T8Result {
     pub table: String,
 }
 
-fn measure(params: &VideoParams, n_pes: usize, gbps: f64, cycles: u64) -> (VideoPoint, u64) {
+fn measure(
+    ctx: Ctx,
+    params: &VideoParams,
+    n_pes: usize,
+    gbps: f64,
+    cycles: u64,
+) -> (VideoPoint, u64) {
     let mut rig = video_rig(params, n_pes, 4, 4, gbps);
+    rig.platform.set_scheduler_mode(ctx.scheduler);
     let report = rig.run(cycles);
     let io = &report.io[0];
     let delivered_ratio = if io.generated == 0 {
@@ -70,15 +78,15 @@ fn measure(params: &VideoParams, n_pes: usize, gbps: f64, cycles: u64) -> (Video
 }
 
 /// Runs T8: line-rate sweep, then the PE-pool DSE at the knee rate.
-pub fn run(fast: bool) -> T8Result {
+pub fn run(ctx: Ctx) -> T8Result {
     let params = VideoParams::default();
-    let cycles = if fast { 40_000 } else { 120_000 };
+    let cycles = if ctx.fast { 40_000 } else { 120_000 };
     let n_pes = 2 * params.lanes + 1;
 
     // Each sweep point simulates its own platform: fan out over the scoped
     // worker pool (results return in input order — same table, faster).
-    let sweep: Vec<VideoPoint> = parallel_map(vec![2.0, 4.0, 6.0, 8.0], |gbps| {
-        measure(&params, n_pes, gbps, cycles).0
+    let sweep: Vec<VideoPoint> = parallel_map_with(ctx.threads, vec![2.0, 4.0, 6.0, 8.0], |gbps| {
+        measure(ctx, &params, n_pes, gbps, cycles).0
     });
     let mut t = Table::new(&[
         "line rate",
@@ -101,11 +109,11 @@ pub fn run(fast: bool) -> T8Result {
 
     // DSE over the PE pool at a demanding rate: how few PEs still hold the
     // line? Quality is inverse delivered throughput, resource is the pool.
-    // Pool sizes are independent design points — the parallel sweep runner
-    // evaluates them concurrently.
+    // Pool sizes are independent design points — the sweep pool evaluates
+    // them concurrently.
     let dse_cycles = cycles / 2;
-    let dse: Vec<DsePoint> = evaluate_points(vec![3usize, 5, 7, 9, 11], |pool| {
-        let (_, transmitted) = measure(&params, pool, 6.0, dse_cycles);
+    let dse: Vec<DsePoint> = parallel_map_with(ctx.threads, vec![3usize, 5, 7, 9, 11], |pool| {
+        let (_, transmitted) = measure(ctx, &params, pool, 6.0, dse_cycles);
         let quality = 1.0 / (transmitted.max(1) as f64);
         DsePoint::new(format!("video-{pool}pe"), pool as f64, quality)
     });
@@ -143,7 +151,7 @@ mod tests {
 
     #[test]
     fn video_pipeline_is_nondegenerate_and_memory_bound() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         // A sustainable rate delivers most slices with nonzero energy.
         let easy = &r.sweep[0];
         assert!(easy.delivered_ratio > 0.8, "{easy:?}");

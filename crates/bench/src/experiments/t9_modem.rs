@@ -9,10 +9,11 @@
 //! count at the worst latency — claim C6 measured on an application whose
 //! message mix is dominated by request/reply.
 
+use super::Ctx;
 use crate::Table;
 use nanowall::scenarios::modem_rig;
 use nw_apps::{modem_pipeline, ModemParams};
-use nw_sim::parallel_map;
+use nw_sim::parallel_map_with;
 
 /// One sweep point.
 #[derive(Debug, Clone)]
@@ -58,9 +59,16 @@ pub struct T9Result {
 
 /// Measures one modem point (shared with T11's deadline restatement, so
 /// the two experiments can never drift apart on rig parameters).
-pub(crate) fn measure(link_latency: u64, threads: usize, mbps: f64, cycles: u64) -> ModemPoint {
+pub(crate) fn measure(
+    ctx: Ctx,
+    link_latency: u64,
+    threads: usize,
+    mbps: f64,
+    cycles: u64,
+) -> ModemPoint {
     let params = ModemParams::default();
     let mut rig = modem_rig(&params, 6, threads, link_latency, mbps);
+    rig.platform.set_scheduler_mode(ctx.scheduler);
     let est = rig.stage_named("channel-est").expect("stage exists");
     let report = rig.run(cycles);
     let io = &report.io[0];
@@ -92,8 +100,8 @@ pub(crate) fn measure(link_latency: u64, threads: usize, mbps: f64, cycles: u64)
 }
 
 /// Runs T9: link-latency sweep, then a thread ablation at the worst point.
-pub fn run(fast: bool) -> T9Result {
-    let cycles = if fast { 40_000 } else { 120_000 };
+pub fn run(ctx: Ctx) -> T9Result {
+    let cycles = if ctx.fast { 40_000 } else { 120_000 };
     let mbps = 800.0;
     let twoway_fraction = modem_pipeline(&ModemParams::default())
         .spec
@@ -112,8 +120,8 @@ pub fn run(fast: bool) -> T9Result {
     ]);
     // Each point builds its own rig, so the sweep fans out over the pool;
     // order is preserved, keeping the table byte-identical to serial.
-    let sweep: Vec<ModemPoint> = parallel_map(vec![2u64, 10, 25, 50], |link| {
-        measure(link, 4, mbps, cycles)
+    let sweep: Vec<ModemPoint> = parallel_map_with(ctx.threads, vec![2u64, 10, 25, 50], |link| {
+        measure(ctx, link, 4, mbps, cycles)
     });
     for p in &sweep {
         t.row_owned(vec![
@@ -141,9 +149,10 @@ pub fn run(fast: bool) -> T9Result {
         "est p50/p95/p99",
         "miss",
     ]);
-    let thread_ablation: Vec<ModemPoint> = parallel_map(vec![1usize, 2, 4, 8], |threads| {
-        measure(worst, threads, stress_mbps, cycles)
-    });
+    let thread_ablation: Vec<ModemPoint> =
+        parallel_map_with(ctx.threads, vec![1usize, 2, 4, 8], |threads| {
+            measure(ctx, worst, threads, stress_mbps, cycles)
+        });
     for p in &thread_ablation {
         at.row_owned(vec![
             p.threads.to_string(),
@@ -174,7 +183,7 @@ mod tests {
 
     #[test]
     fn modem_chain_is_twoway_heavy_and_thread_sensitive() {
-        let r = run(true);
+        let r = run(Ctx::new(true));
         assert!(r.twoway_fraction > 0.3, "{}", r.twoway_fraction);
         // Short links deliver essentially everything.
         let short = &r.sweep[0];

@@ -7,11 +7,11 @@
 //!
 //! `profile` runs a few representative rigs with a [`HostProfiler`]
 //! installed and prints where the simulator process spends its wall-clock
-//! time, phase by phase. The same data lands in `expt bench`'s JSON as the
-//! `host_phase_breakdown` section, with the invariant that the attributed
-//! phase times sum to (almost all of) the measured loop wall-clock —
-//! lap-based attribution leaves no gaps.
+//! time, phase by phase, with the invariant that the attributed phase
+//! times sum to (almost all of) the measured loop wall-clock — lap-based
+//! attribution leaves no gaps.
 
+use crate::arm_faults;
 use nanowall::scenarios::ScenarioRegistry;
 use nanowall::{HostProfiler, ProfileReport, RingBufferSink};
 use std::fmt::Write as _;
@@ -28,23 +28,15 @@ pub const SUBCOMMANDS: &[(&str, &str)] = &[
     ("all", "run every experiment in `expt list` order"),
     (
         "<id>...",
-        "run selected experiments (see `expt list` for ids; --warm-fork shares one warmed snapshot across sweep-grid points)",
-    ),
-    (
-        "bench",
-        "time the simulator, write BENCH_platform.json (--quick for CI windows)",
+        "run selected experiments (see `expt list` for ids; --fast shrinks windows, --warm-fork shares one warmed snapshot across sweep-grid points)",
     ),
     (
         "lint",
         "determinism audit via nw-analyze; non-zero on findings (--json, --rules)",
     ),
     (
-        "faults",
-        "fault-injection determinism harness: seeded campaigns, scheduler parity (--quick, --seed)",
-    ),
-    (
-        "snapshot",
-        "checkpoint/restore bit-identity matrix: schedulers x faults x trace; non-zero on divergence (--quick, --seed)",
+        "parity",
+        "bit-identity matrix: scenarios x faults x schedulers x trace x snapshot paths, plus every experiment table under the dense scheduler and on one worker; non-zero on divergence (--quick, --seed)",
     ),
     (
         "trace",
@@ -59,7 +51,7 @@ pub const SUBCOMMANDS: &[(&str, &str)] = &[
 /// Extracts the uniform `--seed <u64>` flag from `args`, removing both
 /// tokens.
 ///
-/// Every seed-taking subcommand (`bench`, `trace`, `profile`, `faults`)
+/// Every seed-taking subcommand (`parity`, `trace`, `profile`)
 /// parses the flag through this one function, so the syntax and the
 /// failure mode are identical everywhere: a missing or non-`u64` value is
 /// a usage error (`expt` exits 2).
@@ -128,7 +120,7 @@ pub fn run_trace(
         format!("unknown scenario {name:?} (known: {})", known.join(", "))
     })?;
     if let Some(seed) = fault_seed {
-        install_faults(&mut rig.platform, seed, cycles);
+        arm_faults(&mut rig.platform, seed, cycles, 1.0);
     }
     rig.platform
         .set_trace_sink(Box::new(RingBufferSink::new(buffer)));
@@ -172,20 +164,6 @@ pub struct ProfileEntry {
     pub sched: nanowall::SchedulerStats,
 }
 
-/// Installs a seeded level-1.0 fault campaign plus the default retry
-/// policy — the shared "make this run faulty" setup of the seed-taking
-/// observability subcommands.
-fn install_faults(platform: &mut nanowall::FppaPlatform, seed: u64, cycles: u64) {
-    let shape = platform.fault_shape();
-    platform.install_fault_campaign(nanowall::FaultCampaign::generate(
-        seed,
-        cycles,
-        &nanowall::FaultRates::scaled(1.0),
-        &shape,
-    ));
-    platform.set_retry_policy(nanowall::RetryPolicy::default());
-}
-
 /// Profiles the scheduler main loop on representative scenario rigs.
 /// `quick` shrinks the windows to CI size. With `fault_seed`, the rigs run
 /// under a seeded campaign so the breakdown includes the fault/retry
@@ -203,7 +181,7 @@ pub fn run_profile(quick: bool, fault_seed: Option<u64>) -> Vec<ProfileEntry> {
                 .build(name, true)
                 .expect("standard registry scenario");
             if let Some(seed) = fault_seed {
-                install_faults(&mut rig.platform, seed, cycles);
+                arm_faults(&mut rig.platform, seed, cycles, 1.0);
             }
             rig.platform.set_host_profiler(HostProfiler::new());
             let t = Instant::now();

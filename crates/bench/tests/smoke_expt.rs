@@ -1,56 +1,21 @@
-//! End-to-end smoke tests for the `expt` binary and its experiment registry,
-//! plus the scheduler/parallelism differential checks at the experiment
-//! (rendered-table) level.
+//! End-to-end smoke tests for the `expt` binary and its experiment registry.
+//! What the simulator must agree with itself on — schedulers, pool sizes,
+//! faults, tracing, snapshots — is `expt parity`'s matrix, run here once
+//! through the binary.
 
-use nanowall::SchedulerMode;
+use nw_bench::experiments::{find, Ctx, EXPERIMENTS};
 use std::process::Command;
 
-/// Whole experiment tables must be byte-identical whichever scheduler the
-/// platforms underneath run on: the active-set scheduler is a pure
-/// performance change. (The global default only affects platforms built
-/// while it is set; since both modes simulate identically, concurrent tests
-/// are unaffected beyond speed.)
-#[test]
-fn experiment_tables_are_scheduler_invariant() {
-    for id in ["f4", "f6", "t8", "t9", "t10", "t11", "t12", "t13"] {
-        nanowall::set_default_scheduler_mode(SchedulerMode::Dense);
-        let dense = nw_bench::experiments::run_by_id(id, true).expect("registered id");
-        nanowall::set_default_scheduler_mode(SchedulerMode::ActiveSet);
-        let active = nw_bench::experiments::run_by_id(id, true).expect("registered id");
-        assert_eq!(
-            dense, active,
-            "{id}: active-set scheduler changed the experiment table"
-        );
-    }
-}
-
-/// The parallel sweep runner must not change sweep tables: results return
-/// in input order, and every point simulates an independent platform.
-#[test]
-fn parallel_sweeps_match_serial_tables() {
-    // Pool size is flipped through the process-global atomic override (not
-    // the environment — setenv while sibling tests run getenv is UB).
-    nw_sim::set_sweep_threads(Some(1));
-    let f4_serial = nw_bench::experiments::f4_topology::run(true).table;
-    let t10_serial = nw_bench::experiments::t10_crypto::run(true).table;
-    nw_sim::set_sweep_threads(None);
-    let f4_parallel = nw_bench::experiments::f4_topology::run(true).table;
-    let t10_parallel = nw_bench::experiments::t10_crypto::run(true).table;
-    assert_eq!(
-        f4_serial, f4_parallel,
-        "f4 sweep diverged under parallelism"
-    );
-    assert_eq!(
-        t10_serial, t10_parallel,
-        "t10 sweep diverged under parallelism"
-    );
+/// Renders a registered experiment's `--fast` table in-process.
+fn table(id: &str) -> String {
+    (find(id).expect("registered id").run)(Ctx::new(true))
 }
 
 /// The cheapest experiment (T1, mask-set NRE — pure arithmetic, no
 /// simulation) runs through the library entry point and emits a table.
 #[test]
 fn t1_mask_nre_emits_a_table() {
-    let out = nw_bench::experiments::run_by_id("t1", true).expect("t1 is a registered id");
+    let out = table("t1");
     assert!(!out.trim().is_empty(), "t1 must emit a non-empty table");
     assert!(
         out.contains("T1"),
@@ -65,11 +30,9 @@ fn t1_mask_nre_emits_a_table() {
 /// here only for the ids that complete in milliseconds).
 #[test]
 fn registry_is_consistent() {
-    assert!(nw_bench::experiments::run_by_id("zz", true).is_none());
+    assert!(find("zz").is_none());
     for id in ["t1", "t2", "f3", "t4", "t7", "f1"] {
-        assert!(nw_bench::experiments::ALL_IDS.contains(&id));
-        let out = nw_bench::experiments::run_by_id(id, true).expect("registered id runs");
-        assert!(!out.trim().is_empty(), "{id} must emit output");
+        assert!(!table(id).trim().is_empty(), "{id} must emit output");
     }
 }
 
@@ -77,8 +40,8 @@ fn registry_is_consistent() {
 /// non-degenerate numbers: delivered items and nonzero per-item energy.
 #[test]
 fn workload_experiments_are_nondegenerate() {
-    for id in ["t8", "t9", "t10"] {
-        let out = nw_bench::experiments::run_by_id(id, true).expect("registered id runs");
+    let tables = ["t8", "t9", "t10"].map(|id| (id, table(id)));
+    for (id, out) in &tables {
         assert!(out.contains(&id.to_uppercase()), "{id} table header: {out}");
         // Every delivered-ratio cell is a percentage; at least one row must
         // deliver traffic.
@@ -88,10 +51,8 @@ fn workload_experiments_are_nondegenerate() {
         );
     }
     // Per-item energy shows up in the video and crypto tables.
-    let t8 = nw_bench::experiments::run_by_id("t8", true).unwrap();
-    assert!(t8.contains("pJ/slice"), "{t8}");
-    let t10 = nw_bench::experiments::run_by_id("t10", true).unwrap();
-    assert!(t10.contains("pJ/payload"), "{t10}");
+    assert!(tables[0].1.contains("pJ/slice"), "{}", tables[0].1);
+    assert!(tables[2].1.contains("pJ/payload"), "{}", tables[2].1);
 }
 
 /// `expt list` prints every experiment id and covers every entry of the
@@ -103,7 +64,7 @@ fn expt_list_covers_every_experiment_and_scenario() {
     let out = Command::new(exe).arg("list").output().expect("spawns");
     assert!(out.status.success(), "expt list must exit 0: {out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for id in nw_bench::experiments::ALL_IDS {
+    for id in EXPERIMENTS.map(|e| e.id) {
         assert!(
             stdout.lines().any(|l| l.trim_start().starts_with(id)),
             "list must name {id}: {stdout}"
@@ -213,24 +174,6 @@ fn expt_lint_passes_on_this_workspace() {
     assert_eq!(bad.status.code(), Some(2), "unknown flag is a usage error");
 }
 
-/// Every registered scenario simulates under both scheduler modes with
-/// bit-identical reports — the registry-wide differential check at smoke
-/// scope, so a newly registered family (like `mix`) is covered the moment
-/// it lands in the catalog.
-#[test]
-fn every_registered_scenario_runs_under_both_schedulers() {
-    for spec in nanowall::ScenarioRegistry::standard().specs() {
-        let mut dense = (spec.build)(true);
-        dense.platform.set_scheduler_mode(SchedulerMode::Dense);
-        let mut active = (spec.build)(true);
-        active.platform.set_scheduler_mode(SchedulerMode::ActiveSet);
-        let d = dense.run(10_000);
-        let a = active.run(10_000);
-        assert_eq!(d, a, "{}: schedulers diverged", spec.name);
-        assert!(d.tasks_completed > 0, "{} must do work", spec.name);
-    }
-}
-
 /// `expt --help` and `expt list` both pin the full subcommand table: every
 /// entry of [`nw_bench::obs::SUBCOMMANDS`] appears with its one-line
 /// description, so a subcommand can never be added without surfacing in
@@ -263,6 +206,14 @@ fn help_and_list_cover_every_subcommand() {
     assert!(
         help_out.contains("usage: expt"),
         "help leads with usage: {help_out}"
+    );
+    let names: Vec<&str> = (nw_bench::obs::SUBCOMMANDS.iter())
+        .map(|(name, _)| *name)
+        .collect();
+    assert_eq!(
+        names,
+        ["list", "all", "<id>...", "lint", "parity", "trace", "profile"],
+        "one parity gate"
     );
 }
 
@@ -316,67 +267,43 @@ fn expt_trace_writes_valid_chrome_trace_json() {
     assert_eq!(unknown.status.code(), Some(2), "unknown flag is an error");
 }
 
-/// `expt faults --quick` end to end: the parity harness exits 0 on this
-/// tree, reports bit-identical runs, and the table carries every scenario.
+/// `expt parity --quick` end to end — the one full run of the matrix in
+/// tier-1: exit 0, the seed echoed, all 120 platform cells, one table row
+/// per experiment and axis that reaches its table, nothing diverged.
 #[test]
-fn expt_faults_harness_passes_quick() {
+fn expt_parity_passes_quick() {
     let exe = env!("CARGO_BIN_EXE_expt");
     let out = Command::new(exe)
-        .args(["faults", "--quick", "--seed", "1"])
+        .args(["parity", "--quick", "--seed", "7"])
         .output()
         .expect("spawns");
-    assert!(
-        out.status.success(),
-        "expt faults must exit 0: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("FAULTS  seed 1"), "header: {stdout}");
-    assert!(stdout.contains("bit-identical"), "verdict: {stdout}");
-    for name in nanowall::ScenarioRegistry::standard().names() {
-        assert!(stdout.contains(name), "row for {name}: {stdout}");
-    }
-
-    let unknown = Command::new(exe)
-        .args(["faults", "--frobnicate"])
-        .output()
-        .expect("spawns");
-    assert_eq!(unknown.status.code(), Some(2), "unknown flag is an error");
-}
-
-/// `expt snapshot --quick` end to end: the checkpoint/restore matrix
-/// exits 0 on this tree, covers all eight {scheduler} × {faults} ×
-/// {trace} cells, and unknown flags are usage errors (exit 2).
-#[test]
-fn expt_snapshot_matrix_passes_quick() {
-    let exe = env!("CARGO_BIN_EXE_expt");
-    let out = Command::new(exe)
-        .args(["snapshot", "--quick", "--seed", "7"])
-        .output()
-        .expect("spawns");
+    assert!(out.status.success(), "expt parity must exit 0: {stdout}");
+    assert!(stdout.starts_with("PARITY  seed 7 "), "header: {stdout}");
+    assert!(stdout.contains("120 platform cells"), "header: {stdout}");
     assert!(
-        out.status.success(),
-        "expt snapshot must exit 0: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("SNAPSHOT"), "header: {stdout}");
-    assert!(stdout.contains("campaign seed 7"), "seed echoed: {stdout}");
-    assert!(
-        stdout.contains("all cells round-trip bit-identically"),
+        stdout.contains("PARITY  bit-identical"),
         "verdict: {stdout}"
     );
     assert!(!stdout.contains("DIVERGED"), "no diverging cell: {stdout}");
-    for mode in ["Dense", "ActiveSet"] {
-        assert_eq!(
-            stdout.matches(mode).count(),
-            4,
-            "four {mode} cells: {stdout}"
-        );
+    assert!(!stdout.contains("VACUOUS"), "every fact holds: {stdout}");
+    for name in nanowall::ScenarioRegistry::standard().names() {
+        let groups = (stdout.lines()).filter(|l| l.starts_with(name) && l.contains("12/12"));
+        assert_eq!(groups.count(), 2, "{name} with and without faults");
+    }
+    let row = |id: &str, axis: &str| {
+        stdout.lines().any(|l| {
+            let mut cells = l.split_whitespace();
+            cells.next() == Some(id) && cells.next() == Some(axis)
+        })
+    };
+    for e in EXPERIMENTS {
+        assert_eq!(row(e.id, "scheduler=Dense"), e.platform, "{}", e.id);
+        assert_eq!(row(e.id, "threads=1"), e.sweeps, "{}", e.id);
     }
 
     let unknown = Command::new(exe)
-        .args(["snapshot", "--frobnicate"])
+        .args(["parity", "--frobnicate"])
         .output()
         .expect("spawns");
     assert_eq!(unknown.status.code(), Some(2), "unknown flag is an error");
@@ -410,11 +337,9 @@ fn expt_warm_fork_flag_runs_a_sweep_grid() {
 fn bad_seed_is_a_usage_error_everywhere() {
     let exe = env!("CARGO_BIN_EXE_expt");
     for sub in [
-        vec!["bench", "--quick"],
+        vec!["parity", "--quick"],
         vec!["trace", "--scenario", "mix"],
         vec!["profile", "--quick"],
-        vec!["faults", "--quick"],
-        vec!["snapshot", "--quick"],
     ] {
         for seed in [&["--seed", "banana"][..], &["--seed"][..]] {
             let mut args: Vec<&str> = sub.clone();
@@ -454,4 +379,39 @@ fn expt_binary_runs_t1_end_to_end() {
 
     let none = Command::new(exe).output().expect("spawns");
     assert!(!none.status.success(), "no args must exit non-zero (usage)");
+}
+
+/// An experiment run takes `--fast` and `--warm-fork` and no other flag:
+/// a flag it would have to ignore is a usage error that names it, raised
+/// before any experiment runs. `bench`, `faults` and `snapshot` are not
+/// subcommands but unknown ids like any other, so a stale CI line fails
+/// loudly.
+#[test]
+fn experiment_runs_reject_stray_flags_and_unknown_ids() {
+    let exe = env!("CARGO_BIN_EXE_expt");
+    let run = |args: &[&str]| {
+        let out = Command::new(exe).args(args).output().expect("spawns");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for (args, named) in [
+        (&["--quick", "t3"][..], "--quick"),
+        (&["t1", "--seed", "5"][..], "--seed"),
+        (&["bench"][..], "bench"),
+        (&["bench", "--quick"][..], "--quick"),
+        (&["faults"][..], "faults"),
+        (&["snapshot"][..], "snapshot"),
+        (&["t1", "nope"][..], "nope"),
+    ] {
+        let (code, stdout, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?} is a usage error: {stderr}");
+        assert!(stderr.contains(named), "{args:?} names {named}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} ran something first: {stdout}");
+    }
+    let (code, stdout, _) = run(&["t1", "--fast", "--warm-fork"]);
+    assert_eq!(code, Some(0), "flags may follow the ids");
+    assert!(stdout.contains("T1"), "{stdout}");
 }

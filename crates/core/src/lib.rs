@@ -72,10 +72,7 @@ pub use nw_hwip::IoConfigError;
 pub use nw_noc::NocConfigError;
 /// The NoC's share of [`SchedulerStats`].
 pub use nw_noc::NocWork;
-pub use platform::{
-    default_scheduler_mode, set_default_scheduler_mode, FppaPlatform, NodeRole, PlatformSnapshot,
-    SchedulerMode, SchedulerStats,
-};
+pub use platform::{FppaPlatform, NodeRole, PlatformSnapshot, SchedulerMode, SchedulerStats};
 pub use report::{ObjectLatency, PlatformReport};
 pub use resilience::{ResilienceStats, RetryPolicy};
 pub use runtime::{InstallError, ServiceBinding};

@@ -33,7 +33,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How [`FppaPlatform::step`] visits components each cycle.
 ///
@@ -121,43 +120,6 @@ fn node_due(parked: bool, event: Option<Cycles>, at: Cycles) -> u64 {
         _ if parked => at.0,
         Some(c) => c.0,
         None => NEVER,
-    }
-}
-
-/// Process-wide default scheduler: 0 = unset, 1 = dense, 2 = active-set.
-// nw-analyze: allow(ND03): configuration knob read once per platform construction; both
-// scheduler modes simulate bit-identically (pinned by tests/scheduler_differential.rs).
-static DEFAULT_SCHEDULER: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the scheduler mode newly built platforms start in (experiments
-/// construct their platforms internally, so differential tests flip this
-/// global to compare whole experiment tables across schedulers).
-pub fn set_default_scheduler_mode(mode: SchedulerMode) {
-    let v = match mode {
-        SchedulerMode::Dense => 1,
-        SchedulerMode::ActiveSet => 2,
-    };
-    DEFAULT_SCHEDULER.store(v, Ordering::SeqCst);
-}
-
-/// The scheduler mode newly built platforms start in: the value of
-/// [`set_default_scheduler_mode`] if set, else the `NANOWALL_SCHED`
-/// environment variable (`dense` / `active`), else [`SchedulerMode::ActiveSet`].
-pub fn default_scheduler_mode() -> SchedulerMode {
-    match DEFAULT_SCHEDULER.load(Ordering::SeqCst) {
-        1 => SchedulerMode::Dense,
-        2 => SchedulerMode::ActiveSet,
-        _ => match std::env::var("NANOWALL_SCHED") {
-            Ok(v) if v.eq_ignore_ascii_case("dense") => SchedulerMode::Dense,
-            Ok(v) if v.eq_ignore_ascii_case("active") || v.eq_ignore_ascii_case("activeset") => {
-                SchedulerMode::ActiveSet
-            }
-            Ok(v) => {
-                eprintln!("NANOWALL_SCHED={v} not recognized (dense|active); using active");
-                SchedulerMode::ActiveSet
-            }
-            Err(_) => SchedulerMode::ActiveSet,
-        },
     }
 }
 
@@ -451,7 +413,7 @@ impl FppaPlatform {
             hwip_parked: (0..n_hwips).map(|_| VecDeque::new()).collect(),
             next_service_id: 0,
             runtime: None,
-            scheduler: default_scheduler_mode(),
+            scheduler: SchedulerMode::default(),
             pe_wake: vec![0; n_pes],
             pe_due: 0,
             io_due: NEVER,
@@ -686,13 +648,15 @@ impl FppaPlatform {
         self.scheduler
     }
 
-    /// Switches scheduler. Both modes simulate identically (the active-set
-    /// scheduler is verified bit-identical against the dense reference), so
-    /// switching is safe at any point — also while PEs sleep mid-burst:
-    /// every PE is marked due now, and its next tick (under either mode)
-    /// first catches up what it slept through. Dense enters every phase
-    /// anyway and posts no agenda entry, so the cached entries are posted
-    /// afresh here.
+    /// Switches scheduler — the only selector there is: every platform is
+    /// built in [`SchedulerMode::default`], and no process-wide setting or
+    /// environment variable overrides that. Both modes simulate identically
+    /// (the active-set scheduler is verified bit-identical against the dense
+    /// reference), so switching is safe at any point — also while PEs sleep
+    /// mid-burst: every PE is marked due now, and its next tick (under
+    /// either mode) first catches up what it slept through. Dense enters
+    /// every phase anyway and posts no agenda entry, so the cached entries
+    /// are posted afresh here.
     pub fn set_scheduler_mode(&mut self, mode: SchedulerMode) {
         let now = self.clock.now().0;
         self.scheduler = mode;

@@ -21,7 +21,7 @@
 //! name → builder catalog the `expt` binary lists and tests enumerate.
 
 use crate::config::{FppaConfig, HwIpConfig, MemoryBlockConfig};
-use crate::platform::FppaPlatform;
+use crate::platform::{FppaPlatform, SchedulerMode};
 use crate::report::PlatformReport;
 use nw_apps::{
     crypto_pipeline, modem_pipeline, video_ipv4_mix, video_pipeline, CryptoParams, MixParams,
@@ -70,6 +70,33 @@ pub fn latency_hiding(
     swap_penalty: u64,
     cycles: u64,
 ) -> LatencyHidingPoint {
+    latency_hiding_under(
+        SchedulerMode::default(),
+        threads,
+        link_latency,
+        compute_cycles,
+        policy,
+        swap_penalty,
+        cycles,
+    )
+}
+
+/// [`latency_hiding`] with the rig's scheduler chosen by the caller (the
+/// rig builds its platform internally, so this is how a differential run
+/// puts it under [`SchedulerMode::Dense`]).
+///
+/// # Panics
+///
+/// Panics on internal platform construction failure (fixed valid config).
+pub fn latency_hiding_under(
+    scheduler: SchedulerMode,
+    threads: usize,
+    link_latency: u64,
+    compute_cycles: u64,
+    policy: SchedPolicy,
+    swap_penalty: u64,
+    cycles: u64,
+) -> LatencyHidingPoint {
     let mut cfg = FppaConfig::new("latency-hiding", TopologyKind::Ring);
     cfg.link_latency = Some(link_latency);
     cfg.add_pe(
@@ -85,6 +112,7 @@ pub fn latency_hiding(
         energy_per_item: Picojoules(5.0),
     });
     let mut platform = FppaPlatform::new(cfg).expect("valid fixed config");
+    platform.set_scheduler_mode(scheduler);
     let service = platform.hwip_node(0);
 
     let task = Program::straight_line([
@@ -881,6 +909,16 @@ impl ScenarioRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_platform_starts_under_the_default_scheduler() {
+        let tour = FppaPlatform::new(fppa_tour_config()).expect("tour config is valid");
+        assert_eq!(tour.scheduler_mode(), SchedulerMode::default());
+        for spec in ScenarioRegistry::standard().specs() {
+            let mode = (spec.build)(true).platform.scheduler_mode();
+            assert_eq!(mode, SchedulerMode::default(), "{}", spec.name);
+        }
+    }
 
     #[test]
     fn latency_hiding_threads_recover_utilization() {

@@ -100,7 +100,7 @@ impl FaultRates {
         }
     }
 
-    /// Reference intensity: the baseline mix used by `expt faults` and the
+    /// Reference intensity: the baseline mix used by `expt parity` and the
     /// t12 resilience grid, scaled by `level` (0.0 = quiet, 1.0 = the
     /// nominal "unreliable fabric" operating point, >1.0 = harsher).
     ///

@@ -9,8 +9,9 @@
 //! at each phase boundary, attributes the time since the previous mark to
 //! the phase that just finished. One `Instant::now` read per boundary,
 //! and every nanosecond between `arm` and `pause` lands in exactly one
-//! phase — which is what lets `expt bench` assert that the phase breakdown
-//! sums to the measured loop total (within noise). The cost of work that
+//! phase — which is what lets `expt profile`'s tests and nwbench's
+//! `core.attributed_share` assert that the phase breakdown sums to the
+//! measured loop total (within noise). The cost of work that
 //! happens between laps without its own phase (e.g. the active-set
 //! quiet-span probe) folds into the next lap taken.
 //!

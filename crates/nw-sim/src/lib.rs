@@ -49,7 +49,7 @@ pub mod trace;
 
 pub use event::EventQueue;
 pub use pacer::Pacer;
-pub use parallel::{parallel_map, parallel_map_with, set_sweep_threads, sweep_threads};
+pub use parallel::{parallel_map, parallel_map_with, sweep_threads};
 pub use pipeline::{PipelinedServer, ServerFull};
 pub use stats::{
     summarize_replicas, Counter, Histogram, LatencyHistogram, OnlineMean, ReplicaSummary,

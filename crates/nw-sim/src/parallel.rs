@@ -13,34 +13,16 @@
 //! schedule deterministic and the implementation dependency-free.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Process-wide worker-count override set by [`set_sweep_threads`]
-/// (0 = no override).
-// nw-analyze: allow(ND03): pool-size knob only — results return in input order and are
-// bit-identical at any worker count (pinned by the serial/parallel differential suites).
-static SWEEP_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the sweep worker-pool size for this process (`None` restores
-/// the default). Used by the benchmark harness and tests to compare serial
-/// and parallel sweeps; an atomic rather than an environment variable, so
-/// flipping it is safe with other threads running.
-pub fn set_sweep_threads(n: Option<usize>) {
-    SWEEP_THREADS_OVERRIDE.store(n.unwrap_or(0), Ordering::SeqCst);
-}
-
-/// Worker-pool size: the [`set_sweep_threads`] override if set, else the
-/// `NANOWALL_SWEEP_THREADS` environment variable (read once per process —
-/// mutating the environment at runtime is not thread-safe), else the
-/// machine's available parallelism. Always at least 1.
+/// Default worker-pool size: the `NANOWALL_SWEEP_THREADS` environment
+/// variable (read once per process — mutating the environment at runtime is
+/// not thread-safe), else the machine's available parallelism. Always at
+/// least 1. A caller that wants another size passes it to
+/// [`parallel_map_with`]; nothing in the process can change this one.
 pub fn sweep_threads() -> usize {
-    let over = SWEEP_THREADS_OVERRIDE.load(Ordering::SeqCst);
-    if over >= 1 {
-        return over;
-    }
-    // nw-analyze: allow(ND03): write-once env cache for the same pool-size knob; sweep
-    // results are independent of the worker count by construction.
+    // nw-analyze: allow(ND03): write-once env cache of the pool-size setting; sweep results
+    // return in input order and are independent of the worker count by construction.
     static FROM_ENV: OnceLock<Option<usize>> = OnceLock::new();
     let env = *FROM_ENV.get_or_init(|| {
         std::env::var("NANOWALL_SWEEP_THREADS")

@@ -8,35 +8,16 @@
 //! earliest entry and enters only the phases that are due — PEs sleep
 //! through bursts, stalls and dormancy, I/O channels are paced lazily in
 //! closed form, service nodes are ticked on the cycles they answer. Any
-//! divergence between the two is a scheduler bug, so this suite runs every
-//! scenario under both modes, including mid-run windows, manual stepping
-//! and checkpoints taken inside a hop span. In debug builds every step and
-//! hop of these runs also audits the agenda against a walk over the state
-//! (no entry late).
+//! divergence between the two is a scheduler bug. The registry-wide
+//! end-of-run comparison (every scenario, with and without faults, traced
+//! and untraced, through snapshots) is `expt parity`'s matrix
+//! (`nw_bench::parity`); this suite holds what a matrix of whole runs does
+//! not reach: mid-run windows, manual stepping, checkpoints taken inside a
+//! hop span, exact work counters and purpose-built rigs. In debug builds
+//! every step and hop of these runs also audits the agenda against a walk
+//! over the state (no entry late).
 
 use nanowall::{ScenarioRegistry, SchedulerMode};
-
-/// Runs `name` under one scheduler for `cycles` and returns the report.
-fn run_mode(name: &str, mode: SchedulerMode, cycles: u64) -> nanowall::PlatformReport {
-    let reg = ScenarioRegistry::standard();
-    let mut rig = reg.build(name, true).expect("registered scenario");
-    rig.platform.set_scheduler_mode(mode);
-    rig.run(cycles)
-}
-
-#[test]
-fn every_scenario_is_bit_identical_across_schedulers() {
-    for name in ScenarioRegistry::standard().names() {
-        let dense = run_mode(name, SchedulerMode::Dense, 20_000);
-        let active = run_mode(name, SchedulerMode::ActiveSet, 20_000);
-        assert_eq!(
-            dense, active,
-            "{name}: active-set scheduler diverged from the dense reference"
-        );
-        // Sanity: the comparison is not vacuous.
-        assert!(dense.tasks_completed > 0, "{name} must do work");
-    }
-}
 
 #[test]
 fn windowed_runs_stay_identical() {
@@ -153,41 +134,6 @@ fn payload_pool_conserves_buffers_at_quiescence() {
     let dense = run_mode(SchedulerMode::Dense);
     let active = run_mode(SchedulerMode::ActiveSet);
     assert_eq!(dense, active, "conservation rig diverged across schedulers");
-}
-
-#[test]
-fn tracing_does_not_perturb_results() {
-    // The observability contract: installing a trace sink changes what is
-    // *recorded*, never what is *simulated*. Every registered scenario must
-    // produce a bit-identical report with tracing on vs off, under both
-    // schedulers — and the traced run must actually capture events, so the
-    // comparison is not vacuous.
-    use nanowall::RingBufferSink;
-    for name in ScenarioRegistry::standard().names() {
-        for mode in [SchedulerMode::Dense, SchedulerMode::ActiveSet] {
-            let reg = ScenarioRegistry::standard();
-            let mut plain = reg.build(name, true).expect("registered scenario");
-            plain.platform.set_scheduler_mode(mode);
-            let mut traced = reg.build(name, true).expect("registered scenario");
-            traced.platform.set_scheduler_mode(mode);
-            traced
-                .platform
-                .set_trace_sink(Box::new(RingBufferSink::new(1 << 14)));
-            let p = plain.run(10_000);
-            let t = traced.run(10_000);
-            assert_eq!(p, t, "{name} under {mode:?}: tracing perturbed the run");
-            let mut sink = traced.platform.take_trace_sink().expect("sink installed");
-            let events = sink
-                .as_any_mut()
-                .downcast_mut::<RingBufferSink>()
-                .expect("ring sink")
-                .drain();
-            assert!(
-                !events.is_empty(),
-                "{name} under {mode:?}: traced run captured nothing"
-            );
-        }
-    }
 }
 
 #[test]
