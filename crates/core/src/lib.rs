@@ -61,6 +61,7 @@ pub mod report;
 pub mod resilience;
 pub mod runtime;
 pub mod scenarios;
+mod services;
 pub mod tags;
 
 pub use config::{BuildPlatformError, FppaConfig, HwIpConfig, MemoryBlockConfig};

@@ -18,21 +18,20 @@ use crate::config::{BuildPlatformError, FppaConfig};
 use crate::report::PlatformReport;
 use crate::resilience::{CloseOutcome, ResilienceState, ResilienceStats, RetryPolicy};
 use crate::runtime::{nth_tick, Runtime};
+use crate::services::Services;
 use crate::tags::{is_reply, RequestTag};
 use nw_dsoc::{MessageKind, MessageView};
 use nw_fabric::Efpga;
 use nw_fault::{FabricShape, FaultCampaign, FaultKind};
-use nw_hwip::{HwIpBlock, IoChannel, IoConfigError};
-use nw_mem::{MemRequest, MemoryController, MemorySpec, ReqKind};
+use nw_hwip::{IoChannel, IoConfigError};
+use nw_mem::MemorySpec;
 use nw_noc::{Noc, NocWork, PayloadPool, Topology};
 use nw_obs::{HostPhase, HostProfiler, NocHeatmap, TraceEvent, TraceSink};
 use nw_pe::{Pe, PeRequest};
 use nw_sim::{Clock, Clocked, LatencyHistogram};
 use nw_types::{AreaMm2, Cycles, NodeId, ObjectId, PeId, Picojoules};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// How [`FppaPlatform::step`] visits components each cycle.
 ///
@@ -111,17 +110,7 @@ enum Source {
 }
 
 /// An agenda entry with nothing scheduled.
-const NEVER: u64 = u64::MAX;
-
-/// When a service node must next be ticked, as of cycle `at`: every cycle
-/// while requests are parked in front of it, else its own next event.
-fn node_due(parked: bool, event: Option<Cycles>, at: Cycles) -> u64 {
-    match event {
-        _ if parked => at.0,
-        Some(c) => c.0,
-        None => NEVER,
-    }
-}
+pub(crate) const NEVER: u64 = u64::MAX;
 
 /// What sits at one NoC endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,27 +146,15 @@ pub struct FppaPlatform {
     cfg: FppaConfig,
     noc: Noc,
     pes: Vec<Pe>,
-    mems: Vec<MemoryController>,
-    fabrics: Vec<Efpga>,
-    hwips: Vec<HwIpBlock>,
+    /// Memories, fabrics and hardwired IP with their request bookkeeping
+    /// and the `Services` agenda entry (see [`crate::services`]).
+    services: Services,
     ios: Vec<IoChannel>,
     roles: Vec<NodeRole>,
     pe_nodes: Vec<NodeId>,
-    mem_nodes: Vec<NodeId>,
-    fabric_nodes: Vec<NodeId>,
-    hwip_nodes: Vec<NodeId>,
     io_nodes: Vec<NodeId>,
     clock: Clock,
     outbox: VecDeque<Outgoing>,
-    /// In-flight service requests per memory: request id → (tag, reply-to).
-    mem_inflight: Vec<BTreeMap<u64, (u64, NodeId)>>,
-    /// Parked memory requests (bank queues full): (request, tag, reply-to).
-    mem_parked: Vec<VecDeque<(MemRequest, u64, NodeId)>>,
-    fabric_inflight: Vec<BTreeMap<u64, (u64, NodeId)>>,
-    fabric_parked: Vec<VecDeque<(u64, NodeId)>>,
-    hwip_inflight: Vec<BTreeMap<u64, (u64, NodeId)>>,
-    hwip_parked: Vec<VecDeque<(u64, NodeId)>>,
-    next_service_id: u64,
     pub(crate) runtime: Option<Runtime>,
     scheduler: SchedulerMode,
     /// Active-set scheduling: the next cycle each PE must tick
@@ -201,10 +178,6 @@ pub struct FppaPlatform {
     /// been ticked for the cycles before this one. Behind the clock only
     /// between an I/O phase and the next phase or [`FppaPlatform::settle`].
     io_synced: u64,
-    /// Agenda entry of the services phase: a cycle at or before every
-    /// memory's, fabric's and hardwired block's `next_event_cycle`.
-    /// Lowered by a submit in `route_arrivals`, recomputed by the phase.
-    services_due: u64,
     /// Scheduler work counters (`noc` is filled in on read).
     sched_stats: SchedulerStats,
     /// Lazily computed, cached hop matrix. The topology's link structure is
@@ -259,11 +232,6 @@ pub struct FppaPlatform {
     /// The replica seed last applied by [`FppaPlatform::reseed`] /
     /// [`FppaPlatform::fork`] (0 for a freshly built platform).
     seed: u64,
-    /// Platform-owned RNG, checkpointed word-for-word by snapshots. The
-    /// default simulation path never draws from it — determinism of
-    /// existing runs does not depend on it — but forked replicas re-seed
-    /// it (and the fault campaign's future) to diverge.
-    rng: StdRng,
 }
 
 /// A plain-old-data checkpoint of a [`FppaPlatform`].
@@ -272,7 +240,7 @@ pub struct FppaPlatform {
 /// state (queues, `busy_until` stamps, event-wheel wakes, the
 /// [`PayloadPool`] ledger), runtime dispatch state (pending invocations,
 /// retry deadlines, handler-plan cache), service/memory state, latency
-/// histograms, resilience counters, and the RNG state words — such that
+/// histograms, resilience counters and the replica seed — such that
 /// [`FppaPlatform::from_snapshot`] continues bit-identically to the
 /// uninterrupted original.
 ///
@@ -283,10 +251,6 @@ pub struct FppaPlatform {
 pub struct PlatformSnapshot {
     /// Full platform state with the host-side observers stripped.
     state: Box<FppaPlatform>,
-    /// xoshiro256++ state words, captured via `StdRng::get_state`.
-    rng_state: [u64; 4],
-    /// Replica seed at capture time.
-    seed: u64,
 }
 
 impl PlatformSnapshot {
@@ -297,7 +261,7 @@ impl PlatformSnapshot {
 
     /// The replica seed active at capture time.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.state.seed
     }
 }
 
@@ -330,47 +294,13 @@ impl FppaPlatform {
         noc_cfg.validate().map_err(BuildPlatformError::Noc)?;
         let noc = Noc::new(topo, noc_cfg);
 
-        let mut roles = Vec::with_capacity(n);
-        let mut pe_nodes = Vec::new();
-        let mut mem_nodes = Vec::new();
-        let mut fabric_nodes = Vec::new();
-        let mut hwip_nodes = Vec::new();
-        let mut io_nodes = Vec::new();
-
+        // Endpoint order: PEs, memories, fabrics, hardwired IP, I/O.
         let pes: Vec<Pe> = cfg.pes.iter().cloned().map(Pe::new).collect();
-        for i in 0..pes.len() {
-            pe_nodes.push(NodeId(roles.len()));
-            roles.push(NodeRole::Pe(i));
-        }
-        let mems: Vec<MemoryController> = cfg
-            .memories
-            .iter()
-            .map(|m| {
-                MemoryController::new(
-                    MemorySpec::at_node(m.technology, cfg.tech),
-                    m.banks,
-                    m.queue_depth,
-                )
-            })
-            .collect();
-        for i in 0..mems.len() {
-            mem_nodes.push(NodeId(roles.len()));
-            roles.push(NodeRole::Memory(i));
-        }
-        let fabrics: Vec<Efpga> = cfg.fabrics.iter().map(|f| Efpga::new(*f)).collect();
-        for i in 0..fabrics.len() {
-            fabric_nodes.push(NodeId(roles.len()));
-            roles.push(NodeRole::Fabric(i));
-        }
-        let hwips: Vec<HwIpBlock> = cfg
-            .hwip
-            .iter()
-            .map(|h| HwIpBlock::new(&h.name, h.ii, h.latency, h.area, h.energy_per_item, 64))
-            .collect();
-        for i in 0..hwips.len() {
-            hwip_nodes.push(NodeId(roles.len()));
-            roles.push(NodeRole::HwIp(i));
-        }
+        let services = Services::new(&cfg, NodeId(pes.len()));
+        let mut roles: Vec<NodeRole> = (0..pes.len()).map(NodeRole::Pe).collect();
+        roles.extend((0..cfg.memories.len()).map(NodeRole::Memory));
+        roles.extend((0..cfg.fabrics.len()).map(NodeRole::Fabric));
+        roles.extend((0..cfg.hwip.len()).map(NodeRole::HwIp));
         let ios = cfg
             .io
             .iter()
@@ -379,46 +309,28 @@ impl FppaPlatform {
                 IoChannel::new(*c).map_err(|reason| BuildPlatformError::Io { index, reason })
             })
             .collect::<Result<Vec<IoChannel>, _>>()?;
-        for i in 0..ios.len() {
-            io_nodes.push(NodeId(roles.len()));
-            roles.push(NodeRole::Io(i));
-        }
+        let io_nodes = (0..ios.len()).map(|i| NodeId(roles.len() + i)).collect();
+        roles.extend((0..ios.len()).map(NodeRole::Io));
 
-        let n_mems = mems.len();
-        let n_fabrics = fabrics.len();
-        let n_hwips = hwips.len();
         let n_pes = pes.len();
         let call_issue = pes.iter().map(|p| vec![None; p.n_threads()]).collect();
         Ok(FppaPlatform {
             cfg,
             noc,
             pes,
-            mems,
-            fabrics,
-            hwips,
+            services,
             ios,
             roles,
-            pe_nodes,
-            mem_nodes,
-            fabric_nodes,
-            hwip_nodes,
+            pe_nodes: (0..n_pes).map(NodeId).collect(),
             io_nodes,
             clock: Clock::new(),
             outbox: VecDeque::new(),
-            mem_inflight: (0..n_mems).map(|_| BTreeMap::new()).collect(),
-            mem_parked: (0..n_mems).map(|_| VecDeque::new()).collect(),
-            fabric_inflight: (0..n_fabrics).map(|_| BTreeMap::new()).collect(),
-            fabric_parked: (0..n_fabrics).map(|_| VecDeque::new()).collect(),
-            hwip_inflight: (0..n_hwips).map(|_| BTreeMap::new()).collect(),
-            hwip_parked: (0..n_hwips).map(|_| VecDeque::new()).collect(),
-            next_service_id: 0,
             runtime: None,
             scheduler: SchedulerMode::default(),
             pe_wake: vec![0; n_pes],
             pe_due: 0,
             io_due: NEVER,
             io_synced: 0,
-            services_due: NEVER,
             sched_stats: SchedulerStats::default(),
             hop_cache: OnceCell::new(),
             pool: PayloadPool::new(),
@@ -432,7 +344,6 @@ impl FppaPlatform {
             resilience: None,
             rstats: ResilienceStats::default(),
             seed: 0,
-            rng: StdRng::seed_from_u64(0),
         })
     }
 
@@ -451,32 +362,19 @@ impl FppaPlatform {
             cfg: self.cfg.clone(),
             noc: self.noc.clone(),
             pes,
-            mems: self.mems.clone(),
-            fabrics: self.fabrics.clone(),
-            hwips: self.hwips.clone(),
+            services: self.services.clone(),
             ios: self.ios.clone(),
             roles: self.roles.clone(),
             pe_nodes: self.pe_nodes.clone(),
-            mem_nodes: self.mem_nodes.clone(),
-            fabric_nodes: self.fabric_nodes.clone(),
-            hwip_nodes: self.hwip_nodes.clone(),
             io_nodes: self.io_nodes.clone(),
             clock: self.clock.clone(),
             outbox: self.outbox.clone(),
-            mem_inflight: self.mem_inflight.clone(),
-            mem_parked: self.mem_parked.clone(),
-            fabric_inflight: self.fabric_inflight.clone(),
-            fabric_parked: self.fabric_parked.clone(),
-            hwip_inflight: self.hwip_inflight.clone(),
-            hwip_parked: self.hwip_parked.clone(),
-            next_service_id: self.next_service_id,
             runtime: self.runtime.clone(),
             scheduler: self.scheduler,
             pe_wake: self.pe_wake.clone(),
             pe_due: self.pe_due,
             io_due: self.io_due,
             io_synced: self.io_synced,
-            services_due: self.services_due,
             sched_stats: self.sched_stats,
             hop_cache: self.hop_cache.clone(),
             pool: self.pool.clone(),
@@ -490,7 +388,6 @@ impl FppaPlatform {
             resilience: self.resilience.clone(),
             rstats: self.rstats.clone(),
             seed: self.seed,
-            rng: self.rng.clone(),
         }
     }
 
@@ -499,8 +396,6 @@ impl FppaPlatform {
     /// observers included) and can keep running.
     pub fn snapshot(&self) -> PlatformSnapshot {
         PlatformSnapshot {
-            rng_state: self.rng.get_state(),
-            seed: self.seed,
             state: Box::new(self.clone_state()),
         }
     }
@@ -510,10 +405,7 @@ impl FppaPlatform {
     /// both [`SchedulerMode`]s, with or without an active fault campaign —
     /// and starts with no trace sink or profiler installed.
     pub fn from_snapshot(snap: &PlatformSnapshot) -> FppaPlatform {
-        let mut p = snap.state.clone_state();
-        p.seed = snap.seed;
-        p.rng = StdRng::from_state(snap.rng_state);
-        p
+        snap.state.clone_state()
     }
 
     /// Overwrites this platform's simulation state with the snapshot's,
@@ -533,10 +425,10 @@ impl FppaPlatform {
     /// Spawns an independent measurement replica: a bit-exact copy of this
     /// warmed-up platform, re-seeded with `seed`. The replica shares the
     /// parent's entire history (queues, histograms, fault effects already
-    /// applied) but its *future* randomness — the platform RNG stream and
-    /// the undrained tail of an installed fault campaign — is redrawn from
-    /// `seed`. Forking with the seed the campaign was generated from (or
-    /// any seed, when no campaign is installed and the RNG is never drawn)
+    /// applied) but its *future* randomness — the undrained tail of an
+    /// installed fault campaign, the platform's only random input — is
+    /// redrawn from `seed`. Forking with the seed the campaign was
+    /// generated from (or any seed, when no campaign is installed)
     /// reproduces the uninterrupted run exactly; distinct seeds give
     /// statistically independent replicas.
     pub fn fork(&self, seed: u64) -> FppaPlatform {
@@ -545,12 +437,11 @@ impl FppaPlatform {
         p
     }
 
-    /// Re-seeds the platform RNG and redraws the undrained future of an
-    /// installed fault campaign from `seed`, keeping all other state (see
-    /// [`FppaPlatform::fork`]).
+    /// Records `seed` as the replica seed and redraws the undrained future
+    /// of an installed fault campaign from it, keeping all other state
+    /// (see [`FppaPlatform::fork`]).
     pub fn reseed(&mut self, seed: u64) {
         self.seed = seed;
-        self.rng = StdRng::seed_from_u64(seed);
         let now = self.clock.now().0;
         if let Some(c) = self.campaign.as_mut() {
             c.reseed(seed, now);
@@ -561,14 +452,6 @@ impl FppaPlatform {
     /// [`FppaPlatform::fork`] (0 for a freshly built platform).
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Direct access to the platform-owned seeded RNG. The built-in
-    /// simulation path never draws from it; custom components that want
-    /// per-replica randomness should draw here so forked replicas diverge
-    /// and snapshots capture their stream position.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 
     /// Retunes I/O channel `i`'s line rate in place (warm-fork hook: grid
@@ -662,7 +545,7 @@ impl FppaPlatform {
         self.scheduler = mode;
         self.pe_wake.fill(now);
         self.pe_due = now;
-        self.services_due = self.services_event(Cycles(now));
+        self.services.post(Cycles(now));
         self.sync_io(now);
         self.post_io();
         if let Some(rt) = self.runtime.as_mut() {
@@ -729,7 +612,7 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn memory_node(&self, i: usize) -> NodeId {
-        self.mem_nodes[i]
+        self.services.memories().nth(i).expect("no such memory").0
     }
 
     /// The NoC node hosting eFPGA fabric `i`.
@@ -738,7 +621,7 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn fabric_node(&self, i: usize) -> NodeId {
-        self.fabric_nodes[i]
+        self.services.fabrics().nth(i).expect("no such fabric").0
     }
 
     /// The NoC node hosting hardwired IP `i`.
@@ -747,7 +630,7 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn hwip_node(&self, i: usize) -> NodeId {
-        self.hwip_nodes[i]
+        self.services.hwips().nth(i).expect("no such hwip").0
     }
 
     /// The NoC node hosting I/O channel `i`.
@@ -806,8 +689,7 @@ impl FppaPlatform {
     /// Panics if `i` is out of range.
     pub fn fabric_mut(&mut self, i: usize) -> &mut Efpga {
         // The caller may load a kernel or submit work: look next cycle.
-        self.services_due = self.clock.now().0;
-        &mut self.fabrics[i]
+        (self.services).fabric_mut(self.fabric_node(i), self.clock.now())
     }
 
     /// Direct access to an I/O channel.
@@ -868,12 +750,9 @@ impl FppaPlatform {
             .iter()
             .map(|m| MemorySpec::at_node(m.technology, self.cfg.tech).macro_area(m.mbits))
             .sum();
-        let fabric_area: AreaMm2 = self
-            .fabrics
-            .iter()
-            .filter_map(|f| f.kernel().map(|k| k.area))
-            .sum();
-        let hwip_area: AreaMm2 = self.hwips.iter().map(|h| h.area()).sum();
+        let kernels = self.services.fabrics().filter_map(|(_, f)| f.kernel());
+        let fabric_area: AreaMm2 = kernels.map(|k| k.area).sum();
+        let hwip_area: AreaMm2 = self.services.hwips().map(|(_, h)| h.area()).sum();
         pe_area + mem_area + fabric_area + hwip_area
     }
 
@@ -1256,9 +1135,19 @@ impl FppaPlatform {
             self.entered(HostPhase::RouteArrivals);
         }
 
-        // 4. Service nodes: memories, fabrics, hardwired IP.
+        // 4. Service nodes: memories, fabrics, hardwired IP. Every
+        //    completion becomes a reply packet in the outbox.
         if due(self, Source::Services) {
-            self.tick_services(now, open);
+            self.services.tick(now, open, |src, dst, tag| {
+                let t = RequestTag::decode(tag);
+                self.outbox.push_back(Outgoing {
+                    src,
+                    dst,
+                    data: self.pool.take_zeroed(t.reply_bytes as usize),
+                    tag: t.encode_reply(),
+                    on_accept: None,
+                });
+            });
             self.entered(HostPhase::Services);
         }
 
@@ -1335,7 +1224,7 @@ impl FppaPlatform {
             Source::Io => self.io_due,
             Source::Noc if self.noc.eject_pending() > 0 => now,
             Source::Noc => (self.noc.next_event_cycle(Cycles(now))).map_or(NEVER, |c| c.0),
-            Source::Services => self.services_due,
+            Source::Services => self.services.due(),
             Source::Dispatch => (self.runtime.as_ref()).map_or(NEVER, |rt| rt.dispatch_due(now)),
             Source::Pes => self.pe_due,
             Source::Outbox if self.outbox.is_empty() => NEVER,
@@ -1473,11 +1362,11 @@ impl FppaPlatform {
         assert!(self.pe_due <= pes, "{now}: PE entry {} late", self.pe_due);
         let io = self.io_arrival();
         assert!(self.io_due <= io, "{now}: I/O entry {} late", self.io_due);
-        let services = self.services_event(now);
+        let services = self.services.next_event(now);
         assert!(
-            self.services_due <= services,
+            self.services.due() <= services,
             "{now}: services entry {} late, a node is due at {services}",
-            self.services_due
+            self.services.due()
         );
         if let Some(rt) = self.runtime.as_ref() {
             rt.audit_agenda(&self.pes);
@@ -1561,51 +1450,8 @@ impl FppaPlatform {
                         rt.enqueue_invocation(p, &pkt, self.pes[p].idle_threads());
                     }
                 }
-                NodeRole::Memory(m) => {
-                    self.services_due = now.0;
-                    let t = RequestTag::decode(pkt.tag);
-                    let id = self.next_service_id;
-                    self.next_service_id += 1;
-                    let req = MemRequest {
-                        id,
-                        kind: ReqKind::Read,
-                        addr: id.wrapping_mul(MemoryController::INTERLEAVE),
-                        bytes: t.reply_bytes.max(1),
-                    };
-                    match self.mems[m].submit(req, now) {
-                        Ok(()) => {
-                            self.mem_inflight[m].insert(id, (pkt.tag, pkt.src));
-                        }
-                        Err(_) => {
-                            self.mem_parked[m].push_back((req, pkt.tag, pkt.src));
-                        }
-                    }
-                }
-                NodeRole::Fabric(f) => {
-                    self.services_due = now.0;
-                    let id = self.next_service_id;
-                    self.next_service_id += 1;
-                    match self.fabrics[f].try_submit(id, now) {
-                        Ok(()) => {
-                            self.fabric_inflight[f].insert(id, (pkt.tag, pkt.src));
-                        }
-                        Err(_) => {
-                            self.fabric_parked[f].push_back((pkt.tag, pkt.src));
-                        }
-                    }
-                }
-                NodeRole::HwIp(h) => {
-                    self.services_due = now.0;
-                    let id = self.next_service_id;
-                    self.next_service_id += 1;
-                    match self.hwips[h].try_submit(id, now) {
-                        Ok(()) => {
-                            self.hwip_inflight[h].insert(id, (pkt.tag, pkt.src));
-                        }
-                        Err(_) => {
-                            self.hwip_parked[h].push_back((pkt.tag, pkt.src));
-                        }
-                    }
+                NodeRole::Memory(_) | NodeRole::Fabric(_) | NodeRole::HwIp(_) => {
+                    self.services.accept(NodeId(node), pkt.tag, pkt.src, now);
                 }
                 NodeRole::Io(i) => {
                     self.ios[i].transmit(pkt.wire_bytes());
@@ -1615,92 +1461,6 @@ impl FppaPlatform {
             // goes back to the arena for the next producer.
             self.pool.put(std::mem::take(&mut pkt.data));
         }
-    }
-
-    /// Ticks the service nodes that have something due at `now` — every
-    /// node with the gates `open` — and posts the services agenda entry:
-    /// the earliest `next_event_cycle` of any node from the next cycle on
-    /// (a node still holding parked requests retries them every cycle). A
-    /// node is ticked exactly on the cycles it answers, which its crate
-    /// pins as equivalent to ticking it every cycle.
-    fn tick_services(&mut self, now: Cycles, open: bool) {
-        // Memories: retry parked, tick, answer completions.
-        for m in 0..self.mems.len() {
-            let parked = !self.mem_parked[m].is_empty();
-            if open || node_due(parked, self.mems[m].next_event_cycle(now), now) <= now.0 {
-                while let Some(&(req, tag, src)) = self.mem_parked[m].front() {
-                    if self.mems[m].submit(req, now).is_ok() {
-                        self.mem_inflight[m].insert(req.id, (tag, src));
-                        self.mem_parked[m].pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                self.mems[m].tick(now);
-                while let Some(resp) = self.mems[m].take_response() {
-                    if let Some((tag, reply_to)) = self.mem_inflight[m].remove(&resp.id) {
-                        self.push_service_reply(self.mem_nodes[m], reply_to, tag);
-                    }
-                }
-            }
-        }
-        for f in 0..self.fabrics.len() {
-            let parked = !self.fabric_parked[f].is_empty();
-            if open || node_due(parked, self.fabrics[f].next_event_cycle(now), now) <= now.0 {
-                while let Some(&(tag, src)) = self.fabric_parked[f].front() {
-                    let id = self.next_service_id;
-                    if self.fabrics[f].try_submit(id, now).is_ok() {
-                        self.next_service_id += 1;
-                        self.fabric_inflight[f].insert(id, (tag, src));
-                        self.fabric_parked[f].pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                self.fabrics[f].tick(now);
-                while let Some(id) = self.fabrics[f].take_done() {
-                    if let Some((tag, reply_to)) = self.fabric_inflight[f].remove(&id) {
-                        self.push_service_reply(self.fabric_nodes[f], reply_to, tag);
-                    }
-                }
-            }
-        }
-        for h in 0..self.hwips.len() {
-            let parked = !self.hwip_parked[h].is_empty();
-            if open || node_due(parked, self.hwips[h].next_event_cycle(now), now) <= now.0 {
-                while let Some(&(tag, src)) = self.hwip_parked[h].front() {
-                    let id = self.next_service_id;
-                    if self.hwips[h].try_submit(id, now).is_ok() {
-                        self.next_service_id += 1;
-                        self.hwip_inflight[h].insert(id, (tag, src));
-                        self.hwip_parked[h].pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                self.hwips[h].tick(now);
-                while let Some(id) = self.hwips[h].take_done() {
-                    if let Some((tag, reply_to)) = self.hwip_inflight[h].remove(&id) {
-                        self.push_service_reply(self.hwip_nodes[h], reply_to, tag);
-                    }
-                }
-            }
-        }
-        if !open {
-            self.services_due = self.services_event(Cycles(now.0 + 1));
-        }
-    }
-
-    /// The earliest cycle `>= at` any service node has something due
-    /// ([`NEVER`]: all drained).
-    fn services_event(&self, at: Cycles) -> u64 {
-        let mems = (self.mems.iter().zip(&self.mem_parked))
-            .map(|(m, parked)| node_due(!parked.is_empty(), m.next_event_cycle(at), at));
-        let fabrics = (self.fabrics.iter().zip(&self.fabric_parked))
-            .map(|(f, parked)| node_due(!parked.is_empty(), f.next_event_cycle(at), at));
-        let hwips = (self.hwips.iter().zip(&self.hwip_parked))
-            .map(|(h, parked)| node_due(!parked.is_empty(), h.next_event_cycle(at), at));
-        mems.chain(fabrics).chain(hwips).min().unwrap_or(NEVER)
     }
 
     /// Closes the latency probe of thread `(p, tid)` at reply delivery:
@@ -1734,17 +1494,6 @@ impl FppaPlatform {
                 }
             }
         }
-    }
-
-    fn push_service_reply(&mut self, src: NodeId, dst: NodeId, tag: u64) {
-        let t = RequestTag::decode(tag);
-        self.outbox.push_back(Outgoing {
-            src,
-            dst,
-            data: self.pool.take_zeroed(t.reply_bytes as usize),
-            tag: t.encode_reply(),
-            on_accept: None,
-        });
     }
 
     fn runtime_dispatch(&mut self, now: Cycles, open: bool) {
@@ -1966,16 +1715,8 @@ impl FppaPlatform {
         &self.pes
     }
 
-    pub(crate) fn mems_slice(&self) -> &[MemoryController] {
-        &self.mems
-    }
-
-    pub(crate) fn fabrics_slice(&self) -> &[Efpga] {
-        &self.fabrics
-    }
-
-    pub(crate) fn hwips_slice(&self) -> &[HwIpBlock] {
-        &self.hwips
+    pub(crate) fn services_ref(&self) -> &Services {
+        &self.services
     }
 
     pub(crate) fn ios_slice(&self) -> &[IoChannel] {
@@ -1994,9 +1735,9 @@ impl FppaPlatform {
     /// Total dynamic energy across all components.
     pub fn total_energy(&self) -> Picojoules {
         let pe: Picojoules = self.pes.iter().map(|p| p.stats().energy).sum();
-        let mem: Picojoules = self.mems.iter().map(|m| m.energy()).sum();
-        let fab: Picojoules = self.fabrics.iter().map(|f| f.energy()).sum();
-        let hw: Picojoules = self.hwips.iter().map(|h| h.energy()).sum();
+        let mem: Picojoules = (self.services.memories()).map(|(_, m)| m.energy()).sum();
+        let fab: Picojoules = (self.services.fabrics()).map(|(_, f)| f.energy()).sum();
+        let hw: Picojoules = (self.services.hwips()).map(|(_, h)| h.energy()).sum();
         pe + mem + fab + hw
     }
 }

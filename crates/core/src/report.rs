@@ -105,6 +105,7 @@ pub struct PlatformReport {
 impl PlatformReport {
     pub(crate) fn collect(p: &FppaPlatform, cycles: Cycles) -> Self {
         let pe_stats: Vec<_> = p.pes_slice().iter().map(|pe| pe.stats()).collect();
+        let services = p.services_ref();
         PlatformReport {
             cycles,
             clock_hz: p.clock_hz(),
@@ -151,9 +152,9 @@ impl PlatformReport {
                     deadline_misses,
                 })
                 .collect(),
-            mem_accesses: p.mems_slice().iter().map(|m| m.served()).sum(),
-            fabric_served: p.fabrics_slice().iter().map(|f| f.served()).sum(),
-            hwip_served: p.hwips_slice().iter().map(|h| h.served()).sum(),
+            mem_accesses: services.memories().map(|(_, m)| m.served()).sum(),
+            fabric_served: services.fabrics().map(|(_, f)| f.served()).sum(),
+            hwip_served: services.hwips().map(|(_, h)| h.served()).sum(),
             resilience: p.resilience_stats(),
         }
     }
@@ -182,31 +183,6 @@ impl PlatformReport {
             return 0.0;
         }
         self.io[io].transmitted as f64 / self.cycles.to_seconds(self.clock_hz)
-    }
-
-    /// Fraction of line-rate packets that survived (not dropped) on channel
-    /// `io`; 1.0 when nothing was generated.
-    pub fn io_delivery_ratio(&self, io: usize) -> f64 {
-        match self.io.get(io) {
-            Some(r) if r.generated > 0 => 1.0 - r.dropped as f64 / r.generated as f64,
-            _ => 1.0,
-        }
-    }
-
-    /// Invocation rate of one application object in items per cycle
-    /// (0.0 without an installed application or over an empty window).
-    pub fn object_rate(&self, object: usize) -> f64 {
-        if self.cycles == Cycles::ZERO {
-            return 0.0;
-        }
-        self.object_invocations
-            .get(object)
-            .map_or(0.0, |&n| n as f64 / self.cycles.0 as f64)
-    }
-
-    /// Invocation rate of one application object in items per second.
-    pub fn object_rate_per_sec(&self, object: usize) -> f64 {
-        self.object_rate(object) * self.clock_hz
     }
 
     /// The latency summary of one application object, or `None` when no

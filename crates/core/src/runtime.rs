@@ -366,11 +366,6 @@ impl Runtime {
         Ok(())
     }
 
-    /// The service binding of `object`, if any.
-    pub fn service_of(&self, object: ObjectId) -> Option<&ServiceBinding> {
-        self.services.get(&object)
-    }
-
     /// Invocations dispatched per object (indexed by [`ObjectId`]).
     pub fn object_dispatches(&self) -> &[u64] {
         &self.dispatched_per_object
@@ -985,30 +980,6 @@ impl FppaPlatform {
                     calls,
                 },
             )
-    }
-
-    /// [`FppaPlatform::bind_service`] plus a per-object deadline budget:
-    /// every end-to-end round trip attributed to `object` — its service
-    /// offload calls here, and any twoway invocations it answers — that
-    /// exceeds `deadline_cycles` counts as a deadline miss in
-    /// [`PlatformReport::latency`].
-    ///
-    /// [`PlatformReport::latency`]: crate::report::PlatformReport::latency
-    ///
-    /// # Errors
-    ///
-    /// See [`FppaPlatform::bind_service`].
-    pub fn bind_service_with_deadline(
-        &mut self,
-        object: ObjectId,
-        node: NodeId,
-        request_bytes: u64,
-        reply_bytes: u64,
-        calls: u32,
-        deadline_cycles: u64,
-    ) -> Result<(), InstallError> {
-        self.bind_service(object, node, request_bytes, reply_bytes, calls)?;
-        self.set_latency_deadline(object, deadline_cycles)
     }
 
     /// The installed runtime, if any.

@@ -792,12 +792,66 @@ pub struct ScenarioSpec {
     pub build: fn(fast: bool) -> ScenarioRig,
 }
 
-/// The name → rig-builder catalog of the paper's scenarios.
-///
-/// [`ScenarioRegistry::standard`] registers the four application rigs
+/// The standard catalog, in `expt list` order: the four application rigs
 /// (IPv4 fast path, video codec, modem baseband, crypto offload) plus the
-/// `mix` interference rig (video + IPv4 on one fabric); external callers
-/// can [`register`](ScenarioRegistry::register) more.
+/// `mix` interference rig (video + IPv4 on one fabric).
+const STANDARD: &[ScenarioSpec] = &[
+    ScenarioSpec {
+        name: "ipv4",
+        summary: "IPv4 fast path at line rate on worker chains + shared lookup ASIP (§7.2)",
+        build: |fast| {
+            let replicas = if fast { 4 } else { 8 };
+            let rig = ipv4_rig(replicas, 8, TopologyKind::Mesh, 4, replicas as f64 * 0.6);
+            ScenarioRig {
+                platform: rig.platform,
+                app: rig.app,
+                placement: rig.placement,
+            }
+        },
+    },
+    ScenarioSpec {
+        name: "video",
+        summary: "frame-sliced video codec: memory-bound motion search + entropy coding (§7.1)",
+        build: |fast| {
+            let params = VideoParams {
+                lanes: if fast { 2 } else { 4 },
+                ..VideoParams::default()
+            };
+            let gbps = if fast { 3.0 } else { 6.0 };
+            video_rig(&params, 2 * params.lanes + 1, 4, 4, gbps)
+        },
+    },
+    ScenarioSpec {
+        name: "modem",
+        summary: "modem baseband chain: twoway-heavy channel-estimate/link-adapt round trips",
+        build: |fast| {
+            let params = ModemParams::default();
+            let mbps = if fast { 400.0 } else { 800.0 };
+            modem_rig(&params, 6, 4, 4, mbps)
+        },
+    },
+    ScenarioSpec {
+        name: "crypto",
+        summary: "crypto offload: bulk payloads streamed through shared AES/hash engines",
+        build: |fast| {
+            let params = CryptoParams::default();
+            let gbps = if fast { 2.0 } else { 4.0 };
+            crypto_rig(&params, 4, 8, 4, gbps)
+        },
+    },
+    ScenarioSpec {
+        name: "mix",
+        summary: "interference mix: video codec + IPv4 fast path sharing one fabric (T11)",
+        build: |fast| {
+            let params = mix_demo_params(fast);
+            let (video_gbps, ipv4_gbps) = if fast { (2.0, 1.0) } else { (4.0, 2.0) };
+            mix_rig(&params, mix_pe_pool(&params), 4, 4, video_gbps, ipv4_gbps)
+        },
+    },
+];
+
+/// The name → rig-builder catalog of the paper's scenarios: a view of one
+/// `const` table.
 ///
 /// # Examples
 ///
@@ -810,94 +864,30 @@ pub struct ScenarioSpec {
 /// let report = rig.run(5_000);
 /// assert!(report.tasks_completed > 0);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ScenarioRegistry {
-    specs: Vec<ScenarioSpec>,
+    specs: &'static [ScenarioSpec],
 }
 
 impl ScenarioRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The standard catalog: `ipv4`, `video`, `modem`, `crypto`.
+    /// The standard catalog: `ipv4`, `video`, `modem`, `crypto`, `mix`.
     pub fn standard() -> Self {
-        let mut reg = Self::new();
-        reg.register(ScenarioSpec {
-            name: "ipv4",
-            summary: "IPv4 fast path at line rate on worker chains + shared lookup ASIP (§7.2)",
-            build: |fast| {
-                let replicas = if fast { 4 } else { 8 };
-                let rig = ipv4_rig(replicas, 8, TopologyKind::Mesh, 4, replicas as f64 * 0.6);
-                ScenarioRig {
-                    platform: rig.platform,
-                    app: rig.app,
-                    placement: rig.placement,
-                }
-            },
-        });
-        reg.register(ScenarioSpec {
-            name: "video",
-            summary: "frame-sliced video codec: memory-bound motion search + entropy coding (§7.1)",
-            build: |fast| {
-                let params = VideoParams {
-                    lanes: if fast { 2 } else { 4 },
-                    ..VideoParams::default()
-                };
-                let gbps = if fast { 3.0 } else { 6.0 };
-                video_rig(&params, 2 * params.lanes + 1, 4, 4, gbps)
-            },
-        });
-        reg.register(ScenarioSpec {
-            name: "modem",
-            summary: "modem baseband chain: twoway-heavy channel-estimate/link-adapt round trips",
-            build: |fast| {
-                let params = ModemParams::default();
-                let mbps = if fast { 400.0 } else { 800.0 };
-                modem_rig(&params, 6, 4, 4, mbps)
-            },
-        });
-        reg.register(ScenarioSpec {
-            name: "crypto",
-            summary: "crypto offload: bulk payloads streamed through shared AES/hash engines",
-            build: |fast| {
-                let params = CryptoParams::default();
-                let gbps = if fast { 2.0 } else { 4.0 };
-                crypto_rig(&params, 4, 8, 4, gbps)
-            },
-        });
-        reg.register(ScenarioSpec {
-            name: "mix",
-            summary: "interference mix: video codec + IPv4 fast path sharing one fabric (T11)",
-            build: |fast| {
-                let params = mix_demo_params(fast);
-                let (video_gbps, ipv4_gbps) = if fast { (2.0, 1.0) } else { (4.0, 2.0) };
-                mix_rig(&params, mix_pe_pool(&params), 4, 4, video_gbps, ipv4_gbps)
-            },
-        });
-        reg
+        ScenarioRegistry { specs: STANDARD }
     }
 
-    /// Adds a spec (later registrations shadow earlier names in
-    /// [`get`](ScenarioRegistry::get)).
-    pub fn register(&mut self, spec: ScenarioSpec) {
-        self.specs.push(spec);
-    }
-
-    /// All specs in registration order.
+    /// All specs in catalog order.
     pub fn specs(&self) -> &[ScenarioSpec] {
-        &self.specs
+        self.specs
     }
 
-    /// Registered names in registration order.
+    /// The names in catalog order.
     pub fn names(&self) -> Vec<&'static str> {
         self.specs.iter().map(|s| s.name).collect()
     }
 
-    /// Looks up a spec by name (latest registration wins).
+    /// Looks up a spec by name.
     pub fn get(&self, name: &str) -> Option<&ScenarioSpec> {
-        self.specs.iter().rev().find(|s| s.name == name)
+        self.specs.iter().find(|s| s.name == name)
     }
 
     /// Builds the named rig, or `None` for an unknown name.

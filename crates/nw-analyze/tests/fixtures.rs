@@ -131,16 +131,17 @@ fn nd01_and_nd03_guard_the_snapshot_layer() {
     )]);
     assert_eq!(rules_of(&hit), ["ND03", "ND01", "ND01"], "{}", hit.render());
 
-    // The sanctioned shape — field-literal state clone, RNG state as a
-    // plain array, seeded reconstruction — is clean with no exemptions.
+    // The shape that ships — the snapshot owns a boxed field-literal clone
+    // of the platform, replica seed included, and thawing clones it again
+    // — is clean with no exemptions.
     let clean = scan(&[(
         "crates/core/src/platform.rs",
-        "use rand::rngs::StdRng;\nuse rand::SeedableRng;\n\
-         pub struct PlatformSnapshot { rng_state: [u64; 4], seed: u64 }\n\
-         fn capture(rng: &StdRng, seed: u64) -> PlatformSnapshot {\n\
-             PlatformSnapshot { rng_state: rng.get_state(), seed }\n\
+        "pub struct PlatformSnapshot { state: Box<FppaPlatform> }\n\
+         fn capture(p: &FppaPlatform) -> PlatformSnapshot {\n\
+             PlatformSnapshot { state: Box::new(p.clone_state()) }\n\
          }\n\
-         fn thaw(s: &PlatformSnapshot) -> StdRng { StdRng::from_state(s.rng_state) }\n",
+         fn thaw(s: &PlatformSnapshot) -> FppaPlatform { s.state.clone_state() }\n\
+         fn seed(s: &PlatformSnapshot) -> u64 { s.state.seed }\n",
     )]);
     assert!(clean.is_clean(), "{}", clean.render());
 

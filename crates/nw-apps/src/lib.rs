@@ -20,17 +20,14 @@
 //!   IPv4 interference family of experiment T11.
 //!
 //! [`stage`] holds the model ([`PipelineSpec`] lowering onto
-//! [`nw_dsoc::Application`]); [`traffic`] generates deterministic,
-//! conservation-checked workload bursts for analysis and property tests.
-//! The platform rigs that execute these pipelines live in
-//! `nanowall::scenarios` (this crate stays platform-independent, like
-//! `nw-ipv4`).
+//! [`nw_dsoc::Application`]). The platform rigs that execute these
+//! pipelines live in `nanowall::scenarios` (this crate stays
+//! platform-independent, like `nw-ipv4`).
 
 pub mod crypto;
 pub mod mix;
 pub mod modem;
 pub mod stage;
-pub mod traffic;
 pub mod video;
 
 pub use crypto::{crypto_pipeline, CryptoChannel, CryptoParams, CryptoWorkload};
@@ -40,5 +37,4 @@ pub use stage::{
     BuildPipelineError, PipelineLayout, PipelineSpec, ServiceDemand, ServiceKind, StageDef,
     StageLink,
 };
-pub use traffic::{generate_burst, BurstTraffic, StageTraffic, TrafficConfig};
 pub use video::{video_pipeline, VideoLane, VideoParams, VideoWorkload};

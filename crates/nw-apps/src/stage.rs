@@ -256,21 +256,6 @@ impl PipelineSpec {
         offset
     }
 
-    /// Compute cost of one item traversing the whole pipeline once
-    /// (baseline cycles, weighted by link multiplicities from entry rates
-    /// of 1 item per cycle split evenly across entries).
-    pub fn compute_per_item(&self) -> f64 {
-        let rates = self.stage_rates(&vec![
-            1.0 / self.entries.len().max(1) as f64;
-            self.entries.len()
-        ]);
-        self.stages
-            .iter()
-            .zip(&rates)
-            .map(|(s, r)| s.compute_cycles as f64 * r)
-            .sum()
-    }
-
     /// Steady-state item rate per stage for the given per-entry rates
     /// (items per cycle), propagated through the link graph.
     ///

@@ -1,78 +1,14 @@
-//! Property tests for the workload subsystem: generator determinism and
-//! item/byte/flit conservation across pipeline stages.
+//! Property tests for the workload subsystem: flow conservation of the
+//! analytic stage rates.
 
 use nw_apps::{
-    crypto_pipeline, generate_burst, modem_pipeline, video_pipeline, CryptoParams, ModemParams,
-    PipelineSpec, StageDef, TrafficConfig, VideoParams,
+    crypto_pipeline, modem_pipeline, video_pipeline, CryptoParams, ModemParams, VideoParams,
 };
 use proptest::prelude::*;
-
-/// A random linear chain with jittered stage sizes (always a valid DAG).
-fn arb_chain() -> impl Strategy<Value = PipelineSpec> {
-    (
-        2usize..8,                               // stages
-        prop::collection::vec(16u64..512, 2..8), // input bytes per stage
-        prop::collection::vec(10u64..400, 2..8), // compute weights
-    )
-        .prop_map(|(n, sizes, weights)| {
-            let n = n.min(sizes.len()).min(weights.len());
-            let mut p = PipelineSpec::new("arb-chain");
-            let ids: Vec<usize> = (0..n)
-                .map(|i| {
-                    p.add_stage(StageDef::new(&format!("s{i}"), sizes[i]).with_compute(weights[i]))
-                })
-                .collect();
-            for w in ids.windows(2) {
-                p.link(w[0], w[1], 1.0);
-            }
-            p.entry(ids[0]);
-            p
-        })
-}
 
 proptest! {
     // Pinned effort for CI determinism; override with PROPTEST_CASES.
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The burst generator is a pure function of (spec, config): equal
-    /// seeds reproduce byte-identical per-stage accounting.
-    #[test]
-    fn bursts_deterministic_per_seed(spec in arb_chain(), seed in any::<u64>(), items in 1u64..300) {
-        let cfg = TrafficConfig { seed, items, jitter: 0.3 };
-        prop_assert_eq!(
-            generate_burst(&spec, &cfg, 8),
-            generate_burst(&spec, &cfg, 8)
-        );
-    }
-
-    /// Unit-multiplicity chains conserve items exactly: every stage sees
-    /// the full burst, nothing is dropped or duplicated.
-    #[test]
-    fn chains_conserve_items(spec in arb_chain(), seed in any::<u64>(), items in 1u64..300) {
-        let t = generate_burst(&spec, &TrafficConfig { seed, items, jitter: 0.25 }, 8);
-        for s in &t.per_stage {
-            prop_assert_eq!(s.items, items);
-        }
-    }
-
-    /// Byte counts scale with the declared stage-size ratios: a stage
-    /// consuming the same input size as its producer sees the same bytes,
-    /// and every flit count covers its byte count at 8 B per flit.
-    #[test]
-    fn bytes_follow_size_ratios(spec in arb_chain(), seed in any::<u64>()) {
-        let t = generate_burst(&spec, &TrafficConfig { seed, items: 128, jitter: 0.0 }, 8);
-        for w in spec.links.windows(1) {
-            let (from, to) = (w[0].from, w[0].to);
-            let (a, b) = (spec.stages[from].input_bytes, spec.stages[to].input_bytes);
-            if a == b {
-                prop_assert_eq!(t.per_stage[from].bytes, t.per_stage[to].bytes);
-            }
-        }
-        for s in &t.per_stage {
-            prop_assert!(s.flits * 8 >= s.bytes);
-            prop_assert!(s.flits <= s.bytes.div_ceil(8) + s.items);
-        }
-    }
 
     /// The three shipped workloads lower to valid applications whose
     /// analytic rates conserve flow: every lane/chain/channel entry item
@@ -97,23 +33,5 @@ proptest! {
         for ch in &c.channels {
             prop_assert!((rates[ch.egress] - rate).abs() < 1e-12);
         }
-    }
-
-    /// Shipped workloads generate deterministic, conserving bursts too
-    /// (multi-entry, branching graphs — not just chains).
-    #[test]
-    fn workload_bursts_deterministic_and_conserving(seed in any::<u64>()) {
-        let v = video_pipeline(&VideoParams::default());
-        let cfg = TrafficConfig { seed, items: 240, jitter: 0.2 };
-        let a = generate_burst(&v.spec, &cfg, 8);
-        prop_assert_eq!(&a, &generate_burst(&v.spec, &cfg, 8));
-        // 240 slices round-robin over 4 lanes: 60 each, all delivered to
-        // each lane's packer.
-        for lane in &v.lanes {
-            prop_assert_eq!(a.per_stage[lane.ingest].items, 60);
-            prop_assert_eq!(a.per_stage[lane.pack].items, 60);
-        }
-        // The shared rate-control stage sees every slice once.
-        prop_assert_eq!(a.per_stage[v.rate_control].items, 240);
     }
 }

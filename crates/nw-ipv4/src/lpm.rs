@@ -273,11 +273,6 @@ impl MultibitTrie {
     pub fn stride(&self) -> u8 {
         self.stride
     }
-
-    /// Internal node count (memory accounting).
-    pub fn node_count(&self) -> u64 {
-        self.nodes
-    }
 }
 
 /// The `stride`-bit index field starting at bit offset `consumed` of `addr`,

@@ -20,10 +20,8 @@
 //! assert!(sram.area_mm2_per_mbit.0 > edram.area_mm2_per_mbit.0);
 //! ```
 
-pub mod cache;
 pub mod controller;
 pub mod model;
 
-pub use cache::{Access, Cache, CacheConfig};
 pub use controller::{MemRequest, MemResponse, MemoryController, ReqKind, SubmitError};
 pub use model::{MemorySpec, MemoryTechnology};

@@ -487,12 +487,6 @@ impl Topology {
         }
         total as f64 / (n * (n - 1)) as f64
     }
-
-    /// Bisection capacity in flit-widths: a crude upper-bound comparator used
-    /// by the topology characterization experiment (F4).
-    pub fn total_link_capacity(&self) -> u64 {
-        self.links.iter().flatten().map(|l| l.width).sum()
-    }
 }
 
 /// Next coordinate when moving one step from `from` toward `to` along a

@@ -45,7 +45,6 @@ pub mod pacer;
 pub mod parallel;
 pub mod pipeline;
 pub mod stats;
-pub mod trace;
 
 pub use event::EventQueue;
 pub use pacer::Pacer;
@@ -55,7 +54,6 @@ pub use stats::{
     summarize_replicas, Counter, Histogram, LatencyHistogram, OnlineMean, ReplicaSummary,
     Utilization,
 };
-pub use trace::{SignalId, Tracer};
 
 use nw_types::Cycles;
 

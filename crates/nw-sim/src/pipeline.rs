@@ -82,11 +82,6 @@ impl PipelinedServer {
         }
     }
 
-    /// Initiation interval in cycles.
-    pub fn initiation_interval(&self) -> u64 {
-        self.ii
-    }
-
     /// Pipeline latency in cycles.
     pub fn latency(&self) -> u64 {
         self.latency

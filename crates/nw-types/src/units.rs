@@ -142,7 +142,7 @@ impl Add for BitsPerSec {
 /// use nw_types::Picojoules;
 /// let read = Picojoules(12.5);
 /// assert_eq!(read * 4.0, Picojoules(50.0));
-/// assert!((Picojoules(2_000_000.0).to_microjoules() - 2.0).abs() < 1e-12);
+/// assert_eq!(read + Picojoules(2.5), Picojoules(15.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Picojoules(pub f64);
@@ -150,16 +150,6 @@ pub struct Picojoules(pub f64);
 impl Picojoules {
     /// The zero energy.
     pub const ZERO: Picojoules = Picojoules(0.0);
-
-    /// Converts to microjoules.
-    pub fn to_microjoules(self) -> f64 {
-        self.0 / 1e6
-    }
-
-    /// Converts to millijoules.
-    pub fn to_millijoules(self) -> f64 {
-        self.0 / 1e9
-    }
 }
 
 impl fmt::Display for Picojoules {

@@ -313,7 +313,7 @@ fn snapshot_and_fork_with_arrivals_in_ring_and_overflow() {
     // calls around them for a few (ring). The cut is read off a traced
     // probe run, so the case cannot go vacuous silently.
     use nanowall::prelude::*;
-    use nanowall::{MemoryBlockConfig, RingBufferSink, TraceEvent};
+    use nanowall::{MemoryBlockConfig, TraceEvent};
 
     const QUEUE_WINDOW: u64 = 256;
     const TAIL: u64 = 5_000;
@@ -343,15 +343,7 @@ fn snapshot_and_fork_with_arrivals_in_ring_and_overflow() {
     };
 
     // Probe: find a cycle with a jumbo and a short transfer both in flight.
-    let mut probe = build();
-    probe.set_trace_sink(Box::new(RingBufferSink::new(1 << 16)));
-    let _ = probe.run(3_000);
-    let mut sink = probe.take_trace_sink().expect("sink installed");
-    let transfers: Vec<(u64, u64)> = sink
-        .as_any_mut()
-        .downcast_mut::<RingBufferSink>()
-        .expect("ring sink")
-        .drain()
+    let transfers: Vec<(u64, u64)> = traced_run(&mut build(), 3_000)
         .into_iter()
         .filter_map(|e| match e {
             TraceEvent::LinkTransfer { cycle, ser, .. } => Some((cycle, ser)),
@@ -593,6 +585,21 @@ fn paced_state(p: &mut nanowall::FppaPlatform, window: u64) -> (nanowall::Platfo
     (report, format!("{:?} {:?}", p.io(0), p.io(1)))
 }
 
+/// Runs `p` for `cycles` under a ring sink that holds the whole run and
+/// returns what the sink saw.
+fn traced_run(p: &mut nanowall::FppaPlatform, cycles: u64) -> Vec<nanowall::TraceEvent> {
+    use nanowall::RingBufferSink;
+    p.set_trace_sink(Box::new(RingBufferSink::new(1 << 20)));
+    let _ = p.run(cycles);
+    let mut sink = p.take_trace_sink().expect("sink installed");
+    let ring = sink
+        .as_any_mut()
+        .downcast_mut::<RingBufferSink>()
+        .expect("ring sink");
+    assert_eq!(ring.dropped(), 0, "the ring holds the whole run");
+    ring.drain()
+}
+
 #[test]
 fn unbound_channel_overflows_inside_hops_identically() {
     let mut dense = paced_rig(SchedulerMode::Dense, 40.0);
@@ -816,21 +823,12 @@ fn an_overloaded_rig_hops_and_dispatches_the_cycle_after_a_retire() {
     // work"); now the dispatcher is due only when a thread is free, so
     // the platform hops through the compute bursts and memory accesses
     // and steps the cycle after each retirement.
-    use nanowall::{RingBufferSink, TraceEvent};
+    use nanowall::TraceEvent;
     const WINDOW: u64 = 40_000;
     let run = |mode| {
         let mut p = loaded_rig(mode, 1_000.0, 64, 16);
-        p.set_trace_sink(Box::new(RingBufferSink::new(1 << 18)));
-        let _ = p.run(WINDOW);
-        let mut sink = p.take_trace_sink().expect("sink installed");
-        let ring = sink
-            .as_any_mut()
-            .downcast_mut::<RingBufferSink>()
-            .expect("ring sink");
-        assert_eq!(ring.dropped(), 0, "the ring holds the whole run");
         // (cycle, pe, started) of every handler start and retirement.
-        let handlers: Vec<(u64, usize, bool)> = ring
-            .drain()
+        let handlers: Vec<(u64, usize, bool)> = traced_run(&mut p, WINDOW)
             .into_iter()
             .filter_map(|e| match e {
                 TraceEvent::HandlerStart { cycle, pe, .. } => Some((cycle, pe, true)),
@@ -956,7 +954,7 @@ fn checkpoints_inside_a_hop_span_with_a_memory_busy_and_invocations_queued() {
     // with snapshot, fork and restore, and survive every between-runs
     // mutator — taken at the worst moment, inside a span the run loop
     // would hop, with the SRAM mid-access and pings waiting for a thread.
-    use nanowall::{FppaPlatform, RingBufferSink, TraceEvent};
+    use nanowall::{FppaPlatform, TraceEvent};
     use nw_types::{BitsPerSec, Cycles};
     const TAIL: u64 = 8_000;
     let build = |mode| loaded_rig(mode, 1_000.0, 64, 16);
@@ -965,17 +963,14 @@ fn checkpoints_inside_a_hop_span_with_a_memory_busy_and_invocations_queued() {
     // bank busy for the 258 cycles that follow.
     let mut probe = build(SchedulerMode::ActiveSet);
     let sram = probe.memory_node(0).0;
-    probe.set_trace_sink(Box::new(RingBufferSink::new(1 << 18)));
-    let _ = probe.run(12_000);
-    let mut sink = probe.take_trace_sink().expect("sink installed");
-    let ring = sink
-        .as_any_mut()
-        .downcast_mut::<RingBufferSink>()
-        .expect("ring sink");
-    let requests = ring.drain().into_iter().filter_map(|e| match e {
-        TraceEvent::FlitDeliver { cycle, dst, .. } if dst == sram && cycle > 4_000 => Some(cycle),
-        _ => None,
-    });
+    let requests = traced_run(&mut probe, 12_000)
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::FlitDeliver { cycle, dst, .. } if dst == sram && cycle > 4_000 => {
+                Some(cycle)
+            }
+            _ => None,
+        });
     let cuts: Vec<u64> = requests
         .flat_map(|cycle| [cycle + 30, cycle + 120, cycle + 200])
         .filter(|&cut| {
@@ -1063,4 +1058,240 @@ fn checkpoints_inside_a_hop_span_with_a_memory_busy_and_invocations_queued() {
         assert_eq!(paced_state(&mut dense, TAIL), want, "{cut}: dense steps");
         assert_eq!(paced_state(&mut active, TAIL), want, "{cut}: active steps");
     }
+}
+
+/// A mesh of nine 8-thread PEs — a crowd of 72 threads that can each hold
+/// one synchronous call — and `readers` single-thread ones, with whatever
+/// `attach` puts behind the NoC. No registered rig, experiment or nwbench
+/// workload fills a service node (4 banks x 16 deep and 64-deep servers
+/// against a few dozen callers), so requests standing parked in front of a
+/// block are reached only by the tests built on this.
+fn crowd_rig(
+    name: &str,
+    readers: usize,
+    attach: impl FnOnce(&mut nanowall::FppaConfig),
+) -> nanowall::FppaPlatform {
+    use nanowall::prelude::*;
+    let mut cfg = FppaConfig::new(name, TopologyKind::Mesh);
+    for threads in [8; 9].into_iter().chain(vec![1; readers]) {
+        cfg.add_pe(PeConfig::new(PeClass::GpRisc, threads));
+    }
+    attach(&mut cfg);
+    FppaPlatform::new(cfg).expect("config valid")
+}
+
+/// Every thread of the crowd makes [`CROWD_CALLS`] back-to-back calls to
+/// `node`.
+fn crowd_calls(p: &mut nanowall::FppaPlatform, node: nw_types::NodeId, reply_bytes: u64) {
+    for pe in 0..9 {
+        for _ in 0..8 {
+            let calls = (0..CROWD_CALLS).map(|_| nw_pe::Op::call(node, 16, reply_bytes));
+            let prog = nw_pe::Program::straight_line(calls);
+            p.pe_mut(pe).spawn(prog).expect("an idle thread");
+        }
+    }
+}
+const CROWD: u64 = 72;
+const CROWD_CALLS: u64 = 2;
+
+/// A hardwired block that accepts one item every 400 cycles: it holds 64
+/// queued requests and one in service, the most any service node holds.
+fn slow_hwip() -> nanowall::HwIpConfig {
+    nanowall::HwIpConfig {
+        name: "slow".to_owned(),
+        ii: 400,
+        latency: 400,
+        area: nw_types::AreaMm2(0.1),
+        energy_per_item: nw_types::Picojoules(10.0),
+    }
+}
+
+#[test]
+fn saturated_service_nodes_park_and_drain_in_arrival_order() {
+    // One platform per kind of block, each under the crowd. The parked
+    // queue must hand every request over in arrival order, keep the node
+    // due every cycle under the active set (the agenda audit runs inside
+    // these debug runs) and travel with a snapshot.
+    use nanowall::prelude::*;
+    use nanowall::{MemoryBlockConfig, TraceEvent};
+    use nw_types::ThreadId;
+
+    /// By now every first request has reached its node and none is
+    /// answered; a node holds 65 of them at most.
+    const CUT: u64 = 350;
+    const HOLDS: usize = 65;
+    /// By now every call has long completed.
+    const FINISH: u64 = 80_000;
+    const TAIL: u64 = FINISH - CUT;
+
+    type Attach = fn(&mut FppaConfig);
+    type Node = fn(&mut FppaPlatform) -> NodeId;
+    let cases: [(&str, u64, Attach, Node); 3] = [
+        // One bank with one queue slot, busy 514 cycles per 4 KiB read.
+        (
+            "memory",
+            4_096,
+            |cfg| {
+                let mut sram = MemoryBlockConfig::new(MemoryTechnology::Sram, 2.0);
+                (sram.banks, sram.queue_depth) = (1, 1);
+                cfg.memories.push(sram);
+            },
+            |p| p.memory_node(0),
+        ),
+        (
+            "hwip",
+            16,
+            |cfg| cfg.hwip.push(slow_hwip()),
+            |p| p.hwip_node(0),
+        ),
+        // A configured fabric: its 64-deep server issues nothing during
+        // the 13 500 cycles of bitstream load.
+        (
+            "fabric",
+            16,
+            |cfg| cfg.fabrics.push(FabricSpec::default()),
+            |p| {
+                let kernel = KernelSpec::crypto_round();
+                let loaded = p.fabric_mut(0).reconfigure(&kernel, Cycles(0));
+                loaded.expect("the kernel fits");
+                p.fabric_node(0)
+            },
+        ),
+    ];
+
+    for (name, reply_bytes, attach, node) in cases {
+        let build = |mode| {
+            let mut p = crowd_rig(name, 0, attach);
+            p.set_scheduler_mode(mode);
+            let node = node(&mut p);
+            crowd_calls(&mut p, node, reply_bytes);
+            (p, node.0)
+        };
+        let served = |r: &PlatformReport| r.mem_accesses + r.hwip_served + r.fabric_served;
+
+        // Dense reference, with the window reports of both halves.
+        let (mut dense, _) = build(SchedulerMode::Dense);
+        let want_cut = dense.run(CUT);
+        let want = dense.run(TAIL);
+
+        // At the cut every caller is blocked on a request the NoC has
+        // delivered and the node has not answered: more than the block
+        // holds, so the rest stand parked.
+        let (mut active, _) = build(SchedulerMode::ActiveSet);
+        let at_cut = active.run(CUT);
+        assert_eq!(at_cut, want_cut, "{name}: dense and active at the cut");
+        let threads = (0..9).flat_map(|pe| (0..8).map(move |t| (pe, ThreadId(t))));
+        let blocked = threads
+            .clone()
+            .filter(|&(pe, t)| active.pe(pe).is_awaiting(t))
+            .count();
+        assert_eq!(blocked as u64, CROWD, "{name}: every caller is blocked");
+        assert!(blocked > HOLDS, "{name}: some must stand parked");
+        assert_eq!(at_cut.noc.delivered, CROWD, "{name}: all delivered");
+        assert_eq!(served(&at_cut), 0, "{name}: none answered yet");
+        let snap = active.snapshot();
+
+        // Every caller completes, on the cycles dense completes them, and
+        // the active set hops once the parked queue has drained.
+        assert_eq!(active.run(TAIL), want, "{name}: dense and active");
+        for (pe, t) in threads {
+            let idle = active.pe(pe).thread_is_idle(t);
+            assert!(idle, "{name}: caller {pe}.{} is left blocked", t.0);
+        }
+        assert_eq!(served(&want), CROWD * CROWD_CALLS, "{name}");
+        assert_eq!(active.next_event_cycle(), None, "{name}: drained");
+        let stats = active.scheduler_stats();
+        assert!(stats.cycles_hopped > 0, "{name}: {stats:?}");
+        assert!(stats.cycles_stepped >= CUT, "{name}: parked means due");
+
+        // The parked requests travel with the snapshot, both ways.
+        let mut copy = FppaPlatform::from_snapshot(&snap);
+        assert_eq!(copy.run(TAIL), want, "{name}: from_snapshot diverged");
+        active.restore(&snap);
+        assert_eq!(active.now().0, CUT);
+        assert_eq!(active.run(TAIL), want, "{name}: restore diverged");
+
+        // Arrival order: the node answers the PEs in the order their
+        // requests reached it, parked or not.
+        let (mut traced, node) = build(SchedulerMode::ActiveSet);
+        let (mut arrived, mut answered) = (Vec::new(), Vec::new());
+        for e in traced_run(&mut traced, FINISH) {
+            match e {
+                TraceEvent::FlitDeliver { src, dst, .. } if dst == node => arrived.push(src),
+                TraceEvent::FlitInject { src, dst, .. } if src == node => answered.push(dst),
+                _ => {}
+            }
+        }
+        assert_eq!(arrived.len() as u64, CROWD * CROWD_CALLS, "{name}");
+        assert_eq!(answered, arrived, "{name}: answered out of arrival order");
+    }
+}
+
+#[test]
+fn parked_requests_keep_the_id_they_drew_on_arrival() {
+    // The one id rule: a request draws its platform-unique id when it
+    // arrives at a service node, in arrival order, and keeps it while it
+    // stands parked. Ids are visible through the memories, which derive
+    // the bank from them (`addr = id x INTERLEAVE`): two 4 KiB reads sent
+    // to a two-bank SRAM while the crowd's block parks, retries and
+    // re-parks its callers in between. Were a parked request to draw a
+    // second id at its successful retry, the second read would land on
+    // the other bank and be answered 514 cycles early.
+    use nanowall::prelude::*;
+    use nanowall::{MemoryBlockConfig, TraceEvent};
+
+    const BANK_TIME: u64 = 514; // one 4 KiB SRAM read
+
+    let mut p = crowd_rig("ids", 2, |cfg| {
+        let mut sram = MemoryBlockConfig::new(MemoryTechnology::Sram, 2.0);
+        sram.banks = 2;
+        cfg.memories.push(sram);
+        cfg.hwip.push(slow_hwip());
+    });
+    let (mem, hwip) = (p.memory_node(0), p.hwip_node(0));
+    // Seven of the crowd stand parked, and every completion (one per 400
+    // cycles) lets one in and brings the answered caller's second request
+    // to the back of the queue.
+    crowd_calls(&mut p, hwip, 16);
+    // The two reads, either side of the block's second completion.
+    for (pe, wait) in [(9, 650), (10, 950)] {
+        let read = [nw_pe::Op::Compute(wait), nw_pe::Op::call(mem, 16, 4_096)];
+        let prog = nw_pe::Program::straight_line(read);
+        p.pe_mut(pe).spawn(prog).expect("an idle thread");
+    }
+    let (mut arrivals, mut answers, mut completions) = (Vec::new(), Vec::new(), Vec::new());
+    for e in traced_run(&mut p, 3_000) {
+        match e {
+            TraceEvent::FlitDeliver { cycle, dst, .. } if dst == mem.0 || dst == hwip.0 => {
+                arrivals.push((cycle, dst));
+            }
+            TraceEvent::FlitInject { cycle, src, .. } if src == mem.0 => answers.push(cycle),
+            TraceEvent::FlitInject { cycle, src, .. } if src == hwip.0 => completions.push(cycle),
+            _ => {}
+        }
+    }
+    // Arrivals are routed cycle by cycle, endpoints ascending, each in
+    // delivery order: a request's position in that order is its id.
+    arrivals.sort_by_key(|&(cycle, dst)| (cycle, dst));
+    let reads: Vec<usize> = (0..arrivals.len())
+        .filter(|&id| arrivals[id].1 == mem.0)
+        .collect();
+    let [first, second] = reads[..] else {
+        panic!("two reads, not {reads:?}");
+    };
+    let (sent_first, sent_second) = (arrivals[first].0, arrivals[second].0);
+    assert!(sent_second - sent_first < BANK_TIME, "the reads overlap");
+    // Between the reads the block completed a request — a parked one went
+    // in, under its old id — and exactly one new request arrived.
+    assert!(first as u64 >= CROWD, "every first request came before");
+    let between = |&&c: &&u64| sent_first < c && c < sent_second;
+    assert_eq!(completions.iter().filter(between).count(), 1);
+    assert_eq!(second - first, 2, "ids {first} and {second}");
+    // Same parity, same bank: the second read waits out the first.
+    assert_eq!(answers.len(), 2);
+    assert_eq!(
+        answers[1] - answers[0],
+        BANK_TIME,
+        "answered at {answers:?}"
+    );
 }
