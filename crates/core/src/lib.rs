@@ -55,6 +55,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod calls;
 pub mod config;
 pub mod platform;
 pub mod report;

@@ -14,9 +14,10 @@
 //!
 //! [`PeRequest`]: nw_pe::PeRequest
 
+use crate::calls::{CallTable, Expired, Reply};
 use crate::config::{BuildPlatformError, FppaConfig};
 use crate::report::PlatformReport;
-use crate::resilience::{CloseOutcome, ResilienceState, ResilienceStats, RetryPolicy};
+use crate::resilience::{ResilienceStats, RetryPolicy};
 use crate::runtime::{nth_tick, Runtime};
 use crate::services::Services;
 use crate::tags::{is_reply, RequestTag};
@@ -192,22 +193,10 @@ pub struct FppaPlatform {
     /// request padding) draws from it instead of the allocator. Purely an
     /// allocation cache — contents and timing are bit-identical either way.
     pool: PayloadPool,
-    /// In-flight synchronous round trip per hardware thread
-    /// (`call_issue[pe][tid]`): the cycle the `Op::Call` issued and the
-    /// application object the latency is attributed to. Stamped in
-    /// [`FppaPlatform::collect_pe_requests`], consumed at reply delivery in
-    /// `route_arrivals` — the end-to-end (request-issue → reply-delivery)
-    /// invocation-latency probe. A blocked thread holds at most one call,
-    /// so the slot needs no queue.
-    call_issue: Vec<Vec<Option<(Cycles, ObjectId)>>>,
-    /// Per-object end-to-end latency histograms, indexed by [`ObjectId`];
-    /// sized when an application is installed.
-    object_latency: Vec<LatencyHistogram>,
-    /// Per-object deadline budgets in cycles (see
-    /// [`FppaPlatform::set_latency_deadline`]).
-    latency_deadlines: Vec<Option<u64>>,
-    /// Recorded round trips that exceeded the object's deadline budget.
-    deadline_misses: Vec<u64>,
+    /// Every in-flight synchronous call — latency probe and retry entry
+    /// per hardware thread — with the per-object latency telemetry and the
+    /// retry policy (see [`crate::calls`]).
+    pub(crate) calls: CallTable,
     /// Sim-domain trace sink (see [`FppaPlatform::set_trace_sink`]). A pure
     /// observer: events are derived from simulation state and never fed
     /// back, so traced runs are bit-identical to untraced ones (pinned by
@@ -222,12 +211,8 @@ pub struct FppaPlatform {
     /// step. `None` keeps every fault hook structurally untouched, so
     /// faults-off runs are bit-identical to builds without the subsystem.
     campaign: Option<FaultCampaign>,
-    /// Retry/timeout bookkeeping (see [`FppaPlatform::set_retry_policy`]).
-    /// `None` keeps the legacy reply path: tags carry token 0 and replies
-    /// complete their thread unconditionally.
-    resilience: Option<ResilienceState>,
-    /// Fault/recovery counters surfaced through
-    /// [`FppaPlatform::resilience_stats`]; all zero when faults are off.
+    /// Fault counters surfaced through [`FppaPlatform::resilience_stats`]
+    /// (the retry counters live in `calls`); all zero when faults are off.
     rstats: ResilienceStats,
     /// The replica seed last applied by [`FppaPlatform::reseed`] /
     /// [`FppaPlatform::fork`] (0 for a freshly built platform).
@@ -313,7 +298,7 @@ impl FppaPlatform {
         roles.extend((0..ios.len()).map(NodeRole::Io));
 
         let n_pes = pes.len();
-        let call_issue = pes.iter().map(|p| vec![None; p.n_threads()]).collect();
+        let calls = CallTable::new(pes.iter().map(Pe::n_threads));
         Ok(FppaPlatform {
             cfg,
             noc,
@@ -334,14 +319,10 @@ impl FppaPlatform {
             sched_stats: SchedulerStats::default(),
             hop_cache: OnceCell::new(),
             pool: PayloadPool::new(),
-            call_issue,
-            object_latency: Vec::new(),
-            latency_deadlines: Vec::new(),
-            deadline_misses: Vec::new(),
+            calls,
             obs_sink: None,
             profiler: None,
             campaign: None,
-            resilience: None,
             rstats: ResilienceStats::default(),
             seed: 0,
         })
@@ -378,14 +359,10 @@ impl FppaPlatform {
             sched_stats: self.sched_stats,
             hop_cache: self.hop_cache.clone(),
             pool: self.pool.clone(),
-            call_issue: self.call_issue.clone(),
-            object_latency: self.object_latency.clone(),
-            latency_deadlines: self.latency_deadlines.clone(),
-            deadline_misses: self.deadline_misses.clone(),
+            calls: self.calls.clone(),
             obs_sink: None,
             profiler: None,
             campaign: self.campaign.clone(),
-            resilience: self.resilience.clone(),
             rstats: self.rstats.clone(),
             seed: self.seed,
         }
@@ -850,16 +827,16 @@ impl FppaPlatform {
     /// Enables the deterministic retry layer: every synchronous call gets a
     /// deadline, a timed-out call is re-issued with a bumped tag token
     /// (stale replies are detected and dropped), and a call that exhausts
-    /// [`RetryPolicy::max_attempts`] releases its blocked thread.
+    /// [`RetryPolicy::max_attempts`] releases its blocked thread. Calls
+    /// already in flight stay untracked; setting a policy again swaps it
+    /// under the tracked calls, which keep their deadlines and tokens.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.resilience = Some(ResilienceState::new(policy));
+        self.calls.set_policy(policy);
     }
 
     /// Synchronous calls currently tracked by the retry layer.
     pub fn pending_retries(&self) -> usize {
-        self.resilience
-            .as_ref()
-            .map_or(0, ResilienceState::pending_len)
+        self.calls.pending_len()
     }
 
     /// Fault-injection and recovery counters: platform-side events merged
@@ -867,6 +844,7 @@ impl FppaPlatform {
     /// were never enabled.
     pub fn resilience_stats(&self) -> ResilienceStats {
         let mut s = self.rstats.clone();
+        self.calls.fill_stats(&mut s);
         s.packets_dropped = self.noc.dropped_packets();
         s.flits_dropped = self.noc.dropped_flits();
         s.packets_corrupted = self.noc.corrupted_packets();
@@ -916,17 +894,10 @@ impl FppaPlatform {
         }
         // One tick on the dead contexts; it posts the PE dormant.
         self.wake_pe(pe, now);
-        for slot in &mut self.call_issue[pe] {
-            *slot = None;
-        }
+        self.calls.abandon_pe(pe, &mut self.pool);
         if let Some(rt) = self.runtime.as_mut() {
             rt.clear_thread_objects(pe);
             rt.note_pe(pe, 0);
-        }
-        if let Some(rs) = self.resilience.as_mut() {
-            for b in rs.abandon_pe(pe) {
-                self.pool.put(b);
-            }
         }
         self.rstats.pe_crashes += 1;
     }
@@ -1016,60 +987,38 @@ impl FppaPlatform {
     /// thread. Deadlines are plain cycle numbers, so both schedulers fire
     /// them on identical cycles.
     fn check_retries(&mut self, now: Cycles) {
-        let Some(mut rs) = self.resilience.take() else {
-            return;
-        };
-        let policy = rs.policy;
-        for (p, tid) in rs.due_keys(now.0) {
-            let give_up = {
-                let Some(entry) = rs.get_mut(p, tid) else {
-                    continue;
-                };
-                u32::from(entry.attempt) + 1 >= u32::from(policy.max_attempts.max(1))
-            };
-            if give_up {
-                if let Some(data) = rs.abandon(p, tid) {
-                    self.pool.put(data);
+        for expired in self.calls.expire(now.0, &mut self.pool) {
+            match expired {
+                Expired::GiveUp { pe, tid } => {
+                    let t = nw_types::ThreadId(tid);
+                    if self.pes[pe].is_awaiting(t) {
+                        self.complete_thread(pe, t, now);
+                    }
                 }
-                self.call_issue[p][tid] = None;
-                self.rstats.retry_give_ups += 1;
-                let t = nw_types::ThreadId(tid);
-                if self.pes[p].is_awaiting(t) {
-                    self.complete_thread(p, t, now);
-                }
-            } else {
-                rs.bump(p, tid, now.0);
-                let entry = rs.get_mut(p, tid).expect("entry was just bumped");
-                let mut fresh = self.pool.take();
-                fresh.extend_from_slice(&entry.data);
-                let send = std::mem::replace(&mut entry.data, fresh);
-                let tag = RequestTag {
-                    pe: PeId(p),
-                    tid: nw_types::ThreadId(tid),
-                    token: entry.token,
-                    reply_bytes: entry.reply_bytes,
-                }
-                .encode();
-                let (dst, attempt) = (entry.dst, entry.attempt);
-                self.outbox.push_back(Outgoing {
-                    src: self.pe_nodes[p],
-                    dst,
-                    data: send,
+                Expired::Retry {
                     tag,
-                    on_accept: None,
-                });
-                self.rstats.retries += 1;
-                if let Some(s) = self.obs_sink.as_deref_mut() {
-                    s.emit(TraceEvent::RetryIssued {
-                        cycle: now.0,
-                        pe: p,
-                        thread: tid,
-                        attempt: u32::from(attempt),
+                    attempt,
+                    dst,
+                    data,
+                } => {
+                    self.outbox.push_back(Outgoing {
+                        src: self.pe_nodes[tag.pe.0],
+                        dst,
+                        data,
+                        tag: tag.encode(),
+                        on_accept: None,
                     });
+                    if let Some(s) = self.obs_sink.as_deref_mut() {
+                        s.emit(TraceEvent::RetryIssued {
+                            cycle: now.0,
+                            pe: tag.pe.0,
+                            thread: tag.tid.0,
+                            attempt: u32::from(attempt),
+                        });
+                    }
                 }
             }
         }
-        self.resilience = Some(rs);
     }
 
     /// One stepped cycle: the eight phases in their fixed order, each
@@ -1218,9 +1167,7 @@ impl FppaPlatform {
             Source::Faults => (self.campaign.as_ref())
                 .and_then(FaultCampaign::next_cycle)
                 .unwrap_or(NEVER),
-            Source::Retries => (self.resilience.as_ref())
-                .and_then(ResilienceState::earliest_deadline)
-                .unwrap_or(NEVER),
+            Source::Retries => self.calls.next_deadline().unwrap_or(NEVER),
             Source::Io => self.io_due,
             Source::Noc if self.noc.eject_pending() > 0 => now,
             Source::Noc => (self.noc.next_event_cycle(Cycles(now))).map_or(NEVER, |c| c.0),
@@ -1414,37 +1361,18 @@ impl FppaPlatform {
                 NodeRole::Pe(p) => {
                     if is_reply(pkt.tag) {
                         let t = RequestTag::decode(pkt.tag);
-                        match self
-                            .resilience
-                            .as_mut()
-                            .map(|rs| rs.close(p, t.tid.0, t.token))
+                        let awaiting = self.pes[p].is_awaiting(t.tid);
+                        let pool = &mut self.pool;
+                        // A duplicate — a superseded attempt's reply, or
+                        // one for a thread that gave up or whose PE
+                        // crashed — is counted by the table and dropped.
+                        if let Reply::Deliver { miss } =
+                            (self.calls).reply(p, t.tid.0, t.token, awaiting, now, pool)
                         {
-                            None => {
-                                // Legacy path (retry layer off).
-                                self.record_reply_latency(p, t.tid, now);
-                                self.complete_thread(p, t.tid, now);
+                            if let (Some(miss), Some(s)) = (miss, self.obs_sink.as_deref_mut()) {
+                                s.emit(miss);
                             }
-                            Some(CloseOutcome::Live(stored)) => {
-                                self.pool.put(stored);
-                                self.record_reply_latency(p, t.tid, now);
-                                self.complete_thread(p, t.tid, now);
-                            }
-                            Some(CloseOutcome::Stale) => {
-                                // An earlier attempt's reply arrived
-                                // after its timeout: a newer attempt is
-                                // in flight, so this one is a duplicate.
-                                self.rstats.duplicate_replies_dropped += 1;
-                            }
-                            Some(CloseOutcome::Unknown) => {
-                                // No tracked call: the thread either
-                                // gave up already or its PE crashed.
-                                if self.pes[p].is_awaiting(t.tid) {
-                                    self.record_reply_latency(p, t.tid, now);
-                                    self.complete_thread(p, t.tid, now);
-                                } else {
-                                    self.rstats.duplicate_replies_dropped += 1;
-                                }
-                            }
+                            self.complete_thread(p, t.tid, now);
                         }
                     } else if let Some(rt) = self.runtime.as_mut() {
                         rt.enqueue_invocation(p, &pkt, self.pes[p].idle_threads());
@@ -1460,39 +1388,6 @@ impl FppaPlatform {
             // Every arm above consumes the packet; its payload buffer
             // goes back to the arena for the next producer.
             self.pool.put(std::mem::take(&mut pkt.data));
-        }
-    }
-
-    /// Closes the latency probe of thread `(p, tid)` at reply delivery:
-    /// the elapsed cycles since the call issued land in the attributed
-    /// object's histogram, and the object's deadline budget (if any) is
-    /// checked. Runs identically under both schedulers — deliveries happen
-    /// in normally stepped cycles, never inside a fast-forwarded span.
-    fn record_reply_latency(&mut self, p: usize, tid: nw_types::ThreadId, now: Cycles) {
-        let Some((issued, obj)) = self
-            .call_issue
-            .get_mut(p)
-            .and_then(|slots| slots.get_mut(tid.0))
-            .and_then(Option::take)
-        else {
-            return;
-        };
-        let latency = now.saturating_sub(issued);
-        if let Some(h) = self.object_latency.get_mut(obj.0) {
-            h.record(latency);
-            if let Some(budget) = self.latency_deadlines[obj.0] {
-                if latency.0 > budget {
-                    self.deadline_misses[obj.0] += 1;
-                    if let Some(s) = self.obs_sink.as_deref_mut() {
-                        s.emit(TraceEvent::DeadlineMiss {
-                            cycle: now.0,
-                            object: obj.0,
-                            latency: latency.0,
-                            budget,
-                        });
-                    }
-                }
-            }
         }
     }
 
@@ -1568,38 +1463,24 @@ impl FppaPlatform {
                     reply_bytes,
                     mut data,
                 } => {
-                    // Open the latency probe: the round trip ends when
-                    // the reply packet is delivered back to this thread.
-                    if let Some(obj) = self
-                        .call_attribution(p, tid.0, dst, &data)
-                        .filter(|o| o.0 < self.object_latency.len())
-                    {
-                        self.call_issue[p][tid.0] = Some((now, obj));
-                    }
+                    // The round trip the latency probe times ends when
+                    // the reply is delivered back to this thread; under a
+                    // retry policy the table keeps a clone of the padded
+                    // payload and stamps the attempt's token on the tag.
+                    let object = self.call_attribution(p, tid.0, dst, &data);
                     self.pool.pad_zeroed(&mut data, bytes as usize);
-                    // With the retry layer on, open a pending entry
-                    // holding a pool-accounted clone of the payload and
-                    // stamp its token on the tag; off, token 0 keeps
-                    // the tag bit-identical to the legacy layout.
-                    let token = if let Some(rs) = self.resilience.as_mut() {
-                        let mut copy = self.pool.take();
-                        copy.extend_from_slice(&data);
-                        rs.open(p, tid.0, dst, reply_bytes, copy, now.0)
-                    } else {
-                        0
-                    };
                     let tag = RequestTag {
                         pe: PeId(p),
                         tid,
-                        token,
+                        token: 0,
                         reply_bytes,
-                    }
-                    .encode();
+                    };
+                    let tag = (self.calls).issue(tag, dst, &data, object, now, &mut self.pool);
                     self.outbox.push_back(Outgoing {
                         src,
                         dst,
                         data,
-                        tag,
+                        tag: tag.encode(),
                         on_accept: None,
                     });
                 }
@@ -1644,17 +1525,6 @@ impl FppaPlatform {
         }
     }
 
-    /// Resizes and clears the latency telemetry for a freshly installed
-    /// application of `n_objects` objects.
-    pub(crate) fn reset_latency_telemetry(&mut self, n_objects: usize) {
-        self.object_latency = vec![LatencyHistogram::new(); n_objects];
-        self.latency_deadlines = vec![None; n_objects];
-        self.deadline_misses = vec![0; n_objects];
-        for slots in &mut self.call_issue {
-            slots.fill(None);
-        }
-    }
-
     /// Sets a per-object deadline budget: every recorded end-to-end round
     /// trip attributed to `object` that exceeds `cycles` counts as a
     /// deadline miss in [`PlatformReport::latency`] (the budget is checked
@@ -1675,10 +1545,10 @@ impl FppaPlatform {
         if self.runtime.is_none() {
             return Err(crate::runtime::InstallError::NoApp);
         }
-        let Some(slot) = self.latency_deadlines.get_mut(object.0) else {
+        let Some(o) = self.calls.object_mut(object) else {
             return Err(crate::runtime::InstallError::UnknownObject(object));
         };
-        *slot = Some(cycles);
+        o.deadline = Some(cycles);
         Ok(())
     }
 
@@ -1687,19 +1557,7 @@ impl FppaPlatform {
     /// id is out of range). Aggregate across objects with
     /// [`LatencyHistogram::merge`].
     pub fn object_latency(&self, object: ObjectId) -> Option<&LatencyHistogram> {
-        self.object_latency.get(object.0)
-    }
-
-    pub(crate) fn object_latency_slice(&self) -> &[LatencyHistogram] {
-        &self.object_latency
-    }
-
-    pub(crate) fn latency_deadlines_slice(&self) -> &[Option<u64>] {
-        &self.latency_deadlines
-    }
-
-    pub(crate) fn deadline_misses_slice(&self) -> &[u64] {
-        &self.deadline_misses
+        self.calls.objects().get(object.0).map(|o| &o.histogram)
     }
 
     /// Builds the report for the last `elapsed` cycles of activity.

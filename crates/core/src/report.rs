@@ -137,19 +137,18 @@ impl PlatformReport {
                 .runtime()
                 .map_or_else(Vec::new, |r| r.object_dispatches().to_vec()),
             latency: p
-                .object_latency_slice()
+                .calls
+                .objects()
                 .iter()
-                .zip(p.latency_deadlines_slice())
-                .zip(p.deadline_misses_slice())
-                .map(|((h, &deadline), &deadline_misses)| ObjectLatency {
-                    count: h.count(),
-                    p50: h.p50(),
-                    p95: h.p95(),
-                    p99: h.p99(),
-                    max: h.max().unwrap_or(Cycles::ZERO),
-                    mean: h.mean(),
-                    deadline,
-                    deadline_misses,
+                .map(|o| ObjectLatency {
+                    count: o.histogram.count(),
+                    p50: o.histogram.p50(),
+                    p95: o.histogram.p95(),
+                    p99: o.histogram.p99(),
+                    max: o.histogram.max().unwrap_or(Cycles::ZERO),
+                    mean: o.histogram.mean(),
+                    deadline: o.deadline,
+                    deadline_misses: o.misses,
                 })
                 .collect(),
             mem_accesses: services.memories().map(|(_, m)| m.served()).sum(),

@@ -30,9 +30,6 @@
 //! cycle numbers, tokens are per-thread counters — so fault runs stay
 //! bit-identical across scheduler modes and across repeats of a seed.
 
-use nw_types::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
-
 /// Deterministic retry/timeout policy for synchronous calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -65,172 +62,6 @@ impl RetryPolicy {
         } else {
             self.timeout << shift
         }
-    }
-}
-
-/// One in-flight synchronous call tracked for retry.
-#[derive(Debug, Clone)]
-pub(crate) struct PendingCall {
-    /// Cycle the current attempt times out. Private: it is mirrored in
-    /// `ResilienceState::by_deadline`, so only `open`/`bump` may set it.
-    deadline: u64,
-    /// Attempts issued so far minus one (0 = first issue outstanding).
-    pub attempt: u8,
-    /// Token stamped on the current attempt's tag.
-    pub token: u8,
-    /// Destination endpoint (re-used verbatim on retry).
-    pub dst: NodeId,
-    /// Expected reply payload size (tag field).
-    pub reply_bytes: u64,
-    /// Pool-accounted clone of the request payload, ready to re-send.
-    pub data: Vec<u8>,
-}
-
-/// Outcome of matching an arriving reply against the retry table.
-#[derive(Debug)]
-pub(crate) enum CloseOutcome {
-    /// The live attempt's reply: entry closed, stored payload returned for
-    /// recycling. Deliver the completion.
-    Live(Vec<u8>),
-    /// A stale attempt's reply (token mismatch): drop it, keep waiting.
-    Stale,
-    /// No entry for this thread (already gave up, or the PE crashed):
-    /// deliver only if the thread is actually awaiting.
-    Unknown,
-}
-
-/// The retry table: per-thread pending calls plus token counters.
-#[derive(Debug, Clone)]
-pub(crate) struct ResilienceState {
-    pub policy: RetryPolicy,
-    /// Pending synchronous calls keyed `(pe, tid)` — BTreeMap so due-scan
-    /// order is deterministic.
-    pending: BTreeMap<(usize, usize), PendingCall>,
-    /// `(deadline, pe, tid)` of every pending entry, so the earliest
-    /// deadline is the first element instead of a walk over `pending`
-    /// (both the quiet-span probe and the retry phase ask every cycle).
-    /// Kept in step by `open`, `bump`, `close`, `abandon`, `abandon_pe`.
-    by_deadline: BTreeSet<(u64, usize, usize)>,
-    /// Per-thread token counter; bumps on every open so replies from an
-    /// abandoned call can never correlate with a later one.
-    salts: BTreeMap<(usize, usize), u8>,
-}
-
-impl ResilienceState {
-    pub fn new(policy: RetryPolicy) -> Self {
-        ResilienceState {
-            policy,
-            pending: BTreeMap::new(),
-            by_deadline: BTreeSet::new(),
-            salts: BTreeMap::new(),
-        }
-    }
-
-    /// Opens a pending entry for a freshly issued call and returns the
-    /// token to stamp on its tag.
-    pub fn open(
-        &mut self,
-        pe: usize,
-        tid: usize,
-        dst: NodeId,
-        reply_bytes: u64,
-        data: Vec<u8>,
-        now: u64,
-    ) -> u8 {
-        let salt = self.salts.entry((pe, tid)).or_insert(0);
-        *salt = salt.wrapping_add(1);
-        let token = *salt;
-        let deadline = now + self.policy.window(0);
-        // A blocked thread holds one call; a leftover entry is replaced.
-        self.abandon(pe, tid);
-        self.pending.insert(
-            (pe, tid),
-            PendingCall {
-                deadline,
-                attempt: 0,
-                token,
-                dst,
-                reply_bytes,
-                data,
-            },
-        );
-        self.by_deadline.insert((deadline, pe, tid));
-        token
-    }
-
-    /// Advances the pending entry of `(pe, tid)` to its next attempt:
-    /// fresh token from the thread's salt counter, attempt count up, new
-    /// deadline with the doubled backoff window. No-op if nothing pends.
-    pub fn bump(&mut self, pe: usize, tid: usize, now: u64) {
-        let salt = self.salts.entry((pe, tid)).or_insert(0);
-        *salt = salt.wrapping_add(1);
-        let token = *salt;
-        let policy = self.policy;
-        if let Some(e) = self.pending.get_mut(&(pe, tid)) {
-            self.by_deadline.remove(&(e.deadline, pe, tid));
-            e.attempt = e.attempt.saturating_add(1);
-            e.token = token;
-            e.deadline = now + policy.window(e.attempt);
-            self.by_deadline.insert((e.deadline, pe, tid));
-        }
-    }
-
-    /// Matches a reply for thread `(pe, tid)` carrying `token`.
-    pub fn close(&mut self, pe: usize, tid: usize, token: u8) -> CloseOutcome {
-        match self.pending.get(&(pe, tid)) {
-            Some(entry) if entry.token == token => {
-                let data = self.abandon(pe, tid).expect("entry just matched");
-                CloseOutcome::Live(data)
-            }
-            Some(_) => CloseOutcome::Stale,
-            None => CloseOutcome::Unknown,
-        }
-    }
-
-    /// Keys whose deadline has fired at `now`, in `(pe, tid)` order.
-    /// Allocates nothing when no deadline is due.
-    pub fn due_keys(&self, now: u64) -> Vec<(usize, usize)> {
-        let mut keys: Vec<_> = self
-            .by_deadline
-            .range(..=(now, usize::MAX, usize::MAX))
-            .map(|&(_, pe, tid)| (pe, tid))
-            .collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    pub fn get_mut(&mut self, pe: usize, tid: usize) -> Option<&mut PendingCall> {
-        self.pending.get_mut(&(pe, tid))
-    }
-
-    /// Removes an entry (give-up, crash), returning its payload.
-    pub fn abandon(&mut self, pe: usize, tid: usize) -> Option<Vec<u8>> {
-        let e = self.pending.remove(&(pe, tid))?;
-        self.by_deadline.remove(&(e.deadline, pe, tid));
-        Some(e.data)
-    }
-
-    /// Drops every entry of PE `pe` (crash), returning the payloads.
-    pub fn abandon_pe(&mut self, pe: usize) -> Vec<Vec<u8>> {
-        let keys: Vec<_> = self
-            .pending
-            .range((pe, 0)..(pe + 1, 0))
-            .map(|(&k, _)| k)
-            .collect();
-        keys.into_iter()
-            .filter_map(|(p, tid)| self.abandon(p, tid))
-            .collect()
-    }
-
-    /// The earliest pending deadline — folded into the scheduler
-    /// fast-forward paths so a quiet span never skips a timeout.
-    pub fn earliest_deadline(&self) -> Option<u64> {
-        self.by_deadline.first().map(|&(deadline, _, _)| deadline)
-    }
-
-    /// Pending entries (observability/tests).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -267,109 +98,103 @@ pub struct ResilienceStats {
 
 #[cfg(test)]
 mod tests {
+    //! The retry contract above, driven through the table that keeps it.
     use super::*;
+    use crate::calls::{CallTable, Expired, Reply};
+    use nw_noc::PayloadPool;
+    use nw_types::Cycles;
+
+    const DELIVERED: Reply = Reply::Deliver { miss: None };
+
+    fn table(policy: RetryPolicy) -> (CallTable, PayloadPool) {
+        let mut t = CallTable::new([2, 2, 2]);
+        t.set_policy(policy);
+        (t, PayloadPool::new())
+    }
 
     #[test]
     fn open_close_roundtrip() {
-        let mut rs = ResilienceState::new(RetryPolicy::default());
-        let tok = rs.open(1, 2, NodeId(5), 64, vec![1, 2, 3], 100);
-        assert_eq!(rs.pending_len(), 1);
-        assert_eq!(rs.earliest_deadline(), Some(100 + 4_096));
-        match rs.close(1, 2, tok) {
-            CloseOutcome::Live(data) => assert_eq!(data, vec![1, 2, 3]),
-            other => panic!("expected live close, got {other:?}"),
-        }
-        assert_eq!(rs.pending_len(), 0);
-        assert!(matches!(rs.close(1, 2, tok), CloseOutcome::Unknown));
+        let (mut t, mut pool) = table(RetryPolicy::default());
+        let tok = t.issue_at(1, 1, &[1, 2, 3], 100, &mut pool);
+        assert_eq!(t.pending_len(), 1);
+        assert_eq!(pool.outstanding(), 1, "the stored clone");
+        assert_eq!(t.next_deadline(), Some(100 + 4_096));
+        assert_eq!(t.reply(1, 1, tok, true, Cycles(150), &mut pool), DELIVERED);
+        assert_eq!(t.pending_len(), 0);
+        assert_eq!(pool.outstanding(), 0, "the clone went back at the close");
+        // No entry left: the same reply again reaches only a waiting thread.
+        let now = Cycles(160);
+        assert_eq!(t.reply(1, 1, tok, false, now, &mut pool), Reply::Duplicate);
+        assert_eq!(t.reply(1, 1, tok, true, now, &mut pool), DELIVERED);
     }
 
     #[test]
     fn stale_token_is_detected() {
-        let mut rs = ResilienceState::new(RetryPolicy::default());
-        let tok = rs.open(0, 0, NodeId(1), 8, Vec::new(), 0);
-        let entry = rs.get_mut(0, 0).expect("entry open");
-        entry.attempt = 1;
-        entry.token = tok.wrapping_add(1);
-        assert!(matches!(rs.close(0, 0, tok), CloseOutcome::Stale));
-        assert!(matches!(
-            rs.close(0, 0, tok.wrapping_add(1)),
-            CloseOutcome::Live(_)
-        ));
+        let (mut t, mut pool) = table(RetryPolicy {
+            timeout: 10,
+            max_attempts: 3,
+        });
+        let first = t.issue_at(0, 0, &[7; 4], 0, &mut pool);
+        let retried = match t.expire(10, &mut pool).as_slice() {
+            [Expired::Retry {
+                tag,
+                attempt: 1,
+                data,
+                ..
+            }] => {
+                assert_eq!(data, &[7; 4], "the retry re-sends the stored payload");
+                tag.token
+            }
+            other => panic!("expected one retry, got {other:?}"),
+        };
+        assert_ne!(first, retried);
+        let now = Cycles(12);
+        assert_eq!(t.reply(0, 0, first, true, now, &mut pool), Reply::Duplicate);
+        assert_eq!(t.pending_len(), 1, "a stale reply leaves the call pending");
+        assert_eq!(t.reply(0, 0, retried, true, now, &mut pool), DELIVERED);
     }
 
     #[test]
     fn tokens_never_repeat_across_reopens() {
-        let mut rs = ResilienceState::new(RetryPolicy::default());
-        let a = rs.open(0, 0, NodeId(1), 8, Vec::new(), 0);
-        rs.abandon(0, 0);
-        let b = rs.open(0, 0, NodeId(1), 8, Vec::new(), 50);
-        assert_ne!(a, b, "a reopened call must get a fresh token");
+        let (mut t, mut pool) = table(RetryPolicy {
+            timeout: 10,
+            max_attempts: 1,
+        });
+        let a = t.issue_at(0, 0, &[], 0, &mut pool);
+        t.abandon_pe(0, &mut pool);
+        let b = t.issue_at(0, 0, &[], 50, &mut pool);
+        assert_ne!(a, b, "a call reopened after a crash must get a fresh token");
+        assert!(matches!(
+            t.expire(60, &mut pool).as_slice(),
+            [Expired::GiveUp { pe: 0, tid: 0 }]
+        ));
+        let c = t.issue_at(0, 0, &[], 70, &mut pool);
+        assert!(c != a && c != b, "and so must one reopened after a give-up");
     }
 
     #[test]
     fn due_scan_and_pe_abandon() {
-        let mut rs = ResilienceState::new(RetryPolicy {
+        let (mut t, mut pool) = table(RetryPolicy {
             timeout: 10,
             max_attempts: 3,
         });
-        rs.open(0, 0, NodeId(1), 8, vec![1], 0);
-        rs.open(0, 1, NodeId(1), 8, vec![2], 5);
-        rs.open(2, 0, NodeId(1), 8, vec![3], 0);
-        assert_eq!(rs.due_keys(10), vec![(0, 0), (2, 0)]);
-        assert_eq!(rs.due_keys(9), Vec::<(usize, usize)>::new());
-        let dropped = rs.abandon_pe(0);
-        assert_eq!(dropped, vec![vec![1], vec![2]]);
-        assert_eq!(rs.pending_len(), 1);
-        assert_eq!(rs.earliest_deadline(), Some(10));
-    }
-
-    #[test]
-    fn deadline_index_matches_a_scan_after_random_operations() {
-        // xorshift: a fixed, dependency-free operation stream.
-        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut draw = move |n: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % n
-        };
-        let mut rs = ResilienceState::new(RetryPolicy {
-            timeout: 7,
-            max_attempts: 4,
-        });
-        let mut now = 0;
-        for _ in 0..4_000 {
-            now += draw(3);
-            let (pe, tid) = (draw(4) as usize, draw(3) as usize);
-            match draw(6) {
-                0 | 1 => {
-                    rs.open(pe, tid, NodeId(1), 8, Vec::new(), now);
-                }
-                2 => rs.bump(pe, tid, now),
-                3 => {
-                    let token = rs.get_mut(pe, tid).map_or(0, |e| e.token);
-                    rs.close(pe, tid, token.wrapping_add(draw(2) as u8));
-                }
-                4 => {
-                    rs.abandon(pe, tid);
-                }
-                _ => {
-                    rs.abandon_pe(pe);
-                }
-            }
-            let scan_min = rs.pending.values().map(|e| e.deadline).min();
-            assert_eq!(rs.earliest_deadline(), scan_min);
-            let scan_due: Vec<_> = rs
-                .pending
-                .iter()
-                .filter(|(_, e)| e.deadline <= now)
-                .map(|(&k, _)| k)
-                .collect();
-            assert_eq!(rs.due_keys(now), scan_due);
-            assert_eq!(rs.by_deadline.len(), rs.pending.len());
-        }
-        // Nothing due: no allocation behind the returned vector.
-        assert_eq!(rs.due_keys(0).capacity(), 0);
+        t.issue_at(2, 0, &[3], 0, &mut pool);
+        t.issue_at(0, 1, &[2], 5, &mut pool);
+        t.issue_at(0, 0, &[1], 0, &mut pool);
+        assert!(t.expire(9, &mut pool).is_empty());
+        let due: Vec<_> = (t.expire(10, &mut pool).iter())
+            .map(|e| match e {
+                Expired::Retry { tag, .. } => (tag.pe.0, tag.tid.0),
+                Expired::GiveUp { .. } => panic!("first timeout of three attempts"),
+            })
+            .collect();
+        assert_eq!(due, [(0, 0), (2, 0)], "due slots fire in (pe, tid) order");
+        assert_eq!(t.next_deadline(), Some(15));
+        t.abandon_pe(0, &mut pool);
+        assert_eq!(t.pending_len(), 1);
+        assert_eq!(t.next_deadline(), Some(10 + 20), "the doubled window");
+        // Three clones and two re-sends taken, PE 0's two clones returned.
+        assert_eq!(pool.outstanding(), 3);
     }
 
     #[test]

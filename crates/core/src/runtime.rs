@@ -869,7 +869,7 @@ impl FppaPlatform {
         )?;
         self.runtime = Some(rt);
         self.post_io();
-        self.reset_latency_telemetry(app.objects().len());
+        self.calls.reset(app.objects().len());
         Ok(())
     }
 

@@ -1384,7 +1384,11 @@ impl Noc {
                 self.schedule_wake(r, shared_busy_until);
                 return;
             }
-            // Ports from the grant pointer up, then the ones below it.
+            // Ports from the grant pointer up, then the ones below it. The
+            // medium's window covers every transfer the bus fired itself,
+            // so a port still busy here was stalled by a fault hook: it is
+            // passed over, and wakes the bus if nothing else is granted.
+            let mut wake = u64::MAX;
             for (from, to) in [(rr_next, n_ports), (0, rr_next)] {
                 let mut p = from;
                 while p < to {
@@ -1397,8 +1401,11 @@ impl Noc {
                     if p >= to {
                         break;
                     }
-                    let next = self.ports[first_port + p].to as usize;
-                    if self.routers[next].input_free > 0 {
+                    let port = &self.ports[first_port + p];
+                    let next = port.to as usize;
+                    if port.busy_until > now.0 {
+                        wake = wake.min(port.busy_until);
+                    } else if self.routers[next].input_free > 0 {
                         self.routers[next].input_free -= 1;
                         let busy_until = self.fire(r, p, now, sink);
                         self.routers[r].shared_busy_until = busy_until;
@@ -1410,6 +1417,9 @@ impl Noc {
                     }
                     p += 1;
                 }
+            }
+            if wake != u64::MAX {
+                self.schedule_wake(r, wake);
             }
         } else {
             let mut wake = u64::MAX;
@@ -1957,6 +1967,39 @@ mod tests {
         noc.stall_router(0, 80);
         let (_, t) = run_until_delivered(&mut noc, NodeId(2), 10_000);
         assert!(t.0 >= 80);
+    }
+
+    #[test]
+    fn stalled_bus_port_waits_while_the_bus_grants_the_others() {
+        // The arbiter of the shared router honours a port stall: the
+        // stalled port's packet waits out the window, the other port is
+        // granted meanwhile, and the window's end wakes the idle bus.
+        let topo = Topology::build(TopologyKind::SharedBus, 4, 1).unwrap();
+        let mut noc = Noc::new(topo, NocConfig::default());
+        let hub = noc.topology().n_endpoints();
+        assert!(noc.topology().is_shared(hub));
+        noc.try_inject(NodeId(0), NodeId(2), vec![0; 16], 0, Cycles(0))
+            .unwrap();
+        noc.try_inject(NodeId(1), NodeId(3), vec![0; 16], 0, Cycles(0))
+            .unwrap();
+        let port = noc.topology().next_hop(hub, 2).unwrap();
+        noc.stall_port(hub, port, 50);
+        let (mut at_2, mut at_3) = (None, None);
+        for now in 0..1_000 {
+            noc.tick(Cycles(now));
+            at_2 = at_2.or(noc.eject(NodeId(2)).map(|_| now));
+            at_3 = at_3.or(noc.eject(NodeId(3)).map(|_| now));
+        }
+        let (at_2, at_3) = (at_2.expect("stalled port"), at_3.expect("free port"));
+        assert!(
+            at_2 >= 50,
+            "stalled port fired at {at_2}, inside its window"
+        );
+        assert!(
+            at_3 < 50,
+            "the free port waited for the stalled one: {at_3}"
+        );
+        assert!(noc.is_quiescent());
     }
 
     #[test]

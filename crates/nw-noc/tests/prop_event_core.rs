@@ -234,10 +234,7 @@ fn apply_fault(noc: &mut Noc, &(_, hook, a, b): &Fault, now: Cycles) {
     let until = now.0 + 1 + b as u64 % 300;
     match hook % 6 {
         0 => noc.stall_router(r, until),
-        // Not on the bus arbiter: it grants on queue and credit alone, so a
-        // stalled port of its own fires regardless and trips `fire`'s
-        // busy-window assertion (as found; ROADMAP, NoC liveness item).
-        1 if n_ports > 0 && !noc.topology().is_shared(r) => {
+        1 if n_ports > 0 => {
             noc.stall_port(r, b % n_ports, until);
         }
         2 if n_ports > 0 => {

@@ -41,6 +41,52 @@ fn faulted_runs_repeat_bit_identically_per_seed() {
     );
 }
 
+/// The crash-conservation rig: 4 dual-threaded RISC cores, every thread
+/// running two calls to one SRAM, under the campaign `seed` draws from
+/// `rates` over `horizon` cycles. Finite and I/O-less, so it quiesces. No
+/// retry policy is installed.
+fn crash_rig(
+    mode: nanowall::SchedulerMode,
+    seed: u64,
+    horizon: u64,
+    rates: &FaultRates,
+) -> nanowall::FppaPlatform {
+    use nanowall::prelude::*;
+    use nanowall::MemoryBlockConfig;
+
+    let mut cfg = FppaConfig::new("crash-conservation", TopologyKind::Mesh);
+    for _ in 0..4 {
+        cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+    }
+    cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 2.0));
+    let mut platform = FppaPlatform::new(cfg).expect("config valid");
+    platform.set_scheduler_mode(mode);
+    let sram = platform.memory_node(0);
+    let prog = nw_pe::Program::straight_line([
+        nw_pe::Op::Compute(10),
+        nw_pe::Op::call(sram, 16, 48),
+        nw_pe::Op::Compute(5),
+        nw_pe::Op::call(sram, 8, 8),
+    ]);
+    for pe in 0..4 {
+        while platform.pe(pe).idle_threads() > 0 {
+            platform.pe_mut(pe).spawn(prog.clone()).unwrap();
+        }
+    }
+    let shape = platform.fault_shape();
+    platform.install_fault_campaign(FaultCampaign::generate(seed, horizon, rates, &shape));
+    platform
+}
+
+/// Crash/restart pairs only; the seeded draw picks the victims.
+fn crashes(n: u32, downtime: (u64, u64)) -> FaultRates {
+    FaultRates {
+        pe_crashes: n,
+        pe_downtime: downtime,
+        ..FaultRates::quiet()
+    }
+}
+
 #[test]
 fn pe_crashes_do_not_leak_pooled_buffers() {
     // The crash path's resource-hygiene half: killing a PE mid-call
@@ -49,36 +95,10 @@ fn pe_crashes_do_not_leak_pooled_buffers() {
     // On a finite no-I/O rig the platform still quiesces with a balanced
     // pool ledger, under both schedulers, and the two runs stay identical.
     use nanowall::prelude::*;
-    use nanowall::MemoryBlockConfig;
 
     let run_mode = |mode: SchedulerMode| {
-        let mut cfg = FppaConfig::new("crash-conservation", TopologyKind::Mesh);
-        for _ in 0..4 {
-            cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
-        }
-        cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 2.0));
-        let mut platform = FppaPlatform::new(cfg).expect("config valid");
-        platform.set_scheduler_mode(mode);
-        let sram = platform.memory_node(0);
-        let prog = nw_pe::Program::straight_line([
-            nw_pe::Op::Compute(10),
-            nw_pe::Op::call(sram, 16, 48),
-            nw_pe::Op::Compute(5),
-            nw_pe::Op::call(sram, 8, 8),
-        ]);
-        for pe in 0..4 {
-            while platform.pe(pe).idle_threads() > 0 {
-                platform.pe_mut(pe).spawn(prog.clone()).unwrap();
-            }
-        }
-        // Crash/restart pairs only; the seeded draw picks the victims.
-        let mut rates = FaultRates::quiet();
-        rates.pe_crashes = 2;
-        rates.pe_downtime = (500, 2_000);
-        let shape = platform.fault_shape();
-        let campaign = FaultCampaign::generate(11, 8_000, &rates, &shape);
-        assert!(!campaign.events().is_empty());
-        platform.install_fault_campaign(campaign);
+        let mut platform = crash_rig(mode, 11, 8_000, &crashes(2, (500, 2_000)));
+        assert!(!platform.fault_campaign().unwrap().events().is_empty());
         platform.set_retry_policy(RetryPolicy {
             timeout: 1_000,
             max_attempts: 2,
@@ -99,6 +119,61 @@ fn pe_crashes_do_not_leak_pooled_buffers() {
     let active = run_mode(SchedulerMode::ActiveSet);
     assert_eq!(dense, active, "crash-conservation rig diverged");
     assert!(dense.resilience.pe_crashes > 0, "no crash fired");
+}
+
+#[test]
+fn a_campaign_without_a_retry_policy_never_panics() {
+    // With no policy nothing tracks a call, so the reply to a call whose
+    // PE crashed (and maybe restarted) meanwhile finds a thread that is not
+    // awaiting: a counted duplicate, under both schedulers alike.
+    use nanowall::prelude::*;
+
+    let mut duplicates = 0;
+    for seed in 0..40 {
+        let run_mode = |mode: SchedulerMode| {
+            let mut platform = crash_rig(mode, seed, 200, &crashes(4, (0, 0)));
+            for _ in 0..5_000 {
+                platform.step();
+            }
+            platform.report(Cycles(5_000))
+        };
+        let dense = run_mode(SchedulerMode::Dense);
+        assert_eq!(dense, run_mode(SchedulerMode::ActiveSet), "seed {seed}");
+        assert_eq!(dense.resilience.retries, 0);
+        duplicates += dense.resilience.duplicate_replies_dropped;
+    }
+    assert!(duplicates > 0, "no reply ever reached a crashed PE");
+}
+
+#[test]
+fn a_second_retry_policy_keeps_the_pending_calls() {
+    // Swapping the policy mid-run must not forget the calls in flight:
+    // their stored payload clones are pool-accounted.
+    use nanowall::prelude::*;
+
+    let mut platform = crash_rig(
+        SchedulerMode::ActiveSet,
+        11,
+        8_000,
+        &crashes(2, (500, 2_000)),
+    );
+    let policy = RetryPolicy {
+        timeout: 1_000,
+        max_attempts: 2,
+    };
+    platform.set_retry_policy(policy);
+    while platform.pending_retries() == 0 {
+        platform.step();
+        assert!(platform.now() < Cycles(1_000), "no call was ever tracked");
+    }
+    let pending = platform.pending_retries();
+    platform.set_retry_policy(policy);
+    assert_eq!(platform.pending_retries(), pending);
+    for _ in 0..40_000 {
+        platform.step();
+    }
+    assert_eq!(platform.pending_retries(), 0);
+    assert_eq!(platform.payload_outstanding(), 0, "stored clones leaked");
 }
 
 #[test]
