@@ -173,8 +173,10 @@ pub fn run_profile(quick: bool, fault_seed: Option<u64>) -> Vec<ProfileEntry> {
     let registry = ScenarioRegistry::standard();
     // One busy rig (mix: telecom + IPv4 sharing the fabric) and one
     // mostly-idle rig (modem: bursts far apart) — the two regimes have
-    // opposite phase profiles (step-dominated vs fast-forward-dominated).
-    [("mix", win / 2), ("modem", win)]
+    // opposite phase profiles (step-dominated vs fast-forward-dominated) —
+    // then the line-rate rig (ipv4: worker PEs kept full, so `pe_step` and
+    // `noc_tick` carry it), the regime nwbench's `ipv4-sat` saturates.
+    [("mix", win / 2), ("modem", win), ("ipv4", win / 2)]
         .iter()
         .map(|&(name, cycles)| {
             let mut rig = registry
@@ -280,7 +282,7 @@ mod tests {
     #[test]
     fn profile_attribution_covers_measured_wall_clock() {
         let entries = run_profile(true, None);
-        assert_eq!(entries.len(), 2);
+        assert_eq!(entries.len(), 3);
         for e in &entries {
             // Lap-based attribution leaves no gaps between arming (run
             // start) and pausing (run end), so the phase sum must land
@@ -302,6 +304,7 @@ mod tests {
         }
         let text = render_profile(&entries);
         assert!(text.contains("PROFILE  mix"));
+        assert!(text.contains("PROFILE  ipv4"));
         assert!(text.contains("scheduler  stepped"), "{text}");
         assert!(text.contains("phases     entered"), "{text}");
         for e in &entries {

@@ -64,6 +64,16 @@ pub enum BuildPlatformError {
         /// What is wrong with it.
         reason: IoConfigError,
     },
+    /// PE `index` (declaration order) has a context count no [`Pe`] can
+    /// be built with.
+    ///
+    /// [`Pe`]: nw_pe::Pe
+    Pe {
+        /// Index into [`FppaConfig::pes`].
+        index: usize,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for BuildPlatformError {
@@ -73,6 +83,7 @@ impl fmt::Display for BuildPlatformError {
             BuildPlatformError::Topology(e) => write!(f, "topology: {e}"),
             BuildPlatformError::Noc(e) => write!(f, "NoC configuration: {e}"),
             BuildPlatformError::Io { index, reason } => write!(f, "I/O channel {index}: {reason}"),
+            BuildPlatformError::Pe { index, reason } => write!(f, "PE {index}: {reason}"),
         }
     }
 }
@@ -83,7 +94,7 @@ impl std::error::Error for BuildPlatformError {
             BuildPlatformError::Topology(e) => Some(e),
             BuildPlatformError::Noc(e) => Some(e),
             BuildPlatformError::Io { reason, .. } => Some(reason),
-            BuildPlatformError::NoPes => None,
+            BuildPlatformError::NoPes | BuildPlatformError::Pe { .. } => None,
         }
     }
 }
@@ -284,6 +295,36 @@ mod tests {
         })
         .expect_err("rejected above");
         assert_eq!(err.to_string(), "I/O channel 1: packet size is zero");
+    }
+
+    #[test]
+    fn a_pe_without_contexts_is_a_build_error_naming_the_pe() {
+        use crate::FppaPlatform;
+        let mut c = FppaConfig::new("t", TopologyKind::Ring);
+        c.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+        c.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+        c.pes[1].n_threads = 0;
+        let err = FppaPlatform::new(c)
+            .map(|_| ())
+            .expect_err("nothing to tick");
+        assert!(matches!(err, BuildPlatformError::Pe { index: 1, .. }));
+        assert_eq!(err.to_string(), "PE 1: no thread contexts");
+    }
+
+    #[test]
+    fn a_pe_with_more_contexts_than_a_set_word_is_a_build_error_naming_the_pe() {
+        use crate::FppaPlatform;
+        let build = |n_threads| {
+            let mut c = FppaConfig::new("t", TopologyKind::Ring);
+            c.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+            c.pes[0].n_threads = n_threads;
+            FppaPlatform::new(c).map(|_| ())
+        };
+        // The bound is the PE's own: 64 builds there too.
+        assert_eq!(build(64), Ok(()));
+        let err = build(65).expect_err("one more than the sets hold");
+        assert!(matches!(err, BuildPlatformError::Pe { index: 0, .. }));
+        assert_eq!(err.to_string(), "PE 0: more than 64 thread contexts");
     }
 
     #[test]

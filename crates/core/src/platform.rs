@@ -260,10 +260,22 @@ impl FppaPlatform {
     /// [`BuildPlatformError::Noc`] for a NoC timing configuration no
     /// traffic could move under (zero flit width or NI depth);
     /// [`BuildPlatformError::Io`] for an I/O channel that cannot be paced
-    /// (zero packet size, unusable clock or rate).
+    /// (zero packet size, unusable clock or rate);
+    /// [`BuildPlatformError::Pe`] for a PE with no thread contexts or more
+    /// than 64.
     pub fn new(cfg: FppaConfig) -> Result<Self, BuildPlatformError> {
         if cfg.pes.is_empty() {
             return Err(BuildPlatformError::NoPes);
+        }
+        // `n_threads` is a public field; `Pe::new` panics on what it cannot
+        // hold in one set word.
+        for (index, pe) in cfg.pes.iter().enumerate() {
+            let reason = match pe.n_threads {
+                0 => "no thread contexts",
+                1..=64 => continue,
+                _ => "more than 64 thread contexts",
+            };
+            return Err(BuildPlatformError::Pe { index, reason });
         }
         let n = cfg.n_endpoints();
         let link_latency = cfg.effective_link_latency();

@@ -16,6 +16,13 @@
 //! default, zero for an ideal machine, or barrel-style round-robin for the
 //! ablation of experiment F6).
 //!
+//! A tick costs what changed, not what exists: the contexts that are
+//! runnable, stalled on the scratchpad or idle are three `u64` sets moved
+//! where a context changes state (hence at most 64 contexts), the next
+//! context to issue is a masked `trailing_zeros`, and a context's occupancy
+//! is an interval opened when it takes a task and closed when it retires —
+//! no tick, span probe or catch-up visits the threads.
+//!
 //! The PE is platform-agnostic: it raises [`PeRequest`]s which the owner
 //! (the `nanowall` platform glue) services over the NoC and acknowledges
 //! with [`Pe::complete`].

@@ -43,9 +43,9 @@ impl PeConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `n_threads == 0`.
+    /// Panics if `n_threads` is zero or more than 64.
     pub fn new(class: PeClass, n_threads: usize) -> Self {
-        assert!(n_threads > 0, "a PE needs at least one thread context");
+        assert_context_count(n_threads);
         PeConfig {
             class,
             n_threads,
@@ -66,6 +66,14 @@ impl PeConfig {
         self.policy = policy;
         self
     }
+}
+
+/// The context sets of a [`Pe`] are one `u64` each.
+fn assert_context_count(n_threads: usize) {
+    assert!(
+        (1..=u64::BITS as usize).contains(&n_threads),
+        "a PE has 1 to 64 thread contexts, not {n_threads}"
+    );
 }
 
 /// A request the PE raises to its owner for servicing over the platform.
@@ -108,7 +116,7 @@ impl fmt::Display for SpawnError {
 
 impl std::error::Error for SpawnError {}
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum ThreadState {
     /// No task assigned.
     Idle,
@@ -122,13 +130,30 @@ enum ThreadState {
     AwaitingCompletion,
 }
 
+impl ThreadState {
+    /// `bit` in whichever of a PE's `[ready, stalled, idle]` context sets a
+    /// context in this state belongs to.
+    fn sets(self, bit: u64) -> [u64; 3] {
+        match self {
+            ThreadState::Ready | ThreadState::Computing { .. } => [bit, 0, 0],
+            ThreadState::ScratchpadStall { .. } => [0, bit, 0],
+            ThreadState::Idle => [0, 0, bit],
+            ThreadState::AwaitingCompletion => [0; 3],
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Thread {
     state: ThreadState,
     program: Option<Program>,
     pc: usize,
-    occupancy: Utilization,
-    busy: Utilization,
+    /// Cycles spent holding a task, over the intervals already closed: a
+    /// context notes `since = accounted_to` when it leaves `Idle` and adds
+    /// `accounted_to − since` here when it returns. [`Pe::stats`] adds the
+    /// open interval of a context still holding one.
+    occupied: u64,
+    since: u64,
 }
 
 /// Aggregate statistics of one PE.
@@ -173,9 +198,13 @@ pub struct Pe {
     /// bulk — with identical counter arithmetic — on the next tick or via
     /// [`Pe::settle_accounting`].
     accounted_to: u64,
-    /// Contexts in `ThreadState::Idle`, kept in step by spawn/retire/crash
-    /// so [`Pe::idle_threads`] is O(1) on the dispatch path.
-    idle: usize,
+    /// Context sets, bit `i` for thread `i`, kept in step with the states
+    /// by `set_state` so that no tick, span probe or spawn walks the
+    /// threads: `Ready` or `Computing`; `ScratchpadStall`; `Idle`. A context
+    /// in none of them awaits a platform completion.
+    ready: u64,
+    stalled: u64,
+    idle: u64,
     /// Threads retired since the last [`Pe::take_retired`], recorded only
     /// when enabled via [`Pe::set_retire_log`] (tracing). `None` keeps the
     /// retire path allocation-free when no one is watching.
@@ -189,15 +218,20 @@ pub struct Pe {
 
 impl Pe {
     /// Builds a PE from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.n_threads` is zero or more than 64.
     pub fn new(cfg: PeConfig) -> Self {
-        let n_threads = cfg.n_threads;
+        assert_context_count(cfg.n_threads);
+        let idle = u64::MAX >> (u64::BITS as usize - cfg.n_threads);
         let threads = (0..cfg.n_threads)
             .map(|_| Thread {
                 state: ThreadState::Idle,
                 program: None,
                 pc: 0,
-                occupancy: Utilization::new(),
-                busy: Utilization::new(),
+                occupied: 0,
+                since: 0,
             })
             .collect();
         Pe {
@@ -211,7 +245,9 @@ impl Pe {
             tasks_completed: 0,
             mem_energy: Picojoules::ZERO,
             accounted_to: 0,
-            idle: n_threads,
+            ready: 0,
+            stalled: 0,
+            idle,
             retire_log: None,
             crashed: false,
         }
@@ -249,19 +285,48 @@ impl Pe {
 
     /// Number of idle contexts ready to accept a task (0 while crashed).
     pub fn idle_threads(&self) -> usize {
-        debug_assert_eq!(
-            self.idle,
-            self.threads
-                .iter()
-                .filter(|t| matches!(t.state, ThreadState::Idle))
-                .count(),
-            "idle-context count out of step with the thread states"
-        );
+        self.audit_sets();
         if self.crashed {
             0
         } else {
-            self.idle
+            self.idle.count_ones() as usize
         }
+    }
+
+    /// Debug builds: each set holds exactly the contexts whose state says so.
+    fn audit_sets(&self) {
+        if cfg!(debug_assertions) {
+            let mut sets = [0u64; 3];
+            for (i, t) in self.threads.iter().enumerate() {
+                let of = t.state.sets(1 << i);
+                sets = [sets[0] | of[0], sets[1] | of[1], sets[2] | of[2]];
+            }
+            assert_eq!(
+                [self.ready, self.stalled, self.idle],
+                sets,
+                "context sets out of step with the thread states"
+            );
+        }
+    }
+
+    /// The only place a context changes state: moves it between the sets
+    /// and opens or closes its occupancy interval at `accounted_to`.
+    fn set_state(&mut self, i: usize, state: ThreadState) {
+        let t = &mut self.threads[i];
+        match (
+            matches!(t.state, ThreadState::Idle),
+            matches!(state, ThreadState::Idle),
+        ) {
+            (true, false) => t.since = self.accounted_to,
+            (false, true) => t.occupied += self.accounted_to - t.since,
+            _ => {}
+        }
+        t.state = state;
+        let bit = 1u64 << i;
+        let [ready, stalled, idle] = state.sets(bit);
+        self.ready = self.ready & !bit | ready;
+        self.stalled = self.stalled & !bit | stalled;
+        self.idle = self.idle & !bit | idle;
     }
 
     /// Assigns a task to the lowest-numbered idle context.
@@ -271,24 +336,19 @@ impl Pe {
     /// Returns [`SpawnError`] when every context is occupied — the caller
     /// (the DSOC dispatcher) should queue the invocation and retry.
     pub fn spawn(&mut self, program: Program) -> Result<ThreadId, SpawnError> {
-        if self.crashed {
+        if self.crashed || self.idle == 0 {
             return Err(SpawnError);
         }
-        let slot = self
-            .threads
-            .iter()
-            .position(|t| matches!(t.state, ThreadState::Idle))
-            .ok_or(SpawnError)?;
+        let slot = self.idle.trailing_zeros() as usize;
         if program.is_empty() {
             // Degenerate empty task: completes immediately.
             self.tasks_completed += 1;
             return Ok(ThreadId(slot));
         }
         let t = &mut self.threads[slot];
-        t.state = ThreadState::Ready;
         t.program = Some(program);
         t.pc = 0;
-        self.idle -= 1;
+        self.set_state(slot, ThreadState::Ready);
         Ok(ThreadId(slot))
     }
 
@@ -300,12 +360,11 @@ impl Pe {
     /// Panics if the thread was not awaiting completion — that indicates a
     /// platform-glue protocol bug worth failing loudly on.
     pub fn complete(&mut self, tid: ThreadId) {
-        let t = &mut self.threads[tid.0];
         assert!(
-            matches!(t.state, ThreadState::AwaitingCompletion),
+            self.is_awaiting(tid),
             "complete() on {tid} which is not awaiting completion"
         );
-        t.state = ThreadState::Ready;
+        self.set_state(tid.0, ThreadState::Ready);
     }
 
     /// Whether thread `tid` is stalled awaiting a platform completion.
@@ -342,9 +401,9 @@ impl Pe {
                 }
             }
         }
-        self.idle = self.threads.len();
-        for t in &mut self.threads {
-            t.state = ThreadState::Idle;
+        for i in 0..self.threads.len() {
+            self.set_state(i, ThreadState::Idle);
+            let t = &mut self.threads[i];
             let pc = std::mem::take(&mut t.pc);
             if let Some(prog) = t.program.take() {
                 // Only ops the thread never issued: an executed Send/Call
@@ -393,15 +452,7 @@ impl Pe {
     /// [`Pe::quiet_span`], which also lets a live PE sleep through a
     /// compute burst or a whole-PE stall.
     pub fn is_live(&self) -> bool {
-        self.swap_remaining > 0
-            || self.threads.iter().any(|t| {
-                matches!(
-                    t.state,
-                    ThreadState::Ready
-                        | ThreadState::Computing { .. }
-                        | ThreadState::ScratchpadStall { .. }
-                )
-            })
+        self.swap_remaining > 0 || self.ready | self.stalled != 0
     }
 
     /// The single lazy catch-up: applies every cycle before `now` that the
@@ -410,19 +461,21 @@ impl Pe {
     /// span, and comes out bit-identical to per-cycle ticking:
     ///
     /// * current switch-on-stall context `Computing` — a **compute burst**:
-    ///   the burst counter drops by the span, the core and the current
-    ///   thread count busy issue slots, every other thread an idle one;
+    ///   the burst counter drops by the span and the core counts busy
+    ///   issue slots;
     /// * otherwise — a **stall** (whole-PE stall, dormant or crashed): no
-    ///   issue slot fires, so core and threads count idle slots.
+    ///   issue slot fires, so the core counts idle slots.
     ///
-    /// Either way each skipped cycle counts occupancy for every non-idle
-    /// context. Whether the current context is `Computing` changes only
-    /// inside `tick` and [`Pe::crash`], which both settle first, so the
-    /// state found here is the state that held over the whole span.
+    /// Occupancy needs no catching up: a context holding a task has an open
+    /// interval that grows with `accounted_to`. Whether the current context
+    /// is `Computing` changes only inside `tick` and [`Pe::crash`], which
+    /// both settle first, so the state found here is the state that held
+    /// over the whole span.
     ///
     /// Callers must settle **before** mutating thread state at `now` (e.g.
-    /// before `spawn`), so the gap is accounted with the occupancy that
-    /// actually held during it. Settling is idempotent.
+    /// before `spawn`): an interval opens at `accounted_to`, so a context
+    /// spawned into an unsettled gap is charged the whole gap. Settling is
+    /// idempotent.
     ///
     /// # Panics
     ///
@@ -442,13 +495,22 @@ impl Pe {
     /// Statistics snapshot.
     pub fn stats(&self) -> PeStats {
         let issue_energy = self.cfg.class.energy_per_cycle().0 * self.core.busy_cycles() as f64;
+        // Every context has observed the cycles the core has.
+        let total = self.core.total_cycles();
+        let occupancy = |t: &Thread| {
+            let open = match t.state {
+                ThreadState::Idle => 0,
+                _ => self.accounted_to - t.since,
+            };
+            if total == 0 {
+                0.0
+            } else {
+                (t.occupied + open) as f64 / total as f64
+            }
+        };
         PeStats {
             core_utilization: self.core.fraction(),
-            thread_occupancy: self
-                .threads
-                .iter()
-                .map(|t| t.occupancy.fraction())
-                .collect(),
+            thread_occupancy: self.threads.iter().map(occupancy).collect(),
             tasks_completed: self.tasks_completed,
             energy: Picojoules(self.mem_energy.0 + issue_energy),
             swaps: self.swaps,
@@ -489,21 +551,14 @@ impl Pe {
         }
         // Whole-PE stall: no context may be runnable now or become runnable
         // inside the span (a matured stall swaps in on the next tick).
-        let mut earliest = u64::MAX;
-        for t in &self.threads {
-            match t.state {
-                ThreadState::Idle | ThreadState::AwaitingCompletion => {}
-                ThreadState::ScratchpadStall { until } if until > now.0 => {
-                    earliest = earliest.min(until);
-                }
-                _ => return None,
-            }
+        if self.ready != 0 {
+            return None;
         }
-        if earliest == u64::MAX {
+        match self.stalls().map(|(_, until)| until).min() {
             // No stall to mature: dormant, unbounded.
-            return Some(u64::MAX);
+            None => Some(u64::MAX),
+            Some(earliest) => (earliest > now.0).then(|| earliest - now.0),
         }
-        Some(earliest - now.0)
     }
 
     /// The cycle this PE must next be ticked, given that it is not ticked
@@ -517,34 +572,29 @@ impl Pe {
     /// Bulk-applies `k > 0` unticked cycles — the body of
     /// [`Pe::settle_accounting`], which documents the arithmetic.
     fn advance_quiet(&mut self, k: u64) {
-        let cur = self.current;
-        let burst = match (self.cfg.policy, &mut self.threads[cur].state) {
+        match (self.cfg.policy, &mut self.threads[self.current].state) {
             (SchedPolicy::SwitchOnStall, ThreadState::Computing { remaining }) => {
                 debug_assert!(*remaining > k, "slept past the compute burst");
                 *remaining -= k;
-                true
+                self.core.busy_n(k);
             }
             // Stall: no issue slot fires during the span.
-            _ => false,
-        };
-        for (j, t) in self.threads.iter_mut().enumerate() {
-            if matches!(t.state, ThreadState::Idle) {
-                t.occupancy.idle_n(k);
-            } else {
-                t.occupancy.busy_n(k);
-            }
-            if burst && j == cur {
-                t.busy.busy_n(k);
-            } else {
-                t.busy.idle_n(k);
-            }
-        }
-        if burst {
-            self.core.busy_n(k);
-        } else {
-            self.core.idle_n(k);
+            _ => self.core.idle_n(k),
         }
         self.accounted_to += k;
+    }
+
+    /// The stalled contexts and the cycle each matures.
+    fn stalls(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let mut left = self.stalled;
+        std::iter::from_fn(move || {
+            let i = left.checked_ilog2()? as usize;
+            left &= !(1 << i);
+            match self.threads[i].state {
+                ThreadState::ScratchpadStall { until } => Some((i, until)),
+                _ => unreachable!("context {i} is in the stalled set"),
+            }
+        })
     }
 
     fn thread_is_runnable(&self, i: usize, now: Cycles) -> bool {
@@ -555,12 +605,11 @@ impl Pe {
         }
     }
 
-    /// Picks the next runnable context after `from` in round-robin order.
+    /// Picks the next runnable context after `from` in round-robin order,
+    /// `from` itself being the last candidate.
     fn next_runnable(&self, from: usize, now: Cycles) -> Option<usize> {
-        let n = self.threads.len();
-        (1..=n)
-            .map(|k| (from + k) % n)
-            .find(|&i| self.thread_is_runnable(i, now))
+        let matured = self.stalls().filter(|&(_, until)| until <= now.0);
+        pick_after(matured.fold(self.ready, |set, (i, _)| set | 1 << i), from)
     }
 
     /// Executes one issue slot of thread `i`. Returns true if work was done.
@@ -568,20 +617,18 @@ impl Pe {
         // Resolve a matured scratchpad stall into Ready.
         if let ThreadState::ScratchpadStall { until } = self.threads[i].state {
             if until <= now.0 {
-                self.threads[i].state = ThreadState::Ready;
+                self.set_state(i, ThreadState::Ready);
             } else {
                 return false;
             }
         }
-        match self.threads[i].state.clone() {
+        match &mut self.threads[i].state {
             ThreadState::Computing { remaining } => {
-                if remaining <= 1 {
-                    self.threads[i].state = ThreadState::Ready;
+                if *remaining <= 1 {
+                    self.set_state(i, ThreadState::Ready);
                     self.advance_pc(i);
                 } else {
-                    self.threads[i].state = ThreadState::Computing {
-                        remaining: remaining - 1,
-                    };
+                    *remaining -= 1;
                 }
                 true
             }
@@ -610,18 +657,16 @@ impl Pe {
                 let speedup = self.cfg.class.speedup(domain);
                 let eff = ((n as f64 / speedup).ceil() as u64).max(1);
                 if eff == 1 {
-                    self.threads[i].state = ThreadState::Ready;
                     self.advance_pc(i);
                 } else {
-                    self.threads[i].state = ThreadState::Computing { remaining: eff - 1 };
+                    self.set_state(i, ThreadState::Computing { remaining: eff - 1 });
                 }
             }
             Op::LocalMem { write, bytes } => {
                 let service = self.cfg.scratchpad.service_time(write, bytes);
                 self.mem_energy += self.cfg.scratchpad.access_energy(write, bytes);
-                self.threads[i].state = ThreadState::ScratchpadStall {
-                    until: now.0 + service.0,
-                };
+                let until = now.0 + service.0;
+                self.set_state(i, ThreadState::ScratchpadStall { until });
                 self.advance_pc(i);
             }
             Op::Send {
@@ -639,7 +684,7 @@ impl Pe {
                         tag,
                     },
                 ));
-                self.threads[i].state = ThreadState::AwaitingCompletion;
+                self.set_state(i, ThreadState::AwaitingCompletion);
                 self.advance_pc(i);
             }
             Op::Call {
@@ -657,7 +702,7 @@ impl Pe {
                         data,
                     },
                 ));
-                self.threads[i].state = ThreadState::AwaitingCompletion;
+                self.set_state(i, ThreadState::AwaitingCompletion);
                 self.advance_pc(i);
             }
         }
@@ -677,15 +722,23 @@ impl Pe {
     }
 
     fn retire(&mut self, i: usize) {
-        self.threads[i].state = ThreadState::Idle;
+        self.set_state(i, ThreadState::Idle);
         self.threads[i].program = None;
         self.threads[i].pc = 0;
-        self.idle += 1;
         self.tasks_completed += 1;
         if let Some(log) = self.retire_log.as_mut() {
             log.push(ThreadId(i));
         }
     }
+}
+
+/// The lowest context of `set` above `from`, else the lowest of all: the
+/// rotation that starts after `from` and ends on it.
+fn pick_after(set: u64, from: usize) -> Option<usize> {
+    // `2 << 63` is 0, so context 63 has nothing above it.
+    let above = set & !(2u64 << from).wrapping_sub(1);
+    let pick = if above != 0 { above } else { set };
+    (pick != 0).then(|| pick.trailing_zeros() as usize)
 }
 
 impl Clocked for Pe {
@@ -694,82 +747,47 @@ impl Clocked for Pe {
         // mark this cycle accounted (the body below accounts inline).
         self.settle_accounting(now);
         self.accounted_to = now.0 + 1;
-
-        // Occupancy accounting for every context.
-        for t in &mut self.threads {
-            if matches!(t.state, ThreadState::Idle) {
-                t.occupancy.idle();
-            } else {
-                t.occupancy.busy();
-            }
-        }
+        self.audit_sets();
 
         // Mid context switch: the core is stalled.
         if self.swap_remaining > 0 {
             self.swap_remaining -= 1;
             self.core.idle();
-            for t in &mut self.threads {
-                t.busy.idle();
-            }
             return;
         }
 
         // Choose which context issues this cycle.
         let issuing = match self.cfg.policy {
+            SchedPolicy::SwitchOnStall if self.thread_is_runnable(self.current, now) => {
+                Some(self.current)
+            }
             SchedPolicy::SwitchOnStall => {
-                if self.thread_is_runnable(self.current, now) {
-                    Some(self.current)
-                } else if let Some(next) = self.next_runnable(self.current, now) {
+                let next = self.next_runnable(self.current, now);
+                if let Some(next) = next {
                     self.swaps += 1;
                     self.current = next;
                     if self.cfg.swap_penalty > 0 {
                         // The swap consumes this cycle (and possibly more).
                         self.swap_remaining = self.cfg.swap_penalty - 1;
                         self.core.idle();
-                        for t in &mut self.threads {
-                            t.busy.idle();
-                        }
                         return;
                     }
-                    Some(next)
-                } else {
-                    None
                 }
+                next
             }
+            // Rotate every cycle among runnable contexts.
             SchedPolicy::RoundRobin => {
-                let next = if self.thread_is_runnable(self.current, now)
-                    || self.next_runnable(self.current, now).is_some()
-                {
-                    // Rotate every cycle among runnable contexts.
-                    self.next_runnable(self.current, now)
-                        .filter(|_| true)
-                        .or(Some(self.current))
-                } else {
-                    None
-                };
-                if let Some(n) = next {
-                    self.current = n;
-                }
+                let next = self.next_runnable(self.current, now);
+                self.current = next.unwrap_or(self.current);
                 next
             }
         };
 
-        let mut worked = false;
-        if let Some(i) = issuing {
-            worked = self.run_thread(i, now);
-        }
-        if worked {
-            // Issue energy is derived from the busy counter in `stats()`.
+        // Issue energy is derived from the busy counter in `stats()`.
+        if issuing.is_some_and(|i| self.run_thread(i, now)) {
             self.core.busy();
         } else {
             self.core.idle();
-        }
-        for (j, t) in self.threads.iter_mut().enumerate() {
-            if worked && issuing == Some(j) {
-                t.busy.busy();
-            } else {
-                t.busy.idle();
-            }
         }
     }
 }
@@ -783,6 +801,38 @@ mod tests {
         for c in 0..cycles {
             pe.tick(Cycles(c));
         }
+    }
+
+    #[test]
+    fn masked_pick_is_the_modulo_scan() {
+        let scan = |set: u64, n: usize, from: usize| {
+            (1..=n).map(|k| (from + k) % n).find(|&i| set >> i & 1 == 1)
+        };
+        for n in 1..=6 {
+            for from in 0..n {
+                for set in 0..1u64 << n {
+                    assert_eq!(
+                        pick_after(set, from),
+                        scan(set, n, from),
+                        "{n} {from} {set:b}"
+                    );
+                }
+            }
+        }
+        // Nothing lies above context 63, and `1 << 64` would overflow.
+        for set in [0, 1, 1 << 5 | 1 << 63, 1 << 62, 1 << 63, u64::MAX] {
+            for from in [0, 62, 63] {
+                assert_eq!(pick_after(set, from), scan(set, 64, from), "{from} {set:b}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 64 thread contexts, not 0")]
+    fn a_pe_without_contexts_cannot_be_built() {
+        let mut cfg = PeConfig::new(PeClass::GpRisc, 1);
+        cfg.n_threads = 0;
+        Pe::new(cfg);
     }
 
     #[test]

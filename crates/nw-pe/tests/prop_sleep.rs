@@ -7,8 +7,9 @@
 //! ticked only at such wake cycles ends in **exactly** the state of a PE
 //! ticked every cycle — same statistics to the last f64 bit, same thread
 //! states, same request stream at the same cycles — under random programs,
-//! both scheduling policies, swap penalties 0–3 and a random external
-//! spawn / complete / crash / restart / report schedule.
+//! both scheduling policies, swap penalties 0–3, 1–16 contexts (and 64, the
+//! most the PE's context sets hold) and a random external spawn / complete /
+//! crash / restart / report schedule.
 
 use nw_pe::{KernelDomain, Op, Pe, PeClass, PeConfig, PeStats, Program, SchedPolicy};
 use nw_sim::Clocked;
@@ -49,7 +50,7 @@ fn program_strategy() -> impl Strategy<Value = Program> {
 }
 
 fn config_strategy() -> impl Strategy<Value = PeConfig> {
-    (1usize..5, 0u64..4, any::<bool>(), any::<bool>()).prop_map(
+    (1usize..17, 0u64..4, any::<bool>(), any::<bool>()).prop_map(
         |(n_threads, swap, round_robin, asip)| {
             let class = if asip {
                 PeClass::Asip {
@@ -190,7 +191,8 @@ fn run_pair(cfg: PeConfig, schedule: &[(u64, External)], delays: &[u64]) -> u64 
     lazy.settle_accounting(Cycles(HORIZON));
     assert_same_stats(&dense.stats(), &lazy.stats(), HORIZON);
     // Everything else — thread states, burst counters, program counters,
-    // the issuing context, per-thread busy counters — through `Debug`.
+    // the issuing context, context sets, occupancy intervals — through
+    // `Debug`.
     assert_eq!(format!("{dense:?}"), format!("{lazy:?}"));
     lazy_ticks
 }
@@ -234,4 +236,93 @@ fn bursts_stalls_and_dormancy_are_slept_through() {
         ticks < 20,
         "lazy PE ticked {ticks} times in {HORIZON} cycles"
     );
+}
+
+/// 64 contexts, spawned into faster than they retire: picks reach bit 63
+/// and wrap, under both policies.
+#[test]
+fn a_full_set_word_of_contexts_wraps_around() {
+    let task = |c: u64| {
+        Program::straight_line([
+            Op::Compute(1 + c % 7),
+            Op::call(NodeId(1), 8, 8),
+            Op::LocalMem {
+                write: false,
+                bytes: 64,
+            },
+            Op::Compute(3),
+        ])
+    };
+    let schedule: Vec<_> = (0..200)
+        .flat_map(|c| {
+            [
+                (c, External::Spawn(task(c))),
+                (c, External::Spawn(task(c + 3))),
+            ]
+        })
+        .chain([(150, External::Crash), (160, External::Restart)])
+        .chain((0..HORIZON).step_by(97).map(|c| (c, External::Report)))
+        .collect();
+    for policy in [SchedPolicy::SwitchOnStall, SchedPolicy::RoundRobin] {
+        let cfg = PeConfig::new(PeClass::GpRisc, 64).with_policy(policy);
+        let mut probe = Pe::new(cfg.clone());
+        while probe.spawn(task(0)).is_ok() {}
+        assert!(!probe.thread_is_idle(ThreadId(63)), "context 63 exists");
+        run_pair(cfg, &schedule, &[40, 90, 5]);
+    }
+}
+
+/// Spawning into a sleeping PE without settling first is a misuse, but one
+/// every `platform.pe_mut(p).spawn(..)` caller commits, so its arithmetic is
+/// pinned: the occupancy interval opens where the accounting stands, so the
+/// context is charged the unaccounted gap on top of what a PE ticked every
+/// cycle counts for it — and nothing else moves.
+#[test]
+fn an_unsettled_spawn_is_charged_the_gap_and_nothing_else_moves() {
+    const SPAWN_AT: u64 = 100;
+    const END: u64 = 400;
+    for policy in [SchedPolicy::SwitchOnStall, SchedPolicy::RoundRobin] {
+        // `first` decides what the lazy PE sleeps through: a compute burst
+        // (switch-on-stall only), a whole-PE scratchpad stall, dormancy.
+        for first in [
+            Op::Compute(300),
+            Op::LocalMem {
+                write: true,
+                bytes: 4000,
+            },
+            Op::call(NodeId(1), 8, 8),
+        ] {
+            let cfg = PeConfig::new(PeClass::GpRisc, 3).with_policy(policy);
+            let mut dense = Pe::new(cfg.clone());
+            let mut lazy = Pe::new(cfg);
+            let long = Program::straight_line([first.clone(), Op::Compute(2)]);
+            dense.spawn(long.clone()).unwrap();
+            lazy.spawn(long).unwrap();
+            let (mut wake, mut accounted_to, mut gap) = (0, 0, 0);
+            for c in 0..END {
+                if c == SPAWN_AT {
+                    let task = Program::straight_line([Op::Compute(20)]);
+                    assert_eq!(dense.spawn(task.clone()), Ok(ThreadId(1)));
+                    assert_eq!(lazy.spawn(task), Ok(ThreadId(1)));
+                    gap = c - accounted_to;
+                    wake = c;
+                }
+                dense.tick(Cycles(c));
+                if wake <= c {
+                    lazy.tick(Cycles(c));
+                    accounted_to = c + 1;
+                    wake = lazy.wake_cycle(Cycles(c + 1));
+                }
+                assert_eq!(dense.pop_request(), lazy.pop_request());
+            }
+            lazy.settle_accounting(Cycles(END));
+            let slept = policy == SchedPolicy::SwitchOnStall || !matches!(first, Op::Compute(_));
+            assert_eq!(gap > 1, slept, "{policy:?} {first:?}: gap {gap}");
+            let (mut d, l) = (dense.stats(), lazy.stats());
+            let held = (d.thread_occupancy[1] * END as f64).round() as u64;
+            assert_eq!(d.thread_occupancy[1], held as f64 / END as f64);
+            d.thread_occupancy[1] = (held + gap) as f64 / END as f64;
+            assert_same_stats(&d, &l, END);
+        }
+    }
 }
