@@ -4,6 +4,9 @@
 //! latency *probe* (issue cycle and the object the round trip is charged
 //! to) and the *retry* entry (the [`RetryPolicy`] contract of
 //! [`crate::resilience`]) — and one rule decides what a reply does to both.
+//! Beside them, the slot names the *handler* the runtime dispatched onto
+//! the thread, which its service-node calls are charged to; manual PE
+//! access, a crash and a fresh install forget it.
 //!
 //! # The reply rule
 //!
@@ -52,6 +55,8 @@ struct Slot {
     salt: u8,
     probe: Option<(Cycles, ObjectId)>,
     retry: Option<PendingCall>,
+    /// The object whose handler the runtime last dispatched onto the thread.
+    handler: Option<ObjectId>,
 }
 
 impl Slot {
@@ -257,21 +262,43 @@ impl CallTable {
         expired
     }
 
-    /// PE `pe` crashed: its probes and retry entries are dropped (stored
-    /// payloads back to the pool, in thread order); salts stay.
+    /// The runtime dispatched `object`'s handler onto thread `(pe, tid)`.
+    pub fn start_handler(&mut self, pe: usize, tid: usize, object: ObjectId) {
+        self.slots[pe][tid].handler = Some(object);
+    }
+
+    /// The object whose handler thread `(pe, tid)` runs, if the runtime
+    /// put one there.
+    pub fn handler(&self, pe: usize, tid: usize) -> Option<ObjectId> {
+        self.slots[pe][tid].handler
+    }
+
+    /// PE `pe`'s threads run no known handler (`FppaPlatform::pe_mut`'s
+    /// caller may spawn anything); probes in flight keep their object.
+    pub fn forget_handlers(&mut self, pe: usize) {
+        for slot in &mut self.slots[pe] {
+            slot.handler = None;
+        }
+    }
+
+    /// PE `pe` crashed: its probes, retry entries and handlers are dropped
+    /// (stored payloads back to the pool, in thread order); salts stay.
     pub fn abandon_pe(&mut self, pe: usize, pool: &mut PayloadPool) {
         for (tid, slot) in self.slots[pe].iter_mut().enumerate() {
             slot.probe = None;
+            slot.handler = None;
             slot.close_retry(pe, tid, &mut self.index, pool);
         }
     }
 
     /// A freshly installed application of `n_objects` objects: empty
-    /// per-object telemetry, no open probe. Retry entries are untouched.
+    /// per-object telemetry, no open probe, no handler. Retry entries are
+    /// untouched.
     pub fn reset(&mut self, n_objects: usize) {
         self.objects = vec![ObjectCalls::default(); n_objects];
         for slot in self.slots.iter_mut().flatten() {
             slot.probe = None;
+            slot.handler = None;
         }
     }
 
@@ -511,5 +538,31 @@ mod tests {
             ResilienceStats::default(),
             "no retry, give-up or duplicate"
         );
+    }
+
+    #[test]
+    fn thread_attribution_records_and_clears() {
+        let mut t = CallTable::new([2; 2]);
+        let threads = [(0, 0), (0, 1), (1, 0), (1, 1)];
+        let held = |t: &CallTable| threads.map(|(pe, tid)| t.handler(pe, tid).is_some());
+        assert_eq!(held(&t), [false; 4]);
+        t.start_handler(0, 1, ObjectId(3));
+        assert_eq!(t.handler(0, 1), Some(ObjectId(3)));
+        // Manual PE access (`FppaPlatform::pe_mut`) forgets the PE's
+        // handlers, so foreign programs never inherit them; so do a crash
+        // of the PE and a fresh install.
+        let forget: [(fn(&mut CallTable), _); 3] = [
+            (|t| t.forget_handlers(0), [false, false, true, true]),
+            (
+                |t| t.abandon_pe(1, &mut PayloadPool::new()),
+                [true, true, false, false],
+            ),
+            (|t| t.reset(1), [false; 4]),
+        ];
+        for (forget, left) in forget {
+            (threads.iter()).for_each(|&(pe, tid)| t.start_handler(pe, tid, ObjectId(0)));
+            forget(&mut t);
+            assert_eq!(held(&t), left);
+        }
     }
 }

@@ -31,7 +31,6 @@ use nw_obs::{HostPhase, HostProfiler, NocHeatmap, TraceEvent, TraceSink};
 use nw_pe::{Pe, PeRequest};
 use nw_sim::{Clock, Clocked, LatencyHistogram};
 use nw_types::{AreaMm2, Cycles, NodeId, ObjectId, PeId, Picojoules};
-use std::cell::OnceCell;
 use std::collections::VecDeque;
 
 /// How [`FppaPlatform::step`] visits components each cycle.
@@ -113,6 +112,12 @@ enum Source {
 /// An agenda entry with nothing scheduled.
 pub(crate) const NEVER: u64 = u64::MAX;
 
+/// The NoC endpoint of PE `p`: PEs come first in the endpoint order
+/// ([`FppaPlatform::new`]).
+pub(crate) fn pe_endpoint(p: usize) -> NodeId {
+    NodeId(p)
+}
+
 /// What sits at one NoC endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeRole {
@@ -152,8 +157,6 @@ pub struct FppaPlatform {
     services: Services,
     ios: Vec<IoChannel>,
     roles: Vec<NodeRole>,
-    pe_nodes: Vec<NodeId>,
-    io_nodes: Vec<NodeId>,
     clock: Clock,
     outbox: VecDeque<Outgoing>,
     pub(crate) runtime: Option<Runtime>,
@@ -181,12 +184,6 @@ pub struct FppaPlatform {
     io_synced: u64,
     /// Scheduler work counters (`noc` is filled in on read).
     sched_stats: SchedulerStats,
-    /// Lazily computed, cached hop matrix. The topology's link structure is
-    /// immutable after construction, but *routes* can change when a link is
-    /// permanently failed ([`FppaPlatform::fail_noc_link`] or a campaign
-    /// fault) — every such change empties this cache so the next
-    /// [`FppaPlatform::hop_matrix`] recomputes against the degraded tables.
-    hop_cache: OnceCell<Vec<Vec<f64>>>,
     /// Recycling arena for packet payloads: consumed packet buffers return
     /// here in `route_arrivals`, and every payload producer (service
     /// replies, ingress invocations, handler-synthesized messages, PE
@@ -224,7 +221,7 @@ pub struct FppaPlatform {
 /// Captures the complete simulation state — PE/program state, NoC engine
 /// state (queues, `busy_until` stamps, event-wheel wakes, the
 /// [`PayloadPool`] ledger), runtime dispatch state (pending invocations,
-/// retry deadlines, handler-plan cache), service/memory state, latency
+/// retry deadlines, handler table), service/memory state, latency
 /// histograms, resilience counters and the replica seed — such that
 /// [`FppaPlatform::from_snapshot`] continues bit-identically to the
 /// uninterrupted original.
@@ -306,7 +303,6 @@ impl FppaPlatform {
                 IoChannel::new(*c).map_err(|reason| BuildPlatformError::Io { index, reason })
             })
             .collect::<Result<Vec<IoChannel>, _>>()?;
-        let io_nodes = (0..ios.len()).map(|i| NodeId(roles.len() + i)).collect();
         roles.extend((0..ios.len()).map(NodeRole::Io));
 
         let n_pes = pes.len();
@@ -318,8 +314,6 @@ impl FppaPlatform {
             services,
             ios,
             roles,
-            pe_nodes: (0..n_pes).map(NodeId).collect(),
-            io_nodes,
             clock: Clock::new(),
             outbox: VecDeque::new(),
             runtime: None,
@@ -329,7 +323,6 @@ impl FppaPlatform {
             io_due: NEVER,
             io_synced: 0,
             sched_stats: SchedulerStats::default(),
-            hop_cache: OnceCell::new(),
             pool: PayloadPool::new(),
             calls,
             obs_sink: None,
@@ -358,8 +351,6 @@ impl FppaPlatform {
             services: self.services.clone(),
             ios: self.ios.clone(),
             roles: self.roles.clone(),
-            pe_nodes: self.pe_nodes.clone(),
-            io_nodes: self.io_nodes.clone(),
             clock: self.clock.clone(),
             outbox: self.outbox.clone(),
             runtime: self.runtime.clone(),
@@ -369,7 +360,6 @@ impl FppaPlatform {
             io_due: self.io_due,
             io_synced: self.io_synced,
             sched_stats: self.sched_stats,
-            hop_cache: self.hop_cache.clone(),
             pool: self.pool.clone(),
             calls: self.calls.clone(),
             obs_sink: None,
@@ -592,7 +582,8 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn pe_node(&self, i: usize) -> NodeId {
-        self.pe_nodes[i]
+        assert!(i < self.pes.len(), "no PE {i}");
+        pe_endpoint(i)
     }
 
     /// The NoC node hosting memory `i`.
@@ -628,7 +619,9 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn io_node(&self, i: usize) -> NodeId {
-        self.io_nodes[i]
+        assert!(i < self.ios.len(), "no I/O channel {i}");
+        // I/O channels come last in the endpoint order.
+        NodeId(self.roles.len() - self.ios.len() + i)
     }
 
     /// The role at an endpoint.
@@ -660,12 +653,12 @@ impl FppaPlatform {
         self.pes[i].settle_accounting(now);
         self.wake_pe(i, now);
         // The caller may spawn programs the runtime never saw; drop the
-        // PE's thread → object attributions so a manual program's service
-        // calls cannot be charged to a stale handler's latency histogram.
+        // PE's handler attributions so a manual program's service calls
+        // cannot be charged to a stale handler's latency histogram.
+        self.calls.forget_handlers(i);
         // And whatever the caller does to the thread contexts, the
         // dispatcher looks at this PE next cycle (an early entry is safe).
         if let Some(rt) = self.runtime.as_mut() {
-            rt.clear_thread_objects(i);
             rt.note_pe(i, usize::MAX);
         }
         &mut self.pes[i]
@@ -701,32 +694,17 @@ impl FppaPlatform {
     }
 
     /// NoC hop-distance matrix over all endpoints (input for the MultiFlex
-    /// mappers).
-    ///
-    /// The matrix is O(n²) `hops` walks to build, and mapper-heavy loops
-    /// (DSE sweeps) ask for it repeatedly, so it is computed once and
-    /// cached. Permanently failing a link ([`FppaPlatform::fail_noc_link`]
-    /// or a campaign fault) invalidates the cache, so the next call
-    /// recomputes against the degraded routing tables; endpoint pairs
+    /// mappers), read from the live routing tables: after a link is
+    /// permanently failed ([`FppaPlatform::fail_noc_link`] or a campaign
+    /// fault) it answers for the degraded routes, and endpoint pairs
     /// disconnected by dead links read `f64::INFINITY`.
     pub fn hop_matrix(&self) -> Vec<Vec<f64>> {
-        self.hop_cache
-            .get_or_init(|| {
-                let n = self.roles.len();
-                (0..n)
-                    .map(|a| {
-                        (0..n)
-                            .map(|b| {
-                                self.noc
-                                    .topology()
-                                    .try_hops(a, b)
-                                    .map_or(f64::INFINITY, |h| h as f64)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .clone()
+        let n = self.roles.len();
+        let topology = self.noc.topology();
+        let hops = |a, b| topology.try_hops(a, b).map_or(f64::INFINITY, |h| h as f64);
+        (0..n)
+            .map(|a| (0..n).map(|b| hops(a, b)).collect())
+            .collect()
     }
 
     /// Total die area of the declared components (PE cores + memory macros +
@@ -864,12 +842,11 @@ impl FppaPlatform {
     }
 
     /// Permanently fails output `port` of `router`: routes are recomputed
-    /// around the dead link (BFS over the surviving fabric), stranded
-    /// packets are redirected or deterministically dropped, and the cached
-    /// hop matrix is invalidated. Returns `false` when the link was already
-    /// down. This is the degraded-mode hook the fault phase uses for
-    /// permanent `LinkDown` events; tests and experiments may call it
-    /// directly.
+    /// around the dead link (BFS over the surviving fabric) and stranded
+    /// packets are redirected or deterministically dropped. Returns `false`
+    /// when the link was already down. This is the degraded-mode hook the
+    /// fault phase uses for permanent `LinkDown` events; tests and
+    /// experiments may call it directly.
     pub fn fail_noc_link(&mut self, router: usize, port: usize) -> bool {
         let now = self.clock.now();
         if !self.noc.fail_link(router, port, now) {
@@ -877,7 +854,6 @@ impl FppaPlatform {
         }
         self.rstats.links_failed += 1;
         self.rstats.reroutes += 1;
-        self.hop_cache.take();
         if let Some(s) = self.obs_sink.as_deref_mut() {
             s.emit(TraceEvent::Reroute {
                 cycle: now.0,
@@ -908,7 +884,6 @@ impl FppaPlatform {
         self.wake_pe(pe, now);
         self.calls.abandon_pe(pe, &mut self.pool);
         if let Some(rt) = self.runtime.as_mut() {
-            rt.clear_thread_objects(pe);
             rt.note_pe(pe, 0);
         }
         self.rstats.pe_crashes += 1;
@@ -1014,7 +989,7 @@ impl FppaPlatform {
                     data,
                 } => {
                     self.outbox.push_back(Outgoing {
-                        src: self.pe_nodes[tag.pe.0],
+                        src: self.pe_node(tag.pe.0),
                         dst,
                         data,
                         tag: tag.encode(),
@@ -1335,16 +1310,17 @@ impl FppaPlatform {
     /// Drains line-rate ingress into DSOC invocations (runtime present) or
     /// discards descriptors (no app installed).
     fn io_ingress(&mut self, now: Cycles) {
-        let Some(rt) = self.runtime.as_mut() else {
-            return;
-        };
-        for (i, io) in self.ios.iter_mut().enumerate() {
+        for i in 0..self.ios.len() {
+            let io_node = self.io_node(i);
+            let Some(rt) = self.runtime.as_mut() else {
+                return;
+            };
             if !rt.io_has_bindings(i) {
                 continue;
             }
-            let io_node = self.io_nodes[i];
             // Only drain what the NI can take this cycle; the rest waits in
             // the RX FIFO (and overflows are counted as line drops).
+            let io = &mut self.ios[i];
             while self.noc.ni_free(io_node) > 0 {
                 let Some(_seq) = io.take_rx() else { break };
                 let (dst, data) = rt.ingress_invocation(i, &mut self.pool);
@@ -1407,13 +1383,20 @@ impl FppaPlatform {
         let Some(mut rt) = self.runtime.take() else {
             return;
         };
-        let (woken, earliest) = rt.dispatch(
-            &mut self.pes,
-            now,
-            &mut self.pe_wake,
-            &mut self.pool,
-            self.obs_sink.as_deref_mut(),
-        );
+        let (calls, mut sink) = (&mut self.calls, self.obs_sink.as_deref_mut());
+        let on_spawn = |pe, thread: nw_types::ThreadId, object: ObjectId| {
+            calls.start_handler(pe, thread.0, object);
+            if let Some(s) = sink.as_deref_mut() {
+                s.emit(TraceEvent::HandlerStart {
+                    cycle: now.0,
+                    pe,
+                    thread: thread.0,
+                    object: object.0,
+                });
+            }
+        };
+        let (pes, pe_wake, pool) = (&mut self.pes, &mut self.pe_wake, &mut self.pool);
+        let (woken, earliest) = rt.dispatch(pes, now, pe_wake, pool, on_spawn);
         self.pe_due = self.pe_due.min(earliest);
         self.sched_stats.pe_external_wakes += woken;
         if !open {
@@ -1437,10 +1420,9 @@ impl FppaPlatform {
     /// undecodable payload) records nothing.
     fn call_attribution(&self, p: usize, tid: usize, dst: NodeId, data: &[u8]) -> Option<ObjectId> {
         match self.roles.get(dst.0)? {
-            NodeRole::Memory(_) | NodeRole::Fabric(_) | NodeRole::HwIp(_) => self
-                .runtime
-                .as_ref()
-                .and_then(|rt| rt.thread_object(p, tid)),
+            NodeRole::Memory(_) | NodeRole::Fabric(_) | NodeRole::HwIp(_) => {
+                self.calls.handler(p, tid)
+            }
             NodeRole::Pe(_) => MessageView::decode(data)
                 .ok()
                 .filter(|m| m.kind == MessageKind::Invocation)
@@ -1451,7 +1433,7 @@ impl FppaPlatform {
 
     /// Turns the requests PE `p` raised this tick into outgoing packets.
     fn collect_pe_requests(&mut self, p: usize, now: Cycles) {
-        let src = self.pe_nodes[p];
+        let src = self.pe_node(p);
         while let Some((tid, req)) = self.pes[p].pop_request() {
             match req {
                 PeRequest::Send {

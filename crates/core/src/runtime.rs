@@ -4,9 +4,11 @@
 //! This is the platform-dependent half of the paper's §7.2 stack. Given a
 //! validated [`Application`] and a placement (object → PE), the runtime:
 //!
-//! 1. registers every object with the [`Broker`];
+//! 1. resolves every object into the handler table, per method: its costs,
+//!    each downstream call with the node hosting the callee and, once
+//!    bound, the object's service offload and egress hand-off;
 //! 2. on each arriving invocation, *synthesizes* a micro-op handler program
-//!    from the method descriptor — state read, compute burst, downstream
+//!    from its table entry — state read, compute burst, downstream
 //!    sends/calls (marshalled with the real wire codec), reply if twoway,
 //!    and the egress hand-off if the object is bound to an I/O channel;
 //! 3. dispatches handlers onto idle hardware threads (the hardware
@@ -16,20 +18,18 @@
 //!    binding, or saturation mode for utilization experiments.
 
 use crate::tags::RequestTag;
-use nw_dsoc::{Application, Broker, Domain, Message, MessageKind, MessageView, MethodId};
+use nw_dsoc::{Application, Domain, Message, MessageKind, MessageView, MethodDef, MethodId};
 use nw_noc::{Packet, PayloadPool};
-use nw_obs::{TraceEvent, TraceSink};
 use nw_pe::{KernelDomain, Op, Pe, Program};
 use nw_sim::Pacer;
-use nw_types::{Cycles, NodeId, ObjectId};
-use std::collections::{BTreeMap, VecDeque};
+use nw_types::{Cycles, NodeId, ObjectId, ThreadId};
+use std::collections::VecDeque;
 use std::num::NonZeroU64;
 
 // nw-analyze: allow-file(RH01): every acquired buffer's ownership transfers out of this
 // module — into synthesized Program sends and outbox messages that become NoC packets;
 // the platform recycles each one at packet consumption (FppaPlatform::route_arrivals).
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors from installing an application or configuring drives.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,6 +86,8 @@ impl std::error::Error for InstallError {}
 pub(crate) struct IoBinding {
     pub object: ObjectId,
     pub method: MethodId,
+    /// Node hosting the object.
+    pub dst: NodeId,
 }
 
 /// A per-invocation synchronous offload against a platform service node
@@ -117,6 +119,18 @@ struct PendingInvocation {
     reply_to: Option<(NodeId, u64)>,
 }
 
+impl PendingInvocation {
+    /// A drive- or saturation-originated invocation: no caller.
+    fn entry(object: ObjectId, method: MethodId) -> Self {
+        PendingInvocation {
+            object,
+            method,
+            seq: 0,
+            reply_to: None,
+        }
+    }
+}
+
 /// A deterministic entry-rate drive: invocations per cycle as 32.32
 /// fixed-point credit, one invocation costing [`DRIVE_COST`].
 #[derive(Debug, Clone)]
@@ -139,10 +153,10 @@ pub(crate) fn nth_tick(from: u64, n: u64) -> u64 {
 /// times this, rounded to the nearest integer.
 const DRIVE_COST: NonZeroU64 = NonZeroU64::new(1 << 32).unwrap();
 
-/// One downstream call edge of a handler, resolved once: the callee's
-/// marshalling footprint and hosting node never change after installation,
-/// so synthesis only applies the per-invocation fractional-multiplicity
-/// carry and fresh sequence numbers.
+/// One downstream call edge of a handler, resolved at install: the
+/// callee's marshalling footprint and hosting node never change after
+/// installation, so synthesis only applies the per-invocation
+/// fractional-multiplicity carry and fresh sequence numbers.
 #[derive(Debug, Clone, PartialEq)]
 struct EdgePlan {
     /// Index into the application's edge list (the carry accumulator slot).
@@ -159,20 +173,19 @@ struct EdgePlan {
     call_reply_bytes: u64,
 }
 
-/// The memoized static skeleton of one `(object, method)` handler.
-///
-/// Synthesizing a handler used to re-walk every application edge and clone
-/// the method descriptor per invocation; the plan hoists all of that out so
-/// the per-invocation work is just op emission.
+/// The static skeleton of one `(object, method)` handler, built at install
+/// (service and egress bindings written in as they are made), so the
+/// per-invocation work is just op emission.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct HandlerPlan {
-    domain: Domain,
+struct Handler {
+    domain: KernelDomain,
     local_bytes: u64,
     service: Option<ServiceBinding>,
     compute_cycles: u64,
     edges: Vec<EdgePlan>,
     /// This method's reply body size (twoway answers).
     reply_body_bytes: u64,
+    /// Egress binding: (I/O node, packet bytes).
     egress: Option<(NodeId, u64)>,
 }
 
@@ -182,7 +195,8 @@ pub struct Runtime {
     app: Application,
     /// object → PE index.
     placement: Vec<usize>,
-    broker: Broker,
+    /// `handlers[object][method]`.
+    handlers: Vec<Vec<Handler>>,
     /// Per-PE invocation queues.
     dispatch: Vec<VecDeque<PendingInvocation>>,
     drives: Vec<Drive>,
@@ -190,16 +204,8 @@ pub struct Runtime {
     io_rr: Vec<usize>,
     /// Objects whose host PE is kept saturated with entry invocations.
     saturate: Vec<(ObjectId, MethodId)>,
-    /// Egress bindings: object → (I/O node, packet bytes).
-    egress: BTreeMap<ObjectId, (NodeId, u64)>,
-    /// Service bindings: object → per-invocation offload calls.
-    services: BTreeMap<ObjectId, ServiceBinding>,
     /// Fractional call-multiplicity carry per edge index.
     edge_carry: Vec<f64>,
-    /// Memoized handler skeletons per (object, method).
-    plans: BTreeMap<(ObjectId, MethodId), Arc<HandlerPlan>>,
-    /// Plan-cache hits (observability for the memoization tests).
-    plan_hits: u64,
     /// Invocations queued across all per-PE dispatch queues (so the
     /// dispatcher can skip the whole scan when nothing is pending).
     pending_total: usize,
@@ -219,23 +225,14 @@ pub struct Runtime {
     seq: u32,
     /// Invocations that arrived but could not be decoded (protocol errors).
     pub decode_errors: u64,
-    /// Total invocations dispatched to threads.
-    pub dispatched: u64,
     /// Invocations dispatched per object (per-stage throughput input).
     dispatched_per_object: Vec<u64>,
-    /// `thread_object[pe][tid]`: the object whose handler was last spawned
-    /// on that hardware thread. Consulted by the platform's latency probe
-    /// to attribute service-node offload calls to the issuing object; only
-    /// read while the handler runs (a thread's in-flight call pins its
-    /// program), so stale entries after retirement are harmless.
-    thread_object: Vec<Vec<Option<ObjectId>>>,
 }
 
 impl Runtime {
     pub(crate) fn new(
         app: Application,
         placement: Vec<usize>,
-        pe_nodes: &[NodeId],
         n_pes: usize,
         n_ios: usize,
         now: Cycles,
@@ -249,26 +246,46 @@ impl Runtime {
         if let Some(&bad) = placement.iter().find(|&&p| p >= n_pes) {
             return Err(InstallError::PeOutOfRange(bad));
         }
-        let mut broker = Broker::new();
-        for (obj, &pe) in placement.iter().enumerate() {
-            broker.register(ObjectId(obj), pe_nodes[pe]);
+        let handler = |m: &MethodDef| Handler {
+            domain: domain_to_kernel(m.domain),
+            local_bytes: m.local_bytes,
+            service: None,
+            compute_cycles: m.compute_cycles,
+            edges: Vec::new(),
+            reply_body_bytes: m.reply_bytes,
+            egress: None,
+        };
+        let mut handlers: Vec<Vec<Handler>> = (app.objects().iter())
+            .map(|o| o.methods.iter().map(handler).collect())
+            .collect();
+        // In edge order, so each handler's calls keep the application's
+        // order (synthesis order and the carry slots rest on it).
+        for (i, e) in app.edges().iter().enumerate() {
+            let callee = app.method(e.to, e.to_method);
+            let handler = &mut handlers[e.from.0][e.from_method.0 as usize];
+            handler.edges.push(EdgePlan {
+                edge_idx: i,
+                calls_per_invocation: e.calls_per_invocation,
+                to: e.to,
+                to_method: e.to_method,
+                dst: pe_endpoint(placement[e.to.0]),
+                arg_bytes: callee.arg_bytes,
+                twoway: callee.is_twoway(),
+                call_reply_bytes: callee.reply_bytes + Message::HEADER_LEN as u64,
+            });
         }
         let n_edges = app.edges().len();
         let n_objects = app.objects().len();
         Ok(Runtime {
             app,
             placement,
-            broker,
+            handlers,
             dispatch: (0..n_pes).map(|_| VecDeque::new()).collect(),
             drives: Vec::new(),
             io_bindings: vec![Vec::new(); n_ios],
             io_rr: vec![0; n_ios],
             saturate: Vec::new(),
-            egress: BTreeMap::new(),
-            services: BTreeMap::new(),
             edge_carry: vec![0.0; n_edges],
-            plans: BTreeMap::new(),
-            plan_hits: 0,
             pending_total: 0,
             ready: vec![false; n_pes],
             ready_count: 0,
@@ -276,9 +293,7 @@ impl Runtime {
             drive_due: u64::MAX,
             seq: 0,
             decode_errors: 0,
-            dispatched: 0,
             dispatched_per_object: vec![0; n_objects],
-            thread_object: vec![Vec::new(); n_pes],
         })
     }
 
@@ -290,11 +305,6 @@ impl Runtime {
     /// The object placement (object index → PE index).
     pub fn placement(&self) -> &[usize] {
         &self.placement
-    }
-
-    /// The broker resolving objects to nodes.
-    pub fn broker(&self) -> &Broker {
-        &self.broker
     }
 
     fn entry_method_of(&self, object: ObjectId) -> Result<MethodId, InstallError> {
@@ -333,7 +343,11 @@ impl Runtime {
             .io_bindings
             .get_mut(io)
             .ok_or(InstallError::IoOutOfRange(io))?;
-        slot.push(IoBinding { object, method });
+        slot.push(IoBinding {
+            object,
+            method,
+            dst: pe_endpoint(self.placement[object.0]),
+        });
         Ok(())
     }
 
@@ -343,12 +357,10 @@ impl Runtime {
         io_node: NodeId,
         packet_bytes: u64,
     ) -> Result<(), InstallError> {
-        if object.0 >= self.app.objects().len() {
-            return Err(InstallError::UnknownObject(object));
+        let handlers = self.handlers.get_mut(object.0);
+        for h in handlers.ok_or(InstallError::UnknownObject(object))? {
+            h.egress = Some((io_node, packet_bytes));
         }
-        self.egress.insert(object, (io_node, packet_bytes));
-        // Bindings are baked into the memoized handler skeletons.
-        self.plans.clear();
         Ok(())
     }
 
@@ -357,12 +369,10 @@ impl Runtime {
         object: ObjectId,
         binding: ServiceBinding,
     ) -> Result<(), InstallError> {
-        if object.0 >= self.app.objects().len() {
-            return Err(InstallError::UnknownObject(object));
+        let handlers = self.handlers.get_mut(object.0);
+        for h in handlers.ok_or(InstallError::UnknownObject(object))? {
+            h.service = Some(binding);
         }
-        self.services.insert(object, binding);
-        // Bindings are baked into the memoized handler skeletons.
-        self.plans.clear();
         Ok(())
     }
 
@@ -394,7 +404,7 @@ impl Runtime {
         let b = bindings[self.io_rr[io] % bindings.len()];
         self.io_rr[io] = (self.io_rr[io] + 1) % bindings.len();
         let arg_bytes = self.app.method(b.object, b.method).arg_bytes as usize;
-        let seq = self.next_seq();
+        let seq = next_seq(&mut self.seq);
         let mut data = pool.take();
         Message::encode_zeroed_into(
             MessageKind::Invocation,
@@ -404,16 +414,7 @@ impl Runtime {
             arg_bytes,
             &mut data,
         );
-        let dst = self
-            .broker
-            .resolve(b.object)
-            .expect("placed objects are registered");
-        (dst, data)
-    }
-
-    fn next_seq(&mut self) -> u32 {
-        self.seq = self.seq.wrapping_add(1);
-        self.seq
+        (b.dst, data)
     }
 
     /// Routes an arriving DSOC packet at PE `p` (which has `idle_threads`
@@ -526,12 +527,7 @@ impl Runtime {
         for d in &mut self.drives {
             let pe = self.placement[d.object.0];
             for _ in 0..d.pacer.advance(k) {
-                self.dispatch[pe].push_back(PendingInvocation {
-                    object: d.object,
-                    method: d.method,
-                    seq: 0,
-                    reply_to: None,
-                });
+                self.dispatch[pe].push_back(PendingInvocation::entry(d.object, d.method));
                 self.pending_total += 1;
             }
         }
@@ -548,7 +544,9 @@ impl Runtime {
     }
 
     /// Ticks the drives through cycle `now`, then dispatches queued
-    /// invocations (and saturation refills) onto idle hardware threads. The
+    /// invocations (and saturation refills) onto idle hardware threads:
+    /// queues PE by PE ascending, then the saturated entry points in order,
+    /// each spawn reported to `on_spawn` as `(pe, thread, object)`. The
     /// caller refreshes the ready bits afterwards ([`Runtime::note_pes`]).
     ///
     /// Only PEs with pending work are visited (an active-set skip that is
@@ -565,7 +563,7 @@ impl Runtime {
         now: Cycles,
         pe_wake: &mut [u64],
         pool: &mut PayloadPool,
-        mut sink: Option<&mut (dyn TraceSink + '_)>,
+        mut on_spawn: impl FnMut(usize, ThreadId, ObjectId),
     ) -> (u64, u64) {
         self.sync_drives(now.0 + 1);
         let (mut woken, mut earliest) = (0, u64::MAX);
@@ -586,19 +584,7 @@ impl Runtime {
                         break;
                     };
                     self.pending_total -= 1;
-                    let prog = self.synthesize(&inv, pool);
-                    let tid = pe.spawn(prog).expect("idle thread count was checked");
-                    self.note_spawn(p, tid, inv.object);
-                    if let Some(s) = sink.as_deref_mut() {
-                        s.emit(TraceEvent::HandlerStart {
-                            cycle: now.0,
-                            pe: p,
-                            thread: tid.0,
-                            object: inv.object.0,
-                        });
-                    }
-                    self.dispatched += 1;
-                    self.dispatched_per_object[inv.object.0] += 1;
+                    self.spawn(p, pe, &inv, pool, &mut on_spawn);
                 }
                 wake(p, pe);
             }
@@ -606,145 +592,55 @@ impl Runtime {
         // Saturation mode: keep every context of the hosting PE occupied.
         for k in 0..self.saturate.len() {
             let (object, method) = self.saturate[k];
-            let pe = self.placement[object.0];
-            if pes[pe].idle_threads() == 0 {
+            let p = self.placement[object.0];
+            let pe = &mut pes[p];
+            if pe.idle_threads() == 0 {
                 continue;
             }
-            pes[pe].settle_accounting(now);
-            while pes[pe].idle_threads() > 0 {
-                let prog = self.synthesize(
-                    &PendingInvocation {
-                        object,
-                        method,
-                        seq: 0,
-                        reply_to: None,
-                    },
-                    pool,
-                );
-                let tid = pes[pe].spawn(prog).expect("idle thread count was checked");
-                self.note_spawn(pe, tid, object);
-                if let Some(s) = sink.as_deref_mut() {
-                    s.emit(TraceEvent::HandlerStart {
-                        cycle: now.0,
-                        pe,
-                        thread: tid.0,
-                        object: object.0,
-                    });
-                }
-                self.dispatched += 1;
-                self.dispatched_per_object[object.0] += 1;
+            pe.settle_accounting(now);
+            let inv = PendingInvocation::entry(object, method);
+            while pe.idle_threads() > 0 {
+                self.spawn(p, pe, &inv, pool, &mut on_spawn);
             }
-            wake(pe, &pes[pe]);
+            wake(p, pe);
         }
         (woken, earliest)
     }
 
-    /// Records which object's handler occupies hardware thread `(pe, tid)`
-    /// for the platform's latency attribution.
-    fn note_spawn(&mut self, pe: usize, tid: nw_types::ThreadId, object: ObjectId) {
-        let slots = &mut self.thread_object[pe];
-        if slots.len() <= tid.0 {
-            slots.resize(tid.0 + 1, None);
-        }
-        slots[tid.0] = Some(object);
+    /// Spawns `inv`'s handler on PE `p`, which has an idle thread.
+    fn spawn(
+        &mut self,
+        p: usize,
+        pe: &mut Pe,
+        inv: &PendingInvocation,
+        pool: &mut PayloadPool,
+        on_spawn: &mut impl FnMut(usize, ThreadId, ObjectId),
+    ) {
+        let prog = self.synthesize(inv, pool);
+        let tid = pe.spawn(prog).expect("idle thread count was checked");
+        on_spawn(p, tid, inv.object);
+        self.dispatched_per_object[inv.object.0] += 1;
     }
 
-    /// The object whose handler was last spawned on thread `(pe, tid)`, if
-    /// any — the attribution source for service-offload latency samples.
-    pub(crate) fn thread_object(&self, pe: usize, tid: usize) -> Option<ObjectId> {
-        self.thread_object
-            .get(pe)
-            .and_then(|slots| slots.get(tid))
-            .copied()
-            .flatten()
-    }
-
-    /// Forgets every thread → object attribution on PE `pe`. Called when
-    /// the platform hands out mutable PE access (`FppaPlatform::pe_mut`):
-    /// the caller may spawn programs the runtime knows nothing about, and a
-    /// stale entry would attribute such a program's service calls to
-    /// whichever handler last ran on the thread. Dropping the whole PE's
-    /// attributions errs on the side of recording nothing — in-flight
-    /// probes already resolved their object at issue time, and handlers
-    /// dispatched afterwards re-record on spawn.
-    pub(crate) fn clear_thread_objects(&mut self, pe: usize) {
-        if let Some(slots) = self.thread_object.get_mut(pe) {
-            slots.fill(None);
-        }
-    }
-
-    /// Returns the memoized handler skeleton for `(object, method)`,
-    /// building and caching it on first use. The plan resolves everything
-    /// static about the handler — method descriptor fields, service
-    /// binding, the method's outgoing call edges with their destinations,
-    /// reply and egress hand-offs — so per-invocation synthesis no longer
-    /// walks the application's full edge list.
-    fn plan_for(&mut self, object: ObjectId, method: MethodId) -> Arc<HandlerPlan> {
-        if let Some(p) = self.plans.get(&(object, method)) {
-            self.plan_hits += 1;
-            return Arc::clone(p);
-        }
-        let m = self.app.method(object, method);
-        let edges = self
-            .app
-            .edges()
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.from == object && e.from_method == method)
-            .map(|(i, e)| {
-                let callee = self.app.method(e.to, e.to_method);
-                EdgePlan {
-                    edge_idx: i,
-                    calls_per_invocation: e.calls_per_invocation,
-                    to: e.to,
-                    to_method: e.to_method,
-                    dst: self
-                        .broker
-                        .resolve(e.to)
-                        .expect("placed objects are registered"),
-                    arg_bytes: callee.arg_bytes,
-                    twoway: callee.is_twoway(),
-                    call_reply_bytes: callee.reply_bytes + Message::HEADER_LEN as u64,
-                }
-            })
-            .collect();
-        let plan = Arc::new(HandlerPlan {
-            domain: m.domain,
-            local_bytes: m.local_bytes,
-            service: self.services.get(&object).copied(),
-            compute_cycles: m.compute_cycles,
-            edges,
-            reply_body_bytes: m.reply_bytes,
-            egress: self.egress.get(&object).copied(),
-        });
-        self.plans.insert((object, method), Arc::clone(&plan));
-        plan
-    }
-
-    /// `(hits, cached plans)` of the handler-plan cache.
-    pub fn plan_cache_stats(&self) -> (u64, usize) {
-        (self.plan_hits, self.plans.len())
-    }
-
-    /// Synthesizes the handler program for one invocation from its memoized
-    /// plan; only the fractional-multiplicity carry and message sequence
+    /// Synthesizes the handler program for one invocation from its handler;
+    /// only the fractional-multiplicity carry and message sequence
     /// numbers vary between invocations of the same `(object, method)`.
     /// Marshalled message buffers come from the payload arena; the bodies
     /// are all-zero (only sizes are simulated), so the zero-body encoder
     /// writes them without an intermediate body vector.
     fn synthesize(&mut self, inv: &PendingInvocation, pool: &mut PayloadPool) -> Program {
-        let plan = self.plan_for(inv.object, inv.method);
+        let h = &self.handlers[inv.object.0][inv.method.0 as usize];
         let mut ops = Vec::new();
-        if plan.local_bytes > 0 {
+        if h.local_bytes > 0 {
             ops.push(Op::LocalMem {
                 write: false,
-                bytes: plan.local_bytes,
+                bytes: h.local_bytes,
             });
         }
         // Service offloads precede the compute burst: the handler fetches
         // its operands (reference windows, cipher blocks) from the bound
         // service node, blocking the thread per round trip.
-        if let Some(svc) = plan.service {
+        if let Some(svc) = h.service {
             for _ in 0..svc.calls {
                 ops.push(Op::Call {
                     dst: svc.node,
@@ -754,16 +650,16 @@ impl Runtime {
                 });
             }
         }
-        if plan.compute_cycles > 0 {
-            ops.push(Op::Compute(plan.compute_cycles));
+        if h.compute_cycles > 0 {
+            ops.push(Op::Compute(h.compute_cycles));
         }
         // Downstream calls, with deterministic fractional-multiplicity carry.
-        for e in &plan.edges {
+        for e in &h.edges {
             self.edge_carry[e.edge_idx] += e.calls_per_invocation;
             let count = self.edge_carry[e.edge_idx].floor() as u64;
             self.edge_carry[e.edge_idx] -= count as f64;
             for _ in 0..count {
-                let seq = self.next_seq();
+                let seq = next_seq(&mut self.seq);
                 let mut data = pool.take();
                 Message::encode_zeroed_into(
                     MessageKind::Invocation,
@@ -802,7 +698,7 @@ impl Runtime {
                 inv.object,
                 inv.method,
                 inv.seq,
-                plan.reply_body_bytes as usize,
+                h.reply_body_bytes as usize,
                 &mut data,
             );
             let bytes = data.len() as u64;
@@ -814,7 +710,7 @@ impl Runtime {
             });
         }
         // Egress hand-off.
-        if let Some((io_node, packet_bytes)) = plan.egress {
+        if let Some((io_node, packet_bytes)) = h.egress {
             ops.push(Op::Send {
                 dst: io_node,
                 bytes: packet_bytes,
@@ -822,13 +718,20 @@ impl Runtime {
                 tag: 0,
             });
         }
-        Program::new(ops, domain_to_kernel(plan.domain))
+        Program::new(ops, h.domain)
     }
 
     /// Invocations currently queued (all PEs).
     pub fn queued_invocations(&self) -> usize {
         self.pending_total
     }
+}
+
+/// The next wire sequence number: one counter numbers ingress invocations
+/// and downstream calls alike.
+fn next_seq(seq: &mut u32) -> u32 {
+    *seq = seq.wrapping_add(1);
+    *seq
 }
 
 /// Maps the DSOC domain tag to the PE kernel domain.
@@ -843,7 +746,7 @@ pub(crate) fn domain_to_kernel(d: Domain) -> KernelDomain {
 
 // ---- FppaPlatform runtime API ------------------------------------------
 
-use crate::platform::FppaPlatform;
+use crate::platform::{pe_endpoint, FppaPlatform};
 
 impl FppaPlatform {
     /// Installs a DSOC application with `placement[object] = pe index`.
@@ -856,13 +759,9 @@ impl FppaPlatform {
         app: &Application,
         placement: &[usize],
     ) -> Result<(), InstallError> {
-        let pe_nodes: Vec<NodeId> = (0..self.pes_slice().len())
-            .map(|i| self.pe_node(i))
-            .collect();
         let rt = Runtime::new(
             app.clone(),
             placement.to_vec(),
-            &pe_nodes,
             self.pes_slice().len(),
             self.ios_slice().len(),
             self.now(),
@@ -991,10 +890,10 @@ impl FppaPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nw_dsoc::{MethodDef, ObjectDef};
+    use nw_dsoc::ObjectDef;
 
     /// Caller (twoway, with local state and compute) fanning out two calls
-    /// per invocation to a oneway sink — exercises every plan section.
+    /// per invocation to a oneway sink — exercises every handler section.
     fn two_stage_app() -> Application {
         let mut b = Application::builder("memo");
         let a = b.add_object(
@@ -1011,9 +910,7 @@ mod tests {
     }
 
     fn runtime() -> Runtime {
-        let pe_nodes = [NodeId(0), NodeId(1)];
-        Runtime::new(two_stage_app(), vec![0, 1], &pe_nodes, 2, 0, Cycles(0))
-            .expect("valid placement")
+        Runtime::new(two_stage_app(), vec![0, 1], 2, 0, Cycles(0)).expect("valid placement")
     }
 
     /// Op equality modulo marshalled payload bytes (sequence numbers vary
@@ -1064,22 +961,12 @@ mod tests {
     }
 
     #[test]
-    fn handler_plan_cache_returns_identical_programs() {
+    fn handler_synthesis_is_identical_across_invocations() {
         let mut rt = runtime();
-        let inv = PendingInvocation {
-            object: ObjectId(0),
-            method: MethodId(0),
-            seq: 0,
-            reply_to: None,
-        };
+        let inv = PendingInvocation::entry(ObjectId(0), MethodId(0));
         let mut pool = PayloadPool::new();
         let first = rt.synthesize(&inv, &mut pool);
-        let (hits_after_first, plans) = rt.plan_cache_stats();
-        assert_eq!(plans, 1, "one plan per (object, method)");
         let second = rt.synthesize(&inv, &mut pool);
-        let (hits_after_second, plans) = rt.plan_cache_stats();
-        assert_eq!(plans, 1, "second synthesis reuses the cached plan");
-        assert!(hits_after_second > hits_after_first, "cache must hit");
 
         // Identical programs: same length, domain and op timing shape
         // (2.0 calls/invocation is integral, so the carry emits exactly
@@ -1090,8 +977,7 @@ mod tests {
             assert!(same_shape(x, y), "{x:?} vs {y:?}");
         }
 
-        // And the cached path is byte-identical to a cold runtime at the
-        // same sequence state.
+        // And byte-identical to a fresh runtime at the same sequence state.
         let mut cold = runtime();
         let cold_first = cold.synthesize(&inv, &mut PayloadPool::new());
         assert_eq!(first, cold_first);
@@ -1137,64 +1023,26 @@ mod tests {
     }
 
     #[test]
-    fn thread_attribution_records_and_clears() {
+    fn a_binding_reaches_the_next_synthesis() {
         let mut rt = runtime();
-        assert_eq!(rt.thread_object(0, 1), None);
-        rt.note_spawn(0, nw_types::ThreadId(1), ObjectId(0));
-        assert_eq!(rt.thread_object(0, 1), Some(ObjectId(0)));
-        // Manual PE access (FppaPlatform::pe_mut) must forget the PE's
-        // attributions so foreign programs never inherit them.
-        rt.clear_thread_objects(0);
-        assert_eq!(rt.thread_object(0, 1), None);
-        // Out-of-range lookups and clears are harmless no-ops.
-        assert_eq!(rt.thread_object(9, 9), None);
-        rt.clear_thread_objects(9);
-    }
-
-    #[test]
-    fn plan_is_shared_not_rebuilt() {
-        let mut rt = runtime();
-        let a = rt.plan_for(ObjectId(0), MethodId(0));
-        let b = rt.plan_for(ObjectId(0), MethodId(0));
-        assert!(Arc::ptr_eq(&a, &b), "plan must be cached, not rebuilt");
-    }
-
-    #[test]
-    fn binding_changes_invalidate_plans() {
-        let mut rt = runtime();
-        let before = rt.plan_for(ObjectId(0), MethodId(0));
-        assert!(before.service.is_none());
-        rt.bind_service(
-            ObjectId(0),
-            ServiceBinding {
-                node: NodeId(1),
-                request_bytes: 8,
-                reply_bytes: 64,
-                calls: 3,
-            },
-        )
-        .expect("object exists");
-        let after = rt.plan_for(ObjectId(0), MethodId(0));
-        assert!(!Arc::ptr_eq(&before, &after), "bind must invalidate");
-        assert_eq!(
-            after.service,
-            Some(ServiceBinding {
-                node: NodeId(1),
-                request_bytes: 8,
-                reply_bytes: 64,
-                calls: 3,
-            })
-        );
+        let inv = PendingInvocation::entry(ObjectId(0), MethodId(0));
+        let mut pool = PayloadPool::new();
+        assert!(rt.handlers[0][0].service.is_none());
+        assert_eq!(rt.synthesize(&inv, &mut pool).call_count(), 0);
+        let binding = ServiceBinding {
+            node: NodeId(1),
+            request_bytes: 8,
+            reply_bytes: 64,
+            calls: 3,
+        };
+        rt.bind_service(ObjectId(0), binding)
+            .expect("object exists");
+        assert_eq!(rt.handlers[0][0].service, Some(binding));
         // The synthesized handler now front-loads the three service calls.
-        let prog = rt.synthesize(
-            &PendingInvocation {
-                object: ObjectId(0),
-                method: MethodId(0),
-                seq: 0,
-                reply_to: None,
-            },
-            &mut PayloadPool::new(),
+        assert_eq!(rt.synthesize(&inv, &mut pool).call_count(), 3);
+        assert_eq!(
+            rt.bind_service(ObjectId(2), binding),
+            Err(InstallError::UnknownObject(ObjectId(2)))
         );
-        assert_eq!(prog.call_count(), 3);
     }
 }

@@ -21,16 +21,19 @@ pub enum RuleId {
     Wr01,
     /// Stale allowlist entries or malformed suppression markers.
     Al01,
+    /// Back-ticked file paths in the docs that name nothing.
+    Doc01,
 }
 
 /// Every registered rule, in report order.
-pub const ALL_RULES: [RuleId; 6] = [
+pub const ALL_RULES: [RuleId; 7] = [
     RuleId::Nd01,
     RuleId::Nd02,
     RuleId::Nd03,
     RuleId::Rh01,
     RuleId::Wr01,
     RuleId::Al01,
+    RuleId::Doc01,
 ];
 
 impl RuleId {
@@ -43,6 +46,7 @@ impl RuleId {
             RuleId::Rh01 => "RH01",
             RuleId::Wr01 => "WR01",
             RuleId::Al01 => "AL01",
+            RuleId::Doc01 => "DOC01",
         }
     }
 
@@ -72,6 +76,10 @@ impl RuleId {
             RuleId::Al01 => {
                 "allowlist hygiene: entries must parse, carry a justification, and still \
                  match a real finding; markers must name a known rule and a reason"
+            }
+            RuleId::Doc01 => {
+                "every back-ticked file path in README.md and ARCHITECTURE.md names a file \
+                 or directory that exists in the repository"
             }
         }
     }

@@ -25,7 +25,7 @@ pub struct AnalysisReport {
     /// Findings that survived markers and the allowlist, in stable
     /// (path, line, col, rule) order.
     pub diagnostics: Vec<Diagnostic>,
-    /// `.rs` files scanned.
+    /// `.rs` files and Markdown documents scanned.
     pub files_scanned: usize,
     /// Findings suppressed by in-source markers.
     pub marker_suppressed: usize,
@@ -103,8 +103,13 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// Analyzes already-scanned sources against an allowlist — the
 /// fixture-testable core of the engine ([`analyze`] is the filesystem
-/// wrapper around it).
-pub fn analyze_sources(files: &[SourceFile], allowlist: &Allowlist) -> AnalysisReport {
+/// wrapper around it). `exists` answers whether a repo-relative path names
+/// a file or directory (DOC01).
+pub fn analyze_sources(
+    files: &[SourceFile],
+    allowlist: &Allowlist,
+    exists: &dyn Fn(&str) -> bool,
+) -> AnalysisReport {
     let mut diagnostics: Vec<Diagnostic> = allowlist.problems.clone();
     let mut marker_suppressed = 0;
     let mut allowlisted = 0;
@@ -112,7 +117,7 @@ pub fn analyze_sources(files: &[SourceFile], allowlist: &Allowlist) -> AnalysisR
     for file in files {
         let markers = Markers::collect(file);
         diagnostics.extend(markers.problems.iter().cloned());
-        for d in scan_file(file) {
+        for d in scan_file(file, exists) {
             if markers.suppresses(d.rule, d.line.saturating_sub(1)) {
                 marker_suppressed += 1;
                 continue;
@@ -155,9 +160,10 @@ pub fn analyze_sources(files: &[SourceFile], allowlist: &Allowlist) -> AnalysisR
     }
 }
 
-/// Loads and scans every first-party `.rs` file under `root`, applies
-/// the allowlist at `root/nw-analyze.allow` (absence is an empty
-/// allowlist, not an error), and returns the surviving findings.
+/// Loads and scans every first-party `.rs` file under `root` and its
+/// `README.md` and `ARCHITECTURE.md`, applies the allowlist at
+/// `root/nw-analyze.allow` (absence is an empty allowlist, not an error),
+/// and returns the surviving findings.
 ///
 /// # Errors
 ///
@@ -170,6 +176,8 @@ pub fn analyze(root: &Path) -> io::Result<AnalysisReport> {
             collect_rs(&dir, &mut paths)?;
         }
     }
+    // The documents whose back-ticked paths DOC01 resolves.
+    paths.extend(["README.md", "ARCHITECTURE.md"].map(|doc| root.join(doc)));
     let mut files = Vec::with_capacity(paths.len());
     for p in &paths {
         let text = fs::read_to_string(p)?;
@@ -185,7 +193,8 @@ pub fn analyze(root: &Path) -> io::Result<AnalysisReport> {
         Ok(text) => Allowlist::parse(ALLOWLIST_FILE, &text),
         Err(_) => Allowlist::default(),
     };
-    Ok(analyze_sources(&files, &allowlist))
+    let exists = |path: &str| root.join(path).exists();
+    Ok(analyze_sources(&files, &allowlist, &exists))
 }
 
 /// Locates the workspace root: walks up from `start` looking for the

@@ -1,7 +1,8 @@
-//! The determinism and resource-hygiene rules.
+//! The determinism and resource-hygiene rules, and the docs' path rule.
 //!
 //! Each rule is a lexical pass over a [`SourceFile`]'s code view (comments
-//! and string contents already removed by [`crate::scan`]). Rules return
+//! and string contents already removed by [`crate::scan`]; for Markdown,
+//! the prose outside fenced blocks and HTML comments). Rules return
 //! *raw* findings; suppression markers and the allowlist are applied by
 //! [`crate::engine`], so fixtures can assert on the unsuppressed set.
 
@@ -262,15 +263,49 @@ fn wr01(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Runs every source rule over one file, returning *raw* (unsuppressed)
-/// findings in stable order.
-pub fn scan_file(file: &SourceFile) -> Vec<Diagnostic> {
+/// A code span naming a repository path: a `/` and nothing but path
+/// characters (so neither `total / cost` nor `chrome://tracing` is one).
+fn looks_like_path(span: &str) -> bool {
+    span.contains('/')
+        && span.chars().any(|c| c.is_ascii_alphanumeric())
+        && (span.chars()).all(|c| c.is_ascii_alphanumeric() || "_.-/".contains(c))
+}
+
+/// DOC01: back-ticked file paths in the Markdown docs that name nothing.
+fn doc01(file: &SourceFile, exists: &dyn Fn(&str) -> bool, out: &mut Vec<Diagnostic>) {
+    let mut in_span = false;
+    for (n, line) in file.lines.iter().enumerate() {
+        // A code span may break across lines (then it holds no path), not
+        // across paragraphs.
+        in_span &= !line.code.trim().is_empty();
+        let pieces: Vec<&str> = line.code.split('`').collect();
+        let mut col = 0;
+        for (k, piece) in pieces.iter().enumerate() {
+            in_span ^= k > 0;
+            let whole = in_span && k > 0 && k + 1 < pieces.len();
+            if whole && looks_like_path(piece) && !exists(piece) {
+                let message = format!("`{piece}` names no file or directory in the repository");
+                out.push(diag(RuleId::Doc01, file, n, col, message));
+            }
+            col += piece.len() + 1;
+        }
+    }
+}
+
+/// Runs every rule for the file's kind — the source rules over `.rs`
+/// files, DOC01 over Markdown — returning *raw* (unsuppressed) findings in
+/// stable order. `exists` answers whether a repo-relative path exists.
+pub fn scan_file(file: &SourceFile, exists: &dyn Fn(&str) -> bool) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    nd01(file, &mut out);
-    nd02(file, &mut out);
-    nd03(file, &mut out);
-    rh01(file, &mut out);
-    wr01(file, &mut out);
+    if file.path.ends_with(".md") {
+        doc01(file, exists, &mut out);
+    } else {
+        nd01(file, &mut out);
+        nd02(file, &mut out);
+        nd03(file, &mut out);
+        rh01(file, &mut out);
+        wr01(file, &mut out);
+    }
     out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     out
 }

@@ -14,6 +14,9 @@
 //! lifetime ambiguity (`'a'` is a literal, `'static` is not). It does
 //! not need a full parser: rules key on tokens that survive this
 //! stripping.
+//!
+//! A Markdown document (`.md`) splits by line: a `<!-- ... -->` line is
+//! comment (markers work there too), fenced blocks neither, prose code.
 
 /// One line of a scanned source file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,8 +50,13 @@ enum Mode {
 }
 
 impl SourceFile {
-    /// Scans `text` into per-line code and comment views.
+    /// Scans `text` into per-line code and comment views, as Markdown when
+    /// `path` ends in `.md` and as Rust otherwise.
     pub fn parse(path: impl Into<String>, text: &str) -> SourceFile {
+        let path = path.into();
+        if path.ends_with(".md") {
+            return SourceFile::markdown(path, text);
+        }
         let mut lines = Vec::new();
         let mut mode = Mode::Code;
         for raw in text.lines() {
@@ -160,10 +168,25 @@ impl SourceFile {
             // A multi-line string keeps its mode; a line comment does not.
             lines.push(Line { code, comment });
         }
-        SourceFile {
-            path: path.into(),
-            lines,
+        SourceFile { path, lines }
+    }
+
+    /// The Markdown split (module docs).
+    fn markdown(path: String, text: &str) -> SourceFile {
+        let mut fenced = false;
+        let mut lines = Vec::new();
+        for raw in text.lines() {
+            let fence = raw.trim_start().starts_with("```");
+            fenced ^= fence;
+            let prose = if fence || fenced { "" } else { raw };
+            let (code, comment) = match prose.trim_start().starts_with("<!--") {
+                true => ("", prose),
+                false => (prose, ""),
+            };
+            let (code, comment) = (code.to_string(), comment.to_string());
+            lines.push(Line { code, comment });
         }
+        SourceFile { path, lines }
     }
 }
 

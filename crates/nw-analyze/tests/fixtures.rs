@@ -11,14 +11,16 @@ fn scan(files: &[(&str, &str)]) -> nw_analyze::AnalysisReport {
     scan_with_allowlist(files, "")
 }
 
-/// Runs the analyzer over inline sources with an inline allowlist.
+/// Runs the analyzer over inline sources with an inline allowlist; a path
+/// exists when a source's path begins with it.
 fn scan_with_allowlist(files: &[(&str, &str)], allow: &str) -> nw_analyze::AnalysisReport {
     let sources: Vec<SourceFile> = files
         .iter()
         .map(|(path, text)| SourceFile::parse(*path, text))
         .collect();
     let allowlist = Allowlist::parse("nw-analyze.allow", allow);
-    analyze_sources(&sources, &allowlist)
+    let exists = |p: &str| files.iter().any(|(f, _)| f.starts_with(p));
+    analyze_sources(&sources, &allowlist, &exists)
 }
 
 /// The rule ids of every finding, in report order.
@@ -267,4 +269,22 @@ fn reports_are_stably_sorted_and_render_both_ways() {
     assert!(report.render().contains("crates/core/src/a.rs:1:"));
     assert!(report.render_json().contains("\"clean\": false"));
     assert_eq!(report.diagnostics[0].rule, RuleId::Nd01);
+}
+
+#[test]
+fn doc01_flags_backticked_paths_that_name_nothing() {
+    let code = ("crates/core/src/x.rs", "fn f() {}\n");
+    let doc = "See `tests/gone.rs` and\n`crates/core/src/x.rs`.\n";
+    let hit = scan(&[code, ("ARCHITECTURE.md", doc)]);
+    assert_eq!(rules_of(&hit), ["DOC01"]);
+    assert_eq!((hit.diagnostics[0].line, hit.diagnostics[0].col), (1, 6));
+
+    // Directories, spans that are no path (one broken across lines), fenced
+    // blocks and a marked line pass; Rust rules do not read Markdown.
+    let doc = "`crates/core/` and `total / cost`, `Instant::now`, `a\nb/c`.\n\
+               ```sh\ncat `tests/gone.rs`\n```\n\
+               <!-- nw-analyze: allow(DOC01): the run writes it -->\nSee `out/trace.json`.\n";
+    let clean = scan(&[code, ("README.md", doc)]);
+    assert!(clean.is_clean(), "{}", clean.render());
+    assert_eq!(clean.marker_suppressed, 1);
 }

@@ -13,13 +13,12 @@
 //!   call edges, invocation-rate propagation, and validation.
 //! * [`wire`] — the binary on-wire format for marshalled invocations and
 //!   replies (what actually travels through the NoC as packet payload).
-//! * [`broker`] — the object request broker's name service: object
-//!   references resolved to platform nodes.
 //!
-//! The platform-dependent half — synthesizing PE micro-op programs from
-//! method descriptors and dispatching invocations onto hardware threads —
-//! lives in the `nanowall` core crate; the automatic object-to-PE mapping
-//! algorithms live in `nw-mapping`.
+//! The platform-dependent half — resolving objects to the nodes hosting
+//! them, synthesizing PE micro-op programs from method descriptors and
+//! dispatching invocations onto hardware threads — lives in the `nanowall`
+//! core crate; the automatic object-to-PE mapping algorithms live in
+//! `nw-mapping`.
 //!
 //! # Examples
 //!
@@ -41,11 +40,9 @@
 //! ```
 
 pub mod app;
-pub mod broker;
 pub mod idl;
 pub mod wire;
 
 pub use app::{Application, BuildAppError, CallEdge, Domain, MethodDef, MethodId, ObjectDef};
-pub use broker::{Broker, ResolveError};
 pub use idl::{parse_application, ParseIdlError};
 pub use wire::{DecodeError, Message, MessageKind, MessageView};

@@ -241,11 +241,9 @@ fn disconnection_drops_return_to_the_pool_on_the_next_stepped_cycle() {
 }
 
 #[test]
-fn hop_matrix_invalidates_when_a_link_dies() {
-    // Satellite regression: `hop_matrix` is cached in a `OnceCell`; before
-    // the fault subsystem the topology was immutable so the cache could
-    // never go stale. Killing a link must invalidate it, and disconnected
-    // pairs must read infinite.
+fn hop_matrix_follows_dead_links() {
+    // Killing a link changes the routes the mappers' hop matrix is read
+    // from, and disconnected pairs must read infinite.
     let reg = ScenarioRegistry::standard();
     let rig = reg.build("ipv4", true).expect("registered scenario");
     let mut platform = rig.platform;
@@ -274,7 +272,7 @@ fn hop_matrix_invalidates_when_a_link_dies() {
     );
     assert_eq!(platform.resilience_stats().links_failed, killed);
 
-    // Idempotence: re-failing a dead link neither recounts nor recomputes.
+    // Idempotence: re-failing a dead link neither recounts nor reroutes.
     let repeat = platform.fail_noc_link(0, 0);
     assert!(!repeat, "re-failing a dead link must be a no-op");
     assert_eq!(platform.resilience_stats().links_failed, killed);

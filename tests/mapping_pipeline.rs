@@ -1,5 +1,5 @@
 //! Integration of the MultiFlex toolchain: platform hop matrix → mapping
-//! problem → mapper → broker installation → simulated execution.
+//! problem → mapper → runtime installation → simulated execution.
 
 use nanowall::prelude::*;
 use nanowall::scenarios::{ipv4_rig_with_placement, run_ipv4};
@@ -107,11 +107,9 @@ fn broker_reflects_installed_placement() {
         &mapping.placement,
     );
     let rt = rig.platform.runtime().unwrap();
-    for (obj, &pe) in mapping.placement.iter().enumerate() {
-        assert_eq!(
-            rt.broker().resolve(ObjectId(obj)).unwrap(),
-            rig.platform.pe_node(pe),
-            "broker must resolve object {obj} to its mapped PE"
-        );
-    }
+    assert_eq!(
+        rt.placement(),
+        &mapping.placement[..],
+        "the runtime must host every object on its mapped PE"
+    );
 }

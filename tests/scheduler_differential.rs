@@ -203,7 +203,7 @@ fn warmed_forks_anchor_to_the_original_seed_and_diverge_on_new_ones() {
             "{mode:?}: distinct seeds produced one timeline"
         );
 
-        // No state sharing through the PayloadPool or handler-plan cache:
+        // No state sharing through the PayloadPool or the handler table:
         // running the forks left the parent untouched, so its own
         // continuation still matches the reference.
         let parent_tail = parent.run(MEASURE);
@@ -1294,4 +1294,54 @@ fn parked_requests_keep_the_id_they_drew_on_arrival() {
         BANK_TIME,
         "answered at {answers:?}"
     );
+}
+
+#[test]
+fn offloads_are_charged_to_the_handler_the_runtime_dispatched() {
+    // A service call is charged to the handler the runtime dispatched onto
+    // the thread; a manual program spawned there through `pe_mut`, before
+    // or after a crash and restart, is charged to nobody.
+    use nanowall::prelude::*;
+    use nanowall::{FaultCampaign, FaultRates, MemoryBlockConfig};
+
+    let mut cfg = FppaConfig::new("attribution", TopologyKind::Mesh);
+    cfg.add_pe(PeConfig::new(PeClass::GpRisc, 1));
+    cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 2.0));
+    let mut p = FppaPlatform::new(cfg).expect("config valid");
+    let mut b = Application::builder("attribution");
+    let reader = b.add_object(ObjectDef::new("reader").with_method(MethodDef::oneway("go", 16)));
+    b.entry(reader, 0);
+    p.install_app(&b.build().expect("valid"), &[0])
+        .expect("placed");
+    let mem = p.memory_node(0);
+    p.bind_service(reader, mem, 16, 64, 1).expect("a memory");
+    // Handlers are dispatched at cycles 4095, 8191 and 12287.
+    p.drive_entry(reader, 1.0 / 4_096.0);
+    let charged = |p: &FppaPlatform| p.object_latency(reader).expect("installed").count();
+    let manual_call = |p: &mut FppaPlatform| {
+        let prog = nw_pe::Program::straight_line([nw_pe::Op::call(mem, 16, 64)]);
+        p.pe_mut(0).spawn(prog).expect("the one thread is idle");
+        // `mem_accesses` counts every access since the platform was built.
+        p.run(1_000).mem_accesses
+    };
+
+    assert_eq!((p.run(5_000).mem_accesses, charged(&p)), (1, 1));
+    assert_eq!((manual_call(&mut p), charged(&p)), (2, 1), "manual call");
+    p.run(3_000);
+    assert_eq!(charged(&p), 2, "the second handler");
+    // A crash and its restart, one cycle later, drawn before cycle 9000:
+    // both are due at the first stepped cycle after installing.
+    let rates = FaultRates {
+        pe_crashes: 1,
+        pe_downtime: (1, 1),
+        ..FaultRates::quiet()
+    };
+    let campaign = FaultCampaign::generate(1, p.now().0, &rates, &p.fault_shape());
+    assert_eq!(campaign.events().len(), 2);
+    p.install_fault_campaign(campaign);
+    p.run(100);
+    assert_eq!(p.resilience_stats().pe_restarts, 1);
+    assert_eq!((manual_call(&mut p), charged(&p)), (4, 2), "after restart");
+    p.run(3_000);
+    assert_eq!(charged(&p), 3, "the handler after restart");
 }
