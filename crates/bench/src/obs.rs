@@ -227,11 +227,12 @@ pub fn render_profile(entries: &[ProfileEntry]) -> String {
         }
         let _ = writeln!(
             s,
-            "  scheduler  stepped {}  hopped {}  hops {}  hops_ended_by_io {}  pe_ticks {}  pe_external_wakes {}",
+            "  scheduler  stepped {}  hopped {}  hops {}  hops_ended_by_io {}  span_cycles {}  pe_ticks {}  pe_external_wakes {}",
             e.sched.cycles_stepped,
             e.sched.cycles_hopped,
             e.sched.hops,
             e.sched.hops_ended_by_io,
+            e.sched.span_cycles,
             e.sched.pe_ticks,
             e.sched.pe_external_wakes
         );
@@ -309,6 +310,7 @@ mod tests {
         assert!(text.contains("phases     entered"), "{text}");
         for e in &entries {
             assert_eq!(e.sched.cycles_stepped + e.sched.cycles_hopped, e.cycles);
+            assert!(e.sched.span_cycles <= e.sched.cycles_stepped);
             // A phase is entered at most once per stepped cycle, and its
             // profiler laps are those entries (I/O pacing laps every cycle).
             for (slice, entered) in e.report.phases.iter().zip(e.sched.phases_entered) {

@@ -181,6 +181,7 @@ impl Message {
     /// vec![0; body_len] }.encode()` — the runtime's marshalled traffic is
     /// all zero-bodied (only sizes are simulated), and this is its path
     /// through the payload arena.
+    #[inline]
     pub fn encode_zeroed_into(
         kind: MessageKind,
         object: ObjectId,
@@ -244,6 +245,7 @@ impl<'a> MessageView<'a> {
     /// # Errors
     ///
     /// See [`DecodeError`] — the same rejections as [`Message::decode`].
+    #[inline]
     pub fn decode(bytes: &'a [u8]) -> Result<Self, DecodeError> {
         if bytes.len() < Message::HEADER_LEN {
             return Err(DecodeError::TooShort { have: bytes.len() });

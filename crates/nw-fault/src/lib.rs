@@ -323,6 +323,7 @@ impl FaultCampaign {
 
     /// Cycle of the earliest undrained event — the value the scheduler
     /// fast-forward paths fold into their next-event computation.
+    #[inline]
     pub fn next_cycle(&self) -> Option<u64> {
         self.events.get(self.cursor).map(|e| e.cycle)
     }

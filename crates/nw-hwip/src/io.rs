@@ -177,11 +177,13 @@ impl IoChannel {
     }
 
     /// Takes the next received packet descriptor (its sequence number).
+    #[inline]
     pub fn take_rx(&mut self) -> Option<u64> {
         self.rx_fifo.pop_front()
     }
 
     /// Packets currently waiting in the RX FIFO.
+    #[inline]
     pub fn rx_backlog(&self) -> usize {
         self.rx_fifo.len()
     }
@@ -199,6 +201,7 @@ impl IoChannel {
     /// calls of [`IoChannel::tick`] leave behind. The packets falling due
     /// arrive in sequence order; those past the FIFO's free room are
     /// dropped and counted, as they would be one by one.
+    #[inline]
     pub fn advance(&mut self, k: u64) {
         let n = self.pacer.advance(k);
         if n == 0 {
@@ -214,6 +217,7 @@ impl IoChannel {
 
     /// Accepts a packet for transmission (egress side is rate-unconstrained
     /// in this model; the bottleneck under study is processing).
+    #[inline]
     pub fn transmit(&mut self, bytes: Bytes) {
         self.transmitted.incr();
         self.tx_bytes.add(bytes.0);

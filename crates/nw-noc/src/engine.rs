@@ -717,6 +717,7 @@ impl Noc {
     /// should stall and retry — this is the back-pressure interface);
     /// [`InjectError::BadSource`] / [`InjectError::BadDestination`] for
     /// out-of-range endpoints.
+    #[inline]
     pub fn try_inject(
         &mut self,
         src: NodeId,
@@ -763,6 +764,7 @@ impl Noc {
     }
 
     /// Free slots in the NI queue of endpoint `node` (0 when out of range).
+    #[inline]
     pub fn ni_free(&self, node: NodeId) -> usize {
         if node.0 >= self.topo.n_endpoints() {
             return 0;
@@ -771,6 +773,7 @@ impl Noc {
     }
 
     /// Takes the next delivered packet at endpoint `node`, if any.
+    #[inline]
     pub fn eject(&mut self, node: NodeId) -> Option<Packet> {
         let rt = self.routers.get_mut(node.0)?;
         let h = rt.eject.pop_front(&self.slab)?;
@@ -785,6 +788,7 @@ impl Noc {
     /// holds one, with that endpoint. Calling it until `None` yields the
     /// order of a sweep that drains [`Noc::eject`] endpoint by endpoint in
     /// ascending order, without polling the endpoints that hold nothing.
+    #[inline]
     pub fn eject_next(&mut self) -> Option<(NodeId, Packet)> {
         let node = NodeId(first_bit(&self.eject_ready)?);
         let packet = self.eject(node).expect("a set bit marks a delivery");
@@ -793,6 +797,7 @@ impl Noc {
 
     /// Packets delivered but not yet taken via [`Noc::eject`] — zero means
     /// an arrival-routing sweep over the endpoints would be a no-op.
+    #[inline]
     pub fn eject_pending(&self) -> usize {
         self.eject_pending
     }
@@ -813,6 +818,7 @@ impl Noc {
     /// fast-forward across serialization stalls. Traffic blocked purely on
     /// credit contributes nothing — the fire or delivery that frees the
     /// buffer is itself a tracked event that re-arms the wheel.
+    #[inline]
     pub fn next_event_cycle(&self, now: Cycles) -> Option<Cycles> {
         let mut next: Option<Cycles> = None;
         let mut fold = |c: Cycles| {
@@ -836,6 +842,7 @@ impl Noc {
     /// router wake is due, or an NI head can inject. The platform's
     /// active-set scheduler uses this to skip the tick entirely on cycles
     /// where the fabric, though loaded, is provably stalled.
+    #[inline]
     pub fn due_now(&self, now: Cycles) -> bool {
         self.ni_ready_count > 0
             || self.arrivals.next_due().is_some_and(|d| d <= now)
@@ -1069,6 +1076,7 @@ impl Noc {
 
     /// Whether dropped-packet buffers are waiting for
     /// [`take_dropped_buffers`](Self::take_dropped_buffers).
+    #[inline]
     pub fn has_dropped_buffers(&self) -> bool {
         !self.dropped_buffers.is_empty()
     }
@@ -1501,6 +1509,7 @@ impl Noc {
     /// deliveries and link transfers are reported to `sink` as they
     /// happen. The sink is write-only — nothing it does can change
     /// routing, timing, or statistics.
+    #[inline]
     pub fn tick_traced(&mut self, now: Cycles, mut sink: Option<&mut (dyn TraceSink + '_)>) {
         self.run_tick(now, false, &mut sink);
     }

@@ -75,6 +75,7 @@ impl PayloadPool {
 
     /// Takes an empty buffer (length 0), reusing a recycled allocation when
     /// one is available.
+    #[inline]
     pub fn take(&mut self) -> Vec<u8> {
         self.taken += 1;
         match self.free.pop() {
@@ -91,6 +92,7 @@ impl PayloadPool {
 
     /// Takes a buffer of `len` zero bytes — content-identical to
     /// `vec![0u8; len]`, minus the allocation when a recycled buffer fits.
+    #[inline]
     pub fn take_zeroed(&mut self, len: usize) -> Vec<u8> {
         let mut v = self.take();
         v.resize(len, 0);
@@ -101,6 +103,7 @@ impl PayloadPool {
     /// long enough), drawing a pooled buffer instead of allocating when
     /// `data` owns no storage yet. The single home of the "pad a payload
     /// to its declared wire size" policy.
+    #[inline]
     pub fn pad_zeroed(&mut self, data: &mut Vec<u8>, len: usize) {
         if data.len() >= len {
             return;
@@ -116,6 +119,7 @@ impl PayloadPool {
     /// here (cheap: `Vec::clear` on `u8` is a length reset) so takes never
     /// see stale bytes. Zero-capacity buffers and overflow beyond
     /// [`PayloadPool::MAX_FREE`] are dropped.
+    #[inline]
     pub fn put(&mut self, mut v: Vec<u8>) {
         self.returned += 1;
         if v.capacity() == 0 || self.free.len() >= Self::MAX_FREE {

@@ -261,6 +261,7 @@ impl Pe {
 
     /// Takes the threads retired since the last call (empty when the log
     /// is disabled or nothing retired).
+    #[inline]
     pub fn take_retired(&mut self) -> Vec<ThreadId> {
         self.retire_log
             .as_mut()
@@ -284,6 +285,7 @@ impl Pe {
     }
 
     /// Number of idle contexts ready to accept a task (0 while crashed).
+    #[inline]
     pub fn idle_threads(&self) -> usize {
         self.audit_sets();
         if self.crashed {
@@ -335,6 +337,7 @@ impl Pe {
     ///
     /// Returns [`SpawnError`] when every context is occupied — the caller
     /// (the DSOC dispatcher) should queue the invocation and retry.
+    #[inline]
     pub fn spawn(&mut self, program: Program) -> Result<ThreadId, SpawnError> {
         if self.crashed || self.idle == 0 {
             return Err(SpawnError);
@@ -359,6 +362,7 @@ impl Pe {
     ///
     /// Panics if the thread was not awaiting completion — that indicates a
     /// platform-glue protocol bug worth failing loudly on.
+    #[inline]
     pub fn complete(&mut self, tid: ThreadId) {
         assert!(
             self.is_awaiting(tid),
@@ -371,6 +375,7 @@ impl Pe {
     /// The resilience layer's guard before [`Pe::complete`]: a reply for a
     /// thread that crashed (or already gave up) must be discarded, not
     /// delivered.
+    #[inline]
     pub fn is_awaiting(&self, tid: ThreadId) -> bool {
         matches!(self.threads[tid.0].state, ThreadState::AwaitingCompletion)
     }
@@ -432,6 +437,7 @@ impl Pe {
 
     /// Takes the oldest undrained platform request, if any. The owner
     /// drains with `while let Some(..) = pe.pop_request()` after a tick.
+    #[inline]
     pub fn pop_request(&mut self) -> Option<(ThreadId, PeRequest)> {
         self.requests.pop_front()
     }
@@ -481,6 +487,7 @@ impl Pe {
     ///
     /// Panics (debug) if the span outruns the compute burst — the caller
     /// slept past the wake cycle `quiet_span` gave.
+    #[inline]
     pub fn settle_accounting(&mut self, now: Cycles) {
         if now.0 > self.accounted_to {
             self.advance_quiet(now.0 - self.accounted_to);
@@ -540,6 +547,7 @@ impl Pe {
     /// promise: the owner must tick the PE at the event's cycle. The
     /// platform's active-set scheduler posts `now + span` into its per-PE
     /// wake table after every tick.
+    #[inline]
     pub fn quiet_span(&self, now: Cycles) -> Option<u64> {
         if self.swap_remaining > 0 || !self.requests.is_empty() {
             return None;
@@ -565,6 +573,7 @@ impl Pe {
     /// before `at`: `at` itself unless [`Pe::quiet_span`] promises a span
     /// from there (`u64::MAX`: dormant). The state must be caught up to
     /// `at` ([`Pe::settle_accounting`]) when a compute burst may be running.
+    #[inline]
     pub fn wake_cycle(&self, at: Cycles) -> u64 {
         at.0.saturating_add(self.quiet_span(at).unwrap_or(0))
     }

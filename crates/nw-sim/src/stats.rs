@@ -33,11 +33,13 @@ impl Counter {
     }
 
     /// Increments by one.
+    #[inline]
     pub fn incr(&mut self) {
         self.count += 1;
     }
 
     /// Increments by `n`.
+    #[inline]
     pub fn add(&mut self, n: u64) {
         self.count += n;
     }
@@ -97,12 +99,14 @@ impl Utilization {
     }
 
     /// Records one busy cycle.
+    #[inline]
     pub fn busy(&mut self) {
         self.busy += 1;
         self.total += 1;
     }
 
     /// Records one idle cycle.
+    #[inline]
     pub fn idle(&mut self) {
         self.total += 1;
     }
@@ -110,6 +114,7 @@ impl Utilization {
     /// Records `n` busy cycles at once — exactly equivalent to `n` calls to
     /// [`Utilization::busy`]. The active-set scheduler uses this to settle
     /// accounting for cycles it skipped without perturbing the counters.
+    #[inline]
     pub fn busy_n(&mut self, n: u64) {
         self.busy += n;
         self.total += n;
@@ -117,6 +122,7 @@ impl Utilization {
 
     /// Records `n` idle cycles at once — exactly equivalent to `n` calls to
     /// [`Utilization::idle`].
+    #[inline]
     pub fn idle_n(&mut self, n: u64) {
         self.total += n;
     }
@@ -198,6 +204,7 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, v: Cycles) {
         self.buckets[Self::bucket_of(v.0)] += 1;
         self.count += 1;
@@ -364,6 +371,7 @@ impl LatencyHistogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, v: Cycles) {
         self.buckets[Self::bucket_of(v.0)] += 1;
         self.count += 1;

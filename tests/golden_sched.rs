@@ -59,6 +59,9 @@ fn counts(s: SchedulerStats) -> [u64; 19] {
         pe_ticks,
         pe_external_wakes,
         noc_ticks_skipped,
+        // Which of the stepped cycles a NoC-only span ran: how the loop
+        // got there, not what it did, so it is left out.
+        span_cycles: _,
         phases_entered: [io, noc_tick, arrivals, services, dispatch, pe_step, outbox],
         noc:
             NocWork {
