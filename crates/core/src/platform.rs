@@ -757,9 +757,11 @@ impl FppaPlatform {
     ///
     /// After a stepped cycle the active set tries a *NoC-only span*: when
     /// nothing but the interconnect is due before the earliest other agenda
-    /// entry, it runs the NoC from event to event up to that entry without
-    /// reading the agenda again, booking every hop and stepped cycle
-    /// exactly as the loop above would (see `noc_span`). Ends settled
+    /// entry, one engine call ([`Noc::run_span`]) runs the NoC from event
+    /// to event up to that entry, and every hop and stepped cycle is booked
+    /// exactly as the loop above would book it — counters, trace events and
+    /// profiler laps, with one clock read for the span (see `noc_span`).
+    /// Traced and profiled runs take the same span. Ends settled
     /// ([`FppaPlatform::settle`]).
     pub fn run(&mut self, cycles: u64) -> PlatformReport {
         let start = self.clock.now();
@@ -811,9 +813,11 @@ impl FppaPlatform {
     }
 
     /// A NoC-only span, tried by [`FppaPlatform::run`] after every stepped
-    /// cycle of the active set: while the NoC is the only due source, hop
-    /// to its next event and step that cycle — the moves the run loop would
-    /// make, without its agenda read.
+    /// cycle of the active set: while the NoC is the only due source, the
+    /// engine runs from event to event in one call ([`Noc::run_span`]),
+    /// and the span books the hops and stepped cycles the run loop would
+    /// have made — without its agenda read, its phase gates or a profiler
+    /// lap per cycle.
     ///
     /// The cheap check comes first: no delivery awaits ejection, the
     /// outbox is empty and the NoC's next event comes before the PEs'
@@ -821,61 +825,77 @@ impl FppaPlatform {
     /// other entries, capped at `end`. Each NoC event before the limit is
     /// the agenda's minimum, so the loop would hop to it (unless it is the
     /// current cycle) and step it; stepping it enters phase 2 alone, since
-    /// every other gate reads an entry at or past the limit. The span books
-    /// exactly that: the hop, then the stepped cycle — payload recycling
-    /// under a campaign, the `IoPacing` lap, the NoC tick or its skip.
-    /// A tick that leaves a delivery pending ends the span: phases 3–7 of
-    /// that cycle run as [`FppaPlatform::step_cycle`] runs them.
+    /// every other gate reads an entry at or past the limit. The engine
+    /// stops after a tick that leaves a delivery pending — phases 3–7 of
+    /// that cycle then run as [`FppaPlatform::step_cycle`] runs them — or
+    /// that drops a packet, whose buffer the next stepped cycle recycles
+    /// in its phase 0 under a campaign (as the span's first cycle does
+    /// here, before the engine runs).
     ///
-    /// Proof obligation: a NoC tick posts to no other agenda entry (it
-    /// moves packets between NoC-owned queues and its wheels; routing a
-    /// delivery is phase 3's move, which ends the span), and a hop moves
-    /// only the clock, so the limit read at the start holds for the whole
-    /// span. Debug builds check it after every tick and audit the agenda
-    /// after every hop and step, as the loop does.
+    /// Proof obligations, which make the booking exact:
+    ///
+    /// * A NoC tick posts to no other agenda entry: it moves packets
+    ///   between NoC-owned queues and its wheels (routing a delivery is
+    ///   phase 3's move, which ends the span), and a hop moves only the
+    ///   clock. So the limit read at the start holds for the whole span;
+    ///   debug builds re-read the seven entries once the engine returns.
+    /// * No span cycle skips its NoC tick (`noc_ticks_skipped`): the
+    ///   engine ticks only at `next_event_cycle`'s answers, at which
+    ///   `due_now` holds.
+    /// * No span hop ends by I/O (`hops_ended_by_io`): every hop target is
+    ///   below the limit, and the limit is at most `io_due` and the drives'
+    ///   next emission (the dispatch entry whenever a span can run at all).
     fn noc_span(&mut self, end: u64) {
-        let mut now = self.clock.now().0;
+        let now = self.clock.now().0;
         if self.noc.eject_pending() > 0 || !self.outbox.is_empty() || self.pe_due <= now {
             return;
         }
-        let Some(Cycles(mut next)) = self.noc.next_event_cycle(Cycles(now)) else {
+        let Some(next) = self.noc.next_event_cycle(Cycles(now)) else {
             return;
         };
-        if next >= self.pe_due {
+        if next.0 >= self.pe_due {
             return;
         }
         let limit = self.agenda_min_but_noc(now).min(end);
+        if next.0 >= limit {
+            return;
+        }
         #[cfg(debug_assertions)]
         let others = NOT_NOC.map(|source| self.due(source, now));
-        while next < limit {
-            if next > now {
-                self.hop(now, next);
-                #[cfg(debug_assertions)]
-                self.audit_agenda();
-            }
-            let at = Cycles(next);
-            self.step_through_noc(at, false, true);
-            self.sched_stats.span_cycles += 1;
-            #[cfg(debug_assertions)]
-            for (source, was) in NOT_NOC.into_iter().zip(others) {
-                let due = self.due(source, next);
-                assert_eq!(due, was, "{at}: a NoC tick moved the {source:?} entry");
-            }
-            if self.noc.eject_pending() > 0 {
-                self.step_after_noc(at, false);
-                #[cfg(debug_assertions)]
-                self.audit_agenda();
-                return;
-            }
-            self.close_cycle();
-            #[cfg(debug_assertions)]
-            self.audit_agenda();
-            now = next + 1;
-            let Some(Cycles(c)) = self.noc.next_event_cycle(Cycles(now)) else {
-                return;
-            };
-            next = c;
+        if self.campaign.is_some() {
+            self.recycle_dropped();
         }
+        let sink = self.obs_sink.as_deref_mut();
+        let span = self.noc.run_span(Cycles(now), next, Cycles(limit), sink);
+        // The last cycle is closed here, or by phases 3–7 when it holds a
+        // delivery.
+        let last = Cycles(span.end.0 - 1);
+        let delivered = u64::from(span.delivered);
+        let s = &mut self.sched_stats;
+        s.hops += span.hops;
+        s.cycles_hopped += span.cycles_hopped;
+        s.cycles_stepped += span.ticks - delivered;
+        s.span_cycles += span.ticks;
+        s.phases_entered[HostPhase::NocTick as usize] += span.ticks;
+        if let Some(p) = self.profiler.as_mut() {
+            // One clock read for the span: its time is the NoC's; its laps
+            // are the loop's, one per hop and two per stepped cycle.
+            p.book(HostPhase::FastForward, span.hops);
+            p.book(HostPhase::IoPacing, span.ticks);
+            p.book(HostPhase::NocTick, span.ticks - 1);
+            p.lap(HostPhase::NocTick);
+        }
+        self.clock.advance_by(Cycles(span.end.0 - now - delivered));
+        #[cfg(debug_assertions)]
+        for (source, was) in NOT_NOC.into_iter().zip(others) {
+            let due = self.due(source, last.0);
+            assert_eq!(due, was, "{last}: a NoC span moved the {source:?} entry");
+        }
+        if span.delivered {
+            self.step_after_noc(last, false);
+        }
+        #[cfg(debug_assertions)]
+        self.audit_agenda();
     }
 
     /// Advances the platform by one cycle under the configured scheduler
@@ -1121,19 +1141,12 @@ impl FppaPlatform {
     /// phase comes up, not at the top: an earlier phase of the same cycle
     /// may have posted work for a later one. An open step reads no agenda
     /// entry, so it posts none of the cached ones either
-    /// ([`FppaPlatform::set_scheduler_mode`] re-posts them). Split after
-    /// phase 2, where a NoC-only span joins it (`noc_span`).
+    /// ([`FppaPlatform::set_scheduler_mode`] re-posts them). Phases 3–7
+    /// are their own function, which a NoC-only span that ends in a
+    /// delivery runs too (`noc_span`).
     fn step_cycle(&mut self, open: bool) {
         let now = self.clock.now();
-        self.step_through_noc(now, open, false);
-        self.step_after_noc(now, open);
-    }
-
-    /// Phases 0–2 of the stepped cycle `now`. Inside a NoC-only span
-    /// (`in_span`) the span's limit already says no fault, retry deadline
-    /// or I/O arrival is due, so those gates are not read.
-    fn step_through_noc(&mut self, now: Cycles, open: bool, in_span: bool) {
-        let due = |p: &Self, source| open || (!in_span && p.due(source, now.0) <= now.0);
+        let due = |p: &Self, source| open || p.due(source, now.0) <= now.0;
 
         // 0. Fault injection and retry deadlines; then recycle the payload
         //    buffers of packets the NoC dropped since the last stepped
@@ -1177,6 +1190,8 @@ impl FppaPlatform {
         } else {
             self.sched_stats.noc_ticks_skipped += 1;
         }
+
+        self.step_after_noc(now, open);
     }
 
     /// Phases 3–7 of the stepped cycle `now`, then the clock moves on.
@@ -1248,12 +1263,6 @@ impl FppaPlatform {
             self.entered(HostPhase::Outbox);
         }
 
-        self.close_cycle();
-    }
-
-    /// Ends a stepped cycle.
-    #[inline]
-    fn close_cycle(&mut self) {
         self.sched_stats.cycles_stepped += 1;
         self.clock.advance();
     }

@@ -395,6 +395,22 @@ pub struct NocWork {
     pub fires: u64,
 }
 
+/// What one [`Noc::run_span`] did: the cycles it consumed and how.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NocSpan {
+    /// The cycle after the span's last tick (its `from` when none ran).
+    pub end: Cycles,
+    /// The last tick left a delivery pending ([`Noc::eject_pending`]).
+    pub delivered: bool,
+    /// Jumps over cycles with no engine event, one before each tick at a
+    /// cycle later than the one after the previous tick (or `from`).
+    pub hops: u64,
+    /// Cycles those jumps skipped.
+    pub cycles_hopped: u64,
+    /// Ticks run, one per event cycle: `end - from - cycles_hopped`.
+    pub ticks: u64,
+}
+
 /// A simulated network-on-chip: topology + routers + in-flight transfers.
 ///
 /// # Examples
@@ -474,11 +490,12 @@ pub struct Noc {
     /// popped lowest index first, so credit contention resolves exactly as
     /// the dense ascending scan does. All zero between ticks.
     ready: Vec<u64>,
-    /// Whether endpoint `r`'s NI head can make progress right now (local
-    /// destination, or remote with the bubble-rule two free slots).
-    ni_ready: Vec<bool>,
-    /// Number of `true` entries in `ni_ready` — `drain_ni`'s gate and the
-    /// NI contribution to `next_event_cycle`.
+    /// One bit per endpoint, set while its NI head can make progress right
+    /// now (local destination, or remote with the bubble-rule two free
+    /// slots). `drain_ni` pops it lowest bit first: ascending endpoints.
+    ni_ready: Vec<u64>,
+    /// Number of set bits in `ni_ready` — `drain_ni`'s gate and the NI
+    /// contribution to `next_event_cycle`.
     ni_ready_count: usize,
     /// Heatmap accounting, present only after [`Noc::enable_obs`].
     obs: Option<ObsCounters>,
@@ -618,7 +635,7 @@ impl Noc {
             preds,
             pred_start,
             ready: vec![0; n_routers.div_ceil(64)],
-            ni_ready: vec![false; n_endpoints],
+            ni_ready: vec![0; n_endpoints.div_ceil(64)],
             ni_ready_count: 0,
             obs: None,
             dead_links: Vec::new(),
@@ -755,9 +772,8 @@ impl Noc {
         self.ni_pending += 1;
         // A push onto an empty NI creates a new head; readiness of a
         // non-empty NI is a property of its unchanged front.
-        if was_empty && !self.ni_ready[src.0] && (dst == src || rt.input_free >= 2) {
-            self.ni_ready[src.0] = true;
-            self.ni_ready_count += 1;
+        if was_empty && (dst == src || rt.input_free >= 2) {
+            self.set_ni_ready(src.0, true);
         }
         self.injected.incr();
         Ok(id)
@@ -1032,14 +1048,7 @@ impl Noc {
             let rt = &self.routers[router];
             let ready =
                 rt.ni_in.len > 0 && (self.slab.dst(rt.ni_in.head) == router || rt.input_free >= 2);
-            if ready != self.ni_ready[router] {
-                self.ni_ready[router] = ready;
-                if ready {
-                    self.ni_ready_count += 1;
-                } else {
-                    self.ni_ready_count -= 1;
-                }
-            }
+            self.set_ni_ready(router, ready);
             self.drop_packet(h);
             return true;
         }
@@ -1227,9 +1236,45 @@ impl Noc {
         // that was blocked on the bubble rule may now inject. (A blocked
         // non-empty NI always has a remote head — local heads are popped
         // unconditionally by `drain_ni` the tick they reach the front.)
-        if self.routers[r].ni_in.len > 0 && self.routers[r].input_free >= 2 && !self.ni_ready[r] {
-            self.ni_ready[r] = true;
-            self.ni_ready_count += 1;
+        if self.routers[r].ni_in.len > 0 && self.routers[r].input_free >= 2 {
+            self.set_ni_ready(r, true);
+        }
+    }
+
+    /// Sets or clears endpoint `r`'s bit of `ni_ready`, keeping the count.
+    #[inline]
+    fn set_ni_ready(&mut self, r: usize, ready: bool) {
+        let (word, bit) = (&mut self.ni_ready[r / 64], 1 << (r % 64));
+        if (*word & bit != 0) != ready {
+            *word ^= bit;
+            if ready {
+                self.ni_ready_count += 1;
+            } else {
+                self.ni_ready_count -= 1;
+            }
+        }
+    }
+
+    /// Queues packet `h`, just arrived at router `r` or taken from its NI,
+    /// on output port `p`, and sees that the router looks at it: this
+    /// tick's pass when the port may fire now, else a wake when it frees.
+    /// A visit to a non-shared router whose chosen port is still
+    /// serializing could only enter that wake — and when the queue already
+    /// held packets, whatever made the port busy ahead of them entered it
+    /// already — so the arrival skips the visit. Any other reason to visit
+    /// the router this tick (a due wake, a credit free) still puts it on
+    /// the pass, which keeps visit order and credit contention as they
+    /// were.
+    #[inline(always)]
+    fn enqueue_arrival(&mut self, r: usize, p: usize, h: u32, now: u64) {
+        let rt = &self.routers[r];
+        let port = &self.ports[rt.first_port + p];
+        let (shared, busy_until, was_empty) = (rt.shared, port.busy_until, port.queue.len == 0);
+        self.enqueue(r, p, h, now);
+        if shared || busy_until <= now {
+            self.mark_ready(r);
+        } else if was_empty {
+            self.schedule_wake(r, busy_until);
         }
     }
 
@@ -1246,8 +1291,7 @@ impl Noc {
                 self.deliver(router, h, now, sink);
             } else if let Some(port) = self.topo.next_hop(router, dst) {
                 // The packet keeps its reserved buffer slot while queued.
-                self.enqueue(router, port, h, now.0);
-                self.mark_ready(router);
+                self.enqueue_arrival(router, port, h, now.0);
             } else {
                 // No route: permanent link faults disconnected the pair
                 // after this packet left its source. Deterministic drop —
@@ -1265,36 +1309,37 @@ impl Noc {
         if self.ni_ready_count == 0 {
             return;
         }
-        for r in 0..self.topo.n_endpoints() {
-            if !self.ni_ready[r] {
-                continue;
-            }
-            while self.routers[r].ni_in.len > 0 {
-                let h = self.routers[r].ni_in.head;
-                let dst = self.slab.dst(h);
-                // Bubble rule: entering traffic must leave one slot free.
-                // Local delivery bypasses the fabric entirely.
-                if dst != r && self.routers[r].input_free < 2 {
-                    break;
+        // Ready heads only, lowest endpoint first. Draining an NI readies
+        // no other, so each word is walked as it stands.
+        for w in 0..self.ni_ready.len() {
+            while self.ni_ready[w] != 0 {
+                let r = w * 64 + self.ni_ready[w].trailing_zeros() as usize;
+                while self.routers[r].ni_in.len > 0 {
+                    let h = self.routers[r].ni_in.head;
+                    let dst = self.slab.dst(h);
+                    // Bubble rule: entering traffic must leave one slot
+                    // free. Local delivery bypasses the fabric entirely.
+                    if dst != r && self.routers[r].input_free < 2 {
+                        break;
+                    }
+                    self.routers[r].ni_in.pop_front(&self.slab);
+                    self.ni_pending -= 1;
+                    if dst == r {
+                        self.deliver(r, h, now, sink);
+                    } else if let Some(port) = self.topo.next_hop(r, dst) {
+                        self.routers[r].input_free -= 1;
+                        self.enqueue_arrival(r, port, h, now.0);
+                    } else {
+                        // Destination unreachable after permanent link
+                        // faults: drop at the NI (the head never took a
+                        // buffer slot).
+                        self.drop_packet(h);
+                    }
                 }
-                self.routers[r].ni_in.pop_front(&self.slab);
-                self.ni_pending -= 1;
-                if dst == r {
-                    self.deliver(r, h, now, sink);
-                } else if let Some(port) = self.topo.next_hop(r, dst) {
-                    self.routers[r].input_free -= 1;
-                    self.enqueue(r, port, h, now.0);
-                    self.mark_ready(r);
-                } else {
-                    // Destination unreachable after permanent link faults:
-                    // drop at the NI (the head never took a buffer slot).
-                    self.drop_packet(h);
-                }
+                // The loop runs until this NI is empty or bubble-blocked;
+                // either way its head can no longer progress.
+                self.set_ni_ready(r, false);
             }
-            // The loop runs until this NI is empty or bubble-blocked;
-            // either way its head can no longer progress.
-            self.ni_ready[r] = false;
-            self.ni_ready_count -= 1;
         }
     }
 
@@ -1514,6 +1559,80 @@ impl Noc {
         self.run_tick(now, false, &mut sink);
     }
 
+    /// Runs the engine alone from cycle `from` up to, not including,
+    /// `limit`: ticks at `next` (its [`Noc::next_event_cycle`] from
+    /// `from`), then at each next event cycle, until
+    ///
+    /// * a tick leaves a delivery pending — ejecting it is the caller's
+    ///   move, on that tick's cycle;
+    /// * a tick drops a packet — its payload buffer is the caller's to
+    ///   recycle before the next cycle it steps
+    ///   ([`Noc::take_dropped_buffers`]);
+    /// * or no event comes before `limit`.
+    ///
+    /// Between ticks the cycles with no event are skipped: each skip is a
+    /// hop, announced to `sink` as [`TraceEvent::FastForward`] ahead of
+    /// the events of the tick it leads to, as a scheduler hopping there
+    /// would announce it. The result is that of the loop "tick at the next
+    /// event cycle, stop on any of the above" driven from outside, one
+    /// [`Noc::tick_traced`] per event; this is that loop without a call
+    /// per event. Every tick runs at a cycle [`Noc::due_now`] answers true
+    /// for, so none is a no-op.
+    ///
+    /// The caller promises that nothing but the engine acts before
+    /// `limit`: no injection, ejection, fault hook or other work source.
+    #[inline]
+    pub fn run_span(
+        &mut self,
+        from: Cycles,
+        next: Cycles,
+        limit: Cycles,
+        mut sink: Option<&mut (dyn TraceSink + '_)>,
+    ) -> NocSpan {
+        debug_assert_eq!(self.next_event_cycle(from), Some(next), "span entry");
+        let mut span = NocSpan {
+            end: from,
+            delivered: false,
+            hops: 0,
+            cycles_hopped: 0,
+            ticks: 0,
+        };
+        let mut next = next.0;
+        while next < limit.0 {
+            let skipped = next - span.end.0;
+            if skipped > 0 {
+                span.hops += 1;
+                span.cycles_hopped += skipped;
+                if let Some(s) = sink.as_deref_mut() {
+                    s.emit(TraceEvent::FastForward {
+                        cycle: span.end.0,
+                        span: skipped,
+                    });
+                }
+            }
+            debug_assert!(
+                self.due_now(Cycles(next)),
+                "a span tick at {next} is a no-op"
+            );
+            let dropped = self.dropped_packets;
+            self.run_tick(Cycles(next), false, &mut sink);
+            span.ticks += 1;
+            span.end = Cycles(next + 1);
+            if self.eject_pending > 0 {
+                span.delivered = true;
+                break;
+            }
+            if self.dropped_packets != dropped {
+                break;
+            }
+            match self.next_event_cycle(span.end) {
+                Some(Cycles(c)) => next = c,
+                None => break,
+            }
+        }
+        span
+    }
+
     /// The dense reference tick: identical phase order to [`Noc::tick`],
     /// but the transmit pass scans every router holding queued traffic
     /// instead of consulting the event wheel. Kept for differential
@@ -1578,6 +1697,17 @@ impl Noc {
                 debug_assert!(
                     !port.down || n == 0,
                     "dead link {r}:{p} holds queued packets at {now:?}"
+                );
+                // A queue behind a port still serializing is covered by its
+                // router's wake, which `enqueue_arrival` relies on (the bus
+                // arbiter wakes on its medium instead).
+                debug_assert!(
+                    rt.shared
+                        || n == 0
+                        || port.busy_until <= now.0
+                        || self.wake_at[r] <= port.busy_until,
+                    "port {r}:{p} queues behind a transfer until {} with no wake by then at {now:?}",
+                    port.busy_until
                 );
                 on_ports += n;
             }
@@ -1650,10 +1780,10 @@ impl Noc {
             self.ready.iter().all(|&w| w == 0),
             "transmit worklist not empty after tick {now:?}"
         );
-        let ready = self.ni_ready.iter().filter(|&&b| b).count();
+        let ready: u32 = self.ni_ready.iter().map(|w| w.count_ones()).sum();
         debug_assert_eq!(
-            self.ni_ready_count, ready,
-            "ni_ready_count diverged from ni_ready flags at {now:?}"
+            self.ni_ready_count, ready as usize,
+            "ni_ready_count diverged from ni_ready bits at {now:?}"
         );
         for (r, &at) in self.wake_at.iter().enumerate() {
             debug_assert!(
@@ -2218,6 +2348,69 @@ mod tests {
         assert_eq!(swept.eject_pending(), 0);
         assert_eq!(swept.eject_next(), None);
         assert!(swept.is_quiescent());
+    }
+
+    /// The cycle and router of every link transfer traced.
+    #[derive(Debug, Default)]
+    struct Transfers(Vec<(u64, usize)>);
+
+    impl TraceSink for Transfers {
+        fn emit(&mut self, ev: TraceEvent) {
+            if let TraceEvent::LinkTransfer { cycle, router, .. } = ev {
+                self.0.push((cycle, router));
+            }
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn arrival_on_a_busy_port_waits_for_it_without_a_visit() {
+        // A long packet leaves router 1 toward 3 at cycle 0; a short one
+        // from 0, bound for 3 as well, reaches router 1 while that port
+        // still serializes it.
+        let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
+        let mut noc = Noc::new(topo, NocConfig::default());
+        noc.try_inject(NodeId(1), NodeId(3), vec![0; 200], 0, Cycles(0))
+            .unwrap();
+        noc.try_inject(NodeId(0), NodeId(3), vec![], 1, Cycles(0))
+            .unwrap();
+        let mut sink = Transfers::default();
+        noc.tick_traced(Cycles(0), Some(&mut sink));
+        let port = noc.port_index(1, noc.topology().next_hop(1, 3).unwrap());
+        let busy_until = noc.ports[port].busy_until;
+        let arrival = noc.arrivals.next_due().unwrap();
+        assert!(
+            arrival.0 < busy_until,
+            "arrives at {arrival}, port busy until {busy_until}"
+        );
+        // The arrival queues behind the transfer and enters the router's
+        // wake for the cycle the port frees: no visit.
+        let before = noc.work();
+        assert!(noc.due_now(arrival));
+        noc.tick_traced(arrival, Some(&mut sink));
+        assert_eq!(noc.work().arrivals, before.arrivals + 1);
+        assert_eq!(noc.work().router_visits, before.router_visits);
+        assert_eq!(noc.work().wakes_scheduled, before.wakes_scheduled + 1);
+        assert_eq!(noc.wake_at[1], busy_until);
+        assert_eq!(noc.ports[port].queue.len, 1);
+        // Nothing is due until then, and the packet leaves right then.
+        assert_eq!(
+            noc.next_event_cycle(arrival + Cycles(1)),
+            Some(Cycles(busy_until))
+        );
+        let mut now = busy_until;
+        while noc.counts().delivered < 2 {
+            noc.tick_traced(Cycles(now), Some(&mut sink));
+            now += 1;
+            assert!(now < 1_000);
+        }
+        let from_1: Vec<u64> = (sink.0.iter())
+            .filter(|&&(_, router)| router == 1)
+            .map(|&(cycle, _)| cycle)
+            .collect();
+        assert_eq!(from_1, [0, busy_until]);
     }
 
     #[test]

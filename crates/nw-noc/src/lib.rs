@@ -39,7 +39,9 @@ pub mod sweep;
 pub mod topology;
 pub mod traffic;
 
-pub use engine::{InjectError, Noc, NocConfig, NocConfigError, NocCounts, NocStats, NocWork};
+pub use engine::{
+    InjectError, Noc, NocConfig, NocConfigError, NocCounts, NocSpan, NocStats, NocWork,
+};
 pub use packet::{Packet, PacketId};
 pub use pool::PayloadPool;
 pub use sweep::{run_open_loop, saturation_load, sweep_load, OpenLoopConfig, OpenLoopResult};

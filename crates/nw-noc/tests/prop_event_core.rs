@@ -15,12 +15,15 @@
 //! property: both engines deliver every packet wherever the modelled fabric
 //! cannot deadlock (`must_drain`).
 //!
-//! The last property is about the storage under both ticks: packets live in
+//! Another property is about the storage under both ticks: packets live in
 //! an engine-owned slab and move as handles, so every way out of the
 //! engine — ejected, dropped at an NI, on a port queue or on arrival,
 //! stranded by a dead link — has to vacate the slot it leaves.
+//!
+//! The last one pins [`Noc::run_span`], the engine running alone between
+//! a scheduler's stepped cycles, to the per-event loop it replaces.
 
-use nw_noc::{Noc, NocConfig, NocCounts, Topology, TopologyKind};
+use nw_noc::{Noc, NocConfig, NocCounts, NocSpan, Topology, TopologyKind};
 use nw_obs::{TraceEvent, TraceSink};
 use nw_types::{Cycles, NodeId};
 use proptest::prelude::*;
@@ -262,6 +265,56 @@ fn apply_fault(noc: &mut Noc, &(_, hook, a, b): &Fault, now: Cycles) {
     }
 }
 
+/// Every event traced, in order.
+#[derive(Debug, Default)]
+struct Recorder(Vec<TraceEvent>);
+
+impl TraceSink for Recorder {
+    fn emit(&mut self, ev: TraceEvent) {
+        self.0.push(ev);
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// The loop [`Noc::run_span`] replaces, driven from outside one event at a
+/// time as a scheduler drives it: hop to the next event cycle below
+/// `limit` (announcing the hop), tick there, and stop on a pending
+/// delivery or a drop.
+fn span_by_events(noc: &mut Noc, from: Cycles, limit: Cycles, trace: &mut Recorder) -> NocSpan {
+    let mut span = NocSpan {
+        end: from,
+        delivered: false,
+        hops: 0,
+        cycles_hopped: 0,
+        ticks: 0,
+    };
+    while let Some(next) = noc.next_event_cycle(span.end).filter(|&c| c < limit) {
+        let skipped = next.0 - span.end.0;
+        if skipped > 0 {
+            span.hops += 1;
+            span.cycles_hopped += skipped;
+            trace.emit(TraceEvent::FastForward {
+                cycle: span.end.0,
+                span: skipped,
+            });
+        }
+        let dropped = noc.dropped_packets();
+        noc.tick_traced(next, Some(trace));
+        span.ticks += 1;
+        span.end = next + Cycles(1);
+        if noc.eject_pending() > 0 {
+            span.delivered = true;
+            break;
+        }
+        if noc.dropped_packets() != dropped {
+            break;
+        }
+    }
+    span
+}
+
 /// Checks that the dropped-buffer stash holds exactly the packets dropped
 /// since it was last taken, and takes it.
 fn take_dropped(noc: &mut Noc, taken: &mut u64) {
@@ -473,5 +526,79 @@ proptest! {
             (n.dropped_packets(), n.dropped_flits(), n.corrupted_packets(), n.packet_slots())
         };
         prop_assert_eq!(faults_and_slab(&noc), faults_and_slab(&twin));
+    }
+
+    /// `Noc::run_span` is the per-event loop it replaces. Two engines see
+    /// the same offers and fault hooks on stepped cycles, each followed by
+    /// a span up to the next offer or hook, or a random number of cycles
+    /// on: one engine runs it in one call, the other event by event. They
+    /// must return the same span every time — where it ends, whether on a
+    /// delivery, its hops and ticks — and trace the same events, deliver
+    /// the same packets at the same cycles and do the same work. Cutting
+    /// endpoints off drops packets in flight, inside spans.
+    #[test]
+    fn run_span_matches_the_event_loop(
+        kind in kind_strategy(),
+        n in 4usize..17,
+        input_buffer in input_buffer_strategy(),
+        hot in 0usize..512,
+        mut bursts in bursts_strategy(600, 80),
+        faults in prop::collection::vec((0u8..200, 0u8..6, 0usize..512, 0usize..512), 0..12),
+        span_cap in 1u64..400,
+    ) {
+        for burst in bursts.iter_mut().step_by(2) {
+            burst.2 = hot;
+        }
+        let mk = || {
+            let topo = Topology::build(kind, n, 2).expect("valid topology");
+            Noc::new(topo, NocConfig { input_buffer, ..NocConfig::default() })
+        };
+        let (mut one, mut each) = (mk(), mk());
+        let (mut one_trace, mut each_trace) = (Recorder::default(), Recorder::default());
+        let (mut one_seen, mut each_seen) = (Vec::new(), Vec::new());
+        let mut inputs: Vec<u64> = bursts.iter().map(|b| u64::from(b.0)).collect();
+        inputs.extend(faults.iter().map(|f| u64::from(f.0)));
+        inputs.sort_unstable();
+        let mut now = Cycles(0);
+        while now.0 < 20_000 {
+            // A stepped cycle: fault hooks, offers, the tick when due.
+            for (noc, trace) in [(&mut one, &mut one_trace), (&mut each, &mut each_trace)] {
+                for f in faults.iter().filter(|f| u64::from(f.0) == now.0) {
+                    apply_fault(noc, f, now);
+                }
+                inject_due(noc, &bursts, n, now);
+                if noc.due_now(now) {
+                    noc.tick_traced(now, Some(trace));
+                }
+                noc.take_dropped_buffers();
+            }
+            drain_ejects(&mut one, n, now, &mut one_seen);
+            drain_ejects(&mut each, n, now, &mut each_seen);
+            now += Cycles(1);
+            // Then a span, which no offer or hook may fall inside.
+            let next_input = inputs.iter().find(|&&c| c >= now.0).copied();
+            let limit = Cycles(next_input.unwrap_or(u64::MAX).min(now.0 + span_cap));
+            let Some(next) = one.next_event_cycle(now) else {
+                if next_input.is_none() {
+                    break;
+                }
+                continue;
+            };
+            let got = one.run_span(now, next, limit, Some(&mut one_trace));
+            let want = span_by_events(&mut each, now, limit, &mut each_trace);
+            prop_assert_eq!(got, want);
+            prop_assert!(got.end <= limit);
+            if got.ticks > 0 {
+                let last = Cycles(got.end.0 - 1);
+                drain_ejects(&mut one, n, last, &mut one_seen);
+                drain_ejects(&mut each, n, last, &mut each_seen);
+                now = got.end;
+            }
+        }
+        prop_assert_eq!(one_seen, each_seen);
+        prop_assert_eq!(one_trace.0, each_trace.0);
+        prop_assert_eq!(one.stats(), each.stats());
+        prop_assert_eq!(one.work(), each.work());
+        prop_assert_eq!(one.dropped_packets(), each.dropped_packets());
     }
 }

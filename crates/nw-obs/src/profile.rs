@@ -7,9 +7,10 @@
 //!
 //! Timing is **lap-based**: the profiler keeps a single running mark and,
 //! at each phase boundary, attributes the time since the previous mark to
-//! the phase that just finished. One `Instant::now` read per boundary,
-//! and every nanosecond between `arm` and `pause` lands in exactly one
-//! phase — which is what lets `expt profile`'s tests and nwbench's
+//! the phase that just finished. One `Instant::now` read per boundary (a
+//! stretch that runs many boundaries at once reads it once and books the
+//! rest as laps without time), and every nanosecond between `arm` and
+//! `pause` lands in exactly one phase — which is what lets `expt profile`'s tests and nwbench's
 //! `core.attributed_share` assert that the phase breakdown sums to the
 //! measured loop total (within noise). The cost of work that
 //! happens between laps without its own phase (e.g. the active-set
@@ -128,6 +129,17 @@ impl HostProfiler {
             self.laps[i] += 1;
         }
         self.mark = Some(now);
+    }
+
+    /// Counts `laps` more boundary crossings of `phase` that get no time of
+    /// their own. A loop that runs many rounds of its phases in one stretch
+    /// and laps the stretch once books the other rounds here, so lap counts
+    /// still say how often each phase ran. Unarmed, it counts nothing (as
+    /// [`lap`](HostProfiler::lap) attributes nothing).
+    pub fn book(&mut self, phase: HostPhase, laps: u64) {
+        if self.mark.is_some() {
+            self.laps[phase.index()] += laps;
+        }
     }
 
     /// Drops the running mark; the gap until the next `arm`/`lap` is not
