@@ -616,7 +616,7 @@ impl Runtime {
         pool: &mut PayloadPool,
         on_spawn: &mut impl FnMut(usize, ThreadId, ObjectId),
     ) {
-        let prog = self.synthesize(inv, pool);
+        let prog = self.synthesize(inv, pe.take_spare_ops(), pool);
         let tid = pe.spawn(prog).expect("idle thread count was checked");
         on_spawn(p, tid, inv.object);
         self.dispatched_per_object[inv.object.0] += 1;
@@ -625,12 +625,22 @@ impl Runtime {
     /// Synthesizes the handler program for one invocation from its handler;
     /// only the fractional-multiplicity carry and message sequence
     /// numbers vary between invocations of the same `(object, method)`.
-    /// Marshalled message buffers come from the payload arena; the bodies
-    /// are all-zero (only sizes are simulated), so the zero-body encoder
-    /// writes them without an intermediate body vector.
-    fn synthesize(&mut self, inv: &PendingInvocation, pool: &mut PayloadPool) -> Program {
+    ///
+    /// The ops are pushed onto `ops`, an empty buffer the hosting PE handed
+    /// out ([`Pe::take_spare_ops`]): the program owns it until the PE
+    /// retires it and keeps it for the next spawn, so a steady stream of
+    /// invocations allocates no op storage. Marshalled message buffers
+    /// come from the payload arena; the bodies are all-zero (only sizes
+    /// are simulated), so the zero-body encoder writes them without an
+    /// intermediate body vector.
+    fn synthesize(
+        &mut self,
+        inv: &PendingInvocation,
+        mut ops: Vec<Op>,
+        pool: &mut PayloadPool,
+    ) -> Program {
+        debug_assert!(ops.is_empty(), "a spare op buffer comes back cleared");
         let h = &self.handlers[inv.object.0][inv.method.0 as usize];
-        let mut ops = Vec::new();
         if h.local_bytes > 0 {
             ops.push(Op::LocalMem {
                 write: false,
@@ -656,7 +666,10 @@ impl Runtime {
         // Downstream calls, with deterministic fractional-multiplicity carry.
         for e in &h.edges {
             self.edge_carry[e.edge_idx] += e.calls_per_invocation;
-            let count = self.edge_carry[e.edge_idx].floor() as u64;
+            // The carry is ≥ 0, where the truncating cast is `floor`.
+            let carry = self.edge_carry[e.edge_idx];
+            let count = carry as u64;
+            debug_assert_eq!(count, carry.floor() as u64, "carry {carry}");
             self.edge_carry[e.edge_idx] -= count as f64;
             for _ in 0..count {
                 let seq = next_seq(&mut self.seq);
@@ -718,7 +731,7 @@ impl Runtime {
                 tag: 0,
             });
         }
-        Program::new(ops, h.domain)
+        Program::from_ops(ops, h.domain)
     }
 
     /// Invocations currently queued (all PEs).
@@ -965,8 +978,8 @@ mod tests {
         let mut rt = runtime();
         let inv = PendingInvocation::entry(ObjectId(0), MethodId(0));
         let mut pool = PayloadPool::new();
-        let first = rt.synthesize(&inv, &mut pool);
-        let second = rt.synthesize(&inv, &mut pool);
+        let first = rt.synthesize(&inv, Vec::new(), &mut pool);
+        let second = rt.synthesize(&inv, Vec::new(), &mut pool);
 
         // Identical programs: same length, domain and op timing shape
         // (2.0 calls/invocation is integral, so the carry emits exactly
@@ -979,7 +992,7 @@ mod tests {
 
         // And byte-identical to a fresh runtime at the same sequence state.
         let mut cold = runtime();
-        let cold_first = cold.synthesize(&inv, &mut PayloadPool::new());
+        let cold_first = cold.synthesize(&inv, Vec::new(), &mut PayloadPool::new());
         assert_eq!(first, cold_first);
     }
 
@@ -1028,7 +1041,7 @@ mod tests {
         let inv = PendingInvocation::entry(ObjectId(0), MethodId(0));
         let mut pool = PayloadPool::new();
         assert!(rt.handlers[0][0].service.is_none());
-        assert_eq!(rt.synthesize(&inv, &mut pool).call_count(), 0);
+        assert_eq!(rt.synthesize(&inv, Vec::new(), &mut pool).call_count(), 0);
         let binding = ServiceBinding {
             node: NodeId(1),
             request_bytes: 8,
@@ -1039,7 +1052,7 @@ mod tests {
             .expect("object exists");
         assert_eq!(rt.handlers[0][0].service, Some(binding));
         // The synthesized handler now front-loads the three service calls.
-        assert_eq!(rt.synthesize(&inv, &mut pool).call_count(), 3);
+        assert_eq!(rt.synthesize(&inv, Vec::new(), &mut pool).call_count(), 3);
         assert_eq!(
             rt.bind_service(ObjectId(2), binding),
             Err(InstallError::UnknownObject(ObjectId(2)))

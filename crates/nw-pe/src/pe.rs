@@ -209,6 +209,10 @@ pub struct Pe {
     /// when enabled via [`Pe::set_retire_log`] (tracing). `None` keeps the
     /// retire path allocation-free when no one is watching.
     retire_log: Option<Vec<ThreadId>>,
+    /// Cleared op buffers of retired programs, at most `n_threads`, handed
+    /// out by [`Pe::take_spare_ops`] so the next handler program is built
+    /// in a retired one's allocation.
+    spare_ops: Vec<Vec<Op>>,
     /// Crashed by fault injection: every context is dead and refuses new
     /// tasks until [`Pe::restart`]. A crashed PE ticks as a pure
     /// accounting no-op (all threads idle), so schedulers need no special
@@ -225,6 +229,7 @@ impl Pe {
     pub fn new(cfg: PeConfig) -> Self {
         assert_context_count(cfg.n_threads);
         let idle = u64::MAX >> (u64::BITS as usize - cfg.n_threads);
+        let spare_ops = Vec::with_capacity(cfg.n_threads);
         let threads = (0..cfg.n_threads)
             .map(|_| Thread {
                 state: ThreadState::Idle,
@@ -249,6 +254,7 @@ impl Pe {
             stalled: 0,
             idle,
             retire_log: None,
+            spare_ops,
             crashed: false,
         }
     }
@@ -267,6 +273,26 @@ impl Pe {
             .as_mut()
             .map(std::mem::take)
             .unwrap_or_default()
+    }
+
+    /// An empty op buffer for the next program spawned here: the cleared
+    /// buffer of a program this PE retired, capacity kept, or a new empty
+    /// `Vec` (no allocation) when there is none. The DSOC runtime builds
+    /// every handler program in one, so in steady state an invocation
+    /// allocates no op storage: the buffer travels runtime → [`Pe::spawn`]
+    /// → thread → [`Pe::retire`] → this list → runtime.
+    #[inline]
+    pub fn take_spare_ops(&mut self) -> Vec<Op> {
+        self.spare_ops.pop().unwrap_or_default()
+    }
+
+    /// Keeps `ops` cleared for [`Pe::take_spare_ops`], unless `n_threads`
+    /// buffers are already spare (more can never be live at once).
+    fn keep_spare(&mut self, mut ops: Vec<Op>) {
+        if self.spare_ops.len() < self.cfg.n_threads {
+            ops.clear();
+            self.spare_ops.push(ops);
+        }
     }
 
     /// The configuration this PE was built with.
@@ -346,6 +372,7 @@ impl Pe {
         if program.is_empty() {
             // Degenerate empty task: completes immediately.
             self.tasks_completed += 1;
+            self.keep_spare(program.into_ops());
             return Ok(ThreadId(slot));
         }
         let t = &mut self.threads[slot];
@@ -664,7 +691,7 @@ impl Pe {
         match op {
             Op::Compute(n) => {
                 let speedup = self.cfg.class.speedup(domain);
-                let eff = ((n as f64 / speedup).ceil() as u64).max(1);
+                let eff = ceil_cycles(n as f64 / speedup).max(1);
                 if eff == 1 {
                     self.advance_pc(i);
                 } else {
@@ -730,15 +757,32 @@ impl Pe {
         }
     }
 
+    /// Retires thread `i`'s task: the context goes idle and the program's
+    /// op buffer, every payload already issued out of it, is kept cleared
+    /// for [`Pe::take_spare_ops`]. ([`Pe::crash`] does not come here: it
+    /// harvests the unissued payloads and drops the buffers.)
     fn retire(&mut self, i: usize) {
         self.set_state(i, ThreadState::Idle);
-        self.threads[i].program = None;
+        if let Some(prog) = self.threads[i].program.take() {
+            self.keep_spare(prog.into_ops());
+        }
         self.threads[i].pc = 0;
         self.tasks_completed += 1;
         if let Some(log) = self.retire_log.as_mut() {
             log.push(ThreadId(i));
         }
     }
+}
+
+/// `q.ceil() as u64` for a finite `q ≥ 0` — saturating at `u64::MAX` like
+/// the cast — without a libm call: baseline x86-64 has no inline rounding
+/// instruction, and every compute op issued rounds its scaled length.
+#[inline]
+fn ceil_cycles(q: f64) -> u64 {
+    let t = q as u64;
+    let up = if (t as f64) < q { t.saturating_add(1) } else { t };
+    debug_assert_eq!(up, q.ceil() as u64, "cast ceil of {q}");
+    up
 }
 
 /// The lowest context of `set` above `from`, else the lowest of all: the
@@ -1174,6 +1218,148 @@ mod tests {
             (s.tasks_completed, s.core_utilization.to_bits(), s.swaps)
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// Runs `pe` from cycle `from` until `done` tasks have completed.
+    fn run_until_done(pe: &mut Pe, from: u64, done: u64) -> u64 {
+        let mut c = from;
+        while pe.tasks_completed() < done {
+            pe.tick(Cycles(c));
+            c += 1;
+            assert!(c < from + 10_000, "tasks never finished");
+        }
+        c
+    }
+
+    /// How many buffers the spare list holds, emptying it.
+    fn drain_spares(pe: &mut Pe) -> usize {
+        std::iter::from_fn(|| Some(pe.take_spare_ops()))
+            .take_while(|ops| ops.capacity() > 0)
+            .count()
+    }
+
+    #[test]
+    fn a_retired_programs_buffer_comes_back_with_its_capacity() {
+        let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 1));
+        assert_eq!(pe.take_spare_ops().capacity(), 0, "nothing retired yet");
+        let mut ops = Vec::with_capacity(16);
+        ops.extend([Op::Compute(3), Op::send(NodeId(2), 8), Op::Compute(2)]);
+        let buffer = ops.as_ptr();
+        pe.spawn(Program::from_ops(ops, KernelDomain::Generic))
+            .unwrap();
+        run(&mut pe, 5);
+        let (tid, _) = pe.pop_request().expect("the send was issued");
+        pe.complete(tid);
+        run_until_done(&mut pe, 5, 1);
+        let spare = pe.take_spare_ops();
+        assert!(spare.is_empty(), "a spare buffer comes back cleared");
+        assert_eq!(spare.capacity(), 16);
+        assert_eq!(spare.as_ptr(), buffer, "the same allocation");
+        assert_eq!(pe.take_spare_ops().capacity(), 0, "handed out once");
+    }
+
+    #[test]
+    fn the_spare_list_never_exceeds_n_threads() {
+        let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 3));
+        let mut c = 0;
+        for round in 1..=4 {
+            for _ in 0..3 {
+                pe.spawn(Program::straight_line([Op::Compute(4)])).unwrap();
+            }
+            c = run_until_done(&mut pe, c, 3 * round);
+        }
+        // A degenerate empty program is kept too, but still within bound.
+        let mut empty = Vec::with_capacity(4);
+        empty.push(Op::Compute(1));
+        empty.clear();
+        pe.spawn(Program::from_ops(empty, KernelDomain::Generic))
+            .unwrap();
+        assert_eq!(drain_spares(&mut pe), 3, "twelve retired, three kept");
+        let mut empty = Vec::with_capacity(4);
+        empty.push(Op::Compute(1));
+        empty.clear();
+        pe.spawn(Program::from_ops(empty, KernelDomain::Generic))
+            .unwrap();
+        assert_eq!(drain_spares(&mut pe), 1, "an empty program's buffer");
+    }
+
+    #[test]
+    fn a_crash_with_live_programs_returns_every_payload() {
+        let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 2));
+        pe.spawn(Program::straight_line([Op::Compute(2)])).unwrap();
+        let c = run_until_done(&mut pe, 0, 1);
+        // Both live programs are built in spare buffers, the way the
+        // runtime builds them; only the first thread finds one.
+        let mut first = pe.take_spare_ops();
+        assert!(first.capacity() > 0);
+        first.extend([
+            Op::Send {
+                dst: NodeId(1),
+                bytes: 8,
+                data: vec![1; 3],
+                tag: 0,
+            },
+            Op::Compute(40),
+        ]);
+        let mut second = pe.take_spare_ops();
+        second.extend([
+            Op::Call {
+                dst: NodeId(2),
+                bytes: 8,
+                reply_bytes: 8,
+                data: vec![2; 4],
+            },
+            Op::Call {
+                dst: NodeId(2),
+                bytes: 8,
+                reply_bytes: 8,
+                data: vec![3; 5],
+            },
+        ]);
+        pe.spawn(Program::from_ops(first, KernelDomain::Generic))
+            .unwrap();
+        pe.spawn(Program::from_ops(second, KernelDomain::Generic))
+            .unwrap();
+        for c in c..c + 5 {
+            pe.tick(Cycles(c));
+        }
+        assert!(pe.has_requests(), "the send and the first call are queued");
+        let mut lens: Vec<usize> = pe.crash(Cycles(c + 5)).iter().map(Vec::len).collect();
+        lens.sort_unstable();
+        assert_eq!(lens, vec![3, 4, 5], "queued or unissued, each once");
+        assert_eq!(drain_spares(&mut pe), 0, "a crash keeps no buffer");
+        pe.restart(Cycles(c + 6));
+        pe.spawn(Program::straight_line([Op::Compute(2)])).unwrap();
+        run_until_done(&mut pe, c + 6, 2);
+        assert_eq!(drain_spares(&mut pe), 1, "retirement keeps buffers again");
+    }
+
+    /// Every rounding the issue slot does: each class's speedup on each
+    /// domain, over a million op lengths.
+    #[test]
+    fn cast_ceil_equals_libm_ceil_for_every_speedup() {
+        let domains = [
+            KernelDomain::Control,
+            KernelDomain::Signal,
+            KernelDomain::PacketHeader,
+            KernelDomain::Generic,
+        ];
+        let classes = [PeClass::GpRisc, PeClass::Dsp]
+            .into_iter()
+            .chain(domains.map(|tuned_for| PeClass::Configurable { tuned_for }))
+            .chain(domains.map(|domain| PeClass::Asip { domain }));
+        for class in classes {
+            for domain in domains {
+                let speedup = class.speedup(domain);
+                for n in 1..=1_000_000u64 {
+                    let q = n as f64 / speedup;
+                    assert_eq!(ceil_cycles(q), q.ceil() as u64, "{class} {domain} {n}");
+                }
+            }
+        }
+        for q in [0.0, 0.5, 2f64.powi(53) + 2.0, 2f64.powi(64), 1e30, f64::MAX] {
+            assert_eq!(ceil_cycles(q), q.ceil() as u64, "{q}");
+        }
     }
 
     #[test]

@@ -103,6 +103,13 @@ impl Program {
         }
     }
 
+    /// Creates a program that owns `ops` as they are: unlike
+    /// [`Program::new`], it keeps the buffer, so a program built in a
+    /// recycled one ([`crate::Pe::take_spare_ops`]) allocates nothing.
+    pub fn from_ops(ops: Vec<Op>, domain: KernelDomain) -> Self {
+        Program { ops, domain }
+    }
+
     /// Creates a generic-domain program.
     pub fn straight_line(ops: impl IntoIterator<Item = Op>) -> Self {
         Self::new(ops, KernelDomain::Generic)
