@@ -280,7 +280,7 @@ impl Pe {
     /// `Vec` (no allocation) when there is none. The DSOC runtime builds
     /// every handler program in one, so in steady state an invocation
     /// allocates no op storage: the buffer travels runtime → [`Pe::spawn`]
-    /// → thread → [`Pe::retire`] → this list → runtime.
+    /// → thread → retirement → this list → runtime.
     #[inline]
     pub fn take_spare_ops(&mut self) -> Vec<Op> {
         self.spare_ops.pop().unwrap_or_default()
@@ -780,7 +780,11 @@ impl Pe {
 #[inline]
 fn ceil_cycles(q: f64) -> u64 {
     let t = q as u64;
-    let up = if (t as f64) < q { t.saturating_add(1) } else { t };
+    let up = if (t as f64) < q {
+        t.saturating_add(1)
+    } else {
+        t
+    };
     debug_assert_eq!(up, q.ceil() as u64, "cast ceil of {q}");
     up
 }
