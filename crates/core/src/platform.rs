@@ -680,7 +680,7 @@ impl FppaPlatform {
         // And whatever the caller does to the thread contexts, the
         // dispatcher looks at this PE next cycle (an early entry is safe).
         if let Some(rt) = self.runtime.as_mut() {
-            rt.note_pe_unsettled(i);
+            rt.note_pe(i, usize::MAX);
         }
         &mut self.pes[i]
     }
@@ -1222,7 +1222,7 @@ impl FppaPlatform {
 
         // 5. DSOC drives and dispatch.
         if due(self, Source::Dispatch) {
-            self.runtime_dispatch(now);
+            self.runtime_dispatch(now, open);
             self.entered(HostPhase::Dispatch);
         }
 
@@ -1524,7 +1524,7 @@ impl FppaPlatform {
         }
     }
 
-    fn runtime_dispatch(&mut self, now: Cycles) {
+    fn runtime_dispatch(&mut self, now: Cycles, open: bool) {
         let Some(mut rt) = self.runtime.take() else {
             return;
         };
@@ -1544,7 +1544,9 @@ impl FppaPlatform {
         let (woken, earliest) = rt.dispatch(pes, now, pe_wake, pool, on_spawn);
         self.pe_due = self.pe_due.min(earliest);
         self.sched_stats.pe_external_wakes += woken;
-        rt.note_touched(&self.pes);
+        if !open {
+            rt.note_pes(&self.pes);
+        }
         self.runtime = Some(rt);
     }
 

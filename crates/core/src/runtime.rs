@@ -210,18 +210,12 @@ pub struct Runtime {
     /// dispatcher can skip the whole scan when nothing is pending).
     pending_total: usize,
     /// Per PE: the dispatcher can spawn on it ([`Runtime::can_spawn`]) as
-    /// of the last [`Runtime::note_pe`]. A set bit may be stale until the
-    /// end of the next dispatch phase (the PE is in `touched`); a clear bit
-    /// never is: every site that queues an invocation or frees a hardware
-    /// thread refreshes it.
+    /// of the last [`Runtime::note_pe`]. A set bit may be stale (the dispatch it causes
+    /// is a no-op and clears it); a clear bit never is: every site that
+    /// queues an invocation or frees a hardware thread refreshes it.
     ready: Vec<bool>,
     /// Set bits in `ready`.
     ready_count: usize,
-    /// PEs whose ready bit may be stale once the dispatch phase is over:
-    /// spawned on, queued onto by a drive, or noted without their thread
-    /// count. [`Runtime::note_touched`] refreshes exactly these; every
-    /// other bit is as the last note left it.
-    touched: Vec<usize>,
     /// Drives are advanced lazily: every drive has been ticked for the
     /// cycles before this one.
     drive_clock: u64,
@@ -295,7 +289,6 @@ impl Runtime {
             pending_total: 0,
             ready: vec![false; n_pes],
             ready_count: 0,
-            touched: Vec::new(),
             drive_clock: now.0,
             drive_due: u64::MAX,
             seq: 0,
@@ -339,7 +332,8 @@ impl Runtime {
     pub(crate) fn add_saturation(&mut self, object: ObjectId) -> Result<(), InstallError> {
         let method = self.entry_method_of(object)?;
         self.saturate.push((object, method));
-        self.note_pe_unsettled(self.placement[object.0]);
+        // Ready unless proven otherwise: the next dispatch looks.
+        self.note_pe(self.placement[object.0], usize::MAX);
         Ok(())
     }
 
@@ -478,32 +472,11 @@ impl Runtime {
         }
     }
 
-    /// Sets PE `p`'s ready bit unless nothing waits to be spawned there
-    /// even on a free thread (ready unless proven otherwise), and has the
-    /// next dispatch phase refresh it from the PE.
-    pub(crate) fn note_pe_unsettled(&mut self, p: usize) {
-        self.note_pe(p, usize::MAX);
-        if !self.touched.contains(&p) {
-            self.touched.push(p);
-        }
-    }
-
     /// [`Runtime::note_pe`] for every PE.
     pub(crate) fn note_pes(&mut self, pes: &[Pe]) {
         for (p, pe) in pes.iter().enumerate() {
             self.note_pe(p, pe.idle_threads());
         }
-    }
-
-    /// [`Runtime::note_pe`] for the PEs touched since the last call, the
-    /// end of the dispatch phase: the bits [`Runtime::note_pes`] would
-    /// change are among them.
-    pub(crate) fn note_touched(&mut self, pes: &[Pe]) {
-        for k in 0..self.touched.len() {
-            let p = self.touched[k];
-            self.note_pe(p, pes[p].idle_threads());
-        }
-        self.touched.clear();
     }
 
     /// The oracle of the dispatcher's agenda entry (debug builds, after
@@ -553,13 +526,9 @@ impl Runtime {
     fn advance_drives(&mut self, k: u64) {
         for d in &mut self.drives {
             let pe = self.placement[d.object.0];
-            let n = d.pacer.advance(k);
-            for _ in 0..n {
+            for _ in 0..d.pacer.advance(k) {
                 self.dispatch[pe].push_back(PendingInvocation::entry(d.object, d.method));
                 self.pending_total += 1;
-            }
-            if n > 0 {
-                self.touched.push(pe);
             }
         }
     }
@@ -578,7 +547,7 @@ impl Runtime {
     /// invocations (and saturation refills) onto idle hardware threads:
     /// queues PE by PE ascending, then the saturated entry points in order,
     /// each spawn reported to `on_spawn` as `(pe, thread, object)`. The
-    /// caller refreshes the ready bits afterwards ([`Runtime::note_touched`]).
+    /// caller refreshes the ready bits afterwards ([`Runtime::note_pes`]).
     ///
     /// Only PEs with pending work are visited (an active-set skip that is
     /// behaviour-identical to the dense scan, since a PE with an empty queue
@@ -617,7 +586,6 @@ impl Runtime {
                     self.pending_total -= 1;
                     self.spawn(p, pe, &inv, pool, &mut on_spawn);
                 }
-                self.touched.push(p);
                 wake(p, pe);
             }
         }
@@ -634,7 +602,6 @@ impl Runtime {
             while pe.idle_threads() > 0 {
                 self.spawn(p, pe, &inv, pool, &mut on_spawn);
             }
-            self.touched.push(p);
             wake(p, pe);
         }
         (woken, earliest)
