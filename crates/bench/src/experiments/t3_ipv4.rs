@@ -11,7 +11,7 @@
 
 use super::Ctx;
 use crate::Table;
-use nanowall::scenarios::{ipv4_rig, run_ipv4};
+use nanowall::scenarios::ipv4_rig;
 use nw_noc::TopologyKind;
 use nw_sim::parallel_map_with;
 
@@ -46,7 +46,7 @@ pub struct T3Result {
 fn measure(ctx: Ctx, replicas: usize, threads: usize, link_latency: u64, cycles: u64) -> Ipv4Point {
     let mut rig = ipv4_rig(replicas, threads, TopologyKind::Mesh, link_latency, 10.0);
     rig.platform.set_scheduler_mode(ctx.scheduler);
-    let report = run_ipv4(&mut rig, cycles);
+    let report = rig.run(cycles);
     let io = &report.io[0];
     let forwarded_ratio = if io.generated == 0 {
         0.0

@@ -13,7 +13,7 @@
 
 use super::Ctx;
 use crate::Table;
-use nanowall::scenarios::{ipv4_rig_with_placement, run_ipv4};
+use nanowall::scenarios::ipv4_rig_with_placement;
 use nw_ipv4::app::{fast_path_app, FastPathWeights};
 use nw_mapping::{
     GreedyLoadMapper, Mapper, MappingProblem, PeSlot, RandomMapper, RoundRobinMapper,
@@ -105,7 +105,7 @@ pub fn run(ctx: Ctx) -> T6Result {
             &mapping.placement,
         );
         rig.platform.set_scheduler_mode(ctx.scheduler);
-        let report = run_ipv4(&mut rig, cycles);
+        let report = rig.run(cycles);
         let io = &report.io[0];
         let forwarded_ratio = if io.generated == 0 {
             0.0

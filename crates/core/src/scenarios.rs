@@ -9,8 +9,8 @@
 //!   a many-PE FPPA fed by a 10 Gb/s worst-case line.
 //! * [`video_rig`] / [`modem_rig`] / [`crypto_rig`] — the T8/T9/T10 rigs:
 //!   the §7.1 application workloads from `nw-apps` (frame-sliced video
-//!   codec, modem baseband chain, crypto offload), auto-placed by the
-//!   MultiFlex greedy mapper.
+//!   codec, modem baseband chain, crypto offload); each is a platform
+//!   described as data that one assembler places with the greedy mapper.
 //! * [`mix_rig`] — the T11 rig: the video codec and an IPv4 fast path
 //!   installed together on one shared fabric, with per-workload latency
 //!   telemetry and a route-lookup deadline budget.
@@ -24,18 +24,19 @@ use crate::config::{FppaConfig, HwIpConfig, MemoryBlockConfig};
 use crate::platform::{FppaPlatform, SchedulerMode};
 use crate::report::PlatformReport;
 use nw_apps::{
-    crypto_pipeline, modem_pipeline, video_ipv4_mix, video_pipeline, CryptoParams, MixParams,
-    ModemParams, PipelineLayout, ServiceKind, VideoParams,
+    crypto_pipeline, modem_pipeline, video_ipv4_mix, video_pipeline, CryptoChannel, CryptoParams,
+    MixPacketChain, MixParams, ModemChain, ModemParams, PipelineSpec, ServiceKind, VideoLane,
+    VideoParams,
 };
 use nw_dsoc::Application;
 use nw_fabric::FabricSpec;
 use nw_hwip::IoChannelConfig;
-use nw_ipv4::app::{fast_path_app, FastPathLayout, FastPathWeights};
+use nw_ipv4::app::{fast_path_app, FastPathWeights};
 use nw_mapping::{GreedyLoadMapper, Mapper, MappingProblem, PeSlot};
 use nw_mem::MemoryTechnology;
 use nw_noc::TopologyKind;
 use nw_pe::{Op, PeClass, PeConfig, Program, SchedPolicy};
-use nw_types::{AreaMm2, NodeId, ObjectId, Picojoules};
+use nw_types::{AreaMm2, BitsPerSec, Bytes, NodeId, ObjectId, Picojoules};
 
 /// Result of one latency-hiding measurement point (experiment F6).
 #[derive(Debug, Clone, Copy)]
@@ -45,15 +46,19 @@ pub struct LatencyHidingPoint {
     /// One-way link latency in cycles (round trip is roughly double plus
     /// serialization and router delays).
     pub link_latency: u64,
-    /// Measured core utilization.
+    /// Core utilization over the whole run, warm-up included.
     pub utilization: f64,
-    /// Tasks completed in the measurement window.
+    /// Tasks completed over the whole run, warm-up included.
     pub tasks: u64,
 }
 
 /// Runs the F6 latency-hiding rig: one PE with `threads` contexts executes
 /// tasks of `compute_cycles` work plus one synchronous call to a hardwired
 /// service across a `link_latency`-cycle link; the PE is kept saturated.
+///
+/// The rig runs `cycles` plus a warm-up fifth (`cycles / 5`) and reports
+/// utilization and tasks over all of them: the counters are cumulative and
+/// the warm-up is not subtracted.
 ///
 /// With enough threads to cover the round trip
 /// (`threads ≳ 1 + round_trip / compute`), utilization approaches 1.0 —
@@ -121,9 +126,9 @@ pub fn latency_hiding_under(
         Op::Compute(compute_cycles.max(2) / 2),
     ]);
 
-    // Warm up and measure with manual saturation (no DSOC app needed).
-    let warmup = cycles / 5;
-    for c in 0..cycles + warmup {
+    // Saturate the PE by hand (no DSOC app needed) for the window plus
+    // its warm-up fifth.
+    for _ in 0..cycles + cycles / 5 {
         while platform.pe(0).idle_threads() > 0 {
             platform
                 .pe_mut(0)
@@ -131,11 +136,6 @@ pub fn latency_hiding_under(
                 .expect("idle thread checked");
         }
         platform.step();
-        if c == warmup {
-            // Statistics are cumulative; capture deltas via a fresh window
-            // would need resetting, so the short warmup is simply accepted
-            // as measurement noise on long runs.
-        }
     }
     // The active-set scheduler accounts dormant-PE cycles lazily; settle
     // before reading the utilization counters.
@@ -147,19 +147,6 @@ pub fn latency_hiding_under(
         utilization: stats.core_utilization,
         tasks: stats.tasks_completed,
     }
-}
-
-/// The assembled IPv4 rig.
-#[derive(Debug)]
-pub struct Ipv4Rig {
-    /// The platform (run it to measure).
-    pub platform: FppaPlatform,
-    /// The DSOC application.
-    pub app: Application,
-    /// Object layout per replica.
-    pub layouts: Vec<FastPathLayout>,
-    /// Placement used (object → PE).
-    pub placement: Vec<usize>,
 }
 
 /// Builds the T3 rig: `replicas` fast-path worker chains on `replicas + 1`
@@ -181,64 +168,13 @@ pub fn ipv4_rig(
     topology: TopologyKind,
     link_latency: u64,
     gbps: f64,
-) -> Ipv4Rig {
-    let weights = FastPathWeights::default();
-    let (app, layouts) = fast_path_app(replicas, &weights).expect("replicas >= 1");
-
-    let mut cfg = FppaConfig::new("ipv4-fast-path", topology);
-    cfg.link_latency = Some(link_latency);
-    // One worker PE per replica chain + one packet-header ASIP for lookups.
-    for _ in 0..replicas {
-        cfg.add_pe(PeConfig::new(PeClass::GpRisc, threads));
-    }
-    // The lookup engine: a packet-header ASIP run as a barrel processor
-    // (zero-overhead thread rotation — the paper's "hardware units that
-    // schedule threads and swap them in one cycle").
-    let lookup_pe = cfg.add_pe(
-        PeConfig::new(
-            PeClass::Asip {
-                domain: nw_pe::KernelDomain::PacketHeader,
-            },
-            threads.max(4),
-        )
-        .with_policy(SchedPolicy::RoundRobin)
-        .with_swap_penalty(0),
-    );
-    cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 16.0));
-    let mut io = IoChannelConfig::ten_gbe_worst_case();
-    io.rate = nw_types::BitsPerSec::from_gbps(gbps);
-    io.clock_hz = cfg.tech.nominal_clock_hz();
-    cfg.add_io(io);
-
-    let mut platform = FppaPlatform::new(cfg).expect("valid fixed config");
-    let mut placement = vec![0usize; app.objects().len()];
-    for (r, l) in layouts.iter().enumerate() {
-        placement[l.classifier.0] = r;
-        placement[l.rewriter.0] = r;
-        placement[l.egress.0] = r;
-        placement[l.lookup.0] = lookup_pe;
-    }
-    platform
-        .install_app(&app, &placement)
-        .expect("placement built to match");
-    for l in &layouts {
-        platform
-            .bind_io_entry(0, l.classifier)
-            .expect("io 0 exists");
-        platform.bind_egress(l.egress, 0, 40).expect("io 0 exists");
-    }
-    Ipv4Rig {
-        platform,
-        app,
-        layouts,
-        placement,
-    }
+) -> ScenarioRig {
+    ipv4_platform(replicas, threads, topology, link_latency, gbps, None)
 }
 
-/// The T6 variant of [`ipv4_rig`]: an explicit `placement` (object → PE
-/// index over `n_pes` identical PEs plus a trailing lookup-class ASIP is
-/// **not** assumed — all `n_pes` PEs are GP-RISC so mapping quality is the
-/// only variable).
+/// The T6 variant of [`ipv4_rig`]: all `n_pes` PEs are GP-RISC (no lookup
+/// ASIP, so mapping quality is the only variable) and `placement` maps each
+/// object to one of them.
 ///
 /// # Panics
 ///
@@ -252,24 +188,65 @@ pub fn ipv4_rig_with_placement(
     link_latency: u64,
     gbps: f64,
     placement: &[usize],
-) -> Ipv4Rig {
-    let weights = FastPathWeights::default();
-    let (app, layouts) = fast_path_app(replicas, &weights).expect("replicas >= 1");
+) -> ScenarioRig {
+    let explicit = Some((n_pes, placement));
+    ipv4_platform(replicas, threads, topology, link_latency, gbps, explicit)
+}
+
+/// The body of both IPv4 rigs: with `explicit = Some((n_pes, placement))`
+/// the chains run on `n_pes` GP-RISC PEs as placed, otherwise one worker PE
+/// per chain and the lookup on its own ASIP.
+fn ipv4_platform(
+    replicas: usize,
+    threads: usize,
+    topology: TopologyKind,
+    link_latency: u64,
+    gbps: f64,
+    explicit: Option<(usize, &[usize])>,
+) -> ScenarioRig {
+    let (app, layouts) =
+        fast_path_app(replicas, &FastPathWeights::default()).expect("replicas >= 1");
 
     let mut cfg = FppaConfig::new("ipv4-fast-path", topology);
     cfg.link_latency = Some(link_latency);
-    for _ in 0..n_pes {
+    for _ in 0..explicit.map_or(replicas, |(n_pes, _)| n_pes) {
         cfg.add_pe(PeConfig::new(PeClass::GpRisc, threads));
     }
+    let placement = match explicit {
+        Some((_, placement)) => placement.to_vec(),
+        None => {
+            // The lookup engine: a packet-header ASIP run as a barrel
+            // processor (zero-overhead thread rotation — the paper's
+            // "hardware units that schedule threads and swap them in one
+            // cycle"). Chain `r` runs on worker PE `r`.
+            let lookup_pe = cfg.add_pe(
+                PeConfig::new(
+                    PeClass::Asip {
+                        domain: nw_pe::KernelDomain::PacketHeader,
+                    },
+                    threads.max(4),
+                )
+                .with_policy(SchedPolicy::RoundRobin)
+                .with_swap_penalty(0),
+            );
+            let mut placement = vec![lookup_pe; app.objects().len()];
+            for (r, l) in layouts.iter().enumerate() {
+                for object in [l.classifier, l.rewriter, l.egress] {
+                    placement[object.0] = r;
+                }
+            }
+            placement
+        }
+    };
     cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 16.0));
     let mut io = IoChannelConfig::ten_gbe_worst_case();
-    io.rate = nw_types::BitsPerSec::from_gbps(gbps);
+    io.rate = BitsPerSec::from_gbps(gbps);
     io.clock_hz = cfg.tech.nominal_clock_hz();
     cfg.add_io(io);
 
     let mut platform = FppaPlatform::new(cfg).expect("valid fixed config");
     platform
-        .install_app(&app, placement)
+        .install_app(&app, &placement)
         .expect("placement must match the application");
     for l in &layouts {
         platform
@@ -277,17 +254,11 @@ pub fn ipv4_rig_with_placement(
             .expect("io 0 exists");
         platform.bind_egress(l.egress, 0, 40).expect("io 0 exists");
     }
-    Ipv4Rig {
+    ScenarioRig {
         platform,
         app,
-        layouts,
-        placement: placement.to_vec(),
+        placement,
     }
-}
-
-/// Measures an IPv4 rig for `cycles` cycles and reports.
-pub fn run_ipv4(rig: &mut Ipv4Rig, cycles: u64) -> PlatformReport {
-    rig.platform.run(cycles)
 }
 
 /// The F2 rig: a Figure 2 FPPA with one of every component class — eight
@@ -317,7 +288,7 @@ pub fn fppa_tour_config() -> FppaConfig {
     });
     cfg.add_io(IoChannelConfig::ten_gbe_worst_case());
     cfg.add_io(IoChannelConfig {
-        rate: nw_types::BitsPerSec::from_gbps(2.5),
+        rate: BitsPerSec::from_gbps(2.5),
         ..IoChannelConfig::ten_gbe_worst_case()
     });
     cfg
@@ -342,17 +313,6 @@ impl ScenarioRig {
         self.platform.run(cycles)
     }
 
-    /// `(object name, id)` pairs in object order — the stage directory for
-    /// per-stage reporting.
-    pub fn stages(&self) -> Vec<(String, ObjectId)> {
-        self.app
-            .objects()
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.name.clone(), ObjectId(i)))
-            .collect()
-    }
-
     /// Looks up an object id by its name.
     pub fn stage_named(&self, name: &str) -> Option<ObjectId> {
         self.app
@@ -363,36 +323,92 @@ impl ScenarioRig {
     }
 }
 
-/// Places `app` on the first `n_pes` endpoints of `platform` with the
-/// MultiFlex greedy load mapper (entry rates in items per cycle).
-fn auto_place(
-    platform: &FppaPlatform,
-    app: &Application,
+/// A pipeline rig described as data: the platform a [`PipelineSpec`] runs
+/// on and where its entries meet the I/O channels. [`assemble`] builds it.
+struct PipelinePlatform<'a> {
+    /// The application; the platform takes its name.
+    spec: &'a PipelineSpec,
+    pe: PeClass,
     n_pes: usize,
-    entry_rates: &[f64],
-) -> Vec<usize> {
+    threads: usize,
+    link_latency: u64,
+    memory: MemoryBlockConfig,
+    /// Hardwired blocks, in the order `HwIp` demands are dealt to them.
+    hwips: Vec<HwIpConfig>,
+    /// `(Gb/s, bytes per packet)` of each I/O channel.
+    channels: Vec<(f64, u64)>,
+    /// `(channel, egress stage, egress bytes)` per entry, in
+    /// `spec.entries` order.
+    entries: Vec<(usize, usize, u64)>,
+    /// `(stage, cycles)`: a latency budget on one stage's round trips.
+    deadline: Option<(usize, u64)>,
+}
+
+/// Turns a [`PipelinePlatform`] into a rig on a mesh: lowers the spec,
+/// places it with the MultiFlex greedy mapper at per-entry rates (a
+/// channel's packet rate split evenly over the entries it feeds), installs
+/// it, binds each entry's ingress and egress, the service demands and the
+/// deadline. Returns the rig and the stage → object map.
+fn assemble(p: PipelinePlatform) -> (ScenarioRig, Vec<ObjectId>) {
+    assert_eq!(p.entries.len(), p.spec.entries.len());
+    let (app, layout) = p
+        .spec
+        .to_application()
+        .expect("rig pipelines lower to valid applications");
+
+    let mut cfg = FppaConfig::new(&p.spec.name, TopologyKind::Mesh);
+    cfg.link_latency = Some(p.link_latency);
+    for _ in 0..p.n_pes {
+        cfg.add_pe(PeConfig::new(p.pe, p.threads));
+    }
+    cfg.add_memory(p.memory);
+    let n_hwips = p.hwips.len();
+    for h in p.hwips {
+        cfg.add_hwip(h);
+    }
+    let mut packets_per_cycle = Vec::with_capacity(p.channels.len());
+    for &(gbps, packet_bytes) in &p.channels {
+        let mut io = IoChannelConfig::ten_gbe_worst_case();
+        io.rate = BitsPerSec::from_gbps(gbps);
+        io.packet_bytes = Bytes(packet_bytes);
+        io.clock_hz = cfg.tech.nominal_clock_hz();
+        cfg.add_io(io);
+        packets_per_cycle.push(io.packets_per_cycle());
+    }
+    let sharing = |channel| p.entries.iter().filter(|e| e.0 == channel).count() as f64;
+    let entry_rates = (p.entries.iter())
+        .map(|&(channel, ..)| packets_per_cycle[channel] / sharing(channel))
+        .collect();
+
+    let mut platform = FppaPlatform::new(cfg).expect("valid fixed config");
     let problem = MappingProblem::new(
         app.clone(),
-        entry_rates.to_vec(),
-        (0..n_pes).map(|i| PeSlot::new(NodeId(i), 1.0)).collect(),
+        entry_rates,
+        (0..p.n_pes).map(|i| PeSlot::new(NodeId(i), 1.0)).collect(),
         platform.hop_matrix(),
     )
     .expect("rig-constructed problems are valid");
-    GreedyLoadMapper.map(&problem).placement
-}
-
-/// Binds every [`ServiceKind::Memory`] demand of `layout` to memory 0 and
-/// partitions [`ServiceKind::HwIp`] demands across the platform's hwip
-/// blocks in declaration order (fabric demands go to fabric 0).
-fn bind_layout_services(platform: &mut FppaPlatform, layout: &PipelineLayout) {
-    let mut next_hwip = 0usize;
-    let n_hwips = platform.config().hwip.len();
+    let placement = GreedyLoadMapper.map(&problem).placement;
+    platform
+        .install_app(&app, &placement)
+        .expect("placement built to match");
+    for (&entry, &(channel, egress, bytes)) in p.spec.entries.iter().zip(&p.entries) {
+        platform
+            .bind_io_entry(channel, layout.objects[entry])
+            .expect("entry channel exists");
+        platform
+            .bind_egress(layout.objects[egress], channel, bytes)
+            .expect("egress channel exists");
+    }
+    // Memory demands go to memory 0, fabric demands to fabric 0, and hwip
+    // demands are dealt round-robin over the blocks in stage order.
+    let mut next_hwip = 0;
     for &(stage, demand) in &layout.services {
         let node = match demand.kind {
             ServiceKind::Memory => platform.memory_node(0),
             ServiceKind::Fabric => platform.fabric_node(0),
             ServiceKind::HwIp => {
-                let node = platform.hwip_node(next_hwip % n_hwips.max(1));
+                let node = platform.hwip_node(next_hwip % n_hwips);
                 next_hwip += 1;
                 node
             }
@@ -407,10 +423,21 @@ fn bind_layout_services(platform: &mut FppaPlatform, layout: &PipelineLayout) {
             )
             .expect("layout objects are installed and nodes are services");
     }
+    if let Some((stage, cycles)) = p.deadline {
+        platform
+            .set_latency_deadline(layout.objects[stage], cycles)
+            .expect("deadline stage is installed");
+    }
+    let rig = ScenarioRig {
+        platform,
+        app,
+        placement,
+    };
+    (rig, layout.objects)
 }
 
 /// Builds the T8 rig: the frame-sliced video codec pipeline on `n_pes`
-/// multithreaded PEs, its reference-frame store on a shared SRAM macro,
+/// multithreaded PEs, its reference-frame store on a shared eDRAM macro,
 /// fed slices at `gbps` through one I/O channel with the packed bitstream
 /// bound back to the same channel. Placement is computed by the greedy
 /// MultiFlex mapper from the line rate.
@@ -427,45 +454,21 @@ pub fn video_rig(
     gbps: f64,
 ) -> ScenarioRig {
     let workload = video_pipeline(params);
-    let (app, layout) = workload
-        .spec
-        .to_application()
-        .expect("video pipeline lowers to a valid application");
-
-    let mut cfg = FppaConfig::new("video-codec", TopologyKind::Mesh);
-    cfg.link_latency = Some(link_latency);
-    for _ in 0..n_pes {
-        cfg.add_pe(PeConfig::new(PeClass::Dsp, threads));
-    }
-    // The shared reference-frame store the motion estimators hammer.
-    cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Edram, 64.0));
-    let mut io = IoChannelConfig::ten_gbe_worst_case();
-    io.rate = nw_types::BitsPerSec::from_gbps(gbps);
-    io.packet_bytes = nw_types::Bytes(params.slice_bytes);
-    io.clock_hz = cfg.tech.nominal_clock_hz();
-    cfg.add_io(io);
-    let slices_per_cycle = io.packets_per_cycle();
-
-    let mut platform = FppaPlatform::new(cfg).expect("valid fixed config");
-    let per_entry = slices_per_cycle / params.lanes as f64;
-    let placement = auto_place(&platform, &app, n_pes, &vec![per_entry; params.lanes]);
-    platform
-        .install_app(&app, &placement)
-        .expect("placement built to match");
-    for lane in &workload.lanes {
-        platform
-            .bind_io_entry(0, layout.objects[lane.ingest])
-            .expect("io 0 exists");
-        platform
-            .bind_egress(layout.objects[lane.pack], 0, params.slice_bytes / 2)
-            .expect("io 0 exists");
-    }
-    bind_layout_services(&mut platform, &layout);
-    ScenarioRig {
-        platform,
-        app,
-        placement,
-    }
+    let entry = |lane: &VideoLane| (0, lane.pack, params.slice_bytes / 2);
+    assemble(PipelinePlatform {
+        spec: &workload.spec,
+        pe: PeClass::Dsp,
+        n_pes,
+        threads,
+        link_latency,
+        // The shared reference-frame store the motion estimators hammer.
+        memory: MemoryBlockConfig::new(MemoryTechnology::Edram, 64.0),
+        hwips: Vec::new(),
+        channels: vec![(gbps, params.slice_bytes)],
+        entries: workload.lanes.iter().map(entry).collect(),
+        deadline: None,
+    })
+    .0
 }
 
 /// Builds the T9 rig: the modem baseband chain on `n_pes` multithreaded
@@ -473,6 +476,10 @@ pub fn video_rig(
 /// decoded MAC payloads bound back to it. Twoway channel-estimate and
 /// link-adaptation round trips ride the NoC at `link_latency` cycles per
 /// hop — the latency the threads must hide.
+///
+/// Every demodulator query to the shared channel estimator carries the
+/// air-interface budget [`modem_est_deadline`]; round trips beyond it count
+/// as deadline misses in `PlatformReport::latency` (T9/T11's observable).
 ///
 /// # Panics
 ///
@@ -485,64 +492,28 @@ pub fn modem_rig(
     mbps: f64,
 ) -> ScenarioRig {
     let workload = modem_pipeline(params);
-    let (app, layout) = workload
-        .spec
-        .to_application()
-        .expect("modem pipeline lowers to a valid application");
-
-    let mut cfg = FppaConfig::new("modem-baseband", TopologyKind::Mesh);
-    cfg.link_latency = Some(link_latency);
-    for _ in 0..n_pes {
-        cfg.add_pe(PeConfig::new(PeClass::Dsp, threads));
-    }
-    cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 8.0));
-    let mut io = IoChannelConfig::ten_gbe_worst_case();
-    io.rate = nw_types::BitsPerSec::from_gbps(mbps / 1000.0);
-    io.packet_bytes = nw_types::Bytes(params.burst_bytes);
-    io.clock_hz = cfg.tech.nominal_clock_hz();
-    cfg.add_io(io);
-    let bursts_per_cycle = io.packets_per_cycle();
-
-    let mut platform = FppaPlatform::new(cfg).expect("valid fixed config");
-    let per_entry = bursts_per_cycle / params.carriers as f64;
-    let placement = auto_place(&platform, &app, n_pes, &vec![per_entry; params.carriers]);
-    platform
-        .install_app(&app, &placement)
-        .expect("placement built to match");
-    for chain in &workload.chains {
-        platform
-            .bind_io_entry(0, layout.objects[chain.frontend])
-            .expect("io 0 exists");
-        platform
-            .bind_egress(layout.objects[chain.mac_out], 0, params.burst_bytes / 2)
-            .expect("io 0 exists");
-    }
-    // The air-interface deadline budget on the shared channel estimator:
-    // every demodulator query must return within a fixed multiple of the
-    // unloaded NoC round trip (per-hop wire time scales with the link
-    // latency; the constant covers serialization, the estimator's compute
-    // and a bounded queueing allowance). Round trips beyond the budget
-    // count as deadline misses in `PlatformReport::latency` — the "does
-    // the modem meet its deadline" observable of experiments T9/T11.
-    platform
-        .set_latency_deadline(
-            layout.objects[workload.channel_est],
-            modem_est_deadline(link_latency),
-        )
-        .expect("estimator object is installed");
-    ScenarioRig {
-        platform,
-        app,
-        placement,
-    }
+    let entry = |chain: &ModemChain| (0, chain.mac_out, params.burst_bytes / 2);
+    assemble(PipelinePlatform {
+        spec: &workload.spec,
+        pe: PeClass::Dsp,
+        n_pes,
+        threads,
+        link_latency,
+        memory: MemoryBlockConfig::new(MemoryTechnology::Sram, 8.0),
+        hwips: Vec::new(),
+        channels: vec![(mbps / 1000.0, params.burst_bytes)],
+        entries: workload.chains.iter().map(entry).collect(),
+        deadline: Some((workload.channel_est, modem_est_deadline(link_latency))),
+    })
+    .0
 }
 
 /// The channel-estimate deadline budget of [`modem_rig`] for a given
-/// per-hop link latency (see the comment at its use site). The unloaded
-/// round trip on this rig measures ≈ 80 + 2·link cycles (two NoC
-/// traversals plus the estimator's 90-cycle handler at DSP speedup), so
-/// the budget allows roughly 1.5× that: met comfortably at nominal load,
-/// blown when dispatcher queueing stretches the reply path.
+/// per-hop link latency. The unloaded round trip on this rig measures
+/// ≈ 80 + 2·link cycles (two NoC traversals plus the estimator's 90-cycle
+/// handler at DSP speedup), so the budget allows roughly 1.5× that: met
+/// comfortably at nominal load, blown when dispatcher queueing stretches
+/// the reply path.
 pub fn modem_est_deadline(link_latency: u64) -> u64 {
     130 + 2 * link_latency
 }
@@ -564,61 +535,37 @@ pub fn crypto_rig(
     gbps: f64,
 ) -> ScenarioRig {
     let workload = crypto_pipeline(params);
-    let (app, layout) = workload
-        .spec
-        .to_application()
-        .expect("crypto pipeline lowers to a valid application");
-
-    let mut cfg = FppaConfig::new("crypto-offload", TopologyKind::Mesh);
-    cfg.link_latency = Some(link_latency);
-    for _ in 0..n_pes {
-        cfg.add_pe(PeConfig::new(PeClass::GpRisc, threads));
-    }
-    cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 4.0));
-    cfg.add_hwip(HwIpConfig {
-        name: "aes-engine".to_owned(),
-        ii: 2,
-        latency: 16,
-        area: AreaMm2(0.6),
-        energy_per_item: Picojoules(55.0),
-    });
-    cfg.add_hwip(HwIpConfig {
-        name: "hash-engine".to_owned(),
-        ii: 2,
-        latency: 12,
-        area: AreaMm2(0.4),
-        energy_per_item: Picojoules(35.0),
-    });
-    let mut io = IoChannelConfig::ten_gbe_worst_case();
-    io.rate = nw_types::BitsPerSec::from_gbps(gbps);
-    io.packet_bytes = nw_types::Bytes(params.payload_bytes);
-    io.clock_hz = cfg.tech.nominal_clock_hz();
-    cfg.add_io(io);
-    let payloads_per_cycle = io.packets_per_cycle();
-
-    let mut platform = FppaPlatform::new(cfg).expect("valid fixed config");
-    let per_entry = payloads_per_cycle / params.channels as f64;
-    let placement = auto_place(&platform, &app, n_pes, &vec![per_entry; params.channels]);
-    platform
-        .install_app(&app, &placement)
-        .expect("placement built to match");
-    for ch in &workload.channels {
-        platform
-            .bind_io_entry(0, layout.objects[ch.ingest])
-            .expect("io 0 exists");
-        platform
-            .bind_egress(layout.objects[ch.egress], 0, params.payload_bytes)
-            .expect("io 0 exists");
-    }
-    // Cipher blocks stream through the AES engine, digests through the
-    // hash engine — the round-robin hwip partition in declaration order
-    // (cipher stages were declared before auth stages per channel).
-    bind_layout_services(&mut platform, &layout);
-    ScenarioRig {
-        platform,
-        app,
-        placement,
-    }
+    let entry = |ch: &CryptoChannel| (0, ch.egress, params.payload_bytes);
+    assemble(PipelinePlatform {
+        spec: &workload.spec,
+        pe: PeClass::GpRisc,
+        n_pes,
+        threads,
+        link_latency,
+        memory: MemoryBlockConfig::new(MemoryTechnology::Sram, 4.0),
+        // Dealt in stage order, cipher demands land on the AES engine and
+        // auth demands on the hash engine.
+        hwips: vec![
+            HwIpConfig {
+                name: "aes-engine".to_owned(),
+                ii: 2,
+                latency: 16,
+                area: AreaMm2(0.6),
+                energy_per_item: Picojoules(55.0),
+            },
+            HwIpConfig {
+                name: "hash-engine".to_owned(),
+                ii: 2,
+                latency: 12,
+                area: AreaMm2(0.4),
+                energy_per_item: Picojoules(35.0),
+            },
+        ],
+        channels: vec![(gbps, params.payload_bytes)],
+        entries: workload.channels.iter().map(entry).collect(),
+        deadline: None,
+    })
+    .0
 }
 
 /// Builds the T11 rig: the video + IPv4 *mix* — both workloads installed
@@ -658,7 +605,7 @@ pub struct MixRig {
     /// The combined workload with its per-workload stage directories.
     pub workload: nw_apps::MixWorkload,
     /// `objects[stage index]` → installed [`ObjectId`] (the lowering's
-    /// [`PipelineLayout::objects`]).
+    /// [`nw_apps::PipelineLayout::objects`]).
     pub objects: Vec<ObjectId>,
 }
 
@@ -676,75 +623,33 @@ pub fn mix_rig_detailed(
     ipv4_gbps: f64,
 ) -> MixRig {
     let workload = video_ipv4_mix(params);
-    let (app, layout) = workload
-        .spec
-        .to_application()
-        .expect("mix lowers to a valid application");
-
-    let mut cfg = FppaConfig::new("mix-video-ipv4", TopologyKind::Mesh);
-    cfg.link_latency = Some(link_latency);
-    for _ in 0..n_pes {
-        cfg.add_pe(PeConfig::new(PeClass::GpRisc, threads));
-    }
-    // The video half's shared reference-frame store.
-    cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Edram, 64.0));
-    // Channel 0: video slices. Channel 1: worst-case minimum-size packets.
-    let mut video_io = IoChannelConfig::ten_gbe_worst_case();
-    video_io.rate = nw_types::BitsPerSec::from_gbps(video_gbps);
-    video_io.packet_bytes = nw_types::Bytes(params.video.slice_bytes);
-    video_io.clock_hz = cfg.tech.nominal_clock_hz();
-    cfg.add_io(video_io);
-    let mut ip_io = IoChannelConfig::ten_gbe_worst_case();
-    ip_io.rate = nw_types::BitsPerSec::from_gbps(ipv4_gbps);
-    ip_io.packet_bytes = nw_types::Bytes(params.packet_bytes);
-    ip_io.clock_hz = cfg.tech.nominal_clock_hz();
-    cfg.add_io(ip_io);
-    let slices_per_cycle = video_io.packets_per_cycle();
-    let packets_per_cycle = ip_io.packets_per_cycle();
-
-    let mut platform = FppaPlatform::new(cfg).expect("valid fixed config");
-    // Entry rates in `spec.entries` order: the absorbed video lanes first,
-    // then one classifier per packet chain.
-    let mut entry_rates = vec![slices_per_cycle / params.video.lanes as f64; params.video.lanes];
-    entry_rates.extend(vec![
-        packets_per_cycle / params.ipv4_workers as f64;
-        params.ipv4_workers
-    ]);
-    let placement = auto_place(&platform, &app, n_pes, &entry_rates);
-    platform
-        .install_app(&app, &placement)
-        .expect("placement built to match");
-    for lane in &workload.video_lanes {
-        platform
-            .bind_io_entry(0, layout.objects[lane.ingest])
-            .expect("io 0 exists");
-        platform
-            .bind_egress(layout.objects[lane.pack], 0, params.video.slice_bytes / 2)
-            .expect("io 0 exists");
-    }
-    for chain in &workload.ipv4_chains {
-        platform
-            .bind_io_entry(1, layout.objects[chain.classify])
-            .expect("io 1 exists");
-        platform
-            .bind_egress(layout.objects[chain.emit], 1, params.packet_bytes)
-            .expect("io 1 exists");
-    }
-    bind_layout_services(&mut platform, &layout);
-    platform
-        .set_latency_deadline(
-            layout.objects[workload.route_lookup],
-            mix_lookup_deadline(link_latency),
-        )
-        .expect("lookup object is installed");
+    // Entries in `spec.entries` order: the absorbed video lanes first, then
+    // one classifier per packet chain.
+    let lane = |lane: &VideoLane| (0, lane.pack, params.video.slice_bytes / 2);
+    let chain = |chain: &MixPacketChain| (1, chain.emit, params.packet_bytes);
+    let video = workload.video_lanes.iter().map(lane);
+    let ipv4 = workload.ipv4_chains.iter().map(chain);
+    let (rig, objects) = assemble(PipelinePlatform {
+        spec: &workload.spec,
+        pe: PeClass::GpRisc,
+        n_pes,
+        threads,
+        link_latency,
+        // The video half's shared reference-frame store.
+        memory: MemoryBlockConfig::new(MemoryTechnology::Edram, 64.0),
+        hwips: Vec::new(),
+        // Channel 0: video slices. Channel 1: worst-case minimum-size packets.
+        channels: vec![
+            (video_gbps, params.video.slice_bytes),
+            (ipv4_gbps, params.packet_bytes),
+        ],
+        entries: video.chain(ipv4).collect(),
+        deadline: Some((workload.route_lookup, mix_lookup_deadline(link_latency))),
+    });
     MixRig {
-        rig: ScenarioRig {
-            platform,
-            app,
-            placement,
-        },
+        rig,
         workload,
-        objects: layout.objects,
+        objects,
     }
 }
 
@@ -801,12 +706,7 @@ const STANDARD: &[ScenarioSpec] = &[
         summary: "IPv4 fast path at line rate on worker chains + shared lookup ASIP (§7.2)",
         build: |fast| {
             let replicas = if fast { 4 } else { 8 };
-            let rig = ipv4_rig(replicas, 8, TopologyKind::Mesh, 4, replicas as f64 * 0.6);
-            ScenarioRig {
-                platform: rig.platform,
-                app: rig.app,
-                placement: rig.placement,
-            }
+            ipv4_rig(replicas, 8, TopologyKind::Mesh, 4, replicas as f64 * 0.6)
         },
     },
     ScenarioSpec {
@@ -930,13 +830,12 @@ mod tests {
     #[test]
     fn ipv4_rig_shapes() {
         let rig = ipv4_rig(2, 4, TopologyKind::Mesh, 2, 10.0);
-        assert_eq!(rig.layouts.len(), 2);
         assert_eq!(rig.placement.len(), rig.app.objects().len());
-        // Lookup object shares one PE; replicas use distinct worker PEs.
-        assert_ne!(
-            rig.placement[rig.layouts[0].classifier.0],
-            rig.placement[rig.layouts[1].classifier.0]
-        );
+        let pe_of = |name: &str| rig.placement[rig.stage_named(name).expect("object exists").0];
+        // A chain keeps to its worker PE, chains differ, the lookup has the ASIP.
+        assert_eq!(pe_of("classifier-1"), pe_of("egress-1"));
+        assert_ne!(pe_of("classifier-0"), pe_of("classifier-1"));
+        assert_eq!(pe_of("route-lookup"), 2);
     }
 
     #[test]
@@ -944,7 +843,7 @@ mod tests {
         // 4 workers sustain ~2.5 Gb/s (the 10 Gb/s point of claim C7 needs
         // ~3x more workers and is exercised by the T3 experiment sweep).
         let mut rig = ipv4_rig(4, 8, TopologyKind::Mesh, 2, 2.5);
-        let report = run_ipv4(&mut rig, 40_000);
+        let report = rig.run(40_000);
         assert!(report.io[0].generated > 500, "line should generate packets");
         assert!(
             report.io[0].transmitted as f64 > report.io[0].generated as f64 * 0.8,
@@ -960,7 +859,7 @@ mod tests {
         // utilization and the dispatcher backlog grows — the failure mode
         // multithreading alone cannot fix (you need more PEs).
         let mut rig = ipv4_rig(4, 8, TopologyKind::Mesh, 2, 10.0);
-        let report = run_ipv4(&mut rig, 20_000);
+        let report = rig.run(20_000);
         let worker_util: f64 = report.pe_utilization[..4].iter().sum::<f64>() / 4.0;
         assert!(worker_util > 0.9, "workers should saturate: {worker_util}");
         assert!(report.queued_invocations > 100, "backlog should grow");
@@ -1101,14 +1000,7 @@ mod tests {
 
     #[test]
     fn mix_rig_places_both_workloads_and_tracks_their_latency() {
-        let params = MixParams {
-            video: VideoParams {
-                lanes: 2,
-                ..VideoParams::default()
-            },
-            ipv4_workers: 2,
-            ..MixParams::default()
-        };
+        let params = mix_demo_params(true);
         let mut rig = mix_rig(&params, mix_pe_pool(&params), 4, 4, 2.0, 1.0);
         let report = rig.run(40_000);
         // Both lines deliver through their own channels.
@@ -1128,6 +1020,23 @@ mod tests {
             report.object_latency(lookup.0).unwrap().deadline,
             Some(mix_lookup_deadline(4))
         );
+    }
+
+    #[test]
+    fn mix_entries_split_only_their_own_channels_rate() {
+        // One video lane beside four packet chains: the lane takes all of
+        // channel 0's rate and each chain a quarter of channel 1's.
+        let mut params = MixParams::default();
+        params.video.lanes = 1;
+        let rig = mix_rig(&params, mix_pe_pool(&params), 4, 4, 4.0, 2.0);
+        let io = &rig.platform.config().io;
+        let mut rates = vec![io[0].packets_per_cycle()];
+        rates.extend([io[1].packets_per_cycle() / 4.0; 4]);
+        let slots = (0..mix_pe_pool(&params)).map(|i| PeSlot::new(NodeId(i), 1.0));
+        let hops = rig.platform.hop_matrix();
+        let problem = MappingProblem::new(rig.app.clone(), rates, slots.collect(), hops);
+        let greedy = GreedyLoadMapper.map(&problem.expect("valid problem"));
+        assert_eq!(rig.placement, greedy.placement);
     }
 
     #[test]

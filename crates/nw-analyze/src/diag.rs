@@ -21,7 +21,8 @@ pub enum RuleId {
     Wr01,
     /// Stale allowlist entries or malformed suppression markers.
     Al01,
-    /// Back-ticked file paths in the docs that name nothing.
+    /// Back-ticked file paths and `--example` names in the docs that name
+    /// nothing.
     Doc01,
 }
 
@@ -70,7 +71,7 @@ impl RuleId {
                  in the same file, or an explicit ownership-transfer marker"
             }
             RuleId::Wr01 => {
-                "no truncating `as` casts to u8/u16/u32 (or signed) in wire.rs/idl.rs \
+                "no truncating `as` casts to u8/u16/u32 (or signed) in wire.rs \
                  encode/decode paths: use try_from so overflow panics instead of wrapping"
             }
             RuleId::Al01 => {
@@ -79,7 +80,8 @@ impl RuleId {
             }
             RuleId::Doc01 => {
                 "every back-ticked file path in README.md and ARCHITECTURE.md names a file \
-                 or directory that exists in the repository"
+                 or directory that exists in the repository, every `--example NAME` an \
+                 examples/NAME.rs"
             }
         }
     }

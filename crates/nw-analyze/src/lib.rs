@@ -17,8 +17,9 @@
 //! | ND02 | no wall-clock/entropy sources outside the `nw_bench` timing harness |
 //! | ND03 | no `static mut` / interior-mutable globals in sim-result crates |
 //! | RH01 | every `PayloadPool` acquire is paired with a `pool.put` in the same file |
-//! | WR01 | no truncating `as` casts in `wire.rs`/`idl.rs` encode/decode paths |
+//! | WR01 | no truncating `as` casts in `wire.rs` encode/decode paths |
 //! | AL01 | allowlist and marker hygiene (stale entries, missing justifications) |
+//! | DOC01 | back-ticked paths and `--example` names in README.md/ARCHITECTURE.md exist |
 //!
 //! # Suppression
 //!

@@ -2,9 +2,10 @@
 //!
 //! Each rule is a lexical pass over a [`SourceFile`]'s code view (comments
 //! and string contents already removed by [`crate::scan`]; for Markdown,
-//! the prose outside fenced blocks and HTML comments). Rules return
-//! *raw* findings; suppression markers and the allowlist are applied by
-//! [`crate::engine`], so fixtures can assert on the unsuppressed set.
+//! every line outside HTML comments, fenced ones with their back-ticks
+//! blanked). Rules return *raw* findings; suppression markers and the
+//! allowlist are applied by [`crate::engine`], so fixtures can assert on
+//! the unsuppressed set.
 
 use crate::diag::{Diagnostic, RuleId};
 use crate::scan::SourceFile;
@@ -227,7 +228,7 @@ fn rh01(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 
 /// WR01: truncating `as` casts on wire encode/decode paths.
 fn wr01(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !(file.path.ends_with("wire.rs") || file.path.ends_with("idl.rs")) {
+    if !file.path.ends_with("wire.rs") {
         return;
     }
     // Casts to 64-bit/usize targets widen on every supported platform;
@@ -271,10 +272,28 @@ fn looks_like_path(span: &str) -> bool {
         && (span.chars()).all(|c| c.is_ascii_alphanumeric() || "_.-/".contains(c))
 }
 
-/// DOC01: back-ticked file paths in the Markdown docs that name nothing.
+/// Every `--example NAME` in `code`, as (0-based column, `NAME`).
+fn example_names(code: &str) -> impl Iterator<Item = (usize, &str)> {
+    code.match_indices("--example ").filter_map(|(at, flag)| {
+        let rest = code[at + flag.len()..].trim_start();
+        let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || "_-".contains(c)));
+        let name = &rest[..end.unwrap_or(rest.len())];
+        (!name.is_empty()).then_some((at, name))
+    })
+}
+
+/// DOC01: back-ticked file paths in the Markdown docs that name nothing,
+/// and `--example NAME`s with no `examples/NAME.rs`.
 fn doc01(file: &SourceFile, exists: &dyn Fn(&str) -> bool, out: &mut Vec<Diagnostic>) {
     let mut in_span = false;
     for (n, line) in file.lines.iter().enumerate() {
+        for (col, name) in example_names(&line.code) {
+            let path = format!("examples/{name}.rs");
+            if !exists(&path) {
+                let message = format!("`--example {name}` names no `{path}`");
+                out.push(diag(RuleId::Doc01, file, n, col, message));
+            }
+        }
         // A code span may break across lines (then it holds no path), not
         // across paragraphs.
         in_span &= !line.code.trim().is_empty();

@@ -16,7 +16,8 @@
 //! stripping.
 //!
 //! A Markdown document (`.md`) splits by line: a `<!-- ... -->` line is
-//! comment (markers work there too), fenced blocks neither, prose code.
+//! comment (markers work there too), prose and fenced lines code, a fenced
+//! line with its back-ticks blanked.
 
 /// One line of a scanned source file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,12 +179,15 @@ impl SourceFile {
         for raw in text.lines() {
             let fence = raw.trim_start().starts_with("```");
             fenced ^= fence;
-            let prose = if fence || fenced { "" } else { raw };
-            let (code, comment) = match prose.trim_start().starts_with("<!--") {
-                true => ("", prose),
-                false => (prose, ""),
+            // Fenced text is code with its back-ticks blanked: it holds no
+            // code span, but a shell line in it still names things.
+            let (code, comment) = if fence || fenced {
+                (raw.replace('`', " "), String::new())
+            } else if raw.trim_start().starts_with("<!--") {
+                (String::new(), raw.to_string())
+            } else {
+                (raw.to_string(), String::new())
             };
-            let (code, comment) = (code.to_string(), comment.to_string());
             lines.push(Line { code, comment });
         }
         SourceFile { path, lines }

@@ -288,3 +288,20 @@ fn doc01_flags_backticked_paths_that_name_nothing() {
     assert!(clean.is_clean(), "{}", clean.render());
     assert_eq!(clean.marker_suppressed, 1);
 }
+
+#[test]
+fn doc01_flags_example_names_with_no_example_file() {
+    let example = ("examples/quickstart.rs", "fn main() {}\n");
+    let doc = "```sh\ncargo run --example quickstart\ncargo run --example gone   # stale\n```\n";
+    let hit = scan(&[example, ("README.md", doc)]);
+    assert_eq!(rules_of(&hit), ["DOC01"]);
+    assert_eq!((hit.diagnostics[0].line, hit.diagnostics[0].col), (3, 11));
+    assert!(hit.diagnostics[0].message.contains("examples/gone.rs"));
+
+    // An existing example, in a fence or a prose span, passes; so do
+    // `--examples` (every example) and a name that is not a literal.
+    let doc = "```sh\ncargo run --release --example quickstart\ncargo build --examples\n\
+               cargo run --example \"$name\"\n```\nRun `cargo run --example quickstart`.\n";
+    let clean = scan(&[example, ("ARCHITECTURE.md", doc)]);
+    assert!(clean.is_clean(), "{}", clean.render());
+}

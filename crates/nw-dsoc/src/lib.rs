@@ -14,6 +14,9 @@
 //! * [`wire`] — the binary on-wire format for marshalled invocations and
 //!   replies (what actually travels through the NoC as packet payload).
 //!
+//! Applications are declared as `nw_apps::PipelineSpec` stage graphs and
+//! lowered onto [`app::ApplicationBuilder`], which `nw_ipv4::app` calls.
+//!
 //! The platform-dependent half — resolving objects to the nodes hosting
 //! them, synthesizing PE micro-op programs from method descriptors and
 //! dispatching invocations onto hardware threads — lives in the `nanowall`
@@ -40,9 +43,7 @@
 //! ```
 
 pub mod app;
-pub mod idl;
 pub mod wire;
 
 pub use app::{Application, BuildAppError, CallEdge, Domain, MethodDef, MethodId, ObjectDef};
-pub use idl::{parse_application, ParseIdlError};
 pub use wire::{DecodeError, Message, MessageKind, MessageView};

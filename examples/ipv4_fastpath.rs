@@ -7,7 +7,7 @@
 //! cargo run --release --example ipv4_fastpath
 //! ```
 
-use nanowall::scenarios::{ipv4_rig, run_ipv4};
+use nanowall::scenarios::ipv4_rig;
 use nw_noc::TopologyKind;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     );
     for replicas in [4usize, 8, 12, 16] {
         let mut rig = ipv4_rig(replicas, 8, TopologyKind::Mesh, 25, 10.0);
-        let report = run_ipv4(&mut rig, 60_000);
+        let report = rig.run(60_000);
         let io = &report.io[0];
         let forwarded = io.transmitted as f64 / io.generated.max(1) as f64;
         let worker_util: f64 =

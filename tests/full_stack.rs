@@ -2,12 +2,12 @@
 //! PEs → NoC → I/O, on the assembled FPPA platform.
 
 use nanowall::prelude::*;
-use nanowall::scenarios::{fppa_tour_config, ipv4_rig, run_ipv4};
+use nanowall::scenarios::{fppa_tour_config, ipv4_rig};
 
 #[test]
 fn ipv4_pipeline_forwards_at_sustainable_rate() {
     let mut rig = ipv4_rig(8, 8, TopologyKind::Mesh, 4, 5.0);
-    let report = run_ipv4(&mut rig, 60_000);
+    let report = rig.run(60_000);
     let io = &report.io[0];
     assert!(io.generated > 1_500, "line generated {}", io.generated);
     let forwarded = io.transmitted as f64 / io.generated as f64;
@@ -22,7 +22,7 @@ fn ipv4_pipeline_forwards_at_sustainable_rate() {
 fn platform_runs_are_bit_deterministic() {
     let run_once = || {
         let mut rig = ipv4_rig(4, 4, TopologyKind::Torus, 8, 5.0);
-        let r = run_ipv4(&mut rig, 20_000);
+        let r = rig.run(20_000);
         (
             r.tasks_completed,
             r.io[0].transmitted,
@@ -43,7 +43,7 @@ fn multithreading_lifts_throughput_under_noc_latency() {
     // Same platform, 1 vs 8 hardware threads, >100-cycle round trips.
     let measure = |threads: usize| {
         let mut rig = ipv4_rig(8, threads, TopologyKind::Mesh, 25, 10.0);
-        let r = run_ipv4(&mut rig, 40_000);
+        let r = rig.run(40_000);
         r.io[0].transmitted
     };
     let one = measure(1);
@@ -58,11 +58,8 @@ fn multithreading_lifts_throughput_under_noc_latency() {
 fn topology_choice_shows_up_in_end_to_end_throughput() {
     // A shared bus strangles the same workload a crossbar carries.
     let measure = |topology: TopologyKind| {
-        let mut rig = ipv4_rig(8, 8, TopologyKind::Mesh, 2, 10.0);
-        // Rebuild with requested topology via a fresh rig.
-        drop(rig);
-        rig = ipv4_rig(8, 8, topology, 2, 10.0);
-        let r = run_ipv4(&mut rig, 40_000);
+        let mut rig = ipv4_rig(8, 8, topology, 2, 10.0);
+        let r = rig.run(40_000);
         r.io[0].transmitted
     };
     let bus = measure(TopologyKind::SharedBus);

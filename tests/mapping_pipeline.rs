@@ -2,7 +2,7 @@
 //! problem → mapper → runtime installation → simulated execution.
 
 use nanowall::prelude::*;
-use nanowall::scenarios::{ipv4_rig_with_placement, run_ipv4};
+use nanowall::scenarios::ipv4_rig_with_placement;
 use nw_ipv4::app::{fast_path_app, FastPathWeights};
 use nw_mapping::{
     GreedyLoadMapper, Mapper, MappingProblem, PeSlot, RandomMapper, SimulatedAnnealingMapper,
@@ -54,7 +54,7 @@ fn mapped_placement_executes_on_the_simulator() {
         gbps,
         &mapping.placement,
     );
-    let report = run_ipv4(&mut rig, 50_000);
+    let report = rig.run(50_000);
     let io = &report.io[0];
     let forwarded = io.transmitted as f64 / io.generated.max(1) as f64;
     assert!(forwarded > 0.9, "greedy placement should hold 1.5G: {io:?}");
@@ -69,7 +69,7 @@ fn analytic_cost_predicts_simulated_ranking() {
     let evaluate = |placement: &[usize]| {
         let mut rig =
             ipv4_rig_with_placement(replicas, n_pes, 8, TopologyKind::Mesh, 4, gbps, placement);
-        let r = run_ipv4(&mut rig, 50_000);
+        let r = rig.run(50_000);
         r.io[0].transmitted as f64 / r.io[0].generated.max(1) as f64
     };
 
