@@ -6,7 +6,7 @@
 //! logic.
 
 use crate::Table;
-use nw_fabric::{FabricSpec, KernelSpec, MappedKernel};
+use nanowall::fabric::{FabricSpec, KernelSpec, MappedKernel};
 use nw_pe::{KernelDomain, PeClass};
 
 /// One point on the Figure 1 continuum.

@@ -8,9 +8,9 @@
 
 use super::Ctx;
 use crate::Table;
+use nanowall::fabric::KernelSpec;
 use nanowall::scenarios::fppa_tour_config;
 use nanowall::{FppaPlatform, NodeRole};
-use nw_fabric::KernelSpec;
 use nw_pe::{Op, Program};
 use nw_types::Cycles;
 

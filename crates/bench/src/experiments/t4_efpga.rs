@@ -9,7 +9,7 @@
 //! fraction of a realistic FPPA's area an eFPGA can justify.
 
 use crate::Table;
-use nw_fabric::{FabricSpec, KernelSpec, MappedKernel};
+use nanowall::fabric::{FabricSpec, KernelSpec, MappedKernel};
 use nw_pe::PeClass;
 
 /// One implementation point of a kernel.

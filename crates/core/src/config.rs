@@ -1,7 +1,7 @@
 //! Platform configuration: declaring an FPPA instance.
 
-use nw_fabric::FabricSpec;
-use nw_hwip::{IoChannelConfig, IoConfigError};
+use crate::fabric::FabricSpec;
+use crate::io::{IoChannelConfig, IoConfigError};
 use nw_mem::MemoryTechnology;
 use nw_noc::{NocConfig, TopologyKind};
 use nw_pe::PeConfig;

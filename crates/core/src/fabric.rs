@@ -6,7 +6,7 @@
 //! their further use" — yet "for high-speed and simple functions, or highly
 //! parallel and regular computations, eFPGA's can play an important role."
 //!
-//! This crate encodes that tradeoff:
+//! This module encodes that tradeoff:
 //!
 //! * [`FabricSpec`] — a LUT-array fabric with the canonical ~10× area and
 //!   energy penalty versus hardwired logic and a slower achievable clock.
@@ -21,7 +21,7 @@
 //! # Examples
 //!
 //! ```
-//! use nw_fabric::{FabricSpec, KernelSpec, MappedKernel};
+//! use nanowall::fabric::{FabricSpec, KernelSpec, MappedKernel};
 //!
 //! let kernel = KernelSpec::checksum_offload();
 //! let on_fabric = MappedKernel::map(&kernel, &FabricSpec::default());
@@ -30,7 +30,7 @@
 //! assert!(on_fabric.energy_per_item.0 > 9.0 * kernel.hw_energy_per_item.0);
 //! ```
 
-use nw_sim::{Clocked, PipelinedServer, ServerFull};
+use nw_sim::{PipelinedServer, ServerFull};
 use nw_types::{AreaMm2, Bytes, Cycles, Picojoules};
 use std::fmt;
 
@@ -221,7 +221,6 @@ pub struct Efpga {
     kernel: Option<MappedKernel>,
     server: PipelinedServer,
     energy: Picojoules,
-    reconfigs: u64,
 }
 
 impl Efpga {
@@ -233,7 +232,6 @@ impl Efpga {
             kernel: None,
             server: PipelinedServer::new(1, 1, 1),
             energy: Picojoules::ZERO,
-            reconfigs: 0,
         }
     }
 
@@ -260,7 +258,6 @@ impl Efpga {
         server.stall_until(now + downtime);
         self.server = server;
         self.kernel = Some(mapped);
-        self.reconfigs += 1;
         Ok(())
     }
 
@@ -297,16 +294,6 @@ impl Efpga {
         self.energy
     }
 
-    /// Number of reconfigurations performed.
-    pub fn reconfig_count(&self) -> u64 {
-        self.reconfigs
-    }
-
-    /// Whether nothing is queued or in flight.
-    pub fn is_idle(&self) -> bool {
-        self.server.is_idle()
-    }
-
     /// The earliest cycle `>= now` at which ticking the fabric or taking
     /// its completions can change anything (`None`: drained) — see
     /// [`PipelinedServer::next_event_cycle`]. Reconfiguration downtime
@@ -314,10 +301,9 @@ impl Efpga {
     pub fn next_event_cycle(&self, now: Cycles) -> Option<Cycles> {
         self.server.next_event_cycle(now)
     }
-}
 
-impl Clocked for Efpga {
-    fn tick(&mut self, now: Cycles) {
+    /// Advances the fabric by one clock cycle.
+    pub fn tick(&mut self, now: Cycles) {
         self.server.tick(now);
     }
 }
@@ -408,7 +394,6 @@ mod tests {
         assert!(early.is_empty());
         let late = drive(&mut e, downtime / 2, downtime + 100);
         assert_eq!(late.len(), 1);
-        assert_eq!(e.reconfig_count(), 1);
     }
 
     #[test]
@@ -479,6 +464,5 @@ mod tests {
         e.reconfigure(&KernelSpec::header_classify(), Cycles(100))
             .unwrap();
         assert_eq!(e.kernel().unwrap().name, "header-classify");
-        assert_eq!(e.reconfig_count(), 2);
     }
 }

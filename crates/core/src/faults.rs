@@ -1,4 +1,4 @@
-//! Deterministic fault campaigns for the nanowall platform.
+//! Deterministic fault campaigns.
 //!
 //! A [`FaultCampaign`] is a pre-generated, cycle-sorted timeline of fault
 //! events — transient and permanent link faults, router stalls, packet
@@ -9,11 +9,11 @@
 //! same timeline, which is what makes fault runs bit-identical across
 //! scheduler modes and across repeats.
 //!
-//! The campaign itself is platform-agnostic plain data. `core::platform`
-//! drains due events each cycle and applies them through explicit hooks in
-//! the NoC engine and the PE array; [`FaultCampaign::next_cycle`] feeds the
-//! scheduler fast-forward paths so a quiet span never skips over a pending
-//! fault.
+//! The campaign itself is plain data that knows the platform only through
+//! a [`FabricShape`]. [`crate::platform`] drains due events each cycle and
+//! applies them through explicit hooks in the NoC engine and the PE array;
+//! [`FaultCampaign::next_cycle`] feeds the scheduler fast-forward paths so
+//! a quiet span never skips over a pending fault.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -132,8 +132,8 @@ impl FaultRates {
 }
 
 /// The minimal fabric description campaign generation needs to aim faults
-/// at valid targets. Plain data so `nw-fault` depends on nothing but the
-/// vendored RNG.
+/// at valid targets. Plain data, so generation reads nothing of the
+/// platform but this.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricShape {
     /// Number of processing elements (crash/restart targets).
@@ -290,22 +290,6 @@ impl FaultCampaign {
         }
     }
 
-    /// An empty campaign (no events, any horizon).
-    pub fn empty(seed: u64) -> Self {
-        FaultCampaign {
-            seed,
-            horizon: 0,
-            rates: FaultRates::quiet(),
-            shape: FabricShape {
-                n_pes: 0,
-                router_ports: Vec::new(),
-                n_endpoints: 0,
-            },
-            events: Vec::new(),
-            cursor: 0,
-        }
-    }
-
     /// The seed the timeline was generated from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -342,11 +326,6 @@ impl FaultCampaign {
         self.events.len() - self.cursor
     }
 
-    /// Rewind the drain cursor to replay the same timeline.
-    pub fn reset(&mut self) {
-        self.cursor = 0;
-    }
-
     /// Advance the drain cursor to the first event at or after `cycle`
     /// without applying anything. On a campaign whose events up to
     /// `cycle - 1` have been drained by [`take_due`], this is a no-op —
@@ -355,7 +334,7 @@ impl FaultCampaign {
     ///
     /// [`take_due`]: FaultCampaign::take_due
     /// [`reseed`]: FaultCampaign::reseed
-    pub fn skip_until(&mut self, cycle: u64) {
+    fn skip_until(&mut self, cycle: u64) {
         self.cursor = self.events.partition_point(|e| e.cycle < cycle);
     }
 
@@ -476,8 +455,6 @@ mod tests {
         }
         assert_eq!(drained, total);
         assert_eq!(c.remaining(), 0);
-        c.reset();
-        assert_eq!(c.remaining(), total);
     }
 
     #[test]

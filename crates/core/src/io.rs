@@ -14,7 +14,7 @@
 //! ticks to the last bit, and the next arrival has a closed form
 //! ([`IoChannel::ticks_to_next_rx`]).
 
-use nw_sim::{Clocked, Counter, Pacer};
+use nw_sim::{Counter, Pacer};
 use nw_types::{BitsPerSec, Bytes, Cycles};
 use std::collections::VecDeque;
 use std::fmt;
@@ -46,7 +46,7 @@ impl IoChannelConfig {
     }
 
     /// Bits arriving per core cycle.
-    pub fn bits_per_cycle(&self) -> f64 {
+    fn bits_per_cycle(&self) -> f64 {
         self.rate.0 / self.clock_hz
     }
 
@@ -107,9 +107,7 @@ fn packet_cost(cfg: &IoChannelConfig) -> Result<NonZeroU64, IoConfigError> {
 /// # Examples
 ///
 /// ```
-/// use nw_hwip::{IoChannel, IoChannelConfig};
-/// use nw_sim::Clocked;
-/// use nw_types::Cycles;
+/// use nanowall::prelude::{Cycles, IoChannel, IoChannelConfig};
 ///
 /// let mut ch = IoChannel::new(IoChannelConfig::ten_gbe_worst_case())?;
 /// for c in 0..1000 { ch.tick(Cycles(c)); }
@@ -120,7 +118,7 @@ fn packet_cost(cfg: &IoChannelConfig) -> Result<NonZeroU64, IoConfigError> {
 /// assert_eq!(ch.ticks_to_next_rx(), 8);
 /// ch.advance(8);
 /// assert_eq!(ch.take_rx(), Some(62));
-/// # Ok::<(), nw_hwip::IoConfigError>(())
+/// # Ok::<(), nanowall::IoConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct IoChannel {
@@ -131,7 +129,6 @@ pub struct IoChannel {
     generated: Counter,
     dropped: Counter,
     transmitted: Counter,
-    tx_bytes: Counter,
 }
 
 impl IoChannel {
@@ -151,7 +148,6 @@ impl IoChannel {
             generated: Counter::new(),
             dropped: Counter::new(),
             transmitted: Counter::new(),
-            tx_bytes: Counter::new(),
         })
     }
 
@@ -218,9 +214,8 @@ impl IoChannel {
     /// Accepts a packet for transmission (egress side is rate-unconstrained
     /// in this model; the bottleneck under study is processing).
     #[inline]
-    pub fn transmit(&mut self, bytes: Bytes) {
+    pub fn transmit(&mut self) {
         self.transmitted.incr();
-        self.tx_bytes.add(bytes.0);
     }
 
     /// Packets generated by the wire so far (including dropped ones).
@@ -238,18 +233,9 @@ impl IoChannel {
         self.transmitted.count()
     }
 
-    /// Achieved egress rate over `elapsed` cycles.
-    pub fn tx_rate(&self, elapsed: Cycles) -> BitsPerSec {
-        if elapsed == Cycles::ZERO {
-            return BitsPerSec(0.0);
-        }
-        BitsPerSec(self.tx_bytes.count() as f64 * 8.0 / elapsed.to_seconds(self.cfg.clock_hz))
-    }
-}
-
-impl Clocked for IoChannel {
+    /// Advances the wire by one clock cycle: `advance(1)`.
     #[inline]
-    fn tick(&mut self, _now: Cycles) {
+    pub fn tick(&mut self, _now: Cycles) {
         self.advance(1);
     }
 }
@@ -312,12 +298,9 @@ mod tests {
     fn tx_accounting() {
         let mut ch = channel(IoChannelConfig::ten_gbe_worst_case());
         for _ in 0..100 {
-            ch.transmit(Bytes(40));
+            ch.transmit();
         }
         assert_eq!(ch.transmitted(), 100);
-        // 100 * 320 bits over 1600 cycles at 500 MHz = 10 Gb/s.
-        let rate = ch.tx_rate(Cycles(1600));
-        assert!((rate.gbps() - 10.0).abs() < 1e-9, "rate {rate}");
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //!   node, PEs, memories, eFPGA, hardware IP, I/O channels).
 //! * [`platform`] — [`FppaPlatform`]: the cycle-stepped machine, with every
 //!   node class serviced behind the NoC.
+//! * [`fabric`] — the §6.3 embedded FPGA: [`fabric::FabricSpec`], kernels
+//!   mapped onto it and the cycle-stepped [`fabric::Efpga`] node. Line-rate
+//!   I/O channels ([`IoChannel`](prelude::IoChannel), §6.4) and seeded
+//!   [`FaultCampaign`]s live beside it.
 //! * [`runtime`] — the DSOC runtime: installs an application + placement,
 //!   synthesizes PE micro-op handler programs per invocation, marshals
 //!   messages over the NoC, dispatches onto hardware threads, and services
@@ -57,6 +61,9 @@
 
 mod calls;
 pub mod config;
+pub mod fabric;
+mod faults;
+mod io;
 pub mod platform;
 pub mod report;
 pub mod resilience;
@@ -68,7 +75,7 @@ pub mod tags;
 pub use config::{BuildPlatformError, FppaConfig, HwIpConfig, MemoryBlockConfig};
 /// Why an I/O channel cannot be paced ([`BuildPlatformError::Io`],
 /// [`FppaPlatform::set_io_rate`]).
-pub use nw_hwip::IoConfigError;
+pub use io::IoConfigError;
 /// Why a NoC timing configuration cannot move traffic
 /// ([`BuildPlatformError::Noc`]).
 pub use nw_noc::NocConfigError;
@@ -90,14 +97,14 @@ pub use nw_obs::{
 
 /// Fault-injection re-exports: deterministic campaign generation consumed
 /// through [`FppaPlatform::install_fault_campaign`].
-pub use nw_fault::{FabricShape, FaultCampaign, FaultEvent, FaultKind, FaultRates};
+pub use faults::{FabricShape, FaultCampaign, FaultEvent, FaultKind, FaultRates};
 
 /// The convenient single import for examples and experiments.
 pub mod prelude {
+    pub use crate::fabric::{FabricSpec, KernelSpec};
+    pub use crate::io::{IoChannel, IoChannelConfig};
     pub use crate::{FppaConfig, FppaPlatform, NodeRole, PlatformReport, SchedulerMode};
     pub use nw_dsoc::{Application, Domain, MethodDef, ObjectDef};
-    pub use nw_fabric::{FabricSpec, KernelSpec};
-    pub use nw_hwip::{IoChannel, IoChannelConfig};
     pub use nw_mem::MemoryTechnology;
     pub use nw_noc::{NocConfig, TopologyKind};
     pub use nw_pe::{PeClass, PeConfig, SchedPolicy};

@@ -16,20 +16,20 @@
 
 use crate::calls::{CallTable, Expired, Reply};
 use crate::config::{BuildPlatformError, FppaConfig};
+use crate::fabric::Efpga;
+use crate::faults::{FabricShape, FaultCampaign, FaultKind};
+use crate::io::{IoChannel, IoConfigError};
 use crate::report::PlatformReport;
 use crate::resilience::{ResilienceStats, RetryPolicy};
 use crate::runtime::{nth_tick, Runtime};
 use crate::services::Services;
 use crate::tags::{is_reply, RequestTag};
 use nw_dsoc::{MessageKind, MessageView};
-use nw_fabric::Efpga;
-use nw_fault::{FabricShape, FaultCampaign, FaultKind};
-use nw_hwip::{IoChannel, IoConfigError};
 use nw_mem::MemorySpec;
 use nw_noc::{Noc, NocWork, PayloadPool, Topology};
 use nw_obs::{HostPhase, HostProfiler, NocHeatmap, TraceEvent, TraceSink};
 use nw_pe::{Pe, PeRequest};
-use nw_sim::{Clock, Clocked, LatencyHistogram};
+use nw_sim::LatencyHistogram;
 use nw_types::{AreaMm2, Cycles, NodeId, ObjectId, PeId, Picojoules};
 use std::collections::VecDeque;
 
@@ -178,7 +178,8 @@ pub struct FppaPlatform {
     services: Services,
     ios: Vec<IoChannel>,
     roles: Vec<NodeRole>,
-    clock: Clock,
+    /// The cycle currently executing.
+    now: Cycles,
     outbox: VecDeque<Outgoing>,
     pub(crate) runtime: Option<Runtime>,
     scheduler: SchedulerMode,
@@ -259,7 +260,7 @@ pub struct PlatformSnapshot {
 impl PlatformSnapshot {
     /// The simulation cycle the snapshot was taken at.
     pub fn cycle(&self) -> Cycles {
-        self.state.clock.now()
+        self.state.now
     }
 
     /// The replica seed active at capture time.
@@ -335,7 +336,7 @@ impl FppaPlatform {
             services,
             ios,
             roles,
-            clock: Clock::new(),
+            now: Cycles::ZERO,
             outbox: VecDeque::new(),
             runtime: None,
             scheduler: SchedulerMode::default(),
@@ -372,7 +373,7 @@ impl FppaPlatform {
             services: self.services.clone(),
             ios: self.ios.clone(),
             roles: self.roles.clone(),
-            clock: self.clock.clone(),
+            now: self.now,
             outbox: self.outbox.clone(),
             runtime: self.runtime.clone(),
             scheduler: self.scheduler,
@@ -442,7 +443,7 @@ impl FppaPlatform {
     /// (see [`FppaPlatform::fork`]).
     pub fn reseed(&mut self, seed: u64) {
         self.seed = seed;
-        let now = self.clock.now().0;
+        let now = self.now.0;
         if let Some(c) = self.campaign.as_mut() {
             c.reseed(seed, now);
         }
@@ -472,7 +473,7 @@ impl FppaPlatform {
         i: usize,
         rate: nw_types::BitsPerSec,
     ) -> Result<(), IoConfigError> {
-        self.sync_io(self.clock.now().0);
+        self.sync_io(self.now.0);
         let changed = self.ios[i].set_rate(rate);
         self.post_io();
         changed
@@ -503,7 +504,7 @@ impl FppaPlatform {
     /// The NoC contention heatmap up to the current cycle (`None` unless a
     /// trace sink was installed at some point).
     pub fn noc_heatmap(&self) -> Option<NocHeatmap> {
-        self.noc.heatmap(self.clock.now())
+        self.noc.heatmap(self.now)
     }
 
     /// Installs a host-side phase profiler; [`FppaPlatform::run`] arms it,
@@ -541,7 +542,7 @@ impl FppaPlatform {
     /// every phase anyway and posts no agenda entry, so the cached entries
     /// are posted afresh here.
     pub fn set_scheduler_mode(&mut self, mode: SchedulerMode) {
-        let now = self.clock.now().0;
+        let now = self.now.0;
         self.scheduler = mode;
         self.pe_wake.fill(now);
         self.pe_due = now;
@@ -594,7 +595,7 @@ impl FppaPlatform {
 
     /// Current simulation time.
     pub fn now(&self) -> Cycles {
-        self.clock.now()
+        self.now
     }
 
     /// The NoC node hosting PE `i`.
@@ -670,7 +671,7 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn pe_mut(&mut self, i: usize) -> &mut Pe {
-        let now = self.clock.now();
+        let now = self.now;
         self.pes[i].settle_accounting(now);
         self.wake_pe(i, now);
         // The caller may spawn programs the runtime never saw; drop the
@@ -692,7 +693,7 @@ impl FppaPlatform {
     /// Panics if `i` is out of range.
     pub fn fabric_mut(&mut self, i: usize) -> &mut Efpga {
         // The caller may load a kernel or submit work: look next cycle.
-        (self.services).fabric_mut(self.fabric_node(i), self.clock.now())
+        (self.services).fabric_mut(self.fabric_node(i), self.now)
     }
 
     /// Direct access to an I/O channel.
@@ -740,7 +741,7 @@ impl FppaPlatform {
             .sum();
         let kernels = self.services.fabrics().filter_map(|(_, f)| f.kernel());
         let fabric_area: AreaMm2 = kernels.map(|k| k.area).sum();
-        let hwip_area: AreaMm2 = self.services.hwips().map(|(_, h)| h.area()).sum();
+        let hwip_area: AreaMm2 = self.services.hwips().map(|(_, h, ..)| h.area).sum();
         pe_area + mem_area + fabric_area + hwip_area
     }
 
@@ -764,17 +765,17 @@ impl FppaPlatform {
     /// Traced and profiled runs take the same span. Ends settled
     /// ([`FppaPlatform::settle`]).
     pub fn run(&mut self, cycles: u64) -> PlatformReport {
-        let start = self.clock.now();
+        let start = self.now;
         if let Some(p) = self.profiler.as_mut() {
             p.arm();
         }
         let dense = self.scheduler == SchedulerMode::Dense;
         let end = start.0 + cycles;
-        while self.clock.now().0 < end {
+        while self.now.0 < end {
             // The agenda read has no phase of its own: its cost folds into
             // the lap that ends next (FastForward on a hop, IoPacing on a
             // stepped cycle).
-            let now = self.clock.now().0;
+            let now = self.now.0;
             let due = if dense { now } else { self.agenda_min(now) };
             if due > now {
                 self.hop(now, due.min(end));
@@ -787,7 +788,7 @@ impl FppaPlatform {
                 self.noc_span(end);
             }
         }
-        let report = self.report(self.clock.now().saturating_sub(start));
+        let report = self.report(self.now.saturating_sub(start));
         self.prof_lap(HostPhase::Settle);
         if let Some(p) = self.profiler.as_mut() {
             p.pause();
@@ -802,7 +803,7 @@ impl FppaPlatform {
         let span = target - now;
         let by_io = target == self.io_due
             || (self.runtime.as_ref()).is_some_and(|rt| rt.drive_due() == target);
-        self.clock.advance_by(Cycles(span));
+        self.now += Cycles(span);
         self.sched_stats.cycles_hopped += span;
         self.sched_stats.hops += 1;
         self.sched_stats.hops_ended_by_io += u64::from(by_io);
@@ -846,7 +847,7 @@ impl FppaPlatform {
     ///   below the limit, and the limit is at most `io_due` and the drives'
     ///   next emission (the dispatch entry whenever a span can run at all).
     fn noc_span(&mut self, end: u64) {
-        let now = self.clock.now().0;
+        let now = self.now.0;
         if self.noc.eject_pending() > 0 || !self.outbox.is_empty() || self.pe_due <= now {
             return;
         }
@@ -885,7 +886,7 @@ impl FppaPlatform {
             p.book(HostPhase::NocTick, span.ticks - 1);
             p.lap(HostPhase::NocTick);
         }
-        self.clock.advance_by(Cycles(span.end.0 - now - delivered));
+        self.now += Cycles(span.end.0 - now - delivered);
         #[cfg(debug_assertions)]
         for (source, was) in NOT_NOC.into_iter().zip(others) {
             let due = self.due(source, last.0);
@@ -972,7 +973,7 @@ impl FppaPlatform {
     /// fault phase uses for permanent `LinkDown` events; tests and
     /// experiments may call it directly.
     pub fn fail_noc_link(&mut self, router: usize, port: usize) -> bool {
-        let now = self.clock.now();
+        let now = self.now;
         if !self.noc.fail_link(router, port, now) {
             return false;
         }
@@ -1145,7 +1146,7 @@ impl FppaPlatform {
     /// are their own function, which a NoC-only span that ends in a
     /// delivery runs too (`noc_span`).
     fn step_cycle(&mut self, open: bool) {
-        let now = self.clock.now();
+        let now = self.now;
         let due = |p: &Self, source| open || p.due(source, now.0) <= now.0;
 
         // 0. Fault injection and retry deadlines; then recycle the payload
@@ -1264,7 +1265,7 @@ impl FppaPlatform {
         }
 
         self.sched_stats.cycles_stepped += 1;
-        self.clock.advance();
+        self.now += Cycles(1);
     }
 
     /// Counts phase `phase` of a stepped cycle as entered and closes its
@@ -1352,7 +1353,7 @@ impl FppaPlatform {
     /// settled state after [`FppaPlatform::run`], [`FppaPlatform::step`]
     /// and [`FppaPlatform::settle`]; under dense every PE reads due now.
     pub fn next_event_cycle(&self) -> Option<Cycles> {
-        let now = self.clock.now().0;
+        let now = self.now.0;
         let due = self.agenda_min(now);
         (due != NEVER).then(|| Cycles(due.max(now)))
     }
@@ -1365,7 +1366,7 @@ impl FppaPlatform {
     /// [`Pe::stats`] on a manually stepped platform running the active-set
     /// scheduler.
     pub fn settle(&mut self) {
-        let now = self.clock.now();
+        let now = self.now;
         for pe in &mut self.pes {
             pe.settle_accounting(now);
         }
@@ -1399,7 +1400,7 @@ impl FppaPlatform {
 
     /// [`Self::sync_io`] and the drives' counterpart, up to the clock.
     fn sync_paced(&mut self) {
-        let now = self.clock.now().0;
+        let now = self.now.0;
         self.sync_io(now);
         if let Some(rt) = self.runtime.as_mut() {
             rt.sync_drives(now);
@@ -1436,7 +1437,7 @@ impl FppaPlatform {
         if self.scheduler == SchedulerMode::Dense {
             return; // dense neither reads nor posts the agenda
         }
-        let now = self.clock.now();
+        let now = self.now;
         let pes = self.pe_wake.iter().copied().min().unwrap_or(NEVER);
         assert!(self.pe_due <= pes, "{now}: PE entry {} late", self.pe_due);
         let io = self.io_arrival();
@@ -1515,7 +1516,7 @@ impl FppaPlatform {
                     self.services.accept(NodeId(node), pkt.tag, pkt.src, now);
                 }
                 NodeRole::Io(i) => {
-                    self.ios[i].transmit(pkt.wire_bytes());
+                    self.ios[i].transmit();
                 }
             }
             // Every arm above consumes the packet; its payload buffer
@@ -1734,7 +1735,7 @@ impl FppaPlatform {
         let pe: Picojoules = self.pes.iter().map(|p| p.stats().energy).sum();
         let mem: Picojoules = (self.services.memories()).map(|(_, m)| m.energy()).sum();
         let fab: Picojoules = (self.services.fabrics()).map(|(_, f)| f.energy()).sum();
-        let hw: Picojoules = (self.services.hwips()).map(|(_, h)| h.energy()).sum();
+        let hw: Picojoules = (self.services.hwips()).map(|(.., energy)| energy).sum();
         pe + mem + fab + hw
     }
 }

@@ -1,6 +1,6 @@
 //! Graceful degradation: retry/timeout bookkeeping and fault statistics.
 //!
-//! The platform applies a [`nw_fault::FaultCampaign`] through explicit
+//! The platform applies a [`FaultCampaign`](crate::FaultCampaign) through explicit
 //! hooks (NoC port stalls, link kills, packet drop/corruption, PE
 //! crash/restart); this module holds the *recovery* side — the
 //! deterministic retry layer for synchronous calls and the counters the

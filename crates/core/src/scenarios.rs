@@ -21,6 +21,8 @@
 //! name → builder catalog the `expt` binary lists and tests enumerate.
 
 use crate::config::{FppaConfig, HwIpConfig, MemoryBlockConfig};
+use crate::fabric::FabricSpec;
+use crate::io::IoChannelConfig;
 use crate::platform::{FppaPlatform, SchedulerMode};
 use crate::report::PlatformReport;
 use nw_apps::{
@@ -29,8 +31,6 @@ use nw_apps::{
     VideoParams,
 };
 use nw_dsoc::Application;
-use nw_fabric::FabricSpec;
-use nw_hwip::IoChannelConfig;
 use nw_ipv4::app::{fast_path_app, FastPathWeights};
 use nw_mapping::{GreedyLoadMapper, Mapper, MappingProblem, PeSlot};
 use nw_mem::MemoryTechnology;

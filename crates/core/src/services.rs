@@ -1,16 +1,16 @@
 //! The service endpoints behind the NoC — embedded memories, eFPGA fabrics,
 //! hardwired IP (the paper's Figure 2, §6.3–§6.4) — as one table of
 //! [`ServiceNode`]s: a request packet in, a reply packet out, whatever the
-//! block. The substrates stay the standalone models of their crates.
+//! block. Memories and fabrics are the standalone models of `nw-mem` and
+//! [`crate::fabric`]; a hardwired block is a bare pipeline.
 
-use crate::config::FppaConfig;
+use crate::config::{FppaConfig, HwIpConfig};
+use crate::fabric::Efpga;
 use crate::platform::NEVER;
 use crate::tags::RequestTag;
-use nw_fabric::Efpga;
-use nw_hwip::HwIpBlock;
 use nw_mem::{MemRequest, MemoryController, MemorySpec, ReqKind};
-use nw_sim::Clocked;
-use nw_types::{Cycles, NodeId};
+use nw_sim::PipelinedServer;
+use nw_types::{Cycles, NodeId, Picojoules};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The substrate answering at one service endpoint.
@@ -18,7 +18,14 @@ use std::collections::{BTreeMap, VecDeque};
 enum Block {
     Memory(MemoryController),
     Fabric(Efpga),
-    HwIp(HwIpBlock),
+    /// A hardwired IP block (§6.4, the fixed-function end of Figure 1's
+    /// continuum): its declaration, its pipeline, and the dynamic energy
+    /// of the items it completed.
+    HwIp {
+        cfg: HwIpConfig,
+        server: PipelinedServer,
+        energy: Picojoules,
+    },
 }
 
 impl Block {
@@ -36,7 +43,7 @@ impl Block {
                 m.submit(req, now).is_ok()
             }
             Block::Fabric(f) => f.try_submit(id, now).is_ok(),
-            Block::HwIp(h) => h.try_submit(id, now).is_ok(),
+            Block::HwIp { server, .. } => server.try_submit(id, now).is_ok(),
         }
     }
 
@@ -44,7 +51,7 @@ impl Block {
         match self {
             Block::Memory(m) => m.tick(now),
             Block::Fabric(f) => f.tick(now),
-            Block::HwIp(h) => h.tick(now),
+            Block::HwIp { server, .. } => server.tick(now),
         }
     }
 
@@ -52,7 +59,17 @@ impl Block {
         match self {
             Block::Memory(m) => m.take_response().map(|r| r.id),
             Block::Fabric(f) => f.take_done(),
-            Block::HwIp(h) => h.take_done(),
+            Block::HwIp {
+                cfg,
+                server,
+                energy,
+            } => {
+                let done = server.take_done();
+                if done.is_some() {
+                    *energy += cfg.energy_per_item;
+                }
+                done
+            }
         }
     }
 }
@@ -79,7 +96,7 @@ impl ServiceNode {
             _ if !self.parked.is_empty() => return at.0,
             Block::Memory(m) => m.next_event_cycle(at),
             Block::Fabric(f) => f.next_event_cycle(at),
-            Block::HwIp(h) => h.next_event_cycle(at),
+            Block::HwIp { server, .. } => server.next_event_cycle(at),
         };
         event.map_or(NEVER, |c| c.0)
     }
@@ -125,9 +142,11 @@ impl Services {
             Block::Memory(MemoryController::new(spec, m.banks, m.queue_depth))
         });
         let fabrics = cfg.fabrics.iter().map(|f| Block::Fabric(Efpga::new(*f)));
-        let hwips = (cfg.hwip.iter())
-            .map(|h| HwIpBlock::new(&h.name, h.ii, h.latency, h.area, h.energy_per_item, 64))
-            .map(Block::HwIp);
+        let hwips = cfg.hwip.iter().map(|h| Block::HwIp {
+            cfg: h.clone(),
+            server: PipelinedServer::new(h.ii, h.latency, 64),
+            energy: Picojoules::ZERO,
+        });
         let blocks = mems.chain(fabrics).chain(hwips).enumerate();
         Services {
             nodes: blocks
@@ -160,8 +179,9 @@ impl Services {
     /// the gates `open` — in endpoint order, handing `(node, reply-to, tag)`
     /// of each completion to `reply`, and posts the agenda entry for the
     /// cycles after `now` (an open step reads no entry and posts none). A
-    /// node is ticked exactly on the cycles it answers, which its crate
-    /// pins as equivalent to ticking it every cycle.
+    /// node is ticked exactly on the cycles it answers, which the unit
+    /// tests of `MemoryController`, [`Efpga`] and `PipelinedServer` pin as
+    /// equivalent to ticking it every cycle.
     pub(crate) fn tick(
         &mut self,
         now: Cycles,
@@ -210,10 +230,17 @@ impl Services {
         })
     }
 
-    /// The hardwired blocks with their endpoints, in endpoint order.
-    pub(crate) fn hwips(&self) -> impl Iterator<Item = (NodeId, &HwIpBlock)> {
+    /// The hardwired blocks with their endpoints, in endpoint order: each
+    /// one's declaration, pipeline and energy so far.
+    pub(crate) fn hwips(
+        &self,
+    ) -> impl Iterator<Item = (NodeId, &HwIpConfig, &PipelinedServer, Picojoules)> {
         self.nodes.iter().filter_map(|n| match &n.block {
-            Block::HwIp(h) => Some((n.node, h)),
+            Block::HwIp {
+                cfg,
+                server,
+                energy,
+            } => Some((n.node, cfg, server, *energy)),
             _ => None,
         })
     }

@@ -10,9 +10,8 @@
 //! (0, below one bit per cycle, several packets per cycle), clocks, packet
 //! sizes and FIFO depths, with `take_rx` and `set_rate` interleaved.
 
-use nw_hwip::{IoChannel, IoChannelConfig};
-use nw_sim::Clocked;
-use nw_types::{BitsPerSec, Bytes, Cycles};
+use nanowall::prelude::{Cycles, IoChannel, IoChannelConfig};
+use nw_types::{BitsPerSec, Bytes};
 use proptest::prelude::*;
 
 /// Clocks whose ratio to round line rates is awkward (N130's 548.8 MHz),

@@ -11,16 +11,15 @@ use crate::diag::{Diagnostic, RuleId};
 use crate::scan::SourceFile;
 
 /// Crates whose state can reach a `PlatformReport` or dispatch order —
-/// the ND01/ND03 scope. Paths are repo-relative prefixes. `nw-fault` is
-/// in scope because fault timelines steer everything downstream: a
-/// non-deterministic campaign would break the faulted bit-identity
-/// contract exactly like a non-deterministic NoC.
-const SIM_RESULT_CRATES: [&str; 5] = [
+/// the ND01/ND03 scope. Paths are repo-relative prefixes. `crates/core/`
+/// covers the fault campaigns (`faults.rs`), whose timelines steer
+/// everything downstream: a non-deterministic campaign would break the
+/// faulted bit-identity contract exactly like a non-deterministic NoC.
+const SIM_RESULT_CRATES: [&str; 4] = [
     "crates/core/",
     "crates/nw-noc/",
     "crates/nw-sim/",
     "crates/nw-dsoc/",
-    "crates/nw-fault/",
 ];
 
 /// The timing harness: the only code allowed to read wall clocks (ND02).

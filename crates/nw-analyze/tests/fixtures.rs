@@ -101,10 +101,10 @@ fn nd03_flags_mutable_globals_in_sim_result_crates() {
 fn nd02_and_nd03_guard_the_fault_crate() {
     // The fault-injection contract: campaign generation must draw from the
     // seeded vendored RNG only. `thread_rng` (OS entropy) and mutable
-    // globals inside `nw-fault` sources are exactly the bugs that would
+    // globals inside the fault module are exactly the bugs that would
     // break faulted bit-identity, so both rules must fire there.
     let hit = scan(&[(
-        "crates/nw-fault/src/lib.rs",
+        "crates/core/src/faults.rs",
         "fn gen() -> u64 { thread_rng().gen() }\n\
          static mut LAST_SEED: u64 = 0;\n\
          static CACHE: OnceLock<u64> = OnceLock::new();\n",
@@ -113,11 +113,27 @@ fn nd02_and_nd03_guard_the_fault_crate() {
 
     // The sanctioned idiom — a seeded StdRng threaded by value — is clean.
     let clean = scan(&[(
-        "crates/nw-fault/src/lib.rs",
+        "crates/core/src/faults.rs",
         "use rand::rngs::StdRng;\nuse rand::SeedableRng;\n\
          fn gen(seed: u64) -> StdRng { StdRng::seed_from_u64(seed) }\n",
     )]);
     assert!(clean.is_clean(), "{}", clean.render());
+}
+
+#[test]
+fn nd01_reaches_the_fabric_model_in_core() {
+    // The eFPGA node answers requests behind the NoC, so its state reaches
+    // the report: a hash-keyed kernel table in `crates/core/src/fabric.rs`
+    // is a finding, while the same line in a substrate crate outside the
+    // sim-result scope is not.
+    let source = "use std::collections::HashMap;\n\
+                  pub struct Efpga { kernels: HashMap<String, MappedKernel> }\n";
+    let hit = scan(&[("crates/core/src/fabric.rs", source)]);
+    assert_eq!(rules_of(&hit), ["ND01", "ND01"], "{}", hit.render());
+    assert_eq!(hit.diagnostics[1].line, 2);
+
+    let outside = scan(&[("crates/nw-mem/src/controller.rs", source)]);
+    assert!(outside.is_clean(), "{}", outside.render());
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! [`MemoryTechnology`]: crate::model::MemoryTechnology
 
 use crate::model::MemorySpec;
-use nw_sim::{Clocked, Counter, EventQueue, Histogram};
+use nw_sim::{Counter, EventQueue, Histogram};
 use nw_types::{Cycles, Picojoules};
 use std::collections::VecDeque;
 use std::fmt;
@@ -83,7 +83,6 @@ struct Bank {
 ///
 /// ```
 /// use nw_mem::{MemoryController, MemorySpec, MemoryTechnology, MemRequest, ReqKind};
-/// use nw_sim::Clocked;
 /// use nw_types::Cycles;
 ///
 /// let spec = MemorySpec::of(MemoryTechnology::Sram);
@@ -213,10 +212,10 @@ impl MemoryController {
         };
         next.map(|d| d.max(now))
     }
-}
 
-impl Clocked for MemoryController {
-    fn tick(&mut self, now: Cycles) {
+    /// Advances the controller by one clock cycle: matured accesses become
+    /// responses, then every free bank starts its oldest queued request.
+    pub fn tick(&mut self, now: Cycles) {
         // Surface matured completions.
         while let Some((r, submitted)) = self.completions.pop_due(now) {
             self.latency.record(now.saturating_sub(submitted));

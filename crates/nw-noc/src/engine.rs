@@ -26,7 +26,7 @@
 use crate::packet::{Packet, PacketId};
 use crate::topology::Topology;
 use nw_obs::{LinkLoad, NocHeatmap, RouterLoad, TraceEvent, TraceSink};
-use nw_sim::{Clocked, Counter, EventQueue, Histogram};
+use nw_sim::{Counter, EventQueue, Histogram};
 use nw_types::{Cycles, NodeId};
 use std::fmt;
 
@@ -417,7 +417,6 @@ pub struct NocSpan {
 ///
 /// ```
 /// use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
-/// use nw_sim::Clocked;
 /// use nw_types::{Cycles, NodeId};
 ///
 /// let topo = Topology::build(TopologyKind::Mesh, 16, 1)?;
@@ -928,7 +927,7 @@ impl Noc {
 
     // --- Fault-injection hooks -------------------------------------------
     //
-    // Deterministic entry points for `nw-fault` campaigns, driven by the
+    // Deterministic entry points for `nanowall::FaultCampaign`s, driven by the
     // platform at exact cycle boundaries. None of them consults any clock
     // or entropy source; all of them maintain the active-set bookkeeping
     // (queued/ni_pending/input_free/wake wheel) exactly, so the engine
@@ -1549,8 +1548,13 @@ impl Noc {
         }
     }
 
+    /// Advances the engine by one clock cycle, untraced.
+    pub fn tick(&mut self, now: Cycles) {
+        self.tick_traced(now, None);
+    }
+
     /// One engine tick with an optional trace sink: identical to
-    /// [`Clocked::tick`] (which delegates here with `None`), but packet
+    /// [`Noc::tick`] (which delegates here with `None`), but packet
     /// deliveries and link transfers are reported to `sink` as they
     /// happen. The sink is write-only — nothing it does can change
     /// routing, timing, or statistics.
@@ -1791,12 +1795,6 @@ impl Noc {
                 "router {r} holds a stale wake at {at} after tick {now:?}"
             );
         }
-    }
-}
-
-impl Clocked for Noc {
-    fn tick(&mut self, now: Cycles) {
-        self.tick_traced(now, None);
     }
 }
 

@@ -19,7 +19,6 @@
 //!
 //! ```
 //! use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
-//! use nw_sim::Clocked;
 //! use nw_types::{Cycles, NodeId};
 //!
 //! let topo = Topology::build(TopologyKind::FatTree, 16, 1)?;

@@ -9,7 +9,7 @@
 use crate::engine::{Noc, NocConfig};
 use crate::topology::{BuildTopologyError, Topology, TopologyKind};
 use crate::traffic::TrafficPattern;
-use nw_sim::{Clocked, Histogram};
+use nw_sim::Histogram;
 use nw_types::{Cycles, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -2,7 +2,6 @@
 //! any topology, and latency respects physics.
 
 use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
-use nw_sim::Clocked;
 use nw_types::{Cycles, NodeId};
 use proptest::prelude::*;
 use std::collections::HashMap;

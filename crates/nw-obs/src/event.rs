@@ -92,7 +92,7 @@ pub enum TraceEvent {
     FaultInjected {
         /// Injection cycle.
         cycle: u64,
-        /// Fault class discriminant (see `nw-fault`'s `FaultKind`; the
+        /// Fault class discriminant (see `nanowall::FaultKind`; the
         /// trace layer keeps it opaque): 0 = transient link, 1 = permanent
         /// link, 2 = router stall, 3 = drop, 4 = corrupt, 5 = PE crash,
         /// 6 = PE restart.

@@ -38,7 +38,8 @@ impl fmt::Display for KernelDomain {
 }
 
 /// Processor classes along the Figure 1 continuum (software-programmable
-/// part; the eFPGA and hardwired points live in `nw-fabric` and `nw-hwip`).
+/// part; the eFPGA and hardwired points are `nanowall`'s fabric and
+/// hardwired-IP service nodes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeClass {
     /// General-purpose 32-bit RISC: runs everything, differentiates nothing.

@@ -31,7 +31,6 @@
 //!
 //! ```
 //! use nw_pe::{Pe, PeClass, PeConfig, Program, Op};
-//! use nw_sim::Clocked;
 //! use nw_types::Cycles;
 //!
 //! let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 4));

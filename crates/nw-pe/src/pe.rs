@@ -3,7 +3,7 @@
 use crate::class::PeClass;
 use crate::program::{Op, Program};
 use nw_mem::{MemorySpec, MemoryTechnology};
-use nw_sim::{Clocked, Utilization};
+use nw_sim::Utilization;
 use nw_types::{Cycles, NodeId, Picojoules, ThreadId};
 use std::collections::VecDeque;
 use std::fmt;
@@ -798,8 +798,11 @@ fn pick_after(set: u64, from: usize) -> Option<usize> {
     (pick != 0).then(|| pick.trailing_zeros() as usize)
 }
 
-impl Clocked for Pe {
-    fn tick(&mut self, now: Cycles) {
+impl Pe {
+    /// Advances the PE by one clock cycle: catches up the cycles it slept
+    /// through, then finishes a context swap, issues one op from the
+    /// running context or switches to the next ready one.
+    pub fn tick(&mut self, now: Cycles) {
         // Catch up any cycles a self-timed scheduler slept through, then
         // mark this cycle accounted (the body below accounts inline).
         self.settle_accounting(now);

@@ -19,7 +19,6 @@
 //! alter the PE's timing or accounting.
 
 use nw_pe::{KernelDomain, Op, Pe, PeClass, PeConfig, PeRequest, PeStats, Program, SchedPolicy};
-use nw_sim::Clocked;
 use nw_types::{Cycles, NodeId, ThreadId};
 
 const HORIZON: u64 = 600;

@@ -12,7 +12,6 @@
 //! crash / restart / report schedule.
 
 use nw_pe::{KernelDomain, Op, Pe, PeClass, PeConfig, PeStats, Program, SchedPolicy};
-use nw_sim::Clocked;
 use nw_types::{Cycles, NodeId, ThreadId};
 use proptest::prelude::*;
 

@@ -8,7 +8,6 @@
 
 use crate::event::EventQueue;
 use crate::stats::Counter;
-use crate::Clocked;
 use nw_types::Cycles;
 use std::collections::VecDeque;
 use std::fmt;
@@ -30,7 +29,7 @@ impl std::error::Error for ServerFull {}
 /// # Examples
 ///
 /// ```
-/// use nw_sim::{PipelinedServer, Clocked};
+/// use nw_sim::PipelinedServer;
 /// use nw_types::Cycles;
 ///
 /// // II=2, latency=10: accepts an item every other cycle.
@@ -110,20 +109,10 @@ impl PipelinedServer {
         self.served.count()
     }
 
-    /// Whether nothing is queued or in flight.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.in_flight.is_empty() && self.done.is_empty()
-    }
-
     /// Delays the issue stage until `cycle` (used to model eFPGA
     /// reconfiguration downtime).
     pub fn stall_until(&mut self, cycle: Cycles) {
         self.next_accept = self.next_accept.max(cycle.0);
-    }
-
-    /// Free slots in the input queue.
-    pub fn queue_free(&self) -> usize {
-        self.queue_cap - self.queue.len()
     }
 
     /// The earliest cycle `>= now` at which ticking this server or taking
@@ -145,10 +134,11 @@ impl PipelinedServer {
         }
         next
     }
-}
 
-impl Clocked for PipelinedServer {
-    fn tick(&mut self, now: Cycles) {
+    /// Advances the server by one clock cycle: completions due at `now`
+    /// mature, then the issue stage accepts the next queued item if the
+    /// initiation interval allows.
+    pub fn tick(&mut self, now: Cycles) {
         while let Some(id) = self.in_flight.pop_due(now) {
             self.served.incr();
             self.done.push_back(id);
@@ -206,7 +196,6 @@ mod tests {
         s.try_submit(1, Cycles(0)).unwrap();
         s.try_submit(2, Cycles(0)).unwrap();
         assert_eq!(s.try_submit(3, Cycles(0)), Err(ServerFull));
-        assert_eq!(s.queue_free(), 0);
     }
 
     #[test]
@@ -270,11 +259,11 @@ mod tests {
     #[test]
     fn idle_detection() {
         let mut s = PipelinedServer::new(1, 2, 4);
-        assert!(s.is_idle());
+        assert_eq!(s.next_event_cycle(Cycles(0)), None);
         s.try_submit(1, Cycles(0)).unwrap();
-        assert!(!s.is_idle());
+        assert_eq!(s.next_event_cycle(Cycles(0)), Some(Cycles(0)));
         drive(&mut s, 10);
-        assert!(s.is_idle());
+        assert_eq!(s.next_event_cycle(Cycles(10)), None);
         assert_eq!(s.served(), 1);
     }
 

@@ -58,15 +58,6 @@ impl Counter {
             self.count as f64 / elapsed.to_seconds(clock_hz)
         }
     }
-
-    /// Events per cycle. Returns 0.0 when no time has elapsed.
-    pub fn rate_per_cycle(&self, elapsed: Cycles) -> f64 {
-        if elapsed == Cycles::ZERO {
-            0.0
-        } else {
-            self.count as f64 / elapsed.0 as f64
-        }
-    }
 }
 
 /// Busy/idle accounting for one resource (a thread context, a PE, a link).
@@ -635,8 +626,7 @@ mod tests {
             c.incr();
         }
         assert_eq!(c.count(), 10);
-        assert!((c.rate_per_cycle(Cycles(100)) - 0.1).abs() < 1e-12);
-        assert_eq!(c.rate_per_cycle(Cycles::ZERO), 0.0);
+        assert!((c.rate_per_second(Cycles(100), 1e9) - 1e8).abs() < 1e-3);
         assert_eq!(c.rate_per_second(Cycles::ZERO, 1e9), 0.0);
     }
 

@@ -1,7 +1,7 @@
 //! Property tests for the simulation kernel: event ordering, statistics
 //! invariants and the pipelined server's timing contract.
 
-use nw_sim::{Clocked, EventQueue, Histogram, LatencyHistogram, PipelinedServer, Utilization};
+use nw_sim::{EventQueue, Histogram, LatencyHistogram, PipelinedServer, Utilization};
 use nw_types::Cycles;
 use proptest::prelude::*;
 

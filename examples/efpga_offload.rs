@@ -6,8 +6,8 @@
 //! cargo run --release --example efpga_offload
 //! ```
 
+use nanowall::fabric::MappedKernel;
 use nanowall::prelude::*;
-use nw_fabric::KernelSpec;
 use nw_pe::{Op, Program};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fabric_done as f64 * 1000.0 / phase as f64
     );
 
-    let mapped = nw_fabric::MappedKernel::map(&kernel, platform.fabric_mut(0).spec());
+    let mapped = MappedKernel::map(&kernel, platform.fabric_mut(0).spec());
     println!("\nthe §6.3 ledger:");
     println!(
         "  speedup vs software : x{:.1}",

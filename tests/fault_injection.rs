@@ -2,7 +2,7 @@
 //! faults **on**.
 //!
 //! The fault subsystem's hard invariant has two halves. Faults *off* must
-//! be bit-identical to a build that has never heard of `nw-fault` — that
+//! be bit-identical to a build with no fault campaign at all — that
 //! half is covered by `scheduler_differential.rs` running unchanged.
 //! Faults *on* must be bit-identical (a) across `SchedulerMode::Dense`
 //! and `SchedulerMode::ActiveSet`, and (b) across repeats of the same
