@@ -9,6 +9,7 @@
 //! expt lint --json    # machine-readable findings for CI
 //! expt lint --rules   # the rule registry (id + one-line contract)
 //! expt parity [--quick] [--seed N]           # the bit-identity matrix
+//! expt identity       # every recorded output against crates/bench/identity.tsv
 //! expt trace --scenario mix --out mix.json   # Perfetto trace of a scenario
 //! expt profile [--quick]                     # host-side phase breakdown
 //! expt t11 --warm-fork                       # sweep grids off one warmed snapshot
@@ -17,7 +18,7 @@
 //!
 //! Exit codes follow one convention across every subcommand: `0` success,
 //! `1` a check failed or output could not be written (lint findings, a
-//! parity divergence, I/O errors), `2` usage (unknown
+//! parity divergence, a moved identity row, I/O errors), `2` usage (unknown
 //! subcommand/experiment/scenario/flag, malformed flag values — including
 //! a bad `--seed`, which parses uniformly via [`obs::take_seed_flag`]
 //! wherever it is accepted: `parity`, `trace`, `profile`).
@@ -190,6 +191,15 @@ fn main() {
             }
             return;
         }
+        Some("identity") => {
+            if let Some(bad) = args.get(1) {
+                eprintln!("usage: expt identity (takes no argument; got: {bad})");
+                std::process::exit(2);
+            }
+            let (report, ok) = nw_bench::identity::run_identity();
+            print!("{report}");
+            std::process::exit(i32::from(!ok));
+        }
         Some("lint") => {
             let json = args.iter().any(|a| a == "--json");
             let rules = args.iter().any(|a| a == "--rules");
@@ -216,10 +226,13 @@ fn main() {
         print_list();
         return;
     }
-    if ids.is_empty() {
+    // `list` takes nothing after it; an empty run names every subcommand.
+    if ids.is_empty() || ids.contains(&"list") {
+        let names = (obs::SUBCOMMANDS.iter().map(|&(name, _)| name)).filter(|&n| n != "<id>...");
+        let words: Vec<&str> = names.chain(EXPERIMENTS.map(|e| e.id)).collect();
         eprintln!(
-            "usage: expt [--fast] [--warm-fork] <list | all | lint | parity | trace | profile | {}> (see `expt --help`)",
-            EXPERIMENTS.map(|e| e.id).join(" | ")
+            "usage: expt [--fast] [--warm-fork] <{}> (see `expt --help`)",
+            words.join(" | ")
         );
         std::process::exit(2);
     }

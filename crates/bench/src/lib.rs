@@ -15,10 +15,13 @@
 //! ```
 //!
 //! [`parity`] is the simulator's agreement with itself as one matrix
-//! (`expt parity`); [`obs`] holds `expt trace` and `expt profile`. Host time
-//! is measured in `benchmark/` (nwbench), not here.
+//! (`expt parity`); [`identity`] diffs every recorded output against one
+//! committed manifest (`expt identity`); [`obs`] holds `expt trace` and
+//! `expt profile`. Host time is measured in `benchmark/` (nwbench), not
+//! here.
 
 pub mod experiments;
+pub mod identity;
 pub mod obs;
 pub mod parity;
 pub mod table;

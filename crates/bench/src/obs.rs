@@ -39,6 +39,10 @@ pub const SUBCOMMANDS: &[(&str, &str)] = &[
         "bit-identity matrix: scenarios x faults x schedulers x trace x snapshot paths, plus every experiment table under the dense scheduler and on one worker; non-zero on divergence (--quick, --seed)",
     ),
     (
+        "identity",
+        "every recorded output (benchmark-rig counts, trace and report digests, experiment tables, the mix trace) against crates/bench/identity.tsv; non-zero on a moved row",
+    ),
+    (
         "trace",
         "run a scenario with tracing, write Perfetto JSON (--scenario <name> --out <file>, --seed injects faults)",
     ),

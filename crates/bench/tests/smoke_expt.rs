@@ -212,8 +212,8 @@ fn help_and_list_cover_every_subcommand() {
         .collect();
     assert_eq!(
         names,
-        ["list", "all", "<id>...", "lint", "parity", "trace", "profile"],
-        "one parity gate"
+        ["list", "all", "<id>...", "lint", "parity", "identity", "trace", "profile"],
+        "one parity gate, one identity gate"
     );
 }
 
@@ -385,7 +385,8 @@ fn expt_binary_runs_t1_end_to_end() {
 /// a flag it would have to ignore is a usage error that names it, raised
 /// before any experiment runs. `bench`, `faults` and `snapshot` are not
 /// subcommands but unknown ids like any other, so a stale CI line fails
-/// loudly.
+/// loudly. `list` and `identity` take nothing after them, and the usage
+/// line an empty run prints lists every subcommand.
 #[test]
 fn experiment_runs_reject_stray_flags_and_unknown_ids() {
     let exe = env!("CARGO_BIN_EXE_expt");
@@ -405,6 +406,9 @@ fn experiment_runs_reject_stray_flags_and_unknown_ids() {
         (&["faults"][..], "faults"),
         (&["snapshot"][..], "snapshot"),
         (&["t1", "nope"][..], "nope"),
+        (&["list", "extra"][..], "list"),
+        (&["identity", "--fast"][..], "--fast"),
+        (&["--fast"][..], "identity"),
     ] {
         let (code, stdout, stderr) = run(args);
         assert_eq!(code, Some(2), "{args:?} is a usage error: {stderr}");
@@ -416,66 +420,17 @@ fn experiment_runs_reject_stray_flags_and_unknown_ids() {
     assert!(stdout.contains("T1"), "{stdout}");
 }
 
-/// FNV-1a digest of every registered experiment's `--fast` table, in
-/// `expt list` order: the refactor net that does not depend on someone
-/// diffing `expt --fast all` against the parent by hand. The tables are
-/// pure functions of the code (no wall-clock column, no seed from the
-/// environment; sweeps are pool-size invariant, `expt parity` checks that),
-/// so a refactor, a storage or a scheduling change must leave every row
-/// alone — a mismatch names the experiment whose table moved.
-///
-/// Regenerate a row only for a documented model change — one that means to
-/// move that experiment's numbers or wording and says so in CHANGES.md,
-/// naming the rows: run this test, and paste the digest the failure prints
-/// for the row (`cargo run --release -p nw_bench --bin expt -- --fast <id>`
-/// shows the table behind it, to diff against the parent's).
-const FAST_TABLE_DIGESTS: [(&str, u64); 20] = [
-    ("t1", 0xbe66_d2ee_bde1_80f5),
-    ("t2", 0x9f6e_b582_fab3_92d9),
-    ("f3", 0x158f_6201_0080_4dc8),
-    ("f4", 0x65a6_4c42_2b0b_9860),
-    ("f5", 0x531c_82be_82b9_2618),
-    ("f6", 0x38fb_6bec_e72c_22ec),
-    ("f7", 0x9072_ca40_5c41_04fa),
-    ("t3", 0xead9_54cd_9105_f02e),
-    ("t4", 0xdee8_4f70_4ebf_0a9c),
-    ("t5", 0x2fa3_4c51_c26a_e85b),
-    ("t6", 0x1747_fb04_5e5c_88e1),
-    ("t7", 0xe053_f36e_65a0_9c53),
-    ("t8", 0xacb2_81b4_e9c2_b9ee),
-    ("t9", 0x550a_61a6_027e_40ff),
-    ("t10", 0x9770_568f_536e_f4ef),
-    ("t11", 0xf676_19de_23d8_4ad3),
-    ("t12", 0x5e8f_bc0d_aa41_8f01),
-    ("t13", 0xb9cc_9632_4255_3ae1),
-    ("f1", 0x92ad_5f10_60ee_0422),
-    ("f2", 0xace9_c2a1_db58_dbea),
-];
-
+/// The `table.fast.*` rows of `crates/bench/identity.tsv`: the FNV-1a of
+/// every registered experiment's `--fast` table, one row each. The tables
+/// are pure functions of the code (no wall-clock column, no seed from the
+/// environment; sweeps are pool-size invariant, `expt parity` checks
+/// that), so a refactor, a storage or a scheduling change leaves every row
+/// alone, and a moved row names its experiment and prints the line to
+/// paste — only for a model change named in CHANGES.md.
 #[test]
 fn fast_tables_match_their_committed_digests() {
-    let fnv1a = |text: &str| {
-        let bytes = text.bytes();
-        bytes.fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    };
-    let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
-    let pinned: Vec<&str> = FAST_TABLE_DIGESTS.iter().map(|&(id, _)| id).collect();
-    assert_eq!(
-        ids, pinned,
-        "one digest per registered experiment, in order"
-    );
-    let moved: Vec<String> = FAST_TABLE_DIGESTS
-        .iter()
-        .filter_map(|&(id, want)| {
-            let got = fnv1a(&table(id));
-            (got != want).then(|| format!("(\"{id}\", {got:#018x}), not {want:#018x}"))
-        })
-        .collect();
-    assert!(
-        moved.is_empty(),
-        "these `--fast` tables moved:\n{}",
-        moved.join("\n")
-    );
+    let now = nw_bench::identity::table_rows(true);
+    let (report, ok) =
+        nw_bench::identity::check_manifest(&now, |name| name.starts_with("table.fast."));
+    assert!(ok, "{report}");
 }

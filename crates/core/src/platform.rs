@@ -764,13 +764,22 @@ impl FppaPlatform {
     /// profiler laps, with one clock read for the span (see `noc_span`).
     /// Traced and profiled runs take the same span. Ends settled
     /// ([`FppaPlatform::settle`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run would take the clock past `u64::MAX` cycles.
     pub fn run(&mut self, cycles: u64) -> PlatformReport {
         let start = self.now;
+        let end = start.0.checked_add(cycles).unwrap_or_else(|| {
+            panic!(
+                "run({cycles}) at cycle {} would take the clock past u64::MAX",
+                start.0
+            )
+        });
         if let Some(p) = self.profiler.as_mut() {
             p.arm();
         }
         let dense = self.scheduler == SchedulerMode::Dense;
-        let end = start.0 + cycles;
         while self.now.0 < end {
             // The agenda read has no phase of its own: its cost folds into
             // the lap that ends next (FastForward on a hop, IoPacing on a

@@ -16,15 +16,18 @@
 //!   telemetry and a route-lookup deadline budget.
 //! * [`fppa_tour_config`] — the F2 rig: a Figure 2 platform with one of
 //!   every component class.
+//! * [`BenchRig`] — the four benchmark rigs `BENCHMARK.json` names.
 //!
 //! The named rigs are collected in the [`ScenarioRegistry`], the
 //! name → builder catalog the `expt` binary lists and tests enumerate.
 
 use crate::config::{FppaConfig, HwIpConfig, MemoryBlockConfig};
 use crate::fabric::FabricSpec;
+use crate::faults::{FaultCampaign, FaultRates};
 use crate::io::IoChannelConfig;
 use crate::platform::{FppaPlatform, SchedulerMode};
 use crate::report::PlatformReport;
+use crate::resilience::RetryPolicy;
 use nw_apps::{
     crypto_pipeline, modem_pipeline, video_ipv4_mix, video_pipeline, CryptoChannel, CryptoParams,
     MixPacketChain, MixParams, ModemChain, ModemParams, PipelineSpec, ServiceKind, VideoLane,
@@ -684,6 +687,76 @@ pub fn mix_demo_params(fast: bool) -> MixParams {
 /// half pushes the lookup tail past this budget.
 pub fn mix_lookup_deadline(link_latency: u64) -> u64 {
     240 + 16 * link_latency
+}
+
+/// The four rigs `BENCHMARK.json` names, one value each, so that every
+/// harness that pins or times them (`expt identity`, nwbench) builds the
+/// same platform.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BenchRig {
+    /// `ipv4-sat`: 16 IPv4 worker chains at 9.5 Gb/s, every cycle stepped.
+    Ipv4Sat,
+    /// `video-knee`: the video codec at 8 Gb/s, memory service nodes busy.
+    VideoKnee,
+    /// `modem-idle`: the modem chain at 40 Mb/s; hops carry the run.
+    ModemIdle,
+    /// `mix-fork-faults`: video + IPv4 on one fabric under a fault campaign.
+    MixForkFaults,
+}
+
+impl BenchRig {
+    /// Every rig, in `BENCHMARK.json` order.
+    pub const ALL: [BenchRig; 4] = [
+        BenchRig::Ipv4Sat,
+        BenchRig::VideoKnee,
+        BenchRig::ModemIdle,
+        BenchRig::MixForkFaults,
+    ];
+
+    /// Seed of the campaign a faulted rig arms.
+    pub const CAMPAIGN_SEED: u64 = 11;
+
+    /// The workload's name in `BENCHMARK.json`.
+    pub fn name(self) -> &'static str {
+        match self {
+            BenchRig::Ipv4Sat => "ipv4-sat",
+            BenchRig::VideoKnee => "video-knee",
+            BenchRig::ModemIdle => "modem-idle",
+            BenchRig::MixForkFaults => "mix-fork-faults",
+        }
+    }
+
+    /// Whether [`BenchRig::build`] arms a fault campaign and the default
+    /// retry policy.
+    pub fn faulted(self) -> bool {
+        self == BenchRig::MixForkFaults
+    }
+
+    /// Builds the platform at cycle 0. A faulted rig also gets the level-1.0
+    /// campaign [`BenchRig::CAMPAIGN_SEED`] draws over `campaign_horizon`
+    /// cycles and the default [`RetryPolicy`]; the others ignore the horizon.
+    pub fn build(self, campaign_horizon: u64) -> FppaPlatform {
+        let mut platform = match self {
+            BenchRig::Ipv4Sat => ipv4_rig(16, 8, TopologyKind::Mesh, 4, 9.5).platform,
+            BenchRig::VideoKnee => video_rig(&VideoParams::default(), 9, 4, 4, 8.0).platform,
+            BenchRig::ModemIdle => modem_rig(&ModemParams::default(), 6, 4, 50, 40.0).platform,
+            BenchRig::MixForkFaults => {
+                let params = mix_demo_params(false);
+                mix_rig(&params, mix_pe_pool(&params), 4, 4, 6.0, 3.0).platform
+            }
+        };
+        if self.faulted() {
+            let shape = platform.fault_shape();
+            platform.install_fault_campaign(FaultCampaign::generate(
+                Self::CAMPAIGN_SEED,
+                campaign_horizon,
+                &FaultRates::scaled(1.0),
+                &shape,
+            ));
+            platform.set_retry_policy(RetryPolicy::default());
+        }
+        platform
+    }
 }
 
 /// One registry entry: a named rig with a one-line summary and a builder.

@@ -453,12 +453,17 @@ mod json {
                     *pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences whole).
-                    let rest = std::str::from_utf8(&b[*pos..])
+                    // Copy the run up to the next quote or escape whole.
+                    // Both are ASCII, so in the `&str` `parse` was handed
+                    // the run ends on a char boundary: the input is read
+                    // once, not once per character.
+                    let run = (b[*pos..].iter())
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(b.len() - *pos);
+                    let text = std::str::from_utf8(&b[*pos..*pos + run])
                         .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                    let c = rest.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    *pos += c.len_utf8();
+                    out.push_str(text);
+                    *pos += run;
                 }
             }
         }
@@ -672,6 +677,15 @@ mod tests {
         assert!(validate_chrome_trace(open_span)
             .unwrap_err()
             .contains("unclosed"));
+    }
+
+    #[test]
+    fn strings_keep_multi_byte_characters_and_escapes() {
+        let text = r#"["µs→ 😀", "aé\"\\\n", "\u20ac€\u00e9"]"#;
+        let got = json::parse(text).expect("valid JSON");
+        let want = ["µs→ 😀", "aé\"\\\n", "€€é"].map(|s| json::Value::Str(s.to_owned()));
+        assert_eq!(got, json::Value::Arr(want.to_vec()));
+        assert!(json::parse("\"unterminated µ").is_err());
     }
 
     #[test]

@@ -19,23 +19,13 @@ fn ipv4_pipeline_forwards_at_sustainable_rate() {
 }
 
 #[test]
-fn platform_runs_are_bit_deterministic() {
-    let run_once = || {
-        let mut rig = ipv4_rig(4, 4, TopologyKind::Torus, 8, 5.0);
-        let r = rig.run(20_000);
-        (
-            r.tasks_completed,
-            r.io[0].transmitted,
-            r.noc.delivered,
-            r.noc.flit_hops,
-            r.energy.0.to_bits(),
-            r.pe_utilization
-                .iter()
-                .map(|u| u.to_bits())
-                .collect::<Vec<_>>(),
-        )
-    };
-    assert_eq!(run_once(), run_once());
+#[should_panic(
+    expected = "run(18446744073709551615) at cycle 10 would take the clock past u64::MAX"
+)]
+fn a_run_past_the_end_of_the_clock_panics_in_every_profile() {
+    let mut rig = ipv4_rig(4, 4, TopologyKind::Torus, 8, 5.0);
+    let _ = rig.run(10);
+    let _ = rig.run(u64::MAX);
 }
 
 #[test]
