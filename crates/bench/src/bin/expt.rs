@@ -12,7 +12,6 @@
 //! expt identity       # every recorded output against crates/bench/identity.tsv
 //! expt trace --scenario mix --out mix.json   # Perfetto trace of a scenario
 //! expt profile [--quick]                     # host-side phase breakdown
-//! expt t11 --warm-fork                       # sweep grids off one warmed snapshot
 //! expt --help         # the subcommand table
 //! ```
 //!
@@ -25,6 +24,7 @@
 
 use nw_bench::experiments::{find, Ctx, EXPERIMENTS};
 use nw_bench::obs;
+use std::num::NonZeroUsize;
 
 /// Parses the uniform `--seed` flag out of `args`, exiting 2 on a
 /// malformed value (the shared usage failure mode).
@@ -47,10 +47,15 @@ fn quick_and_seed(args: &[String], subcommand: &str) -> (bool, Option<u64>) {
     (rest.iter().any(|a| a == "--quick"), seed)
 }
 
+/// The two shapes of invocation the parser in `main` accepts: `--fast`
+/// belongs to an experiment run, and a subcommand's flags go after it.
+/// `--help` leads with it and every experiment-run usage error repeats it.
+const USAGE: &str = "usage: expt [--fast] <id>...\n       expt <subcommand> [args]";
+
 /// Prints the subcommand table (shared with `expt list` and pinned by the
 /// smoke tests).
 fn print_help() {
-    println!("usage: expt [--fast] <subcommand> [args]");
+    println!("{USAGE}");
     println!();
     println!("Subcommands:");
     print!("{}", obs::render_subcommands());
@@ -106,10 +111,12 @@ fn run_trace_cmd(args: &[String]) {
                 });
             }
             "--buffer" => {
-                buffer = grab("--buffer").parse().unwrap_or_else(|e| {
+                // The ring would clamp 0 to 1 and drop all but one event.
+                let n: NonZeroUsize = grab("--buffer").parse().unwrap_or_else(|e| {
                     eprintln!("trace: bad --buffer: {e}");
                     std::process::exit(2);
                 });
+                buffer = n.get();
             }
             bad => {
                 eprintln!(
@@ -212,27 +219,29 @@ fn main() {
         _ => {}
     }
 
-    // An experiment run: ids plus `--fast` / `--warm-fork`, nothing else.
+    // An experiment run: ids plus `--fast`, nothing else.
     let (flags, ids): (Vec<&str>, Vec<&str>) =
         (args.iter().map(String::as_str)).partition(|a| a.starts_with("--"));
-    if let Some(bad) = flags
-        .iter()
-        .find(|f| !["--fast", "--warm-fork"].contains(f))
-    {
-        eprintln!("unknown flag for an experiment run: {bad} (accepted: --fast, --warm-fork)");
+    if let Some(bad) = flags.iter().find(|&&f| f != "--fast") {
+        eprintln!("unknown flag for an experiment run: {bad} (accepted: --fast)\n{USAGE}");
         std::process::exit(2);
     }
     if ids == ["list"] {
         print_list();
         return;
     }
+    let subcommands: Vec<&str> = (obs::SUBCOMMANDS.iter().map(|&(name, _)| name))
+        .filter(|&n| n != "<id>..." && n != "all")
+        .collect();
     // `list` takes nothing after it; an empty run names every subcommand.
     if ids.is_empty() || ids.contains(&"list") {
-        let names = (obs::SUBCOMMANDS.iter().map(|&(name, _)| name)).filter(|&n| n != "<id>...");
-        let words: Vec<&str> = names.chain(EXPERIMENTS.map(|e| e.id)).collect();
+        let ids: Vec<&str> = std::iter::once("all")
+            .chain(EXPERIMENTS.map(|e| e.id))
+            .collect();
         eprintln!(
-            "usage: expt [--fast] [--warm-fork] <{}> (see `expt --help`)",
-            words.join(" | ")
+            "{USAGE}\n  <id>: {}\n  <subcommand>: {} (see `expt --help`)",
+            ids.join(" | "),
+            subcommands.join(" | ")
         );
         std::process::exit(2);
     }
@@ -242,16 +251,20 @@ fn main() {
         (ids.iter())
             .map(|id| {
                 find(id).unwrap_or_else(|| {
-                    eprintln!("unknown experiment id: {id}");
+                    if subcommands.contains(id) {
+                        eprintln!(
+                            "{id} is a subcommand, not an experiment id: it runs alone, \
+                             with its flags after it (`expt {id} [args]`)"
+                        );
+                    } else {
+                        eprintln!("unknown experiment id: {id}");
+                    }
                     std::process::exit(2);
                 })
             })
             .collect()
     };
-    let ctx = Ctx {
-        warm_fork: flags.contains(&"--warm-fork"),
-        ..Ctx::new(flags.contains(&"--fast"))
-    };
+    let ctx = Ctx::new(flags.contains(&"--fast"));
     for e in selected {
         println!("{}", (e.run)(ctx));
     }

@@ -25,19 +25,14 @@ pub mod t9_modem;
 use nanowall::SchedulerMode;
 
 /// What an experiment run is parameterised by, passed by value down to
-/// every platform it builds and every sweep it fans out. `expt` fills the
-/// first two from its flags and takes the other two as they come; the
-/// parity harness varies `scheduler` and `threads` to show the tables do
-/// not depend on them.
+/// every platform it builds and every sweep it fans out. `expt` fills
+/// `fast` from its flag and takes the other two as they come; the parity
+/// harness varies `scheduler` and `threads` to show the tables do not
+/// depend on them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ctx {
     /// Shrinks simulation windows and grids to CI size (`expt --fast`).
     pub fast: bool,
-    /// Sweep grids that can share a warmed snapshot do (`expt --warm-fork`):
-    /// `t11` forks one warmed rig per point, `t5` shares each size's prefix
-    /// set across engines, `t3`'s axes are structural so it runs cold and
-    /// says so. Every other experiment has no sweep to warm and ignores it.
-    pub warm_fork: bool,
     /// Scheduler every platform of the run is put under.
     pub scheduler: SchedulerMode,
     /// Worker-pool size of every sweep of the run.
@@ -45,12 +40,11 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// The context of a plain `expt` run: cold protocol, default scheduler,
-    /// the deployment's pool size ([`nw_sim::sweep_threads`]).
+    /// The context of a plain `expt` run: default scheduler, the
+    /// deployment's pool size ([`nw_sim::sweep_threads`]).
     pub fn new(fast: bool) -> Self {
         Ctx {
             fast,
-            warm_fork: false,
             scheduler: SchedulerMode::default(),
             threads: nw_sim::sweep_threads(),
         }

@@ -18,10 +18,8 @@ use super::t9_modem::{self, ModemPoint};
 use super::Ctx;
 use crate::Table;
 use nanowall::scenarios::{mix_demo_params, mix_pe_pool, mix_rig_detailed};
-use nanowall::{FppaPlatform, PlatformReport};
-use nw_apps::{MixParams, MixWorkload};
+use nw_apps::MixParams;
 use nw_sim::{parallel_map_with, LatencyHistogram};
-use nw_types::ObjectId;
 
 /// One point of the interference grid.
 #[derive(Debug, Clone)]
@@ -71,21 +69,23 @@ pub struct T11Result {
     pub table: String,
 }
 
-/// Reads one grid point off a platform carrying the mix and the report of
-/// the window it just ran. The video percentiles merge the latency
-/// histograms of every video stage (stages without samples contribute
-/// nothing); stage indices resolve to installed objects through the rig's
-/// stage → object directory, which a forked replica shares with its parent.
-fn point(
-    platform: &FppaPlatform,
-    report: &PlatformReport,
-    workload: &MixWorkload,
-    objects: &[ObjectId],
+/// Runs one grid point on a fresh mix rig and reads it off the report.
+/// The video percentiles merge the latency histograms of every video stage
+/// (stages without samples contribute nothing); stage indices resolve to
+/// installed objects through the rig's stage → object directory.
+fn measure(
+    ctx: Ctx,
+    params: &MixParams,
     (video_gbps, ipv4_gbps): (f64, f64),
+    cycles: u64,
 ) -> MixPoint {
+    let mut mix = mix_rig_detailed(params, mix_pe_pool(params), 4, 4, video_gbps, ipv4_gbps);
+    mix.rig.platform.set_scheduler_mode(ctx.scheduler);
+    let report = mix.rig.run(cycles);
+    let (workload, objects) = (&mix.workload, &mix.objects);
     let mut video = LatencyHistogram::new();
     for &s in &workload.video_stages {
-        if let Some(obj) = platform.object_latency(objects[s]) {
+        if let Some(obj) = mix.rig.platform.object_latency(objects[s]) {
             video.merge(obj);
         }
     }
@@ -117,19 +117,6 @@ fn point(
     }
 }
 
-fn measure(ctx: Ctx, params: &MixParams, rates: (f64, f64), cycles: u64) -> MixPoint {
-    let mut mix = mix_rig_detailed(params, mix_pe_pool(params), 4, 4, rates.0, rates.1);
-    mix.rig.platform.set_scheduler_mode(ctx.scheduler);
-    let report = mix.rig.run(cycles);
-    point(
-        &mix.rig.platform,
-        &report,
-        &mix.workload,
-        &mix.objects,
-        rates,
-    )
-}
-
 /// The grid's (video, ipv4) rate axes.
 ///
 /// The ipv4 axis stays within what the packet chains sustain alone
@@ -145,60 +132,17 @@ fn grid_points(fast: bool) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// The interference grid alone (no modem section), under either protocol.
-///
-/// Cold: every grid point simulates an independent platform from cycle 0,
-/// so the whole surface fans out over the worker pool; order is preserved,
-/// keeping the table byte-identical to a serial run.
-///
-/// Warm-fork: one platform is built at the calmest corner's rates, run to
-/// the halfway point, and snapshotted; every grid point then forks from
-/// that snapshot, retunes the two I/O channel rates, and measures the
-/// second half only. Structure (placement, lanes) is pinned at the warmup
-/// corner's, and the telemetry covers warmup + measurement — a different,
-/// labeled protocol that pays the warmup cost once instead of per point.
-fn grid(ctx: Ctx) -> Vec<MixPoint> {
-    let cycles = if ctx.fast { 40_000 } else { 120_000 };
-    let params = mix_demo_params(ctx.fast);
-    let points = grid_points(ctx.fast);
-    if !ctx.warm_fork {
-        return parallel_map_with(ctx.threads, points, |rates| {
-            measure(ctx, &params, rates, cycles)
-        });
-    }
-
-    let warm = cycles / 2;
-    let window = cycles - warm;
-    let (v0, i0) = points[0];
-    let mut parent = mix_rig_detailed(&params, mix_pe_pool(&params), 4, 4, v0, i0);
-    parent.rig.platform.set_scheduler_mode(ctx.scheduler);
-    let _ = parent.rig.run(warm);
-    let snap = parent.rig.platform.snapshot();
-    let forks: Vec<((f64, f64), FppaPlatform)> = points
-        .iter()
-        .map(|&(v, i)| {
-            let mut p = FppaPlatform::from_snapshot(&snap);
-            p.set_io_rate(0, nw_types::BitsPerSec::from_gbps(v))
-                .expect("grid rates are positive");
-            p.set_io_rate(1, nw_types::BitsPerSec::from_gbps(i))
-                .expect("grid rates are positive");
-            ((v, i), p)
-        })
-        .collect();
-    parallel_map_with(ctx.threads, forks, |(rates, mut p)| {
-        let report = p.run(window);
-        point(&p, &report, &parent.workload, &parent.objects, rates)
-    })
-}
-
 /// Runs T11: the interference grid, then the modem deadline restatement.
-/// Under `ctx.warm_fork` the grid warms one platform to the halfway point
-/// and forks it per grid point, rates retuned; the modem section is
-/// unchanged (its thread-count axis is structural, so no warmup can be
-/// shared).
+///
+/// Every grid point simulates an independent platform from cycle 0, so
+/// the whole surface fans out over the worker pool; order is preserved,
+/// keeping the table byte-identical to a serial run.
 pub fn run(ctx: Ctx) -> T11Result {
     let cycles = if ctx.fast { 40_000 } else { 120_000 };
-    let grid = grid(ctx);
+    let params = mix_demo_params(ctx.fast);
+    let grid = parallel_map_with(ctx.threads, grid_points(ctx.fast), |rates| {
+        measure(ctx, &params, rates, cycles)
+    });
 
     let mut t = Table::new(&[
         "video Gb/s",
@@ -241,14 +185,9 @@ pub fn run(ctx: Ctx) -> T11Result {
         ]);
     }
 
-    let protocol = if ctx.warm_fork {
-        " [warm-fork: one warmed snapshot, rates retuned per point, second half measured]"
-    } else {
-        ""
-    };
     T11Result {
         table: format!(
-            "T11  Mixed workloads on one fabric: video codec + IPv4 fast path, per-workload end-to-end latency{protocol}\n{}\nModem deadline under stress (50-cycle links, 1800 Mb/s): channel-estimate round trips vs budget\n{}",
+            "T11  Mixed workloads on one fabric: video codec + IPv4 fast path, per-workload end-to-end latency\n{}\nModem deadline under stress (50-cycle links, 1800 Mb/s): channel-estimate round trips vs budget\n{}",
             t.render(),
             mt.render()
         ),
@@ -293,37 +232,6 @@ mod tests {
             one.est_miss_rate >= four.est_miss_rate,
             "{one:?} vs {four:?}"
         );
-    }
-
-    /// The warm-fork protocol measures the same interference physics on a
-    /// shared warmed snapshot: every point still records both workloads,
-    /// the retuned rates actually take (points diverge), and the whole
-    /// grid is deterministic across reruns.
-    #[test]
-    fn warm_fork_grid_is_live_retuned_and_deterministic() {
-        let warm = Ctx {
-            warm_fork: true,
-            ..Ctx::new(true)
-        };
-        let a = run(warm);
-        assert_eq!(a.grid.len(), 4);
-        for p in &a.grid {
-            assert!(p.video_p50 > 0, "{p:?}");
-            assert!(p.lookup_p50 > 0, "{p:?}");
-            assert!(p.video_delivered > 0.0, "{p:?}");
-        }
-        // Retuning is real: the hot corner's offered video load dwarfs the
-        // calm corner's generated traffic even though both share a warmup.
-        let calm = &a.grid[0];
-        let hot = a.grid.last().unwrap();
-        assert!(
-            hot.lookup_p99 >= calm.lookup_p99,
-            "video pressure must stretch the packet tail: {calm:?} vs {hot:?}"
-        );
-        assert!(a.table.contains("warm-fork"), "{}", a.table);
-
-        let b = run(warm);
-        assert_eq!(a.table, b.table, "warm-fork grid must be reproducible");
     }
 
     /// The trace layer and the interference table count the same misses:

@@ -67,12 +67,6 @@ fn measure(ctx: Ctx, replicas: usize, threads: usize, link_latency: u64, cycles:
 
 /// Runs T3: replica sweep at 8 threads, then a thread ablation at the
 /// line-rate point.
-///
-/// Under `ctx.warm_fork` it still runs this cold protocol, because there is
-/// nothing a shared snapshot could honestly buy here — both sweep axes
-/// (worker-PE replicas, hardware threads per PE) are *structural*, so every
-/// grid point builds a differently-shaped platform and no warmed state can
-/// be shared across points. The title says so rather than pretending.
 pub fn run(ctx: Ctx) -> T3Result {
     let fast = ctx.fast;
     // Per-hop latency 25 on a mesh: multi-hop round trips well over 100 cyc.
@@ -128,16 +122,11 @@ pub fn run(ctx: Ctx) -> T3Result {
         ]);
     }
 
-    let protocol = if ctx.warm_fork {
-        "[warm-fork requested: sweep axes are structural, cold protocol used]  "
-    } else {
-        ""
-    };
     T3Result {
         sweep,
         thread_ablation,
         table: format!(
-            "T3  {protocol}IPv4 fast path, 40B worst case at 10 Gb/s, >100-cycle NoC round trips (paper §7.2)\n{}\nThread ablation at {line_rate_replicas} worker PEs:\n{}",
+            "T3  IPv4 fast path, 40B worst case at 10 Gb/s, >100-cycle NoC round trips (paper §7.2)\n{}\nThread ablation at {line_rate_replicas} worker PEs:\n{}",
             t.render(),
             at.render()
         ),
@@ -147,16 +136,6 @@ pub fn run(ctx: Ctx) -> T3Result {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn warm_fork_falls_back_to_the_cold_protocol_and_says_so() {
-        let warm = run(Ctx {
-            warm_fork: true,
-            ..Ctx::new(true)
-        });
-        assert!(warm.table.contains("structural"), "{}", warm.table);
-        assert_eq!(warm.sweep.len(), 5, "the whole fast replica sweep ran");
-    }
 
     #[test]
     fn line_rate_reached_with_enough_workers() {

@@ -10,8 +10,8 @@
 
 use super::Ctx;
 use crate::Table;
-use nw_ipv4::routes::{install_prefixes, synthetic_prefixes, synthetic_table, RouteTableConfig};
-use nw_ipv4::{BinaryTrie, CamTable, LpmTable, MultibitTrie, Prefix};
+use nw_ipv4::routes::{synthetic_table, RouteTableConfig};
+use nw_ipv4::{BinaryTrie, CamTable, LpmTable, MultibitTrie};
 use nw_sim::parallel_map_with;
 
 /// One engine × table-size measurement.
@@ -38,8 +38,11 @@ pub struct T5Result {
     pub table: String,
 }
 
-/// Reads one populated engine's costs off as a table row.
-fn row_of<T: LpmTable>(engine: &T, routes: usize) -> LpmRow {
+/// Populates `engine` with the seeded synthetic table and reads its costs
+/// off as a table row.
+fn measure<T: LpmTable>(mut engine: T, routes: usize, seed: u64) -> LpmRow {
+    let cfg = RouteTableConfig { routes, seed };
+    let _prefixes = synthetic_table(&mut engine, &cfg);
     let tcam = engine.name() == "tcam";
     let silicon_ratio = if tcam {
         CamTable::AREA_RATIO_VS_SRAM
@@ -55,31 +58,8 @@ fn row_of<T: LpmTable>(engine: &T, routes: usize) -> LpmRow {
     }
 }
 
-fn measure<T: LpmTable>(mut engine: T, routes: usize, seed: u64) -> LpmRow {
-    let cfg = RouteTableConfig { routes, seed };
-    let _prefixes = synthetic_table(&mut engine, &cfg);
-    row_of(&engine, routes)
-}
-
-/// [`measure`] on a pre-generated prefix set (the warm-fork path: the RNG
-/// work of one table size is paid once and shared by every engine).
-fn measure_shared<T: LpmTable>(mut engine: T, prefixes: &[Prefix]) -> LpmRow {
-    install_prefixes(&mut engine, prefixes);
-    row_of(&engine, prefixes.len())
-}
-
-/// The five contenders, each paired with its shared-prefix twin.
-const N_ENGINES: usize = 5;
-
 /// Runs T5 over 1k/4k/16k routes (plus 64k when not `fast`).
-///
-/// Under `ctx.warm_fork` each table size's synthetic prefix set is
-/// generated **once** and installed into all five engines, instead of every
-/// (size, engine) cell regenerating it from the seed. The rows are
-/// identical by construction (pinned by the module tests) — only the
-/// wall-clock changes.
 pub fn run(ctx: Ctx) -> T5Result {
-    let warm_fork = ctx.warm_fork;
     let sizes: &[usize] = if ctx.fast {
         &[1_000, 4_000, 16_000]
     } else {
@@ -98,36 +78,19 @@ pub fn run(ctx: Ctx) -> T5Result {
     // the sweep pool. `parallel_map_with` preserves input order — the table
     // renders byte-identically to the serial nested loop. One entry per
     // contender; the chunking back into per-size groups keys off its len.
-    let cells: Vec<LpmRow> = if warm_fork {
-        let sets: Vec<Vec<Prefix>> = parallel_map_with(ctx.threads, sizes.to_vec(), |routes| {
-            synthetic_prefixes(&RouteTableConfig { routes, seed: 42 })
-        });
-        let engines: &[fn(&[Prefix]) -> LpmRow] = &[
-            |ps| measure_shared(BinaryTrie::new(), ps),
-            |ps| measure_shared(MultibitTrie::new(2), ps),
-            |ps| measure_shared(MultibitTrie::new(4), ps),
-            |ps| measure_shared(MultibitTrie::new(8), ps),
-            |ps| measure_shared(CamTable::new(), ps),
-        ];
-        let grid: Vec<(usize, usize)> = (0..sets.len())
-            .flat_map(|s| (0..engines.len()).map(move |e| (s, e)))
-            .collect();
-        parallel_map_with(ctx.threads, grid, |(s, engine)| engines[engine](&sets[s]))
-    } else {
-        let engines: &[fn(usize) -> LpmRow] = &[
-            |n| measure(BinaryTrie::new(), n, 42),
-            |n| measure(MultibitTrie::new(2), n, 42),
-            |n| measure(MultibitTrie::new(4), n, 42),
-            |n| measure(MultibitTrie::new(8), n, 42),
-            |n| measure(CamTable::new(), n, 42),
-        ];
-        let grid: Vec<(usize, usize)> = sizes
-            .iter()
-            .flat_map(|&n| (0..engines.len()).map(move |e| (n, e)))
-            .collect();
-        parallel_map_with(ctx.threads, grid, |(n, engine)| engines[engine](n))
-    };
-    for chunk in cells.chunks(N_ENGINES) {
+    let engines: &[fn(usize) -> LpmRow] = &[
+        |n| measure(BinaryTrie::new(), n, 42),
+        |n| measure(MultibitTrie::new(2), n, 42),
+        |n| measure(MultibitTrie::new(4), n, 42),
+        |n| measure(MultibitTrie::new(8), n, 42),
+        |n| measure(CamTable::new(), n, 42),
+    ];
+    let grid: Vec<(usize, usize)> = sizes
+        .iter()
+        .flat_map(|&n| (0..engines.len()).map(move |e| (n, e)))
+        .collect();
+    let cells = parallel_map_with(ctx.threads, grid, |(n, engine)| engines[engine](n));
+    for chunk in cells.chunks(engines.len()) {
         let n = chunk[0].routes;
         for e in chunk.iter().cloned() {
             t.row_owned(vec![
@@ -145,15 +108,10 @@ pub fn run(ctx: Ctx) -> T5Result {
             rows.push(e);
         }
     }
-    let protocol = if warm_fork {
-        " [warm-fork: one prefix set per size, shared across engines]"
-    } else {
-        ""
-    };
     T5Result {
         rows,
         table: format!(
-            "T5  LPM engines: SRAM tries vs ternary CAM (paper §8, NPSE [9]){protocol}\n{}",
+            "T5  LPM engines: SRAM tries vs ternary CAM (paper §8, NPSE [9])\n{}",
             t.render()
         ),
     }
@@ -195,24 +153,6 @@ mod tests {
         let cam_small = at("tcam", 0, 1_000).energy_pj;
         let cam_big = at("tcam", 0, 16_000).energy_pj;
         assert!(cam_big > 10.0 * cam_small);
-    }
-
-    #[test]
-    fn warm_fork_rows_match_the_cold_protocol_exactly() {
-        let cold = run(Ctx::new(true));
-        let warm = run(Ctx {
-            warm_fork: true,
-            ..Ctx::new(true)
-        });
-        assert_eq!(cold.rows.len(), warm.rows.len());
-        for (c, w) in cold.rows.iter().zip(&warm.rows) {
-            assert_eq!(c.engine, w.engine);
-            assert_eq!(c.routes, w.routes);
-            assert_eq!(c.accesses, w.accesses, "{c:?} vs {w:?}");
-            assert!((c.silicon_mbits - w.silicon_mbits).abs() < 1e-12, "{c:?}");
-            assert!((c.energy_pj - w.energy_pj).abs() < 1e-12, "{c:?}");
-        }
-        assert!(warm.table.contains("warm-fork"), "{}", warm.table);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub const SUBCOMMANDS: &[(&str, &str)] = &[
     ("all", "run every experiment in `expt list` order"),
     (
         "<id>...",
-        "run selected experiments (see `expt list` for ids; --fast shrinks windows, --warm-fork shares one warmed snapshot across sweep-grid points)",
+        "run selected experiments (see `expt list` for ids; --fast shrinks windows)",
     ),
     (
         "lint",

@@ -204,8 +204,8 @@ fn help_and_list_cover_every_subcommand() {
         }
     }
     assert!(
-        help_out.contains("usage: expt"),
-        "help leads with usage: {help_out}"
+        help_out.starts_with("usage: expt [--fast] <id>...\n       expt <subcommand> [args]\n"),
+        "help leads with the invocations the parser accepts: {help_out}"
     );
     let names: Vec<&str> = (nw_bench::obs::SUBCOMMANDS.iter())
         .map(|(name, _)| *name)
@@ -265,6 +265,16 @@ fn expt_trace_writes_valid_chrome_trace_json() {
         .output()
         .expect("spawns");
     assert_eq!(unknown.status.code(), Some(2), "unknown flag is an error");
+    let empty_ring = Command::new(exe)
+        .args(["trace", "--scenario", "mix", "--buffer", "0"])
+        .output()
+        .expect("spawns");
+    assert_eq!(empty_ring.status.code(), Some(2), "--buffer 0 is an error");
+    assert!(
+        String::from_utf8_lossy(&empty_ring.stderr).contains("--buffer"),
+        "names the bad flag"
+    );
+    assert!(empty_ring.stdout.is_empty(), "nothing ran first");
 }
 
 /// `expt parity --quick` end to end — the one full run of the matrix in
@@ -307,28 +317,6 @@ fn expt_parity_passes_quick() {
         .output()
         .expect("spawns");
     assert_eq!(unknown.status.code(), Some(2), "unknown flag is an error");
-}
-
-/// `expt --fast --warm-fork t5` end to end: the warm-fork sweep protocol
-/// runs through the binary and labels its table as such.
-#[test]
-fn expt_warm_fork_flag_runs_a_sweep_grid() {
-    let exe = env!("CARGO_BIN_EXE_expt");
-    let out = Command::new(exe)
-        .args(["--fast", "--warm-fork", "t5"])
-        .output()
-        .expect("spawns");
-    assert!(
-        out.status.success(),
-        "expt --warm-fork t5 must exit 0: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("T5"), "table header: {stdout}");
-    assert!(
-        stdout.contains("warm-fork"),
-        "the protocol is labeled: {stdout}"
-    );
 }
 
 /// The uniform `--seed` contract: every seed-taking subcommand rejects a
@@ -381,12 +369,13 @@ fn expt_binary_runs_t1_end_to_end() {
     assert!(!none.status.success(), "no args must exit non-zero (usage)");
 }
 
-/// An experiment run takes `--fast` and `--warm-fork` and no other flag:
-/// a flag it would have to ignore is a usage error that names it, raised
-/// before any experiment runs. `bench`, `faults` and `snapshot` are not
-/// subcommands but unknown ids like any other, so a stale CI line fails
-/// loudly. `list` and `identity` take nothing after them, and the usage
-/// line an empty run prints lists every subcommand.
+/// An experiment run takes `--fast` and no other flag: a flag it would
+/// have to ignore is a usage error that names it, raised before any
+/// experiment runs. A subcommand named in an experiment run is one too,
+/// and the error says it is a subcommand. `bench`, `faults` and
+/// `snapshot` are not subcommands but unknown ids like any other, so a
+/// stale CI line fails loudly. `list` and `identity` take nothing after
+/// them, and the usage an empty run prints lists every subcommand.
 #[test]
 fn experiment_runs_reject_stray_flags_and_unknown_ids() {
     let exe = env!("CARGO_BIN_EXE_expt");
@@ -400,6 +389,8 @@ fn experiment_runs_reject_stray_flags_and_unknown_ids() {
     };
     for (args, named) in [
         (&["--quick", "t3"][..], "--quick"),
+        (&["--warm-fork", "t11"][..], "--warm-fork"),
+        (&["--fast", "parity"][..], "parity is a subcommand"),
         (&["t1", "--seed", "5"][..], "--seed"),
         (&["bench"][..], "bench"),
         (&["bench", "--quick"][..], "--quick"),
@@ -415,7 +406,7 @@ fn experiment_runs_reject_stray_flags_and_unknown_ids() {
         assert!(stderr.contains(named), "{args:?} names {named}: {stderr}");
         assert!(stdout.is_empty(), "{args:?} ran something first: {stdout}");
     }
-    let (code, stdout, _) = run(&["t1", "--fast", "--warm-fork"]);
+    let (code, stdout, _) = run(&["t1", "--fast"]);
     assert_eq!(code, Some(0), "flags may follow the ids");
     assert!(stdout.contains("T1"), "{stdout}");
 }

@@ -158,9 +158,8 @@ impl IoChannel {
 
     /// Retunes the line rate in place, keeping FIFO contents, sequence
     /// numbers, counters and the accumulated credit (bit·Hz, a unit that
-    /// does not depend on the rate). This is the warm-fork hook: a forked
-    /// replica inherits a warmed channel and only the pacing changes from
-    /// the retune cycle onward, deterministically.
+    /// does not depend on the rate), so only the pacing changes from the
+    /// retune cycle onward, deterministically.
     ///
     /// # Errors
     ///

@@ -455,10 +455,8 @@ impl FppaPlatform {
         self.seed
     }
 
-    /// Retunes I/O channel `i`'s line rate in place (warm-fork hook: grid
-    /// points forked from one warmed platform differ only in offered load
-    /// from the fork cycle onward). The channel keeps its accumulated
-    /// pacing credit.
+    /// Retunes I/O channel `i`'s line rate in place, from the current cycle
+    /// onward. The channel keeps its accumulated pacing credit.
     ///
     /// # Errors
     ///

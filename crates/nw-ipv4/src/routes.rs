@@ -53,11 +53,11 @@ fn pick_length<R: Rng>(rng: &mut R) -> u8 {
     24
 }
 
-/// Generates `cfg.routes` distinct synthetic prefixes without touching any
-/// table — the expensive half of [`synthetic_table`], split out so one
-/// generated set can be installed into several contending engines
-/// (the T5 warm-fork protocol).
-pub fn synthetic_prefixes(cfg: &RouteTableConfig) -> Vec<Prefix> {
+/// Generates `cfg.routes` distinct synthetic prefixes and inserts them into
+/// `table`; returns the prefixes (for building matching traffic).
+///
+/// Next hops are assigned round-robin over 16 egress ports.
+pub fn synthetic_table<T: LpmTable + ?Sized>(table: &mut T, cfg: &RouteTableConfig) -> Vec<Prefix> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut seen = std::collections::HashSet::with_capacity(cfg.routes);
     let mut prefixes = Vec::with_capacity(cfg.routes);
@@ -68,27 +68,10 @@ pub fn synthetic_prefixes(cfg: &RouteTableConfig) -> Vec<Prefix> {
         let rest: u32 = rng.gen();
         let p = Prefix::new((a << 24) | (rest & 0x00FF_FFFF), len);
         if seen.insert(p) {
+            table.insert(p, (prefixes.len() % 16) as u32);
             prefixes.push(p);
         }
     }
-    prefixes
-}
-
-/// Inserts `prefixes` into `table` with the same round-robin next-hop
-/// assignment [`synthetic_table`] uses (16 egress ports, by insert order).
-pub fn install_prefixes<T: LpmTable + ?Sized>(table: &mut T, prefixes: &[Prefix]) {
-    for (i, &p) in prefixes.iter().enumerate() {
-        table.insert(p, (i % 16) as u32);
-    }
-}
-
-/// Generates `cfg.routes` distinct synthetic prefixes and inserts them into
-/// `table`; returns the prefixes (for building matching traffic).
-///
-/// Next hops are assigned round-robin over 16 egress ports.
-pub fn synthetic_table<T: LpmTable + ?Sized>(table: &mut T, cfg: &RouteTableConfig) -> Vec<Prefix> {
-    let prefixes = synthetic_prefixes(cfg);
-    install_prefixes(table, &prefixes);
     prefixes
 }
 
@@ -133,24 +116,6 @@ mod tests {
         };
         assert_eq!(mk(7), mk(7));
         assert_ne!(mk(7), mk(8));
-    }
-
-    #[test]
-    fn split_generate_and_install_match_the_one_shot_path() {
-        let cfg = RouteTableConfig {
-            routes: 300,
-            seed: 9,
-        };
-        let mut one_shot = LinearTable::new();
-        let direct = synthetic_table(&mut one_shot, &cfg);
-        let shared = synthetic_prefixes(&cfg);
-        assert_eq!(direct, shared, "the two generation paths must agree");
-        let mut installed = LinearTable::new();
-        install_prefixes(&mut installed, &shared);
-        assert_eq!(installed.route_count(), one_shot.route_count());
-        for p in shared.iter().take(50) {
-            assert_eq!(installed.lookup(p.addr), one_shot.lookup(p.addr), "{p}");
-        }
     }
 
     #[test]

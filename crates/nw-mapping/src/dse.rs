@@ -29,36 +29,6 @@ impl DsePoint {
     }
 }
 
-/// Evaluates independent design-point configurations on the parallel sweep
-/// pool, preserving input order.
-///
-/// This is the DSE loop's entry point to `nw_sim::parallel_map`: every
-/// configuration builds and simulates its own platform, so points share
-/// nothing and the evaluation parallelizes without changing results (the
-/// returned vector is index-for-index what the serial loop would produce).
-///
-/// # Examples
-///
-/// ```
-/// use nw_mapping::{evaluate_points, pareto_front};
-///
-/// let dse = evaluate_points(vec![2usize, 4, 8], |pes| {
-///     // stand-in for "build platform with `pes` PEs, map, simulate"
-///     let quality = 1.0 / pes as f64;
-///     nw_mapping::DsePoint::new(format!("{pes}pe"), pes as f64, quality)
-/// });
-/// assert_eq!(dse.len(), 3);
-/// assert_eq!(dse[1].label, "4pe");
-/// assert_eq!(pareto_front(&dse).len(), 3);
-/// ```
-pub fn evaluate_points<T, F>(configs: Vec<T>, eval: F) -> Vec<DsePoint>
-where
-    T: Send,
-    F: Fn(T) -> DsePoint + Sync,
-{
-    nw_sim::parallel_map(configs, eval)
-}
-
 /// Indices of the Pareto-efficient points (minimizing both `resource` and
 /// `quality`), sorted by ascending resource.
 ///

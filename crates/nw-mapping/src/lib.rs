@@ -53,7 +53,7 @@ pub mod mappers;
 pub mod problem;
 
 pub use cost::{CostBreakdown, CostModel};
-pub use dse::{evaluate_points, pareto_front, DsePoint};
+pub use dse::{pareto_front, DsePoint};
 pub use mappers::{
     ExhaustiveMapper, GreedyLoadMapper, Mapper, Mapping, RandomMapper, RoundRobinMapper,
     SimulatedAnnealingMapper,

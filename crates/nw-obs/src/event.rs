@@ -150,7 +150,7 @@ impl TraceEvent {
 /// thread sinks as `Option<&mut dyn TraceSink>`, so the disabled path is
 /// one branch and zero allocation. Sinks are `Send` so a platform owning
 /// one can move across sweep-worker threads (forked replicas run under
-/// `parallel_map`).
+/// `nw_sim::parallel_map_with`).
 pub trait TraceSink: std::fmt::Debug + Send {
     /// Receives one event, in simulation order.
     fn emit(&mut self, ev: TraceEvent);

@@ -51,7 +51,7 @@ pub mod stats;
 
 pub use event::EventQueue;
 pub use pacer::Pacer;
-pub use parallel::{parallel_map, parallel_map_with, sweep_threads};
+pub use parallel::{parallel_map_with, sweep_threads};
 pub use pipeline::{PipelinedServer, ServerFull};
 pub use stats::{
     summarize_replicas, Counter, Histogram, LatencyHistogram, OnlineMean, ReplicaSummary,

@@ -3,10 +3,10 @@
 //! Topology sweeps, PE-pool design-space exploration and multi-point
 //! experiment grids are embarrassingly parallel: every point builds its own
 //! platform, so points share nothing and the per-point simulation stays
-//! bit-deterministic. [`parallel_map`] fans a work list out over a bounded
-//! pool of `std::thread::scope` workers and returns results **in input
-//! order**, so a sweep table rendered from the output is byte-identical to
-//! the serial loop it replaces.
+//! bit-deterministic. [`parallel_map_with`] fans a work list out over a
+//! caller-sized pool of `std::thread::scope` workers and returns results
+//! **in input order**, so a sweep table rendered from the output is
+//! byte-identical to the serial loop it replaces.
 //!
 //! No work queue, channels or external crates: items are dealt round-robin
 //! by index (worker `w` takes items `w, w + n_workers, …`), which keeps the
@@ -18,8 +18,9 @@ use std::sync::{Mutex, OnceLock};
 /// Default worker-pool size: the `NANOWALL_SWEEP_THREADS` environment
 /// variable (read once per process — mutating the environment at runtime is
 /// not thread-safe), else the machine's available parallelism. Always at
-/// least 1. A caller that wants another size passes it to
-/// [`parallel_map_with`]; nothing in the process can change this one.
+/// least 1. It is only a default: every sweep takes its pool size as an
+/// argument of [`parallel_map_with`]; nothing in the process can change
+/// this one.
 pub fn sweep_threads() -> usize {
     // nw-analyze: allow(ND03): write-once env cache of the pool-size setting; sweep results
     // return in input order and are independent of the worker count by construction.
@@ -97,16 +98,6 @@ where
                 .expect("every slot is filled by its worker")
         })
         .collect()
-}
-
-/// [`parallel_map_with`] at the default [`sweep_threads`] pool size.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_with(sweep_threads(), items, f)
 }
 
 #[cfg(test)]
