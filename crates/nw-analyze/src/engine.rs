@@ -3,7 +3,7 @@
 use crate::allowlist::Allowlist;
 use crate::diag::{Diagnostic, RuleId};
 use crate::markers::Markers;
-use crate::rules::scan_file;
+use crate::rules::{scan_file, Symbols};
 use crate::scan::SourceFile;
 use std::fs;
 use std::io;
@@ -104,7 +104,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Analyzes already-scanned sources against an allowlist — the
 /// fixture-testable core of the engine ([`analyze`] is the filesystem
 /// wrapper around it). `exists` answers whether a repo-relative path names
-/// a file or directory (DOC01).
+/// a file or directory (DOC01); the `.rs` files among `files` are what a
+/// back-ticked `Type::item` resolves against (DOC01).
 pub fn analyze_sources(
     files: &[SourceFile],
     allowlist: &Allowlist,
@@ -114,10 +115,12 @@ pub fn analyze_sources(
     let mut marker_suppressed = 0;
     let mut allowlisted = 0;
     let mut used_entries = vec![false; allowlist.entries.len()];
+    let symbols = Symbols::collect(files);
+    let resolves = |name: &str| symbols.resolve(name, exists);
     for file in files {
         let markers = Markers::collect(file);
         diagnostics.extend(markers.problems.iter().cloned());
-        for d in scan_file(file, exists) {
+        for d in scan_file(file, &resolves) {
             if markers.suppresses(d.rule, d.line.saturating_sub(1)) {
                 marker_suppressed += 1;
                 continue;

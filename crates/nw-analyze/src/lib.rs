@@ -19,7 +19,7 @@
 //! | RH01 | every `PayloadPool` acquire is paired with a `pool.put` in the same file |
 //! | WR01 | no truncating `as` casts in `wire.rs` encode/decode paths |
 //! | AL01 | allowlist and marker hygiene (stale entries, missing justifications) |
-//! | DOC01 | back-ticked paths and `--example` names in README.md/ARCHITECTURE.md exist |
+//! | DOC01 | back-ticked paths, `--example` names and `Type::item`s in README.md/ARCHITECTURE.md exist |
 //!
 //! # Suppression
 //!

@@ -9,6 +9,7 @@
 
 use crate::diag::{Diagnostic, RuleId};
 use crate::scan::SourceFile;
+use std::collections::BTreeSet;
 
 /// Crates whose state can reach a `PlatformReport` or dispatch order —
 /// the ND01/ND03 scope. Paths are repo-relative prefixes. `crates/core/`
@@ -271,6 +272,64 @@ fn looks_like_path(span: &str) -> bool {
         && (span.chars()).all(|c| c.is_ascii_alphanumeric() || "_.-/".contains(c))
 }
 
+/// What the scanned `.rs` files define. A name after `struct`, `enum` or
+/// `trait` is a type; a name after `fn`, `const` or `type` is an item, and
+/// so is one before a lone `:` (a field, or a binding: over-counting only
+/// hides a finding) and an upper-case one opening a line before `,`, `(`,
+/// `{` or nothing (a variant: rustfmt gives each its own line).
+#[derive(Debug, Default)]
+pub(crate) struct Symbols {
+    types: BTreeSet<String>,
+    items: BTreeSet<String>,
+}
+
+impl Symbols {
+    pub(crate) fn collect(files: &[SourceFile]) -> Symbols {
+        let mut s = Symbols::default();
+        let rust = files.iter().filter(|f| f.path.ends_with(".rs"));
+        for code in rust.flat_map(|f| &f.lines).map(|l| l.code.as_str()) {
+            let mut keyword = "";
+            for word in code.split(|c| !is_ident(c)).filter(|w| !w.is_empty()) {
+                // A piece of `code`: its column is the pointer difference.
+                let at = word.as_ptr() as usize - code.as_ptr() as usize;
+                let rest = code[at + word.len()..].trim_start();
+                let variant = code[..at].trim().is_empty()
+                    && word.starts_with(char::is_uppercase)
+                    && (rest.is_empty() || rest.starts_with([',', '(', '{']));
+                let field = rest.starts_with(':') && !rest.starts_with("::");
+                match keyword {
+                    "struct" | "enum" | "trait" => s.types.insert(word.to_owned()),
+                    "fn" | "const" | "type" => s.items.insert(word.to_owned()),
+                    _ if variant || field => s.items.insert(word.to_owned()),
+                    _ => false,
+                };
+                keyword = word;
+            }
+        }
+        s
+    }
+
+    /// Whether a back-ticked `name` names something: a `Type::item` whose
+    /// type the sources define, an item they define; anything else, a
+    /// repo-relative path that `exists`.
+    pub(crate) fn resolve(&self, name: &str, exists: &dyn Fn(&str) -> bool) -> bool {
+        match rust_path(name) {
+            Some((ty, item)) => !self.types.contains(ty) || self.items.contains(item),
+            None => exists(name),
+        }
+    }
+}
+
+/// A code span naming a Rust item, `Type::item` or `Type::item()`: its
+/// first and last segments.
+fn rust_path(span: &str) -> Option<(&str, &str)> {
+    let path = span.strip_suffix("()").unwrap_or(span);
+    let ident =
+        |s: &str| s.starts_with(|c: char| c.is_alphabetic() || c == '_') && s.chars().all(is_ident);
+    let ((first, _), (_, last)) = (path.split_once("::")?, path.rsplit_once("::")?);
+    path.split("::").all(ident).then_some((first, last))
+}
+
 /// Every `--example NAME` in `code`, as (0-based column, `NAME`).
 fn example_names(code: &str) -> impl Iterator<Item = (usize, &str)> {
     code.match_indices("--example ").filter_map(|(at, flag)| {
@@ -281,8 +340,9 @@ fn example_names(code: &str) -> impl Iterator<Item = (usize, &str)> {
     })
 }
 
-/// DOC01: back-ticked file paths in the Markdown docs that name nothing,
-/// and `--example NAME`s with no `examples/NAME.rs`.
+/// DOC01: back-ticked file paths and `Type::item`s in the Markdown docs
+/// that name nothing ([`Symbols::resolve`]), and `--example NAME`s with no
+/// `examples/NAME.rs`.
 fn doc01(file: &SourceFile, exists: &dyn Fn(&str) -> bool, out: &mut Vec<Diagnostic>) {
     let mut in_span = false;
     for (n, line) in file.lines.iter().enumerate() {
@@ -301,8 +361,9 @@ fn doc01(file: &SourceFile, exists: &dyn Fn(&str) -> bool, out: &mut Vec<Diagnos
         for (k, piece) in pieces.iter().enumerate() {
             in_span ^= k > 0;
             let whole = in_span && k > 0 && k + 1 < pieces.len();
-            if whole && looks_like_path(piece) && !exists(piece) {
-                let message = format!("`{piece}` names no file or directory in the repository");
+            let named = looks_like_path(piece) || rust_path(piece).is_some();
+            if whole && named && !exists(piece) {
+                let message = format!("`{piece}` names nothing in the repository");
                 out.push(diag(RuleId::Doc01, file, n, col, message));
             }
             col += piece.len() + 1;
@@ -312,8 +373,9 @@ fn doc01(file: &SourceFile, exists: &dyn Fn(&str) -> bool, out: &mut Vec<Diagnos
 
 /// Runs every rule for the file's kind — the source rules over `.rs`
 /// files, DOC01 over Markdown — returning *raw* (unsuppressed) findings in
-/// stable order. `exists` answers whether a repo-relative path exists.
-pub fn scan_file(file: &SourceFile, exists: &dyn Fn(&str) -> bool) -> Vec<Diagnostic> {
+/// stable order. `exists` answers whether a back-ticked name (a
+/// repo-relative path or a `Type::item`) names something.
+pub(crate) fn scan_file(file: &SourceFile, exists: &dyn Fn(&str) -> bool) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if file.path.ends_with(".md") {
         doc01(file, exists, &mut out);

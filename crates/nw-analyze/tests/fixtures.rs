@@ -321,3 +321,25 @@ fn doc01_flags_example_names_with_no_example_file() {
     let clean = scan(&[example, ("ARCHITECTURE.md", doc)]);
     assert!(clean.is_clean(), "{}", clean.render());
 }
+
+#[test]
+fn doc01_flags_rust_paths_whose_item_is_defined_nowhere() {
+    let code = (
+        "crates/core/src/widget.rs",
+        "pub struct Widget { pub size: u32 }\nimpl Widget {\n    const MAX: u32 = 9;\n    \
+         pub fn grow(&mut self) {}\n}\npub enum Kind {\n    Small,\n    Big { weight: u8 },\n}\n",
+    );
+    let doc = "Grow with `Widget::grow()`, not\n`Widget::shrink()` or `Kind::Huge`.\n";
+    let hit = scan(&[code, ("ARCHITECTURE.md", doc)]);
+    assert_eq!(rules_of(&hit), ["DOC01", "DOC01"]);
+    assert_eq!((hit.diagnostics[0].line, hit.diagnostics[0].col), (2, 2));
+    assert!(hit.diagnostics[0].message.contains("`Widget::shrink()`"));
+
+    // Fns, consts, fields and variants resolve; a type the sources do not
+    // define, a module path, a brace group and a call with arguments are
+    // not checked.
+    let doc = "`Widget::grow`, `Widget::MAX`, `Widget::size`, `Kind::Small`, `Kind::Big`,\n\
+               `Vec::shrink`, `widget::Widget::shrink`, `Widget::{grow, shrink}`, `Widget::shrink(2)`.\n";
+    let clean = scan(&[code, ("README.md", doc)]);
+    assert!(clean.is_clean(), "{}", clean.render());
+}
