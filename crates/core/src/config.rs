@@ -366,21 +366,4 @@ mod tests {
             Ok(())
         );
     }
-
-    #[test]
-    fn set_io_rate_rejects_what_the_build_rejects() {
-        use crate::FppaPlatform;
-        use nw_types::BitsPerSec;
-        let mut c = FppaConfig::new("t", TopologyKind::Ring);
-        c.add_pe(PeConfig::new(PeClass::GpRisc, 2));
-        c.add_io(IoChannelConfig::ten_gbe_worst_case());
-        let mut p = FppaPlatform::new(c).expect("config valid");
-        assert_eq!(p.set_io_rate(0, BitsPerSec::from_gbps(2.5)), Ok(()));
-        assert_eq!(
-            p.set_io_rate(0, BitsPerSec(-2.5e9)),
-            Err(IoConfigError::Rate(-2.5e9))
-        );
-        assert!(p.set_io_rate(0, BitsPerSec(f64::NAN)).is_err());
-        assert_eq!(p.io(0).config().rate, BitsPerSec::from_gbps(2.5));
-    }
 }

@@ -56,7 +56,7 @@ impl IoChannelConfig {
     }
 }
 
-/// Why an [`IoChannelConfig`] (or a retuned rate) cannot be paced.
+/// Why an [`IoChannelConfig`] cannot be paced.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IoConfigError {
     /// `packet_bytes` is zero: every cycle would owe infinitely many packets.
@@ -81,11 +81,6 @@ impl fmt::Display for IoConfigError {
 }
 
 impl std::error::Error for IoConfigError {}
-
-/// The line rate as pacing credit per cycle: whole bit/s.
-fn rate_credit(rate: BitsPerSec) -> Result<u64, IoConfigError> {
-    Pacer::whole_credit(rate.0).ok_or(IoConfigError::Rate(rate.0))
-}
 
 /// One packet as pacing credit: packet bits × whole Hz.
 fn packet_cost(cfg: &IoChannelConfig) -> Result<NonZeroU64, IoConfigError> {
@@ -140,8 +135,10 @@ impl IoChannel {
     /// packet size, a clock or rate that is not a usable number, or a
     /// per-packet cost beyond 64 bits.
     pub fn new(cfg: IoChannelConfig) -> Result<Self, IoConfigError> {
+        // The line rate as pacing credit per cycle: whole bit/s.
+        let rate = Pacer::whole_credit(cfg.rate.0).ok_or(IoConfigError::Rate(cfg.rate.0))?;
         Ok(IoChannel {
-            pacer: Pacer::new(rate_credit(cfg.rate)?, packet_cost(&cfg)?),
+            pacer: Pacer::new(rate, packet_cost(&cfg)?),
             cfg,
             next_seq: 0,
             rx_fifo: VecDeque::new(),
@@ -154,21 +151,6 @@ impl IoChannel {
     /// The channel configuration.
     pub fn config(&self) -> &IoChannelConfig {
         &self.cfg
-    }
-
-    /// Retunes the line rate in place, keeping FIFO contents, sequence
-    /// numbers, counters and the accumulated credit (bit·Hz, a unit that
-    /// does not depend on the rate), so only the pacing changes from the
-    /// retune cycle onward, deterministically.
-    ///
-    /// # Errors
-    ///
-    /// [`IoConfigError::Rate`] for a negative or non-finite rate; the
-    /// channel is left as it was.
-    pub fn set_rate(&mut self, rate: BitsPerSec) -> Result<(), IoConfigError> {
-        self.pacer.set_rate(rate_credit(rate)?);
-        self.cfg.rate = rate;
-        Ok(())
     }
 
     /// Takes the next received packet descriptor (its sequence number).
@@ -348,23 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn set_rate_keeps_credit_and_rejects_bad_rates() {
-        let mut ch = channel(IoChannelConfig::ten_gbe_worst_case());
-        ch.advance(15); // one tick short of a packet
-        ch.set_rate(BitsPerSec::from_gbps(1.0)).expect("valid rate");
-        assert_eq!(ch.ticks_to_next_rx(), 10, "20 bits short at 2 bits/cycle");
-        for bad in [-1.0, f64::NAN, f64::INFINITY, 1e30] {
-            assert_eq!(
-                ch.set_rate(BitsPerSec(bad)).map_err(|e| e.to_string()),
-                Err(IoConfigError::Rate(bad).to_string())
-            );
-        }
-        assert_eq!(ch.ticks_to_next_rx(), 10, "a rejected rate changes nothing");
-        ch.set_rate(BitsPerSec(0.0)).expect("zero is a valid rate");
-        assert_eq!(ch.ticks_to_next_rx(), u64::MAX);
-    }
-
-    #[test]
     fn unpaceable_configs_are_errors() {
         let ok = IoChannelConfig::ten_gbe_worst_case();
         let err = |cfg| IoChannel::new(cfg).expect_err("config must be rejected");
@@ -388,13 +353,16 @@ mod tests {
             }),
             IoConfigError::Clock(_)
         ));
-        assert_eq!(
-            err(IoChannelConfig {
-                rate: BitsPerSec(-1.0),
-                ..ok
-            }),
-            IoConfigError::Rate(-1.0)
-        );
+        // Above the pacer's `u64` credit word as well as below zero.
+        for rate in [-1.0, 1e30] {
+            assert_eq!(
+                err(IoChannelConfig {
+                    rate: BitsPerSec(rate),
+                    ..ok
+                }),
+                IoConfigError::Rate(rate)
+            );
+        }
         assert!(matches!(
             err(IoChannelConfig {
                 rate: BitsPerSec(f64::NAN),

@@ -32,12 +32,20 @@
 //!
 //! ```
 //! use nanowall::prelude::*;
+//! use nw_types::BitsPerSec;
 //!
-//! // A small FPPA: 4 dual-threaded RISC cores on a mesh.
+//! // A small FPPA: 4 dual-threaded RISC cores on a mesh, and an I/O
+//! // channel delivering a 40-byte packet every 100 cycles.
 //! let mut cfg = FppaConfig::new("quickstart", TopologyKind::Mesh);
 //! for _ in 0..4 {
 //!     cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
 //! }
+//! let clock_hz = cfg.tech.nominal_clock_hz();
+//! cfg.add_io(IoChannelConfig {
+//!     rate: BitsPerSec(40.0 * 8.0 * clock_hz / 100.0),
+//!     clock_hz,
+//!     ..IoChannelConfig::ten_gbe_worst_case() // 40-byte packets
+//! });
 //!
 //! // A two-object ping-pong application.
 //! let mut b = Application::builder("pingpong");
@@ -53,8 +61,9 @@
 //!
 //! let mut platform = FppaPlatform::new(cfg)?;
 //! platform.install_app(&app, &[0, 3])?;           // ping on pe0, pong on pe3
-//! platform.drive_entry(ping, 0.01);               // 1 invocation / 100 cycles
+//! platform.bind_io_entry(0, ping)?;              // 1 invocation per packet
 //! let report = platform.run(20_000);
+//! assert_eq!(report.io[0].generated, 200);
 //! assert!(report.tasks_completed > 300);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -73,8 +82,7 @@ mod services;
 pub mod tags;
 
 pub use config::{BuildPlatformError, FppaConfig, HwIpConfig, MemoryBlockConfig};
-/// Why an I/O channel cannot be paced ([`BuildPlatformError::Io`],
-/// [`FppaPlatform::set_io_rate`]).
+/// Why an I/O channel cannot be paced ([`BuildPlatformError::Io`]).
 pub use io::IoConfigError;
 /// Why a NoC timing configuration cannot move traffic
 /// ([`BuildPlatformError::Noc`]).

@@ -18,10 +18,10 @@ use crate::calls::{CallTable, Expired, Reply};
 use crate::config::{BuildPlatformError, FppaConfig};
 use crate::fabric::Efpga;
 use crate::faults::{FabricShape, FaultCampaign, FaultKind};
-use crate::io::{IoChannel, IoConfigError};
+use crate::io::IoChannel;
 use crate::report::PlatformReport;
 use crate::resilience::{ResilienceStats, RetryPolicy};
-use crate::runtime::{nth_tick, Runtime};
+use crate::runtime::Runtime;
 use crate::services::Services;
 use crate::tags::{is_reply, RequestTag};
 use nw_dsoc::{MessageKind, MessageView};
@@ -48,8 +48,8 @@ pub enum SchedulerMode {
     /// next due in the platform's agenda; [`FppaPlatform::run`] hops the
     /// clock to the earliest entry and a stepped cycle enters only the
     /// phases that are due. PEs sleep through compute bursts, stalls and
-    /// dormancy, I/O channels and entry drives are paced lazily in closed
-    /// form, and service nodes tick on the cycles they answer.
+    /// dormancy, I/O channels are paced lazily in closed form, and service
+    /// nodes tick on the cycles they answer.
     #[default]
     ActiveSet,
 }
@@ -69,10 +69,9 @@ pub struct SchedulerStats {
     pub cycles_hopped: u64,
     /// Fast-forward hops taken.
     pub hops: u64,
-    /// Hops whose target cycle is an arrival on a bound I/O channel or an
-    /// entry drive (ties with a PE wake, NoC event, fault, retry deadline
-    /// or the end of the run included): the pacing, not the platform,
-    /// ended the quiet span.
+    /// Hops whose target cycle is an arrival on a bound I/O channel (ties
+    /// with a PE wake, NoC event, fault, retry deadline or the end of the
+    /// run included): the pacing, not the platform, ended the quiet span.
     pub hops_ended_by_io: u64,
     /// `Pe::tick` calls made (dense: every PE every stepped cycle).
     pub pe_ticks: u64,
@@ -455,28 +454,6 @@ impl FppaPlatform {
         self.seed
     }
 
-    /// Retunes I/O channel `i`'s line rate in place, from the current cycle
-    /// onward. The channel keeps its accumulated pacing credit.
-    ///
-    /// # Errors
-    ///
-    /// [`IoConfigError::Rate`] for a negative or non-finite rate; the
-    /// channel is left as it was.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set_io_rate(
-        &mut self,
-        i: usize,
-        rate: nw_types::BitsPerSec,
-    ) -> Result<(), IoConfigError> {
-        self.sync_io(self.now.0);
-        let changed = self.ios[i].set_rate(rate);
-        self.post_io();
-        changed
-    }
-
     /// Installs a trace sink: from now on the platform reports packet
     /// injections/deliveries, link transfers, handler dispatch/retire,
     /// deadline misses and fast-forward hops to it, and the NoC starts its
@@ -747,8 +724,8 @@ impl FppaPlatform {
     ///
     /// One loop, both schedulers: read the agenda's minimum
     /// ([`FppaPlatform::next_event_cycle`]); if it is later than the clock,
-    /// hop there — nothing but the clock moves: sleeping PEs, I/O channels
-    /// and entry drives all catch up later, in closed form — else run one
+    /// hop there — nothing but the clock moves: sleeping PEs and I/O
+    /// channels catch up later, in closed form — else run one
     /// stepped cycle, entering only the phases whose agenda entry is due.
     /// [`SchedulerMode::Dense`] never hops and enters every phase. An entry
     /// may be early (its phase runs as a no-op and re-posts), never late,
@@ -808,12 +785,10 @@ impl FppaPlatform {
     /// chose the target.
     fn hop(&mut self, now: u64, target: u64) {
         let span = target - now;
-        let by_io = target == self.io_due
-            || (self.runtime.as_ref()).is_some_and(|rt| rt.drive_due() == target);
         self.now += Cycles(span);
         self.sched_stats.cycles_hopped += span;
         self.sched_stats.hops += 1;
-        self.sched_stats.hops_ended_by_io += u64::from(by_io);
+        self.sched_stats.hops_ended_by_io += u64::from(target == self.io_due);
         if let Some(s) = self.obs_sink.as_deref_mut() {
             s.emit(TraceEvent::FastForward { cycle: now, span });
         }
@@ -851,8 +826,7 @@ impl FppaPlatform {
     ///   engine ticks only at `next_event_cycle`'s answers, at which
     ///   `due_now` holds.
     /// * No span hop ends by I/O (`hops_ended_by_io`): every hop target is
-    ///   below the limit, and the limit is at most `io_due` and the drives'
-    ///   next emission (the dispatch entry whenever a span can run at all).
+    ///   below the limit, and the limit is at most `io_due`.
     fn noc_span(&mut self, end: u64) {
         let now = self.now.0;
         if self.noc.eject_pending() > 0 || !self.outbox.is_empty() || self.pe_due <= now {
@@ -907,13 +881,13 @@ impl FppaPlatform {
     }
 
     /// Advances the platform by one cycle under the configured scheduler
-    /// (a stepped cycle, never a hop), and catches I/O channels and entry
-    /// drives up to the new clock, so [`FppaPlatform::io`] and
+    /// (a stepped cycle, never a hop), and catches I/O channels up to the
+    /// new clock, so [`FppaPlatform::io`] and
     /// [`FppaPlatform::next_event_cycle`] read settled state. PE accounting
     /// stays lazy: see [`FppaPlatform::settle`].
     pub fn step(&mut self) {
         self.step_cycle(self.scheduler == SchedulerMode::Dense);
-        self.sync_paced();
+        self.sync_io(self.now.0);
         #[cfg(debug_assertions)]
         self.audit_agenda();
     }
@@ -1228,7 +1202,7 @@ impl FppaPlatform {
             self.entered(HostPhase::Services);
         }
 
-        // 5. DSOC drives and dispatch.
+        // 5. DSOC dispatch.
         if due(self, Source::Dispatch) {
             self.runtime_dispatch(now, open);
             self.entered(HostPhase::Dispatch);
@@ -1355,8 +1329,8 @@ impl FppaPlatform {
     /// completely drained. Spans before the returned cycle are safe to
     /// skip: the dense scheduler would tick through them changing nothing
     /// but pacing credit, unbound channels' line drops and sleeping PEs'
-    /// accounting. A bound channel or a drive answers with its true next
-    /// arrival; an unbound channel wakes nothing and posts nothing. Reads
+    /// accounting. A bound channel answers with its true next arrival; an
+    /// unbound channel wakes nothing and posts nothing. Reads
     /// settled state after [`FppaPlatform::run`], [`FppaPlatform::step`]
     /// and [`FppaPlatform::settle`]; under dense every PE reads due now.
     pub fn next_event_cycle(&self) -> Option<Cycles> {
@@ -1367,7 +1341,7 @@ impl FppaPlatform {
 
     /// Catches everything that is advanced lazily up to the current cycle:
     /// sleeping PEs' accounting (wake cycles are absolute, so the wake
-    /// table is unaffected), I/O channels' and entry drives' pacing credit.
+    /// table is unaffected) and I/O channels' pacing credit.
     /// Called automatically by [`FppaPlatform::report`] and so by
     /// [`FppaPlatform::run`]; call it directly before reading
     /// [`Pe::stats`] on a manually stepped platform running the active-set
@@ -1377,7 +1351,7 @@ impl FppaPlatform {
         for pe in &mut self.pes {
             pe.settle_accounting(now);
         }
-        self.sync_paced();
+        self.sync_io(now.0);
         // Buffers dropped by the NoC on the final cycle (injected drops,
         // disconnections) still belong to the pool.
         self.recycle_dropped();
@@ -1405,15 +1379,6 @@ impl FppaPlatform {
         }
     }
 
-    /// [`Self::sync_io`] and the drives' counterpart, up to the clock.
-    fn sync_paced(&mut self) {
-        let now = self.now.0;
-        self.sync_io(now);
-        if let Some(rt) = self.runtime.as_mut() {
-            rt.sync_drives(now);
-        }
-    }
-
     /// Posts the I/O agenda entry: the cycle of the next arrival on a
     /// bound channel — one division per channel per call, and the phase
     /// calls it once per arrival — or the next cycle to run while a bound
@@ -1422,14 +1387,19 @@ impl FppaPlatform {
         self.io_due = self.io_arrival();
     }
 
+    /// The cycle of the next arrival on a bound channel: every channel has
+    /// been ticked for the cycles before `io_synced`, and the `n`-th tick
+    /// from there is the first to emit (never stays never). A channel
+    /// with an RX backlog answers `io_synced`.
     fn io_arrival(&self) -> u64 {
         let Some(rt) = self.runtime.as_ref() else {
             return NEVER;
         };
         let bound = (self.ios.iter().enumerate()).filter(|&(i, _)| rt.io_has_bindings(i));
         bound
-            .map(|(_, io)| match io.rx_backlog() {
-                0 => nth_tick(self.io_synced, io.ticks_to_next_rx()),
+            .map(|(_, io)| match (io.rx_backlog(), io.ticks_to_next_rx()) {
+                (0, NEVER) => NEVER,
+                (0, n) => self.io_synced.saturating_add(n - 1),
                 _ => self.io_synced,
             })
             .min()

@@ -13,25 +13,24 @@
 //!    and the egress hand-off if the object is bound to an I/O channel;
 //! 3. dispatches handlers onto idle hardware threads (the hardware
 //!    dispatcher of the StepNP platform), queueing when all contexts are
-//!    busy;
-//! 4. paces entry-point traffic: a deterministic rate drive, line-rate I/O
-//!    binding, or saturation mode for utilization experiments.
+//!    busy.
+//!
+//! Entry-point traffic arrives one way: from an I/O channel bound to the
+//! entry at its line rate ([`FppaPlatform::bind_io_entry`]).
 
 use crate::tags::RequestTag;
 use nw_dsoc::{Application, Domain, Message, MessageKind, MessageView, MethodDef, MethodId};
 use nw_noc::{Packet, PayloadPool};
 use nw_pe::{KernelDomain, Op, Pe, Program};
-use nw_sim::Pacer;
 use nw_types::{Cycles, NodeId, ObjectId, ThreadId};
 use std::collections::VecDeque;
-use std::num::NonZeroU64;
 
 // nw-analyze: allow-file(RH01): every acquired buffer's ownership transfers out of this
 // module — into synthesized Program sends and outbox messages that become NoC packets;
 // the platform recycles each one at packet consumption (FppaPlatform::route_arrivals).
 use std::fmt;
 
-/// Errors from installing an application or configuring drives.
+/// Errors from installing an application or binding its objects.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InstallError {
     /// Placement length differs from the object count.
@@ -43,7 +42,7 @@ pub enum InstallError {
     },
     /// Placement names a PE that does not exist.
     PeOutOfRange(usize),
-    /// The driven/bound object is not an entry point of the application.
+    /// The bound object is not an entry point of the application.
     NotAnEntry(ObjectId),
     /// No application is installed.
     NoApp,
@@ -53,9 +52,6 @@ pub enum InstallError {
     UnknownObject(ObjectId),
     /// The bound node is not a service endpoint (memory, fabric or hwip).
     NotAServiceNode(NodeId),
-    /// The drive rate is negative, not finite, or 2³² invocations per
-    /// cycle and beyond.
-    DriveRate(f64),
 }
 
 impl fmt::Display for InstallError {
@@ -71,9 +67,6 @@ impl fmt::Display for InstallError {
             InstallError::UnknownObject(o) => write!(f, "object {o} not in application"),
             InstallError::NotAServiceNode(n) => {
                 write!(f, "node {n} is not a memory/fabric/hwip service endpoint")
-            }
-            InstallError::DriveRate(r) => {
-                write!(f, "drive rate {r} is not a rate in [0, 2^32) per cycle")
             }
         }
     }
@@ -109,49 +102,14 @@ pub struct ServiceBinding {
 struct PendingInvocation {
     object: ObjectId,
     method: MethodId,
-    /// The invocation tag: the wire sequence number of the arriving request
-    /// (0 for drive/saturation-originated invocations, which have no
-    /// caller). Synthesized replies echo it, so a reply correlates with its
+    /// The invocation tag: the wire sequence number of the arriving
+    /// request. Synthesized replies echo it, so a reply correlates with its
     /// request on the wire — the tag threads request → dispatch queue →
     /// handler → reply.
     seq: u32,
     /// Reply destination and request tag for twoway invocations.
     reply_to: Option<(NodeId, u64)>,
 }
-
-impl PendingInvocation {
-    /// A drive- or saturation-originated invocation: no caller.
-    fn entry(object: ObjectId, method: MethodId) -> Self {
-        PendingInvocation {
-            object,
-            method,
-            seq: 0,
-            reply_to: None,
-        }
-    }
-}
-
-/// A deterministic entry-rate drive: invocations per cycle as 32.32
-/// fixed-point credit, one invocation costing [`DRIVE_COST`].
-#[derive(Debug, Clone)]
-struct Drive {
-    object: ObjectId,
-    method: MethodId,
-    pacer: Pacer,
-}
-
-/// The cycle of the `n`-th tick of a pacer that has been ticked for the
-/// cycles before `from` (`n >= 1`; `u64::MAX`, never, stays never).
-pub(crate) fn nth_tick(from: u64, n: u64) -> u64 {
-    match n {
-        u64::MAX => u64::MAX,
-        _ => from.saturating_add(n - 1),
-    }
-}
-
-/// Credit per driven invocation; a drive's per-cycle credit is its rate
-/// times this, rounded to the nearest integer.
-const DRIVE_COST: NonZeroU64 = NonZeroU64::new(1 << 32).unwrap();
 
 /// One downstream call edge of a handler, resolved at install: the
 /// callee's marshalling footprint and hosting node never change after
@@ -199,11 +157,8 @@ pub struct Runtime {
     handlers: Vec<Vec<Handler>>,
     /// Per-PE invocation queues.
     dispatch: Vec<VecDeque<PendingInvocation>>,
-    drives: Vec<Drive>,
     io_bindings: Vec<Vec<IoBinding>>,
     io_rr: Vec<usize>,
-    /// Objects whose host PE is kept saturated with entry invocations.
-    saturate: Vec<(ObjectId, MethodId)>,
     /// Fractional call-multiplicity carry per edge index.
     edge_carry: Vec<f64>,
     /// Invocations queued across all per-PE dispatch queues (so the
@@ -216,12 +171,6 @@ pub struct Runtime {
     ready: Vec<bool>,
     /// Set bits in `ready`.
     ready_count: usize,
-    /// Drives are advanced lazily: every drive has been ticked for the
-    /// cycles before this one.
-    drive_clock: u64,
-    /// The cycle whose tick queues the next driven invocation (`u64::MAX`:
-    /// no drive running).
-    drive_due: u64,
     seq: u32,
     /// Invocations that arrived but could not be decoded (protocol errors).
     pub decode_errors: u64,
@@ -235,7 +184,6 @@ impl Runtime {
         placement: Vec<usize>,
         n_pes: usize,
         n_ios: usize,
-        now: Cycles,
     ) -> Result<Self, InstallError> {
         if placement.len() != app.objects().len() {
             return Err(InstallError::PlacementLength {
@@ -281,16 +229,12 @@ impl Runtime {
             placement,
             handlers,
             dispatch: (0..n_pes).map(|_| VecDeque::new()).collect(),
-            drives: Vec::new(),
             io_bindings: vec![Vec::new(); n_ios],
             io_rr: vec![0; n_ios],
-            saturate: Vec::new(),
             edge_carry: vec![0.0; n_edges],
             pending_total: 0,
             ready: vec![false; n_pes],
             ready_count: 0,
-            drive_clock: now.0,
-            drive_due: u64::MAX,
             seq: 0,
             decode_errors: 0,
             dispatched_per_object: vec![0; n_objects],
@@ -307,38 +251,10 @@ impl Runtime {
         &self.placement
     }
 
-    fn entry_method_of(&self, object: ObjectId) -> Result<MethodId, InstallError> {
-        self.app
-            .entries()
-            .iter()
-            .find(|&&(o, _)| o == object)
-            .map(|&(_, m)| m)
-            .ok_or(InstallError::NotAnEntry(object))
-    }
-
-    pub(crate) fn add_drive(&mut self, object: ObjectId, rate: f64) -> Result<(), InstallError> {
-        let method = self.entry_method_of(object)?;
-        let credit = Pacer::whole_credit(rate * DRIVE_COST.get() as f64)
-            .ok_or(InstallError::DriveRate(rate))?;
-        self.drives.push(Drive {
-            object,
-            method,
-            pacer: Pacer::new(credit, DRIVE_COST),
-        });
-        self.sync_drives(self.drive_clock);
-        Ok(())
-    }
-
-    pub(crate) fn add_saturation(&mut self, object: ObjectId) -> Result<(), InstallError> {
-        let method = self.entry_method_of(object)?;
-        self.saturate.push((object, method));
-        // Ready unless proven otherwise: the next dispatch looks.
-        self.note_pe(self.placement[object.0], usize::MAX);
-        Ok(())
-    }
-
     pub(crate) fn bind_io(&mut self, io: usize, object: ObjectId) -> Result<(), InstallError> {
-        let method = self.entry_method_of(object)?;
+        let mut entries = self.app.entries().iter();
+        let &(_, method) =
+            (entries.find(|&&(o, _)| o == object)).ok_or(InstallError::NotAnEntry(object))?;
         let slot = self
             .io_bindings
             .get_mut(io)
@@ -452,11 +368,9 @@ impl Runtime {
     }
 
     /// Whether the dispatcher has something to spawn on PE `p`: a free
-    /// hardware thread, and a queued invocation or a saturated entry point
-    /// hosted there.
+    /// hardware thread and a queued invocation.
     fn can_spawn(&self, p: usize, idle_threads: usize) -> bool {
-        let saturated = || self.saturate.iter().any(|&(o, _)| self.placement[o.0] == p);
-        idle_threads > 0 && (!self.dispatch[p].is_empty() || saturated())
+        idle_threads > 0 && !self.dispatch[p].is_empty()
     }
 
     /// Refreshes PE `p`'s ready bit from its free hardware threads.
@@ -481,8 +395,7 @@ impl Runtime {
 
     /// The oracle of the dispatcher's agenda entry (debug builds, after
     /// every step and hop): no PE the dispatcher could spawn on has a clear
-    /// ready bit, the count is the set bits, and the posted drive cycle is
-    /// not past the next emission.
+    /// ready bit, and the count is the set bits.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn audit_agenda(&self, pes: &[Pe]) {
         for (p, pe) in pes.iter().enumerate() {
@@ -491,63 +404,23 @@ impl Runtime {
         }
         let set = self.ready.iter().filter(|&&r| r).count();
         assert_eq!(self.ready_count, set, "ready count out of step");
-        let emission = nth_tick(self.drive_clock, self.drive_ticks_to_next());
-        assert!(self.drive_due <= emission, "drive entry late");
     }
 
     /// The dispatcher's agenda entry: `now` while some PE is ready, else
-    /// the cycle the next driven invocation is queued.
+    /// never (an arrival routed to a PE or a freed thread sets a bit).
     #[inline]
     pub(crate) fn dispatch_due(&self, now: u64) -> u64 {
         if self.ready_count > 0 {
             now
         } else {
-            self.drive_due
+            u64::MAX
         }
     }
 
-    /// The cycle whose tick queues the next driven invocation.
-    pub(crate) fn drive_due(&self) -> u64 {
-        self.drive_due
-    }
-
-    /// Ticks every drive for the cycles before `to` it has not seen yet —
-    /// in closed form, queueing the invocations that fall due — and posts
-    /// the next one. The dispatcher runs on every cycle a drive emits, so
-    /// only the tick of `to - 1` ever queues anything.
-    pub(crate) fn sync_drives(&mut self, to: u64) {
-        self.advance_drives(to - self.drive_clock);
-        self.drive_clock = to;
-        self.drive_due = nth_tick(to, self.drive_ticks_to_next());
-    }
-
-    /// Advances the deterministic entry drives by `k` cycles, queueing
-    /// the invocations that fall due.
-    fn advance_drives(&mut self, k: u64) {
-        for d in &mut self.drives {
-            let pe = self.placement[d.object.0];
-            for _ in 0..d.pacer.advance(k) {
-                self.dispatch[pe].push_back(PendingInvocation::entry(d.object, d.method));
-                self.pending_total += 1;
-            }
-        }
-    }
-
-    /// How many cycles from now the first drive queues an invocation: the
-    /// `n`-th coming cycle (`n >= 1`; `u64::MAX` with no drive running).
-    fn drive_ticks_to_next(&self) -> u64 {
-        self.drives
-            .iter()
-            .map(|d| d.pacer.ticks_to_next())
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
-    /// Ticks the drives through cycle `now`, then dispatches queued
-    /// invocations (and saturation refills) onto idle hardware threads:
-    /// queues PE by PE ascending, then the saturated entry points in order,
-    /// each spawn reported to `on_spawn` as `(pe, thread, object)`. The
-    /// caller refreshes the ready bits afterwards ([`Runtime::note_pes`]).
+    /// Dispatches queued invocations onto idle hardware threads, PE by PE
+    /// ascending, each spawn reported to `on_spawn` as `(pe, thread,
+    /// object)`. The caller refreshes the ready bits afterwards
+    /// ([`Runtime::note_pes`]).
     ///
     /// Only PEs with pending work are visited (an active-set skip that is
     /// behaviour-identical to the dense scan, since a PE with an empty queue
@@ -565,44 +438,26 @@ impl Runtime {
         pool: &mut PayloadPool,
         mut on_spawn: impl FnMut(usize, ThreadId, ObjectId),
     ) -> (u64, u64) {
-        self.sync_drives(now.0 + 1);
         let (mut woken, mut earliest) = (0, u64::MAX);
-        let mut wake = |p: usize, pe: &Pe| {
+        if self.pending_total == 0 {
+            return (woken, earliest);
+        }
+        for (p, pe) in pes.iter_mut().enumerate() {
+            if self.dispatch[p].is_empty() || pe.idle_threads() == 0 {
+                continue;
+            }
+            pe.settle_accounting(now);
+            while pe.idle_threads() > 0 {
+                let Some(inv) = self.dispatch[p].pop_front() else {
+                    break;
+                };
+                self.pending_total -= 1;
+                self.spawn(p, pe, &inv, pool, &mut on_spawn);
+            }
             let at = pe.wake_cycle(now);
             pe_wake[p] = pe_wake[p].min(at);
             earliest = earliest.min(at);
             woken += 1;
-        };
-        if self.pending_total > 0 {
-            for (p, pe) in pes.iter_mut().enumerate() {
-                if self.dispatch[p].is_empty() || pe.idle_threads() == 0 {
-                    continue;
-                }
-                pe.settle_accounting(now);
-                while pe.idle_threads() > 0 {
-                    let Some(inv) = self.dispatch[p].pop_front() else {
-                        break;
-                    };
-                    self.pending_total -= 1;
-                    self.spawn(p, pe, &inv, pool, &mut on_spawn);
-                }
-                wake(p, pe);
-            }
-        }
-        // Saturation mode: keep every context of the hosting PE occupied.
-        for k in 0..self.saturate.len() {
-            let (object, method) = self.saturate[k];
-            let p = self.placement[object.0];
-            let pe = &mut pes[p];
-            if pe.idle_threads() == 0 {
-                continue;
-            }
-            pe.settle_accounting(now);
-            let inv = PendingInvocation::entry(object, method);
-            while pe.idle_threads() > 0 {
-                self.spawn(p, pe, &inv, pool, &mut on_spawn);
-            }
-            wake(p, pe);
         }
         (woken, earliest)
     }
@@ -777,45 +632,11 @@ impl FppaPlatform {
             placement.to_vec(),
             self.pes_slice().len(),
             self.ios_slice().len(),
-            self.now(),
         )?;
         self.runtime = Some(rt);
         self.post_io();
         self.calls.reset(app.objects().len());
         Ok(())
-    }
-
-    /// Drives entry-point `object` at `rate` invocations per cycle
-    /// (deterministic pacing: the rate is held as 32.32 fixed point, so
-    /// over `c` cycles exactly `floor(c * round(rate * 2^32) / 2^32)`
-    /// invocations are queued, whichever scheduler runs them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no application is installed, the object is not an entry
-    /// point, or the rate is negative, not finite or `2^32` and beyond —
-    /// all setup bugs in the calling experiment.
-    pub fn drive_entry(&mut self, object: ObjectId, rate: f64) {
-        self.runtime
-            .as_mut()
-            .expect("install_app before drive_entry")
-            .add_drive(object, rate)
-            .expect("drive_entry requires an application entry point and a valid rate");
-    }
-
-    /// Keeps the PE hosting `object` saturated with entry invocations
-    /// (utilization rigs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no application is installed or the object is not an entry
-    /// point.
-    pub fn saturate_entry(&mut self, object: ObjectId) {
-        self.runtime
-            .as_mut()
-            .expect("install_app before saturate_entry")
-            .add_saturation(object)
-            .expect("saturate_entry requires an application entry point");
     }
 
     /// Feeds entry-point `object` from I/O channel `io` at line rate.
@@ -923,8 +744,16 @@ mod tests {
     }
 
     fn runtime() -> Runtime {
-        Runtime::new(two_stage_app(), vec![0, 1], 2, 0, Cycles(0)).expect("valid placement")
+        Runtime::new(two_stage_app(), vec![0, 1], 2, 0).expect("valid placement")
     }
+
+    /// An invocation of the entry point with no caller.
+    const ENTRY: PendingInvocation = PendingInvocation {
+        object: ObjectId(0),
+        method: MethodId(0),
+        seq: 0,
+        reply_to: None,
+    };
 
     /// Op equality modulo marshalled payload bytes (sequence numbers vary
     /// between invocations by design; everything timing-relevant must not).
@@ -976,7 +805,7 @@ mod tests {
     #[test]
     fn handler_synthesis_is_identical_across_invocations() {
         let mut rt = runtime();
-        let inv = PendingInvocation::entry(ObjectId(0), MethodId(0));
+        let inv = ENTRY;
         let mut pool = PayloadPool::new();
         let first = rt.synthesize(&inv, Vec::new(), &mut pool);
         let second = rt.synthesize(&inv, Vec::new(), &mut pool);
@@ -997,48 +826,9 @@ mod tests {
     }
 
     #[test]
-    fn drives_pace_exactly_in_one_jump_or_cycle_by_cycle() {
-        let mut ticked = runtime();
-        ticked.add_drive(ObjectId(0), 0.01).expect("entry point");
-        ticked
-            .add_drive(ObjectId(0), 1.0 / 3.0)
-            .expect("entry point");
-        let mut jumped = ticked.clone();
-        // 1/3 rounds down to 1431655765 / 2^32: the third tick is one
-        // credit unit short, the fourth (cycle 3) emits.
-        assert_eq!(ticked.drive_due(), 3);
-        for c in 1..=1_000 {
-            ticked.sync_drives(c);
-        }
-        jumped.sync_drives(1_000);
-        // floor(1000 * round(r * 2^32) / 2^32): 10 and 333.
-        assert_eq!(ticked.queued_invocations(), 343);
-        assert_eq!(jumped.queued_invocations(), 343);
-        assert_eq!(ticked.drive_due(), jumped.drive_due());
-        assert_eq!(runtime().drive_due(), u64::MAX, "no drive, no arrival");
-    }
-
-    #[test]
-    fn unusable_drive_rates_are_errors() {
-        let mut rt = runtime();
-        for bad in [-0.5, f64::INFINITY, 4_294_967_296.0] {
-            assert_eq!(
-                rt.add_drive(ObjectId(0), bad),
-                Err(InstallError::DriveRate(bad))
-            );
-        }
-        assert!(rt.add_drive(ObjectId(0), f64::NAN).is_err());
-        assert_eq!(
-            rt.add_drive(ObjectId(1), 0.5),
-            Err(InstallError::NotAnEntry(ObjectId(1)))
-        );
-        assert_eq!(rt.add_drive(ObjectId(0), 0.0), Ok(()));
-    }
-
-    #[test]
     fn a_binding_reaches_the_next_synthesis() {
         let mut rt = runtime();
-        let inv = PendingInvocation::entry(ObjectId(0), MethodId(0));
+        let inv = ENTRY;
         let mut pool = PayloadPool::new();
         assert!(rt.handlers[0][0].service.is_none());
         assert_eq!(rt.synthesize(&inv, Vec::new(), &mut pool).call_count(), 0);

@@ -37,7 +37,7 @@ pub enum HostPhase {
     RouteArrivals,
     /// Service endpoints consuming and replying.
     Services,
-    /// Runtime drive + handler dispatch onto hardware threads.
+    /// Handler dispatch onto hardware threads.
     Dispatch,
     /// Stepping the processing elements.
     PeStep,

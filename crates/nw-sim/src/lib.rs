@@ -23,7 +23,7 @@
 //! telemetry, throughput [`stats::Counter`]s and streaming means.
 //!
 //! [`pacer::Pacer`] is the exact integer rate accumulator behind line-rate
-//! I/O and entry drives: `k` cycles in one jump equal `k` single ticks.
+//! I/O: `k` cycles in one jump equal `k` single ticks.
 //!
 //! # Examples
 //!

@@ -4,10 +4,9 @@
 //! into item arrivals without floating point: the credit is an integer, so
 //! advancing `k` cycles at once is the same arithmetic as `k` single
 //! cycles, and the cycle of the next arrival has a closed form. The
-//! platform's line-rate I/O channels (credit unit bit·Hz) and the DSOC
-//! runtime's entry drives (cost 2³²) both pace with it, which is what lets
-//! the active-set scheduler jump a quiet span in one step and still agree
-//! with the dense scheduler to the last bit.
+//! platform's line-rate I/O channels pace with it (credit unit bit·Hz),
+//! which is what lets the active-set scheduler jump a quiet span in one
+//! step and still agree with the dense scheduler to the last bit.
 
 use std::num::NonZeroU64;
 
@@ -17,7 +16,7 @@ use std::num::NonZeroU64;
 ///
 /// Between calls the credit is always below `cost`, so the whole state is
 /// three `u64`s and [`Pacer::advance`] never loses a remainder: after any
-/// sequence of calls covering `c` cycles at one rate, exactly
+/// sequence of calls covering `c` cycles, exactly
 /// `floor(c * rate / cost)` items have been emitted.
 ///
 /// # Examples
@@ -62,12 +61,6 @@ impl Pacer {
             cost,
             credit: 0,
         }
-    }
-
-    /// Changes the per-cycle rate, keeping the accumulated credit (its
-    /// unit does not depend on the rate).
-    pub fn set_rate(&mut self, rate: u64) {
-        self.rate = rate;
     }
 
     /// Advances one cycle; returns the items that fall due in it.
@@ -143,15 +136,6 @@ mod tests {
         for bad in [-0.4, -1.0, f64::NAN, f64::INFINITY, 1.9e19] {
             assert_eq!(Pacer::whole_credit(bad), None, "{bad}");
         }
-    }
-
-    #[test]
-    fn set_rate_keeps_the_credit() {
-        let mut p = pacer(3, 10);
-        assert_eq!(p.advance(3), 0); // credit 9
-        p.set_rate(1);
-        assert_eq!(p.ticks_to_next(), 1);
-        assert_eq!(p.tick(), 1);
     }
 
     #[test]

@@ -1,19 +1,27 @@
 //! Quickstart: build a small FPPA, install a two-object DSOC application,
-//! run it, and read the report.
+//! feed it from a paced I/O channel, run it, and read the report.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
 use nanowall::prelude::*;
+use nw_types::BitsPerSec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Declare the platform: four dual-threaded RISC cores on a mesh NoC
-    //    at the paper's 0.13 um node.
+    //    at the paper's 0.13 um node, and one I/O channel that delivers a
+    //    40-byte packet every 100 cycles of the core clock.
     let mut cfg = FppaConfig::new("quickstart", TopologyKind::Mesh);
     for _ in 0..4 {
         cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
     }
+    let clock_hz = cfg.tech.nominal_clock_hz();
+    cfg.add_io(IoChannelConfig {
+        rate: BitsPerSec(40.0 * 8.0 * clock_hz / 100.0),
+        clock_hz,
+        ..IoChannelConfig::ten_gbe_worst_case() // 40-byte packets
+    });
 
     // 2. Describe the application as DSOC objects: a producer that hands
     //    each work item to a consumer.
@@ -29,11 +37,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = b.build()?;
 
     // 3. Map objects to PEs (here by hand; nw-mapping automates this),
-    //    drive the entry point, and simulate.
+    //    feed the entry point from the channel, and simulate.
     let mut platform = FppaPlatform::new(cfg)?;
     platform.install_app(&app, &[0, 3])?;
-    platform.drive_entry(ping, 0.01); // one invocation per 100 cycles
+    platform.bind_io_entry(0, ping)?; // one invocation per packet
     let report = platform.run(50_000);
+    if report.io[0].generated == 0 || report.tasks_completed == 0 {
+        return Err("the channel generated nothing or no task completed".into());
+    }
 
     // 4. Read the results.
     println!("platform        : {}", platform.config().name);

@@ -683,37 +683,6 @@ fn a_hop_lands_on_the_arrival_cycle_and_not_one_beyond() {
 }
 
 #[test]
-fn retuned_io_rates_pace_identically_from_the_retune_cycle() {
-    use nw_types::BitsPerSec;
-    let mut dense = paced_rig(SchedulerMode::Dense, 40.0);
-    let mut active = paced_rig(SchedulerMode::ActiveSet, 40.0);
-    // Mid-gap retunes: up 30x, to a rate that divides nothing, to zero
-    // (the wire goes dead, credit kept), and back.
-    for (i, mbps) in [1_200.0, 333.3, 0.0, 40.0].into_iter().enumerate() {
-        let _ = dense.run(6_100);
-        let _ = active.run(6_100);
-        assert_eq!(
-            paced_state(&mut dense, 6_100),
-            paced_state(&mut active, 6_100),
-            "leg {i}"
-        );
-        for p in [&mut dense, &mut active] {
-            p.set_io_rate(0, BitsPerSec::from_mbps(mbps))
-                .expect("valid rate");
-            p.set_io_rate(1, BitsPerSec::from_mbps(7.0 * mbps))
-                .expect("valid rate");
-        }
-    }
-    let _ = dense.run(20_000);
-    let _ = active.run(20_000);
-    let (report, io) = paced_state(&mut active, 20_000);
-    assert_eq!((report.clone(), io), paced_state(&mut dense, 20_000));
-    assert!(report.io[0].generated > 0);
-    assert!(active.scheduler_stats().cycles_hopped > 20_000);
-    assert!(active.set_io_rate(0, BitsPerSec(f64::NAN)).is_err());
-}
-
-#[test]
 fn checkpoints_inside_a_quiet_gap_carry_the_pacing_credit() {
     use nanowall::FppaPlatform;
     const CUT: u64 = 6_000; // between the arrivals of cycles 3999 and 7999
@@ -758,42 +727,6 @@ fn checkpoints_inside_a_quiet_gap_carry_the_pacing_credit() {
             "{mode:?}: restore diverged"
         );
     }
-}
-
-#[test]
-fn driven_rigs_hop_between_invocations() {
-    // Entry drives used to veto every hop; now a drive posts its next
-    // invocation like any other timed source.
-    use nanowall::prelude::*;
-    let build = |mode| {
-        let mut p = paced_rig(mode, 0.0);
-        p.set_io_rate(1, nw_types::BitsPerSec(0.0))
-            .expect("zero is a valid rate");
-        let ping = p.runtime().expect("app installed").app().entries()[0].0;
-        p.drive_entry(ping, 0.01); // a tie every 100 cycles (rounded up)
-        p.drive_entry(ping, 0.003); // no tie
-        (p, ping)
-    };
-    let run = |mode| {
-        let (mut p, ping) = build(mode);
-        let report = p.run(60_000);
-        let pings = p.runtime().expect("app installed").object_dispatches()[ping.0];
-        (report, p.scheduler_stats(), pings)
-    };
-    let (dense, _, _) = run(SchedulerMode::Dense);
-    let (active, stats, pings) = run(SchedulerMode::ActiveSet);
-    assert_eq!(dense, active, "driven rig diverged across schedulers");
-    // floor(60000 * round(rate * 2^32) / 2^32) per drive, exactly.
-    assert_eq!(pings, 600 + 180);
-    assert!(active.tasks_completed > 1_500);
-    assert!(stats.cycles_hopped > 30_000, "{stats:?}");
-    assert!(stats.hops_ended_by_io >= 700, "{stats:?}");
-
-    // With everything else drained, the next drive invocation is the
-    // platform's next event: the 100th tick, in cycle 99.
-    let (mut p, _) = build(SchedulerMode::ActiveSet);
-    let _ = p.run(50);
-    assert_eq!(p.next_event_cycle(), Some(Cycles(99)));
 }
 
 /// [`pingpong_rig`] under load: ping is dear — a 2 KiB fetch from an SRAM
@@ -955,7 +888,7 @@ fn checkpoints_inside_a_hop_span_with_a_memory_busy_and_invocations_queued() {
     // mutator — taken at the worst moment, inside a span the run loop
     // would hop, with the SRAM mid-access and pings waiting for a thread.
     use nanowall::{FppaPlatform, TraceEvent};
-    use nw_types::{BitsPerSec, Cycles};
+    use nw_types::Cycles;
     const TAIL: u64 = 8_000;
     let build = |mode| loaded_rig(mode, 1_000.0, 64, 16);
 
@@ -1009,10 +942,6 @@ fn checkpoints_inside_a_hop_span_with_a_memory_busy_and_invocations_queued() {
         let mut switched = copy();
         switched.set_scheduler_mode(SchedulerMode::Dense);
         switched.set_scheduler_mode(SchedulerMode::ActiveSet);
-        let mut retuned = copy();
-        retuned
-            .set_io_rate(0, BitsPerSec::from_mbps(1_000.0))
-            .expect("the rate it already has");
         let mut touched = copy();
         let _ = touched.pe_mut(2); // hosts nothing: woken, ticked, dormant again
         let mut rest = fork.fork(8);
@@ -1020,7 +949,6 @@ fn checkpoints_inside_a_hop_span_with_a_memory_busy_and_invocations_queued() {
             ("fork", &mut rest, TAIL - 1),
             ("copy", &mut copy(), TAIL),
             ("mode switch", &mut switched, TAIL),
-            ("set_io_rate", &mut retuned, TAIL),
             ("pe_mut", &mut touched, TAIL),
             ("original", &mut p, TAIL),
         ] {
@@ -1307,6 +1235,12 @@ fn offloads_are_charged_to_the_handler_the_runtime_dispatched() {
     let mut cfg = FppaConfig::new("attribution", TopologyKind::Mesh);
     cfg.add_pe(PeConfig::new(PeClass::GpRisc, 1));
     cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 2.0));
+    let clock_hz = cfg.tech.nominal_clock_hz();
+    cfg.add_io(IoChannelConfig {
+        rate: nw_types::BitsPerSec(40.0 * 8.0 * clock_hz / 4_096.0),
+        clock_hz,
+        ..IoChannelConfig::ten_gbe_worst_case() // 40-byte packets
+    });
     let mut p = FppaPlatform::new(cfg).expect("config valid");
     let mut b = Application::builder("attribution");
     let reader = b.add_object(ObjectDef::new("reader").with_method(MethodDef::oneway("go", 16)));
@@ -1315,8 +1249,9 @@ fn offloads_are_charged_to_the_handler_the_runtime_dispatched() {
         .expect("placed");
     let mem = p.memory_node(0);
     p.bind_service(reader, mem, 16, 64, 1).expect("a memory");
-    // Handlers are dispatched at cycles 4095, 8191 and 12287.
-    p.drive_entry(reader, 1.0 / 4_096.0);
+    // The packets arrive on cycles 4095, 8191 and 12287, and their
+    // handlers are dispatched 14 cycles later, at 4109, 8205 and 12301.
+    p.bind_io_entry(0, reader).expect("channel 0 exists");
     let charged = |p: &FppaPlatform| p.object_latency(reader).expect("installed").count();
     let manual_call = |p: &mut FppaPlatform| {
         let prog = nw_pe::Program::straight_line([nw_pe::Op::call(mem, 16, 64)]);
