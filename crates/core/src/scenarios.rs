@@ -289,10 +289,14 @@ pub fn fppa_tour_config() -> FppaConfig {
         area: AreaMm2(1.2),
         energy_per_item: Picojoules(120.0),
     });
-    cfg.add_io(IoChannelConfig::ten_gbe_worst_case());
+    let ten_gbe = IoChannelConfig {
+        clock_hz: cfg.tech.nominal_clock_hz(),
+        ..IoChannelConfig::ten_gbe_worst_case()
+    };
+    cfg.add_io(ten_gbe);
     cfg.add_io(IoChannelConfig {
         rate: BitsPerSec::from_gbps(2.5),
-        ..IoChannelConfig::ten_gbe_worst_case()
+        ..ten_gbe
     });
     cfg
 }
@@ -1121,6 +1125,18 @@ mod tests {
             .bind_service(ObjectId(0), pe_node, 8, 8, 1)
             .unwrap_err();
         assert_eq!(err, crate::runtime::InstallError::NotAServiceNode(pe_node));
+    }
+
+    #[test]
+    fn every_channel_paces_at_its_platform_clock() {
+        let tour = FppaPlatform::new(fppa_tour_config()).expect("tour config is valid");
+        let registry = STANDARD.iter().map(|s| (s.name, (s.build)(true).platform));
+        let bench = BenchRig::ALL.map(|rig| (rig.name(), rig.build(1_000)));
+        for (name, p) in registry.chain(bench).chain([("fppa-tour", tour)]) {
+            for (i, io) in p.ios_slice().iter().enumerate() {
+                assert_eq!(io.config().clock_hz, p.clock_hz(), "{name} io{i}");
+            }
+        }
     }
 
     #[test]
