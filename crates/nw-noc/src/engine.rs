@@ -1,25 +1,23 @@
 //! The cycle-stepped NoC engine.
 //!
-//! Timing model: packet-granular virtual cut-through. Each router holds a
-//! bounded pool of packet buffers; a packet crossing a link occupies the
-//! link for `ceil(flits / width)` cycles (serialization) plus the link's
-//! wire latency and a fixed per-hop router pipeline delay. Transfers start
-//! only when the downstream router has a free buffer (credit flow control),
-//! so congestion back-pressures all the way to the network interfaces.
-//! Injection additionally requires *two* free slots at the local router
-//! (bubble flow control), which keeps rings and tori deadlock-free.
+//! Timing model: packet-granular virtual cut-through. A packet crossing a
+//! link occupies it for `ceil(flits / width)` cycles (serialization) plus
+//! the link's wire latency and a fixed per-hop router pipeline delay. It
+//! starts only when the downstream router has a free buffer (credit flow
+//! control), so congestion back-pressures to the network interfaces. A
+//! router's buffers are one pool, and injection needs *two* free (the
+//! bubble rule): not deadlock freedom, as the channel dependency cycles
+//! `crates/nw-noc/tests/deadlock_oracle.rs` prints for rings, meshes,
+//! tori and fat trees show.
 //!
 //! Shared-medium routers (the bus arbiter) serialize all their ports through
 //! a single round-robin grant — this is what makes [`TopologyKind::SharedBus`]
 //! saturate at one transfer at a time while the crossbar core switches all
 //! ports in parallel.
 //!
-//! Storage: a packet is written once, into the engine's packet slab at
-//! [`Noc::try_inject`], and read once, at [`Noc::eject`]. In between the
-//! engine moves its `u32` handle: NI, output-port and eject queues are FIFOs
-//! threaded through the slab, an in-flight transfer is one packed word in
-//! the arrival queue, and all ports of the fabric sit in one table
-//! (ARCHITECTURE.md, "Packet slab and port table").
+//! Storage: a packet is written into one slab at [`Noc::try_inject`] and
+//! read at [`Noc::eject`]; queues and in-flight transfers move its `u32`
+//! handle (ARCHITECTURE.md, "Packet slab and port table").
 //!
 //! [`TopologyKind::SharedBus`]: crate::topology::TopologyKind::SharedBus
 
@@ -35,7 +33,9 @@ use std::fmt;
 pub struct NocConfig {
     /// Link width in bytes per flit (default 8: 64-bit links).
     pub flit_bytes: u64,
-    /// Packet buffers per router (default 8).
+    /// Packet buffers per inbound link (default 8), pooled per router and
+    /// at least this many, so a high-radix switch is not starved next to a
+    /// low-radix one.
     pub input_buffer: usize,
     /// Network-interface injection queue depth per endpoint (default 64).
     pub ni_capacity: usize,
@@ -73,7 +73,7 @@ impl NocConfig {
         if self.ni_capacity == 0 {
             return Err(NocConfigError::ZeroNiCapacity);
         }
-        if self.input_buffer < 2 {
+        if self.input_buffer < Credits::BUBBLE {
             return Err(NocConfigError::InputBufferUnderTwo(self.input_buffer));
         }
         Ok(())
@@ -281,7 +281,6 @@ struct Router {
     shared: bool,
     shared_busy_until: u64,
     rr_next: usize,
-    input_free: usize,
     ni_in: Fifo,
     eject: Fifo,
     /// Packets sitting in this router's output-port queues. Kept so the
@@ -295,6 +294,82 @@ impl Router {
     #[inline]
     fn words(&self) -> std::ops::Range<usize> {
         self.first_word..self.first_word + self.n_ports.div_ceil(64)
+    }
+}
+
+/// The credit ledger: the fabric's input-buffer slots and the one place the
+/// flow-control policy lives. It pools each router's slots
+/// ([`NocConfig::input_buffer`]); callers name the port or router they mean
+/// all the same, so a per-input-port policy changes this type alone. A slot
+/// is held from admission or the upstream fire ([`Credits::take`]) until
+/// the packet fires onward, is delivered or drops ([`Credits::give`]).
+/// Injection leaves one free (the bubble rule, [`Credits::admits`]), so a
+/// full pool holds a packet that came in over a link: the channel
+/// dependency graphs of `crates/nw-noc/tests/deadlock_oracle.rs` rest on
+/// that, and print the cycles the rule leaves.
+#[derive(Debug, Clone)]
+struct Credits {
+    /// Free slots per router.
+    input_free: Vec<usize>,
+}
+
+impl Credits {
+    /// Free slots an injection needs: the bubble rule.
+    const BUBBLE: usize = 2;
+
+    /// Every slot of `topo` free: `input_buffer` per inbound link, and at
+    /// least `input_buffer` per router.
+    fn new(topo: &Topology, input_buffer: usize) -> Self {
+        let mut slots = vec![0; topo.n_routers()];
+        for l in (0..topo.n_routers()).flat_map(|r| topo.links_of(r)) {
+            slots[l.to] += input_buffer;
+        }
+        let input_free = slots.into_iter().map(|n| n.max(input_buffer)).collect();
+        Credits { input_free }
+    }
+
+    /// Takes the credit of the input that output port `_port` (of
+    /// [`Noc::ports`]) feeds at router `to`, if one is free.
+    #[inline(always)]
+    fn take(&mut self, _port: usize, to: usize) -> bool {
+        let free = self.input_free[to] > 0;
+        self.input_free[to] -= usize::from(free);
+        free
+    }
+
+    /// Hands back the slot a packet held at router `r`, returning whether
+    /// predecessors must wake (free went 0 -> 1) and whether `r` admits.
+    #[inline(always)]
+    fn give(&mut self, r: usize) -> (bool, bool) {
+        self.input_free[r] += 1;
+        (self.input_free[r] == 1, self.admits(r))
+    }
+
+    /// Whether router `r` admits an injection.
+    #[inline(always)]
+    fn admits(&self, r: usize) -> bool {
+        self.input_free[r] >= Self::BUBBLE
+    }
+
+    /// Takes the slot an injection at router `r` enters, if admitted.
+    #[inline(always)]
+    fn admit(&mut self, r: usize) -> bool {
+        let admitted = self.admits(r);
+        self.input_free[r] -= usize::from(admitted);
+        admitted
+    }
+
+    /// Slots held across the fabric, checking that no router has more
+    /// free than `topo` gives it.
+    #[cfg(debug_assertions)]
+    fn held(&self, topo: &Topology, input_buffer: usize) -> usize {
+        let capacity = Credits::new(topo, input_buffer).input_free;
+        let mut held = 0;
+        for (r, (&free, &slots)) in self.input_free.iter().zip(&capacity).enumerate() {
+            debug_assert!(free <= slots, "router {r}: {free} of {slots} slots free");
+            held += slots - free;
+        }
+        held
     }
 }
 
@@ -448,15 +523,14 @@ pub struct Noc {
     /// In-flight transfers as [`arrival_word`]s, due the cycle the packet
     /// reaches the router.
     arrivals: EventQueue<u64>,
+    credits: Credits,
     next_id: u64,
     injected: Counter,
     delivered: Counter,
     refused: Counter,
     flit_hops: Counter,
     latency: Histogram,
-    /// Packets waiting in NI queues across all endpoints. Lets `drain_ni`
-    /// skip the per-endpoint scan entirely on quiescent cycles (the same
-    /// active-set treatment the transmit scan's `queued` counter provides).
+    /// Packets waiting in NI queues across all endpoints.
     ni_pending: usize,
     /// Packets queued on output ports across all routers (sum of the
     /// per-router `queued` counters) — the transmit scan's global gate.
@@ -466,23 +540,16 @@ pub struct Noc {
     /// One bit per endpoint, set while its eject queue holds a delivery:
     /// [`Noc::eject_next`] answers from here instead of polling endpoints.
     eject_ready: Vec<u64>,
-    /// Timed router wakes: a router index due at the cycle it may be able
-    /// to fire (a port or shared medium frees then). The wheel holds future
-    /// cycles only — whatever becomes possible inside a tick goes on
-    /// `ready` — so `next_event_cycle` answers from its head with the true
-    /// next busy-path event.
+    /// Timed router wakes, at the cycle a port or shared medium frees:
+    /// future cycles only (whatever becomes possible inside a tick goes on
+    /// `ready`), so `next_event_cycle` answers from its head.
     wakes: EventQueue<usize>,
-    /// Due cycle of each router's live wake (`u64::MAX` = none): at most
-    /// one per router. A wake is entered only when it precedes the live
-    /// one, which it thereby supersedes; the superseded entry stays in the
-    /// wheel and is dropped when it pops (`transmit`). Later needs than the
-    /// live wake are rediscovered when it fires and the router is
-    /// re-examined.
+    /// Due cycle of each router's one live wake (`u64::MAX` = none); an
+    /// earlier wake supersedes it ([`Noc::schedule_wake`]).
     wake_at: Vec<u64>,
     /// Reverse adjacency, row by row: the routers with a link into `r` are
-    /// `preds[pred_start[r]..pred_start[r + 1]]`. When a buffer slot frees
-    /// at `r` (credit appears), these are the routers whose blocked output
-    /// ports may become able to fire.
+    /// `preds[pred_start[r]..pred_start[r + 1]]`, the ones a credit freed
+    /// at `r` may unblock.
     preds: Vec<usize>,
     pred_start: Vec<usize>,
     /// Worklist of routers to visit this transmit pass: one bit per router,
@@ -490,8 +557,8 @@ pub struct Noc {
     /// the dense ascending scan does. All zero between ticks.
     ready: Vec<u64>,
     /// One bit per endpoint, set while its NI head can make progress right
-    /// now (local destination, or remote with the bubble-rule two free
-    /// slots). `drain_ni` pops it lowest bit first: ascending endpoints.
+    /// now (local destination, or admitted by the ledger). `drain_ni` pops
+    /// it lowest bit first: ascending endpoints.
     ni_ready: Vec<u64>,
     /// Number of set bits in `ni_ready` — `drain_ni`'s gate and the NI
     /// contribution to `next_event_cycle`.
@@ -552,10 +619,6 @@ enum Pass {
 impl Noc {
     /// Builds the engine for a topology.
     ///
-    /// Buffer pools are provisioned per *input port*: a router's credit pool
-    /// is `input_buffer x in-degree`, so high-radix switches (the crossbar
-    /// core) are not starved relative to low-radix mesh routers.
-    ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`NocConfig::validate`]; callers holding an
@@ -566,28 +629,17 @@ impl Noc {
         }
         let n_routers = topo.n_routers();
         let n_endpoints = topo.n_endpoints();
-        let mut in_degree = vec![0usize; n_routers];
-        let mut pred_lists = vec![Vec::new(); n_routers];
-        for r in 0..n_routers {
-            for l in topo.links_of(r) {
-                in_degree[l.to] += 1;
-                if !pred_lists[l.to].contains(&r) {
-                    pred_lists[l.to].push(r);
-                }
-            }
-        }
-        let mut preds = Vec::new();
-        let mut pred_start = Vec::with_capacity(n_routers + 1);
-        for list in &pred_lists {
+        let (mut preds, mut pred_start) = (Vec::new(), vec![0]);
+        for v in 0..n_routers {
+            preds.extend((0..n_routers).filter(|&u| topo.links_of(u).iter().any(|l| l.to == v)));
             pred_start.push(preds.len());
-            preds.extend_from_slice(list);
         }
-        pred_start.push(preds.len());
 
+        let credits = Credits::new(&topo, cfg.input_buffer);
         let mut routers = Vec::with_capacity(n_routers);
         let mut ports = Vec::new();
         let mut n_words = 0;
-        for (r, &inbound) in in_degree.iter().enumerate() {
+        for r in 0..n_routers {
             let links = topo.links_of(r);
             routers.push(Router {
                 first_port: ports.len(),
@@ -596,7 +648,6 @@ impl Noc {
                 shared: topo.is_shared(r),
                 shared_busy_until: 0,
                 rr_next: 0,
-                input_free: cfg.input_buffer * inbound.max(1),
                 ni_in: Fifo::EMPTY,
                 eject: Fifo::EMPTY,
                 queued: 0,
@@ -619,6 +670,7 @@ impl Noc {
             ports,
             port_bits: vec![0; n_words],
             arrivals: EventQueue::new(),
+            credits,
             next_id: 0,
             injected: Counter::new(),
             delivered: Counter::new(),
@@ -771,7 +823,7 @@ impl Noc {
         self.ni_pending += 1;
         // A push onto an empty NI creates a new head; readiness of a
         // non-empty NI is a property of its unchanged front.
-        if was_empty && (dst == src || rt.input_free >= 2) {
+        if was_empty && (dst == src || self.credits.admits(src.0)) {
             self.set_ni_ready(src.0, true);
         }
         self.injected.incr();
@@ -927,12 +979,10 @@ impl Noc {
 
     // --- Fault-injection hooks -------------------------------------------
     //
-    // Deterministic entry points for `nanowall::FaultCampaign`s, driven by the
-    // platform at exact cycle boundaries. None of them consults any clock
-    // or entropy source; all of them maintain the active-set bookkeeping
-    // (queued/ni_pending/input_free/wake wheel) exactly, so the engine
-    // stays bit-identical across the dense and event-driven tick paths
-    // with faults applied.
+    // Deterministic entry points for `nanowall::FaultCampaign`s at exact
+    // cycle boundaries: no clock, no entropy, and the active-set bookkeeping
+    // (queues, credits, wake wheel) kept exact, so the dense and
+    // event-driven ticks stay bit-identical with faults applied.
 
     /// Index into the port table of `(router, port)`.
     ///
@@ -1045,8 +1095,8 @@ impl Noc {
             // Readiness described the popped head; recompute for the new
             // front so `drain_ni`'s gate stays exact.
             let rt = &self.routers[router];
-            let ready =
-                rt.ni_in.len > 0 && (self.slab.dst(rt.ni_in.head) == router || rt.input_free >= 2);
+            let ready = rt.ni_in.len > 0
+                && (self.slab.dst(rt.ni_in.head) == router || self.credits.admits(router));
             self.set_ni_ready(router, ready);
             self.drop_packet(h);
             return true;
@@ -1140,9 +1190,8 @@ impl Noc {
         }
     }
 
-    /// Takes the head packet of output port `p` of router `r`, which the
-    /// caller checked is non-empty (and settled the occupancy integral
-    /// for).
+    /// Takes the head packet of output port `p` of router `r`; the caller
+    /// checked it is non-empty and settled the occupancy integral.
     #[inline(always)]
     fn dequeue(&mut self, r: usize, p: usize) -> u32 {
         let rt = &mut self.routers[r];
@@ -1195,12 +1244,9 @@ impl Noc {
     }
 
     /// Enters a wake of router `r` at cycle `at` into the wheel unless its
-    /// live wake is as early. From inside a tick `at` is a future cycle;
-    /// a fault hook may name its own cycle, which the coming tick pops.
-    /// Later needs than the live wake are rediscovered when it fires: the
-    /// visit re-examines every queued port and re-arms the wheel, so one
-    /// live entry per router is enough to chain to any future firing
-    /// opportunity.
+    /// live wake is as early; the entry it supersedes stays in the wheel.
+    /// From inside a tick `at` is a future cycle, from a fault hook its own.
+    /// Later needs are rediscovered when the live wake's visit re-arms.
     fn schedule_wake(&mut self, r: usize, at: u64) {
         if at < self.wake_at[r] {
             self.wake_at[r] = at;
@@ -1209,15 +1255,13 @@ impl Noc {
         }
     }
 
-    /// A buffer slot frees at router `r`: blocked output ports of its
-    /// predecessors may now be able to fire, and so may its own NI head.
-    /// Predecessors with nothing queued are skipped — a later queue push
-    /// wakes them itself. `pass` says how the others are woken; `now` is
-    /// the cycle of the tick or hook.
+    /// Hands back a slot at router `r` and wakes what it unblocks: the
+    /// predecessors holding traffic, as `pass` says (`now` is the tick's or
+    /// hook's cycle), and `r`'s NI head.
     #[inline(always)]
     fn release_slot(&mut self, r: usize, pass: Pass, now: u64) {
-        self.routers[r].input_free += 1;
-        if self.routers[r].input_free == 1 {
+        let (wake_preds, admits) = self.credits.give(r);
+        if wake_preds {
             for i in self.pred_start[r]..self.pred_start[r + 1] {
                 let u = self.preds[i];
                 if self.routers[u].queued == 0 {
@@ -1231,11 +1275,9 @@ impl Noc {
                 }
             }
         }
-        // Credit appeared at an endpoint router: a remote-bound NI head
-        // that was blocked on the bubble rule may now inject. (A blocked
-        // non-empty NI always has a remote head — local heads are popped
-        // unconditionally by `drain_ni` the tick they reach the front.)
-        if self.routers[r].ni_in.len > 0 && self.routers[r].input_free >= 2 {
+        // A blocked non-empty NI always has a remote head: `drain_ni` pops
+        // local heads the tick they reach the front.
+        if admits && self.routers[r].ni_in.len > 0 {
             self.set_ni_ready(r, true);
         }
     }
@@ -1254,16 +1296,10 @@ impl Noc {
         }
     }
 
-    /// Queues packet `h`, just arrived at router `r` or taken from its NI,
-    /// on output port `p`, and sees that the router looks at it: this
-    /// tick's pass when the port may fire now, else a wake when it frees.
-    /// A visit to a non-shared router whose chosen port is still
-    /// serializing could only enter that wake — and when the queue already
-    /// held packets, whatever made the port busy ahead of them entered it
-    /// already — so the arrival skips the visit. Any other reason to visit
-    /// the router this tick (a due wake, a credit free) still puts it on
-    /// the pass, which keeps visit order and credit contention as they
-    /// were.
+    /// Queues packet `h` (arrived at router `r`, or from its NI) on port
+    /// `p` and lists the router for this tick's pass, or, on a non-shared
+    /// router whose port still serializes, wakes it when the port frees
+    /// (ARCHITECTURE.md, "The busy-port rule").
     #[inline(always)]
     fn enqueue_arrival(&mut self, r: usize, p: usize, h: u32, now: u64) {
         let rt = &self.routers[r];
@@ -1283,18 +1319,14 @@ impl Noc {
             let (h, router) = arrival_parts(word);
             let dst = self.slab.dst(h);
             if dst == router {
-                // Destination reached: free the buffer slot and eject. The
-                // freed credit may unblock upstream ports (this very cycle —
-                // arrivals drain before transmit) and the local NI.
+                // Delivered: the slot frees ahead of this tick's pass.
                 self.release_slot(router, Pass::Ahead, now.0);
                 self.deliver(router, h, now, sink);
             } else if let Some(port) = self.topo.next_hop(router, dst) {
-                // The packet keeps its reserved buffer slot while queued.
                 self.enqueue_arrival(router, port, h, now.0);
             } else {
-                // No route: permanent link faults disconnected the pair
-                // after this packet left its source. Deterministic drop —
-                // the buffer slot frees like a delivery would.
+                // Permanent link faults cut the route after the packet
+                // left its source: a deterministic drop.
                 self.release_slot(router, Pass::Ahead, now.0);
                 self.drop_packet(h);
             }
@@ -1302,9 +1334,8 @@ impl Noc {
     }
 
     fn drain_ni(&mut self, now: Cycles, sink: &mut Option<&mut (dyn TraceSink + '_)>) {
-        // Quiescent-NI skip: no endpoint holds a head that can progress —
-        // every queued head is remote and bubble-blocked, which only a
-        // tracked credit event can change, so the scan would be all no-ops.
+        // No head can progress: every queued one is remote and waits for a
+        // credit event, which sets its bit.
         if self.ni_ready_count == 0 {
             return;
         }
@@ -1316,9 +1347,8 @@ impl Noc {
                 while self.routers[r].ni_in.len > 0 {
                     let h = self.routers[r].ni_in.head;
                     let dst = self.slab.dst(h);
-                    // Bubble rule: entering traffic must leave one slot
-                    // free. Local delivery bypasses the fabric entirely.
-                    if dst != r && self.routers[r].input_free < 2 {
+                    // Local delivery bypasses the fabric and its credits.
+                    if dst != r && !self.credits.admit(r) {
                         break;
                     }
                     self.routers[r].ni_in.pop_front(&self.slab);
@@ -1326,30 +1356,23 @@ impl Noc {
                     if dst == r {
                         self.deliver(r, h, now, sink);
                     } else if let Some(port) = self.topo.next_hop(r, dst) {
-                        self.routers[r].input_free -= 1;
                         self.enqueue_arrival(r, port, h, now.0);
                     } else {
-                        // Destination unreachable after permanent link
-                        // faults: drop at the NI (the head never took a
-                        // buffer slot).
+                        // Unreachable after permanent link faults: drop at
+                        // the NI and hand the slot back (no pool empties).
+                        self.credits.give(r);
                         self.drop_packet(h);
                     }
                 }
-                // The loop runs until this NI is empty or bubble-blocked;
-                // either way its head can no longer progress.
+                // Empty or not admitted: the head can no longer progress.
                 self.set_ni_ready(r, false);
             }
         }
     }
 
     /// Starts the transfer of the head packet of port `p` of router `r`,
-    /// assuming the caller verified readiness and reserved the downstream
-    /// slot. Returns the cycle the port frees again.
-    ///
-    /// The slot this fire frees at `r` is visible to higher-indexed routers
-    /// in the same dense scan, so same-cycle predecessor wakes above `r`
-    /// join the current pass (`ready`) while the rest wait for the next
-    /// cycle.
+    /// which is idle and whose downstream credit the caller took. Returns
+    /// the cycle the port frees again.
     fn fire(
         &mut self,
         r: usize,
@@ -1398,19 +1421,16 @@ impl Noc {
                 ser,
             });
         }
-        // Cut-through: the slot at r frees as transmission starts, the slot
-        // downstream was reserved by the caller.
+        // Cut-through: the slot at `r` frees as transmission starts.
         self.release_slot(r, Pass::At(r), now.0);
         self.arrivals.schedule(Cycles(arrive), arrival_word(h, to));
         now.0 + ser
     }
 
-    /// One router's share of the transmit pass: exactly the dense per-port
-    /// scan over the ports that hold traffic, plus one wake for the
-    /// earliest timed reason the router could fire later (port
-    /// serialization, shared-medium occupancy). Credit-blocked ports
-    /// schedule nothing — the fire or delivery that frees the buffer wakes
-    /// this router through `release_slot`.
+    /// One router's share of the transmit pass: the dense per-port scan
+    /// over the ports that hold traffic, plus one wake for the earliest
+    /// cycle a busy port or medium frees. A credit-blocked port waits for
+    /// `release_slot` to list the router again.
     fn visit_router(
         &mut self,
         r: usize,
@@ -1457,8 +1477,7 @@ impl Noc {
                     let next = port.to as usize;
                     if port.busy_until > now.0 {
                         wake = wake.min(port.busy_until);
-                    } else if self.routers[next].input_free > 0 {
-                        self.routers[next].input_free -= 1;
+                    } else if self.credits.take(first_port + p, next) {
                         let busy_until = self.fire(r, p, now, sink);
                         self.routers[r].shared_busy_until = busy_until;
                         self.routers[r].rr_next = (p + 1) % n_ports;
@@ -1486,11 +1505,9 @@ impl Noc {
                         wake = wake.min(port.busy_until);
                         continue;
                     }
-                    let next = port.to as usize;
-                    if self.routers[next].input_free == 0 {
+                    if !self.credits.take(first_port + p, port.to as usize) {
                         continue;
                     }
-                    self.routers[next].input_free -= 1;
                     let busy_until = self.fire(r, p, now, sink);
                     if self.ports[first_port + p].queue.len > 0 {
                         // More packets behind the one now serializing.
@@ -1517,14 +1534,10 @@ impl Noc {
         sink: &mut Option<&mut (dyn TraceSink + '_)>,
     ) {
         while let Some(r) = self.wakes.pop_due(now) {
-            // Live exactly when the router's tracked wake has come due. An
-            // entry that pops while the tracked wake lies ahead (or there
-            // is none) was superseded by an earlier one, which already had
-            // the visit: it goes without a visit and leaves `wake_at` be.
+            // An entry popping while the live wake lies ahead (or there is
+            // none) was superseded, and its successor had the visit.
             if self.wake_at[r] <= now.0 {
                 self.wake_at[r] = u64::MAX;
-                // A wake that outlived its router's queue has nothing to
-                // visit.
                 if self.routers[r].queued > 0 {
                     self.mark_ready(r);
                 }
@@ -1756,6 +1769,13 @@ impl Noc {
         debug_assert_eq!(
             self.eject_pending, eject,
             "eject_pending diverged from eject queues at {now:?}"
+        );
+        // Credit conservation: a slot is held by a packet on a port queue,
+        // or in flight toward the router it reserved, and by nothing else.
+        debug_assert_eq!(
+            self.credits.held(&self.topo, self.cfg.input_buffer),
+            queued + self.arrivals.len(),
+            "credits held vs port queues + in flight at {now:?}"
         );
         // The slab ledger: a live slot is in one of the four places a
         // handle can sit; everything else is on the free list.
