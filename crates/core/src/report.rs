@@ -11,7 +11,7 @@ use nw_types::{Cycles, Picojoules};
 /// reply-delivery and attributed to the object: the service-node offload
 /// calls its handler performs (see [`FppaPlatform::bind_service`]) and the
 /// twoway invocations it answers. Percentiles come from the object's
-/// fixed-bucket log-scale [`nw_sim::LatencyHistogram`] (≤ 6.25% above the
+/// log-scale [`nw_sim::LatencyHistogram`] (≤ 6.25% above the
 /// true order statistic); `max` and `mean` are exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObjectLatency {

@@ -97,18 +97,35 @@ pub struct ServiceBinding {
     pub calls: u32,
 }
 
-/// A queued invocation awaiting an idle hardware thread.
+/// A queued invocation awaiting an idle hardware thread: 24 bytes, since a
+/// saturated PE's queue holds one per backlogged request.
 #[derive(Debug, Clone)]
 struct PendingInvocation {
-    object: ObjectId,
-    method: MethodId,
+    /// The object's [`ObjectId`], narrowed at enqueue.
+    object: u32,
+    /// The caller's [`NodeId`], narrowed at enqueue; read only when
+    /// `reply_tag` is not 0.
+    reply_node: u32,
     /// The invocation tag: the wire sequence number of the arriving
     /// request. Synthesized replies echo it, so a reply correlates with its
     /// request on the wire — the tag threads request → dispatch queue →
     /// handler → reply.
     seq: u32,
-    /// Reply destination and request tag for twoway invocations.
-    reply_to: Option<(NodeId, u64)>,
+    method: MethodId,
+    /// The request tag a reply echoes; 0 means no reply: the method is
+    /// oneway, or the request carried no tag.
+    reply_tag: u64,
+}
+
+impl PendingInvocation {
+    fn object(&self) -> ObjectId {
+        ObjectId(self.object as usize)
+    }
+
+    /// The caller's node and the request tag, when the invocation answers.
+    fn reply_to(&self) -> Option<(NodeId, u64)> {
+        (self.reply_tag != 0).then_some((NodeId(self.reply_node as usize), self.reply_tag))
+    }
 }
 
 /// One downstream call edge of a handler, resolved at install: the
@@ -355,13 +372,19 @@ impl Runtime {
             self.decode_errors += 1;
             return;
         }
+        // Ids past `u32` (never built: each is a vector index) are refused.
+        let (Ok(object), Ok(reply_node)) = (u32::try_from(msg.object.0), u32::try_from(pkt.src.0))
+        else {
+            self.decode_errors += 1;
+            return;
+        };
         let twoway = self.app.method(msg.object, msg.method).is_twoway();
-        let reply_to = (twoway && pkt.tag != 0).then_some((pkt.src, pkt.tag));
         self.dispatch[p].push_back(PendingInvocation {
-            object: msg.object,
-            method: msg.method,
+            object,
+            reply_node,
             seq: msg.seq,
-            reply_to,
+            method: msg.method,
+            reply_tag: if twoway { pkt.tag } else { 0 },
         });
         self.pending_total += 1;
         self.note_pe(p, idle_threads);
@@ -473,8 +496,8 @@ impl Runtime {
     ) {
         let prog = self.synthesize(inv, pe.take_spare_ops(), pool);
         let tid = pe.spawn(prog).expect("idle thread count was checked");
-        on_spawn(p, tid, inv.object);
-        self.dispatched_per_object[inv.object.0] += 1;
+        on_spawn(p, tid, inv.object());
+        self.dispatched_per_object[inv.object().0] += 1;
     }
 
     /// Synthesizes the handler program for one invocation from its handler;
@@ -495,7 +518,7 @@ impl Runtime {
         pool: &mut PayloadPool,
     ) -> Program {
         debug_assert!(ops.is_empty(), "a spare op buffer comes back cleared");
-        let h = &self.handlers[inv.object.0][inv.method.0 as usize];
+        let h = &self.handlers[inv.object().0][inv.method.0 as usize];
         if h.local_bytes > 0 {
             ops.push(Op::LocalMem {
                 write: false,
@@ -559,11 +582,11 @@ impl Runtime {
         // also echoes the request's sequence number (the invocation tag),
         // so the round trip is correlated end-to-end on the wire — same
         // marshalled size either way, so timing is unchanged.
-        if let Some((reply_to, tag)) = inv.reply_to {
+        if let Some((reply_to, tag)) = inv.reply_to() {
             let mut data = pool.take();
             Message::encode_zeroed_into(
                 MessageKind::Reply,
-                inv.object,
+                inv.object(),
                 inv.method,
                 inv.seq,
                 h.reply_body_bytes as usize,
@@ -749,10 +772,11 @@ mod tests {
 
     /// An invocation of the entry point with no caller.
     const ENTRY: PendingInvocation = PendingInvocation {
-        object: ObjectId(0),
-        method: MethodId(0),
+        object: 0,
+        reply_node: 0,
         seq: 0,
-        reply_to: None,
+        method: MethodId(0),
+        reply_tag: 0,
     };
 
     /// Op equality modulo marshalled payload bytes (sequence numbers vary
@@ -823,6 +847,34 @@ mod tests {
         let mut cold = runtime();
         let cold_first = cold.synthesize(&inv, Vec::new(), &mut PayloadPool::new());
         assert_eq!(first, cold_first);
+    }
+
+    #[test]
+    fn a_pending_invocation_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<PendingInvocation>() <= 24);
+    }
+
+    #[test]
+    fn only_a_nonzero_reply_tag_synthesizes_a_reply() {
+        let mut rt = runtime();
+        let mut pool = PayloadPool::new();
+        let sends = |p: &Program| {
+            let is_send = |op: &&Op| matches!(op, Op::Send { .. });
+            p.ops().iter().filter(is_send).count()
+        };
+        let silent = rt.synthesize(&ENTRY, Vec::new(), &mut pool);
+        let asked = PendingInvocation {
+            reply_node: 1,
+            reply_tag: 7,
+            ..ENTRY
+        };
+        let answered = rt.synthesize(&asked, Vec::new(), &mut pool);
+        assert_eq!(sends(&answered), sends(&silent) + 1);
+        let last = answered.ops().last();
+        assert!(
+            matches!(last, Some(Op::Send { dst: NodeId(1), .. })),
+            "{last:?}"
+        );
     }
 
     #[test]

@@ -229,7 +229,8 @@ impl Histogram {
     }
 
     /// Approximate `q`-quantile (0 ≤ q ≤ 1): the upper bound of the bucket
-    /// containing the q-th sample. Returns zero cycles when empty.
+    /// containing the q-th sample, clamped to the exact observed min/max.
+    /// Returns zero cycles when empty.
     ///
     /// # Panics
     ///
@@ -244,7 +245,15 @@ impl Histogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return Cycles(if i == 0 { 0 } else { 1u64 << i });
+                // Bucket 64 (samples ≥ 2^63) has no `u64` upper bound.
+                let ub = match i {
+                    0 => 0,
+                    64 => u64::MAX,
+                    _ => 1u64 << i,
+                };
+                let lo = self.min.unwrap_or(Cycles::ZERO);
+                let hi = self.max.unwrap_or(Cycles(ub));
+                return Cycles(ub).max(lo).min(hi);
             }
         }
         self.max.unwrap_or(Cycles::ZERO)
@@ -274,17 +283,23 @@ impl Default for Histogram {
     }
 }
 
-/// A fixed-bucket log-scale latency histogram with sub-octave resolution.
+/// A log-scale latency histogram with sub-octave resolution.
 ///
 /// The per-invocation latency telemetry needs tail quantiles (p95/p99) that
 /// the coarse power-of-two [`Histogram`] cannot resolve better than 2×. This
 /// collector keeps 16 sub-buckets per octave (plus 16 exact buckets for
 /// values below 16), bounding the relative error of any quantile at
-/// 1/16 ≈ 6.25% while staying a fixed-size array — no per-sample
-/// allocation, O(1) record, O(buckets) merge. Min, max and mean are exact.
+/// 1/16 ≈ 6.25%. O(1) record, O(buckets) merge; min, max and mean are
+/// exact.
+///
+/// The bucket array holds the buckets up to the highest sample's and no
+/// more: a new histogram allocates nothing, and [`LatencyHistogram::record`]
+/// and [`LatencyHistogram::merge`] allocate only when a new highest bucket
+/// appears, never past [`LatencyHistogram::MAX_BUCKETS`] entries.
 ///
 /// Two histograms fed the same samples in any order are equal
-/// (`PartialEq` compares bucket counts and the exact moments), and
+/// (`PartialEq` compares bucket counts, whose length follows the largest
+/// sample, and the exact moments), and
 /// [`LatencyHistogram::merge`] is associative and commutative, so serial
 /// and parallel sweeps aggregating per-shard histograms agree bit-for-bit.
 ///
@@ -317,14 +332,17 @@ pub struct LatencyHistogram {
 const LAT_SUB: usize = 16;
 /// log2 of [`LAT_SUB`].
 const LAT_SUB_BITS: u32 = 4;
-/// Octaves covered: values 16..2^64 span exponents 4..=63.
-const LAT_BUCKETS: usize = LAT_SUB + (64 - LAT_SUB_BITS as usize) * LAT_SUB;
 
 impl LatencyHistogram {
-    /// Creates an empty histogram.
+    /// The most buckets a histogram holds: one per value below 16, then 16
+    /// per octave, the octaves of values 16..2^64 spanning exponents 4..=63.
+    pub const MAX_BUCKETS: usize = LAT_SUB + (64 - LAT_SUB_BITS as usize) * LAT_SUB;
+
+    /// Creates an empty histogram; it allocates nothing until its first
+    /// sample.
     pub fn new() -> Self {
         LatencyHistogram {
-            buckets: vec![0; LAT_BUCKETS],
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: None,
@@ -361,10 +379,27 @@ impl LatencyHistogram {
         }
     }
 
+    /// Grows the bucket array to `len` entries; it never shrinks, so its
+    /// length is one past the highest bucket recorded or merged in.
+    #[cold]
+    fn grow_to(&mut self, len: usize) {
+        if len > self.buckets.len() {
+            self.buckets.reserve_exact(len - self.buckets.len());
+            self.buckets.resize(len, 0);
+        }
+    }
+
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, v: Cycles) {
-        self.buckets[Self::bucket_of(v.0)] += 1;
+        let i = Self::bucket_of(v.0);
+        match self.buckets.get_mut(i) {
+            Some(n) => *n += 1,
+            None => {
+                self.grow_to(i + 1);
+                self.buckets[i] = 1;
+            }
+        }
         self.count += 1;
         self.sum += v.0 as u128;
         self.min = Some(self.min.map_or(v, |m| m.min(v)));
@@ -374,6 +409,11 @@ impl LatencyHistogram {
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Buckets allocated: up to the highest sample's, 0 before the first.
+    pub fn bucket_len(&self) -> usize {
+        self.buckets.len()
     }
 
     /// Exact arithmetic mean; 0.0 when empty.
@@ -442,6 +482,7 @@ impl LatencyHistogram {
     /// parallel sweeps). Associative and commutative: any merge tree over
     /// the same shards yields the same histogram.
     pub fn merge(&mut self, other: &LatencyHistogram) {
+        self.grow_to(other.buckets.len());
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
@@ -684,6 +725,31 @@ mod tests {
     }
 
     #[test]
+    fn histogram_quantile_is_at_most_max_in_the_top_bucket() {
+        let mut h = Histogram::new();
+        h.record(Cycles(1 << 63));
+        assert_eq!(h.quantile(1.0), Cycles(1 << 63));
+        h.record(Cycles(u64::MAX));
+        assert_eq!(h.quantile(1.0), Cycles(u64::MAX));
+    }
+
+    #[test]
+    fn latency_histogram_buckets_end_at_the_highest_sample() {
+        let mut h = LatencyHistogram::new();
+        assert_eq!(h.bucket_len(), 0);
+        h.record(Cycles(40));
+        assert_eq!(h.bucket_len(), LatencyHistogram::bucket_of(40) + 1);
+        h.record(Cycles(3));
+        assert_eq!(h.bucket_len(), LatencyHistogram::bucket_of(40) + 1);
+        let mut top = LatencyHistogram::new();
+        top.record(Cycles(u64::MAX));
+        h.merge(&top);
+        assert_eq!(h.bucket_len(), LatencyHistogram::MAX_BUCKETS);
+        let upper = LatencyHistogram::bucket_upper(LatencyHistogram::bucket_of(40));
+        assert_eq!(h.quantile(0.5), Cycles(upper));
+    }
+
+    #[test]
     #[should_panic(expected = "quantile must be in [0,1]")]
     fn quantile_out_of_range_panics() {
         Histogram::new().quantile(1.5);
@@ -718,14 +784,17 @@ mod tests {
         for v in [0u64, 15, 16, 31, 32, 100, 1 << 20, u64::MAX] {
             let i = LatencyHistogram::bucket_of(v);
             assert!(LatencyHistogram::bucket_upper(i) >= v, "v={v}");
-            if i + 1 < LAT_BUCKETS {
+            if i + 1 < LatencyHistogram::MAX_BUCKETS {
                 assert!(
                     LatencyHistogram::bucket_upper(i) < LatencyHistogram::bucket_upper(i + 1),
                     "v={v}"
                 );
             }
         }
-        assert_eq!(LatencyHistogram::bucket_upper(LAT_BUCKETS - 1), u64::MAX);
+        assert_eq!(
+            LatencyHistogram::bucket_upper(LatencyHistogram::MAX_BUCKETS - 1),
+            u64::MAX
+        );
     }
 
     #[test]

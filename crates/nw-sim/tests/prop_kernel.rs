@@ -115,6 +115,106 @@ impl QueueModel {
     }
 }
 
+/// A latency histogram with all 976 buckets allocated up front: the oracle
+/// of `grown_buckets_match_the_fixed_array`. Its layout and quantile rule
+/// are written out again here so that the two cannot share a mistake.
+struct FixedLatency {
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u128,
+    min: Option<u64>,
+    max: Option<u64>,
+}
+
+impl FixedLatency {
+    const BUCKETS: usize = 16 + 60 * 16;
+
+    fn new() -> Self {
+        FixedLatency {
+            buckets: vec![0; Self::BUCKETS],
+            count: 0,
+            sum: 0,
+            min: None,
+            max: None,
+        }
+    }
+
+    fn bucket_of(v: u64) -> usize {
+        if v < 16 {
+            return v as usize;
+        }
+        let octave = 63 - v.leading_zeros() as usize;
+        let sub = ((v >> (octave - 4)) & 15) as usize;
+        16 + (octave - 4) * 16 + sub
+    }
+
+    fn bucket_upper(i: usize) -> u64 {
+        if i < 16 {
+            return i as u64;
+        }
+        let octave = 4 + (i - 16) / 16;
+        let sub = ((i - 16) % 16) as u64;
+        ((1u64 << octave) - 1) + ((sub + 1) << (octave - 4))
+    }
+
+    fn record(&mut self, v: u64) {
+        self.buckets[Self::bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum += u128::from(v);
+        self.min = Some(self.min.map_or(v, |m| m.min(v)));
+        self.max = Some(self.max.map_or(v, |m| m.max(v)));
+    }
+
+    fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let target = ((self.count as f64 * q).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                let (lo, hi) = (self.min.unwrap_or(0), self.max.unwrap_or(u64::MAX));
+                return Self::bucket_upper(i).max(lo).min(hi);
+            }
+        }
+        self.max.unwrap_or(0)
+    }
+}
+
+/// A latency sample: the bucket edges 0, 15, 16 and `u64::MAX` often,
+/// otherwise a value of uniformly drawn magnitude.
+fn latency_sample() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(15u64),
+        Just(16u64),
+        Just(u64::MAX),
+        any::<u64>().prop_map(|v| v >> (v % 64)),
+    ]
+}
+
+/// Merges `shards` pairwise in the order `picks` draws, down to one
+/// histogram: a random merge tree.
+fn merge_in_drawn_order(mut shards: Vec<LatencyHistogram>, picks: &[u64]) -> LatencyHistogram {
+    let mut picks = picks.iter().cycle();
+    while shards.len() > 1 {
+        let mut draw = |n: usize| (*picks.next().expect("picks is not empty") % n as u64) as usize;
+        let from = shards.swap_remove(draw(shards.len()));
+        let into = draw(shards.len());
+        shards[into].merge(&from);
+    }
+    shards.pop().expect("at least one shard")
+}
+
 proptest! {
     // Pinned effort for CI determinism; override with PROPTEST_CASES.
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -261,6 +361,56 @@ proptest! {
         all.extend_from_slice(&b);
         all.extend_from_slice(&c);
         prop_assert_eq!(&left, &fill(&all));
+    }
+
+    /// Buckets grown on demand change no result: per-shard histograms with
+    /// different maxima, merged in two random orders, agree with the
+    /// fixed-array oracle fed every sample on count, moments and every
+    /// quantile, equal each other and one histogram fed every sample, and
+    /// never hold more than `MAX_BUCKETS` buckets.
+    #[test]
+    fn grown_buckets_match_the_fixed_array(
+        shards in prop::collection::vec(
+            (prop::collection::vec(latency_sample(), 0..30), 0u32..64),
+            1..7,
+        ),
+        picks in prop::collection::vec(any::<u64>(), 1..16),
+        other_picks in prop::collection::vec(any::<u64>(), 1..16),
+    ) {
+        // Each shard caps its samples at its own maximum.
+        let shards: Vec<Vec<u64>> = shards
+            .into_iter()
+            .map(|(vs, shift)| vs.into_iter().map(|v| v.min(u64::MAX >> shift)).collect())
+            .collect();
+        let mut oracle = FixedLatency::new();
+        let mut whole = LatencyHistogram::new();
+        let hists: Vec<LatencyHistogram> = shards
+            .iter()
+            .map(|vs| {
+                let mut h = LatencyHistogram::new();
+                for &v in vs {
+                    h.record(Cycles(v));
+                    whole.record(Cycles(v));
+                    oracle.record(v);
+                }
+                prop_assert!(h.bucket_len() <= LatencyHistogram::MAX_BUCKETS);
+                h
+            })
+            .collect();
+        let merged = merge_in_drawn_order(hists.clone(), &picks);
+        prop_assert_eq!(&merged, &merge_in_drawn_order(hists, &other_picks));
+        prop_assert_eq!(&merged, &whole);
+        prop_assert!(merged.bucket_len() <= LatencyHistogram::MAX_BUCKETS);
+        prop_assert_eq!(merged.count(), oracle.count);
+        prop_assert_eq!(merged.mean().to_bits(), oracle.mean().to_bits());
+        prop_assert_eq!(merged.min(), oracle.min.map(Cycles));
+        prop_assert_eq!(merged.max(), oracle.max.map(Cycles));
+        // Fixed quantiles, then every order statistic.
+        let n = oracle.count.max(1);
+        let every = (1..=n).map(|k| k as f64 / n as f64);
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0].into_iter().chain(every) {
+            prop_assert_eq!(merged.quantile(q), Cycles(oracle.quantile(q)), "q={}", q);
+        }
     }
 
     /// Bucketing is monotone: a larger sample never lands in an earlier
