@@ -52,6 +52,9 @@ pub enum InstallError {
     UnknownObject(ObjectId),
     /// The bound node is not a service endpoint (memory, fabric or hwip).
     NotAServiceNode(NodeId),
+    /// The application has this many `(object, method)` handlers, more
+    /// than a dispatch key can index.
+    TooManyHandlers(usize),
 }
 
 impl fmt::Display for InstallError {
@@ -67,6 +70,12 @@ impl fmt::Display for InstallError {
             InstallError::UnknownObject(o) => write!(f, "object {o} not in application"),
             InstallError::NotAServiceNode(n) => {
                 write!(f, "node {n} is not a memory/fabric/hwip service endpoint")
+            }
+            InstallError::TooManyHandlers(n) => {
+                write!(
+                    f,
+                    "{n} handlers, more than the {MAX_HANDLERS} a dispatch key indexes"
+                )
             }
         }
     }
@@ -97,35 +106,78 @@ pub struct ServiceBinding {
     pub calls: u32,
 }
 
-/// A queued invocation awaiting an idle hardware thread: 24 bytes, since a
-/// saturated PE's queue holds one per backlogged request.
-#[derive(Debug, Clone)]
-struct PendingInvocation {
-    /// The object's [`ObjectId`], narrowed at enqueue.
-    object: u32,
-    /// The caller's [`NodeId`], narrowed at enqueue; read only when
-    /// `reply_tag` is not 0.
-    reply_node: u32,
+/// The reply fields of a queued invocation that answers its caller: 16
+/// bytes, kept only for an answering invocation (a oneway one never
+/// reads them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Reply {
     /// The invocation tag: the wire sequence number of the arriving
-    /// request. Synthesized replies echo it, so a reply correlates with its
-    /// request on the wire — the tag threads request → dispatch queue →
+    /// request. The synthesized reply echoes it, so a reply correlates with
+    /// its request on the wire — the tag threads request → dispatch queue →
     /// handler → reply.
     seq: u32,
-    method: MethodId,
-    /// The request tag a reply echoes; 0 means no reply: the method is
-    /// oneway, or the request carried no tag.
-    reply_tag: u64,
+    /// The caller's [`NodeId`], narrowed at enqueue.
+    node: u32,
+    /// The request tag the reply echoes; never 0.
+    tag: u64,
 }
 
-impl PendingInvocation {
-    fn object(&self) -> ObjectId {
-        ObjectId(self.object as usize)
+/// One PE's dispatch backlog: the invocations awaiting an idle hardware
+/// thread, in arrival order, as two FIFOs. Every invocation queues a key
+/// `handler << 1 | answers` (its index in the flat handler table and
+/// whether it answers); an answering one also queues its [`Reply`], popped
+/// with the key. A oneway invocation costs 4 bytes, an answering one 20.
+#[derive(Debug, Clone, Default)]
+struct Backlog {
+    keys: VecDeque<u32>,
+    /// One per queued key whose answer bit is set, in the same order.
+    replies: VecDeque<Reply>,
+}
+
+impl Backlog {
+    /// Queues an invocation of `handler`, which answers when `reply` is set.
+    fn push(&mut self, handler: u32, reply: Option<Reply>) {
+        self.keys
+            .push_back(handler << 1 | u32::from(reply.is_some()));
+        self.replies.extend(reply);
     }
 
-    /// The caller's node and the request tag, when the invocation answers.
-    fn reply_to(&self) -> Option<(NodeId, u64)> {
-        (self.reply_tag != 0).then_some((NodeId(self.reply_node as usize), self.reply_tag))
+    /// The oldest invocation: its handler index and, when it answers, its
+    /// reply fields.
+    fn pop(&mut self) -> Option<(usize, Option<Reply>)> {
+        let key = self.keys.pop_front()?;
+        let reply = (key & 1 == 1)
+            .then(|| (self.replies.pop_front()).expect("an answering key has a reply record"));
+        Some(((key >> 1) as usize, reply))
     }
+
+    fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+}
+
+/// Handlers a backlog key can index: it keeps the index in 31 bits.
+const MAX_HANDLERS: usize = 1 << 31;
+
+/// Each object's first index in the flat handler table, from the objects'
+/// handler counts.
+///
+/// # Errors
+///
+/// [`InstallError::TooManyHandlers`] if the table would hold more than
+/// [`MAX_HANDLERS`], so that some handler index would not fit a key.
+fn first_handlers(counts: impl IntoIterator<Item = usize>) -> Result<Vec<u32>, InstallError> {
+    let mut end = 0usize;
+    (counts.into_iter())
+        .map(|n| {
+            let first = end;
+            end = end.saturating_add(n);
+            match u32::try_from(first) {
+                Ok(first) if end <= MAX_HANDLERS => Ok(first),
+                _ => Err(InstallError::TooManyHandlers(end)),
+            }
+        })
+        .collect()
 }
 
 /// One downstream call edge of a handler, resolved at install: the
@@ -153,6 +205,8 @@ struct EdgePlan {
 /// per-invocation work is just op emission.
 #[derive(Debug, Clone, PartialEq)]
 struct Handler {
+    object: ObjectId,
+    method: MethodId,
     domain: KernelDomain,
     local_bytes: u64,
     service: Option<ServiceBinding>,
@@ -170,10 +224,12 @@ pub struct Runtime {
     app: Application,
     /// object → PE index.
     placement: Vec<usize>,
-    /// `handlers[object][method]`.
-    handlers: Vec<Vec<Handler>>,
-    /// Per-PE invocation queues.
-    dispatch: Vec<VecDeque<PendingInvocation>>,
+    /// Every `(object, method)` handler, object by object: `(o, m)` is at
+    /// `first_handler[o] + m`.
+    handlers: Vec<Handler>,
+    first_handler: Vec<u32>,
+    /// Per-PE dispatch backlogs.
+    dispatch: Vec<Backlog>,
     io_bindings: Vec<Vec<IoBinding>>,
     io_rr: Vec<usize>,
     /// Fractional call-multiplicity carry per edge index.
@@ -211,7 +267,11 @@ impl Runtime {
         if let Some(&bad) = placement.iter().find(|&&p| p >= n_pes) {
             return Err(InstallError::PeOutOfRange(bad));
         }
-        let handler = |m: &MethodDef| Handler {
+        let counts = app.objects().iter().map(|o| o.methods.len());
+        let first_handler = first_handlers(counts.clone())?;
+        let handler = |object, method, m: &MethodDef| Handler {
+            object,
+            method,
             domain: domain_to_kernel(m.domain),
             local_bytes: m.local_bytes,
             service: None,
@@ -220,14 +280,20 @@ impl Runtime {
             reply_body_bytes: m.reply_bytes,
             egress: None,
         };
-        let mut handlers: Vec<Vec<Handler>> = (app.objects().iter())
-            .map(|o| o.methods.iter().map(handler).collect())
-            .collect();
+        // A method past `u16::MAX` has no id, so nothing invokes it: its
+        // handler keeps a placeholder id that is never read.
+        let id = |m: usize| MethodId(u16::try_from(m).unwrap_or(u16::MAX));
+        let mut handlers = Vec::with_capacity(counts.sum());
+        for (o, def) in app.objects().iter().enumerate() {
+            let methods = def.methods.iter().enumerate();
+            handlers.extend(methods.map(|(m, def)| handler(ObjectId(o), id(m), def)));
+        }
         // In edge order, so each handler's calls keep the application's
         // order (synthesis order and the carry slots rest on it).
         for (i, e) in app.edges().iter().enumerate() {
             let callee = app.method(e.to, e.to_method);
-            let handler = &mut handlers[e.from.0][e.from_method.0 as usize];
+            let from = first_handler[e.from.0] as usize + usize::from(e.from_method.0);
+            let handler = &mut handlers[from];
             handler.edges.push(EdgePlan {
                 edge_idx: i,
                 calls_per_invocation: e.calls_per_invocation,
@@ -245,7 +311,8 @@ impl Runtime {
             app,
             placement,
             handlers,
-            dispatch: (0..n_pes).map(|_| VecDeque::new()).collect(),
+            first_handler,
+            dispatch: vec![Backlog::default(); n_pes],
             io_bindings: vec![Vec::new(); n_ios],
             io_rr: vec![0; n_ios],
             edge_carry: vec![0.0; n_edges],
@@ -290,8 +357,7 @@ impl Runtime {
         io_node: NodeId,
         packet_bytes: u64,
     ) -> Result<(), InstallError> {
-        let handlers = self.handlers.get_mut(object.0);
-        for h in handlers.ok_or(InstallError::UnknownObject(object))? {
+        for h in self.object_handlers(object)? {
             h.egress = Some((io_node, packet_bytes));
         }
         Ok(())
@@ -302,11 +368,24 @@ impl Runtime {
         object: ObjectId,
         binding: ServiceBinding,
     ) -> Result<(), InstallError> {
-        let handlers = self.handlers.get_mut(object.0);
-        for h in handlers.ok_or(InstallError::UnknownObject(object))? {
+        for h in self.object_handlers(object)? {
             h.service = Some(binding);
         }
         Ok(())
+    }
+
+    /// The handlers of `object`'s methods.
+    fn object_handlers(
+        &mut self,
+        object: ObjectId,
+    ) -> Result<impl Iterator<Item = &mut Handler>, InstallError> {
+        let def = self.app.objects().get(object.0);
+        let n = def
+            .ok_or(InstallError::UnknownObject(object))?
+            .methods
+            .len();
+        let first = self.first_handler[object.0] as usize;
+        Ok(self.handlers[first..first + n].iter_mut())
     }
 
     /// Invocations dispatched per object (indexed by [`ObjectId`]).
@@ -372,20 +451,25 @@ impl Runtime {
             self.decode_errors += 1;
             return;
         }
-        // Ids past `u32` (never built: each is a vector index) are refused.
-        let (Ok(object), Ok(reply_node)) = (u32::try_from(msg.object.0), u32::try_from(pkt.src.0))
-        else {
-            self.decode_errors += 1;
-            return;
+        let handler = self.first_handler[msg.object.0] + u32::from(msg.method.0);
+        // A twoway invocation answers when its request carries a tag.
+        let answers = pkt.tag != 0 && self.app.method(msg.object, msg.method).is_twoway();
+        let reply = if answers {
+            // A caller node past `u32` (never built: each is a vector
+            // index) is refused.
+            let Ok(node) = u32::try_from(pkt.src.0) else {
+                self.decode_errors += 1;
+                return;
+            };
+            Some(Reply {
+                seq: msg.seq,
+                node,
+                tag: pkt.tag,
+            })
+        } else {
+            None
         };
-        let twoway = self.app.method(msg.object, msg.method).is_twoway();
-        self.dispatch[p].push_back(PendingInvocation {
-            object,
-            reply_node,
-            seq: msg.seq,
-            method: msg.method,
-            reply_tag: if twoway { pkt.tag } else { 0 },
-        });
+        self.dispatch[p].push(handler, reply);
         self.pending_total += 1;
         self.note_pe(p, idle_threads);
     }
@@ -471,11 +555,10 @@ impl Runtime {
             }
             pe.settle_accounting(now);
             while pe.idle_threads() > 0 {
-                let Some(inv) = self.dispatch[p].pop_front() else {
+                let Some((handler, reply)) = self.take_invocation(p) else {
                     break;
                 };
-                self.pending_total -= 1;
-                self.spawn(p, pe, &inv, pool, &mut on_spawn);
+                self.spawn(p, pe, handler, reply, pool, &mut on_spawn);
             }
             let at = pe.wake_cycle(now);
             pe_wake[p] = pe_wake[p].min(at);
@@ -485,24 +568,36 @@ impl Runtime {
         (woken, earliest)
     }
 
-    /// Spawns `inv`'s handler on PE `p`, which has an idle thread.
+    /// Takes PE `p`'s oldest queued invocation: its handler index and, when
+    /// it answers, its reply fields.
+    fn take_invocation(&mut self, p: usize) -> Option<(usize, Option<Reply>)> {
+        let next = self.dispatch[p].pop()?;
+        self.pending_total -= 1;
+        Some(next)
+    }
+
+    /// Spawns an invocation of `handler` on PE `p`, which has an idle
+    /// thread; `reply` is set when the invocation answers.
     fn spawn(
         &mut self,
         p: usize,
         pe: &mut Pe,
-        inv: &PendingInvocation,
+        handler: usize,
+        reply: Option<Reply>,
         pool: &mut PayloadPool,
         on_spawn: &mut impl FnMut(usize, ThreadId, ObjectId),
     ) {
-        let prog = self.synthesize(inv, pe.take_spare_ops(), pool);
+        let prog = self.synthesize(handler, reply, pe.take_spare_ops(), pool);
         let tid = pe.spawn(prog).expect("idle thread count was checked");
-        on_spawn(p, tid, inv.object());
-        self.dispatched_per_object[inv.object().0] += 1;
+        let object = self.handlers[handler].object;
+        on_spawn(p, tid, object);
+        self.dispatched_per_object[object.0] += 1;
     }
 
-    /// Synthesizes the handler program for one invocation from its handler;
-    /// only the fractional-multiplicity carry and message sequence
-    /// numbers vary between invocations of the same `(object, method)`.
+    /// Synthesizes the program for one invocation of `handler`, which
+    /// answers when `reply` is set; only the fractional-multiplicity carry
+    /// and message sequence numbers vary between invocations of the same
+    /// `(object, method)`.
     ///
     /// The ops are pushed onto `ops`, an empty buffer the hosting PE handed
     /// out ([`Pe::take_spare_ops`]): the program owns it until the PE
@@ -513,12 +608,13 @@ impl Runtime {
     /// intermediate body vector.
     fn synthesize(
         &mut self,
-        inv: &PendingInvocation,
+        handler: usize,
+        reply: Option<Reply>,
         mut ops: Vec<Op>,
         pool: &mut PayloadPool,
     ) -> Program {
         debug_assert!(ops.is_empty(), "a spare op buffer comes back cleared");
-        let h = &self.handlers[inv.object().0][inv.method.0 as usize];
+        let h = &self.handlers[handler];
         if h.local_bytes > 0 {
             ops.push(Op::LocalMem {
                 write: false,
@@ -582,22 +678,22 @@ impl Runtime {
         // also echoes the request's sequence number (the invocation tag),
         // so the round trip is correlated end-to-end on the wire — same
         // marshalled size either way, so timing is unchanged.
-        if let Some((reply_to, tag)) = inv.reply_to() {
+        if let Some(r) = reply {
             let mut data = pool.take();
             Message::encode_zeroed_into(
                 MessageKind::Reply,
-                inv.object(),
-                inv.method,
-                inv.seq,
+                h.object,
+                h.method,
+                r.seq,
                 h.reply_body_bytes as usize,
                 &mut data,
             );
             let bytes = data.len() as u64;
             ops.push(Op::Send {
-                dst: reply_to,
+                dst: NodeId(r.node as usize),
                 bytes,
                 data,
-                tag: RequestTag::decode(tag).encode_reply(),
+                tag: RequestTag::decode(r.tag).encode_reply(),
             });
         }
         // Egress hand-off.
@@ -748,6 +844,8 @@ impl FppaPlatform {
 mod tests {
     use super::*;
     use nw_dsoc::ObjectDef;
+    use nw_noc::PacketId;
+    use proptest::prelude::*;
 
     /// Caller (twoway, with local state and compute) fanning out two calls
     /// per invocation to a oneway sink — exercises every handler section.
@@ -770,14 +868,23 @@ mod tests {
         Runtime::new(two_stage_app(), vec![0, 1], 2, 0).expect("valid placement")
     }
 
-    /// An invocation of the entry point with no caller.
-    const ENTRY: PendingInvocation = PendingInvocation {
-        object: 0,
-        reply_node: 0,
-        seq: 0,
-        method: MethodId(0),
-        reply_tag: 0,
-    };
+    /// The entry point's handler (`a.go`, the table's first).
+    const ENTRY: usize = 0;
+
+    /// A packet from node `src` carrying an invocation of `(object, method)`.
+    fn invocation(object: usize, method: u16, seq: u32, src: usize, tag: u64) -> Packet {
+        let mut data = Vec::new();
+        let (object, method) = (ObjectId(object), MethodId(method));
+        Message::encode_zeroed_into(MessageKind::Invocation, object, method, seq, 0, &mut data);
+        Packet {
+            id: PacketId(0),
+            src: NodeId(src),
+            dst: NodeId(0),
+            data,
+            tag,
+            injected_at: Cycles(0),
+        }
+    }
 
     /// Op equality modulo marshalled payload bytes (sequence numbers vary
     /// between invocations by design; everything timing-relevant must not).
@@ -829,10 +936,9 @@ mod tests {
     #[test]
     fn handler_synthesis_is_identical_across_invocations() {
         let mut rt = runtime();
-        let inv = ENTRY;
         let mut pool = PayloadPool::new();
-        let first = rt.synthesize(&inv, Vec::new(), &mut pool);
-        let second = rt.synthesize(&inv, Vec::new(), &mut pool);
+        let first = rt.synthesize(ENTRY, None, Vec::new(), &mut pool);
+        let second = rt.synthesize(ENTRY, None, Vec::new(), &mut pool);
 
         // Identical programs: same length, domain and op timing shape
         // (2.0 calls/invocation is integral, so the carry emits exactly
@@ -845,13 +951,22 @@ mod tests {
 
         // And byte-identical to a fresh runtime at the same sequence state.
         let mut cold = runtime();
-        let cold_first = cold.synthesize(&inv, Vec::new(), &mut PayloadPool::new());
+        let cold_first = cold.synthesize(ENTRY, None, Vec::new(), &mut PayloadPool::new());
         assert_eq!(first, cold_first);
     }
 
     #[test]
-    fn a_pending_invocation_is_at_most_24_bytes() {
-        assert!(std::mem::size_of::<PendingInvocation>() <= 24);
+    fn a_oneway_entry_costs_4_bytes_and_an_answering_one_at_most_20() {
+        let bytes = |b: &Backlog| {
+            b.keys.len() * std::mem::size_of::<u32>()
+                + b.replies.len() * std::mem::size_of::<Reply>()
+        };
+        let mut rt = runtime();
+        rt.enqueue_invocation(1, &invocation(1, 0, 5, 0, 9), 0);
+        assert_eq!(bytes(&rt.dispatch[1]), 4);
+        rt.enqueue_invocation(0, &invocation(0, 0, 5, 1, 9), 0);
+        assert!(bytes(&rt.dispatch[0]) <= 20, "{}", bytes(&rt.dispatch[0]));
+        assert_eq!(rt.dispatch[0].replies.len(), 1);
     }
 
     #[test]
@@ -862,28 +977,163 @@ mod tests {
             let is_send = |op: &&Op| matches!(op, Op::Send { .. });
             p.ops().iter().filter(is_send).count()
         };
-        let silent = rt.synthesize(&ENTRY, Vec::new(), &mut pool);
-        let asked = PendingInvocation {
-            reply_node: 1,
-            reply_tag: 7,
-            ..ENTRY
-        };
-        let answered = rt.synthesize(&asked, Vec::new(), &mut pool);
-        assert_eq!(sends(&answered), sends(&silent) + 1);
-        let last = answered.ops().last();
-        assert!(
-            matches!(last, Some(Op::Send { dst: NodeId(1), .. })),
-            "{last:?}"
+        // `a.go` answers a tagged request only; `c.sink` is oneway.
+        for (object, tag, answers) in [(0, 0, false), (0, 7, true), (1, 7, false)] {
+            rt.enqueue_invocation(0, &invocation(object, 0, 3, 1, tag), 0);
+            let (handler, reply) = rt.take_invocation(0).expect("one queued");
+            assert_eq!(reply.is_some(), answers, "object {object}, tag {tag}");
+            let silent = rt.synthesize(handler, None, Vec::new(), &mut pool);
+            let prog = rt.synthesize(handler, reply, Vec::new(), &mut pool);
+            assert_eq!(sends(&prog), sends(&silent) + usize::from(answers));
+            if answers {
+                let last = prog.ops().last();
+                let to_caller = matches!(last, Some(Op::Send { dst: NodeId(1), .. }));
+                assert!(to_caller, "{last:?}");
+            }
+        }
+        assert_eq!(rt.queued_invocations(), 0);
+    }
+
+    #[test]
+    fn a_handler_index_past_the_key_is_an_install_error() {
+        let half = MAX_HANDLERS / 2;
+        assert_eq!(first_handlers([half, half]), Ok(vec![0, 1 << 30]));
+        // The last index that fits comes back out of a key whole.
+        let mut backlog = Backlog::default();
+        backlog.push(u32::try_from(MAX_HANDLERS - 1).expect("fits"), None);
+        assert_eq!(backlog.pop(), Some((MAX_HANDLERS - 1, None)));
+        assert_eq!(
+            first_handlers([half, half, 1]),
+            Err(InstallError::TooManyHandlers(MAX_HANDLERS + 1))
         );
+        assert_eq!(
+            first_handlers([MAX_HANDLERS + 1]),
+            Err(InstallError::TooManyHandlers(MAX_HANDLERS + 1))
+        );
+    }
+
+    /// A queued invocation with every field spelled out: the oracle the
+    /// two-FIFO backlog is checked against.
+    #[derive(Debug, Clone)]
+    struct PendingInvocation {
+        object: ObjectId,
+        method: MethodId,
+        seq: u32,
+        reply_node: usize,
+        /// 0: no reply.
+        reply_tag: u64,
+    }
+
+    /// Three objects with oneway and twoway methods, on two PEs.
+    fn mixed_app() -> Application {
+        let mut b = Application::builder("mixed");
+        let a = b.add_object(
+            ObjectDef::new("a")
+                .with_method(MethodDef::twoway("go", 8, 8))
+                .with_method(MethodDef::oneway("poke", 8)),
+        );
+        b.add_object(ObjectDef::new("b").with_method(MethodDef::oneway("sink", 8)));
+        b.add_object(
+            ObjectDef::new("c")
+                .with_method(MethodDef::oneway("note", 8))
+                .with_method(MethodDef::twoway("ask", 8, 16))
+                .with_method(MethodDef::twoway("query", 8, 4)),
+        );
+        b.entry(a, 0);
+        b.build().expect("valid test app")
+    }
+
+    /// Pops PE `p`'s oldest invocation from both and checks they agree.
+    fn pop_both(rt: &mut Runtime, oracle: &mut [VecDeque<PendingInvocation>], p: usize) {
+        let (handler, reply, want) = match (rt.take_invocation(p), oracle[p].pop_front()) {
+            (Some((handler, reply)), Some(want)) => (handler, reply, want),
+            (got, want) => {
+                assert!(
+                    got.is_none() && want.is_none(),
+                    "PE {p}: {got:?} vs {want:?}"
+                );
+                return;
+            }
+        };
+        let h = &rt.handlers[handler];
+        assert_eq!((h.object, h.method), (want.object, want.method));
+        let want_reply = (want.reply_tag != 0).then(|| Reply {
+            seq: want.seq,
+            node: u32::try_from(want.reply_node).expect("test nodes fit"),
+            tag: want.reply_tag,
+        });
+        assert_eq!(reply, want_reply);
+        let queued: usize = oracle.iter().map(VecDeque::len).sum();
+        assert_eq!(rt.queued_invocations(), queued);
+        // One reply record per queued answering entry: none at all while
+        // only oneway entries are queued.
+        for (b, q) in rt.dispatch.iter().zip(oracle.iter()) {
+            let answering = q.iter().filter(|i| i.reply_tag != 0).count();
+            assert_eq!(b.replies.len(), answering, "reply FIFO out of step");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random interleavings of oneway and answering arrivals, pops and
+        /// forks: the backlog pops what a queue of whole invocations pops.
+        #[test]
+        fn the_backlog_pops_what_a_queue_of_whole_invocations_pops(
+            steps in prop::collection::vec(
+                (0u8..10, 0usize..2, 0usize..6, any::<bool>(), any::<u64>(), any::<u32>()),
+                1..300,
+            )
+        ) {
+            const METHODS: [(usize, u16); 6] = [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 2)];
+            let app = mixed_app();
+            let mut rt = Runtime::new(app.clone(), vec![0, 1, 1], 2, 0).expect("valid");
+            let mut oracle = vec![VecDeque::new(); 2];
+            let mut forked = Vec::new();
+            for (step, p, m, tagged, tag, seq) in steps {
+                match step {
+                    0..=4 => {
+                        let (object, method) = METHODS[m];
+                        let tag = if tagged { tag } else { 0 };
+                        let src = usize::try_from(seq >> 8).expect("fits");
+                        rt.enqueue_invocation(p, &invocation(object, method, seq, src, tag), 0);
+                        let (object, method) = (ObjectId(object), MethodId(method));
+                        let twoway = app.method(object, method).is_twoway();
+                        oracle[p].push_back(PendingInvocation {
+                            object,
+                            method,
+                            seq,
+                            reply_node: src,
+                            reply_tag: if twoway { tag } else { 0 },
+                        });
+                    }
+                    5..=8 => pop_both(&mut rt, &mut oracle, p),
+                    // A fork: the copy is drained at the end.
+                    _ => forked.push((rt.clone(), oracle.clone())),
+                }
+            }
+            forked.push((rt, oracle));
+            for (mut rt, mut oracle) in forked {
+                for p in 0..2 {
+                    while !oracle[p].is_empty() {
+                        pop_both(&mut rt, &mut oracle, p);
+                    }
+                    pop_both(&mut rt, &mut oracle, p);
+                }
+                prop_assert_eq!(rt.queued_invocations(), 0);
+            }
+        }
     }
 
     #[test]
     fn a_binding_reaches_the_next_synthesis() {
         let mut rt = runtime();
-        let inv = ENTRY;
         let mut pool = PayloadPool::new();
-        assert!(rt.handlers[0][0].service.is_none());
-        assert_eq!(rt.synthesize(&inv, Vec::new(), &mut pool).call_count(), 0);
+        assert!(rt.handlers[ENTRY].service.is_none());
+        let calls = |rt: &mut Runtime, pool: &mut PayloadPool| {
+            rt.synthesize(ENTRY, None, Vec::new(), pool).call_count()
+        };
+        assert_eq!(calls(&mut rt, &mut pool), 0);
         let binding = ServiceBinding {
             node: NodeId(1),
             request_bytes: 8,
@@ -892,9 +1142,9 @@ mod tests {
         };
         rt.bind_service(ObjectId(0), binding)
             .expect("object exists");
-        assert_eq!(rt.handlers[0][0].service, Some(binding));
+        assert_eq!(rt.handlers[ENTRY].service, Some(binding));
         // The synthesized handler now front-loads the three service calls.
-        assert_eq!(rt.synthesize(&inv, Vec::new(), &mut pool).call_count(), 3);
+        assert_eq!(calls(&mut rt, &mut pool), 3);
         assert_eq!(
             rt.bind_service(ObjectId(2), binding),
             Err(InstallError::UnknownObject(ObjectId(2)))
