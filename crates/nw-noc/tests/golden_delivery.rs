@@ -10,8 +10,11 @@
 //! layer and do not move with it.
 //!
 //! Each digest is FNV-1a over every ejected packet as
-//! `(cycle, id, src, dst, tag, injected_at, data)` in eject order, then the
-//! final [`NocCounts`] and the fault tallies. On a mismatch the test prints
+//! `(cycle, id, src, dst, tag, injected_at, len, head)` in eject order,
+//! where `head` is the payload's first 16 bytes (zero past its length; every
+//! byte after them is zero), then the final [`NocCounts`] and the fault
+//! tallies. The digests were re-recorded when payloads became a length and
+//! a 16-byte head; the engine's timing did not move. On a mismatch the test prints
 //! the whole table as it reads now, ready to paste — which is only the
 //! right thing to do for a change that means to alter the timing model.
 
@@ -69,7 +72,8 @@ impl Fnv {
 /// the hotspot, the rest uniform; six in a hundred carry 2–3 KB (longer on
 /// a one-flit link than the event queue's 256-cycle window), the rest under
 /// 64 bytes. Refused offers still advance the sequence, so the payload
-/// pattern of a packet does not depend on back-pressure.
+/// pattern of a packet does not depend on back-pressure: byte `k < 16` is
+/// `seq + 7k`, the rest zero.
 fn offer(noc: &mut Noc, rng: &mut StdRng, seq: &mut u64, now: Cycles) {
     for _ in 0..3 {
         if !rng.gen_bool(0.25) {
@@ -86,11 +90,27 @@ fn offer(noc: &mut Noc, rng: &mut StdRng, seq: &mut u64, now: Cycles) {
         } else {
             rng.gen_range(0..64usize)
         };
-        let data = (0..len).map(|k| (*seq as usize + 7 * k) as u8).collect();
+        let data = payload(len, |k| (*seq as usize + 7 * k) as u8);
         let tag = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let _ = noc.try_inject(NodeId(src), NodeId(dst), data, tag, now);
         *seq += 1;
     }
+}
+
+/// Bytes past the head of every payload here are zero.
+const HEAD: usize = 16;
+
+/// `len` bytes whose first [`HEAD`] are `byte(k)` and the rest zero.
+fn payload(len: usize, byte: impl Fn(usize) -> u8) -> Vec<u8> {
+    (0..len).map(|k| if k < HEAD { byte(k) } else { 0 }).collect()
+}
+
+/// The payload's first [`HEAD`] bytes, zero past its length.
+fn head(data: &[u8]) -> [u8; HEAD] {
+    let mut head = [0; HEAD];
+    let n = data.len().min(HEAD);
+    head[..n].copy_from_slice(&data[..n]);
+    head
 }
 
 fn tick(noc: &mut Noc, how: Drive, now: Cycles) {
@@ -125,7 +145,8 @@ fn hash_ejects(noc: &mut Noc, how: Drive, now: Cycles, h: &mut Fnv) -> usize {
         assert_eq!(p.dst, at, "ejected at its destination");
         if p.tag == CORRUPTED.0 {
             assert_eq!(p.data[0], CORRUPTED.1 ^ 0xA5, "first byte flipped");
-            assert!(p.data[1..].iter().all(|&b| b == CORRUPTED.1));
+            assert!(p.data[1..HEAD].iter().all(|&b| b == CORRUPTED.1));
+            assert!(p.data[HEAD..].iter().all(|&b| b == 0));
             corrupted += 1;
         }
         h.word(now.0);
@@ -135,7 +156,7 @@ fn hash_ejects(noc: &mut Noc, how: Drive, now: Cycles, h: &mut Fnv) -> usize {
         h.word(p.tag);
         h.word(p.injected_at.0);
         h.word(p.data.len() as u64);
-        h.bytes(&p.data);
+        h.bytes(&head(&p.data));
     }
     corrupted
 }
@@ -210,7 +231,7 @@ fn faulted_run(how: Drive) -> u64 {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xFA17);
     let mut seq = 0u64;
     let mut h = Fnv::new();
-    let mut corrupted_seen = 0;
+    let (mut corrupted_seen, mut dropped) = (0, 0);
     for c in 0..HORIZON {
         let now = Cycles(c);
         if c >= OFFER_UNTIL && noc.is_quiescent() {
@@ -228,7 +249,7 @@ fn faulted_run(how: Drive) -> u64 {
             // later, sits on a port queue it cannot leave.
             80 => {
                 while noc.drop_next(HOTSPOT, now) {}
-                noc.try_inject(NodeId(HOTSPOT), NodeId(7), vec![0x5A; 40], 0xD809, now)
+                noc.try_inject(NodeId(HOTSPOT), NodeId(7), payload(40, |_| 0x5A), 0xD809, now)
                     .expect("emptied NI accepts");
             }
             81 => {
@@ -244,14 +265,14 @@ fn faulted_run(how: Drive) -> u64 {
             100 => {
                 while noc.drop_next(12, now) {}
                 assert!(!noc.corrupt_next(12), "nothing to corrupt");
-                let payload = vec![CORRUPTED.1; 24];
-                noc.try_inject(NodeId(12), NodeId(3), payload, CORRUPTED.0, now)
+                let data = payload(24, |_| CORRUPTED.1);
+                noc.try_inject(NodeId(12), NodeId(3), data, CORRUPTED.0, now)
                     .expect("emptied NI accepts");
                 assert!(noc.corrupt_next(12), "NI head corrupted");
             }
             110 => {
                 while noc.drop_next(12, now) {}
-                noc.try_inject(NodeId(12), NodeId(3), vec![0x22; 24], 0xD80A, now)
+                noc.try_inject(NodeId(12), NodeId(3), payload(24, |_| 0x22), 0xD80A, now)
                     .expect("emptied NI accepts");
                 assert!(noc.drop_next(12, now), "NI head dropped");
                 assert_eq!(noc.ni_free(NodeId(12)), ni_capacity);
@@ -271,7 +292,7 @@ fn faulted_run(how: Drive) -> u64 {
                 let p = port_to(&noc, 14, 15);
                 noc.stall_port(14, p, 400);
                 for tag in [0xDEAD, 0xDEAE] {
-                    noc.try_inject(NodeId(14), NodeId(15), vec![0x33; 16], tag, now)
+                    noc.try_inject(NodeId(14), NodeId(15), payload(16, |_| 0x33), tag, now)
                         .expect("NI has room");
                 }
             }
@@ -291,7 +312,8 @@ fn faulted_run(how: Drive) -> u64 {
         tick(&mut noc, how, now);
         corrupted_seen += hash_ejects(&mut noc, how, now, &mut h);
         if c.is_multiple_of(64) {
-            h.word(noc.take_dropped_buffers().len() as u64);
+            h.word(noc.dropped_packets() - dropped);
+            dropped = noc.dropped_packets();
         }
     }
     assert_eq!(corrupted_seen, 1, "the corrupted packet still arrives");
@@ -301,22 +323,23 @@ fn faulted_run(how: Drive) -> u64 {
     h.0
 }
 
-/// `(kind, pool, digest)` recorded at 2c5bd7f.
+/// `(kind, pool, digest)`: the 2c5bd7f recording, re-recorded at 64cee98
+/// for the length-and-head payload recipe.
 const GOLDEN_CLEAN: [(TopologyKind, usize, u64); 10] = [
-    (TopologyKind::Mesh, 2, 0xea2f14b918c9844a),
-    (TopologyKind::Mesh, 8, 0xaa85854ec6ca7565),
-    (TopologyKind::Ring, 2, 0xda9bc5eda9cd4603),
-    (TopologyKind::Ring, 8, 0xaa19e7208ec63a51),
-    (TopologyKind::Crossbar, 2, 0x300d7024ec3558e8),
-    (TopologyKind::Crossbar, 8, 0xc18ab68b62575391),
-    (TopologyKind::FatTree, 2, 0x5e2d2752324d0c2c),
-    (TopologyKind::FatTree, 8, 0xd6cddaa55f98c728),
-    (TopologyKind::SharedBus, 2, 0xcb7e154edd574931),
-    (TopologyKind::SharedBus, 8, 0xa270e2975edc6be7),
+    (TopologyKind::Mesh, 2, 0x6ec052f8424f7bdd),
+    (TopologyKind::Mesh, 8, 0x3258171fddf6e026),
+    (TopologyKind::Ring, 2, 0x4d0efc673cf74c8a),
+    (TopologyKind::Ring, 8, 0x1aea4a0256216bef),
+    (TopologyKind::Crossbar, 2, 0x6cc57b8d3685c30d),
+    (TopologyKind::Crossbar, 8, 0x20b426a8672c3057),
+    (TopologyKind::FatTree, 2, 0x9fa509aff3753b62),
+    (TopologyKind::FatTree, 8, 0x81279329ccfb96ae),
+    (TopologyKind::SharedBus, 2, 0x47456dbc6d006c0b),
+    (TopologyKind::SharedBus, 8, 0x7156bf687e57d85a),
 ];
 
-/// Digest of [`faulted_run`] recorded at 2c5bd7f.
-const GOLDEN_FAULTED: u64 = 0xbab537db879c18e2;
+/// Digest of [`faulted_run`], recorded as [`GOLDEN_CLEAN`] was.
+const GOLDEN_FAULTED: u64 = 0x2008d0b1839fefb5;
 
 #[test]
 fn clean_runs_match_the_recorded_delivery_logs() {
