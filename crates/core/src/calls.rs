@@ -24,15 +24,12 @@
 //!   wraps as `u8`, and survives give-up, crash and restart — a late reply
 //!   to an abandoned call can never match a later one.
 //! * Without a policy the token is 0 and the salt stays put.
-//! * The stored payload is a `pool.take()` + `extend_from_slice` clone,
-//!   put back at delivery, give-up and crash.
 
 use crate::resilience::{ResilienceStats, RetryPolicy};
 use crate::tags::RequestTag;
-use nw_noc::PayloadPool;
 use nw_obs::TraceEvent;
 use nw_sim::LatencyHistogram;
-use nw_types::{Cycles, NodeId, ObjectId};
+use nw_types::{Cycles, NodeId, ObjectId, Payload};
 use std::collections::BTreeSet;
 
 /// The retry half of a slot: one call tracked until its reply or give-up.
@@ -46,8 +43,8 @@ struct PendingCall {
     tag: RequestTag,
     /// Destination endpoint (re-used verbatim on retry).
     dst: NodeId,
-    /// Pool-accounted clone of the request payload, ready to re-send.
-    data: Vec<u8>,
+    /// The request payload, ready to re-send.
+    data: Payload,
 }
 
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -60,12 +57,11 @@ struct Slot {
 }
 
 impl Slot {
-    /// Drops the retry entry of slot `(pe, tid)`, if any: out of the
-    /// deadline index, its payload clone back to the pool.
-    fn close_retry(&mut self, pe: usize, tid: usize, index: &mut Index, pool: &mut PayloadPool) {
+    /// Drops the retry entry of slot `(pe, tid)`, if any, and its key in
+    /// the deadline index.
+    fn close_retry(&mut self, pe: usize, tid: usize, index: &mut Index) {
         if let Some(call) = self.retry.take() {
             index.remove(&(call.deadline, pe, tid));
-            pool.put(call.data);
         }
     }
 }
@@ -102,7 +98,7 @@ pub(crate) enum Expired {
         tag: RequestTag,
         attempt: u8,
         dst: NodeId,
-        data: Vec<u8>,
+        data: Payload,
     },
     /// The attempt budget is spent and the slot is empty: release the
     /// thread if it still waits.
@@ -140,15 +136,14 @@ impl CallTable {
     /// Records the call thread `(tag.pe, tag.tid)` blocks on from `now` and
     /// returns its tag with the token stamped. `object` opens the latency
     /// probe (`None`, or an id the installed application does not have,
-    /// leaves it alone); under a policy a clone of `data` is kept to retry.
+    /// leaves it alone); under a policy `data` is kept to retry.
     pub fn issue(
         &mut self,
         mut tag: RequestTag,
         dst: NodeId,
-        data: &[u8],
+        data: Payload,
         object: Option<ObjectId>,
         now: Cycles,
-        pool: &mut PayloadPool,
     ) -> RequestTag {
         let (pe, tid) = (tag.pe.0, tag.tid.0);
         let slot = &mut self.slots[pe][tid];
@@ -159,11 +154,9 @@ impl CallTable {
             return tag;
         };
         // A blocked thread holds one call; a leftover entry is replaced.
-        slot.close_retry(pe, tid, &mut self.index, pool);
+        slot.close_retry(pe, tid, &mut self.index);
         slot.salt = slot.salt.wrapping_add(1);
         tag.token = slot.salt;
-        let mut copy = pool.take();
-        copy.extend_from_slice(data);
         let deadline = now.0.saturating_add(policy.window(0));
         self.index.insert((deadline, pe, tid));
         slot.retry = Some(PendingCall {
@@ -171,7 +164,7 @@ impl CallTable {
             attempt: 0,
             tag,
             dst,
-            data: copy,
+            data,
         });
         tag
     }
@@ -186,7 +179,6 @@ impl CallTable {
         token: u8,
         awaiting: bool,
         now: Cycles,
-        pool: &mut PayloadPool,
     ) -> Reply {
         let slot = &mut self.slots[pe][tid];
         let live = match &slot.retry {
@@ -197,7 +189,7 @@ impl CallTable {
             self.duplicates += 1;
             return Reply::Duplicate;
         }
-        slot.close_retry(pe, tid, &mut self.index, pool);
+        slot.close_retry(pe, tid, &mut self.index);
         let miss = slot.probe.take().and_then(|(issued, object)| {
             let latency = now.saturating_sub(issued);
             let o = &mut self.objects[object.0];
@@ -224,7 +216,7 @@ impl CallTable {
     /// with a bumped token and doubled window, or a give-up once
     /// [`RetryPolicy::max_attempts`] are spent. Allocates nothing when no
     /// deadline is due.
-    pub fn expire(&mut self, now: u64, pool: &mut PayloadPool) -> Vec<Expired> {
+    pub fn expire(&mut self, now: u64) -> Vec<Expired> {
         let Some(policy) = self.policy else {
             return Vec::new();
         };
@@ -238,7 +230,7 @@ impl CallTable {
             let call = slot.retry.as_mut().expect("indexed slots hold a call");
             if u32::from(call.attempt) + 1 >= u32::from(policy.max_attempts.max(1)) {
                 slot.probe = None;
-                slot.close_retry(pe, tid, &mut self.index, pool);
+                slot.close_retry(pe, tid, &mut self.index);
                 self.give_ups += 1;
                 expired.push(Expired::GiveUp { pe, tid });
                 continue;
@@ -249,14 +241,12 @@ impl CallTable {
             call.attempt = call.attempt.saturating_add(1);
             call.deadline = now.saturating_add(policy.window(call.attempt));
             self.index.insert((call.deadline, pe, tid));
-            let mut fresh = pool.take();
-            fresh.extend_from_slice(&call.data);
             self.retries += 1;
             expired.push(Expired::Retry {
                 tag: call.tag,
                 attempt: call.attempt,
                 dst: call.dst,
-                data: std::mem::replace(&mut call.data, fresh),
+                data: call.data,
             });
         }
         expired
@@ -281,13 +271,13 @@ impl CallTable {
         }
     }
 
-    /// PE `pe` crashed: its probes, retry entries and handlers are dropped
-    /// (stored payloads back to the pool, in thread order); salts stay.
-    pub fn abandon_pe(&mut self, pe: usize, pool: &mut PayloadPool) {
+    /// PE `pe` crashed: its probes, retry entries and handlers are
+    /// dropped; salts stay.
+    pub fn abandon_pe(&mut self, pe: usize) {
         for (tid, slot) in self.slots[pe].iter_mut().enumerate() {
             slot.probe = None;
             slot.handler = None;
-            slot.close_retry(pe, tid, &mut self.index, pool);
+            slot.close_retry(pe, tid, &mut self.index);
         }
     }
 
@@ -329,23 +319,8 @@ impl CallTable {
 impl CallTable {
     /// Test shorthand: thread `(pe, tid)` issues `data` at `now`, charged
     /// to no object; returns the token.
-    pub fn issue_at(
-        &mut self,
-        pe: usize,
-        tid: usize,
-        data: &[u8],
-        now: u64,
-        pool: &mut PayloadPool,
-    ) -> u8 {
-        (self.issue(
-            tests::tag(pe, tid),
-            NodeId(1),
-            data,
-            None,
-            Cycles(now),
-            pool,
-        ))
-        .token
+    pub fn issue_at(&mut self, pe: usize, tid: usize, data: Payload, now: u64) -> u8 {
+        (self.issue(tests::tag(pe, tid), NodeId(1), data, None, Cycles(now))).token
     }
 }
 
@@ -372,9 +347,9 @@ mod tests {
         }
     }
 
-    /// The table's oracle: after every operation the index, the pending
-    /// count and the pool ledger are what a walk over the slots answers.
-    fn audit(t: &CallTable, pool: &PayloadPool) {
+    /// The table's oracle: after every operation the index and the pending
+    /// count are what a walk over the slots answers.
+    fn audit(t: &CallTable) {
         let scan: BTreeSet<_> = (t.slots.iter().enumerate())
             .flat_map(|(pe, slots)| {
                 (slots.iter().enumerate())
@@ -384,8 +359,6 @@ mod tests {
         assert_eq!(t.index, scan, "index ≡ scan of the slots");
         assert_eq!(t.pending_len(), scan.len());
         assert_eq!(t.next_deadline(), scan.first().map(|k| k.0));
-        // Every stored clone is out of the pool exactly once.
-        assert_eq!(pool.outstanding(), scan.len() as i64, "ledger");
     }
 
     #[test]
@@ -397,7 +370,6 @@ mod tests {
             max_attempts: 2,
         });
         t.reset(2);
-        let mut pool = PayloadPool::new();
         let (mut now, mut duplicates, mut give_ups) = (0, 0, 0);
         for _ in 0..6_000 {
             now += draw(3);
@@ -406,14 +378,8 @@ mod tests {
             match draw(7) {
                 0 | 1 => {
                     let object = Some(ObjectId(draw(3) as usize));
-                    let stamped = t.issue(
-                        tag(pe, tid),
-                        NodeId(1),
-                        &[9],
-                        object,
-                        Cycles(now),
-                        &mut pool,
-                    );
+                    let data = Payload::with_head(1, &[9]);
+                    let stamped = t.issue(tag(pe, tid), NodeId(1), data, object, Cycles(now));
                     let slot = &t.slots[pe][tid];
                     assert_eq!(stamped.token, slot.salt);
                     assert_eq!(slot.salt, before[tid].salt.wrapping_add(1));
@@ -425,7 +391,7 @@ mod tests {
                     let entry = before[tid].retry.as_ref().map(|c| c.tag.token);
                     let token = entry.unwrap_or(0).wrapping_add(draw(2) as u8);
                     let awaiting = draw(2) == 0;
-                    let got = t.reply(pe, tid, token, awaiting, Cycles(now), &mut pool);
+                    let got = t.reply(pe, tid, token, awaiting, Cycles(now));
                     let slot = &t.slots[pe][tid];
                     if entry.map_or(awaiting, |live| live == token) {
                         assert!(matches!(got, Reply::Deliver { .. }));
@@ -443,14 +409,14 @@ mod tests {
                         .flat_map(|pe| (0..3).map(move |tid| (pe, tid)))
                         .filter(|&(pe, tid)| is_due(&t.slots[pe][tid]))
                         .collect();
-                    let expired = t.expire(now, &mut pool);
+                    let expired = t.expire(now);
                     let fired: Vec<_> = (expired.into_iter())
                         .map(|e| match e {
                             Expired::Retry { tag, data, .. } => {
                                 let slot = &t.slots[tag.pe.0][tag.tid.0];
                                 assert_eq!(slot.retry.as_ref().map(|c| c.tag), Some(tag));
                                 assert_eq!(tag.token, slot.salt);
-                                pool.put(data); // the re-send, consumed
+                                assert_eq!(data, Payload::with_head(1, &[9]));
                                 (tag.pe.0, tag.tid.0)
                             }
                             Expired::GiveUp { pe, tid } => {
@@ -465,14 +431,14 @@ mod tests {
                     assert!(t.next_deadline().is_none_or(|d| d > now));
                 }
                 _ => {
-                    t.abandon_pe(pe, &mut pool);
+                    t.abandon_pe(pe);
                     for (slot, was) in t.slots[pe].iter().zip(&before) {
                         assert!(slot.probe.is_none() && slot.retry.is_none());
                         assert_eq!(slot.salt, was.salt, "salts survive a crash");
                     }
                 }
             }
-            audit(&t, &pool);
+            audit(&t);
         }
         let mut stats = ResilienceStats::default();
         t.fill_stats(&mut stats);
@@ -483,7 +449,7 @@ mod tests {
             "{stats:?}"
         );
         // Nothing due: no allocation behind the returned vector.
-        assert_eq!(t.expire(0, &mut pool).capacity(), 0);
+        assert_eq!(t.expire(0).capacity(), 0);
     }
 
     #[test]
@@ -495,7 +461,6 @@ mod tests {
         let mut tracked = CallTable::new([2; 3]);
         tracked.set_policy(RetryPolicy::default());
         let mut untracked = CallTable::new([2; 3]);
-        let (mut pool_t, mut pool_u) = (PayloadPool::new(), PayloadPool::new());
         for t in [&mut tracked, &mut untracked] {
             t.reset(2);
             t.object_mut(ObjectId(1)).unwrap().deadline = Some(20);
@@ -506,24 +471,22 @@ mod tests {
             now += draw(16);
             let (pe, tid) = (draw(3) as usize, draw(2) as usize);
             if let Some((live, zero)) = open[pe][tid].take() {
-                let got = tracked.reply(pe, tid, live, true, Cycles(now), &mut pool_t);
-                assert_eq!(
-                    got,
-                    untracked.reply(pe, tid, zero, true, Cycles(now), &mut pool_u)
-                );
+                let got = tracked.reply(pe, tid, live, true, Cycles(now));
+                assert_eq!(got, untracked.reply(pe, tid, zero, true, Cycles(now)));
                 assert!(matches!(got, Reply::Deliver { .. }));
                 misses += u64::from(got != Reply::Deliver { miss: None });
             } else {
                 let object = Some(ObjectId(draw(2) as usize));
                 let at = Cycles(now);
-                let live = tracked.issue(tag(pe, tid), NodeId(1), &[1], object, at, &mut pool_t);
-                let zero = untracked.issue(tag(pe, tid), NodeId(1), &[1], object, at, &mut pool_u);
-                assert_eq!((zero.token, pool_u.outstanding()), (0, 0));
+                let data = Payload::with_head(1, &[1]);
+                let live = tracked.issue(tag(pe, tid), NodeId(1), data, object, at);
+                let zero = untracked.issue(tag(pe, tid), NodeId(1), data, object, at);
+                assert_eq!((zero.token, untracked.pending_len()), (0, 0));
                 assert_ne!(live.token, 0);
                 open[pe][tid] = Some((live.token, zero.token));
             }
-            audit(&tracked, &pool_t);
-            audit(&untracked, &pool_u);
+            audit(&tracked);
+            audit(&untracked);
         }
         assert!(misses > 0, "the budget of object 1 was never exceeded");
         for (a, b) in tracked.objects().iter().zip(untracked.objects()) {
@@ -553,10 +516,7 @@ mod tests {
         // of the PE and a fresh install.
         let forget: [(fn(&mut CallTable), _); 3] = [
             (|t| t.forget_handlers(0), [false, false, true, true]),
-            (
-                |t| t.abandon_pe(1, &mut PayloadPool::new()),
-                [true, true, false, false],
-            ),
+            (|t| t.abandon_pe(1), [true, true, false, false]),
             (|t| t.reset(1), [false; 4]),
         ];
         for (forget, left) in forget {

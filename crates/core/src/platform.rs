@@ -24,13 +24,13 @@ use crate::resilience::{ResilienceStats, RetryPolicy};
 use crate::runtime::Runtime;
 use crate::services::Services;
 use crate::tags::{is_reply, RequestTag};
-use nw_dsoc::{MessageKind, MessageView};
+use nw_dsoc::{MessageHeader, MessageKind};
 use nw_mem::MemorySpec;
-use nw_noc::{Noc, NocWork, PayloadPool, Topology};
+use nw_noc::{Noc, NocWork, Topology};
 use nw_obs::{HostPhase, HostProfiler, NocHeatmap, TraceEvent, TraceSink};
 use nw_pe::{Pe, PeRequest};
 use nw_sim::LatencyHistogram;
-use nw_types::{AreaMm2, Cycles, NodeId, ObjectId, PeId, Picojoules};
+use nw_types::{AreaMm2, Cycles, NodeId, ObjectId, Payload, PeId, Picojoules, ThreadId};
 use std::collections::VecDeque;
 
 /// How [`FppaPlatform::step`] visits components each cycle.
@@ -158,7 +158,7 @@ pub enum NodeRole {
 pub(crate) struct Outgoing {
     pub src: NodeId,
     pub dst: NodeId,
-    pub data: Vec<u8>,
+    pub data: Payload,
     pub tag: u64,
     /// Thread to complete once the NI accepts the packet (async sends).
     pub on_accept: Option<(PeId, nw_types::ThreadId)>,
@@ -205,12 +205,6 @@ pub struct FppaPlatform {
     io_synced: u64,
     /// Scheduler work counters (`noc` is filled in on read).
     sched_stats: SchedulerStats,
-    /// Recycling arena for packet payloads: consumed packet buffers return
-    /// here in `route_arrivals`, and every payload producer (service
-    /// replies, ingress invocations, handler-synthesized messages, PE
-    /// request padding) draws from it instead of the allocator. Purely an
-    /// allocation cache — contents and timing are bit-identical either way.
-    pool: PayloadPool,
     /// Every in-flight synchronous call — latency probe and retry entry
     /// per hardware thread — with the per-object latency telemetry and the
     /// retry policy (see [`crate::calls`]).
@@ -240,10 +234,10 @@ pub struct FppaPlatform {
 /// A plain-old-data checkpoint of a [`FppaPlatform`].
 ///
 /// Captures the complete simulation state — PE/program state, NoC engine
-/// state (queues, `busy_until` stamps, event-wheel wakes, the
-/// [`PayloadPool`] ledger), runtime dispatch state (pending invocations,
-/// retry deadlines, handler table), service/memory state, latency
-/// histograms, resilience counters and the replica seed — such that
+/// state (queues, `busy_until` stamps, event-wheel wakes), runtime
+/// dispatch state (pending invocations, retry deadlines, handler table),
+/// service/memory state, latency histograms, resilience counters and the
+/// replica seed — such that
 /// [`FppaPlatform::from_snapshot`] continues bit-identically to the
 /// uninterrupted original.
 ///
@@ -344,7 +338,6 @@ impl FppaPlatform {
             io_due: NEVER,
             io_synced: 0,
             sched_stats: SchedulerStats::default(),
-            pool: PayloadPool::new(),
             calls,
             obs_sink: None,
             profiler: None,
@@ -381,7 +374,6 @@ impl FppaPlatform {
             io_due: self.io_due,
             io_synced: self.io_synced,
             sched_stats: self.sched_stats,
-            pool: self.pool.clone(),
             calls: self.calls.clone(),
             obs_sink: None,
             profiler: None,
@@ -680,16 +672,6 @@ impl FppaPlatform {
         &self.ios[i]
     }
 
-    /// Payload buffers acquired from the platform's [`PayloadPool`] but not
-    /// yet recycled (`taken - returned`). On a quiesced platform with a
-    /// finite workload this must be zero: every synthesized or ingress
-    /// payload became a packet that was eventually consumed and its buffer
-    /// returned. The scheduler differential suite pins that conservation
-    /// law; a persistent nonzero residue under quiescence is a buffer leak.
-    pub fn payload_outstanding(&self) -> i64 {
-        self.pool.outstanding()
-    }
-
     /// NoC hop-distance matrix over all endpoints (input for the MultiFlex
     /// mappers), read from the live routing tables: after a link is
     /// permanently failed ([`FppaPlatform::fail_noc_link`] or a campaign
@@ -811,9 +793,7 @@ impl FppaPlatform {
     /// every other gate reads an entry at or past the limit. The engine
     /// stops after a tick that leaves a delivery pending — phases 3–7 of
     /// that cycle then run as [`FppaPlatform::step_cycle`] runs them — or
-    /// that drops a packet, whose buffer the next stepped cycle recycles
-    /// in its phase 0 under a campaign (as the span's first cycle does
-    /// here, before the engine runs).
+    /// that drops a packet (the engine's span contract, [`Noc::run_span`]).
     ///
     /// Proof obligations, which make the booking exact:
     ///
@@ -844,9 +824,6 @@ impl FppaPlatform {
         }
         #[cfg(debug_assertions)]
         let others = NOT_NOC.map(|source| self.due(source, now));
-        if self.campaign.is_some() {
-            self.recycle_dropped();
-        }
         let sink = self.obs_sink.as_deref_mut();
         let span = self.noc.run_span(Cycles(now), next, Cycles(limit), sink);
         // The last cycle is closed here, or by phases 3–7 when it holds a
@@ -935,6 +912,17 @@ impl FppaPlatform {
         self.calls.pending_len()
     }
 
+    /// Whether the platform holds no work in flight: no packet in the NoC
+    /// or waiting to enter it, every PE thread idle and no call tracked for
+    /// retry. A finite workload run long enough ends here, faults or not.
+    pub fn is_quiescent(&self) -> bool {
+        let idle = |pe: &Pe| (0..pe.n_threads()).all(|t| pe.thread_is_idle(ThreadId(t)));
+        self.noc.packets_held() == 0
+            && self.outbox.is_empty()
+            && self.pes.iter().all(idle)
+            && self.calls.pending_len() == 0
+    }
+
     /// Fault-injection and recovery counters: platform-side events merged
     /// with the NoC's drop/corruption bookkeeping. All zero when faults
     /// were never enabled.
@@ -970,25 +958,16 @@ impl FppaPlatform {
         true
     }
 
-    /// Crashes PE `pe` (fault hook): threads die, owned payload buffers are
-    /// recycled into the pool, latency probes and retry entries of the PE
-    /// are cancelled. Idempotent while crashed.
+    /// Crashes PE `pe` (fault hook): threads die, latency probes and retry
+    /// entries of the PE are cancelled. Idempotent while crashed.
     fn crash_pe(&mut self, pe: usize, now: Cycles) {
         if pe >= self.pes.len() || self.pes[pe].is_crashed() {
             return;
         }
-        for b in self.pes[pe].crash(now) {
-            // Storage-less program payloads (`Op::call` stubs) are only
-            // converted to pool buffers by `pad_zeroed` at send time; a
-            // crashed PE's unexecuted ones were never taken, so counting
-            // them as returns would unbalance the ledger.
-            if b.capacity() > 0 {
-                self.pool.put(b);
-            }
-        }
+        self.pes[pe].crash(now);
         // One tick on the dead contexts; it posts the PE dormant.
         self.wake_pe(pe, now);
-        self.calls.abandon_pe(pe, &mut self.pool);
+        self.calls.abandon_pe(pe);
         if let Some(rt) = self.runtime.as_mut() {
             rt.note_pe(pe, 0);
         }
@@ -1080,7 +1059,7 @@ impl FppaPlatform {
     /// thread. Deadlines are plain cycle numbers, so both schedulers fire
     /// them on identical cycles.
     fn check_retries(&mut self, now: Cycles) {
-        for expired in self.calls.expire(now.0, &mut self.pool) {
+        for expired in self.calls.expire(now.0) {
             match expired {
                 Expired::GiveUp { pe, tid } => {
                     let t = nw_types::ThreadId(tid);
@@ -1130,15 +1109,10 @@ impl FppaPlatform {
         let now = self.now;
         let due = |p: &Self, source| open || p.due(source, now.0) <= now.0;
 
-        // 0. Fault injection and retry deadlines; then recycle the payload
-        //    buffers of packets the NoC dropped since the last stepped
-        //    cycle (injected drops, disconnections).
+        // 0. Fault injection and retry deadlines.
         let faults = due(self, Source::Faults);
         if faults {
             self.apply_faults(now);
-        }
-        if self.campaign.is_some() {
-            self.recycle_dropped();
         }
         let retries = due(self, Source::Retries);
         if retries {
@@ -1194,7 +1168,7 @@ impl FppaPlatform {
                 self.outbox.push_back(Outgoing {
                     src,
                     dst,
-                    data: self.pool.take_zeroed(t.reply_bytes as usize),
+                    data: Payload::zeroed(t.reply_bytes as usize),
                     tag: t.encode_reply(),
                     on_accept: None,
                 });
@@ -1352,18 +1326,6 @@ impl FppaPlatform {
             pe.settle_accounting(now);
         }
         self.sync_io(now.0);
-        // Buffers dropped by the NoC on the final cycle (injected drops,
-        // disconnections) still belong to the pool.
-        self.recycle_dropped();
-    }
-
-    /// Returns the payload buffers of NoC-dropped packets to the pool.
-    fn recycle_dropped(&mut self) {
-        if self.noc.has_dropped_buffers() {
-            for b in self.noc.take_dropped_buffers() {
-                self.pool.put(b);
-            }
-        }
     }
 
     /// Ticks every I/O channel for the cycles before `to` it has not seen
@@ -1446,7 +1408,7 @@ impl FppaPlatform {
             let io = &mut self.ios[i];
             while self.noc.ni_free(io_node) > 0 {
                 let Some(_seq) = io.take_rx() else { break };
-                let (dst, data) = rt.ingress_invocation(i, &mut self.pool);
+                let (dst, data) = rt.ingress_invocation(i);
                 let bytes = data.len();
                 self.noc
                     .try_inject(io_node, dst, data, 0, now)
@@ -1467,18 +1429,17 @@ impl FppaPlatform {
         // Endpoint by endpoint in ascending order, each drained in arrival
         // order — asked of the NoC, which knows which endpoints hold a
         // delivery, instead of polling all of them.
-        while let Some((NodeId(node), mut pkt)) = self.noc.eject_next() {
+        while let Some((NodeId(node), pkt)) = self.noc.eject_next() {
             match self.roles[node] {
                 NodeRole::Pe(p) => {
                     if is_reply(pkt.tag) {
                         let t = RequestTag::decode(pkt.tag);
                         let awaiting = self.pes[p].is_awaiting(t.tid);
-                        let pool = &mut self.pool;
                         // A duplicate — a superseded attempt's reply, or
                         // one for a thread that gave up or whose PE
                         // crashed — is counted by the table and dropped.
                         if let Reply::Deliver { miss } =
-                            (self.calls).reply(p, t.tid.0, t.token, awaiting, now, pool)
+                            (self.calls).reply(p, t.tid.0, t.token, awaiting, now)
                         {
                             if let (Some(miss), Some(s)) = (miss, self.obs_sink.as_deref_mut()) {
                                 s.emit(miss);
@@ -1496,9 +1457,6 @@ impl FppaPlatform {
                     self.ios[i].transmit();
                 }
             }
-            // Every arm above consumes the packet; its payload buffer
-            // goes back to the arena for the next producer.
-            self.pool.put(std::mem::take(&mut pkt.data));
         }
     }
 
@@ -1518,8 +1476,7 @@ impl FppaPlatform {
                 });
             }
         };
-        let (pes, pe_wake, pool) = (&mut self.pes, &mut self.pe_wake, &mut self.pool);
-        let (woken, earliest) = rt.dispatch(pes, now, pe_wake, pool, on_spawn);
+        let (woken, earliest) = rt.dispatch(&mut self.pes, now, &mut self.pe_wake, on_spawn);
         self.pe_due = self.pe_due.min(earliest);
         self.sched_stats.pe_external_wakes += woken;
         if !open {
@@ -1541,12 +1498,18 @@ impl FppaPlatform {
     ///
     /// `None` (manually spawned programs, no installed application, or an
     /// undecodable payload) records nothing.
-    fn call_attribution(&self, p: usize, tid: usize, dst: NodeId, data: &[u8]) -> Option<ObjectId> {
+    fn call_attribution(
+        &self,
+        p: usize,
+        tid: usize,
+        dst: NodeId,
+        data: &Payload,
+    ) -> Option<ObjectId> {
         match self.roles.get(dst.0)? {
             NodeRole::Memory(_) | NodeRole::Fabric(_) | NodeRole::HwIp(_) => {
                 self.calls.handler(p, tid)
             }
-            NodeRole::Pe(_) => MessageView::decode(data)
+            NodeRole::Pe(_) => MessageHeader::decode(data)
                 .ok()
                 .filter(|m| m.kind == MessageKind::Invocation)
                 .map(|m| m.object),
@@ -1565,7 +1528,7 @@ impl FppaPlatform {
                     mut data,
                     tag,
                 } => {
-                    self.pool.pad_zeroed(&mut data, bytes as usize);
+                    data.pad_to(bytes as usize);
                     self.outbox.push_back(Outgoing {
                         src,
                         dst,
@@ -1582,17 +1545,17 @@ impl FppaPlatform {
                 } => {
                     // The round trip the latency probe times ends when
                     // the reply is delivered back to this thread; under a
-                    // retry policy the table keeps a clone of the padded
-                    // payload and stamps the attempt's token on the tag.
+                    // retry policy the table keeps the padded payload and
+                    // stamps the attempt's token on the tag.
                     let object = self.call_attribution(p, tid.0, dst, &data);
-                    self.pool.pad_zeroed(&mut data, bytes as usize);
+                    data.pad_to(bytes as usize);
                     let tag = RequestTag {
                         pe: PeId(p),
                         tid,
                         token: 0,
                         reply_bytes,
                     };
-                    let tag = (self.calls).issue(tag, dst, &data, object, now, &mut self.pool);
+                    let tag = (self.calls).issue(tag, dst, data, object, now);
                     self.outbox.push_back(Outgoing {
                         src,
                         dst,

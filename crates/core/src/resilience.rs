@@ -101,88 +101,90 @@ mod tests {
     //! The retry contract above, driven through the table that keeps it.
     use super::*;
     use crate::calls::{CallTable, Expired, Reply};
-    use nw_noc::PayloadPool;
-    use nw_types::Cycles;
+    use nw_types::{Cycles, Payload};
 
     const DELIVERED: Reply = Reply::Deliver { miss: None };
 
-    fn table(policy: RetryPolicy) -> (CallTable, PayloadPool) {
+    fn table(policy: RetryPolicy) -> CallTable {
         let mut t = CallTable::new([2, 2, 2]);
         t.set_policy(policy);
-        (t, PayloadPool::new())
+        t
+    }
+
+    /// `len` (at most 16) bytes of `byte`.
+    fn bytes(byte: u8, len: usize) -> Payload {
+        Payload::with_head(len, &[byte; 16][..len])
     }
 
     #[test]
     fn open_close_roundtrip() {
-        let (mut t, mut pool) = table(RetryPolicy::default());
-        let tok = t.issue_at(1, 1, &[1, 2, 3], 100, &mut pool);
+        let mut t = table(RetryPolicy::default());
+        let tok = t.issue_at(1, 1, Payload::with_head(3, &[1, 2, 3]), 100);
         assert_eq!(t.pending_len(), 1);
-        assert_eq!(pool.outstanding(), 1, "the stored clone");
         assert_eq!(t.next_deadline(), Some(100 + 4_096));
-        assert_eq!(t.reply(1, 1, tok, true, Cycles(150), &mut pool), DELIVERED);
+        assert_eq!(t.reply(1, 1, tok, true, Cycles(150)), DELIVERED);
         assert_eq!(t.pending_len(), 0);
-        assert_eq!(pool.outstanding(), 0, "the clone went back at the close");
         // No entry left: the same reply again reaches only a waiting thread.
         let now = Cycles(160);
-        assert_eq!(t.reply(1, 1, tok, false, now, &mut pool), Reply::Duplicate);
-        assert_eq!(t.reply(1, 1, tok, true, now, &mut pool), DELIVERED);
+        assert_eq!(t.reply(1, 1, tok, false, now), Reply::Duplicate);
+        assert_eq!(t.reply(1, 1, tok, true, now), DELIVERED);
     }
 
     #[test]
     fn stale_token_is_detected() {
-        let (mut t, mut pool) = table(RetryPolicy {
+        let mut t = table(RetryPolicy {
             timeout: 10,
             max_attempts: 3,
         });
-        let first = t.issue_at(0, 0, &[7; 4], 0, &mut pool);
-        let retried = match t.expire(10, &mut pool).as_slice() {
+        let first = t.issue_at(0, 0, bytes(7, 4), 0);
+        let retried = match t.expire(10).as_slice() {
             [Expired::Retry {
                 tag,
                 attempt: 1,
                 data,
                 ..
             }] => {
-                assert_eq!(data, &[7; 4], "the retry re-sends the stored payload");
+                assert_eq!(*data, bytes(7, 4), "the retry re-sends the stored payload");
                 tag.token
             }
             other => panic!("expected one retry, got {other:?}"),
         };
         assert_ne!(first, retried);
         let now = Cycles(12);
-        assert_eq!(t.reply(0, 0, first, true, now, &mut pool), Reply::Duplicate);
+        assert_eq!(t.reply(0, 0, first, true, now), Reply::Duplicate);
         assert_eq!(t.pending_len(), 1, "a stale reply leaves the call pending");
-        assert_eq!(t.reply(0, 0, retried, true, now, &mut pool), DELIVERED);
+        assert_eq!(t.reply(0, 0, retried, true, now), DELIVERED);
     }
 
     #[test]
     fn tokens_never_repeat_across_reopens() {
-        let (mut t, mut pool) = table(RetryPolicy {
+        let mut t = table(RetryPolicy {
             timeout: 10,
             max_attempts: 1,
         });
-        let a = t.issue_at(0, 0, &[], 0, &mut pool);
-        t.abandon_pe(0, &mut pool);
-        let b = t.issue_at(0, 0, &[], 50, &mut pool);
+        let a = t.issue_at(0, 0, Payload::EMPTY, 0);
+        t.abandon_pe(0);
+        let b = t.issue_at(0, 0, Payload::EMPTY, 50);
         assert_ne!(a, b, "a call reopened after a crash must get a fresh token");
         assert!(matches!(
-            t.expire(60, &mut pool).as_slice(),
+            t.expire(60).as_slice(),
             [Expired::GiveUp { pe: 0, tid: 0 }]
         ));
-        let c = t.issue_at(0, 0, &[], 70, &mut pool);
+        let c = t.issue_at(0, 0, Payload::EMPTY, 70);
         assert!(c != a && c != b, "and so must one reopened after a give-up");
     }
 
     #[test]
     fn due_scan_and_pe_abandon() {
-        let (mut t, mut pool) = table(RetryPolicy {
+        let mut t = table(RetryPolicy {
             timeout: 10,
             max_attempts: 3,
         });
-        t.issue_at(2, 0, &[3], 0, &mut pool);
-        t.issue_at(0, 1, &[2], 5, &mut pool);
-        t.issue_at(0, 0, &[1], 0, &mut pool);
-        assert!(t.expire(9, &mut pool).is_empty());
-        let due: Vec<_> = (t.expire(10, &mut pool).iter())
+        t.issue_at(2, 0, bytes(3, 1), 0);
+        t.issue_at(0, 1, bytes(2, 1), 5);
+        t.issue_at(0, 0, bytes(1, 1), 0);
+        assert!(t.expire(9).is_empty());
+        let due: Vec<_> = (t.expire(10).iter())
             .map(|e| match e {
                 Expired::Retry { tag, .. } => (tag.pe.0, tag.tid.0),
                 Expired::GiveUp { .. } => panic!("first timeout of three attempts"),
@@ -190,11 +192,9 @@ mod tests {
             .collect();
         assert_eq!(due, [(0, 0), (2, 0)], "due slots fire in (pe, tid) order");
         assert_eq!(t.next_deadline(), Some(15));
-        t.abandon_pe(0, &mut pool);
+        t.abandon_pe(0);
         assert_eq!(t.pending_len(), 1);
         assert_eq!(t.next_deadline(), Some(10 + 20), "the doubled window");
-        // Three clones and two re-sends taken, PE 0's two clones returned.
-        assert_eq!(pool.outstanding(), 3);
     }
 
     #[test]

@@ -19,15 +19,11 @@
 //! entry at its line rate ([`FppaPlatform::bind_io_entry`]).
 
 use crate::tags::RequestTag;
-use nw_dsoc::{Application, Domain, Message, MessageKind, MessageView, MethodDef, MethodId};
-use nw_noc::{Packet, PayloadPool};
+use nw_dsoc::{Application, Domain, Message, MessageHeader, MessageKind, MethodDef, MethodId};
+use nw_noc::Packet;
 use nw_pe::{KernelDomain, Op, Pe, Program};
-use nw_types::{Cycles, NodeId, ObjectId, ThreadId};
+use nw_types::{Cycles, NodeId, ObjectId, Payload, ThreadId};
 use std::collections::VecDeque;
-
-// nw-analyze: allow-file(RH01): every acquired buffer's ownership transfers out of this
-// module — into synthesized Program sends and outbox messages that become NoC packets;
-// the platform recycles each one at packet consumption (FppaPlatform::route_arrivals).
 use std::fmt;
 
 /// Errors from installing an application or binding its objects.
@@ -397,44 +393,34 @@ impl Runtime {
         self.io_bindings.get(io).is_some_and(|b| !b.is_empty())
     }
 
-    /// Builds the (destination node, marshalled bytes) of one line-rate
+    /// Builds the (destination node, marshalled payload) of one line-rate
     /// ingress invocation for a bound I/O channel, rotating round-robin
-    /// among the channel's bound entry points. The marshalled buffer is
-    /// drawn from the payload arena rather than allocated.
+    /// among the channel's bound entry points.
     ///
     /// # Panics
     ///
     /// Panics if the channel has no bindings (callers check
     /// [`Runtime::io_has_bindings`] first).
-    pub(crate) fn ingress_invocation(
-        &mut self,
-        io: usize,
-        pool: &mut PayloadPool,
-    ) -> (NodeId, Vec<u8>) {
+    pub(crate) fn ingress_invocation(&mut self, io: usize) -> (NodeId, Payload) {
         let bindings = &self.io_bindings[io];
         assert!(!bindings.is_empty(), "ingress on an unbound I/O channel");
         let b = bindings[self.io_rr[io] % bindings.len()];
         self.io_rr[io] = (self.io_rr[io] + 1) % bindings.len();
         let arg_bytes = self.app.method(b.object, b.method).arg_bytes as usize;
-        let seq = next_seq(&mut self.seq);
-        let mut data = pool.take();
-        Message::encode_zeroed_into(
-            MessageKind::Invocation,
-            b.object,
-            b.method,
-            seq,
-            arg_bytes,
-            &mut data,
-        );
-        (b.dst, data)
+        let header = MessageHeader {
+            kind: MessageKind::Invocation,
+            object: b.object,
+            method: b.method,
+            seq: next_seq(&mut self.seq),
+            body_len: arg_bytes,
+        };
+        (b.dst, header.zeroed_payload())
     }
 
     /// Routes an arriving DSOC packet at PE `p` (which has `idle_threads`
     /// free contexts) into its dispatch queue.
     pub(crate) fn enqueue_invocation(&mut self, p: usize, pkt: &Packet, idle_threads: usize) {
-        // Borrowed decode: dispatch only needs the header fields, so the
-        // body stays in the packet buffer (which the platform recycles).
-        let msg = match MessageView::decode(&pkt.data) {
+        let msg = match MessageHeader::decode(&pkt.data) {
             Ok(m) => m,
             Err(_) => {
                 self.decode_errors += 1;
@@ -542,7 +528,6 @@ impl Runtime {
         pes: &mut [Pe],
         now: Cycles,
         pe_wake: &mut [u64],
-        pool: &mut PayloadPool,
         mut on_spawn: impl FnMut(usize, ThreadId, ObjectId),
     ) -> (u64, u64) {
         let (mut woken, mut earliest) = (0, u64::MAX);
@@ -558,7 +543,7 @@ impl Runtime {
                 let Some((handler, reply)) = self.take_invocation(p) else {
                     break;
                 };
-                self.spawn(p, pe, handler, reply, pool, &mut on_spawn);
+                self.spawn(p, pe, handler, reply, &mut on_spawn);
             }
             let at = pe.wake_cycle(now);
             pe_wake[p] = pe_wake[p].min(at);
@@ -584,10 +569,9 @@ impl Runtime {
         pe: &mut Pe,
         handler: usize,
         reply: Option<Reply>,
-        pool: &mut PayloadPool,
         on_spawn: &mut impl FnMut(usize, ThreadId, ObjectId),
     ) {
-        let prog = self.synthesize(handler, reply, pe.take_spare_ops(), pool);
+        let prog = self.synthesize(handler, reply, pe.take_spare_ops());
         let tid = pe.spawn(prog).expect("idle thread count was checked");
         let object = self.handlers[handler].object;
         on_spawn(p, tid, object);
@@ -602,17 +586,10 @@ impl Runtime {
     /// The ops are pushed onto `ops`, an empty buffer the hosting PE handed
     /// out ([`Pe::take_spare_ops`]): the program owns it until the PE
     /// retires it and keeps it for the next spawn, so a steady stream of
-    /// invocations allocates no op storage. Marshalled message buffers
-    /// come from the payload arena; the bodies are all-zero (only sizes
-    /// are simulated), so the zero-body encoder writes them without an
-    /// intermediate body vector.
-    fn synthesize(
-        &mut self,
-        handler: usize,
-        reply: Option<Reply>,
-        mut ops: Vec<Op>,
-        pool: &mut PayloadPool,
-    ) -> Program {
+    /// invocations allocates no op storage. Marshalled messages are
+    /// header-only payloads: the bodies are all-zero (only sizes are
+    /// simulated).
+    fn synthesize(&mut self, handler: usize, reply: Option<Reply>, mut ops: Vec<Op>) -> Program {
         debug_assert!(ops.is_empty(), "a spare op buffer comes back cleared");
         let h = &self.handlers[handler];
         if h.local_bytes > 0 {
@@ -630,7 +607,7 @@ impl Runtime {
                     dst: svc.node,
                     bytes: svc.request_bytes,
                     reply_bytes: svc.reply_bytes,
-                    data: Vec::new(),
+                    data: Payload::EMPTY,
                 });
             }
         }
@@ -646,16 +623,14 @@ impl Runtime {
             debug_assert_eq!(count, carry.floor() as u64, "carry {carry}");
             self.edge_carry[e.edge_idx] -= count as f64;
             for _ in 0..count {
-                let seq = next_seq(&mut self.seq);
-                let mut data = pool.take();
-                Message::encode_zeroed_into(
-                    MessageKind::Invocation,
-                    e.to,
-                    e.to_method,
-                    seq,
-                    e.arg_bytes as usize,
-                    &mut data,
-                );
+                let data = MessageHeader {
+                    kind: MessageKind::Invocation,
+                    object: e.to,
+                    method: e.to_method,
+                    seq: next_seq(&mut self.seq),
+                    body_len: e.arg_bytes as usize,
+                }
+                .zeroed_payload();
                 let bytes = data.len() as u64;
                 if e.twoway {
                     ops.push(Op::Call {
@@ -679,15 +654,14 @@ impl Runtime {
         // so the round trip is correlated end-to-end on the wire — same
         // marshalled size either way, so timing is unchanged.
         if let Some(r) = reply {
-            let mut data = pool.take();
-            Message::encode_zeroed_into(
-                MessageKind::Reply,
-                h.object,
-                h.method,
-                r.seq,
-                h.reply_body_bytes as usize,
-                &mut data,
-            );
+            let data = MessageHeader {
+                kind: MessageKind::Reply,
+                object: h.object,
+                method: h.method,
+                seq: r.seq,
+                body_len: h.reply_body_bytes as usize,
+            }
+            .zeroed_payload();
             let bytes = data.len() as u64;
             ops.push(Op::Send {
                 dst: NodeId(r.node as usize),
@@ -701,7 +675,7 @@ impl Runtime {
             ops.push(Op::Send {
                 dst: io_node,
                 bytes: packet_bytes,
-                data: Vec::new(),
+                data: Payload::EMPTY,
                 tag: 0,
             });
         }
@@ -873,9 +847,14 @@ mod tests {
 
     /// A packet from node `src` carrying an invocation of `(object, method)`.
     fn invocation(object: usize, method: u16, seq: u32, src: usize, tag: u64) -> Packet {
-        let mut data = Vec::new();
-        let (object, method) = (ObjectId(object), MethodId(method));
-        Message::encode_zeroed_into(MessageKind::Invocation, object, method, seq, 0, &mut data);
+        let data = MessageHeader {
+            kind: MessageKind::Invocation,
+            object: ObjectId(object),
+            method: MethodId(method),
+            seq,
+            body_len: 0,
+        }
+        .zeroed_payload();
         Packet {
             id: PacketId(0),
             src: NodeId(src),
@@ -936,9 +915,8 @@ mod tests {
     #[test]
     fn handler_synthesis_is_identical_across_invocations() {
         let mut rt = runtime();
-        let mut pool = PayloadPool::new();
-        let first = rt.synthesize(ENTRY, None, Vec::new(), &mut pool);
-        let second = rt.synthesize(ENTRY, None, Vec::new(), &mut pool);
+        let first = rt.synthesize(ENTRY, None, Vec::new());
+        let second = rt.synthesize(ENTRY, None, Vec::new());
 
         // Identical programs: same length, domain and op timing shape
         // (2.0 calls/invocation is integral, so the carry emits exactly
@@ -951,7 +929,7 @@ mod tests {
 
         // And byte-identical to a fresh runtime at the same sequence state.
         let mut cold = runtime();
-        let cold_first = cold.synthesize(ENTRY, None, Vec::new(), &mut PayloadPool::new());
+        let cold_first = cold.synthesize(ENTRY, None, Vec::new());
         assert_eq!(first, cold_first);
     }
 
@@ -972,7 +950,6 @@ mod tests {
     #[test]
     fn only_a_nonzero_reply_tag_synthesizes_a_reply() {
         let mut rt = runtime();
-        let mut pool = PayloadPool::new();
         let sends = |p: &Program| {
             let is_send = |op: &&Op| matches!(op, Op::Send { .. });
             p.ops().iter().filter(is_send).count()
@@ -982,8 +959,8 @@ mod tests {
             rt.enqueue_invocation(0, &invocation(object, 0, 3, 1, tag), 0);
             let (handler, reply) = rt.take_invocation(0).expect("one queued");
             assert_eq!(reply.is_some(), answers, "object {object}, tag {tag}");
-            let silent = rt.synthesize(handler, None, Vec::new(), &mut pool);
-            let prog = rt.synthesize(handler, reply, Vec::new(), &mut pool);
+            let silent = rt.synthesize(handler, None, Vec::new());
+            let prog = rt.synthesize(handler, reply, Vec::new());
             assert_eq!(sends(&prog), sends(&silent) + usize::from(answers));
             if answers {
                 let last = prog.ops().last();
@@ -1128,12 +1105,9 @@ mod tests {
     #[test]
     fn a_binding_reaches_the_next_synthesis() {
         let mut rt = runtime();
-        let mut pool = PayloadPool::new();
         assert!(rt.handlers[ENTRY].service.is_none());
-        let calls = |rt: &mut Runtime, pool: &mut PayloadPool| {
-            rt.synthesize(ENTRY, None, Vec::new(), pool).call_count()
-        };
-        assert_eq!(calls(&mut rt, &mut pool), 0);
+        let calls = |rt: &mut Runtime| rt.synthesize(ENTRY, None, Vec::new()).call_count();
+        assert_eq!(calls(&mut rt), 0);
         let binding = ServiceBinding {
             node: NodeId(1),
             request_bytes: 8,
@@ -1144,7 +1118,7 @@ mod tests {
             .expect("object exists");
         assert_eq!(rt.handlers[ENTRY].service, Some(binding));
         // The synthesized handler now front-loads the three service calls.
-        assert_eq!(calls(&mut rt, &mut pool), 3);
+        assert_eq!(calls(&mut rt), 3);
         assert_eq!(
             rt.bind_service(ObjectId(2), binding),
             Err(InstallError::UnknownObject(ObjectId(2)))

@@ -4,9 +4,10 @@ use std::fmt;
 
 /// Identity of one determinism/hygiene rule.
 ///
-/// The registry is append-only: rule ids are stable strings that appear
-/// in allowlist entries, suppression markers and CI output, so renaming
-/// or reusing one would silently re-grandfather old findings.
+/// Rule ids are stable strings that appear in allowlist entries,
+/// suppression markers and CI output: an id is never renamed or reused
+/// (a retired rule's id stays retired), since either would silently
+/// re-grandfather old findings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// Unordered hash collections in simulation-result crates.
@@ -15,8 +16,6 @@ pub enum RuleId {
     Nd02,
     /// Mutable global state in simulation crates.
     Nd03,
-    /// `PayloadPool` acquires without a recycle in the same module.
-    Rh01,
     /// Truncating `as` casts on wire encode/decode paths.
     Wr01,
     /// Stale allowlist entries or malformed suppression markers.
@@ -27,11 +26,10 @@ pub enum RuleId {
 }
 
 /// Every registered rule, in report order.
-pub const ALL_RULES: [RuleId; 7] = [
+pub const ALL_RULES: [RuleId; 6] = [
     RuleId::Nd01,
     RuleId::Nd02,
     RuleId::Nd03,
-    RuleId::Rh01,
     RuleId::Wr01,
     RuleId::Al01,
     RuleId::Doc01,
@@ -44,7 +42,6 @@ impl RuleId {
             RuleId::Nd01 => "ND01",
             RuleId::Nd02 => "ND02",
             RuleId::Nd03 => "ND03",
-            RuleId::Rh01 => "RH01",
             RuleId::Wr01 => "WR01",
             RuleId::Al01 => "AL01",
             RuleId::Doc01 => "DOC01",
@@ -65,10 +62,6 @@ impl RuleId {
             RuleId::Nd03 => {
                 "no static mut or interior-mutable globals in sim-result crates: \
                  cross-run state breaks replayability"
-            }
-            RuleId::Rh01 => {
-                "every PayloadPool acquire (take/take_zeroed/pad_zeroed) needs a pool.put \
-                 in the same file, or an explicit ownership-transfer marker"
             }
             RuleId::Wr01 => {
                 "no truncating `as` casts to u8/u16/u32 (or signed) in wire.rs \

@@ -6,8 +6,8 @@
 //! parallel sweep runner to bit-identical reports. That contract is
 //! enforced dynamically, after a divergence already happened. This crate
 //! enforces it *statically*: an offline pass over the sources rejects
-//! the constructs that historically cause silent nondeterminism or
-//! resource leaks before the simulator ever runs.
+//! the constructs that historically cause silent nondeterminism before
+//! the simulator ever runs.
 //!
 //! # Rules
 //!
@@ -16,7 +16,6 @@
 //! | ND01 | no `HashMap`/`HashSet` in sim-result crates (`core`, `nw-noc`, `nw-sim`, `nw-dsoc`) |
 //! | ND02 | no wall-clock/entropy sources outside the `nw_bench` timing harness |
 //! | ND03 | no `static mut` / interior-mutable globals in sim-result crates |
-//! | RH01 | every `PayloadPool` acquire is paired with a `pool.put` in the same file |
 //! | WR01 | no truncating `as` casts in `wire.rs` encode/decode paths |
 //! | AL01 | allowlist and marker hygiene (stale entries, missing justifications) |
 //! | DOC01 | back-ticked paths, `--example` names and `Type::item`s in README.md/ARCHITECTURE.md exist |
@@ -27,7 +26,7 @@
 //!
 //! * **Marker comments** next to the site:
 //!   `// nw-analyze: allow(ND03): <reason>` (covers that line and the
-//!   next) or `// nw-analyze: allow-file(RH01): <reason>` (whole file).
+//!   next) or `// nw-analyze: allow-file(ND03): <reason>` (whole file).
 //! * **The allowlist** `nw-analyze.allow` at the workspace root:
 //!   `ND01 crates/nw-noc/tests/prop_delivery.rs — <reason>` lines.
 //!   Entries that stop matching a finding become AL01 findings

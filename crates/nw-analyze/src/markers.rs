@@ -4,16 +4,14 @@
 //!
 //! ```text
 //! // nw-analyze: allow(ND01): reason this site is safe
-//! // nw-analyze: allow-file(RH01): reason the whole file is exempt
+//! // nw-analyze: allow-file(ND03): reason the whole file is exempt
 //! ```
 //!
 //! `allow(RULE)` suppresses findings of that rule on the marker's own
 //! line and on the next line carrying code — intervening comment-only
 //! or blank lines are skipped, so a multi-line justification still
 //! covers the statement under it. `allow-file(RULE)` suppresses the
-//! rule for the whole
-//! file — the shape RH01 needs, where the "finding" is the absence of a
-//! recycle anywhere in the module. The reason text is mandatory: a
+//! rule for the whole file. The reason text is mandatory: a
 //! marker without one, or naming an unknown rule, is itself an
 //! [`AL01`](crate::RuleId::Al01) finding.
 
@@ -145,12 +143,13 @@ mod tests {
     fn file_markers_cover_everything_and_reasons_are_required() {
         let f = SourceFile::parse(
             "x.rs",
-            "// nw-analyze: allow-file(RH01): buffers transfer to the platform\n\
+            "// nw-analyze: allow-file(ND03): every global here is a write-once cache\n\
              // nw-analyze: allow(ND01)\n\
              // nw-analyze: allow(ND99): what\n",
         );
         let m = Markers::collect(&f);
-        assert!(m.suppresses(RuleId::Rh01, 500));
+        assert!(m.suppresses(RuleId::Nd03, 500));
+        assert!(!m.suppresses(RuleId::Nd01, 500));
         assert_eq!(m.problems.len(), 2, "{:?}", m.problems);
         assert!(m.problems[0].message.contains("no reason"));
         assert!(m.problems[1].message.contains("unknown rule"));

@@ -176,22 +176,6 @@ fn nd01_and_nd03_guard_the_snapshot_layer() {
 }
 
 #[test]
-fn rh01_flags_pool_acquires_with_no_release_in_the_module() {
-    let hit = scan(&[(
-        "crates/core/src/x.rs",
-        "fn f(pool: &mut PayloadPool) -> Vec<u8> { pool.take_zeroed(64) }\n",
-    )]);
-    assert_eq!(rules_of(&hit), ["RH01"]);
-
-    // A matching pool.put in the same module balances the ledger.
-    let clean = scan(&[(
-        "crates/core/src/x.rs",
-        "fn f(pool: &mut PayloadPool) { let v = pool.take_zeroed(64); pool.put(v); }\n",
-    )]);
-    assert!(clean.is_clean(), "{}", clean.render());
-}
-
-#[test]
 fn wr01_flags_truncating_casts_in_wire_modules_only() {
     let hit = scan(&[(
         "crates/nw-dsoc/src/wire.rs",

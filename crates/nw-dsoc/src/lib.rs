@@ -46,4 +46,4 @@ pub mod app;
 pub mod wire;
 
 pub use app::{Application, BuildAppError, CallEdge, Domain, MethodDef, MethodId, ObjectDef};
-pub use wire::{DecodeError, Message, MessageKind, MessageView};
+pub use wire::{DecodeError, Message, MessageHeader, MessageKind, MessageView};

@@ -20,9 +20,16 @@
 //! invocation echoes the request's sequence number (rather than drawing a
 //! new one), so a request/reply pair correlates on the wire end-to-end —
 //! the hook the platform's per-invocation latency telemetry hangs off.
+//!
+//! The header is written by one private writer, whether into bytes
+//! ([`Message::encode`]) or a [`Payload`]
+//! ([`MessageHeader::zeroed_payload`]), and read by one private parser,
+//! whether from bytes ([`MessageView::decode`]) or a payload
+//! ([`MessageHeader::decode`]): the runtime's traffic is header-only
+//! payloads, whose bodies are zero.
 
 use crate::app::MethodId;
-use nw_types::ObjectId;
+use nw_types::{ObjectId, Payload};
 use std::fmt;
 
 /// Message kind discriminator.
@@ -160,17 +167,10 @@ impl Message {
     }
 
     /// Appends the encoded form to `out` — the allocation-reuse variant of
-    /// [`Message::encode`] for callers holding a recycled payload buffer.
+    /// [`Message::encode`].
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.wire_len());
-        out.push(self.kind.to_byte());
-        out.push(0);
-        let object = u32::try_from(self.object.0).expect("object id fits the u32 wire field");
-        out.extend_from_slice(&object.to_le_bytes());
-        out.extend_from_slice(&self.method.0.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        let body_len = u32::try_from(self.body.len()).expect("body fits the u32 length field");
-        out.extend_from_slice(&body_len.to_le_bytes());
+        out.extend_from_slice(&self.header().encode());
         out.extend_from_slice(&self.body);
     }
 
@@ -178,9 +178,8 @@ impl Message {
     /// bytes directly to `out`, without materializing the body vector.
     ///
     /// Byte-identical to `Message { kind, object, method, seq, body:
-    /// vec![0; body_len] }.encode()` — the runtime's marshalled traffic is
-    /// all zero-bodied (only sizes are simulated), and this is its path
-    /// through the payload arena.
+    /// vec![0; body_len] }.encode()`, and to the bytes of
+    /// [`MessageHeader::zeroed_payload`] for the same fields.
     #[inline]
     pub fn encode_zeroed_into(
         kind: MessageKind,
@@ -190,16 +189,27 @@ impl Message {
         body_len: usize,
         out: &mut Vec<u8>,
     ) {
+        let header = MessageHeader {
+            kind,
+            object,
+            method,
+            seq,
+            body_len,
+        };
         out.reserve(Self::HEADER_LEN + body_len);
-        out.push(kind.to_byte());
-        out.push(0);
-        let object_word = u32::try_from(object.0).expect("object id fits the u32 wire field");
-        out.extend_from_slice(&object_word.to_le_bytes());
-        out.extend_from_slice(&method.0.to_le_bytes());
-        out.extend_from_slice(&seq.to_le_bytes());
-        let body_word = u32::try_from(body_len).expect("body fits the u32 length field");
-        out.extend_from_slice(&body_word.to_le_bytes());
+        out.extend_from_slice(&header.encode());
         out.resize(out.len() + body_len, 0);
+    }
+
+    /// The message's header fields.
+    fn header(&self) -> MessageHeader {
+        MessageHeader {
+            kind: self.kind,
+            object: self.object,
+            method: self.method,
+            seq: self.seq,
+            body_len: self.body.len(),
+        }
     }
 
     /// Decodes from bytes.
@@ -216,6 +226,117 @@ impl Message {
             method: v.method,
             seq: v.seq,
             body: v.body.to_vec(),
+        })
+    }
+}
+
+/// The fixed header of a message: every field but the body's bytes.
+///
+/// # Examples
+///
+/// ```
+/// use nw_dsoc::{Message, MessageHeader, MessageKind, MethodId};
+/// use nw_types::ObjectId;
+///
+/// let h = MessageHeader {
+///     kind: MessageKind::Invocation,
+///     object: ObjectId(3),
+///     method: MethodId(1),
+///     seq: 42,
+///     body_len: 20,
+/// };
+/// let payload = h.zeroed_payload();
+/// assert_eq!(payload.len(), 36);
+/// assert_eq!(payload.to_vec(), Message::invocation(ObjectId(3), MethodId(1), 42, vec![0; 20]).encode());
+/// assert_eq!(MessageHeader::decode(&payload), Ok(h));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MessageHeader {
+    /// Invocation or reply.
+    pub kind: MessageKind,
+    /// Target (for invocations) or originating (for replies) object.
+    pub object: ObjectId,
+    /// Target method.
+    pub method: MethodId,
+    /// Correlation sequence number.
+    pub seq: u32,
+    /// Body length in bytes.
+    pub body_len: usize,
+}
+
+impl MessageHeader {
+    /// The header's wire bytes: the format's one header writer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object id or the body length does not fit its `u32`
+    /// wire field.
+    #[inline]
+    fn encode(&self) -> [u8; Message::HEADER_LEN] {
+        let object = u32::try_from(self.object.0).expect("object id fits the u32 wire field");
+        let body_len = u32::try_from(self.body_len).expect("body fits the u32 length field");
+        let mut head = [0; Message::HEADER_LEN];
+        head[0] = self.kind.to_byte();
+        head[2..6].copy_from_slice(&object.to_le_bytes());
+        head[6..8].copy_from_slice(&self.method.0.to_le_bytes());
+        head[8..12].copy_from_slice(&self.seq.to_le_bytes());
+        head[12..16].copy_from_slice(&body_len.to_le_bytes());
+        head
+    }
+
+    /// The payload of the message with this header and a zero body: the
+    /// header is its head.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object id or the body length does not fit its `u32`
+    /// wire field.
+    #[inline]
+    pub fn zeroed_payload(&self) -> Payload {
+        Payload::with_head(Message::HEADER_LEN + self.body_len, &self.encode())
+    }
+
+    /// Decodes the header of the message `payload` carries.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the [`DecodeError`] [`MessageView::decode`] returns for the
+    /// payload's bytes; on success the fields are the view's, with
+    /// `body_len` its body's length.
+    #[inline]
+    pub fn decode(payload: &Payload) -> Result<Self, DecodeError> {
+        Self::parse(payload.head(), payload.len())
+    }
+
+    /// The format's one header reader: `head` holds the first bytes (at
+    /// least [`Message::HEADER_LEN`] when `total` does) of a message
+    /// `total` bytes long.
+    #[inline]
+    fn parse(head: &[u8], total: usize) -> Result<Self, DecodeError> {
+        if total < Message::HEADER_LEN {
+            return Err(DecodeError::TooShort { have: total });
+        }
+        let kind = MessageKind::from_byte(head[0]).ok_or(DecodeError::BadKind(head[0]))?;
+        if head[1] != 0 {
+            return Err(DecodeError::BadReserved(head[1]));
+        }
+        let object = u32::from_le_bytes(head[2..6].try_into().expect("fixed slice"));
+        let method = u16::from_le_bytes(head[6..8].try_into().expect("fixed slice"));
+        let seq = u32::from_le_bytes(head[8..12].try_into().expect("fixed slice"));
+        let len = u32::from_le_bytes(head[12..16].try_into().expect("fixed slice")) as usize;
+        let actual = total - Message::HEADER_LEN;
+        if len != actual {
+            return Err(DecodeError::LengthMismatch {
+                declared: len,
+                actual,
+            });
+        }
+        Ok(MessageHeader {
+            kind,
+            object: ObjectId(object as usize),
+            method: MethodId(method),
+            seq,
+            body_len: actual,
         })
     }
 }
@@ -247,29 +368,12 @@ impl<'a> MessageView<'a> {
     /// See [`DecodeError`] — the same rejections as [`Message::decode`].
     #[inline]
     pub fn decode(bytes: &'a [u8]) -> Result<Self, DecodeError> {
-        if bytes.len() < Message::HEADER_LEN {
-            return Err(DecodeError::TooShort { have: bytes.len() });
-        }
-        let kind = MessageKind::from_byte(bytes[0]).ok_or(DecodeError::BadKind(bytes[0]))?;
-        if bytes[1] != 0 {
-            return Err(DecodeError::BadReserved(bytes[1]));
-        }
-        let object = u32::from_le_bytes(bytes[2..6].try_into().expect("fixed slice"));
-        let method = u16::from_le_bytes(bytes[6..8].try_into().expect("fixed slice"));
-        let seq = u32::from_le_bytes(bytes[8..12].try_into().expect("fixed slice"));
-        let len = u32::from_le_bytes(bytes[12..16].try_into().expect("fixed slice")) as usize;
-        let actual = bytes.len() - Message::HEADER_LEN;
-        if len != actual {
-            return Err(DecodeError::LengthMismatch {
-                declared: len,
-                actual,
-            });
-        }
+        let h = MessageHeader::parse(bytes, bytes.len())?;
         Ok(MessageView {
-            kind,
-            object: ObjectId(object as usize),
-            method: MethodId(method),
-            seq,
+            kind: h.kind,
+            object: h.object,
+            method: h.method,
+            seq: h.seq,
             body: &bytes[Message::HEADER_LEN..],
         })
     }

@@ -25,7 +25,7 @@ use crate::packet::{Packet, PacketId};
 use crate::topology::Topology;
 use nw_obs::{LinkLoad, NocHeatmap, RouterLoad, TraceEvent, TraceSink};
 use nw_sim::{Counter, EventQueue, Histogram};
-use nw_types::{Cycles, NodeId};
+use nw_types::{Cycles, NodeId, Payload};
 use std::fmt;
 
 /// Tuning knobs of the NoC timing model.
@@ -492,11 +492,12 @@ pub struct NocSpan {
 ///
 /// ```
 /// use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
-/// use nw_types::{Cycles, NodeId};
+/// use nw_types::{Cycles, NodeId, Payload};
 ///
 /// let topo = Topology::build(TopologyKind::Mesh, 16, 1)?;
 /// let mut noc = Noc::new(topo, NocConfig::default());
-/// noc.try_inject(NodeId(0), NodeId(15), vec![1, 2, 3], 42, Cycles(0)).unwrap();
+/// let payload = Payload::with_head(3, &[1, 2, 3]);
+/// noc.try_inject(NodeId(0), NodeId(15), payload, 42, Cycles(0)).unwrap();
 /// let mut now = Cycles(0);
 /// let pkt = loop {
 ///     noc.tick(now);
@@ -504,7 +505,7 @@ pub struct NocSpan {
 ///     now += Cycles(1);
 ///     assert!(now.0 < 1000, "packet should arrive quickly");
 /// };
-/// assert_eq!(pkt.data, vec![1, 2, 3]);
+/// assert_eq!(pkt.data, payload);
 /// assert_eq!(pkt.tag, 42);
 /// # Ok::<(), nw_noc::topology::BuildTopologyError>(())
 /// ```
@@ -568,9 +569,6 @@ pub struct Noc {
     /// Permanently dead directed links as `(router, port)` pairs, in
     /// failure order — the live input to route recomputation.
     dead_links: Vec<(usize, usize)>,
-    /// Payload buffers of fault-dropped packets, held for the platform to
-    /// recycle into its payload pool (the engine does not own the pool).
-    dropped_buffers: Vec<Vec<u8>>,
     /// Packets discarded by fault injection (explicit drops plus packets
     /// stranded by disconnection).
     dropped_packets: u64,
@@ -690,7 +688,6 @@ impl Noc {
             ni_ready_count: 0,
             obs: None,
             dead_links: Vec::new(),
-            dropped_buffers: Vec::new(),
             dropped_packets: 0,
             dropped_flits: 0,
             corrupted_packets: 0,
@@ -790,7 +787,7 @@ impl Noc {
         &mut self,
         src: NodeId,
         dst: NodeId,
-        data: Vec<u8>,
+        data: Payload,
         tag: u64,
         now: Cycles,
     ) -> Result<PacketId, InjectError> {
@@ -1125,20 +1122,6 @@ impl Noc {
         false
     }
 
-    /// Hand the payload buffers of fault-dropped packets to the caller
-    /// (the platform recycles them into its payload pool; the engine never
-    /// owns the pool).
-    pub fn take_dropped_buffers(&mut self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.dropped_buffers)
-    }
-
-    /// Whether dropped-packet buffers are waiting for
-    /// [`take_dropped_buffers`](Self::take_dropped_buffers).
-    #[inline]
-    pub fn has_dropped_buffers(&self) -> bool {
-        !self.dropped_buffers.is_empty()
-    }
-
     /// Permanently dead directed links, in failure order.
     pub fn dead_links(&self) -> &[(usize, usize)] {
         &self.dead_links
@@ -1159,13 +1142,12 @@ impl Noc {
         self.corrupted_packets
     }
 
-    /// Common drop accounting: count the packet, vacate its slot and stash
-    /// its buffer for the platform's payload pool. The caller has taken the
-    /// handle out of whatever queue held it.
+    /// Common drop accounting: count the packet and vacate its slot. The
+    /// caller has taken the handle out of whatever queue held it.
     fn drop_packet(&mut self, h: u32) {
         self.dropped_packets += 1;
         self.dropped_flits += self.slab.links[h as usize].flits;
-        self.dropped_buffers.push(self.slab.remove(h).data);
+        self.slab.remove(h);
     }
 
     /// Appends packet `h` to output port `p` of router `r`. The caller
@@ -1582,9 +1564,7 @@ impl Noc {
     ///
     /// * a tick leaves a delivery pending — ejecting it is the caller's
     ///   move, on that tick's cycle;
-    /// * a tick drops a packet — its payload buffer is the caller's to
-    ///   recycle before the next cycle it steps
-    ///   ([`Noc::take_dropped_buffers`]);
+    /// * a tick drops a packet ([`Noc::dropped_packets`] moved);
     /// * or no event comes before `limit`.
     ///
     /// Between ticks the cycles with no event are skipped: each skip is a
@@ -1823,6 +1803,11 @@ mod tests {
     use super::*;
     use crate::topology::TopologyKind;
 
+    /// `len` bytes whose first (up to 16) are `byte`, zero after.
+    fn filled(len: usize, byte: u8) -> Payload {
+        Payload::with_head(len, &[byte; 16][..len.min(16)])
+    }
+
     fn run_until_delivered(noc: &mut Noc, dst: NodeId, limit: u64) -> (Packet, Cycles) {
         let mut now = Cycles(0);
         loop {
@@ -1839,12 +1824,12 @@ mod tests {
     fn single_packet_crosses_mesh() {
         let topo = Topology::build(TopologyKind::Mesh, 16, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(15), vec![9; 24], 7, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(15), filled(24, 9), 7, Cycles(0))
             .unwrap();
         let (p, _) = run_until_delivered(&mut noc, NodeId(15), 1000);
         assert_eq!(p.src, NodeId(0));
         assert_eq!(p.tag, 7);
-        assert_eq!(p.data, vec![9; 24]);
+        assert_eq!(p.data, filled(24, 9));
         let s = noc.stats();
         assert_eq!(s.injected, 1);
         assert_eq!(s.delivered, 1);
@@ -1855,7 +1840,7 @@ mod tests {
     fn local_delivery_is_fast() {
         let topo = Topology::build(TopologyKind::Ring, 4, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(2), NodeId(2), vec![1], 0, Cycles(0))
+        noc.try_inject(NodeId(2), NodeId(2), filled(1, 1), 0, Cycles(0))
             .unwrap();
         let (p, when) = run_until_delivered(&mut noc, NodeId(2), 10);
         assert_eq!(p.dst, NodeId(2));
@@ -1870,11 +1855,11 @@ mod tests {
             Noc::new(topo, NocConfig::default())
         };
         let mut near = mk();
-        near.try_inject(NodeId(0), NodeId(1), vec![0; 8], 0, Cycles(0))
+        near.try_inject(NodeId(0), NodeId(1), Payload::zeroed(8), 0, Cycles(0))
             .unwrap();
         let (_, t_near) = run_until_delivered(&mut near, NodeId(1), 1000);
         let mut far = mk();
-        far.try_inject(NodeId(0), NodeId(8), vec![0; 8], 0, Cycles(0))
+        far.try_inject(NodeId(0), NodeId(8), Payload::zeroed(8), 0, Cycles(0))
             .unwrap();
         let (_, t_far) = run_until_delivered(&mut far, NodeId(8), 1000);
         assert!(t_far > t_near, "far {t_far} should exceed near {t_near}");
@@ -1887,7 +1872,7 @@ mod tests {
             let topo = Topology::build(kind, 8, 1).unwrap();
             let mut noc = Noc::new(topo, NocConfig::default());
             for i in 0..4 {
-                noc.try_inject(NodeId(i), NodeId(i + 4), vec![0; 56], 0, Cycles(0))
+                noc.try_inject(NodeId(i), NodeId(i + 4), Payload::zeroed(56), 0, Cycles(0))
                     .unwrap();
             }
             let mut now = Cycles(0);
@@ -1921,13 +1906,13 @@ mod tests {
         };
         let mut noc = Noc::new(topo, cfg);
         assert!(noc
-            .try_inject(NodeId(0), NodeId(2), vec![], 0, Cycles(0))
+            .try_inject(NodeId(0), NodeId(2), Payload::EMPTY, 0, Cycles(0))
             .is_ok());
         assert!(noc
-            .try_inject(NodeId(0), NodeId(2), vec![], 1, Cycles(0))
+            .try_inject(NodeId(0), NodeId(2), Payload::EMPTY, 1, Cycles(0))
             .is_ok());
         assert_eq!(
-            noc.try_inject(NodeId(0), NodeId(2), vec![], 2, Cycles(0)),
+            noc.try_inject(NodeId(0), NodeId(2), Payload::EMPTY, 2, Cycles(0)),
             Err(InjectError::NiFull)
         );
         assert_eq!(noc.counts().refused, 1);
@@ -1939,11 +1924,11 @@ mod tests {
         let topo = Topology::build(TopologyKind::Ring, 4, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
         assert_eq!(
-            noc.try_inject(NodeId(9), NodeId(0), vec![], 0, Cycles(0)),
+            noc.try_inject(NodeId(9), NodeId(0), Payload::EMPTY, 0, Cycles(0)),
             Err(InjectError::BadSource(NodeId(9)))
         );
         assert_eq!(
-            noc.try_inject(NodeId(0), NodeId(9), vec![], 0, Cycles(0)),
+            noc.try_inject(NodeId(0), NodeId(9), Payload::EMPTY, 0, Cycles(0)),
             Err(InjectError::BadDestination(NodeId(9)))
         );
     }
@@ -1960,7 +1945,7 @@ mod tests {
             let src = (now.0 % 16) as usize;
             let dst = ((now.0 * 7 + 3) % 16) as usize;
             if noc
-                .try_inject(NodeId(src), NodeId(dst), vec![0; 16], now.0, now)
+                .try_inject(NodeId(src), NodeId(dst), Payload::zeroed(16), now.0, now)
                 .is_ok()
             {
                 sent += 1;
@@ -1998,7 +1983,7 @@ mod tests {
             while now.0 < 500 {
                 let src = ((now.0 * 5) % 16) as usize;
                 let dst = ((now.0 * 11 + 1) % 16) as usize;
-                let _ = noc.try_inject(NodeId(src), NodeId(dst), vec![0; 32], now.0, now);
+                let _ = noc.try_inject(NodeId(src), NodeId(dst), Payload::zeroed(32), now.0, now);
                 noc.tick(now);
                 for e in 0..16 {
                     while noc.eject(NodeId(e)).is_some() {}
@@ -2025,7 +2010,7 @@ mod tests {
         let mut now = Cycles(0);
         while now.0 < 400 {
             let src = ((now.0 * 3) % 16) as usize;
-            let _ = noc.try_inject(NodeId(src), NodeId(5), vec![0; 48], 0, now);
+            let _ = noc.try_inject(NodeId(src), NodeId(5), Payload::zeroed(48), 0, now);
             noc.tick(now);
             for r in &noc.routers {
                 let ports = &noc.ports[r.first_port..r.first_port + r.n_ports];
@@ -2073,7 +2058,7 @@ mod tests {
         let mut noc = Noc::new(topo, NocConfig::default());
         assert!(!noc.has_work());
         assert_eq!(noc.next_event_cycle(Cycles(0)), None);
-        noc.try_inject(NodeId(0), NodeId(3), vec![0; 16], 0, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(3), Payload::zeroed(16), 0, Cycles(0))
             .unwrap();
         // Queued NI traffic: work due immediately.
         assert!(noc.has_work());
@@ -2102,7 +2087,7 @@ mod tests {
         let deliver_at = |stall: Option<u64>| -> u64 {
             let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
             let mut noc = Noc::new(topo, NocConfig::default());
-            noc.try_inject(NodeId(0), NodeId(2), vec![0; 16], 0, Cycles(0))
+            noc.try_inject(NodeId(0), NodeId(2), Payload::zeroed(16), 0, Cycles(0))
                 .unwrap();
             if let Some(until) = stall {
                 let port = noc.topology().next_hop(0, 2).unwrap();
@@ -2119,7 +2104,7 @@ mod tests {
         // Router-wide stalls delay at least as much as a single port.
         let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(2), vec![0; 16], 0, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(2), Payload::zeroed(16), 0, Cycles(0))
             .unwrap();
         noc.stall_router(0, 80);
         let (_, t) = run_until_delivered(&mut noc, NodeId(2), 10_000);
@@ -2135,9 +2120,9 @@ mod tests {
         let mut noc = Noc::new(topo, NocConfig::default());
         let hub = noc.topology().n_endpoints();
         assert!(noc.topology().is_shared(hub));
-        noc.try_inject(NodeId(0), NodeId(2), vec![0; 16], 0, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(2), Payload::zeroed(16), 0, Cycles(0))
             .unwrap();
-        noc.try_inject(NodeId(1), NodeId(3), vec![0; 16], 0, Cycles(0))
+        noc.try_inject(NodeId(1), NodeId(3), Payload::zeroed(16), 0, Cycles(0))
             .unwrap();
         let port = noc.topology().next_hop(hub, 2).unwrap();
         noc.stall_port(hub, port, 50);
@@ -2165,7 +2150,7 @@ mod tests {
         // packet is queued on it; the packet must detour and still arrive.
         let topo = Topology::build(TopologyKind::Mesh, 16, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(3), vec![7; 16], 9, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(3), filled(16, 7), 9, Cycles(0))
             .unwrap();
         // One tick moves the packet from the NI onto the east port queue,
         // which a stall keeps it from leaving.
@@ -2180,7 +2165,7 @@ mod tests {
         assert_eq!(noc.routers[0].queued, 1, "requeued on the detour");
         assert_eq!(noc.dead_links(), &[(0, east)]);
         let (p, _) = run_until_delivered(&mut noc, NodeId(3), 10_000);
-        assert_eq!(p.data, vec![7; 16]);
+        assert_eq!(p.data, filled(16, 7));
         assert_eq!(noc.dropped_packets(), 0);
     }
 
@@ -2190,7 +2175,7 @@ mod tests {
         // strands every remote packet from node 0.
         let topo = Topology::build(TopologyKind::Crossbar, 4, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(2), vec![1; 24], 0, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(2), filled(24, 1), 0, Cycles(0))
             .unwrap();
         assert!(noc.fail_link(0, 0, Cycles(0)));
         let mut now = Cycles(0);
@@ -2201,9 +2186,6 @@ mod tests {
         }
         assert_eq!(noc.dropped_packets(), 1);
         assert!(noc.dropped_flits() > 0);
-        let bufs = noc.take_dropped_buffers();
-        assert_eq!(bufs.len(), 1);
-        assert!(!noc.has_dropped_buffers());
         assert!(noc.is_quiescent());
     }
 
@@ -2212,12 +2194,11 @@ mod tests {
         let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
         assert!(!noc.drop_next(0, Cycles(0)), "nothing to drop yet");
-        noc.try_inject(NodeId(0), NodeId(3), vec![2; 16], 0, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(3), filled(16, 2), 0, Cycles(0))
             .unwrap();
         // Still in the NI: the NI head is dropped.
         assert!(noc.drop_next(0, Cycles(0)));
         assert_eq!(noc.dropped_packets(), 1);
-        assert_eq!(noc.take_dropped_buffers().len(), 1);
         let mut now = Cycles(0);
         while noc.has_work() {
             noc.tick(now);
@@ -2232,13 +2213,13 @@ mod tests {
         let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
         assert!(!noc.corrupt_next(0));
-        noc.try_inject(NodeId(0), NodeId(3), vec![0x11; 16], 0, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(3), filled(16, 0x11), 0, Cycles(0))
             .unwrap();
         assert!(noc.corrupt_next(0));
         assert_eq!(noc.corrupted_packets(), 1);
         let (p, _) = run_until_delivered(&mut noc, NodeId(3), 10_000);
-        assert_eq!(p.data[0], 0x11 ^ 0xA5);
-        assert!(p.data[1..].iter().all(|&b| b == 0x11));
+        assert_eq!(p.data.head()[0], 0x11 ^ 0xA5);
+        assert!(p.data.head()[1..].iter().all(|&b| b == 0x11));
     }
 
     #[test]
@@ -2246,8 +2227,14 @@ mod tests {
         let topo = Topology::build(TopologyKind::FatTree, 16, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
         for i in 0..8 {
-            noc.try_inject(NodeId(i), NodeId(15 - i), vec![0; 40], i as u64, Cycles(0))
-                .unwrap();
+            noc.try_inject(
+                NodeId(i),
+                NodeId(15 - i),
+                Payload::zeroed(40),
+                i as u64,
+                Cycles(0),
+            )
+            .unwrap();
         }
         let mut now = Cycles(0);
         let mut got = 0;
@@ -2332,12 +2319,12 @@ mod tests {
             let mut tag = 0;
             for dst in [6, 1, 3] {
                 for src in [0, 7] {
-                    noc.try_inject(NodeId(src), NodeId(dst), vec![0; 8], tag, Cycles(0))
+                    noc.try_inject(NodeId(src), NodeId(dst), Payload::zeroed(8), tag, Cycles(0))
                         .unwrap();
                     tag += 1;
                 }
             }
-            noc.try_inject(NodeId(1), NodeId(1), vec![], tag, Cycles(0))
+            noc.try_inject(NodeId(1), NodeId(1), Payload::EMPTY, tag, Cycles(0))
                 .unwrap();
             let mut now = Cycles(0);
             while noc.eject_pending() < 7 {
@@ -2390,9 +2377,9 @@ mod tests {
         // still serializes it.
         let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(1), NodeId(3), vec![0; 200], 0, Cycles(0))
+        noc.try_inject(NodeId(1), NodeId(3), Payload::zeroed(200), 0, Cycles(0))
             .unwrap();
-        noc.try_inject(NodeId(0), NodeId(3), vec![], 1, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(3), Payload::EMPTY, 1, Cycles(0))
             .unwrap();
         let mut sink = Transfers::default();
         noc.tick_traced(Cycles(0), Some(&mut sink));
@@ -2439,7 +2426,7 @@ mod tests {
         let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
         for tag in 0..2 {
-            noc.try_inject(NodeId(0), NodeId(2), vec![0; 200], tag, Cycles(0))
+            noc.try_inject(NodeId(0), NodeId(2), Payload::zeroed(200), tag, Cycles(0))
                 .unwrap();
         }
         noc.tick(Cycles(0));

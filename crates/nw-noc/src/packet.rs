@@ -1,6 +1,6 @@
 //! Packets and their on-wire flit accounting.
 
-use nw_types::{Bytes, Cycles, NodeId};
+use nw_types::{Bytes, Cycles, NodeId, Payload};
 
 /// Unique packet identifier assigned at injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -14,10 +14,10 @@ impl std::fmt::Display for PacketId {
 
 /// A packet travelling on the NoC.
 ///
-/// The `data` bytes are carried verbatim (the DSOC runtime puts marshalled
+/// The `data` payload is carried verbatim (the DSOC runtime puts marshalled
 /// method invocations here); `tag` is an opaque caller cookie for
 /// correlating requests and replies without decoding the payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Identifier assigned by the NoC at injection.
     pub id: PacketId,
@@ -25,8 +25,8 @@ pub struct Packet {
     pub src: NodeId,
     /// Destination endpoint.
     pub dst: NodeId,
-    /// Payload bytes carried end to end.
-    pub data: Vec<u8>,
+    /// Payload carried end to end.
+    pub data: Payload,
     /// Caller correlation cookie.
     pub tag: u64,
     /// Cycle at which the packet was accepted for injection.
@@ -62,7 +62,7 @@ mod tests {
             id: PacketId(1),
             src: NodeId(0),
             dst: NodeId(1),
-            data: vec![0; data_len],
+            data: Payload::zeroed(data_len),
             tag: 0,
             injected_at: Cycles::ZERO,
         }
@@ -82,6 +82,11 @@ mod tests {
         assert_eq!(mk(33).flits(8), 6);
         // Empty payload still needs the header flit.
         assert_eq!(mk(0).flits(16), 1);
+    }
+
+    #[test]
+    fn an_inline_payload_keeps_a_slab_slot_at_64_bytes() {
+        assert!(std::mem::size_of::<Option<Packet>>() <= 64);
     }
 
     #[test]

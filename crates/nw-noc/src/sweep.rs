@@ -10,7 +10,7 @@ use crate::engine::{Noc, NocConfig};
 use crate::topology::{BuildTopologyError, Topology, TopologyKind};
 use crate::traffic::TrafficPattern;
 use nw_sim::Histogram;
-use nw_types::{Cycles, NodeId};
+use nw_types::{Cycles, NodeId, Payload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,11 +111,12 @@ pub fn run_open_loop(
 
     // Offered load is stated in flits; convert to a packet generation
     // probability per endpoint per cycle.
+    let payload = Payload::zeroed(cfg.payload_bytes);
     let probe = crate::packet::Packet {
         id: crate::packet::PacketId(0),
         src: NodeId(0),
         dst: NodeId(0),
-        data: vec![0; cfg.payload_bytes],
+        data: payload,
         tag: 0,
         injected_at: Cycles::ZERO,
     };
@@ -127,9 +128,6 @@ pub fn run_open_loop(
     let mut delivered_flits = 0u64;
     let mut generated_flits = 0u64;
     let mut now = Cycles(0);
-    // Ejected payload buffers feed the next injections instead of the
-    // allocator; contents stay `vec![0; payload_bytes]`-identical.
-    let mut pool = crate::pool::PayloadPool::new();
 
     while now.0 < total {
         if n >= 2 {
@@ -141,18 +139,16 @@ pub fn run_open_loop(
                     let dst = cfg.pattern.pick_dst(NodeId(src), n, &mut rng);
                     // Refused injections are lost offered load — exactly what
                     // saturation means in an open-loop experiment.
-                    let payload = pool.take_zeroed(cfg.payload_bytes);
                     let _ = noc.try_inject(NodeId(src), dst, payload, now.0, now);
                 }
             }
         }
         noc.tick(now);
-        while let Some((_, mut p)) = noc.eject_next() {
+        while let Some((_, p)) = noc.eject_next() {
             if now.0 >= cfg.warmup {
                 latency.record(now.saturating_sub(p.injected_at));
                 delivered_flits += p.flits(cfg.noc.flit_bytes);
             }
-            pool.put(std::mem::take(&mut p.data));
         }
         now += Cycles(1);
     }

@@ -19,7 +19,7 @@
 //! right thing to do for a change that means to alter the timing model.
 
 use nw_noc::{Noc, NocConfig, NocCounts, Packet, Topology, TopologyKind};
-use nw_types::{Cycles, NodeId};
+use nw_types::{Cycles, NodeId, Payload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,20 +97,10 @@ fn offer(noc: &mut Noc, rng: &mut StdRng, seq: &mut u64, now: Cycles) {
     }
 }
 
-/// Bytes past the head of every payload here are zero.
-const HEAD: usize = 16;
-
-/// `len` bytes whose first [`HEAD`] are `byte(k)` and the rest zero.
-fn payload(len: usize, byte: impl Fn(usize) -> u8) -> Vec<u8> {
-    (0..len).map(|k| if k < HEAD { byte(k) } else { 0 }).collect()
-}
-
-/// The payload's first [`HEAD`] bytes, zero past its length.
-fn head(data: &[u8]) -> [u8; HEAD] {
-    let mut head = [0; HEAD];
-    let n = data.len().min(HEAD);
-    head[..n].copy_from_slice(&data[..n]);
-    head
+/// `len` bytes whose first (up to 16) are `byte(k)` and the rest zero.
+fn payload(len: usize, byte: impl Fn(usize) -> u8) -> Payload {
+    let head: Vec<u8> = (0..len.min(Payload::HEAD_BYTES)).map(byte).collect();
+    Payload::with_head(len, &head)
 }
 
 fn tick(noc: &mut Noc, how: Drive, now: Cycles) {
@@ -144,9 +134,9 @@ fn hash_ejects(noc: &mut Noc, how: Drive, now: Cycles, h: &mut Fnv) -> usize {
     for (at, p) in ejects(noc, how) {
         assert_eq!(p.dst, at, "ejected at its destination");
         if p.tag == CORRUPTED.0 {
-            assert_eq!(p.data[0], CORRUPTED.1 ^ 0xA5, "first byte flipped");
-            assert!(p.data[1..HEAD].iter().all(|&b| b == CORRUPTED.1));
-            assert!(p.data[HEAD..].iter().all(|&b| b == 0));
+            let head = p.data.head();
+            assert_eq!(head[0], CORRUPTED.1 ^ 0xA5, "first byte flipped");
+            assert!(head[1..].iter().all(|&b| b == CORRUPTED.1));
             corrupted += 1;
         }
         h.word(now.0);
@@ -156,7 +146,7 @@ fn hash_ejects(noc: &mut Noc, how: Drive, now: Cycles, h: &mut Fnv) -> usize {
         h.word(p.tag);
         h.word(p.injected_at.0);
         h.word(p.data.len() as u64);
-        h.bytes(&head(&p.data));
+        h.bytes(p.data.head());
     }
     corrupted
 }
@@ -249,8 +239,14 @@ fn faulted_run(how: Drive) -> u64 {
             // later, sits on a port queue it cannot leave.
             80 => {
                 while noc.drop_next(HOTSPOT, now) {}
-                noc.try_inject(NodeId(HOTSPOT), NodeId(7), payload(40, |_| 0x5A), 0xD809, now)
-                    .expect("emptied NI accepts");
+                noc.try_inject(
+                    NodeId(HOTSPOT),
+                    NodeId(7),
+                    payload(40, |_| 0x5A),
+                    0xD809,
+                    now,
+                )
+                .expect("emptied NI accepts");
             }
             81 => {
                 assert_eq!(noc.ni_free(NodeId(HOTSPOT)), ni_capacity, "NI drained");

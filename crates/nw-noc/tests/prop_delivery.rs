@@ -2,7 +2,7 @@
 //! any topology, and latency respects physics.
 
 use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
-use nw_types::{Cycles, NodeId};
+use nw_types::{Cycles, NodeId, Payload};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -30,15 +30,16 @@ proptest! {
     ) {
         let topo = Topology::build(kind, n, 1).expect("valid topology");
         let mut noc = Noc::new(topo, NocConfig::default());
-        let mut expected: HashMap<u64, (NodeId, usize)> = HashMap::new();
+        let mut expected: HashMap<u64, (NodeId, Payload)> = HashMap::new();
         let mut accepted = 0u64;
         let mut now = Cycles(0);
         for (i, &(s, d, len)) in sends.iter().enumerate() {
             let src = NodeId(s % n);
             let dst = NodeId(d % n);
             let tag = i as u64;
-            if noc.try_inject(src, dst, vec![i as u8; len], tag, now).is_ok() {
-                expected.insert(tag, (dst, len));
+            let data = Payload::with_head(len, &[i as u8; 16][..len.min(16)]);
+            if noc.try_inject(src, dst, data, tag, now).is_ok() {
+                expected.insert(tag, (dst, data));
                 accepted += 1;
             }
             noc.tick(now);
@@ -50,10 +51,10 @@ proptest! {
             noc.tick(now);
             for e in 0..n {
                 while let Some(p) = noc.eject(NodeId(e)) {
-                    let (dst, len) = expected.remove(&p.tag)
+                    let (dst, data) = expected.remove(&p.tag)
                         .expect("no duplicate or unknown deliveries");
                     prop_assert_eq!(dst, NodeId(e), "delivered to the right endpoint");
-                    prop_assert_eq!(p.data.len(), len, "payload intact");
+                    prop_assert_eq!(p.data, data, "payload intact");
                     got += 1;
                 }
             }
@@ -77,7 +78,7 @@ proptest! {
         let hops = topo.hops(0, n - 1) as u64;
         let cfg = NocConfig::default();
         let mut noc = Noc::new(topo, cfg);
-        noc.try_inject(NodeId(0), NodeId(n - 1), vec![0; payload], 0, Cycles(0))
+        noc.try_inject(NodeId(0), NodeId(n - 1), Payload::zeroed(payload), 0, Cycles(0))
             .expect("empty NI accepts");
         let mut now = Cycles(0);
         let p = loop {

@@ -25,7 +25,7 @@
 
 use nw_noc::{Noc, NocConfig, NocCounts, NocSpan, Topology, TopologyKind};
 use nw_obs::{TraceEvent, TraceSink};
-use nw_types::{Cycles, NodeId};
+use nw_types::{Cycles, NodeId, Payload};
 use proptest::prelude::*;
 
 fn kind_strategy() -> impl Strategy<Value = TopologyKind> {
@@ -93,7 +93,7 @@ fn inject_due(noc: &mut Noc, bursts: &[Burst], n: usize, now: Cycles) {
             let _ = noc.try_inject(
                 NodeId(s % n),
                 NodeId(d % n),
-                vec![cycle; len],
+                Payload::with_head(len, &[cycle; 16][..len.min(16)]),
                 (cycle as u64) << 8 | (s as u64),
                 now,
             );
@@ -315,14 +315,6 @@ fn span_by_events(noc: &mut Noc, from: Cycles, limit: Cycles, trace: &mut Record
     span
 }
 
-/// Checks that the dropped-buffer stash holds exactly the packets dropped
-/// since it was last taken, and takes it.
-fn take_dropped(noc: &mut Noc, taken: &mut u64) {
-    let n = noc.take_dropped_buffers().len() as u64;
-    assert_eq!(n, noc.dropped_packets() - *taken, "one buffer per drop");
-    *taken += n;
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -459,14 +451,12 @@ proptest! {
         let mut noc = Noc::new(topo, cfg);
         let mut twin: Option<Noc> = None;
         let (mut seen, mut twin_seen) = (Vec::new(), Vec::new());
-        let (mut taken, mut twin_taken) = (0u64, 0u64);
         let mut peak = 0;
         let n_routers = noc.topology().n_routers();
         let mut now = Cycles(0);
         loop {
             if now.0 == clone_at {
                 twin = Some(noc.clone());
-                twin_taken = taken;
             }
             // Past the offers: drop whatever a wedged or cut-off fabric
             // still holds, a router at a time, until nothing moves.
@@ -494,13 +484,11 @@ proptest! {
             // Eject queues are left to fill for a few cycles.
             if now.0.is_multiple_of(4) {
                 drain_ejects(&mut noc, n, now, &mut seen);
-                take_dropped(&mut noc, &mut taken);
                 if let Some(twin) = twin.as_mut() {
                     while let Some((NodeId(endpoint), p)) = twin.eject_next() {
                         let (cycle, tag, len) = (now.0, p.tag, p.data.len());
                         twin_seen.push(Delivery { cycle, endpoint, tag, len });
                     }
-                    take_dropped(twin, &mut twin_taken);
                 }
             }
             if now.0 > 600 && now.0.is_multiple_of(4) && noc.is_quiescent() {
@@ -570,7 +558,6 @@ proptest! {
                 if noc.due_now(now) {
                     noc.tick_traced(now, Some(trace));
                 }
-                noc.take_dropped_buffers();
             }
             drain_ejects(&mut one, n, now, &mut one_seen);
             drain_ejects(&mut each, n, now, &mut each_seen);

@@ -4,7 +4,7 @@ use crate::class::PeClass;
 use crate::program::{Op, Program};
 use nw_mem::{MemorySpec, MemoryTechnology};
 use nw_sim::Utilization;
-use nw_types::{Cycles, NodeId, Picojoules, ThreadId};
+use nw_types::{Cycles, NodeId, Payload, Picojoules, ThreadId};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -77,7 +77,7 @@ fn assert_context_count(n_threads: usize) {
 }
 
 /// A request the PE raises to its owner for servicing over the platform.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeRequest {
     /// Asynchronous message: complete the thread once the NI accepts it.
     Send {
@@ -86,7 +86,7 @@ pub enum PeRequest {
         /// Wire payload size.
         bytes: u64,
         /// Marshalled payload.
-        data: Vec<u8>,
+        data: Payload,
         /// Opaque NoC tag passed through from the op.
         tag: u64,
     },
@@ -100,7 +100,7 @@ pub enum PeRequest {
         /// Expected response size.
         reply_bytes: u64,
         /// Marshalled payload.
-        data: Vec<u8>,
+        data: Payload,
     },
 }
 
@@ -412,45 +412,23 @@ impl Pe {
         self.crashed
     }
 
-    /// Crash this PE at `now`: every context dies mid-task, pending
-    /// platform requests are discarded, and the PE refuses new work until
-    /// [`Pe::restart`]. Returns every marshalled payload buffer the PE
-    /// owned (unexecuted op payloads plus undrained request payloads) so
-    /// the platform can recycle them into its payload pool — a crashed PE
-    /// must not leak pooled buffers.
+    /// Crash this PE at `now`: every context dies mid-task, its program
+    /// and pending platform requests are discarded, and the PE refuses new
+    /// work until [`Pe::restart`].
     ///
     /// Killed tasks count as neither completed nor retired.
-    pub fn crash(&mut self, now: Cycles) -> Vec<Vec<u8>> {
+    pub fn crash(&mut self, now: Cycles) {
         self.settle_accounting(now);
         self.crashed = true;
         self.swap_remaining = 0;
         self.current = 0;
-        let mut harvested = Vec::new();
-        for (_, req) in std::mem::take(&mut self.requests) {
-            match req {
-                PeRequest::Send { data, .. } | PeRequest::Call { data, .. } => {
-                    harvested.push(data);
-                }
-            }
-        }
+        self.requests.clear();
         for i in 0..self.threads.len() {
             self.set_state(i, ThreadState::Idle);
             let t = &mut self.threads[i];
-            let pc = std::mem::take(&mut t.pc);
-            if let Some(prog) = t.program.take() {
-                // Only ops the thread never issued: an executed Send/Call
-                // moved its payload into the request stream, where normal
-                // wire-side recycling (or the request drain above)
-                // accounts for it.
-                for op in prog.into_ops().into_iter().skip(pc) {
-                    match op {
-                        Op::Send { data, .. } | Op::Call { data, .. } => harvested.push(data),
-                        Op::Compute(_) | Op::LocalMem { .. } => {}
-                    }
-                }
-            }
+            t.pc = 0;
+            t.program = None;
         }
-        harvested
     }
 
     /// Restart a crashed PE at `now` with cold, idle contexts. No-op when
@@ -677,10 +655,10 @@ impl Pe {
     /// consumed.
     fn issue(&mut self, i: usize, now: Cycles) -> bool {
         let (op, domain) = {
-            let t = &mut self.threads[i];
-            let prog = t.program.as_mut().expect("ready thread has a program");
-            match prog.take_op(t.pc) {
-                Some(op) => (op, prog.domain()),
+            let t = &self.threads[i];
+            let prog = t.program.as_ref().expect("ready thread has a program");
+            match prog.ops().get(t.pc) {
+                Some(&op) => (op, prog.domain()),
                 None => {
                     // Program exhausted: retire the task.
                     self.retire(i);
@@ -758,9 +736,8 @@ impl Pe {
     }
 
     /// Retires thread `i`'s task: the context goes idle and the program's
-    /// op buffer, every payload already issued out of it, is kept cleared
-    /// for [`Pe::take_spare_ops`]. ([`Pe::crash`] does not come here: it
-    /// harvests the unissued payloads and drops the buffers.)
+    /// op buffer is kept cleared for [`Pe::take_spare_ops`]. ([`Pe::crash`]
+    /// does not come here: it drops the buffers.)
     fn retire(&mut self, i: usize) {
         self.set_state(i, ThreadState::Idle);
         if let Some(prog) = self.threads[i].program.take() {
@@ -1093,16 +1070,16 @@ mod tests {
     }
 
     #[test]
-    fn crash_harvests_buffers_and_kills_threads() {
+    fn crash_kills_threads_and_drops_requests() {
         let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 2));
-        // Thread 0 will be awaiting a call (request drained by the owner);
+        // Thread 0 will be awaiting a call whose request is undrained;
         // thread 1 holds an unexecuted send with a payload.
         let t0 = pe
             .spawn(Program::straight_line([Op::Call {
                 dst: NodeId(1),
                 bytes: 8,
                 reply_bytes: 8,
-                data: vec![1, 2, 3],
+                data: Payload::with_head(3, &[1, 2, 3]),
             }]))
             .unwrap();
         pe.spawn(Program::straight_line([
@@ -1110,26 +1087,21 @@ mod tests {
             Op::Send {
                 dst: NodeId(2),
                 bytes: 4,
-                data: vec![9, 9],
+                data: Payload::with_head(2, &[9, 9]),
                 tag: 0,
             },
         ]))
         .unwrap();
         run(&mut pe, 3);
-        // Leave thread 0's request undrained so crash harvests it too.
+        // Leave thread 0's request undrained: the crash drops it.
         assert!(pe.has_requests());
         assert!(pe.is_awaiting(t0));
-        let harvested = pe.crash(Cycles(3));
+        pe.crash(Cycles(3));
         assert!(pe.is_crashed());
         assert!(!pe.is_live());
         assert_eq!(pe.idle_threads(), 0);
         assert!(!pe.is_awaiting(t0));
         assert!(!pe.has_requests());
-        // Both payloads recovered: the drained request's and the
-        // unexecuted op's.
-        let mut lens: Vec<usize> = harvested.iter().map(Vec::len).collect();
-        lens.sort_unstable();
-        assert_eq!(lens, vec![2, 3]);
         assert_eq!(
             pe.spawn(Program::straight_line([Op::Compute(1)])),
             Err(SpawnError)
@@ -1150,60 +1122,8 @@ mod tests {
     }
 
     #[test]
-    fn issue_moves_the_payload_and_crash_harvests_each_buffer_once() {
-        // Three marshalled buffers, told apart by length: the first is
-        // issued and drained (on the wire), the second issued and still in
-        // the request queue, the third never issued.
-        let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 1));
-        let t0 = pe
-            .spawn(Program::straight_line([
-                Op::Send {
-                    dst: NodeId(1),
-                    bytes: 8,
-                    data: vec![1; 5],
-                    tag: 0,
-                },
-                Op::Call {
-                    dst: NodeId(1),
-                    bytes: 8,
-                    reply_bytes: 8,
-                    data: vec![2; 6],
-                },
-                Op::Send {
-                    dst: NodeId(2),
-                    bytes: 8,
-                    data: vec![3; 7],
-                    tag: 0,
-                },
-            ]))
-            .unwrap();
-        let issued_payload =
-            |pe: &Pe, pc: usize| match &pe.threads[0].program.as_ref().unwrap().ops()[pc] {
-                Op::Send { data, .. } | Op::Call { data, .. } => data.len(),
-                _ => unreachable!("the program holds only sends and calls"),
-            };
-        pe.tick(Cycles(0));
-        let Some((_, PeRequest::Send { data: on_wire, .. })) = pe.pop_request() else {
-            panic!("the first send was issued");
-        };
-        assert_eq!(on_wire.len(), 5, "the request carries the program's buffer");
-        assert_eq!(
-            issued_payload(&pe, 0),
-            0,
-            "an issued op leaves an empty payload"
-        );
-        assert_eq!(
-            issued_payload(&pe, 1),
-            6,
-            "an unissued op keeps its payload"
-        );
-        pe.complete(t0);
-        pe.tick(Cycles(1));
-        assert!(pe.has_requests(), "the call was issued and is undrained");
-        assert_eq!(issued_payload(&pe, 1), 0);
-        let mut harvested: Vec<usize> = pe.crash(Cycles(2)).iter().map(Vec::len).collect();
-        harvested.sort_unstable();
-        assert_eq!(harvested, vec![6, 7], "queued and unissued, each once");
+    fn a_request_is_at_most_64_bytes_with_its_thread() {
+        assert!(std::mem::size_of::<(ThreadId, PeRequest)>() <= 64);
     }
 
     #[test]
@@ -1291,7 +1211,7 @@ mod tests {
     }
 
     #[test]
-    fn a_crash_with_live_programs_returns_every_payload() {
+    fn a_crash_with_live_programs_keeps_no_op_buffer() {
         let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 2));
         pe.spawn(Program::straight_line([Op::Compute(2)])).unwrap();
         let c = run_until_done(&mut pe, 0, 1);
@@ -1303,7 +1223,7 @@ mod tests {
             Op::Send {
                 dst: NodeId(1),
                 bytes: 8,
-                data: vec![1; 3],
+                data: Payload::with_head(3, &[1; 3]),
                 tag: 0,
             },
             Op::Compute(40),
@@ -1314,13 +1234,13 @@ mod tests {
                 dst: NodeId(2),
                 bytes: 8,
                 reply_bytes: 8,
-                data: vec![2; 4],
+                data: Payload::with_head(4, &[2; 4]),
             },
             Op::Call {
                 dst: NodeId(2),
                 bytes: 8,
                 reply_bytes: 8,
-                data: vec![3; 5],
+                data: Payload::with_head(5, &[3; 5]),
             },
         ]);
         pe.spawn(Program::from_ops(first, KernelDomain::Generic))
@@ -1331,9 +1251,8 @@ mod tests {
             pe.tick(Cycles(c));
         }
         assert!(pe.has_requests(), "the send and the first call are queued");
-        let mut lens: Vec<usize> = pe.crash(Cycles(c + 5)).iter().map(Vec::len).collect();
-        lens.sort_unstable();
-        assert_eq!(lens, vec![3, 4, 5], "queued or unissued, each once");
+        pe.crash(Cycles(c + 5));
+        assert!(!pe.has_requests());
         assert_eq!(drain_spares(&mut pe), 0, "a crash keeps no buffer");
         pe.restart(Cycles(c + 6));
         pe.spawn(Program::straight_line([Op::Compute(2)])).unwrap();

@@ -8,10 +8,10 @@
 //! idle hardware thread per invocation.
 
 use crate::class::KernelDomain;
-use nw_types::{Cycles, NodeId};
+use nw_types::{Cycles, NodeId, Payload};
 
 /// One micro-op.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Busy-compute for this many GP-RISC-baseline cycles (scaled by the
     /// executing PE's class speedup for the program's domain).
@@ -31,8 +31,9 @@ pub enum Op {
         dst: NodeId,
         /// Payload size on the wire.
         bytes: u64,
-        /// Marshalled payload carried verbatim (may be empty).
-        data: Vec<u8>,
+        /// Marshalled payload carried verbatim (may be empty), padded with
+        /// zeros to `bytes` on the wire.
+        data: Payload,
         /// Opaque NoC tag (the DSOC runtime uses it to flag replies).
         tag: u64,
     },
@@ -46,8 +47,9 @@ pub enum Op {
         bytes: u64,
         /// Expected response size.
         reply_bytes: u64,
-        /// Marshalled request payload (may be empty).
-        data: Vec<u8>,
+        /// Marshalled request payload (may be empty), padded with zeros
+        /// to `bytes` on the wire.
+        data: Payload,
     },
 }
 
@@ -57,7 +59,7 @@ impl Op {
         Op::Send {
             dst,
             bytes,
-            data: Vec::new(),
+            data: Payload::EMPTY,
             tag: 0,
         }
     }
@@ -68,7 +70,7 @@ impl Op {
             dst,
             bytes,
             reply_bytes,
-            data: Vec::new(),
+            data: Payload::EMPTY,
         }
     }
 }
@@ -120,47 +122,10 @@ impl Program {
         &self.ops
     }
 
-    /// Consumes the program, yielding its ops — the fault layer harvests
-    /// marshalled payload buffers from unexecuted ops when a PE crashes,
-    /// so pooled buffers are recycled instead of leaked.
+    /// Consumes the program, yielding its op buffer (a retiring PE keeps
+    /// it for the next program, [`crate::Pe::take_spare_ops`]).
     pub fn into_ops(self) -> Vec<Op> {
         self.ops
-    }
-
-    /// The op at `pc` for issue: scalar fields are copied and a marshalled
-    /// payload is moved out, leaving an empty one in the slot — an issued
-    /// `Send`/`Call` hands its buffer on to the request stream instead of
-    /// cloning it. The slot is never read again: the pc only advances.
-    pub fn take_op(&mut self, pc: usize) -> Option<Op> {
-        Some(match self.ops.get_mut(pc)? {
-            Op::Compute(n) => Op::Compute(*n),
-            Op::LocalMem { write, bytes } => Op::LocalMem {
-                write: *write,
-                bytes: *bytes,
-            },
-            Op::Send {
-                dst,
-                bytes,
-                data,
-                tag,
-            } => Op::Send {
-                dst: *dst,
-                bytes: *bytes,
-                data: std::mem::take(data),
-                tag: *tag,
-            },
-            Op::Call {
-                dst,
-                bytes,
-                reply_bytes,
-                data,
-            } => Op::Call {
-                dst: *dst,
-                bytes: *bytes,
-                reply_bytes: *reply_bytes,
-                data: std::mem::take(data),
-            },
-        })
     }
 
     /// Number of ops.
@@ -223,22 +188,8 @@ mod tests {
     }
 
     #[test]
-    fn take_op_copies_scalars_and_moves_the_payload_out() {
-        let mut p = Program::straight_line([
-            Op::Compute(7),
-            Op::Send {
-                dst: NodeId(1),
-                bytes: 8,
-                data: vec![4, 5],
-                tag: 3,
-            },
-        ]);
-        assert_eq!(p.take_op(0), Some(Op::Compute(7)));
-        assert_eq!(p.ops()[0], Op::Compute(7));
-        let sent = p.take_op(1).expect("pc 1 is in the program");
-        assert!(matches!(&sent, Op::Send { data, tag: 3, .. } if data == &[4, 5]));
-        assert!(matches!(&p.ops()[1], Op::Send { data, tag: 3, .. } if data.is_empty()));
-        assert_eq!(p.take_op(2), None);
+    fn an_inline_payload_keeps_an_op_at_56_bytes() {
+        assert!(std::mem::size_of::<Op>() <= 56);
     }
 
     #[test]

@@ -14,12 +14,16 @@
 //! and every raised request, and per tick the retired threads, the idle and
 //! awaiting context maps, `tasks_completed`, `is_live` and the next
 //! `quiet_span`; every report and the end of the run add the [`PeStats`]
-//! bits. On a mismatch the test prints the table as it reads now, ready to
-//! paste — which is only the right thing to do for a change that means to
-//! alter the PE's timing or accounting.
+//! bits. A crash adds the payloads of the sends and calls its threads never
+//! issued: the recording PE returned them from `Pe::crash`, and the test
+//! now counts them itself from the programs it spawned and the requests it
+//! drained. On a mismatch the test prints the table as it reads now, ready
+//! to paste — which is only the right thing to do for a change that means
+//! to alter the PE's timing or accounting.
 
 use nw_pe::{KernelDomain, Op, Pe, PeClass, PeConfig, PeRequest, PeStats, Program, SchedPolicy};
-use nw_types::{Cycles, NodeId, ThreadId};
+use nw_types::{Cycles, NodeId, Payload, ThreadId};
+use std::collections::VecDeque;
 
 const HORIZON: u64 = 600;
 
@@ -129,7 +133,7 @@ fn program(rng: &mut Rng) -> Program {
                 Op::Send {
                     dst: NodeId(rng.range(0, 8) as usize),
                     bytes,
-                    data: vec![7; (bytes % 5) as usize],
+                    data: repeated(7, (bytes % 5) as usize),
                     tag: bytes,
                 }
             }
@@ -139,7 +143,7 @@ fn program(rng: &mut Rng) -> Program {
                     dst: NodeId(rng.range(0, 8) as usize),
                     bytes,
                     reply_bytes: bytes * 2,
-                    data: vec![9; (bytes % 3) as usize],
+                    data: repeated(9, (bytes % 3) as usize),
                 }
             }
         })
@@ -150,6 +154,21 @@ fn program(rng: &mut Rng) -> Program {
         KernelDomain::Generic
     };
     Program::new(ops, domain)
+}
+
+/// `len` (at most 16) bytes of `byte`.
+fn repeated(byte: u8, len: usize) -> Payload {
+    Payload::with_head(len, &[byte; Payload::HEAD_BYTES][..len])
+}
+
+/// The payloads of `program`'s sends and calls, in program order.
+fn payloads(program: &Program) -> VecDeque<Payload> {
+    (program.ops().iter())
+        .filter_map(|op| match op {
+            Op::Send { data, .. } | Op::Call { data, .. } => Some(*data),
+            Op::Compute(_) | Op::LocalMem { .. } => None,
+        })
+        .collect()
 }
 
 fn hash_request(h: &mut Fnv, tid: ThreadId, req: &PeRequest) {
@@ -164,7 +183,7 @@ fn hash_request(h: &mut Fnv, tid: ThreadId, req: &PeRequest) {
             for v in [0, dst.0 as u64, *bytes, *tag, data.len() as u64] {
                 h.word(v);
             }
-            h.bytes(data);
+            h.bytes(&data.to_vec());
         }
         PeRequest::Call {
             dst,
@@ -175,7 +194,7 @@ fn hash_request(h: &mut Fnv, tid: ThreadId, req: &PeRequest) {
             for v in [1, dst.0 as u64, *bytes, *reply_bytes, data.len() as u64] {
                 h.word(v);
             }
-            h.bytes(data);
+            h.bytes(&data.to_vec());
         }
     }
 }
@@ -200,6 +219,8 @@ fn run(s: u64) -> (u64, Reach) {
     let mut rng = Rng(0x0DAC_2003_5EED_0024 ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut pe = Pe::new(cfg);
     pe.set_retire_log(true);
+    // Per thread, the payloads of the sends and calls it has not issued.
+    let mut unissued: Vec<VecDeque<Payload>> = vec![VecDeque::new(); n];
     let mut h = Fnv::new();
     // Completions in flight: (due cycle, thread).
     let mut completions: Vec<(u64, ThreadId)> = Vec::new();
@@ -217,8 +238,11 @@ fn run(s: u64) -> (u64, Reach) {
                 pe.settle_accounting(now);
                 caught_up_to = c;
             }
-            match pe.spawn(program(&mut rng)) {
+            let program = program(&mut rng);
+            let pending = payloads(&program);
+            match pe.spawn(program) {
                 Ok(tid) => {
+                    unissued[tid.0] = pending;
                     reach.spawns_over_a_gap += u64::from(caught_up_to < c);
                     reach.highest_context = reach.highest_context.max(tid.0);
                     h.word(tid.0 as u64);
@@ -231,13 +255,17 @@ fn run(s: u64) -> (u64, Reach) {
             woken = true;
         }
         if rng.one_in(200) {
-            let harvested = pe.crash(now);
+            // Every request was drained last cycle, so what the crash
+            // discards is the programs' unissued sends and calls.
+            assert!(!pe.has_requests());
+            pe.crash(now);
+            let harvested: Vec<Payload> = unissued.iter_mut().flat_map(|q| q.drain(..)).collect();
             caught_up_to = c;
             reach.crashes_with_buffers += u64::from(!harvested.is_empty());
             h.word(harvested.len() as u64);
             for buf in &harvested {
                 h.word(buf.len() as u64);
-                h.bytes(buf);
+                h.bytes(&buf.to_vec());
             }
             woken = true;
         }
@@ -277,6 +305,12 @@ fn run(s: u64) -> (u64, Reach) {
         }
         h.word(c);
         while let Some((tid, req)) = pe.pop_request() {
+            let (PeRequest::Send { data, .. } | PeRequest::Call { data, .. }) = req;
+            assert_eq!(
+                unissued[tid.0].pop_front(),
+                Some(data),
+                "issued in program order"
+            );
             hash_request(&mut h, tid, &req);
             completions.push((c + 1 + rng.range(0, 120), tid));
         }

@@ -11,7 +11,8 @@
 //! deterministic phase order, so nothing may depend on which scheduler
 //! stepped the cycles. Half (a) over the whole registry is the faulted
 //! half of `expt parity`'s matrix (`nw_bench::parity`); this suite keeps
-//! repeat/divergence per seed, pool conservation and route invalidation.
+//! repeat/divergence per seed, quiescence after crashes and drops, and
+//! route invalidation.
 
 use nanowall::{FaultCampaign, FaultRates, RetryPolicy, ScenarioRegistry};
 
@@ -88,12 +89,12 @@ fn crashes(n: u32, downtime: (u64, u64)) -> FaultRates {
 }
 
 #[test]
-fn pe_crashes_do_not_leak_pooled_buffers() {
+fn pe_crashes_leave_a_quiescent_platform() {
     // The crash path's resource-hygiene half: killing a PE mid-call
-    // harvests its owned buffers, cancels its retry entries (recycling the
-    // stored payload clones), and the dispatch queue backs up gracefully.
-    // On a finite no-I/O rig the platform still quiesces with a balanced
-    // pool ledger, under both schedulers, and the two runs stay identical.
+    // discards its programs and requests, cancels its retry entries, and
+    // the dispatch queue backs up gracefully. On a finite no-I/O rig the
+    // platform still quiesces, under both schedulers, and the two runs
+    // stay identical.
     use nanowall::prelude::*;
 
     let run_mode = |mode: SchedulerMode| {
@@ -107,10 +108,9 @@ fn pe_crashes_do_not_leak_pooled_buffers() {
         for _ in 0..WINDOW {
             platform.step();
         }
-        assert_eq!(
-            platform.payload_outstanding(),
-            0,
-            "{mode:?}: crash path leaked payload buffers"
+        assert!(
+            platform.is_quiescent(),
+            "{mode:?}: work left in flight after the crashes"
         );
         platform.report(Cycles(WINDOW))
     };
@@ -148,7 +148,7 @@ fn a_campaign_without_a_retry_policy_never_panics() {
 #[test]
 fn a_second_retry_policy_keeps_the_pending_calls() {
     // Swapping the policy mid-run must not forget the calls in flight:
-    // their stored payload clones are pool-accounted.
+    // each still retries or gives up, and the platform quiesces.
     use nanowall::prelude::*;
 
     let mut platform = crash_rig(
@@ -173,18 +173,17 @@ fn a_second_retry_policy_keeps_the_pending_calls() {
         platform.step();
     }
     assert_eq!(platform.pending_retries(), 0);
-    assert_eq!(platform.payload_outstanding(), 0, "stored clones leaked");
+    assert!(platform.is_quiescent(), "a tracked call was forgotten");
 }
 
 #[test]
-fn disconnection_drops_return_to_the_pool_on_the_next_stepped_cycle() {
+fn disconnection_drops_agree_step_by_step_and_quiesce() {
     // Packets the NoC drops during a tick (here: PE 0's only crossbar link
-    // is dead, so its requests and their retries die at the NI) park their
-    // payload buffers in the engine until the platform recycles them at the
-    // top of the next stepped cycle — every stepped cycle, not only the
-    // ones a campaign event falls on: the campaign below has no event at
-    // all. The pool ledger must read the same after every step under both
-    // schedulers.
+    // is dead, so its requests and their retries die at the NI) are counted
+    // on the cycle they drop, on every stepped cycle, not only the ones a
+    // campaign event falls on: the campaign below has no event at all. The
+    // fault counters and the calls in flight must read the same after every
+    // step under both schedulers.
     use nanowall::prelude::*;
     use nanowall::MemoryBlockConfig;
 
@@ -225,19 +224,19 @@ fn disconnection_drops_return_to_the_pool_on_the_next_stepped_cycle() {
         dense.step();
         active.step();
         assert_eq!(
-            dense.payload_outstanding(),
-            active.payload_outstanding(),
-            "pool ledgers apart after the step to {}",
+            (dense.resilience_stats(), dense.pending_retries()),
+            (active.resilience_stats(), active.pending_retries()),
+            "apart after the step to {}",
             active.now()
         );
     }
     let report = active.report(Cycles(6_000));
     assert_eq!(dense.report(Cycles(6_000)), report);
     // Two threads, two calls each, three attempts per call, all dropped;
-    // the ledger balances.
+    // the platform quiesces.
     assert_eq!(report.resilience.packets_dropped, 12);
     assert_eq!(report.resilience.retry_give_ups, 4);
-    assert_eq!(active.payload_outstanding(), 0);
+    assert!(active.is_quiescent());
 }
 
 #[test]

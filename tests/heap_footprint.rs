@@ -76,19 +76,18 @@ const QUICK_CAMPAIGN_HORIZON: u64 = 75_000;
 
 /// Per rig, in [`BenchRig::ALL`] order: nwbench's `--quick` warm-up in
 /// cycles, and the ceilings in bytes on the platform after `build`, after
-/// the warm-up, and on one fork — the figures measured when a queued
-/// oneway invocation shrank to a 4-byte key, plus 10 %, or the earlier
-/// pin where that was lower.
+/// the warm-up, and on one fork — the figures measured when a payload
+/// became a length and a 16-byte head, plus 10 %.
 const RIGS: [(u64, [usize; 3]); 4] = [
-    (15_000, [91_059, 129_874, 99_246]),
-    (100_000, [37_204, 104_602, 72_984]),
-    (3_000_000, [26_069, 35_168, 26_650]),
-    (45_000, [56_817, 128_386, 85_033]),
+    (15_000, [89_878, 120_441, 92_879]),
+    (100_000, [36_974, 65_635, 49_606]),
+    (3_000_000, [25_892, 33_513, 25_505]),
+    (45_000, [56_499, 85_952, 67_939]),
 ];
 
 /// The last row, `mix-fork-faults` at nwbench's full warm-up: warm-up and
 /// campaign horizon in cycles, and ceilings as in [`RIGS`].
-const FULL_MIX: (u64, u64, [usize; 3]) = (900_000, 1_500_000, [61_884, 211_335, 128_008]);
+const FULL_MIX: (u64, u64, [usize; 3]) = (900_000, 1_500_000, [61_427, 160_788, 110_944]);
 
 /// The fewest invocations the last row's warm-up leaves queued, so that
 /// the row measures a backlog.

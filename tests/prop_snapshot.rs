@@ -108,7 +108,7 @@ proptest! {
             fresh.fault_campaign().map(FaultCampaign::remaining),
             reference.fault_campaign().map(FaultCampaign::remaining)
         );
-        prop_assert_eq!(fresh.payload_outstanding(), reference.payload_outstanding());
+        prop_assert_eq!(fresh.is_quiescent(), reference.is_quiescent());
         prop_assert_eq!(original.pending_retries(), reference.pending_retries());
     }
 }
@@ -140,6 +140,6 @@ proptest! {
         let mut fresh = FppaPlatform::from_snapshot(&snap);
         let got = fresh.run(b);
         prop_assert_eq!(&got, &want, "io rig split {}+{} diverged", a, b);
-        prop_assert_eq!(fresh.payload_outstanding(), reference.payload_outstanding());
+        prop_assert_eq!(fresh.is_quiescent(), reference.is_quiescent());
     }
 }

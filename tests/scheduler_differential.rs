@@ -77,18 +77,17 @@ fn large_idle_span_is_identical_and_fast_forwarded() {
 }
 
 #[test]
-fn payload_pool_conserves_buffers_at_quiescence() {
-    // Resource-hygiene half of the determinism contract (the static half is
-    // nw-analyze rule RH01): every payload buffer the pool hands out —
-    // request payloads padded at send, service replies — must come back
-    // when its packet is consumed. Build a platform with no I/O channels so
-    // a finite batch of tasks drives it fully quiescent, then check the
-    // take/put ledger balances exactly, under both schedulers.
+fn a_finite_batch_ends_quiescent_under_both_schedulers() {
+    // Resource-hygiene half of the determinism contract: every request a
+    // thread sends is answered and every thread retires. Build a platform
+    // with no I/O channels so a finite batch of tasks drives it fully
+    // quiescent — no packet in the NoC, every thread idle, no call tracked
+    // — under both schedulers.
     use nanowall::prelude::*;
     use nanowall::MemoryBlockConfig;
 
     let run_mode = |mode: SchedulerMode| {
-        let mut cfg = FppaConfig::new("pool-conservation", TopologyKind::Mesh);
+        let mut cfg = FppaConfig::new("batch-quiescence", TopologyKind::Mesh);
         for _ in 0..4 {
             cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
         }
@@ -121,10 +120,9 @@ fn payload_pool_conserves_buffers_at_quiescence() {
                 "active-set rig still holds work after the batch window"
             );
         }
-        assert_eq!(
-            platform.payload_outstanding(),
-            0,
-            "{mode:?}: payload buffers leaked (taken != returned at quiescence)"
+        assert!(
+            platform.is_quiescent(),
+            "{mode:?}: work left in flight after the batch"
         );
         let report = platform.report(Cycles(WINDOW));
         assert_eq!(report.tasks_completed, 8, "{mode:?}: one task per thread");
@@ -203,7 +201,7 @@ fn warmed_forks_anchor_to_the_original_seed_and_diverge_on_new_ones() {
             "{mode:?}: distinct seeds produced one timeline"
         );
 
-        // No state sharing through the PayloadPool or the handler table:
+        // No state sharing through the handler table:
         // running the forks left the parent untouched, so its own
         // continuation still matches the reference.
         let parent_tail = parent.run(MEASURE);
