@@ -169,6 +169,7 @@ pub struct RigRun {
 
 impl RigRun {
     /// The trace's `FastForward` events: how many, and their spans summed.
+    // nw-analyze: allow(PUB01): golden_trace checks that fast-forward hops cover every skipped cycle
     pub fn fast_forwards(&self) -> (u64, u64) {
         (self.sink.fast_forwards, self.sink.cycles_fast_forwarded)
     }
@@ -198,6 +199,7 @@ pub fn rig_runs() -> Vec<RigRun> {
 }
 
 /// The `rig.<workload>.*` rows of `run`.
+// nw-analyze: allow(PUB01): golden_sched and golden_trace compare these rows with the manifest
 pub fn rig_rows(run: &RigRun) -> Vec<Row> {
     let counts = counts(run.stats).map(|(field, n)| (field, n.to_string()));
     let digests = [

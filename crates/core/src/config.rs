@@ -2,10 +2,9 @@
 
 use crate::fabric::FabricSpec;
 use crate::io::{IoChannelConfig, IoConfigError};
-use nw_mem::MemoryTechnology;
 use nw_noc::{NocConfig, TopologyKind};
 use nw_pe::PeConfig;
-use nw_types::{AreaMm2, Picojoules, TechNode};
+use nw_types::{AreaMm2, MemoryTechnology, Picojoules, TechNode};
 use std::fmt;
 
 /// A memory macro attached to the NoC.
@@ -74,6 +73,21 @@ pub enum BuildPlatformError {
         /// What is wrong with it.
         reason: &'static str,
     },
+    /// Memory `index` (declaration order) has no bank or no bank queue.
+    Memory {
+        /// Index into [`FppaConfig::memories`].
+        index: usize,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
+    /// Hardwired block `index` (declaration order) has a zero initiation
+    /// interval or latency.
+    HwIp {
+        /// Index into [`FppaConfig::hwip`].
+        index: usize,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for BuildPlatformError {
@@ -84,6 +98,10 @@ impl fmt::Display for BuildPlatformError {
             BuildPlatformError::Noc(e) => write!(f, "NoC configuration: {e}"),
             BuildPlatformError::Io { index, reason } => write!(f, "I/O channel {index}: {reason}"),
             BuildPlatformError::Pe { index, reason } => write!(f, "PE {index}: {reason}"),
+            BuildPlatformError::Memory { index, reason } => write!(f, "memory {index}: {reason}"),
+            BuildPlatformError::HwIp { index, reason } => {
+                write!(f, "hardwired IP {index}: {reason}")
+            }
         }
     }
 }
@@ -94,7 +112,10 @@ impl std::error::Error for BuildPlatformError {
             BuildPlatformError::Topology(e) => Some(e),
             BuildPlatformError::Noc(e) => Some(e),
             BuildPlatformError::Io { reason, .. } => Some(reason),
-            BuildPlatformError::NoPes | BuildPlatformError::Pe { .. } => None,
+            BuildPlatformError::NoPes
+            | BuildPlatformError::Pe { .. }
+            | BuildPlatformError::Memory { .. }
+            | BuildPlatformError::HwIp { .. } => None,
         }
     }
 }
@@ -309,6 +330,77 @@ mod tests {
             .expect_err("nothing to tick");
         assert!(matches!(err, BuildPlatformError::Pe { index: 1, .. }));
         assert_eq!(err.to_string(), "PE 1: no thread contexts");
+    }
+
+    /// Builds a ring with one PE, a good memory and hardwired block, then
+    /// `mem` and `hwip`: the error, if any.
+    fn build_services(mem: MemoryBlockConfig, hwip: HwIpConfig) -> Result<(), BuildPlatformError> {
+        let mut c = FppaConfig::new("t", TopologyKind::Ring);
+        c.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+        c.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 1.0));
+        c.add_memory(mem);
+        c.add_hwip(good_hwip());
+        c.add_hwip(hwip);
+        crate::FppaPlatform::new(c).map(|_| ())
+    }
+
+    fn good_hwip() -> HwIpConfig {
+        HwIpConfig {
+            name: "crc".into(),
+            ii: 1,
+            latency: 4,
+            area: AreaMm2(0.1),
+            energy_per_item: Picojoules(1.0),
+        }
+    }
+
+    #[test]
+    fn a_memory_without_banks_is_a_build_error_naming_it() {
+        let mem = MemoryBlockConfig::new(MemoryTechnology::Edram, 2.0);
+        assert_eq!(build_services(mem, good_hwip()), Ok(()));
+        let err = build_services(MemoryBlockConfig { banks: 0, ..mem }, good_hwip());
+        let err = err.expect_err("no bank to serve from");
+        assert!(matches!(err, BuildPlatformError::Memory { index: 1, .. }));
+        assert_eq!(err.to_string(), "memory 1: no banks");
+    }
+
+    #[test]
+    fn a_memory_without_queue_depth_is_a_build_error_naming_it() {
+        let mem = MemoryBlockConfig::new(MemoryTechnology::Edram, 2.0);
+        let err = build_services(
+            MemoryBlockConfig {
+                queue_depth: 0,
+                ..mem
+            },
+            good_hwip(),
+        );
+        let err = err.expect_err("no room for a request");
+        assert!(matches!(err, BuildPlatformError::Memory { index: 1, .. }));
+        assert_eq!(err.to_string(), "memory 1: no bank queue capacity");
+    }
+
+    #[test]
+    fn a_hwip_with_zero_initiation_interval_is_a_build_error_naming_it() {
+        let mem = MemoryBlockConfig::new(MemoryTechnology::Sram, 1.0);
+        let hwip = HwIpConfig {
+            ii: 0,
+            ..good_hwip()
+        };
+        let err = build_services(mem, hwip).expect_err("unbounded issue rate");
+        assert!(matches!(err, BuildPlatformError::HwIp { index: 1, .. }));
+        assert_eq!(err.to_string(), "hardwired IP 1: zero initiation interval");
+    }
+
+    #[test]
+    fn a_hwip_with_zero_latency_is_a_build_error_naming_it() {
+        let mem = MemoryBlockConfig::new(MemoryTechnology::Sram, 1.0);
+        let hwip = HwIpConfig {
+            latency: 0,
+            ..good_hwip()
+        };
+        let err = build_services(mem, hwip).expect_err("an item done before it starts");
+        assert!(matches!(err, BuildPlatformError::HwIp { index: 1, .. }));
+        assert_eq!(err.to_string(), "hardwired IP 1: zero pipeline latency");
     }
 
     #[test]

@@ -153,7 +153,6 @@ pub struct FabricShape {
 /// [`take_due`]: FaultCampaign::take_due
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultCampaign {
-    seed: u64,
     horizon: u64,
     rates: FaultRates,
     shape: FabricShape,
@@ -281,23 +280,12 @@ impl FaultCampaign {
         // drain order a pure function of the inputs.
         events.sort_by_key(|e| e.cycle);
         FaultCampaign {
-            seed,
             horizon,
             rates: rates.clone(),
             shape: shape.clone(),
             events,
             cursor: 0,
         }
-    }
-
-    /// The seed the timeline was generated from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The generation horizon in cycles.
-    pub fn horizon(&self) -> u64 {
-        self.horizon
     }
 
     /// The full timeline, independent of the drain cursor.
@@ -487,8 +475,6 @@ mod tests {
         let before = c.clone();
         c.reseed(34, 50_000);
         assert_ne!(c.events(), before.events());
-        assert_eq!(c.seed(), 34);
-        assert_eq!(c.horizon(), before.horizon());
         // Every undrained event sits at or after the fork point.
         assert!(c
             .events()

@@ -70,6 +70,7 @@
 
 mod calls;
 pub mod config;
+mod controller;
 pub mod fabric;
 mod faults;
 mod io;
@@ -113,8 +114,7 @@ pub mod prelude {
     pub use crate::io::{IoChannel, IoChannelConfig};
     pub use crate::{FppaConfig, FppaPlatform, NodeRole, PlatformReport, SchedulerMode};
     pub use nw_dsoc::{Application, Domain, MethodDef, ObjectDef};
-    pub use nw_mem::MemoryTechnology;
     pub use nw_noc::{NocConfig, TopologyKind};
     pub use nw_pe::{PeClass, PeConfig, SchedPolicy};
-    pub use nw_types::{Cycles, NodeId, ObjectId, TechNode};
+    pub use nw_types::{Cycles, MemoryTechnology, NodeId, ObjectId, TechNode};
 }

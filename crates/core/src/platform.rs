@@ -25,12 +25,13 @@ use crate::runtime::Runtime;
 use crate::services::Services;
 use crate::tags::{is_reply, RequestTag};
 use nw_dsoc::{MessageHeader, MessageKind};
-use nw_mem::MemorySpec;
 use nw_noc::{Noc, NocWork, Topology};
 use nw_obs::{HostPhase, HostProfiler, NocHeatmap, TraceEvent, TraceSink};
 use nw_pe::{Pe, PeRequest};
 use nw_sim::LatencyHistogram;
-use nw_types::{AreaMm2, Cycles, NodeId, ObjectId, Payload, PeId, Picojoules, ThreadId};
+use nw_types::{
+    AreaMm2, Cycles, MemorySpec, NodeId, ObjectId, Payload, PeId, Picojoules, ThreadId,
+};
 use std::collections::VecDeque;
 
 /// How [`FppaPlatform::step`] visits components each cycle.
@@ -226,9 +227,6 @@ pub struct FppaPlatform {
     /// Fault counters surfaced through [`FppaPlatform::resilience_stats`]
     /// (the retry counters live in `calls`); all zero when faults are off.
     rstats: ResilienceStats,
-    /// The replica seed last applied by [`FppaPlatform::reseed`] /
-    /// [`FppaPlatform::fork`] (0 for a freshly built platform).
-    seed: u64,
 }
 
 /// A plain-old-data checkpoint of a [`FppaPlatform`].
@@ -236,8 +234,8 @@ pub struct FppaPlatform {
 /// Captures the complete simulation state — PE/program state, NoC engine
 /// state (queues, `busy_until` stamps, event-wheel wakes), runtime
 /// dispatch state (pending invocations, retry deadlines, handler table),
-/// service/memory state, latency histograms, resilience counters and the
-/// replica seed — such that
+/// service/memory state, latency histograms and resilience counters — such
+/// that
 /// [`FppaPlatform::from_snapshot`] continues bit-identically to the
 /// uninterrupted original.
 ///
@@ -255,11 +253,6 @@ impl PlatformSnapshot {
     pub fn cycle(&self) -> Cycles {
         self.state.now
     }
-
-    /// The replica seed active at capture time.
-    pub fn seed(&self) -> u64 {
-        self.state.seed
-    }
 }
 
 impl FppaPlatform {
@@ -274,7 +267,9 @@ impl FppaPlatform {
     /// [`BuildPlatformError::Io`] for an I/O channel that cannot be paced
     /// (zero packet size, unusable clock or rate);
     /// [`BuildPlatformError::Pe`] for a PE with no thread contexts or more
-    /// than 64.
+    /// than 64; [`BuildPlatformError::Memory`] for a memory with no bank or
+    /// no bank queue; [`BuildPlatformError::HwIp`] for a hardwired block
+    /// with a zero initiation interval or latency.
     pub fn new(cfg: FppaConfig) -> Result<Self, BuildPlatformError> {
         if cfg.pes.is_empty() {
             return Err(BuildPlatformError::NoPes);
@@ -288,6 +283,24 @@ impl FppaPlatform {
                 _ => "more than 64 thread contexts",
             };
             return Err(BuildPlatformError::Pe { index, reason });
+        }
+        // Likewise the service blocks' public fields, which their
+        // constructors assert on.
+        for (index, m) in cfg.memories.iter().enumerate() {
+            let reason = match (m.banks, m.queue_depth) {
+                (0, _) => "no banks",
+                (_, 0) => "no bank queue capacity",
+                _ => continue,
+            };
+            return Err(BuildPlatformError::Memory { index, reason });
+        }
+        for (index, h) in cfg.hwip.iter().enumerate() {
+            let reason = match (h.ii, h.latency) {
+                (0, _) => "zero initiation interval",
+                (_, 0) => "zero pipeline latency",
+                _ => continue,
+            };
+            return Err(BuildPlatformError::HwIp { index, reason });
         }
         let n = cfg.n_endpoints();
         let link_latency = cfg.effective_link_latency();
@@ -343,7 +356,6 @@ impl FppaPlatform {
             profiler: None,
             campaign: None,
             rstats: ResilienceStats::default(),
-            seed: 0,
         })
     }
 
@@ -379,7 +391,6 @@ impl FppaPlatform {
             profiler: None,
             campaign: self.campaign.clone(),
             rstats: self.rstats.clone(),
-            seed: self.seed,
         }
     }
 
@@ -429,21 +440,13 @@ impl FppaPlatform {
         p
     }
 
-    /// Records `seed` as the replica seed and redraws the undrained future
-    /// of an installed fault campaign from it, keeping all other state
-    /// (see [`FppaPlatform::fork`]).
+    /// Redraws the undrained future of an installed fault campaign from
+    /// `seed`, keeping all other state (see [`FppaPlatform::fork`]).
     pub fn reseed(&mut self, seed: u64) {
-        self.seed = seed;
         let now = self.now.0;
         if let Some(c) = self.campaign.as_mut() {
             c.reseed(seed, now);
         }
-    }
-
-    /// The replica seed last applied by [`FppaPlatform::reseed`] /
-    /// [`FppaPlatform::fork`] (0 for a freshly built platform).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Installs a trace sink: from now on the platform reports packet
@@ -492,11 +495,6 @@ impl FppaPlatform {
         if let Some(p) = self.profiler.as_mut() {
             p.lap(phase);
         }
-    }
-
-    /// The scheduler in use.
-    pub fn scheduler_mode(&self) -> SchedulerMode {
-        self.scheduler
     }
 
     /// Switches scheduler — the only selector there is: every platform is

@@ -36,10 +36,9 @@ use nw_apps::{
 use nw_dsoc::Application;
 use nw_ipv4::app::{fast_path_app, FastPathWeights};
 use nw_mapping::{GreedyLoadMapper, Mapper, MappingProblem, PeSlot};
-use nw_mem::MemoryTechnology;
 use nw_noc::TopologyKind;
 use nw_pe::{Op, PeClass, PeConfig, Program, SchedPolicy};
-use nw_types::{AreaMm2, BitsPerSec, Bytes, NodeId, ObjectId, Picojoules};
+use nw_types::{AreaMm2, BitsPerSec, Bytes, MemoryTechnology, NodeId, ObjectId, Picojoules};
 
 /// Result of one latency-hiding measurement point (experiment F6).
 #[derive(Debug, Clone, Copy)]
@@ -876,16 +875,6 @@ impl ScenarioRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_platform_starts_under_the_default_scheduler() {
-        let tour = FppaPlatform::new(fppa_tour_config()).expect("tour config is valid");
-        assert_eq!(tour.scheduler_mode(), SchedulerMode::default());
-        for spec in ScenarioRegistry::standard().specs() {
-            let mode = (spec.build)(true).platform.scheduler_mode();
-            assert_eq!(mode, SchedulerMode::default(), "{}", spec.name);
-        }
-    }
 
     #[test]
     fn latency_hiding_threads_recover_utilization() {

@@ -1,16 +1,17 @@
 //! The service endpoints behind the NoC — embedded memories, eFPGA fabrics,
 //! hardwired IP (the paper's Figure 2, §6.3–§6.4) — as one table of
 //! [`ServiceNode`]s: a request packet in, a reply packet out, whatever the
-//! block. Memories and fabrics are the standalone models of `nw-mem` and
-//! [`crate::fabric`]; a hardwired block is a bare pipeline.
+//! block. Memories and fabrics are the standalone models of
+//! [`crate::controller`] and [`crate::fabric`]; a hardwired block is a bare
+//! pipeline.
 
 use crate::config::{FppaConfig, HwIpConfig};
+use crate::controller::{MemRequest, MemoryController, ReqKind};
 use crate::fabric::Efpga;
 use crate::platform::NEVER;
 use crate::tags::RequestTag;
-use nw_mem::{MemRequest, MemoryController, MemorySpec, ReqKind};
 use nw_sim::PipelinedServer;
-use nw_types::{Cycles, NodeId, Picojoules};
+use nw_types::{Cycles, MemorySpec, NodeId, Picojoules};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The substrate answering at one service endpoint.
@@ -40,7 +41,7 @@ impl Block {
                     addr: id.wrapping_mul(MemoryController::INTERLEAVE),
                     bytes: RequestTag::decode(tag).reply_bytes.max(1),
                 };
-                m.submit(req, now).is_ok()
+                m.submit(req).is_ok()
             }
             Block::Fabric(f) => f.try_submit(id, now).is_ok(),
             Block::HwIp { server, .. } => server.try_submit(id, now).is_ok(),
@@ -57,7 +58,7 @@ impl Block {
 
     fn take_done(&mut self) -> Option<u64> {
         match self {
-            Block::Memory(m) => m.take_response().map(|r| r.id),
+            Block::Memory(m) => m.take_done(),
             Block::Fabric(f) => f.take_done(),
             Block::HwIp {
                 cfg,

@@ -23,16 +23,19 @@ pub enum RuleId {
     /// Back-ticked file paths and `--example` names in the docs that name
     /// nothing.
     Doc01,
+    /// `pub` items that nothing outside their own crate's tests names.
+    Pub01,
 }
 
 /// Every registered rule, in report order.
-pub const ALL_RULES: [RuleId; 6] = [
+pub const ALL_RULES: [RuleId; 7] = [
     RuleId::Nd01,
     RuleId::Nd02,
     RuleId::Nd03,
     RuleId::Wr01,
     RuleId::Al01,
     RuleId::Doc01,
+    RuleId::Pub01,
 ];
 
 impl RuleId {
@@ -45,6 +48,7 @@ impl RuleId {
             RuleId::Wr01 => "WR01",
             RuleId::Al01 => "AL01",
             RuleId::Doc01 => "DOC01",
+            RuleId::Pub01 => "PUB01",
         }
     }
 
@@ -75,6 +79,11 @@ impl RuleId {
                 "every back-ticked file path in README.md and ARCHITECTURE.md names a file \
                  or directory that exists in the repository, every `--example NAME` an \
                  examples/NAME.rs"
+            }
+            RuleId::Pub01 => {
+                "no dead public surface: a pub fn/struct/enum/trait/type/const/static in \
+                 crates/*/src is named by code outside its own crate's tests (crates/, src/, \
+                 tests/, examples/, benchmark/src), not counting use lines"
             }
         }
     }

@@ -17,7 +17,11 @@ pub const ALLOWLIST_FILE: &str = "nw-analyze.allow";
 const SKIP_DIRS: [&str; 3] = ["target", "vendor", ".git"];
 
 /// Top-level entries of the workspace that hold first-party sources.
-const SOURCE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
+const SOURCE_ROOTS: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/src"];
+
+/// Sources read only for the `pub` items they name (PUB01), never linted:
+/// the benchmark harness is its own package.
+const REFERENCE_ONLY: &str = "benchmark/";
 
 /// The outcome of an [`analyze`] run.
 #[derive(Debug, Clone)]
@@ -105,7 +109,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// fixture-testable core of the engine ([`analyze`] is the filesystem
 /// wrapper around it). `exists` answers whether a repo-relative path names
 /// a file or directory (DOC01); the `.rs` files among `files` are what a
-/// back-ticked `Type::item` resolves against (DOC01).
+/// back-ticked `Type::item` resolves against (DOC01) and where `pub` items
+/// are named (PUB01). Files under `benchmark/` are read, never linted.
 pub fn analyze_sources(
     files: &[SourceFile],
     allowlist: &Allowlist,
@@ -116,11 +121,10 @@ pub fn analyze_sources(
     let mut allowlisted = 0;
     let mut used_entries = vec![false; allowlist.entries.len()];
     let symbols = Symbols::collect(files);
-    let resolves = |name: &str| symbols.resolve(name, exists);
-    for file in files {
+    for file in files.iter().filter(|f| !f.path.starts_with(REFERENCE_ONLY)) {
         let markers = Markers::collect(file);
         diagnostics.extend(markers.problems.iter().cloned());
-        for d in scan_file(file, &resolves) {
+        for d in scan_file(file, &symbols, exists) {
             if markers.suppresses(d.rule, d.line.saturating_sub(1)) {
                 marker_suppressed += 1;
                 continue;

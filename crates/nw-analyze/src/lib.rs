@@ -19,6 +19,7 @@
 //! | WR01 | no truncating `as` casts in `wire.rs` encode/decode paths |
 //! | AL01 | allowlist and marker hygiene (stale entries, missing justifications) |
 //! | DOC01 | back-ticked paths, `--example` names and `Type::item`s in README.md/ARCHITECTURE.md exist |
+//! | PUB01 | every `pub` item in `crates/*/src` is named by code other than its own crate's tests |
 //!
 //! # Suppression
 //!

@@ -1,4 +1,5 @@
-//! The determinism and resource-hygiene rules, and the docs' path rule.
+//! The determinism and resource-hygiene rules, the dead-`pub` rule and the
+//! docs' path rule.
 //!
 //! Each rule is a lexical pass over a [`SourceFile`]'s code view (comments
 //! and string contents already removed by [`crate::scan`]; for Markdown,
@@ -9,7 +10,7 @@
 
 use crate::diag::{Diagnostic, RuleId};
 use crate::scan::SourceFile;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose state can reach a `PlatformReport` or dispatch order —
 /// the ND01/ND03 scope. Paths are repo-relative prefixes. `crates/core/`
@@ -231,22 +232,89 @@ fn looks_like_path(span: &str) -> bool {
         && (span.chars()).all(|c| c.is_ascii_alphanumeric() || "_.-/".contains(c))
 }
 
-/// What the scanned `.rs` files define. A name after `struct`, `enum` or
-/// `trait` is a type; a name after `fn`, `const` or `type` is an item, and
-/// so is one before a lone `:` (a field, or a binding: over-counting only
-/// hides a finding) and an upper-case one opening a line before `,`, `(`,
-/// `{` or nothing (a variant: rustfmt gives each its own line).
+/// The keywords of the items PUB01 checks: the next word is the name the
+/// item defines, not a reference to it (nor is a module's name).
+const ITEM_KEYWORDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// The crate a repo-relative path lies in: `crates/<name>/…`.
+fn crate_of(path: &str) -> Option<&str> {
+    Some(path.strip_prefix("crates/")?.split_once('/')?.0)
+}
+
+/// Per line of a `.rs` file, whether it is test code: every line of a
+/// crate's `tests/` or `benches/`, and the item under a `#[cfg(test)]`
+/// (to the line closing its braces, or its `;`).
+fn test_lines(file: &SourceFile) -> Vec<bool> {
+    let dir = file.path.split('/').nth(2);
+    let whole = crate_of(&file.path).is_some() && matches!(dir, Some("tests" | "benches"));
+    let mut out = vec![whole; file.lines.len()];
+    let mut depth: Option<usize> = None;
+    for (n, line) in file.lines.iter().enumerate() {
+        let mut code = line.code.trim();
+        if depth.is_none() {
+            let Some(rest) = code.strip_prefix("#[cfg(test)]") else {
+                continue;
+            };
+            (depth, code) = (Some(0), rest);
+        }
+        out[n] = true;
+        let opened = depth.unwrap_or(0) + code.matches('{').count();
+        let open = opened.saturating_sub(code.matches('}').count());
+        depth = (open > 0 || !code.contains(['}', ';'])).then_some(open);
+    }
+    out
+}
+
+/// The `pub` item a line defines, as (column of its name, whether it is a
+/// fn, its name): `pub` (not `pub(crate)`), then [`ITEM_KEYWORDS`] and
+/// qualifiers (`pub const fn`, `pub static mut`), then the name.
+fn pub_item(code: &str) -> Option<(usize, bool, &str)> {
+    let rest = code.trim_start().strip_prefix("pub ")?;
+    let mut kind = None;
+    for word in rest.split(|c| !is_ident(c)).filter(|w| !w.is_empty()) {
+        if ITEM_KEYWORDS.contains(&word) {
+            kind = Some(word);
+        } else if !["unsafe", "async", "extern", "mut"].contains(&word) {
+            let col = word.as_ptr() as usize - code.as_ptr() as usize;
+            return kind.map(|k| (col, k == "fn", word));
+        }
+    }
+    None
+}
+
+/// Where one `pub` item name is referenced. An origin is `None` for code
+/// that is no crate's tests, else the crate whose tests these are.
+#[derive(Debug, Default)]
+struct Uses {
+    /// Origins of every mention outside a definition and a `use` line.
+    named: BTreeSet<Option<String>>,
+    /// Origins of the mentions shaped as a call or a path (`f(`, `::f`),
+    /// the only ones that reach a fn rather than a field of its name.
+    called: BTreeSet<Option<String>>,
+}
+
+/// What the scanned `.rs` files define, and where they name `pub` items. A
+/// name after `struct`, `enum` or `trait` is a type; a name after `fn`,
+/// `const` or `type` is an item, and so is one before a lone `:` (a field,
+/// or a binding: over-counting only hides a finding) and an upper-case one
+/// opening a line before `,`, `(`, `{` or nothing (a variant: rustfmt gives
+/// each its own line).
 #[derive(Debug, Default)]
 pub(crate) struct Symbols {
     types: BTreeSet<String>,
     items: BTreeSet<String>,
+    /// Per name some line defines `pub` ([`pub_item`]).
+    uses: BTreeMap<String, Uses>,
 }
 
 impl Symbols {
     pub(crate) fn collect(files: &[SourceFile]) -> Symbols {
         let mut s = Symbols::default();
-        let rust = files.iter().filter(|f| f.path.ends_with(".rs"));
-        for code in rust.flat_map(|f| &f.lines).map(|l| l.code.as_str()) {
+        let rust: Vec<&SourceFile> = files.iter().filter(|f| f.path.ends_with(".rs")).collect();
+        for code in rust.iter().flat_map(|f| &f.lines).map(|l| l.code.as_str()) {
+            if let Some((_, _, name)) = pub_item(code) {
+                s.uses.entry(name.to_owned()).or_default();
+            }
             let mut keyword = "";
             for word in code.split(|c| !is_ident(c)).filter(|w| !w.is_empty()) {
                 // A piece of `code`: its column is the pointer difference.
@@ -265,7 +333,53 @@ impl Symbols {
                 keyword = word;
             }
         }
+        for file in rust {
+            let owner = crate_of(&file.path);
+            let mut in_use = false;
+            for (line, test) in file.lines.iter().zip(test_lines(file)) {
+                let code = line.code.as_str();
+                let head = code.trim_start();
+                in_use |= ["use ", "pub use ", "pub(crate) use "]
+                    .iter()
+                    .any(|u| head.starts_with(u));
+                if !in_use {
+                    s.record_uses(code, owner.filter(|_| test));
+                }
+                in_use &= !code.contains(';');
+            }
+        }
         s
+    }
+
+    /// Records the mentions of `pub` item names in one line of code.
+    fn record_uses(&mut self, code: &str, origin: Option<&str>) {
+        let mut keyword = "";
+        for word in code.split(|c| !is_ident(c)).filter(|w| !w.is_empty()) {
+            let defined = ITEM_KEYWORDS.contains(&keyword) || keyword == "mod";
+            keyword = word;
+            let Some(uses) = self.uses.get_mut(word).filter(|_| !defined) else {
+                continue;
+            };
+            let at = word.as_ptr() as usize - code.as_ptr() as usize;
+            let after = code[at + word.len()..].trim_start();
+            let called =
+                code[..at].ends_with("::") || after.starts_with('(') || after.starts_with("::");
+            let origin = origin.map(str::to_owned);
+            if called {
+                uses.called.insert(origin.clone());
+            }
+            uses.named.insert(origin);
+        }
+    }
+
+    /// Whether code other than `owner`'s tests names the `pub` item `name`
+    /// (as a call or a path when the item `is_fn`).
+    fn referenced(&self, name: &str, is_fn: bool, owner: &str) -> bool {
+        let Some(uses) = self.uses.get(name) else {
+            return false;
+        };
+        let by = if is_fn { &uses.called } else { &uses.named };
+        by.iter().any(|origin| origin.as_deref() != Some(owner))
     }
 
     /// Whether a back-ticked `name` names something: a `Type::item` whose
@@ -275,6 +389,29 @@ impl Symbols {
         match rust_path(name) {
             Some((ty, item)) => !self.types.contains(ty) || self.items.contains(item),
             None => exists(name),
+        }
+    }
+}
+
+/// PUB01: a `pub` item of a crate's `src/` that no code outside that
+/// crate's tests names ([`Symbols::referenced`]).
+fn pub01(file: &SourceFile, symbols: &Symbols, out: &mut Vec<Diagnostic>) {
+    let Some(owner) = crate_of(&file.path) else {
+        return;
+    };
+    if file.path.split('/').nth(2) != Some("src") {
+        return;
+    }
+    for ((n, line), test) in file.lines.iter().enumerate().zip(test_lines(file)) {
+        let Some((col, is_fn, name)) = pub_item(&line.code).filter(|_| !test) else {
+            continue;
+        };
+        if !symbols.referenced(name, is_fn, owner) {
+            let message = format!(
+                "pub `{name}` is named by nothing outside {owner}'s tests: delete it, \
+                 or mark a deliberate exception with its reason"
+            );
+            out.push(diag(RuleId::Pub01, file, n, col, message));
         }
     }
 }
@@ -332,17 +469,22 @@ fn doc01(file: &SourceFile, exists: &dyn Fn(&str) -> bool, out: &mut Vec<Diagnos
 
 /// Runs every rule for the file's kind — the source rules over `.rs`
 /// files, DOC01 over Markdown — returning *raw* (unsuppressed) findings in
-/// stable order. `exists` answers whether a back-ticked name (a
-/// repo-relative path or a `Type::item`) names something.
-pub(crate) fn scan_file(file: &SourceFile, exists: &dyn Fn(&str) -> bool) -> Vec<Diagnostic> {
+/// stable order. `exists` answers whether a repo-relative path names
+/// something.
+pub(crate) fn scan_file(
+    file: &SourceFile,
+    symbols: &Symbols,
+    exists: &dyn Fn(&str) -> bool,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if file.path.ends_with(".md") {
-        doc01(file, exists, &mut out);
+        doc01(file, &|name| symbols.resolve(name, exists), &mut out);
     } else {
         nd01(file, &mut out);
         nd02(file, &mut out);
         nd03(file, &mut out);
         wr01(file, &mut out);
+        pub01(file, symbols, &mut out);
     }
     out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     out

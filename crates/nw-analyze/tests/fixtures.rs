@@ -127,12 +127,12 @@ fn nd01_reaches_the_fabric_model_in_core() {
     // is a finding, while the same line in a substrate crate outside the
     // sim-result scope is not.
     let source = "use std::collections::HashMap;\n\
-                  pub struct Efpga { kernels: HashMap<String, MappedKernel> }\n";
+                  struct Efpga { kernels: HashMap<String, MappedKernel> }\n";
     let hit = scan(&[("crates/core/src/fabric.rs", source)]);
     assert_eq!(rules_of(&hit), ["ND01", "ND01"], "{}", hit.render());
     assert_eq!(hit.diagnostics[1].line, 2);
 
-    let outside = scan(&[("crates/nw-mem/src/controller.rs", source)]);
+    let outside = scan(&[("crates/nw-pe/src/pe.rs", source)]);
     assert!(outside.is_clean(), "{}", outside.render());
 }
 
@@ -309,7 +309,7 @@ fn doc01_flags_example_names_with_no_example_file() {
 #[test]
 fn doc01_flags_rust_paths_whose_item_is_defined_nowhere() {
     let code = (
-        "crates/core/src/widget.rs",
+        "src/widget.rs",
         "pub struct Widget { pub size: u32 }\nimpl Widget {\n    const MAX: u32 = 9;\n    \
          pub fn grow(&mut self) {}\n}\npub enum Kind {\n    Small,\n    Big { weight: u8 },\n}\n",
     );
@@ -326,4 +326,78 @@ fn doc01_flags_rust_paths_whose_item_is_defined_nowhere() {
                `Vec::shrink`, `widget::Widget::shrink`, `Widget::{grow, shrink}`, `Widget::shrink(2)`.\n";
     let clean = scan(&[code, ("README.md", doc)]);
     assert!(clean.is_clean(), "{}", clean.render());
+}
+
+/// A `pub fn` of `nw-sim` that its own unit test calls.
+const PUB_FN: (&str, &str) = (
+    "crates/nw-sim/src/stats.rs",
+    "pub fn rate() -> u64 {\n    1\n}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    \
+     fn t() {\n        assert_eq!(super::rate(), 1);\n    }\n}\n",
+);
+
+#[test]
+fn pub01_flags_a_pub_item_only_its_own_crates_tests_name() {
+    let own_tests = (
+        "crates/nw-sim/tests/p.rs",
+        "fn f() -> u64 { nw_sim::rate() }\n",
+    );
+    // Crate-private items are rustc's `dead_code` lint's business.
+    let private = ("crates/nw-sim/src/x.rs", "pub(crate) fn helper() {}\n");
+    let hit = scan(&[PUB_FN, own_tests, private]);
+    assert_eq!(rules_of(&hit), ["PUB01"]);
+    assert_eq!((hit.diagnostics[0].line, hit.diagnostics[0].col), (1, 8));
+}
+
+#[test]
+fn pub01_counts_no_use_line_comment_string_or_same_named_field() {
+    let not_uses = [
+        PUB_FN,
+        (
+            "crates/nw-sim/src/lib.rs",
+            "pub use stats::{\n    rate,\n};\n",
+        ),
+        (
+            "crates/core/src/x.rs",
+            "use nw_sim::rate;\n// rate()\nconst S: &str = \"rate()\";\n",
+        ),
+        (
+            "crates/core/src/y.rs",
+            "fn f(s: &S) -> u64 {\n    s.rate\n}\n",
+        ),
+    ];
+    let hit = scan(&not_uses);
+    assert_eq!(rules_of(&hit), ["PUB01"], "{}", hit.render());
+}
+
+#[test]
+fn pub01_counts_code_outside_the_defining_crates_tests() {
+    // Another crate's `src/`, the root `tests/`, `benchmark/src` (read,
+    // never linted) and the crate's own non-test code.
+    for user in [
+        ("crates/core/src/x.rs", "fn f() -> u64 { nw_sim::rate() }\n"),
+        ("tests/it.rs", "#[test]\nfn t() {\n    nw_sim::rate();\n}\n"),
+        (
+            "benchmark/src/main.rs",
+            "fn main() {\n    let _t = std::time::Instant::now();\n    nw_sim::rate();\n}\n",
+        ),
+        (
+            "crates/nw-sim/src/lib.rs",
+            "fn twice() -> u64 { 2 * stats::rate() }\n",
+        ),
+    ] {
+        let used = scan(&[PUB_FN, user]);
+        assert!(used.is_clean(), "{}: {}", user.0, used.render());
+    }
+}
+
+#[test]
+fn pub01_yields_to_a_reasoned_marker() {
+    let marked = (
+        "crates/nw-sim/src/stats.rs",
+        "// nw-analyze: allow(PUB01): the reference the prop tests compare against\n\
+         pub fn rate() -> u64 {\n    1\n}\n",
+    );
+    let kept = scan(&[marked]);
+    assert!(kept.is_clean(), "{}", kept.render());
+    assert_eq!(kept.marker_suppressed, 1);
 }

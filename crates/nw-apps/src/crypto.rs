@@ -155,7 +155,7 @@ mod tests {
         let hwip_bytes: u64 = layout
             .services
             .iter()
-            .map(|(_, d)| d.bytes_per_item())
+            .map(|(_, d)| (d.request_bytes + d.reply_bytes) * u64::from(d.calls_per_item))
             .sum();
         // Per payload the engines move more bytes than the payload itself:
         // a full cipher pass each way plus the auth pass.

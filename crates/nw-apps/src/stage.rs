@@ -55,13 +55,6 @@ pub struct ServiceDemand {
     pub calls_per_item: u32,
 }
 
-impl ServiceDemand {
-    /// Bytes crossing the NoC per processed item (requests + replies).
-    pub fn bytes_per_item(&self) -> u64 {
-        (self.request_bytes + self.reply_bytes) * self.calls_per_item as u64
-    }
-}
-
 /// One pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageDef {
@@ -450,16 +443,5 @@ mod tests {
             p.to_application().unwrap_err(),
             BuildPipelineError::App(BuildAppError::CyclicCallGraph)
         ));
-    }
-
-    #[test]
-    fn service_demand_bytes() {
-        let d = ServiceDemand {
-            kind: ServiceKind::HwIp,
-            request_bytes: 64,
-            reply_bytes: 64,
-            calls_per_item: 8,
-        };
-        assert_eq!(d.bytes_per_item(), 1024);
     }
 }

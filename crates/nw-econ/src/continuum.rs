@@ -84,18 +84,6 @@ impl ImplStyle {
             ImplStyle::CellAsic => 0.02,
         }
     }
-
-    /// Total cost of shipping `volume` units at `unit_base` baseline silicon
-    /// cost.
-    pub fn total_cost(
-        &self,
-        node: TechNode,
-        platform_products: f64,
-        unit_base: Dollars,
-        volume: f64,
-    ) -> Dollars {
-        self.product_nre(node, platform_products) + unit_base * self.unit_cost_factor() * volume
-    }
 }
 
 impl fmt::Display for ImplStyle {
@@ -170,7 +158,10 @@ mod tests {
     #[test]
     fn low_volume_favors_fpga_high_volume_favors_asic() {
         let unit = Dollars(5.0);
-        let total = |s: ImplStyle, v: f64| s.total_cost(NODE, FAMILY, unit, v).0;
+        // Total cost of shipping `v` units: NRE plus unit cost.
+        let total = |s: ImplStyle, v: f64| {
+            (s.product_nre(NODE, FAMILY) + unit * s.unit_cost_factor() * v).0
+        };
         // 10k units: FPGA wins despite 8x unit cost.
         assert!(total(ImplStyle::Fpga, 10e3) < total(ImplStyle::CellAsic, 10e3));
         // 10M units: ASIC wins.

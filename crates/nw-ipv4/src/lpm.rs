@@ -268,11 +268,6 @@ impl MultibitTrie {
             nodes: 1,
         }
     }
-
-    /// The configured stride.
-    pub fn stride(&self) -> u8 {
-        self.stride
-    }
 }
 
 /// The `stride`-bit index field starting at bit offset `consumed` of `addr`,

@@ -58,7 +58,6 @@ impl std::error::Error for BuildProblemError {}
 #[derive(Debug, Clone)]
 pub struct MappingProblem {
     app: Application,
-    entry_rates: Vec<f64>,
     pes: Vec<PeSlot>,
     hops: Vec<Vec<f64>>,
     /// Cached per-object compute loads (baseline cycles per cycle).
@@ -106,7 +105,6 @@ impl MappingProblem {
         let edge_traffic = app.edge_traffic(&entry_rates);
         Ok(MappingProblem {
             app,
-            entry_rates,
             pes,
             hops,
             object_loads,
@@ -117,11 +115,6 @@ impl MappingProblem {
     /// The application being mapped.
     pub fn app(&self) -> &Application {
         &self.app
-    }
-
-    /// Entry-point rates (invocations per cycle).
-    pub fn entry_rates(&self) -> &[f64] {
-        &self.entry_rates
     }
 
     /// The PE slots.

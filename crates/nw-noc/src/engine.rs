@@ -866,14 +866,6 @@ impl Noc {
         self.eject_pending
     }
 
-    /// Whether ticking the engine now could move anything: a timed transfer
-    /// is in flight, an NI holds packets awaiting injection, or an output
-    /// port holds queued packets. Eject queues don't count — draining them
-    /// is the caller's move, not the tick's.
-    pub fn has_work(&self) -> bool {
-        !self.arrivals.is_empty() || self.ni_pending > 0 || self.queued_total > 0
-    }
-
     /// The earliest cycle `>= now` at which ticking can change engine state,
     /// or `None` when no tick before the next external injection can move
     /// anything. Exact on the busy path: queued traffic that is stalled on
@@ -913,15 +905,9 @@ impl Noc {
             || (self.queued_total > 0 && self.wakes.next_due().is_some_and(|d| d <= now))
     }
 
-    /// Packets accepted but not yet delivered to an eject queue.
-    pub fn in_network(&self) -> u64 {
-        self.injected.count() - self.delivered.count()
-    }
-
     /// Snapshot of the aggregate statistics, including a clone of the
     /// latency histogram — report assembly only. Hot paths that need the
-    /// scalar counters should use [`Noc::counts`], and the distribution can
-    /// be read in place through [`Noc::latency_hist`].
+    /// scalar counters should use [`Noc::counts`].
     pub fn stats(&self) -> NocStats {
         NocStats {
             injected: self.injected.count(),
@@ -947,11 +933,6 @@ impl Noc {
         self.work
     }
 
-    /// The end-to-end latency distribution, borrowed.
-    pub fn latency_hist(&self) -> &Histogram {
-        &self.latency
-    }
-
     /// Packets the engine holds right now: in an NI, on a port queue, in
     /// flight, or delivered and not yet ejected.
     pub fn packets_held(&self) -> usize {
@@ -960,6 +941,7 @@ impl Noc {
 
     /// Slots the packet slab has grown to — the most packets the engine
     /// ever held at once, since vacated slots are reused before it grows.
+    // nw-analyze: allow(PUB01): prop_event_core checks that the slab reuses vacated slots before it grows
     pub fn packet_slots(&self) -> usize {
         self.slab.links.len()
     }
@@ -1120,11 +1102,6 @@ impl Noc {
             return true;
         }
         false
-    }
-
-    /// Permanently dead directed links, in failure order.
-    pub fn dead_links(&self) -> &[(usize, usize)] {
-        &self.dead_links
     }
 
     /// Packets discarded by fault injection (drops plus disconnection).
@@ -1634,6 +1611,7 @@ impl Noc {
     /// but the transmit pass scans every router holding queued traffic
     /// instead of consulting the event wheel. Kept for differential
     /// testing — the event-driven path must be bit-identical to this.
+    // nw-analyze: allow(PUB01): the reference golden_delivery and prop_event_core compare the event-driven tick against
     pub fn tick_reference(&mut self, now: Cycles) {
         self.run_tick(now, true, &mut None);
     }
@@ -1971,7 +1949,7 @@ mod tests {
         }
         assert_eq!(sent, got);
         assert_eq!(noc.counts().delivered, sent);
-        assert_eq!(noc.latency_hist().count(), sent);
+        assert_eq!(noc.stats().latency.count(), sent);
     }
 
     #[test]
@@ -2045,7 +2023,6 @@ mod tests {
             assert!(now.0 < 100_000);
         }
         assert!(noc.routers.iter().all(|r| r.queued == 0));
-        assert!(!noc.has_work(), "drained fabric reports no work");
         assert_eq!(noc.ni_pending, 0);
         assert_eq!(noc.queued_total, 0);
         assert_eq!(noc.next_event_cycle(now), None);
@@ -2053,15 +2030,13 @@ mod tests {
     }
 
     #[test]
-    fn has_work_and_next_event_follow_traffic() {
+    fn next_event_follows_traffic() {
         let topo = Topology::build(TopologyKind::Ring, 8, 7).unwrap();
         let mut noc = Noc::new(topo, NocConfig::default());
-        assert!(!noc.has_work());
         assert_eq!(noc.next_event_cycle(Cycles(0)), None);
         noc.try_inject(NodeId(0), NodeId(3), Payload::zeroed(16), 0, Cycles(0))
             .unwrap();
         // Queued NI traffic: work due immediately.
-        assert!(noc.has_work());
         assert_eq!(noc.next_event_cycle(Cycles(0)), Some(Cycles(0)));
         noc.tick(Cycles(0));
         // Now the packet is serializing over a 7-cycle link: the next event
@@ -2163,7 +2138,6 @@ mod tests {
         assert!(!noc.fail_link(0, east, Cycles(1)), "idempotent");
         assert_eq!(noc.ports[east_port].queue.len, 0);
         assert_eq!(noc.routers[0].queued, 1, "requeued on the detour");
-        assert_eq!(noc.dead_links(), &[(0, east)]);
         let (p, _) = run_until_delivered(&mut noc, NodeId(3), 10_000);
         assert_eq!(p.data, filled(16, 7));
         assert_eq!(noc.dropped_packets(), 0);
@@ -2179,7 +2153,7 @@ mod tests {
             .unwrap();
         assert!(noc.fail_link(0, 0, Cycles(0)));
         let mut now = Cycles(0);
-        while noc.has_work() {
+        while !noc.is_quiescent() {
             noc.tick(now);
             now += Cycles(1);
             assert!(now.0 < 1_000);
@@ -2200,7 +2174,7 @@ mod tests {
         assert!(noc.drop_next(0, Cycles(0)));
         assert_eq!(noc.dropped_packets(), 1);
         let mut now = Cycles(0);
-        while noc.has_work() {
+        while !noc.is_quiescent() {
             noc.tick(now);
             now += Cycles(1);
         }

@@ -41,6 +41,6 @@ pub use engine::{
     InjectError, Noc, NocConfig, NocConfigError, NocCounts, NocSpan, NocStats, NocWork,
 };
 pub use packet::{Packet, PacketId};
-pub use sweep::{run_open_loop, saturation_load, sweep_load, OpenLoopConfig, OpenLoopResult};
+pub use sweep::{run_open_loop, saturation_load, OpenLoopConfig, OpenLoopResult};
 pub use topology::{BuildTopologyError, Topology, TopologyKind};
 pub use traffic::TrafficPattern;

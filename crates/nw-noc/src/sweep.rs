@@ -170,28 +170,6 @@ pub fn run_open_loop(
     })
 }
 
-/// Sweeps offered load and returns one result per point — the data behind a
-/// latency/throughput curve.
-///
-/// # Errors
-///
-/// Propagates [`BuildTopologyError`] from topology construction.
-pub fn sweep_load(
-    kind: TopologyKind,
-    n: usize,
-    loads: &[f64],
-    base: &OpenLoopConfig,
-) -> Result<Vec<OpenLoopResult>, BuildTopologyError> {
-    loads
-        .iter()
-        .map(|&l| {
-            let mut cfg = base.clone();
-            cfg.offered_load = l;
-            run_open_loop(kind, n, &cfg)
-        })
-        .collect()
-}
-
 /// Finds the saturation load of a topology by bisection on the offered load:
 /// the highest load (within `tol`) at which delivered flits stay ≥ 95% of
 /// the flits actually generated in the measurement window.
@@ -255,8 +233,14 @@ mod tests {
 
     #[test]
     fn latency_rises_with_load() {
-        let cfg = quick();
-        let rs = sweep_load(TopologyKind::Mesh, 16, &[0.02, 0.30], &cfg).unwrap();
+        let at = |offered_load| {
+            let cfg = OpenLoopConfig {
+                offered_load,
+                ..quick()
+            };
+            run_open_loop(TopologyKind::Mesh, 16, &cfg).unwrap()
+        };
+        let rs = [at(0.02), at(0.30)];
         assert!(
             rs[1].mean_latency() > rs[0].mean_latency(),
             "latency must rise with load: {} vs {}",

@@ -89,7 +89,6 @@ pub struct Link {
 /// A built topology: graph, router modes and routing tables.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    kind: TopologyKind,
     n_endpoints: usize,
     /// Adjacency list per router.
     links: Vec<Vec<Link>>,
@@ -164,12 +163,7 @@ impl Topology {
         }
         let mut shared = vec![false; n + 1];
         shared[center] = shared_center;
-        let kind = if shared_center {
-            TopologyKind::SharedBus
-        } else {
-            TopologyKind::Crossbar
-        };
-        Self::finish(kind, n, links, shared)
+        Self::finish(n, links, shared)
     }
 
     fn ring(n: usize, lat: u64) -> Self {
@@ -192,7 +186,7 @@ impl Topology {
                 }
             }
         }
-        Self::finish(TopologyKind::Ring, n, links, vec![false; n])
+        Self::finish(n, links, vec![false; n])
     }
 
     fn mesh(w: usize, h: usize, lat: u64, wrap: bool) -> Result<Self, BuildTopologyError> {
@@ -244,12 +238,7 @@ impl Topology {
             l.sort_by_key(|k| k.to);
             l.dedup_by_key(|k| k.to);
         }
-        let kind = if wrap {
-            TopologyKind::Torus
-        } else {
-            TopologyKind::Mesh
-        };
-        let mut topo = Self::finish(kind, n, links, vec![false; n]);
+        let mut topo = Self::finish(n, links, vec![false; n]);
         topo.install_xy_routing(w, h, wrap);
         Ok(topo)
     }
@@ -321,20 +310,14 @@ impl Topology {
             width *= 2;
         }
         let shared = vec![false; links.len()];
-        Ok(Self::finish(TopologyKind::FatTree, n, links, shared))
+        Ok(Self::finish(n, links, shared))
     }
 
     /// Computes BFS routing tables and assembles the struct. Mesh/torus
     /// overwrite the table with XY routing afterwards.
-    fn finish(
-        kind: TopologyKind,
-        n_endpoints: usize,
-        links: Vec<Vec<Link>>,
-        shared: Vec<bool>,
-    ) -> Self {
+    fn finish(n_endpoints: usize, links: Vec<Vec<Link>>, shared: Vec<bool>) -> Self {
         let next_hop = Self::bfs_tables(&links, n_endpoints, &[]);
         Topology {
-            kind,
             n_endpoints,
             links,
             shared,
@@ -397,11 +380,6 @@ impl Topology {
     /// [`try_hops`](Self::try_hops) return `None`).
     pub fn recompute_routes(&mut self, dead: &[(usize, usize)]) {
         self.next_hop = Self::bfs_tables(&self.links, self.n_endpoints, dead);
-    }
-
-    /// The topology family.
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
     }
 
     /// Number of endpoint routers (nodes components can attach to).
@@ -469,23 +447,6 @@ impl Topology {
             assert!(hops <= self.links.len() + 1, "routing loop detected");
         }
         Some(hops)
-    }
-
-    /// Mean hop distance over all ordered endpoint pairs.
-    pub fn mean_hops(&self) -> f64 {
-        let n = self.n_endpoints;
-        if n < 2 {
-            return 0.0;
-        }
-        let mut total = 0usize;
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    total += self.hops(a, b);
-                }
-            }
-        }
-        total as f64 / (n * (n - 1)) as f64
     }
 }
 
@@ -619,18 +580,6 @@ mod tests {
         let root = t.n_routers() - 1;
         let up_w = t.links_of(root)[0].width;
         assert!(up_w > leaf_w);
-    }
-
-    #[test]
-    fn mean_hops_ranking_matches_theory() {
-        let n = 16;
-        let bus = Topology::build(TopologyKind::SharedBus, n, 1).unwrap();
-        let ring = Topology::build(TopologyKind::Ring, n, 1).unwrap();
-        let mesh = Topology::build(TopologyKind::Mesh, n, 1).unwrap();
-        // Ring mean hops (~n/4) exceeds mesh mean hops (~2*sqrt(n)/3) at n=16.
-        assert!(ring.mean_hops() > mesh.mean_hops());
-        // Star topologies have constant mean hops of 2.
-        assert!((bus.mean_hops() - 2.0).abs() < 1e-9);
     }
 
     #[test]

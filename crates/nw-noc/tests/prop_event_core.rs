@@ -193,12 +193,12 @@ fn check_against_reference(
         assert!(
             ev.is_quiescent(),
             "event path must drain ({} packets left)",
-            ev.in_network()
+            ev.packets_held()
         );
         assert!(
             rf.is_quiescent(),
             "reference path must drain ({} packets left)",
-            rf.in_network()
+            rf.packets_held()
         );
     } else {
         // The modelled fabric may deadlock; a lost wake would strand the
@@ -207,7 +207,7 @@ fn check_against_reference(
             ev.is_quiescent(),
             rf.is_quiescent(),
             "event path drains iff the reference does ({} packets left)",
-            ev.in_network()
+            ev.packets_held()
         );
     }
     assert_eq!(ev_seen, rf_seen, "eject order and delivery cycles");
@@ -430,7 +430,8 @@ proptest! {
     /// What a wedged fabric still holds is dropped router by router, so
     /// every run ends empty: all slots vacated, every packet accounted for
     /// as delivered or dropped, and the slab exactly as long as the most
-    /// packets ever held (never more than `in_network() + eject_pending()`).
+    /// packets ever held (never more than the packets accepted and not yet
+    /// delivered plus those awaiting ejection).
     #[test]
     fn no_handle_leaks_through_any_exit(
         kind in kind_strategy(),
@@ -478,7 +479,8 @@ proptest! {
                 } else {
                     half.tick_traced(now, None);
                 }
-                let bound = half.in_network() + half.eject_pending() as u64;
+                let NocCounts { injected, delivered, .. } = half.counts();
+                let bound = injected - delivered + half.eject_pending() as u64;
                 prop_assert!(half.packets_held() as u64 <= bound);
             }
             // Eject queues are left to fill for a few cycles.

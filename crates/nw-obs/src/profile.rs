@@ -184,14 +184,6 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Seconds attributed to `phase`.
-    pub fn secs(&self, phase: HostPhase) -> f64 {
-        self.phases
-            .iter()
-            .find(|s| s.phase == phase)
-            .map_or(0.0, |s| s.secs)
-    }
-
     /// Renders a hierarchical table: phases grouped under `step` / `run`
     /// parents, each with share-of-total, absolute time, and lap count.
     pub fn render(&self) -> String {
@@ -239,6 +231,12 @@ impl ProfileReport {
 mod tests {
     use super::*;
 
+    /// Seconds `rep` attributes to `phase`.
+    fn secs(rep: &ProfileReport, phase: HostPhase) -> f64 {
+        let slice = rep.phases.iter().find(|s| s.phase == phase);
+        slice.map_or(0.0, |s| s.secs)
+    }
+
     #[test]
     fn laps_attribute_all_time_between_arm_and_pause() {
         let mut prof = HostProfiler::new();
@@ -251,8 +249,8 @@ mod tests {
         prof.pause();
         let elapsed = start.elapsed().as_secs_f64();
         let rep = prof.report();
-        assert!(rep.secs(HostPhase::NocTick) > 0.0);
-        assert!(rep.secs(HostPhase::PeStep) > 0.0);
+        assert!(secs(&rep, HostPhase::NocTick) > 0.0);
+        assert!(secs(&rep, HostPhase::PeStep) > 0.0);
         // Lap-based timing leaves no unattributed gaps inside arm..pause.
         assert!(
             rep.total_secs <= elapsed,
@@ -271,7 +269,7 @@ mod tests {
         let mut prof = HostProfiler::new();
         prof.lap(HostPhase::Settle); // arms only
         let rep = prof.report();
-        assert_eq!(rep.secs(HostPhase::Settle), 0.0);
+        assert_eq!(secs(&rep, HostPhase::Settle), 0.0);
         assert_eq!(rep.phases.iter().map(|p| p.laps).sum::<u64>(), 0);
     }
 

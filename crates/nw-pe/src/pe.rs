@@ -2,9 +2,8 @@
 
 use crate::class::PeClass;
 use crate::program::{Op, Program};
-use nw_mem::{MemorySpec, MemoryTechnology};
 use nw_sim::Utilization;
-use nw_types::{Cycles, NodeId, Payload, Picojoules, ThreadId};
+use nw_types::{Cycles, MemorySpec, MemoryTechnology, NodeId, Payload, Picojoules, ThreadId};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -445,11 +444,6 @@ impl Pe {
     #[inline]
     pub fn pop_request(&mut self) -> Option<(ThreadId, PeRequest)> {
         self.requests.pop_front()
-    }
-
-    /// Whether undrained platform requests are pending.
-    pub fn has_requests(&self) -> bool {
-        !self.requests.is_empty()
     }
 
     /// Whether this PE will make progress without outside help: a context
@@ -915,7 +909,7 @@ mod tests {
         run(&mut pe, 5);
         let (_, req) = pe.pop_request().expect("the call raised a request");
         assert!(matches!(req, PeRequest::Call { dst: NodeId(5), .. }));
-        assert!(!pe.has_requests());
+        assert!(pe.requests.is_empty());
         // Blocked: no progress however long we wait.
         run(&mut pe, 50);
         assert_eq!(pe.tasks_completed(), 0);
@@ -991,7 +985,12 @@ mod tests {
     fn send_blocks_until_ni_accept() {
         let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 1));
         let tid = pe
-            .spawn(Program::straight_line([Op::send(NodeId(2), 40)]))
+            .spawn(Program::straight_line([Op::Send {
+                dst: NodeId(2),
+                bytes: 40,
+                data: Payload::EMPTY,
+                tag: 0,
+            }]))
             .unwrap();
         run(&mut pe, 3);
         let (_, req) = pe.pop_request().expect("the send raised a request");
@@ -1044,8 +1043,8 @@ mod tests {
             dense.tick(Cycles(c));
             lazy.tick(Cycles(c));
         }
-        assert!(dense.pop_request().is_some() && !dense.has_requests());
-        assert!(lazy.pop_request().is_some() && !lazy.has_requests());
+        assert!(dense.pop_request().is_some() && dense.requests.is_empty());
+        assert!(lazy.pop_request().is_some() && lazy.requests.is_empty());
         assert!(!lazy.is_live(), "blocked on the call: dormant");
         // Dormant span: dense ticks 100 cycles, lazy skips them entirely.
         for c in 6..106 {
@@ -1094,14 +1093,14 @@ mod tests {
         .unwrap();
         run(&mut pe, 3);
         // Leave thread 0's request undrained: the crash drops it.
-        assert!(pe.has_requests());
+        assert!(!pe.requests.is_empty());
         assert!(pe.is_awaiting(t0));
         pe.crash(Cycles(3));
         assert!(pe.is_crashed());
         assert!(!pe.is_live());
         assert_eq!(pe.idle_threads(), 0);
         assert!(!pe.is_awaiting(t0));
-        assert!(!pe.has_requests());
+        assert!(pe.requests.is_empty());
         assert_eq!(
             pe.spawn(Program::straight_line([Op::Compute(1)])),
             Err(SpawnError)
@@ -1170,7 +1169,16 @@ mod tests {
         let mut pe = Pe::new(PeConfig::new(PeClass::GpRisc, 1));
         assert_eq!(pe.take_spare_ops().capacity(), 0, "nothing retired yet");
         let mut ops = Vec::with_capacity(16);
-        ops.extend([Op::Compute(3), Op::send(NodeId(2), 8), Op::Compute(2)]);
+        ops.extend([
+            Op::Compute(3),
+            Op::Send {
+                dst: NodeId(2),
+                bytes: 8,
+                data: Payload::EMPTY,
+                tag: 0,
+            },
+            Op::Compute(2),
+        ]);
         let buffer = ops.as_ptr();
         pe.spawn(Program::from_ops(ops, KernelDomain::Generic))
             .unwrap();
@@ -1250,9 +1258,12 @@ mod tests {
         for c in c..c + 5 {
             pe.tick(Cycles(c));
         }
-        assert!(pe.has_requests(), "the send and the first call are queued");
+        assert!(
+            !pe.requests.is_empty(),
+            "the send and the first call are queued"
+        );
         pe.crash(Cycles(c + 5));
-        assert!(!pe.has_requests());
+        assert!(pe.requests.is_empty());
         assert_eq!(drain_spares(&mut pe), 0, "a crash keeps no buffer");
         pe.restart(Cycles(c + 6));
         pe.spawn(Program::straight_line([Op::Compute(2)])).unwrap();

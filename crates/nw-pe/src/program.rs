@@ -8,7 +8,7 @@
 //! idle hardware thread per invocation.
 
 use crate::class::KernelDomain;
-use nw_types::{Cycles, NodeId, Payload};
+use nw_types::{NodeId, Payload};
 
 /// One micro-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,16 +54,6 @@ pub enum Op {
 }
 
 impl Op {
-    /// Shorthand for a send with no marshalled payload.
-    pub fn send(dst: NodeId, bytes: u64) -> Op {
-        Op::Send {
-            dst,
-            bytes,
-            data: Payload::EMPTY,
-            tag: 0,
-        }
-    }
-
     /// Shorthand for a call with no marshalled payload.
     pub fn call(dst: NodeId, bytes: u64, reply_bytes: u64) -> Op {
         Op::Call {
@@ -88,7 +78,7 @@ impl Op {
 ///     KernelDomain::PacketHeader,
 /// );
 /// assert_eq!(p.len(), 3);
-/// assert_eq!(p.baseline_compute_cycles(), nw_types::Cycles(80));
+/// assert_eq!(p.call_count(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
@@ -143,19 +133,6 @@ impl Program {
         self.domain
     }
 
-    /// Total `Compute` cycles at GP-RISC baseline speed.
-    pub fn baseline_compute_cycles(&self) -> Cycles {
-        Cycles(
-            self.ops
-                .iter()
-                .map(|op| match op {
-                    Op::Compute(n) => *n,
-                    _ => 0,
-                })
-                .sum(),
-        )
-    }
-
     /// Number of synchronous calls (round trips) in the program.
     pub fn call_count(&self) -> usize {
         self.ops
@@ -174,7 +151,12 @@ mod tests {
         let p = Program::new(
             [
                 Op::Compute(10),
-                Op::send(NodeId(1), 8),
+                Op::Send {
+                    dst: NodeId(1),
+                    bytes: 8,
+                    data: Payload::EMPTY,
+                    tag: 0,
+                },
                 Op::call(NodeId(2), 8, 8),
             ],
             KernelDomain::Signal,
@@ -183,7 +165,6 @@ mod tests {
         assert!(!p.is_empty());
         assert_eq!(p.domain(), KernelDomain::Signal);
         assert_eq!(p.call_count(), 1);
-        assert_eq!(p.baseline_compute_cycles(), Cycles(10));
         assert!(matches!(p.ops()[0], Op::Compute(10)));
     }
 
@@ -196,15 +177,10 @@ mod tests {
     fn empty_program() {
         let p = Program::straight_line([]);
         assert!(p.is_empty());
-        assert_eq!(p.baseline_compute_cycles(), Cycles::ZERO);
     }
 
     #[test]
     fn op_shorthands_have_empty_data() {
-        match Op::send(NodeId(1), 8) {
-            Op::Send { data, .. } => assert!(data.is_empty()),
-            _ => unreachable!(),
-        }
         match Op::call(NodeId(1), 8, 16) {
             Op::Call {
                 data, reply_bytes, ..

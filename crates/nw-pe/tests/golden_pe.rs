@@ -257,7 +257,7 @@ fn run(s: u64) -> (u64, Reach) {
         if rng.one_in(200) {
             // Every request was drained last cycle, so what the crash
             // discards is the programs' unissued sends and calls.
-            assert!(!pe.has_requests());
+            assert!(pe.pop_request().is_none());
             pe.crash(now);
             let harvested: Vec<Payload> = unissued.iter_mut().flat_map(|q| q.drain(..)).collect();
             caught_up_to = c;

@@ -81,11 +81,6 @@ impl PipelinedServer {
         }
     }
 
-    /// Pipeline latency in cycles.
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
     /// Offers an item.
     ///
     /// # Errors

@@ -7,19 +7,16 @@
 
 use nw_types::Cycles;
 
-/// A monotonically increasing event counter with rate conversion.
+/// A monotonically increasing event counter.
 ///
 /// # Examples
 ///
 /// ```
 /// use nw_sim::Counter;
-/// use nw_types::Cycles;
 ///
 /// let mut packets = Counter::new();
 /// packets.add(250);
 /// assert_eq!(packets.count(), 250);
-/// // 250 packets in 1000 cycles at 1 GHz = 250 Mpps.
-/// assert!((packets.rate_per_second(Cycles(1000), 1e9) - 250e6).abs() < 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Counter {
@@ -47,16 +44,6 @@ impl Counter {
     /// The current count.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Events per simulated second, given the elapsed cycles and clock rate.
-    /// Returns 0.0 when no time has elapsed.
-    pub fn rate_per_second(&self, elapsed: Cycles, clock_hz: f64) -> f64 {
-        if elapsed == Cycles::ZERO {
-            0.0
-        } else {
-            self.count as f64 / elapsed.to_seconds(clock_hz)
-        }
     }
 }
 
@@ -295,7 +282,7 @@ impl Default for Histogram {
 /// The bucket array holds the buckets up to the highest sample's and no
 /// more: a new histogram allocates nothing, and [`LatencyHistogram::record`]
 /// and [`LatencyHistogram::merge`] allocate only when a new highest bucket
-/// appears, never past [`LatencyHistogram::MAX_BUCKETS`] entries.
+/// appears, never past the bucket of `u64::MAX` (976 entries).
 ///
 /// Two histograms fed the same samples in any order are equal
 /// (`PartialEq` compares bucket counts, whose length follows the largest
@@ -334,10 +321,6 @@ const LAT_SUB: usize = 16;
 const LAT_SUB_BITS: u32 = 4;
 
 impl LatencyHistogram {
-    /// The most buckets a histogram holds: one per value below 16, then 16
-    /// per octave, the octaves of values 16..2^64 spanning exponents 4..=63.
-    pub const MAX_BUCKETS: usize = LAT_SUB + (64 - LAT_SUB_BITS as usize) * LAT_SUB;
-
     /// Creates an empty histogram; it allocates nothing until its first
     /// sample.
     pub fn new() -> Self {
@@ -661,17 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_rates() {
-        let mut c = Counter::new();
-        for _ in 0..10 {
-            c.incr();
-        }
-        assert_eq!(c.count(), 10);
-        assert!((c.rate_per_second(Cycles(100), 1e9) - 1e8).abs() < 1e-3);
-        assert_eq!(c.rate_per_second(Cycles::ZERO, 1e9), 0.0);
-    }
-
-    #[test]
     fn utilization_bounds_and_merge() {
         let mut a = Utilization::new();
         assert_eq!(a.fraction(), 0.0);
@@ -744,7 +716,7 @@ mod tests {
         let mut top = LatencyHistogram::new();
         top.record(Cycles(u64::MAX));
         h.merge(&top);
-        assert_eq!(h.bucket_len(), LatencyHistogram::MAX_BUCKETS);
+        assert_eq!(h.bucket_len(), LatencyHistogram::bucket_of(u64::MAX) + 1);
         let upper = LatencyHistogram::bucket_upper(LatencyHistogram::bucket_of(40));
         assert_eq!(h.quantile(0.5), Cycles(upper));
     }
@@ -784,7 +756,7 @@ mod tests {
         for v in [0u64, 15, 16, 31, 32, 100, 1 << 20, u64::MAX] {
             let i = LatencyHistogram::bucket_of(v);
             assert!(LatencyHistogram::bucket_upper(i) >= v, "v={v}");
-            if i + 1 < LatencyHistogram::MAX_BUCKETS {
+            if i < LatencyHistogram::bucket_of(u64::MAX) {
                 assert!(
                     LatencyHistogram::bucket_upper(i) < LatencyHistogram::bucket_upper(i + 1),
                     "v={v}"
@@ -792,7 +764,7 @@ mod tests {
             }
         }
         assert_eq!(
-            LatencyHistogram::bucket_upper(LatencyHistogram::MAX_BUCKETS - 1),
+            LatencyHistogram::bucket_upper(LatencyHistogram::bucket_of(u64::MAX)),
             u64::MAX
         );
     }

@@ -367,7 +367,7 @@ proptest! {
     /// different maxima, merged in two random orders, agree with the
     /// fixed-array oracle fed every sample on count, moments and every
     /// quantile, equal each other and one histogram fed every sample, and
-    /// never hold more than `MAX_BUCKETS` buckets.
+    /// never hold more buckets than up to the one of `u64::MAX`.
     #[test]
     fn grown_buckets_match_the_fixed_array(
         shards in prop::collection::vec(
@@ -393,14 +393,14 @@ proptest! {
                     whole.record(Cycles(v));
                     oracle.record(v);
                 }
-                prop_assert!(h.bucket_len() <= LatencyHistogram::MAX_BUCKETS);
+                prop_assert!(h.bucket_len() <= FixedLatency::bucket_of(u64::MAX) + 1);
                 h
             })
             .collect();
         let merged = merge_in_drawn_order(hists.clone(), &picks);
         prop_assert_eq!(&merged, &merge_in_drawn_order(hists, &other_picks));
         prop_assert_eq!(&merged, &whole);
-        prop_assert!(merged.bucket_len() <= LatencyHistogram::MAX_BUCKETS);
+        prop_assert!(merged.bucket_len() <= FixedLatency::bucket_of(u64::MAX) + 1);
         prop_assert_eq!(merged.count(), oracle.count);
         prop_assert_eq!(merged.mean().to_bits(), oracle.mean().to_bits());
         prop_assert_eq!(merged.min(), oracle.min.map(Cycles));

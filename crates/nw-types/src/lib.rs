@@ -4,8 +4,10 @@
 //! identifiers for platform resources ([`NodeId`], [`PeId`], [`ThreadId`]),
 //! simulated time ([`Cycles`]), physical quantities ([`Bytes`],
 //! [`Picojoules`], [`AreaMm2`], [`BitsPerSec`]), the message [`Payload`]
-//! the NoC carries, and the semiconductor technology ladder ([`TechNode`])
-//! the paper's scaling arguments run over.
+//! the NoC carries, the semiconductor technology ladder ([`TechNode`])
+//! the paper's scaling arguments run over, and the embedded-memory
+//! technologies ([`MemoryTechnology`], [`MemorySpec`]) PEs and memory
+//! nodes are built from.
 //!
 //! Newtypes are used instead of bare integers so that, for example, a NoC
 //! node index can never be confused with a hardware-thread index — exactly
@@ -23,12 +25,14 @@
 //! ```
 
 pub mod ids;
+mod model;
 pub mod payload;
 pub mod tech;
 pub mod time;
 pub mod units;
 
 pub use ids::{LinkId, NodeId, ObjectId, PeId, PortId, TaskId, ThreadId};
+pub use model::{MemorySpec, MemoryTechnology};
 pub use payload::Payload;
 pub use tech::TechNode;
 pub use time::Cycles;

@@ -1,4 +1,6 @@
-//! Memory technology parameters.
+//! Memory technology parameters: the paper's "embedded memory
+//! architecture tradeoffs (embedded SRAM, eDRAM and eFlash, vs. external
+//! memories)" (§3).
 //!
 //! The absolute numbers are order-of-magnitude values representative of the
 //! 0.13 µm generation the paper calls "today" (they are documented so that
@@ -11,8 +13,18 @@
 //!   magnitude slower* (program/erase).
 //! * External DRAM: effectively unlimited capacity, tens of cycles away
 //!   across the chip boundary, high I/O energy per byte.
+//!
+//! ```
+//! use nw_types::{MemorySpec, MemoryTechnology};
+//!
+//! let sram = MemorySpec::of(MemoryTechnology::Sram);
+//! let edram = MemorySpec::of(MemoryTechnology::Edram);
+//! // SRAM is faster, eDRAM is denser — the §3 tradeoff.
+//! assert!(sram.read_latency < edram.read_latency);
+//! assert!(sram.area_mm2_per_mbit.0 > edram.area_mm2_per_mbit.0);
+//! ```
 
-use nw_types::{AreaMm2, Cycles, Picojoules, TechNode};
+use crate::{AreaMm2, Cycles, Picojoules, TechNode};
 use std::fmt;
 
 /// The memory technologies of the paper's §3 tradeoff.

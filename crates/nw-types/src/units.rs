@@ -85,11 +85,10 @@ impl Sum for Bytes {
 /// # Examples
 ///
 /// ```
-/// use nw_types::{BitsPerSec, Bytes};
+/// use nw_types::BitsPerSec;
 /// let line = BitsPerSec::from_gbps(10.0);
-/// // 40-byte worst-case packets at 10 Gb/s = 31.25 Mpps.
-/// let pps = line.packets_per_second(Bytes(40));
-/// assert!((pps - 31.25e6).abs() < 1.0);
+/// assert_eq!(line.0, 10e9);
+/// assert_eq!(BitsPerSec::from_mbps(2_500.0).gbps(), 2.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct BitsPerSec(pub f64);
@@ -108,16 +107,6 @@ impl BitsPerSec {
     /// Returns the rate in gigabits per second.
     pub fn gbps(self) -> f64 {
         self.0 / 1e9
-    }
-
-    /// Packets per second at this rate for a fixed packet size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packet` is zero bytes.
-    pub fn packets_per_second(self, packet: Bytes) -> f64 {
-        assert!(packet.0 > 0, "packet size must be non-zero");
-        self.0 / packet.bits() as f64
     }
 }
 
@@ -324,13 +313,6 @@ mod tests {
     #[should_panic(expected = "chunk size must be non-zero")]
     fn bytes_zero_chunk_panics() {
         let _ = Bytes(8).div_ceil_by(0);
-    }
-
-    #[test]
-    fn line_rate_packets_per_second() {
-        let r = BitsPerSec::from_gbps(10.0);
-        assert!((r.packets_per_second(Bytes(40)) - 31.25e6).abs() < 1.0);
-        assert!((r.packets_per_second(Bytes(1500)) - 833_333.33).abs() < 1.0);
     }
 
     #[test]
