@@ -671,7 +671,7 @@ impl FppaPlatform {
     }
 
     /// NoC hop-distance matrix over all endpoints (input for the MultiFlex
-    /// mappers), read from the live routing tables: after a link is
+    /// mappers), read from the live routes: after a link is
     /// permanently failed ([`FppaPlatform::fail_noc_link`] or a campaign
     /// fault) it answers for the degraded routes, and endpoint pairs
     /// disconnected by dead links read `f64::INFINITY`.

@@ -264,7 +264,7 @@ struct Port {
     to: u32,
     latency: u64,
     width: u64,
-    /// Permanently dead (hard link fault). Routing tables are recomputed
+    /// Permanently dead (hard link fault). Routes are recomputed
     /// to avoid dead ports, so their queues stay empty; the flag makes
     /// [`Noc::fail_link`] idempotent and lets the audit pin the invariant.
     down: bool,
@@ -320,11 +320,8 @@ impl Credits {
     /// Every slot of `topo` free: `input_buffer` per inbound link, and at
     /// least `input_buffer` per router.
     fn new(topo: &Topology, input_buffer: usize) -> Self {
-        let mut slots = vec![0; topo.n_routers()];
-        for l in (0..topo.n_routers()).flat_map(|r| topo.links_of(r)) {
-            slots[l.to] += input_buffer;
-        }
-        let input_free = slots.into_iter().map(|n| n.max(input_buffer)).collect();
+        let slots = |v| topo.links_into(v).len().max(1) * input_buffer;
+        let input_free = (0..topo.n_routers()).map(slots).collect();
         Credits { input_free }
     }
 
@@ -548,11 +545,6 @@ pub struct Noc {
     /// Due cycle of each router's one live wake (`u64::MAX` = none); an
     /// earlier wake supersedes it ([`Noc::schedule_wake`]).
     wake_at: Vec<u64>,
-    /// Reverse adjacency, row by row: the routers with a link into `r` are
-    /// `preds[pred_start[r]..pred_start[r + 1]]`, the ones a credit freed
-    /// at `r` may unblock.
-    preds: Vec<usize>,
-    pred_start: Vec<usize>,
     /// Worklist of routers to visit this transmit pass: one bit per router,
     /// popped lowest index first, so credit contention resolves exactly as
     /// the dense ascending scan does. All zero between ticks.
@@ -627,12 +619,6 @@ impl Noc {
         }
         let n_routers = topo.n_routers();
         let n_endpoints = topo.n_endpoints();
-        let (mut preds, mut pred_start) = (Vec::new(), vec![0]);
-        for v in 0..n_routers {
-            preds.extend((0..n_routers).filter(|&u| topo.links_of(u).iter().any(|l| l.to == v)));
-            pred_start.push(preds.len());
-        }
-
         let credits = Credits::new(&topo, cfg.input_buffer);
         let mut routers = Vec::with_capacity(n_routers);
         let mut ports = Vec::new();
@@ -681,8 +667,6 @@ impl Noc {
             eject_ready: vec![0; n_endpoints.div_ceil(64)],
             wakes: EventQueue::new(),
             wake_at: vec![u64::MAX; n_routers],
-            preds,
-            pred_start,
             ready: vec![0; n_routers.div_ceil(64)],
             ni_ready: vec![0; n_endpoints.div_ceil(64)],
             ni_ready_count: 0,
@@ -1009,7 +993,7 @@ impl Noc {
     }
 
     /// Permanent hard fault on directed link `(router, port)`: the port is
-    /// marked down, every routing table is recomputed around the dead set,
+    /// marked down, every route is recomputed around the dead set,
     /// and packets queued on the port are re-dispatched along the new
     /// routes (or deterministically dropped when the destination became
     /// unreachable). Idempotent. Returns `true` when this call newly
@@ -1027,7 +1011,7 @@ impl Noc {
         self.dead_links.push((router, port));
         self.topo.recompute_routes(&self.dead_links);
         // Strand-and-redirect: traffic queued on the dead port follows the
-        // recomputed tables or drops.
+        // recomputed routes or drops.
         let mut stranded = std::mem::replace(&mut self.ports[pi].queue, Fifo::EMPTY);
         clear_bit(
             &mut self.port_bits,
@@ -1221,8 +1205,10 @@ impl Noc {
     fn release_slot(&mut self, r: usize, pass: Pass, now: u64) {
         let (wake_preds, admits) = self.credits.give(r);
         if wake_preds {
-            for i in self.pred_start[r]..self.pred_start[r + 1] {
-                let u = self.preds[i];
+            // The routers with a link into `r`, by index: the wakes below
+            // borrow the whole engine.
+            for i in 0..self.topo.links_into(r).len() {
+                let u = self.topo.links_into(r)[i].0 as usize;
                 if self.routers[u].queued == 0 {
                     continue;
                 }
@@ -1786,6 +1772,20 @@ mod tests {
         Payload::with_head(len, &[byte; 16][..len.min(16)])
     }
 
+    /// A default-configured engine on a `kind` fabric of `n` endpoints.
+    fn noc(kind: TopologyKind, n: usize, link_latency: u64) -> Noc {
+        Noc::new(
+            Topology::build(kind, n, link_latency).unwrap(),
+            NocConfig::default(),
+        )
+    }
+
+    /// Injects at cycle 0, which must be accepted.
+    fn inject(noc: &mut Noc, src: usize, dst: usize, payload: Payload, tag: u64) {
+        let sent = noc.try_inject(NodeId(src), NodeId(dst), payload, tag, Cycles(0));
+        sent.unwrap();
+    }
+
     fn run_until_delivered(noc: &mut Noc, dst: NodeId, limit: u64) -> (Packet, Cycles) {
         let mut now = Cycles(0);
         loop {
@@ -1800,10 +1800,8 @@ mod tests {
 
     #[test]
     fn single_packet_crosses_mesh() {
-        let topo = Topology::build(TopologyKind::Mesh, 16, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(15), filled(24, 9), 7, Cycles(0))
-            .unwrap();
+        let mut noc = noc(TopologyKind::Mesh, 16, 1);
+        inject(&mut noc, 0, 15, filled(24, 9), 7);
         let (p, _) = run_until_delivered(&mut noc, NodeId(15), 1000);
         assert_eq!(p.src, NodeId(0));
         assert_eq!(p.tag, 7);
@@ -1816,10 +1814,8 @@ mod tests {
 
     #[test]
     fn local_delivery_is_fast() {
-        let topo = Topology::build(TopologyKind::Ring, 4, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(2), NodeId(2), filled(1, 1), 0, Cycles(0))
-            .unwrap();
+        let mut noc = noc(TopologyKind::Ring, 4, 1);
+        inject(&mut noc, 2, 2, filled(1, 1), 0);
         let (p, when) = run_until_delivered(&mut noc, NodeId(2), 10);
         assert_eq!(p.dst, NodeId(2));
         assert!(when.0 <= 1);
@@ -1828,17 +1824,11 @@ mod tests {
     #[test]
     fn latency_grows_with_hops() {
         // On a large ring, a far destination takes longer than a neighbor.
-        let mk = || {
-            let topo = Topology::build(TopologyKind::Ring, 16, 1).unwrap();
-            Noc::new(topo, NocConfig::default())
-        };
-        let mut near = mk();
-        near.try_inject(NodeId(0), NodeId(1), Payload::zeroed(8), 0, Cycles(0))
-            .unwrap();
+        let mut near = noc(TopologyKind::Ring, 16, 1);
+        inject(&mut near, 0, 1, Payload::zeroed(8), 0);
         let (_, t_near) = run_until_delivered(&mut near, NodeId(1), 1000);
-        let mut far = mk();
-        far.try_inject(NodeId(0), NodeId(8), Payload::zeroed(8), 0, Cycles(0))
-            .unwrap();
+        let mut far = noc(TopologyKind::Ring, 16, 1);
+        inject(&mut far, 0, 8, Payload::zeroed(8), 0);
         let (_, t_far) = run_until_delivered(&mut far, NodeId(8), 1000);
         assert!(t_far > t_near, "far {t_far} should exceed near {t_near}");
     }
@@ -1847,11 +1837,9 @@ mod tests {
     fn bus_serializes_but_crossbar_switches_in_parallel() {
         // Four disjoint src->dst pairs, all crossing the center.
         let drive = |kind: TopologyKind| -> Cycles {
-            let topo = Topology::build(kind, 8, 1).unwrap();
-            let mut noc = Noc::new(topo, NocConfig::default());
+            let mut noc = noc(kind, 8, 1);
             for i in 0..4 {
-                noc.try_inject(NodeId(i), NodeId(i + 4), Payload::zeroed(56), 0, Cycles(0))
-                    .unwrap();
+                inject(&mut noc, i, i + 4, Payload::zeroed(56), 0);
             }
             let mut now = Cycles(0);
             let mut got = 0;
@@ -1899,8 +1887,7 @@ mod tests {
 
     #[test]
     fn bad_endpoints_are_rejected() {
-        let topo = Topology::build(TopologyKind::Ring, 4, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
+        let mut noc = noc(TopologyKind::Ring, 4, 1);
         assert_eq!(
             noc.try_inject(NodeId(9), NodeId(0), Payload::EMPTY, 0, Cycles(0)),
             Err(InjectError::BadSource(NodeId(9)))
@@ -1913,8 +1900,7 @@ mod tests {
 
     #[test]
     fn conservation_every_packet_delivered_exactly_once() {
-        let topo = Topology::build(TopologyKind::Mesh, 16, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
+        let mut noc = noc(TopologyKind::Mesh, 16, 1);
         let mut now = Cycles(0);
         let mut sent = 0u64;
         let mut got = 0u64;
@@ -1955,8 +1941,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let run = || {
-            let topo = Topology::build(TopologyKind::Torus, 16, 2).unwrap();
-            let mut noc = Noc::new(topo, NocConfig::default());
+            let mut noc = noc(TopologyKind::Torus, 16, 2);
             let mut now = Cycles(0);
             while now.0 < 500 {
                 let src = ((now.0 * 5) % 16) as usize;
@@ -1983,8 +1968,7 @@ mod tests {
     fn queued_counter_tracks_port_queues() {
         // Hammer a mesh with skewed traffic, checking the quiescent-skip
         // counter against the ground-truth queue lengths every cycle.
-        let topo = Topology::build(TopologyKind::Mesh, 16, 2).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
+        let mut noc = noc(TopologyKind::Mesh, 16, 2);
         let mut now = Cycles(0);
         while now.0 < 400 {
             let src = ((now.0 * 3) % 16) as usize;
@@ -2031,11 +2015,9 @@ mod tests {
 
     #[test]
     fn next_event_follows_traffic() {
-        let topo = Topology::build(TopologyKind::Ring, 8, 7).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
+        let mut noc = noc(TopologyKind::Ring, 8, 7);
         assert_eq!(noc.next_event_cycle(Cycles(0)), None);
-        noc.try_inject(NodeId(0), NodeId(3), Payload::zeroed(16), 0, Cycles(0))
-            .unwrap();
+        inject(&mut noc, 0, 3, Payload::zeroed(16), 0);
         // Queued NI traffic: work due immediately.
         assert_eq!(noc.next_event_cycle(Cycles(0)), Some(Cycles(0)));
         noc.tick(Cycles(0));
@@ -2060,10 +2042,8 @@ mod tests {
     #[test]
     fn stalled_port_delays_delivery() {
         let deliver_at = |stall: Option<u64>| -> u64 {
-            let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
-            let mut noc = Noc::new(topo, NocConfig::default());
-            noc.try_inject(NodeId(0), NodeId(2), Payload::zeroed(16), 0, Cycles(0))
-                .unwrap();
+            let mut noc = noc(TopologyKind::Ring, 8, 1);
+            inject(&mut noc, 0, 2, Payload::zeroed(16), 0);
             if let Some(until) = stall {
                 let port = noc.topology().next_hop(0, 2).unwrap();
                 noc.stall_port(0, port, until);
@@ -2077,10 +2057,8 @@ mod tests {
             "stall must delay delivery: clean {clean}, stalled {stalled}"
         );
         // Router-wide stalls delay at least as much as a single port.
-        let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(2), Payload::zeroed(16), 0, Cycles(0))
-            .unwrap();
+        let mut noc = noc(TopologyKind::Ring, 8, 1);
+        inject(&mut noc, 0, 2, Payload::zeroed(16), 0);
         noc.stall_router(0, 80);
         let (_, t) = run_until_delivered(&mut noc, NodeId(2), 10_000);
         assert!(t.0 >= 80);
@@ -2091,14 +2069,11 @@ mod tests {
         // The arbiter of the shared router honours a port stall: the
         // stalled port's packet waits out the window, the other port is
         // granted meanwhile, and the window's end wakes the idle bus.
-        let topo = Topology::build(TopologyKind::SharedBus, 4, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
+        let mut noc = noc(TopologyKind::SharedBus, 4, 1);
         let hub = noc.topology().n_endpoints();
         assert!(noc.topology().is_shared(hub));
-        noc.try_inject(NodeId(0), NodeId(2), Payload::zeroed(16), 0, Cycles(0))
-            .unwrap();
-        noc.try_inject(NodeId(1), NodeId(3), Payload::zeroed(16), 0, Cycles(0))
-            .unwrap();
+        inject(&mut noc, 0, 2, Payload::zeroed(16), 0);
+        inject(&mut noc, 1, 3, Payload::zeroed(16), 0);
         let port = noc.topology().next_hop(hub, 2).unwrap();
         noc.stall_port(hub, port, 50);
         let (mut at_2, mut at_3) = (None, None);
@@ -2123,10 +2098,8 @@ mod tests {
     fn failed_link_reroutes_queued_traffic() {
         // 4x4 mesh, 0 -> 3 along row 0. Kill 0's east port after the
         // packet is queued on it; the packet must detour and still arrive.
-        let topo = Topology::build(TopologyKind::Mesh, 16, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(3), filled(16, 7), 9, Cycles(0))
-            .unwrap();
+        let mut noc = noc(TopologyKind::Mesh, 16, 1);
+        inject(&mut noc, 0, 3, filled(16, 7), 9);
         // One tick moves the packet from the NI onto the east port queue,
         // which a stall keeps it from leaving.
         let east = noc.topology().next_hop(0, 3).unwrap();
@@ -2147,10 +2120,8 @@ mod tests {
     fn disconnection_drops_deterministically() {
         // Crossbar endpoint 0 has exactly one outbound link; killing it
         // strands every remote packet from node 0.
-        let topo = Topology::build(TopologyKind::Crossbar, 4, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(0), NodeId(2), filled(24, 1), 0, Cycles(0))
-            .unwrap();
+        let mut noc = noc(TopologyKind::Crossbar, 4, 1);
+        inject(&mut noc, 0, 2, filled(24, 1), 0);
         assert!(noc.fail_link(0, 0, Cycles(0)));
         let mut now = Cycles(0);
         while !noc.is_quiescent() {
@@ -2165,11 +2136,9 @@ mod tests {
 
     #[test]
     fn drop_next_takes_head_of_line() {
-        let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
+        let mut noc = noc(TopologyKind::Ring, 8, 1);
         assert!(!noc.drop_next(0, Cycles(0)), "nothing to drop yet");
-        noc.try_inject(NodeId(0), NodeId(3), filled(16, 2), 0, Cycles(0))
-            .unwrap();
+        inject(&mut noc, 0, 3, filled(16, 2), 0);
         // Still in the NI: the NI head is dropped.
         assert!(noc.drop_next(0, Cycles(0)));
         assert_eq!(noc.dropped_packets(), 1);
@@ -2184,11 +2153,9 @@ mod tests {
 
     #[test]
     fn corrupt_next_flips_payload_in_place() {
-        let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
+        let mut noc = noc(TopologyKind::Ring, 8, 1);
         assert!(!noc.corrupt_next(0));
-        noc.try_inject(NodeId(0), NodeId(3), filled(16, 0x11), 0, Cycles(0))
-            .unwrap();
+        inject(&mut noc, 0, 3, filled(16, 0x11), 0);
         assert!(noc.corrupt_next(0));
         assert_eq!(noc.corrupted_packets(), 1);
         let (p, _) = run_until_delivered(&mut noc, NodeId(3), 10_000);
@@ -2198,17 +2165,9 @@ mod tests {
 
     #[test]
     fn fat_tree_delivers_cross_traffic() {
-        let topo = Topology::build(TopologyKind::FatTree, 16, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
+        let mut noc = noc(TopologyKind::FatTree, 16, 1);
         for i in 0..8 {
-            noc.try_inject(
-                NodeId(i),
-                NodeId(15 - i),
-                Payload::zeroed(40),
-                i as u64,
-                Cycles(0),
-            )
-            .unwrap();
+            inject(&mut noc, i, 15 - i, Payload::zeroed(40), i as u64);
         }
         let mut now = Cycles(0);
         let mut got = 0;
@@ -2277,8 +2236,7 @@ mod tests {
     fn fault_hooks_reject_a_port_of_the_next_router() {
         // Ring routers have two ports; in the flat table index 2 of router
         // 0 is port 0 of router 1.
-        let topo = Topology::build(TopologyKind::Ring, 4, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
+        let mut noc = noc(TopologyKind::Ring, 4, 1);
         noc.stall_port(0, 2, 10);
     }
 
@@ -2288,18 +2246,15 @@ mod tests {
         // order), plus a self-addressed one at 1; nothing is ejected until
         // all have arrived.
         let mk = || {
-            let topo = Topology::build(TopologyKind::Crossbar, 8, 1).unwrap();
-            let mut noc = Noc::new(topo, NocConfig::default());
+            let mut noc = noc(TopologyKind::Crossbar, 8, 1);
             let mut tag = 0;
             for dst in [6, 1, 3] {
                 for src in [0, 7] {
-                    noc.try_inject(NodeId(src), NodeId(dst), Payload::zeroed(8), tag, Cycles(0))
-                        .unwrap();
+                    inject(&mut noc, src, dst, Payload::zeroed(8), tag);
                     tag += 1;
                 }
             }
-            noc.try_inject(NodeId(1), NodeId(1), Payload::EMPTY, tag, Cycles(0))
-                .unwrap();
+            inject(&mut noc, 1, 1, Payload::EMPTY, tag);
             let mut now = Cycles(0);
             while noc.eject_pending() < 7 {
                 noc.tick(now);
@@ -2349,12 +2304,9 @@ mod tests {
         // A long packet leaves router 1 toward 3 at cycle 0; a short one
         // from 0, bound for 3 as well, reaches router 1 while that port
         // still serializes it.
-        let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
-        noc.try_inject(NodeId(1), NodeId(3), Payload::zeroed(200), 0, Cycles(0))
-            .unwrap();
-        noc.try_inject(NodeId(0), NodeId(3), Payload::EMPTY, 1, Cycles(0))
-            .unwrap();
+        let mut noc = noc(TopologyKind::Ring, 8, 1);
+        inject(&mut noc, 1, 3, Payload::zeroed(200), 0);
+        inject(&mut noc, 0, 3, Payload::EMPTY, 1);
         let mut sink = Transfers::default();
         noc.tick_traced(Cycles(0), Some(&mut sink));
         let port = noc.port_index(1, noc.topology().next_hop(1, 3).unwrap());
@@ -2397,11 +2349,9 @@ mod tests {
         // Two 26-flit packets queue on one ring port: the first serializes
         // until cycle 26 with the second behind it, so router 0's wake is
         // entered for 26.
-        let topo = Topology::build(TopologyKind::Ring, 8, 1).unwrap();
-        let mut noc = Noc::new(topo, NocConfig::default());
+        let mut noc = noc(TopologyKind::Ring, 8, 1);
         for tag in 0..2 {
-            noc.try_inject(NodeId(0), NodeId(2), Payload::zeroed(200), tag, Cycles(0))
-                .unwrap();
+            inject(&mut noc, 0, 2, Payload::zeroed(200), tag);
         }
         noc.tick(Cycles(0));
         assert_eq!(noc.wake_at[0], 26);

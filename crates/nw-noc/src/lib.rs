@@ -7,7 +7,7 @@
 //!
 //! * [`topology`] — graph builders for shared bus, ring, 2-D mesh, torus,
 //!   fat tree (the SPIN network of §8 is a fat tree) and full crossbar,
-//!   with deterministic routing tables.
+//!   each routed deterministically by a function of its shape.
 //! * [`engine`] — the cycle-stepped [`Noc`] engine: packet-granular virtual
 //!   cut-through with credit back-pressure and bubble-rule injection.
 //! * [`traffic`] — classical synthetic patterns (uniform, hotspot, neighbor,

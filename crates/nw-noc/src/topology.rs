@@ -1,14 +1,16 @@
-//! NoC topology graphs and routing tables.
+//! NoC topology graphs and their routes.
 //!
 //! The paper (§6.1) calls for characterizing "the various topologies —
 //! ranging from bus, ring, tree to full-crossbar". This module builds those
 //! graphs (plus the 2-D mesh and torus that dominated later NoC practice)
-//! and precomputes deterministic next-hop routing tables for each.
+//! and routes each deterministically: a healthy fabric computes the next
+//! hop from its shape, and only a fabric with dead links holds a table.
 //!
 //! A topology is a directed graph of *routers*. The first `n_endpoints`
 //! routers are endpoint routers with a network interface attached; additional
 //! routers (bus arbiter, crossbar core, tree internals) carry traffic only.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Errors from topology construction.
@@ -16,25 +18,12 @@ use std::fmt;
 pub enum BuildTopologyError {
     /// The endpoint count was zero.
     NoEndpoints,
-    /// Mesh/torus dimensions do not multiply to the endpoint count.
-    BadDimensions {
-        /// Requested width.
-        width: usize,
-        /// Requested height.
-        height: usize,
-    },
-    /// Fat-tree arity must be at least 2.
-    BadArity(usize),
 }
 
 impl fmt::Display for BuildTopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildTopologyError::NoEndpoints => write!(f, "topology needs at least one endpoint"),
-            BuildTopologyError::BadDimensions { width, height } => {
-                write!(f, "invalid mesh dimensions {width}x{height}")
-            }
-            BuildTopologyError::BadArity(a) => write!(f, "fat-tree arity {a} must be >= 2"),
         }
     }
 }
@@ -86,19 +75,60 @@ pub struct Link {
     pub width: u64,
 }
 
-/// A built topology: graph, router modes and routing tables.
+fn link(to: usize, latency: u64, width: u64) -> Link {
+    Link { to, latency, width }
+}
+
+/// A mesh or torus router's coordinates `[x, y]` and its ports one step
+/// along each direction, as `[+x, -x, +y, -y]` (`u8::MAX` off a mesh edge).
+#[derive(Debug, Clone, Copy)]
+struct GridCell {
+    xy: [u32; 2],
+    ports: [u8; 4],
+}
+
+/// How a topology picks the port toward a destination: a function of the
+/// healthy fabric's shape, or a table once links have died.
+#[derive(Debug, Clone)]
+enum Routes {
+    /// Bus and crossbar: an endpoint's one port leads to the hub, and the
+    /// hub's port `d` leads to endpoint `d`.
+    Star,
+    /// The shorter way round: port 0 clockwise (to `r + 1`), port 1
+    /// counter-clockwise.
+    Ring,
+    /// Mesh or torus, XY dimension-order ([`dim_forward`]) on a grid of
+    /// `dims` = `[w, h]`, one cell per router.
+    Grid {
+        dims: [u32; 2],
+        wrap: bool,
+        cells: Vec<GridCell>,
+    },
+    /// Arity-4 fat tree: the first router of each level, endpoints
+    /// (level 0) first. Router `j` of level `k` covers endpoints
+    /// `j·4^k .. (j+1)·4^k`, its children first among its ports and its
+    /// parent last.
+    FatTree { level_start: Vec<usize> },
+    /// BFS shortest paths around dead links, row-major: entry
+    /// `r * n_endpoints + d` is the port, or `usize::MAX` for no route.
+    Table(Vec<usize>),
+}
+
+/// A built topology: graph, router modes and routes.
 #[derive(Debug, Clone)]
 pub struct Topology {
     n_endpoints: usize,
     /// Adjacency list per router.
     links: Vec<Vec<Link>>,
-    /// Routers that serialize all their ports through one shared medium.
-    shared: Vec<bool>,
-    /// Row-major routing table, one row of `n_endpoints` entries per
-    /// router: `next_hop[r * n_endpoints + d]` = adjacency index (into
-    /// `links[r]`) of the port that leads toward endpoint `d`, or
-    /// `usize::MAX` when `r == d` or `d` cannot be reached from `r`.
-    next_hop: Vec<usize>,
+    /// The router that serializes all its ports through one shared medium:
+    /// the bus arbiter.
+    shared: Option<usize>,
+    /// Reverse adjacency, row by row: the links into router `v` are
+    /// `rev[rev_start[v]..rev_start[v + 1]]` as `(from, port)`, ascending
+    /// by `from`.
+    rev: Vec<(u32, u32)>,
+    rev_start: Vec<u32>,
+    routes: Routes,
 }
 
 impl Topology {
@@ -128,20 +158,14 @@ impl Topology {
         if n == 0 {
             return Err(BuildTopologyError::NoEndpoints);
         }
-        match kind {
-            TopologyKind::SharedBus => Ok(Self::star(n, link_latency, true)),
-            TopologyKind::Crossbar => Ok(Self::star(n, link_latency, false)),
-            TopologyKind::Ring => Ok(Self::ring(n, link_latency)),
-            TopologyKind::Mesh => {
-                let (w, h) = most_square(n);
-                Self::mesh(w, h, link_latency, false)
-            }
-            TopologyKind::Torus => {
-                let (w, h) = most_square(n);
-                Self::mesh(w, h, link_latency, true)
-            }
-            TopologyKind::FatTree => Self::fat_tree(n, 4, link_latency),
-        }
+        Ok(match kind {
+            TopologyKind::SharedBus => Self::star(n, link_latency, true),
+            TopologyKind::Crossbar => Self::star(n, link_latency, false),
+            TopologyKind::Ring => Self::ring(n, link_latency),
+            TopologyKind::Mesh => Self::mesh(n, link_latency, false),
+            TopologyKind::Torus => Self::mesh(n, link_latency, true),
+            TopologyKind::FatTree => Self::fat_tree(n, link_latency),
+        })
     }
 
     /// Star topology with a central router: a bus when `shared_center`, an
@@ -150,216 +174,157 @@ impl Topology {
         let center = n;
         let mut links = vec![Vec::new(); n + 1];
         for i in 0..n {
-            links[i].push(Link {
-                to: center,
-                latency: lat,
-                width: 1,
-            });
-            links[center].push(Link {
-                to: i,
-                latency: lat,
-                width: 1,
-            });
+            links[i].push(link(center, lat, 1));
+            links[center].push(link(i, lat, 1));
         }
-        let mut shared = vec![false; n + 1];
-        shared[center] = shared_center;
-        Self::finish(n, links, shared)
+        let shared = shared_center.then_some(center);
+        Self::finish(n, links, shared, Routes::Star)
     }
 
     fn ring(n: usize, lat: u64) -> Self {
         let mut links = vec![Vec::new(); n];
         if n > 1 {
-            for (i, node_links) in links.iter_mut().enumerate() {
-                let cw = (i + 1) % n;
-                let ccw = (i + n - 1) % n;
-                node_links.push(Link {
-                    to: cw,
-                    latency: lat,
-                    width: 1,
-                });
-                if ccw != cw {
-                    node_links.push(Link {
-                        to: ccw,
-                        latency: lat,
-                        width: 1,
-                    });
+            for (i, out) in links.iter_mut().enumerate() {
+                out.push(link((i + 1) % n, lat, 1));
+                // Two routers share one link.
+                if n > 2 {
+                    out.push(link((i + n - 1) % n, lat, 1));
                 }
             }
         }
-        Self::finish(n, links, vec![false; n])
+        Self::finish(n, links, None, Routes::Ring)
     }
 
-    fn mesh(w: usize, h: usize, lat: u64, wrap: bool) -> Result<Self, BuildTopologyError> {
-        if w == 0 || h == 0 {
-            return Err(BuildTopologyError::BadDimensions {
-                width: w,
-                height: h,
-            });
-        }
-        let n = w * h;
-        let idx = |x: usize, y: usize| y * w + x;
-        let mut links = vec![Vec::new(); n];
-        for y in 0..h {
-            for x in 0..w {
-                let me = idx(x, y);
-                let mut push = |to: usize| {
-                    if to != me {
-                        links[me].push(Link {
-                            to,
-                            latency: lat,
-                            width: 1,
-                        });
-                    }
-                };
-                if x + 1 < w {
-                    push(idx(x + 1, y));
-                } else if wrap && w > 1 {
-                    push(idx(0, y));
-                }
-                if x > 0 {
-                    push(idx(x - 1, y));
-                } else if wrap && w > 1 {
-                    push(idx(w - 1, y));
-                }
-                if y + 1 < h {
-                    push(idx(x, y + 1));
-                } else if wrap && h > 1 {
-                    push(idx(x, 0));
-                }
-                if y > 0 {
-                    push(idx(x, y - 1));
-                } else if wrap && h > 1 {
-                    push(idx(x, h - 1));
-                }
-            }
-        }
-        // Deduplicate (wraparound on width-2 dimensions creates duplicates).
-        for l in &mut links {
-            l.sort_by_key(|k| k.to);
-            l.dedup_by_key(|k| k.to);
-        }
-        let mut topo = Self::finish(n, links, vec![false; n]);
-        topo.install_xy_routing(w, h, wrap);
-        Ok(topo)
-    }
-
-    /// XY dimension-order routing for mesh/torus: resolve the X offset first,
-    /// then Y; on a torus each dimension takes the shorter way around.
-    fn install_xy_routing(&mut self, w: usize, h: usize, wrap: bool) {
-        let n = w * h;
-        let idx = |x: usize, y: usize| y * w + x;
+    /// The most square `w` x `h` grid of `n` routers, router `y * w + x`
+    /// at `(x, y)`, wrapped into a torus when `wrap`.
+    fn mesh(n: usize, lat: u64, wrap: bool) -> Self {
+        let (w, h) = most_square(n);
+        // The coordinate one step from `c` along a dimension of size `len`.
+        let step = |c: usize, len: usize, up: bool| match up {
+            true if c + 1 < len => Some(c + 1),
+            false if c > 0 => Some(c - 1),
+            _ if wrap && len > 1 => Some(if up { 0 } else { len - 1 }),
+            _ => None,
+        };
+        let mut links = Vec::with_capacity(n);
+        let mut cells = Vec::with_capacity(n);
         for r in 0..n {
-            let (rx, ry) = (r % w, r / w);
-            for d in 0..n {
-                if r == d {
-                    self.next_hop[r * n + d] = usize::MAX;
-                    continue;
-                }
-                let (dx, dy) = (d % w, d / w);
-                let target = if rx != dx {
-                    let step = dim_step(rx, dx, w, wrap);
-                    idx(step, ry)
-                } else {
-                    let step = dim_step(ry, dy, h, wrap);
-                    idx(rx, step)
-                };
-                let port = self.links[r]
-                    .iter()
-                    .position(|l| l.to == target)
-                    .expect("XY neighbor must exist in mesh adjacency");
-                self.next_hop[r * n + d] = port;
-            }
+            let (x, y) = (r % w, r / w);
+            let to = [
+                step(x, w, true).map(|x| y * w + x),
+                step(x, w, false).map(|x| y * w + x),
+                step(y, h, true).map(|y| y * w + x),
+                step(y, h, false).map(|y| y * w + x),
+            ];
+            let mut out: Vec<Link> = to.iter().flatten().map(|&to| link(to, lat, 1)).collect();
+            // Wraparound on a dimension of size 2 reaches one neighbour
+            // both ways: one link serves both directions.
+            out.sort_by_key(|l| l.to);
+            out.dedup_by_key(|l| l.to);
+            let port = |to: Option<usize>| {
+                let p = to.and_then(|to| out.iter().position(|l| l.to == to));
+                p.map_or(u8::MAX, |p| p as u8)
+            };
+            cells.push(GridCell {
+                xy: [x as u32, y as u32],
+                ports: to.map(port),
+            });
+            links.push(out);
         }
+        let dims = [w as u32, h as u32];
+        let routes = Routes::Grid { dims, wrap, cells };
+        Self::finish(n, links, None, routes)
     }
 
-    fn fat_tree(n: usize, arity: usize, lat: u64) -> Result<Self, BuildTopologyError> {
-        if arity < 2 {
-            return Err(BuildTopologyError::BadArity(arity));
-        }
+    fn fat_tree(n: usize, lat: u64) -> Self {
+        const ARITY: usize = 4;
         // Level 0: endpoints. Build internal levels until one root remains.
         let mut links: Vec<Vec<Link>> = vec![Vec::new(); n];
+        let mut level_start = vec![0];
         let mut level: Vec<usize> = (0..n).collect();
         let mut width = 1u64;
         while level.len() > 1 {
-            let parents = level.len().div_ceil(arity);
+            level_start.push(links.len());
+            let parents = level.len().div_ceil(ARITY);
             let mut next_level = Vec::with_capacity(parents);
             for p in 0..parents {
                 let pid = links.len();
                 links.push(Vec::new());
                 next_level.push(pid);
-                for c in 0..arity {
-                    let ci = p * arity + c;
-                    if ci >= level.len() {
-                        break;
-                    }
-                    let child = level[ci];
-                    links[child].push(Link {
-                        to: pid,
-                        latency: lat,
-                        width,
-                    });
-                    links[pid].push(Link {
-                        to: child,
-                        latency: lat,
-                        width,
-                    });
+                for &child in level.iter().skip(p * ARITY).take(ARITY) {
+                    links[child].push(link(pid, lat, width));
+                    links[pid].push(link(child, lat, width));
                 }
             }
             level = next_level;
             // Fat links: capacity doubles per level toward the root.
             width *= 2;
         }
-        let shared = vec![false; links.len()];
-        Ok(Self::finish(n, links, shared))
+        Self::finish(n, links, None, Routes::FatTree { level_start })
     }
 
-    /// Computes BFS routing tables and assembles the struct. Mesh/torus
-    /// overwrite the table with XY routing afterwards.
-    fn finish(n_endpoints: usize, links: Vec<Vec<Link>>, shared: Vec<bool>) -> Self {
-        let next_hop = Self::bfs_tables(&links, n_endpoints, &[]);
+    /// Builds the reverse adjacency and assembles the struct.
+    fn finish(
+        n_endpoints: usize,
+        links: Vec<Vec<Link>>,
+        shared: Option<usize>,
+        routes: Routes,
+    ) -> Self {
+        let idx = |i: usize| u32::try_from(i).expect("router and port indices fit 32 bits");
+        // Scanning sources in ascending order leaves each row ascending by
+        // `from`.
+        let mut rows = vec![Vec::new(); links.len()];
+        for (from, out) in links.iter().enumerate() {
+            for (port, l) in out.iter().enumerate() {
+                rows[l.to].push((idx(from), idx(port)));
+            }
+        }
+        let mut rev_start = vec![0];
+        rev_start.extend(rows.iter().scan(0, |end, row| {
+            *end += idx(row.len());
+            Some(*end)
+        }));
+        // One link per `(from, to)` pair: a row of the reverse adjacency
+        // names each predecessor once, so the BFS and the credit wake lose
+        // nothing by keying on `from`.
+        debug_assert!(rows.iter().all(|r| r.windows(2).all(|w| w[0].0 < w[1].0)));
         Topology {
             n_endpoints,
             links,
             shared,
-            next_hop,
+            rev: rows.concat(),
+            rev_start,
+            routes,
         }
+    }
+
+    /// The links into router `v` as `(from, port)`, ascending by `from`.
+    #[inline]
+    pub(crate) fn links_into(&self, v: usize) -> &[(u32, u32)] {
+        &self.rev[self.rev_start[v] as usize..self.rev_start[v + 1] as usize]
     }
 
     /// Per-destination BFS over the reverse adjacency, skipping any
     /// directed link listed in `dead` (as `(router, port-index)` pairs).
     /// Returns the row-major table; routers that cannot reach a destination
     /// keep `usize::MAX`.
-    fn bfs_tables(links: &[Vec<Link>], n_endpoints: usize, dead: &[(usize, usize)]) -> Vec<usize> {
-        let nr = links.len();
-        let mut next_hop = vec![usize::MAX; nr * n_endpoints];
-        // Reverse adjacency for BFS from each destination endpoint: the
-        // live links into a router as `(from, port)`, ascending by `from`,
-        // lowest port first among parallel links.
-        let mut rev: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nr];
-        for (from, ls) in links.iter().enumerate() {
-            for (port, l) in ls.iter().enumerate() {
-                if !dead.contains(&(from, port)) {
-                    rev[l.to].push((from, port));
-                }
-            }
-        }
-        for r in &mut rev {
-            r.sort_unstable();
-            r.dedup_by_key(|&mut (from, _)| from);
-        }
-        for d in 0..n_endpoints {
-            // dist and the "first hop toward d" for every router.
-            let mut dist = vec![usize::MAX; nr];
-            dist[d] = 0;
-            let mut queue = std::collections::VecDeque::new();
+    fn bfs_tables(&self, dead: &[(usize, usize)]) -> Vec<usize> {
+        let (nr, ne) = (self.links.len(), self.n_endpoints);
+        let mut next_hop = vec![usize::MAX; nr * ne];
+        let mut seen = vec![false; nr];
+        let mut queue = VecDeque::new();
+        for d in 0..ne {
+            seen.fill(false);
+            seen[d] = true;
             queue.push_back(d);
             while let Some(u) = queue.pop_front() {
-                for &(p, port) in &rev[u] {
-                    if dist[p] == usize::MAX {
-                        dist[p] = dist[u] + 1;
+                for &(p, port) in self.links_into(u) {
+                    let (p, port) = (p as usize, port as usize);
+                    if !seen[p] && !dead.contains(&(p, port)) {
+                        seen[p] = true;
                         // The live port at p leading to u is on a shortest
                         // path to d.
-                        next_hop[p * n_endpoints + d] = port;
+                        next_hop[p * ne + d] = port;
                         queue.push_back(p);
                     }
                 }
@@ -368,18 +333,18 @@ impl Topology {
         next_hop
     }
 
-    /// Recomputes every routing table around a set of permanently dead
-    /// directed links (`(router, port-index)` pairs) — the degraded-mode
-    /// reroute of the fault-injection layer.
+    /// Recomputes every route around a set of permanently dead directed
+    /// links (`(router, port-index)` pairs) — the degraded-mode reroute of
+    /// the fault-injection layer.
     ///
     /// The adjacency itself is untouched, so port indices stay aligned with
-    /// [`links_of`](Self::links_of); only `next_hop` changes. Mesh/torus
-    /// tables fall back from XY dimension-order to plain BFS shortest
-    /// paths, and destinations a router can no longer reach get no entry
-    /// (both [`next_hop`](Self::next_hop) and
+    /// [`links_of`](Self::links_of); only the routes change, from the
+    /// fabric's shape to a table of BFS shortest paths (mesh and torus drop
+    /// XY dimension order). Destinations a router can no longer reach get
+    /// no entry (both [`next_hop`](Self::next_hop) and
     /// [`try_hops`](Self::try_hops) return `None`).
     pub fn recompute_routes(&mut self, dead: &[(usize, usize)]) {
-        self.next_hop = Self::bfs_tables(&self.links, self.n_endpoints, dead);
+        self.routes = Routes::Table(self.bfs_tables(dead));
     }
 
     /// Number of endpoint routers (nodes components can attach to).
@@ -403,7 +368,7 @@ impl Topology {
 
     /// Whether router `r` serializes all ports through one shared medium.
     pub fn is_shared(&self, r: usize) -> bool {
-        self.shared[r]
+        self.shared == Some(r)
     }
 
     /// Port index at router `r` leading toward endpoint `d`, or `None` when
@@ -414,28 +379,66 @@ impl Topology {
     /// Panics if `r` or `d` is out of range.
     #[inline]
     pub fn next_hop(&self, r: usize, d: usize) -> Option<usize> {
-        // The table is one flat vector: an unchecked `d` would read a
-        // neighbouring router's row instead of failing.
+        // The healthy routes are arithmetic on `r` and `d`: unchecked, they
+        // would answer for a router or endpoint that does not exist.
+        assert!(r < self.links.len(), "router {r} out of range");
         assert!(d < self.n_endpoints, "endpoint {d} out of range");
-        let p = self.next_hop[r * self.n_endpoints + d];
-        (p != usize::MAX).then_some(p)
+        if r == d {
+            return None;
+        }
+        let n = self.n_endpoints;
+        match &self.routes {
+            Routes::Star => Some(if r == n { d } else { 0 }),
+            Routes::Ring => {
+                let cw = if d > r { d - r } else { d + n - r };
+                let ccw = n - cw;
+                // Antipode ties go the way of `d`'s lower-numbered
+                // neighbour, as a BFS over ascending predecessors does:
+                // counter-clockwise only when that neighbour is across the
+                // wrap. Two routers share one link.
+                let tie_ccw = n > 2 && (d == 0 || d == n - 1);
+                Some(usize::from(ccw < cw || (ccw == cw && tie_ccw)))
+            }
+            Routes::Grid { dims, wrap, cells } => {
+                let (at, to) = (cells[r].xy, cells[d].xy);
+                // X first: dimension 1 once the x coordinates agree.
+                let k = usize::from(at[0] == to[0]);
+                let down = !dim_forward(at[k], to[k], dims[k], *wrap);
+                Some(usize::from(cells[r].ports[2 * k + usize::from(down)]))
+            }
+            Routes::FatTree { level_start } => {
+                let k = level_start.partition_point(|&s| s <= r) - 1;
+                if k == 0 {
+                    return Some(0);
+                }
+                let j = r - level_start[k];
+                Some(if d >> (2 * k) == j {
+                    (d >> (2 * (k - 1))) - 4 * j
+                } else {
+                    self.links[r].len() - 1
+                })
+            }
+            Routes::Table(t) => {
+                let p = t[r * n + d];
+                (p != usize::MAX).then_some(p)
+            }
+        }
     }
 
-    /// Hop count from endpoint `a` to endpoint `b` following the routing
-    /// tables (0 when `a == b`).
+    /// Hop count from endpoint `a` to endpoint `b` following the routes
+    /// (0 when `a == b`).
     ///
     /// # Panics
     ///
-    /// Panics when the routing table cannot reach `b` from `a` (possible
-    /// only after [`recompute_routes`](Self::recompute_routes) severed the
-    /// pair) — use [`try_hops`](Self::try_hops) on degraded topologies.
+    /// Panics when the routes cannot reach `b` from `a` (possible only
+    /// after [`recompute_routes`](Self::recompute_routes) severed the pair)
+    /// — use [`try_hops`](Self::try_hops) on degraded topologies.
     pub fn hops(&self, a: usize, b: usize) -> usize {
-        self.try_hops(a, b)
-            .expect("routing table must reach destination")
+        self.try_hops(a, b).expect("routes must reach destination")
     }
 
     /// Hop count from endpoint `a` to endpoint `b`, or `None` when the
-    /// routing tables no longer connect the pair (degraded topology after
+    /// routes no longer connect the pair (degraded topology after
     /// permanent link faults).
     pub fn try_hops(&self, a: usize, b: usize) -> Option<usize> {
         let mut cur = a;
@@ -450,27 +453,17 @@ impl Topology {
     }
 }
 
-/// Next coordinate when moving one step from `from` toward `to` along a
-/// dimension of size `len`, wrapping if `wrap` and the wrap direction is
-/// strictly shorter (ties go the non-wrap way).
-fn dim_step(from: usize, to: usize, len: usize, wrap: bool) -> usize {
+/// Whether one step from `from` toward `to` along a dimension of size
+/// `len` goes up (+1, wrapping past `len - 1` to 0): on a torus (`wrap`)
+/// the shorter way, ties going the non-wrap way.
+#[inline]
+fn dim_forward(from: u32, to: u32, len: u32, wrap: bool) -> bool {
     debug_assert_ne!(from, to);
-    let fwd = (to + len - from) % len; // steps going +1 with wrap
-    let bwd = (from + len - to) % len; // steps going -1 with wrap
-    let go_fwd = if !wrap {
-        to > from
-    } else if fwd < bwd {
-        true
-    } else if bwd < fwd {
-        false
-    } else {
-        to > from
-    };
-    if go_fwd {
-        (from + 1) % len
-    } else {
-        (from + len - 1) % len
+    if !wrap {
+        return to > from;
     }
+    let fwd = to + if to > from { 0 } else { len } - from;
+    2 * fwd < len || (2 * fwd == len && to > from)
 }
 
 /// Most square factorization `(w, h)` of `n` with `w >= h`.
@@ -614,12 +607,51 @@ mod tests {
     }
 
     #[test]
+    fn routing_matches_its_recorded_digest() {
+        // FNV-1a over every `next_hop(r, d)` at n in 1..=64, 256 and 1 024,
+        // routers outer, each port a little-endian `u32` (`u32::MAX` for
+        // `None`), recorded from the BFS tables (XY on mesh and torus) that
+        // healthy fabrics stored before routing became a function.
+        let pinned = [
+            (TopologyKind::SharedBus, 0x80aa_a53d_98f0_1725, 1_206_912),
+            (TopologyKind::Ring, 0x689c_9ea0_89b9_0715, 1_203_552),
+            (TopologyKind::Mesh, 0xa403_8428_1d22_5084, 1_203_552),
+            (TopologyKind::Torus, 0xac93_3bf8_6051_10f4, 1_203_552),
+            (TopologyKind::FatTree, 0x8e54_ee64_5cfd_5415, 1_606_029),
+            (TopologyKind::Crossbar, 0x80aa_a53d_98f0_1725, 1_206_912),
+        ];
+        for (kind, digest, count) in pinned {
+            let (mut h, mut entries) = (0xcbf2_9ce4_8422_2325_u64, 0);
+            for n in (1..=64).chain([256, 1024]) {
+                let t = Topology::build(kind, n, 1).unwrap();
+                for (r, d) in (0..t.n_routers()).flat_map(|r| (0..n).map(move |d| (r, d))) {
+                    let port = t.next_hop(r, d).map_or(u32::MAX, |p| p as u32);
+                    for b in port.to_le_bytes() {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                    }
+                    entries += 1;
+                }
+            }
+            assert_eq!((h, entries), (digest, count), "{kind}: {h:#018x}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "endpoint 16 out of range")]
     fn next_hop_rejects_an_endpoint_past_the_row() {
-        // In the row-major table, column 16 of router 0 is column 0 of
-        // router 1: it must fail, not answer for the neighbour.
+        // XY routing would read the grid cell of router 16, which a 16
+        // endpoint mesh does not have: it must fail, not answer.
         let t = Topology::build(TopologyKind::Mesh, 16, 1).unwrap();
         let _ = t.next_hop(0, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "router 9 out of range")]
+    fn next_hop_rejects_a_router_past_the_fabric() {
+        // A star's routes would send router 9 through port `d` like the
+        // hub (router 8): it must fail, not answer for a missing router.
+        let t = Topology::build(TopologyKind::Crossbar, 8, 1).unwrap();
+        let _ = t.next_hop(9, 2);
     }
 
     #[test]
@@ -656,14 +688,24 @@ mod tests {
 
     #[test]
     fn reroute_with_no_dead_links_matches_bfs() {
-        // An empty dead set degrades mesh XY tables to BFS shortest paths:
-        // hop counts stay identical even where port choices differ.
-        let reference = Topology::build(TopologyKind::Mesh, 16, 1).unwrap();
-        let mut t = reference.clone();
-        t.recompute_routes(&[]);
-        for a in 0..16 {
-            for b in 0..16 {
-                assert_eq!(t.try_hops(a, b), Some(reference.hops(a, b)));
+        // An empty dead set swaps the routes for BFS shortest paths. Off
+        // the grid that is the same function, tie-breaks included; mesh and
+        // torus drop XY for ports that differ at equal hop counts.
+        for k in KINDS {
+            let grid = matches!(k, TopologyKind::Mesh | TopologyKind::Torus);
+            for n in 1..=40 {
+                let t = Topology::build(k, n, 1).unwrap();
+                let mut bfs = t.clone();
+                bfs.recompute_routes(&[]);
+                for r in 0..t.n_routers() {
+                    for d in 0..n {
+                        if grid {
+                            assert_eq!(bfs.try_hops(r, d), t.try_hops(r, d), "{k} {r}->{d}");
+                        } else {
+                            assert_eq!(bfs.next_hop(r, d), t.next_hop(r, d), "{k} {r}->{d}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Static deadlock oracle: the channel dependency graph (Dally & Seitz, IEEE
-//! Trans. Computers 1987) of every topology's routing tables, checked for
+//! Trans. Computers 1987) of every topology's routes, checked for
 //! cycles without running a packet. An acyclic graph proves the routing
 //! deadlock-free under its buffer model; a cycle names routers where credit
 //! waits can close on themselves.
@@ -25,7 +25,7 @@
 //!
 //! The rows cover every `TopologyKind` x n in {4, 8, 16, 32, 64} under both
 //! models, then every single dead directed link at n = 16, through the
-//! degraded BFS tables of `Topology::recompute_routes` (a fault campaign's
+//! degraded BFS routes of `Topology::recompute_routes` (a fault campaign's
 //! permanent link failure). Each row prints `acyclic` or the graph's
 //! shortest cycle as router ids, lowest-numbered start first; a dead-link
 //! row counts the links whose loss leaves the graph cyclic and shows the
@@ -64,7 +64,7 @@ struct Graph {
     router_of: Vec<usize>,
 }
 
-/// Builds the transit dependency graph of `topo`'s routing tables.
+/// Builds the transit dependency graph of `topo`'s routes.
 fn dependency_graph(topo: &Topology, model: Model) -> Graph {
     // Directed links numbered router by router, port by port.
     let mut first_link = Vec::with_capacity(topo.n_routers());
@@ -213,7 +213,7 @@ fn table() -> String {
     out
 }
 
-/// The table at the engine's routing tables today.
+/// The table at the engine's routes today.
 const EXPECTED: &str = "\
 pooled   bus      n=4   acyclic
 pooled   bus      n=8   acyclic

@@ -4,11 +4,14 @@
 //! For every [`BenchRig`] the test measures the live heap bytes the
 //! platform holds after `build`, after nwbench's `--quick` warm-up (its
 //! full warm-up ÷ 20) and what one `fork` of the warmed platform adds,
-//! prints the table and fails on a figure above its pinned ceiling. A last
+//! prints the table and fails on a figure above its pinned ceiling. A fifth
 //! row runs `mix-fork-faults` through nwbench's full warm-up, which leaves
 //! thousands of invocations queued, and also pins the runtime's bytes per
-//! queued invocation. It also checks that a latency histogram owns no
-//! buckets until its first sample. One `#[test]` only: the counter is process-wide, so a second
+//! queued invocation. A NoC row pins what a healthy 1 024-endpoint mesh
+//! `Noc` holds after `Noc::new` and what one `clone` of it adds: routes
+//! computed from the fabric's shape keep both linear in the endpoints. It
+//! also checks that a latency histogram owns no buckets until its first
+//! sample. One `#[test]` only: the counter is process-wide, so a second
 //! test running in parallel would be counted too.
 //!
 //! ```sh
@@ -17,6 +20,7 @@
 
 use nanowall::scenarios::BenchRig;
 use nanowall::FppaPlatform;
+use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
 use nw_sim::LatencyHistogram;
 use nw_types::ObjectId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -76,24 +80,30 @@ const QUICK_CAMPAIGN_HORIZON: u64 = 75_000;
 
 /// Per rig, in [`BenchRig::ALL`] order: nwbench's `--quick` warm-up in
 /// cycles, and the ceilings in bytes on the platform after `build`, after
-/// the warm-up, and on one fork — the figures measured when a payload
-/// became a length and a 16-byte head, plus 10 %.
+/// the warm-up, and on one fork — the figures measured plus 10 %: after
+/// `build` and on a fork since routing became a function of the fabric's
+/// shape, after the warm-up since a payload became a length and a 16-byte
+/// head.
 const RIGS: [(u64, [usize; 3]); 4] = [
-    (15_000, [89_878, 120_441, 92_879]),
-    (100_000, [36_974, 65_635, 49_606]),
-    (3_000_000, [25_892, 33_513, 25_505]),
-    (45_000, [56_499, 85_952, 67_939]),
+    (15_000, [85_932, 120_441, 89_285]),
+    (100_000, [35_280, 65_635, 47_948]),
+    (3_000_000, [24_648, 33_513, 24_428]),
+    (45_000, [53_529, 85_952, 65_163]),
 ];
 
-/// The last row, `mix-fork-faults` at nwbench's full warm-up: warm-up and
-/// campaign horizon in cycles, and ceilings as in [`RIGS`].
-const FULL_MIX: (u64, u64, [usize; 3]) = (900_000, 1_500_000, [61_427, 160_788, 110_944]);
+/// The fifth row, `mix-fork-faults` at nwbench's full warm-up:
+/// warm-up and campaign horizon in cycles, and ceilings as in [`RIGS`].
+const FULL_MIX: (u64, u64, [usize; 3]) = (900_000, 1_500_000, [58_457, 160_788, 110_184]);
 
-/// The fewest invocations the last row's warm-up leaves queued, so that
+/// The NoC row: a healthy mesh's endpoints, and the ceilings in bytes on
+/// its `Noc` after `Noc::new` and on one `clone` — measured plus 10 %.
+const MESH_NOC: (usize, [usize; 2]) = (1024, [532_660, 522_522]);
+
+/// The fewest invocations the fifth row's warm-up leaves queued, so that
 /// the row measures a backlog.
 const MIN_BACKLOG: usize = 5_000;
 
-/// Ceiling on the last row's runtime bytes (what a fork copies of it) per
+/// Ceiling on the fifth row's runtime bytes (what a fork copies of it) per
 /// queued invocation: measured plus 10 %.
 const BYTES_PER_QUEUED: f64 = 7.1;
 
@@ -174,6 +184,36 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
             ceil[2]
         );
     }
+    let (endpoints, mesh_ceil) = MESH_NOC;
+    let base = live();
+    let topo = Topology::build(TopologyKind::Mesh, endpoints, 1).expect("endpoints > 0");
+    let noc = Noc::new(topo, NocConfig::default());
+    let built = live() - base;
+    let before_clone = live();
+    let copy = noc.clone();
+    let cloned = live() - before_clone;
+    drop(copy);
+    drop(noc);
+    println!(
+        "{:<16} {:>8} {:>9} {:>9} {:>9}   ({} / - / {})",
+        format!("mesh-{endpoints}-noc"),
+        "-",
+        built,
+        "-",
+        cloned,
+        mesh_ceil[0],
+        mesh_ceil[1]
+    );
+    for (what, (g, c)) in ["built", "clone"]
+        .iter()
+        .zip([built, cloned].into_iter().zip(mesh_ceil))
+    {
+        assert!(
+            g <= c,
+            "{endpoints}-endpoint mesh Noc: {what} heap {g} B above its ceiling {c} B"
+        );
+    }
+
     assert!(silent > 0, "no rig has an object without a round trip");
     let &(.., runtime_bytes, queued) = rows.last().expect("five rows");
     assert!(queued >= MIN_BACKLOG, "the full warm-up queued {queued}");
