@@ -20,22 +20,32 @@
 //!
 //! * [`CallTable::expire`] visits the due slots in ascending `(pe, tid)`
 //!   order, whatever their deadlines.
+//! * The due set is fixed when [`CallTable::expire`] is entered: a slot it
+//!   re-arms at `now` (a zero-timeout policy) fires at the next call, not
+//!   twice in this one.
 //! * A slot's salt bumps on every issue under a policy and on every retry,
 //!   wraps as `u8`, and survives give-up, crash and restart — a late reply
 //!   to an abandoned call can never match a later one.
 //! * Without a policy the token is 0 and the salt stays put.
+//!
+//! # Storage
+//!
+//! The slots are one flat `Vec`, PE by PE, so a slot's flat index orders
+//! it by `(pe, tid)`. The deadline index is a min-tree over the flat
+//! slots ([`Deadlines`]), sized once when a policy is installed (only
+//! then can a slot hold a retry entry): issuing, answering and expiring
+//! calls allocate nothing.
 
 use crate::resilience::{ResilienceStats, RetryPolicy};
 use crate::tags::RequestTag;
 use nw_obs::TraceEvent;
 use nw_sim::LatencyHistogram;
 use nw_types::{Cycles, NodeId, ObjectId, Payload};
-use std::collections::BTreeSet;
 
 /// The retry half of a slot: one call tracked until its reply or give-up.
 #[derive(Debug, Clone, PartialEq)]
 struct PendingCall {
-    /// Cycle the current attempt times out; mirrored in `CallTable::index`.
+    /// Cycle the current attempt times out; mirrored in `CallTable::deadlines`.
     deadline: u64,
     /// Attempts issued so far minus one (0 = first issue outstanding).
     attempt: u8,
@@ -56,19 +66,72 @@ struct Slot {
     handler: Option<ObjectId>,
 }
 
-impl Slot {
-    /// Drops the retry entry of slot `(pe, tid)`, if any, and its key in
-    /// the deadline index.
-    fn close_retry(&mut self, pe: usize, tid: usize, index: &mut Index) {
-        if let Some(call) = self.retry.take() {
-            index.remove(&(call.deadline, pe, tid));
-        }
-    }
+/// A leaf with no retry entry. A deadline that saturates at `u64::MAX`
+/// reads the same: it never comes due, as no cycle reaches it.
+const NONE: u64 = u64::MAX;
+
+/// The deadline of every slot's retry entry, as a min-tree over the flat
+/// slots: leaf `s` holds slot `s`'s deadline ([`NONE`] without an entry)
+/// and every inner node the smaller of its two children, so the root is
+/// the earliest deadline (the agenda asks every lap) and the due slots
+/// are found in slot order without a sort. Empty until
+/// [`CallTable::set_policy`].
+#[derive(Debug, Clone, Default)]
+struct Deadlines {
+    /// `tree[1]` is the root; node `i` has children `2i` and `2i + 1`;
+    /// slot `s` is leaf `leaves + s`.
+    tree: Vec<u64>,
+    leaves: usize,
 }
 
-/// `(deadline, pe, tid)` of every retry entry: the earliest deadline is the
-/// first element (the agenda asks every lap).
-type Index = BTreeSet<(u64, usize, usize)>;
+impl Deadlines {
+    fn new(slots: usize) -> Self {
+        let leaves = slots.next_power_of_two();
+        Deadlines {
+            tree: vec![NONE; 2 * leaves],
+            leaves,
+        }
+    }
+
+    /// Sets slot `s`'s deadline ([`NONE`] to clear it).
+    fn set(&mut self, s: usize, deadline: u64) {
+        let mut i = self.leaves + s;
+        self.tree[i] = deadline;
+        while i > 1 {
+            i /= 2;
+            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+        }
+    }
+
+    /// The earliest deadline, [`NONE`] when there is none.
+    fn first(&self) -> u64 {
+        self.tree.get(1).copied().unwrap_or(NONE)
+    }
+
+    /// The first slot at or after `from` whose deadline is due at `now`.
+    fn next_due(&self, from: usize, now: u64) -> Option<usize> {
+        let now = now.min(NONE - 1);
+        if from >= self.leaves {
+            return None;
+        }
+        let mut i = self.leaves + from;
+        while self.tree[i] > now {
+            // On to the next subtree to the right: climb while `i` is a
+            // right child; the root has none.
+            while i % 2 == 1 {
+                if i == 1 {
+                    return None;
+                }
+                i /= 2;
+            }
+            i += 1;
+        }
+        while i < self.leaves {
+            i = 2 * i + usize::from(self.tree[2 * i] > now);
+        }
+        Some(i - self.leaves)
+    }
+}
 
 /// End-to-end round trips charged to one application object.
 #[derive(Debug, Clone, Default)]
@@ -107,9 +170,12 @@ pub(crate) enum Expired {
 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CallTable {
-    /// `slots[pe][tid]`, sized from `Pe::n_threads()`.
-    slots: Vec<Vec<Slot>>,
-    index: Index,
+    /// Every thread's slot, PE by PE, sized from `Pe::n_threads()`:
+    /// thread `(pe, tid)` is slot `first[pe] + tid`.
+    slots: Vec<Slot>,
+    /// Per PE its first slot, then the slot count.
+    first: Vec<usize>,
+    deadlines: Deadlines,
     policy: Option<RetryPolicy>,
     /// Indexed by [`ObjectId`]; sized by [`CallTable::reset`].
     objects: Vec<ObjectCalls>,
@@ -120,16 +186,44 @@ pub(crate) struct CallTable {
 
 impl CallTable {
     pub fn new(threads_per_pe: impl IntoIterator<Item = usize>) -> Self {
-        let slots = threads_per_pe.into_iter().map(|n| vec![Slot::default(); n]);
+        let mut first = vec![0];
+        for n in threads_per_pe {
+            first.push(first[first.len() - 1] + n);
+        }
         CallTable {
-            slots: slots.collect(),
+            slots: vec![Slot::default(); first[first.len() - 1]],
+            first,
             ..CallTable::default()
+        }
+    }
+
+    /// Thread `(pe, tid)`'s flat slot index.
+    fn slot(&self, pe: usize, tid: usize) -> usize {
+        assert!(
+            tid < self.first[pe + 1] - self.first[pe],
+            "PE {pe} has no thread {tid}"
+        );
+        self.first[pe] + tid
+    }
+
+    /// PE `pe`'s slots.
+    fn pe_slots(&self, pe: usize) -> std::ops::Range<usize> {
+        self.first[pe]..self.first[pe + 1]
+    }
+
+    /// Drops slot `s`'s retry entry, if any, and its deadline.
+    fn close_retry(&mut self, s: usize) {
+        if self.slots[s].retry.take().is_some() {
+            self.deadlines.set(s, NONE);
         }
     }
 
     /// Installs or swaps the policy. Entries and salts stay: a pending
     /// call keeps its deadline and meets the new policy at its next expiry.
     pub fn set_policy(&mut self, policy: RetryPolicy) {
+        if self.policy.is_none() {
+            self.deadlines = Deadlines::new(self.slots.len());
+        }
         self.policy = Some(policy);
     }
 
@@ -145,20 +239,18 @@ impl CallTable {
         object: Option<ObjectId>,
         now: Cycles,
     ) -> RequestTag {
-        let (pe, tid) = (tag.pe.0, tag.tid.0);
-        let slot = &mut self.slots[pe][tid];
+        let s = self.slot(tag.pe.0, tag.tid.0);
         if let Some(object) = object.filter(|o| o.0 < self.objects.len()) {
-            slot.probe = Some((now, object));
+            self.slots[s].probe = Some((now, object));
         }
         let Some(policy) = self.policy else {
             return tag;
         };
         // A blocked thread holds one call; a leftover entry is replaced.
-        slot.close_retry(pe, tid, &mut self.index);
+        let slot = &mut self.slots[s];
         slot.salt = slot.salt.wrapping_add(1);
         tag.token = slot.salt;
         let deadline = now.0.saturating_add(policy.window(0));
-        self.index.insert((deadline, pe, tid));
         slot.retry = Some(PendingCall {
             deadline,
             attempt: 0,
@@ -166,6 +258,7 @@ impl CallTable {
             dst,
             data,
         });
+        self.deadlines.set(s, deadline);
         tag
     }
 
@@ -180,8 +273,8 @@ impl CallTable {
         awaiting: bool,
         now: Cycles,
     ) -> Reply {
-        let slot = &mut self.slots[pe][tid];
-        let live = match &slot.retry {
+        let s = self.slot(pe, tid);
+        let live = match &self.slots[s].retry {
             Some(call) => call.tag.token == token,
             None => awaiting,
         };
@@ -189,8 +282,8 @@ impl CallTable {
             self.duplicates += 1;
             return Reply::Duplicate;
         }
-        slot.close_retry(pe, tid, &mut self.index);
-        let miss = slot.probe.take().and_then(|(issued, object)| {
+        self.close_retry(s);
+        let miss = self.slots[s].probe.take().and_then(|(issued, object)| {
             let latency = now.saturating_sub(issued);
             let o = &mut self.objects[object.0];
             o.histogram.record(latency);
@@ -209,64 +302,64 @@ impl CallTable {
     /// The earliest pending deadline — an agenda entry, so a quiet span
     /// never skips a timeout.
     pub fn next_deadline(&self) -> Option<u64> {
-        self.index.first().map(|&(deadline, _, _)| deadline)
+        Some(self.deadlines.first()).filter(|&d| d != NONE)
     }
 
-    /// Fires every deadline due at `now`, in `(pe, tid)` order: a retry
-    /// with a bumped token and doubled window, or a give-up once
-    /// [`RetryPolicy::max_attempts`] are spent. Allocates nothing when no
-    /// deadline is due.
-    pub fn expire(&mut self, now: u64) -> Vec<Expired> {
+    /// Fires every deadline due at `now`, in `(pe, tid)` order, appending
+    /// what it did to `out`: a retry with a bumped token and doubled
+    /// window, or a give-up once [`RetryPolicy::max_attempts`] are spent.
+    /// The table allocates nothing; `out` grows only past its capacity.
+    pub fn expire(&mut self, now: u64, out: &mut Vec<Expired>) {
         let Some(policy) = self.policy else {
-            return Vec::new();
+            return;
         };
-        let mut due: Vec<_> = (self.index.range(..=(now, usize::MAX, usize::MAX)))
-            .map(|&(_, pe, tid)| (pe, tid))
-            .collect();
-        due.sort_unstable();
-        let mut expired = Vec::with_capacity(due.len());
-        for (pe, tid) in due {
-            let slot = &mut self.slots[pe][tid];
-            let call = slot.retry.as_mut().expect("indexed slots hold a call");
+        let mut from = 0;
+        // A slot re-armed at `now` lies behind `from`: it fires once.
+        while let Some(s) = self.deadlines.next_due(from, now) {
+            from = s + 1;
+            let slot = &mut self.slots[s];
+            let call = slot.retry.as_mut().expect("a due slot holds a call");
             if u32::from(call.attempt) + 1 >= u32::from(policy.max_attempts.max(1)) {
+                let (pe, tid) = (call.tag.pe.0, call.tag.tid.0);
                 slot.probe = None;
-                slot.close_retry(pe, tid, &mut self.index);
+                slot.retry = None;
+                self.deadlines.set(s, NONE);
                 self.give_ups += 1;
-                expired.push(Expired::GiveUp { pe, tid });
+                out.push(Expired::GiveUp { pe, tid });
                 continue;
             }
-            self.index.remove(&(call.deadline, pe, tid));
             slot.salt = slot.salt.wrapping_add(1);
             call.tag.token = slot.salt;
             call.attempt = call.attempt.saturating_add(1);
             call.deadline = now.saturating_add(policy.window(call.attempt));
-            self.index.insert((call.deadline, pe, tid));
             self.retries += 1;
-            expired.push(Expired::Retry {
+            out.push(Expired::Retry {
                 tag: call.tag,
                 attempt: call.attempt,
                 dst: call.dst,
                 data: call.data,
             });
+            self.deadlines.set(s, call.deadline);
         }
-        expired
     }
 
     /// The runtime dispatched `object`'s handler onto thread `(pe, tid)`.
     pub fn start_handler(&mut self, pe: usize, tid: usize, object: ObjectId) {
-        self.slots[pe][tid].handler = Some(object);
+        let s = self.slot(pe, tid);
+        self.slots[s].handler = Some(object);
     }
 
     /// The object whose handler thread `(pe, tid)` runs, if the runtime
     /// put one there.
     pub fn handler(&self, pe: usize, tid: usize) -> Option<ObjectId> {
-        self.slots[pe][tid].handler
+        self.slots[self.slot(pe, tid)].handler
     }
 
     /// PE `pe`'s threads run no known handler (`FppaPlatform::pe_mut`'s
     /// caller may spawn anything); probes in flight keep their object.
     pub fn forget_handlers(&mut self, pe: usize) {
-        for slot in &mut self.slots[pe] {
+        let slots = self.pe_slots(pe);
+        for slot in &mut self.slots[slots] {
             slot.handler = None;
         }
     }
@@ -274,10 +367,10 @@ impl CallTable {
     /// PE `pe` crashed: its probes, retry entries and handlers are
     /// dropped; salts stay.
     pub fn abandon_pe(&mut self, pe: usize) {
-        for (tid, slot) in self.slots[pe].iter_mut().enumerate() {
-            slot.probe = None;
-            slot.handler = None;
-            slot.close_retry(pe, tid, &mut self.index);
+        for s in self.pe_slots(pe) {
+            self.slots[s].probe = None;
+            self.slots[s].handler = None;
+            self.close_retry(s);
         }
     }
 
@@ -286,7 +379,7 @@ impl CallTable {
     /// untouched.
     pub fn reset(&mut self, n_objects: usize) {
         self.objects = vec![ObjectCalls::default(); n_objects];
-        for slot in self.slots.iter_mut().flatten() {
+        for slot in &mut self.slots {
             slot.probe = None;
             slot.handler = None;
         }
@@ -294,7 +387,7 @@ impl CallTable {
 
     /// Calls currently tracked for retry.
     pub fn pending_len(&self) -> usize {
-        self.index.len()
+        self.slots.iter().filter(|s| s.retry.is_some()).count()
     }
 
     /// Per-object telemetry, indexed by [`ObjectId`].
@@ -322,11 +415,19 @@ impl CallTable {
     pub fn issue_at(&mut self, pe: usize, tid: usize, data: Payload, now: u64) -> u8 {
         (self.issue(tests::tag(pe, tid), NodeId(1), data, None, Cycles(now))).token
     }
+
+    /// Test shorthand: what [`CallTable::expire`] fires at `now`.
+    pub fn expired(&mut self, now: u64) -> Vec<Expired> {
+        let mut out = Vec::new();
+        self.expire(now, &mut out);
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// xorshift: a fixed, dependency-free operation stream.
     fn stream(mut x: u64) -> impl FnMut(u64) -> u64 {
@@ -347,109 +448,167 @@ mod tests {
         }
     }
 
-    /// The table's oracle: after every operation the index and the pending
-    /// count are what a walk over the slots answers.
-    fn audit(t: &CallTable) {
-        let scan: BTreeSet<_> = (t.slots.iter().enumerate())
-            .flat_map(|(pe, slots)| {
-                (slots.iter().enumerate())
-                    .filter_map(move |(tid, s)| Some((s.retry.as_ref()?.deadline, pe, tid)))
+    /// The deadline index the table kept before its min-tree, a `BTreeSet`
+    /// of `(deadline, pe, tid)` fed the same operations: the reference the
+    /// tree is checked against.
+    #[derive(Debug, Default)]
+    struct Reference(BTreeSet<(u64, usize, usize)>);
+
+    impl Reference {
+        fn close(&mut self, pe: usize, tid: usize) {
+            self.0.retain(|&(_, p, t)| (p, t) != (pe, tid));
+        }
+
+        fn open(&mut self, pe: usize, tid: usize, deadline: u64) {
+            self.close(pe, tid);
+            self.0.insert((deadline, pe, tid));
+        }
+
+        /// The slots due at `now`, in `(pe, tid)` order.
+        fn due(&self, now: u64) -> Vec<(usize, usize)> {
+            let keys = self.0.range(..=(now, usize::MAX, usize::MAX));
+            let mut due: Vec<_> = keys.map(|&(_, pe, tid)| (pe, tid)).collect();
+            due.sort_unstable();
+            due
+        }
+    }
+
+    /// The table's oracle: after every operation a walk over the slots,
+    /// the reference and the tree agree, and so do the pending count and
+    /// the earliest deadline.
+    fn audit(t: &CallTable, reference: &Reference) {
+        let scan: BTreeSet<_> = (0..t.first.len() - 1)
+            .flat_map(|pe| {
+                (t.pe_slots(pe).enumerate()).filter_map(move |(tid, s)| {
+                    Some((t.slots[s].retry.as_ref()?.deadline, pe, tid))
+                })
             })
             .collect();
-        assert_eq!(t.index, scan, "index ≡ scan of the slots");
+        assert_eq!(scan, reference.0, "scan of the slots ≡ reference");
+        let Deadlines { tree, leaves } = &t.deadlines;
+        if tree.is_empty() {
+            assert!(scan.is_empty(), "a retry entry without a policy");
+        } else {
+            for (s, slot) in t.slots.iter().enumerate() {
+                let want = slot.retry.as_ref().map_or(NONE, |c| c.deadline);
+                assert_eq!(tree[leaves + s], want, "leaf of slot {s}");
+            }
+            assert!(tree[leaves + t.slots.len()..].iter().all(|&d| d == NONE));
+            for i in 1..*leaves {
+                assert_eq!(tree[i], tree[2 * i].min(tree[2 * i + 1]), "node {i}");
+            }
+        }
         assert_eq!(t.pending_len(), scan.len());
         assert_eq!(t.next_deadline(), scan.first().map(|k| k.0));
     }
 
     #[test]
     fn table_matches_a_scan_after_random_operations() {
-        let mut draw = stream(0x9e37_79b9_7f4a_7c15);
-        let mut t = CallTable::new([3; 4]);
-        t.set_policy(RetryPolicy {
-            timeout: 7,
-            max_attempts: 2,
+        const THREADS: [usize; 4] = [3, 1, 4, 3];
+        // The second policy re-arms a retried slot at `now`: it still fires
+        // once per `expire`.
+        let policies = [(7, 2), (0, 3)].map(|(timeout, max_attempts)| RetryPolicy {
+            timeout,
+            max_attempts,
         });
-        t.reset(2);
-        let (mut now, mut duplicates, mut give_ups) = (0, 0, 0);
-        for _ in 0..6_000 {
-            now += draw(3);
-            let (pe, tid) = (draw(4) as usize, draw(3) as usize);
-            let before = t.slots[pe].clone();
-            match draw(7) {
-                0 | 1 => {
-                    let object = Some(ObjectId(draw(3) as usize));
-                    let data = Payload::with_head(1, &[9]);
-                    let stamped = t.issue(tag(pe, tid), NodeId(1), data, object, Cycles(now));
-                    let slot = &t.slots[pe][tid];
-                    assert_eq!(stamped.token, slot.salt);
-                    assert_eq!(slot.salt, before[tid].salt.wrapping_add(1));
-                    assert_eq!(slot.retry.as_ref().map(|c| c.tag), Some(stamped));
-                }
-                // A reply: live, stale or for a slot with no entry, to a
-                // thread that waits or does not.
-                2..=4 => {
-                    let entry = before[tid].retry.as_ref().map(|c| c.tag.token);
-                    let token = entry.unwrap_or(0).wrapping_add(draw(2) as u8);
-                    let awaiting = draw(2) == 0;
-                    let got = t.reply(pe, tid, token, awaiting, Cycles(now));
-                    let slot = &t.slots[pe][tid];
-                    if entry.map_or(awaiting, |live| live == token) {
-                        assert!(matches!(got, Reply::Deliver { .. }));
-                        assert!(slot.probe.is_none() && slot.retry.is_none());
-                        assert_eq!(slot.salt, before[tid].salt);
-                    } else {
-                        assert_eq!(got, Reply::Duplicate);
-                        assert_eq!(t.slots[pe], before, "a duplicate leaves both halves");
-                        duplicates += 1;
+        for policy in policies {
+            let mut draw = stream(0x9e37_79b9_7f4a_7c15);
+            let mut t = CallTable::new(THREADS);
+            t.set_policy(policy);
+            t.reset(2);
+            let mut reference = Reference::default();
+            let (mut now, mut duplicates, mut give_ups) = (0, 0, 0);
+            for _ in 0..6_000 {
+                now += draw(3);
+                let pe = draw(4) as usize;
+                let tid = draw(THREADS[pe] as u64) as usize;
+                let s = t.slot(pe, tid);
+                let before = t.slots.clone();
+                match draw(7) {
+                    0 | 1 => {
+                        let object = Some(ObjectId(draw(3) as usize));
+                        let data = Payload::with_head(1, &[9]);
+                        let stamped = t.issue(tag(pe, tid), NodeId(1), data, object, Cycles(now));
+                        let slot = &t.slots[s];
+                        assert_eq!(stamped.token, slot.salt);
+                        assert_eq!(slot.salt, before[s].salt.wrapping_add(1));
+                        assert_eq!(slot.retry.as_ref().map(|c| c.tag), Some(stamped));
+                        reference.open(pe, tid, now + policy.window(0));
+                    }
+                    // A reply: live, stale or for a slot with no entry, to a
+                    // thread that waits or does not.
+                    2..=4 => {
+                        let entry = before[s].retry.as_ref().map(|c| c.tag.token);
+                        let token = entry.unwrap_or(0).wrapping_add(draw(2) as u8);
+                        let awaiting = draw(2) == 0;
+                        let got = t.reply(pe, tid, token, awaiting, Cycles(now));
+                        let slot = &t.slots[s];
+                        if entry.map_or(awaiting, |live| live == token) {
+                            assert!(matches!(got, Reply::Deliver { .. }));
+                            assert!(slot.probe.is_none() && slot.retry.is_none());
+                            assert_eq!(slot.salt, before[s].salt);
+                            reference.close(pe, tid);
+                        } else {
+                            assert_eq!(got, Reply::Duplicate);
+                            assert_eq!(t.slots, before, "a duplicate leaves both halves");
+                            duplicates += 1;
+                        }
+                    }
+                    5 => {
+                        let due = reference.due(now);
+                        let mut fired = Vec::new();
+                        for e in t.expired(now) {
+                            let (pe, tid) = match e {
+                                Expired::Retry {
+                                    tag, attempt, data, ..
+                                } => {
+                                    let s = t.slot(tag.pe.0, tag.tid.0);
+                                    let call = t.slots[s].retry.as_ref().expect("re-armed");
+                                    assert_eq!(call.tag, tag);
+                                    assert_eq!(tag.token, t.slots[s].salt);
+                                    assert_eq!(data, Payload::with_head(1, &[9]));
+                                    let was = before[s].retry.as_ref().expect("was pending");
+                                    assert_eq!(attempt, was.attempt + 1);
+                                    let deadline = now + policy.window(attempt);
+                                    reference.open(tag.pe.0, tag.tid.0, deadline);
+                                    (tag.pe.0, tag.tid.0)
+                                }
+                                Expired::GiveUp { pe, tid } => {
+                                    let slot = &t.slots[t.slot(pe, tid)];
+                                    assert!(slot.probe.is_none() && slot.retry.is_none());
+                                    reference.close(pe, tid);
+                                    give_ups += 1;
+                                    (pe, tid)
+                                }
+                            };
+                            fired.push((pe, tid));
+                        }
+                        assert_eq!(fired, due, "every due slot once, in (pe, tid) order");
+                        if policy.timeout > 0 {
+                            assert!(t.next_deadline().is_none_or(|d| d > now));
+                        }
+                    }
+                    _ => {
+                        t.abandon_pe(pe);
+                        for s in t.pe_slots(pe) {
+                            let slot = &t.slots[s];
+                            assert!(slot.probe.is_none() && slot.retry.is_none());
+                            assert_eq!(slot.salt, before[s].salt, "salts survive a crash");
+                        }
+                        (0..THREADS[pe]).for_each(|tid| reference.close(pe, tid));
                     }
                 }
-                5 => {
-                    let is_due = |s: &Slot| s.retry.as_ref().is_some_and(|c| c.deadline <= now);
-                    let due: Vec<_> = (0..4)
-                        .flat_map(|pe| (0..3).map(move |tid| (pe, tid)))
-                        .filter(|&(pe, tid)| is_due(&t.slots[pe][tid]))
-                        .collect();
-                    let expired = t.expire(now);
-                    let fired: Vec<_> = (expired.into_iter())
-                        .map(|e| match e {
-                            Expired::Retry { tag, data, .. } => {
-                                let slot = &t.slots[tag.pe.0][tag.tid.0];
-                                assert_eq!(slot.retry.as_ref().map(|c| c.tag), Some(tag));
-                                assert_eq!(tag.token, slot.salt);
-                                assert_eq!(data, Payload::with_head(1, &[9]));
-                                (tag.pe.0, tag.tid.0)
-                            }
-                            Expired::GiveUp { pe, tid } => {
-                                let slot = &t.slots[pe][tid];
-                                assert!(slot.probe.is_none() && slot.retry.is_none());
-                                give_ups += 1;
-                                (pe, tid)
-                            }
-                        })
-                        .collect();
-                    assert_eq!(fired, due, "every due slot, in (pe, tid) order");
-                    assert!(t.next_deadline().is_none_or(|d| d > now));
-                }
-                _ => {
-                    t.abandon_pe(pe);
-                    for (slot, was) in t.slots[pe].iter().zip(&before) {
-                        assert!(slot.probe.is_none() && slot.retry.is_none());
-                        assert_eq!(slot.salt, was.salt, "salts survive a crash");
-                    }
-                }
+                audit(&t, &reference);
             }
-            audit(&t);
+            let mut stats = ResilienceStats::default();
+            t.fill_stats(&mut stats);
+            assert_eq!(stats.duplicate_replies_dropped, duplicates);
+            assert_eq!(stats.retry_give_ups, give_ups);
+            assert!(
+                duplicates > 0 && give_ups > 0 && stats.retries > 0,
+                "{policy:?}: {stats:?}"
+            );
         }
-        let mut stats = ResilienceStats::default();
-        t.fill_stats(&mut stats);
-        assert_eq!(stats.duplicate_replies_dropped, duplicates);
-        assert_eq!(stats.retry_give_ups, give_ups);
-        assert!(
-            duplicates > 0 && give_ups > 0 && stats.retries > 0,
-            "{stats:?}"
-        );
-        // Nothing due: no allocation behind the returned vector.
-        assert_eq!(t.expire(0).capacity(), 0);
     }
 
     #[test]
@@ -465,6 +624,7 @@ mod tests {
             t.reset(2);
             t.object_mut(ObjectId(1)).unwrap().deadline = Some(20);
         }
+        let (mut reference, untracked_reference) = (Reference::default(), Reference::default());
         let mut open = [[None; 2]; 3];
         let (mut now, mut misses) = (0, 0);
         for _ in 0..2_000 {
@@ -472,6 +632,7 @@ mod tests {
             let (pe, tid) = (draw(3) as usize, draw(2) as usize);
             if let Some((live, zero)) = open[pe][tid].take() {
                 let got = tracked.reply(pe, tid, live, true, Cycles(now));
+                reference.close(pe, tid);
                 assert_eq!(got, untracked.reply(pe, tid, zero, true, Cycles(now)));
                 assert!(matches!(got, Reply::Deliver { .. }));
                 misses += u64::from(got != Reply::Deliver { miss: None });
@@ -484,9 +645,10 @@ mod tests {
                 assert_eq!((zero.token, untracked.pending_len()), (0, 0));
                 assert_ne!(live.token, 0);
                 open[pe][tid] = Some((live.token, zero.token));
+                reference.open(pe, tid, now + RetryPolicy::default().window(0));
             }
-            audit(&tracked);
-            audit(&untracked);
+            audit(&tracked, &reference);
+            audit(&untracked, &untracked_reference);
         }
         assert!(misses > 0, "the budget of object 1 was never exceeded");
         for (a, b) in tracked.objects().iter().zip(untracked.objects()) {

@@ -210,6 +210,10 @@ pub struct FppaPlatform {
     /// per hardware thread — with the per-object latency telemetry and the
     /// retry policy (see [`crate::calls`]).
     pub(crate) calls: CallTable,
+    /// The due retries `check_retries` is handling, kept between
+    /// calls so that a steady run of timeouts allocates nothing; empty
+    /// outside it.
+    expired: Vec<Expired>,
     /// Sim-domain trace sink (see [`FppaPlatform::set_trace_sink`]). A pure
     /// observer: events are derived from simulation state and never fed
     /// back, so traced runs are bit-identical to untraced ones (pinned by
@@ -352,6 +356,7 @@ impl FppaPlatform {
             io_synced: 0,
             sched_stats: SchedulerStats::default(),
             calls,
+            expired: Vec::new(),
             obs_sink: None,
             profiler: None,
             campaign: None,
@@ -387,6 +392,7 @@ impl FppaPlatform {
             io_synced: self.io_synced,
             sched_stats: self.sched_stats,
             calls: self.calls.clone(),
+            expired: Vec::new(),
             obs_sink: None,
             profiler: None,
             campaign: self.campaign.clone(),
@@ -1057,7 +1063,9 @@ impl FppaPlatform {
     /// thread. Deadlines are plain cycle numbers, so both schedulers fire
     /// them on identical cycles.
     fn check_retries(&mut self, now: Cycles) {
-        for expired in self.calls.expire(now.0) {
+        let mut due = std::mem::take(&mut self.expired);
+        self.calls.expire(now.0, &mut due);
+        for expired in due.drain(..) {
             match expired {
                 Expired::GiveUp { pe, tid } => {
                     let t = nw_types::ThreadId(tid);
@@ -1089,6 +1097,7 @@ impl FppaPlatform {
                 }
             }
         }
+        self.expired = due;
     }
 
     /// One stepped cycle: the eight phases in their fixed order, each

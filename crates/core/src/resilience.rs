@@ -137,7 +137,7 @@ mod tests {
             max_attempts: 3,
         });
         let first = t.issue_at(0, 0, bytes(7, 4), 0);
-        let retried = match t.expire(10).as_slice() {
+        let retried = match t.expired(10).as_slice() {
             [Expired::Retry {
                 tag,
                 attempt: 1,
@@ -167,7 +167,7 @@ mod tests {
         let b = t.issue_at(0, 0, Payload::EMPTY, 50);
         assert_ne!(a, b, "a call reopened after a crash must get a fresh token");
         assert!(matches!(
-            t.expire(60).as_slice(),
+            t.expired(60).as_slice(),
             [Expired::GiveUp { pe: 0, tid: 0 }]
         ));
         let c = t.issue_at(0, 0, Payload::EMPTY, 70);
@@ -183,8 +183,8 @@ mod tests {
         t.issue_at(2, 0, bytes(3, 1), 0);
         t.issue_at(0, 1, bytes(2, 1), 5);
         t.issue_at(0, 0, bytes(1, 1), 0);
-        assert!(t.expire(9).is_empty());
-        let due: Vec<_> = (t.expire(10).iter())
+        assert!(t.expired(9).is_empty());
+        let due: Vec<_> = (t.expired(10).iter())
             .map(|e| match e {
                 Expired::Retry { tag, .. } => (tag.pe.0, tag.tid.0),
                 Expired::GiveUp { .. } => panic!("first timeout of three attempts"),

@@ -19,7 +19,7 @@
 //! entry at its line rate ([`FppaPlatform::bind_io_entry`]).
 
 use crate::tags::RequestTag;
-use nw_dsoc::{Application, Domain, Message, MessageHeader, MessageKind, MethodDef, MethodId};
+use nw_dsoc::{Application, Domain, Message, MessageHeader, MessageKind, MethodId};
 use nw_noc::Packet;
 use nw_pe::{KernelDomain, Op, Pe, Program};
 use nw_types::{Cycles, NodeId, ObjectId, Payload, ThreadId};
@@ -48,9 +48,30 @@ pub enum InstallError {
     UnknownObject(ObjectId),
     /// The bound node is not a service endpoint (memory, fabric or hwip).
     NotAServiceNode(NodeId),
-    /// The application has this many `(object, method)` handlers, more
-    /// than a dispatch key can index.
-    TooManyHandlers(usize),
+    /// The objects placed on PE `pe` have this many `(object, method)`
+    /// handlers, more than the 128 a dispatch key indexes.
+    TooManyHandlers {
+        /// The PE.
+        pe: usize,
+        /// Handlers of the objects placed on it.
+        handlers: usize,
+    },
+    /// A message size the wire cannot carry: `bytes` of `what` on
+    /// `object`'s handlers, past the `limit` one payload holds. `method`
+    /// is the method whose size it is; a binding's size is every method's.
+    MessageTooLarge {
+        /// The object.
+        object: ObjectId,
+        /// The method, for a method's own argument or reply size.
+        method: Option<MethodId>,
+        /// Which size: `"argument"`, `"reply"`, `"service request"`,
+        /// `"service reply"` or `"egress packet"`.
+        what: &'static str,
+        /// The size asked for.
+        bytes: u64,
+        /// The largest size the wire carries there.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for InstallError {
@@ -67,10 +88,25 @@ impl fmt::Display for InstallError {
             InstallError::NotAServiceNode(n) => {
                 write!(f, "node {n} is not a memory/fabric/hwip service endpoint")
             }
-            InstallError::TooManyHandlers(n) => {
+            InstallError::TooManyHandlers { pe, handlers } => write!(
+                f,
+                "PE {pe} would host {handlers} handlers, more than the \
+                 {MAX_HANDLERS_PER_PE} a dispatch key indexes"
+            ),
+            InstallError::MessageTooLarge {
+                object,
+                method,
+                what,
+                bytes,
+                limit,
+            } => {
+                write!(f, "{object}")?;
+                if let Some(m) = method {
+                    write!(f, ".{m}")?;
+                }
                 write!(
                     f,
-                    "{n} handlers, more than the {MAX_HANDLERS} a dispatch key indexes"
+                    ": a {bytes}-byte {what}, past the {limit} bytes the wire carries"
                 )
             }
         }
@@ -119,32 +155,35 @@ struct Reply {
 }
 
 /// One PE's dispatch backlog: the invocations awaiting an idle hardware
-/// thread, in arrival order, as two FIFOs. Every invocation queues a key
-/// `handler << 1 | answers` (its index in the flat handler table and
-/// whether it answers); an answering one also queues its [`Reply`], popped
-/// with the key. A oneway invocation costs 4 bytes, an answering one 20.
+/// thread, in arrival order, as two FIFOs. Every invocation queues a
+/// one-byte key `local << 1 | answers`: `local` is its handler's index
+/// among the handlers of this PE's objects (`Runtime::pe_first`), and the
+/// low bit says whether it answers. An answering one also queues its
+/// [`Reply`], popped with the key. A oneway invocation costs 1 byte, an
+/// answering one 17.
 #[derive(Debug, Clone, Default)]
 struct Backlog {
-    keys: VecDeque<u32>,
+    keys: VecDeque<u8>,
     /// One per queued key whose answer bit is set, in the same order.
     replies: VecDeque<Reply>,
 }
 
 impl Backlog {
-    /// Queues an invocation of `handler`, which answers when `reply` is set.
-    fn push(&mut self, handler: u32, reply: Option<Reply>) {
-        self.keys
-            .push_back(handler << 1 | u32::from(reply.is_some()));
+    /// Queues an invocation of local handler `local`, which answers when
+    /// `reply` is set.
+    fn push(&mut self, local: u8, reply: Option<Reply>) {
+        debug_assert!(usize::from(local) < MAX_HANDLERS_PER_PE);
+        self.keys.push_back(local << 1 | u8::from(reply.is_some()));
         self.replies.extend(reply);
     }
 
-    /// The oldest invocation: its handler index and, when it answers, its
-    /// reply fields.
+    /// The oldest invocation: its local handler index and, when it
+    /// answers, its reply fields.
     fn pop(&mut self) -> Option<(usize, Option<Reply>)> {
         let key = self.keys.pop_front()?;
         let reply = (key & 1 == 1)
             .then(|| (self.replies.pop_front()).expect("an answering key has a reply record"));
-        Some(((key >> 1) as usize, reply))
+        Some((usize::from(key >> 1), reply))
     }
 
     fn is_empty(&self) -> bool {
@@ -152,28 +191,35 @@ impl Backlog {
     }
 }
 
-/// Handlers a backlog key can index: it keeps the index in 31 bits.
-const MAX_HANDLERS: usize = 1 << 31;
+/// Handlers one PE can host: a backlog key keeps the local index in 7 bits.
+const MAX_HANDLERS_PER_PE: usize = 1 << 7;
 
-/// Each object's first index in the flat handler table, from the objects'
-/// handler counts.
-///
-/// # Errors
-///
-/// [`InstallError::TooManyHandlers`] if the table would hold more than
-/// [`MAX_HANDLERS`], so that some handler index would not fit a key.
-fn first_handlers(counts: impl IntoIterator<Item = usize>) -> Result<Vec<u32>, InstallError> {
-    let mut end = 0usize;
-    (counts.into_iter())
-        .map(|n| {
-            let first = end;
-            end = end.saturating_add(n);
-            match u32::try_from(first) {
-                Ok(first) if end <= MAX_HANDLERS => Ok(first),
-                _ => Err(InstallError::TooManyHandlers(end)),
-            }
-        })
-        .collect()
+/// The largest message body the wire carries: header and body fill one
+/// payload of at most [`Payload::MAX_LEN`] bytes.
+const MAX_BODY_BYTES: u64 = (Payload::MAX_LEN - Message::HEADER_LEN) as u64;
+
+/// The largest raw packet (service request or reply, egress hand-off).
+/// It bounds a reply size in a request tag too, whose field is 32 bits.
+const MAX_PACKET_BYTES: u64 = Payload::MAX_LEN as u64;
+
+/// `Ok` when `bytes` is at most `limit`; else the error that names where.
+fn check_size(
+    object: ObjectId,
+    method: Option<MethodId>,
+    what: &'static str,
+    bytes: u64,
+    limit: u64,
+) -> Result<(), InstallError> {
+    if bytes <= limit {
+        return Ok(());
+    }
+    Err(InstallError::MessageTooLarge {
+        object,
+        method,
+        what,
+        bytes,
+        limit,
+    })
 }
 
 /// One downstream call edge of a handler, resolved at install: the
@@ -220,10 +266,12 @@ pub struct Runtime {
     app: Application,
     /// object → PE index.
     placement: Vec<usize>,
-    /// Every `(object, method)` handler, object by object: `(o, m)` is at
-    /// `first_handler[o] + m`.
+    /// Every `(object, method)` handler, object by object with the objects
+    /// grouped PE by PE: `(o, m)` is at `first_handler[o] + m`, and PE
+    /// `p`'s objects own `pe_first[p]..pe_first[p + 1]`.
     handlers: Vec<Handler>,
-    first_handler: Vec<u32>,
+    first_handler: Vec<usize>,
+    pe_first: Vec<usize>,
     /// Per-PE dispatch backlogs.
     dispatch: Vec<Backlog>,
     io_bindings: Vec<Vec<IoBinding>>,
@@ -241,7 +289,8 @@ pub struct Runtime {
     /// Set bits in `ready`.
     ready_count: usize,
     seq: u32,
-    /// Invocations that arrived but could not be decoded (protocol errors).
+    /// Invocations that arrived but could not be decoded, or reached a PE
+    /// that does not host their object (protocol errors).
     pub decode_errors: u64,
     /// Invocations dispatched per object (per-stage throughput input).
     dispatched_per_object: Vec<u64>,
@@ -263,32 +312,49 @@ impl Runtime {
         if let Some(&bad) = placement.iter().find(|&&p| p >= n_pes) {
             return Err(InstallError::PeOutOfRange(bad));
         }
-        let counts = app.objects().iter().map(|o| o.methods.len());
-        let first_handler = first_handlers(counts.clone())?;
-        let handler = |object, method, m: &MethodDef| Handler {
-            object,
-            method,
-            domain: domain_to_kernel(m.domain),
-            local_bytes: m.local_bytes,
-            service: None,
-            compute_cycles: m.compute_cycles,
-            edges: Vec::new(),
-            reply_body_bytes: m.reply_bytes,
-            egress: None,
-        };
-        // A method past `u16::MAX` has no id, so nothing invokes it: its
-        // handler keeps a placeholder id that is never read.
-        let id = |m: usize| MethodId(u16::try_from(m).unwrap_or(u16::MAX));
-        let mut handlers = Vec::with_capacity(counts.sum());
-        for (o, def) in app.objects().iter().enumerate() {
-            let methods = def.methods.iter().enumerate();
-            handlers.extend(methods.map(|(m, def)| handler(ObjectId(o), id(m), def)));
+        let objects = app.objects();
+        let mut pe_first = vec![0; n_pes + 1];
+        for (def, &p) in objects.iter().zip(&placement) {
+            pe_first[p + 1] += def.methods.len();
+        }
+        for p in 0..n_pes {
+            let handlers = pe_first[p + 1];
+            if handlers > MAX_HANDLERS_PER_PE {
+                return Err(InstallError::TooManyHandlers { pe: p, handlers });
+            }
+            pe_first[p + 1] += pe_first[p];
+        }
+        // Objects PE by PE, in id order on each: a stable sort.
+        let mut order: Vec<usize> = (0..objects.len()).collect();
+        order.sort_by_key(|&o| placement[o]);
+        let mut first_handler = vec![0; objects.len()];
+        let mut handlers = Vec::with_capacity(pe_first[n_pes]);
+        for o in order {
+            first_handler[o] = handlers.len();
+            let object = ObjectId(o);
+            for (m, def) in objects[o].methods.iter().enumerate() {
+                let method = MethodId(u16::try_from(m).expect("a PE hosts at most 128 handlers"));
+                let (arg, reply) = (def.arg_bytes, def.reply_bytes);
+                check_size(object, Some(method), "argument", arg, MAX_BODY_BYTES)?;
+                check_size(object, Some(method), "reply", reply, MAX_BODY_BYTES)?;
+                handlers.push(Handler {
+                    object,
+                    method,
+                    domain: domain_to_kernel(def.domain),
+                    local_bytes: def.local_bytes,
+                    service: None,
+                    compute_cycles: def.compute_cycles,
+                    edges: Vec::new(),
+                    reply_body_bytes: reply,
+                    egress: None,
+                });
+            }
         }
         // In edge order, so each handler's calls keep the application's
         // order (synthesis order and the carry slots rest on it).
         for (i, e) in app.edges().iter().enumerate() {
             let callee = app.method(e.to, e.to_method);
-            let from = first_handler[e.from.0] as usize + usize::from(e.from_method.0);
+            let from = first_handler[e.from.0] + usize::from(e.from_method.0);
             let handler = &mut handlers[from];
             handler.edges.push(EdgePlan {
                 edge_idx: i,
@@ -308,6 +374,7 @@ impl Runtime {
             placement,
             handlers,
             first_handler,
+            pe_first,
             dispatch: vec![Backlog::default(); n_pes],
             io_bindings: vec![Vec::new(); n_ios],
             io_rr: vec![0; n_ios],
@@ -353,7 +420,15 @@ impl Runtime {
         io_node: NodeId,
         packet_bytes: u64,
     ) -> Result<(), InstallError> {
-        for h in self.object_handlers(object)? {
+        let handlers = self.object_handlers(object)?;
+        check_size(
+            object,
+            None,
+            "egress packet",
+            packet_bytes,
+            MAX_PACKET_BYTES,
+        )?;
+        for h in handlers {
             h.egress = Some((io_node, packet_bytes));
         }
         Ok(())
@@ -364,7 +439,11 @@ impl Runtime {
         object: ObjectId,
         binding: ServiceBinding,
     ) -> Result<(), InstallError> {
-        for h in self.object_handlers(object)? {
+        let handlers = self.object_handlers(object)?;
+        let (request, reply) = (binding.request_bytes, binding.reply_bytes);
+        check_size(object, None, "service request", request, MAX_PACKET_BYTES)?;
+        check_size(object, None, "service reply", reply, MAX_PACKET_BYTES)?;
+        for h in handlers {
             h.service = Some(binding);
         }
         Ok(())
@@ -380,7 +459,7 @@ impl Runtime {
             .ok_or(InstallError::UnknownObject(object))?
             .methods
             .len();
-        let first = self.first_handler[object.0] as usize;
+        let first = self.first_handler[object.0];
         Ok(self.handlers[first..first + n].iter_mut())
     }
 
@@ -437,7 +516,15 @@ impl Runtime {
             self.decode_errors += 1;
             return;
         }
-        let handler = self.first_handler[msg.object.0] + u32::from(msg.method.0);
+        // An invocation runs on the PE that hosts its object: arriving at
+        // another, it has no handler there.
+        if self.placement[msg.object.0] != p {
+            self.decode_errors += 1;
+            return;
+        }
+        let handler = self.first_handler[msg.object.0] + usize::from(msg.method.0);
+        let local =
+            u8::try_from(handler - self.pe_first[p]).expect("a PE hosts at most 128 handlers");
         // A twoway invocation answers when its request carries a tag.
         let answers = pkt.tag != 0 && self.app.method(msg.object, msg.method).is_twoway();
         let reply = if answers {
@@ -455,7 +542,7 @@ impl Runtime {
         } else {
             None
         };
-        self.dispatch[p].push(handler, reply);
+        self.dispatch[p].push(local, reply);
         self.pending_total += 1;
         self.note_pe(p, idle_threads);
     }
@@ -556,9 +643,9 @@ impl Runtime {
     /// Takes PE `p`'s oldest queued invocation: its handler index and, when
     /// it answers, its reply fields.
     fn take_invocation(&mut self, p: usize) -> Option<(usize, Option<Reply>)> {
-        let next = self.dispatch[p].pop()?;
+        let (local, reply) = self.dispatch[p].pop()?;
         self.pending_total -= 1;
-        Some(next)
+        Some((self.pe_first[p] + local, reply))
     }
 
     /// Spawns an invocation of `handler` on PE `p`, which has an idle
@@ -817,7 +904,7 @@ impl FppaPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nw_dsoc::ObjectDef;
+    use nw_dsoc::{MethodDef, ObjectDef};
     use nw_noc::PacketId;
     use proptest::prelude::*;
 
@@ -934,16 +1021,16 @@ mod tests {
     }
 
     #[test]
-    fn a_oneway_entry_costs_4_bytes_and_an_answering_one_at_most_20() {
+    fn a_oneway_entry_costs_1_byte_and_an_answering_one_17() {
         let bytes = |b: &Backlog| {
-            b.keys.len() * std::mem::size_of::<u32>()
+            b.keys.len() * std::mem::size_of::<u8>()
                 + b.replies.len() * std::mem::size_of::<Reply>()
         };
         let mut rt = runtime();
         rt.enqueue_invocation(1, &invocation(1, 0, 5, 0, 9), 0);
-        assert_eq!(bytes(&rt.dispatch[1]), 4);
+        assert_eq!(bytes(&rt.dispatch[1]), 1);
         rt.enqueue_invocation(0, &invocation(0, 0, 5, 1, 9), 0);
-        assert!(bytes(&rt.dispatch[0]) <= 20, "{}", bytes(&rt.dispatch[0]));
+        assert_eq!(bytes(&rt.dispatch[0]), 17);
         assert_eq!(rt.dispatch[0].replies.len(), 1);
     }
 
@@ -955,9 +1042,10 @@ mod tests {
             p.ops().iter().filter(is_send).count()
         };
         // `a.go` answers a tagged request only; `c.sink` is oneway.
+        // Object `o` is placed on PE `o`.
         for (object, tag, answers) in [(0, 0, false), (0, 7, true), (1, 7, false)] {
-            rt.enqueue_invocation(0, &invocation(object, 0, 3, 1, tag), 0);
-            let (handler, reply) = rt.take_invocation(0).expect("one queued");
+            rt.enqueue_invocation(object, &invocation(object, 0, 3, 1, tag), 0);
+            let (handler, reply) = rt.take_invocation(object).expect("one queued");
             assert_eq!(reply.is_some(), answers, "object {object}, tag {tag}");
             let silent = rt.synthesize(handler, None, Vec::new());
             let prog = rt.synthesize(handler, reply, Vec::new());
@@ -971,22 +1059,52 @@ mod tests {
         assert_eq!(rt.queued_invocations(), 0);
     }
 
+    /// An application whose objects have `methods[o]` oneway methods each.
+    fn app_of(methods: &[usize]) -> Application {
+        let mut b = Application::builder("wide");
+        for (o, &n) in methods.iter().enumerate() {
+            let mut def = ObjectDef::new(&format!("o{o}"));
+            for m in 0..n {
+                def = def.with_method(MethodDef::oneway(&format!("m{m}"), 8));
+            }
+            b.add_object(def);
+        }
+        b.entry(ObjectId(0), 0);
+        b.build().expect("valid test app")
+    }
+
     #[test]
     fn a_handler_index_past_the_key_is_an_install_error() {
-        let half = MAX_HANDLERS / 2;
-        assert_eq!(first_handlers([half, half]), Ok(vec![0, 1 << 30]));
-        // The last index that fits comes back out of a key whole.
-        let mut backlog = Backlog::default();
-        backlog.push(u32::try_from(MAX_HANDLERS - 1).expect("fits"), None);
-        assert_eq!(backlog.pop(), Some((MAX_HANDLERS - 1, None)));
+        // 128 handlers on PE 1, split over two objects, fit; so do 128 on
+        // each of two PEs.
+        let app = app_of(&[1, 100, 28, 128]);
+        let rt = Runtime::new(app.clone(), vec![0, 1, 1, 2], 3, 0).expect("128 per PE fit");
+        assert_eq!(rt.pe_first, [0, 1, 129, 257]);
+        // The last local index comes back out of a key whole and names
+        // its handler.
+        let mut rt = rt;
+        rt.enqueue_invocation(1, &invocation(2, 27, 5, 0, 0), 0);
+        assert_eq!(rt.dispatch[1].keys, [127 << 1]);
+        let (handler, _) = rt.take_invocation(1).expect("one queued");
+        let h = &rt.handlers[handler];
+        assert_eq!((h.object, h.method), (ObjectId(2), MethodId(27)));
+        // A 129th handler on one PE is refused, naming the PE.
+        let err = Runtime::new(app.clone(), vec![0, 1, 1, 1], 3, 0).err();
+        let want = InstallError::TooManyHandlers {
+            pe: 1,
+            handlers: 256,
+        };
+        assert_eq!(err, Some(want.clone()));
         assert_eq!(
-            first_handlers([half, half, 1]),
-            Err(InstallError::TooManyHandlers(MAX_HANDLERS + 1))
+            want.to_string(),
+            "PE 1 would host 256 handlers, more than the 128 a dispatch key indexes"
         );
-        assert_eq!(
-            first_handlers([MAX_HANDLERS + 1]),
-            Err(InstallError::TooManyHandlers(MAX_HANDLERS + 1))
-        );
+        let err = Runtime::new(app_of(&[1, 129]), vec![0, 1], 2, 0).err();
+        let want = InstallError::TooManyHandlers {
+            pe: 1,
+            handlers: 129,
+        };
+        assert_eq!(err, Some(want));
     }
 
     /// A queued invocation with every field spelled out: the oracle the
@@ -1073,7 +1191,14 @@ mod tests {
                         let (object, method) = METHODS[m];
                         let tag = if tagged { tag } else { 0 };
                         let src = usize::try_from(seq >> 8).expect("fits");
+                        let errors = rt.decode_errors;
                         rt.enqueue_invocation(p, &invocation(object, method, seq, src, tag), 0);
+                        // Objects 1 and 2 are placed on PE 1; arriving
+                        // elsewhere, an invocation has no handler.
+                        if p != usize::from(object > 0) {
+                            prop_assert_eq!(rt.decode_errors, errors + 1);
+                            continue;
+                        }
                         let (object, method) = (ObjectId(object), MethodId(method));
                         let twoway = app.method(object, method).is_twoway();
                         oracle[p].push_back(PendingInvocation {

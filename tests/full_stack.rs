@@ -107,3 +107,121 @@ fn install_errors_are_reported_not_panicked() {
     assert!(platform.bind_io_entry(0, o).is_err());
     assert!(platform.bind_egress(o, 0, 40).is_err());
 }
+
+/// The largest message body and raw packet the wire carries: one payload.
+const MAX_BODY: u64 = (nw_types::Payload::MAX_LEN - nw_dsoc::Message::HEADER_LEN) as u64;
+const MAX_PACKET: u64 = nw_types::Payload::MAX_LEN as u64;
+
+/// The quickstart's platform plus one hardwired IP block, whose replies
+/// come back within cycles whatever their size.
+fn sizes_platform() -> FppaPlatform {
+    let mut cfg = FppaConfig::new("sizes", TopologyKind::Mesh);
+    for _ in 0..4 {
+        cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
+    }
+    cfg.add_hwip(nanowall::HwIpConfig {
+        name: "ip".into(),
+        ii: 1,
+        latency: 4,
+        area: nw_types::AreaMm2(0.1),
+        energy_per_item: nw_types::Picojoules(1.0),
+    });
+    let clock_hz = cfg.tech.nominal_clock_hz();
+    cfg.add_io(IoChannelConfig {
+        rate: nw_types::BitsPerSec(40.0 * 8.0 * clock_hz / 100.0),
+        clock_hz,
+        ..IoChannelConfig::ten_gbe_worst_case()
+    });
+    FppaPlatform::new(cfg).expect("valid config")
+}
+
+/// The quickstart's application with its call made twoway: `ping` (fed
+/// from channel 0) calls `pong.ack` with `arg_bytes`, answered with
+/// `reply_bytes`.
+fn sizes_app(arg_bytes: u64, reply_bytes: u64) -> Application {
+    let mut b = Application::builder("pingpong");
+    let go = MethodDef::oneway("go", 16).with_compute(50);
+    let ping = b.add_object(ObjectDef::new("ping").with_method(go));
+    let ack = MethodDef::twoway("ack", arg_bytes, reply_bytes).with_compute(50);
+    let pong = b.add_object(ObjectDef::new("pong").with_method(ack));
+    b.connect(ping, 0, pong, 0, 1.0);
+    b.entry(ping, 0);
+    b.build().expect("valid app")
+}
+
+const PING: ObjectId = ObjectId(0);
+const PONG: ObjectId = ObjectId(1);
+
+/// Installs `app` on a fresh [`sizes_platform`], fed from channel 0.
+fn install(app: &Application) -> Result<FppaPlatform, nanowall::InstallError> {
+    let mut p = sizes_platform();
+    p.install_app(app, &[0, 3])?;
+    p.bind_io_entry(0, PING)?;
+    Ok(p)
+}
+
+#[test]
+fn a_message_size_the_wire_cannot_carry_is_an_install_error() {
+    use nanowall::InstallError::MessageTooLarge;
+    // A method's argument or reply at the limit installs and runs: the
+    // first call and the first reply are marshalled and tagged.
+    for (arg, reply) in [(MAX_BODY, 8), (16, MAX_BODY)] {
+        let mut p = install(&sizes_app(arg, reply)).expect("at the limit");
+        p.run(5_000);
+        // A maximal argument is still on the wire; a maximal reply was sent.
+        let dispatches = p.runtime().expect("installed").object_dispatches();
+        assert_eq!(dispatches[PONG.0] > 0, arg < MAX_BODY, "{dispatches:?}");
+        assert!(dispatches[PING.0] > 0);
+    }
+    // One byte past it, or the reply size that overflowed the tag, is
+    // refused by name.
+    let refused = [
+        (MAX_BODY + 1, 8, "argument", MAX_BODY + 1),
+        (16, MAX_BODY + 1, "reply", MAX_BODY + 1),
+        (16, 1 << 32, "reply", 1 << 32),
+    ];
+    for (arg, reply, what, bytes) in refused {
+        let err = install(&sizes_app(arg, reply)).err();
+        let want = MessageTooLarge {
+            object: PONG,
+            method: Some(nw_dsoc::MethodId(0)),
+            what,
+            bytes,
+            limit: MAX_BODY,
+        };
+        assert_eq!(err, Some(want.clone()));
+        assert_eq!(
+            want.to_string(),
+            format!("obj1.m0: a {bytes}-byte {what}, past the {MAX_BODY} bytes the wire carries")
+        );
+    }
+    // A binding's sizes likewise: a service request or reply and an
+    // egress packet.
+    type Bind = fn(&mut FppaPlatform, u64) -> Result<(), nanowall::InstallError>;
+    let binds: [(Bind, &str); 3] = [
+        (
+            |p, n| p.bind_service(PING, p.hwip_node(0), n, 8, 1),
+            "service request",
+        ),
+        (
+            |p, n| p.bind_service(PING, p.hwip_node(0), 8, n, 1),
+            "service reply",
+        ),
+        (|p, n| p.bind_egress(PONG, 0, n), "egress packet"),
+    ];
+    for (bind, what) in binds {
+        let mut p = install(&sizes_app(16, 8)).expect("valid app");
+        let want = MessageTooLarge {
+            object: if what == "egress packet" { PONG } else { PING },
+            method: None,
+            what,
+            bytes: MAX_PACKET + 1,
+            limit: MAX_PACKET,
+        };
+        assert_eq!(bind(&mut p, MAX_PACKET + 1), Err(want));
+        bind(&mut p, MAX_PACKET).expect("at the limit");
+        p.run(5_000);
+        let dispatches = p.runtime().expect("installed").object_dispatches();
+        assert!(dispatches[PING.0] > 0, "{what}");
+    }
+}

@@ -2,9 +2,12 @@
 //! global allocator.
 //!
 //! For every [`BenchRig`] the test measures the live heap bytes the
-//! platform holds after `build`, after nwbench's `--quick` warm-up (its
-//! full warm-up ÷ 20) and what one `fork` of the warmed platform adds,
-//! prints the table and fails on a figure above its pinned ceiling. A fifth
+//! platform holds after `build`, at most during nwbench's `--quick`
+//! warm-up (its full warm-up ÷ 20; the high-water mark, a deterministic
+//! proxy for nwbench's `peak_rss_mb`), after the warm-up, and what one
+//! `fork` of the warmed platform adds, prints the table and fails on a
+//! figure above its pinned ceiling. Each rig then runs a second window as
+//! long as its warm-up, whose allocation calls are pinned exactly. A fifth
 //! row runs `mix-fork-faults` through nwbench's full warm-up, which leaves
 //! thousands of invocations queued, and also pins the runtime's bytes per
 //! queued invocation. A NoC row pins what a healthy 1 024-endpoint mesh
@@ -27,19 +30,33 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The system allocator, counting the bytes it has handed out and not yet
-/// been given back.
+/// been given back, its allocation calls and the live high-water mark.
 struct Counting;
 
 /// Live heap bytes of the whole process.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 
+/// The most bytes live at once since the last [`reset_peak`]. A `realloc`
+/// counts its old and new blocks together, as a moving one holds both.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// `alloc`, `alloc_zeroed` and `realloc` calls of the whole process.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+/// `size` more bytes are live.
+fn grew(size: usize) {
+    CALLS.fetch_add(1, Ordering::Relaxed);
+    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
 // SAFETY: every call forwards to `System` with the caller's arguments; the
-// counter only observes sizes.
+// counters only observe sizes.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            grew(layout.size());
         }
         p
     }
@@ -47,7 +64,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            grew(layout.size());
         }
         p
     }
@@ -60,7 +77,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            LIVE.fetch_add(new_size, Ordering::Relaxed);
+            grew(new_size);
             LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         }
         p
@@ -74,26 +91,77 @@ fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
+fn calls() -> usize {
+    CALLS.load(Ordering::Relaxed)
+}
+
+/// Starts a new high-water mark at the bytes live now.
+fn reset_peak() {
+    PEAK.store(live(), Ordering::Relaxed);
+}
+
+fn peak() -> usize {
+    PEAK.load(Ordering::Relaxed)
+}
+
 /// nwbench's `--quick` campaign horizon for the faulted rig: its warm-up
 /// plus one replica window, 900 000 + 600 000 cycles ÷ 20.
 const QUICK_CAMPAIGN_HORIZON: u64 = 75_000;
 
-/// Per rig, in [`BenchRig::ALL`] order: nwbench's `--quick` warm-up in
-/// cycles, and the ceilings in bytes on the platform after `build`, after
-/// the warm-up, and on one fork — the figures measured plus 10 %: after
-/// `build` and on a fork since routing became a function of the fabric's
-/// shape, after the warm-up since a payload became a length and a 16-byte
-/// head.
-const RIGS: [(u64, [usize; 3]); 4] = [
-    (15_000, [85_932, 120_441, 89_285]),
-    (100_000, [35_280, 65_635, 47_948]),
-    (3_000_000, [24_648, 33_513, 24_428]),
-    (45_000, [53_529, 85_952, 65_163]),
+/// One row's pins.
+struct Pins {
+    /// Warm-up in cycles; the second window is as long.
+    warmup: u64,
+    /// Ceilings in bytes, each measured plus 10 % unless noted: on the
+    /// platform after `build`, on the most live at once during the
+    /// warm-up, after the warm-up, and on one fork.
+    ceilings: [usize; 4],
+    /// Allocation calls in the second window, exact in a release build
+    /// (a debug build's audits allocate too, so it does not check them).
+    calls: usize,
+}
+
+/// Per rig, in [`BenchRig::ALL`] order, at nwbench's `--quick` warm-up.
+/// The `built` and `fork` ceilings date from routing becoming a function
+/// of the fabric's shape, `warmed` from a payload becoming a length and a
+/// 16-byte head.
+const RIGS: [Pins; 4] = [
+    Pins {
+        warmup: 15_000,
+        ceilings: [85_932, 123_954, 120_441, 89_285],
+        calls: 41,
+    },
+    Pins {
+        warmup: 100_000,
+        ceilings: [35_280, 67_037, 65_635, 47_948],
+        calls: 25,
+    },
+    Pins {
+        warmup: 3_000_000,
+        ceilings: [24_648, 34_781, 33_513, 24_428],
+        calls: 19,
+    },
+    Pins {
+        warmup: 45_000,
+        ceilings: [53_529, 86_710, 85_952, 65_163],
+        calls: 45,
+    },
 ];
 
-/// The fifth row, `mix-fork-faults` at nwbench's full warm-up:
-/// warm-up and campaign horizon in cycles, and ceilings as in [`RIGS`].
-const FULL_MIX: (u64, u64, [usize; 3]) = (900_000, 1_500_000, [58_457, 160_788, 110_184]);
+/// The fifth row, `mix-fork-faults` at nwbench's full warm-up, with its
+/// campaign horizon in cycles (the campaign ends 600 000 cycles into the
+/// second window). Since a backlog key became one byte and the retry
+/// index stopped allocating, `warmed` and `fork` are capped at 110 000
+/// and 85 000 B, below measured plus 10 %; `built` keeps its older,
+/// tighter ceiling.
+const FULL_MIX: (u64, Pins) = (
+    1_500_000,
+    Pins {
+        warmup: 900_000,
+        ceilings: [58_457, 117_625, 110_000, 85_000],
+        calls: 38,
+    },
+);
 
 /// The NoC row: a healthy mesh's endpoints, and the ceilings in bytes on
 /// its `Noc` after `Noc::new` and on one `clone` — measured plus 10 %.
@@ -105,7 +173,7 @@ const MIN_BACKLOG: usize = 5_000;
 
 /// Ceiling on the fifth row's runtime bytes (what a fork copies of it) per
 /// queued invocation: measured plus 10 %.
-const BYTES_PER_QUEUED: f64 = 7.1;
+const BYTES_PER_QUEUED: f64 = 3.84;
 
 /// Asserts that every object of `p` without a recorded round trip owns no
 /// latency buckets, and returns how many such objects there were.
@@ -125,6 +193,19 @@ fn silent_objects_own_no_buckets(p: &FppaPlatform) -> usize {
         .count()
 }
 
+/// One rig's measurements.
+struct Row {
+    rig: BenchRig,
+    pins: &'static Pins,
+    /// Bytes after `build`, most live during the warm-up, after it, and
+    /// added by one fork.
+    got: [usize; 4],
+    runtime_bytes: usize,
+    queued: usize,
+    /// Allocation calls in the second window.
+    calls: usize,
+}
+
 #[test]
 fn benchmark_rigs_stay_under_their_heap_ceilings() {
     let before = live();
@@ -134,16 +215,17 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
 
     let mut rows = Vec::new();
     let mut silent = 0;
-    let quick = BenchRig::ALL.into_iter().zip(RIGS);
-    let quick = quick.map(|(rig, (warmup, ceil))| (rig, warmup, QUICK_CAMPAIGN_HORIZON, ceil));
-    let (warmup, horizon, ceil) = FULL_MIX;
-    let full = (BenchRig::MixForkFaults, warmup, horizon, ceil);
-    for (rig, warmup, horizon, ceilings) in quick.chain([full]) {
+    let quick = BenchRig::ALL.into_iter().zip(&RIGS);
+    let quick = quick.map(|(rig, pins)| (rig, QUICK_CAMPAIGN_HORIZON, pins));
+    let (horizon, pins) = &FULL_MIX;
+    for (rig, horizon, pins) in quick.chain([(BenchRig::MixForkFaults, *horizon, pins)]) {
         let base = live();
         let mut platform = rig.build(horizon);
         let built = live() - base;
         silent += silent_objects_own_no_buckets(&platform);
-        drop(platform.run(warmup));
+        reset_peak();
+        drop(platform.run(pins.warmup));
+        let high_water = peak() - base;
         let warmed = live() - base;
         silent += silent_objects_own_no_buckets(&platform);
         let before_fork = live();
@@ -156,32 +238,44 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
         let copy = runtime.clone();
         let runtime_bytes = live() - before_copy;
         drop(copy);
+        let before_window = calls();
+        let report = platform.run(pins.warmup);
+        let calls = calls() - before_window;
+        drop(report);
         drop(platform);
-        let got = [built, warmed, forked];
-        rows.push((rig, warmup, got, ceilings, runtime_bytes, queued));
+        rows.push(Row {
+            rig,
+            pins,
+            got: [built, high_water, warmed, forked],
+            runtime_bytes,
+            queued,
+            calls,
+        });
     }
 
     println!(
-        "rig               warm-up   built B  warmed B    fork B   runtime B  queued  B/queued   (ceilings)"
+        "rig               warm-up   built B   high B  warmed B    fork B   runtime B  queued  B/queued  calls   (ceilings; calls pinned)"
     );
-    for (rig, warmup, got, ceil, runtime_bytes, queued) in &rows {
-        let per_queued = match queued {
+    for row in &rows {
+        let per_queued = match row.queued {
             0 => "-".to_string(),
-            &q => format!("{:.2}", *runtime_bytes as f64 / q as f64),
+            q => format!("{:.2}", row.runtime_bytes as f64 / q as f64),
         };
+        let [built, high, warmed, fork] = row.got;
+        let [cb, ch, cw, cf] = row.pins.ceilings;
         println!(
-            "{:<16} {:>8} {:>9} {:>9} {:>9} {:>11} {:>7} {:>9}   ({} / {} / {})",
-            rig.name(),
-            warmup,
-            got[0],
-            got[1],
-            got[2],
-            runtime_bytes,
-            queued,
+            "{:<16} {:>8} {:>9} {:>8} {:>9} {:>9} {:>11} {:>7} {:>9} {:>6}   ({cb} / {ch} / {cw} / {cf}; {})",
+            row.rig.name(),
+            row.pins.warmup,
+            built,
+            high,
+            warmed,
+            fork,
+            row.runtime_bytes,
+            row.queued,
             per_queued,
-            ceil[0],
-            ceil[1],
-            ceil[2]
+            row.calls,
+            row.pins.calls,
         );
     }
     let (endpoints, mesh_ceil) = MESH_NOC;
@@ -195,10 +289,11 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
     drop(copy);
     drop(noc);
     println!(
-        "{:<16} {:>8} {:>9} {:>9} {:>9}   ({} / - / {})",
+        "{:<16} {:>8} {:>9} {:>8} {:>9} {:>9}   ({} / - / - / {})",
         format!("mesh-{endpoints}-noc"),
         "-",
         built,
+        "-",
         "-",
         cloned,
         mesh_ceil[0],
@@ -215,22 +310,33 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
     }
 
     assert!(silent > 0, "no rig has an object without a round trip");
-    let &(.., runtime_bytes, queued) = rows.last().expect("five rows");
-    assert!(queued >= MIN_BACKLOG, "the full warm-up queued {queued}");
-    let per_queued = runtime_bytes as f64 / queued as f64;
+    let full = rows.last().expect("five rows");
+    assert!(
+        full.queued >= MIN_BACKLOG,
+        "the full warm-up queued {}",
+        full.queued
+    );
+    let per_queued = full.runtime_bytes as f64 / full.queued as f64;
     assert!(
         per_queued <= BYTES_PER_QUEUED,
         "runtime {per_queued:.2} B per queued invocation, above {BYTES_PER_QUEUED}"
     );
-    for (rig, warmup, got, ceil, ..) in rows {
-        for (what, (g, c)) in ["built", "warmed", "fork"]
+    for row in rows {
+        let name = row.rig.name();
+        let warmup = row.pins.warmup;
+        for (what, (g, c)) in ["built", "high-water", "warmed", "fork"]
             .iter()
-            .zip(got.into_iter().zip(ceil))
+            .zip(row.got.into_iter().zip(row.pins.ceilings))
         {
             assert!(
                 g <= c,
-                "{} ({warmup} cycles): {what} heap {g} B above its ceiling {c} B",
-                rig.name()
+                "{name} ({warmup} cycles): {what} heap {g} B above its ceiling {c} B"
+            );
+        }
+        if !cfg!(debug_assertions) {
+            assert_eq!(
+                row.calls, row.pins.calls,
+                "{name}: allocation calls in the second {warmup}-cycle window"
             );
         }
     }
