@@ -154,7 +154,7 @@ pub(crate) enum Reply {
 }
 
 /// What [`CallTable::expire`] did to one due slot.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Expired {
     /// Re-send `data` to `dst` under `tag` (fresh token, doubled window).
     Retry {

@@ -33,6 +33,7 @@ use nw_types::{
     AreaMm2, Cycles, MemorySpec, NodeId, ObjectId, Payload, PeId, Picojoules, ThreadId,
 };
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// How [`FppaPlatform::step`] visits components each cycle.
 ///
@@ -165,19 +166,37 @@ pub(crate) struct Outgoing {
     pub on_accept: Option<(PeId, nw_types::ThreadId)>,
 }
 
-/// The assembled platform.
+/// The assembled platform: its simulation state and the host-side
+/// observers watching it.
 ///
 /// See the [crate-level documentation](crate) for a quickstart.
 #[derive(Debug)]
 pub struct FppaPlatform {
+    /// Everything a run reads or changes: what a snapshot copies.
+    pub(crate) sim: State,
+    obs: Observers,
+}
+
+/// What never changes after [`FppaPlatform::new`]: every copy of a
+/// platform shares one.
+#[derive(Debug)]
+struct Fixed {
     cfg: FppaConfig,
+    roles: Vec<NodeRole>,
+}
+
+/// The simulation state of a [`FppaPlatform`]: every field a run reads or
+/// changes, and nothing that only watches it. A snapshot, a restore and a
+/// fork each copy it whole.
+#[derive(Debug, Clone)]
+pub(crate) struct State {
+    fixed: Arc<Fixed>,
     noc: Noc,
     pes: Vec<Pe>,
     /// Memories, fabrics and hardwired IP with their request bookkeeping
     /// and the `Services` agenda entry (see [`crate::services`]).
     services: Services,
     ios: Vec<IoChannel>,
-    roles: Vec<NodeRole>,
     /// The cycle currently executing.
     now: Cycles,
     outbox: VecDeque<Outgoing>,
@@ -212,18 +231,8 @@ pub struct FppaPlatform {
     pub(crate) calls: CallTable,
     /// The due retries `check_retries` is handling, kept between
     /// calls so that a steady run of timeouts allocates nothing; empty
-    /// outside it.
+    /// outside it, so a copy allocates nothing for it.
     expired: Vec<Expired>,
-    /// Sim-domain trace sink (see [`FppaPlatform::set_trace_sink`]). A pure
-    /// observer: events are derived from simulation state and never fed
-    /// back, so traced runs are bit-identical to untraced ones (pinned by
-    /// the scheduler differential suite). `None` costs one branch per
-    /// emission site.
-    obs_sink: Option<Box<dyn TraceSink>>,
-    /// Host-side wall-clock phase profiler (see
-    /// [`FppaPlatform::set_host_profiler`]). Host-domain only — its
-    /// readings never influence simulation state.
-    profiler: Option<HostProfiler>,
     /// Installed fault campaign, drained cycle by cycle at the top of each
     /// step. `None` keeps every fault hook structurally untouched, so
     /// faults-off runs are bit-identical to builds without the subsystem.
@@ -233,7 +242,23 @@ pub struct FppaPlatform {
     rstats: ResilienceStats,
 }
 
-/// A plain-old-data checkpoint of a [`FppaPlatform`].
+/// The host-side observers of a [`FppaPlatform`]: never simulation state,
+/// never copied.
+#[derive(Debug, Default)]
+struct Observers {
+    /// Sim-domain trace sink (see [`FppaPlatform::set_trace_sink`]). A pure
+    /// observer: events are derived from simulation state and never fed
+    /// back, so traced runs are bit-identical to untraced ones (pinned by
+    /// the scheduler differential suite). `None` costs one branch per
+    /// emission site.
+    sink: Option<Box<dyn TraceSink>>,
+    /// Host-side wall-clock phase profiler (see
+    /// [`FppaPlatform::set_host_profiler`]). Host-domain only — its
+    /// readings never influence simulation state.
+    profiler: Option<HostProfiler>,
+}
+
+/// A checkpoint of a [`FppaPlatform`]: its simulation state.
 ///
 /// Captures the complete simulation state — PE/program state, NoC engine
 /// state (queues, `busy_until` stamps, event-wheel wakes), runtime
@@ -243,20 +268,12 @@ pub struct FppaPlatform {
 /// [`FppaPlatform::from_snapshot`] continues bit-identically to the
 /// uninterrupted original.
 ///
-/// Deliberately **not** captured (host-side observers, never simulation
-/// state): the trace sink and the host profiler. [`FppaPlatform::restore`]
+/// It cannot hold the host-side observers (the trace sink and the host
+/// profiler): they live outside the state. [`FppaPlatform::restore`]
 /// keeps the target's own observers across the restore.
 #[derive(Debug)]
 pub struct PlatformSnapshot {
-    /// Full platform state with the host-side observers stripped.
-    state: Box<FppaPlatform>,
-}
-
-impl PlatformSnapshot {
-    /// The simulation cycle the snapshot was taken at.
-    pub fn cycle(&self) -> Cycles {
-        self.state.now
-    }
+    state: State,
 }
 
 impl FppaPlatform {
@@ -339,13 +356,12 @@ impl FppaPlatform {
 
         let n_pes = pes.len();
         let calls = CallTable::new(pes.iter().map(Pe::n_threads));
-        Ok(FppaPlatform {
-            cfg,
+        let sim = State {
+            fixed: Arc::new(Fixed { cfg, roles }),
             noc,
             pes,
             services,
             ios,
-            roles,
             now: Cycles::ZERO,
             outbox: VecDeque::new(),
             runtime: None,
@@ -357,47 +373,16 @@ impl FppaPlatform {
             sched_stats: SchedulerStats::default(),
             calls,
             expired: Vec::new(),
-            obs_sink: None,
-            profiler: None,
             campaign: None,
             rstats: ResilienceStats::default(),
-        })
+        };
+        Ok(FppaPlatform::with_state(sim))
     }
 
-    /// Clones the complete simulation state, stripping the host-side
-    /// observers (trace sink, profiler) and their per-PE retire logs. The
-    /// exhaustive field list keeps this total: adding a platform field
-    /// without deciding its snapshot story is a compile error here.
-    fn clone_state(&self) -> FppaPlatform {
-        let mut pes = self.pes.clone();
-        for pe in &mut pes {
-            // Retire logs exist only to feed an installed trace sink; the
-            // clone has none, so carrying them would grow unboundedly.
-            pe.set_retire_log(false);
-        }
-        FppaPlatform {
-            cfg: self.cfg.clone(),
-            noc: self.noc.clone(),
-            pes,
-            services: self.services.clone(),
-            ios: self.ios.clone(),
-            roles: self.roles.clone(),
-            now: self.now,
-            outbox: self.outbox.clone(),
-            runtime: self.runtime.clone(),
-            scheduler: self.scheduler,
-            pe_wake: self.pe_wake.clone(),
-            pe_due: self.pe_due,
-            io_due: self.io_due,
-            io_synced: self.io_synced,
-            sched_stats: self.sched_stats,
-            calls: self.calls.clone(),
-            expired: Vec::new(),
-            obs_sink: None,
-            profiler: None,
-            campaign: self.campaign.clone(),
-            rstats: self.rstats.clone(),
-        }
+    /// A platform running `sim`, with no observer installed.
+    fn with_state(sim: State) -> FppaPlatform {
+        let obs = Observers::default();
+        FppaPlatform { sim, obs }
     }
 
     /// Checkpoints the platform. The snapshot owns an independent copy of
@@ -405,7 +390,7 @@ impl FppaPlatform {
     /// observers included) and can keep running.
     pub fn snapshot(&self) -> PlatformSnapshot {
         PlatformSnapshot {
-            state: Box::new(self.clone_state()),
+            state: self.sim.clone(),
         }
     }
 
@@ -414,20 +399,17 @@ impl FppaPlatform {
     /// both [`SchedulerMode`]s, with or without an active fault campaign —
     /// and starts with no trace sink or profiler installed.
     pub fn from_snapshot(snap: &PlatformSnapshot) -> FppaPlatform {
-        snap.state.clone_state()
+        FppaPlatform::with_state(snap.state.clone())
     }
 
     /// Overwrites this platform's simulation state with the snapshot's,
     /// keeping the host-side observers (trace sink, profiler) this
     /// platform already has. Restoring under an installed sink re-enables
-    /// the NoC heatmap and PE retire logging on the restored state.
+    /// the NoC heatmap on the restored state.
     pub fn restore(&mut self, snap: &PlatformSnapshot) {
-        let sink = self.obs_sink.take();
-        let profiler = self.profiler.take();
-        *self = FppaPlatform::from_snapshot(snap);
-        self.profiler = profiler;
-        if let Some(s) = sink {
-            self.set_trace_sink(s);
+        self.sim = snap.state.clone();
+        if self.obs.sink.is_some() {
+            self.sim.noc.enable_obs();
         }
     }
 
@@ -439,20 +421,14 @@ impl FppaPlatform {
     /// redrawn from `seed`. Forking with the seed the campaign was
     /// generated from (or any seed, when no campaign is installed)
     /// reproduces the uninterrupted run exactly; distinct seeds give
-    /// statistically independent replicas.
+    /// statistically independent replicas. The replica starts with no
+    /// trace sink or profiler installed.
     pub fn fork(&self, seed: u64) -> FppaPlatform {
-        let mut p = self.clone_state();
-        p.reseed(seed);
-        p
-    }
-
-    /// Redraws the undrained future of an installed fault campaign from
-    /// `seed`, keeping all other state (see [`FppaPlatform::fork`]).
-    pub fn reseed(&mut self, seed: u64) {
-        let now = self.now.0;
-        if let Some(c) = self.campaign.as_mut() {
-            c.reseed(seed, now);
+        let mut sim = self.sim.clone();
+        if let Some(c) = sim.campaign.as_mut() {
+            c.reseed(seed, sim.now.0);
         }
+        FppaPlatform::with_state(sim)
     }
 
     /// Installs a trace sink: from now on the platform reports packet
@@ -461,44 +437,40 @@ impl FppaPlatform {
     /// heatmap accounting. Tracing is pure observation — a traced run
     /// produces bit-identical reports to an untraced one.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.noc.enable_obs();
-        for pe in &mut self.pes {
-            pe.set_retire_log(true);
-        }
-        self.obs_sink = Some(sink);
+        self.sim.noc.enable_obs();
+        self.obs.sink = Some(sink);
     }
 
-    /// Removes and returns the installed trace sink (retire logging stops;
-    /// NoC heatmap counters keep accumulating once enabled).
+    /// Removes and returns the installed trace sink (NoC heatmap counters
+    /// keep accumulating once enabled).
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        for pe in &mut self.pes {
-            pe.set_retire_log(false);
-        }
-        self.obs_sink.take()
+        self.obs.sink.take()
     }
 
-    /// The NoC contention heatmap up to the current cycle (`None` unless a
-    /// trace sink was installed at some point).
+    /// The NoC contention heatmap up to the current cycle: `None` unless
+    /// a trace sink was installed on this platform, or on the platform its
+    /// state was copied from, at some point (a snapshot, restore or fork
+    /// carries the counters).
     pub fn noc_heatmap(&self) -> Option<NocHeatmap> {
-        self.noc.heatmap(self.now)
+        self.sim.noc.heatmap(self.sim.now)
     }
 
     /// Installs a host-side phase profiler; [`FppaPlatform::run`] arms it,
     /// laps it at every phase boundary, and pauses it on return.
     pub fn set_host_profiler(&mut self, profiler: HostProfiler) {
-        self.profiler = Some(profiler);
+        self.obs.profiler = Some(profiler);
     }
 
     /// Removes and returns the host profiler (read it with
     /// [`HostProfiler::report`]).
     pub fn take_host_profiler(&mut self) -> Option<HostProfiler> {
-        self.profiler.take()
+        self.obs.profiler.take()
     }
 
     /// Closes the host-profiler phase that just finished, if profiling.
     #[inline]
     fn prof_lap(&mut self, phase: HostPhase) {
-        if let Some(p) = self.profiler.as_mut() {
+        if let Some(p) = self.obs.profiler.as_mut() {
             p.lap(phase);
         }
     }
@@ -513,23 +485,23 @@ impl FppaPlatform {
     /// every phase anyway and posts no agenda entry, so the cached entries
     /// are posted afresh here.
     pub fn set_scheduler_mode(&mut self, mode: SchedulerMode) {
-        let now = self.now.0;
-        self.scheduler = mode;
-        self.pe_wake.fill(now);
-        self.pe_due = now;
-        self.services.post(Cycles(now));
+        let now = self.sim.now.0;
+        self.sim.scheduler = mode;
+        self.sim.pe_wake.fill(now);
+        self.sim.pe_due = now;
+        self.sim.services.post(Cycles(now));
         self.sync_io(now);
         self.post_io();
-        if let Some(rt) = self.runtime.as_mut() {
-            rt.note_pes(&self.pes);
+        if let Some(rt) = self.sim.runtime.as_mut() {
+            rt.note_pes(&self.sim.pes);
         }
     }
 
     /// The scheduler's deterministic work counters so far.
     pub fn scheduler_stats(&self) -> SchedulerStats {
         SchedulerStats {
-            noc: self.noc.work(),
-            ..self.sched_stats
+            noc: self.sim.noc.work(),
+            ..self.sim.sched_stats
         }
     }
 
@@ -539,9 +511,9 @@ impl FppaPlatform {
     /// the PE phase, `now + 1` from the outbox flush after it.
     #[inline]
     fn wake_pe(&mut self, p: usize, at: Cycles) {
-        self.pe_wake[p] = self.pe_wake[p].min(at.0);
-        self.pe_due = self.pe_due.min(at.0);
-        self.sched_stats.pe_external_wakes += 1;
+        self.sim.pe_wake[p] = self.sim.pe_wake[p].min(at.0);
+        self.sim.pe_due = self.sim.pe_due.min(at.0);
+        self.sim.sched_stats.pe_external_wakes += 1;
     }
 
     /// Data-driven wake: unblocks thread `tid` of PE `p`, whose PE phase
@@ -552,7 +524,7 @@ impl FppaPlatform {
     /// ([`Pe::quiet_span`], on state caught up to `at`) and goes on
     /// sleeping to the end of the burst.
     fn complete_thread(&mut self, p: usize, tid: nw_types::ThreadId, at: Cycles) {
-        let pe = &mut self.pes[p];
+        let pe = &mut self.sim.pes[p];
         pe.complete(tid);
         pe.settle_accounting(at);
         let wake = pe.wake_cycle(at);
@@ -561,12 +533,12 @@ impl FppaPlatform {
 
     /// The configuration the platform was built from.
     pub fn config(&self) -> &FppaConfig {
-        &self.cfg
+        &self.sim.fixed.cfg
     }
 
     /// Current simulation time.
     pub fn now(&self) -> Cycles {
-        self.now
+        self.sim.now
     }
 
     /// The NoC node hosting PE `i`.
@@ -575,7 +547,7 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn pe_node(&self, i: usize) -> NodeId {
-        assert!(i < self.pes.len(), "no PE {i}");
+        assert!(i < self.sim.pes.len(), "no PE {i}");
         pe_endpoint(i)
     }
 
@@ -585,7 +557,10 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn memory_node(&self, i: usize) -> NodeId {
-        self.services.memories().nth(i).expect("no such memory").0
+        (self.sim.services.memories())
+            .nth(i)
+            .expect("no such memory")
+            .0
     }
 
     /// The NoC node hosting eFPGA fabric `i`.
@@ -594,7 +569,10 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn fabric_node(&self, i: usize) -> NodeId {
-        self.services.fabrics().nth(i).expect("no such fabric").0
+        (self.sim.services.fabrics())
+            .nth(i)
+            .expect("no such fabric")
+            .0
     }
 
     /// The NoC node hosting hardwired IP `i`.
@@ -603,7 +581,7 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn hwip_node(&self, i: usize) -> NodeId {
-        self.services.hwips().nth(i).expect("no such hwip").0
+        self.sim.services.hwips().nth(i).expect("no such hwip").0
     }
 
     /// The NoC node hosting I/O channel `i`.
@@ -612,14 +590,14 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn io_node(&self, i: usize) -> NodeId {
-        assert!(i < self.ios.len(), "no I/O channel {i}");
+        assert!(i < self.sim.ios.len(), "no I/O channel {i}");
         // I/O channels come last in the endpoint order.
-        NodeId(self.roles.len() - self.ios.len() + i)
+        NodeId(self.sim.fixed.roles.len() - self.sim.ios.len() + i)
     }
 
     /// The role at an endpoint.
     pub fn role(&self, node: NodeId) -> Option<NodeRole> {
-        self.roles.get(node.0).copied()
+        self.sim.fixed.roles.get(node.0).copied()
     }
 
     /// Direct access to a PE (inspection, custom program spawning).
@@ -628,7 +606,7 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn pe(&self, i: usize) -> &Pe {
-        &self.pes[i]
+        &self.sim.pes[i]
     }
 
     /// Mutable access to a PE.
@@ -642,19 +620,19 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn pe_mut(&mut self, i: usize) -> &mut Pe {
-        let now = self.now;
-        self.pes[i].settle_accounting(now);
+        let now = self.sim.now;
+        self.sim.pes[i].settle_accounting(now);
         self.wake_pe(i, now);
         // The caller may spawn programs the runtime never saw; drop the
         // PE's handler attributions so a manual program's service calls
         // cannot be charged to a stale handler's latency histogram.
-        self.calls.forget_handlers(i);
+        self.sim.calls.forget_handlers(i);
         // And whatever the caller does to the thread contexts, the
         // dispatcher looks at this PE next cycle (an early entry is safe).
-        if let Some(rt) = self.runtime.as_mut() {
+        if let Some(rt) = self.sim.runtime.as_mut() {
             rt.note_pe(i, usize::MAX);
         }
-        &mut self.pes[i]
+        &mut self.sim.pes[i]
     }
 
     /// Direct access to an eFPGA fabric (configuration).
@@ -664,7 +642,7 @@ impl FppaPlatform {
     /// Panics if `i` is out of range.
     pub fn fabric_mut(&mut self, i: usize) -> &mut Efpga {
         // The caller may load a kernel or submit work: look next cycle.
-        (self.services).fabric_mut(self.fabric_node(i), self.now)
+        (self.sim.services).fabric_mut(self.fabric_node(i), self.sim.now)
     }
 
     /// Direct access to an I/O channel.
@@ -673,7 +651,7 @@ impl FppaPlatform {
     ///
     /// Panics if `i` is out of range.
     pub fn io(&self, i: usize) -> &IoChannel {
-        &self.ios[i]
+        &self.sim.ios[i]
     }
 
     /// NoC hop-distance matrix over all endpoints (input for the MultiFlex
@@ -682,8 +660,8 @@ impl FppaPlatform {
     /// fault) it answers for the degraded routes, and endpoint pairs
     /// disconnected by dead links read `f64::INFINITY`.
     pub fn hop_matrix(&self) -> Vec<Vec<f64>> {
-        let n = self.roles.len();
-        let topology = self.noc.topology();
+        let n = self.sim.fixed.roles.len();
+        let topology = self.sim.noc.topology();
         let hops = |a, b| topology.try_hops(a, b).map_or(f64::INFINITY, |h| h as f64);
         (0..n)
             .map(|a| (0..n).map(|b| hops(a, b)).collect())
@@ -693,16 +671,14 @@ impl FppaPlatform {
     /// Total die area of the declared components (PE cores + memory macros +
     /// fabrics + hardwired IP) at the configured node.
     pub fn area(&self) -> AreaMm2 {
-        let pe_area: AreaMm2 = self.cfg.pes.iter().map(|p| p.class.core_area()).sum();
-        let mem_area: AreaMm2 = self
-            .cfg
-            .memories
-            .iter()
-            .map(|m| MemorySpec::at_node(m.technology, self.cfg.tech).macro_area(m.mbits))
+        let cfg = &self.sim.fixed.cfg;
+        let pe_area: AreaMm2 = cfg.pes.iter().map(|p| p.class.core_area()).sum();
+        let mem_area: AreaMm2 = (cfg.memories.iter())
+            .map(|m| MemorySpec::at_node(m.technology, cfg.tech).macro_area(m.mbits))
             .sum();
-        let kernels = self.services.fabrics().filter_map(|(_, f)| f.kernel());
+        let kernels = self.sim.services.fabrics().filter_map(|(_, f)| f.kernel());
         let fabric_area: AreaMm2 = kernels.map(|k| k.area).sum();
-        let hwip_area: AreaMm2 = self.services.hwips().map(|(_, h, ..)| h.area).sum();
+        let hwip_area: AreaMm2 = self.sim.services.hwips().map(|(_, h, ..)| h.area).sum();
         pe_area + mem_area + fabric_area + hwip_area
     }
 
@@ -730,22 +706,22 @@ impl FppaPlatform {
     ///
     /// Panics if the run would take the clock past `u64::MAX` cycles.
     pub fn run(&mut self, cycles: u64) -> PlatformReport {
-        let start = self.now;
+        let start = self.sim.now;
         let end = start.0.checked_add(cycles).unwrap_or_else(|| {
             panic!(
                 "run({cycles}) at cycle {} would take the clock past u64::MAX",
                 start.0
             )
         });
-        if let Some(p) = self.profiler.as_mut() {
+        if let Some(p) = self.obs.profiler.as_mut() {
             p.arm();
         }
-        let dense = self.scheduler == SchedulerMode::Dense;
-        while self.now.0 < end {
+        let dense = self.sim.scheduler == SchedulerMode::Dense;
+        while self.sim.now.0 < end {
             // The agenda read has no phase of its own: its cost folds into
             // the lap that ends next (FastForward on a hop, IoPacing on a
             // stepped cycle).
-            let now = self.now.0;
+            let now = self.sim.now.0;
             let due = if dense { now } else { self.agenda_min(now) };
             if due > now {
                 self.hop(now, due.min(end));
@@ -758,9 +734,9 @@ impl FppaPlatform {
                 self.noc_span(end);
             }
         }
-        let report = self.report(self.now.saturating_sub(start));
+        let report = self.report(self.sim.now.saturating_sub(start));
         self.prof_lap(HostPhase::Settle);
-        if let Some(p) = self.profiler.as_mut() {
+        if let Some(p) = self.obs.profiler.as_mut() {
             p.pause();
         }
         report
@@ -771,11 +747,11 @@ impl FppaPlatform {
     /// chose the target.
     fn hop(&mut self, now: u64, target: u64) {
         let span = target - now;
-        self.now += Cycles(span);
-        self.sched_stats.cycles_hopped += span;
-        self.sched_stats.hops += 1;
-        self.sched_stats.hops_ended_by_io += u64::from(target == self.io_due);
-        if let Some(s) = self.obs_sink.as_deref_mut() {
+        self.sim.now += Cycles(span);
+        self.sim.sched_stats.cycles_hopped += span;
+        self.sim.sched_stats.hops += 1;
+        self.sim.sched_stats.hops_ended_by_io += u64::from(target == self.sim.io_due);
+        if let Some(s) = self.obs.sink.as_deref_mut() {
             s.emit(TraceEvent::FastForward { cycle: now, span });
         }
         self.prof_lap(HostPhase::FastForward);
@@ -812,14 +788,14 @@ impl FppaPlatform {
     /// * No span hop ends by I/O (`hops_ended_by_io`): every hop target is
     ///   below the limit, and the limit is at most `io_due`.
     fn noc_span(&mut self, end: u64) {
-        let now = self.now.0;
-        if self.noc.eject_pending() > 0 || !self.outbox.is_empty() || self.pe_due <= now {
+        let (now, sim) = (self.sim.now.0, &self.sim);
+        if sim.noc.eject_pending() > 0 || !sim.outbox.is_empty() || sim.pe_due <= now {
             return;
         }
-        let Some(next) = self.noc.next_event_cycle(Cycles(now)) else {
+        let Some(next) = self.sim.noc.next_event_cycle(Cycles(now)) else {
             return;
         };
-        if next.0 >= self.pe_due {
+        if next.0 >= self.sim.pe_due {
             return;
         }
         let limit = self.agenda_min_but_noc(now).min(end);
@@ -828,19 +804,19 @@ impl FppaPlatform {
         }
         #[cfg(debug_assertions)]
         let others = NOT_NOC.map(|source| self.due(source, now));
-        let sink = self.obs_sink.as_deref_mut();
-        let span = self.noc.run_span(Cycles(now), next, Cycles(limit), sink);
+        let sink = self.obs.sink.as_deref_mut();
+        let span = (self.sim.noc).run_span(Cycles(now), next, Cycles(limit), sink);
         // The last cycle is closed here, or by phases 3–7 when it holds a
         // delivery.
         let last = Cycles(span.end.0 - 1);
         let delivered = u64::from(span.delivered);
-        let s = &mut self.sched_stats;
+        let s = &mut self.sim.sched_stats;
         s.hops += span.hops;
         s.cycles_hopped += span.cycles_hopped;
         s.cycles_stepped += span.ticks - delivered;
         s.span_cycles += span.ticks;
         s.phases_entered[HostPhase::NocTick as usize] += span.ticks;
-        if let Some(p) = self.profiler.as_mut() {
+        if let Some(p) = self.obs.profiler.as_mut() {
             // One clock read for the span: its time is the NoC's; its laps
             // are the loop's, one per hop and two per stepped cycle.
             p.book(HostPhase::FastForward, span.hops);
@@ -848,7 +824,7 @@ impl FppaPlatform {
             p.book(HostPhase::NocTick, span.ticks - 1);
             p.lap(HostPhase::NocTick);
         }
-        self.now += Cycles(span.end.0 - now - delivered);
+        self.sim.now += Cycles(span.end.0 - now - delivered);
         #[cfg(debug_assertions)]
         for (source, was) in NOT_NOC.into_iter().zip(others) {
             let due = self.due(source, last.0);
@@ -867,8 +843,8 @@ impl FppaPlatform {
     /// [`FppaPlatform::next_event_cycle`] read settled state. PE accounting
     /// stays lazy: see [`FppaPlatform::settle`].
     pub fn step(&mut self) {
-        self.step_cycle(self.scheduler == SchedulerMode::Dense);
-        self.sync_io(self.now.0);
+        self.step_cycle(self.sim.scheduler == SchedulerMode::Dense);
+        self.sync_io(self.sim.now.0);
         #[cfg(debug_assertions)]
         self.audit_agenda();
     }
@@ -876,9 +852,9 @@ impl FppaPlatform {
     /// The minimal fabric description a [`FaultCampaign`] needs to aim
     /// faults at valid targets on this platform.
     pub fn fault_shape(&self) -> FabricShape {
-        let topo = self.noc.topology();
+        let topo = self.sim.noc.topology();
         FabricShape {
-            n_pes: self.pes.len(),
+            n_pes: self.sim.pes.len(),
             router_ports: (0..topo.n_routers())
                 .map(|r| topo.links_of(r).len())
                 .collect(),
@@ -893,12 +869,12 @@ impl FppaPlatform {
     /// [`FppaPlatform::set_retry_policy`] so lost requests recover instead
     /// of blocking their thread forever.
     pub fn install_fault_campaign(&mut self, campaign: FaultCampaign) {
-        self.campaign = Some(campaign);
+        self.sim.campaign = Some(campaign);
     }
 
     /// The installed fault campaign, if any.
     pub fn fault_campaign(&self) -> Option<&FaultCampaign> {
-        self.campaign.as_ref()
+        self.sim.campaign.as_ref()
     }
 
     /// Enables the deterministic retry layer: every synchronous call gets a
@@ -908,12 +884,12 @@ impl FppaPlatform {
     /// already in flight stay untracked; setting a policy again swaps it
     /// under the tracked calls, which keep their deadlines and tokens.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.calls.set_policy(policy);
+        self.sim.calls.set_policy(policy);
     }
 
     /// Synchronous calls currently tracked by the retry layer.
     pub fn pending_retries(&self) -> usize {
-        self.calls.pending_len()
+        self.sim.calls.pending_len()
     }
 
     /// Whether the platform holds no work in flight: no packet in the NoC
@@ -921,21 +897,21 @@ impl FppaPlatform {
     /// retry. A finite workload run long enough ends here, faults or not.
     pub fn is_quiescent(&self) -> bool {
         let idle = |pe: &Pe| (0..pe.n_threads()).all(|t| pe.thread_is_idle(ThreadId(t)));
-        self.noc.packets_held() == 0
-            && self.outbox.is_empty()
-            && self.pes.iter().all(idle)
-            && self.calls.pending_len() == 0
+        self.sim.noc.packets_held() == 0
+            && self.sim.outbox.is_empty()
+            && self.sim.pes.iter().all(idle)
+            && self.sim.calls.pending_len() == 0
     }
 
     /// Fault-injection and recovery counters: platform-side events merged
     /// with the NoC's drop/corruption bookkeeping. All zero when faults
     /// were never enabled.
     pub fn resilience_stats(&self) -> ResilienceStats {
-        let mut s = self.rstats.clone();
-        self.calls.fill_stats(&mut s);
-        s.packets_dropped = self.noc.dropped_packets();
-        s.flits_dropped = self.noc.dropped_flits();
-        s.packets_corrupted = self.noc.corrupted_packets();
+        let mut s = self.sim.rstats.clone();
+        self.sim.calls.fill_stats(&mut s);
+        s.packets_dropped = self.sim.noc.dropped_packets();
+        s.flits_dropped = self.sim.noc.dropped_flits();
+        s.packets_corrupted = self.sim.noc.corrupted_packets();
         s
     }
 
@@ -946,13 +922,13 @@ impl FppaPlatform {
     /// fault phase uses for permanent `LinkDown` events; tests and
     /// experiments may call it directly.
     pub fn fail_noc_link(&mut self, router: usize, port: usize) -> bool {
-        let now = self.now;
-        if !self.noc.fail_link(router, port, now) {
+        let now = self.sim.now;
+        if !self.sim.noc.fail_link(router, port, now) {
             return false;
         }
-        self.rstats.links_failed += 1;
-        self.rstats.reroutes += 1;
-        if let Some(s) = self.obs_sink.as_deref_mut() {
+        self.sim.rstats.links_failed += 1;
+        self.sim.rstats.reroutes += 1;
+        if let Some(s) = self.obs.sink.as_deref_mut() {
             s.emit(TraceEvent::Reroute {
                 cycle: now.0,
                 router,
@@ -965,38 +941,38 @@ impl FppaPlatform {
     /// Crashes PE `pe` (fault hook): threads die, latency probes and retry
     /// entries of the PE are cancelled. Idempotent while crashed.
     fn crash_pe(&mut self, pe: usize, now: Cycles) {
-        if pe >= self.pes.len() || self.pes[pe].is_crashed() {
+        if pe >= self.sim.pes.len() || self.sim.pes[pe].is_crashed() {
             return;
         }
-        self.pes[pe].crash(now);
+        self.sim.pes[pe].crash(now);
         // One tick on the dead contexts; it posts the PE dormant.
         self.wake_pe(pe, now);
-        self.calls.abandon_pe(pe);
-        if let Some(rt) = self.runtime.as_mut() {
+        self.sim.calls.abandon_pe(pe);
+        if let Some(rt) = self.sim.runtime.as_mut() {
             rt.note_pe(pe, 0);
         }
-        self.rstats.pe_crashes += 1;
+        self.sim.rstats.pe_crashes += 1;
     }
 
     /// Drains and applies every campaign event due at `now` (phase 0 of a
     /// stepped cycle; the campaign's next cycle is an agenda entry, so the
     /// active set steps every fault cycle and applies it where dense does).
     fn apply_faults(&mut self, now: Cycles) {
-        let Some(mut campaign) = self.campaign.take() else {
+        let Some(mut campaign) = self.sim.campaign.take() else {
             return;
         };
         for ev in campaign.take_due(now.0) {
-            self.rstats.faults_injected += 1;
+            self.sim.rstats.faults_injected += 1;
             let (kind, target, arg) = match ev.kind {
                 FaultKind::LinkDown {
                     router,
                     port,
                     until: Some(until),
                 } => {
-                    if router < self.noc.topology().n_routers()
-                        && port < self.noc.topology().links_of(router).len()
+                    if router < self.sim.noc.topology().n_routers()
+                        && port < self.sim.noc.topology().links_of(router).len()
                     {
-                        self.noc.stall_port(router, port, until);
+                        self.sim.noc.stall_port(router, port, until);
                     }
                     (0, router, port as u64)
                 }
@@ -1005,28 +981,28 @@ impl FppaPlatform {
                     port,
                     until: None,
                 } => {
-                    if router < self.noc.topology().n_routers()
-                        && port < self.noc.topology().links_of(router).len()
+                    if router < self.sim.noc.topology().n_routers()
+                        && port < self.sim.noc.topology().links_of(router).len()
                     {
                         self.fail_noc_link(router, port);
                     }
                     (1, router, port as u64)
                 }
                 FaultKind::RouterStall { router, until } => {
-                    if router < self.noc.topology().n_routers() {
-                        self.noc.stall_router(router, until);
+                    if router < self.sim.noc.topology().n_routers() {
+                        self.sim.noc.stall_router(router, until);
                     }
                     (2, router, until)
                 }
                 FaultKind::DropNext { router } => {
-                    if router < self.noc.topology().n_routers() {
-                        self.noc.drop_next(router, now);
+                    if router < self.sim.noc.topology().n_routers() {
+                        self.sim.noc.drop_next(router, now);
                     }
                     (3, router, 0)
                 }
                 FaultKind::CorruptNext { node } => {
-                    if node < self.roles.len() {
-                        self.noc.corrupt_next(node);
+                    if node < self.sim.fixed.roles.len() {
+                        self.sim.noc.corrupt_next(node);
                     }
                     (4, node, 0)
                 }
@@ -1035,18 +1011,18 @@ impl FppaPlatform {
                     (5, pe, 0)
                 }
                 FaultKind::PeRestart { pe } => {
-                    if pe < self.pes.len() && self.pes[pe].is_crashed() {
-                        self.pes[pe].restart(now);
+                    if pe < self.sim.pes.len() && self.sim.pes[pe].is_crashed() {
+                        self.sim.pes[pe].restart(now);
                         self.wake_pe(pe, now);
-                        if let Some(rt) = self.runtime.as_mut() {
-                            rt.note_pe(pe, self.pes[pe].idle_threads());
+                        if let Some(rt) = self.sim.runtime.as_mut() {
+                            rt.note_pe(pe, self.sim.pes[pe].idle_threads());
                         }
-                        self.rstats.pe_restarts += 1;
+                        self.sim.rstats.pe_restarts += 1;
                     }
                     (6, pe, 0)
                 }
             };
-            if let Some(s) = self.obs_sink.as_deref_mut() {
+            if let Some(s) = self.obs.sink.as_deref_mut() {
                 s.emit(TraceEvent::FaultInjected {
                     cycle: now.0,
                     kind,
@@ -1055,7 +1031,7 @@ impl FppaPlatform {
                 });
             }
         }
-        self.campaign = Some(campaign);
+        self.sim.campaign = Some(campaign);
     }
 
     /// Fires due retry deadlines: re-issue with a bumped token and doubled
@@ -1063,13 +1039,13 @@ impl FppaPlatform {
     /// thread. Deadlines are plain cycle numbers, so both schedulers fire
     /// them on identical cycles.
     fn check_retries(&mut self, now: Cycles) {
-        let mut due = std::mem::take(&mut self.expired);
-        self.calls.expire(now.0, &mut due);
+        let mut due = std::mem::take(&mut self.sim.expired);
+        self.sim.calls.expire(now.0, &mut due);
         for expired in due.drain(..) {
             match expired {
                 Expired::GiveUp { pe, tid } => {
                     let t = nw_types::ThreadId(tid);
-                    if self.pes[pe].is_awaiting(t) {
+                    if self.sim.pes[pe].is_awaiting(t) {
                         self.complete_thread(pe, t, now);
                     }
                 }
@@ -1079,14 +1055,14 @@ impl FppaPlatform {
                     dst,
                     data,
                 } => {
-                    self.outbox.push_back(Outgoing {
+                    self.sim.outbox.push_back(Outgoing {
                         src: self.pe_node(tag.pe.0),
                         dst,
                         data,
                         tag: tag.encode(),
                         on_accept: None,
                     });
-                    if let Some(s) = self.obs_sink.as_deref_mut() {
+                    if let Some(s) = self.obs.sink.as_deref_mut() {
                         s.emit(TraceEvent::RetryIssued {
                             cycle: now.0,
                             pe: tag.pe.0,
@@ -1097,7 +1073,7 @@ impl FppaPlatform {
                 }
             }
         }
-        self.expired = due;
+        self.sim.expired = due;
     }
 
     /// One stepped cycle: the eight phases in their fixed order, each
@@ -1113,7 +1089,7 @@ impl FppaPlatform {
     /// are their own function, which a NoC-only span that ends in a
     /// delivery runs too (`noc_span`).
     fn step_cycle(&mut self, open: bool) {
-        let now = self.now;
+        let now = self.sim.now;
         let due = |p: &Self, source| open || p.due(source, now.0) <= now.0;
 
         // 0. Fault injection and retry deadlines.
@@ -1139,7 +1115,7 @@ impl FppaPlatform {
             }
         }
         if faults || retries || io {
-            self.sched_stats.phases_entered[HostPhase::IoPacing as usize] += 1;
+            self.sim.sched_stats.phases_entered[HostPhase::IoPacing as usize] += 1;
         }
         self.prof_lap(HostPhase::IoPacing);
 
@@ -1147,11 +1123,11 @@ impl FppaPlatform {
         //    head is due this cycle. A loaded-but-stalled fabric (every
         //    queued packet waiting out multi-cycle link occupancy) is
         //    skipped entirely.
-        if open || self.noc.due_now(now) {
-            self.noc.tick_traced(now, self.obs_sink.as_deref_mut());
+        if open || self.sim.noc.due_now(now) {
+            self.sim.noc.tick_traced(now, self.obs.sink.as_deref_mut());
             self.entered(HostPhase::NocTick);
         } else {
-            self.sched_stats.noc_ticks_skipped += 1;
+            self.sim.sched_stats.noc_ticks_skipped += 1;
         }
 
         self.step_after_noc(now, open);
@@ -1162,7 +1138,7 @@ impl FppaPlatform {
         let due = |p: &Self, source| open || p.due(source, now.0) <= now.0;
 
         // 3. Route arrivals, when a delivered packet awaits ejection.
-        if open || self.noc.eject_pending() > 0 {
+        if open || self.sim.noc.eject_pending() > 0 {
             self.route_arrivals(now);
             self.entered(HostPhase::RouteArrivals);
         }
@@ -1170,9 +1146,9 @@ impl FppaPlatform {
         // 4. Service nodes: memories, fabrics, hardwired IP. Every
         //    completion becomes a reply packet in the outbox.
         if due(self, Source::Services) {
-            self.services.tick(now, open, |src, dst, tag| {
+            self.sim.services.tick(now, open, |src, dst, tag| {
                 let t = RequestTag::decode(tag);
-                self.outbox.push_back(Outgoing {
+                self.sim.outbox.push_back(Outgoing {
                     src,
                     dst,
                     data: Payload::zeroed(t.reply_bytes as usize),
@@ -1196,27 +1172,34 @@ impl FppaPlatform {
         if due(self, Source::Pes) {
             let next = Cycles(now.0 + 1);
             let mut earliest = NEVER;
-            for p in 0..self.pes.len() {
-                if !open && self.pe_wake[p] > now.0 {
-                    earliest = earliest.min(self.pe_wake[p]);
+            for p in 0..self.sim.pes.len() {
+                if !open && self.sim.pe_wake[p] > now.0 {
+                    earliest = earliest.min(self.sim.pe_wake[p]);
                     continue;
                 }
-                self.pes[p].tick(now);
+                if let Some(tid) = self.sim.pes[p].tick(now) {
+                    if let Some(s) = self.obs.sink.as_deref_mut() {
+                        s.emit(TraceEvent::HandlerEnd {
+                            cycle: now.0,
+                            pe: p,
+                            thread: tid.0,
+                        });
+                    }
+                }
                 self.collect_pe_requests(p, now);
-                self.sched_stats.pe_ticks += 1;
+                self.sim.sched_stats.pe_ticks += 1;
                 if !open {
-                    self.pe_wake[p] = self.pes[p].wake_cycle(next);
-                    earliest = earliest.min(self.pe_wake[p]);
+                    self.sim.pe_wake[p] = self.sim.pes[p].wake_cycle(next);
+                    earliest = earliest.min(self.sim.pe_wake[p]);
                     // A retirement frees a hardware thread for the dispatcher.
-                    if let Some(rt) = self.runtime.as_mut() {
-                        rt.note_pe(p, self.pes[p].idle_threads());
+                    if let Some(rt) = self.sim.runtime.as_mut() {
+                        rt.note_pe(p, self.sim.pes[p].idle_threads());
                     }
                 }
             }
             if !open {
-                self.pe_due = earliest;
+                self.sim.pe_due = earliest;
             }
-            self.drain_retirements(now);
             self.entered(HostPhase::PeStep);
         }
 
@@ -1226,15 +1209,15 @@ impl FppaPlatform {
             self.entered(HostPhase::Outbox);
         }
 
-        self.sched_stats.cycles_stepped += 1;
-        self.now += Cycles(1);
+        self.sim.sched_stats.cycles_stepped += 1;
+        self.sim.now += Cycles(1);
     }
 
     /// Counts phase `phase` of a stepped cycle as entered and closes its
     /// host-profiler lap.
     #[inline]
     fn entered(&mut self, phase: HostPhase) {
-        self.sched_stats.phases_entered[phase as usize] += 1;
+        self.sim.sched_stats.phases_entered[phase as usize] += 1;
         self.prof_lap(phase);
     }
 
@@ -1247,17 +1230,19 @@ impl FppaPlatform {
     #[inline]
     fn due(&self, source: Source, now: u64) -> u64 {
         match source {
-            Source::Faults => (self.campaign.as_ref())
+            Source::Faults => (self.sim.campaign.as_ref())
                 .and_then(FaultCampaign::next_cycle)
                 .unwrap_or(NEVER),
-            Source::Retries => self.calls.next_deadline().unwrap_or(NEVER),
-            Source::Io => self.io_due,
-            Source::Noc if self.noc.eject_pending() > 0 => now,
-            Source::Noc => (self.noc.next_event_cycle(Cycles(now))).map_or(NEVER, |c| c.0),
-            Source::Services => self.services.due(),
-            Source::Dispatch => (self.runtime.as_ref()).map_or(NEVER, |rt| rt.dispatch_due(now)),
-            Source::Pes => self.pe_due,
-            Source::Outbox if self.outbox.is_empty() => NEVER,
+            Source::Retries => self.sim.calls.next_deadline().unwrap_or(NEVER),
+            Source::Io => self.sim.io_due,
+            Source::Noc if self.sim.noc.eject_pending() > 0 => now,
+            Source::Noc => (self.sim.noc.next_event_cycle(Cycles(now))).map_or(NEVER, |c| c.0),
+            Source::Services => self.sim.services.due(),
+            Source::Dispatch => {
+                (self.sim.runtime.as_ref()).map_or(NEVER, |rt| rt.dispatch_due(now))
+            }
+            Source::Pes => self.sim.pe_due,
+            Source::Outbox if self.sim.outbox.is_empty() => NEVER,
             Source::Outbox => now,
         }
     }
@@ -1283,28 +1268,6 @@ impl FppaPlatform {
             .min(due(Outbox))
     }
 
-    /// Reports handler retirements to the trace sink. Retire logs are only
-    /// recorded while a sink is installed, so this is a no-op otherwise; a
-    /// PE asleep under the active-set scheduler cannot have retired
-    /// anything since its last tick (a compute burst's last cycle is a
-    /// real tick), so visiting every PE is exact under both schedulers.
-    fn drain_retirements(&mut self, now: Cycles) {
-        if self.obs_sink.is_none() {
-            return;
-        }
-        for p in 0..self.pes.len() {
-            for tid in self.pes[p].take_retired() {
-                if let Some(s) = self.obs_sink.as_deref_mut() {
-                    s.emit(TraceEvent::HandlerEnd {
-                        cycle: now.0,
-                        pe: p,
-                        thread: tid.0,
-                    });
-                }
-            }
-        }
-    }
-
     /// The earliest cycle `>=` now at which any platform component has work
     /// due — the minimum of the agenda — or `None` when the platform is
     /// completely drained. Spans before the returned cycle are safe to
@@ -1315,7 +1278,7 @@ impl FppaPlatform {
     /// settled state after [`FppaPlatform::run`], [`FppaPlatform::step`]
     /// and [`FppaPlatform::settle`]; under dense every PE reads due now.
     pub fn next_event_cycle(&self) -> Option<Cycles> {
-        let now = self.now.0;
+        let now = self.sim.now.0;
         let due = self.agenda_min(now);
         (due != NEVER).then(|| Cycles(due.max(now)))
     }
@@ -1328,8 +1291,8 @@ impl FppaPlatform {
     /// [`Pe::stats`] on a manually stepped platform running the active-set
     /// scheduler.
     pub fn settle(&mut self) {
-        let now = self.now;
-        for pe in &mut self.pes {
+        let now = self.sim.now;
+        for pe in &mut self.sim.pes {
             pe.settle_accounting(now);
         }
         self.sync_io(now.0);
@@ -1340,11 +1303,11 @@ impl FppaPlatform {
     /// runs the I/O phase on every bound arrival, so between phases only
     /// credit accrues and unbound channels fill and overflow their FIFOs.
     fn sync_io(&mut self, to: u64) {
-        if to > self.io_synced {
-            for io in &mut self.ios {
-                io.advance(to - self.io_synced);
+        if to > self.sim.io_synced {
+            for io in &mut self.sim.ios {
+                io.advance(to - self.sim.io_synced);
             }
-            self.io_synced = to;
+            self.sim.io_synced = to;
         }
     }
 
@@ -1353,7 +1316,7 @@ impl FppaPlatform {
     /// calls it once per arrival — or the next cycle to run while a bound
     /// channel's RX backlog waits for NI room.
     pub(crate) fn post_io(&mut self) {
-        self.io_due = self.io_arrival();
+        self.sim.io_due = self.io_arrival();
     }
 
     /// The cycle of the next arrival on a bound channel: every channel has
@@ -1361,15 +1324,15 @@ impl FppaPlatform {
     /// from there is the first to emit (never stays never). A channel
     /// with an RX backlog answers `io_synced`.
     fn io_arrival(&self) -> u64 {
-        let Some(rt) = self.runtime.as_ref() else {
+        let Some(rt) = self.sim.runtime.as_ref() else {
             return NEVER;
         };
-        let bound = (self.ios.iter().enumerate()).filter(|&(i, _)| rt.io_has_bindings(i));
+        let bound = (self.sim.ios.iter().enumerate()).filter(|&(i, _)| rt.io_has_bindings(i));
         bound
             .map(|(_, io)| match (io.rx_backlog(), io.ticks_to_next_rx()) {
                 (0, NEVER) => NEVER,
-                (0, n) => self.io_synced.saturating_add(n - 1),
-                _ => self.io_synced,
+                (0, n) => self.sim.io_synced.saturating_add(n - 1),
+                _ => self.sim.io_synced,
             })
             .min()
             .unwrap_or(NEVER)
@@ -1380,31 +1343,32 @@ impl FppaPlatform {
     /// summarizes answers — the fold the run loop used to make every lap.
     #[cfg(any(test, debug_assertions))]
     fn audit_agenda(&self) {
-        if self.scheduler == SchedulerMode::Dense {
+        let sim = &self.sim;
+        if sim.scheduler == SchedulerMode::Dense {
             return; // dense neither reads nor posts the agenda
         }
-        let now = self.now;
-        let pes = self.pe_wake.iter().copied().min().unwrap_or(NEVER);
-        assert!(self.pe_due <= pes, "{now}: PE entry {} late", self.pe_due);
+        let now = sim.now;
+        let pes = sim.pe_wake.iter().copied().min().unwrap_or(NEVER);
+        assert!(sim.pe_due <= pes, "{now}: PE entry {} late", sim.pe_due);
         let io = self.io_arrival();
-        assert!(self.io_due <= io, "{now}: I/O entry {} late", self.io_due);
-        let services = self.services.next_event(now);
+        assert!(sim.io_due <= io, "{now}: I/O entry {} late", sim.io_due);
+        let services = sim.services.next_event(now);
         assert!(
-            self.services.due() <= services,
+            sim.services.due() <= services,
             "{now}: services entry {} late, a node is due at {services}",
-            self.services.due()
+            sim.services.due()
         );
-        if let Some(rt) = self.runtime.as_ref() {
-            rt.audit_agenda(&self.pes);
+        if let Some(rt) = sim.runtime.as_ref() {
+            rt.audit_agenda(&sim.pes);
         }
     }
 
     /// Drains line-rate ingress into DSOC invocations (runtime present) or
     /// discards descriptors (no app installed).
     fn io_ingress(&mut self, now: Cycles) {
-        for i in 0..self.ios.len() {
+        for i in 0..self.sim.ios.len() {
             let io_node = self.io_node(i);
-            let Some(rt) = self.runtime.as_mut() else {
+            let Some(rt) = self.sim.runtime.as_mut() else {
                 return;
             };
             if !rt.io_has_bindings(i) {
@@ -1412,15 +1376,15 @@ impl FppaPlatform {
             }
             // Only drain what the NI can take this cycle; the rest waits in
             // the RX FIFO (and overflows are counted as line drops).
-            let io = &mut self.ios[i];
-            while self.noc.ni_free(io_node) > 0 {
+            let io = &mut self.sim.ios[i];
+            while self.sim.noc.ni_free(io_node) > 0 {
                 let Some(_seq) = io.take_rx() else { break };
                 let (dst, data) = rt.ingress_invocation(i);
                 let bytes = data.len();
-                self.noc
+                (self.sim.noc)
                     .try_inject(io_node, dst, data, 0, now)
                     .expect("ni_free was checked");
-                if let Some(s) = self.obs_sink.as_deref_mut() {
+                if let Some(s) = self.obs.sink.as_deref_mut() {
                     s.emit(TraceEvent::FlitInject {
                         cycle: now.0,
                         src: io_node.0,
@@ -1436,42 +1400,42 @@ impl FppaPlatform {
         // Endpoint by endpoint in ascending order, each drained in arrival
         // order — asked of the NoC, which knows which endpoints hold a
         // delivery, instead of polling all of them.
-        while let Some((NodeId(node), pkt)) = self.noc.eject_next() {
-            match self.roles[node] {
+        while let Some((NodeId(node), pkt)) = self.sim.noc.eject_next() {
+            match self.sim.fixed.roles[node] {
                 NodeRole::Pe(p) => {
                     if is_reply(pkt.tag) {
                         let t = RequestTag::decode(pkt.tag);
-                        let awaiting = self.pes[p].is_awaiting(t.tid);
+                        let awaiting = self.sim.pes[p].is_awaiting(t.tid);
                         // A duplicate — a superseded attempt's reply, or
                         // one for a thread that gave up or whose PE
                         // crashed — is counted by the table and dropped.
                         if let Reply::Deliver { miss } =
-                            (self.calls).reply(p, t.tid.0, t.token, awaiting, now)
+                            (self.sim.calls).reply(p, t.tid.0, t.token, awaiting, now)
                         {
-                            if let (Some(miss), Some(s)) = (miss, self.obs_sink.as_deref_mut()) {
+                            if let (Some(miss), Some(s)) = (miss, self.obs.sink.as_deref_mut()) {
                                 s.emit(miss);
                             }
                             self.complete_thread(p, t.tid, now);
                         }
-                    } else if let Some(rt) = self.runtime.as_mut() {
-                        rt.enqueue_invocation(p, &pkt, self.pes[p].idle_threads());
+                    } else if let Some(rt) = self.sim.runtime.as_mut() {
+                        rt.enqueue_invocation(p, &pkt, self.sim.pes[p].idle_threads());
                     }
                 }
                 NodeRole::Memory(_) | NodeRole::Fabric(_) | NodeRole::HwIp(_) => {
-                    self.services.accept(NodeId(node), pkt.tag, pkt.src, now);
+                    (self.sim.services).accept(NodeId(node), pkt.tag, pkt.src, now);
                 }
                 NodeRole::Io(i) => {
-                    self.ios[i].transmit();
+                    self.sim.ios[i].transmit();
                 }
             }
         }
     }
 
     fn runtime_dispatch(&mut self, now: Cycles, open: bool) {
-        let Some(mut rt) = self.runtime.take() else {
+        let Some(mut rt) = self.sim.runtime.take() else {
             return;
         };
-        let (calls, mut sink) = (&mut self.calls, self.obs_sink.as_deref_mut());
+        let (calls, mut sink) = (&mut self.sim.calls, self.obs.sink.as_deref_mut());
         let on_spawn = |pe, thread: nw_types::ThreadId, object: ObjectId| {
             calls.start_handler(pe, thread.0, object);
             if let Some(s) = sink.as_deref_mut() {
@@ -1483,13 +1447,14 @@ impl FppaPlatform {
                 });
             }
         };
-        let (woken, earliest) = rt.dispatch(&mut self.pes, now, &mut self.pe_wake, on_spawn);
-        self.pe_due = self.pe_due.min(earliest);
-        self.sched_stats.pe_external_wakes += woken;
+        let (woken, earliest) =
+            rt.dispatch(&mut self.sim.pes, now, &mut self.sim.pe_wake, on_spawn);
+        self.sim.pe_due = self.sim.pe_due.min(earliest);
+        self.sim.sched_stats.pe_external_wakes += woken;
         if !open {
-            rt.note_pes(&self.pes);
+            rt.note_pes(&self.sim.pes);
         }
-        self.runtime = Some(rt);
+        self.sim.runtime = Some(rt);
     }
 
     /// The application object a synchronous call from thread `(p, tid)` to
@@ -1512,9 +1477,9 @@ impl FppaPlatform {
         dst: NodeId,
         data: &Payload,
     ) -> Option<ObjectId> {
-        match self.roles.get(dst.0)? {
+        match self.sim.fixed.roles.get(dst.0)? {
             NodeRole::Memory(_) | NodeRole::Fabric(_) | NodeRole::HwIp(_) => {
-                self.calls.handler(p, tid)
+                self.sim.calls.handler(p, tid)
             }
             NodeRole::Pe(_) => MessageHeader::decode(data)
                 .ok()
@@ -1527,7 +1492,7 @@ impl FppaPlatform {
     /// Turns the requests PE `p` raised this tick into outgoing packets.
     fn collect_pe_requests(&mut self, p: usize, now: Cycles) {
         let src = self.pe_node(p);
-        while let Some((tid, req)) = self.pes[p].pop_request() {
+        while let Some((tid, req)) = self.sim.pes[p].pop_request() {
             match req {
                 PeRequest::Send {
                     dst,
@@ -1536,7 +1501,7 @@ impl FppaPlatform {
                     tag,
                 } => {
                     data.pad_to(bytes as usize);
-                    self.outbox.push_back(Outgoing {
+                    self.sim.outbox.push_back(Outgoing {
                         src,
                         dst,
                         data,
@@ -1562,8 +1527,8 @@ impl FppaPlatform {
                         token: 0,
                         reply_bytes,
                     };
-                    let tag = (self.calls).issue(tag, dst, data, object, now);
-                    self.outbox.push_back(Outgoing {
+                    let tag = (self.sim.calls).issue(tag, dst, data, object, now);
+                    self.sim.outbox.push_back(Outgoing {
                         src,
                         dst,
                         data,
@@ -1578,19 +1543,19 @@ impl FppaPlatform {
     fn flush_outbox(&mut self, now: Cycles) {
         // One in-place rotation: each entry is popped once, and the ones
         // the NoC cannot take yet go to the back in their original order.
-        for _ in 0..self.outbox.len() {
-            let out = self.outbox.pop_front().expect("length was just read");
+        for _ in 0..self.sim.outbox.len() {
+            let out = self.sim.outbox.pop_front().expect("length was just read");
             // Guard with ni_free so the payload is only moved into the NoC
             // when acceptance is certain; a full NI means retry next cycle.
-            if self.noc.ni_free(out.src) == 0 {
-                self.outbox.push_back(out);
+            if self.sim.noc.ni_free(out.src) == 0 {
+                self.sim.outbox.push_back(out);
                 continue;
             }
             let bytes = out.data.len();
-            self.noc
+            (self.sim.noc)
                 .try_inject(out.src, out.dst, out.data, out.tag, now)
                 .expect("NI space was checked and platform nodes are valid");
-            if let Some(s) = self.obs_sink.as_deref_mut() {
+            if let Some(s) = self.obs.sink.as_deref_mut() {
                 s.emit(TraceEvent::FlitInject {
                     cycle: now.0,
                     src: out.src.0,
@@ -1604,7 +1569,7 @@ impl FppaPlatform {
                 // issue and acceptance — its thread is no longer awaiting,
                 // so the wake is skipped (fault-free runs keep the
                 // unconditional legacy path, assertion included).
-                if self.campaign.is_none() || self.pes[pe.0].is_awaiting(tid) {
+                if self.sim.campaign.is_none() || self.sim.pes[pe.0].is_awaiting(tid) {
                     // The PE phase of this cycle is over: tick next cycle.
                     self.complete_thread(pe.0, tid, Cycles(now.0 + 1));
                 }
@@ -1629,10 +1594,10 @@ impl FppaPlatform {
         object: ObjectId,
         cycles: u64,
     ) -> Result<(), crate::runtime::InstallError> {
-        if self.runtime.is_none() {
+        if self.sim.runtime.is_none() {
             return Err(crate::runtime::InstallError::NoApp);
         }
-        let Some(o) = self.calls.object_mut(object) else {
+        let Some(o) = self.sim.calls.object_mut(object) else {
             return Err(crate::runtime::InstallError::UnknownObject(object));
         };
         o.deadline = Some(cycles);
@@ -1644,7 +1609,7 @@ impl FppaPlatform {
     /// id is out of range). Aggregate across objects with
     /// [`LatencyHistogram::merge`].
     pub fn object_latency(&self, object: ObjectId) -> Option<&LatencyHistogram> {
-        self.calls.objects().get(object.0).map(|o| &o.histogram)
+        self.sim.calls.objects().get(object.0).map(|o| &o.histogram)
     }
 
     /// Builds the report for the last `elapsed` cycles of activity.
@@ -1657,32 +1622,33 @@ impl FppaPlatform {
     }
 
     pub(crate) fn pes_slice(&self) -> &[Pe] {
-        &self.pes
+        &self.sim.pes
     }
 
     pub(crate) fn services_ref(&self) -> &Services {
-        &self.services
+        &self.sim.services
     }
 
     pub(crate) fn ios_slice(&self) -> &[IoChannel] {
-        &self.ios
+        &self.sim.ios
     }
 
     pub(crate) fn noc_ref(&self) -> &Noc {
-        &self.noc
+        &self.sim.noc
     }
 
     /// Clock frequency at the configured technology node.
     pub fn clock_hz(&self) -> f64 {
-        self.cfg.tech.nominal_clock_hz()
+        self.sim.fixed.cfg.tech.nominal_clock_hz()
     }
 
     /// Total dynamic energy across all components.
     pub fn total_energy(&self) -> Picojoules {
-        let pe: Picojoules = self.pes.iter().map(|p| p.stats().energy).sum();
-        let mem: Picojoules = (self.services.memories()).map(|(_, m)| m.energy()).sum();
-        let fab: Picojoules = (self.services.fabrics()).map(|(_, f)| f.energy()).sum();
-        let hw: Picojoules = (self.services.hwips()).map(|(.., energy)| energy).sum();
+        let pe: Picojoules = self.sim.pes.iter().map(|p| p.stats().energy).sum();
+        let services = &self.sim.services;
+        let mem: Picojoules = services.memories().map(|(_, m)| m.energy()).sum();
+        let fab: Picojoules = services.fabrics().map(|(_, f)| f.energy()).sum();
+        let hw: Picojoules = services.hwips().map(|(.., energy)| energy).sum();
         pe + mem + fab + hw
     }
 }

@@ -137,6 +137,7 @@ impl PlatformReport {
                 .runtime()
                 .map_or_else(Vec::new, |r| r.object_dispatches().to_vec()),
             latency: p
+                .sim
                 .calls
                 .objects()
                 .iter()

@@ -813,9 +813,9 @@ impl FppaPlatform {
             self.pes_slice().len(),
             self.ios_slice().len(),
         )?;
-        self.runtime = Some(rt);
+        self.sim.runtime = Some(rt);
         self.post_io();
-        self.calls.reset(app.objects().len());
+        self.sim.calls.reset(app.objects().len());
         Ok(())
     }
 
@@ -825,10 +825,7 @@ impl FppaPlatform {
     ///
     /// See [`InstallError`].
     pub fn bind_io_entry(&mut self, io: usize, object: ObjectId) -> Result<(), InstallError> {
-        self.runtime
-            .as_mut()
-            .ok_or(InstallError::NoApp)?
-            .bind_io(io, object)?;
+        self.runtime_mut()?.bind_io(io, object)?;
         self.post_io();
         Ok(())
     }
@@ -849,9 +846,7 @@ impl FppaPlatform {
             return Err(InstallError::IoOutOfRange(io));
         }
         let io_node = self.io_node(io);
-        self.runtime
-            .as_mut()
-            .ok_or(InstallError::NoApp)?
+        self.runtime_mut()?
             .bind_egress(object, io_node, packet_bytes)
     }
 
@@ -881,23 +876,25 @@ impl FppaPlatform {
             ) => {}
             _ => return Err(InstallError::NotAServiceNode(node)),
         }
-        self.runtime
-            .as_mut()
-            .ok_or(InstallError::NoApp)?
-            .bind_service(
-                object,
-                ServiceBinding {
-                    node,
-                    request_bytes,
-                    reply_bytes,
-                    calls,
-                },
-            )
+        self.runtime_mut()?.bind_service(
+            object,
+            ServiceBinding {
+                node,
+                request_bytes,
+                reply_bytes,
+                calls,
+            },
+        )
     }
 
     /// The installed runtime, if any.
     pub fn runtime(&self) -> Option<&Runtime> {
-        self.runtime.as_ref()
+        self.sim.runtime.as_ref()
+    }
+
+    /// The installed runtime, or [`InstallError::NoApp`].
+    fn runtime_mut(&mut self) -> Result<&mut Runtime, InstallError> {
+        self.sim.runtime.as_mut().ok_or(InstallError::NoApp)
     }
 }
 

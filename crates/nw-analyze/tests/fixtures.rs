@@ -149,17 +149,21 @@ fn nd01_and_nd03_guard_the_snapshot_layer() {
     )]);
     assert_eq!(rules_of(&hit), ["ND03", "ND01", "ND01"], "{}", hit.render());
 
-    // The shape that ships — the snapshot owns a boxed field-literal clone
-    // of the platform, replica seed included, and thawing clones it again
-    // — is clean with no exemptions.
+    // The shape that ships — the snapshot wraps the platform's simulation
+    // state, a derived `Clone` that shares its fixed part through an
+    // `Arc`, and thawing clones it again beside empty observers — is clean
+    // with no exemptions.
     let clean = scan(&[(
         "crates/core/src/platform.rs",
-        "pub struct PlatformSnapshot { state: Box<FppaPlatform> }\n\
+        "#[derive(Clone)]\n\
+         struct State { fixed: Arc<Fixed>, noc: Noc }\n\
+         pub struct PlatformSnapshot { state: State }\n\
          fn capture(p: &FppaPlatform) -> PlatformSnapshot {\n\
-             PlatformSnapshot { state: Box::new(p.clone_state()) }\n\
+             PlatformSnapshot { state: p.sim.clone() }\n\
          }\n\
-         fn thaw(s: &PlatformSnapshot) -> FppaPlatform { s.state.clone_state() }\n\
-         fn seed(s: &PlatformSnapshot) -> u64 { s.state.seed }\n",
+         fn thaw(s: &PlatformSnapshot) -> FppaPlatform {\n\
+             FppaPlatform { sim: s.state.clone(), obs: Observers::default() }\n\
+         }\n",
     )]);
     assert!(clean.is_clean(), "{}", clean.render());
 

@@ -204,10 +204,6 @@ pub struct Pe {
     ready: u64,
     stalled: u64,
     idle: u64,
-    /// Threads retired since the last [`Pe::take_retired`], recorded only
-    /// when enabled via [`Pe::set_retire_log`] (tracing). `None` keeps the
-    /// retire path allocation-free when no one is watching.
-    retire_log: Option<Vec<ThreadId>>,
     /// Cleared op buffers of retired programs, at most `n_threads`, handed
     /// out by [`Pe::take_spare_ops`] so the next handler program is built
     /// in a retired one's allocation.
@@ -252,26 +248,9 @@ impl Pe {
             ready: 0,
             stalled: 0,
             idle,
-            retire_log: None,
             spare_ops,
             crashed: false,
         }
-    }
-
-    /// Enables (or disables) recording of retired thread ids for tracing.
-    /// Observation only: logging changes no scheduling or accounting.
-    pub fn set_retire_log(&mut self, on: bool) {
-        self.retire_log = if on { Some(Vec::new()) } else { None };
-    }
-
-    /// Takes the threads retired since the last call (empty when the log
-    /// is disabled or nothing retired).
-    #[inline]
-    pub fn take_retired(&mut self) -> Vec<ThreadId> {
-        self.retire_log
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
     }
 
     /// An empty op buffer for the next program spawned here: the cleared
@@ -739,9 +718,6 @@ impl Pe {
         }
         self.threads[i].pc = 0;
         self.tasks_completed += 1;
-        if let Some(log) = self.retire_log.as_mut() {
-            log.push(ThreadId(i));
-        }
     }
 }
 
@@ -772,8 +748,10 @@ fn pick_after(set: u64, from: usize) -> Option<usize> {
 impl Pe {
     /// Advances the PE by one clock cycle: catches up the cycles it slept
     /// through, then finishes a context swap, issues one op from the
-    /// running context or switches to the next ready one.
-    pub fn tick(&mut self, now: Cycles) {
+    /// running context or switches to the next ready one. Returns the
+    /// thread whose task retired this cycle: one issue slot retires at
+    /// most one task.
+    pub fn tick(&mut self, now: Cycles) -> Option<ThreadId> {
         // Catch up any cycles a self-timed scheduler slept through, then
         // mark this cycle accounted (the body below accounts inline).
         self.settle_accounting(now);
@@ -784,7 +762,7 @@ impl Pe {
         if self.swap_remaining > 0 {
             self.swap_remaining -= 1;
             self.core.idle();
-            return;
+            return None;
         }
 
         // Choose which context issues this cycle.
@@ -801,7 +779,7 @@ impl Pe {
                         // The swap consumes this cycle (and possibly more).
                         self.swap_remaining = self.cfg.swap_penalty - 1;
                         self.core.idle();
-                        return;
+                        return None;
                     }
                 }
                 next
@@ -815,11 +793,15 @@ impl Pe {
         };
 
         // Issue energy is derived from the busy counter in `stats()`.
+        let completed = self.tasks_completed;
         if issuing.is_some_and(|i| self.run_thread(i, now)) {
             self.core.busy();
         } else {
             self.core.idle();
         }
+        issuing
+            .filter(|_| self.tasks_completed > completed)
+            .map(ThreadId)
     }
 }
 

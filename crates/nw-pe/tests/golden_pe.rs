@@ -218,7 +218,6 @@ fn run(s: u64) -> (u64, Reach) {
     let n = cfg.n_threads;
     let mut rng = Rng(0x0DAC_2003_5EED_0024 ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut pe = Pe::new(cfg);
-    pe.set_retire_log(true);
     // Per thread, the payloads of the sends and calls it has not issued.
     let mut unissued: Vec<VecDeque<Payload>> = vec![VecDeque::new(); n];
     let mut h = Fnv::new();
@@ -297,8 +296,9 @@ fn run(s: u64) -> (u64, Reach) {
             wake = wake.min(c);
         }
         let ticked = drive == Drive::Dense || wake <= c;
+        let mut retired = None;
         if ticked {
-            pe.tick(now);
+            retired = pe.tick(now);
             caught_up_to = c + 1;
         } else {
             reach.cycles_slept += 1;
@@ -315,7 +315,7 @@ fn run(s: u64) -> (u64, Reach) {
             completions.push((c + 1 + rng.range(0, 120), tid));
         }
         if ticked {
-            for tid in pe.take_retired() {
+            if let Some(tid) = retired {
                 h.word(tid.0 as u64);
             }
             for t in 0..n {

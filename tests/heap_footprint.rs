@@ -7,7 +7,9 @@
 //! proxy for nwbench's `peak_rss_mb`), after the warm-up, and what one
 //! `fork` of the warmed platform adds, prints the table and fails on a
 //! figure above its pinned ceiling. Each rig then runs a second window as
-//! long as its warm-up, whose allocation calls are pinned exactly. A fifth
+//! long as its warm-up, whose allocation calls are pinned exactly, and
+//! runs it again after a second build and warm-up, under a trace sink:
+//! tracing must not add a single allocation call. A fifth
 //! row runs `mix-fork-faults` through nwbench's full warm-up, which leaves
 //! thousands of invocations queued, and also pins the runtime's bytes per
 //! queued invocation. A NoC row pins what a healthy 1 024-endpoint mesh
@@ -22,7 +24,7 @@
 //! ```
 
 use nanowall::scenarios::BenchRig;
-use nanowall::FppaPlatform;
+use nanowall::{FppaPlatform, RingBufferSink, TraceEvent, TraceSink};
 use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
 use nw_sim::LatencyHistogram;
 use nw_types::ObjectId;
@@ -117,33 +119,34 @@ struct Pins {
     /// warm-up, after the warm-up, and on one fork.
     ceilings: [usize; 4],
     /// Allocation calls in the second window, exact in a release build
-    /// (a debug build's audits allocate too, so it does not check them).
+    /// (a debug build's audits allocate too, so it does not check them),
+    /// traced or not.
     calls: usize,
 }
 
 /// Per rig, in [`BenchRig::ALL`] order, at nwbench's `--quick` warm-up.
-/// The `built` and `fork` ceilings date from routing becoming a function
-/// of the fabric's shape, `warmed` from a payload becoming a length and a
-/// 16-byte head.
+/// The `built` ceilings date from routing becoming a function of the
+/// fabric's shape, `warmed` from a payload becoming a length and a 16-byte
+/// head, `fork` from a copy sharing the configuration and endpoint roles.
 const RIGS: [Pins; 4] = [
     Pins {
         warmup: 15_000,
-        ceilings: [85_932, 123_954, 120_441, 89_285],
+        ceilings: [85_932, 123_954, 120_441, 86_979],
         calls: 41,
     },
     Pins {
         warmup: 100_000,
-        ceilings: [35_280, 67_037, 65_635, 47_948],
+        ceilings: [35_280, 67_037, 65_635, 46_661],
         calls: 25,
     },
     Pins {
         warmup: 3_000_000,
-        ceilings: [24_648, 34_781, 33_513, 24_428],
+        ceilings: [24_648, 34_781, 33_513, 23_532],
         calls: 19,
     },
     Pins {
         warmup: 45_000,
-        ceilings: [53_529, 86_710, 85_952, 65_163],
+        ceilings: [53_529, 86_710, 85_952, 62_932],
         calls: 45,
     },
 ];
@@ -151,14 +154,15 @@ const RIGS: [Pins; 4] = [
 /// The fifth row, `mix-fork-faults` at nwbench's full warm-up, with its
 /// campaign horizon in cycles (the campaign ends 600 000 cycles into the
 /// second window). Since a backlog key became one byte and the retry
-/// index stopped allocating, `warmed` and `fork` are capped at 110 000
-/// and 85 000 B, below measured plus 10 %; `built` keeps its older,
-/// tighter ceiling.
+/// index stopped allocating, `warmed` is capped at 110 000 B, below
+/// measured plus 10 %; `built` keeps its older, tighter ceiling, and
+/// `fork` is measured plus 10 % since a copy shares the configuration and
+/// endpoint roles.
 const FULL_MIX: (u64, Pins) = (
     1_500_000,
     Pins {
         warmup: 900_000,
-        ceilings: [58_457, 117_625, 110_000, 85_000],
+        ceilings: [58_457, 117_625, 110_000, 83_339],
         calls: 38,
     },
 );
@@ -174,6 +178,10 @@ const MIN_BACKLOG: usize = 5_000;
 /// Ceiling on the fifth row's runtime bytes (what a fork copies of it) per
 /// queued invocation: measured plus 10 %.
 const BYTES_PER_QUEUED: f64 = 3.84;
+
+/// Events a primed ring holds: it is full before the traced window, so
+/// each event it takes evicts one instead of growing the buffer.
+const RING: usize = 1024;
 
 /// Asserts that every object of `p` without a recorded round trip owns no
 /// latency buckets, and returns how many such objects there were.
@@ -202,8 +210,8 @@ struct Row {
     got: [usize; 4],
     runtime_bytes: usize,
     queued: usize,
-    /// Allocation calls in the second window.
-    calls: usize,
+    /// Allocation calls in the second window, untraced and traced.
+    calls: [usize; 2],
 }
 
 #[test]
@@ -240,21 +248,33 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
         drop(copy);
         let before_window = calls();
         let report = platform.run(pins.warmup);
-        let calls = calls() - before_window;
-        drop(report);
-        drop(platform);
+        let untraced = calls() - before_window;
+        drop((report, platform));
+        // The same warm-up again, so that the traced window starts from
+        // the same state in buffers of the same capacities.
+        let mut platform = rig.build(horizon);
+        drop(platform.run(pins.warmup));
+        let mut ring = RingBufferSink::new(RING);
+        for _ in 0..RING {
+            ring.emit(TraceEvent::FastForward { cycle: 0, span: 0 });
+        }
+        platform.set_trace_sink(Box::new(ring));
+        let before_window = calls();
+        let report = platform.run(pins.warmup);
+        let traced = calls() - before_window;
+        drop((report, platform));
         rows.push(Row {
             rig,
             pins,
             got: [built, high_water, warmed, forked],
             runtime_bytes,
             queued,
-            calls,
+            calls: [untraced, traced],
         });
     }
 
     println!(
-        "rig               warm-up   built B   high B  warmed B    fork B   runtime B  queued  B/queued  calls   (ceilings; calls pinned)"
+        "rig               warm-up   built B   high B  warmed B    fork B   runtime B  queued  B/queued  calls  traced   (ceilings; calls pinned)"
     );
     for row in &rows {
         let per_queued = match row.queued {
@@ -264,7 +284,7 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
         let [built, high, warmed, fork] = row.got;
         let [cb, ch, cw, cf] = row.pins.ceilings;
         println!(
-            "{:<16} {:>8} {:>9} {:>8} {:>9} {:>9} {:>11} {:>7} {:>9} {:>6}   ({cb} / {ch} / {cw} / {cf}; {})",
+            "{:<16} {:>8} {:>9} {:>8} {:>9} {:>9} {:>11} {:>7} {:>9} {:>6} {:>7}   ({cb} / {ch} / {cw} / {cf}; {})",
             row.rig.name(),
             row.pins.warmup,
             built,
@@ -274,7 +294,8 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
             row.runtime_bytes,
             row.queued,
             per_queued,
-            row.calls,
+            row.calls[0],
+            row.calls[1],
             row.pins.calls,
         );
     }
@@ -334,10 +355,12 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
             );
         }
         if !cfg!(debug_assertions) {
-            assert_eq!(
-                row.calls, row.pins.calls,
-                "{name}: allocation calls in the second {warmup}-cycle window"
-            );
+            for (what, got) in ["untraced", "traced"].iter().zip(row.calls) {
+                assert_eq!(
+                    got, row.pins.calls,
+                    "{name}: allocation calls in the {what} second {warmup}-cycle window"
+                );
+            }
         }
     }
 }

@@ -6,10 +6,13 @@
 //! uninterrupted `run(a); run(b)` — including splits that land mid
 //! fault-campaign, so the campaign cursor and open retry deadlines must
 //! survive the round trip. A trace sink on the snapshotted platform must
-//! not perturb anything either.
+//! not perturb anything either, and a traced resumed run emits exactly
+//! the uninterrupted run's events.
 
 use nanowall::prelude::*;
-use nanowall::{FaultCampaign, FaultRates, MemoryBlockConfig, RetryPolicy, RingBufferSink};
+use nanowall::{
+    FaultCampaign, FaultRates, MemoryBlockConfig, RetryPolicy, RingBufferSink, TraceEvent,
+};
 use proptest::prelude::*;
 
 /// The finite no-I/O rig of the fault-conservation suite: 4 dual-thread
@@ -38,6 +41,21 @@ fn build_rig(mode: SchedulerMode) -> FppaPlatform {
     platform
 }
 
+/// Installs a ring large enough that no event of these short runs is
+/// evicted.
+fn trace(platform: &mut FppaPlatform) {
+    platform.set_trace_sink(Box::new(RingBufferSink::new(1 << 20)));
+}
+
+/// Takes the installed ring and its events, checking that none was
+/// evicted.
+fn events(platform: &mut FppaPlatform) -> Vec<TraceEvent> {
+    let mut sink = platform.take_trace_sink().expect("a sink is installed");
+    let ring = (sink.as_any_mut().downcast_mut::<RingBufferSink>()).expect("a ring");
+    assert_eq!(ring.dropped(), 0, "the ring evicted events");
+    ring.drain()
+}
+
 /// Installs the standard faulted-run pair (campaign + retry policy) used
 /// by every case below, identical across reference and snapshot paths.
 fn arm_faults(platform: &mut FppaPlatform, seed: u64, level_tenths: u32, horizon: u64) {
@@ -62,7 +80,9 @@ proptest! {
     /// from a mid-run snapshot — and the original platform restored back
     /// to it after running ahead — both finish byte-identical to the
     /// uninterrupted run, under both schedulers, with campaigns active or
-    /// absent, traced or untraced.
+    /// absent, traced or untraced. Traced, the restored original's own
+    /// sink and a sink installed on the rebuilt platform receive exactly
+    /// the uninterrupted run's events.
     #[test]
     fn snapshot_round_trip_is_bit_identical(
         seed in 0u64..10_000,
@@ -79,28 +99,56 @@ proptest! {
         // Uninterrupted reference: the same windows, no snapshot anywhere.
         let mut reference = build_rig(mode);
         arm_faults(&mut reference, seed, level_tenths, horizon);
+        if traced {
+            trace(&mut reference);
+        }
         let _ = reference.run(a);
+        let mut window_a = Vec::new();
+        if traced {
+            window_a = events(&mut reference);
+            trace(&mut reference);
+        }
         let want = reference.run(b);
 
         // Snapshot path: identical rig, snapshot at the split.
         let mut original = build_rig(mode);
         arm_faults(&mut original, seed, level_tenths, horizon);
         if traced {
-            original.set_trace_sink(Box::new(RingBufferSink::new(512)));
+            trace(&mut original);
         }
         let _ = original.run(a);
         let snap = original.snapshot();
 
         // (1) A fresh platform rebuilt from the snapshot.
         let mut fresh = FppaPlatform::from_snapshot(&snap);
+        if traced {
+            trace(&mut fresh);
+        }
         let got_fresh = fresh.run(b);
         prop_assert_eq!(&got_fresh, &want, "from_snapshot diverged (split {}+{})", a, b);
 
-        // (2) The original, run ahead then restored in place.
+        // (2) The original, run ahead then restored in place. Its sink
+        // sees window a, the junk window (which another copy of the
+        // snapshot replays) and window b.
         let _ = original.run(junk);
         original.restore(&snap);
         let got_restored = original.run(b);
         prop_assert_eq!(&got_restored, &want, "restore diverged (junk {})", junk);
+        if traced {
+            let window_b = events(&mut reference);
+            let ends = (window_a.iter().chain(&window_b))
+                .filter(|e| matches!(e, TraceEvent::HandlerEnd { .. }))
+                .count();
+            prop_assert_eq!(ends as u64, want.tasks_completed, "a HandlerEnd per retired task");
+            prop_assert_eq!(&events(&mut fresh), &window_b, "from_snapshot trace");
+            let mut ahead = FppaPlatform::from_snapshot(&snap);
+            trace(&mut ahead);
+            let _ = ahead.run(junk);
+            let mut want_all = window_a;
+            want_all.extend(events(&mut ahead));
+            want_all.extend(window_b);
+            prop_assert_eq!(&events(&mut original), &want_all, "restored trace");
+        }
 
         // Campaign cursor and retry bookkeeping survived the round trip.
         prop_assert_eq!(fresh.pending_retries(), reference.pending_retries());
