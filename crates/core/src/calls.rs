@@ -1,12 +1,12 @@
 //! The in-flight call table: every synchronous `Op::Call` a hardware
 //! thread is blocked on (the unit of the paper's latency-hiding argument,
-//! §6.2–§7.2), in one slot per `(pe, tid)`. A slot has two halves — the
-//! latency *probe* (issue cycle and the object the round trip is charged
-//! to) and the *retry* entry (the [`RetryPolicy`] contract of
+//! §6.2–§7.2), one per `(pe, tid)`. A call has two halves — the latency
+//! *probe* (issue cycle and the object the round trip is charged to) and
+//! the *retry* entry (the [`RetryPolicy`] contract of
 //! [`crate::resilience`]) — and one rule decides what a reply does to both.
-//! Beside them, the slot names the *handler* the runtime dispatched onto
-//! the thread, which its service-node calls are charged to; manual PE
-//! access, a crash and a fresh install forget it.
+//! Beside the probe, a thread's slot names the *handler* the runtime
+//! dispatched onto the thread, which its service-node calls are charged
+//! to; manual PE access, a crash and a fresh install forget it.
 //!
 //! # The reply rule
 //!
@@ -31,10 +31,12 @@
 //! # Storage
 //!
 //! The slots are one flat `Vec`, PE by PE, so a slot's flat index orders
-//! it by `(pe, tid)`. The deadline index is a min-tree over the flat
-//! slots ([`Deadlines`]), sized once when a policy is installed (only
-//! then can a slot hold a retry entry): issuing, answering and expiring
-//! calls allocate nothing.
+//! it by `(pe, tid)`; each holds the salt, the probe and the handler. The
+//! retry entries sit in a side table of the same indexing, and the
+//! deadline index is a min-tree over it ([`Deadlines`]). Both are sized
+//! once when a policy is installed, the only time a thread can hold a
+//! retry entry: without a policy they hold nothing. Issuing, answering and
+//! expiring calls allocate nothing.
 
 use crate::resilience::{ResilienceStats, RetryPolicy};
 use crate::tags::RequestTag;
@@ -42,7 +44,7 @@ use nw_obs::TraceEvent;
 use nw_sim::LatencyHistogram;
 use nw_types::{Cycles, NodeId, ObjectId, Payload};
 
-/// The retry half of a slot: one call tracked until its reply or give-up.
+/// The retry half of a call: one call tracked until its reply or give-up.
 #[derive(Debug, Clone, PartialEq)]
 struct PendingCall {
     /// Cycle the current attempt times out; mirrored in `CallTable::deadlines`.
@@ -57,14 +59,20 @@ struct PendingCall {
     data: Payload,
 }
 
+/// One thread's slot: its token salt, latency probe and handler. Its
+/// retry entry, when a policy is installed, is `CallTable::retry`'s.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Slot {
     salt: u8,
     probe: Option<(Cycles, ObjectId)>,
-    retry: Option<PendingCall>,
     /// The object whose handler the runtime last dispatched onto the thread.
     handler: Option<ObjectId>,
 }
+
+// Every hardware thread has a slot in every copy of a platform (136 on
+// `ipv4-sat`): a field that grows it grows the heap footprint's `warmed`
+// and `fork` rows by that much per thread.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 48);
 
 /// A leaf with no retry entry. A deadline that saturates at `u64::MAX`
 /// reads the same: it never comes due, as no cycle reaches it.
@@ -175,6 +183,8 @@ pub(crate) struct CallTable {
     slots: Vec<Slot>,
     /// Per PE its first slot, then the slot count.
     first: Vec<usize>,
+    /// Every slot's retry entry: one per slot under a policy, else empty.
+    retry: Vec<Option<PendingCall>>,
     deadlines: Deadlines,
     policy: Option<RetryPolicy>,
     /// Indexed by [`ObjectId`]; sized by [`CallTable::reset`].
@@ -213,7 +223,7 @@ impl CallTable {
 
     /// Drops slot `s`'s retry entry, if any, and its deadline.
     fn close_retry(&mut self, s: usize) {
-        if self.slots[s].retry.take().is_some() {
+        if self.retry.get_mut(s).and_then(Option::take).is_some() {
             self.deadlines.set(s, NONE);
         }
     }
@@ -222,6 +232,7 @@ impl CallTable {
     /// call keeps its deadline and meets the new policy at its next expiry.
     pub fn set_policy(&mut self, policy: RetryPolicy) {
         if self.policy.is_none() {
+            self.retry = vec![None; self.slots.len()];
             self.deadlines = Deadlines::new(self.slots.len());
         }
         self.policy = Some(policy);
@@ -251,7 +262,7 @@ impl CallTable {
         slot.salt = slot.salt.wrapping_add(1);
         tag.token = slot.salt;
         let deadline = now.0.saturating_add(policy.window(0));
-        slot.retry = Some(PendingCall {
+        self.retry[s] = Some(PendingCall {
             deadline,
             attempt: 0,
             tag,
@@ -274,9 +285,9 @@ impl CallTable {
         now: Cycles,
     ) -> Reply {
         let s = self.slot(pe, tid);
-        let live = match &self.slots[s].retry {
-            Some(call) => call.tag.token == token,
-            None => awaiting,
+        let live = match self.retry.get(s) {
+            Some(Some(call)) => call.tag.token == token,
+            _ => awaiting,
         };
         if !live {
             self.duplicates += 1;
@@ -318,11 +329,12 @@ impl CallTable {
         while let Some(s) = self.deadlines.next_due(from, now) {
             from = s + 1;
             let slot = &mut self.slots[s];
-            let call = slot.retry.as_mut().expect("a due slot holds a call");
+            let entry = &mut self.retry[s];
+            let call = entry.as_mut().expect("a due slot holds a call");
             if u32::from(call.attempt) + 1 >= u32::from(policy.max_attempts.max(1)) {
                 let (pe, tid) = (call.tag.pe.0, call.tag.tid.0);
                 slot.probe = None;
-                slot.retry = None;
+                *entry = None;
                 self.deadlines.set(s, NONE);
                 self.give_ups += 1;
                 out.push(Expired::GiveUp { pe, tid });
@@ -387,7 +399,7 @@ impl CallTable {
 
     /// Calls currently tracked for retry.
     pub fn pending_len(&self) -> usize {
-        self.slots.iter().filter(|s| s.retry.is_some()).count()
+        self.retry.iter().flatten().count()
     }
 
     /// Per-object telemetry, indexed by [`ObjectId`].
@@ -473,24 +485,29 @@ mod tests {
         }
     }
 
+    /// Slot `s`'s retry entry, if any.
+    fn entry(t: &CallTable, s: usize) -> Option<&PendingCall> {
+        t.retry.get(s)?.as_ref()
+    }
+
     /// The table's oracle: after every operation a walk over the slots,
     /// the reference and the tree agree, and so do the pending count and
     /// the earliest deadline.
     fn audit(t: &CallTable, reference: &Reference) {
         let scan: BTreeSet<_> = (0..t.first.len() - 1)
             .flat_map(|pe| {
-                (t.pe_slots(pe).enumerate()).filter_map(move |(tid, s)| {
-                    Some((t.slots[s].retry.as_ref()?.deadline, pe, tid))
-                })
+                (t.pe_slots(pe).enumerate())
+                    .filter_map(move |(tid, s)| Some((entry(t, s)?.deadline, pe, tid)))
             })
             .collect();
         assert_eq!(scan, reference.0, "scan of the slots ≡ reference");
         let Deadlines { tree, leaves } = &t.deadlines;
         if tree.is_empty() {
-            assert!(scan.is_empty(), "a retry entry without a policy");
+            assert!(t.retry.is_empty(), "a retry table without a policy");
         } else {
-            for (s, slot) in t.slots.iter().enumerate() {
-                let want = slot.retry.as_ref().map_or(NONE, |c| c.deadline);
+            assert_eq!(t.retry.len(), t.slots.len(), "one retry entry per slot");
+            for s in 0..t.slots.len() {
+                let want = entry(t, s).map_or(NONE, |c| c.deadline);
                 assert_eq!(tree[leaves + s], want, "leaf of slot {s}");
             }
             assert!(tree[leaves + t.slots.len()..].iter().all(|&d| d == NONE));
@@ -524,6 +541,7 @@ mod tests {
                 let tid = draw(THREADS[pe] as u64) as usize;
                 let s = t.slot(pe, tid);
                 let before = t.slots.clone();
+                let retry_before = t.retry.clone();
                 match draw(7) {
                     0 | 1 => {
                         let object = Some(ObjectId(draw(3) as usize));
@@ -532,25 +550,26 @@ mod tests {
                         let slot = &t.slots[s];
                         assert_eq!(stamped.token, slot.salt);
                         assert_eq!(slot.salt, before[s].salt.wrapping_add(1));
-                        assert_eq!(slot.retry.as_ref().map(|c| c.tag), Some(stamped));
+                        assert_eq!(entry(&t, s).map(|c| c.tag), Some(stamped));
                         reference.open(pe, tid, now + policy.window(0));
                     }
                     // A reply: live, stale or for a slot with no entry, to a
                     // thread that waits or does not.
                     2..=4 => {
-                        let entry = before[s].retry.as_ref().map(|c| c.tag.token);
-                        let token = entry.unwrap_or(0).wrapping_add(draw(2) as u8);
+                        let live = retry_before[s].as_ref().map(|c| c.tag.token);
+                        let token = live.unwrap_or(0).wrapping_add(draw(2) as u8);
                         let awaiting = draw(2) == 0;
                         let got = t.reply(pe, tid, token, awaiting, Cycles(now));
                         let slot = &t.slots[s];
-                        if entry.map_or(awaiting, |live| live == token) {
+                        if live.map_or(awaiting, |live| live == token) {
                             assert!(matches!(got, Reply::Deliver { .. }));
-                            assert!(slot.probe.is_none() && slot.retry.is_none());
+                            assert!(slot.probe.is_none() && entry(&t, s).is_none());
                             assert_eq!(slot.salt, before[s].salt);
                             reference.close(pe, tid);
                         } else {
                             assert_eq!(got, Reply::Duplicate);
-                            assert_eq!(t.slots, before, "a duplicate leaves both halves");
+                            assert_eq!(t.slots, before, "a duplicate leaves the slot");
+                            assert_eq!(t.retry, retry_before, "and the retry entries");
                             duplicates += 1;
                         }
                     }
@@ -563,19 +582,19 @@ mod tests {
                                     tag, attempt, data, ..
                                 } => {
                                     let s = t.slot(tag.pe.0, tag.tid.0);
-                                    let call = t.slots[s].retry.as_ref().expect("re-armed");
+                                    let call = entry(&t, s).expect("re-armed");
                                     assert_eq!(call.tag, tag);
                                     assert_eq!(tag.token, t.slots[s].salt);
                                     assert_eq!(data, Payload::with_head(1, &[9]));
-                                    let was = before[s].retry.as_ref().expect("was pending");
+                                    let was = retry_before[s].as_ref().expect("was pending");
                                     assert_eq!(attempt, was.attempt + 1);
                                     let deadline = now + policy.window(attempt);
                                     reference.open(tag.pe.0, tag.tid.0, deadline);
                                     (tag.pe.0, tag.tid.0)
                                 }
                                 Expired::GiveUp { pe, tid } => {
-                                    let slot = &t.slots[t.slot(pe, tid)];
-                                    assert!(slot.probe.is_none() && slot.retry.is_none());
+                                    let s = t.slot(pe, tid);
+                                    assert!(t.slots[s].probe.is_none() && entry(&t, s).is_none());
                                     reference.close(pe, tid);
                                     give_ups += 1;
                                     (pe, tid)
@@ -592,7 +611,7 @@ mod tests {
                         t.abandon_pe(pe);
                         for s in t.pe_slots(pe) {
                             let slot = &t.slots[s];
-                            assert!(slot.probe.is_none() && slot.retry.is_none());
+                            assert!(slot.probe.is_none() && entry(&t, s).is_none());
                             assert_eq!(slot.salt, before[s].salt, "salts survive a crash");
                         }
                         (0..THREADS[pe]).for_each(|tid| reference.close(pe, tid));

@@ -187,7 +187,8 @@ struct Fixed {
 
 /// The simulation state of a [`FppaPlatform`]: every field a run reads or
 /// changes, and nothing that only watches it. A snapshot, a restore and a
-/// fork each copy it whole.
+/// fork each clone it; the tables that never change after build or
+/// install sit behind `Arc`s, which the clone shares.
 #[derive(Debug, Clone)]
 pub(crate) struct State {
     fixed: Arc<Fixed>,
@@ -1650,5 +1651,49 @@ impl FppaPlatform {
         let fab: Picojoules = services.fabrics().map(|(_, f)| f.energy()).sum();
         let hw: Picojoules = services.hwips().map(|(.., energy)| energy).sum();
         pe + mem + fab + hw
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::scenarios::ipv4_rig;
+    use nw_noc::TopologyKind;
+
+    /// Every `next_hop(r, d)` of `p`'s routes, routers outer.
+    fn routes(p: &super::FppaPlatform) -> Vec<Option<usize>> {
+        let t = p.sim.noc.topology();
+        let pairs = (0..t.n_routers()).flat_map(|r| (0..t.n_endpoints()).map(move |d| (r, d)));
+        pairs.map(|(r, d)| t.next_hop(r, d)).collect()
+    }
+
+    #[test]
+    fn a_reroute_on_one_copy_leaves_the_other_alone() {
+        // A degraded route table is shared by a fork until one of the two
+        // reroutes: whichever does, the other keeps every route and runs
+        // as a platform that was never copied.
+        let build = || {
+            let mut platform = ipv4_rig(4, 8, TopologyKind::Mesh, 2, 10.0).platform;
+            drop(platform.run(2_000));
+            assert!(platform.fail_noc_link(0, 0));
+            platform
+        };
+        for fork_reroutes in [true, false] {
+            let (mut parent, mut reference) = (build(), build());
+            let mut fork = parent.fork(7);
+            let (rerouted, kept) = match fork_reroutes {
+                true => (&mut fork, &mut parent),
+                false => (&mut parent, &mut fork),
+            };
+            let before = routes(kept);
+            assert_eq!(routes(&reference), before);
+            assert!(rerouted.fail_noc_link(1, 0));
+            assert_ne!(
+                routes(rerouted),
+                before,
+                "the second dead link moved no route"
+            );
+            assert_eq!(routes(kept), before, "fork rerouted: {fork_reroutes}");
+            assert_eq!(kept.run(5_000), reference.run(5_000));
+        }
     }
 }

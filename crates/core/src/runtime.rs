@@ -25,6 +25,7 @@ use nw_pe::{KernelDomain, Op, Pe, Program};
 use nw_types::{Cycles, NodeId, ObjectId, Payload, ThreadId};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from installing an application or binding its objects.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,8 +119,8 @@ impl std::error::Error for InstallError {}
 /// How an I/O channel feeds an entry point.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IoBinding {
-    pub object: ObjectId,
-    pub method: MethodId,
+    /// The entry method's handler.
+    pub handler: usize,
     /// Node hosting the object.
     pub dst: NodeId,
 }
@@ -250,31 +251,59 @@ struct Handler {
     object: ObjectId,
     method: MethodId,
     domain: KernelDomain,
+    /// Whether the method answers its caller.
+    twoway: bool,
+    /// This method's argument body size (an ingress invocation's).
+    arg_bytes: u32,
     local_bytes: u64,
     service: Option<ServiceBinding>,
     compute_cycles: u64,
-    edges: Vec<EdgePlan>,
+    /// Its downstream calls: `Runtime::edges[edges.0..edges.1]`.
+    edges: (u32, u32),
     /// This method's reply body size (twoway answers).
-    reply_body_bytes: u64,
+    reply_body_bytes: u32,
     /// Egress binding: (I/O node, packet bytes).
     egress: Option<(NodeId, u64)>,
 }
 
+// One per `(object, method)` of the installed application: the heap
+// footprint's `built` and `warmed` rows grow by any growth per handler.
+const _: () = assert!(std::mem::size_of::<Handler>() <= 112);
+
+/// Where one object's handlers sit in the table, fixed at install.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ObjectPlan {
+    /// Its first handler: method `m` is handler `first + m`.
+    first: u32,
+    /// Its method count.
+    methods: u16,
+    /// The method an I/O channel bound to it feeds: its first in the
+    /// application's entry list, `None` unless it is an entry point.
+    entry: Option<MethodId>,
+}
+
 /// The installed-application runtime state.
+///
+/// What install fixes — placement, handler table, call edges and I/O
+/// bindings — sits behind `Arc`s that every copy shares (a binding made
+/// after a copy gives the binder its own table); the rest is what a run
+/// changes.
 #[derive(Debug, Clone)]
 pub struct Runtime {
-    app: Application,
     /// object → PE index.
-    placement: Vec<usize>,
+    placement: Arc<[usize]>,
     /// Every `(object, method)` handler, object by object with the objects
-    /// grouped PE by PE: `(o, m)` is at `first_handler[o] + m`, and PE
+    /// grouped PE by PE: `(o, m)` is at `objects[o].first + m`, and PE
     /// `p`'s objects own `pe_first[p]..pe_first[p + 1]`.
-    handlers: Vec<Handler>,
-    first_handler: Vec<usize>,
-    pe_first: Vec<usize>,
+    handlers: Arc<[Handler]>,
+    /// Every handler's downstream calls, handler by handler, each
+    /// handler's in the application's edge order.
+    edges: Arc<[EdgePlan]>,
+    objects: Arc<[ObjectPlan]>,
+    pe_first: Arc<[usize]>,
     /// Per-PE dispatch backlogs.
     dispatch: Vec<Backlog>,
-    io_bindings: Vec<Vec<IoBinding>>,
+    io_bindings: Arc<[Vec<IoBinding>]>,
     io_rr: Vec<usize>,
     /// Fractional call-multiplicity carry per edge index.
     edge_carry: Vec<f64>,
@@ -298,23 +327,23 @@ pub struct Runtime {
 
 impl Runtime {
     pub(crate) fn new(
-        app: Application,
-        placement: Vec<usize>,
+        app: &Application,
+        placement: &[usize],
         n_pes: usize,
         n_ios: usize,
     ) -> Result<Self, InstallError> {
-        if placement.len() != app.objects().len() {
+        let objects = app.objects();
+        if placement.len() != objects.len() {
             return Err(InstallError::PlacementLength {
-                objects: app.objects().len(),
+                objects: objects.len(),
                 placed: placement.len(),
             });
         }
         if let Some(&bad) = placement.iter().find(|&&p| p >= n_pes) {
             return Err(InstallError::PeOutOfRange(bad));
         }
-        let objects = app.objects();
         let mut pe_first = vec![0; n_pes + 1];
-        for (def, &p) in objects.iter().zip(&placement) {
+        for (def, &p) in objects.iter().zip(placement) {
             pe_first[p + 1] += def.methods.len();
         }
         for p in 0..n_pes {
@@ -324,39 +353,57 @@ impl Runtime {
             }
             pe_first[p + 1] += pe_first[p];
         }
+        let narrow = |i: usize| u32::try_from(i).expect("a handler or edge index fits 32 bits");
         // Objects PE by PE, in id order on each: a stable sort.
         let mut order: Vec<usize> = (0..objects.len()).collect();
         order.sort_by_key(|&o| placement[o]);
-        let mut first_handler = vec![0; objects.len()];
+        let mut plans = vec![
+            ObjectPlan {
+                first: 0,
+                methods: 0,
+                entry: None,
+            };
+            objects.len()
+        ];
         let mut handlers = Vec::with_capacity(pe_first[n_pes]);
         for o in order {
-            first_handler[o] = handlers.len();
             let object = ObjectId(o);
-            for (m, def) in objects[o].methods.iter().enumerate() {
+            let methods = &objects[o].methods;
+            plans[o].first = narrow(handlers.len());
+            plans[o].methods =
+                u16::try_from(methods.len()).expect("a PE hosts at most 128 handlers");
+            for (m, def) in methods.iter().enumerate() {
                 let method = MethodId(u16::try_from(m).expect("a PE hosts at most 128 handlers"));
                 let (arg, reply) = (def.arg_bytes, def.reply_bytes);
                 check_size(object, Some(method), "argument", arg, MAX_BODY_BYTES)?;
                 check_size(object, Some(method), "reply", reply, MAX_BODY_BYTES)?;
+                // Both fit: a body is at most a payload long.
+                let (arg, reply) = (arg as u32, reply as u32);
                 handlers.push(Handler {
                     object,
                     method,
                     domain: domain_to_kernel(def.domain),
+                    twoway: def.is_twoway(),
+                    arg_bytes: arg,
                     local_bytes: def.local_bytes,
                     service: None,
                     compute_cycles: def.compute_cycles,
-                    edges: Vec::new(),
+                    edges: (0, 0),
                     reply_body_bytes: reply,
                     egress: None,
                 });
             }
         }
-        // In edge order, so each handler's calls keep the application's
-        // order (synthesis order and the carry slots rest on it).
+        for &(o, m) in app.entries().iter().rev() {
+            plans[o.0].entry = Some(m);
+        }
+        // Each handler's calls in edge order (synthesis order and the
+        // carry slots rest on it), the handlers' runs in table order.
+        let mut calls = vec![Vec::new(); handlers.len()];
         for (i, e) in app.edges().iter().enumerate() {
             let callee = app.method(e.to, e.to_method);
-            let from = first_handler[e.from.0] + usize::from(e.from_method.0);
-            let handler = &mut handlers[from];
-            handler.edges.push(EdgePlan {
+            let from = plans[e.from.0].first as usize + usize::from(e.from_method.0);
+            calls[from].push(EdgePlan {
                 edge_idx: i,
                 calls_per_invocation: e.calls_per_invocation,
                 to: e.to,
@@ -367,30 +414,28 @@ impl Runtime {
                 call_reply_bytes: callee.reply_bytes + Message::HEADER_LEN as u64,
             });
         }
-        let n_edges = app.edges().len();
-        let n_objects = app.objects().len();
+        let mut edges = Vec::with_capacity(app.edges().len());
+        for (h, calls) in handlers.iter_mut().zip(calls) {
+            h.edges = (narrow(edges.len()), narrow(edges.len() + calls.len()));
+            edges.extend(calls);
+        }
         Ok(Runtime {
-            app,
-            placement,
-            handlers,
-            first_handler,
-            pe_first,
+            placement: placement.into(),
+            handlers: handlers.into(),
+            edges: edges.into(),
+            objects: plans.into(),
+            pe_first: pe_first.into(),
             dispatch: vec![Backlog::default(); n_pes],
-            io_bindings: vec![Vec::new(); n_ios],
+            io_bindings: vec![Vec::new(); n_ios].into(),
             io_rr: vec![0; n_ios],
-            edge_carry: vec![0.0; n_edges],
+            edge_carry: vec![0.0; app.edges().len()],
             pending_total: 0,
             ready: vec![false; n_pes],
             ready_count: 0,
             seq: 0,
             decode_errors: 0,
-            dispatched_per_object: vec![0; n_objects],
+            dispatched_per_object: vec![0; objects.len()],
         })
-    }
-
-    /// The installed application.
-    pub fn app(&self) -> &Application {
-        &self.app
     }
 
     /// The object placement (object index → PE index).
@@ -398,19 +443,23 @@ impl Runtime {
         &self.placement
     }
 
+    /// The handler index of `(object, method)`, when the application has it.
+    fn handler_of(&self, object: ObjectId, method: MethodId) -> Option<usize> {
+        let plan = self.objects.get(object.0)?;
+        (method.0 < plan.methods).then(|| plan.first as usize + usize::from(method.0))
+    }
+
     pub(crate) fn bind_io(&mut self, io: usize, object: ObjectId) -> Result<(), InstallError> {
-        let mut entries = self.app.entries().iter();
-        let &(_, method) =
-            (entries.find(|&&(o, _)| o == object)).ok_or(InstallError::NotAnEntry(object))?;
-        let slot = self
-            .io_bindings
-            .get_mut(io)
-            .ok_or(InstallError::IoOutOfRange(io))?;
-        slot.push(IoBinding {
-            object,
-            method,
-            dst: pe_endpoint(self.placement[object.0]),
-        });
+        let plan = self.objects.get(object.0);
+        let method = (plan.and_then(|p| p.entry)).ok_or(InstallError::NotAnEntry(object))?;
+        if io >= self.io_bindings.len() {
+            return Err(InstallError::IoOutOfRange(io));
+        }
+        let handler = self
+            .handler_of(object, method)
+            .expect("an entry method has a handler");
+        let dst = pe_endpoint(self.placement[object.0]);
+        Arc::make_mut(&mut self.io_bindings)[io].push(IoBinding { handler, dst });
         Ok(())
     }
 
@@ -428,7 +477,7 @@ impl Runtime {
             packet_bytes,
             MAX_PACKET_BYTES,
         )?;
-        for h in handlers {
+        for h in Arc::make_mut(&mut self.handlers)[handlers].iter_mut() {
             h.egress = Some((io_node, packet_bytes));
         }
         Ok(())
@@ -443,24 +492,18 @@ impl Runtime {
         let (request, reply) = (binding.request_bytes, binding.reply_bytes);
         check_size(object, None, "service request", request, MAX_PACKET_BYTES)?;
         check_size(object, None, "service reply", reply, MAX_PACKET_BYTES)?;
-        for h in handlers {
+        for h in Arc::make_mut(&mut self.handlers)[handlers].iter_mut() {
             h.service = Some(binding);
         }
         Ok(())
     }
 
-    /// The handlers of `object`'s methods.
-    fn object_handlers(
-        &mut self,
-        object: ObjectId,
-    ) -> Result<impl Iterator<Item = &mut Handler>, InstallError> {
-        let def = self.app.objects().get(object.0);
-        let n = def
-            .ok_or(InstallError::UnknownObject(object))?
-            .methods
-            .len();
-        let first = self.first_handler[object.0];
-        Ok(self.handlers[first..first + n].iter_mut())
+    /// The handler indexes of `object`'s methods.
+    fn object_handlers(&self, object: ObjectId) -> Result<std::ops::Range<usize>, InstallError> {
+        let plan = self.objects.get(object.0);
+        let plan = plan.ok_or(InstallError::UnknownObject(object))?;
+        let first = plan.first as usize;
+        Ok(first..first + usize::from(plan.methods))
     }
 
     /// Invocations dispatched per object (indexed by [`ObjectId`]).
@@ -485,13 +528,13 @@ impl Runtime {
         assert!(!bindings.is_empty(), "ingress on an unbound I/O channel");
         let b = bindings[self.io_rr[io] % bindings.len()];
         self.io_rr[io] = (self.io_rr[io] + 1) % bindings.len();
-        let arg_bytes = self.app.method(b.object, b.method).arg_bytes as usize;
+        let h = &self.handlers[b.handler];
         let header = MessageHeader {
             kind: MessageKind::Invocation,
-            object: b.object,
-            method: b.method,
+            object: h.object,
+            method: h.method,
             seq: next_seq(&mut self.seq),
-            body_len: arg_bytes,
+            body_len: h.arg_bytes as usize,
         };
         (b.dst, header.zeroed_payload())
     }
@@ -510,23 +553,20 @@ impl Runtime {
             self.decode_errors += 1;
             return;
         }
-        if msg.object.0 >= self.app.objects().len()
-            || msg.method.0 as usize >= self.app.object(msg.object).methods.len()
-        {
+        let Some(handler) = self.handler_of(msg.object, msg.method) else {
             self.decode_errors += 1;
             return;
-        }
+        };
         // An invocation runs on the PE that hosts its object: arriving at
         // another, it has no handler there.
         if self.placement[msg.object.0] != p {
             self.decode_errors += 1;
             return;
         }
-        let handler = self.first_handler[msg.object.0] + usize::from(msg.method.0);
         let local =
             u8::try_from(handler - self.pe_first[p]).expect("a PE hosts at most 128 handlers");
         // A twoway invocation answers when its request carries a tag.
-        let answers = pkt.tag != 0 && self.app.method(msg.object, msg.method).is_twoway();
+        let answers = pkt.tag != 0 && self.handlers[handler].twoway;
         let reply = if answers {
             // A caller node past `u32` (never built: each is a vector
             // index) is refused.
@@ -702,7 +742,8 @@ impl Runtime {
             ops.push(Op::Compute(h.compute_cycles));
         }
         // Downstream calls, with deterministic fractional-multiplicity carry.
-        for e in &h.edges {
+        let (first, end) = h.edges;
+        for e in &self.edges[first as usize..end as usize] {
             self.edge_carry[e.edge_idx] += e.calls_per_invocation;
             // The carry is ≥ 0, where the truncating cast is `floor`.
             let carry = self.edge_carry[e.edge_idx];
@@ -808,8 +849,8 @@ impl FppaPlatform {
         placement: &[usize],
     ) -> Result<(), InstallError> {
         let rt = Runtime::new(
-            app.clone(),
-            placement.to_vec(),
+            app,
+            placement,
             self.pes_slice().len(),
             self.ios_slice().len(),
         )?;
@@ -923,7 +964,7 @@ mod tests {
     }
 
     fn runtime() -> Runtime {
-        Runtime::new(two_stage_app(), vec![0, 1], 2, 0).expect("valid placement")
+        Runtime::new(&two_stage_app(), &[0, 1], 2, 0).expect("valid placement")
     }
 
     /// The entry point's handler (`a.go`, the table's first).
@@ -1075,8 +1116,8 @@ mod tests {
         // 128 handlers on PE 1, split over two objects, fit; so do 128 on
         // each of two PEs.
         let app = app_of(&[1, 100, 28, 128]);
-        let rt = Runtime::new(app.clone(), vec![0, 1, 1, 2], 3, 0).expect("128 per PE fit");
-        assert_eq!(rt.pe_first, [0, 1, 129, 257]);
+        let rt = Runtime::new(&app, &[0, 1, 1, 2], 3, 0).expect("128 per PE fit");
+        assert_eq!(rt.pe_first[..], [0, 1, 129, 257]);
         // The last local index comes back out of a key whole and names
         // its handler.
         let mut rt = rt;
@@ -1086,7 +1127,7 @@ mod tests {
         let h = &rt.handlers[handler];
         assert_eq!((h.object, h.method), (ObjectId(2), MethodId(27)));
         // A 129th handler on one PE is refused, naming the PE.
-        let err = Runtime::new(app.clone(), vec![0, 1, 1, 1], 3, 0).err();
+        let err = Runtime::new(&app, &[0, 1, 1, 1], 3, 0).err();
         let want = InstallError::TooManyHandlers {
             pe: 1,
             handlers: 256,
@@ -1096,7 +1137,7 @@ mod tests {
             want.to_string(),
             "PE 1 would host 256 handlers, more than the 128 a dispatch key indexes"
         );
-        let err = Runtime::new(app_of(&[1, 129]), vec![0, 1], 2, 0).err();
+        let err = Runtime::new(&app_of(&[1, 129]), &[0, 1], 2, 0).err();
         let want = InstallError::TooManyHandlers {
             pe: 1,
             handlers: 129,
@@ -1179,7 +1220,7 @@ mod tests {
         ) {
             const METHODS: [(usize, u16); 6] = [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 2)];
             let app = mixed_app();
-            let mut rt = Runtime::new(app.clone(), vec![0, 1, 1], 2, 0).expect("valid");
+            let mut rt = Runtime::new(&app, &[0, 1, 1], 2, 0).expect("valid");
             let mut oracle = vec![VecDeque::new(); 2];
             let mut forked = Vec::new();
             for (step, p, m, tagged, tag, seq) in steps {

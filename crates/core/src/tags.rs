@@ -47,6 +47,11 @@ pub struct RequestTag {
     pub reply_bytes: u64,
 }
 
+// Every retry entry holds one (`calls::PendingCall`, one per hardware
+// thread under a retry policy): the heap footprint's `mix-fork-faults`
+// rows, the one rig with a policy, grow by any growth per thread.
+const _: () = assert!(std::mem::size_of::<RequestTag>() <= 32);
+
 impl RequestTag {
     /// Encodes the request-leg tag.
     ///

@@ -12,18 +12,38 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from topology construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildTopologyError {
     /// The endpoint count was zero.
     NoEndpoints,
+    /// A router would have more ports than a route table entry names
+    /// (65 535): a bus or crossbar hub past that many endpoints.
+    TooManyPorts {
+        /// The router.
+        router: usize,
+        /// Its ports.
+        ports: usize,
+    },
 }
+
+/// A route table entry with no route; every other entry is a port.
+const NO_ROUTE: u16 = u16::MAX;
+
+/// The most ports one router may have: each is a route table entry below
+/// [`NO_ROUTE`].
+const MAX_PORTS: usize = NO_ROUTE as usize;
 
 impl fmt::Display for BuildTopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildTopologyError::NoEndpoints => write!(f, "topology needs at least one endpoint"),
+            BuildTopologyError::TooManyPorts { router, ports } => write!(
+                f,
+                "router {router} would have {ports} ports, more than the {MAX_PORTS} a route names"
+            ),
         }
     }
 }
@@ -88,7 +108,8 @@ struct GridCell {
 }
 
 /// How a topology picks the port toward a destination: a function of the
-/// healthy fabric's shape, or a table once links have died.
+/// healthy fabric's shape, or a table once links have died. The tables
+/// never change once built: copies share them.
 #[derive(Debug, Clone)]
 enum Routes {
     /// Bus and crossbar: an endpoint's one port leads to the hub, and the
@@ -102,32 +123,39 @@ enum Routes {
     Grid {
         dims: [u32; 2],
         wrap: bool,
-        cells: Vec<GridCell>,
+        cells: Arc<[GridCell]>,
     },
     /// Arity-4 fat tree: the first router of each level, endpoints
     /// (level 0) first. Router `j` of level `k` covers endpoints
     /// `j·4^k .. (j+1)·4^k`, its children first among its ports and its
     /// parent last.
-    FatTree { level_start: Vec<usize> },
+    FatTree { level_start: Arc<[usize]> },
     /// BFS shortest paths around dead links, row-major: entry
-    /// `r * n_endpoints + d` is the port, or `usize::MAX` for no route.
-    Table(Vec<usize>),
+    /// `r * n_endpoints + d` is the port, or [`NO_ROUTE`].
+    Table(Arc<[u16]>),
 }
 
 /// A built topology: graph, router modes and routes.
+///
+/// Nothing in it changes after [`Topology::build`] but the routes, which
+/// [`Topology::recompute_routes`] replaces whole: every table sits behind
+/// an `Arc`, so a clone shares them all, and a clone that reroutes gets
+/// its own route table while the others keep theirs.
 #[derive(Debug, Clone)]
 pub struct Topology {
     n_endpoints: usize,
-    /// Adjacency list per router.
-    links: Vec<Vec<Link>>,
+    /// Adjacency, row by row: router `r`'s links are
+    /// `links[link_start[r]..link_start[r + 1]]`, by port.
+    links: Arc<[Link]>,
+    link_start: Arc<[u32]>,
     /// The router that serializes all its ports through one shared medium:
     /// the bus arbiter.
     shared: Option<usize>,
     /// Reverse adjacency, row by row: the links into router `v` are
     /// `rev[rev_start[v]..rev_start[v + 1]]` as `(from, port)`, ascending
     /// by `from`.
-    rev: Vec<(u32, u32)>,
-    rev_start: Vec<u32>,
+    rev: Arc<[(u32, u32)]>,
+    rev_start: Arc<[u32]>,
     routes: Routes,
 }
 
@@ -140,7 +168,9 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildTopologyError::NoEndpoints`] if `n == 0`.
+    /// Returns [`BuildTopologyError::NoEndpoints`] if `n == 0`, and
+    /// [`BuildTopologyError::TooManyPorts`] for a bus or crossbar of more
+    /// than 65 535 endpoints.
     ///
     /// # Examples
     ///
@@ -158,19 +188,19 @@ impl Topology {
         if n == 0 {
             return Err(BuildTopologyError::NoEndpoints);
         }
-        Ok(match kind {
+        match kind {
             TopologyKind::SharedBus => Self::star(n, link_latency, true),
             TopologyKind::Crossbar => Self::star(n, link_latency, false),
             TopologyKind::Ring => Self::ring(n, link_latency),
             TopologyKind::Mesh => Self::mesh(n, link_latency, false),
             TopologyKind::Torus => Self::mesh(n, link_latency, true),
             TopologyKind::FatTree => Self::fat_tree(n, link_latency),
-        })
+        }
     }
 
     /// Star topology with a central router: a bus when `shared_center`, an
     /// ideal crossbar otherwise.
-    fn star(n: usize, lat: u64, shared_center: bool) -> Self {
+    fn star(n: usize, lat: u64, shared_center: bool) -> Result<Self, BuildTopologyError> {
         let center = n;
         let mut links = vec![Vec::new(); n + 1];
         for i in 0..n {
@@ -181,7 +211,7 @@ impl Topology {
         Self::finish(n, links, shared, Routes::Star)
     }
 
-    fn ring(n: usize, lat: u64) -> Self {
+    fn ring(n: usize, lat: u64) -> Result<Self, BuildTopologyError> {
         let mut links = vec![Vec::new(); n];
         if n > 1 {
             for (i, out) in links.iter_mut().enumerate() {
@@ -197,7 +227,7 @@ impl Topology {
 
     /// The most square `w` x `h` grid of `n` routers, router `y * w + x`
     /// at `(x, y)`, wrapped into a torus when `wrap`.
-    fn mesh(n: usize, lat: u64, wrap: bool) -> Self {
+    fn mesh(n: usize, lat: u64, wrap: bool) -> Result<Self, BuildTopologyError> {
         let (w, h) = most_square(n);
         // The coordinate one step from `c` along a dimension of size `len`.
         let step = |c: usize, len: usize, up: bool| match up {
@@ -232,11 +262,12 @@ impl Topology {
             links.push(out);
         }
         let dims = [w as u32, h as u32];
+        let cells = cells.into();
         let routes = Routes::Grid { dims, wrap, cells };
         Self::finish(n, links, None, routes)
     }
 
-    fn fat_tree(n: usize, lat: u64) -> Self {
+    fn fat_tree(n: usize, lat: u64) -> Result<Self, BuildTopologyError> {
         const ARITY: usize = 4;
         // Level 0: endpoints. Build internal levels until one root remains.
         let mut links: Vec<Vec<Link>> = vec![Vec::new(); n];
@@ -260,16 +291,24 @@ impl Topology {
             // Fat links: capacity doubles per level toward the root.
             width *= 2;
         }
+        let level_start = level_start.into();
         Self::finish(n, links, None, Routes::FatTree { level_start })
     }
 
-    /// Builds the reverse adjacency and assembles the struct.
+    /// Checks every router's port count, builds the reverse adjacency and
+    /// assembles the struct.
     fn finish(
         n_endpoints: usize,
         links: Vec<Vec<Link>>,
         shared: Option<usize>,
         routes: Routes,
-    ) -> Self {
+    ) -> Result<Self, BuildTopologyError> {
+        if let Some((router, out)) =
+            (links.iter().enumerate()).find(|(_, out)| out.len() > MAX_PORTS)
+        {
+            let ports = out.len();
+            return Err(BuildTopologyError::TooManyPorts { router, ports });
+        }
         let idx = |i: usize| u32::try_from(i).expect("router and port indices fit 32 bits");
         // Scanning sources in ascending order leaves each row ascending by
         // `from`.
@@ -279,23 +318,19 @@ impl Topology {
                 rows[l.to].push((idx(from), idx(port)));
             }
         }
-        let mut rev_start = vec![0];
-        rev_start.extend(rows.iter().scan(0, |end, row| {
-            *end += idx(row.len());
-            Some(*end)
-        }));
         // One link per `(from, to)` pair: a row of the reverse adjacency
         // names each predecessor once, so the BFS and the credit wake lose
         // nothing by keying on `from`.
         debug_assert!(rows.iter().all(|r| r.windows(2).all(|w| w[0].0 < w[1].0)));
-        Topology {
+        Ok(Topology {
             n_endpoints,
-            links,
+            link_start: row_starts(&links),
+            links: links.concat().into(),
             shared,
-            rev: rows.concat(),
-            rev_start,
+            rev_start: row_starts(&rows),
+            rev: rows.concat().into(),
             routes,
-        }
+        })
     }
 
     /// The links into router `v` as `(from, port)`, ascending by `from`.
@@ -307,10 +342,13 @@ impl Topology {
     /// Per-destination BFS over the reverse adjacency, skipping any
     /// directed link listed in `dead` (as `(router, port-index)` pairs).
     /// Returns the row-major table; routers that cannot reach a destination
-    /// keep `usize::MAX`.
-    fn bfs_tables(&self, dead: &[(usize, usize)]) -> Vec<usize> {
-        let (nr, ne) = (self.links.len(), self.n_endpoints);
-        let mut next_hop = vec![usize::MAX; nr * ne];
+    /// keep [`NO_ROUTE`].
+    fn bfs_tables(&self, dead: &[(usize, usize)]) -> Arc<[u16]> {
+        let (nr, ne) = (self.n_routers(), self.n_endpoints);
+        // Collected straight into its `Arc`, so a reroute allocates the
+        // table once.
+        let mut table: Arc<[u16]> = std::iter::repeat_n(NO_ROUTE, nr * ne).collect();
+        let next_hop = Arc::get_mut(&mut table).expect("a new table is unshared");
         let mut seen = vec![false; nr];
         let mut queue = VecDeque::new();
         for d in 0..ne {
@@ -323,14 +361,15 @@ impl Topology {
                     if !seen[p] && !dead.contains(&(p, port)) {
                         seen[p] = true;
                         // The live port at p leading to u is on a shortest
-                        // path to d.
-                        next_hop[p * ne + d] = port;
+                        // path to d; `finish` kept every port below
+                        // `NO_ROUTE`.
+                        next_hop[p * ne + d] = port as u16;
                         queue.push_back(p);
                     }
                 }
             }
         }
-        next_hop
+        table
     }
 
     /// Recomputes every route around a set of permanently dead directed
@@ -354,7 +393,7 @@ impl Topology {
 
     /// Total router count including internal routers.
     pub fn n_routers(&self) -> usize {
-        self.links.len()
+        self.link_start.len() - 1
     }
 
     /// Outgoing links of router `r`.
@@ -362,8 +401,9 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `r` is out of range.
+    #[inline]
     pub fn links_of(&self, r: usize) -> &[Link] {
-        &self.links[r]
+        &self.links[self.link_start[r] as usize..self.link_start[r + 1] as usize]
     }
 
     /// Whether router `r` serializes all ports through one shared medium.
@@ -381,7 +421,7 @@ impl Topology {
     pub fn next_hop(&self, r: usize, d: usize) -> Option<usize> {
         // The healthy routes are arithmetic on `r` and `d`: unchecked, they
         // would answer for a router or endpoint that does not exist.
-        assert!(r < self.links.len(), "router {r} out of range");
+        assert!(r < self.n_routers(), "router {r} out of range");
         assert!(d < self.n_endpoints, "endpoint {d} out of range");
         if r == d {
             return None;
@@ -415,12 +455,12 @@ impl Topology {
                 Some(if d >> (2 * k) == j {
                     (d >> (2 * (k - 1))) - 4 * j
                 } else {
-                    self.links[r].len() - 1
+                    self.links_of(r).len() - 1
                 })
             }
             Routes::Table(t) => {
                 let p = t[r * n + d];
-                (p != usize::MAX).then_some(p)
+                (p != NO_ROUTE).then_some(usize::from(p))
             }
         }
     }
@@ -445,12 +485,22 @@ impl Topology {
         let mut hops = 0;
         while cur != b {
             let port = self.next_hop(cur, b)?;
-            cur = self.links[cur][port].to;
+            cur = self.links_of(cur)[port].to;
             hops += 1;
-            assert!(hops <= self.links.len() + 1, "routing loop detected");
+            assert!(hops <= self.n_routers() + 1, "routing loop detected");
         }
         Some(hops)
     }
+}
+
+/// Where each row of `rows` starts once they are laid end to end, then
+/// where the last ends.
+fn row_starts<T>(rows: &[Vec<T>]) -> Arc<[u32]> {
+    let ends = rows.iter().scan(0, |end, row| {
+        *end += u32::try_from(row.len()).expect("router and port indices fit 32 bits");
+        Some(*end)
+    });
+    std::iter::once(0).chain(ends).collect()
 }
 
 /// Whether one step from `from` toward `to` along a dimension of size
@@ -494,6 +544,28 @@ mod tests {
         for k in KINDS {
             let err = Topology::build(k, 0, 1).unwrap_err();
             assert_eq!(err, BuildTopologyError::NoEndpoints);
+        }
+    }
+
+    #[test]
+    fn a_hub_past_the_port_limit_is_an_error() {
+        // A route table names a port in a `u16`, `u16::MAX` meaning none:
+        // a bus or crossbar hub has a port per endpoint.
+        for k in [TopologyKind::SharedBus, TopologyKind::Crossbar] {
+            let t = Topology::build(k, MAX_PORTS, 1).expect("at the limit");
+            let hub = MAX_PORTS;
+            assert_eq!(t.links_of(hub).len(), MAX_PORTS);
+            assert_eq!(t.next_hop(hub, MAX_PORTS - 1), Some(MAX_PORTS - 1));
+            let err = Topology::build(k, MAX_PORTS + 1, 1).unwrap_err();
+            let want = BuildTopologyError::TooManyPorts {
+                router: MAX_PORTS + 1,
+                ports: MAX_PORTS + 1,
+            };
+            assert_eq!(err, want, "{k}");
+            assert_eq!(
+                err.to_string(),
+                "router 65536 would have 65536 ports, more than the 65535 a route names"
+            );
         }
     }
 

@@ -53,6 +53,10 @@ pub enum Op {
     },
 }
 
+// A PE keeps every thread's program and its retired op buffers: the heap
+// footprint's `PEs` column of a fork grows by any growth per op.
+const _: () = assert!(std::mem::size_of::<Op>() <= 48);
+
 impl Op {
     /// Shorthand for a call with no marshalled payload.
     pub fn call(dst: NodeId, bytes: u64, reply_bytes: u64) -> Op {

@@ -12,9 +12,12 @@
 //! tracing must not add a single allocation call. A fifth
 //! row runs `mix-fork-faults` through nwbench's full warm-up, which leaves
 //! thousands of invocations queued, and also pins the runtime's bytes per
-//! queued invocation. A NoC row pins what a healthy 1 024-endpoint mesh
-//! `Noc` holds after `Noc::new` and what one `clone` of it adds: routes
-//! computed from the fabric's shape keep both linear in the endpoints. It
+//! queued invocation. The table also prints each warmed platform's live
+//! heap blocks and splits a fork's bytes into its PEs, its runtime and
+//! the rest (NoC, services, I/O, call table, campaign). A NoC row pins
+//! what a healthy 1 024-endpoint mesh `Noc` holds after `Noc::new` and
+//! what one `clone` of it adds: routes computed from the fabric's shape
+//! keep both linear in the endpoints. It
 //! also checks that a latency histogram owns no buckets until its first
 //! sample. One `#[test]` only: the counter is process-wide, so a second
 //! test running in parallel would be counted too.
@@ -45,6 +48,9 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// `alloc`, `alloc_zeroed` and `realloc` calls of the whole process.
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 
+/// Live heap blocks of the whole process: a `realloc` moves one.
+static BLOCKS: AtomicUsize = AtomicUsize::new(0);
+
 /// `size` more bytes are live.
 fn grew(size: usize) {
     CALLS.fetch_add(1, Ordering::Relaxed);
@@ -59,6 +65,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = System.alloc(layout);
         if !p.is_null() {
             grew(layout.size());
+            BLOCKS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -67,6 +74,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
             grew(layout.size());
+            BLOCKS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -74,6 +82,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        BLOCKS.fetch_sub(1, Ordering::Relaxed);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -97,6 +106,19 @@ fn calls() -> usize {
     CALLS.load(Ordering::Relaxed)
 }
 
+fn blocks() -> usize {
+    BLOCKS.load(Ordering::Relaxed)
+}
+
+/// The live bytes a copy made by `copy` holds.
+fn bytes_of<T>(copy: impl FnOnce() -> T) -> usize {
+    let before = live();
+    let made = copy();
+    let bytes = live() - before;
+    drop(made);
+    bytes
+}
+
 /// Starts a new high-water mark at the bytes live now.
 fn reset_peak() {
     PEAK.store(live(), Ordering::Relaxed);
@@ -114,9 +136,9 @@ const QUICK_CAMPAIGN_HORIZON: u64 = 75_000;
 struct Pins {
     /// Warm-up in cycles; the second window is as long.
     warmup: u64,
-    /// Ceilings in bytes, each measured plus 10 % unless noted: on the
-    /// platform after `build`, on the most live at once during the
-    /// warm-up, after the warm-up, and on one fork.
+    /// Ceilings in bytes, each measured plus 10 %: on the platform after
+    /// `build`, on the most live at once during the warm-up, after the
+    /// warm-up, and on one fork.
     ceilings: [usize; 4],
     /// Allocation calls in the second window, exact in a release build
     /// (a debug build's audits allocate too, so it does not check them),
@@ -125,51 +147,47 @@ struct Pins {
 }
 
 /// Per rig, in [`BenchRig::ALL`] order, at nwbench's `--quick` warm-up.
-/// The `built` ceilings date from routing becoming a function of the
-/// fabric's shape, `warmed` from a payload becoming a length and a 16-byte
-/// head, `fork` from a copy sharing the configuration and endpoint roles.
+/// Every ceiling dates from each install-time table being stored once: the
+/// runtime keeps no copy of the application, a call slot no retry half
+/// without a policy, and copies share the handler and topology tables.
 const RIGS: [Pins; 4] = [
     Pins {
         warmup: 15_000,
-        ceilings: [85_932, 123_954, 120_441, 86_979],
+        ceilings: [58_792, 96_641, 89_187, 53_454],
         calls: 41,
     },
     Pins {
         warmup: 100_000,
-        ceilings: [35_280, 67_037, 65_635, 46_661],
+        ceilings: [24_795, 56_510, 53_034, 33_846],
         calls: 25,
     },
     Pins {
         warmup: 3_000_000,
-        ceilings: [24_648, 34_781, 33_513, 23_532],
+        ceilings: [18_106, 28_191, 25_675, 14_694],
         calls: 19,
     },
     Pins {
         warmup: 45_000,
-        ceilings: [53_529, 86_710, 85_952, 62_932],
+        ceilings: [43_001, 75_068, 69_964, 46_323],
         calls: 45,
     },
 ];
 
 /// The fifth row, `mix-fork-faults` at nwbench's full warm-up, with its
 /// campaign horizon in cycles (the campaign ends 600 000 cycles into the
-/// second window). Since a backlog key became one byte and the retry
-/// index stopped allocating, `warmed` is capped at 110 000 B, below
-/// measured plus 10 %; `built` keeps its older, tighter ceiling, and
-/// `fork` is measured plus 10 % since a copy shares the configuration and
-/// endpoint roles.
+/// second window), ceilings measured plus 10 % as the other rows'.
 const FULL_MIX: (u64, Pins) = (
     1_500_000,
     Pins {
         warmup: 900_000,
-        ceilings: [58_457, 117_625, 110_000, 83_339],
+        ceilings: [47_929, 104_293, 99_189, 64_688],
         calls: 38,
     },
 );
 
 /// The NoC row: a healthy mesh's endpoints, and the ceilings in bytes on
 /// its `Noc` after `Noc::new` and on one `clone` — measured plus 10 %.
-const MESH_NOC: (usize, [usize; 2]) = (1024, [532_660, 522_522]);
+const MESH_NOC: (usize, [usize; 2]) = (1024, [505_728, 336_662]);
 
 /// The fewest invocations the fifth row's warm-up leaves queued, so that
 /// the row measures a backlog.
@@ -177,7 +195,7 @@ const MIN_BACKLOG: usize = 5_000;
 
 /// Ceiling on the fifth row's runtime bytes (what a fork copies of it) per
 /// queued invocation: measured plus 10 %.
-const BYTES_PER_QUEUED: f64 = 3.84;
+const BYTES_PER_QUEUED: f64 = 1.98;
 
 /// Events a primed ring holds: it is full before the traced window, so
 /// each event it takes evicts one instead of growing the buffer.
@@ -186,12 +204,8 @@ const RING: usize = 1024;
 /// Asserts that every object of `p` without a recorded round trip owns no
 /// latency buckets, and returns how many such objects there were.
 fn silent_objects_own_no_buckets(p: &FppaPlatform) -> usize {
-    let objects = p
-        .runtime()
-        .expect("every rig installs an app")
-        .app()
-        .objects()
-        .len();
+    let runtime = p.runtime().expect("every rig installs an app");
+    let objects = runtime.object_dispatches().len();
     let silent = (0..objects).filter_map(|i| {
         let h = p.object_latency(ObjectId(i)).expect("object exists");
         (h.count() == 0).then_some((i, h.bucket_len()))
@@ -208,6 +222,11 @@ struct Row {
     /// Bytes after `build`, most live during the warm-up, after it, and
     /// added by one fork.
     got: [usize; 4],
+    /// Live heap blocks of the warmed platform.
+    blocks: usize,
+    /// What copies of the warmed platform's PEs and of its runtime hold:
+    /// the fork's two largest components.
+    pe_bytes: usize,
     runtime_bytes: usize,
     queued: usize,
     /// Allocation calls in the second window, untraced and traced.
@@ -227,25 +246,21 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
     let quick = quick.map(|(rig, pins)| (rig, QUICK_CAMPAIGN_HORIZON, pins));
     let (horizon, pins) = &FULL_MIX;
     for (rig, horizon, pins) in quick.chain([(BenchRig::MixForkFaults, *horizon, pins)]) {
-        let base = live();
+        let (base, base_blocks) = (live(), blocks());
         let mut platform = rig.build(horizon);
         let built = live() - base;
         silent += silent_objects_own_no_buckets(&platform);
         reset_peak();
         drop(platform.run(pins.warmup));
         let high_water = peak() - base;
-        let warmed = live() - base;
+        let (warmed, warmed_blocks) = (live() - base, blocks() - base_blocks);
         silent += silent_objects_own_no_buckets(&platform);
-        let before_fork = live();
-        let fork = platform.fork(BenchRig::CAMPAIGN_SEED);
-        let forked = live() - before_fork;
-        drop(fork);
+        let forked = bytes_of(|| platform.fork(BenchRig::CAMPAIGN_SEED));
+        let pes = platform.config().pes.len();
+        let pe_bytes = (0..pes).map(|i| bytes_of(|| platform.pe(i).clone())).sum();
         let runtime = platform.runtime().expect("every rig installs an app");
         let queued = runtime.queued_invocations();
-        let before_copy = live();
-        let copy = runtime.clone();
-        let runtime_bytes = live() - before_copy;
-        drop(copy);
+        let runtime_bytes = bytes_of(|| runtime.clone());
         let before_window = calls();
         let report = platform.run(pins.warmup);
         let untraced = calls() - before_window;
@@ -267,6 +282,8 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
             rig,
             pins,
             got: [built, high_water, warmed, forked],
+            blocks: warmed_blocks,
+            pe_bytes,
             runtime_bytes,
             queued,
             calls: [untraced, traced],
@@ -274,7 +291,7 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
     }
 
     println!(
-        "rig               warm-up   built B   high B  warmed B    fork B   runtime B  queued  B/queued  calls  traced   (ceilings; calls pinned)"
+        "rig               warm-up   built B   high B  warmed B  blocks    fork B   PEs B  runtime B  rest B  queued  B/queued  calls  traced   (ceilings; calls pinned)"
     );
     for row in &rows {
         let per_queued = match row.queued {
@@ -284,14 +301,17 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
         let [built, high, warmed, fork] = row.got;
         let [cb, ch, cw, cf] = row.pins.ceilings;
         println!(
-            "{:<16} {:>8} {:>9} {:>8} {:>9} {:>9} {:>11} {:>7} {:>9} {:>6} {:>7}   ({cb} / {ch} / {cw} / {cf}; {})",
+            "{:<16} {:>8} {:>9} {:>8} {:>9} {:>7} {:>9} {:>7} {:>10} {:>7} {:>7} {:>9} {:>6} {:>7}   ({cb} / {ch} / {cw} / {cf}; {})",
             row.rig.name(),
             row.pins.warmup,
             built,
             high,
             warmed,
+            row.blocks,
             fork,
+            row.pe_bytes,
             row.runtime_bytes,
+            fork as isize - (row.pe_bytes + row.runtime_bytes) as isize,
             row.queued,
             per_queued,
             row.calls[0],
@@ -304,16 +324,14 @@ fn benchmark_rigs_stay_under_their_heap_ceilings() {
     let topo = Topology::build(TopologyKind::Mesh, endpoints, 1).expect("endpoints > 0");
     let noc = Noc::new(topo, NocConfig::default());
     let built = live() - base;
-    let before_clone = live();
-    let copy = noc.clone();
-    let cloned = live() - before_clone;
-    drop(copy);
+    let cloned = bytes_of(|| noc.clone());
     drop(noc);
     println!(
-        "{:<16} {:>8} {:>9} {:>8} {:>9} {:>9}   ({} / - / - / {})",
+        "{:<16} {:>8} {:>9} {:>8} {:>9} {:>7} {:>9}   ({} / - / - / {})",
         format!("mesh-{endpoints}-noc"),
         "-",
         built,
+        "-",
         "-",
         "-",
         cloned,
