@@ -9,7 +9,7 @@
 //!
 //! [`MemoryTechnology`]: nw_types::MemoryTechnology
 
-use nw_sim::{Counter, EventQueue};
+use nw_sim::EventQueue;
 use nw_types::{Cycles, MemorySpec, Picojoules};
 use std::collections::VecDeque;
 
@@ -63,7 +63,7 @@ pub(crate) struct MemoryController {
     completions: EventQueue<u64>,
     ready: VecDeque<u64>,
     energy: Picojoules,
-    served: Counter,
+    served: u64,
 }
 
 impl MemoryController {
@@ -92,7 +92,7 @@ impl MemoryController {
             completions: EventQueue::new(),
             ready: VecDeque::new(),
             energy: Picojoules::ZERO,
-            served: Counter::new(),
+            served: 0,
         }
     }
 
@@ -127,7 +127,7 @@ impl MemoryController {
 
     /// Number of accesses served.
     pub(crate) fn served(&self) -> u64 {
-        self.served.count()
+        self.served
     }
 
     /// The earliest cycle `>= now` at which ticking the controller or
@@ -154,7 +154,7 @@ impl MemoryController {
     pub(crate) fn tick(&mut self, now: Cycles) {
         // Surface matured completions.
         while let Some(id) = self.completions.pop_due(now) {
-            self.served.incr();
+            self.served += 1;
             self.ready.push_back(id);
         }
         // Start new accesses on idle banks.

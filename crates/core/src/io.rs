@@ -14,7 +14,7 @@
 //! ticks to the last bit, and the next arrival has a closed form
 //! ([`IoChannel::ticks_to_next_rx`]).
 
-use nw_sim::{Counter, Pacer};
+use nw_sim::Pacer;
 use nw_types::{BitsPerSec, Bytes, Cycles};
 use std::collections::VecDeque;
 use std::fmt;
@@ -121,9 +121,9 @@ pub struct IoChannel {
     pacer: Pacer,
     next_seq: u64,
     rx_fifo: VecDeque<u64>,
-    generated: Counter,
-    dropped: Counter,
-    transmitted: Counter,
+    generated: u64,
+    dropped: u64,
+    transmitted: u64,
 }
 
 impl IoChannel {
@@ -142,9 +142,9 @@ impl IoChannel {
             cfg,
             next_seq: 0,
             rx_fifo: VecDeque::new(),
-            generated: Counter::new(),
-            dropped: Counter::new(),
-            transmitted: Counter::new(),
+            generated: 0,
+            dropped: 0,
+            transmitted: 0,
         })
     }
 
@@ -188,30 +188,30 @@ impl IoChannel {
         let kept = n.min(room);
         self.rx_fifo.extend(self.next_seq..self.next_seq + kept);
         self.next_seq += n;
-        self.generated.add(n);
-        self.dropped.add(n - kept);
+        self.generated += n;
+        self.dropped += n - kept;
     }
 
     /// Accepts a packet for transmission (egress side is rate-unconstrained
     /// in this model; the bottleneck under study is processing).
     #[inline]
     pub fn transmit(&mut self) {
-        self.transmitted.incr();
+        self.transmitted += 1;
     }
 
     /// Packets generated by the wire so far (including dropped ones).
     pub fn generated(&self) -> u64 {
-        self.generated.count()
+        self.generated
     }
 
     /// Packets dropped at the RX FIFO (processing fell behind line rate).
     pub fn dropped(&self) -> u64 {
-        self.dropped.count()
+        self.dropped
     }
 
     /// Packets transmitted.
     pub fn transmitted(&self) -> u64 {
-        self.transmitted.count()
+        self.transmitted
     }
 
     /// Advances the wire by one clock cycle: `advance(1)`.

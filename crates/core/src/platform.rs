@@ -192,12 +192,12 @@ struct Fixed {
 #[derive(Debug, Clone)]
 pub(crate) struct State {
     fixed: Arc<Fixed>,
-    noc: Noc,
-    pes: Vec<Pe>,
+    pub(crate) noc: Noc,
+    pub(crate) pes: Vec<Pe>,
     /// Memories, fabrics and hardwired IP with their request bookkeeping
     /// and the `Services` agenda entry (see [`crate::services`]).
-    services: Services,
-    ios: Vec<IoChannel>,
+    pub(crate) services: Services,
+    pub(crate) ios: Vec<IoChannel>,
     /// The cycle currently executing.
     now: Cycles,
     outbox: VecDeque<Outgoing>,
@@ -1342,7 +1342,7 @@ impl FppaPlatform {
     /// The agenda's oracle, run after every step and hop of a debug build:
     /// no cached entry is later than what a walk over the state it
     /// summarizes answers — the fold the run loop used to make every lap.
-    #[cfg(any(test, debug_assertions))]
+    #[cfg(debug_assertions)]
     fn audit_agenda(&self) {
         let sim = &self.sim;
         if sim.scheduler == SchedulerMode::Dense {
@@ -1620,22 +1620,6 @@ impl FppaPlatform {
     pub fn report(&mut self, elapsed: Cycles) -> PlatformReport {
         self.settle();
         PlatformReport::collect(self, elapsed)
-    }
-
-    pub(crate) fn pes_slice(&self) -> &[Pe] {
-        &self.sim.pes
-    }
-
-    pub(crate) fn services_ref(&self) -> &Services {
-        &self.sim.services
-    }
-
-    pub(crate) fn ios_slice(&self) -> &[IoChannel] {
-        &self.sim.ios
-    }
-
-    pub(crate) fn noc_ref(&self) -> &Noc {
-        &self.sim.noc
     }
 
     /// Clock frequency at the configured technology node.

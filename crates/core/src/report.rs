@@ -104,8 +104,8 @@ pub struct PlatformReport {
 
 impl PlatformReport {
     pub(crate) fn collect(p: &FppaPlatform, cycles: Cycles) -> Self {
-        let pe_stats: Vec<_> = p.pes_slice().iter().map(|pe| pe.stats()).collect();
-        let services = p.services_ref();
+        let pe_stats: Vec<_> = p.sim.pes.iter().map(|pe| pe.stats()).collect();
+        let services = &p.sim.services;
         PlatformReport {
             cycles,
             clock_hz: p.clock_hz(),
@@ -121,9 +121,10 @@ impl PlatformReport {
                     }
                 })
                 .collect(),
-            noc: p.noc_ref().stats(),
+            noc: p.sim.noc.stats(),
             io: p
-                .ios_slice()
+                .sim
+                .ios
                 .iter()
                 .map(|io| IoReport {
                     generated: io.generated(),

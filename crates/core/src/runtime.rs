@@ -616,7 +616,7 @@ impl Runtime {
     /// The oracle of the dispatcher's agenda entry (debug builds, after
     /// every step and hop): no PE the dispatcher could spawn on has a clear
     /// ready bit, and the count is the set bits.
-    #[cfg(any(test, debug_assertions))]
+    #[cfg(debug_assertions)]
     pub(crate) fn audit_agenda(&self, pes: &[Pe]) {
         for (p, pe) in pes.iter().enumerate() {
             let late = !self.ready[p] && self.can_spawn(p, pe.idle_threads());
@@ -848,12 +848,7 @@ impl FppaPlatform {
         app: &Application,
         placement: &[usize],
     ) -> Result<(), InstallError> {
-        let rt = Runtime::new(
-            app,
-            placement,
-            self.pes_slice().len(),
-            self.ios_slice().len(),
-        )?;
+        let rt = Runtime::new(app, placement, self.sim.pes.len(), self.sim.ios.len())?;
         self.sim.runtime = Some(rt);
         self.post_io();
         self.sim.calls.reset(app.objects().len());
@@ -883,7 +878,7 @@ impl FppaPlatform {
         io: usize,
         packet_bytes: u64,
     ) -> Result<(), InstallError> {
-        if io >= self.ios_slice().len() {
+        if io >= self.sim.ios.len() {
             return Err(InstallError::IoOutOfRange(io));
         }
         let io_node = self.io_node(io);

@@ -1122,7 +1122,7 @@ mod tests {
         let registry = STANDARD.iter().map(|s| (s.name, (s.build)(true).platform));
         let bench = BenchRig::ALL.map(|rig| (rig.name(), rig.build(1_000)));
         for (name, p) in registry.chain(bench).chain([("fppa-tour", tour)]) {
-            for (i, io) in p.ios_slice().iter().enumerate() {
+            for (i, io) in p.sim.ios.iter().enumerate() {
                 assert_eq!(io.config().clock_hz, p.clock_hz(), "{name} io{i}");
             }
         }

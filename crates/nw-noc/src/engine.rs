@@ -24,7 +24,7 @@
 use crate::packet::{Packet, PacketId};
 use crate::topology::Topology;
 use nw_obs::{LinkLoad, NocHeatmap, RouterLoad, TraceEvent, TraceSink};
-use nw_sim::{Counter, EventQueue, Histogram};
+use nw_sim::{EventQueue, Moments};
 use nw_types::{Cycles, NodeId, Payload};
 use std::fmt;
 
@@ -414,8 +414,9 @@ struct ObsCounters {
     routers: Vec<RouterCounter>,
 }
 
-/// Aggregate NoC statistics.
-#[derive(Debug, Clone, PartialEq)]
+/// Aggregate NoC statistics: plain counts, no heap, so the engine keeps
+/// one and [`Noc::stats`] hands it out by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NocStats {
     /// Packets accepted into NI queues.
     pub injected: u64,
@@ -425,25 +426,10 @@ pub struct NocStats {
     pub refused: u64,
     /// Sum of flits × hops transported (link occupancy proxy).
     pub flit_hops: u64,
-    /// End-to-end packet latency (NI entry to destination arrival).
-    pub latency: Histogram,
-}
-
-/// The scalar counters of [`NocStats`], without the latency histogram.
-///
-/// [`Noc::counts`] hands this out by value on hot paths (per-cycle harness
-/// loops, assertions) where cloning the 65-bucket histogram that
-/// [`Noc::stats`] snapshots would be pure overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NocCounts {
-    /// Packets accepted into NI queues.
-    pub injected: u64,
-    /// Packets delivered to their destination eject queue.
-    pub delivered: u64,
-    /// Injection attempts refused because the NI was full.
-    pub refused: u64,
-    /// Sum of flits × hops transported (link occupancy proxy).
-    pub flit_hops: u64,
+    /// End-to-end packet latency (NI entry to destination arrival) of the
+    /// delivered packets, as exact moments: count, sum, min and max. Its
+    /// mean is what the experiments report.
+    pub latency: Moments,
 }
 
 /// Deterministic work counters of the engine: what its ticks did, not what
@@ -523,11 +509,7 @@ pub struct Noc {
     arrivals: EventQueue<u64>,
     credits: Credits,
     next_id: u64,
-    injected: Counter,
-    delivered: Counter,
-    refused: Counter,
-    flit_hops: Counter,
-    latency: Histogram,
+    stats: NocStats,
     /// Packets waiting in NI queues across all endpoints.
     ni_pending: usize,
     /// Packets queued on output ports across all routers (sum of the
@@ -656,11 +638,7 @@ impl Noc {
             arrivals: EventQueue::new(),
             credits,
             next_id: 0,
-            injected: Counter::new(),
-            delivered: Counter::new(),
-            refused: Counter::new(),
-            flit_hops: Counter::new(),
-            latency: Histogram::new(),
+            stats: NocStats::default(),
             ni_pending: 0,
             queued_total: 0,
             eject_pending: 0,
@@ -784,7 +762,7 @@ impl Noc {
         }
         let rt = &mut self.routers[src.0];
         if rt.ni_in.len >= self.cfg.ni_capacity {
-            self.refused.incr();
+            self.stats.refused += 1;
             return Err(InjectError::NiFull);
         }
         let id = PacketId(self.next_id);
@@ -807,7 +785,7 @@ impl Noc {
         if was_empty && (dst == src || self.credits.admits(src.0)) {
             self.set_ni_ready(src.0, true);
         }
-        self.injected.incr();
+        self.stats.injected += 1;
         Ok(id)
     }
 
@@ -889,27 +867,9 @@ impl Noc {
             || (self.queued_total > 0 && self.wakes.next_due().is_some_and(|d| d <= now))
     }
 
-    /// Snapshot of the aggregate statistics, including a clone of the
-    /// latency histogram — report assembly only. Hot paths that need the
-    /// scalar counters should use [`Noc::counts`].
+    /// The aggregate statistics so far.
     pub fn stats(&self) -> NocStats {
-        NocStats {
-            injected: self.injected.count(),
-            delivered: self.delivered.count(),
-            refused: self.refused.count(),
-            flit_hops: self.flit_hops.count(),
-            latency: self.latency.clone(),
-        }
-    }
-
-    /// The scalar statistics counters, without cloning the histogram.
-    pub fn counts(&self) -> NocCounts {
-        NocCounts {
-            injected: self.injected.count(),
-            delivered: self.delivered.count(),
-            refused: self.refused.count(),
-            flit_hops: self.flit_hops.count(),
-        }
+        self.stats
     }
 
     /// The engine's deterministic work counters so far.
@@ -1157,12 +1117,12 @@ impl Noc {
         now: Cycles,
         sink: &mut Option<&mut (dyn TraceSink + '_)>,
     ) {
-        self.delivered.incr();
+        self.stats.delivered += 1;
         let packet = self.slab.packets[h as usize]
             .as_ref()
             .expect("handle names a live packet");
         let lat = now.saturating_sub(packet.injected_at);
-        self.latency.record(lat);
+        self.stats.latency.record(lat);
         if let Some(s) = sink.as_deref_mut() {
             s.emit(TraceEvent::FlitDeliver {
                 cycle: now.0,
@@ -1349,7 +1309,7 @@ impl Noc {
         );
         port.busy_until = now.0 + ser;
         let (to, arrive) = (port.to, now.0 + ser + port.latency + self.cfg.router_delay);
-        self.flit_hops.add(flits);
+        self.stats.flit_hops += flits;
         if let Some(obs) = self.obs.as_mut() {
             let c = &mut obs.links[pi];
             c.busy_cycles += ser;
@@ -1881,7 +1841,7 @@ mod tests {
             noc.try_inject(NodeId(0), NodeId(2), Payload::EMPTY, 2, Cycles(0)),
             Err(InjectError::NiFull)
         );
-        assert_eq!(noc.counts().refused, 1);
+        assert_eq!(noc.stats().refused, 1);
         assert_eq!(noc.ni_free(NodeId(0)), 0);
     }
 
@@ -1934,8 +1894,43 @@ mod tests {
             assert!(now.0 < 100_000, "network failed to drain");
         }
         assert_eq!(sent, got);
-        assert_eq!(noc.counts().delivered, sent);
+        assert_eq!(noc.stats().delivered, sent);
         assert_eq!(noc.stats().latency.count(), sent);
+    }
+
+    #[test]
+    fn latency_moments_equal_a_naive_fold_over_deliveries() {
+        // Every delivery is taken the cycle it lands, so its latency is
+        // `now - injected_at`; the engine's moments are exactly their fold.
+        let mut noc = noc(TopologyKind::Mesh, 16, 2);
+        let mut naive = Vec::new();
+        let mut now = Cycles(0);
+        while now.0 < 600 || !noc.is_quiescent() {
+            if now.0 < 600 {
+                let src = ((now.0 * 7) % 16) as usize;
+                let dst = ((now.0 * 3 + 5) % 16) as usize;
+                let _ = noc.try_inject(NodeId(src), NodeId(dst), Payload::zeroed(40), 0, now);
+            }
+            noc.tick(now);
+            while let Some((_, p)) = noc.eject_next() {
+                naive.push(now.0 - p.injected_at.0);
+            }
+            now += Cycles(1);
+            assert!(now.0 < 100_000, "network failed to drain");
+        }
+        let s = noc.stats();
+        let n = naive.len() as u64;
+        assert!(n > 100, "only {n} deliveries");
+        assert_eq!((s.delivered, s.latency.count()), (n, n));
+        let sum: u128 = naive.iter().map(|&v| u128::from(v)).sum();
+        assert_eq!(
+            s.latency.mean().to_bits(),
+            (sum as f64 / n as f64).to_bits()
+        );
+        let (min, max) = (naive.iter().min(), naive.iter().max());
+        assert!(min < max, "latencies should differ under load");
+        assert_eq!(s.latency.min(), min.map(|&v| Cycles(v)));
+        assert_eq!(s.latency.max(), max.map(|&v| Cycles(v)));
     }
 
     #[test]
@@ -2148,7 +2143,7 @@ mod tests {
             now += Cycles(1);
         }
         assert!(noc.is_quiescent());
-        assert_eq!(noc.counts().delivered, 0);
+        assert_eq!(noc.stats().delivered, 0);
     }
 
     #[test]
@@ -2332,7 +2327,7 @@ mod tests {
             Some(Cycles(busy_until))
         );
         let mut now = busy_until;
-        while noc.counts().delivered < 2 {
+        while noc.stats().delivered < 2 {
             noc.tick_traced(Cycles(now), Some(&mut sink));
             now += 1;
             assert!(now < 1_000);
@@ -2377,7 +2372,7 @@ mod tests {
         assert_eq!(noc.wake_at[0], 40);
         assert_eq!(noc.wakes.len(), 1);
         let mut now = Cycles(27);
-        while noc.counts().delivered < 2 {
+        while noc.stats().delivered < 2 {
             noc.tick(now);
             now += Cycles(1);
             assert!(now.0 < 1_000, "second packet leaves at 40");

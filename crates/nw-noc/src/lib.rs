@@ -37,9 +37,7 @@ pub mod sweep;
 pub mod topology;
 pub mod traffic;
 
-pub use engine::{
-    InjectError, Noc, NocConfig, NocConfigError, NocCounts, NocSpan, NocStats, NocWork,
-};
+pub use engine::{InjectError, Noc, NocConfig, NocConfigError, NocSpan, NocStats, NocWork};
 pub use packet::{Packet, PacketId};
 pub use sweep::{run_open_loop, saturation_load, OpenLoopConfig, OpenLoopResult};
 pub use topology::{BuildTopologyError, Topology, TopologyKind};

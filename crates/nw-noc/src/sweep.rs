@@ -2,14 +2,14 @@
 //! (topology characterization, paper §6.1).
 //!
 //! Endpoints inject Bernoulli traffic at a configurable offered load and the
-//! harness reports accepted throughput and the latency distribution. Sweeping
+//! harness reports accepted throughput and the mean packet latency. Sweeping
 //! the offered load produces the classic latency/throughput curve whose knee
 //! is the topology's saturation point.
 
 use crate::engine::{Noc, NocConfig};
 use crate::topology::{BuildTopologyError, Topology, TopologyKind};
 use crate::traffic::TrafficPattern;
-use nw_sim::Histogram;
+use nw_sim::Moments;
 use nw_types::{Cycles, NodeId, Payload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,8 +66,9 @@ pub struct OpenLoopResult {
     /// measurement window. The Bernoulli injection process only realizes
     /// `offered` in expectation, so saturation is judged against this.
     pub generated: f64,
-    /// Latency distribution of packets delivered in the measurement window.
-    pub latency: Histogram,
+    /// Latency moments (count, sum, min, max) of packets delivered in the
+    /// measurement window.
+    pub latency: Moments,
     /// True when the network failed to keep up: delivered flits fell below
     /// 95% of the flits generated in the measurement window.
     pub saturated: bool,
@@ -124,7 +125,7 @@ pub fn run_open_loop(
     let p_gen = (cfg.offered_load / flits_per_packet).clamp(0.0, 1.0);
 
     let total = cfg.warmup + cfg.measure;
-    let mut latency = Histogram::new();
+    let mut latency = Moments::new();
     let mut delivered_flits = 0u64;
     let mut generated_flits = 0u64;
     let mut now = Cycles(0);

@@ -12,13 +12,13 @@
 //! Each digest is FNV-1a over every ejected packet as
 //! `(cycle, id, src, dst, tag, injected_at, len, head)` in eject order,
 //! where `head` is the payload's first 16 bytes (zero past its length; every
-//! byte after them is zero), then the final [`NocCounts`] and the fault
+//! byte after them is zero), then the final [`NocStats`] counts and the fault
 //! tallies. The digests were re-recorded when payloads became a length and
 //! a 16-byte head; the engine's timing did not move. On a mismatch the test prints
 //! the whole table as it reads now, ready to paste — which is only the
 //! right thing to do for a change that means to alter the timing model.
 
-use nw_noc::{Noc, NocConfig, NocCounts, Packet, Topology, TopologyKind};
+use nw_noc::{Noc, NocConfig, NocStats, Packet, Topology, TopologyKind};
 use nw_types::{Cycles, NodeId, Payload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -152,12 +152,13 @@ fn hash_ejects(noc: &mut Noc, how: Drive, now: Cycles, h: &mut Fnv) -> usize {
 }
 
 fn hash_totals(noc: &Noc, h: &mut Fnv) {
-    let NocCounts {
+    let NocStats {
         injected,
         delivered,
         refused,
         flit_hops,
-    } = noc.counts();
+        ..
+    } = noc.stats();
     for v in [
         injected,
         delivered,

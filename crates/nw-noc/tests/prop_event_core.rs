@@ -23,7 +23,7 @@
 //! The last one pins [`Noc::run_span`], the engine running alone between
 //! a scheduler's stepped cycles, to the per-event loop it replaces.
 
-use nw_noc::{Noc, NocConfig, NocCounts, NocSpan, Topology, TopologyKind};
+use nw_noc::{Noc, NocConfig, NocSpan, NocStats, Topology, TopologyKind};
 use nw_obs::{TraceEvent, TraceSink};
 use nw_types::{Cycles, NodeId, Payload};
 use proptest::prelude::*;
@@ -211,7 +211,7 @@ fn check_against_reference(
         );
     }
     assert_eq!(ev_seen, rf_seen, "eject order and delivery cycles");
-    assert_eq!(ev.stats(), rf.stats(), "statistics incl. histogram");
+    assert_eq!(ev.stats(), rf.stats(), "statistics incl. latency moments");
     // Both engines moved the same packets; only the scan work may differ.
     assert_eq!(ev.work().fires, rf.work().fires);
     assert_eq!(ev.work().arrivals, rf.work().arrivals);
@@ -479,7 +479,7 @@ proptest! {
                 } else {
                     half.tick_traced(now, None);
                 }
-                let NocCounts { injected, delivered, .. } = half.counts();
+                let NocStats { injected, delivered, .. } = half.stats();
                 let bound = injected - delivered + half.eject_pending() as u64;
                 prop_assert!(half.packets_held() as u64 <= bound);
             }
@@ -503,11 +503,11 @@ proptest! {
         for half in [&noc, &twin] {
             prop_assert!(half.is_quiescent());
             prop_assert_eq!(half.packets_held(), 0, "a slot outlived its packet");
-            let NocCounts { injected, delivered, .. } = half.counts();
+            let NocStats { injected, delivered, .. } = half.stats();
             prop_assert_eq!(injected, delivered + half.dropped_packets());
             prop_assert_eq!(half.packet_slots(), peak, "slab length is the peak held");
         }
-        prop_assert_eq!(seen.len() as u64, noc.counts().delivered);
+        prop_assert_eq!(seen.len() as u64, noc.stats().delivered);
         let since_clone = seen.iter().position(|d| d.cycle >= clone_at).unwrap_or(seen.len());
         prop_assert_eq!(&seen[since_clone..], &twin_seen[..], "the halves diverged");
         prop_assert_eq!(noc.stats(), twin.stats());

@@ -18,9 +18,10 @@
 //!
 //! The [`stats`] module holds the measurement instruments every experiment
 //! in the paper reproduction relies on: busy/idle [`stats::Utilization`],
-//! latency [`stats::Histogram`]s and the sub-octave-resolution
-//! [`stats::LatencyHistogram`] behind the per-invocation percentile
-//! telemetry, throughput [`stats::Counter`]s and streaming means.
+//! exact latency [`stats::Moments`] (count, sum, min, max), the
+//! sub-octave-resolution [`stats::LatencyHistogram`] behind the
+//! per-invocation percentile telemetry, and streaming means. Event counts
+//! are plain `u64` fields.
 //!
 //! [`pacer::Pacer`] is the exact integer rate accumulator behind line-rate
 //! I/O: `k` cycles in one jump equal `k` single ticks.
@@ -28,19 +29,20 @@
 //! # Examples
 //!
 //! ```
-//! use nw_sim::Counter;
+//! use nw_sim::Utilization;
 //! use nw_types::Cycles;
 //!
-//! struct Pulse { fired: Counter }
+//! struct Pulse { busy: Utilization }
 //! impl Pulse {
 //!     fn tick(&mut self, now: Cycles) {
-//!         if now.0 % 10 == 0 { self.fired.incr(); }
+//!         if now.0 % 10 == 0 { self.busy.busy() } else { self.busy.idle() }
 //!     }
 //! }
 //!
-//! let mut p = Pulse { fired: Counter::new() };
+//! let mut p = Pulse { busy: Utilization::new() };
 //! for c in 0..100 { p.tick(Cycles(c)); }
-//! assert_eq!(p.fired.count(), 10);
+//! assert_eq!(p.busy.busy_cycles(), 10);
+//! assert!((p.busy.fraction() - 0.1).abs() < 1e-12);
 //! ```
 
 pub mod event;
@@ -54,6 +56,5 @@ pub use pacer::Pacer;
 pub use parallel::{parallel_map_with, sweep_threads};
 pub use pipeline::{PipelinedServer, ServerFull};
 pub use stats::{
-    summarize_replicas, Counter, Histogram, LatencyHistogram, OnlineMean, ReplicaSummary,
-    Utilization,
+    summarize_replicas, LatencyHistogram, Moments, OnlineMean, ReplicaSummary, Utilization,
 };

@@ -7,7 +7,6 @@
 //! the pipeline; back-pressure is exposed through [`PipelinedServer::try_submit`].
 
 use crate::event::EventQueue;
-use crate::stats::Counter;
 use nw_types::Cycles;
 use std::collections::VecDeque;
 use std::fmt;
@@ -52,9 +51,7 @@ pub struct PipelinedServer {
     in_flight: EventQueue<u64>,
     next_accept: u64,
     done: VecDeque<u64>,
-    served: Counter,
-    /// Cycles the issue stage actually accepted an item.
-    issue_cycles: Counter,
+    served: u64,
 }
 
 impl PipelinedServer {
@@ -76,8 +73,7 @@ impl PipelinedServer {
             in_flight: EventQueue::new(),
             next_accept: 0,
             done: VecDeque::new(),
-            served: Counter::new(),
-            issue_cycles: Counter::new(),
+            served: 0,
         }
     }
 
@@ -101,7 +97,7 @@ impl PipelinedServer {
 
     /// Items completed so far.
     pub fn served(&self) -> u64 {
-        self.served.count()
+        self.served
     }
 
     /// Delays the issue stage until `cycle` (used to model eFPGA
@@ -135,14 +131,13 @@ impl PipelinedServer {
     /// initiation interval allows.
     pub fn tick(&mut self, now: Cycles) {
         while let Some(id) = self.in_flight.pop_due(now) {
-            self.served.incr();
+            self.served += 1;
             self.done.push_back(id);
         }
         if now.0 >= self.next_accept {
             if let Some(id) = self.queue.pop_front() {
                 self.in_flight.schedule(Cycles(now.0 + self.latency), id);
                 self.next_accept = now.0 + self.ii;
-                self.issue_cycles.incr();
             }
         }
     }
@@ -214,7 +209,7 @@ mod tests {
     fn visit(
         upto: u64,
         tick_on: impl Fn(&PipelinedServer, Cycles) -> bool,
-    ) -> (Vec<(u64, u64)>, [u64; 3]) {
+    ) -> (Vec<(u64, u64)>, [u64; 2]) {
         let mut s = PipelinedServer::new(3, 7, 4);
         let (mut out, mut id) = (Vec::new(), 0);
         for c in 0..upto {
@@ -230,7 +225,7 @@ mod tests {
                 out.extend(s.take_done().map(|id| (c, id)));
             }
         }
-        let counts = [s.served(), s.issue_cycles.count(), s.next_accept];
+        let counts = [s.served(), s.next_accept];
         (out, counts)
     }
 

@@ -1,51 +1,12 @@
 //! Measurement instruments for the experiment harness.
 //!
 //! Everything the paper reproduction reports — processor/thread utilization
-//! (claim C7's "near 100% utilization"), NoC latency distributions (C4, C5),
-//! packet throughput (C7) — is collected through these small, allocation-light
-//! collectors.
+//! (claim C7's "near 100% utilization"), mean NoC packet latency (C4, C5),
+//! per-invocation latency percentiles — is collected through these small,
+//! allocation-light collectors. Event counts are plain `u64` fields of the
+//! component that counts them.
 
 use nw_types::Cycles;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use nw_sim::Counter;
-///
-/// let mut packets = Counter::new();
-/// packets.add(250);
-/// assert_eq!(packets.count(), 250);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// The current count.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
 
 /// Busy/idle accounting for one resource (a thread context, a PE, a link).
 ///
@@ -132,63 +93,57 @@ impl Utilization {
     }
 }
 
-/// A latency histogram with power-of-two buckets plus exact min/max/mean.
+/// Exact summary moments of a stream of cycle counts: count, sum, min and
+/// max, in constant space with no heap.
 ///
-/// Bucketing keeps memory constant while the exact moments keep the summary
-/// statistics precise — quantiles are approximate (bucket upper bound).
+/// What the NoC keeps for packet latency (every reader wants the mean), and
+/// the exact half of a [`LatencyHistogram`]. Two accumulators fed the same
+/// samples in any order are equal, and [`Moments::merge`] is associative
+/// and commutative.
 ///
 /// # Examples
 ///
 /// ```
-/// use nw_sim::Histogram;
+/// use nw_sim::Moments;
 /// use nw_types::Cycles;
 ///
-/// let mut h = Histogram::new();
-/// for v in [10, 20, 30, 40, 100] { h.record(Cycles(v)); }
-/// assert_eq!(h.count(), 5);
-/// assert_eq!(h.min(), Some(Cycles(10)));
-/// assert_eq!(h.max(), Some(Cycles(100)));
-/// assert!((h.mean() - 40.0).abs() < 1e-9);
-/// assert!(h.quantile(0.5) >= Cycles(20));
+/// let mut m = Moments::new();
+/// assert_eq!(m.min(), None);
+/// for v in [10, 20, 30, 40, 100] { m.record(Cycles(v)); }
+/// assert_eq!(m.count(), 5);
+/// assert_eq!(m.min(), Some(Cycles(10)));
+/// assert_eq!(m.max(), Some(Cycles(100)));
+/// assert!((m.mean() - 40.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// buckets[i] counts samples with value in [2^(i-1), 2^i), bucket 0 = {0}.
-    buckets: Vec<u64>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Moments {
     count: u64,
     sum: u128,
-    min: Option<Cycles>,
-    max: Option<Cycles>,
+    /// Smallest sample while `count > 0`; `u64::MAX` while empty, so
+    /// recording and merging need no branch.
+    min: u64,
+    /// Largest sample while `count > 0`; 0 while empty.
+    max: u64,
 }
 
-impl Histogram {
-    /// Creates an empty histogram.
+impl Moments {
+    /// Creates an empty accumulator.
     pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 65],
+        Moments {
             count: 0,
             sum: 0,
-            min: None,
-            max: None,
-        }
-    }
-
-    fn bucket_of(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            (64 - v.leading_zeros()) as usize
+            min: u64::MAX,
+            max: 0,
         }
     }
 
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, v: Cycles) {
-        self.buckets[Self::bucket_of(v.0)] += 1;
         self.count += 1;
-        self.sum += v.0 as u128;
-        self.min = Some(self.min.map_or(v, |m| m.min(v)));
-        self.max = Some(self.max.map_or(v, |m| m.max(v)));
+        self.sum += u128::from(v.0);
+        self.min = self.min.min(v.0);
+        self.max = self.max.max(v.0);
     }
 
     /// Number of samples recorded.
@@ -207,77 +162,36 @@ impl Histogram {
 
     /// Smallest recorded sample.
     pub fn min(&self) -> Option<Cycles> {
-        self.min
+        (self.count > 0).then_some(Cycles(self.min))
     }
 
     /// Largest recorded sample.
     pub fn max(&self) -> Option<Cycles> {
-        self.max
+        (self.count > 0).then_some(Cycles(self.max))
     }
 
-    /// Approximate `q`-quantile (0 ≤ q ≤ 1): the upper bound of the bucket
-    /// containing the q-th sample, clamped to the exact observed min/max.
-    /// Returns zero cycles when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Cycles {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
-            return Cycles::ZERO;
-        }
-        let target = ((self.count as f64 * q).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                // Bucket 64 (samples ≥ 2^63) has no `u64` upper bound.
-                let ub = match i {
-                    0 => 0,
-                    64 => u64::MAX,
-                    _ => 1u64 << i,
-                };
-                let lo = self.min.unwrap_or(Cycles::ZERO);
-                let hi = self.max.unwrap_or(Cycles(ub));
-                return Cycles(ub).max(lo).min(hi);
-            }
-        }
-        self.max.unwrap_or(Cycles::ZERO)
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
+    /// Merges another accumulator into this one.
+    pub fn merge(&mut self, other: &Moments) {
         self.count += other.count;
         self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 }
 
-impl Default for Histogram {
+impl Default for Moments {
     fn default() -> Self {
-        Histogram::new()
+        Moments::new()
     }
 }
 
 /// A log-scale latency histogram with sub-octave resolution.
 ///
-/// The per-invocation latency telemetry needs tail quantiles (p95/p99) that
-/// the coarse power-of-two [`Histogram`] cannot resolve better than 2×. This
-/// collector keeps 16 sub-buckets per octave (plus 16 exact buckets for
-/// values below 16), bounding the relative error of any quantile at
-/// 1/16 ≈ 6.25%. O(1) record, O(buckets) merge; min, max and mean are
-/// exact.
+/// The per-invocation latency telemetry needs tail quantiles (p95/p99).
+/// This collector keeps 16 sub-buckets per octave (plus 16 exact buckets
+/// for values below 16), bounding the relative error of any quantile at
+/// 1/16 ≈ 6.25%. O(1) record, O(buckets) merge; count, min, max and mean
+/// are exact ([`Moments`]).
 ///
 /// The bucket array holds the buckets up to the highest sample's and no
 /// more: a new histogram allocates nothing, and [`LatencyHistogram::record`]
@@ -309,11 +223,13 @@ pub struct LatencyHistogram {
     /// `buckets[i]` counts samples whose value falls in bucket `i`; see
     /// [`LatencyHistogram::bucket_of`] for the layout.
     buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    min: Option<Cycles>,
-    max: Option<Cycles>,
+    /// The exact half: count, sum, min and max.
+    moments: Moments,
 }
+
+// One per DSOC object of a platform (49 on `ipv4-sat`): the heap
+// footprint's `warmed` and `fork` rows grow by any growth per histogram.
+const _: () = assert!(std::mem::size_of::<LatencyHistogram>() <= 80);
 
 /// Sub-buckets per octave (and the number of exact low-value buckets).
 const LAT_SUB: usize = 16;
@@ -326,10 +242,7 @@ impl LatencyHistogram {
     pub fn new() -> Self {
         LatencyHistogram {
             buckets: Vec::new(),
-            count: 0,
-            sum: 0,
-            min: None,
-            max: None,
+            moments: Moments::new(),
         }
     }
 
@@ -383,15 +296,12 @@ impl LatencyHistogram {
                 self.buckets[i] = 1;
             }
         }
-        self.count += 1;
-        self.sum += v.0 as u128;
-        self.min = Some(self.min.map_or(v, |m| m.min(v)));
-        self.max = Some(self.max.map_or(v, |m| m.max(v)));
+        self.moments.record(v);
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.count
+        self.moments.count()
     }
 
     /// Buckets allocated: up to the highest sample's, 0 before the first.
@@ -401,21 +311,17 @@ impl LatencyHistogram {
 
     /// Exact arithmetic mean; 0.0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
+        self.moments.mean()
     }
 
     /// Smallest recorded sample (exact).
     pub fn min(&self) -> Option<Cycles> {
-        self.min
+        self.moments.min()
     }
 
     /// Largest recorded sample (exact).
     pub fn max(&self) -> Option<Cycles> {
-        self.max
+        self.moments.max()
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1): the upper bound of the bucket holding
@@ -428,22 +334,22 @@ impl LatencyHistogram {
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Cycles {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
+        let Moments {
+            count, min, max, ..
+        } = self.moments;
+        if count == 0 {
             return Cycles::ZERO;
         }
-        let target = ((self.count as f64 * q).ceil() as u64).max(1);
+        let target = ((count as f64 * q).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= target {
-                let ub = Cycles(Self::bucket_upper(i));
                 // The histogram's exact extremes tighten the bucket bound.
-                let lo = self.min.unwrap_or(Cycles::ZERO);
-                let hi = self.max.unwrap_or(ub);
-                return ub.max(lo).min(hi);
+                return Cycles(Self::bucket_upper(i).clamp(min, max));
             }
         }
-        self.max.unwrap_or(Cycles::ZERO)
+        Cycles(max)
     }
 
     /// Median latency (see [`LatencyHistogram::quantile`]).
@@ -469,16 +375,7 @@ impl LatencyHistogram {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
+        self.moments.merge(&other.moments);
     }
 }
 
@@ -659,19 +556,8 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets() {
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 1);
-        assert_eq!(Histogram::bucket_of(2), 2);
-        assert_eq!(Histogram::bucket_of(3), 2);
-        assert_eq!(Histogram::bucket_of(4), 3);
-        assert_eq!(Histogram::bucket_of(1023), 10);
-        assert_eq!(Histogram::bucket_of(1024), 11);
-    }
-
-    #[test]
     fn histogram_summary() {
-        let mut h = Histogram::new();
+        let mut h = LatencyHistogram::new();
         assert_eq!(h.quantile(0.5), Cycles::ZERO);
         for v in 1..=100u64 {
             h.record(Cycles(v));
@@ -680,25 +566,32 @@ mod tests {
         assert_eq!(h.min(), Some(Cycles(1)));
         assert_eq!(h.max(), Some(Cycles(100)));
         assert!((h.mean() - 50.5).abs() < 1e-12);
-        // The 50th sample of 1..=100 lies in bucket [32,64): upper bound 64.
-        assert_eq!(h.quantile(0.5), Cycles(64));
+        // The 50th sample of 1..=100 lies in sub-bucket [48,52): upper bound 51.
+        assert_eq!(h.quantile(0.5), Cycles(51));
     }
 
     #[test]
     fn histogram_merge() {
-        let mut a = Histogram::new();
+        let mut a = LatencyHistogram::new();
         a.record(Cycles(5));
-        let mut b = Histogram::new();
+        let mut b = LatencyHistogram::new();
         b.record(Cycles(50));
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), Some(Cycles(5)));
         assert_eq!(a.max(), Some(Cycles(50)));
+        // An empty side changes nothing, and an empty histogram takes the
+        // other's extremes.
+        a.merge(&LatencyHistogram::new());
+        let mut empty = LatencyHistogram::new();
+        empty.merge(&a);
+        assert_eq!(empty, a);
+        assert_eq!(empty.min(), Some(Cycles(5)));
     }
 
     #[test]
     fn histogram_quantile_is_at_most_max_in_the_top_bucket() {
-        let mut h = Histogram::new();
+        let mut h = LatencyHistogram::new();
         h.record(Cycles(1 << 63));
         assert_eq!(h.quantile(1.0), Cycles(1 << 63));
         h.record(Cycles(u64::MAX));
@@ -724,7 +617,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "quantile must be in [0,1]")]
     fn quantile_out_of_range_panics() {
-        Histogram::new().quantile(1.5);
+        LatencyHistogram::new().quantile(1.5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the simulation kernel: event ordering, statistics
 //! invariants and the pipelined server's timing contract.
 
-use nw_sim::{EventQueue, Histogram, LatencyHistogram, PipelinedServer, Utilization};
+use nw_sim::{EventQueue, LatencyHistogram, Moments, PipelinedServer, Utilization};
 use nw_types::Cycles;
 use proptest::prelude::*;
 
@@ -279,10 +279,10 @@ proptest! {
         prop_assert_eq!(m.trace, fork.trace, "clone diverged from the original");
     }
 
-    /// Histogram mean/min/max match a naive computation.
+    /// Latency-histogram mean/min/max match a naive computation.
     #[test]
     fn histogram_summary_matches_naive(values in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut h = Histogram::new();
+        let mut h = LatencyHistogram::new();
         for &v in &values {
             h.record(Cycles(v));
         }
@@ -294,6 +294,38 @@ proptest! {
         // Quantiles are monotone.
         prop_assert!(h.quantile(0.25) <= h.quantile(0.75));
         prop_assert!(h.quantile(0.75) <= h.quantile(1.0));
+    }
+
+    /// `Moments` equals a naive fold of its samples (count, u128 sum, min,
+    /// max, mean to the bit), and a stream split at any point, recorded in
+    /// two halves and merged either way round, equals the whole stream.
+    #[test]
+    fn moments_match_a_naive_fold(
+        values in prop::collection::vec(latency_sample(), 0..200),
+        split in any::<usize>(),
+    ) {
+        let fill = |vs: &[u64]| {
+            let mut m = Moments::new();
+            for &v in vs {
+                m.record(Cycles(v));
+            }
+            m
+        };
+        let whole = fill(&values);
+        let sum: u128 = values.iter().map(|&v| u128::from(v)).sum();
+        let n = values.len() as u64;
+        let mean = if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+        prop_assert_eq!(whole.count(), n);
+        prop_assert_eq!(whole.mean().to_bits(), mean.to_bits());
+        prop_assert_eq!(whole.min(), values.iter().min().map(|&v| Cycles(v)));
+        prop_assert_eq!(whole.max(), values.iter().max().map(|&v| Cycles(v)));
+        let (a, b) = values.split_at(split % (values.len() + 1));
+        let mut ab = fill(a);
+        ab.merge(&fill(b));
+        let mut ba = fill(b);
+        ba.merge(&fill(a));
+        prop_assert_eq!(ab, whole);
+        prop_assert_eq!(ba, whole);
     }
 
     /// Latency-histogram quantiles bound the sorted-vector oracle from

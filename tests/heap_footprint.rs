@@ -147,29 +147,31 @@ struct Pins {
 }
 
 /// Per rig, in [`BenchRig::ALL`] order, at nwbench's `--quick` warm-up.
-/// Every ceiling dates from each install-time table being stored once: the
+/// Every ceiling dates from each install-time table being stored once (the
 /// runtime keeps no copy of the application, a call slot no retry half
-/// without a policy, and copies share the handler and topology tables.
+/// without a policy, and copies share the handler and topology tables) and
+/// from the NoC keeping packet latency as exact moments, with no bucket
+/// array to hold or to clone into a report.
 const RIGS: [Pins; 4] = [
     Pins {
         warmup: 15_000,
-        ceilings: [58_792, 96_641, 89_187, 53_454],
-        calls: 41,
+        ceilings: [58_220, 95_497, 88_615, 52_882],
+        calls: 40,
     },
     Pins {
         warmup: 100_000,
-        ceilings: [24_795, 56_510, 53_034, 33_846],
-        calls: 25,
+        ceilings: [24_222, 55_366, 52_462, 33_274],
+        calls: 24,
     },
     Pins {
         warmup: 3_000_000,
-        ceilings: [18_106, 28_191, 25_675, 14_694],
-        calls: 19,
+        ceilings: [17_534, 27_047, 25_102, 14_122],
+        calls: 18,
     },
     Pins {
         warmup: 45_000,
-        ceilings: [43_001, 75_068, 69_964, 46_323],
-        calls: 45,
+        ceilings: [42_429, 73_924, 69_392, 45_751],
+        calls: 44,
     },
 ];
 
@@ -180,14 +182,14 @@ const FULL_MIX: (u64, Pins) = (
     1_500_000,
     Pins {
         warmup: 900_000,
-        ceilings: [47_929, 104_293, 99_189, 64_688],
-        calls: 38,
+        ceilings: [47_357, 103_149, 98_617, 64_116],
+        calls: 37,
     },
 );
 
 /// The NoC row: a healthy mesh's endpoints, and the ceilings in bytes on
 /// its `Noc` after `Noc::new` and on one `clone` — measured plus 10 %.
-const MESH_NOC: (usize, [usize; 2]) = (1024, [505_728, 336_662]);
+const MESH_NOC: (usize, [usize; 2]) = (1024, [505_156, 336_090]);
 
 /// The fewest invocations the fifth row's warm-up leaves queued, so that
 /// the row measures a backlog.
