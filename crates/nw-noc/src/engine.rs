@@ -435,11 +435,12 @@ pub struct NocStats {
 /// Deterministic work counters of the engine: what its ticks did, not what
 /// the network computed. A pure function of configuration, traffic and the
 /// cycles ticked, so they repeat exactly; cumulative since construction and
-/// carried by clones. The dense reference scan visits more routers than the
-/// event-driven pass, which is why these stay out of [`NocStats`].
+/// carried by clones. They count this engine's bookkeeping, not the
+/// network's traffic (a tick on a cycle `next_event_cycle` skips counts
+/// and does nothing else), which is why these stay out of [`NocStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NocWork {
-    /// Engine ticks run ([`Noc::tick_traced`] or [`Noc::tick_reference`]).
+    /// Engine ticks run ([`Noc::tick_traced`], [`Noc::run_span`]).
     pub ticks: u64,
     /// In-flight transfers that reached their next router.
     pub arrivals: u64,
@@ -529,7 +530,7 @@ pub struct Noc {
     wake_at: Vec<u64>,
     /// Worklist of routers to visit this transmit pass: one bit per router,
     /// popped lowest index first, so credit contention resolves exactly as
-    /// the dense ascending scan does. All zero between ticks.
+    /// an ascending scan of every router does. All zero between ticks.
     ready: Vec<u64>,
     /// One bit per endpoint, set while its NI head can make progress right
     /// now (local destination, or admitted by the ledger). `drain_ni` pops
@@ -580,7 +581,7 @@ enum Pass {
     /// predecessor joins the pass.
     Ahead,
     /// Inside the pass, at this router: predecessors above it join the
-    /// pass, the dense scan has already left the ones below, which wait
+    /// pass, an ascending scan has already left the ones below, which wait
     /// for the next cycle.
     At(usize),
     /// Between ticks (a fault hook): predecessors are woken through the
@@ -904,8 +905,8 @@ impl Noc {
     //
     // Deterministic entry points for `nanowall::FaultCampaign`s at exact
     // cycle boundaries: no clock, no entropy, and the active-set bookkeeping
-    // (queues, credits, wake wheel) kept exact, so the dense and
-    // event-driven ticks stay bit-identical with faults applied.
+    // (queues, credits, wake wheel) kept exact, so the event-driven tick
+    // stays bit-identical to a scan of every router with faults applied.
 
     /// Index into the port table of `(router, port)`.
     ///
@@ -1426,30 +1427,16 @@ impl Noc {
         }
     }
 
-    /// The transmit pass. With `full_scan` every router holding queued
-    /// traffic is visited (the dense reference); otherwise only routers
-    /// a due wake or this tick's own pushes and credit frees put on the
-    /// worklist. Both orders are the ascending router-index order, so
-    /// credit contention resolves identically and the two paths are
-    /// bit-identical.
-    fn transmit(
-        &mut self,
-        now: Cycles,
-        full_scan: bool,
-        sink: &mut Option<&mut (dyn TraceSink + '_)>,
-    ) {
+    /// The transmit pass: visits the routers a due wake or this tick's own
+    /// pushes and credit frees put on the worklist, in ascending index
+    /// order, so credit contention resolves as a scan of every router
+    /// would.
+    fn transmit(&mut self, now: Cycles, sink: &mut Option<&mut (dyn TraceSink + '_)>) {
         while let Some(r) = self.wakes.pop_due(now) {
             // An entry popping while the live wake lies ahead (or there is
             // none) was superseded, and its successor had the visit.
             if self.wake_at[r] <= now.0 {
                 self.wake_at[r] = u64::MAX;
-                if self.routers[r].queued > 0 {
-                    self.mark_ready(r);
-                }
-            }
-        }
-        if full_scan {
-            for r in 0..self.routers.len() {
                 if self.routers[r].queued > 0 {
                     self.mark_ready(r);
                 }
@@ -1478,7 +1465,7 @@ impl Noc {
     /// routing, timing, or statistics.
     #[inline]
     pub fn tick_traced(&mut self, now: Cycles, mut sink: Option<&mut (dyn TraceSink + '_)>) {
-        self.run_tick(now, false, &mut sink);
+        self.run_tick(now, &mut sink);
     }
 
     /// Runs the engine alone from cycle `from` up to, not including,
@@ -1535,7 +1522,7 @@ impl Noc {
                 "a span tick at {next} is a no-op"
             );
             let dropped = self.dropped_packets;
-            self.run_tick(Cycles(next), false, &mut sink);
+            self.run_tick(Cycles(next), &mut sink);
             span.ticks += 1;
             span.end = Cycles(next + 1);
             if self.eject_pending > 0 {
@@ -1553,25 +1540,11 @@ impl Noc {
         span
     }
 
-    /// The dense reference tick: identical phase order to [`Noc::tick`],
-    /// but the transmit pass scans every router holding queued traffic
-    /// instead of consulting the event wheel. Kept for differential
-    /// testing — the event-driven path must be bit-identical to this.
-    // nw-analyze: allow(PUB01): the reference golden_delivery and prop_event_core compare the event-driven tick against
-    pub fn tick_reference(&mut self, now: Cycles) {
-        self.run_tick(now, true, &mut None);
-    }
-
-    fn run_tick(
-        &mut self,
-        now: Cycles,
-        full_scan: bool,
-        sink: &mut Option<&mut (dyn TraceSink + '_)>,
-    ) {
+    fn run_tick(&mut self, now: Cycles, sink: &mut Option<&mut (dyn TraceSink + '_)>) {
         self.work.ticks += 1;
         self.drain_arrivals(now, sink);
         self.drain_ni(now, sink);
-        self.transmit(now, full_scan, sink);
+        self.transmit(now, sink);
         #[cfg(debug_assertions)]
         self.debug_audit(now);
     }

@@ -2,12 +2,11 @@
 //! pinned as digests recorded at commit 2c5bd7f — the last one whose engine
 //! kept whole packets in per-port `VecDeque`s and arrival events.
 //!
-//! The differential suites (`prop_event_core`) compare the event-driven tick
-//! with the dense reference tick, but both share one storage layer, so a
-//! mistake there (a FIFO threaded in the wrong order, a handle freed twice,
-//! flits cached from the wrong packet) moves both alike and they still
-//! agree. These constants come from a different implementation of that
-//! layer and do not move with it.
+//! The same runs drive the executable spec (`tests/common/spec.rs`), which
+//! shares no storage or scheduling code with the engine, and must hash to
+//! the same digests: a change to the engine that moves its timing fails
+//! here against two references, the recording and the spec, that it cannot
+//! move along with it.
 //!
 //! Each digest is FNV-1a over every ejected packet as
 //! `(cycle, id, src, dst, tag, injected_at, len, head)` in eject order,
@@ -18,6 +17,10 @@
 //! the whole table as it reads now, ready to paste — which is only the
 //! right thing to do for a change that means to alter the timing model.
 
+mod common;
+
+use common::spec::Spec;
+use common::{Fabric, Tally};
 use nw_noc::{Noc, NocConfig, NocStats, Packet, Topology, TopologyKind};
 use nw_types::{Cycles, NodeId, Payload};
 use rand::rngs::StdRng;
@@ -34,21 +37,23 @@ const HORIZON: u64 = 30_000;
 const HOTSPOT: usize = 5;
 /// Literal seed of the burst mix.
 const SEED: u64 = 0x0DAC_2003_5EED_0017;
+/// NI queue depth: short enough that the hotspot's senders meet `NiFull`.
+const NI_CAPACITY: usize = 8;
 
-/// How the engine is driven: which tick, and which way out.
+/// What is driven, and which way out.
 #[derive(Debug, Clone, Copy)]
 enum Drive {
-    /// `Noc::tick_traced(now, None)`, the event-driven pass; every endpoint
-    /// polled with `Noc::eject`, as when the digests were recorded.
+    /// The engine, `Noc::tick_traced(now, None)`; every endpoint polled
+    /// with `Noc::eject`, as when the digests were recorded.
     Event,
-    /// `Noc::tick_reference`, the dense scan; endpoints polled.
-    Reference,
-    /// The event-driven pass, emptied through `Noc::eject_next` (which the
-    /// recording engine did not have): the same order without the polling.
+    /// The spec; endpoints polled.
+    Spec,
+    /// The engine, emptied through `Noc::eject_next` (which the recording
+    /// engine did not have): the same order without the polling.
     EventSwept,
 }
 
-const DRIVES: [Drive; 3] = [Drive::Event, Drive::Reference, Drive::EventSwept];
+const DRIVES: [Drive; 3] = [Drive::Event, Drive::Spec, Drive::EventSwept];
 
 struct Fnv(u64);
 
@@ -74,7 +79,7 @@ impl Fnv {
 /// 64 bytes. Refused offers still advance the sequence, so the payload
 /// pattern of a packet does not depend on back-pressure: byte `k < 16` is
 /// `seq + 7k`, the rest zero.
-fn offer(noc: &mut Noc, rng: &mut StdRng, seq: &mut u64, now: Cycles) {
+fn offer(noc: &mut dyn Fabric, rng: &mut StdRng, seq: &mut u64, now: Cycles) {
     for _ in 0..3 {
         if !rng.gen_bool(0.25) {
             continue;
@@ -103,18 +108,11 @@ fn payload(len: usize, byte: impl Fn(usize) -> u8) -> Payload {
     Payload::with_head(len, &head)
 }
 
-fn tick(noc: &mut Noc, how: Drive, now: Cycles) {
-    match how {
-        Drive::Event | Drive::EventSwept => noc.tick_traced(now, None),
-        Drive::Reference => noc.tick_reference(now),
-    }
-}
-
 /// Tag of the one packet [`faulted_run`] corrupts, and its payload byte.
 const CORRUPTED: (u64, u8) = (0xC0DE, 0x11);
 
 /// Empties the eject interface in ascending endpoint order.
-fn ejects(noc: &mut Noc, how: Drive) -> Vec<(NodeId, Packet)> {
+fn ejects(noc: &mut dyn Fabric, how: Drive) -> Vec<(NodeId, Packet)> {
     if matches!(how, Drive::EventSwept) {
         return std::iter::from_fn(|| noc.eject_next()).collect();
     }
@@ -129,7 +127,7 @@ fn ejects(noc: &mut Noc, how: Drive) -> Vec<(NodeId, Packet)> {
 
 /// Hashes everything waiting at the eject interface; returns how many of
 /// those packets were the corrupted one, arriving corrupted.
-fn hash_ejects(noc: &mut Noc, how: Drive, now: Cycles, h: &mut Fnv) -> usize {
+fn hash_ejects(noc: &mut dyn Fabric, how: Drive, now: Cycles, h: &mut Fnv) -> usize {
     let mut corrupted = 0;
     for (at, p) in ejects(noc, how) {
         assert_eq!(p.dst, at, "ejected at its destination");
@@ -151,60 +149,72 @@ fn hash_ejects(noc: &mut Noc, how: Drive, now: Cycles, h: &mut Fnv) -> usize {
     corrupted
 }
 
-fn hash_totals(noc: &Noc, h: &mut Fnv) {
-    let NocStats {
-        injected,
-        delivered,
-        refused,
-        flit_hops,
+fn hash_totals(noc: &dyn Fabric, h: &mut Fnv) {
+    let Tally {
+        stats:
+            NocStats {
+                injected,
+                delivered,
+                refused,
+                flit_hops,
+                ..
+            },
+        dropped_packets,
+        dropped_flits,
+        corrupted_packets,
         ..
-    } = noc.stats();
+    } = noc.tally();
     for v in [
         injected,
         delivered,
         refused,
         flit_hops,
-        noc.dropped_packets(),
-        noc.dropped_flits(),
-        noc.corrupted_packets(),
+        dropped_packets,
+        dropped_flits,
+        corrupted_packets,
     ] {
         h.word(v);
     }
 }
 
-fn build(kind: TopologyKind, pool: usize) -> Noc {
+/// What `how` drives, the engine or the spec, on a `kind` fabric of [`N`]
+/// endpoints with pools of `pool` packets.
+fn build(kind: TopologyKind, pool: usize, how: Drive) -> Box<dyn Fabric> {
     let topo = Topology::build(kind, N, 2).expect("valid topology");
-    // NI queues short enough that the hotspot's senders meet `NiFull`.
     let cfg = NocConfig {
         input_buffer: pool,
-        ni_capacity: 8,
+        ni_capacity: NI_CAPACITY,
         ..NocConfig::default()
     };
-    Noc::new(topo, cfg)
+    match how {
+        Drive::Spec => Box::new(Spec::new(topo, cfg)),
+        Drive::Event | Drive::EventSwept => Box::new(Noc::new(topo, cfg)),
+    }
 }
 
 /// The burst mix on a healthy fabric.
 fn clean_run(kind: TopologyKind, pool: usize, how: Drive) -> u64 {
-    let mut noc = build(kind, pool);
+    let mut fabric = build(kind, pool, how);
+    let noc = fabric.as_mut();
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut seq = 0u64;
     let mut h = Fnv::new();
     for c in 0..HORIZON {
         let now = Cycles(c);
         if c < OFFER_UNTIL {
-            offer(&mut noc, &mut rng, &mut seq, now);
+            offer(noc, &mut rng, &mut seq, now);
         } else if noc.is_quiescent() {
             break;
         }
-        tick(&mut noc, how, now);
-        hash_ejects(&mut noc, how, now, &mut h);
+        noc.tick(now);
+        hash_ejects(noc, how, now, &mut h);
     }
-    hash_totals(&noc, &mut h);
+    hash_totals(noc, &mut h);
     h.0
 }
 
 /// Port of `router` whose link leads to `to`.
-fn port_to(noc: &Noc, router: usize, to: usize) -> usize {
+fn port_to(noc: &dyn Fabric, router: usize, to: usize) -> usize {
     noc.topology()
         .links_of(router)
         .iter()
@@ -217,8 +227,8 @@ fn port_to(noc: &Noc, router: usize, to: usize) -> usize {
 /// arm of each hook the schedule reaches, so an edit to the schedule cannot
 /// quietly stop covering one.
 fn faulted_run(how: Drive) -> u64 {
-    let mut noc = build(TopologyKind::Mesh, 4);
-    let ni_capacity = noc.config().ni_capacity;
+    let mut fabric = build(TopologyKind::Mesh, 4, how);
+    let noc = fabric.as_mut();
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xFA17);
     let mut seq = 0u64;
     let mut h = Fnv::new();
@@ -232,7 +242,7 @@ fn faulted_run(how: Drive) -> u64 {
             // Hold the hotspot's whole router, then one port of a neighbour.
             40 => noc.stall_router(HOTSPOT, 160),
             60 => {
-                let p = port_to(&noc, 1, HOTSPOT);
+                let p = port_to(noc, 1, HOTSPOT);
                 noc.stall_port(1, p, 220);
             }
             // Everything the stalled router holds is dropped, port queues
@@ -250,10 +260,10 @@ fn faulted_run(how: Drive) -> u64 {
                 .expect("emptied NI accepts");
             }
             81 => {
-                assert_eq!(noc.ni_free(NodeId(HOTSPOT)), ni_capacity, "NI drained");
-                let before = noc.dropped_packets();
+                assert_eq!(noc.ni_free(NodeId(HOTSPOT)), NI_CAPACITY, "NI drained");
+                let before = noc.tally().dropped_packets;
                 assert!(noc.drop_next(HOTSPOT, now), "port-queue head dropped");
-                assert_eq!(noc.dropped_packets(), before + 1);
+                assert_eq!(noc.tally().dropped_packets, before + 1);
             }
             // Endpoint 12 is emptied so that the hooks meet exactly the
             // packets offered here: the first is corrupted as the NI head,
@@ -272,12 +282,12 @@ fn faulted_run(how: Drive) -> u64 {
                 noc.try_inject(NodeId(12), NodeId(3), payload(24, |_| 0x22), 0xD80A, now)
                     .expect("emptied NI accepts");
                 assert!(noc.drop_next(12, now), "NI head dropped");
-                assert_eq!(noc.ni_free(NodeId(12)), ni_capacity);
+                assert_eq!(noc.ni_free(NodeId(12)), NI_CAPACITY);
             }
             // A link into the hotspot dies: its queue follows the
             // recomputed routes.
             120 => {
-                let p = port_to(&noc, 6, HOTSPOT);
+                let p = port_to(noc, 6, HOTSPOT);
                 assert!(noc.fail_link(6, p, now));
                 assert!(!noc.fail_link(6, p, now), "idempotent");
             }
@@ -286,7 +296,7 @@ fn faulted_run(how: Drive) -> u64 {
             // strands, traffic in flight toward it drops at its next router,
             // later offers drop at their NI.
             240 => {
-                let p = port_to(&noc, 14, 15);
+                let p = port_to(noc, 14, 15);
                 noc.stall_port(14, p, 400);
                 for tag in [0xDEAD, 0xDEAE] {
                     noc.try_inject(NodeId(14), NodeId(15), payload(16, |_| 0x33), tag, now)
@@ -294,29 +304,32 @@ fn faulted_run(how: Drive) -> u64 {
                 }
             }
             300 => {
-                let before = noc.dropped_packets();
+                let before = noc.tally().dropped_packets;
                 for from in [11, 14] {
-                    let p = port_to(&noc, from, 15);
+                    let p = port_to(noc, from, 15);
                     assert!(noc.fail_link(from, p, now));
                 }
-                assert!(noc.dropped_packets() >= before + 2, "queue stranded");
+                assert!(noc.tally().dropped_packets >= before + 2, "queue stranded");
             }
             _ => {}
         }
         if c < OFFER_UNTIL {
-            offer(&mut noc, &mut rng, &mut seq, now);
+            offer(noc, &mut rng, &mut seq, now);
         }
-        tick(&mut noc, how, now);
-        corrupted_seen += hash_ejects(&mut noc, how, now, &mut h);
+        noc.tick(now);
+        corrupted_seen += hash_ejects(noc, how, now, &mut h);
         if c.is_multiple_of(64) {
-            h.word(noc.dropped_packets() - dropped);
-            dropped = noc.dropped_packets();
+            h.word(noc.tally().dropped_packets - dropped);
+            dropped = noc.tally().dropped_packets;
         }
     }
     assert_eq!(corrupted_seen, 1, "the corrupted packet still arrives");
-    assert_eq!(noc.corrupted_packets(), 1);
-    assert!(noc.dropped_packets() > 8, "disconnection dropped traffic");
-    hash_totals(&noc, &mut h);
+    assert_eq!(noc.tally().corrupted_packets, 1);
+    assert!(
+        noc.tally().dropped_packets > 8,
+        "disconnection dropped traffic"
+    );
+    hash_totals(noc, &mut h);
     h.0
 }
 

@@ -3,27 +3,39 @@
 //! The engine's busy path is driven by an event wheel (router wakes keyed
 //! on port `busy_until`, credit frees, queue pushes) instead of a per-cycle
 //! scan of every router. These properties pin the contract that makes that
-//! safe: under random traffic bursts on every built-in topology, the
-//! event-driven path produces **bit-identical** `NocStats`, eject order
-//! and delivery cycles versus the dense per-cycle reference scan
-//! ([`Noc::tick_reference`]) — and stays bit-identical when ticks are
-//! skipped entirely on the cycles `next_event_cycle` proves are dead.
-//! Two shapes get their own cases: fabrics of 65 or more routers, whose
-//! transmit worklist spans two bitset words, and payloads that serialize
-//! for longer than the calendar queue's 256-cycle window, whose arrivals
-//! and wakes travel through its overflow heap. Liveness is part of every
-//! property: both engines deliver every packet wherever the modelled fabric
-//! cannot deadlock (`must_drain`).
+//! safe: under random traffic bursts on every built-in topology, the engine
+//! produces **bit-identical** `NocStats`, eject order, delivery cycles,
+//! transfers and arrivals versus the executable spec
+//! (`tests/common/spec.rs`), which scans every router every cycle and
+//! shares no storage or scheduling code with the engine — and stays
+//! bit-identical when ticks are skipped entirely on the cycles
+//! `next_event_cycle` proves are dead. Two shapes get their own cases:
+//! fabrics of 65 or more routers, whose transmit worklist spans two bitset
+//! words, and payloads that serialize for longer than the calendar queue's
+//! 256-cycle window, whose arrivals and wakes travel through its overflow
+//! heap. Liveness is part of every property: both deliver every packet
+//! wherever the modelled fabric cannot deadlock (`must_drain`).
 //!
-//! Another property is about the storage under both ticks: packets live in
-//! an engine-owned slab and move as handles, so every way out of the
-//! engine — ejected, dropped at an NI, on a port queue or on arrival,
-//! stranded by a dead link — has to vacate the slot it leaves.
+//! Another property is about the storage under the fault hooks: packets
+//! live in an engine-owned slab and move as handles, so every way out of
+//! the engine — ejected, dropped at an NI, on a port queue or on arrival,
+//! stranded by a dead link — has to vacate the slot it leaves, while the
+//! spec, run beside it, sees the same deliveries and drops.
+//!
+//! One property is metamorphic: the same offers made `k` cycles later are
+//! delivered exactly `k` cycles later, for shifts that put the engine's
+//! clock past the calendar window, into the overflow heap and across
+//! `next_event_cycle` hops of up to 2⁴⁰ cycles.
 //!
 //! The last one pins [`Noc::run_span`], the engine running alone between
 //! a scheduler's stepped cycles, to the per-event loop it replaces.
 
-use nw_noc::{Noc, NocConfig, NocSpan, NocStats, Topology, TopologyKind};
+mod common;
+
+use common::spec::Spec;
+use common::Fabric;
+
+use nw_noc::{Noc, NocConfig, NocSpan, NocStats, NocWork, Topology, TopologyKind};
 use nw_obs::{TraceEvent, TraceSink};
 use nw_types::{Cycles, NodeId, Payload};
 use proptest::prelude::*;
@@ -47,8 +59,8 @@ fn kind_strategy() -> impl Strategy<Value = TopologyKind> {
 const QUEUE_WINDOW: u64 = 256;
 
 /// A randomized traffic burst: at `cycle`, offer a packet `src -> dst` of
-/// `len` payload bytes (endpoints taken modulo the fabric size). Both
-/// engines see the identical offer sequence.
+/// `len` payload bytes (endpoints taken modulo the fabric size). The engine
+/// and the spec see the identical offer sequence.
 type Burst = (u8, usize, usize, usize);
 
 /// Packet buffers per router input: the default, and pools small enough
@@ -74,7 +86,7 @@ struct Delivery {
     len: usize,
 }
 
-fn drain_ejects(noc: &mut Noc, n: usize, now: Cycles, out: &mut Vec<Delivery>) {
+fn drain_ejects(noc: &mut impl Fabric, n: usize, now: Cycles, out: &mut Vec<Delivery>) {
     for e in 0..n {
         while let Some(p) = noc.eject(NodeId(e)) {
             out.push(Delivery {
@@ -87,9 +99,14 @@ fn drain_ejects(noc: &mut Noc, n: usize, now: Cycles, out: &mut Vec<Delivery>) {
     }
 }
 
-fn inject_due(noc: &mut Noc, bursts: &[Burst], n: usize, now: Cycles) {
+fn inject_due(noc: &mut impl Fabric, bursts: &[Burst], n: usize, now: Cycles) {
+    inject_shifted(noc, bursts, n, now, 0);
+}
+
+/// Offers at `now` the bursts due `shift` cycles earlier.
+fn inject_shifted(noc: &mut impl Fabric, bursts: &[Burst], n: usize, now: Cycles, shift: u64) {
     for &(cycle, s, d, len) in bursts {
-        if cycle as u64 == now.0 {
+        if u64::from(cycle) + shift == now.0 {
             let _ = noc.try_inject(
                 NodeId(s % n),
                 NodeId(d % n),
@@ -105,7 +122,7 @@ fn inject_due(noc: &mut Noc, bursts: &[Burst], n: usize, now: Cycles) {
 /// that a packet left in either engine is a bug and not a deadlock of the
 /// model. Routers share one input pool of `input_buffer` packets and there
 /// are no virtual channels: multi-hop traffic that fills every pool around
-/// a cycle of routers deadlocks, in the reference scan as well. It cannot
+/// a cycle of routers deadlocks, in the spec as well. It cannot
 /// when
 ///
 /// * the fabric is single-hop (crossbar, shared bus): every transfer ends
@@ -135,22 +152,22 @@ impl TraceSink for LongestTransfer {
     }
 }
 
-/// What [`check_against_reference`] saw of the event engine.
+/// What [`check_against_spec`] saw of the engine.
 struct EventRun {
     noc: Noc,
     /// Longest link serialization fired, in cycles.
     longest_ser: u64,
 }
 
-/// Drives one event-driven engine and one dense-reference engine through
-/// the same bursts until both run out of events, and checks they traced the same
-/// simulation: same deliveries at the same cycles in the same order, same
-/// statistics down to the latency histogram buckets. Both must drain
-/// wherever the model cannot deadlock ([`must_drain`]), and drain or
-/// strand together elsewhere. With `skip_dead` the event engine is ticked
-/// only when `next_event_cycle` says a tick can matter, and must have
-/// skipped some cycle.
-fn check_against_reference(
+/// Drives the engine and the spec through the same bursts until neither
+/// can move again, and checks they ran the same simulation: same
+/// deliveries at the same cycles in the same order, same statistics down to
+/// the latency moments, same transfers fired and arrivals taken. Both must
+/// drain wherever the model cannot deadlock ([`must_drain`]), and drain or
+/// strand together elsewhere. The spec is ticked every cycle; with
+/// `skip_dead` the engine is ticked only when `next_event_cycle` says a
+/// tick can matter, and must have skipped some cycle.
+fn check_against_spec(
     kind: TopologyKind,
     n: usize,
     link_latency: u64,
@@ -159,32 +176,30 @@ fn check_against_reference(
     horizon: u64,
     skip_dead: bool,
 ) -> EventRun {
-    let mk = || {
-        let topo = Topology::build(kind, n, link_latency).expect("valid topology");
-        let cfg = NocConfig {
-            input_buffer,
-            ..NocConfig::default()
-        };
-        Noc::new(topo, cfg)
+    let topo = Topology::build(kind, n, link_latency).expect("valid topology");
+    let cfg = NocConfig {
+        input_buffer,
+        ..NocConfig::default()
     };
-    let mut ev = mk();
-    let mut rf = mk();
+    let mut ev = Noc::new(topo.clone(), cfg);
+    let mut spec = Spec::new(topo, cfg);
     let mut ev_seen = Vec::new();
-    let mut rf_seen = Vec::new();
+    let mut spec_seen = Vec::new();
     let mut longest = LongestTransfer::default();
-    let mut now = Cycles(0);
+    let (mut now, mut spec_ticks) = (Cycles(0), 0);
     while now.0 < horizon {
         inject_due(&mut ev, bursts, n, now);
-        inject_due(&mut rf, bursts, n, now);
+        inject_due(&mut spec, bursts, n, now);
         if !skip_dead || ev.next_event_cycle(now).is_some_and(|c| c <= now) {
             ev.tick_traced(now, Some(&mut longest));
         }
-        rf.tick_reference(now);
+        spec.tick(now);
+        spec_ticks += 1;
         drain_ejects(&mut ev, n, now, &mut ev_seen);
-        drain_ejects(&mut rf, n, now, &mut rf_seen);
-        // Every burst is offered before cycle 200: once neither engine has
-        // an event left, nothing can move again.
-        if now.0 > 256 && ev.next_event_cycle(now).is_none() && rf.next_event_cycle(now).is_none() {
+        drain_ejects(&mut spec, n, now, &mut spec_seen);
+        // Every burst is offered before cycle 200: once neither can move,
+        // nothing will again.
+        if now.0 > 256 && ev.next_event_cycle(now).is_none() && spec.is_stuck(now) {
             break;
         }
         now += Cycles(1);
@@ -192,32 +207,29 @@ fn check_against_reference(
     if must_drain(kind, n, input_buffer, bursts) {
         assert!(
             ev.is_quiescent(),
-            "event path must drain ({} packets left)",
+            "the engine must drain ({} packets left)",
             ev.packets_held()
         );
-        assert!(
-            rf.is_quiescent(),
-            "reference path must drain ({} packets left)",
-            rf.packets_held()
-        );
+        assert!(spec.is_quiescent(), "the spec must drain");
     } else {
         // The modelled fabric may deadlock; a lost wake would strand the
-        // event path alone.
+        // engine alone.
         assert_eq!(
             ev.is_quiescent(),
-            rf.is_quiescent(),
-            "event path drains iff the reference does ({} packets left)",
+            spec.is_quiescent(),
+            "the engine drains iff the spec does ({} packets left)",
             ev.packets_held()
         );
     }
-    assert_eq!(ev_seen, rf_seen, "eject order and delivery cycles");
-    assert_eq!(ev.stats(), rf.stats(), "statistics incl. latency moments");
-    // Both engines moved the same packets; only the scan work may differ.
-    assert_eq!(ev.work().fires, rf.work().fires);
-    assert_eq!(ev.work().arrivals, rf.work().arrivals);
+    assert_eq!(ev_seen, spec_seen, "eject order and delivery cycles");
+    assert_eq!(
+        Fabric::tally(&ev),
+        spec.tally(),
+        "statistics incl. latency moments, fires and arrivals"
+    );
     if skip_dead {
         // Multi-cycle serialization and wire latency guarantee dead cycles.
-        assert!(ev.work().ticks < rf.work().ticks, "some cycles are skipped");
+        assert!(ev.work().ticks < spec_ticks, "some cycles are skipped");
     }
     EventRun {
         noc: ev,
@@ -229,7 +241,7 @@ fn check_against_reference(
 /// whatever they index.
 type Fault = (u8, u8, usize, usize);
 
-fn apply_fault(noc: &mut Noc, &(_, hook, a, b): &Fault, now: Cycles) {
+fn apply_fault(noc: &mut impl Fabric, &(_, hook, a, b): &Fault, now: Cycles) {
     let n_routers = noc.topology().n_routers();
     let n = noc.topology().n_endpoints();
     let r = a % n_routers;
@@ -263,6 +275,70 @@ fn apply_fault(noc: &mut Noc, &(_, hook, a, b): &Fault, now: Cycles) {
         }
         _ => {}
     }
+}
+
+/// How late [`time_shift_delays_every_delivery_exactly`] offers its bursts:
+/// across the calendar queue's window edge, and out to clocks past 2²⁰,
+/// 2³² and 2⁴⁰ cycles, where its buckets, its overflow heap and
+/// `next_event_cycle` meet offsets no rig reaches.
+const SHIFTS: [u64; 7] = [
+    1,
+    QUEUE_WINDOW - 1,
+    QUEUE_WINDOW,
+    QUEUE_WINDOW + 1,
+    1 << 20,
+    (1 << 32) + 3,
+    (1 << 40) + 5,
+];
+
+/// One delivery of [`shifted_run`], its cycles counted from the shift.
+#[derive(Debug, PartialEq, Eq)]
+struct ShiftedDelivery {
+    cycle: u64,
+    endpoint: usize,
+    id: u64,
+    tag: u64,
+    injected_at: u64,
+    len: usize,
+}
+
+/// What [`shifted_run`] saw: deliveries, statistics, work and packets left.
+type ShiftedRun = (Vec<ShiftedDelivery>, NocStats, NocWork, usize);
+
+/// Drives an engine through `bursts` offered `shift` cycles late, as a
+/// fast-forwarding scheduler does: it starts at cycle `shift` and jumps
+/// from each offer or event cycle straight to the next, ticking where
+/// [`Noc::due_now`] holds, until no offer or event is left.
+fn shifted_run(topo: &Topology, cfg: NocConfig, bursts: &[Burst], shift: u64) -> ShiftedRun {
+    let n = topo.n_endpoints();
+    let mut noc = Noc::new(topo.clone(), cfg);
+    let mut offers: Vec<u64> = bursts.iter().map(|b| u64::from(b.0) + shift).collect();
+    offers.sort_unstable();
+    let mut log = Vec::new();
+    let mut now = Cycles(shift);
+    loop {
+        inject_shifted(&mut noc, bursts, n, now, shift);
+        if noc.due_now(now) {
+            noc.tick(now);
+        }
+        while let Some((NodeId(endpoint), p)) = noc.eject_next() {
+            log.push(ShiftedDelivery {
+                cycle: now.0 - shift,
+                endpoint,
+                id: p.id.0,
+                tag: p.tag,
+                injected_at: p.injected_at.0 - shift,
+                len: p.data.len(),
+            });
+        }
+        let next_offer = offers.iter().copied().find(|&c| c > now.0);
+        let next_event = noc.next_event_cycle(now + Cycles(1)).map(|c| c.0);
+        match next_offer.into_iter().chain(next_event).min() {
+            Some(next) => now = Cycles(next),
+            None => break,
+        }
+    }
+    (log, noc.stats(), noc.work(), noc.packets_held())
 }
 
 /// Every event traced, in order.
@@ -318,8 +394,8 @@ fn span_by_events(noc: &mut Noc, from: Cycles, limit: Cycles, trace: &mut Record
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Ticked every cycle, the event-driven transmit pass and the dense
-    /// full-scan reference trace exactly the same simulation.
+    /// Ticked every cycle, the engine and the spec run exactly the same
+    /// simulation.
     #[test]
     fn event_path_matches_reference_scan(
         kind in kind_strategy(),
@@ -327,13 +403,13 @@ proptest! {
         input_buffer in input_buffer_strategy(),
         bursts in bursts_strategy(64, 80),
     ) {
-        check_against_reference(kind, n, 2, input_buffer, &bursts, 6_000, false);
+        check_against_spec(kind, n, 2, input_buffer, &bursts, 6_000, false);
     }
 
     /// Skipping every cycle the engine proves dead — ticking only when
     /// `next_event_cycle` answers `<= now` — changes nothing: deliveries
-    /// land on the same cycles with the same statistics as the per-cycle
-    /// reference. This is the contract the platform's fast-forward relies
+    /// land on the same cycles with the same statistics as the spec's,
+    /// ticked every cycle. This is the contract the platform's fast-forward relies
     /// on; an overshooting `next_event_cycle` would delay a delivery here.
     #[test]
     fn fast_forward_skips_only_dead_cycles(
@@ -342,7 +418,7 @@ proptest! {
         input_buffer in input_buffer_strategy(),
         bursts in bursts_strategy(64, 80),
     ) {
-        check_against_reference(kind, n, 3, input_buffer, &bursts, 6_000, true);
+        check_against_spec(kind, n, 3, input_buffer, &bursts, 6_000, true);
     }
 
     /// Fabrics of 65+ routers: the transmit worklist spans two bitset
@@ -367,15 +443,15 @@ proptest! {
         for burst in bursts.iter_mut().step_by(2) {
             burst.2 = hot;
         }
-        let ev = check_against_reference(kind, n, 1, input_buffer, &bursts, 40_000, skip_dead);
+        let ev = check_against_spec(kind, n, 1, input_buffer, &bursts, 40_000, skip_dead);
         prop_assert!(ev.noc.topology().n_routers() >= 65);
     }
 
     /// Pools of two and three packets on the multi-hop fabrics, with all
     /// traffic bound for one endpoint: the pools on the way fill and every
-    /// hop waits on a credit free, yet nothing can deadlock, so both
-    /// engines must deliver everything (the other properties accept a
-    /// small-pool run that strands both engines alike).
+    /// hop waits on a credit free, yet nothing can deadlock, so the engine
+    /// and the spec must deliver everything (the other properties accept a
+    /// small-pool run that strands both alike).
     #[test]
     fn small_pools_drain_toward_one_sink(
         kind in prop_oneof![
@@ -393,7 +469,7 @@ proptest! {
         for burst in &mut bursts {
             burst.2 = sink;
         }
-        check_against_reference(kind, n, 2, input_buffer, &bursts, 20_000, skip_dead);
+        check_against_spec(kind, n, 2, input_buffer, &bursts, 20_000, skip_dead);
     }
 
     /// Jumbo payloads serialize for longer than the calendar queue's
@@ -416,7 +492,7 @@ proptest! {
             (cycle, s, s + 1 + d % (n - 1), len)
         });
         let bursts: Vec<Burst> = jumbo.chain(small).collect();
-        let ev = check_against_reference(kind, n, 2, input_buffer, &bursts, 200_000, skip_dead);
+        let ev = check_against_spec(kind, n, 2, input_buffer, &bursts, 200_000, skip_dead);
         prop_assert!(
             ev.longest_ser >= QUEUE_WINDOW,
             "longest transfer serialized for {} cycles", ev.longest_ser
@@ -431,7 +507,9 @@ proptest! {
     /// every run ends empty: all slots vacated, every packet accounted for
     /// as delivered or dropped, and the slab exactly as long as the most
     /// packets ever held (never more than the packets accepted and not yet
-    /// delivered plus those awaiting ejection).
+    /// delivered plus those awaiting ejection). The spec sees every call
+    /// the engine sees, and must deliver, drop and corrupt the same
+    /// packets at the same cycles.
     #[test]
     fn no_handle_leaks_through_any_exit(
         kind in kind_strategy(),
@@ -441,7 +519,6 @@ proptest! {
         mut bursts in bursts_strategy(600, 120),
         faults in prop::collection::vec((0u8..200, 0u8..6, 0usize..512, 0usize..512), 0..16),
         clone_at in 0u64..260,
-        reference in any::<bool>(),
     ) {
         // A hotspot, so that cutting it off catches traffic in flight.
         for burst in bursts.iter_mut().step_by(2) {
@@ -449,9 +526,10 @@ proptest! {
         }
         let topo = Topology::build(kind, n, 2).expect("valid topology");
         let cfg = NocConfig { input_buffer, ni_capacity: 8, ..NocConfig::default() };
-        let mut noc = Noc::new(topo, cfg);
+        let mut noc = Noc::new(topo.clone(), cfg);
+        let mut spec = Spec::new(topo, cfg);
         let mut twin: Option<Noc> = None;
-        let (mut seen, mut twin_seen) = (Vec::new(), Vec::new());
+        let (mut seen, mut twin_seen, mut spec_seen) = (Vec::new(), Vec::new(), Vec::new());
         let mut peak = 0;
         let n_routers = noc.topology().n_routers();
         let mut now = Cycles(0);
@@ -474,18 +552,25 @@ proptest! {
                 inject_due(half, &bursts, n, now);
                 // Only an injection adds a packet, so this is the peak.
                 peak = peak.max(half.packets_held());
-                if reference {
-                    half.tick_reference(now);
-                } else {
-                    half.tick_traced(now, None);
-                }
+                half.tick_traced(now, None);
                 let NocStats { injected, delivered, .. } = half.stats();
                 let bound = injected - delivered + half.eject_pending() as u64;
                 prop_assert!(half.packets_held() as u64 <= bound);
             }
+            for f in faults.iter().filter(|f| f.0 as u64 == now.0) {
+                apply_fault(&mut spec, f, now);
+            }
+            if sweep {
+                for r in 0..n_routers {
+                    while spec.drop_next(r, now) {}
+                }
+            }
+            inject_due(&mut spec, &bursts, n, now);
+            spec.tick(now);
             // Eject queues are left to fill for a few cycles.
             if now.0.is_multiple_of(4) {
                 drain_ejects(&mut noc, n, now, &mut seen);
+                drain_ejects(&mut spec, n, now, &mut spec_seen);
                 if let Some(twin) = twin.as_mut() {
                     while let Some((NodeId(endpoint), p)) = twin.eject_next() {
                         let (cycle, tag, len) = (now.0, p.tag, p.data.len());
@@ -516,6 +601,9 @@ proptest! {
             (n.dropped_packets(), n.dropped_flits(), n.corrupted_packets(), n.packet_slots())
         };
         prop_assert_eq!(faults_and_slab(&noc), faults_and_slab(&twin));
+        prop_assert!(spec.is_quiescent());
+        prop_assert_eq!(&seen, &spec_seen, "the engine and the spec diverged");
+        prop_assert_eq!(Fabric::tally(&noc), spec.tally());
     }
 
     /// `Noc::run_span` is the per-event loop it replaces. Two engines see
@@ -589,5 +677,35 @@ proptest! {
         prop_assert_eq!(one.stats(), each.stats());
         prop_assert_eq!(one.work(), each.work());
         prop_assert_eq!(one.dropped_packets(), each.dropped_packets());
+    }
+}
+
+proptest! {
+    // Each case makes eight runs of a few dozen packets: about 1 s of debug
+    // build in all.
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Time-shift invariance: the same bursts offered `k` cycles later are
+    /// delivered exactly `k` cycles later, the same packets at the same
+    /// endpoints in the same order, with equal statistics and equal work,
+    /// and the same packets left where the fabric wedges. `k` runs over
+    /// [`SHIFTS`]. A few jumbo payloads serialize for longer than the
+    /// calendar window, so their arrivals cross the overflow heap.
+    #[test]
+    fn time_shift_delays_every_delivery_exactly(
+        kind in kind_strategy(),
+        n in 4usize..17,
+        link_latency in 0u64..4,
+        input_buffer in input_buffer_strategy(),
+        small in bursts_strategy(600, 40),
+        jumbo in prop::collection::vec((0u8..200, 0usize..512, 0usize..512, 2_100usize..4_000), 0..3),
+    ) {
+        let bursts: Vec<Burst> = small.into_iter().chain(jumbo).collect();
+        let topo = Topology::build(kind, n, link_latency).expect("valid topology");
+        let cfg = NocConfig { input_buffer, ..NocConfig::default() };
+        let unshifted = shifted_run(&topo, cfg, &bursts, 0);
+        for shift in SHIFTS {
+            prop_assert_eq!(&shifted_run(&topo, cfg, &bursts, shift), &unshifted, "shift {}", shift);
+        }
     }
 }

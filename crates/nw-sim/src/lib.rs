@@ -20,7 +20,8 @@
 //! in the paper reproduction relies on: busy/idle [`stats::Utilization`],
 //! exact latency [`stats::Moments`] (count, sum, min, max), the
 //! sub-octave-resolution [`stats::LatencyHistogram`] behind the
-//! per-invocation percentile telemetry, and streaming means. Event counts
+//! per-invocation percentile telemetry, and the spread of a statistic
+//! across replicas ([`stats::summarize_replicas`]). Event counts
 //! are plain `u64` fields.
 //!
 //! [`pacer::Pacer`] is the exact integer rate accumulator behind line-rate
@@ -55,6 +56,4 @@ pub use event::EventQueue;
 pub use pacer::Pacer;
 pub use parallel::{parallel_map_with, sweep_threads};
 pub use pipeline::{PipelinedServer, ServerFull};
-pub use stats::{
-    summarize_replicas, LatencyHistogram, Moments, OnlineMean, ReplicaSummary, Utilization,
-};
+pub use stats::{summarize_replicas, LatencyHistogram, Moments, ReplicaSummary, Utilization};

@@ -84,13 +84,6 @@ impl Utilization {
             self.busy as f64 / self.total as f64
         }
     }
-
-    /// Merges another tracker into this one (for aggregating per-thread
-    /// utilization into per-PE or whole-platform figures).
-    pub fn merge(&mut self, other: &Utilization) {
-        self.busy += other.busy;
-        self.total += other.total;
-    }
 }
 
 /// Exact summary moments of a stream of cycle counts: count, sum, min and
@@ -385,20 +378,10 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Streaming mean and variance (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use nw_sim::OnlineMean;
-///
-/// let mut m = OnlineMean::new();
-/// for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] { m.push(v); }
-/// assert!((m.mean() - 5.0).abs() < 1e-12);
-/// assert!((m.variance() - 4.571428).abs() < 1e-5); // sample variance
-/// ```
+/// Streaming mean and variance (Welford's algorithm): the replica
+/// confidence interval of [`summarize_replicas`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineMean {
+struct OnlineMean {
     n: u64,
     mean: f64,
     m2: f64,
@@ -406,30 +389,20 @@ pub struct OnlineMean {
 
 impl OnlineMean {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    fn new() -> Self {
         OnlineMean::default()
     }
 
     /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
+    fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Current mean; 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
     /// Unbiased sample variance; 0.0 with fewer than two observations.
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -438,7 +411,7 @@ impl OnlineMean {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 }
@@ -541,15 +514,13 @@ mod tests {
     }
 
     #[test]
-    fn utilization_bounds_and_merge() {
+    fn utilization_bounds_and_fraction() {
         let mut a = Utilization::new();
         assert_eq!(a.fraction(), 0.0);
         a.busy();
         a.busy();
         a.idle();
-        let mut b = Utilization::new();
-        b.idle();
-        a.merge(&b);
+        a.idle();
         assert_eq!(a.busy_cycles(), 2);
         assert_eq!(a.total_cycles(), 4);
         assert!((a.fraction() - 0.5).abs() < 1e-12);
@@ -713,8 +684,7 @@ mod tests {
             m.push(x);
         }
         let naive: f64 = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((m.mean() - naive).abs() < 1e-12);
-        assert_eq!(m.count(), 5);
+        assert!((m.mean - naive).abs() < 1e-12);
         assert!(m.std_dev() > 0.0);
     }
 

@@ -461,7 +461,7 @@ proptest! {
         prop_assert_eq!(h.quantile(1.0).0, hi);
     }
 
-    /// Utilization is always in [0, 1] and merge adds exactly.
+    /// Utilization is always in [0, 1] and counts every cycle exactly.
     #[test]
     fn utilization_bounds(pattern in prop::collection::vec(any::<bool>(), 0..200)) {
         let mut u = Utilization::new();
