@@ -31,6 +31,7 @@
 use crate::experiments::{Ctx, Experiment, EXPERIMENTS};
 use nanowall::scenarios::BenchRig;
 use nanowall::{NocWork, PlatformReport, SchedulerStats, TraceEvent, TraceSink};
+use nw_sim::Fnv1a;
 use std::fmt::Write as _;
 
 /// The committed manifest: `name<TAB>value` rows; blank lines and `#`
@@ -47,19 +48,11 @@ const CAMPAIGN_HORIZON: u64 = 900_000 + 600_000;
 /// Cycles each rig runs traced from cycle 0, in [`BenchRig::ALL`] order.
 const WINDOWS: [u64; 4] = [50_000, 1_000_000, 10_000_000, 300_000];
 
-/// FNV-1a's offset basis: the hash of no bytes.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Extends FNV-1a hash `h` over `bytes`.
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    (bytes.iter()).fold(h, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// FNV-1a of `text`, as a manifest value.
 fn digest(text: &str) -> String {
-    format!("{:#018x}", fnv1a(FNV_OFFSET, text.as_bytes()))
+    let mut h = Fnv1a::new();
+    h.bytes(text.as_bytes());
+    format!("{:#018x}", h.finish())
 }
 
 /// Every field of `s` but `span_cycles`, with its row name. The
@@ -132,7 +125,7 @@ fn words(ev: TraceEvent) -> Vec<u64> {
 /// Hashes every event it receives and tallies the `FastForward` ones.
 #[derive(Debug, Clone, Copy, Default)]
 struct DigestSink {
-    fnv: u64,
+    fnv: Fnv1a,
     events: u64,
     fast_forwards: u64,
     cycles_fast_forwarded: u64,
@@ -146,7 +139,7 @@ impl TraceSink for DigestSink {
             self.cycles_fast_forwarded += span;
         }
         for w in words(ev) {
-            self.fnv = fnv1a(self.fnv, &w.to_le_bytes());
+            self.fnv.word(w);
         }
     }
 
@@ -177,10 +170,7 @@ impl RigRun {
 
 fn rig_run((rig, window): (BenchRig, u64)) -> RigRun {
     let mut p = rig.build(CAMPAIGN_HORIZON);
-    p.set_trace_sink(Box::new(DigestSink {
-        fnv: FNV_OFFSET,
-        ..DigestSink::default()
-    }));
+    p.set_trace_sink(Box::new(DigestSink::default()));
     let report = p.run(window);
     let mut sink = p.take_trace_sink().expect("installed above");
     let sink = (sink.as_any_mut().downcast_mut::<DigestSink>()).expect("a DigestSink");
@@ -204,10 +194,14 @@ pub fn rig_rows(run: &RigRun) -> Vec<Row> {
     let counts = counts(run.stats).map(|(field, n)| (field, n.to_string()));
     let digests = [
         ("trace.events", run.sink.events.to_string()),
-        ("trace.fnv", format!("{:#018x}", run.sink.fnv)),
+        ("trace.fnv", format!("{:#018x}", run.sink.fnv.finish())),
         ("report.fnv", digest(&format!("{:?}", run.report))),
     ];
-    (counts.into_iter().chain(digests))
+    let values = (run.report.values().into_iter())
+        .map(|(name, v)| (format!("report.{name}"), v.to_string()));
+    let fields = counts.into_iter().chain(digests);
+    (fields.map(|(field, value)| (field.to_owned(), value)))
+        .chain(values)
         .map(|(field, value)| (format!("rig.{}.{field}", run.rig.name()), value))
         .collect()
 }

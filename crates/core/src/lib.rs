@@ -91,7 +91,7 @@ pub use nw_noc::NocConfigError;
 /// The NoC's share of [`SchedulerStats`].
 pub use nw_noc::NocWork;
 pub use platform::{FppaPlatform, NodeRole, PlatformSnapshot, SchedulerMode, SchedulerStats};
-pub use report::{ObjectLatency, PlatformReport};
+pub use report::{ObjectLatency, PlatformReport, ReportValue};
 pub use resilience::{ResilienceStats, RetryPolicy};
 pub use runtime::{InstallError, ServiceBinding};
 pub use scenarios::{ScenarioRegistry, ScenarioRig, ScenarioSpec};

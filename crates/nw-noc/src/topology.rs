@@ -693,17 +693,16 @@ mod tests {
             (TopologyKind::Crossbar, 0x80aa_a53d_98f0_1725, 1_206_912),
         ];
         for (kind, digest, count) in pinned {
-            let (mut h, mut entries) = (0xcbf2_9ce4_8422_2325_u64, 0);
+            let (mut h, mut entries) = (nw_sim::Fnv1a::new(), 0);
             for n in (1..=64).chain([256, 1024]) {
                 let t = Topology::build(kind, n, 1).unwrap();
                 for (r, d) in (0..t.n_routers()).flat_map(|r| (0..n).map(move |d| (r, d))) {
                     let port = t.next_hop(r, d).map_or(u32::MAX, |p| p as u32);
-                    for b in port.to_le_bytes() {
-                        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-                    }
+                    h.bytes(&port.to_le_bytes());
                     entries += 1;
                 }
             }
+            let h = h.finish();
             assert_eq!((h, entries), (digest, count), "{kind}: {h:#018x}");
         }
     }

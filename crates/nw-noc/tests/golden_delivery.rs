@@ -22,6 +22,7 @@ mod common;
 use common::spec::Spec;
 use common::{Fabric, Tally};
 use nw_noc::{Noc, NocConfig, NocStats, Packet, Topology, TopologyKind};
+use nw_sim::Fnv1a;
 use nw_types::{Cycles, NodeId, Payload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,24 +55,6 @@ enum Drive {
 }
 
 const DRIVES: [Drive; 3] = [Drive::Event, Drive::Spec, Drive::EventSwept];
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn word(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
 
 /// Up to three offers a cycle: one in ten self-addressed, three in ten to
 /// the hotspot, the rest uniform; six in a hundred carry 2–3 KB (longer on
@@ -127,7 +110,7 @@ fn ejects(noc: &mut dyn Fabric, how: Drive) -> Vec<(NodeId, Packet)> {
 
 /// Hashes everything waiting at the eject interface; returns how many of
 /// those packets were the corrupted one, arriving corrupted.
-fn hash_ejects(noc: &mut dyn Fabric, how: Drive, now: Cycles, h: &mut Fnv) -> usize {
+fn hash_ejects(noc: &mut dyn Fabric, how: Drive, now: Cycles, h: &mut Fnv1a) -> usize {
     let mut corrupted = 0;
     for (at, p) in ejects(noc, how) {
         assert_eq!(p.dst, at, "ejected at its destination");
@@ -149,7 +132,7 @@ fn hash_ejects(noc: &mut dyn Fabric, how: Drive, now: Cycles, h: &mut Fnv) -> us
     corrupted
 }
 
-fn hash_totals(noc: &dyn Fabric, h: &mut Fnv) {
+fn hash_totals(noc: &dyn Fabric, h: &mut Fnv1a) {
     let Tally {
         stats:
             NocStats {
@@ -198,7 +181,7 @@ fn clean_run(kind: TopologyKind, pool: usize, how: Drive) -> u64 {
     let noc = fabric.as_mut();
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut seq = 0u64;
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     for c in 0..HORIZON {
         let now = Cycles(c);
         if c < OFFER_UNTIL {
@@ -210,7 +193,7 @@ fn clean_run(kind: TopologyKind, pool: usize, how: Drive) -> u64 {
         hash_ejects(noc, how, now, &mut h);
     }
     hash_totals(noc, &mut h);
-    h.0
+    h.finish()
 }
 
 /// Port of `router` whose link leads to `to`.
@@ -231,7 +214,7 @@ fn faulted_run(how: Drive) -> u64 {
     let noc = fabric.as_mut();
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xFA17);
     let mut seq = 0u64;
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     let (mut corrupted_seen, mut dropped) = (0, 0);
     for c in 0..HORIZON {
         let now = Cycles(c);
@@ -330,7 +313,7 @@ fn faulted_run(how: Drive) -> u64 {
         "disconnection dropped traffic"
     );
     hash_totals(noc, &mut h);
-    h.0
+    h.finish()
 }
 
 /// `(kind, pool, digest)`: the 2c5bd7f recording, re-recorded at 64cee98

@@ -22,38 +22,21 @@
 //! to alter the PE's timing or accounting.
 
 use nw_pe::{KernelDomain, Op, Pe, PeClass, PeConfig, PeRequest, PeStats, Program, SchedPolicy};
+use nw_sim::Fnv1a;
 use nw_types::{Cycles, NodeId, Payload, ThreadId};
 use std::collections::VecDeque;
 
 const HORIZON: u64 = 600;
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+fn hash_stats(h: &mut Fnv1a, s: &PeStats) {
+    h.word(s.core_utilization.to_bits());
+    h.word(s.thread_occupancy.len() as u64);
+    for o in &s.thread_occupancy {
+        h.word(o.to_bits());
     }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn word(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn stats(&mut self, s: &PeStats) {
-        self.word(s.core_utilization.to_bits());
-        self.word(s.thread_occupancy.len() as u64);
-        for o in &s.thread_occupancy {
-            self.word(o.to_bits());
-        }
-        self.word(s.tasks_completed);
-        self.word(s.energy.0.to_bits());
-        self.word(s.swaps);
-    }
+    h.word(s.tasks_completed);
+    h.word(s.energy.0.to_bits());
+    h.word(s.swaps);
 }
 
 /// SplitMix64: the whole schedule is a function of one literal seed.
@@ -171,7 +154,7 @@ fn payloads(program: &Program) -> VecDeque<Payload> {
         .collect()
 }
 
-fn hash_request(h: &mut Fnv, tid: ThreadId, req: &PeRequest) {
+fn hash_request(h: &mut Fnv1a, tid: ThreadId, req: &PeRequest) {
     h.word(tid.0 as u64);
     match req {
         PeRequest::Send {
@@ -220,7 +203,7 @@ fn run(s: u64) -> (u64, Reach) {
     let mut pe = Pe::new(cfg);
     // Per thread, the payloads of the sends and calls it has not issued.
     let mut unissued: Vec<VecDeque<Payload>> = vec![VecDeque::new(); n];
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     // Completions in flight: (due cycle, thread).
     let mut completions: Vec<(u64, ThreadId)> = Vec::new();
     let mut wake = 0u64;
@@ -277,7 +260,7 @@ fn run(s: u64) -> (u64, Reach) {
             // A mid-run report: catch the sleeping PE up and read it.
             pe.settle_accounting(now);
             caught_up_to = c;
-            h.stats(&pe.stats());
+            hash_stats(&mut h, &pe.stats());
         }
         completions.retain(|&(due, tid)| {
             if due != c {
@@ -331,8 +314,8 @@ fn run(s: u64) -> (u64, Reach) {
         }
     }
     pe.settle_accounting(Cycles(HORIZON));
-    h.stats(&pe.stats());
-    (h.0, reach)
+    hash_stats(&mut h, &pe.stats());
+    (h.finish(), reach)
 }
 
 /// `(schedule, digest)` recorded at 3ed2340.

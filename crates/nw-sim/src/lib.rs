@@ -27,6 +27,9 @@
 //! [`pacer::Pacer`] is the exact integer rate accumulator behind line-rate
 //! I/O: `k` cycles in one jump equal `k` single ticks.
 //!
+//! [`fnv::Fnv1a`] is the hash behind every recorded digest in the
+//! workspace's golden tables.
+//!
 //! # Examples
 //!
 //! ```
@@ -47,12 +50,14 @@
 //! ```
 
 pub mod event;
+pub mod fnv;
 pub mod pacer;
 pub mod parallel;
 pub mod pipeline;
 pub mod stats;
 
 pub use event::EventQueue;
+pub use fnv::Fnv1a;
 pub use pacer::Pacer;
 pub use parallel::{parallel_map_with, sweep_threads};
 pub use pipeline::{PipelinedServer, ServerFull};

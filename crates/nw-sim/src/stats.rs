@@ -144,6 +144,12 @@ impl Moments {
         self.count
     }
 
+    /// Sum of the recorded samples (exact: 128 bits cannot overflow
+    /// before the `u64` count does).
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
     /// Exact arithmetic mean; 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
