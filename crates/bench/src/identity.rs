@@ -9,8 +9,9 @@
 //!   is how the loop got there, not what it did); the trace's event count
 //!   and FNV-1a digest, which say what an observer saw (each event hashed
 //!   as its variant index followed by its fields, in declaration order);
-//!   and the FNV-1a digest of the final report's `Debug` rendering,
-//!   nwbench's report digest, which says what the run computed.
+//!   and one `report.<name>` row per value of the final report
+//!   ([`PlatformReport::values`]), which say what the run computed: a
+//!   moved value names itself, and no `Debug` formatting is pinned.
 //! - `table.fast.<id>` / `table.full.<id>`: FNV-1a of every experiment's
 //!   table as `expt --fast <id>` / `expt <id>` prints it.
 //! - `trace.mix`: FNV-1a of the JSON `expt trace --scenario mix --cycles
@@ -24,7 +25,7 @@
 //! with itself, with nothing recorded.
 //!
 //! Tier-1 checks the rig and `--fast` rows, one slice per test:
-//! `tests/golden_sched.rs` the counts and report digests,
+//! `tests/golden_sched.rs` the counts and report values,
 //! `tests/golden_trace.rs` the trace rows, and `smoke_expt.rs` the
 //! `--fast` tables. CI runs `expt identity` for every row.
 
@@ -32,10 +33,11 @@ use crate::experiments::{Ctx, Experiment, EXPERIMENTS};
 use nanowall::scenarios::BenchRig;
 use nanowall::{NocWork, PlatformReport, SchedulerStats, TraceEvent, TraceSink};
 use nw_sim::Fnv1a;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-/// The committed manifest: `name<TAB>value` rows; blank lines and `#`
-/// comments are skipped.
+/// The committed manifest: `name<TAB>value` rows, each name once; blank
+/// lines and `#` comments are skipped.
 const MANIFEST: &str = include_str!("../identity.tsv");
 
 /// One manifest row: `(name, value)`.
@@ -149,7 +151,7 @@ impl TraceSink for DigestSink {
 }
 
 /// One rig's traced run: what its rows are read from.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RigRun {
     /// The rig that ran.
     pub rig: BenchRig,
@@ -191,19 +193,15 @@ pub fn rig_runs() -> Vec<RigRun> {
 /// The `rig.<workload>.*` rows of `run`.
 // nw-analyze: allow(PUB01): golden_sched and golden_trace compare these rows with the manifest
 pub fn rig_rows(run: &RigRun) -> Vec<Row> {
-    let counts = counts(run.stats).map(|(field, n)| (field, n.to_string()));
-    let digests = [
-        ("trace.events", run.sink.events.to_string()),
-        ("trace.fnv", format!("{:#018x}", run.sink.fnv.finish())),
-        ("report.fnv", digest(&format!("{:?}", run.report))),
+    let row = |field: &str, value: String| (format!("rig.{}.{field}", run.rig.name()), value);
+    let counts = counts(run.stats).map(|(field, n)| row(field, n.to_string()));
+    let trace = [
+        row("trace.events", run.sink.events.to_string()),
+        row("trace.fnv", format!("{:#018x}", run.sink.fnv.finish())),
     ];
     let values = (run.report.values().into_iter())
-        .map(|(name, v)| (format!("report.{name}"), v.to_string()));
-    let fields = counts.into_iter().chain(digests);
-    (fields.map(|(field, value)| (field.to_owned(), value)))
-        .chain(values)
-        .map(|(field, value)| (format!("rig.{}.{field}", run.rig.name()), value))
-        .collect()
+        .map(|(name, v)| row(&format!("report.{name}"), v.to_string()));
+    counts.into_iter().chain(trace).chain(values).collect()
 }
 
 /// The `table.fast.*` or `table.full.*` rows, in `expt list` order.
@@ -229,12 +227,19 @@ fn rows() -> Vec<Row> {
 }
 
 /// The rows of a manifest's text. A line without a tab is a row with no
-/// value, which no computed row matches.
-fn parse(manifest: &str) -> Vec<Row> {
-    (manifest.lines())
-        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
-        .map(|l| l.split_once('\t').unwrap_or((l, "")))
-        .map(|(name, value)| (name.to_owned(), value.to_owned()))
+/// value, which no computed row matches. A name on two rows is an error:
+/// only one of them could ever be checked.
+fn parse(manifest: &str) -> Result<Vec<Row>, String> {
+    let mut seen = HashSet::new();
+    (manifest.lines().enumerate())
+        .filter(|(_, l)| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|(i, l)| {
+            let (name, value) = l.split_once('\t').unwrap_or((l, ""));
+            if !seen.insert(name) {
+                return Err(format!("line {}: a second row named {name}", i + 1));
+            }
+            Ok((name.to_owned(), value.to_owned()))
+        })
         .collect()
 }
 
@@ -243,18 +248,23 @@ fn parse(manifest: &str) -> Vec<Row> {
 /// `name  recorded → now` (`(none)` where one side has no row of that
 /// name), the manifest lines to paste, then a one-line summary.
 fn check(recorded: &[Row], now: &[Row]) -> (String, bool) {
-    let value = |rows: &[Row], name: &str| rows.iter().find(|r| r.0 == name).map(|r| r.1.clone());
+    fn index(rows: &[Row]) -> HashMap<&str, &str> {
+        (rows.iter())
+            .map(|(n, v)| (n.as_str(), v.as_str()))
+            .collect()
+    }
+    let (was, is) = (index(recorded), index(now));
     let changed = (now.iter())
-        .map(|(name, v)| (name, value(recorded, name), Some(v.clone())))
+        .map(|(name, v)| (name, was.get(name.as_str()).copied(), Some(v.as_str())))
         .filter(|(_, was, is)| was != is);
     let gone = (recorded.iter())
-        .filter(|(name, _)| value(now, name).is_none())
-        .map(|(name, v)| (name, Some(v.clone()), None));
+        .filter(|(name, _)| !is.contains_key(name.as_str()))
+        .map(|(name, v)| (name, Some(v.as_str()), None));
     let moved: Vec<_> = changed.chain(gone).collect();
-    let shown = |v: &Option<String>| v.clone().unwrap_or_else(|| "(none)".to_owned());
     let mut s = String::new();
-    for (name, was, is) in &moved {
-        let _ = writeln!(s, "{name}  {} → {}", shown(was), shown(is));
+    for &(name, was, is) in &moved {
+        let [was, is] = [was, is].map(|v| v.unwrap_or("(none)"));
+        let _ = writeln!(s, "{name}  {was} → {is}");
     }
     if !moved.is_empty() {
         s.push_str("to re-record, paste into crates/bench/identity.tsv (and delete each row now (none)):\n");
@@ -282,7 +292,10 @@ pub fn check_manifest(now: &[Row], keep: impl Fn(&str) -> bool) -> (String, bool
             .cloned()
             .collect::<Vec<_>>()
     };
-    check(&slice(&parse(MANIFEST)), &slice(now))
+    match parse(MANIFEST) {
+        Ok(recorded) => check(&slice(&recorded), &slice(now)),
+        Err(e) => (format!("crates/bench/identity.tsv {e}\n"), false),
+    }
 }
 
 /// Computes every row and diffs it against the manifest: the report and
@@ -297,8 +310,8 @@ mod tests {
 
     #[test]
     fn a_moved_row_names_itself_and_prints_the_line_to_paste() {
-        let recorded = parse("# comment\n\nsame\t1\nmoved\t2\ngone\t3\nbroken\n");
-        let now = ["same\t1", "moved\t5", "new\t7"].map(|l| parse(l).remove(0));
+        let recorded = parse("# comment\n\nsame\t1\nmoved\t2\ngone\t3\nbroken\n").unwrap();
+        let now = ["same\t1", "moved\t5", "new\t7"].map(|l| parse(l).unwrap().remove(0));
         let (text, ok) = check(&recorded, &now);
         assert!(!ok);
         let want = "moved  2 → 5\nnew  (none) → 7\ngone  3 → (none)\nbroken   → (none)\n";
@@ -308,5 +321,15 @@ mod tests {
             "{text}"
         );
         assert!(check(&recorded[..1], &now[..1]).1);
+    }
+
+    #[test]
+    fn a_name_on_two_rows_fails_the_manifest() {
+        let err = parse("a\t1\nb\t2\n# a\t1\na\t1\n").unwrap_err();
+        assert_eq!(err, "line 4: a second row named a");
+        assert!(
+            parse(MANIFEST).is_ok(),
+            "the committed manifest names each row once"
+        );
     }
 }

@@ -40,7 +40,7 @@ pub const SUBCOMMANDS: &[(&str, &str)] = &[
     ),
     (
         "identity",
-        "every recorded output (benchmark-rig counts, trace and report digests, experiment tables, the mix trace) against crates/bench/identity.tsv; non-zero on a moved row",
+        "every recorded output (benchmark-rig counts, trace digests and report values by name, experiment tables, the mix trace) against crates/bench/identity.tsv; non-zero on a moved row",
     ),
     (
         "trace",

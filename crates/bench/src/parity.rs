@@ -3,9 +3,11 @@
 //! **Platform matrix.** Every [`ScenarioRegistry`] scenario × {no faults,
 //! seeded campaign + retry policy} × {`Dense`, `ActiveSet`} × {untraced,
 //! [`RingBufferSink`] installed} × the three [`Resume`] paths to cycle
-//! `a + b`. Each cell builds its own platform and its final
-//! [`PlatformReport`] must equal its scenario's reference — the `Dense`,
-//! untraced, uninterrupted run with the same faults — to the last bit. The
+//! `a + b`. Each cell builds its own platform and every value of its final
+//! [`PlatformReport`] ([`PlatformReport::values`]) must equal its
+//! scenario's reference's — the `Dense`, untraced, uninterrupted run with
+//! the same faults — to the last bit; a cell that differs names the first
+//! value that does, with both sides. The
 //! cell at the reference's own coordinates is a second build of the same
 //! run, which makes it the same-seed repeat check.
 //!
@@ -22,7 +24,9 @@
 
 use crate::experiments::{Ctx, Experiment, EXPERIMENTS};
 use crate::{arm_faults, Table};
-use nanowall::{FppaPlatform, PlatformReport, RingBufferSink, ScenarioRegistry, SchedulerMode};
+use nanowall::{
+    FppaPlatform, PlatformReport, ReportValue, RingBufferSink, ScenarioRegistry, SchedulerMode,
+};
 use nw_sim::parallel_map_with;
 
 /// How a cell gets from cycle 0 to cycle `a + b`.
@@ -70,8 +74,10 @@ pub struct Cell {
 pub struct CellResult {
     /// Which cell.
     pub cell: Cell,
-    /// Final report equal to the scenario's reference.
-    pub identical: bool,
+    /// The first value of the final report that is not bit-identical to
+    /// the scenario's reference's, with both values; `None` when every
+    /// value is.
+    pub diverged: Option<String>,
     /// Tasks completed by cycle `a + b`.
     pub tasks: u64,
     /// Campaign events applied.
@@ -140,7 +146,7 @@ impl ParityRun {
 
     /// Every comparison identical and none of them vacuous.
     pub fn ok(&self) -> bool {
-        self.cells.iter().all(|r| r.identical)
+        self.cells.iter().all(|r| r.diverged.is_none())
             && self.tables.iter().all(|t| t.identical)
             && self.vacuities().is_empty()
     }
@@ -162,7 +168,7 @@ impl ParityRun {
         ]);
         for group in self.cells.chunks(GROUP) {
             let first = &group[0];
-            let same = group.iter().filter(|r| r.identical).count();
+            let same = group.iter().filter(|r| r.diverged.is_none()).count();
             t.row_owned(vec![
                 first.cell.scenario.to_owned(),
                 if first.cell.faulted { "on" } else { "off" }.to_owned(),
@@ -180,8 +186,10 @@ impl ParityRun {
         }
         s.push_str(&t.render());
 
-        for r in self.cells.iter().filter(|r| !r.identical) {
-            s.push_str(&format!("DIVERGED  {:?} split {a}+{b}\n", r.cell));
+        for r in &self.cells {
+            if let Some(value) = &r.diverged {
+                s.push_str(&format!("DIVERGED  {:?} split {a}+{b}  {value}\n", r.cell));
+            }
         }
         for r in self.tables.iter().filter(|r| !r.identical) {
             s.push_str(&format!("DIVERGED  table {} {}\n", r.id, r.axis));
@@ -259,6 +267,29 @@ fn run_cell(
     (report, events)
 }
 
+/// The first value of `now` that is not bit-identical to `reference`'s,
+/// as `name: reference <value>, cell <value>`; `None` when every value is.
+/// Where the two lists part by name, both rows are shown (`(none)` past
+/// the end of one).
+fn first_difference(
+    reference: &[(String, ReportValue)],
+    now: &[(String, ReportValue)],
+) -> Option<String> {
+    let n = reference.len().max(now.len());
+    let row = |r: Option<&(String, ReportValue)>| {
+        r.map_or("(none)".to_owned(), |(n, v)| format!("{n} = {v}"))
+    };
+    (0..n).find_map(|i| {
+        let (r, c) = (reference.get(i), now.get(i));
+        (r != c).then(|| match (r, c) {
+            (Some((name, was)), Some((same, is))) if name == same => {
+                format!("{name}: reference {was}, cell {is}")
+            }
+            _ => format!("reference {}, cell {}", row(r), row(c)),
+        })
+    })
+}
+
 /// The platform matrix over `scenarios`, scenario-major, on `threads`
 /// workers. A (scenario, faults) group's reference is the run at its first
 /// cell's coordinates; that cell then runs it a second time.
@@ -288,15 +319,15 @@ fn platform_matrix(
         }
     }
     let firsts: Vec<Cell> = cells.iter().copied().step_by(GROUP).collect();
-    let references: Vec<PlatformReport> = parallel_map_with(threads, firsts, |reference| {
-        run_cell(&registry, reference, seed, split).0
+    let references: Vec<_> = parallel_map_with(threads, firsts, |reference| {
+        run_cell(&registry, reference, seed, split).0.values()
     });
     let indexed: Vec<(usize, Cell)> = cells.into_iter().enumerate().collect();
     parallel_map_with(threads, indexed, |(i, cell)| {
         let (report, events) = run_cell(&registry, cell, seed, split);
         CellResult {
             cell,
-            identical: report == references[i / GROUP],
+            diverged: first_difference(&references[i / GROUP], &report.values()),
             tasks: report.tasks_completed,
             faults: report.resilience.faults_injected,
             retries: report.resilience.retries,
@@ -432,7 +463,7 @@ mod tests {
                 traced: true,
                 resume: Resume::Restore,
             },
-            identical: true,
+            diverged: None,
             tasks: 10,
             faults: 2,
             retries: 1,
@@ -457,12 +488,12 @@ mod tests {
         assert!(clean.ok() && !clean.render().contains("DIVERGED"));
 
         let mut run = hand_built();
-        run.cells[1].identical = false;
+        run.cells[1].diverged = Some("noc.delivered: reference 12, cell 13".to_owned());
         assert!(!run.ok());
         let text = run.render();
         for coordinate in [
             "DIVERGED  Cell { scenario: \"ipv4\", faulted: true, scheduler: ActiveSet",
-            "traced: true, resume: Restore } split 3+4",
+            "traced: true, resume: Restore } split 3+4  noc.delivered: reference 12, cell 13\n",
             "1/2",
             "reproduce: expt parity --quick --seed 9\n",
         ] {
@@ -475,6 +506,45 @@ mod tests {
         run.tables[0].identical = false;
         assert!(!run.ok());
         assert!(run.render().contains("DIVERGED  table t8 scheduler=Dense"));
+    }
+
+    #[test]
+    fn a_divergence_names_the_first_value_apart_by_its_bits() {
+        let cell = Cell {
+            scenario: "ipv4",
+            faulted: false,
+            scheduler: SCHEDULERS[0],
+            traced: false,
+            resume: Resume::Uninterrupted,
+        };
+        let report = run_cell(&ScenarioRegistry::standard(), cell, 1, (200, 200)).0;
+        let reference = report.values();
+        assert_eq!(first_difference(&reference, &reference), None);
+
+        let mut moved = report.clone();
+        moved.noc.delivered += 1;
+        let d = moved.noc.delivered;
+        assert_eq!(
+            first_difference(&reference, &moved.values()).as_deref(),
+            Some(format!("noc.delivered: reference {}, cell {d}", d - 1).as_str())
+        );
+
+        // `==` on the report is IEEE equality; the values are not.
+        let (mut zero, mut negative) = (report.clone(), report);
+        zero.energy.0 = 0.0;
+        negative.energy.0 = -0.0;
+        assert_eq!(zero, negative);
+        let (zero, negative) = (zero.values(), negative.values());
+        assert_eq!(
+            first_difference(&zero, &negative).as_deref(),
+            Some("energy: reference 0.0, cell -0.0")
+        );
+        let last = zero.last().expect("a report has values");
+        let shown = format!("reference {} = {}, cell (none)", last.0, last.1);
+        assert_eq!(
+            first_difference(&zero, &zero[..zero.len() - 1]),
+            Some(shown)
+        );
     }
 
     #[test]

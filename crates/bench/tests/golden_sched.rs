@@ -1,16 +1,18 @@
-//! The scheduler rows of `crates/bench/identity.tsv`: every
-//! `SchedulerStats` count and the report digest of each benchmark rig's
+//! The scheduler and report rows of `crates/bench/identity.tsv`: every
+//! `SchedulerStats` count and every report value of each benchmark rig's
 //! traced run (`nw_bench::identity`), checked in tier-1.
 //!
-//! The counts say what the run loop *did*, the report digest what the run
-//! computed. A loop change that means to be bookkeeping (a faster path to
-//! the same steps and hops) leaves every row equal. A moved row prints
-//! `name  recorded → now` and the manifest line to paste, which is only
-//! the right thing to do for a change that means to alter what the
-//! scheduler visits.
+//! The counts say what the run loop *did*, the `report.<name>` rows
+//! (`PlatformReport::values`) what the run computed. A loop change that
+//! means to be bookkeeping (a faster path to the same steps and hops)
+//! leaves every row equal. A moved row prints `name  recorded → now` and
+//! the manifest line to paste, which is only the right thing to do for a
+//! change that means to alter what the scheduler visits or what the run
+//! computes.
 
-use nanowall::HostPhase;
+use nanowall::{HostPhase, ReportValue};
 use nw_bench::identity::{self, RigRun};
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 /// Every rig's traced run, in `BenchRig::ALL` order, shared by both tests.
@@ -42,4 +44,40 @@ fn windows_reach_what_they_pin() {
         faults.faults_injected > 0 && faults.retries > 0,
         "{faults:?}"
     );
+}
+
+/// One value moved by one moves one row, and the row names it.
+#[test]
+fn a_one_value_change_moves_exactly_its_named_row() {
+    for run in runs() {
+        let mut moved = run.clone();
+        moved.report.noc.delivered += 1;
+        let rows = identity::rig_rows(&moved);
+        let w = run.rig.name();
+        let prefix = format!("rig.{w}.");
+        let (report, ok) = identity::check_manifest(&rows, |name| name.starts_with(&prefix));
+        assert!(!ok);
+        let d = run.report.noc.delivered;
+        let want = format!("rig.{w}.report.noc.delivered  {d} → {}\n", d + 1);
+        assert!(report.starts_with(&want), "{report}");
+        assert!(report.contains("IDENTITY  1 of "), "{report}");
+    }
+}
+
+/// Each row is a name the manifest can hold once, and each float row
+/// reads back as the value it pins.
+#[test]
+fn report_values_have_unique_names_and_round_trip_their_bits() {
+    for run in runs() {
+        let values = run.report.values();
+        let mut names = HashSet::new();
+        for (name, value) in &values {
+            assert!(names.insert(name), "{}: {name} twice", run.rig.name());
+            if let ReportValue::F64(x) = *value {
+                let back: f64 = value.to_string().parse().expect("a float");
+                assert_eq!(back.to_bits(), x.to_bits(), "{name} = {value}");
+            }
+        }
+        assert!(values.iter().any(|(_, v)| matches!(v, ReportValue::F64(_))));
+    }
 }
