@@ -24,10 +24,10 @@
 //! CHANGES.md. `expt parity` is the other half: the simulator's agreement
 //! with itself, with nothing recorded.
 //!
-//! Tier-1 checks the rig and `--fast` rows, one slice per test:
-//! `tests/golden_sched.rs` the counts and report values,
-//! `tests/golden_trace.rs` the trace rows, and `smoke_expt.rs` the
-//! `--fast` tables. CI runs `expt identity` for every row.
+//! Tier-1 checks the rig and `--fast` rows: `tests/golden_rigs.rs` the
+//! counts, trace rows and report values from one run of the four rigs, and
+//! `smoke_expt.rs` the `--fast` tables. CI runs `expt identity` for every
+//! row.
 
 use crate::experiments::{Ctx, Experiment, EXPERIMENTS};
 use nanowall::scenarios::BenchRig;
@@ -164,7 +164,7 @@ pub struct RigRun {
 
 impl RigRun {
     /// The trace's `FastForward` events: how many, and their spans summed.
-    // nw-analyze: allow(PUB01): golden_trace checks that fast-forward hops cover every skipped cycle
+    // nw-analyze: allow(PUB01): golden_rigs checks that fast-forward hops cover every skipped cycle
     pub fn fast_forwards(&self) -> (u64, u64) {
         (self.sink.fast_forwards, self.sink.cycles_fast_forwarded)
     }
@@ -191,7 +191,7 @@ pub fn rig_runs() -> Vec<RigRun> {
 }
 
 /// The `rig.<workload>.*` rows of `run`.
-// nw-analyze: allow(PUB01): golden_sched and golden_trace compare these rows with the manifest
+// nw-analyze: allow(PUB01): golden_rigs compares these rows with the manifest
 pub fn rig_rows(run: &RigRun) -> Vec<Row> {
     let row = |field: &str, value: String| (format!("rig.{}.{field}", run.rig.name()), value);
     let counts = counts(run.stats).map(|(field, n)| row(field, n.to_string()));

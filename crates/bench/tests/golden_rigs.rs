@@ -1,21 +1,25 @@
-//! The scheduler and report rows of `crates/bench/identity.tsv`: every
-//! `SchedulerStats` count and every report value of each benchmark rig's
-//! traced run (`nw_bench::identity`), checked in tier-1.
+//! The rig rows of `crates/bench/identity.tsv`: every `SchedulerStats`
+//! count, the trace's event count and FNV-1a digest, and every report value
+//! of each benchmark rig's traced run (`nw_bench::identity`), checked in
+//! tier-1 from one run of the four windows.
 //!
-//! The counts say what the run loop *did*, the `report.<name>` rows
-//! (`PlatformReport::values`) what the run computed. A loop change that
-//! means to be bookkeeping (a faster path to the same steps and hops)
-//! leaves every row equal. A moved row prints `name  recorded → now` and
-//! the manifest line to paste, which is only the right thing to do for a
-//! change that means to alter what the scheduler visits or what the run
-//! computes.
+//! The counts say what the run loop *did*, the trace rows what an observer
+//! saw, the `report.<name>` rows (`PlatformReport::values`) what the run
+//! computed. A loop change that means to be bookkeeping (a faster path to
+//! the same steps and hops) leaves every row equal: observers stay inert,
+//! and a change that moves where a hop is announced, which cycle a transfer
+//! is stamped with, or the order of two events in one cycle moves the trace
+//! rows even when every report is equal. A moved row prints
+//! `name  recorded → now` and the manifest line to paste, which is only the
+//! right thing to do for a change that means to alter what the scheduler
+//! visits, what an observer sees or what the run computes.
 
 use nanowall::{HostPhase, ReportValue};
 use nw_bench::identity::{self, RigRun};
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
-/// Every rig's traced run, in `BenchRig::ALL` order, shared by both tests.
+/// Every rig's traced run, in `BenchRig::ALL` order, shared by every test.
 fn runs() -> &'static [RigRun] {
     static RUNS: OnceLock<Vec<RigRun>> = OnceLock::new();
     RUNS.get_or_init(identity::rig_runs)
@@ -26,6 +30,24 @@ fn scheduler_counts_match_the_recorded_table() {
     let now: Vec<_> = runs().iter().flat_map(identity::rig_rows).collect();
     let (report, ok) = identity::check_manifest(&now, |name| {
         name.starts_with("rig.") && !name.contains(".trace.")
+    });
+    assert!(ok, "{report}");
+}
+
+#[test]
+fn trace_digests_match_the_recorded_table() {
+    for run in runs() {
+        let stats = run.stats;
+        assert_eq!(
+            run.fast_forwards(),
+            (stats.hops, stats.cycles_hopped),
+            "{}: one FastForward per hop, their spans summing to the cycles hopped",
+            run.rig.name()
+        );
+    }
+    let now: Vec<_> = runs().iter().flat_map(identity::rig_rows).collect();
+    let (report, ok) = identity::check_manifest(&now, |name| {
+        name.starts_with("rig.") && name.contains(".trace.")
     });
     assert!(ok, "{report}");
 }

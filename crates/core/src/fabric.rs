@@ -31,7 +31,7 @@
 //! ```
 
 use nw_sim::{PipelinedServer, ServerFull};
-use nw_types::{AreaMm2, Bytes, Cycles, Picojoules};
+use nw_types::{AreaMm2, Cycles, Picojoules};
 use std::fmt;
 
 /// Parameters of an embedded FPGA fabric.
@@ -69,11 +69,6 @@ impl FabricSpec {
     pub fn reconfig_cycles(&self, luts: u32) -> Cycles {
         let bytes = luts as u64 * self.bitstream_bytes_per_lut;
         Cycles(bytes.div_ceil(self.config_bytes_per_cycle.max(1)))
-    }
-
-    /// Bitstream size for a kernel occupying `luts` LUTs.
-    pub fn bitstream_bytes(&self, luts: u32) -> Bytes {
-        Bytes(luts as u64 * self.bitstream_bytes_per_lut)
     }
 }
 
@@ -235,11 +230,6 @@ impl Efpga {
         }
     }
 
-    /// The fabric parameters.
-    pub fn spec(&self) -> &FabricSpec {
-        &self.spec
-    }
-
     /// The currently configured kernel, if any.
     pub fn kernel(&self) -> Option<&MappedKernel> {
         self.kernel.as_ref()
@@ -383,7 +373,7 @@ mod tests {
         let mut e = Efpga::new(FabricSpec::default());
         let k = KernelSpec::checksum_offload();
         e.reconfigure(&k, Cycles(0)).unwrap();
-        let downtime = e.spec().reconfig_cycles(k.luts).0;
+        let downtime = e.spec.reconfig_cycles(k.luts).0;
         assert!(
             downtime > 1_000,
             "bitstream load should be slow: {downtime}"
@@ -401,7 +391,7 @@ mod tests {
         let mut e = Efpga::new(FabricSpec::default());
         let k = KernelSpec::checksum_offload(); // hw_ii=1 → fabric ii=3
         e.reconfigure(&k, Cycles(0)).unwrap();
-        let start = e.spec().reconfig_cycles(k.luts).0 + 10;
+        let start = e.spec.reconfig_cycles(k.luts).0 + 10;
         for id in 0..8 {
             e.try_submit(id, Cycles(start)).unwrap();
         }

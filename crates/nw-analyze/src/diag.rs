@@ -76,9 +76,9 @@ impl RuleId {
                  match a real finding; markers must name a known rule and a reason"
             }
             RuleId::Doc01 => {
-                "every back-ticked file path in README.md and ARCHITECTURE.md names a file \
-                 or directory that exists in the repository, every `--example NAME` an \
-                 examples/NAME.rs"
+                "every back-ticked file path in README.md, ARCHITECTURE.md and \
+                 .claude/skills/verify/SKILL.md names a file or directory that exists in the \
+                 repository, every `--example NAME` an examples/NAME.rs"
             }
             RuleId::Pub01 => {
                 "no dead public surface: a pub fn/struct/enum/trait/type/const/static in \

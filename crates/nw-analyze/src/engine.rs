@@ -168,9 +168,9 @@ pub fn analyze_sources(
 }
 
 /// Loads and scans every first-party `.rs` file under `root` and its
-/// `README.md` and `ARCHITECTURE.md`, applies the allowlist at
-/// `root/nw-analyze.allow` (absence is an empty allowlist, not an error),
-/// and returns the surviving findings.
+/// `README.md`, `ARCHITECTURE.md` and `.claude/skills/verify/SKILL.md`,
+/// applies the allowlist at `root/nw-analyze.allow` (absence is an empty
+/// allowlist, not an error), and returns the surviving findings.
 ///
 /// # Errors
 ///
@@ -184,7 +184,12 @@ pub fn analyze(root: &Path) -> io::Result<AnalysisReport> {
         }
     }
     // The documents whose back-ticked paths DOC01 resolves.
-    paths.extend(["README.md", "ARCHITECTURE.md"].map(|doc| root.join(doc)));
+    let docs = [
+        "README.md",
+        "ARCHITECTURE.md",
+        ".claude/skills/verify/SKILL.md",
+    ];
+    paths.extend(docs.map(|doc| root.join(doc)));
     let mut files = Vec::with_capacity(paths.len());
     for p in &paths {
         let text = fs::read_to_string(p)?;

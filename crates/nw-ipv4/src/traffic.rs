@@ -66,8 +66,6 @@ pub struct PacketGenerator {
     mix: TrafficMix,
     rng: StdRng,
     next_id: u16,
-    /// Fraction of packets aimed outside the table (default 0).
-    miss_fraction: f64,
 }
 
 impl PacketGenerator {
@@ -83,32 +81,19 @@ impl PacketGenerator {
             mix,
             rng: StdRng::seed_from_u64(seed),
             next_id: 0,
-            miss_fraction: 0.0,
         }
-    }
-
-    /// Sets the fraction of packets whose destination misses the table
-    /// (drawn from 240/4, reserved space no synthetic prefix covers).
-    pub fn with_miss_fraction(mut self, f: f64) -> Self {
-        self.miss_fraction = f.clamp(0.0, 1.0);
-        self
     }
 
     /// Generates the next packet's bytes (header + zero payload).
     pub fn next_packet(&mut self) -> Vec<u8> {
-        let dst = if self.miss_fraction > 0.0 && self.rng.gen_bool(self.miss_fraction) {
-            // 240.0.0.0/4 is reserved; synthetic tables never cover it.
-            0xF000_0000 | (self.rng.gen::<u32>() & 0x0FFF_FFFF)
+        let p = self.prefixes[self.rng.gen_range(0..self.prefixes.len())];
+        let host_bits = 32 - p.len;
+        let host: u32 = if host_bits == 0 {
+            0
         } else {
-            let p = self.prefixes[self.rng.gen_range(0..self.prefixes.len())];
-            let host_bits = 32 - p.len;
-            let host: u32 = if host_bits == 0 {
-                0
-            } else {
-                self.rng.gen::<u32>() & ((1u32 << host_bits) - 1)
-            };
-            p.addr | host
+            self.rng.gen::<u32>() & ((1u32 << host_bits) - 1)
         };
+        let dst = p.addr | host;
         let size = self.mix.pick_size(&mut self.rng);
         let mut h = Ipv4Header {
             dscp_ecn: 0,
@@ -155,24 +140,6 @@ mod tests {
             let h = Ipv4Header::parse(&pkt).expect("generated packets must be valid");
             assert!(table.lookup(h.dst).is_some(), "dst must be routable");
         }
-    }
-
-    #[test]
-    fn miss_fraction_produces_misses() {
-        let mut table = LinearTable::new();
-        for (i, p) in prefixes().iter().enumerate() {
-            table.insert(*p, i as u32);
-        }
-        let mut g =
-            PacketGenerator::new(prefixes(), TrafficMix::WorstCase, 2).with_miss_fraction(0.5);
-        let mut misses = 0;
-        for _ in 0..1000 {
-            let h = Ipv4Header::parse(&g.next_packet()).unwrap();
-            if table.lookup(h.dst).is_none() {
-                misses += 1;
-            }
-        }
-        assert!((400..600).contains(&misses), "misses {misses}");
     }
 
     #[test]

@@ -225,3 +225,47 @@ fn a_message_size_the_wire_cannot_carry_is_an_install_error() {
         assert!(dispatches[PING.0] > 0, "{what}");
     }
 }
+
+/// Keeps PE 0's threads busy with `task` and steps one cycle.
+fn feed_and_step(p: &mut FppaPlatform, task: &nw_pe::Program) {
+    while p.pe(0).idle_threads() > 0 {
+        p.pe_mut(0).spawn(task.clone()).expect("an idle thread");
+    }
+    p.step();
+}
+
+/// §6.3's run-time reconfiguration on a running platform: a PE runs the
+/// checksum kernel in software, the eFPGA is loaded mid-run, and the PE
+/// then ships items to it. The fabric serves nothing while the bitstream
+/// loads, serves items once it has, and both schedulers agree bit for bit.
+#[test]
+fn a_mid_run_efpga_reconfigure_stalls_then_serves_under_both_schedulers() {
+    use nw_pe::{Op, Program};
+    let kernel = KernelSpec::checksum_offload();
+    let downtime = FabricSpec::default().reconfig_cycles(kernel.luts);
+    let run = |mode: SchedulerMode| {
+        let mut cfg = FppaConfig::new("offload", TopologyKind::Ring);
+        cfg.add_pe(PeConfig::new(PeClass::GpRisc, 4));
+        cfg.add_fabric(FabricSpec::default());
+        let mut p = FppaPlatform::new(cfg).expect("valid config");
+        p.set_scheduler_mode(mode);
+        let software = Program::straight_line([Op::Compute(kernel.sw_cycles_per_item)]);
+        let offload = Program::straight_line([Op::call(p.fabric_node(0), 8, 8)]);
+        while p.now() < Cycles(3_000) {
+            feed_and_step(&mut p, &software);
+        }
+        let now = p.now();
+        p.fabric_mut(0).reconfigure(&kernel, now).expect("fits");
+        while p.now() < now + downtime {
+            feed_and_step(&mut p, &offload);
+            assert_eq!(p.fabric_mut(0).served(), 0, "served at {:?}", p.now());
+        }
+        while p.now() < Cycles(21_000) {
+            feed_and_step(&mut p, &offload);
+        }
+        let report = p.report(Cycles(21_000));
+        assert!(report.fabric_served > 0, "{report:?}");
+        report.values()
+    };
+    assert_eq!(run(SchedulerMode::Dense), run(SchedulerMode::ActiveSet));
+}
