@@ -26,10 +26,11 @@
 //!
 //! Tier-1 checks the rig and `--fast` rows: `tests/golden_rigs.rs` the
 //! counts, trace rows and report values from one run of the four rigs, and
-//! `smoke_expt.rs` the `--fast` tables. CI runs `expt identity` for every
-//! row.
+//! `smoke_expt::expt_parity_passes_quick` the `--fast` tables, from the
+//! reference tables its `expt parity --quick` run renders. CI runs `expt
+//! identity` for every row.
 
-use crate::experiments::{Ctx, Experiment, EXPERIMENTS};
+use crate::experiments::{Ctx, EXPERIMENTS};
 use nanowall::scenarios::BenchRig;
 use nanowall::{NocWork, PlatformReport, SchedulerStats, TraceEvent, TraceSink};
 use nw_sim::Fnv1a;
@@ -204,23 +205,19 @@ pub fn rig_rows(run: &RigRun) -> Vec<Row> {
     counts.into_iter().chain(trace).chain(values).collect()
 }
 
-/// The `table.fast.*` or `table.full.*` rows, in `expt list` order.
-pub fn table_rows(fast: bool) -> Vec<Row> {
+/// The `table.fast.<id>` or `table.full.<id>` row of `table`, experiment
+/// `id`'s table at that size.
+pub(crate) fn table_row(fast: bool, id: &str, table: &str) -> Row {
     let label = if fast { "fast" } else { "full" };
-    let row = |e: &Experiment| {
-        (
-            format!("table.{label}.{}", e.id),
-            digest(&(e.run)(Ctx::new(fast))),
-        )
-    };
-    EXPERIMENTS.iter().map(row).collect()
+    (format!("table.{label}.{id}"), digest(table))
 }
 
 /// Every row, in manifest order.
 fn rows() -> Vec<Row> {
     let mut rows: Vec<Row> = rig_runs().iter().flat_map(rig_rows).collect();
-    rows.extend(table_rows(true));
-    rows.extend(table_rows(false));
+    for fast in [true, false] {
+        rows.extend((EXPERIMENTS.iter()).map(|e| table_row(fast, e.id, &(e.run)(Ctx::new(fast)))));
+    }
     let mix = crate::obs::run_trace("mix", 50_000, 1 << 16, None).expect("a registered scenario");
     rows.push(("trace.mix".to_owned(), digest(&mix.json)));
     rows

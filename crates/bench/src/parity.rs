@@ -14,7 +14,10 @@
 //! **Experiment tables.** Every registered experiment's table is rendered
 //! once as `expt` renders it, then under `Dense` if the experiment builds a
 //! platform and on one worker if it sweeps (both read off its
-//! [`Experiment`] entry), and compared byte for byte.
+//! [`Experiment`](crate::experiments::Experiment) entry), and compared
+//! byte for byte. The first rendering is also digested into its
+//! `crates/bench/identity.tsv` row, so tier-1 checks the `--fast` rows
+//! from the tables this run renders instead of rendering them again.
 //!
 //! A comparison that cannot fail proves nothing, so the verdict also
 //! requires that every scenario completed tasks, every faulted cell
@@ -22,7 +25,8 @@
 //! captured events. Anything that diverges names itself: its coordinates
 //! and the command that reproduces it.
 
-use crate::experiments::{Ctx, Experiment, EXPERIMENTS};
+use crate::experiments::{Ctx, EXPERIMENTS};
+use crate::identity::{table_row, Row};
 use crate::{arm_faults, Table};
 use nanowall::{
     FppaPlatform, PlatformReport, ReportValue, RingBufferSink, ScenarioRegistry, SchedulerMode,
@@ -113,6 +117,10 @@ pub struct ParityRun {
     pub cells: Vec<CellResult>,
     /// The experiment-table section, `expt list` order.
     pub tables: Vec<TableResult>,
+    /// Each experiment's reference table as its manifest row
+    /// (`table.fast.<id>` when `quick`, else `table.full.<id>`), `expt
+    /// list` order.
+    pub digests: Vec<Row>,
 }
 
 /// Cells sharing one reference: scheduler × trace × resume.
@@ -290,18 +298,13 @@ fn first_difference(
     })
 }
 
-/// The platform matrix over `scenarios`, scenario-major, on `threads`
-/// workers. A (scenario, faults) group's reference is the run at its first
-/// cell's coordinates; that cell then runs it a second time.
-fn platform_matrix(
-    scenarios: &[&'static str],
-    seed: u64,
-    split: (u64, u64),
-    threads: usize,
-) -> Vec<CellResult> {
+/// The platform matrix over every registry scenario, scenario-major, on
+/// `threads` workers. A (scenario, faults) group's reference is the run at
+/// its first cell's coordinates; that cell then runs it a second time.
+fn platform_matrix(seed: u64, split: (u64, u64), threads: usize) -> Vec<CellResult> {
     let registry = ScenarioRegistry::standard();
     let mut cells = Vec::new();
-    for &scenario in scenarios {
+    for scenario in registry.names() {
         for faulted in [false, true] {
             for scheduler in SCHEDULERS {
                 for traced in [false, true] {
@@ -336,19 +339,20 @@ fn platform_matrix(
     })
 }
 
-/// The experiment-table section over `experiments`: each table is rendered
-/// under `base` — what `expt` prints — and once more per axis that can
-/// reach it, all renderings fanned out together, then compared. The caller
+/// The experiment-table section: each registered experiment's table is
+/// rendered under `base` — what `expt` prints — and once more per axis that
+/// can reach it, all renderings fanned out together, then compared. Returns
+/// the comparisons and each reference table's manifest row. The caller
 /// keeps `base.threads` at two or more so that a `threads=1` row never
 /// compares a serial run with itself.
-fn experiment_tables(experiments: &[Experiment], base: Ctx) -> Vec<TableResult> {
+fn experiment_tables(base: Ctx) -> (Vec<TableResult>, Vec<Row>) {
     let dense = Ctx {
         scheduler: SCHEDULERS[0],
         ..base
     };
     let serial = Ctx { threads: 1, ..base };
     let mut jobs = Vec::new();
-    for (i, e) in experiments.iter().enumerate() {
+    for (i, e) in EXPERIMENTS.iter().enumerate() {
         jobs.push((i, "", base));
         if e.platform {
             jobs.push((i, "scheduler=Dense", dense));
@@ -358,32 +362,23 @@ fn experiment_tables(experiments: &[Experiment], base: Ctx) -> Vec<TableResult> 
         }
     }
     let tables = parallel_map_with(base.threads, jobs.clone(), |(i, _, ctx)| {
-        (experiments[i].run)(ctx)
+        (EXPERIMENTS[i].run)(ctx)
     });
     let mut want = &tables[0];
-    let mut rows = Vec::new();
+    let (mut rows, mut digests) = (Vec::new(), Vec::new());
     for ((i, axis, _), table) in jobs.into_iter().zip(&tables) {
         if axis.is_empty() {
             want = table;
+            digests.push(table_row(base.fast, EXPERIMENTS[i].id, table));
         } else {
             rows.push(TableResult {
-                id: experiments[i].id,
+                id: EXPERIMENTS[i].id,
                 axis,
                 identical: table == want,
             });
         }
     }
-    rows
-}
-
-/// The split `(a, b)` of the platform matrix; `--quick` still runs every
-/// cell to cycle 20 000.
-fn split(quick: bool) -> (u64, u64) {
-    if quick {
-        (8_000, 12_000)
-    } else {
-        (20_000, 40_000)
-    }
+    (rows, digests)
 }
 
 /// Runs both sections. `quick` shrinks the split to CI size and renders the
@@ -391,67 +386,27 @@ fn split(quick: bool) -> (u64, u64) {
 pub fn run_parity(quick: bool, seed: u64) -> ParityRun {
     let mut base = Ctx::new(quick);
     base.threads = base.threads.max(2);
-    let scenarios = ScenarioRegistry::standard().names();
+    // `--quick` still runs every cell to cycle 20 000.
+    let split = if quick {
+        (8_000, 12_000)
+    } else {
+        (20_000, 40_000)
+    };
+    let cells = platform_matrix(seed, split, base.threads);
+    let (tables, digests) = experiment_tables(base);
     ParityRun {
         quick,
         seed,
-        split: split(quick),
-        cells: platform_matrix(&scenarios, seed, split(quick), base.threads),
-        tables: experiment_tables(&EXPERIMENTS, base),
+        split,
+        cells,
+        tables,
+        digests,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::find;
-
-    /// `run_parity(true, 1)` with each section cut down to its cheapest rows
-    /// that still reach everything: the one scenario whose calls retry at
-    /// this seed, and below one experiment per combination of axes. The
-    /// `expt parity --quick` smoke test runs all of both, once.
-    #[test]
-    fn the_quick_matrix_is_clean_complete_and_not_vacuous() {
-        let run = ParityRun {
-            quick: true,
-            seed: 1,
-            split: split(true),
-            cells: platform_matrix(&["ipv4"], 1, split(true), 2),
-            tables: Vec::new(),
-        };
-        assert!(run.ok(), "{}", run.render());
-        assert_eq!(run.vacuities(), Vec::<String>::new());
-        assert!(run.split.0 + run.split.1 >= 20_000);
-
-        assert_eq!(run.cells.len(), 2 * GROUP, "the product of the axes");
-        let has = |f: &dyn Fn(&Cell) -> bool| run.cells.iter().any(|r| f(&r.cell));
-        for on in [false, true] {
-            assert!(has(&|c| c.faulted == on) && has(&|c| c.traced == on));
-        }
-        assert!(SCHEDULERS.iter().all(|&m| has(&|c| c.scheduler == m)));
-        assert!(RESUMES.iter().all(|&r| has(&|c| c.resume == r)));
-        for (i, r) in run.cells.iter().enumerate() {
-            assert!(!run.cells[..i].iter().any(|o| o.cell == r.cell));
-            // The faulted half is a different run, not a repeat of the other.
-            assert_eq!(r.faults > 0, r.cell.faulted, "{:?}", r.cell);
-        }
-        assert!(run.render().ends_with("PARITY  bit-identical\n"));
-    }
-
-    #[test]
-    fn a_table_gets_one_row_per_axis_that_reaches_it() {
-        // No axis, one axis, both: the cheapest experiment of each kind.
-        let subset = ["t1", "f2", "t12"].map(|id| find(id).expect("registered"));
-        let base = Ctx {
-            threads: 2,
-            ..Ctx::new(true)
-        };
-        let rows = experiment_tables(&subset, base);
-        let got: Vec<(&str, &str)> = rows.iter().map(|r| (r.id, r.axis)).collect();
-        let dense = "scheduler=Dense";
-        assert_eq!(got, [("f2", dense), ("t12", dense), ("t12", "threads=1")]);
-        assert!(rows.iter().all(|r| r.identical), "{rows:?}");
-    }
 
     /// Two cells of one group and one table row, all healthy.
     fn hand_built() -> ParityRun {
@@ -479,6 +434,7 @@ mod tests {
                 axis: "scheduler=Dense",
                 identical: true,
             }],
+            digests: Vec::new(),
         }
     }
 

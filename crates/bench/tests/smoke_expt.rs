@@ -1,59 +1,12 @@
 //! End-to-end smoke tests for the `expt` binary and its experiment registry.
 //! What the simulator must agree with itself on — schedulers, pool sizes,
-//! faults, tracing, snapshots — is `expt parity`'s matrix, run here once
-//! through the binary.
+//! faults, tracing, snapshots — is `expt parity`'s matrix, run here once,
+//! in process; the reference tables that run renders are checked against
+//! their `table.fast.<id>` rows of `crates/bench/identity.tsv`.
 
-use nw_bench::experiments::{find, Ctx, EXPERIMENTS};
+use nw_bench::experiments::EXPERIMENTS;
+use nw_bench::parity::{run_parity, GROUP};
 use std::process::Command;
-
-/// Renders a registered experiment's `--fast` table in-process.
-fn table(id: &str) -> String {
-    (find(id).expect("registered id").run)(Ctx::new(true))
-}
-
-/// The cheapest experiment (T1, mask-set NRE — pure arithmetic, no
-/// simulation) runs through the library entry point and emits a table.
-#[test]
-fn t1_mask_nre_emits_a_table() {
-    let out = table("t1");
-    assert!(!out.trim().is_empty(), "t1 must emit a non-empty table");
-    assert!(
-        out.contains("T1"),
-        "table header names the experiment: {out}"
-    );
-    assert!(out.contains("90nm"), "paper's headline node appears: {out}");
-    let rows = out.lines().filter(|l| l.contains("nm")).count();
-    assert!(rows >= 5, "one row per technology node: {out}");
-}
-
-/// Unknown ids are rejected, and every advertised id is runnable (checked
-/// here only for the ids that complete in milliseconds).
-#[test]
-fn registry_is_consistent() {
-    assert!(find("zz").is_none());
-    for id in ["t1", "t2", "f3", "t4", "t7", "f1"] {
-        assert!(!table(id).trim().is_empty(), "{id} must emit output");
-    }
-}
-
-/// The three application-workload experiments run end-to-end and report
-/// non-degenerate numbers: delivered items and nonzero per-item energy.
-#[test]
-fn workload_experiments_are_nondegenerate() {
-    let tables = ["t8", "t9", "t10"].map(|id| (id, table(id)));
-    for (id, out) in &tables {
-        assert!(out.contains(&id.to_uppercase()), "{id} table header: {out}");
-        // Every delivered-ratio cell is a percentage; at least one row must
-        // deliver traffic.
-        assert!(
-            out.lines().any(|l| l.contains('%') && !l.contains(" 0%")),
-            "{id} must deliver items: {out}"
-        );
-    }
-    // Per-item energy shows up in the video and crypto tables.
-    assert!(tables[0].1.contains("pJ/slice"), "{}", tables[0].1);
-    assert!(tables[2].1.contains("pJ/payload"), "{}", tables[2].1);
-}
 
 /// `expt list` prints every experiment id and covers every entry of the
 /// scenario registry — name *and* a non-empty one-line description — so
@@ -277,41 +230,52 @@ fn expt_trace_writes_valid_chrome_trace_json() {
     assert!(empty_ring.stdout.is_empty(), "nothing ran first");
 }
 
-/// `expt parity --quick` end to end — the one full run of the matrix in
-/// tier-1: exit 0, the seed echoed, all 120 platform cells, one table row
-/// per experiment and axis that reaches its table, nothing diverged.
+/// `expt parity --quick --seed 7` — the one run of the matrix in tier-1,
+/// in process: nothing diverged or vacuous, every cell of the axes'
+/// product once, scenario-major, each faulted cell and no other injecting
+/// faults, one table row per experiment and axis that reaches its table,
+/// and every reference table it rendered equal to its `table.fast.<id>`
+/// manifest row. The tables are pure functions of the code (no wall-clock
+/// column, no seed from the environment, pool-size invariant as the
+/// `threads=1` rows show), so a refactor, a storage or a scheduling change
+/// leaves every row alone, and a moved row names its experiment and
+/// prints the line to paste — only for a model change named in CHANGES.md.
 #[test]
 fn expt_parity_passes_quick() {
-    let exe = env!("CARGO_BIN_EXE_expt");
-    let out = Command::new(exe)
-        .args(["parity", "--quick", "--seed", "7"])
-        .output()
-        .expect("spawns");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "expt parity must exit 0: {stdout}");
-    assert!(stdout.starts_with("PARITY  seed 7 "), "header: {stdout}");
-    assert!(stdout.contains("120 platform cells"), "header: {stdout}");
-    assert!(
-        stdout.contains("PARITY  bit-identical"),
-        "verdict: {stdout}"
-    );
-    assert!(!stdout.contains("DIVERGED"), "no diverging cell: {stdout}");
-    assert!(!stdout.contains("VACUOUS"), "every fact holds: {stdout}");
-    for name in nanowall::ScenarioRegistry::standard().names() {
-        let groups = (stdout.lines()).filter(|l| l.starts_with(name) && l.contains("12/12"));
-        assert_eq!(groups.count(), 2, "{name} with and without faults");
-    }
-    let row = |id: &str, axis: &str| {
-        stdout.lines().any(|l| {
-            let mut cells = l.split_whitespace();
-            cells.next() == Some(id) && cells.next() == Some(axis)
-        })
-    };
-    for e in EXPERIMENTS {
-        assert_eq!(row(e.id, "scheduler=Dense"), e.platform, "{}", e.id);
-        assert_eq!(row(e.id, "threads=1"), e.sweeps, "{}", e.id);
+    let run = run_parity(true, 7);
+    let text = run.render();
+    assert!(run.ok(), "{text}");
+    assert!(text.starts_with("PARITY  seed 7 "), "{text}");
+    assert!(text.ends_with("PARITY  bit-identical\n"), "{text}");
+    assert!(run.split.0 + run.split.1 >= 20_000, "{:?}", run.split);
+
+    // Distinct cells, GROUP to each (scenario, faults) half: each half
+    // holds every (scheduler, trace, resume) coordinate once.
+    let names = nanowall::ScenarioRegistry::standard().names();
+    assert_eq!(run.cells.len(), names.len() * 2 * GROUP);
+    for (i, r) in run.cells.iter().enumerate() {
+        assert!(!run.cells[..i].iter().any(|o| o.cell == r.cell), "{r:?}");
+        assert_eq!(r.cell.scenario, names[i / (2 * GROUP)], "{r:?}");
+        assert_eq!(r.cell.faulted, i / GROUP % 2 == 1, "{r:?}");
+        // The faulted half is a different run, not a repeat of the other.
+        assert_eq!(r.faults > 0, r.cell.faulted, "{r:?}");
     }
 
+    let axes: Vec<(&str, &str)> = run.tables.iter().map(|t| (t.id, t.axis)).collect();
+    let reach = EXPERIMENTS.iter().flat_map(|e| {
+        [(e.platform, "scheduler=Dense"), (e.sweeps, "threads=1")]
+            .into_iter()
+            .filter(|&(reached, _)| reached)
+            .map(move |(_, axis)| (e.id, axis))
+    });
+    assert_eq!(axes, reach.collect::<Vec<_>>());
+
+    assert_eq!(run.digests.len(), EXPERIMENTS.len());
+    let (report, ok) =
+        nw_bench::identity::check_manifest(&run.digests, |name| name.starts_with("table.fast."));
+    assert!(ok, "{report}");
+
+    let exe = env!("CARGO_BIN_EXE_expt");
     let unknown = Command::new(exe)
         .args(["parity", "--frobnicate"])
         .output()
@@ -347,28 +311,6 @@ fn bad_seed_is_a_usage_error_everywhere() {
     }
 }
 
-/// The installed binary itself: `expt --fast t1` exits 0 and prints the
-/// table; bad ids and empty invocations exit non-zero.
-#[test]
-fn expt_binary_runs_t1_end_to_end() {
-    let exe = env!("CARGO_BIN_EXE_expt");
-
-    let ok = Command::new(exe)
-        .args(["--fast", "t1"])
-        .output()
-        .expect("expt binary spawns");
-    assert!(ok.status.success(), "expt t1 must exit 0: {ok:?}");
-    let stdout = String::from_utf8_lossy(&ok.stdout);
-    assert!(stdout.contains("T1"), "stdout carries the table: {stdout}");
-    assert!(stdout.lines().count() >= 5, "table has rows: {stdout}");
-
-    let bad = Command::new(exe).arg("nope").output().expect("spawns");
-    assert!(!bad.status.success(), "unknown id must exit non-zero");
-
-    let none = Command::new(exe).output().expect("spawns");
-    assert!(!none.status.success(), "no args must exit non-zero (usage)");
-}
-
 /// An experiment run takes `--fast` and no other flag: a flag it would
 /// have to ignore is a usage error that names it, raised before any
 /// experiment runs. A subcommand named in an experiment run is one too,
@@ -376,6 +318,7 @@ fn expt_binary_runs_t1_end_to_end() {
 /// `snapshot` are not subcommands but unknown ids like any other, so a
 /// stale CI line fails loudly. `list` and `identity` take nothing after
 /// them, and the usage an empty run prints lists every subcommand.
+/// `expt --fast t1` and `expt t1 --fast` print the table.
 #[test]
 fn experiment_runs_reject_stray_flags_and_unknown_ids() {
     let exe = env!("CARGO_BIN_EXE_expt");
@@ -400,28 +343,17 @@ fn experiment_runs_reject_stray_flags_and_unknown_ids() {
         (&["list", "extra"][..], "list"),
         (&["identity", "--fast"][..], "--fast"),
         (&["--fast"][..], "identity"),
+        (&[][..], "identity"),
     ] {
         let (code, stdout, stderr) = run(args);
         assert_eq!(code, Some(2), "{args:?} is a usage error: {stderr}");
         assert!(stderr.contains(named), "{args:?} names {named}: {stderr}");
         assert!(stdout.is_empty(), "{args:?} ran something first: {stdout}");
     }
-    let (code, stdout, _) = run(&["t1", "--fast"]);
-    assert_eq!(code, Some(0), "flags may follow the ids");
-    assert!(stdout.contains("T1"), "{stdout}");
-}
-
-/// The `table.fast.*` rows of `crates/bench/identity.tsv`: the FNV-1a of
-/// every registered experiment's `--fast` table, one row each. The tables
-/// are pure functions of the code (no wall-clock column, no seed from the
-/// environment; sweeps are pool-size invariant, `expt parity` checks
-/// that), so a refactor, a storage or a scheduling change leaves every row
-/// alone, and a moved row names its experiment and prints the line to
-/// paste — only for a model change named in CHANGES.md.
-#[test]
-fn fast_tables_match_their_committed_digests() {
-    let now = nw_bench::identity::table_rows(true);
-    let (report, ok) =
-        nw_bench::identity::check_manifest(&now, |name| name.starts_with("table.fast."));
-    assert!(ok, "{report}");
+    for args in [["--fast", "t1"], ["t1", "--fast"]] {
+        let (code, stdout, _) = run(&args);
+        assert_eq!(code, Some(0), "{args:?}: flags may follow the ids");
+        assert!(stdout.contains("T1"), "{stdout}");
+        assert!(stdout.lines().count() >= 5, "one row per node: {stdout}");
+    }
 }

@@ -4,19 +4,26 @@
 //! runs as `expt lint` — kept here too so `cargo test -p nw-analyze`
 //! fails the moment a nondeterminism hazard lands anywhere.
 
+use nw_analyze::AnalysisReport;
 use std::path::Path;
+use std::sync::OnceLock;
 
-fn workspace_root() -> &'static Path {
-    // crates/nw-analyze -> crates -> workspace root.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crate lives two levels under the workspace root")
+/// One scan of the workspace, shared by every test.
+fn report() -> &'static AnalysisReport {
+    static REPORT: OnceLock<AnalysisReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        // crates/nw-analyze -> crates -> workspace root.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(Path::parent)
+            .expect("crate lives two levels under the workspace root");
+        nw_analyze::analyze(root).expect("workspace tree is readable")
+    })
 }
 
 #[test]
 fn workspace_is_clean_under_every_rule() {
-    let report = nw_analyze::analyze(workspace_root()).expect("workspace tree is readable");
+    let report = report();
     assert!(
         report.is_clean(),
         "nw-analyze found violations:\n{}",
@@ -32,7 +39,7 @@ fn workspace_is_clean_under_every_rule() {
 
 #[test]
 fn workspace_exemptions_are_exercised() {
-    let report = nw_analyze::analyze(workspace_root()).expect("workspace tree is readable");
+    let report = report();
     // The repo carries real grandfathered sites: a marker (the ND03
     // write-once cache of the sweep pool size) and at least one allowlist
     // entry. If these go to zero the mechanisms are untested in the wild
@@ -57,7 +64,7 @@ fn profiler_wall_clock_is_allowlisted_not_invisible() {
     // them), never as silence: if the allowlisted count here drops, either
     // the profiler moved (update the allowlist path) or the scanner
     // stopped seeing nw-obs at all.
-    let report = nw_analyze::analyze(workspace_root()).expect("workspace tree is readable");
+    let report = report();
     assert!(
         report.is_clean(),
         "profiler wall-clock must be covered by the allowlist:\n{}",

@@ -481,25 +481,6 @@ fn scheduler_stats_repeat_and_pes_sleep_through_most_cycles() {
     assert_eq!(dense.phases_entered, [30_000; 7], "and enters every phase");
 }
 
-#[test]
-fn next_event_cycle_never_overshoots() {
-    // On an idle platform the platform-wide next event equals the earliest
-    // component event; stepping to it must observe a state change while
-    // every skipped cycle was provably a no-op (verified by the identical
-    // reports above — here we check the bound itself on a quiet rig).
-    let reg = ScenarioRegistry::standard();
-    let mut rig = reg.build("crypto", true).expect("registered");
-    rig.platform.set_scheduler_mode(SchedulerMode::ActiveSet);
-    rig.run(2_000);
-    if let Some(t) = rig.platform.next_event_cycle() {
-        assert!(
-            t >= rig.platform.now(),
-            "next event {t} is in the past (now {})",
-            rig.platform.now()
-        );
-    }
-}
-
 /// What a ping costs on the ping → pong rig, and how it gets there.
 #[derive(Clone, Copy)]
 struct Ping {
