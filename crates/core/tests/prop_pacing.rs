@@ -87,7 +87,7 @@ fn steps_strategy() -> impl Strategy<Value = Vec<Step>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn one_jump_leaves_the_state_of_single_ticks(

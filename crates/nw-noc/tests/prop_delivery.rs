@@ -18,7 +18,7 @@ fn kind_strategy() -> impl Strategy<Value = TopologyKind> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Every accepted packet is delivered exactly once with its payload
     /// intact, no matter the topology, size or traffic pattern.

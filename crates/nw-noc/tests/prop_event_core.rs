@@ -392,7 +392,7 @@ fn span_by_events(noc: &mut Noc, from: Cycles, limit: Cycles, trace: &mut Record
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Ticked every cycle, the engine and the spec run exactly the same
     /// simulation.
@@ -681,9 +681,9 @@ proptest! {
 }
 
 proptest! {
-    // Each case makes eight runs of a few dozen packets: about 1 s of debug
-    // build in all.
-    #![proptest_config(ProptestConfig::with_cases(160))]
+    // Each case makes eight runs of a few dozen packets: about 0.3 s of
+    // debug build (opt-level 1) in all.
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Time-shift invariance: the same bursts offered `k` cycles later are
     /// delivered exactly `k` cycles later, the same packets at the same

@@ -198,7 +198,7 @@ fn run_pair(cfg: PeConfig, schedule: &[(u64, External)], delays: &[u64]) -> u64 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn sleeping_pe_matches_a_pe_ticked_every_cycle(

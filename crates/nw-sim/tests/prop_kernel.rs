@@ -217,7 +217,7 @@ fn merge_in_drawn_order(mut shards: Vec<LatencyHistogram>, picks: &[u64]) -> Lat
 
 proptest! {
     // Pinned effort for CI determinism; override with PROPTEST_CASES.
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Events pop in (time, insertion) order regardless of schedule order.
     #[test]

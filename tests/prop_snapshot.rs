@@ -74,7 +74,7 @@ fn arm_faults(platform: &mut FppaPlatform, seed: u64, level_tenths: u32, horizon
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The headline contract, for arbitrary splits: a platform rebuilt
     /// from a mid-run snapshot — and the original platform restored back
@@ -162,7 +162,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The same contract on a line-rate I/O scenario rig (paced ingress,
     /// DSOC dispatch, latency telemetry): splits must also preserve the
