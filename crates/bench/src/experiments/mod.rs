@@ -51,8 +51,7 @@ impl Ctx {
     }
 }
 
-/// One registered experiment: what `expt list` prints, how to run it, and
-/// which of the context's axes can reach its table.
+/// One registered experiment: what `expt list` prints and how to run it.
 #[derive(Debug, Clone, Copy)]
 pub struct Experiment {
     /// Experiment id (`t1`, `f4`, …).
@@ -61,10 +60,6 @@ pub struct Experiment {
     pub title: &'static str,
     /// Runs the experiment and renders its table.
     pub run: fn(Ctx) -> String,
-    /// Builds an `FppaPlatform`, so `Ctx::scheduler` applies.
-    pub platform: bool,
-    /// Fans points out over a worker pool, so `Ctx::threads` applies.
-    pub sweeps: bool,
 }
 
 /// Every experiment, in the order `expt list` prints.
@@ -73,142 +68,102 @@ pub const EXPERIMENTS: [Experiment; 20] = [
         id: "t1",
         title: "mask-set NRE by technology node",
         run: |_| t1_mask_nre::run().table,
-        platform: false,
-        sweeps: false,
     },
     Experiment {
         id: "t2",
         title: "hardwired vs programmable break-even volumes",
         run: |_| t2_breakeven::run().table,
-        platform: false,
-        sweeps: false,
     },
     Experiment {
         id: "f3",
         title: "design-complexity growth vs productivity",
         run: |_| f3_growth::run().table,
-        platform: false,
-        sweeps: false,
     },
     Experiment {
         id: "f4",
         title: "NoC topology characterization (bus/ring/mesh/torus/...)",
         run: |ctx| f4_topology::run(ctx).table,
-        platform: false,
-        sweeps: true,
     },
     Experiment {
         id: "f5",
         title: "cross-chip wire delay by node",
         run: |_| f5_wire_delay::run().table,
-        platform: false,
-        sweeps: false,
     },
     Experiment {
         id: "f6",
         title: "multithreaded latency hiding (claim C6)",
         run: |ctx| f6_latency_hiding::run(ctx).table,
-        platform: true,
-        sweeps: false,
     },
     Experiment {
         id: "f7",
         title: "platform productivity model",
         run: |_| f7_productivity::run().table,
-        platform: false,
-        sweeps: false,
     },
     Experiment {
         id: "t3",
         title: "IPv4 fast path at 10 Gb/s worst case (claim C7)",
         run: |ctx| t3_ipv4::run(ctx).table,
-        platform: true,
-        sweeps: true,
     },
     Experiment {
         id: "t4",
         title: "eFPGA offload break-even",
         run: |_| t4_efpga::run().table,
-        platform: false,
-        sweeps: false,
     },
     Experiment {
         id: "t5",
         title: "LPM engine shootout",
         run: |ctx| t5_lpm::run(ctx).table,
-        platform: false,
-        sweeps: true,
     },
     Experiment {
         id: "t6",
         title: "MultiFlex mapping quality (claim C10)",
         run: |ctx| t6_mapping::run(ctx).table,
-        platform: true,
-        sweeps: true,
     },
     Experiment {
         id: "t7",
         title: "platform-continuum cost model",
         run: |_| t7_continuum_cost::run().table,
-        platform: false,
-        sweeps: false,
     },
     Experiment {
         id: "t8",
         title: "video codec pipeline: frame-sliced, memory-bound (§7.1)",
         run: |ctx| t8_video::run(ctx).table,
-        platform: true,
-        sweeps: true,
     },
     Experiment {
         id: "t9",
         title: "modem baseband chain: latency-critical, twoway-heavy",
         run: |ctx| t9_modem::run(ctx).table,
-        platform: true,
-        sweeps: true,
     },
     Experiment {
         id: "t10",
         title: "crypto offload: hwip-bound bulk transfer (§6.4)",
         run: |ctx| t10_crypto::run(ctx).table,
-        platform: true,
-        sweeps: true,
     },
     Experiment {
         id: "t11",
         title: "mixed workloads on one fabric: per-workload latency percentiles + deadlines",
         run: |ctx| t11_mix::run(ctx).table,
-        platform: true,
-        sweeps: true,
     },
     Experiment {
         id: "t12",
         title: "resilience grid: goodput/p99/retries/misses vs injected fault rate",
         run: |ctx| t12_resilience::run(ctx).table,
-        platform: true,
-        sweeps: true,
     },
     Experiment {
         id: "t13",
         title:
             "replica spread: one warmed snapshot forked across fault seeds (min/median/max + CI)",
         run: |ctx| t13_replicas::run(ctx).table,
-        platform: true,
-        sweeps: true,
     },
     Experiment {
         id: "f1",
         title: "platform-continuum positioning",
         run: |_| f1_continuum::run().table,
-        platform: false,
-        sweeps: false,
     },
     Experiment {
         id: "f2",
         title: "Figure 2 FPPA tour",
         run: |ctx| f2_fppa_tour::run(ctx).table,
-        platform: true,
-        sweeps: false,
     },
 ];
 

@@ -12,12 +12,13 @@
 //! run, which makes it the same-seed repeat check.
 //!
 //! **Experiment tables.** Every registered experiment's table is rendered
-//! once as `expt` renders it, then under `Dense` if the experiment builds a
-//! platform and on one worker if it sweeps (both read off its
-//! [`Experiment`](crate::experiments::Experiment) entry), and compared
-//! byte for byte. The first rendering is also digested into its
-//! `crates/bench/identity.tsv` row, so tier-1 checks the `--fast` rows
-//! from the tables this run renders instead of rendering them again.
+//! once as `expt` renders it, then under `Dense` and on one worker, and
+//! compared byte for byte. Every experiment gets both renderings, whether
+//! or not it builds a platform or fans out, so no entry can opt out of a
+//! check; an analytic table costs milliseconds. The first rendering is
+//! also digested into its `crates/bench/identity.tsv` row, so tier-1
+//! checks the `--fast` rows from the tables this run renders instead of
+//! rendering them again.
 //!
 //! A comparison that cannot fail proves nothing, so the verdict also
 //! requires that every scenario completed tasks, every faulted cell
@@ -340,9 +341,9 @@ fn platform_matrix(seed: u64, split: (u64, u64), threads: usize) -> Vec<CellResu
 }
 
 /// The experiment-table section: each registered experiment's table is
-/// rendered under `base` — what `expt` prints — and once more per axis that
-/// can reach it, all renderings fanned out together, then compared. Returns
-/// the comparisons and each reference table's manifest row. The caller
+/// rendered under `base` — what `expt` prints — and once more per axis,
+/// all renderings fanned out together, then compared. Returns the
+/// comparisons and each reference table's manifest row. The caller
 /// keeps `base.threads` at two or more so that a `threads=1` row never
 /// compares a serial run with itself.
 fn experiment_tables(base: Ctx) -> (Vec<TableResult>, Vec<Row>) {
@@ -352,14 +353,10 @@ fn experiment_tables(base: Ctx) -> (Vec<TableResult>, Vec<Row>) {
     };
     let serial = Ctx { threads: 1, ..base };
     let mut jobs = Vec::new();
-    for (i, e) in EXPERIMENTS.iter().enumerate() {
+    for i in 0..EXPERIMENTS.len() {
         jobs.push((i, "", base));
-        if e.platform {
-            jobs.push((i, "scheduler=Dense", dense));
-        }
-        if e.sweeps {
-            jobs.push((i, "threads=1", serial));
-        }
+        jobs.push((i, "scheduler=Dense", dense));
+        jobs.push((i, "threads=1", serial));
     }
     let tables = parallel_map_with(base.threads, jobs.clone(), |(i, _, ctx)| {
         (EXPERIMENTS[i].run)(ctx)

@@ -58,7 +58,6 @@ pub(crate) struct MemoryController {
     spec: MemorySpec,
     banks: Vec<Bank>,
     queue_capacity: usize,
-    interleave: u64,
     /// Ids of the accesses in flight, due at their completion cycle.
     completions: EventQueue<u64>,
     ready: VecDeque<u64>,
@@ -88,7 +87,6 @@ impl MemoryController {
                 })
                 .collect(),
             queue_capacity,
-            interleave: Self::INTERLEAVE,
             completions: EventQueue::new(),
             ready: VecDeque::new(),
             energy: Picojoules::ZERO,
@@ -98,7 +96,7 @@ impl MemoryController {
 
     /// Bank index serving an address.
     fn bank_of(&self, addr: u64) -> usize {
-        ((addr / self.interleave) % self.banks.len() as u64) as usize
+        ((addr / Self::INTERLEAVE) % self.banks.len() as u64) as usize
     }
 
     /// Submits a request.

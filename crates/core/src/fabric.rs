@@ -225,7 +225,7 @@ impl Efpga {
         Efpga {
             spec,
             kernel: None,
-            server: PipelinedServer::new(1, 1, 1),
+            server: PipelinedServer::new(1, 1),
             energy: Picojoules::ZERO,
         }
     }
@@ -235,8 +235,11 @@ impl Efpga {
         self.kernel.as_ref()
     }
 
-    /// Loads `kernel` onto the fabric at cycle `now`; the pipeline stalls
-    /// for the bitstream load.
+    /// Loads `kernel` onto the fabric at cycle `now`; the pipeline issues
+    /// nothing until the bitstream has loaded. Nothing already submitted is
+    /// lost: items already issued complete on the cycle the previous kernel
+    /// gave them (charged at the new kernel's energy), and queued items
+    /// issue at the new kernel's interval and latency once the load ends.
     ///
     /// # Errors
     ///
@@ -244,9 +247,8 @@ impl Efpga {
     pub fn reconfigure(&mut self, kernel: &KernelSpec, now: Cycles) -> Result<(), MapKernelError> {
         let mapped = MappedKernel::try_map(kernel, &self.spec)?;
         let downtime = self.spec.reconfig_cycles(mapped.luts);
-        let mut server = PipelinedServer::new(mapped.ii, mapped.latency, 64);
-        server.stall_until(now + downtime);
-        self.server = server;
+        self.server.retime(mapped.ii, mapped.latency);
+        self.server.stall_until(now + downtime);
         self.kernel = Some(mapped);
         Ok(())
     }
@@ -403,8 +405,8 @@ mod tests {
     }
 
     /// Visits a fabric on cycles `0..upto`: a kernel loaded at cycle 0 and
-    /// another at cycle 2600 (mid-stream: the queue is lost, the pipeline
-    /// stalls for the load), submissions every 7th cycle, ticking and
+    /// another at cycle 2600 (mid-stream: the queue waits out the load, the
+    /// items in flight complete), submissions every 7th cycle, ticking and
     /// draining on the cycles `tick_on` selects.
     fn visit(upto: u64, tick_on: impl Fn(&Efpga, Cycles) -> bool) -> (Vec<(u64, u64)>, String) {
         let mut e = Efpga::new(FabricSpec::default());

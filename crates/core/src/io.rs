@@ -12,7 +12,9 @@
 //! packet costs `packet bits × clock` rounded to whole Hz. Advancing `k`
 //! cycles in one jump ([`IoChannel::advance`]) therefore equals `k` single
 //! ticks to the last bit, and the next arrival has a closed form
-//! ([`IoChannel::ticks_to_next_rx`]).
+//! ([`IoChannel::ticks_to_next_rx`]). The clock is not part of the
+//! configuration: a platform paces every channel at its own core clock
+//! ([`nw_types::TechNode::nominal_clock_hz`]).
 
 use nw_sim::Pacer;
 use nw_types::{BitsPerSec, Bytes, Cycles};
@@ -25,8 +27,6 @@ use std::num::NonZeroU64;
 pub struct IoChannelConfig {
     /// Line rate.
     pub rate: BitsPerSec,
-    /// Core clock frequency (converts the line rate to bits per cycle).
-    pub clock_hz: f64,
     /// Size of each generated packet.
     pub packet_bytes: Bytes,
     /// Receive FIFO depth in packets (packets arriving into a full FIFO are
@@ -35,24 +35,18 @@ pub struct IoChannelConfig {
 }
 
 impl IoChannelConfig {
-    /// A 10 Gb/s worst-case channel: 40-byte packets at a 500 MHz core.
+    /// A 10 Gb/s worst-case channel: 40-byte packets into a FIFO of 128.
     pub fn ten_gbe_worst_case() -> Self {
         IoChannelConfig {
             rate: BitsPerSec::from_gbps(10.0),
-            clock_hz: 500e6,
             packet_bytes: Bytes(40),
             rx_fifo: 128,
         }
     }
 
-    /// Bits arriving per core cycle.
-    fn bits_per_cycle(&self) -> f64 {
-        self.rate.0 / self.clock_hz
-    }
-
-    /// Packets arriving per core cycle.
-    pub fn packets_per_cycle(&self) -> f64 {
-        self.bits_per_cycle() / self.packet_bytes.bits() as f64
+    /// Packets arriving per cycle of a `clock_hz` core.
+    pub fn packets_per_cycle(&self, clock_hz: f64) -> f64 {
+        self.rate.0 / clock_hz / self.packet_bytes.bits() as f64
     }
 }
 
@@ -61,7 +55,8 @@ impl IoChannelConfig {
 pub enum IoConfigError {
     /// `packet_bytes` is zero: every cycle would owe infinitely many packets.
     ZeroPacket,
-    /// The core clock is not a finite frequency of at least half a hertz.
+    /// The core clock is not a finite frequency that rounds to at least
+    /// 1 Hz and fits 64 bits.
     Clock(f64),
     /// The line rate is negative, not finite, or beyond `u64` bit/s.
     Rate(f64),
@@ -73,7 +68,10 @@ impl fmt::Display for IoConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IoConfigError::ZeroPacket => write!(f, "packet size is zero"),
-            IoConfigError::Clock(hz) => write!(f, "clock {hz} Hz is not a positive frequency"),
+            IoConfigError::Clock(hz) => write!(
+                f,
+                "clock {hz} Hz is not a finite frequency that rounds to at least 1 Hz and fits 64 bits"
+            ),
             IoConfigError::Rate(r) => write!(f, "line rate {r} bit/s is not a non-negative rate"),
             IoConfigError::CostOverflow => write!(f, "packet bits x clock overflows 64 bits"),
         }
@@ -83,13 +81,13 @@ impl fmt::Display for IoConfigError {
 impl std::error::Error for IoConfigError {}
 
 /// One packet as pacing credit: packet bits × whole Hz.
-fn packet_cost(cfg: &IoChannelConfig) -> Result<NonZeroU64, IoConfigError> {
+fn packet_cost(cfg: &IoChannelConfig, clock_hz: f64) -> Result<NonZeroU64, IoConfigError> {
     if cfg.packet_bytes.0 == 0 {
         return Err(IoConfigError::ZeroPacket);
     }
-    let hz = Pacer::whole_credit(cfg.clock_hz)
+    let hz = Pacer::whole_credit(clock_hz)
         .filter(|&hz| hz > 0)
-        .ok_or(IoConfigError::Clock(cfg.clock_hz))?;
+        .ok_or(IoConfigError::Clock(clock_hz))?;
     let cost = u128::from(cfg.packet_bytes.0) * 8 * u128::from(hz);
     u64::try_from(cost)
         .ok()
@@ -104,7 +102,7 @@ fn packet_cost(cfg: &IoChannelConfig) -> Result<NonZeroU64, IoConfigError> {
 /// ```
 /// use nanowall::prelude::{Cycles, IoChannel, IoChannelConfig};
 ///
-/// let mut ch = IoChannel::new(IoChannelConfig::ten_gbe_worst_case())?;
+/// let mut ch = IoChannel::new(IoChannelConfig::ten_gbe_worst_case(), 500e6)?;
 /// for c in 0..1000 { ch.tick(Cycles(c)); }
 /// // 10 Gb/s at 500 MHz = 20 bits/cycle = 1 packet per 16 cycles.
 /// let rx: Vec<u64> = std::iter::from_fn(|| ch.take_rx()).collect();
@@ -127,18 +125,18 @@ pub struct IoChannel {
 }
 
 impl IoChannel {
-    /// Creates a channel.
+    /// Creates a channel paced by a `clock_hz` core.
     ///
     /// # Errors
     ///
-    /// [`IoConfigError`] when the configuration cannot be paced: a zero
-    /// packet size, a clock or rate that is not a usable number, or a
-    /// per-packet cost beyond 64 bits.
-    pub fn new(cfg: IoChannelConfig) -> Result<Self, IoConfigError> {
+    /// [`IoConfigError`] when the channel cannot be paced: a zero packet
+    /// size, a clock or rate that is not a usable number, or a per-packet
+    /// cost beyond 64 bits.
+    pub fn new(cfg: IoChannelConfig, clock_hz: f64) -> Result<Self, IoConfigError> {
         // The line rate as pacing credit per cycle: whole bit/s.
         let rate = Pacer::whole_credit(cfg.rate.0).ok_or(IoConfigError::Rate(cfg.rate.0))?;
         Ok(IoChannel {
-            pacer: Pacer::new(rate, packet_cost(&cfg)?),
+            pacer: Pacer::new(rate, packet_cost(&cfg, clock_hz)?),
             cfg,
             next_seq: 0,
             rx_fifo: VecDeque::new(),
@@ -225,16 +223,16 @@ impl IoChannel {
 mod tests {
     use super::*;
 
+    /// The channel at a 500 MHz core.
     fn channel(cfg: IoChannelConfig) -> IoChannel {
-        IoChannel::new(cfg).expect("test config is valid")
+        IoChannel::new(cfg, 500e6).expect("test config is valid")
     }
 
     #[test]
     fn pacing_matches_line_rate() {
         let cfg = IoChannelConfig::ten_gbe_worst_case();
         // 10e9 / 500e6 = 20 bits/cycle; 40B packet = 320 bits → every 16 cyc.
-        assert!((cfg.bits_per_cycle() - 20.0).abs() < 1e-9);
-        assert!((cfg.packets_per_cycle() - 1.0 / 16.0).abs() < 1e-12);
+        assert!((cfg.packets_per_cycle(500e6) - 1.0 / 16.0).abs() < 1e-12);
         let mut ch = channel(cfg);
         for c in 0..16_000 {
             ch.tick(Cycles(c));
@@ -304,12 +302,12 @@ mod tests {
         // divide the cost, and a depth-4 FIFO overflows inside the span.
         let cfg = IoChannelConfig {
             rate: BitsPerSec::from_gbps(3.0),
-            clock_hz: 548.8e6,
             rx_fifo: 4,
             ..IoChannelConfig::ten_gbe_worst_case()
         };
-        let mut ticked = channel(cfg);
-        let mut jumped = channel(cfg);
+        let n130 = || IoChannel::new(cfg, 548.8e6).expect("test config is valid");
+        let mut ticked = n130();
+        let mut jumped = n130();
         for c in 0..1_000 {
             ticked.tick(Cycles(c));
         }
@@ -332,7 +330,7 @@ mod tests {
     #[test]
     fn unpaceable_configs_are_errors() {
         let ok = IoChannelConfig::ten_gbe_worst_case();
-        let err = |cfg| IoChannel::new(cfg).expect_err("config must be rejected");
+        let err = |cfg| IoChannel::new(cfg, 500e6).expect_err("config must be rejected");
         assert_eq!(
             err(IoChannelConfig {
                 packet_bytes: Bytes(0),
@@ -340,19 +338,16 @@ mod tests {
             }),
             IoConfigError::ZeroPacket
         );
-        for clock_hz in [0.0, -500e6, f64::INFINITY, 0.4] {
-            assert_eq!(
-                err(IoChannelConfig { clock_hz, ..ok }),
-                IoConfigError::Clock(clock_hz)
-            );
+        let clock_err = |hz| IoChannel::new(ok, hz).expect_err("clock must be rejected");
+        for clock_hz in [0.0, -500e6, f64::INFINITY, 0.4, 2e19] {
+            assert_eq!(clock_err(clock_hz), IoConfigError::Clock(clock_hz));
         }
-        assert!(matches!(
-            err(IoChannelConfig {
-                clock_hz: f64::NAN,
-                ..ok
-            }),
-            IoConfigError::Clock(_)
-        ));
+        assert!(matches!(clock_err(f64::NAN), IoConfigError::Clock(_)));
+        // 0.4 Hz is positive, yet it rounds to no whole hertz.
+        assert_eq!(
+            clock_err(0.4).to_string(),
+            "clock 0.4 Hz is not a finite frequency that rounds to at least 1 Hz and fits 64 bits"
+        );
         // Above the pacer's `u64` credit word as well as below zero.
         for rate in [-1.0, 1e30] {
             assert_eq!(

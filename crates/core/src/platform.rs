@@ -120,7 +120,6 @@ enum Source {
 
 /// Every source but the NoC: the entries a NoC-only span's limit is read
 /// from ([`FppaPlatform::run`]).
-#[cfg(debug_assertions)]
 const NOT_NOC: [Source; 7] = [
     Source::Faults,
     Source::Retries,
@@ -345,12 +344,15 @@ impl FppaPlatform {
         roles.extend((0..cfg.memories.len()).map(NodeRole::Memory));
         roles.extend((0..cfg.fabrics.len()).map(NodeRole::Fabric));
         roles.extend((0..cfg.hwip.len()).map(NodeRole::HwIp));
+        // Every channel paces at the platform's core clock.
+        let clock_hz = cfg.tech.nominal_clock_hz();
         let ios = cfg
             .io
             .iter()
             .enumerate()
             .map(|(index, c)| {
-                IoChannel::new(*c).map_err(|reason| BuildPlatformError::Io { index, reason })
+                IoChannel::new(*c, clock_hz)
+                    .map_err(|reason| BuildPlatformError::Io { index, reason })
             })
             .collect::<Result<Vec<IoChannel>, _>>()?;
         roles.extend((0..ios.len()).map(NodeRole::Io));
@@ -1258,15 +1260,7 @@ impl FppaPlatform {
     /// one by one: the limit of a NoC-only span.
     #[inline]
     fn agenda_min_but_noc(&self, now: u64) -> u64 {
-        use Source::{Dispatch, Faults, Io, Outbox, Pes, Retries, Services};
-        let due = |source| self.due(source, now);
-        due(Faults)
-            .min(due(Retries))
-            .min(due(Io))
-            .min(due(Services))
-            .min(due(Dispatch))
-            .min(due(Pes))
-            .min(due(Outbox))
+        (NOT_NOC.iter()).fold(NEVER, |min, &source| min.min(self.due(source, now)))
     }
 
     /// The earliest cycle `>=` now at which any platform component has work

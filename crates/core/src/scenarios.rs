@@ -243,7 +243,6 @@ fn ipv4_platform(
     cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 16.0));
     let mut io = IoChannelConfig::ten_gbe_worst_case();
     io.rate = BitsPerSec::from_gbps(gbps);
-    io.clock_hz = cfg.tech.nominal_clock_hz();
     cfg.add_io(io);
 
     let mut platform = FppaPlatform::new(cfg).expect("valid fixed config");
@@ -288,10 +287,7 @@ pub fn fppa_tour_config() -> FppaConfig {
         area: AreaMm2(1.2),
         energy_per_item: Picojoules(120.0),
     });
-    let ten_gbe = IoChannelConfig {
-        clock_hz: cfg.tech.nominal_clock_hz(),
-        ..IoChannelConfig::ten_gbe_worst_case()
-    };
+    let ten_gbe = IoChannelConfig::ten_gbe_worst_case();
     cfg.add_io(ten_gbe);
     cfg.add_io(IoChannelConfig {
         rate: BitsPerSec::from_gbps(2.5),
@@ -373,13 +369,13 @@ fn assemble(p: PipelinePlatform) -> (ScenarioRig, Vec<ObjectId>) {
         cfg.add_hwip(h);
     }
     let mut packets_per_cycle = Vec::with_capacity(p.channels.len());
+    let clock_hz = cfg.tech.nominal_clock_hz();
     for &(gbps, packet_bytes) in &p.channels {
         let mut io = IoChannelConfig::ten_gbe_worst_case();
         io.rate = BitsPerSec::from_gbps(gbps);
         io.packet_bytes = Bytes(packet_bytes);
-        io.clock_hz = cfg.tech.nominal_clock_hz();
         cfg.add_io(io);
-        packets_per_cycle.push(io.packets_per_cycle());
+        packets_per_cycle.push(io.packets_per_cycle(clock_hz));
     }
     let sharing = |channel| p.entries.iter().filter(|e| e.0 == channel).count() as f64;
     let entry_rates = (p.entries.iter())
@@ -1095,9 +1091,9 @@ mod tests {
         let mut params = MixParams::default();
         params.video.lanes = 1;
         let rig = mix_rig(&params, mix_pe_pool(&params), 4, 4, 4.0, 2.0);
-        let io = &rig.platform.config().io;
-        let mut rates = vec![io[0].packets_per_cycle()];
-        rates.extend([io[1].packets_per_cycle() / 4.0; 4]);
+        let (io, clock_hz) = (&rig.platform.config().io, rig.platform.clock_hz());
+        let mut rates = vec![io[0].packets_per_cycle(clock_hz)];
+        rates.extend([io[1].packets_per_cycle(clock_hz) / 4.0; 4]);
         let slots = (0..mix_pe_pool(&params)).map(|i| PeSlot::new(NodeId(i), 1.0));
         let hops = rig.platform.hop_matrix();
         let problem = MappingProblem::new(rig.app.clone(), rates, slots.collect(), hops);
@@ -1114,18 +1110,6 @@ mod tests {
             .bind_service(ObjectId(0), pe_node, 8, 8, 1)
             .unwrap_err();
         assert_eq!(err, crate::runtime::InstallError::NotAServiceNode(pe_node));
-    }
-
-    #[test]
-    fn every_channel_paces_at_its_platform_clock() {
-        let tour = FppaPlatform::new(fppa_tour_config()).expect("tour config is valid");
-        let registry = STANDARD.iter().map(|s| (s.name, (s.build)(true).platform));
-        let bench = BenchRig::ALL.map(|rig| (rig.name(), rig.build(1_000)));
-        for (name, p) in registry.chain(bench).chain([("fppa-tour", tour)]) {
-            for (i, io) in p.sim.ios.iter().enumerate() {
-                assert_eq!(io.config().clock_hz, p.clock_hz(), "{name} io{i}");
-            }
-        }
     }
 
     #[test]

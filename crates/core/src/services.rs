@@ -145,7 +145,7 @@ impl Services {
         let fabrics = cfg.fabrics.iter().map(|f| Block::Fabric(Efpga::new(*f)));
         let hwips = cfg.hwip.iter().map(|h| Block::HwIp {
             cfg: h.clone(),
-            server: PipelinedServer::new(h.ii, h.latency, 64),
+            server: PipelinedServer::new(h.ii, h.latency),
             energy: Picojoules::ZERO,
         });
         let blocks = mems.chain(fabrics).chain(hwips).enumerate();

@@ -32,13 +32,12 @@ impl Shape {
     }
 
     fn channel(&self, rate: BitsPerSec) -> IoChannel {
-        IoChannel::new(IoChannelConfig {
+        let cfg = IoChannelConfig {
             rate,
-            clock_hz: self.clock_hz,
             packet_bytes: Bytes(self.packet_bytes),
             rx_fifo: self.rx_fifo,
-        })
-        .expect("generated shapes are valid")
+        };
+        IoChannel::new(cfg, self.clock_hz).expect("generated shapes are valid")
     }
 
     /// The pacer's integer operands, recomputed independently.

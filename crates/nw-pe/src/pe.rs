@@ -20,7 +20,10 @@ pub enum SchedPolicy {
     RoundRobin,
 }
 
-/// Configuration of one processing element.
+/// Every PE's local scratchpad, which services `Op::LocalMem`.
+const SCRATCHPAD: MemorySpec = MemorySpec::of(MemoryTechnology::Sram);
+
+/// Configuration of one processing element. Its local scratchpad is SRAM.
 #[derive(Debug, Clone)]
 pub struct PeConfig {
     /// Processor class (Figure 1 continuum point).
@@ -32,13 +35,11 @@ pub struct PeConfig {
     pub swap_penalty: u64,
     /// Scheduling policy.
     pub policy: SchedPolicy,
-    /// Local scratchpad technology (services `Op::LocalMem`).
-    pub scratchpad: MemorySpec,
 }
 
 impl PeConfig {
-    /// A PE of `class` with `n_threads` contexts, one-cycle swap,
-    /// switch-on-stall scheduling and an SRAM scratchpad.
+    /// A PE of `class` with `n_threads` contexts, one-cycle swap and
+    /// switch-on-stall scheduling.
     ///
     /// # Panics
     ///
@@ -50,7 +51,6 @@ impl PeConfig {
             n_threads,
             swap_penalty: 1,
             policy: SchedPolicy::SwitchOnStall,
-            scratchpad: MemorySpec::of(MemoryTechnology::Sram),
         }
     }
 
@@ -650,8 +650,8 @@ impl Pe {
                 }
             }
             Op::LocalMem { write, bytes } => {
-                let service = self.cfg.scratchpad.service_time(write, bytes);
-                self.mem_energy += self.cfg.scratchpad.access_energy(write, bytes);
+                let service = SCRATCHPAD.service_time(write, bytes);
+                self.mem_energy += SCRATCHPAD.access_energy(write, bytes);
                 let until = now.0 + service.0;
                 self.set_state(i, ThreadState::ScratchpadStall { until });
                 self.advance_pc(i);

@@ -3,8 +3,9 @@
 //!
 //! A pipelined datapath is characterized by its *initiation interval* (II,
 //! cycles between accepting successive items) and its *latency* (cycles from
-//! acceptance to completion). Items queue in a bounded buffer in front of
-//! the pipeline; back-pressure is exposed through [`PipelinedServer::try_submit`].
+//! acceptance to completion). Items queue in a buffer of
+//! [`PipelinedServer::QUEUE_CAP`] in front of the pipeline; back-pressure is
+//! exposed through [`PipelinedServer::try_submit`].
 
 use crate::event::EventQueue;
 use nw_types::Cycles;
@@ -32,7 +33,7 @@ impl std::error::Error for ServerFull {}
 /// use nw_types::Cycles;
 ///
 /// // II=2, latency=10: accepts an item every other cycle.
-/// let mut s = PipelinedServer::new(2, 10, 8);
+/// let mut s = PipelinedServer::new(2, 10);
 /// s.try_submit(1, Cycles(0)).unwrap();
 /// s.try_submit(2, Cycles(0)).unwrap();
 /// let mut done = Vec::new();
@@ -47,7 +48,6 @@ pub struct PipelinedServer {
     ii: u64,
     latency: u64,
     queue: VecDeque<u64>,
-    queue_cap: usize,
     in_flight: EventQueue<u64>,
     next_accept: u64,
     done: VecDeque<u64>,
@@ -55,26 +55,42 @@ pub struct PipelinedServer {
 }
 
 impl PipelinedServer {
-    /// Creates a server with initiation interval `ii` (>= 1), pipeline
-    /// `latency` (>= 1) and input queue capacity `queue_cap` (>= 1).
+    /// Items the input queue holds.
+    pub const QUEUE_CAP: usize = 64;
+
+    /// Creates a server with initiation interval `ii` (>= 1) and pipeline
+    /// `latency` (>= 1).
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero.
-    pub fn new(ii: u64, latency: u64, queue_cap: usize) -> Self {
-        assert!(ii >= 1, "initiation interval must be at least 1");
-        assert!(latency >= 1, "latency must be at least 1");
-        assert!(queue_cap >= 1, "queue capacity must be at least 1");
-        PipelinedServer {
-            ii,
-            latency,
+    /// Panics if either parameter is zero.
+    pub fn new(ii: u64, latency: u64) -> Self {
+        let mut server = PipelinedServer {
+            ii: 1,
+            latency: 1,
             queue: VecDeque::new(),
-            queue_cap,
             in_flight: EventQueue::new(),
             next_accept: 0,
             done: VecDeque::new(),
             served: 0,
-        }
+        };
+        server.retime(ii, latency);
+        server
+    }
+
+    /// Sets the initiation interval and latency of every later issue. Items
+    /// already issued keep the completion cycle they were issued with,
+    /// queued items stay queued, and the next issue still waits out the
+    /// interval of the last one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either parameter is zero.
+    pub fn retime(&mut self, ii: u64, latency: u64) {
+        assert!(ii >= 1, "initiation interval must be at least 1");
+        assert!(latency >= 1, "latency must be at least 1");
+        self.ii = ii;
+        self.latency = latency;
     }
 
     /// Offers an item.
@@ -83,7 +99,7 @@ impl PipelinedServer {
     ///
     /// [`ServerFull`] when the input queue is at capacity.
     pub fn try_submit(&mut self, id: u64, _now: Cycles) -> Result<(), ServerFull> {
-        if self.queue.len() >= self.queue_cap {
+        if self.queue.len() >= Self::QUEUE_CAP {
             return Err(ServerFull);
         }
         self.queue.push_back(id);
@@ -160,7 +176,7 @@ mod tests {
 
     #[test]
     fn throughput_follows_initiation_interval() {
-        let mut s = PipelinedServer::new(4, 10, 16);
+        let mut s = PipelinedServer::new(4, 10);
         for id in 0..4 {
             s.try_submit(id, Cycles(0)).unwrap();
         }
@@ -174,7 +190,7 @@ mod tests {
 
     #[test]
     fn latency_is_respected() {
-        let mut s = PipelinedServer::new(1, 25, 4);
+        let mut s = PipelinedServer::new(1, 25);
         s.try_submit(7, Cycles(0)).unwrap();
         let done = drive(&mut s, 40);
         assert_eq!(done, vec![(25, 7)]);
@@ -182,15 +198,34 @@ mod tests {
 
     #[test]
     fn queue_full_backpressure() {
-        let mut s = PipelinedServer::new(1, 5, 2);
-        s.try_submit(1, Cycles(0)).unwrap();
-        s.try_submit(2, Cycles(0)).unwrap();
-        assert_eq!(s.try_submit(3, Cycles(0)), Err(ServerFull));
+        let mut s = PipelinedServer::new(1, 5);
+        for id in 0..PipelinedServer::QUEUE_CAP as u64 {
+            s.try_submit(id, Cycles(0)).unwrap();
+        }
+        assert_eq!(s.try_submit(64, Cycles(0)), Err(ServerFull));
+        // One issue frees one slot.
+        s.tick(Cycles(0));
+        assert_eq!(s.try_submit(64, Cycles(0)), Ok(()));
+        assert_eq!(s.try_submit(65, Cycles(0)), Err(ServerFull));
+    }
+
+    #[test]
+    fn retiming_applies_to_later_issues_only() {
+        let mut s = PipelinedServer::new(1, 10);
+        for id in 0..3 {
+            s.try_submit(id, Cycles(0)).unwrap();
+        }
+        s.tick(Cycles(0)); // item 0 issues at latency 10
+        s.retime(5, 2);
+        // Item 1 waits out the old interval, item 2 the new one; item 0
+        // keeps its completion cycle.
+        assert_eq!(drive(&mut s, 20), vec![(3, 1), (8, 2), (10, 0)]);
+        assert_eq!(s.served(), 3);
     }
 
     #[test]
     fn stall_until_delays_issue() {
-        let mut s = PipelinedServer::new(1, 5, 4);
+        let mut s = PipelinedServer::new(1, 5);
         s.stall_until(Cycles(100));
         s.try_submit(1, Cycles(0)).unwrap();
         let done = drive(&mut s, 120);
@@ -209,15 +244,15 @@ mod tests {
     fn visit(
         upto: u64,
         tick_on: impl Fn(&PipelinedServer, Cycles) -> bool,
-    ) -> (Vec<(u64, u64)>, [u64; 2]) {
-        let mut s = PipelinedServer::new(3, 7, 4);
-        let (mut out, mut id) = (Vec::new(), 0);
+    ) -> (Vec<(u64, u64)>, [u64; 3]) {
+        let mut s = PipelinedServer::new(3, 7);
+        let (mut out, mut id, mut refused) = (Vec::new(), 0, 0);
         for c in 0..upto {
             if c == 30 {
                 s.stall_until(Cycles(55));
             }
             for _ in 0..[2, 0, 0, 1, 0, 3, 0, 0, 0, 0, 0][(c % 11) as usize] {
-                let _ = s.try_submit(id, Cycles(c));
+                refused += u64::from(s.try_submit(id, Cycles(c)).is_err());
                 id += 1;
             }
             if tick_on(&s, Cycles(c)) {
@@ -225,18 +260,19 @@ mod tests {
                 out.extend(s.take_done().map(|id| (c, id)));
             }
         }
-        let counts = [s.served(), s.next_accept];
+        let counts = [s.served(), s.next_accept, refused];
         (out, counts)
     }
 
     #[test]
     fn ticking_only_at_answered_cycles_equals_ticking_every_cycle() {
-        let every = visit(200, |_, _| true);
-        let answered = visit(200, |s, c| s.next_event_cycle(c) == Some(c));
+        let every = visit(400, |_, _| true);
+        let answered = visit(400, |s, c| s.next_event_cycle(c) == Some(c));
         assert_eq!(every, answered);
         assert!(every.0.len() > 30, "{} completions", every.0.len());
+        assert!(every.1[2] > 0, "the queue never overflowed");
         // An undrained completion is work due now, not "drained".
-        let mut s = PipelinedServer::new(1, 2, 4);
+        let mut s = PipelinedServer::new(1, 2);
         s.try_submit(9, Cycles(0)).unwrap();
         for c in 0..3 {
             s.tick(Cycles(c));
@@ -248,7 +284,7 @@ mod tests {
 
     #[test]
     fn idle_detection() {
-        let mut s = PipelinedServer::new(1, 2, 4);
+        let mut s = PipelinedServer::new(1, 2);
         assert_eq!(s.next_event_cycle(Cycles(0)), None);
         s.try_submit(1, Cycles(0)).unwrap();
         assert_eq!(s.next_event_cycle(Cycles(0)), Some(Cycles(0)));
@@ -260,6 +296,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "initiation interval")]
     fn zero_ii_panics() {
-        let _ = PipelinedServer::new(0, 1, 1);
+        let _ = PipelinedServer::new(0, 1);
     }
 }

@@ -85,7 +85,7 @@ pub struct MemorySpec {
 
 impl MemorySpec {
     /// Reference parameters for a technology at the 0.13 µm node.
-    pub fn of(tech: MemoryTechnology) -> MemorySpec {
+    pub const fn of(tech: MemoryTechnology) -> MemorySpec {
         match tech {
             MemoryTechnology::Sram => MemorySpec {
                 technology: tech,

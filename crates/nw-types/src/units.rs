@@ -88,7 +88,7 @@ impl Sum for Bytes {
 /// use nw_types::BitsPerSec;
 /// let line = BitsPerSec::from_gbps(10.0);
 /// assert_eq!(line.0, 10e9);
-/// assert_eq!(BitsPerSec::from_mbps(2_500.0).gbps(), 2.5);
+/// assert_eq!(line.gbps(), 10.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct BitsPerSec(pub f64);
@@ -97,11 +97,6 @@ impl BitsPerSec {
     /// Creates a rate from gigabits per second.
     pub fn from_gbps(gbps: f64) -> Self {
         BitsPerSec(gbps * 1e9)
-    }
-
-    /// Creates a rate from megabits per second.
-    pub fn from_mbps(mbps: f64) -> Self {
-        BitsPerSec(mbps * 1e6)
     }
 
     /// Returns the rate in gigabits per second.
@@ -313,11 +308,6 @@ mod tests {
     #[should_panic(expected = "chunk size must be non-zero")]
     fn bytes_zero_chunk_panics() {
         let _ = Bytes(8).div_ceil_by(0);
-    }
-
-    #[test]
-    fn mbps_constructor() {
-        assert!((BitsPerSec::from_mbps(1000.0).gbps() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -16,10 +16,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..4 {
         cfg.add_pe(PeConfig::new(PeClass::GpRisc, 2));
     }
-    let clock_hz = cfg.tech.nominal_clock_hz();
+    let clock_hz = cfg.tech.nominal_clock_hz(); // every channel paces at it
     cfg.add_io(IoChannelConfig {
         rate: BitsPerSec(40.0 * 8.0 * clock_hz / 100.0),
-        clock_hz,
         ..IoChannelConfig::ten_gbe_worst_case() // 40-byte packets
     });
 

@@ -129,7 +129,6 @@ fn sizes_platform() -> FppaPlatform {
     let clock_hz = cfg.tech.nominal_clock_hz();
     cfg.add_io(IoChannelConfig {
         rate: nw_types::BitsPerSec(40.0 * 8.0 * clock_hz / 100.0),
-        clock_hz,
         ..IoChannelConfig::ten_gbe_worst_case()
     });
     FppaPlatform::new(cfg).expect("valid config")
@@ -224,6 +223,48 @@ fn a_message_size_the_wire_cannot_carry_is_an_install_error() {
         let dispatches = p.runtime().expect("installed").object_dispatches();
         assert!(dispatches[PING.0] > 0, "{what}");
     }
+}
+
+/// A fabric reloaded while it holds calls — two issued into its pipeline,
+/// two queued in front of it — answers every one of them: the issued ones
+/// on the cycles the old kernel gave them, the queued ones once the new
+/// bitstream has loaded. Every caller's thread retires, `served` counts
+/// all four, and the platform drains, under both schedulers alike.
+#[test]
+fn reconfiguring_a_busy_fabric_answers_every_call_under_both_schedulers() {
+    use nw_pe::{Op, Program};
+    let first = KernelSpec::checksum_offload(); // ii 3, latency 12 on fabric
+    let load = FabricSpec::default().reconfig_cycles(first.luts).0;
+    let run = |mode: SchedulerMode| {
+        let mut cfg = FppaConfig::new("busy-fabric", TopologyKind::Ring);
+        cfg.add_pe(PeConfig::new(PeClass::GpRisc, 4));
+        cfg.add_fabric(FabricSpec::default());
+        let mut p = FppaPlatform::new(cfg).expect("valid config");
+        p.set_scheduler_mode(mode);
+        p.fabric_mut(0)
+            .reconfigure(&first, Cycles(0))
+            .expect("fits");
+        let call = Program::straight_line([Op::call(p.fabric_node(0), 8, 8)]);
+        for _ in 0..4 {
+            p.pe_mut(0).spawn(call.clone()).expect("an idle thread");
+        }
+        // The four calls wait out the load, then issue on cycles
+        // load + 0, 3, 6 and 9: at load + 4 two are in the pipeline.
+        let _ = p.run(load + 4);
+        assert_eq!(p.fabric_mut(0).served(), 0);
+        let now = p.now();
+        (p.fabric_mut(0))
+            .reconfigure(&KernelSpec::header_classify(), now)
+            .expect("fits");
+        let _ = p.run(100);
+        assert_eq!(p.fabric_mut(0).served(), 2, "the issued calls complete");
+        let _ = p.run(10_000);
+        assert_eq!(p.fabric_mut(0).served(), 4, "the queued calls complete");
+        assert_eq!(p.pe(0).idle_threads(), 4, "every caller was answered");
+        assert!(p.is_quiescent(), "{mode:?}: the platform drains");
+        p.report(Cycles(10_000)).values()
+    };
+    assert_eq!(run(SchedulerMode::Dense), run(SchedulerMode::ActiveSet));
 }
 
 /// Keeps PE 0's threads busy with `task` and steps one cycle.

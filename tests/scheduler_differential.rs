@@ -495,11 +495,12 @@ struct Ping {
 }
 
 /// A small rig for the pacing cases: ping → pong on four RISC cores, ping
-/// fed by channel 0 (40-byte packets at `bound_mbps`, at 40 Mb/s one every
-/// 4000 cycles: long quiet gaps) and pong handing off to it; channel 1 is
-/// bound to nothing and runs at 2.5 Gb/s into a FIFO of 8, so it fills in
-/// the first 512 cycles and overflows from then on, hop or no hop.
-fn pingpong_rig(mode: SchedulerMode, bound_mbps: f64, ping_cost: Ping) -> nanowall::FppaPlatform {
+/// fed by channel 0 (a 40-byte packet every `bound_period` cycles; at 4000
+/// there are long quiet gaps) and pong handing off to it; channel 1 is
+/// bound to nothing and delivers a packet every 64 cycles into a FIFO of
+/// 8, so it fills in the first 512 cycles and overflows from then on, hop
+/// or no hop.
+fn pingpong_rig(mode: SchedulerMode, bound_period: f64, ping_cost: Ping) -> nanowall::FppaPlatform {
     use nanowall::prelude::*;
     use nanowall::MemoryBlockConfig;
     use nw_types::BitsPerSec;
@@ -512,12 +513,15 @@ fn pingpong_rig(mode: SchedulerMode, bound_mbps: f64, ping_cost: Ping) -> nanowa
     if ping_cost.fetch_bytes > 0 {
         cfg.add_memory(MemoryBlockConfig::new(MemoryTechnology::Sram, 2.0));
     }
+    // A 40-byte packet every `period` cycles of the platform clock.
+    let clock_hz = cfg.tech.nominal_clock_hz();
+    let every = |period: f64| BitsPerSec(40.0 * 8.0 * clock_hz / period);
     cfg.add_io(IoChannelConfig {
-        rate: BitsPerSec::from_mbps(bound_mbps),
+        rate: every(bound_period),
         ..IoChannelConfig::ten_gbe_worst_case()
     });
     cfg.add_io(IoChannelConfig {
-        rate: BitsPerSec::from_gbps(2.5),
+        rate: every(64.0),
         rx_fifo: 8,
         ..IoChannelConfig::ten_gbe_worst_case()
     });
@@ -547,14 +551,14 @@ fn pingpong_rig(mode: SchedulerMode, bound_mbps: f64, ping_cost: Ping) -> nanowa
 }
 
 /// [`pingpong_rig`] with a cheap ping: 16 bytes, 50 cycles, no fetch.
-fn paced_rig(mode: SchedulerMode, bound_mbps: f64) -> nanowall::FppaPlatform {
+fn paced_rig(mode: SchedulerMode, bound_period: f64) -> nanowall::FppaPlatform {
     let cheap = Ping {
         arg_bytes: 16,
         compute: 50,
         fetch_bytes: 0,
         ni_capacity: 64,
     };
-    pingpong_rig(mode, bound_mbps, cheap)
+    pingpong_rig(mode, bound_period, cheap)
 }
 
 /// Everything the two schedulers must agree on: the report of the last
@@ -581,8 +585,8 @@ fn traced_run(p: &mut nanowall::FppaPlatform, cycles: u64) -> Vec<nanowall::Trac
 
 #[test]
 fn unbound_channel_overflows_inside_hops_identically() {
-    let mut dense = paced_rig(SchedulerMode::Dense, 40.0);
-    let mut active = paced_rig(SchedulerMode::ActiveSet, 40.0);
+    let mut dense = paced_rig(SchedulerMode::Dense, 4_000.0);
+    let mut active = paced_rig(SchedulerMode::ActiveSet, 4_000.0);
 
     // Before the first bound arrival (cycle 3999) the platform is quiet:
     // the active set steps cycle 0 and hops the rest, while the unbound
@@ -614,14 +618,14 @@ fn a_hop_lands_on_the_arrival_cycle_and_not_one_beyond() {
     // The n-th coming tick emits, so the arrival cycle is n - 1 and the
     // last cycle a hop may skip is n - 2. Runs that end one cycle before
     // the arrival, on it and one after must all leave the dense state.
-    let arrival = paced_rig(SchedulerMode::ActiveSet, 40.0)
+    let arrival = paced_rig(SchedulerMode::ActiveSet, 4_000.0)
         .io(0)
         .ticks_to_next_rx()
         - 1;
     assert_eq!(arrival, 3_999);
     for end in [arrival - 1, arrival, arrival + 1] {
-        let mut dense = paced_rig(SchedulerMode::Dense, 40.0);
-        let mut active = paced_rig(SchedulerMode::ActiveSet, 40.0);
+        let mut dense = paced_rig(SchedulerMode::Dense, 4_000.0);
+        let mut active = paced_rig(SchedulerMode::ActiveSet, 4_000.0);
         let _ = dense.run(end);
         let _ = active.run(end);
         assert_eq!(
@@ -667,12 +671,12 @@ fn checkpoints_inside_a_quiet_gap_carry_the_pacing_credit() {
     const CUT: u64 = 6_000; // between the arrivals of cycles 3999 and 7999
     const TAIL: u64 = 30_000;
     let want = {
-        let mut p = paced_rig(SchedulerMode::Dense, 40.0);
+        let mut p = paced_rig(SchedulerMode::Dense, 4_000.0);
         let _ = p.run(CUT + TAIL);
         paced_state(&mut p, TAIL)
     };
     for mode in [SchedulerMode::ActiveSet, SchedulerMode::Dense] {
-        let mut p = paced_rig(mode, 40.0);
+        let mut p = paced_rig(mode, 4_000.0);
         let _ = p.run(CUT);
         if mode == SchedulerMode::ActiveSet {
             // The cut is mid-gap: the next 1000 cycles are one hop.
@@ -710,11 +714,11 @@ fn checkpoints_inside_a_quiet_gap_carry_the_pacing_credit() {
 
 /// [`pingpong_rig`] under load: ping is dear — a 2 KiB fetch from an SRAM
 /// (258 cycles of bank time, 256 flits of reply), then 300 cycles on one
-/// of two hardware threads — and channel 0 feeds it `arg_bytes` messages
-/// at `bound_mbps` through an NI of `ni_capacity` packets.
+/// of two hardware threads — and channel 0 feeds it `arg_bytes` messages,
+/// one every `bound_period` cycles, through an NI of `ni_capacity` packets.
 fn loaded_rig(
     mode: SchedulerMode,
-    bound_mbps: f64,
+    bound_period: f64,
     ni_capacity: usize,
     arg_bytes: u64,
 ) -> nanowall::FppaPlatform {
@@ -724,12 +728,12 @@ fn loaded_rig(
         fetch_bytes: 2_048,
         ni_capacity,
     };
-    pingpong_rig(mode, bound_mbps, dear)
+    pingpong_rig(mode, bound_period, dear)
 }
 
 #[test]
 fn an_overloaded_rig_hops_and_dispatches_the_cycle_after_a_retire() {
-    // 1 Gb/s of 40-byte packets: a ping every 160 cycles, against some
+    // A 40-byte packet every 160 cycles, each a ping, against some
     // 800 cycles of fetch and compute each. Invocations pile up behind the
     // two busy threads. A waiting queue used to veto every hop ("dispatch has
     // work"); now the dispatcher is due only when a thread is free, so
@@ -738,7 +742,7 @@ fn an_overloaded_rig_hops_and_dispatches_the_cycle_after_a_retire() {
     use nanowall::TraceEvent;
     const WINDOW: u64 = 40_000;
     let run = |mode| {
-        let mut p = loaded_rig(mode, 1_000.0, 64, 16);
+        let mut p = loaded_rig(mode, 160.0, 64, 16);
         // (cycle, pe, started) of every handler start and retirement.
         let handlers: Vec<(u64, usize, bool)> = traced_run(&mut p, WINDOW)
             .into_iter()
@@ -838,13 +842,13 @@ fn a_memory_access_in_flight_across_a_hop_completes_on_its_cycle() {
 
 #[test]
 fn a_bound_channel_backs_up_behind_a_full_ni_identically() {
-    // 10 Gb/s of packets, each becoming a 1 KiB message (130 flits)
+    // A packet every 16 cycles, each becoming a 1 KiB message (130 flits)
     // through an NI of two: the NI is full almost always, the RX FIFO
     // backs up behind it, overflows, and drops at line rate. While the
     // backlog waits the I/O phase is due every cycle; it must drain into
     // the NI on exactly the cycles the dense scheduler does.
-    let mut dense = loaded_rig(SchedulerMode::Dense, 10_000.0, 2, 1_024);
-    let mut active = loaded_rig(SchedulerMode::ActiveSet, 10_000.0, 2, 1_024);
+    let mut dense = loaded_rig(SchedulerMode::Dense, 16.0, 2, 1_024);
+    let mut active = loaded_rig(SchedulerMode::ActiveSet, 16.0, 2, 1_024);
     for window in [1_000u64, 7_000, 12_000] {
         let _ = dense.run(window);
         let _ = active.run(window);
@@ -869,7 +873,7 @@ fn checkpoints_inside_a_hop_span_with_a_memory_busy_and_invocations_queued() {
     use nanowall::{FppaPlatform, TraceEvent};
     use nw_types::Cycles;
     const TAIL: u64 = 8_000;
-    let build = |mode| loaded_rig(mode, 1_000.0, 64, 16);
+    let build = |mode| loaded_rig(mode, 160.0, 64, 16);
 
     // Requests reach the SRAM on these cycles (probe run); each keeps a
     // bank busy for the 258 cycles that follow.
@@ -1217,7 +1221,6 @@ fn offloads_are_charged_to_the_handler_the_runtime_dispatched() {
     let clock_hz = cfg.tech.nominal_clock_hz();
     cfg.add_io(IoChannelConfig {
         rate: nw_types::BitsPerSec(40.0 * 8.0 * clock_hz / 4_096.0),
-        clock_hz,
         ..IoChannelConfig::ten_gbe_worst_case() // 40-byte packets
     });
     let mut p = FppaPlatform::new(cfg).expect("config valid");
