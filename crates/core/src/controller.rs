@@ -35,16 +35,6 @@ pub(crate) struct MemRequest {
     pub(crate) bytes: u64,
 }
 
-/// Why a request was not accepted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SubmitError {
-    /// The target bank's queue is full; retry later (back-pressure).
-    QueueFull {
-        /// Bank whose queue was full.
-        bank: usize,
-    },
-}
-
 #[derive(Debug, Clone)]
 struct Bank {
     /// Waiting requests.
@@ -99,18 +89,21 @@ impl MemoryController {
         ((addr / Self::INTERLEAVE) % self.banks.len() as u64) as usize
     }
 
-    /// Submits a request.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::QueueFull`] when the target bank queue is at capacity.
-    pub(crate) fn submit(&mut self, req: MemRequest) -> Result<(), SubmitError> {
-        let bank = self.bank_of(req.addr);
-        if self.banks[bank].queue.len() >= self.queue_capacity {
-            return Err(SubmitError::QueueFull { bank });
+    /// Queues a request on its bank: `false`, queueing nothing, when the
+    /// bank's queue is full (back-pressure; retry later).
+    pub(crate) fn submit(&mut self, req: MemRequest) -> bool {
+        let room = self.has_room(req.addr);
+        if room {
+            let bank = self.bank_of(req.addr);
+            self.banks[bank].queue.push_back(req);
         }
-        self.banks[bank].queue.push_back(req);
-        Ok(())
+        room
+    }
+
+    /// Whether the bank queue a request for `addr` joins has room: what
+    /// [`MemoryController::submit`] would answer.
+    pub(crate) fn has_room(&self, addr: u64) -> bool {
+        self.banks[self.bank_of(addr)].queue.len() < self.queue_capacity
     }
 
     /// Takes the id of the next completed access, if any.
@@ -207,7 +200,7 @@ mod tests {
     #[test]
     fn single_read_completes_with_correct_timing() {
         let mut ctl = sram(1);
-        ctl.submit(req(7, ReqKind::Read, 0, 64)).unwrap();
+        assert!(ctl.submit(req(7, ReqKind::Read, 0, 64)));
         // SRAM 64B read = 2 + 8 = 10 cycles.
         assert_eq!(run_until(&mut ctl, 1, 0, 100), [(10, 7)]);
         assert_eq!(ctl.next_event_cycle(Cycles(11)), None);
@@ -219,8 +212,8 @@ mod tests {
         // Two 64-byte reads to the same bank take ~2x one read.
         let last = |second_addr| {
             let mut ctl = sram(4);
-            ctl.submit(req(1, ReqKind::Read, 0, 64)).unwrap();
-            ctl.submit(req(2, ReqKind::Read, second_addr, 64)).unwrap();
+            assert!(ctl.submit(req(1, ReqKind::Read, 0, 64)));
+            assert!(ctl.submit(req(2, ReqKind::Read, second_addr, 64)));
             run_until(&mut ctl, 2, 0, 200)[1].0
         };
         let (t_same, t_diff) = (last(0), last(MemoryController::INTERLEAVE));
@@ -234,19 +227,18 @@ mod tests {
     fn queue_full_backpressure() {
         let mut ctl = MemoryController::new(MemorySpec::of(MemoryTechnology::Sram), 1, 2);
         for id in 0..2 {
-            ctl.submit(req(id, ReqKind::Read, 0, 8)).unwrap();
+            assert!(ctl.submit(req(id, ReqKind::Read, 0, 8)));
         }
-        let err = ctl.submit(req(9, ReqKind::Read, 0, 8)).unwrap_err();
-        assert_eq!(err, SubmitError::QueueFull { bank: 0 });
+        assert!(!ctl.submit(req(9, ReqKind::Read, 0, 8)), "bank 0 is full");
     }
 
     #[test]
     fn energy_accumulates_and_writes_cost_more() {
         let mut ctl = sram(1);
-        ctl.submit(req(1, ReqKind::Read, 0, 64)).unwrap();
+        assert!(ctl.submit(req(1, ReqKind::Read, 0, 64)));
         run_until(&mut ctl, 1, 0, 100);
         let e_read = ctl.energy();
-        ctl.submit(req(2, ReqKind::Write, 0, 64)).unwrap();
+        assert!(ctl.submit(req(2, ReqKind::Write, 0, 64)));
         run_until(&mut ctl, 1, 100, 200);
         assert!(ctl.energy().0 > 2.0 * e_read.0 - e_read.0 * 0.5);
     }
@@ -301,7 +293,7 @@ mod tests {
         // bank is due when the bank frees.
         let mut ctl = sram(1);
         for id in 0..2 {
-            ctl.submit(req(id, ReqKind::Read, 0, 64)).unwrap();
+            assert!(ctl.submit(req(id, ReqKind::Read, 0, 64)));
         }
         assert_eq!(ctl.next_event_cycle(Cycles(0)), Some(Cycles(0)));
         ctl.tick(Cycles(0));

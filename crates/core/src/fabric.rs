@@ -215,7 +215,6 @@ pub struct Efpga {
     spec: FabricSpec,
     kernel: Option<MappedKernel>,
     server: PipelinedServer,
-    energy: Picojoules,
 }
 
 impl Efpga {
@@ -225,8 +224,7 @@ impl Efpga {
         Efpga {
             spec,
             kernel: None,
-            server: PipelinedServer::new(1, 1),
-            energy: Picojoules::ZERO,
+            server: PipelinedServer::new(1, 1, Picojoules::ZERO),
         }
     }
 
@@ -237,9 +235,9 @@ impl Efpga {
 
     /// Loads `kernel` onto the fabric at cycle `now`; the pipeline issues
     /// nothing until the bitstream has loaded. Nothing already submitted is
-    /// lost: items already issued complete on the cycle the previous kernel
-    /// gave them (charged at the new kernel's energy), and queued items
-    /// issue at the new kernel's interval and latency once the load ends.
+    /// lost: items already issued complete on the cycle, and at the energy,
+    /// the previous kernel gave them, and queued items issue at the new
+    /// kernel's interval, latency and energy once the load ends.
     ///
     /// # Errors
     ///
@@ -247,7 +245,7 @@ impl Efpga {
     pub fn reconfigure(&mut self, kernel: &KernelSpec, now: Cycles) -> Result<(), MapKernelError> {
         let mapped = MappedKernel::try_map(kernel, &self.spec)?;
         let downtime = self.spec.reconfig_cycles(mapped.luts);
-        self.server.retime(mapped.ii, mapped.latency);
+        (self.server).retime(mapped.ii, mapped.latency, mapped.energy_per_item);
         self.server.stall_until(now + downtime);
         self.kernel = Some(mapped);
         Ok(())
@@ -265,15 +263,16 @@ impl Efpga {
         self.server.try_submit(id, now)
     }
 
-    /// Takes the next completed item cookie.
+    /// Whether [`Efpga::try_submit`] would take an item: a kernel is
+    /// loaded and the input queue has room.
+    pub(crate) fn can_take(&self) -> bool {
+        self.kernel.is_some() && !self.server.is_full()
+    }
+
+    /// Takes the next completed item cookie, charged at the energy of the
+    /// kernel that issued it.
     pub fn take_done(&mut self) -> Option<u64> {
-        let r = self.server.take_done();
-        if r.is_some() {
-            if let Some(k) = &self.kernel {
-                self.energy += k.energy_per_item;
-            }
-        }
-        r
+        self.server.take_done()
     }
 
     /// Items processed so far.
@@ -283,7 +282,7 @@ impl Efpga {
 
     /// Total dynamic energy consumed.
     pub fn energy(&self) -> Picojoules {
-        self.energy
+        self.server.energy()
     }
 
     /// The earliest cycle `>= now` at which ticking the fabric or taking

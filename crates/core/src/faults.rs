@@ -176,102 +176,67 @@ impl FaultCampaign {
                 .filter(|&r| shape.router_ports[r] > 0)
                 .collect();
 
-            let n_transient = draw_count(&mut rng, rates.transient_link_per_100k, horizon);
-            for _ in 0..n_transient {
-                if linky.is_empty() {
-                    break;
-                }
+            // A fault cycle and a router with links to aim at. Without one,
+            // no link, stall or drop fault lands, but its count is drawn.
+            let aim = |rng: &mut StdRng| {
                 let cycle = rng.gen_range(1..horizon);
-                let router = linky[rng.gen_range(0..linky.len())];
+                (cycle, linky[rng.gen_range(0..linky.len())])
+            };
+            let linked = |n: u64| if linky.is_empty() { 0 } else { n };
+            let mut push = |cycle, kind| events.push(FaultEvent { cycle, kind });
+
+            for _ in 0..linked(draw_count(&mut rng, rates.transient_link_per_100k, horizon)) {
+                let (cycle, router) = aim(&mut rng);
                 let port = rng.gen_range(0..shape.router_ports[router]);
-                let len = range_draw(&mut rng, rates.transient_len).max(1);
-                events.push(FaultEvent {
+                let until = Some(cycle + range_draw(&mut rng, rates.transient_len).max(1));
+                push(
                     cycle,
-                    kind: FaultKind::LinkDown {
+                    FaultKind::LinkDown {
                         router,
                         port,
-                        until: Some(cycle + len),
+                        until,
                     },
-                });
+                );
             }
-
-            let n_stall = draw_count(&mut rng, rates.router_stall_per_100k, horizon);
-            for _ in 0..n_stall {
-                if linky.is_empty() {
-                    break;
-                }
-                let cycle = rng.gen_range(1..horizon);
-                let router = linky[rng.gen_range(0..linky.len())];
-                let len = range_draw(&mut rng, rates.stall_len).max(1);
-                events.push(FaultEvent {
-                    cycle,
-                    kind: FaultKind::RouterStall {
-                        router,
-                        until: cycle + len,
-                    },
-                });
+            for _ in 0..linked(draw_count(&mut rng, rates.router_stall_per_100k, horizon)) {
+                let (cycle, router) = aim(&mut rng);
+                let until = cycle + range_draw(&mut rng, rates.stall_len).max(1);
+                push(cycle, FaultKind::RouterStall { router, until });
             }
-
-            let n_drop = draw_count(&mut rng, rates.drop_per_100k, horizon);
-            for _ in 0..n_drop {
-                if linky.is_empty() {
-                    break;
-                }
-                let cycle = rng.gen_range(1..horizon);
-                let router = linky[rng.gen_range(0..linky.len())];
-                events.push(FaultEvent {
-                    cycle,
-                    kind: FaultKind::DropNext { router },
-                });
+            for _ in 0..linked(draw_count(&mut rng, rates.drop_per_100k, horizon)) {
+                let (cycle, router) = aim(&mut rng);
+                push(cycle, FaultKind::DropNext { router });
             }
-
             let n_corrupt = draw_count(&mut rng, rates.corrupt_per_100k, horizon);
-            for _ in 0..n_corrupt {
-                if shape.n_endpoints == 0 {
-                    break;
-                }
+            for _ in 0..if shape.n_endpoints == 0 { 0 } else { n_corrupt } {
                 let cycle = rng.gen_range(1..horizon);
                 let node = rng.gen_range(0..shape.n_endpoints);
-                events.push(FaultEvent {
-                    cycle,
-                    kind: FaultKind::CorruptNext { node },
-                });
+                push(cycle, FaultKind::CorruptNext { node });
             }
-
-            for _ in 0..rates.permanent_links {
-                if linky.is_empty() {
-                    break;
-                }
-                let cycle = rng.gen_range(1..horizon);
-                let router = linky[rng.gen_range(0..linky.len())];
+            for _ in 0..linked(rates.permanent_links.into()) {
+                let (cycle, router) = aim(&mut rng);
                 let port = rng.gen_range(0..shape.router_ports[router]);
-                events.push(FaultEvent {
+                push(
                     cycle,
-                    kind: FaultKind::LinkDown {
+                    FaultKind::LinkDown {
                         router,
                         port,
                         until: None,
                     },
-                });
+                );
             }
-
-            for _ in 0..rates.pe_crashes {
-                if shape.n_pes == 0 {
-                    break;
-                }
+            let n_crashes = if shape.n_pes == 0 {
+                0
+            } else {
+                rates.pe_crashes
+            };
+            for _ in 0..n_crashes {
                 let cycle = rng.gen_range(1..horizon);
                 let pe = rng.gen_range(0..shape.n_pes);
-                let downtime = range_draw(&mut rng, rates.pe_downtime).max(1);
-                events.push(FaultEvent {
-                    cycle,
-                    kind: FaultKind::PeCrash { pe },
-                });
-                let restart = cycle + downtime;
+                let restart = cycle + range_draw(&mut rng, rates.pe_downtime).max(1);
+                push(cycle, FaultKind::PeCrash { pe });
                 if restart < horizon {
-                    events.push(FaultEvent {
-                        cycle: restart,
-                        kind: FaultKind::PeRestart { pe },
-                    });
+                    push(restart, FaultKind::PeRestart { pe });
                 }
             }
         }

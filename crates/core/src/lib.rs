@@ -79,6 +79,7 @@ pub mod resilience;
 pub mod runtime;
 pub mod scenarios;
 mod services;
+mod state;
 pub mod tags;
 
 pub use config::{BuildPlatformError, FppaConfig, HwIpConfig, MemoryBlockConfig};

@@ -21,17 +21,14 @@ use crate::faults::{FabricShape, FaultCampaign, FaultKind};
 use crate::io::IoChannel;
 use crate::report::PlatformReport;
 use crate::resilience::{ResilienceStats, RetryPolicy};
-use crate::runtime::Runtime;
 use crate::services::Services;
+use crate::state::{Fixed, Outgoing, Source, State, NEVER};
 use crate::tags::{is_reply, RequestTag};
-use nw_dsoc::{MessageHeader, MessageKind};
 use nw_noc::{Noc, NocWork, Topology};
 use nw_obs::{HostPhase, HostProfiler, NocHeatmap, TraceEvent, TraceSink};
-use nw_pe::{Pe, PeRequest};
+use nw_pe::Pe;
 use nw_sim::LatencyHistogram;
-use nw_types::{
-    AreaMm2, Cycles, MemorySpec, NodeId, ObjectId, Payload, PeId, Picojoules, ThreadId,
-};
+use nw_types::{AreaMm2, Cycles, MemorySpec, NodeId, ObjectId, Payload, Picojoules, ThreadId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -104,35 +101,6 @@ pub struct SchedulerStats {
     pub noc: NocWork,
 }
 
-/// A source of platform work. Each has one entry in the agenda
-/// ([`FppaPlatform::due`]): the cycle its phase must next run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Source {
-    Faults,
-    Retries,
-    Io,
-    Noc,
-    Services,
-    Dispatch,
-    Pes,
-    Outbox,
-}
-
-/// Every source but the NoC: the entries a NoC-only span's limit is read
-/// from ([`FppaPlatform::run`]).
-const NOT_NOC: [Source; 7] = [
-    Source::Faults,
-    Source::Retries,
-    Source::Io,
-    Source::Services,
-    Source::Dispatch,
-    Source::Pes,
-    Source::Outbox,
-];
-
-/// An agenda entry with nothing scheduled.
-pub(crate) const NEVER: u64 = u64::MAX;
-
 /// The NoC endpoint of PE `p`: PEs come first in the endpoint order
 /// ([`FppaPlatform::new`]).
 pub(crate) fn pe_endpoint(p: usize) -> NodeId {
@@ -154,17 +122,6 @@ pub enum NodeRole {
     Io(usize),
 }
 
-/// A packet queued for injection (with retry-on-backpressure).
-#[derive(Debug, Clone)]
-pub(crate) struct Outgoing {
-    pub src: NodeId,
-    pub dst: NodeId,
-    pub data: Payload,
-    pub tag: u64,
-    /// Thread to complete once the NI accepts the packet (async sends).
-    pub on_accept: Option<(PeId, nw_types::ThreadId)>,
-}
-
 /// The assembled platform: its simulation state and the host-side
 /// observers watching it.
 ///
@@ -174,72 +131,6 @@ pub struct FppaPlatform {
     /// Everything a run reads or changes: what a snapshot copies.
     pub(crate) sim: State,
     obs: Observers,
-}
-
-/// What never changes after [`FppaPlatform::new`]: every copy of a
-/// platform shares one.
-#[derive(Debug)]
-struct Fixed {
-    cfg: FppaConfig,
-    roles: Vec<NodeRole>,
-}
-
-/// The simulation state of a [`FppaPlatform`]: every field a run reads or
-/// changes, and nothing that only watches it. A snapshot, a restore and a
-/// fork each clone it; the tables that never change after build or
-/// install sit behind `Arc`s, which the clone shares.
-#[derive(Debug, Clone)]
-pub(crate) struct State {
-    fixed: Arc<Fixed>,
-    pub(crate) noc: Noc,
-    pub(crate) pes: Vec<Pe>,
-    /// Memories, fabrics and hardwired IP with their request bookkeeping
-    /// and the `Services` agenda entry (see [`crate::services`]).
-    pub(crate) services: Services,
-    pub(crate) ios: Vec<IoChannel>,
-    /// The cycle currently executing.
-    now: Cycles,
-    outbox: VecDeque<Outgoing>,
-    pub(crate) runtime: Option<Runtime>,
-    scheduler: SchedulerMode,
-    /// Active-set scheduling: the next cycle each PE must tick
-    /// (`u64::MAX`: dormant until an external event). An early entry is
-    /// conservative (a tick first catches up, then runs normally); a later
-    /// one is the PE's own [`Pe::quiet_span`] promise that leaving it
-    /// unticked until then and settling in bulk is bit-identical. Set
-    /// after every tick, pulled earlier by [`FppaPlatform::wake_pe`]. The
-    /// dense step never reads or posts it, so under dense every entry
-    /// stays at or before `now` (where the switch to dense put it).
-    pe_wake: Vec<u64>,
-    /// Agenda entry of the PE phase: a cycle at or before `min(pe_wake)`.
-    /// Lowered with the table ([`FppaPlatform::wake_pe`], dispatch),
-    /// recomputed by the PE phase, which walks the table anyway.
-    pe_due: u64,
-    /// Agenda entry of the I/O phase: the cycle the next packet arrives on
-    /// a bound channel (the coming cycle while one holds an RX backlog).
-    /// Posted by [`FppaPlatform::post_io`].
-    io_due: u64,
-    /// I/O channels are advanced lazily, in closed form: every channel has
-    /// been ticked for the cycles before this one. Behind the clock only
-    /// between an I/O phase and the next phase or [`FppaPlatform::settle`].
-    io_synced: u64,
-    /// Scheduler work counters (`noc` is filled in on read).
-    sched_stats: SchedulerStats,
-    /// Every in-flight synchronous call — latency probe and retry entry
-    /// per hardware thread — with the per-object latency telemetry and the
-    /// retry policy (see [`crate::calls`]).
-    pub(crate) calls: CallTable,
-    /// The due retries `check_retries` is handling, kept between
-    /// calls so that a steady run of timeouts allocates nothing; empty
-    /// outside it, so a copy allocates nothing for it.
-    expired: Vec<Expired>,
-    /// Installed fault campaign, drained cycle by cycle at the top of each
-    /// step. `None` keeps every fault hook structurally untouched, so
-    /// faults-off runs are bit-identical to builds without the subsystem.
-    campaign: Option<FaultCampaign>,
-    /// Fault counters surfaced through [`FppaPlatform::resilience_stats`]
-    /// (the retry counters live in `calls`); all zero when faults are off.
-    rstats: ResilienceStats,
 }
 
 /// The host-side observers of a [`FppaPlatform`]: never simulation state,
@@ -493,8 +384,8 @@ impl FppaPlatform {
         self.sim.pe_wake.fill(now);
         self.sim.pe_due = now;
         self.sim.services.post(Cycles(now));
-        self.sync_io(now);
-        self.post_io();
+        self.sim.sync_io(now);
+        self.sim.post_io();
         if let Some(rt) = self.sim.runtime.as_mut() {
             rt.note_pes(&self.sim.pes);
         }
@@ -506,32 +397,6 @@ impl FppaPlatform {
             noc: self.sim.noc.work(),
             ..self.sim.sched_stats
         }
-    }
-
-    /// External wake: PE `p` must tick at cycle `at` at the latest. Every
-    /// site that changes a PE's state from outside its own tick calls this
-    /// with the next cycle the PE phase runs — `now` from phases before
-    /// the PE phase, `now + 1` from the outbox flush after it.
-    #[inline]
-    fn wake_pe(&mut self, p: usize, at: Cycles) {
-        self.sim.pe_wake[p] = self.sim.pe_wake[p].min(at.0);
-        self.sim.pe_due = self.sim.pe_due.min(at.0);
-        self.sim.sched_stats.pe_external_wakes += 1;
-    }
-
-    /// Data-driven wake: unblocks thread `tid` of PE `p`, whose PE phase
-    /// next runs at cycle `at`, and posts the cycle the PE must tick. That
-    /// is `at` when the completion made the only runnable context — but a
-    /// PE mid compute burst keeps issuing from its current context
-    /// whatever becomes ready behind it, so it is asked again
-    /// ([`Pe::quiet_span`], on state caught up to `at`) and goes on
-    /// sleeping to the end of the burst.
-    fn complete_thread(&mut self, p: usize, tid: nw_types::ThreadId, at: Cycles) {
-        let pe = &mut self.sim.pes[p];
-        pe.complete(tid);
-        pe.settle_accounting(at);
-        let wake = pe.wake_cycle(at);
-        self.wake_pe(p, Cycles(wake));
     }
 
     /// The configuration the platform was built from.
@@ -625,7 +490,7 @@ impl FppaPlatform {
     pub fn pe_mut(&mut self, i: usize) -> &mut Pe {
         let now = self.sim.now;
         self.sim.pes[i].settle_accounting(now);
-        self.wake_pe(i, now);
+        self.sim.wake_pe(i, now);
         // The caller may spawn programs the runtime never saw; drop the
         // PE's handler attributions so a manual program's service calls
         // cannot be charged to a stale handler's latency histogram.
@@ -725,14 +590,14 @@ impl FppaPlatform {
             // the lap that ends next (FastForward on a hop, IoPacing on a
             // stepped cycle).
             let now = self.sim.now.0;
-            let due = if dense { now } else { self.agenda_min(now) };
+            let due = if dense { now } else { self.sim.agenda_min(now) };
             if due > now {
                 self.hop(now, due.min(end));
             } else {
                 self.step_cycle(dense);
             }
             #[cfg(debug_assertions)]
-            self.audit_agenda();
+            self.sim.audit_agenda();
             if due <= now && !dense {
                 self.noc_span(end);
             }
@@ -801,12 +666,12 @@ impl FppaPlatform {
         if next.0 >= self.sim.pe_due {
             return;
         }
-        let limit = self.agenda_min_but_noc(now).min(end);
+        let limit = self.sim.agenda_min_but_noc(now).min(end);
         if next.0 >= limit {
             return;
         }
         #[cfg(debug_assertions)]
-        let others = NOT_NOC.map(|source| self.due(source, now));
+        let others = crate::state::NOT_NOC.map(|source| self.sim.due(source, now));
         let sink = self.obs.sink.as_deref_mut();
         let span = (self.sim.noc).run_span(Cycles(now), next, Cycles(limit), sink);
         // The last cycle is closed here, or by phases 3–7 when it holds a
@@ -829,15 +694,15 @@ impl FppaPlatform {
         }
         self.sim.now += Cycles(span.end.0 - now - delivered);
         #[cfg(debug_assertions)]
-        for (source, was) in NOT_NOC.into_iter().zip(others) {
-            let due = self.due(source, last.0);
+        for (source, was) in crate::state::NOT_NOC.into_iter().zip(others) {
+            let due = self.sim.due(source, last.0);
             assert_eq!(due, was, "{last}: a NoC span moved the {source:?} entry");
         }
         if span.delivered {
             self.step_after_noc(last, false);
         }
         #[cfg(debug_assertions)]
-        self.audit_agenda();
+        self.sim.audit_agenda();
     }
 
     /// Advances the platform by one cycle under the configured scheduler
@@ -847,9 +712,9 @@ impl FppaPlatform {
     /// stays lazy: see [`FppaPlatform::settle`].
     pub fn step(&mut self) {
         self.step_cycle(self.sim.scheduler == SchedulerMode::Dense);
-        self.sync_io(self.sim.now.0);
+        self.sim.sync_io(self.sim.now.0);
         #[cfg(debug_assertions)]
-        self.audit_agenda();
+        self.sim.audit_agenda();
     }
 
     /// The minimal fabric description a [`FaultCampaign`] needs to aim
@@ -941,22 +806,6 @@ impl FppaPlatform {
         true
     }
 
-    /// Crashes PE `pe` (fault hook): threads die, latency probes and retry
-    /// entries of the PE are cancelled. Idempotent while crashed.
-    fn crash_pe(&mut self, pe: usize, now: Cycles) {
-        if pe >= self.sim.pes.len() || self.sim.pes[pe].is_crashed() {
-            return;
-        }
-        self.sim.pes[pe].crash(now);
-        // One tick on the dead contexts; it posts the PE dormant.
-        self.wake_pe(pe, now);
-        self.sim.calls.abandon_pe(pe);
-        if let Some(rt) = self.sim.runtime.as_mut() {
-            rt.note_pe(pe, 0);
-        }
-        self.sim.rstats.pe_crashes += 1;
-    }
-
     /// Drains and applies every campaign event due at `now` (phase 0 of a
     /// stepped cycle; the campaign's next cycle is an agenda entry, so the
     /// active set steps every fault cycle and applies it where dense does).
@@ -970,26 +819,16 @@ impl FppaPlatform {
                 FaultKind::LinkDown {
                     router,
                     port,
-                    until: Some(until),
+                    until,
                 } => {
-                    if router < self.sim.noc.topology().n_routers()
-                        && port < self.sim.noc.topology().links_of(router).len()
-                    {
-                        self.sim.noc.stall_port(router, port, until);
+                    let topo = self.sim.noc.topology();
+                    if router < topo.n_routers() && port < topo.links_of(router).len() {
+                        match until {
+                            Some(until) => self.sim.noc.stall_port(router, port, until),
+                            None => _ = self.fail_noc_link(router, port),
+                        }
                     }
-                    (0, router, port as u64)
-                }
-                FaultKind::LinkDown {
-                    router,
-                    port,
-                    until: None,
-                } => {
-                    if router < self.sim.noc.topology().n_routers()
-                        && port < self.sim.noc.topology().links_of(router).len()
-                    {
-                        self.fail_noc_link(router, port);
-                    }
-                    (1, router, port as u64)
+                    (u8::from(until.is_none()), router, port as u64)
                 }
                 FaultKind::RouterStall { router, until } => {
                     if router < self.sim.noc.topology().n_routers() {
@@ -1010,13 +849,13 @@ impl FppaPlatform {
                     (4, node, 0)
                 }
                 FaultKind::PeCrash { pe } => {
-                    self.crash_pe(pe, now);
+                    self.sim.crash_pe(pe, now);
                     (5, pe, 0)
                 }
                 FaultKind::PeRestart { pe } => {
                     if pe < self.sim.pes.len() && self.sim.pes[pe].is_crashed() {
                         self.sim.pes[pe].restart(now);
-                        self.wake_pe(pe, now);
+                        self.sim.wake_pe(pe, now);
                         if let Some(rt) = self.sim.runtime.as_mut() {
                             rt.note_pe(pe, self.sim.pes[pe].idle_threads());
                         }
@@ -1049,7 +888,7 @@ impl FppaPlatform {
                 Expired::GiveUp { pe, tid } => {
                     let t = nw_types::ThreadId(tid);
                     if self.sim.pes[pe].is_awaiting(t) {
-                        self.complete_thread(pe, t, now);
+                        self.sim.complete_thread(pe, t, now);
                     }
                 }
                 Expired::Retry {
@@ -1093,7 +932,7 @@ impl FppaPlatform {
     /// delivery runs too (`noc_span`).
     fn step_cycle(&mut self, open: bool) {
         let now = self.sim.now;
-        let due = |p: &Self, source| open || p.due(source, now.0) <= now.0;
+        let due = |p: &Self, source| open || p.sim.due(source, now.0) <= now.0;
 
         // 0. Fault injection and retry deadlines.
         let faults = due(self, Source::Faults);
@@ -1111,10 +950,10 @@ impl FppaPlatform {
         //    agenda read and phase 0.
         let io = due(self, Source::Io);
         if io {
-            self.sync_io(now.0 + 1);
+            self.sim.sync_io(now.0 + 1);
             self.io_ingress(now);
             if !open {
-                self.post_io();
+                self.sim.post_io();
             }
         }
         if faults || retries || io {
@@ -1138,7 +977,7 @@ impl FppaPlatform {
 
     /// Phases 3–7 of the stepped cycle `now`, then the clock moves on.
     fn step_after_noc(&mut self, now: Cycles, open: bool) {
-        let due = |p: &Self, source| open || p.due(source, now.0) <= now.0;
+        let due = |p: &Self, source| open || p.sim.due(source, now.0) <= now.0;
 
         // 3. Route arrivals, when a delivered packet awaits ejection.
         if open || self.sim.noc.eject_pending() > 0 {
@@ -1173,32 +1012,20 @@ impl FppaPlatform {
         //    they wake or at report time. Dense ticks every PE and posts
         //    nothing: its wake entries stay at or before `now`.
         if due(self, Source::Pes) {
-            let next = Cycles(now.0 + 1);
             let mut earliest = NEVER;
             for p in 0..self.sim.pes.len() {
-                if !open && self.sim.pe_wake[p] > now.0 {
-                    earliest = earliest.min(self.sim.pe_wake[p]);
-                    continue;
-                }
-                if let Some(tid) = self.sim.pes[p].tick(now) {
-                    if let Some(s) = self.obs.sink.as_deref_mut() {
-                        s.emit(TraceEvent::HandlerEnd {
-                            cycle: now.0,
-                            pe: p,
-                            thread: tid.0,
-                        });
+                if open || self.sim.pe_wake[p] <= now.0 {
+                    if let Some(tid) = self.sim.tick_pe(p, now, open) {
+                        if let Some(s) = self.obs.sink.as_deref_mut() {
+                            s.emit(TraceEvent::HandlerEnd {
+                                cycle: now.0,
+                                pe: p,
+                                thread: tid.0,
+                            });
+                        }
                     }
                 }
-                self.collect_pe_requests(p, now);
-                self.sim.sched_stats.pe_ticks += 1;
-                if !open {
-                    self.sim.pe_wake[p] = self.sim.pes[p].wake_cycle(next);
-                    earliest = earliest.min(self.sim.pe_wake[p]);
-                    // A retirement frees a hardware thread for the dispatcher.
-                    if let Some(rt) = self.sim.runtime.as_mut() {
-                        rt.note_pe(p, self.sim.pes[p].idle_threads());
-                    }
-                }
+                earliest = earliest.min(self.sim.pe_wake[p]);
             }
             if !open {
                 self.sim.pe_due = earliest;
@@ -1224,45 +1051,6 @@ impl FppaPlatform {
         self.prof_lap(phase);
     }
 
-    /// The agenda: the cycle source `source`'s phase must next run
-    /// ([`NEVER`]: nothing scheduled). One rule: an entry may be early —
-    /// the phase runs as a no-op and re-posts — never late. Sources that
-    /// own an ordered structure are read in place (the campaign cursor, the
-    /// retry index, the NoC wheels, the outbox); the others keep a cached
-    /// word that every state change posts into.
-    #[inline]
-    fn due(&self, source: Source, now: u64) -> u64 {
-        match source {
-            Source::Faults => (self.sim.campaign.as_ref())
-                .and_then(FaultCampaign::next_cycle)
-                .unwrap_or(NEVER),
-            Source::Retries => self.sim.calls.next_deadline().unwrap_or(NEVER),
-            Source::Io => self.sim.io_due,
-            Source::Noc if self.sim.noc.eject_pending() > 0 => now,
-            Source::Noc => (self.sim.noc.next_event_cycle(Cycles(now))).map_or(NEVER, |c| c.0),
-            Source::Services => self.sim.services.due(),
-            Source::Dispatch => {
-                (self.sim.runtime.as_ref()).map_or(NEVER, |rt| rt.dispatch_due(now))
-            }
-            Source::Pes => self.sim.pe_due,
-            Source::Outbox if self.sim.outbox.is_empty() => NEVER,
-            Source::Outbox => now,
-        }
-    }
-
-    /// The earliest agenda entry.
-    #[inline]
-    fn agenda_min(&self, now: u64) -> u64 {
-        self.due(Source::Noc, now).min(self.agenda_min_but_noc(now))
-    }
-
-    /// The earliest of the seven agenda entries other than the NoC's, read
-    /// one by one: the limit of a NoC-only span.
-    #[inline]
-    fn agenda_min_but_noc(&self, now: u64) -> u64 {
-        (NOT_NOC.iter()).fold(NEVER, |min, &source| min.min(self.due(source, now)))
-    }
-
     /// The earliest cycle `>=` now at which any platform component has work
     /// due — the minimum of the agenda — or `None` when the platform is
     /// completely drained. Spans before the returned cycle are safe to
@@ -1274,7 +1062,7 @@ impl FppaPlatform {
     /// and [`FppaPlatform::settle`]; under dense every PE reads due now.
     pub fn next_event_cycle(&self) -> Option<Cycles> {
         let now = self.sim.now.0;
-        let due = self.agenda_min(now);
+        let due = self.sim.agenda_min(now);
         (due != NEVER).then(|| Cycles(due.max(now)))
     }
 
@@ -1290,72 +1078,7 @@ impl FppaPlatform {
         for pe in &mut self.sim.pes {
             pe.settle_accounting(now);
         }
-        self.sync_io(now.0);
-    }
-
-    /// Ticks every I/O channel for the cycles before `to` it has not seen
-    /// yet, in one closed-form jump ([`IoChannel::advance`]). The agenda
-    /// runs the I/O phase on every bound arrival, so between phases only
-    /// credit accrues and unbound channels fill and overflow their FIFOs.
-    fn sync_io(&mut self, to: u64) {
-        if to > self.sim.io_synced {
-            for io in &mut self.sim.ios {
-                io.advance(to - self.sim.io_synced);
-            }
-            self.sim.io_synced = to;
-        }
-    }
-
-    /// Posts the I/O agenda entry: the cycle of the next arrival on a
-    /// bound channel — one division per channel per call, and the phase
-    /// calls it once per arrival — or the next cycle to run while a bound
-    /// channel's RX backlog waits for NI room.
-    pub(crate) fn post_io(&mut self) {
-        self.sim.io_due = self.io_arrival();
-    }
-
-    /// The cycle of the next arrival on a bound channel: every channel has
-    /// been ticked for the cycles before `io_synced`, and the `n`-th tick
-    /// from there is the first to emit (never stays never). A channel
-    /// with an RX backlog answers `io_synced`.
-    fn io_arrival(&self) -> u64 {
-        let Some(rt) = self.sim.runtime.as_ref() else {
-            return NEVER;
-        };
-        let bound = (self.sim.ios.iter().enumerate()).filter(|&(i, _)| rt.io_has_bindings(i));
-        bound
-            .map(|(_, io)| match (io.rx_backlog(), io.ticks_to_next_rx()) {
-                (0, NEVER) => NEVER,
-                (0, n) => self.sim.io_synced.saturating_add(n - 1),
-                _ => self.sim.io_synced,
-            })
-            .min()
-            .unwrap_or(NEVER)
-    }
-
-    /// The agenda's oracle, run after every step and hop of a debug build:
-    /// no cached entry is later than what a walk over the state it
-    /// summarizes answers — the fold the run loop used to make every lap.
-    #[cfg(debug_assertions)]
-    fn audit_agenda(&self) {
-        let sim = &self.sim;
-        if sim.scheduler == SchedulerMode::Dense {
-            return; // dense neither reads nor posts the agenda
-        }
-        let now = sim.now;
-        let pes = sim.pe_wake.iter().copied().min().unwrap_or(NEVER);
-        assert!(sim.pe_due <= pes, "{now}: PE entry {} late", sim.pe_due);
-        let io = self.io_arrival();
-        assert!(sim.io_due <= io, "{now}: I/O entry {} late", sim.io_due);
-        let services = sim.services.next_event(now);
-        assert!(
-            sim.services.due() <= services,
-            "{now}: services entry {} late, a node is due at {services}",
-            sim.services.due()
-        );
-        if let Some(rt) = sim.runtime.as_ref() {
-            rt.audit_agenda(&sim.pes);
-        }
+        self.sim.sync_io(now.0);
     }
 
     /// Drains line-rate ingress into DSOC invocations (runtime present) or
@@ -1410,7 +1133,7 @@ impl FppaPlatform {
                             if let (Some(miss), Some(s)) = (miss, self.obs.sink.as_deref_mut()) {
                                 s.emit(miss);
                             }
-                            self.complete_thread(p, t.tid, now);
+                            self.sim.complete_thread(p, t.tid, now);
                         }
                     } else if let Some(rt) = self.sim.runtime.as_mut() {
                         rt.enqueue_invocation(p, &pkt, self.sim.pes[p].idle_threads());
@@ -1430,109 +1153,27 @@ impl FppaPlatform {
         let Some(mut rt) = self.sim.runtime.take() else {
             return;
         };
-        let (calls, mut sink) = (&mut self.sim.calls, self.obs.sink.as_deref_mut());
-        let on_spawn = |pe, thread: nw_types::ThreadId, object: ObjectId| {
-            calls.start_handler(pe, thread.0, object);
-            if let Some(s) = sink.as_deref_mut() {
-                s.emit(TraceEvent::HandlerStart {
-                    cycle: now.0,
-                    pe,
-                    thread: thread.0,
-                    object: object.0,
-                });
+        for p in 0..self.sim.pes.len() {
+            let (calls, sink) = (&mut self.sim.calls, &mut self.obs.sink);
+            let on_spawn = |pe, thread: ThreadId, object: ObjectId| {
+                calls.start_handler(pe, thread.0, object);
+                if let Some(s) = sink.as_deref_mut() {
+                    s.emit(TraceEvent::HandlerStart {
+                        cycle: now.0,
+                        pe,
+                        thread: thread.0,
+                        object: object.0,
+                    });
+                }
+            };
+            if let Some(wake) = rt.dispatch(p, &mut self.sim.pes[p], now, on_spawn) {
+                self.sim.wake_pe(p, wake);
             }
-        };
-        let (woken, earliest) =
-            rt.dispatch(&mut self.sim.pes, now, &mut self.sim.pe_wake, on_spawn);
-        self.sim.pe_due = self.sim.pe_due.min(earliest);
-        self.sim.sched_stats.pe_external_wakes += woken;
+        }
         if !open {
             rt.note_pes(&self.sim.pes);
         }
         self.sim.runtime = Some(rt);
-    }
-
-    /// The application object a synchronous call from thread `(p, tid)` to
-    /// `dst` is attributed to for latency telemetry:
-    ///
-    /// * a call to a **service node** (memory, fabric, hardwired IP) is a
-    ///   handler offload — attributed to the object the thread is running
-    ///   (the *bound service object* of [`FppaPlatform::bind_service`]);
-    /// * a call to a **PE** carries a marshalled DSOC invocation —
-    ///   attributed to the invoked (target) object from the wire header,
-    ///   so twoway round trips land on the service object that answers
-    ///   them, wherever the caller runs.
-    ///
-    /// `None` (manually spawned programs, no installed application, or an
-    /// undecodable payload) records nothing.
-    fn call_attribution(
-        &self,
-        p: usize,
-        tid: usize,
-        dst: NodeId,
-        data: &Payload,
-    ) -> Option<ObjectId> {
-        match self.sim.fixed.roles.get(dst.0)? {
-            NodeRole::Memory(_) | NodeRole::Fabric(_) | NodeRole::HwIp(_) => {
-                self.sim.calls.handler(p, tid)
-            }
-            NodeRole::Pe(_) => MessageHeader::decode(data)
-                .ok()
-                .filter(|m| m.kind == MessageKind::Invocation)
-                .map(|m| m.object),
-            NodeRole::Io(_) => None,
-        }
-    }
-
-    /// Turns the requests PE `p` raised this tick into outgoing packets.
-    fn collect_pe_requests(&mut self, p: usize, now: Cycles) {
-        let src = self.pe_node(p);
-        while let Some((tid, req)) = self.sim.pes[p].pop_request() {
-            match req {
-                PeRequest::Send {
-                    dst,
-                    bytes,
-                    mut data,
-                    tag,
-                } => {
-                    data.pad_to(bytes as usize);
-                    self.sim.outbox.push_back(Outgoing {
-                        src,
-                        dst,
-                        data,
-                        tag,
-                        on_accept: Some((PeId(p), tid)),
-                    });
-                }
-                PeRequest::Call {
-                    dst,
-                    bytes,
-                    reply_bytes,
-                    mut data,
-                } => {
-                    // The round trip the latency probe times ends when
-                    // the reply is delivered back to this thread; under a
-                    // retry policy the table keeps the padded payload and
-                    // stamps the attempt's token on the tag.
-                    let object = self.call_attribution(p, tid.0, dst, &data);
-                    data.pad_to(bytes as usize);
-                    let tag = RequestTag {
-                        pe: PeId(p),
-                        tid,
-                        token: 0,
-                        reply_bytes,
-                    };
-                    let tag = (self.sim.calls).issue(tag, dst, data, object, now);
-                    self.sim.outbox.push_back(Outgoing {
-                        src,
-                        dst,
-                        data,
-                        tag: tag.encode(),
-                        on_accept: None,
-                    });
-                }
-            }
-        }
     }
 
     fn flush_outbox(&mut self, now: Cycles) {
@@ -1566,7 +1207,7 @@ impl FppaPlatform {
                 // unconditional legacy path, assertion included).
                 if self.sim.campaign.is_none() || self.sim.pes[pe.0].is_awaiting(tid) {
                     // The PE phase of this cycle is over: tick next cycle.
-                    self.complete_thread(pe.0, tid, Cycles(now.0 + 1));
+                    self.sim.complete_thread(pe.0, tid, Cycles(now.0 + 1));
                 }
             }
         }
@@ -1627,7 +1268,7 @@ impl FppaPlatform {
         let services = &self.sim.services;
         let mem: Picojoules = services.memories().map(|(_, m)| m.energy()).sum();
         let fab: Picojoules = services.fabrics().map(|(_, f)| f.energy()).sum();
-        let hw: Picojoules = services.hwips().map(|(.., energy)| energy).sum();
+        let hw: Picojoules = services.hwips().map(|(.., s)| s.energy()).sum();
         pe + mem + fab + hw
     }
 }

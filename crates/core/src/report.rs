@@ -218,7 +218,7 @@ impl PlatformReport {
                 .collect(),
             mem_accesses: services.memories().map(|(_, m)| m.served()).sum(),
             fabric_served: services.fabrics().map(|(_, f)| f.served()).sum(),
-            hwip_served: services.hwips().map(|(_, _, s, _)| s.served()).sum(),
+            hwip_served: services.hwips().map(|(.., s)| s.served()).sum(),
             resilience: p.resilience_stats(),
         }
     }

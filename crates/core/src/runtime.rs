@@ -307,9 +307,6 @@ pub struct Runtime {
     io_rr: Vec<usize>,
     /// Fractional call-multiplicity carry per edge index.
     edge_carry: Vec<f64>,
-    /// Invocations queued across all per-PE dispatch queues (so the
-    /// dispatcher can skip the whole scan when nothing is pending).
-    pending_total: usize,
     /// Per PE: the dispatcher can spawn on it ([`Runtime::can_spawn`]) as
     /// of the last [`Runtime::note_pe`]. A set bit may be stale (the dispatch it causes
     /// is a no-op and clears it); a clear bit never is: every site that
@@ -429,7 +426,6 @@ impl Runtime {
             io_bindings: vec![Vec::new(); n_ios].into(),
             io_rr: vec![0; n_ios],
             edge_carry: vec![0.0; app.edges().len()],
-            pending_total: 0,
             ready: vec![false; n_pes],
             ready_count: 0,
             seq: 0,
@@ -540,51 +536,40 @@ impl Runtime {
     }
 
     /// Routes an arriving DSOC packet at PE `p` (which has `idle_threads`
-    /// free contexts) into its dispatch queue.
+    /// free contexts) into its dispatch queue, or counts it as a decode
+    /// error.
     pub(crate) fn enqueue_invocation(&mut self, p: usize, pkt: &Packet, idle_threads: usize) {
-        let msg = match MessageHeader::decode(&pkt.data) {
-            Ok(m) => m,
-            Err(_) => {
-                self.decode_errors += 1;
-                return;
-            }
-        };
-        if msg.kind != MessageKind::Invocation {
-            self.decode_errors += 1;
-            return;
-        }
-        let Some(handler) = self.handler_of(msg.object, msg.method) else {
+        let Some((local, reply)) = self.decode_invocation(p, pkt) else {
             self.decode_errors += 1;
             return;
         };
+        self.dispatch[p].push(local, reply);
+        self.note_pe(p, idle_threads);
+    }
+
+    /// The backlog entry of a packet arriving at PE `p`: the local index of
+    /// the handler it invokes and, when it answers, its reply fields.
+    /// `None` unless it is an invocation of a handler PE `p` hosts.
+    fn decode_invocation(&self, p: usize, pkt: &Packet) -> Option<(u8, Option<Reply>)> {
+        let msg = MessageHeader::decode(&pkt.data).ok();
+        let msg = msg.filter(|m| m.kind == MessageKind::Invocation)?;
+        let handler = self.handler_of(msg.object, msg.method)?;
         // An invocation runs on the PE that hosts its object: arriving at
         // another, it has no handler there.
         if self.placement[msg.object.0] != p {
-            self.decode_errors += 1;
-            return;
+            return None;
         }
         let local =
             u8::try_from(handler - self.pe_first[p]).expect("a PE hosts at most 128 handlers");
         // A twoway invocation answers when its request carries a tag.
-        let answers = pkt.tag != 0 && self.handlers[handler].twoway;
-        let reply = if answers {
-            // A caller node past `u32` (never built: each is a vector
-            // index) is refused.
-            let Ok(node) = u32::try_from(pkt.src.0) else {
-                self.decode_errors += 1;
-                return;
-            };
-            Some(Reply {
-                seq: msg.seq,
-                node,
-                tag: pkt.tag,
-            })
-        } else {
-            None
-        };
-        self.dispatch[p].push(local, reply);
-        self.pending_total += 1;
-        self.note_pe(p, idle_threads);
+        if pkt.tag == 0 || !self.handlers[handler].twoway {
+            return Some((local, None));
+        }
+        // A caller node past `u32` (never built: each is a vector index) is
+        // refused.
+        let node = u32::try_from(pkt.src.0).ok()?;
+        let (seq, tag) = (msg.seq, pkt.tag);
+        Some((local, Some(Reply { seq, node, tag })))
     }
 
     /// Whether the dispatcher has something to spawn on PE `p`: a free
@@ -637,54 +622,37 @@ impl Runtime {
         }
     }
 
-    /// Dispatches queued invocations onto idle hardware threads, PE by PE
-    /// ascending, each spawn reported to `on_spawn` as `(pe, thread,
-    /// object)`. The caller refreshes the ready bits afterwards
-    /// ([`Runtime::note_pes`]).
-    ///
-    /// Only PEs with pending work are visited (an active-set skip that is
-    /// behaviour-identical to the dense scan, since a PE with an empty queue
-    /// is a no-op there). Each PE spawned on is caught up to `now` before
-    /// the spawn flips a thread from idle to ready, and afterwards posts in
-    /// the platform's `pe_wake` table the cycle it must tick: `now`, unless
-    /// it is mid compute burst and the new thread only waits behind it
-    /// ([`Pe::quiet_span`]). Returns the number of PEs woken and the
-    /// earliest wake posted.
+    /// Dispatches PE `p`'s queued invocations onto its idle hardware
+    /// threads, each spawn reported to `on_spawn` as `(pe, thread,
+    /// object)`; the caller visits the PEs in ascending order and then
+    /// refreshes the ready bits ([`Runtime::note_pes`]). A PE spawned on is
+    /// caught up to `now` first, and the cycle it must then tick is
+    /// returned ([`Pe::wake_cycle`]): `now`, unless it is mid compute burst
+    /// and the new threads only wait behind it.
     pub(crate) fn dispatch(
         &mut self,
-        pes: &mut [Pe],
+        p: usize,
+        pe: &mut Pe,
         now: Cycles,
-        pe_wake: &mut [u64],
         mut on_spawn: impl FnMut(usize, ThreadId, ObjectId),
-    ) -> (u64, u64) {
-        let (mut woken, mut earliest) = (0, u64::MAX);
-        if self.pending_total == 0 {
-            return (woken, earliest);
+    ) -> Option<Cycles> {
+        if self.dispatch[p].is_empty() || pe.idle_threads() == 0 {
+            return None;
         }
-        for (p, pe) in pes.iter_mut().enumerate() {
-            if self.dispatch[p].is_empty() || pe.idle_threads() == 0 {
-                continue;
-            }
-            pe.settle_accounting(now);
-            while pe.idle_threads() > 0 {
-                let Some((handler, reply)) = self.take_invocation(p) else {
-                    break;
-                };
-                self.spawn(p, pe, handler, reply, &mut on_spawn);
-            }
-            let at = pe.wake_cycle(now);
-            pe_wake[p] = pe_wake[p].min(at);
-            earliest = earliest.min(at);
-            woken += 1;
+        pe.settle_accounting(now);
+        while pe.idle_threads() > 0 {
+            let Some((handler, reply)) = self.take_invocation(p) else {
+                break;
+            };
+            self.spawn(p, pe, handler, reply, &mut on_spawn);
         }
-        (woken, earliest)
+        Some(Cycles(pe.wake_cycle(now)))
     }
 
     /// Takes PE `p`'s oldest queued invocation: its handler index and, when
     /// it answers, its reply fields.
     fn take_invocation(&mut self, p: usize) -> Option<(usize, Option<Reply>)> {
         let (local, reply) = self.dispatch[p].pop()?;
-        self.pending_total -= 1;
         Some((self.pe_first[p] + local, reply))
     }
 
@@ -812,7 +780,7 @@ impl Runtime {
 
     /// Invocations currently queued (all PEs).
     pub fn queued_invocations(&self) -> usize {
-        self.pending_total
+        self.dispatch.iter().map(|b| b.keys.len()).sum()
     }
 }
 
@@ -850,7 +818,7 @@ impl FppaPlatform {
     ) -> Result<(), InstallError> {
         let rt = Runtime::new(app, placement, self.sim.pes.len(), self.sim.ios.len())?;
         self.sim.runtime = Some(rt);
-        self.post_io();
+        self.sim.post_io();
         self.sim.calls.reset(app.objects().len());
         Ok(())
     }
@@ -862,7 +830,7 @@ impl FppaPlatform {
     /// See [`InstallError`].
     pub fn bind_io_entry(&mut self, io: usize, object: ObjectId) -> Result<(), InstallError> {
         self.runtime_mut()?.bind_io(io, object)?;
-        self.post_io();
+        self.sim.post_io();
         Ok(())
     }
 

@@ -8,10 +8,10 @@
 use crate::config::{FppaConfig, HwIpConfig};
 use crate::controller::{MemRequest, MemoryController, ReqKind};
 use crate::fabric::Efpga;
-use crate::platform::NEVER;
+use crate::state::NEVER;
 use crate::tags::RequestTag;
 use nw_sim::PipelinedServer;
-use nw_types::{Cycles, MemorySpec, NodeId, Picojoules};
+use nw_types::{Cycles, MemorySpec, NodeId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The substrate answering at one service endpoint.
@@ -20,12 +20,10 @@ enum Block {
     Memory(MemoryController),
     Fabric(Efpga),
     /// A hardwired IP block (§6.4, the fixed-function end of Figure 1's
-    /// continuum): its declaration, its pipeline, and the dynamic energy
-    /// of the items it completed.
+    /// continuum): its declaration and its pipeline.
     HwIp {
         cfg: HwIpConfig,
         server: PipelinedServer,
-        energy: Picojoules,
     },
 }
 
@@ -41,10 +39,20 @@ impl Block {
                     addr: id.wrapping_mul(MemoryController::INTERLEAVE),
                     bytes: RequestTag::decode(tag).reply_bytes.max(1),
                 };
-                m.submit(req).is_ok()
+                m.submit(req)
             }
             Block::Fabric(f) => f.try_submit(id, now).is_ok(),
             Block::HwIp { server, .. } => server.try_submit(id, now).is_ok(),
+        }
+    }
+
+    /// Whether the block has room for request `id`: what
+    /// [`Block::try_submit`] would answer.
+    fn can_take(&self, id: u64) -> bool {
+        match self {
+            Block::Memory(m) => m.has_room(id.wrapping_mul(MemoryController::INTERLEAVE)),
+            Block::Fabric(f) => f.can_take(),
+            Block::HwIp { server, .. } => !server.is_full(),
         }
     }
 
@@ -60,17 +68,7 @@ impl Block {
         match self {
             Block::Memory(m) => m.take_done(),
             Block::Fabric(f) => f.take_done(),
-            Block::HwIp {
-                cfg,
-                server,
-                energy,
-            } => {
-                let done = server.take_done();
-                if done.is_some() {
-                    *energy += cfg.energy_per_item;
-                }
-                done
-            }
+            Block::HwIp { server, .. } => server.take_done(),
         }
     }
 }
@@ -91,10 +89,13 @@ struct ServiceNode {
 
 impl ServiceNode {
     /// When the node must next be ticked, as of cycle `at`: every cycle
-    /// while requests are parked, else at the block's own next event.
+    /// while the block can take the oldest parked request, else at the
+    /// block's own next event. Only that event makes room, or a kernel
+    /// load, which re-posts the entry ([`Services::fabric_mut`]).
     fn due(&self, at: Cycles) -> u64 {
+        let parked = self.parked.front();
         let event = match &self.block {
-            _ if !self.parked.is_empty() => return at.0,
+            b if parked.is_some_and(|&(id, ..)| b.can_take(id)) => return at.0,
             Block::Memory(m) => m.next_event_cycle(at),
             Block::Fabric(f) => f.next_event_cycle(at),
             Block::HwIp { server, .. } => server.next_event_cycle(at),
@@ -145,8 +146,7 @@ impl Services {
         let fabrics = cfg.fabrics.iter().map(|f| Block::Fabric(Efpga::new(*f)));
         let hwips = cfg.hwip.iter().map(|h| Block::HwIp {
             cfg: h.clone(),
-            server: PipelinedServer::new(h.ii, h.latency),
-            energy: Picojoules::ZERO,
+            server: PipelinedServer::new(h.ii, h.latency, h.energy_per_item),
         });
         let blocks = mems.chain(fabrics).chain(hwips).enumerate();
         Services {
@@ -232,16 +232,10 @@ impl Services {
     }
 
     /// The hardwired blocks with their endpoints, in endpoint order: each
-    /// one's declaration, pipeline and energy so far.
-    pub(crate) fn hwips(
-        &self,
-    ) -> impl Iterator<Item = (NodeId, &HwIpConfig, &PipelinedServer, Picojoules)> {
+    /// one's declaration and pipeline.
+    pub(crate) fn hwips(&self) -> impl Iterator<Item = (NodeId, &HwIpConfig, &PipelinedServer)> {
         self.nodes.iter().filter_map(|n| match &n.block {
-            Block::HwIp {
-                cfg,
-                server,
-                energy,
-            } => Some((n.node, cfg, server, *energy)),
+            Block::HwIp { cfg, server } => Some((n.node, cfg, server)),
             _ => None,
         })
     }

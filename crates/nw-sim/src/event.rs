@@ -30,16 +30,18 @@ use std::collections::BinaryHeap;
 /// the schedule distances of the benchmark rigs: arrivals and router wakes
 /// land `ser + link latency + router_delay` ahead of the tick, pipeline
 /// and memory completions a latency ahead — under 256 cycles for all but
-/// jumbo payloads on narrow links (ARCHITECTURE.md has the measured
-/// overflow shares).
+/// jumbo payloads on narrow links. Counted over whole nwbench runs, 1 of
+/// about 8.7 M schedules on the four workloads went to the heap (on
+/// `mix-fork-faults`; 0 of 341 640 on the idle-heavy `modem-idle`), and a
+/// narrower ring would send more: `video-knee` schedules 332 101 items
+/// 128–255 cycles ahead, `modem-idle` 222 066 items 64–127 ahead.
 ///
-/// One other schedule misses the window: the first into an empty queue
-/// whose owner skipped `pop_due` across more than `WINDOW` cycles (a
-/// fast-forward hop), since only `pop_due` moves the window — one push and
-/// pop on an otherwise empty heap per hop, 7.5 % of the schedules of the
-/// idle-heavy `modem-idle` rig. `schedule` does not seat the window on
-/// that entry: it has no clock, and seating it on a far-future first
-/// entry would send every nearer one after it to the heap until it pops.
+/// Only `pop_due` moves the window, so the first schedule into an empty
+/// queue whose owner skipped `pop_due` across a fast-forward hop would
+/// miss it; every owner pops at the top of its tick, before it schedules.
+/// `schedule` does not seat the window on such an entry: it has no clock,
+/// and seating it on a far-future first entry would send every nearer one
+/// after it to the heap until it pops.
 const WINDOW: usize = 256;
 const SLOT_MASK: u64 = WINDOW as u64 - 1;
 const WORDS: usize = WINDOW / 64;

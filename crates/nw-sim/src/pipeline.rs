@@ -5,10 +5,11 @@
 //! cycles between accepting successive items) and its *latency* (cycles from
 //! acceptance to completion). Items queue in a buffer of
 //! [`PipelinedServer::QUEUE_CAP`] in front of the pipeline; back-pressure is
-//! exposed through [`PipelinedServer::try_submit`].
+//! exposed through [`PipelinedServer::try_submit`]. Each item is charged
+//! the energy of the configuration that issued it.
 
 use crate::event::EventQueue;
-use nw_types::Cycles;
+use nw_types::{Cycles, Picojoules};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -30,10 +31,10 @@ impl std::error::Error for ServerFull {}
 ///
 /// ```
 /// use nw_sim::PipelinedServer;
-/// use nw_types::Cycles;
+/// use nw_types::{Cycles, Picojoules};
 ///
 /// // II=2, latency=10: accepts an item every other cycle.
-/// let mut s = PipelinedServer::new(2, 10);
+/// let mut s = PipelinedServer::new(2, 10, Picojoules(1.5));
 /// s.try_submit(1, Cycles(0)).unwrap();
 /// s.try_submit(2, Cycles(0)).unwrap();
 /// let mut done = Vec::new();
@@ -42,55 +43,63 @@ impl std::error::Error for ServerFull {}
 ///     while let Some(id) = s.take_done() { done.push(id); }
 /// }
 /// assert_eq!(done, vec![1, 2]);
+/// assert_eq!(s.energy(), Picojoules(3.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct PipelinedServer {
     ii: u64,
     latency: u64,
+    energy_per_item: Picojoules,
     queue: VecDeque<u64>,
-    in_flight: EventQueue<u64>,
+    /// Issued items with the energy they were issued at.
+    in_flight: EventQueue<(u64, Picojoules)>,
     next_accept: u64,
     done: VecDeque<u64>,
     served: u64,
+    energy: Picojoules,
 }
 
 impl PipelinedServer {
     /// Items the input queue holds.
     pub const QUEUE_CAP: usize = 64;
 
-    /// Creates a server with initiation interval `ii` (>= 1) and pipeline
-    /// `latency` (>= 1).
+    /// Creates a server with initiation interval `ii` (>= 1), pipeline
+    /// `latency` (>= 1) and `energy_per_item` charged as each item
+    /// completes.
     ///
     /// # Panics
     ///
-    /// Panics if either parameter is zero.
-    pub fn new(ii: u64, latency: u64) -> Self {
+    /// Panics if `ii` or `latency` is zero.
+    pub fn new(ii: u64, latency: u64, energy_per_item: Picojoules) -> Self {
         let mut server = PipelinedServer {
             ii: 1,
             latency: 1,
+            energy_per_item,
             queue: VecDeque::new(),
             in_flight: EventQueue::new(),
             next_accept: 0,
             done: VecDeque::new(),
             served: 0,
+            energy: Picojoules::ZERO,
         };
-        server.retime(ii, latency);
+        server.retime(ii, latency, energy_per_item);
         server
     }
 
-    /// Sets the initiation interval and latency of every later issue. Items
-    /// already issued keep the completion cycle they were issued with,
-    /// queued items stay queued, and the next issue still waits out the
-    /// interval of the last one.
+    /// Sets the initiation interval, latency and energy per item of every
+    /// later issue. Items already issued keep the completion cycle and the
+    /// energy they were issued with, queued items stay queued, and the next
+    /// issue still waits out the interval of the last one.
     ///
     /// # Panics
     ///
-    /// Panics if either parameter is zero.
-    pub fn retime(&mut self, ii: u64, latency: u64) {
+    /// Panics if `ii` or `latency` is zero.
+    pub fn retime(&mut self, ii: u64, latency: u64, energy_per_item: Picojoules) {
         assert!(ii >= 1, "initiation interval must be at least 1");
         assert!(latency >= 1, "latency must be at least 1");
         self.ii = ii;
         self.latency = latency;
+        self.energy_per_item = energy_per_item;
     }
 
     /// Offers an item.
@@ -99,11 +108,17 @@ impl PipelinedServer {
     ///
     /// [`ServerFull`] when the input queue is at capacity.
     pub fn try_submit(&mut self, id: u64, _now: Cycles) -> Result<(), ServerFull> {
-        if self.queue.len() >= Self::QUEUE_CAP {
+        if self.is_full() {
             return Err(ServerFull);
         }
         self.queue.push_back(id);
         Ok(())
+    }
+
+    /// Whether the input queue is at capacity, so that
+    /// [`PipelinedServer::try_submit`] refuses.
+    pub fn is_full(&self) -> bool {
+        self.queue.len() >= Self::QUEUE_CAP
     }
 
     /// Takes the next completed item cookie, if any.
@@ -114,6 +129,12 @@ impl PipelinedServer {
     /// Items completed so far.
     pub fn served(&self) -> u64 {
         self.served
+    }
+
+    /// Dynamic energy of the items completed so far, each at the energy per
+    /// item it was issued with.
+    pub fn energy(&self) -> Picojoules {
+        self.energy
     }
 
     /// Delays the issue stage until `cycle` (used to model eFPGA
@@ -146,13 +167,15 @@ impl PipelinedServer {
     /// mature, then the issue stage accepts the next queued item if the
     /// initiation interval allows.
     pub fn tick(&mut self, now: Cycles) {
-        while let Some(id) = self.in_flight.pop_due(now) {
+        while let Some((id, energy)) = self.in_flight.pop_due(now) {
             self.served += 1;
+            self.energy += energy;
             self.done.push_back(id);
         }
         if now.0 >= self.next_accept {
             if let Some(id) = self.queue.pop_front() {
-                self.in_flight.schedule(Cycles(now.0 + self.latency), id);
+                let item = (id, self.energy_per_item);
+                self.in_flight.schedule(Cycles(now.0 + self.latency), item);
                 self.next_accept = now.0 + self.ii;
             }
         }
@@ -176,7 +199,7 @@ mod tests {
 
     #[test]
     fn throughput_follows_initiation_interval() {
-        let mut s = PipelinedServer::new(4, 10);
+        let mut s = PipelinedServer::new(4, 10, Picojoules::ZERO);
         for id in 0..4 {
             s.try_submit(id, Cycles(0)).unwrap();
         }
@@ -190,7 +213,7 @@ mod tests {
 
     #[test]
     fn latency_is_respected() {
-        let mut s = PipelinedServer::new(1, 25);
+        let mut s = PipelinedServer::new(1, 25, Picojoules::ZERO);
         s.try_submit(7, Cycles(0)).unwrap();
         let done = drive(&mut s, 40);
         assert_eq!(done, vec![(25, 7)]);
@@ -198,7 +221,7 @@ mod tests {
 
     #[test]
     fn queue_full_backpressure() {
-        let mut s = PipelinedServer::new(1, 5);
+        let mut s = PipelinedServer::new(1, 5, Picojoules::ZERO);
         for id in 0..PipelinedServer::QUEUE_CAP as u64 {
             s.try_submit(id, Cycles(0)).unwrap();
         }
@@ -211,21 +234,21 @@ mod tests {
 
     #[test]
     fn retiming_applies_to_later_issues_only() {
-        let mut s = PipelinedServer::new(1, 10);
+        let mut s = PipelinedServer::new(1, 10, Picojoules(1.0));
         for id in 0..3 {
             s.try_submit(id, Cycles(0)).unwrap();
         }
         s.tick(Cycles(0)); // item 0 issues at latency 10
-        s.retime(5, 2);
+        s.retime(5, 2, Picojoules(4.0));
         // Item 1 waits out the old interval, item 2 the new one; item 0
-        // keeps its completion cycle.
+        // keeps its completion cycle and its energy.
         assert_eq!(drive(&mut s, 20), vec![(3, 1), (8, 2), (10, 0)]);
-        assert_eq!(s.served(), 3);
+        assert_eq!((s.served(), s.energy()), (3, Picojoules(9.0)));
     }
 
     #[test]
     fn stall_until_delays_issue() {
-        let mut s = PipelinedServer::new(1, 5);
+        let mut s = PipelinedServer::new(1, 5, Picojoules::ZERO);
         s.stall_until(Cycles(100));
         s.try_submit(1, Cycles(0)).unwrap();
         let done = drive(&mut s, 120);
@@ -245,7 +268,7 @@ mod tests {
         upto: u64,
         tick_on: impl Fn(&PipelinedServer, Cycles) -> bool,
     ) -> (Vec<(u64, u64)>, [u64; 3]) {
-        let mut s = PipelinedServer::new(3, 7);
+        let mut s = PipelinedServer::new(3, 7, Picojoules::ZERO);
         let (mut out, mut id, mut refused) = (Vec::new(), 0, 0);
         for c in 0..upto {
             if c == 30 {
@@ -272,7 +295,7 @@ mod tests {
         assert!(every.0.len() > 30, "{} completions", every.0.len());
         assert!(every.1[2] > 0, "the queue never overflowed");
         // An undrained completion is work due now, not "drained".
-        let mut s = PipelinedServer::new(1, 2);
+        let mut s = PipelinedServer::new(1, 2, Picojoules::ZERO);
         s.try_submit(9, Cycles(0)).unwrap();
         for c in 0..3 {
             s.tick(Cycles(c));
@@ -284,7 +307,7 @@ mod tests {
 
     #[test]
     fn idle_detection() {
-        let mut s = PipelinedServer::new(1, 2);
+        let mut s = PipelinedServer::new(1, 2, Picojoules::ZERO);
         assert_eq!(s.next_event_cycle(Cycles(0)), None);
         s.try_submit(1, Cycles(0)).unwrap();
         assert_eq!(s.next_event_cycle(Cycles(0)), Some(Cycles(0)));
@@ -296,6 +319,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "initiation interval")]
     fn zero_ii_panics() {
-        let _ = PipelinedServer::new(0, 1);
+        let _ = PipelinedServer::new(0, 1, Picojoules::ZERO);
     }
 }

@@ -2,7 +2,7 @@
 //! invariants and the pipelined server's timing contract.
 
 use nw_sim::{EventQueue, LatencyHistogram, Moments, PipelinedServer, Utilization};
-use nw_types::Cycles;
+use nw_types::{Cycles, Picojoules};
 use proptest::prelude::*;
 
 /// The window [`EventQueue`] documents: events due within this many cycles
@@ -518,7 +518,7 @@ proptest! {
     ) {
         let horizon = 400u64;
         // Dense reference: tick every cycle, submitting per schedule.
-        let mut dense = PipelinedServer::new(ii, latency);
+        let mut dense = PipelinedServer::new(ii, latency, Picojoules::ZERO);
         let mut dense_done = Vec::new();
         for c in 0..horizon {
             for (id, &at) in submits.iter().enumerate() {
@@ -532,7 +532,7 @@ proptest! {
             }
         }
         // Event-driven: only tick at submit times and self-reported events.
-        let mut fast = PipelinedServer::new(ii, latency);
+        let mut fast = PipelinedServer::new(ii, latency, Picojoules::ZERO);
         let mut fast_done = Vec::new();
         let mut c = 0u64;
         while c < horizon {
@@ -571,7 +571,7 @@ proptest! {
         latency in 1u64..20,
         n in 1usize..20,
     ) {
-        let mut s = PipelinedServer::new(ii, latency);
+        let mut s = PipelinedServer::new(ii, latency, Picojoules::ZERO);
         for id in 0..n as u64 {
             s.try_submit(id, Cycles(0)).expect("queue sized for the test");
         }

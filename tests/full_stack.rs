@@ -260,6 +260,9 @@ fn reconfiguring_a_busy_fabric_answers_every_call_under_both_schedulers() {
         assert_eq!(p.fabric_mut(0).served(), 2, "the issued calls complete");
         let _ = p.run(10_000);
         assert_eq!(p.fabric_mut(0).served(), 4, "the queued calls complete");
+        // Each call is charged at the kernel that issued it: 2 x 150 pJ
+        // under the checksum kernel, 2 x 350 pJ under the classifier.
+        assert_eq!(p.fabric_mut(0).energy(), nw_types::Picojoules(1_000.0));
         assert_eq!(p.pe(0).idle_threads(), 4, "every caller was answered");
         assert!(p.is_quiescent(), "{mode:?}: the platform drains");
         p.report(Cycles(10_000)).values()

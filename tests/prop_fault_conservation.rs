@@ -38,7 +38,7 @@ fn build_rig(mode: SchedulerMode) -> FppaPlatform {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// Quiescence under arbitrary seeded campaigns: the batch retires
     /// (give-ups release threads even when the callee never answers) and
@@ -61,10 +61,12 @@ proptest! {
         let shape = platform.fault_shape();
         platform.install_fault_campaign(FaultCampaign::generate(seed, 10_000, &rates, &shape));
         platform.set_retry_policy(RetryPolicy { timeout, max_attempts });
-        // Ample window: worst case is max_attempts retries at doubling
-        // timeouts plus a full crash downtime, still far inside 60k.
-        const WINDOW: u64 = 60_000;
-        for _ in 0..WINDOW {
+        // The window covers the worst case: the faults land in the first
+        // 10 000 cycles, a crash keeps its PE down 3 000 more, and each of
+        // a program's two calls may wait out `max_attempts` timeouts
+        // doubling from `timeout` (seed 878 at level 3.3 drains at 94 469).
+        let window = 20_000 + 2 * timeout * ((1 << max_attempts) - 1);
+        for _ in 0..window {
             platform.step();
         }
         platform.settle();

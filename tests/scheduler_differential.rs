@@ -1021,8 +1021,8 @@ fn slow_hwip() -> nanowall::HwIpConfig {
 fn saturated_service_nodes_park_and_drain_in_arrival_order() {
     // One platform per kind of block, each under the crowd. The parked
     // queue must hand every request over in arrival order, keep the node
-    // due every cycle under the active set (the agenda audit runs inside
-    // these debug runs) and travel with a snapshot.
+    // due every cycle its block has room under the active set (the agenda
+    // audit runs inside these debug runs) and travel with a snapshot.
     use nanowall::prelude::*;
     use nanowall::{MemoryBlockConfig, TraceEvent};
     use nw_types::ThreadId;
@@ -1113,7 +1113,10 @@ fn saturated_service_nodes_park_and_drain_in_arrival_order() {
         assert_eq!(active.next_event_cycle(), None, "{name}: drained");
         let stats = active.scheduler_stats();
         assert!(stats.cycles_hopped > 0, "{name}: {stats:?}");
-        assert!(stats.cycles_stepped >= CUT, "{name}: parked means due");
+        assert!(
+            stats.cycles_stepped >= CUT,
+            "{name}: the crowd keeps it stepping to the cut"
+        );
 
         // The parked requests travel with the snapshot, both ways.
         let mut copy = FppaPlatform::from_snapshot(&snap);
@@ -1136,6 +1139,35 @@ fn saturated_service_nodes_park_and_drain_in_arrival_order() {
         assert_eq!(arrived.len() as u64, CROWD * CROWD_CALLS, "{name}");
         assert_eq!(answered, arrived, "{name}: answered out of arrival order");
     }
+}
+
+#[test]
+fn a_call_to_an_unloaded_fabric_waits_without_pinning_the_services_phase() {
+    // The call stands parked until a kernel loads. A block that cannot take
+    // it leaves its node due at the block's own next event (none here), so
+    // the active set hops over the wait; the load re-posts the node.
+    use nanowall::prelude::*;
+    const WAIT: u64 = 100_000;
+    let run = |mode| {
+        let mut p = crowd_rig("unloaded", 1, |cfg| cfg.fabrics.push(FabricSpec::default()));
+        p.set_scheduler_mode(mode);
+        let call = [nw_pe::Op::call(p.fabric_node(0), 8, 8)];
+        let reader = p.pe_mut(9);
+        reader
+            .spawn(nw_pe::Program::straight_line(call))
+            .expect("idle");
+        let (waited, stats) = (p.run(WAIT).values(), p.scheduler_stats());
+        let (now, kernel) = (p.now(), KernelSpec::checksum_offload());
+        p.fabric_mut(0).reconfigure(&kernel, now).expect("fits");
+        let answered = p.run(WAIT);
+        assert_eq!(answered.fabric_served, 1, "{mode:?}: the call is answered");
+        assert!(p.is_quiescent(), "{mode:?}");
+        (waited, answered.values(), stats)
+    };
+    let (dense, active) = (run(SchedulerMode::Dense), run(SchedulerMode::ActiveSet));
+    assert_eq!((dense.0, dense.1), (active.0, active.1));
+    let stats = active.2;
+    assert!(stats.cycles_hopped > WAIT * 9 / 10, "{stats:?}");
 }
 
 #[test]
