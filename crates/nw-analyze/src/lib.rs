@@ -18,7 +18,7 @@
 //! | ND03 | no `static mut` / interior-mutable globals in sim-result crates |
 //! | WR01 | no truncating `as` casts in `wire.rs` encode/decode paths |
 //! | AL01 | allowlist and marker hygiene (stale entries, missing justifications) |
-//! | DOC01 | back-ticked paths, `--example` names and `Type::item`s in README.md/ARCHITECTURE.md/the verify skill exist |
+//! | DOC01 | back-ticked paths, `--example` names and `Type::item`s in README.md/ARCHITECTURE.md/the verify skill exist; ARCHITECTURE.md ≤ 36 KiB, README.md ≤ 20 KiB |
 //! | PUB01 | every `pub` item in `crates/*/src` is named by code other than its own crate's tests |
 //!
 //! # Suppression

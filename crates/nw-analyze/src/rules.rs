@@ -436,10 +436,21 @@ fn example_names(code: &str) -> impl Iterator<Item = (usize, &str)> {
     })
 }
 
+/// The byte budget of each document DOC01 sizes: ARCHITECTURE.md is the
+/// map and README.md the front page; what outgrows them belongs in a
+/// module's own docs.
+const DOC_BUDGETS: [(&str, usize); 2] = [("ARCHITECTURE.md", 36 * 1024), ("README.md", 20 * 1024)];
+
 /// DOC01: back-ticked file paths and `Type::item`s in the Markdown docs
-/// that name nothing ([`Symbols::resolve`]), and `--example NAME`s with no
-/// `examples/NAME.rs`.
+/// that name nothing ([`Symbols::resolve`]), `--example NAME`s with no
+/// `examples/NAME.rs`, and a document over its [`DOC_BUDGETS`] entry.
 fn doc01(file: &SourceFile, exists: &dyn Fn(&str) -> bool, out: &mut Vec<Diagnostic>) {
+    for (doc, budget) in DOC_BUDGETS {
+        if file.path == doc && file.len > budget {
+            let message = format!("{} bytes, over its {budget}-byte budget", file.len);
+            out.push(diag(RuleId::Doc01, file, 0, 0, message));
+        }
+    }
     let mut in_span = false;
     for (n, line) in file.lines.iter().enumerate() {
         for (col, name) in example_names(&line.code) {

@@ -37,6 +37,8 @@ pub struct SourceFile {
     pub path: String,
     /// The per-line code/comment split, in file order.
     pub lines: Vec<Line>,
+    /// Length of the scanned text in bytes (DOC01's document budgets).
+    pub(crate) len: usize,
 }
 
 /// Lexer mode carried across lines.
@@ -169,7 +171,11 @@ impl SourceFile {
             // A multi-line string keeps its mode; a line comment does not.
             lines.push(Line { code, comment });
         }
-        SourceFile { path, lines }
+        SourceFile {
+            path,
+            lines,
+            len: text.len(),
+        }
     }
 
     /// The Markdown split (module docs).
@@ -190,7 +196,11 @@ impl SourceFile {
             };
             lines.push(Line { code, comment });
         }
-        SourceFile { path, lines }
+        SourceFile {
+            path,
+            lines,
+            len: text.len(),
+        }
     }
 }
 

@@ -332,6 +332,29 @@ fn doc01_flags_rust_paths_whose_item_is_defined_nowhere() {
     assert!(clean.is_clean(), "{}", clean.render());
 }
 
+#[test]
+fn doc01_holds_each_document_to_its_byte_budget() {
+    // A document of `len` bytes: 63-byte lines, each with its newline.
+    let doc = |len: usize| format!("{}\n", "x".repeat(63)).repeat(len / 64) + &"y".repeat(len % 64);
+    for (name, budget) in [("ARCHITECTURE.md", 36_864), ("README.md", 20_480)] {
+        let at = doc(budget);
+        assert_eq!(at.len(), budget);
+        let clean = scan(&[(name, &at)]);
+        assert!(clean.is_clean(), "{}", clean.render());
+
+        let over = doc(budget + 1);
+        let hit = scan(&[(name, &over)]);
+        assert_eq!(rules_of(&hit), ["DOC01"]);
+        let d = &hit.diagnostics[0];
+        assert_eq!((d.path.as_str(), d.line, d.col), (name, 1, 1));
+        let sizes = format!("{} bytes, over its {budget}-byte budget", budget + 1);
+        assert!(d.message.contains(&sizes), "{}", d.message);
+    }
+    // The verify skill has no budget.
+    let clean = scan(&[(".claude/skills/verify/SKILL.md", &doc(40_000))]);
+    assert!(clean.is_clean(), "{}", clean.render());
+}
+
 /// A `pub fn` of `nw-sim` that its own unit test calls.
 const PUB_FN: (&str, &str) = (
     "crates/nw-sim/src/stats.rs",
