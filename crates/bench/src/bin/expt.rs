@@ -142,7 +142,7 @@ fn run_trace_cmd(args: &[String]) {
 }
 
 /// `expt lint`: runs the determinism auditor over the workspace and exits
-/// non-zero on any non-allowlisted finding (the CI gate).
+/// non-zero on any finding no marker covers (the CI gate).
 fn run_lint(json: bool, rules: bool) {
     if rules {
         for rule in nw_analyze::ALL_RULES {
@@ -156,9 +156,8 @@ fn run_lint(json: bool, rules: bool) {
     });
     let root = nw_analyze::find_root(&cwd).unwrap_or_else(|| {
         eprintln!(
-            "lint: no workspace root above {} (looked for {} or a [workspace] manifest)",
-            cwd.display(),
-            nw_analyze::ALLOWLIST_FILE
+            "lint: no workspace root above {} (looked for a [workspace] manifest)",
+            cwd.display()
         );
         std::process::exit(2);
     });

@@ -34,7 +34,7 @@ use crate::experiments::{Ctx, EXPERIMENTS};
 use nanowall::scenarios::BenchRig;
 use nanowall::{NocWork, PlatformReport, SchedulerStats, TraceEvent, TraceSink};
 use nw_sim::Fnv1a;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// The committed manifest: `name<TAB>value` rows, each name once; blank
@@ -227,7 +227,7 @@ fn rows() -> Vec<Row> {
 /// value, which no computed row matches. A name on two rows is an error:
 /// only one of them could ever be checked.
 fn parse(manifest: &str) -> Result<Vec<Row>, String> {
-    let mut seen = HashSet::new();
+    let mut seen = BTreeSet::new();
     (manifest.lines().enumerate())
         .filter(|(_, l)| !l.trim().is_empty() && !l.starts_with('#'))
         .map(|(i, l)| {
@@ -245,7 +245,7 @@ fn parse(manifest: &str) -> Result<Vec<Row>, String> {
 /// `name  recorded → now` (`(none)` where one side has no row of that
 /// name), the manifest lines to paste, then a one-line summary.
 fn check(recorded: &[Row], now: &[Row]) -> (String, bool) {
-    fn index(rows: &[Row]) -> HashMap<&str, &str> {
+    fn index(rows: &[Row]) -> BTreeMap<&str, &str> {
         (rows.iter())
             .map(|(n, v)| (n.as_str(), v.as_str()))
             .collect()

@@ -190,6 +190,10 @@ pub fn run_profile(quick: bool, fault_seed: Option<u64>) -> Vec<ProfileEntry> {
                 arm_faults(&mut rig.platform, seed, cycles, 1.0);
             }
             rig.platform.set_host_profiler(HostProfiler::new());
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "ND02: the host-time total the profiled phases must sum to"
+            )]
             let t = Instant::now();
             rig.run(cycles);
             let measured_secs = t.elapsed().as_secs_f64();

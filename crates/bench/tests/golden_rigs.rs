@@ -16,7 +16,7 @@
 
 use nanowall::{HostPhase, ReportValue};
 use nw_bench::identity::{self, RigRun};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 /// Every rig's traced run, in `BenchRig::ALL` order, shared by every test.
@@ -92,7 +92,7 @@ fn a_one_value_change_moves_exactly_its_named_row() {
 fn report_values_have_unique_names_and_round_trip_their_bits() {
     for run in runs() {
         let values = run.report.values();
-        let mut names = HashSet::new();
+        let mut names = BTreeSet::new();
         for (name, value) in &values {
             assert!(names.insert(name), "{}: {name} twice", run.rig.name());
             if let ReportValue::F64(x) = *value {

@@ -7,12 +7,26 @@
 //! [`runtime`](crate::runtime)) dispatches marshalled invocations onto
 //! hardware threads.
 //!
-//! Within each cycle the platform advances in a fixed order — I/O pacing,
-//! ingress injection, NoC, arrival routing, service nodes, DSOC dispatch,
-//! PEs, request servicing, and the injection retry queue — which makes whole
-//! runs bit-reproducible.
+//! Within each stepped cycle the platform advances in a fixed order of
+//! numbered phases, which makes whole runs bit-reproducible:
+//!
+//! 0. the due events of the installed [`FaultCampaign`], and the expired
+//!    deadlines of calls under a [`RetryPolicy`];
+//! 1. I/O pacing and ingress injection;
+//! 2. the NoC tick ([`Noc::tick_traced`]);
+//! 3. arrival routing: delivered packets become replies, service requests
+//!    and invocations;
+//! 4. service nodes (memories, [`Efpga`] fabrics, hardwired IP);
+//! 5. DSOC dispatch;
+//! 6. the due PEs ([`Pe::tick`]), whose requests become packets;
+//! 7. the injection retry queue.
+//!
+//! Between stepped cycles [`FppaPlatform::run`] hops the clock over quiet
+//! spans ([`SchedulerMode::ActiveSet`]).
 //!
 //! [`PeRequest`]: nw_pe::PeRequest
+//! [`FaultCampaign`]: crate::FaultCampaign
+//! [`Efpga`]: crate::fabric::Efpga
 
 use crate::calls::{CallTable, Expired, Reply};
 use crate::config::{BuildPlatformError, FppaConfig};

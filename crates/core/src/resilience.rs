@@ -8,10 +8,11 @@
 //!
 //! # Retry contract
 //!
-//! With a [`RetryPolicy`] installed, every `Op::Call` the platform
-//! collects opens a pending entry keyed on the issuing hardware thread:
-//! the cloned request payload, the destination, and a deadline
-//! `issue + timeout`. The request tag carries a per-thread **token**
+//! With a [`RetryPolicy`] installed, every [`Op::Call`](nw_pe::Op::Call)
+//! the platform collects opens a pending entry keyed on the issuing
+//! hardware thread: a copy of the request [`Payload`](nw_types::Payload)
+//! (it is `Copy`), the destination, and a deadline `issue + timeout`. The
+//! request tag carries a per-thread **token**
 //! (bits 32..40 of [`RequestTag`](crate::tags::RequestTag)) that echoes
 //! through service nodes and DSOC replies untouched:
 //!

@@ -4,21 +4,18 @@ use std::fmt;
 
 /// Identity of one determinism/hygiene rule.
 ///
-/// Rule ids are stable strings that appear in allowlist entries,
-/// suppression markers and CI output: an id is never renamed or reused
-/// (a retired rule's id stays retired), since either would silently
-/// re-grandfather old findings.
+/// Rule ids are stable strings that appear in suppression markers and CI
+/// output: an id is never renamed or reused (a retired rule's id stays
+/// retired), since either would silently re-grant old findings. ND01, ND02
+/// and WR01 retired into compiler lints: ND01 and ND02 are the root
+/// `clippy.toml`'s `disallowed-types` and `disallowed-methods`, whose
+/// reasons start with the id, and WR01 is the
+/// `#![deny(clippy::cast_possible_truncation)]` atop each `wire.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// Unordered hash collections in simulation-result crates.
-    Nd01,
-    /// Wall-clock or entropy sources outside the timing harness.
-    Nd02,
     /// Mutable global state in simulation crates.
     Nd03,
-    /// Truncating `as` casts on wire encode/decode paths.
-    Wr01,
-    /// Stale allowlist entries or malformed suppression markers.
+    /// Malformed suppression markers.
     Al01,
     /// Back-ticked file paths and `--example` names in the docs that name
     /// nothing.
@@ -28,24 +25,13 @@ pub enum RuleId {
 }
 
 /// Every registered rule, in report order.
-pub const ALL_RULES: [RuleId; 7] = [
-    RuleId::Nd01,
-    RuleId::Nd02,
-    RuleId::Nd03,
-    RuleId::Wr01,
-    RuleId::Al01,
-    RuleId::Doc01,
-    RuleId::Pub01,
-];
+pub const ALL_RULES: [RuleId; 4] = [RuleId::Nd03, RuleId::Al01, RuleId::Doc01, RuleId::Pub01];
 
 impl RuleId {
-    /// The stable textual id (`"ND01"`, ...).
+    /// The stable textual id (`"ND03"`, ...).
     pub fn id(self) -> &'static str {
         match self {
-            RuleId::Nd01 => "ND01",
-            RuleId::Nd02 => "ND02",
             RuleId::Nd03 => "ND03",
-            RuleId::Wr01 => "WR01",
             RuleId::Al01 => "AL01",
             RuleId::Doc01 => "DOC01",
             RuleId::Pub01 => "PUB01",
@@ -55,26 +41,11 @@ impl RuleId {
     /// One-line description shown by `expt lint --rules` and `expt list`.
     pub fn description(self) -> &'static str {
         match self {
-            RuleId::Nd01 => {
-                "no HashMap/HashSet in sim-result crates (core, nw-noc, nw-sim, nw-dsoc): \
-                 iteration order is seeded per process and can leak into reports"
-            }
-            RuleId::Nd02 => {
-                "no wall-clock or entropy sources (Instant::now, SystemTime, thread_rng, \
-                 std::thread identity) outside the nw_bench timing harness"
-            }
             RuleId::Nd03 => {
                 "no static mut or interior-mutable globals in sim-result crates: \
                  cross-run state breaks replayability"
             }
-            RuleId::Wr01 => {
-                "no truncating `as` casts to u8/u16/u32 (or signed) in wire.rs \
-                 encode/decode paths: use try_from so overflow panics instead of wrapping"
-            }
-            RuleId::Al01 => {
-                "allowlist hygiene: entries must parse, carry a justification, and still \
-                 match a real finding; markers must name a known rule and a reason"
-            }
+            RuleId::Al01 => "marker hygiene: a marker must name a known rule and carry a reason",
             RuleId::Doc01 => {
                 "every back-ticked file path in README.md, ARCHITECTURE.md and \
                  .claude/skills/verify/SKILL.md names a file or directory that exists in the \
@@ -88,7 +59,7 @@ impl RuleId {
         }
     }
 
-    /// Parses a stable id back to the rule (markers, allowlist files).
+    /// Parses a stable id back to the rule (markers).
     pub fn from_id(s: &str) -> Option<RuleId> {
         ALL_RULES.into_iter().find(|r| r.id() == s)
     }
@@ -107,8 +78,8 @@ pub struct Diagnostic {
     pub rule: RuleId,
     /// Repo-relative path of the offending file.
     pub path: String,
-    /// 1-based line number (0 for file-level findings such as stale
-    /// allowlist entries pointing at files with no finding).
+    /// 1-based line number (0 for a file-level finding, such as a document
+    /// over its DOC01 byte budget).
     pub line: usize,
     /// 1-based column of the match start (0 when not meaningful).
     pub col: usize,
@@ -174,22 +145,25 @@ mod tests {
             assert_eq!(RuleId::from_id(r.id()), Some(r));
             assert!(!r.description().trim().is_empty());
         }
-        assert_eq!(RuleId::from_id("ND99"), None);
+        // Retired ids stay retired: a marker naming one is an AL01 finding.
+        for gone in ["ND01", "ND02", "WR01", "ND99"] {
+            assert_eq!(RuleId::from_id(gone), None);
+        }
     }
 
     #[test]
     fn render_is_grep_able_and_json_escapes() {
         let d = Diagnostic {
-            rule: RuleId::Nd01,
+            rule: RuleId::Nd03,
             path: "crates/core/src/platform.rs".into(),
             line: 30,
             col: 5,
-            message: "std \"hash\" map".into(),
+            message: "std \"static\" mut".into(),
         };
         assert_eq!(
             d.render(),
-            "crates/core/src/platform.rs:30:5: ND01 std \"hash\" map"
+            "crates/core/src/platform.rs:30:5: ND03 std \"static\" mut"
         );
-        assert!(d.render_json().contains("\\\"hash\\\""));
+        assert!(d.render_json().contains("\\\"static\\\""));
     }
 }

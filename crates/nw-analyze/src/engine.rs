@@ -1,16 +1,12 @@
 //! Workspace walking and rule orchestration.
 
-use crate::allowlist::Allowlist;
-use crate::diag::{Diagnostic, RuleId};
+use crate::diag::Diagnostic;
 use crate::markers::Markers;
 use crate::rules::{scan_file, Symbols};
 use crate::scan::SourceFile;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Name of the checked-in allowlist at the workspace root.
-pub const ALLOWLIST_FILE: &str = "nw-analyze.allow";
 
 /// Directory names never descended into: build artifacts and the
 /// vendored third-party stand-ins are not ours to audit.
@@ -26,15 +22,13 @@ const REFERENCE_ONLY: &str = "benchmark/";
 /// The outcome of an [`analyze`] run.
 #[derive(Debug, Clone)]
 pub struct AnalysisReport {
-    /// Findings that survived markers and the allowlist, in stable
-    /// (path, line, col, rule) order.
+    /// Findings that survived the markers, in stable (path, line, col,
+    /// rule) order.
     pub diagnostics: Vec<Diagnostic>,
     /// `.rs` files and Markdown documents scanned.
     pub files_scanned: usize,
     /// Findings suppressed by in-source markers.
     pub marker_suppressed: usize,
-    /// Findings suppressed by allowlist entries.
-    pub allowlisted: usize,
 }
 
 impl AnalysisReport {
@@ -52,11 +46,10 @@ impl AnalysisReport {
             out.push('\n');
         }
         out.push_str(&format!(
-            "nw-analyze: {} finding(s) across {} file(s) ({} marker-suppressed, {} allowlisted)\n",
+            "nw-analyze: {} finding(s) across {} file(s) ({} marker-suppressed)\n",
             self.diagnostics.len(),
             self.files_scanned,
-            self.marker_suppressed,
-            self.allowlisted
+            self.marker_suppressed
         ));
         out
     }
@@ -73,11 +66,9 @@ impl AnalysisReport {
             out.push('\n');
         }
         out.push_str(&format!(
-            "  ],\n  \"files_scanned\": {},\n  \"marker_suppressed\": {},\n  \
-             \"allowlisted\": {},\n  \"clean\": {}\n}}\n",
+            "  ],\n  \"files_scanned\": {},\n  \"marker_suppressed\": {},\n  \"clean\": {}\n}}\n",
             self.files_scanned,
             self.marker_suppressed,
-            self.allowlisted,
             self.is_clean()
         ));
         out
@@ -105,21 +96,15 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Analyzes already-scanned sources against an allowlist — the
-/// fixture-testable core of the engine ([`analyze`] is the filesystem
-/// wrapper around it). `exists` answers whether a repo-relative path names
-/// a file or directory (DOC01); the `.rs` files among `files` are what a
-/// back-ticked `Type::item` resolves against (DOC01) and where `pub` items
-/// are named (PUB01). Files under `benchmark/` are read, never linted.
-pub fn analyze_sources(
-    files: &[SourceFile],
-    allowlist: &Allowlist,
-    exists: &dyn Fn(&str) -> bool,
-) -> AnalysisReport {
-    let mut diagnostics: Vec<Diagnostic> = allowlist.problems.clone();
+/// Analyzes already-scanned sources — the fixture-testable core of the
+/// engine ([`analyze`] is the filesystem wrapper around it). `exists`
+/// answers whether a repo-relative path names a file or directory (DOC01);
+/// the `.rs` files among `files` are what a back-ticked `Type::item`
+/// resolves against (DOC01) and where `pub` items are named (PUB01). Files
+/// under `benchmark/` are read, never linted.
+pub fn analyze_sources(files: &[SourceFile], exists: &dyn Fn(&str) -> bool) -> AnalysisReport {
+    let mut diagnostics = Vec::new();
     let mut marker_suppressed = 0;
-    let mut allowlisted = 0;
-    let mut used_entries = vec![false; allowlist.entries.len()];
     let symbols = Symbols::collect(files);
     for file in files.iter().filter(|f| !f.path.starts_with(REFERENCE_ONLY)) {
         let markers = Markers::collect(file);
@@ -127,35 +112,9 @@ pub fn analyze_sources(
         for d in scan_file(file, &symbols, exists) {
             if markers.suppresses(d.rule, d.line.saturating_sub(1)) {
                 marker_suppressed += 1;
-                continue;
+            } else {
+                diagnostics.push(d);
             }
-            let entry = allowlist
-                .entries
-                .iter()
-                .position(|e| e.rule == d.rule && e.path == d.path);
-            if let Some(i) = entry {
-                used_entries[i] = true;
-                allowlisted += 1;
-                continue;
-            }
-            diagnostics.push(d);
-        }
-    }
-    // Stale entries: the grandfathered finding is gone, so the grant
-    // must go too (otherwise it would silently cover a future finding).
-    for (i, used) in used_entries.iter().enumerate() {
-        if !used {
-            let e = &allowlist.entries[i];
-            diagnostics.push(Diagnostic {
-                rule: RuleId::Al01,
-                path: ALLOWLIST_FILE.to_string(),
-                line: e.line,
-                col: 1,
-                message: format!(
-                    "stale allowlist entry: {} {} no longer matches any finding — delete it",
-                    e.rule, e.path
-                ),
-            });
         }
     }
     diagnostics.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
@@ -163,14 +122,12 @@ pub fn analyze_sources(
         diagnostics,
         files_scanned: files.len(),
         marker_suppressed,
-        allowlisted,
     }
 }
 
 /// Loads and scans every first-party `.rs` file under `root` and its
-/// `README.md`, `ARCHITECTURE.md` and `.claude/skills/verify/SKILL.md`,
-/// applies the allowlist at `root/nw-analyze.allow` (absence is an empty
-/// allowlist, not an error), and returns the surviving findings.
+/// `README.md`, `ARCHITECTURE.md` and `.claude/skills/verify/SKILL.md`, and
+/// returns the findings the markers leave.
 ///
 /// # Errors
 ///
@@ -200,23 +157,15 @@ pub fn analyze(root: &Path) -> io::Result<AnalysisReport> {
             .replace('\\', "/");
         files.push(SourceFile::parse(rel, &text));
     }
-    let allow_path = root.join(ALLOWLIST_FILE);
-    let allowlist = match fs::read_to_string(&allow_path) {
-        Ok(text) => Allowlist::parse(ALLOWLIST_FILE, &text),
-        Err(_) => Allowlist::default(),
-    };
     let exists = |path: &str| root.join(path).exists();
-    Ok(analyze_sources(&files, &allowlist, &exists))
+    Ok(analyze_sources(&files, &exists))
 }
 
-/// Locates the workspace root: walks up from `start` looking for the
-/// allowlist file or a `Cargo.toml` declaring `[workspace]`.
+/// Locates the workspace root: walks up from `start` looking for a
+/// `Cargo.toml` declaring `[workspace]`.
 pub fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
     loop {
-        if dir.join(ALLOWLIST_FILE).is_file() {
-            return Some(dir);
-        }
         let manifest = dir.join("Cargo.toml");
         if let Ok(text) = fs::read_to_string(&manifest) {
             if text.contains("[workspace]") {

@@ -3,7 +3,7 @@
 //! A marker is a comment of the form:
 //!
 //! ```text
-//! // nw-analyze: allow(ND01): reason this site is safe
+//! // nw-analyze: allow(PUB01): reason this site is safe
 //! // nw-analyze: allow-file(ND03): reason the whole file is exempt
 //! ```
 //!
@@ -136,7 +136,7 @@ mod tests {
         // skipped; the statement itself is covered, its successor is not.
         assert!(m.suppresses(RuleId::Nd03, 2));
         assert!(!m.suppresses(RuleId::Nd03, 3));
-        assert!(!m.suppresses(RuleId::Nd01, 2));
+        assert!(!m.suppresses(RuleId::Pub01, 2));
     }
 
     #[test]
@@ -144,12 +144,12 @@ mod tests {
         let f = SourceFile::parse(
             "x.rs",
             "// nw-analyze: allow-file(ND03): every global here is a write-once cache\n\
-             // nw-analyze: allow(ND01)\n\
+             // nw-analyze: allow(PUB01)\n\
              // nw-analyze: allow(ND99): what\n",
         );
         let m = Markers::collect(&f);
         assert!(m.suppresses(RuleId::Nd03, 500));
-        assert!(!m.suppresses(RuleId::Nd01, 500));
+        assert!(!m.suppresses(RuleId::Pub01, 500));
         assert_eq!(m.problems.len(), 2, "{:?}", m.problems);
         assert!(m.problems[0].message.contains("no reason"));
         assert!(m.problems[1].message.contains("unknown rule"));

@@ -1,19 +1,17 @@
-//! The determinism and resource-hygiene rules, the dead-`pub` rule and the
-//! docs' path rule.
+//! The mutable-global rule, the dead-`pub` rule and the docs' path rule.
 //!
 //! Each rule is a lexical pass over a [`SourceFile`]'s code view (comments
 //! and string contents already removed by [`crate::scan`]; for Markdown,
 //! every line outside HTML comments, fenced ones with their back-ticks
-//! blanked). Rules return *raw* findings; suppression markers and the
-//! allowlist are applied by [`crate::engine`], so fixtures can assert on
-//! the unsuppressed set.
+//! blanked). Rules return *raw* findings; suppression markers are applied
+//! by [`crate::engine`], so fixtures can assert on the unsuppressed set.
 
 use crate::diag::{Diagnostic, RuleId};
 use crate::scan::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose state can reach a `PlatformReport` or dispatch order —
-/// the ND01/ND03 scope. Paths are repo-relative prefixes. `crates/core/`
+/// the ND03 scope. Paths are repo-relative prefixes. `crates/core/`
 /// covers the fault campaigns (`faults.rs`), whose timelines steer
 /// everything downstream: a non-deterministic campaign would break the
 /// faulted bit-identity contract exactly like a non-deterministic NoC.
@@ -24,15 +22,8 @@ const SIM_RESULT_CRATES: [&str; 4] = [
     "crates/nw-dsoc/",
 ];
 
-/// The timing harness: the only code allowed to read wall clocks (ND02).
-const TIMING_CRATES: [&str; 1] = ["crates/bench/"];
-
 fn in_sim_result_scope(path: &str) -> bool {
     SIM_RESULT_CRATES.iter().any(|p| path.starts_with(p))
-}
-
-fn in_timing_scope(path: &str) -> bool {
-    TIMING_CRATES.iter().any(|p| path.starts_with(p))
 }
 
 /// Is the char a Rust identifier char (for whole-token matching)?
@@ -41,9 +32,8 @@ fn is_ident(c: char) -> bool {
 }
 
 /// Every match of `token` in `code` at identifier boundaries, as 0-based
-/// byte columns. Qualified prefixes are fine (`collections::HashMap`
-/// matches `HashMap`); identifier continuations are not (`HashMapExt`
-/// does not).
+/// byte columns. Qualified prefixes are fine (`sync::Mutex` matches
+/// `Mutex`); identifier continuations are not (`MutexGuard` does not).
 fn token_matches(code: &str, token: &str) -> Vec<usize> {
     let mut out = Vec::new();
     let mut from = 0;
@@ -69,62 +59,6 @@ fn diag(rule: RuleId, file: &SourceFile, line0: usize, col0: usize, message: Str
         line: line0 + 1,
         col: col0 + 1,
         message,
-    }
-}
-
-/// ND01: unordered hash collections in sim-result crates.
-fn nd01(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !in_sim_result_scope(&file.path) {
-        return;
-    }
-    for (n, line) in file.lines.iter().enumerate() {
-        for token in ["HashMap", "HashSet"] {
-            for col in token_matches(&line.code, token) {
-                out.push(diag(
-                    RuleId::Nd01,
-                    file,
-                    n,
-                    col,
-                    format!(
-                        "{token} in a sim-result crate: iteration order is per-process; \
-                         use BTreeMap/BTreeSet or sorted iteration"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// ND02: wall-clock and entropy sources outside the timing harness.
-fn nd02(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if in_timing_scope(&file.path) {
-        return;
-    }
-    // Qualified tokens: matching `thread::current`/`thread::ThreadId`
-    // keeps the platform's own `nw_types::ThreadId` out of scope.
-    const SOURCES: [(&str, &str); 6] = [
-        ("Instant::now", "wall-clock read"),
-        ("SystemTime", "wall-clock read"),
-        ("thread_rng", "OS-seeded RNG"),
-        ("thread::current", "thread identity"),
-        ("thread::ThreadId", "thread identity"),
-        ("RandomState", "per-process hasher seed"),
-    ];
-    for (n, line) in file.lines.iter().enumerate() {
-        for (token, what) in SOURCES {
-            for col in token_matches(&line.code, token) {
-                out.push(diag(
-                    RuleId::Nd02,
-                    file,
-                    n,
-                    col,
-                    format!(
-                        "{token} ({what}) outside the nw_bench timing harness: \
-                         simulation state must be a function of config and seed"
-                    ),
-                ));
-            }
-        }
     }
 }
 
@@ -182,44 +116,6 @@ fn nd03(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                     ));
                 }
             }
-        }
-    }
-}
-
-/// WR01: truncating `as` casts on wire encode/decode paths.
-fn wr01(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !file.path.ends_with("wire.rs") {
-        return;
-    }
-    // Casts to 64-bit/usize targets widen on every supported platform;
-    // only the narrowing targets can silently drop wire bits.
-    const NARROW: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
-    for (n, line) in file.lines.iter().enumerate() {
-        let code = &line.code;
-        for col in token_matches(code, "as") {
-            let rest = code[col + 2..].trim_start();
-            let Some(ty) = NARROW
-                .iter()
-                .find(|t| rest.starts_with(**t) && !rest[t.len()..].starts_with(is_ident))
-            else {
-                continue;
-            };
-            // `as` must follow an expression, not open a use-alias
-            // (`use x as y`) — a narrow type name cannot be an alias
-            // in this workspace, but keep imports out anyway.
-            if code.trim_start().starts_with("use ") {
-                continue;
-            }
-            out.push(diag(
-                RuleId::Wr01,
-                file,
-                n,
-                col,
-                format!(
-                    "`as {ty}` on a wire encode/decode path truncates silently; \
-                     use {ty}::try_from(..) so an oversized value panics loudly"
-                ),
-            ));
         }
     }
 }
@@ -491,10 +387,7 @@ pub(crate) fn scan_file(
     if file.path.ends_with(".md") {
         doc01(file, &|name| symbols.resolve(name, exists), &mut out);
     } else {
-        nd01(file, &mut out);
-        nd02(file, &mut out);
         nd03(file, &mut out);
-        wr01(file, &mut out);
         pub01(file, symbols, &mut out);
     }
     out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));

@@ -28,6 +28,10 @@
 //! ([`MessageHeader::decode`]): the runtime's traffic is header-only
 //! payloads, whose bodies are zero.
 
+// WR01: a truncating `as` on an encode/decode path drops wire bits
+// silently; `try_from` fails loudly instead.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::app::MethodId;
 use nw_types::{ObjectId, Payload};
 use std::fmt;

@@ -8,6 +8,10 @@
 //! generation — multiplying into the cycle counts that motivated
 //! networks-on-chip in the first place.
 
+// WR01: a truncating `as` on an encode/decode path drops wire bits
+// silently; `try_from` fails loudly instead.
+#![deny(clippy::cast_possible_truncation)]
+
 use nw_types::TechNode;
 
 /// Propagation delay of a repeated global wire, in picoseconds per mm.

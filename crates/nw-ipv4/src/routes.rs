@@ -59,6 +59,10 @@ fn pick_length<R: Rng>(rng: &mut R) -> u8 {
 /// Next hops are assigned round-robin over 16 egress ports.
 pub fn synthetic_table<T: LpmTable + ?Sized>(table: &mut T, cfg: &RouteTableConfig) -> Vec<Prefix> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "ND01: membership tests only, never iterated; Prefix is not Ord"
+    )]
     let mut seen = std::collections::HashSet::with_capacity(cfg.routes);
     let mut prefixes = Vec::with_capacity(cfg.routes);
     while prefixes.len() < cfg.routes {

@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn imix_has_three_sizes_in_ratio() {
         let mut g = PacketGenerator::new(prefixes(), TrafficMix::Imix, 3);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for _ in 0..12_000 {
             *counts.entry(g.next_packet().len()).or_insert(0usize) += 1;
         }

@@ -88,6 +88,10 @@ proptest! {
         // Skip duplicate prefixes with conflicting next hops: replacement
         // order is well-defined per engine but the test wants one source of
         // truth, so only the first (prefix → next hop) binding is used.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "ND01: membership tests only, never iterated; Prefix is not Ord"
+        )]
         let mut seen = std::collections::HashSet::new();
         for &(addr, len, nh) in &routes {
             let p = Prefix::new(addr, len);

@@ -3,8 +3,10 @@
 //! drives either through ([`Fabric`]), so that a drive written once runs
 //! the engine and the spec alike.
 
-// Each test binary compiles this module and uses a part of it.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary compiles this module and uses a part of it"
+)]
 
 pub mod spec;
 

@@ -4,7 +4,7 @@
 use nw_noc::{Noc, NocConfig, Topology, TopologyKind};
 use nw_types::{Cycles, NodeId, Payload};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn kind_strategy() -> impl Strategy<Value = TopologyKind> {
     prop_oneof![
@@ -30,7 +30,7 @@ proptest! {
     ) {
         let topo = Topology::build(kind, n, 1).expect("valid topology");
         let mut noc = Noc::new(topo, NocConfig::default());
-        let mut expected: HashMap<u64, (NodeId, Payload)> = HashMap::new();
+        let mut expected: BTreeMap<u64, (NodeId, Payload)> = BTreeMap::new();
         let mut accepted = 0u64;
         let mut now = Cycles(0);
         for (i, &(s, d, len)) in sends.iter().enumerate() {

@@ -9,15 +9,16 @@
 //!   the platform emits while simulating. Everything in this half is a pure
 //!   *observer*: events are derived from simulation state, never fed back
 //!   into it, so a traced run is bit-identical to an untraced one (pinned
-//!   by the scheduler differential suite). Sinks are threaded as
+//!   by `expt parity`'s traced cells). Sinks are threaded as
 //!   `Option<&mut dyn TraceSink>`; the disabled path is a single `None`
 //!   check with no allocation.
 //! * **Host-domain profiling** ([`HostProfiler`], [`HostPhase`]) — wall
 //!   clock attribution of the scheduler main loop into named phases. This
 //!   is the *only* non-bench code in the workspace allowed to read the
-//!   wall clock, under an audited `nw-analyze` ND02 allowlist exemption:
-//!   readings land exclusively in observability reports, never in
-//!   simulation state.
+//!   wall clock: [`profile`] opens with an
+//!   `#![expect(clippy::disallowed_methods)]` that grants it ND02 (the
+//!   root `clippy.toml`'s wall-clock ban), because readings land
+//!   exclusively in observability reports, never in simulation state.
 //!
 //! [`export_chrome_trace`] renders captured events as Chrome trace-event /
 //! Perfetto JSON (one simulated cycle = one microsecond of trace time),

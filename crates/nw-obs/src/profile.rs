@@ -7,18 +7,22 @@
 //!
 //! Timing is **lap-based**: the profiler keeps a single running mark and,
 //! at each phase boundary, attributes the time since the previous mark to
-//! the phase that just finished. One `Instant::now` read per boundary (a
+//! the phase that just finished. One [`Instant::now`] read per boundary (a
 //! stretch that runs many boundaries at once reads it once and books the
-//! rest as laps without time), and every nanosecond between `arm` and
-//! `pause` lands in exactly one phase — which is what lets `expt profile`'s tests and nwbench's
-//! `core.attributed_share` assert that the phase breakdown sums to the
-//! measured loop total (within noise). The cost of work that
-//! happens between laps without its own phase (e.g. the active-set
-//! quiet-span probe) folds into the next lap taken.
-//!
-//! Wall-clock reads live only in this file; the `nw-analyze` ND02 rule
-//! exempts it via the audited allowlist because readings flow exclusively
-//! into observability reports, never into simulation results.
+//! rest as laps without time, [`HostProfiler::book`]), and every
+//! nanosecond between [`HostProfiler::arm`] and [`HostProfiler::pause`]
+//! lands in exactly one phase — which is what lets `expt profile`'s tests
+//! and nwbench's `core.attributed_share` assert that the phase breakdown
+//! sums to the measured loop total (within noise). The cost of work that
+//! happens between laps without its own phase (the run loop's agenda
+//! read, for one) folds into the next lap taken: [`HostPhase::FastForward`]
+//! on a hop, [`HostPhase::IoPacing`] on a stepped cycle.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "ND02: wall-clock is the profiler's measurand; readings flow only into \
+              ProfileReport, never into simulation state"
+)]
 
 use std::time::{Duration, Instant};
 

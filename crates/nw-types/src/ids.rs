@@ -89,7 +89,6 @@ id_type!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn display_uses_prefix() {
@@ -108,9 +107,14 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "ND01: the test pins the Hash derive; nothing iterates the set"
+    )]
     fn ids_are_ordered_and_hashable() {
         assert!(NodeId(1) < NodeId(2));
-        let set: HashSet<PeId> = [PeId(1), PeId(1), PeId(2)].into_iter().collect();
+        let set: std::collections::HashSet<PeId> =
+            [PeId(1), PeId(1), PeId(2)].into_iter().collect();
         assert_eq!(set.len(), 2);
     }
 
